@@ -268,7 +268,7 @@ func main() {
 			if err != nil {
 				log.Fatal(err)
 			}
-			ast, err := host.InspectArena(dev, *maxVolumes, *wcFrac, 0)
+			ast, err := host.InspectArena(dev, *maxVolumes, *wcFrac)
 			if err != nil {
 				log.Fatal(err)
 			}

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"lsvd/internal/block"
+	"lsvd/internal/extmap"
 	"lsvd/internal/objstore"
 )
 
@@ -502,7 +503,7 @@ func TestCloneGCOnlyTouchesOwnObjects(t *testing.T) {
 	}
 }
 
-func TestFetchRunPrefetchReturnsTemporalNeighbors(t *testing.T) {
+func TestWindowExtrasReturnsTemporalNeighbors(t *testing.T) {
 	store := objstore.NewMem()
 	s := newVolume(t, store, Config{})
 	// Two writes far apart in LBA space land adjacently in the object.
@@ -517,21 +518,38 @@ func TestFetchRunPrefetchReturnsTemporalNeighbors(t *testing.T) {
 	if len(runs) != 1 || !runs[0].Present {
 		t.Fatalf("lookup: %+v", runs)
 	}
-	data, extras, err := s.FetchRun(runs[0], 1024)
+	f, err := s.FetchSpan(runs, 1024)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(data, dA) {
-		t.Fatal("primary read wrong")
+	defer f.Release()
+	if data, err := f.Slice(runs[0]); err != nil || !bytes.Equal(data, dA) {
+		t.Fatalf("primary read wrong (err %v)", err)
 	}
-	foundB := false
-	for _, ex := range extras {
-		if ex.Ext.LBA == extB.LBA && bytes.Equal(ex.Data, dB) {
-			foundB = true
+	// holds(x) is a write cache holding exactly x.
+	holds := func(x block.Extent) func(block.Extent) []extmap.Run {
+		m := extmap.New()
+		if x.Sectors > 0 {
+			m.Update(x, extmap.Target{})
 		}
+		return m.Lookup
 	}
-	if !foundB {
+	foundB := func(extras []Prefetched) bool {
+		for _, ex := range extras {
+			if ex.Ext.LBA == extB.LBA && bytes.Equal(ex.Data, dB) {
+				return true
+			}
+		}
+		return false
+	}
+	skip := []block.Extent{extA}
+	if extras := s.WindowExtras(f, skip, holds(block.Extent{})); !foundB(extras) {
 		t.Fatalf("temporal neighbor not prefetched: %d extras", len(extras))
+	}
+	// A neighbour the write cache holds has a newer version the map does
+	// not show yet: it must not be offered for admission.
+	if extras := s.WindowExtras(f, skip, holds(extB)); len(extras) != 0 {
+		t.Fatalf("write-cache-held neighbor offered for admission: %+v", extras)
 	}
 }
 

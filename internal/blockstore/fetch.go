@@ -186,17 +186,28 @@ func (s *Store) FetchSpan(runs []extmap.Run, windowSectors uint32) (*Fetch, erro
 // object. Best-effort: a header fetch failure returns nil. The header
 // decode and fetch happen off the store lock; only the map
 // verification walk takes the read lock.
-func (s *Store) WindowExtras(f *Fetch, skip []block.Extent) []Prefetched {
+//
+// held is the caller's write-cache lookup and is required: the runs it
+// reports present are left out. It is asked about every candidate
+// before the map walk starts, and the order matters. The map moves to
+// a write's object only when that object commits, and until then the
+// block's previous version in this window still looks live; but a
+// write's record leaves the write cache only after that commit, so an
+// acknowledged write cannot be both absent from the earlier snapshot
+// and unmapped in the later walk.
+//
+// Each extra's Data aliases f.Raw instead of copying it: the core's
+// admit task holds the window until Release, and Raw is never recycled
+// after it, so the bytes stay valid; they must not be modified.
+func (s *Store) WindowExtras(f *Fetch, skip []block.Extent, held func(block.Extent) []extmap.Run) []Prefetched {
 	hdr, err := s.header(f.Obj)
 	if err != nil {
 		return nil
 	}
 	lo := f.Lo
 	hi := lo + block.LBA(len(f.Raw)>>block.SectorShift)
-	var extras []Prefetched
+	var cand []block.Extent
 	cursor := block.LBA(hdr.hdrSectors)
-	s.mu.RLock()
-	defer s.mu.RUnlock()
 	for _, e := range hdr.extents {
 		if e.SrcSeq == trimMarker {
 			continue
@@ -213,6 +224,16 @@ func (s *Store) WindowExtras(f *Fetch, skip []block.Extent) []Prefetched {
 		if coveredBy(vext, skip) {
 			continue
 		}
+		for _, r := range held(vext) {
+			if !r.Present {
+				cand = append(cand, r.Extent)
+			}
+		}
+	}
+	var extras []Prefetched
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	for _, vext := range cand {
 		for _, live := range s.m.Lookup(vext) {
 			if !live.Present || live.Target.Obj != f.Obj {
 				continue
@@ -221,9 +242,7 @@ func (s *Store) WindowExtras(f *Fetch, skip []block.Extent) []Prefetched {
 			if off < 0 || off+live.Bytes() > int64(len(f.Raw)) {
 				continue
 			}
-			d := make([]byte, live.Bytes())
-			copy(d, f.Raw[off:])
-			extras = append(extras, Prefetched{Ext: live.Extent, Data: d})
+			extras = append(extras, Prefetched{Ext: live.Extent, Data: f.Raw[off : off+live.Bytes()]})
 		}
 	}
 	return extras

@@ -45,39 +45,10 @@ func (s *Store) ReadRun(run extmap.Run) ([]byte, error) {
 }
 
 // Prefetched is extra data retrieved alongside a read miss, destined
-// for the read cache.
+// for the read cache. Data aliases the fetched window and is read-only.
 type Prefetched struct {
 	Ext  block.Extent
 	Data []byte
-}
-
-// FetchRun fetches the data for run plus up to windowSectors of
-// adjacent object data. Because the object stream is temporal,
-// adjacency in the object means "written at the same time", so this is
-// the paper's temporal prefetch (§3.2): the extras are whatever
-// virtual-disk ranges were logged next to the requested data, verified
-// still live in the map before being returned.
-//
-// It is a convenience wrapper over FetchSpan/WindowExtras for callers
-// fetching one run at a time; the core's read path drives those
-// directly so it can scatter into the caller's buffer and keep the
-// window alive across the asynchronous cache admission.
-func (s *Store) FetchRun(run extmap.Run, windowSectors uint32) ([]byte, []Prefetched, error) {
-	f, err := s.FetchSpan([]extmap.Run{run}, windowSectors)
-	if err != nil {
-		return nil, nil, err
-	}
-	defer f.Release()
-	sl, err := f.Slice(run)
-	if err != nil {
-		return nil, nil, err
-	}
-	data := append(make([]byte, 0, len(sl)), sl...)
-	var extras []Prefetched
-	if windowSectors > 0 {
-		extras = s.WindowExtras(f, []block.Extent{run.Extent})
-	}
-	return data, extras, nil
 }
 
 // hdrFlight is an in-progress header fetch shared by concurrent misses.

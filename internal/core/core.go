@@ -71,9 +71,6 @@ type Options struct {
 	// PrefetchSectors is the temporal read-ahead window. Default 256
 	// sectors (128 KiB); 0 disables prefetch.
 	PrefetchSectors uint32
-	// ReadCachePolicy selects FIFO (default, as in the prototype) or
-	// LRU slab eviction.
-	ReadCachePolicy readcache.Policy
 	// CheckpointEvery objects between backend map checkpoints.
 	CheckpointEvery int
 	// WriteCacheCheckpointEvery records between cache map checkpoints.
@@ -149,14 +146,13 @@ type Options struct {
 // multi-volume host divides among its tenants. In a single-volume
 // deployment these are just the matching Options fields.
 type HostOptions struct {
-	Store           objstore.Store
-	CacheDev        simdev.Device
-	WriteCacheFrac  float64
-	ReadCachePolicy readcache.Policy
-	UploadDepth     int
-	FetchDepth      int
-	OpenFanout      int
-	Retry           objstore.RetryPolicy
+	Store          objstore.Store
+	CacheDev       simdev.Device
+	WriteCacheFrac float64
+	UploadDepth    int
+	FetchDepth     int
+	OpenFanout     int
+	Retry          objstore.RetryPolicy
 }
 
 // VolumeOptions is the per-volume half of Options: identity, geometry
@@ -184,8 +180,8 @@ type VolumeOptions struct {
 func (o Options) Split() (HostOptions, VolumeOptions) {
 	return HostOptions{
 			Store: o.Store, CacheDev: o.CacheDev,
-			WriteCacheFrac: o.WriteCacheFrac, ReadCachePolicy: o.ReadCachePolicy,
-			UploadDepth: o.UploadDepth, FetchDepth: o.FetchDepth,
+			WriteCacheFrac: o.WriteCacheFrac,
+			UploadDepth:    o.UploadDepth, FetchDepth: o.FetchDepth,
 			OpenFanout: o.OpenFanout, Retry: o.Retry,
 		}, VolumeOptions{
 			Volume: o.Volume, VolBytes: o.VolBytes, BatchBytes: o.BatchBytes,
@@ -209,8 +205,8 @@ func Combine(h HostOptions, v VolumeOptions) Options {
 		Volume: v.Volume, Store: h.Store, CacheDev: h.CacheDev,
 		VolBytes: v.VolBytes, WriteCacheFrac: h.WriteCacheFrac,
 		BatchBytes: v.BatchBytes, GCLowWater: v.GCLowWater, GCHighWater: v.GCHighWater,
-		GCWAFTarget:     v.GCWAFTarget,
-		PrefetchSectors: v.PrefetchSectors, ReadCachePolicy: h.ReadCachePolicy,
+		GCWAFTarget:               v.GCWAFTarget,
+		PrefetchSectors:           v.PrefetchSectors,
 		CheckpointEvery:           v.CheckpointEvery,
 		WriteCacheCheckpointEvery: v.WriteCacheCheckpointEvery,
 		ReadbackThroughSSD:        v.ReadbackThroughSSD,
@@ -465,9 +461,10 @@ type Disk struct {
 	stage       stagePool     // staging buffers recycled at the destage watermark
 
 	// rcGen is bumped by every write/trim before it invalidates the
-	// read cache. A backend reader records the epoch before fetching
-	// and self-invalidates its inserts if it changed, so a stale fetch
-	// can never linger in the read cache past a concurrent overwrite.
+	// read cache. A reader records the epoch before its write-cache
+	// lookup and self-invalidates its inserts if it changed, so a stale
+	// fetch can never linger in the read cache past a concurrent
+	// overwrite.
 	rcGen atomic.Uint64
 
 	// adm applies read-cache admissions (demand fills + temporal
@@ -529,7 +526,7 @@ func (d *Disk) attachCaches(res *Resources) (simdev.Device, error) {
 	if err != nil {
 		return nil, err
 	}
-	if d.rc, err = readcache.New(rcDev, rcConfig(d.opts, rcDev)); err != nil {
+	if d.rc, err = readcache.New(rcDev, readcache.SizedConfig(rcDev.Size(), readcache.FIFO)); err != nil {
 		return nil, err
 	}
 	return wcDev, nil
@@ -542,8 +539,9 @@ func (d *Disk) released() {
 	}
 }
 
-// wcConfig and rcConfig scale the metadata reservations to the cache
-// partition so small experiment caches still leave room for data.
+// wcConfig scales the metadata reservations to the cache partition so
+// small experiment caches still leave room for data (the read cache's
+// counterpart is readcache.SizedConfig).
 func wcConfig(opts Options, dev simdev.Device) writecache.Config {
 	ckpt := dev.Size() / 8
 	if ckpt > 16*block.MiB {
@@ -558,10 +556,6 @@ func wcConfig(opts Options, dev simdev.Device) writecache.Config {
 		GroupStall:      opts.GroupCommitStall,
 		GroupMaxRecords: opts.GroupCommitMaxRecords,
 	}
-}
-
-func rcConfig(opts Options, dev simdev.Device) readcache.Config {
-	return readcache.SizedConfig(dev.Size(), opts.ReadCachePolicy)
 }
 
 // Open recovers an LSVD volume: the cache log is replayed, the backend
@@ -660,7 +654,7 @@ func openReadOnly(ctx context.Context, opts Options, mount func(blockstore.Confi
 	if d.wc, err = writecache.Format(wcDev, wcConfig(opts, wcDev)); err != nil {
 		return nil, err
 	}
-	if d.rc, err = readcache.New(rcDev, rcConfig(opts, rcDev)); err != nil {
+	if d.rc, err = readcache.New(rcDev, readcache.SizedConfig(rcDev.Size(), readcache.FIFO)); err != nil {
 		return nil, err
 	}
 	if d.bs, err = mount(d.storeConfig()); err != nil {
@@ -1210,6 +1204,10 @@ func (d *Disk) ReadAt(p []byte, off int64) error {
 	}
 	d.c.reads.Add(1)
 	d.c.bytesRead.Add(uint64(len(p)))
+	// Taken before the write-cache lookup: a write acknowledged before
+	// this point is in that lookup's view or already in the map, and a
+	// later one moves the epoch (readpath.go).
+	epoch := d.rcGen.Load()
 
 	// (1) Write cache.
 	wcRuns, err := d.wc.ReadExtent(ext, p)
@@ -1244,7 +1242,7 @@ func (d *Disk) ReadAt(p []byte, off int64) error {
 	// pool, with temporal prefetch admitted to the read cache off the
 	// ack path (readpath.go).
 	if len(missesRC) > 0 {
-		return d.readBackend(ext, missesRC, p)
+		return d.readBackend(ext, missesRC, p, epoch)
 	}
 	return nil
 }

@@ -9,7 +9,6 @@ import (
 	"lsvd/internal/block"
 	"lsvd/internal/iomodel"
 	"lsvd/internal/objstore"
-	"lsvd/internal/readcache"
 	"lsvd/internal/simdev"
 )
 
@@ -503,34 +502,5 @@ func TestReadbackThroughSSDCorrectness(t *testing.T) {
 		if !bytes.Equal(got, want[i]) {
 			t.Fatalf("block %d corrupted by SSD pass-through destage", i)
 		}
-	}
-}
-
-// TestLRUReadCachePolicyThroughOptions exercises the LRU policy end
-// to end.
-func TestLRUReadCachePolicyThroughOptions(t *testing.T) {
-	h := newHarness(t, func(o *Options) {
-		o.ReadCachePolicy = readcache.LRU
-		o.BatchBytes = 128 * 1024
-	})
-	d := payload(9, 128*1024)
-	if err := h.disk.WriteAt(d, 0); err != nil {
-		t.Fatal(err)
-	}
-	h.disk.Drain()
-	h.opts.CacheDev = simdev.NewMem(256 * block.MiB)
-	h.opts.ReadCachePolicy = readcache.LRU
-	h.reopen(t)
-	got := make([]byte, len(d))
-	for i := 0; i < 3; i++ {
-		if err := h.disk.ReadAt(got, 0); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if !bytes.Equal(got, d) {
-		t.Fatal("LRU-policy read wrong")
-	}
-	if h.disk.Stats().ReadCacheHitSectors == 0 {
-		t.Fatal("no read-cache hits under LRU")
 	}
 }

@@ -13,12 +13,21 @@
 // completes, so a reader arriving in between shares the bytes instead
 // of re-issuing the GET.
 //
-// Consistency is the same rcGen epoch argument as the serial path: the
-// epoch is recorded before the map lookup, every writer bumps it
-// before invalidating the read cache, and the admitter drops its own
-// inserts if the epoch moved — so a fetch that raced an overwrite can
-// never linger in the read cache. Scattering into p needs no locks:
-// spans cover disjoint regions of the one read's buffer.
+// Consistency rests on one order: epoch, then write cache, then map.
+// ReadAt records the rcGen epoch before it looks in the write cache,
+// every writer bumps the epoch (after its record is readable there)
+// before invalidating the read cache, and both admissions drop their
+// own inserts if the epoch moved — so a fetch that raced an overwrite
+// can never linger in the read cache. A write acknowledged before the
+// epoch was recorded is covered by the order of the other two: its
+// block's old version stays mapped until the write's object commits,
+// but its record leaves the write cache only after that commit, so
+// data the write cache did not hold when asked, and the map still
+// assigns to the fetched object when walked afterwards, is not stale.
+// The demand runs are what ReadAt's own write-cache lookup missed; the
+// prefetch extras were never looked up, so admit hands WindowExtras the
+// write cache to ask before its map walk. Scattering into p needs no
+// locks: spans cover disjoint regions of the one read's buffer.
 package core
 
 import (
@@ -51,10 +60,10 @@ type span struct {
 // and the range GET; by then the map has moved on to the relocated
 // copy, so the affected virtual ranges are looked up afresh and
 // retried.
-func (d *Disk) readBackend(ext block.Extent, misses []block.Extent, p []byte) error {
+func (d *Disk) readBackend(ext block.Extent, misses []block.Extent, p []byte, epoch uint64) error {
 	const maxRetries = 3
 	for attempt := 0; ; attempt++ {
-		retry, err := d.fetchMisses(ext, misses, p)
+		retry, err := d.fetchMisses(ext, misses, p, epoch)
 		if err == nil || attempt >= maxRetries {
 			return err
 		}
@@ -69,8 +78,7 @@ func (d *Disk) readBackend(ext block.Extent, misses []block.Extent, p []byte) er
 // the concurrent fan-out. On ErrNotFound it returns the virtual
 // extents whose objects vanished (for re-lookup by the caller); any
 // other error wins over ErrNotFound.
-func (d *Disk) fetchMisses(ext block.Extent, misses []block.Extent, p []byte) ([]block.Extent, error) {
-	epoch := d.rcGen.Load()
+func (d *Disk) fetchMisses(ext block.Extent, misses []block.Extent, p []byte, epoch uint64) ([]block.Extent, error) {
 	runs := make([]extmap.Run, 0, 2*len(misses))
 	for _, miss := range misses {
 		runs = d.bs.LookupInto(runs, miss)
@@ -341,12 +349,13 @@ func (a *admitter) stop() {
 }
 
 // admit applies one extras admission: the window's header is decoded
-// (off every lock) and the temporal-prefetch extras it maps to
-// still-live data are inserted — never overwriting newer read-cache
-// content — then the epoch check drops them if a write or trim raced
-// the fetch (the writer's Invalidate may have run before these
-// inserts; the authoritative copy is in the write cache / newer log,
-// which readers consult first).
+// (off every lock) and the temporal-prefetch extras that the write
+// cache does not hold and the map still assigns to the window's object
+// are inserted — never overwriting newer read-cache content — then the
+// epoch check drops them if a write or trim raced the fetch (the
+// writer's Invalidate may have run before these inserts; the
+// authoritative copy is in the write cache / newer log, which readers
+// consult first).
 func (d *Disk) admit(t admitTask) {
 	defer t.win.Release()
 	inserted := make([]block.Extent, 0, 4)
@@ -361,7 +370,7 @@ func (d *Disk) admit(t admitTask) {
 	for i, r := range t.runs {
 		skip[i] = r.Extent
 	}
-	for _, ex := range d.bs.WindowExtras(t.win, skip) {
+	for _, ex := range d.bs.WindowExtras(t.win, skip, d.wc.Lookup) {
 		if err := d.insertIfAbsentPrefetched(ex.Ext, ex.Data); err != nil {
 			return
 		}

@@ -389,3 +389,102 @@ func TestRunCoalescing(t *testing.T) {
 		t.Fatalf("GET amplification too high: %d GETs for %d adjacent runs", st.BackendGETs, chunks)
 	}
 }
+
+// gatedPutStore holds every PUT while its gate is set, so a test can
+// keep a write acknowledged but uncommitted for as long as it likes.
+type gatedPutStore struct {
+	objstore.Store
+	mu   sync.Mutex
+	gate chan struct{}
+}
+
+func (s *gatedPutStore) hold() {
+	s.mu.Lock()
+	s.gate = make(chan struct{})
+	s.mu.Unlock()
+}
+
+func (s *gatedPutStore) release() {
+	s.mu.Lock()
+	close(s.gate)
+	s.gate = nil
+	s.mu.Unlock()
+}
+
+func (s *gatedPutStore) Put(ctx context.Context, name string, data []byte) error {
+	s.mu.Lock()
+	gate := s.gate
+	s.mu.Unlock()
+	if gate != nil {
+		<-gate
+	}
+	return s.Store.Put(ctx, name, data)
+}
+
+// TestAdmissionSkipsBlocksTheWriteCacheHolds: between a write's ack and
+// its object's commit the map still assigns the block's old version to
+// the old object, so a window fetched for a neighbour carries that old
+// version as a live-looking prefetch extra. Admitting it would serve
+// stale bytes once the write-cache record is evicted.
+func TestAdmissionSkipsBlocksTheWriteCacheHolds(t *testing.T) {
+	store := &gatedPutStore{Store: objstore.NewMem()}
+	h := newHarness(t, func(o *Options) {
+		o.Store = store
+		o.CacheDev = simdev.NewMem(32 * block.MiB)
+		o.VolBytes = 64 * block.MiB
+	})
+	const blk = 4096
+	oldB, newB := payload(1, blk), payload(2, blk)
+	// The neighbour and B, logged side by side in one object.
+	if err := h.disk.WriteAt(payload(3, blk), 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := h.disk.WriteAt(oldB, blk); err != nil {
+		t.Fatal(err)
+	}
+	if err := h.disk.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	if err := h.disk.Close(); err != nil {
+		t.Fatal(err)
+	}
+	h.opts.CacheDev = simdev.NewMem(32 * block.MiB) // both caches cold
+	h.reopen(t)
+	d := h.disk
+
+	store.hold()
+	if err := d.WriteAt(newB, blk); err != nil { // acknowledged, not committed
+		t.Fatal(err)
+	}
+	got := make([]byte, blk)
+	if err := d.ReadAt(got, 0); err != nil { // miss: fetches the window holding old B
+		t.Fatal(err)
+	}
+	d.adm.drain()
+	store.release()
+	if err := d.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	// Push B's record out of the write log with writes elsewhere.
+	extB := block.Extent{LBA: block.LBAFromBytes(blk), Sectors: blk / block.SectorSize}
+	filler := payload(4, 256*1024)
+	for i := 0; i < 64; i++ {
+		if err := d.WriteAt(filler, 8*block.MiB+int64(i)*int64(len(filler))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, r := range d.wc.Lookup(extB) {
+		if r.Present {
+			t.Fatalf("B still in the write cache (%v): the test evicted nothing", r)
+		}
+	}
+	if err := d.ReadAt(got, blk); err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Equal(got, oldB) {
+		t.Fatal("read of B returned the version its acknowledged overwrite replaced")
+	}
+	if !bytes.Equal(got, newB) {
+		t.Fatal("read of B returned neither version")
+	}
+}

@@ -10,9 +10,7 @@ import (
 	"lsvd/internal/cluster"
 	"lsvd/internal/core"
 	"lsvd/internal/objstore"
-	"lsvd/internal/readcache"
 	"lsvd/internal/simdev"
-	"lsvd/internal/workload"
 )
 
 // Ablations quantifies the design decisions the paper calls out in
@@ -25,8 +23,6 @@ import (
 //     backend GETs eliminated during cleaning;
 //   - intra-batch coalescing (§3.1): backend bytes eliminated on a
 //     hot workload;
-//   - read-cache eviction policy FIFO vs LRU (§3.1 notes the separate
-//     read cache "can provide LRU or similar eviction policies");
 //   - destage through the SSD vs in-memory handoff (§3.7/§6.2 — the
 //     prototype's kernel/user split vs the userspace rewrite).
 func Ablations(ctx context.Context, e Env) (*Table, error) {
@@ -155,31 +151,7 @@ func Ablations(ctx context.Context, e Env) (*Table, error) {
 			fmt.Sprint(put[0]), fmt.Sprint(put[1])})
 	}
 
-	// 4. Read cache FIFO vs LRU under a skewed read workload.
-	{
-		var hits [2]uint64
-		for i, policy := range []readcache.Policy{readcache.FIFO, readcache.LRU} {
-			st, err := newLSVD(ctx, e, e.smallCache(), cluster.SSDConfig1(), core.Options{
-				ReadCachePolicy: policy, BatchBytes: 2 * block.MiB, WriteCacheFrac: 0.3,
-			})
-			if err != nil {
-				return nil, err
-			}
-			if err := precondition(st.disk, e); err != nil {
-				return nil, err
-			}
-			// Skewed reads: 80% to the first 10% of the volume.
-			gen := &workload.Filebench{Model: workload.Varmail, VolBytes: e.volBytes(), TotalBytes: 16 << 20, Seed: e.Seed}
-			if _, err := workload.Run(st.disk, gen, nil, 4000); err != nil {
-				return nil, err
-			}
-			hits[i] = st.disk.Stats().ReadCacheHitSectors
-		}
-		t.Rows = append(t.Rows, []string{"read cache FIFO vs LRU", "read-cache hit sectors",
-			fmt.Sprint(hits[0]), fmt.Sprint(hits[1])})
-	}
-
-	// 5. Destage through the SSD (prototype) vs in-memory handoff.
+	// 4. Destage through the SSD (prototype) vs in-memory handoff.
 	{
 		var devReads [2]uint64
 		for i, through := range []bool{false, true} {

@@ -63,8 +63,6 @@ type Options struct {
 	// write-cache slots; the rest is the shared read arena. Default
 	// 0.2, as in the single-volume layout.
 	WriteCacheFrac float64
-	// ReadCachePolicy selects the arena's slab eviction policy.
-	ReadCachePolicy readcache.Policy
 
 	// UploadDepth / FetchDepth are the HOST-WIDE backend concurrency
 	// budgets: at most UploadDepth object PUTs and FetchDepth range
@@ -186,7 +184,7 @@ func New(ctx context.Context, opts Options) (*Host, error) {
 	if err != nil {
 		return nil, err
 	}
-	h.arena, err = readcache.NewArena(arenaDev, readcache.SizedConfig(arenaDev.Size(), opts.ReadCachePolicy))
+	h.arena, err = readcache.NewArena(arenaDev, readcache.SizedConfig(arenaDev.Size(), readcache.FIFO))
 	if err != nil {
 		return nil, fmt.Errorf("host: arena: %w", err)
 	}
@@ -223,7 +221,7 @@ func carve(dev simdev.Device, maxVolumes int, frac float64) (int64, simdev.Devic
 // cache device without opening any volume (offline observability:
 // lsvd-ctl). The geometry arguments must match the host that wrote
 // the device; zero values select the host defaults.
-func InspectArena(dev simdev.Device, maxVolumes int, frac float64, policy readcache.Policy) (readcache.ArenaStats, error) {
+func InspectArena(dev simdev.Device, maxVolumes int, frac float64) (readcache.ArenaStats, error) {
 	if maxVolumes <= 0 {
 		maxVolumes = 8
 	}
@@ -234,7 +232,7 @@ func InspectArena(dev simdev.Device, maxVolumes int, frac float64, policy readca
 	if err != nil {
 		return readcache.ArenaStats{}, err
 	}
-	a, err := readcache.NewArena(arenaDev, readcache.SizedConfig(arenaDev.Size(), policy))
+	a, err := readcache.NewArena(arenaDev, readcache.SizedConfig(arenaDev.Size(), readcache.FIFO))
 	if err != nil {
 		return readcache.ArenaStats{}, err
 	}
@@ -394,13 +392,12 @@ func (h *Host) coreOptions(name string, v core.VolumeOptions) (core.Options, err
 	}
 	v.Volume = name
 	return core.Combine(core.HostOptions{
-		Store:           st,
-		WriteCacheFrac:  h.opts.WriteCacheFrac, // unused with Resources, kept coherent
-		ReadCachePolicy: h.opts.ReadCachePolicy,
-		UploadDepth:     h.opts.UploadDepth,
-		FetchDepth:      h.opts.FetchDepth,
-		OpenFanout:      h.opts.OpenFanout,
-		Retry:           h.opts.Retry,
+		Store:          st,
+		WriteCacheFrac: h.opts.WriteCacheFrac, // unused with Resources, kept coherent
+		UploadDepth:    h.opts.UploadDepth,
+		FetchDepth:     h.opts.FetchDepth,
+		OpenFanout:     h.opts.OpenFanout,
+		Retry:          h.opts.Retry,
 	}, v), nil
 }
 

@@ -1,8 +1,11 @@
 // Package readcache implements LSVD's SSD read cache (paper §3.1).
 // Unlike the write-back cache it holds only clean data fetched from the
 // backend, so its metadata needs no logging: losing the map merely
-// costs re-fetches. The cache allocates space in large slabs, evicting
-// whole slabs FIFO (the prototype's policy) or by LRU, and keeps an
+// costs re-fetches. The cache allocates space in large slabs and
+// evicts whole slabs FIFO (the prototype's policy), giving the evicted
+// data a second chance: whatever lies in a 128 KiB chunk that was hit
+// after the slab filled is copied to the head of the slab's next life,
+// up to half a slab, so a hot set survives a cold scan. It keeps an
 // in-memory extent map from vLBA to SSD location that is periodically
 // persisted to a reserved region to avoid cold restarts (§3.2).
 //
@@ -37,22 +40,24 @@ import (
 	"lsvd/internal/simdev"
 )
 
-// Policy selects the slab eviction policy (within the victim view).
+// Policy and FIFO are what is left of a policy knob: there is one
+// eviction policy. They stay only because benchmark/ladder.go, which a
+// change that claims a gain may not edit, calls SizedConfig(n, FIFO).
 type Policy int
 
-const (
-	// FIFO evicts the oldest-filled slab, as in the paper's prototype.
-	FIFO Policy = iota
-	// LRU evicts the slab least recently hit.
-	LRU
-)
+// FIFO is the only Policy.
+const FIFO Policy = 0
+
+// chunkSectors is the granularity of hit tracking: 128 KiB, the fetch
+// window the core admits on a miss. A hot 16 KiB block is re-read about
+// once per arena turnover, so a per-extent reference bit is a coin
+// toss; the window around it is re-read several times.
+const chunkSectors = 256
 
 // Config configures a read-cache arena.
 type Config struct {
 	// SlabBytes is the allocation/eviction unit. Default 4 MiB.
 	SlabBytes int64
-	// Policy is the eviction policy. Default FIFO.
-	Policy Policy
 	// MapBytes reserves space for map persistence. Default 16 MiB.
 	MapBytes int64
 }
@@ -70,7 +75,8 @@ func (c *Config) setDefaults() {
 // cache device so small experiment caches still hold a useful number
 // of slabs (>= 8 where possible). Both the single-volume core and the
 // multi-volume host size their arenas with it, so the two paths agree.
-func SizedConfig(devBytes int64, policy Policy) Config {
+// The Policy argument is ignored (see Policy).
+func SizedConfig(devBytes int64, _ Policy) Config {
 	mapBytes := devBytes / 8
 	if mapBytes > 16*block.MiB {
 		mapBytes = 16 * block.MiB
@@ -82,7 +88,7 @@ func SizedConfig(devBytes int64, policy Policy) Config {
 	for slab > 256<<10 && (devBytes-mapBytes)/slab < 8 {
 		slab /= 2
 	}
-	return Config{Policy: policy, MapBytes: mapBytes, SlabBytes: slab}
+	return Config{MapBytes: mapBytes, SlabBytes: slab}
 }
 
 // noOwner marks a slab no view owns.
@@ -94,7 +100,6 @@ type slab struct {
 	owner    int    // view id owning every byte in the slab, or noOwner
 	stale    bool   // restored for a persisted view that has not reopened
 	fill     int64  // bytes used
-	lastHit  uint64 // logical clock of last lookup hit
 	inserted []block.Extent
 
 	// pendingOwnerName names the persisted owner of a stale slab until
@@ -112,6 +117,11 @@ type Stats struct {
 	MapExtents         int
 	PersistedMapBytes  int64
 	PrefetchHitSectors uint64 // hit sectors that were inserted by prefetch
+	// Reinserts/ReinsertedBytes count the extents and bytes that
+	// evictions of this view's slabs copied forward: the SSD writes the
+	// second chance costs.
+	Reinserts       uint64
+	ReinsertedBytes uint64
 
 	// OwnedSlabs/OwnedBytes are this view's arena occupancy;
 	// FairShareSlabs is the proportional floor fair eviction protects.
@@ -149,8 +159,10 @@ type Arena struct {
 	slabs     []*slab
 	views     []*Cache
 	byName    map[string]*Cache
-	clock     uint64
 	nextGen   uint32
+	// rescue holds the bytes an eviction copies forward, between reading
+	// them out of the victim slab and writing them to its head.
+	rescue []byte
 
 	evictions      uint64
 	persistedBytes int64
@@ -175,9 +187,15 @@ type Cache struct {
 	pf *extmap.Map
 
 	active int // slab being filled, -1 if none
+	// newest is the generation of the slab this view claimed last;
+	// stamps[i] is its value at the last hit in chunk i (vLBA /
+	// chunkSectors), 0 if never hit. 32 KiB per GiB of volume touched.
+	newest uint32
+	stamps []uint32
 
-	hits, misses, inserts uint64
-	pfHitSectors          uint64
+	hits, misses, inserts      uint64
+	pfHitSectors               uint64
+	reinserts, reinsertedBytes uint64
 }
 
 // NewArena builds a shared read-cache arena on dev, attempting to load
@@ -244,12 +262,13 @@ func (a *Arena) Purge(name string) {
 	}
 	for _, s := range a.slabs {
 		if s.owner == v.id {
-			s.gen, s.owner, s.fill, s.lastHit, s.inserted, s.stale = 0, noOwner, 0, 0, nil, false
+			s.gen, s.owner, s.fill, s.inserted, s.stale = 0, noOwner, 0, nil, false
 		}
 	}
 	v.m.Reset()
 	v.pf.Reset()
 	v.active = -1
+	v.stamps = nil
 }
 
 // Views returns the registered view names in creation order.
@@ -297,6 +316,8 @@ func (c *Cache) Name() string { return c.name }
 func (c *Cache) Arena() *Arena { return c.a }
 
 // Lookup returns the view's coverage of ext and bumps hit statistics.
+// It is a presence check (admission asks it what a fetched window
+// would overwrite), not a read: only ReadExtent stamps chunks as hit.
 func (c *Cache) Lookup(ext block.Extent) []extmap.Run {
 	a := c.a
 	a.mu.Lock()
@@ -306,10 +327,6 @@ func (c *Cache) Lookup(ext block.Extent) []extmap.Run {
 	for _, r := range runs {
 		if r.Present {
 			hit = true
-			a.clock++
-			if s := a.slabOfTarget(c, r.Target); s != nil {
-				s.lastHit = a.clock
-			}
 			c.notePrefetchHit(r.Extent)
 		}
 	}
@@ -319,6 +336,19 @@ func (c *Cache) Lookup(ext block.Extent) []extmap.Run {
 		c.misses++
 	}
 	return runs
+}
+
+// touch stamps every chunk ext overlaps with the generation of the
+// view's newest slab. An eviction compares the stamp with the victim's
+// generation: greater means the chunk was hit after the victim filled.
+func (c *Cache) touch(ext block.Extent) {
+	last := int((ext.End() - 1) / chunkSectors)
+	if last >= len(c.stamps) {
+		c.stamps = append(c.stamps, make([]uint32, last+1-len(c.stamps))...)
+	}
+	for i := int(ext.LBA / chunkSectors); i <= last; i++ {
+		c.stamps[i] = c.newest
+	}
 }
 
 // notePrefetchHit credits hit sectors that prefetch (rather than a
@@ -332,24 +362,6 @@ func (c *Cache) notePrefetchHit(ext block.Extent) {
 			c.pfHitSectors += uint64(pr.Sectors)
 		}
 	}
-}
-
-// slabOfTarget resolves a map target to its slab iff the slab still
-// holds this view's generation of the data.
-func (a *Arena) slabOfTarget(c *Cache, t extmap.Target) *slab {
-	off := t.Off.Bytes()
-	if off < a.dataStart {
-		return nil
-	}
-	idx := int((off - a.dataStart) / a.cfg.SlabBytes)
-	if idx < 0 || idx >= len(a.slabs) {
-		return nil
-	}
-	s := a.slabs[idx]
-	if s.gen != t.Obj || s.owner != c.id {
-		return nil
-	}
-	return s
 }
 
 // ReadAt reads cached data previously located via Lookup. Under
@@ -376,10 +388,7 @@ func (c *Cache) ReadExtent(ext block.Extent, buf []byte) ([]extmap.Run, error) {
 			continue
 		}
 		hit = true
-		a.clock++
-		if s := a.slabOfTarget(c, r.Target); s != nil {
-			s.lastHit = a.clock
-		}
+		c.touch(r.Extent)
 		c.notePrefetchHit(r.Extent)
 		off := (r.LBA - ext.LBA).Bytes()
 		if err := a.dev.ReadAt(buf[off:off+r.Bytes()], r.Target.Off.Bytes()); err != nil {
@@ -431,14 +440,9 @@ func (c *Cache) insert(ext block.Extent, data []byte, prefetched bool) error {
 			take = room &^ (block.SectorSize - 1)
 		}
 		sectors := uint32(take >> block.SectorShift)
-		sub := block.Extent{LBA: ext.LBA, Sectors: sectors}
-		off := a.slabBase(s.idx) + s.fill
-		if err := a.dev.WriteAt(data[:take], off); err != nil {
+		if err := a.place(c, s, block.Extent{LBA: ext.LBA, Sectors: sectors}, data[:take]); err != nil {
 			return err
 		}
-		c.m.Update(sub, extmap.Target{Obj: s.gen, Off: block.LBAFromBytes(off)})
-		s.inserted = append(s.inserted, sub)
-		s.fill += take
 		c.inserts++
 		data = data[take:]
 		ext.LBA += block.LBA(sectors)
@@ -449,7 +453,11 @@ func (c *Cache) insert(ext block.Extent, data []byte, prefetched bool) error {
 
 // writableSlab returns the view's active slab if it has space, or
 // claims a fresh slab: free first, then stale (persisted for a view
-// that never reopened), then a fair eviction.
+// that never reopened), then a fair eviction. An eviction of one of
+// c's own slabs copies the slab's survivors to the head of its next
+// life before the caller appends; a slab taken from another view is
+// being reclaimed from an owner over its share and carries nothing
+// over.
 func (a *Arena) writableSlab(c *Cache) (*slab, error) {
 	if c.active >= 0 {
 		if s := a.slabs[c.active]; s.owner == c.id && s.fill < a.cfg.SlabBytes {
@@ -471,13 +479,14 @@ func (a *Arena) writableSlab(c *Cache) (*slab, error) {
 			claim = s
 		}
 	}
+	var keep []block.Extent
 	if claim == nil {
 		victim := a.pickVictim(c)
 		if victim < 0 {
 			return nil, fmt.Errorf("readcache: no evictable slab")
 		}
-		a.evict(victim)
 		claim = a.slabs[victim]
+		keep = a.evict(victim, claim.owner == c.id)
 	}
 	claim.gen = a.nextGen
 	a.nextGen++
@@ -486,15 +495,38 @@ func (a *Arena) writableSlab(c *Cache) (*slab, error) {
 	claim.fill = 0
 	claim.inserted = nil
 	c.active = claim.idx
+	c.newest = claim.gen
+	var off int64 // survivors are packed in a.rescue in order
+	for _, ext := range keep {
+		if err := a.place(c, claim, ext, a.rescue[off:][:ext.Bytes()]); err != nil {
+			return nil, err
+		}
+		off += ext.Bytes()
+		c.reinserts++
+	}
+	c.reinsertedBytes += uint64(off)
 	return claim, nil
+}
+
+// place appends data for ext to s, which has room for it, and maps it.
+func (a *Arena) place(c *Cache, s *slab, ext block.Extent, data []byte) error {
+	off := a.slabBase(s.idx) + s.fill
+	if err := a.dev.WriteAt(data, off); err != nil {
+		return err
+	}
+	c.m.Update(ext, extmap.Target{Obj: s.gen, Off: block.LBAFromBytes(off)})
+	s.inserted = append(s.inserted, ext)
+	s.fill += ext.Bytes()
+	return nil
 }
 
 // pickVictim chooses the slab to evict for requester c: the victim
 // view is the one holding the most slabs among views over the fair
 // share — so a view at or below its proportional floor is untouchable
 // while anyone (including the requester) is over it — and within the
-// victim view the policy picks FIFO-oldest (lowest generation) or LRU.
-// Active slabs are spared unless they are the view's only slab.
+// victim view the oldest slab goes (lowest generation: generations are
+// assigned in fill order). Active slabs are spared unless they are the
+// view's only slab.
 func (a *Arena) pickVictim(c *Cache) int {
 	share := a.fairShareSlabs()
 	owned := make([]int, len(a.views))
@@ -528,21 +560,12 @@ func (a *Arena) pickVictim(c *Cache) int {
 	}
 	v := a.views[victim]
 	best := -1
-	var bestGen uint32
-	var bestHit uint64
 	for _, s := range a.slabs {
 		if s.owner != victim || s.idx == v.active {
 			continue
 		}
-		switch a.cfg.Policy {
-		case LRU:
-			if best < 0 || s.lastHit < bestHit {
-				best, bestHit = s.idx, s.lastHit
-			}
-		default: // FIFO: generations are assigned in fill order
-			if best < 0 || s.gen < bestGen {
-				best, bestGen = s.idx, s.gen
-			}
+		if best < 0 || s.gen < a.slabs[best].gen {
+			best = s.idx
 		}
 	}
 	if best < 0 && v.active >= 0 && a.slabs[v.active].owner == victim {
@@ -551,31 +574,65 @@ func (a *Arena) pickVictim(c *Cache) int {
 	return best
 }
 
+// hitAfter reports whether the chunk holding lba was hit while the
+// view's newest slab was younger than generation gen.
+func (c *Cache) hitAfter(lba block.LBA, gen uint32) bool {
+	i := int(lba / chunkSectors)
+	return i < len(c.stamps) && c.stamps[i] > gen
+}
+
+// readRescue reads n bytes at device offset src into a.rescue[at:],
+// unless that would pass the half-slab cap or the read fails.
+func (a *Arena) readRescue(src, at, n int64) bool {
+	if at+n > a.cfg.SlabBytes/2 {
+		return false
+	}
+	if a.rescue == nil {
+		a.rescue = make([]byte, a.cfg.SlabBytes/2)
+	}
+	return a.dev.ReadAt(a.rescue[at:at+n], src) == nil
+}
+
 // evict empties one slab: the owning view's map entries for it are
 // dropped (so a later read misses instead of reading recycled bytes).
-func (a *Arena) evict(idx int) {
+// With rescue set, the parts still mapped into the slab whose chunk was
+// hit after the slab stopped being its view's newest are first read
+// into a.rescue, packed in the order returned, their prefetch tags left
+// alone. At most
+// half a slab is rescued, so every eviction frees at least half a slab
+// and an arena in which everything is hot degrades to plain FIFO
+// instead of copying itself in circles.
+func (a *Arena) evict(idx int, rescue bool) []block.Extent {
 	s := a.slabs[idx]
 	if s.owner == noOwner {
-		return
+		return nil
 	}
 	invariant.Assertf(s.owner >= 0 && s.owner < len(a.views),
 		"readcache: slab %d owned by unknown view %d", idx, s.owner)
 	v := a.views[s.owner]
 	lo := block.LBAFromBytes(a.slabBase(idx))
 	hi := lo + block.LBA(a.cfg.SlabBytes>>block.SectorShift)
-	gen := s.gen
-	for _, ext := range s.inserted {
-		v.m.DeleteIf(ext, func(r extmap.Run) bool {
-			return r.Target.Obj == gen && r.Target.Off >= lo && r.Target.Off < hi
-		})
-	}
-	// Drop prefetch tags for whatever the eviction actually removed
-	// (overlapping data re-inserted into newer slabs keeps its tag).
-	if v.pf.Len() > 0 {
-		for _, ext := range s.inserted {
-			for _, r := range v.m.Lookup(ext) {
-				if !r.Present {
-					v.pf.Delete(r.Extent)
+	var keep []block.Extent
+	var kept int64
+	// Entries of s.inserted may overlap; the map holds each sector once,
+	// and deleting a run as it is visited keeps a later overlapping
+	// entry from seeing it again.
+	for _, ins := range s.inserted {
+		for _, r := range v.m.Lookup(ins) {
+			if !r.Present || r.Target.Obj != s.gen || r.Target.Off < lo || r.Target.Off >= hi {
+				continue
+			}
+			v.m.Delete(r.Extent)
+			for lba := r.LBA; lba < r.End(); {
+				end := min((lba/chunkSectors+1)*chunkSectors, r.End())
+				piece := block.Extent{LBA: lba, Sectors: uint32(end - lba)}
+				src := (r.Target.Off + (lba - r.LBA)).Bytes()
+				lba = end
+				if rescue && v.hitAfter(piece.LBA, s.gen) && a.readRescue(src, kept, piece.Bytes()) {
+					keep = append(keep, piece)
+					kept += piece.Bytes()
+				} else {
+					v.pf.Delete(piece) // dropped for good: so is its prefetch tag
 				}
 			}
 		}
@@ -585,10 +642,10 @@ func (a *Arena) evict(idx int) {
 	}
 	s.inserted = nil
 	s.fill = 0
-	s.lastHit = 0
 	s.owner = noOwner
 	s.stale = false
 	a.evictions++
+	return keep
 }
 
 // Invalidate drops any cached data overlapping ext (called by the core
@@ -751,6 +808,7 @@ func (a *Arena) restoreView(v *Cache, raw []byte) {
 			s.owner = v.id
 			s.stale = false
 			s.pendingOwnerName = ""
+			v.newest = max(v.newest, s.gen)
 		}
 	}
 	m := extmap.New()
@@ -810,6 +868,8 @@ func (c *Cache) Stats() Stats {
 		SlabEvictions: a.evictions, MapExtents: c.m.Len(),
 		PersistedMapBytes:  a.persistedBytes,
 		PrefetchHitSectors: c.pfHitSectors,
+		Reinserts:          c.reinserts,
+		ReinsertedBytes:    c.reinsertedBytes,
 		OwnedSlabs:         ownedSlabs,
 		OwnedBytes:         ownedBytes,
 		FairShareSlabs:     a.fairShareSlabs(),

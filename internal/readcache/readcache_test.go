@@ -101,7 +101,7 @@ func TestInsertSpanningSlabs(t *testing.T) {
 }
 
 func TestFIFOEviction(t *testing.T) {
-	cfg := Config{SlabBytes: 1 * block.MiB, MapBytes: 1 * block.MiB, Policy: FIFO}
+	cfg := Config{SlabBytes: 1 * block.MiB, MapBytes: 1 * block.MiB}
 	c := newCache(t, 1*block.MiB+block.BlockSize+4*block.MiB, cfg) // 4 slabs
 	slabSectors := uint32(block.MiB / block.SectorSize)
 	// Fill 6 slab-sized extents: the first two must be evicted.
@@ -122,31 +122,6 @@ func TestFIFOEviction(t *testing.T) {
 	got, full := readBack(t, c, newest)
 	if !full || !bytes.Equal(got, payload(5, int(newest.Bytes()))) {
 		t.Fatal("newest data wrong after eviction")
-	}
-}
-
-func TestLRUEvictionKeepsHotSlab(t *testing.T) {
-	cfg := Config{SlabBytes: 1 * block.MiB, MapBytes: 1 * block.MiB, Policy: LRU}
-	c := newCache(t, 1*block.MiB+block.BlockSize+3*block.MiB, cfg) // 3 slabs
-	slabSectors := uint32(block.MiB / block.SectorSize)
-	extA := block.Extent{LBA: 0, Sectors: slabSectors}
-	extB := block.Extent{LBA: block.LBA(slabSectors), Sectors: slabSectors}
-	_ = c.Insert(extA, payload(0, int(extA.Bytes())))
-	_ = c.Insert(extB, payload(1, int(extB.Bytes())))
-	// Touch A repeatedly so B becomes the LRU victim.
-	for i := 0; i < 5; i++ {
-		readBack(t, c, extA)
-	}
-	// Insert two more slab-sized extents, forcing evictions.
-	for i := 2; i < 4; i++ {
-		ext := block.Extent{LBA: block.LBA(i) * block.LBA(slabSectors), Sectors: slabSectors}
-		_ = c.Insert(ext, payload(int64(i), int(ext.Bytes())))
-	}
-	if _, full := readBack(t, c, extA); !full {
-		t.Fatal("hot slab evicted under LRU")
-	}
-	if _, full := readBack(t, c, extB); full {
-		t.Fatal("cold slab survived under LRU")
 	}
 }
 
@@ -211,9 +186,9 @@ func TestOverwriteInsertServesNewest(t *testing.T) {
 
 // arenaFor builds an arena whose slab geometry is easy to reason
 // about: slabBytes-sized slabs, minimal map reservation.
-func arenaFor(t *testing.T, nSlabs int, slabBytes int64, policy Policy) (*Arena, simdev.Device) {
+func arenaFor(t *testing.T, nSlabs int, slabBytes int64) (*Arena, simdev.Device) {
 	t.Helper()
-	cfg := Config{SlabBytes: slabBytes, MapBytes: block.BlockSize, Policy: policy}
+	cfg := Config{SlabBytes: slabBytes, MapBytes: block.BlockSize}
 	dev := simdev.NewMem(block.BlockSize + cfg.MapBytes + int64(nSlabs)*slabBytes)
 	a, err := NewArena(dev, cfg)
 	if err != nil {
@@ -237,7 +212,7 @@ func fillSlabs(t *testing.T, v *Cache, seed int64, startLBA block.LBA, n int, sl
 }
 
 func TestArenaViewIsolation(t *testing.T) {
-	a, _ := arenaFor(t, 8, 256<<10, FIFO)
+	a, _ := arenaFor(t, 8, 256<<10)
 	va := a.Open("a")
 	vb := a.Open("b")
 	ext := block.Extent{LBA: 100, Sectors: 64}
@@ -274,7 +249,7 @@ func TestArenaViewIsolation(t *testing.T) {
 
 func TestArenaFairEviction(t *testing.T) {
 	const slabBytes = 256 << 10
-	a, _ := arenaFor(t, 8, slabBytes, FIFO)
+	a, _ := arenaFor(t, 8, slabBytes)
 	cold := a.Open("cold")
 	hot := a.Open("hot")
 
@@ -317,7 +292,7 @@ func TestArenaFairEviction(t *testing.T) {
 func TestArenaSingleViewUsesWholePool(t *testing.T) {
 	// With one view there is no sharing: it may fill every slab.
 	const slabBytes = 256 << 10
-	a, _ := arenaFor(t, 8, slabBytes, FIFO)
+	a, _ := arenaFor(t, 8, slabBytes)
 	v := a.Open("only")
 	fillSlabs(t, v, 1, 0, 8, slabBytes)
 	if st := v.Stats(); st.OwnedSlabs != 8 {
@@ -406,7 +381,7 @@ func TestArenaReloadUnopenedViewSlabsReclaimable(t *testing.T) {
 
 func TestArenaPurge(t *testing.T) {
 	const slabBytes = 256 << 10
-	a, _ := arenaFor(t, 4, slabBytes, FIFO)
+	a, _ := arenaFor(t, 4, slabBytes)
 	v := a.Open("v")
 	w := a.Open("w")
 	fillSlabs(t, v, 1, 0, 2, slabBytes)
@@ -433,7 +408,7 @@ func TestArenaPurge(t *testing.T) {
 
 func TestArenaStatsOccupancy(t *testing.T) {
 	const slabBytes = 256 << 10
-	a, _ := arenaFor(t, 8, slabBytes, FIFO)
+	a, _ := arenaFor(t, 8, slabBytes)
 	va := a.Open("a")
 	fillSlabs(t, va, 1, 0, 2, slabBytes)
 	a.Open("b")

