@@ -29,6 +29,11 @@ FUZZ_TARGETS := \
 	./internal/blockstore,FuzzDecodeCheckpoint
 FUZZTIME ?= 10s
 
+# Ceiling on `//lsvd:ignore` waivers outside internal/analysis (whose
+# testdata seeds them on purpose). vet-lsvd fails above it. The budget
+# only ever goes down: delete a waiver, lower this number.
+WAIVER_BUDGET := 24
+
 .PHONY: all build fmt vet test race bench bench-read bench-multivol bench-multivol-profile bench-gc bench-open bench-replica bench-smoke fault gc-torture vet-lsvd vet-lsvd-update-baseline check-invariant fuzz-smoke check clean
 
 all: check
@@ -70,10 +75,10 @@ fault:
 	LSVD_FAULT_SEED=1 LSVD_FAULT_ITERS=24 \
 		$(GO) test -count=1 -run TestReplicaTorture ./internal/consistency
 
-# Destage-pipeline micro-benchmarks: sync vs async write-ack latency
-# and concurrent-reader throughput.
+# Destage-pipeline micro-benchmarks: write-ack latency over a 1 ms
+# backend and concurrent-reader throughput.
 bench:
-	$(GO) test -run xxx -bench 'DiskWriteAck|DiskConcurrentReads' -benchtime 2s .
+	$(GO) test -run xxx -bench 'DiskWriteAckAsync4K|DiskConcurrentReads' -benchtime 2s .
 
 # Read-miss-path benchmarks (cold seqread + QD-sweep random read
 # against a simulated-latency backend), recording BENCH_readpath.json.
@@ -100,7 +105,9 @@ bench-gc:
 # 256-object suffix with the recovery fan-out vs the serial baseline
 # (gate: >=3x), plus foreground write-ack p999 with background
 # checkpoints on vs off (gate: <=1.5x), recording BENCH_open.json.
-# Runs without the env var as a smoke check in `check`.
+# Runs without the env var as a smoke check in `check`, where the open
+# speed-up is asserted and the p999 ratio only logged (on two CPUs it
+# is noise).
 bench-open:
 	LSVD_OPENBENCH_OUT=BENCH_open.json $(GO) test -count=1 -run TestOpenRecoveryBench -v .
 
@@ -147,10 +154,15 @@ bench-multivol-profile:
 # code) without turning the target red; any NEW finding fails CI.
 # After fixing a parked finding, or to park a new one, run
 # `make vet-lsvd-update-baseline` and commit the regenerated file.
+# Waiving a site instead is rationed by WAIVER_BUDGET.
 vet-lsvd:
 	$(GO) test -count=1 ./internal/analysis/...
 	$(GO) build -o bin/lsvd-vet ./cmd/lsvd-vet
 	./bin/lsvd-vet -baseline vet-baseline.json ./...
+	@n=$$(grep -r --include='*.go' --exclude-dir=analysis --exclude-dir=.bench_build 'lsvd:ignore' . | wc -l); \
+	if [ $$n -gt $(WAIVER_BUDGET) ]; then \
+		echo "vet-lsvd: $$n lsvd:ignore waivers exceed WAIVER_BUDGET=$(WAIVER_BUDGET)"; exit 1; \
+	fi; echo "vet-lsvd: $$n/$(WAIVER_BUDGET) waivers"
 
 vet-lsvd-update-baseline:
 	$(GO) build -o bin/lsvd-vet ./cmd/lsvd-vet

@@ -135,8 +135,7 @@ func BenchmarkDiskFlush(b *testing.B) {
 }
 
 // Ablation benches for the design choices DESIGN.md calls out
-// (prefetch, GC-from-cache, coalescing, eviction policy, SSD
-// pass-through).
+// (prefetch, GC-from-cache, coalescing).
 func BenchmarkAblations(b *testing.B) { benchExperiment(b, "ablations") }
 
 // slowPutStore adds a fixed latency to every backend PUT, modeling an
@@ -152,23 +151,19 @@ func (s *slowPutStore) Put(ctx context.Context, name string, data []byte) error 
 	return s.ObjectStore.Put(ctx, name, data)
 }
 
-func newDestageBenchDisk(b *testing.B, sync bool) *Disk {
-	b.Helper()
+// Write-acknowledgement latency over a backend whose PUTs take 1 ms:
+// PUTs overlap with new writes and the ack waits only for the local
+// log append.
+func BenchmarkDiskWriteAckAsync4K(b *testing.B) {
 	d, err := Create(context.Background(), VolumeOptions{
 		Name:  fmt.Sprintf("bench-%d", rand.Int63()),
 		Store: &slowPutStore{ObjectStore: MemStore(), delay: time.Millisecond},
 		Cache: MemCacheDevice(1 * GiB), Size: 1 * GiB,
-		BatchBytes:  256 * KiB, // seal often so destage latency matters
-		SyncDestage: sync,
+		BatchBytes: 256 * KiB, // seal often so destage latency matters
 	})
 	if err != nil {
 		b.Fatal(err)
 	}
-	return d
-}
-
-func benchWriteAck(b *testing.B, sync bool) {
-	d := newDestageBenchDisk(b, sync)
 	defer d.Close()
 	buf := make([]byte, 4096)
 	blocks := d.Size() / 4096
@@ -183,15 +178,6 @@ func benchWriteAck(b *testing.B, sync bool) {
 	}
 	b.StopTimer()
 }
-
-// Write-acknowledgement latency with the destage pipeline disabled:
-// every 256 KiB batch seals inline, so the 1 ms backend PUT lands on
-// the write path.
-func BenchmarkDiskWriteAckSync4K(b *testing.B) { benchWriteAck(b, true) }
-
-// The same workload with the async pipeline: PUTs overlap with new
-// writes and the ack waits only for the local log append.
-func BenchmarkDiskWriteAckAsync4K(b *testing.B) { benchWriteAck(b, false) }
 
 // BenchmarkDiskConcurrentReads measures read throughput with many
 // readers on one volume — the lock-free read path lets them proceed

@@ -25,13 +25,6 @@ func main() {
 	seed := flag.Int64("seed", 1, "workload seed")
 	csvDir := flag.String("csv", "", "directory to write per-experiment CSV files")
 	list := flag.Bool("list", false, "list experiments and exit")
-	uploadDepth := flag.Int("upload-depth", 0, "concurrent backend object uploads per volume (0 = library default)")
-	syncDestage := flag.Bool("sync-destage", false, "disable the async destage pipeline (destage inline, for before/after comparisons)")
-	fetchDepth := flag.Int("fetch-depth", 0, "concurrent backend range GETs on the read-miss path (0 = library default, 1 = serial)")
-	openFanout := flag.Int("open-fanout", 0, "concurrent backend reads during recovery at open (0 = library default, 1 = serial)")
-	groupStall := flag.Duration("group-stall", 0, "group-commit leader linger time per cache-log batch (0 = flush immediately)")
-	groupMaxRecords := flag.Int("group-max-records", 0, "record cap per group-commit device write (0 = library default)")
-	gcWAFTarget := flag.Float64("gc-waf-target", 0, "background GC write-amplification budget (0 = library default 2.0, <0 = unpaced)")
 	flag.Parse()
 
 	if *list {
@@ -45,13 +38,7 @@ func main() {
 	if len(names) == 0 || (len(names) == 1 && names[0] == "all") {
 		names = experiments.Names()
 	}
-	env := experiments.Env{
-		Scale: *scale, Seed: *seed,
-		UploadDepth: *uploadDepth, SyncDestage: *syncDestage, FetchDepth: *fetchDepth,
-		OpenFanout: *openFanout,
-		GroupStall: *groupStall, GroupMaxRecords: *groupMaxRecords,
-		GCWAFTarget: *gcWAFTarget,
-	}
+	env := experiments.Env{Scale: *scale, Seed: *seed}
 	ctx := context.Background()
 
 	exit := 0

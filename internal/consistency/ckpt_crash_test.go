@@ -93,14 +93,18 @@ func ckptCrashIteration(t *testing.T, seed int64) {
 	store := &cutStore{Store: mem}
 	cache := simdev.NewMem(32 * block.MiB)
 	opts := core.Options{
-		Volume: "vol", Store: store, CacheDev: cache,
-		VolBytes: 16 * block.MiB, BatchBytes: 128 << 10,
-		CheckpointEvery: 2, UploadDepth: 2, DestageQueueDepth: 32,
-		Retry: objstore.RetryPolicy{
-			MaxAttempts: 3,
-			BaseDelay:   50 * time.Microsecond,
-			MaxDelay:    time.Millisecond,
-			Seed:        seed,
+		HostOptions: core.HostOptions{
+			Store: store, CacheDev: cache, UploadDepth: 2,
+			Retry: objstore.RetryPolicy{
+				MaxAttempts: 3,
+				BaseDelay:   50 * time.Microsecond,
+				MaxDelay:    time.Millisecond,
+				Seed:        seed,
+			},
+		},
+		VolumeOptions: core.VolumeOptions{
+			Volume: "vol", VolBytes: 16 * block.MiB, BatchBytes: 128 << 10,
+			CheckpointEvery: 2, DestageQueueDepth: 32,
 		},
 	}
 	disk, err := core.Create(ctx, opts)

@@ -286,14 +286,18 @@ func concurrentIteration(t *testing.T, seed int64) {
 	store := objstore.NewFaulty(objstore.NewMem())
 	cache := simdev.NewMem(32 * block.MiB)
 	opts := core.Options{
-		Volume: "vol", Store: store, CacheDev: cache,
-		VolBytes: 16 * block.MiB, BatchBytes: 128 << 10,
-		CheckpointEvery: 4, UploadDepth: 2, DestageQueueDepth: 32,
-		Retry: objstore.RetryPolicy{
-			MaxAttempts: 16,
-			BaseDelay:   50 * time.Microsecond,
-			MaxDelay:    time.Millisecond,
-			Seed:        seed,
+		HostOptions: core.HostOptions{
+			Store: store, CacheDev: cache, UploadDepth: 2,
+			Retry: objstore.RetryPolicy{
+				MaxAttempts: 16,
+				BaseDelay:   50 * time.Microsecond,
+				MaxDelay:    time.Millisecond,
+				Seed:        seed,
+			},
+		},
+		VolumeOptions: core.VolumeOptions{
+			Volume: "vol", VolBytes: 16 * block.MiB, BatchBytes: 128 << 10,
+			CheckpointEvery: 4, DestageQueueDepth: 32,
 		},
 	}
 	disk, err := core.Create(ctx, opts)

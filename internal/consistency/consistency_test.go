@@ -110,9 +110,8 @@ func TestAcceptsAnyTruePrefix(t *testing.T) {
 func TestLSVDCrashIsMountable(t *testing.T) {
 	store := objstore.NewMem()
 	opts := core.Options{
-		Volume: "vol", Store: store,
-		CacheDev: simdev.NewMem(128 * block.MiB),
-		VolBytes: 128 * block.MiB, BatchBytes: 256 * 1024,
+		HostOptions:   core.HostOptions{Store: store, CacheDev: simdev.NewMem(128 * block.MiB)},
+		VolumeOptions: core.VolumeOptions{Volume: "vol", VolBytes: 128 * block.MiB, BatchBytes: 256 * 1024},
 	}
 	disk, err := core.Create(ctx, opts)
 	if err != nil {
@@ -151,8 +150,8 @@ func TestLSVDCrashWithCacheKeepsCommitted(t *testing.T) {
 	store := objstore.NewMem()
 	cache := simdev.NewMem(128 * block.MiB)
 	opts := core.Options{
-		Volume: "vol", Store: store, CacheDev: cache,
-		VolBytes: 128 * block.MiB, BatchBytes: 1 * block.MiB,
+		HostOptions:   core.HostOptions{Store: store, CacheDev: cache},
+		VolumeOptions: core.VolumeOptions{Volume: "vol", VolBytes: 128 * block.MiB, BatchBytes: 1 * block.MiB},
 	}
 	disk, err := core.Create(ctx, opts)
 	if err != nil {

@@ -72,16 +72,20 @@ func replicaIteration(t *testing.T, seed int64) {
 	replica := objstore.NewFaulty(objstore.NewMem())
 	cache := simdev.NewMem(32 * block.MiB)
 	opts := core.Options{
-		Volume: "vol", Store: primary, CacheDev: cache,
-		VolBytes: 16 * block.MiB, BatchBytes: 128 << 10,
-		CheckpointEvery: 4, UploadDepth: 2, DestageQueueDepth: 32,
-		ReplicaStore:         replica,
-		ReplicaMaxLagObjects: replicaLagBound,
-		Retry: objstore.RetryPolicy{
-			MaxAttempts: 16,
-			BaseDelay:   50 * time.Microsecond,
-			MaxDelay:    time.Millisecond,
-			Seed:        seed,
+		HostOptions: core.HostOptions{
+			Store: primary, CacheDev: cache, UploadDepth: 2,
+			Retry: objstore.RetryPolicy{
+				MaxAttempts: 16,
+				BaseDelay:   50 * time.Microsecond,
+				MaxDelay:    time.Millisecond,
+				Seed:        seed,
+			},
+		},
+		VolumeOptions: core.VolumeOptions{
+			Volume: "vol", VolBytes: 16 * block.MiB, BatchBytes: 128 << 10,
+			CheckpointEvery: 4, DestageQueueDepth: 32,
+			ReplicaStore:         replica,
+			ReplicaMaxLagObjects: replicaLagBound,
 		},
 	}
 	disk, err := core.Create(ctx, opts)

@@ -108,16 +108,20 @@ func tortureIteration(t *testing.T, seed int64, rate float64) {
 	store := objstore.NewFaulty(objstore.NewMem())
 	cache := simdev.NewMem(32 * block.MiB)
 	opts := core.Options{
-		Volume: "vol", Store: store, CacheDev: cache,
-		VolBytes: 16 * block.MiB, BatchBytes: 128 << 10,
-		CheckpointEvery: 4, UploadDepth: 2, DestageQueueDepth: 32,
-		Retry: objstore.RetryPolicy{
-			// 16 attempts: even a 0.35-rate sweep has a negligible
-			// chance of exhausting the budget on any single op.
-			MaxAttempts: 16,
-			BaseDelay:   50 * time.Microsecond,
-			MaxDelay:    time.Millisecond,
-			Seed:        seed,
+		HostOptions: core.HostOptions{
+			Store: store, CacheDev: cache, UploadDepth: 2,
+			Retry: objstore.RetryPolicy{
+				// 16 attempts: even a 0.35-rate sweep has a negligible
+				// chance of exhausting the budget on any single op.
+				MaxAttempts: 16,
+				BaseDelay:   50 * time.Microsecond,
+				MaxDelay:    time.Millisecond,
+				Seed:        seed,
+			},
+		},
+		VolumeOptions: core.VolumeOptions{
+			Volume: "vol", VolBytes: 16 * block.MiB, BatchBytes: 128 << 10,
+			CheckpointEvery: 4, DestageQueueDepth: 32,
 		},
 	}
 	// Create with a healthy store (a failed mkfs is not a crash test),

@@ -40,49 +40,27 @@ import (
 	"lsvd/internal/writecache"
 )
 
-// Options configures an LSVD disk.
+// Options configures an LSVD disk: the host-owned half and the
+// per-volume half, each declared once below. A multi-volume host
+// supplies the first to every volume it opens; the single-volume
+// constructors take both from the caller.
 type Options struct {
-	// Volume names the object stream on the backend.
-	Volume string
+	HostOptions
+	VolumeOptions
+}
+
+// HostOptions is the host-owned half of Options: the shared hardware
+// (cache SSD, backend session) and the global concurrency budgets a
+// multi-volume host divides among its tenants.
+type HostOptions struct {
 	// Store is the S3-like backend.
 	Store objstore.Store
 	// CacheDev is the local SSD. It is statically partitioned: the
 	// first WriteCacheFrac of it logs writes, the rest is read cache.
 	CacheDev simdev.Device
-	// VolBytes is the virtual disk size (Create only).
-	VolBytes int64
-
 	// WriteCacheFrac is the fraction of the SSD used for the write
 	// log. Default 0.2 (§3.1's sizing discussion).
 	WriteCacheFrac float64
-	// BatchBytes is the backend object batch size (8–32 MiB in the
-	// paper). Default 8 MiB.
-	BatchBytes int64
-	// GCLowWater/GCHighWater are the §3.5 utilization thresholds.
-	// Defaults 0.70/0.75; GCLowWater < 0 disables GC.
-	GCLowWater, GCHighWater float64
-	// GCWAFTarget bounds the background GC service's write
-	// amplification: total backend write volume (foreground + GC
-	// copies) stays at or below this multiple of the foreground
-	// volume. Default 2.0; < 0 disables pacing (the service copies as
-	// fast as the upload gate lets it). Only meaningful with the
-	// asynchronous pipeline, where the service runs.
-	GCWAFTarget float64
-	// PrefetchSectors is the temporal read-ahead window. Default 256
-	// sectors (128 KiB); 0 disables prefetch.
-	PrefetchSectors uint32
-	// CheckpointEvery objects between backend map checkpoints.
-	CheckpointEvery int
-	// WriteCacheCheckpointEvery records between cache map checkpoints.
-	WriteCacheCheckpointEvery int
-	// ReadbackThroughSSD mimics the kernel/user prototype (§3.7): the
-	// destage path re-reads outgoing data from the cache SSD instead
-	// of handing it over in memory, adding the SSD round trip the
-	// paper measures in Table 6.
-	ReadbackThroughSSD bool
-	// DisableGCCacheFetch stops the GC from reading live data out of
-	// the local write cache (ablation for §3.5's optimization).
-	DisableGCCacheFetch bool
 
 	// UploadDepth is the number of concurrent backend object PUTs the
 	// destage pipeline keeps in flight. Default 4. Map commit stays
@@ -102,28 +80,62 @@ type Options struct {
 	// sequence-ordered regardless. 0 selects the block-store default
 	// (8); 1 serializes recovery I/O (the benchmark baseline).
 	OpenFanout int
-	// DestageQueueDepth is the capacity of the in-memory destage queue
-	// between WriteAt and the destager goroutine; a full queue blocks
-	// the writer (§3.2 backpressure). Default 256 requests.
-	DestageQueueDepth int
-	// GroupCommitStall is how long the write-cache group-commit
-	// leader lingers for followers before flushing a batch, trading
-	// single-writer ack latency for bigger batches under concurrency.
-	// Default 0: flush whatever has queued, immediately.
-	GroupCommitStall time.Duration
-	// GroupCommitMaxRecords caps how many queued log records one
-	// group-commit device write may absorb. Default 128.
-	GroupCommitMaxRecords int
-	// SyncDestage disables the background pipeline: WriteAt forwards
-	// to the block store inline and uploads happen synchronously, as
-	// in the original prototype semantics. Used as the baseline in
-	// benchmarks and ablations.
-	SyncDestage bool
 	// Retry is the backend retry policy (see objstore.RetryPolicy):
 	// every backend operation retries transient failures with
 	// exponential backoff under one per-op attempt budget. The zero
 	// value selects the defaults; MaxAttempts < 0 disables retries.
 	Retry objstore.RetryPolicy
+}
+
+// SetDefaults fills the zero-valued host-level budgets; host.Options
+// embeds HostOptions and defaults it through the same function.
+func (o *HostOptions) SetDefaults() {
+	if o.WriteCacheFrac == 0 {
+		o.WriteCacheFrac = 0.2
+	}
+	if o.UploadDepth <= 0 {
+		o.UploadDepth = 4
+	}
+	if o.FetchDepth <= 0 {
+		o.FetchDepth = 8
+	}
+}
+
+// VolumeOptions is the per-volume half of Options: identity, geometry
+// and data-path tuning that each volume chooses independently of its
+// neighbors on the host.
+type VolumeOptions struct {
+	// Volume names the object stream on the backend.
+	Volume string
+	// VolBytes is the virtual disk size (Create only).
+	VolBytes int64
+
+	// BatchBytes is the backend object batch size (8–32 MiB in the
+	// paper). Default 8 MiB, applied by the block store.
+	BatchBytes int64
+	// GCLowWater/GCHighWater are the §3.5 utilization thresholds.
+	// Defaults 0.70/0.75; GCLowWater < 0 disables GC.
+	GCLowWater, GCHighWater float64
+	// GCWAFTarget bounds the background GC service's write
+	// amplification: total backend write volume (foreground + GC
+	// copies) stays at or below this multiple of the foreground
+	// volume. Default 2.0, applied by the block store; < 0 disables
+	// pacing (the service copies as fast as the upload gate lets it).
+	GCWAFTarget float64
+	// PrefetchSectors is the temporal read-ahead window. 0 selects the
+	// default, 256 sectors (128 KiB); the smallest window, 1 sector,
+	// never reaches past the demand miss and is the "off" setting the
+	// prefetch ablation uses.
+	PrefetchSectors uint32
+	// CheckpointEvery objects between backend map checkpoints.
+	CheckpointEvery int
+	// DisableGCCacheFetch stops the GC from reading live data out of
+	// the local write cache (ablation for §3.5's optimization).
+	DisableGCCacheFetch bool
+	// DestageQueueDepth is the capacity of the in-memory destage queue
+	// between WriteAt and the destager goroutine; a full queue blocks
+	// the writer (§3.2 backpressure). Default 256 requests.
+	DestageQueueDepth int
 
 	// ReplicaStore, when non-nil, enables asynchronous replication
 	// (paper §4.8, DESIGN.md §5i): a per-volume shipper drains the
@@ -139,86 +151,6 @@ type Options struct {
 	// exposure). 0 leaves that dimension unbounded.
 	ReplicaMaxLagObjects int
 	ReplicaMaxLagBytes   int64
-}
-
-// HostOptions is the host-owned half of Options: the shared hardware
-// (cache SSD, backend session) and the global concurrency budgets a
-// multi-volume host divides among its tenants. In a single-volume
-// deployment these are just the matching Options fields.
-type HostOptions struct {
-	Store          objstore.Store
-	CacheDev       simdev.Device
-	WriteCacheFrac float64
-	UploadDepth    int
-	FetchDepth     int
-	OpenFanout     int
-	Retry          objstore.RetryPolicy
-}
-
-// VolumeOptions is the per-volume half of Options: identity, geometry
-// and data-path tuning that each volume chooses independently of its
-// neighbors on the host.
-type VolumeOptions struct {
-	Volume                    string
-	VolBytes                  int64
-	BatchBytes                int64
-	GCLowWater, GCHighWater   float64
-	GCWAFTarget               float64
-	PrefetchSectors           uint32
-	CheckpointEvery           int
-	WriteCacheCheckpointEvery int
-	ReadbackThroughSSD        bool
-	DisableGCCacheFetch       bool
-	DestageQueueDepth         int
-	SyncDestage               bool
-	ReplicaStore              objstore.Store
-	ReplicaMaxLagObjects      int
-	ReplicaMaxLagBytes        int64
-}
-
-// Split separates Options into its host-level and volume-level halves.
-func (o Options) Split() (HostOptions, VolumeOptions) {
-	return HostOptions{
-			Store: o.Store, CacheDev: o.CacheDev,
-			WriteCacheFrac: o.WriteCacheFrac,
-			UploadDepth:    o.UploadDepth, FetchDepth: o.FetchDepth,
-			OpenFanout: o.OpenFanout, Retry: o.Retry,
-		}, VolumeOptions{
-			Volume: o.Volume, VolBytes: o.VolBytes, BatchBytes: o.BatchBytes,
-			GCLowWater: o.GCLowWater, GCHighWater: o.GCHighWater,
-			GCWAFTarget:     o.GCWAFTarget,
-			PrefetchSectors: o.PrefetchSectors, CheckpointEvery: o.CheckpointEvery,
-			WriteCacheCheckpointEvery: o.WriteCacheCheckpointEvery,
-			ReadbackThroughSSD:        o.ReadbackThroughSSD,
-			DisableGCCacheFetch:       o.DisableGCCacheFetch,
-			DestageQueueDepth:         o.DestageQueueDepth, SyncDestage: o.SyncDestage,
-			ReplicaStore:         o.ReplicaStore,
-			ReplicaMaxLagObjects: o.ReplicaMaxLagObjects,
-			ReplicaMaxLagBytes:   o.ReplicaMaxLagBytes,
-		}
-}
-
-// Combine reassembles full Options from the two halves (inverse of
-// Split).
-func Combine(h HostOptions, v VolumeOptions) Options {
-	return Options{
-		Volume: v.Volume, Store: h.Store, CacheDev: h.CacheDev,
-		VolBytes: v.VolBytes, WriteCacheFrac: h.WriteCacheFrac,
-		BatchBytes: v.BatchBytes, GCLowWater: v.GCLowWater, GCHighWater: v.GCHighWater,
-		GCWAFTarget:               v.GCWAFTarget,
-		PrefetchSectors:           v.PrefetchSectors,
-		CheckpointEvery:           v.CheckpointEvery,
-		WriteCacheCheckpointEvery: v.WriteCacheCheckpointEvery,
-		ReadbackThroughSSD:        v.ReadbackThroughSSD,
-		DisableGCCacheFetch:       v.DisableGCCacheFetch,
-		UploadDepth:               h.UploadDepth, FetchDepth: h.FetchDepth,
-		OpenFanout:        h.OpenFanout,
-		DestageQueueDepth: v.DestageQueueDepth, SyncDestage: v.SyncDestage,
-		Retry:                h.Retry,
-		ReplicaStore:         v.ReplicaStore,
-		ReplicaMaxLagObjects: v.ReplicaMaxLagObjects,
-		ReplicaMaxLagBytes:   v.ReplicaMaxLagBytes,
-	}
 }
 
 // Resources injects host-owned shared resources into a Disk. When nil
@@ -247,12 +179,7 @@ type Resources struct {
 }
 
 func (o *Options) setDefaults() {
-	if o.WriteCacheFrac == 0 {
-		o.WriteCacheFrac = 0.2
-	}
-	if o.BatchBytes == 0 {
-		o.BatchBytes = 8 * block.MiB
-	}
+	o.HostOptions.SetDefaults()
 	if o.GCLowWater == 0 {
 		o.GCLowWater = 0.70
 	}
@@ -262,17 +189,8 @@ func (o *Options) setDefaults() {
 	if o.GCLowWater < 0 {
 		o.GCLowWater = 0
 	}
-	if o.GCWAFTarget == 0 {
-		o.GCWAFTarget = 2.0
-	}
 	if o.PrefetchSectors == 0 {
 		o.PrefetchSectors = 256
-	}
-	if o.UploadDepth <= 0 {
-		o.UploadDepth = 4
-	}
-	if o.FetchDepth <= 0 {
-		o.FetchDepth = 8
 	}
 	if o.DestageQueueDepth <= 0 {
 		o.DestageQueueDepth = 256
@@ -446,7 +364,7 @@ type Disk struct {
 	closed   bool
 	writeSeq atomic.Uint64
 
-	// Destage pipeline (nil channels when SyncDestage or read-only).
+	// Destage pipeline (nil channels on read-only mounts).
 	ch   chan destageReq
 	quit chan struct{} // closed by Kill: drop the queue, stop now
 	done chan struct{} // closed when the destager exits
@@ -502,7 +420,7 @@ func CreateShared(ctx context.Context, opts Options, res *Resources) (*Disk, err
 	if err != nil {
 		return nil, err
 	}
-	if d.wc, err = writecache.Format(wcDev, wcConfig(opts, wcDev)); err != nil {
+	if d.wc, err = writecache.Format(wcDev, wcConfig(wcDev)); err != nil {
 		return nil, err
 	}
 	if d.bs, err = blockstore.Create(ctx, d.storeConfig()); err != nil {
@@ -542,7 +460,7 @@ func (d *Disk) released() {
 // wcConfig scales the metadata reservations to the cache partition so
 // small experiment caches still leave room for data (the read cache's
 // counterpart is readcache.SizedConfig).
-func wcConfig(opts Options, dev simdev.Device) writecache.Config {
+func wcConfig(dev simdev.Device) writecache.Config {
 	ckpt := dev.Size() / 8
 	if ckpt > 16*block.MiB {
 		ckpt = 16 * block.MiB
@@ -550,12 +468,7 @@ func wcConfig(opts Options, dev simdev.Device) writecache.Config {
 	if ckpt < 2*block.BlockSize {
 		ckpt = 2 * block.BlockSize
 	}
-	return writecache.Config{
-		CheckpointBytes: ckpt &^ (block.BlockSize - 1),
-		CheckpointEvery: opts.WriteCacheCheckpointEvery,
-		GroupStall:      opts.GroupCommitStall,
-		GroupMaxRecords: opts.GroupCommitMaxRecords,
-	}
+	return writecache.Config{CheckpointBytes: ckpt &^ (block.BlockSize - 1)}
 }
 
 // Open recovers an LSVD volume: the cache log is replayed, the backend
@@ -575,11 +488,11 @@ func OpenShared(ctx context.Context, opts Options, res *Resources) (*Disk, error
 	if err != nil {
 		return nil, err
 	}
-	wc, wcErr := writecache.Open(wcDev, wcConfig(opts, wcDev))
+	wc, wcErr := writecache.Open(wcDev, wcConfig(wcDev))
 	if wcErr != nil {
 		// Cache lost or blank (§3.4 worst case): reformat it; the
 		// volume falls back to the backend's consistent prefix.
-		if wc, err = writecache.Format(wcDev, wcConfig(opts, wcDev)); err != nil {
+		if wc, err = writecache.Format(wcDev, wcConfig(wcDev)); err != nil {
 			return nil, err
 		}
 	}
@@ -645,16 +558,13 @@ func openReadOnly(ctx context.Context, opts Options, mount func(blockstore.Confi
 	opts.setDefaults()
 	opts.GCLowWater = 0
 	d := &Disk{opts: opts, readOnly: true, destageTick: make(chan struct{}, 1)}
-	wcDev, rcDev, err := splitCache(opts)
+	wcDev, err := d.attachCaches(nil)
 	if err != nil {
 		return nil, err
 	}
 	// The write cache stays empty; it exists only so the read path's
 	// three-level lookup works unchanged.
-	if d.wc, err = writecache.Format(wcDev, wcConfig(opts, wcDev)); err != nil {
-		return nil, err
-	}
-	if d.rc, err = readcache.New(rcDev, readcache.SizedConfig(rcDev.Size(), readcache.FIFO)); err != nil {
+	if d.wc, err = writecache.Format(wcDev, wcConfig(wcDev)); err != nil {
 		return nil, err
 	}
 	if d.bs, err = mount(d.storeConfig()); err != nil {
@@ -702,12 +612,10 @@ func (d *Disk) storeConfig() blockstore.Config {
 		// delete objects the replica still lacks.
 		Replicated: d.opts.ReplicaStore != nil && !d.readOnly,
 	}
-	if !d.opts.SyncDestage && !d.readOnly {
+	if !d.readOnly {
 		cfg.UploadDepth = d.opts.UploadDepth
 		// The paced background GC service replaces commit-triggered
-		// inline passes wherever the asynchronous pipeline runs.
-		// Synchronous mode keeps the discrete inline semantics the
-		// simulations and baselines depend on. DestagePressure takes
+		// inline passes on every writable volume. DestagePressure takes
 		// only the cache's own lock; the bs.mu → wc.mu order matches
 		// FetchFromCache below.
 		cfg.GCService = true
@@ -727,7 +635,7 @@ func (d *Disk) storeConfig() blockstore.Config {
 
 // startPipeline launches the read-path admitter (every disk reads), the
 // replication shipper (when a replica store is configured), and the
-// destager goroutine (skipped for synchronous or read-only disks).
+// destager goroutine (skipped for read-only mounts).
 func (d *Disk) startPipeline(ctx context.Context) {
 	d.adm.start(d)
 	if !d.readOnly && d.opts.ReplicaStore != nil {
@@ -749,7 +657,7 @@ func (d *Disk) startPipeline(ctx context.Context) {
 		}
 		d.shipper = replica.Start(ctx, rcfg)
 	}
-	if d.readOnly || d.opts.SyncDestage {
+	if d.readOnly {
 		return
 	}
 	d.ch = make(chan destageReq, d.opts.DestageQueueDepth)
@@ -947,9 +855,6 @@ func (d *Disk) WriteAt(p []byte, off int64) error {
 	if err := d.awaitReplicaLag(); err != nil {
 		return err
 	}
-	if d.opts.SyncDestage || d.opts.ReadbackThroughSSD {
-		return d.writeInline(p, ext)
-	}
 
 	// Stage before the lock: the destage pipeline (and the block-store
 	// batch, which holds references) outlives the caller's ownership
@@ -997,83 +902,6 @@ func (d *Disk) WriteAt(p []byte, off int64) error {
 	return nil
 }
 
-// writeInline is the fully serialized write path for the SyncDestage
-// and ReadbackThroughSSD modes (prototype baselines): everything —
-// log append, read-cache invalidation, destage — happens under wmu,
-// as before the group-commit pipeline.
-func (d *Disk) writeInline(p []byte, ext block.Extent) error {
-	d.wmu.Lock()
-	defer d.wmu.Unlock()
-	if d.readOnly {
-		return ErrReadOnly
-	}
-	if d.closed {
-		return ErrClosed
-	}
-	ws := d.writeSeq.Add(1)
-
-	//lsvd:ignore serialized baseline mode: writeInline holds wmu across the whole write by design (§3.7 prototype)
-	if err := d.logWithBackpressure(ws, ext, p, false); err != nil {
-		return err
-	}
-	d.rcGen.Add(1)
-	d.rc.Invalidate(ext)
-
-	// Hand off to the destager. The prototype's destage path reads the
-	// data back off the SSD (§3.7/Table 6); the in-memory handoff
-	// models the userspace rewrite (and must copy, since the caller
-	// owns p after we return and the block-store batch keeps a
-	// reference to what it is given).
-	src := make([]byte, len(p))
-	if d.opts.ReadbackThroughSSD {
-		if !d.wc.ReadFull(ext, src) {
-			copy(src, p) // should not happen; fall back to the caller's copy
-		}
-	} else {
-		copy(src, p)
-	}
-	if d.opts.SyncDestage {
-		//lsvd:ignore serialized baseline mode: synchronous destage under wmu is the measured configuration
-		if err := d.bs.Append(ws, ext, src); err != nil {
-			return err
-		}
-	} else if err := d.enqueue(destageReq{ws: ws, ext: ext, data: src}); err != nil {
-		return err
-	}
-	d.c.writes.Add(1)
-	d.c.bytesWritten.Add(uint64(len(p)))
-	return nil
-}
-
-// logWithBackpressure persists one mutation record to the cache log.
-// When the ring is full of un-destaged records it fences the destage
-// pipeline — making everything logged so far durable remotely, which
-// unlocks FIFO eviction — and retries: §3.2's "no writes accepted
-// until cache space is freed". Write and trim share this policy.
-//
-//lsvd:requires core.wmu
-func (d *Disk) logWithBackpressure(ws uint64, ext block.Extent, p []byte, trim bool) error {
-	for attempt := 0; ; attempt++ {
-		var err error
-		if trim {
-			//lsvd:ignore serialized baseline mode: the cache-log append (group-commit wait included) runs under wmu by design
-			err = d.wc.AppendTrim(ws, ext)
-		} else {
-			//lsvd:ignore serialized baseline mode: the cache-log append (group-commit wait included) runs under wmu by design
-			err = d.wc.Append(ws, ext, p)
-		}
-		if err == nil {
-			return nil
-		}
-		if !errors.Is(err, writecache.ErrFull) || attempt >= 2 {
-			return err
-		}
-		if err := d.drainLocked(); err != nil {
-			return err
-		}
-	}
-}
-
 // destageGrace bounds how long a ring-full writer sleeps waiting for
 // the destage watermark before concluding it has stalled and falling
 // back to the full fence (which resubmits failed uploads and surfaces
@@ -1115,27 +943,24 @@ func (d *Disk) reserveWithBackpressure(ws uint64, typ journal.Type, ext block.Ex
 		if perr := d.pipelineErr(); perr != nil {
 			return nil, perr
 		}
-		if d.ch != nil {
-			if !kicked {
-				kicked = true
-				d.ringKicks.Add(1)
-				if qerr := d.enqueue(destageReq{kick: true}); qerr != nil {
-					return nil, qerr
-				}
-			}
-			progressed := false
-			for round := 0; round < graceRounds; round++ {
-				if d.awaitDestage() {
-					progressed = true
-					break
-				}
-			}
-			if progressed {
-				continue
+		if !kicked {
+			kicked = true
+			d.ringKicks.Add(1)
+			if qerr := d.enqueue(destageReq{kick: true}); qerr != nil {
+				return nil, qerr
 			}
 		}
-		// Watermark stalled (or there is no pipeline to wait on):
-		// escalate to the fence, then retry.
+		progressed := false
+		for round := 0; round < graceRounds; round++ {
+			if d.awaitDestage() {
+				progressed = true
+				break
+			}
+		}
+		if progressed {
+			continue
+		}
+		// Watermark stalled: escalate to the fence, then retry.
 		if fences >= 2 {
 			return nil, err
 		}
@@ -1174,9 +999,6 @@ func (d *Disk) awaitDestage() bool {
 //lsvd:ignore flush fence: the caller requires queued destage work durable before returning; blocking under wmu is the contract and quit unblocks it
 //lsvd:requires core.wmu
 func (d *Disk) drainLocked() error {
-	if d.ch == nil {
-		return d.bs.Seal()
-	}
 	fl := make(chan error, 1)
 	if err := d.enqueue(destageReq{flush: fl}); err != nil {
 		return err
@@ -1279,9 +1101,6 @@ func (d *Disk) Trim(off, length int64) error {
 	if err := d.awaitReplicaLag(); err != nil {
 		return err
 	}
-	if d.opts.SyncDestage || d.opts.ReadbackThroughSSD {
-		return d.trimInline(ext)
-	}
 
 	d.wmu.Lock()
 	if d.readOnly {
@@ -1309,35 +1128,6 @@ func (d *Disk) Trim(off, length int64) error {
 	}
 	d.rcGen.Add(1)
 	d.rc.Invalidate(ext)
-	d.c.trims.Add(1)
-	return nil
-}
-
-// trimInline mirrors writeInline for discards in the serialized
-// baseline modes.
-func (d *Disk) trimInline(ext block.Extent) error {
-	d.wmu.Lock()
-	defer d.wmu.Unlock()
-	if d.readOnly {
-		return ErrReadOnly
-	}
-	if d.closed {
-		return ErrClosed
-	}
-	ws := d.writeSeq.Add(1)
-	//lsvd:ignore serialized baseline mode: trimInline holds wmu across the whole trim by design
-	if err := d.logWithBackpressure(ws, ext, nil, true); err != nil {
-		return err
-	}
-	d.rcGen.Add(1)
-	d.rc.Invalidate(ext)
-	if d.opts.SyncDestage {
-		if err := d.bs.Trim(ws, ext); err != nil {
-			return err
-		}
-	} else if err := d.enqueue(destageReq{ws: ws, ext: ext, trim: true}); err != nil {
-		return err
-	}
 	d.c.trims.Add(1)
 	return nil
 }
@@ -1399,25 +1189,12 @@ func (d *Disk) Close() error {
 		d.adm.drain()
 		return d.rc.Persist()
 	}
-	var derr error
-	if d.ch != nil {
-		fl := make(chan error, 1)
-		if err := d.enqueue(destageReq{flush: fl}); err != nil {
-			derr = err
-		} else {
-			//lsvd:ignore Close drains the pipeline under wmu by design; quit unblocks
-			select {
-			case derr = <-fl:
-			case <-d.quit:
-				derr = ErrClosed
-			}
-		}
-		// No writer can be mid-send: sends happen under wmu with the
-		// closed flag checked, so closing the channel here is safe.
-		close(d.ch)
-		//lsvd:ignore Close waits for the destager goroutine to exit under wmu by design
-		<-d.done
-	}
+	derr := d.drainLocked()
+	// No writer can be mid-send: sends happen under wmu with the
+	// closed flag checked, so closing the channel here is safe.
+	close(d.ch)
+	//lsvd:ignore Close waits for the destager goroutine to exit under wmu by design
+	<-d.done
 	// Stop the background GC service before the final seal/checkpoint
 	// so the shutdown sequence races with no concurrent collector (on
 	// the error path too — the disk is going down either way).
@@ -1538,9 +1315,7 @@ func (d *Disk) Stats() Stats {
 		AdmissionsDropped:    d.adm.dropped.Load(),
 		RingKicks:            d.ringKicks.Load(),
 		RingFences:           d.ringFences.Load(),
-	}
-	if d.ch != nil {
-		st.DestageQueued = len(d.ch)
+		DestageQueued:        len(d.ch), // nil channel (length 0) on read-only mounts
 	}
 	if d.shipper != nil {
 		st.ReplicaEnabled = true

@@ -28,10 +28,8 @@ func newHarness(t *testing.T, mutate func(*Options)) *harness {
 		store: objstore.NewMem(),
 	}
 	h.opts = Options{
-		Volume:   "vol",
-		Store:    h.store,
-		CacheDev: h.cache,
-		VolBytes: 512 * block.MiB,
+		HostOptions:   HostOptions{Store: h.store, CacheDev: h.cache},
+		VolumeOptions: VolumeOptions{Volume: "vol", VolBytes: 512 * block.MiB},
 	}
 	if mutate != nil {
 		mutate(&h.opts)
@@ -194,7 +192,10 @@ func TestFlushIsSingleDeviceFlush(t *testing.T) {
 	cache := simdev.NewMem(256 * block.MiB)
 	metered := simdev.NewMetered(cache, iomodelNVMe())
 	h := &harness{cache: cache, store: objstore.NewMem()}
-	h.opts = Options{Volume: "vol", Store: h.store, CacheDev: metered, VolBytes: 512 * block.MiB}
+	h.opts = Options{
+		HostOptions:   HostOptions{Store: h.store, CacheDev: metered},
+		VolumeOptions: VolumeOptions{Volume: "vol", VolBytes: 512 * block.MiB},
+	}
 	d, err := Create(ctx, h.opts)
 	if err != nil {
 		t.Fatal(err)
@@ -472,35 +473,3 @@ func TestRandomizedMirrorCheck(t *testing.T) {
 }
 
 func iomodelNVMe() iomodel.Params { return iomodel.NVMeP3700 }
-
-// TestReadbackThroughSSDCorrectness: destaging via the SSD (the
-// kernel/user prototype path, §3.7) must produce identical backend
-// contents.
-func TestReadbackThroughSSDCorrectness(t *testing.T) {
-	h := newHarness(t, func(o *Options) {
-		o.ReadbackThroughSSD = true
-		o.BatchBytes = 256 * 1024
-	})
-	want := map[int][]byte{}
-	for i := 0; i < 16; i++ {
-		d := payload(int64(i), 64*1024)
-		want[i] = d
-		if err := h.disk.WriteAt(d, int64(i)*(1<<20)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	h.disk.Drain()
-	// Fresh cache: reads must come from the backend copy that went
-	// through the SSD pass.
-	h.opts.CacheDev = simdev.NewMem(256 * block.MiB)
-	h.reopen(t)
-	for i := 0; i < 16; i++ {
-		got := make([]byte, 64*1024)
-		if err := h.disk.ReadAt(got, int64(i)*(1<<20)); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, want[i]) {
-			t.Fatalf("block %d corrupted by SSD pass-through destage", i)
-		}
-	}
-}

@@ -220,8 +220,7 @@ func (d *Disk) fetchSpan(ext block.Extent, sp span, p []byte, epoch uint64) erro
 		}
 	}
 	d.admitDemand(sp.runs, win, epoch)
-	if d.opts.PrefetchSectors == 0 || win.Shared ||
-		!d.adm.enqueue(admitTask{win: win, runs: sp.runs, epoch: epoch}) {
+	if win.Shared || !d.adm.enqueue(admitTask{win: win, runs: sp.runs, epoch: epoch}) {
 		win.Release()
 	}
 	return nil

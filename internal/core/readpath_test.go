@@ -33,14 +33,15 @@ func TestConcurrentColdReadsDedupOneGET(t *testing.T) {
 	slow := &slowReadStore{Store: objstore.NewMem(), delay: 10 * time.Millisecond}
 	met := objstore.NewMetered(slow)
 	opts := Options{
-		Volume:   "vol",
-		Store:    met,
-		CacheDev: simdev.NewMem(64 * block.MiB),
-		VolBytes: 64 * block.MiB,
-		// Window quantum of one sector: the fetch window is exactly the
-		// demand run, so no header-driven extras GETs muddy the count.
-		PrefetchSectors: 1,
-		BatchBytes:      256 * 1024,
+		HostOptions: HostOptions{Store: met, CacheDev: simdev.NewMem(64 * block.MiB)},
+		VolumeOptions: VolumeOptions{
+			Volume:   "vol",
+			VolBytes: 64 * block.MiB,
+			// Window quantum of one sector: the fetch window is exactly the
+			// demand run, so no header-driven extras GETs muddy the count.
+			PrefetchSectors: 1,
+			BatchBytes:      256 * 1024,
+		},
 	}
 	d, err := Create(ctx, opts)
 	if err != nil {
@@ -270,13 +271,13 @@ func TestReadPathTorture(t *testing.T) {
 func TestReadPathFaultInjected(t *testing.T) {
 	faulty := objstore.NewFaulty(objstore.NewMem())
 	opts := Options{
-		Volume:     "vol",
-		Store:      faulty,
-		CacheDev:   simdev.NewMem(128 * block.MiB),
-		VolBytes:   128 * block.MiB,
-		BatchBytes: 256 * 1024,
-		FetchDepth: 8,
-		Retry:      objstore.RetryPolicy{MaxAttempts: 8, BaseDelay: time.Millisecond, Seed: 42},
+		HostOptions: HostOptions{
+			Store:      faulty,
+			CacheDev:   simdev.NewMem(128 * block.MiB),
+			FetchDepth: 8,
+			Retry:      objstore.RetryPolicy{MaxAttempts: 8, BaseDelay: time.Millisecond, Seed: 42},
+		},
+		VolumeOptions: VolumeOptions{Volume: "vol", VolBytes: 128 * block.MiB, BatchBytes: 256 * 1024},
 	}
 	d, err := Create(ctx, opts)
 	if err != nil {

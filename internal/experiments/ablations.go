@@ -22,9 +22,7 @@ import (
 //   - GC reads from the local cache (§3.5, §6.3 "Garbage Collection"):
 //     backend GETs eliminated during cleaning;
 //   - intra-batch coalescing (§3.1): backend bytes eliminated on a
-//     hot workload;
-//   - destage through the SSD vs in-memory handoff (§3.7/§6.2 — the
-//     prototype's kernel/user split vs the userspace rewrite).
+//     hot workload.
 func Ablations(ctx context.Context, e Env) (*Table, error) {
 	t := &Table{
 		Title:  "Ablations: design-choice deltas (paper Secs 3, 6)",
@@ -35,9 +33,11 @@ func Ablations(ctx context.Context, e Env) (*Table, error) {
 	{
 		var backendReads [2]uint64
 		for i, prefetch := range []uint32{1, 256} { // PrefetchSectors 0 means default; use 1 as "off"
-			st, err := newLSVD(ctx, e, e.smallCache(), cluster.SSDConfig1(), core.Options{
-				PrefetchSectors: prefetch, BatchBytes: 2 * block.MiB, WriteCacheFrac: 0.6,
-			})
+			opts := core.Options{
+				HostOptions:   core.HostOptions{WriteCacheFrac: 0.6},
+				VolumeOptions: core.VolumeOptions{PrefetchSectors: prefetch, BatchBytes: 2 * block.MiB},
+			}
+			st, err := newLSVD(ctx, e, e.smallCache(), cluster.SSDConfig1(), opts)
 			if err != nil {
 				return nil, err
 			}
@@ -60,9 +60,7 @@ func Ablations(ctx context.Context, e Env) (*Table, error) {
 			// old stack's pipeline is killed so it cannot race the
 			// reopened volume.
 			st.disk.Kill()
-			opts := core.Options{PrefetchSectors: prefetch, BatchBytes: 2 * block.MiB, WriteCacheFrac: 0.6,
-				Volume: "vol", Store: st.store, CacheDev: newBlankCache(e)}
-			e.tune(&opts)
+			opts.Volume, opts.Store, opts.CacheDev = "vol", st.store, newBlankCache(e)
 			disk2, err := core.Open(ctx, opts)
 			if err != nil {
 				return nil, err
@@ -92,8 +90,10 @@ func Ablations(ctx context.Context, e Env) (*Table, error) {
 			// scheduling-dependent, and this ablation compares absolute
 			// GET counts between the two runs.
 			st, err := newLSVD(ctx, e, e.bigCache(), cluster.SSDConfig1(), core.Options{
-				DisableGCCacheFetch: disable, BatchBytes: 1 * block.MiB, WriteCacheFrac: 0.6,
-				GCLowWater: -1,
+				HostOptions: core.HostOptions{WriteCacheFrac: 0.6},
+				VolumeOptions: core.VolumeOptions{
+					DisableGCCacheFetch: disable, BatchBytes: 1 * block.MiB, GCLowWater: -1,
+				},
 			})
 			if err != nil {
 				return nil, err
@@ -149,31 +149,6 @@ func Ablations(ctx context.Context, e Env) (*Table, error) {
 		}
 		t.Rows = append(t.Rows, []string{"intra-batch coalescing", "backend bytes",
 			fmt.Sprint(put[0]), fmt.Sprint(put[1])})
-	}
-
-	// 4. Destage through the SSD (prototype) vs in-memory handoff.
-	{
-		var devReads [2]uint64
-		for i, through := range []bool{false, true} {
-			st, err := newLSVD(ctx, e, e.bigCache(), cluster.SSDConfig1(), core.Options{
-				ReadbackThroughSSD: through, BatchBytes: 2 * block.MiB,
-			})
-			if err != nil {
-				return nil, err
-			}
-			buf := make([]byte, 64<<10)
-			for k := 0; k < 256; k++ {
-				if err := st.disk.WriteAt(buf, int64(k)*(1<<20)%e.volBytes()&^4095); err != nil {
-					return nil, err
-				}
-			}
-			if err := st.disk.Drain(); err != nil {
-				return nil, err
-			}
-			devReads[i] = st.cacheDev.Meter.Snapshot().ReadBytes
-		}
-		t.Rows = append(t.Rows, []string{"destage via SSD (kernel/user split)", "cache device bytes read",
-			fmt.Sprint(devReads[0]), fmt.Sprint(devReads[1])})
 	}
 
 	return t, nil

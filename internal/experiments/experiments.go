@@ -30,58 +30,10 @@ import (
 type Env struct {
 	Scale int64
 	Seed  int64
-
-	// UploadDepth overrides core.Options.UploadDepth for every LSVD
-	// stack an experiment builds (0 keeps the core default).
-	UploadDepth int
-	// SyncDestage forces the synchronous destage path everywhere, for
-	// before/after comparisons of the async pipeline.
-	SyncDestage bool
-	// FetchDepth overrides core.Options.FetchDepth (1 serializes the
-	// read-miss path, for before/after comparisons of the fan-out).
-	FetchDepth int
-	// OpenFanout overrides core.Options.OpenFanout (1 serializes
-	// recovery I/O at open, for before/after comparisons of the
-	// parallel replay).
-	OpenFanout int
-	// GroupStall overrides core.Options.GroupCommitStall, the time
-	// the group-commit leader lingers for followers per batch.
-	GroupStall time.Duration
-	// GroupMaxRecords overrides core.Options.GroupCommitMaxRecords,
-	// the record cap of one group-commit device write.
-	GroupMaxRecords int
-	// GCWAFTarget overrides core.Options.GCWAFTarget, the background
-	// GC service's write-amplification budget (< 0 disables pacing).
-	GCWAFTarget float64
 }
 
 // DefaultEnv is the scale used by the bench harness.
 func DefaultEnv() Env { return Env{Scale: 32, Seed: 1} }
-
-// tune applies the Env's destage-pipeline overrides to opts.
-func (e Env) tune(opts *core.Options) {
-	if e.UploadDepth != 0 {
-		opts.UploadDepth = e.UploadDepth
-	}
-	if e.SyncDestage {
-		opts.SyncDestage = true
-	}
-	if e.FetchDepth != 0 {
-		opts.FetchDepth = e.FetchDepth
-	}
-	if e.OpenFanout != 0 {
-		opts.OpenFanout = e.OpenFanout
-	}
-	if e.GroupStall != 0 {
-		opts.GroupCommitStall = e.GroupStall
-	}
-	if e.GroupMaxRecords != 0 {
-		opts.GroupCommitMaxRecords = e.GroupMaxRecords
-	}
-	if e.GCWAFTarget != 0 {
-		opts.GCWAFTarget = e.GCWAFTarget
-	}
-}
 
 func (e Env) volBytes() int64   { return 80 * block.GiB / e.Scale }  // 80 GiB volumes (§4.1)
 func (e Env) bigCache() int64   { return 160 * block.GiB / e.Scale } // "cache larger than the volume"
@@ -174,7 +126,6 @@ func newLSVD(ctx context.Context, e Env, cacheBytes int64, poolCfg cluster.Confi
 	if opts.VolBytes == 0 {
 		opts.VolBytes = e.volBytes()
 	}
-	e.tune(&opts)
 	if st.disk, err = core.Create(ctx, opts); err != nil {
 		return nil, err
 	}

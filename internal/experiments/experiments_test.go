@@ -336,7 +336,4 @@ func TestAblations(t *testing.T) {
 	if off, on := get("intra-batch coalescing"); on >= off {
 		t.Errorf("coalescing did not reduce backend bytes: %v -> %v", off, on)
 	}
-	if off, on := get("destage via SSD (kernel/user split)"); on <= off {
-		t.Errorf("SSD pass-through did not add device reads: %v -> %v", off, on)
-	}
 }

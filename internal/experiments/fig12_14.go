@@ -157,8 +157,10 @@ func backendLoadLSVD(ctx context.Context, e Env, vdisks int) (*backendLoadResult
 			return nil, err
 		}
 		d, err := core.Create(ctx, core.Options{
-			Volume: fmt.Sprintf("vol%d", i), Store: store, CacheDev: section,
-			VolBytes: e.volBytes(), WriteCacheFrac: 0.6, BatchBytes: 4 << 20,
+			HostOptions: core.HostOptions{Store: store, CacheDev: section, WriteCacheFrac: 0.6},
+			VolumeOptions: core.VolumeOptions{
+				Volume: fmt.Sprintf("vol%d", i), VolBytes: e.volBytes(), BatchBytes: 4 << 20,
+			},
 		})
 		if err != nil {
 			return nil, err

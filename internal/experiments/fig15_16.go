@@ -24,7 +24,10 @@ func Fig15(ctx context.Context, e Env) (*Table, error) {
 	for _, gcOn := range []bool{false, true} {
 		// Frequent checkpoints release cleaned objects promptly so the
 		// on-store garbage tracks the GC's 70/75% thresholds.
-		opts := core.Options{WriteCacheFrac: 0.6, BatchBytes: 2 * block.MiB, CheckpointEvery: 8}
+		opts := core.Options{
+			HostOptions:   core.HostOptions{WriteCacheFrac: 0.6},
+			VolumeOptions: core.VolumeOptions{BatchBytes: 2 * block.MiB, CheckpointEvery: 8},
+		}
 		if !gcOn {
 			opts.GCLowWater = -1 // disabled
 		}
@@ -72,7 +75,10 @@ func GCSlowdown(ctx context.Context, e Env) (*Table, error) {
 	for _, m := range filebenchModels {
 		var mbps [2]float64
 		for i, gcOn := range []bool{false, true} {
-			opts := core.Options{WriteCacheFrac: 0.6, BatchBytes: 2 * block.MiB}
+			opts := core.Options{
+				HostOptions:   core.HostOptions{WriteCacheFrac: 0.6},
+				VolumeOptions: core.VolumeOptions{BatchBytes: 2 * block.MiB},
+			}
 			if !gcOn {
 				opts.GCLowWater = -1
 			}
@@ -109,8 +115,11 @@ func Fig16(ctx context.Context, e Env) (*Table, error) {
 	}
 	secondary := objstore.NewMem()
 	st, err := newLSVD(ctx, e, e.smallCache(), cluster.SSDConfig1(), core.Options{
-		BatchBytes: 2 * block.MiB, WriteCacheFrac: 0.6,
-		ReplicaStore: secondary, ReplicaMaxLagObjects: 8,
+		HostOptions: core.HostOptions{WriteCacheFrac: 0.6},
+		VolumeOptions: core.VolumeOptions{
+			BatchBytes:   2 * block.MiB,
+			ReplicaStore: secondary, ReplicaMaxLagObjects: 8,
+		},
 	})
 	if err != nil {
 		return nil, err

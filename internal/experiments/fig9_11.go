@@ -60,7 +60,7 @@ func smallCacheBudget(e Env) int64 {
 }
 
 func smallCacheLSVD(ctx context.Context, e Env, pattern workload.Pattern, bs, qd int) (float64, error) {
-	st, err := newLSVD(ctx, e, e.smallCache(), cluster.SSDConfig1(), core.Options{WriteCacheFrac: 0.6})
+	st, err := newLSVD(ctx, e, e.smallCache(), cluster.SSDConfig1(), core.Options{HostOptions: core.HostOptions{WriteCacheFrac: 0.6}})
 	if err != nil {
 		return 0, err
 	}
@@ -101,7 +101,7 @@ func Fig11(ctx context.Context, e Env) (*Table, error) {
 	// LSVD: write-back proceeds during the load; the volume is synced
 	// (cache fully destaged) almost immediately after the last write.
 	{
-		st, err := newLSVD(ctx, e, e.smallCache(), cluster.HDDConfig2(), core.Options{WriteCacheFrac: 0.6})
+		st, err := newLSVD(ctx, e, e.smallCache(), cluster.HDDConfig2(), core.Options{HostOptions: core.HostOptions{WriteCacheFrac: 0.6}})
 		if err != nil {
 			return nil, err
 		}

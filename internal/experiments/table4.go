@@ -86,11 +86,9 @@ func crashTrialLSVD(ctx context.Context, e Env, trial int64) (consistency.Report
 	volBytes := int64(128 * block.MiB)
 	store := objstore.NewMem()
 	opts := core.Options{
-		Volume: "vol", Store: store,
-		CacheDev: simdev.NewMem(cacheBytes), VolBytes: volBytes,
-		BatchBytes: 1 * block.MiB,
+		HostOptions:   core.HostOptions{Store: store, CacheDev: simdev.NewMem(cacheBytes)},
+		VolumeOptions: core.VolumeOptions{Volume: "vol", VolBytes: volBytes, BatchBytes: 1 * block.MiB},
 	}
-	e.tune(&opts)
 	disk, err := core.Create(ctx, opts)
 	if err != nil {
 		return consistency.Report{}, err

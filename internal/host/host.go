@@ -46,41 +46,20 @@ import (
 	"lsvd/internal/simdev"
 )
 
-// Options configures a Host: the shared hardware and the global
-// budgets. Per-volume knobs live in core.VolumeOptions, passed to
-// Create/Open.
+// Options configures a Host: the shared hardware and global budgets of
+// core.HostOptions plus the packing geometry. On a host, UploadDepth
+// and FetchDepth are HOST-WIDE — at most that many object PUTs and
+// range GETs in flight across all volumes combined: one tenant gets
+// what a single-volume disk had, eight tenants share it. Per-volume
+// knobs live in core.VolumeOptions, passed to Create/Open.
 type Options struct {
-	// Store is the backend bucket shared by every volume.
-	Store objstore.Store
-	// CacheDev is the host's cache SSD, shared by every volume.
-	CacheDev simdev.Device
+	core.HostOptions
 
 	// MaxVolumes is the number of write-cache slots carved from the
-	// SSD (default 8). It bounds how many volumes the host can serve;
-	// the read-cache arena is shared dynamically and needs no slots.
+	// SSD's WriteCacheFrac (default 8). It bounds how many volumes the
+	// host can serve; the read-cache arena (the rest of the SSD) is
+	// shared dynamically and needs no slots.
 	MaxVolumes int
-	// WriteCacheFrac is the fraction of the SSD carved into
-	// write-cache slots; the rest is the shared read arena. Default
-	// 0.2, as in the single-volume layout.
-	WriteCacheFrac float64
-
-	// UploadDepth / FetchDepth are the HOST-WIDE backend concurrency
-	// budgets: at most UploadDepth object PUTs and FetchDepth range
-	// GETs in flight across all volumes combined. Defaults 4 and 8
-	// (the single-volume defaults — one tenant gets what it had;
-	// eight tenants share it, which is the point).
-	UploadDepth int
-	FetchDepth  int
-
-	// OpenFanout bounds each volume's concurrent recovery reads at
-	// open (see core.Options.OpenFanout). 0 selects the block-store
-	// default; 1 serializes recovery I/O. Independent of FetchDepth:
-	// recovery runs before the volume registers on the shared fetch
-	// semaphore.
-	OpenFanout int
-
-	// Retry is the backend retry policy every volume inherits.
-	Retry objstore.RetryPolicy
 
 	// FlatKeys serves a single volume with the historical flat key
 	// layout ("<name>.<seq>" at bucket root, no slot metadata, no op
@@ -104,15 +83,7 @@ func (o *Options) setDefaults() error {
 	if o.MaxVolumes < 1 {
 		return fmt.Errorf("host: MaxVolumes %d < 1", o.MaxVolumes)
 	}
-	if o.WriteCacheFrac == 0 {
-		o.WriteCacheFrac = 0.2
-	}
-	if o.UploadDepth <= 0 {
-		o.UploadDepth = 4
-	}
-	if o.FetchDepth <= 0 {
-		o.FetchDepth = 8
-	}
+	o.HostOptions.SetDefaults()
 	return nil
 }
 
@@ -222,13 +193,11 @@ func carve(dev simdev.Device, maxVolumes int, frac float64) (int64, simdev.Devic
 // lsvd-ctl). The geometry arguments must match the host that wrote
 // the device; zero values select the host defaults.
 func InspectArena(dev simdev.Device, maxVolumes int, frac float64) (readcache.ArenaStats, error) {
-	if maxVolumes <= 0 {
-		maxVolumes = 8
+	o := Options{MaxVolumes: maxVolumes, HostOptions: core.HostOptions{WriteCacheFrac: frac}}
+	if err := o.setDefaults(); err != nil {
+		return readcache.ArenaStats{}, err
 	}
-	if frac == 0 {
-		frac = 0.2
-	}
-	_, arenaDev, err := carve(dev, maxVolumes, frac)
+	_, arenaDev, err := carve(dev, o.MaxVolumes, o.WriteCacheFrac)
 	if err != nil {
 		return readcache.ArenaStats{}, err
 	}
@@ -384,21 +353,17 @@ func (h *Host) resources(name string, slot int) (*core.Resources, error) {
 }
 
 // coreOptions assembles the full core.Options for one volume: the
-// host-level half from the host, the volume-level half from v.
+// host-level half from the host (with the volume's namespaced view of
+// the store), the volume-level half from v.
 func (h *Host) coreOptions(name string, v core.VolumeOptions) (core.Options, error) {
 	st, err := h.volStore(name)
 	if err != nil {
 		return core.Options{}, err
 	}
-	v.Volume = name
-	return core.Combine(core.HostOptions{
-		Store:          st,
-		WriteCacheFrac: h.opts.WriteCacheFrac, // unused with Resources, kept coherent
-		UploadDepth:    h.opts.UploadDepth,
-		FetchDepth:     h.opts.FetchDepth,
-		OpenFanout:     h.opts.OpenFanout,
-		Retry:          h.opts.Retry,
-	}, v), nil
+	opts := core.Options{HostOptions: h.opts.HostOptions, VolumeOptions: v}
+	opts.Store = st
+	opts.Volume = name
+	return opts, nil
 }
 
 func (h *Host) openVolume(ctx context.Context, name string, v core.VolumeOptions, create bool) (*core.Disk, error) {

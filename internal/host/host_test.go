@@ -21,7 +21,7 @@ import (
 func testHost(t *testing.T, store objstore.Store, cache simdev.Device, maxVols int) *Host {
 	t.Helper()
 	h, err := New(context.Background(), Options{
-		Store: store, CacheDev: cache, MaxVolumes: maxVols,
+		HostOptions: core.HostOptions{Store: store, CacheDev: cache}, MaxVolumes: maxVols,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -325,8 +325,8 @@ func TestHostArenaFairness(t *testing.T) {
 	// slabs of 2 MiB (16 MiB capacity), fair share 4. Hot's miss-able
 	// working set (~18 MiB) exceeds the whole arena, so it must churn.
 	h, err := New(ctx, Options{
-		Store: store, CacheDev: simdev.NewMem(32 * block.MiB),
-		MaxVolumes: 2, WriteCacheFrac: 0.4,
+		HostOptions: core.HostOptions{Store: store, CacheDev: simdev.NewMem(32 * block.MiB), WriteCacheFrac: 0.4},
+		MaxVolumes:  2,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -444,7 +444,7 @@ func TestHostFlatKeysCompat(t *testing.T) {
 	ctx := context.Background()
 	store := objstore.NewMem()
 	h, err := New(ctx, Options{
-		Store: store, CacheDev: simdev.NewMem(32 * block.MiB), FlatKeys: true,
+		HostOptions: core.HostOptions{Store: store, CacheDev: simdev.NewMem(32 * block.MiB)}, FlatKeys: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -532,5 +532,41 @@ func TestHostServesVolumesOverNBD(t *testing.T) {
 	}
 	if err := h.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestVolumeSeesHostBudgets: the options a volume opens with carry the
+// host's half unchanged — budgets, fan-out and retry policy are the
+// host's whatever the caller put in the volume half — with the store
+// swapped for the volume's namespaced view and the name forced.
+func TestVolumeSeesHostBudgets(t *testing.T) {
+	ctx := context.Background()
+	h, err := New(ctx, Options{
+		HostOptions: core.HostOptions{
+			Store: objstore.NewMem(), CacheDev: simdev.NewMem(32 * block.MiB),
+			WriteCacheFrac: 0.4, UploadDepth: 3, FetchDepth: 5, OpenFanout: 2,
+			Retry: objstore.RetryPolicy{MaxAttempts: 7},
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.Close()
+	v := core.VolumeOptions{Volume: "ignored", VolBytes: 4 * block.MiB, BatchBytes: 1 * block.MiB}
+	got, err := h.coreOptions("vm", v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Store == h.opts.Store {
+		t.Error("volume sees the bucket root, not its namespaced view")
+	}
+	wantHost := h.opts.HostOptions
+	wantHost.Store = got.Store
+	if got.HostOptions != wantHost {
+		t.Errorf("host half %+v, want %+v", got.HostOptions, wantHost)
+	}
+	v.Volume = "vm"
+	if got.VolumeOptions != v {
+		t.Errorf("volume half %+v, want %+v", got.VolumeOptions, v)
 	}
 }

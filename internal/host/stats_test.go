@@ -19,7 +19,7 @@ func TestStatsSnapshotSmoke(t *testing.T) {
 	}
 	dev := simdev.NewMem(64 << 20)
 	ctx := context.Background()
-	h, err := New(ctx, Options{Store: store, CacheDev: dev, MaxVolumes: 2})
+	h, err := New(ctx, Options{HostOptions: core.HostOptions{Store: store, CacheDev: dev}, MaxVolumes: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -157,8 +157,8 @@ func TestConcurrentClients(t *testing.T) {
 // the full paper stack minus the kernel.
 func TestLSVDOverNBD(t *testing.T) {
 	disk, err := core.Create(context.Background(), core.Options{
-		Volume: "vol", Store: objstore.NewMem(),
-		CacheDev: simdev.NewMem(128 * block.MiB), VolBytes: 128 * block.MiB,
+		HostOptions:   core.HostOptions{Store: objstore.NewMem(), CacheDev: simdev.NewMem(128 * block.MiB)},
+		VolumeOptions: core.VolumeOptions{Volume: "vol", VolBytes: 128 * block.MiB},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -36,7 +36,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"time"
 
 	"lsvd/internal/block"
 	"lsvd/internal/extmap"
@@ -65,19 +64,15 @@ type Config struct {
 	// appended records. Default 8192. Zero disables automatic
 	// checkpoints (explicit Checkpoint calls still work).
 	CheckpointEvery int
-
-	// GroupMaxRecords caps how many queued records one group-commit
-	// device write absorbs. Default 128.
-	GroupMaxRecords int
-	// GroupMaxBytes caps the byte size of one group-commit batch.
-	// Default 8 MiB.
-	GroupMaxBytes int64
-	// GroupStall is how long the group-commit leader lingers after
-	// draining its queue, waiting for more writers to batch with,
-	// before giving up leadership. Zero (the default) never stalls:
-	// batching comes only from natural concurrency.
-	GroupStall time.Duration
 }
+
+// One group-commit device write absorbs at most groupMaxRecords queued
+// records and groupMaxBytes bytes; batching comes only from natural
+// concurrency (the leader never lingers for followers).
+const (
+	groupMaxRecords = 128
+	groupMaxBytes   = 8 * block.MiB
+)
 
 func (c *Config) setDefaults() {
 	if c.CheckpointBytes == 0 {
@@ -85,12 +80,6 @@ func (c *Config) setDefaults() {
 	}
 	if c.CheckpointEvery == 0 {
 		c.CheckpointEvery = 8192
-	}
-	if c.GroupMaxRecords == 0 {
-		c.GroupMaxRecords = 128
-	}
-	if c.GroupMaxBytes == 0 {
-		c.GroupMaxBytes = 8 * block.MiB
 	}
 }
 
@@ -751,27 +740,13 @@ func (c *Cache) Quiesce() {
 // time; followers just queue and wait, which is what turns N
 // concurrent appends into one device barrier (group commit).
 func (c *Cache) runLeader() {
-	stalled := false
 	c.gmu.Lock()
 	invariant.LockOrder("wcache.gmu")
-	for {
-		if len(c.commitq) == 0 {
-			if c.cfg.GroupStall > 0 && !stalled {
-				invariant.LockRelease("wcache.gmu")
-				c.gmu.Unlock()
-				time.Sleep(c.cfg.GroupStall)
-				stalled = true
-				c.gmu.Lock()
-				invariant.LockOrder("wcache.gmu")
-				continue
-			}
-			break
-		}
-		stalled = false
+	for len(c.commitq) > 0 {
 		take, bytes := 0, int64(0)
-		for take < len(c.commitq) && take < c.cfg.GroupMaxRecords {
+		for take < len(c.commitq) && take < groupMaxRecords {
 			sz := c.commitq[take].rec.size
-			if take > 0 && bytes+sz > c.cfg.GroupMaxBytes {
+			if take > 0 && bytes+sz > groupMaxBytes {
 				break
 			}
 			bytes += sz
@@ -1010,8 +985,8 @@ func (c *Cache) Lookup(ext block.Extent) []extmap.Run {
 
 // ReadAt reads cached data previously located via Lookup. Under
 // concurrency a Lookup target can be evicted before the read; callers
-// on the data path should use ReadExtent or ReadFull, which hold the
-// lock across lookup and read.
+// on the data path should use ReadExtent, which holds the lock across
+// lookup and read.
 func (c *Cache) ReadAt(t extmap.Target, buf []byte) error {
 	return c.dev.ReadAt(buf, t.Off.Bytes())
 }
@@ -1043,24 +1018,15 @@ func (c *Cache) ReadExtent(ext block.Extent, buf []byte) ([]extmap.Run, error) {
 	return runs, nil
 }
 
-// ReadFull fills buf with the cache's data for ext if the extent is
-// fully resident, holding the lock across the device reads. Used by
-// the SSD readback mode (§3.7), where the newest logged bytes are
-// exactly what the caller wants.
-func (c *Cache) ReadFull(ext block.Extent, buf []byte) bool {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.readFullLocked(ext, buf)
-}
-
-// ReadFullDestaged is ReadFull restricted to destaged data: it fails
-// when any un-destaged record overlaps ext, so the bytes it returns
-// are exactly the extent's backend-committed version. The GC fetch
-// path (§3.5) needs that distinction — the newest cached bytes may
-// belong to an acknowledged write whose object has not committed yet,
-// and copying those into a GC object would publish data from the
-// future: after a crash, recovery installs the GC object and the
-// image is no longer a prefix of the acknowledged writes (§3.4).
+// ReadFullDestaged fills buf with the cache's data for ext if the
+// extent is fully resident and fully destaged, holding the lock across
+// the device reads: it fails when any un-destaged record overlaps ext,
+// so the bytes it returns are exactly the extent's backend-committed
+// version. The GC fetch path (§3.5) needs that distinction — the newest
+// cached bytes may belong to an acknowledged write whose object has not
+// committed yet, and copying those into a GC object would publish data
+// from the future: after a crash, recovery installs the GC object and
+// the image is no longer a prefix of the acknowledged writes (§3.4).
 func (c *Cache) ReadFullDestaged(ext block.Extent, buf []byte) bool {
 	// GC's FetchFromCache path: called while blockstore holds bs.mu, so
 	// this records the same bs.mu → wcache.mu edge as DestagePressure.
@@ -1082,15 +1048,10 @@ func (c *Cache) ReadFullDestaged(ext block.Extent, buf []byte) bool {
 			return false
 		}
 	}
-	return c.readFullLocked(ext, buf)
-}
-
-//lsvd:requires wcache.mu
-func (c *Cache) readFullLocked(ext block.Extent, buf []byte) bool {
 	runs := c.m.Lookup(ext)
 	for _, run := range runs {
-		// Tombstones count as not-resident: the destage/GC callers want
-		// the extent's logged data, not the zeros of a newer discard.
+		// Tombstones count as not-resident: the GC wants the extent's
+		// logged data, not the zeros of a newer discard.
 		if !run.Present || IsTombstone(run) {
 			return false
 		}

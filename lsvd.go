@@ -92,12 +92,14 @@ type VolumeOptions struct {
 	GCLowWater         float64 // GC trigger utilization (0.70); <0 disables
 	GCHighWater        float64 // GC stop utilization (0.75)
 	GCWAFTarget        float64 // background GC write-amplification budget (2.0); <0 unpaces
-	PrefetchBytes      int64   // temporal read-ahead (128 KiB)
+	// PrefetchBytes is the temporal read-ahead window. 0 selects the
+	// default (128 KiB); there is no "disabled" value — the smallest
+	// window, one 512-byte sector, fetches nothing beyond the miss.
+	PrefetchBytes int64
 
 	// Destage pipeline tuning; zero values select the defaults.
-	UploadDepth       int  // concurrent backend object PUTs (4)
-	DestageQueueDepth int  // queued writes between ack and destage (256)
-	SyncDestage       bool // disable the pipeline: destage inline (off)
+	UploadDepth       int // concurrent backend object PUTs (4)
+	DestageQueueDepth int // queued writes between ack and destage (256)
 
 	// FetchDepth bounds concurrent backend range GETs on the
 	// read-miss path (8); 1 serializes misses as before the parallel
@@ -130,28 +132,32 @@ type VolumeOptions struct {
 	ReplicaMaxLagBytes   int64
 }
 
+// coreOptions is the one translation of the public volume façade into
+// the internal options: each field lands in the half that declares it.
 func (o VolumeOptions) coreOptions() core.Options {
 	opts := core.Options{
-		Volume:         o.Name,
-		Store:          o.Store,
-		CacheDev:       o.Cache,
-		VolBytes:       o.Size,
-		WriteCacheFrac: o.WriteCacheFraction,
-		BatchBytes:     o.BatchBytes,
-		GCLowWater:     o.GCLowWater,
-		GCHighWater:    o.GCHighWater,
-		GCWAFTarget:    o.GCWAFTarget,
+		HostOptions: core.HostOptions{
+			Store:          o.Store,
+			CacheDev:       o.Cache,
+			WriteCacheFrac: o.WriteCacheFraction,
+			UploadDepth:    o.UploadDepth,
+			FetchDepth:     o.FetchDepth,
+			OpenFanout:     o.OpenFanout,
+			Retry:          o.Retry,
+		},
+		VolumeOptions: core.VolumeOptions{
+			Volume:            o.Name,
+			VolBytes:          o.Size,
+			BatchBytes:        o.BatchBytes,
+			GCLowWater:        o.GCLowWater,
+			GCHighWater:       o.GCHighWater,
+			GCWAFTarget:       o.GCWAFTarget,
+			DestageQueueDepth: o.DestageQueueDepth,
 
-		UploadDepth:       o.UploadDepth,
-		DestageQueueDepth: o.DestageQueueDepth,
-		SyncDestage:       o.SyncDestage,
-		FetchDepth:        o.FetchDepth,
-		OpenFanout:        o.OpenFanout,
-		Retry:             o.Retry,
-
-		ReplicaStore:         o.ReplicaStore,
-		ReplicaMaxLagObjects: o.ReplicaMaxLagObjects,
-		ReplicaMaxLagBytes:   o.ReplicaMaxLagBytes,
+			ReplicaStore:         o.ReplicaStore,
+			ReplicaMaxLagObjects: o.ReplicaMaxLagObjects,
+			ReplicaMaxLagBytes:   o.ReplicaMaxLagBytes,
+		},
 	}
 	if o.PrefetchBytes > 0 {
 		opts.PrefetchSectors = uint32(o.PrefetchBytes / block.SectorSize)
@@ -159,44 +165,34 @@ func (o VolumeOptions) coreOptions() core.Options {
 	return opts
 }
 
-// flatHost builds the single-volume host every Create/Open runs on:
-// one slot covering the whole write-cache region, the historical flat
-// key layout, and the volume's own depths as the (single-tenant)
-// host-wide budgets. Multi-volume deployments use OpenHost instead.
-func (o VolumeOptions) flatHost(ctx context.Context) (*Host, error) {
-	return host.New(ctx, host.Options{
-		Store:          o.Store,
-		CacheDev:       o.Cache,
-		FlatKeys:       true,
-		WriteCacheFrac: o.WriteCacheFraction,
-		UploadDepth:    o.UploadDepth,
-		FetchDepth:     o.FetchDepth,
-		OpenFanout:     o.OpenFanout,
-		Retry:          o.Retry,
-	})
+// openFlat opens or creates the volume on the single-volume host every
+// Create/Open runs on: one slot covering the whole write-cache region,
+// the historical flat key layout, and the volume's own depths as the
+// (single-tenant) host-wide budgets. Multi-volume deployments use
+// OpenHost instead.
+func (o VolumeOptions) openFlat(ctx context.Context, create bool) (*Disk, error) {
+	opts := o.coreOptions()
+	h, err := host.New(ctx, host.Options{HostOptions: opts.HostOptions, FlatKeys: true})
+	if err != nil {
+		return nil, err
+	}
+	if create {
+		return h.Create(ctx, o.Name, opts.VolumeOptions)
+	}
+	return h.Open(ctx, o.Name, opts.VolumeOptions)
 }
 
 // Create initializes a new volume. It is a thin one-volume host: the
 // same code path that packs eight volumes onto a shared SSD serves a
 // single volume with the pre-host key layout and cache split.
 func Create(ctx context.Context, o VolumeOptions) (*Disk, error) {
-	h, err := o.flatHost(ctx)
-	if err != nil {
-		return nil, err
-	}
-	_, v := o.coreOptions().Split()
-	return h.Create(ctx, o.Name, v)
+	return o.openFlat(ctx, true)
 }
 
 // Open recovers an existing volume: local log replay, backend prefix
 // recovery, and re-destage of any writes the backend is missing.
 func Open(ctx context.Context, o VolumeOptions) (*Disk, error) {
-	h, err := o.flatHost(ctx)
-	if err != nil {
-		return nil, err
-	}
-	_, v := o.coreOptions().Split()
-	return h.Open(ctx, o.Name, v)
+	return o.openFlat(ctx, false)
 }
 
 // Clone creates a new volume sharing the base volume's objects up to
@@ -321,14 +317,21 @@ type HostOptions struct {
 // Volumes lease per-volume write-log slots and share the read arena
 // and backend budgets; h.Close() closes every open volume.
 func OpenHost(ctx context.Context, o HostOptions) (*Host, error) {
-	return host.New(ctx, host.Options{
-		Store:          o.Store,
-		CacheDev:       o.Cache,
-		MaxVolumes:     o.MaxVolumes,
-		WriteCacheFrac: o.WriteCacheFraction,
-		UploadDepth:    o.UploadDepth,
-		FetchDepth:     o.FetchDepth,
-		OpenFanout:     o.OpenFanout,
-		Retry:          o.Retry,
-	})
+	return host.New(ctx, o.hostOptions())
+}
+
+// hostOptions is the one translation of the public host façade.
+func (o HostOptions) hostOptions() host.Options {
+	return host.Options{
+		HostOptions: core.HostOptions{
+			Store:          o.Store,
+			CacheDev:       o.Cache,
+			WriteCacheFrac: o.WriteCacheFraction,
+			UploadDepth:    o.UploadDepth,
+			FetchDepth:     o.FetchDepth,
+			OpenFanout:     o.OpenFanout,
+			Retry:          o.Retry,
+		},
+		MaxVolumes: o.MaxVolumes,
+	}
 }

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"net"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"lsvd/internal/nbd"
@@ -207,4 +208,45 @@ func TestPublicAPIReplication(t *testing.T) {
 	if err := rdisk.Close(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// setNonZero gives one façade field a value its translation must carry.
+func setNonZero(t *testing.T, v reflect.Value) {
+	t.Helper()
+	switch {
+	case v.Type() == reflect.TypeOf((*ObjectStore)(nil)).Elem():
+		v.Set(reflect.ValueOf(MemStore()))
+	case v.Type() == reflect.TypeOf((*CacheDevice)(nil)).Elem():
+		v.Set(reflect.ValueOf(MemCacheDevice(1 * MiB)))
+	case v.Kind() == reflect.String:
+		v.SetString("x")
+	case v.CanInt():
+		v.SetInt(4096)
+	case v.CanFloat():
+		v.SetFloat(0.5)
+	case v.Kind() == reflect.Struct:
+		setNonZero(t, v.Field(0))
+	default:
+		t.Fatalf("no non-zero value for a %s field; extend setNonZero", v.Type())
+	}
+}
+
+// TestEveryPublicKnobReachesTheCore sets each exported field of the two
+// public option façades alone and requires the internal options to
+// change: a field added to a façade and forgotten in its translation
+// fails here instead of being silently ignored.
+func TestEveryPublicKnobReachesTheCore(t *testing.T) {
+	each := func(facade any, translate func(reflect.Value) any) {
+		typ := reflect.TypeOf(facade)
+		zero := translate(reflect.New(typ).Elem())
+		for i := 0; i < typ.NumField(); i++ {
+			o := reflect.New(typ).Elem()
+			setNonZero(t, o.Field(i))
+			if reflect.DeepEqual(translate(o), zero) {
+				t.Errorf("%s.%s does not reach the internal options", typ.Name(), typ.Field(i).Name)
+			}
+		}
+	}
+	each(VolumeOptions{}, func(o reflect.Value) any { return o.Interface().(VolumeOptions).coreOptions() })
+	each(HostOptions{}, func(o reflect.Value) any { return o.Interface().(HostOptions).hostOptions() })
 }
