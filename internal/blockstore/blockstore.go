@@ -134,8 +134,9 @@ type Config struct {
 	// Replicated marks the volume as having an asynchronous replica: a
 	// shipper (internal/replica) attaches via ShipAttach and drains the
 	// commit feed (ship.go). The flag also arms the shipped-watermark
-	// pin in completeDelete, so deferred deletions wait for the replica
-	// even across sessions where the shipper has not attached yet.
+	// pin in the reaper (pinnedLocked), so deferred deletions wait for
+	// the replica even across sessions where the shipper has not
+	// attached yet.
 	Replicated bool
 }
 
@@ -262,10 +263,16 @@ type Store struct {
 
 	readOnly bool
 
+	// A cleaned object's deferredDelete sits on exactly one of three
+	// lists until its delete retires (reap.go): pending (waiting for the
+	// next checkpoint), deferred (pinned by a snapshot or the shipped
+	// watermark), reaping (backend delete in flight, off s.mu). Fences
+	// and Abort wait for reaping to empty.
 	snapshots []snapshot
 	deferred  []deferredDelete
-	pending   []deferredDelete // cleaned, waiting for next checkpoint
-	cleaned   map[uint32]bool  // cleaned objects awaiting deletion
+	pending   []deferredDelete
+	reaping   map[uint32]deferredDelete // by Obj
+	cleaned   map[uint32]bool           // cleaned objects awaiting deletion
 
 	// Running utilization counters over own, non-cleaned data/GC
 	// objects, so the per-seal GC trigger is O(1).
@@ -430,6 +437,7 @@ func newStore(ctx context.Context, cfg Config) *Store {
 		hdrFlights: make(map[uint32]*hdrFlight),
 		flights:    make(map[fetchKey]*flight),
 		cleaned:    make(map[uint32]bool),
+		reaping:    make(map[uint32]deferredDelete),
 		orphans:    make(map[uint32]bool),
 	}
 	s.batch = newBatch(cfg.BatchBytes, cfg.NoCoalesce)
@@ -514,9 +522,9 @@ func (s *Store) utilCounted(o *objInfo) bool {
 
 // AuditUtilization recomputes the utilization counters from the object
 // table and fails if they disagree with the running values, or if a
-// cleaned object is awaiting deletion without a pending/deferred entry
-// to retire it. Tests call it after abort/crash/recovery interleavings
-// to prove the accounting cannot drift.
+// cleaned object is awaiting deletion without a pending, deferred or
+// reaping entry to retire it. Tests call it after abort/crash/recovery
+// interleavings to prove the accounting cannot drift.
 func (s *Store) AuditUtilization() error {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -531,12 +539,15 @@ func (s *Store) AuditUtilization() error {
 		return fmt.Errorf("blockstore: utilization counters drifted: have live/data %d/%d, objects sum to %d/%d",
 			s.utilLive, s.utilData, live, data)
 	}
-	retiring := make(map[uint32]bool, len(s.deferred)+len(s.pending))
+	retiring := make(map[uint32]bool, len(s.deferred)+len(s.pending)+len(s.reaping))
 	for _, d := range s.deferred {
 		retiring[d.Obj] = true
 	}
 	for _, d := range s.pending {
 		retiring[d.Obj] = true
+	}
+	for seq := range s.reaping {
+		retiring[seq] = true
 	}
 	for seq := range s.cleaned {
 		if s.objects[seq] != nil && !retiring[seq] {
@@ -575,7 +586,7 @@ func (s *Store) Stats() Stats {
 		PendingBatch:    s.batch.fill + s.inflightBytes,
 		InflightObjects: len(s.inflight), UploadRetries: s.stats.uploadRetries,
 		SealStalls:      s.stats.sealStalls,
-		DeferredDeletes: len(s.deferred) + len(s.pending),
+		DeferredDeletes: len(s.deferred) + len(s.pending) + len(s.reaping),
 		OrphanObjects:   len(s.orphans),
 		ShippedSeq:      s.shipMark,
 		ShipLagObjects:  len(s.shipUnacked),

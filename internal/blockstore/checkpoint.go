@@ -20,9 +20,11 @@ import (
 //     taken only when the marker reaches the front of the in-flight
 //     list — i.e. once every earlier object has committed — so the
 //     checkpoint covers exactly the committed prefix without draining
-//     the pipeline. Later objects cannot commit until the marker is
-//     done (the in-order commit walk stops at it), so a crash can
-//     never leave acked data above a gap at the checkpoint's sequence.
+//     the pipeline. The marker holds the in-order commit walk for its
+//     own two PUTs and nothing else: later objects cannot commit until
+//     it is done, so a crash can never leave acked data above a gap at
+//     the checkpoint's sequence, and the moment the super PUT returns
+//     the walk moves on.
 //   - checkpointLocked is the synchronous path (Create, Clone, the
 //     Checkpoint API, snapshot creation, sync-mode seals, the GC
 //     service's idle checkpoint): callers drain the pipeline first;
@@ -30,19 +32,40 @@ import (
 //     down so a failed checkpoint can return its sequence number and
 //     no gap is ever left in the log.
 //
+// A durable checkpoint RELEASES the GC victims that were waiting for
+// it; it does not delete them. finalizeCheckpointLocked hands the
+// released entries to the reaper (reap.go), which parks the pinned
+// ones on s.deferred and claims the rest in s.reaping. The backend
+// deletes then run off s.mu, fanned out: on the marker's goroutine
+// after the marker is done and the commit walk has moved past it, or,
+// on the synchronous path, inside the same ckptActive lock-drop window
+// as the PUTs, so checkpointLocked returns with its victims gone.
+//
 // Ordering rules the crash-consistency tests depend on:
 //
 //   1. The superblock PUT starts only after the checkpoint object PUT
 //      completed — the super never names a checkpoint that isn't
 //      durable.
-//   2. Deferred GC victim deletions released by a checkpoint run only
-//      after the super PUT succeeded — deleting a victim below the
+//   2. No victim released by a checkpoint is deleted before that
+//      checkpoint's super PUT succeeded — deleting a victim below the
 //      named checkpoint earlier would hole the replayable prefix.
 //   3. While a checkpoint marker is queued, GC object writes wait
 //      (writeGCObjectLocked): a GC object with a sequence number above
 //      the checkpoint's must not enter the checkpoint's map snapshot,
 //      or recovery's gap rule could delete an object the recovered map
 //      still references.
+//   4. Every checkpoint payload lists s.deferred, s.pending and
+//      s.reaping together as its deferred list, and keeps all of them
+//      in its object table. A crash in the middle of a reap therefore
+//      loses nothing: open re-drives the whole list (a delete that
+//      already landed finds the object missing, which counts as done),
+//      whichever checkpoint it recovers from.
+//   5. Abort claims no new reap and returns only once s.reaping is
+//      empty, like every issued PUT: the backend stops changing. The
+//      fences (waitInflightLocked, hence Seal, Checkpoint, DeleteSnapshot
+//      and core's Close) wait for s.reaping to empty as well, so "the
+//      pipeline is drained" still means no backend operation of this
+//      store is in flight.
 
 // checkpointPayload: the serialized object map, the object table,
 // deferred deletes, the durable write watermark and a pointer to the
@@ -102,12 +125,17 @@ func (s *Store) fillCkptShotLocked(shot *ckptShot) error {
 		w.u32(o.liveSectors)
 		w.u64(o.writeSeq)
 	}
-	w.u32(uint32(len(s.deferred) + len(s.pending)))
+	// Rule 4: a victim mid-reap is still listed, so open re-drives it.
+	w.u32(uint32(len(s.deferred) + len(s.pending) + len(s.reaping)))
 	for _, d := range s.deferred {
 		w.u32(d.Obj)
 		w.u32(d.GCSeq)
 	}
 	for _, d := range s.pending {
+		w.u32(d.Obj)
+		w.u32(d.GCSeq)
+	}
+	for _, d := range s.reaping {
 		w.u32(d.Obj)
 		w.u32(d.GCSeq)
 	}
@@ -165,14 +193,15 @@ func (s *Store) putCheckpoint(shot *ckptShot) error {
 
 // finalizeCheckpointLocked applies a durable checkpoint (object and
 // super both PUT) to the in-memory state and releases the GC victim
-// deletions that were waiting for it (rule 2 above). Only the pending
-// entries that existed at snapshot time are released — the payload's
-// deferred list covers exactly those, so recovery can re-drive a
-// delete the crash interrupted; entries queued since wait for the next
-// checkpoint.
+// deletions that were waiting for it (rule 2 above): it returns them
+// for the caller to hand to the reaper, failures back to s.pending for
+// the next checkpoint. Only the pending entries that existed at
+// snapshot time are released — the payload's deferred list covers
+// exactly those, so recovery can re-drive a delete the crash
+// interrupted; entries queued since wait for the next checkpoint.
 //
 //lsvd:requires bs.mu
-func (s *Store) finalizeCheckpointLocked(shot *ckptShot) {
+func (s *Store) finalizeCheckpointLocked(shot *ckptShot) []deferredDelete {
 	s.objects[shot.seq] = &objInfo{seq: shot.seq, typ: journal.TypeCheckpoint, totalBytes: int64(len(shot.rec))}
 	s.lastCkpt = shot.seq
 	s.stats.checkpoints++
@@ -184,14 +213,7 @@ func (s *Store) finalizeCheckpointLocked(shot *ckptShot) {
 	s.shipPublishLocked(0, journal.TypeSuper, 0)
 	released := s.pending[:shot.nPending]
 	s.pending = append([]deferredDelete(nil), s.pending[shot.nPending:]...)
-	for _, d := range released {
-		if err := s.completeDelete(d); err != nil {
-			// Deletion is space reclaim, not correctness: a transient
-			// Delete failure re-defers the object to the next
-			// checkpoint instead of failing this one.
-			s.pending = append(s.pending, d)
-		}
-	}
+	return released
 }
 
 // Checkpoint writes the volume's map and metadata as a numbered object
@@ -221,11 +243,12 @@ func (s *Store) Checkpoint() error {
 }
 
 // checkpointLocked is the synchronous checkpoint: snapshot under s.mu,
-// PUT with the lock RELEASED, finalize. Callers hold s.mu with the
-// upload pipeline drained. ckptActive single-flights concurrent
-// synchronous checkpoints and parks every sequence reservation (seals,
-// GC objects) for the duration of the lock drop, so on failure the
-// reserved sequence number can be returned with no gap left behind.
+// PUT with the lock RELEASED, finalize, delete the released victims
+// with the lock released again. Callers hold s.mu with the upload
+// pipeline drained. ckptActive single-flights concurrent synchronous
+// checkpoints and parks every sequence reservation (seals, GC objects)
+// for the duration of both lock drops, so on failure the reserved
+// sequence number can be returned with no gap left behind.
 //
 //lsvd:requires bs.mu
 func (s *Store) checkpointLocked() error {
@@ -244,8 +267,8 @@ func (s *Store) checkpointLocked() error {
 	s.mu.Unlock()
 	err := s.putCheckpoint(shot)
 	s.mu.Lock()
-	s.ckptActive = false
 	if err != nil {
+		s.ckptActive = false
 		// No reservation advanced while ckptActive: the checkpoint's
 		// sequence number goes back so the log stays gapless. A
 		// checkpoint object whose PUT landed but whose super didn't is
@@ -258,31 +281,12 @@ func (s *Store) checkpointLocked() error {
 		s.commitCond.Broadcast()
 		return err
 	}
-	s.finalizeCheckpointLocked(shot)
+	// A failed delete is back on s.pending for the next checkpoint; it
+	// does not fail this one.
+	_ = s.reapLocked(s.finalizeCheckpointLocked(shot), &s.pending)
+	s.ckptActive = false
 	s.commitCond.Broadcast()
 	return nil
-}
-
-// completeDelete deletes a cleaned object unless a snapshot or the
-// replication shipped watermark pins it, in which case it joins the
-// persistent deferred list. The watermark pin (ship.go rule 2) is what
-// keeps a lagging replica's checkpoints dereferenceable: the victim
-// stays on the primary until the shipper has acked it, then the
-// watermark advance re-drives this list (redriveShipDeferredLocked).
-//
-//lsvd:requires bs.mu
-func (s *Store) completeDelete(d deferredDelete) error {
-	if s.shipPinnedLocked(d.Obj) {
-		s.deferred = append(s.deferred, d)
-		return nil
-	}
-	for _, sn := range s.snapshots {
-		if sn.Seq >= d.Obj && sn.Seq < d.GCSeq {
-			s.deferred = append(s.deferred, d)
-			return nil
-		}
-	}
-	return s.deleteObject(d.Obj)
 }
 
 func decodeCheckpoint(data []byte) (*checkpointPayload, error) {

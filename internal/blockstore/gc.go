@@ -470,9 +470,9 @@ func (s *Store) collectLocked(seq uint32, paced bool) error {
 
 	s.pending = append(s.pending, deferredDelete{Obj: victim.seq, GCSeq: s.nextSeq - 1})
 	// The victim's contribution stays in the running counters until its
-	// delete retires (deleteObject); utilizationLocked excludes cleaned
-	// objects on the fly, so an abort or crash between here and the
-	// delete cannot strand the accounting.
+	// delete retires (retireObjectLocked); utilizationLocked excludes
+	// cleaned objects on the fly, so an abort or crash between here and
+	// the delete cannot strand the accounting.
 	s.cleaned[victim.seq] = true
 	s.stats.gcVictims++
 	if invariant.Enabled {
@@ -736,31 +736,5 @@ func (s *Store) writeGCObjectLocked(pieces []gcPiece) error {
 	s.installObject(info, mapped, nil)
 	s.nextSeq++
 	s.sinceCkpt++
-	return nil
-}
-
-// deleteObject removes a backend object and its bookkeeping. Deleting
-// an already-missing object succeeds — the orphan sweep may retry a
-// deletion that raced with an earlier success.
-func (s *Store) deleteObject(seq uint32) error {
-	//lsvd:ignore deletion must be atomic with the object-table update under mu; GC is off the data path
-	if err := s.cfg.Store.Delete(s.ctx, s.name(seq)); err != nil && !errors.Is(err, objstore.ErrNotFound) {
-		return err
-	}
-	if o := s.objects[seq]; s.utilCounted(o) {
-		invariant.Assertf(s.utilLive >= uint64(o.liveSectors) && s.utilData >= uint64(o.dataSectors),
-			"blockstore: utilization underflow deleting object %d", seq)
-		// An object's utilization contribution is removed only here, at
-		// delete retirement — never when the GC merely marks it cleaned
-		// (utilizationLocked excludes cleaned objects on the fly), so an
-		// aborted pass or a crash before the delete cannot strand the
-		// counters.
-		s.utilLive -= uint64(o.liveSectors)
-		s.utilData -= uint64(o.dataSectors)
-	}
-	delete(s.objects, seq)
-	delete(s.hdrCache, seq)
-	delete(s.cleaned, seq)
-	s.stats.objectsDeleted++
 	return nil
 }

@@ -1,0 +1,501 @@
+package blockstore
+
+import (
+	"context"
+	"fmt"
+	"sort"
+	"strings"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"lsvd/internal/block"
+	"lsvd/internal/journal"
+	"lsvd/internal/objstore"
+)
+
+// reapStore logs every Put (start and completion) and Delete (arrival)
+// in order, and can park Deletes on a channel so a test holds a reap
+// open for as long as it likes.
+type reapStore struct {
+	objstore.Store
+
+	mu     sync.Mutex
+	log    []string   // "put N", "put-done N", "delete N"
+	hold   chan error // non-nil: every Delete waits for a value (its outcome) or a close
+	parked int
+	crash  error // outcome of Deletes woken by the close
+}
+
+func (r *reapStore) note(op, name string) {
+	r.mu.Lock()
+	r.log = append(r.log, op+" "+name)
+	r.mu.Unlock()
+}
+
+func (r *reapStore) Put(ctx context.Context, name string, data []byte) error {
+	r.note("put", name)
+	err := r.Store.Put(ctx, name, data)
+	if err == nil {
+		r.note("put-done", name)
+	}
+	return err
+}
+
+func (r *reapStore) Delete(ctx context.Context, name string) error {
+	r.mu.Lock()
+	r.log = append(r.log, "delete "+name)
+	hold := r.hold
+	if hold != nil {
+		r.parked++
+	}
+	r.mu.Unlock()
+	if hold != nil {
+		err, sent := <-hold
+		r.mu.Lock()
+		r.parked--
+		if !sent {
+			err = r.crash
+		}
+		r.mu.Unlock()
+		if err != nil {
+			return err
+		}
+	}
+	return r.Store.Delete(ctx, name)
+}
+
+func (r *reapStore) holdDeletes() {
+	r.mu.Lock()
+	r.hold = make(chan error)
+	r.mu.Unlock()
+}
+
+// releaseDeletes wakes every parked Delete, and lets later ones
+// through, with outcome err (nil: the delete goes to the backend).
+func (r *reapStore) releaseDeletes(err error) {
+	r.mu.Lock()
+	r.crash = err
+	close(r.hold)
+	r.mu.Unlock()
+}
+
+func (r *reapStore) parkedDeletes() int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.parked
+}
+
+func (r *reapStore) opLog() []string {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return append([]string(nil), r.log...)
+}
+
+// churnExt is one batch wide, so every churn write seals an object and
+// kills the previous one whole: the commit-triggered GC pass cleans it
+// without copying and the next checkpoint releases it.
+var churnExt = block.Extent{LBA: 0, Sectors: 64}
+
+func churnConfig(store objstore.Store) Config {
+	return Config{
+		Store: store, BatchBytes: churnExt.Bytes(), UploadDepth: 4, CheckpointEvery: 4,
+		GCLowWater: 0.70, GCHighWater: 0.75,
+		Retry: objstore.RetryPolicy{MaxAttempts: -1},
+	}
+}
+
+// churn overwrites churnExt once, as write *w+1, and waits for the
+// object to commit.
+func churn(t *testing.T, s *Store, w *uint64) {
+	t.Helper()
+	*w++
+	if err := s.Append(*w, churnExt, payload(int64(*w), int(churnExt.Bytes()))); err != nil {
+		t.Fatal(err)
+	}
+	waitDurable(t, s, *w)
+}
+
+// churnUntilParked churns until a checkpoint's deletes sit in the
+// store's hold.
+func churnUntilParked(t *testing.T, s *Store, rs *reapStore, w *uint64, want int) {
+	t.Helper()
+	for i := 0; rs.parkedDeletes() < want; i++ {
+		if i > 64 {
+			t.Fatalf("%d deletes parked after %d objects, want %d", rs.parkedDeletes(), i, want)
+		}
+		churn(t, s, w)
+		time.Sleep(2 * time.Millisecond)
+	}
+}
+
+// mustReturn fails the test if fn is still running after 5 s — the
+// symptom of a foreground call queued behind a reap.
+func mustReturn(t *testing.T, what string, fn func() error) {
+	t.Helper()
+	done := make(chan error, 1)
+	go func() { done <- fn() }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatalf("%s blocked behind a checkpoint's deletes", what)
+	}
+}
+
+// backendMatchesTable: the backend holds exactly the objects the table
+// names — nothing leaked, nothing lost. A store that was opened, not
+// created, recovered its table from the newest checkpoint's payload,
+// which does not list that checkpoint object itself.
+func backendMatchesTable(t *testing.T, s *Store, store objstore.Store) {
+	t.Helper()
+	names, err := store.List(ctx, "vol.")
+	if err != nil {
+		t.Fatal(err)
+	}
+	backend := sortedSeqs("vol", names)
+	s.mu.RLock()
+	table := []uint32{s.lastCkpt}
+	for seq := range s.objects {
+		if seq != s.lastCkpt {
+			table = append(table, seq)
+		}
+	}
+	s.mu.RUnlock()
+	sort.Slice(table, func(i, j int) bool { return table[i] < table[j] })
+	if fmt.Sprint(backend) != fmt.Sprint(table) {
+		t.Fatalf("backend holds %v, object table names %v", backend, table)
+	}
+}
+
+// TestReapDoesNotStallPipeline: while a checkpoint's victim deletes
+// are stuck in the backend, the store lock is free and the commit walk
+// has moved past the marker — appends, seals and fetches return, and
+// an object sealed after the checkpoint commits.
+func TestReapDoesNotStallPipeline(t *testing.T) {
+	rs := &reapStore{Store: objstore.NewMem()}
+	var destaged atomic.Uint64
+	cfg := churnConfig(rs)
+	cfg.OnDestage = func(w uint64) {
+		for {
+			cur := destaged.Load()
+			if w <= cur || destaged.CompareAndSwap(cur, w) {
+				return
+			}
+		}
+	}
+	s := newVolume(t, nil, cfg)
+	rs.holdDeletes()
+	var w uint64
+	churnUntilParked(t, s, rs, &w, 1)
+	deleted := s.Stats().ObjectsDeleted
+
+	half := block.Extent{LBA: 0, Sectors: churnExt.Sectors / 2}
+	w++
+	mustReturn(t, "Append", func() error { return s.Append(w, half, payload(int64(w), int(half.Bytes()))) })
+	mustReturn(t, "SealAsync", s.SealAsync)
+	mustReturn(t, "FetchSpan", func() error {
+		runs := s.Lookup(block.Extent{LBA: block.LBA(half.Sectors), Sectors: 8})
+		f, err := s.FetchSpan(runs, 0)
+		if err == nil {
+			f.Release()
+		}
+		return err
+	})
+	waitDurable(t, s, w)
+	waitFor(t, "OnDestage for the object behind the checkpoint", func() bool { return destaged.Load() >= w })
+	if rs.parkedDeletes() == 0 {
+		t.Fatal("the deletes were not held for the duration of the test")
+	}
+	if got := s.Stats().ObjectsDeleted; got != deleted {
+		t.Fatalf("%d objects retired while their deletes were held", got-deleted)
+	}
+	if err := s.AuditUtilization(); err != nil {
+		t.Fatalf("audit mid-reap: %v", err)
+	}
+
+	rs.releaseDeletes(nil)
+	if err := s.Seal(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if st := s.Stats(); st.DeferredDeletes != 0 || st.ObjectsDeleted != st.GCVictims {
+		t.Fatalf("after the fence: %d deferred, %d deleted of %d victims", st.DeferredDeletes, st.ObjectsDeleted, st.GCVictims)
+	}
+	if err := s.AuditUtilization(); err != nil {
+		t.Fatal(err)
+	}
+	backendMatchesTable(t, s, rs.Store)
+}
+
+// TestCheckpointOrdersPutsBeforeDeletes proves rules 1 and 2 from the
+// backend's point of view, on the marker path and the synchronous one:
+// a super PUT starts only after the checkpoint object it names has
+// landed, and no victim's delete reaches the backend before the super
+// PUT of the first checkpoint that lists it has completed.
+func TestCheckpointOrdersPutsBeforeDeletes(t *testing.T) {
+	rs := &reapStore{Store: objstore.NewMem()}
+	s := newVolume(t, nil, churnConfig(rs))
+	var w uint64
+	for i := 0; i < 18; i++ { // four marker checkpoints
+		churn(t, s, &w)
+	}
+	if err := s.Seal(); err != nil {
+		t.Fatal(err)
+	}
+	markerDeletes := s.Stats().ObjectsDeleted
+	if markerDeletes == 0 {
+		t.Fatal("marker checkpoints released nothing")
+	}
+	for i := 0; i < 3; i++ { // victims for the synchronous checkpoint
+		churn(t, s, &w)
+	}
+	if err := s.Seal(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if s.Stats().ObjectsDeleted == markerDeletes {
+		t.Fatal("the synchronous checkpoint released nothing")
+	}
+
+	log := rs.opLog()
+	index := func(entry string, from int) int {
+		for i := from; i < len(log); i++ {
+			if log[i] == entry {
+				return i
+			}
+		}
+		return -1
+	}
+	// superDone[v]: log index at which the super PUT of the first
+	// checkpoint listing victim v completed.
+	superDone := make(map[string]int)
+	s.mu.RLock()
+	var ckpts []uint32
+	for seq, o := range s.objects {
+		if o.typ == journal.TypeCheckpoint {
+			ckpts = append(ckpts, seq)
+		}
+	}
+	s.mu.RUnlock()
+	sort.Slice(ckpts, func(i, j int) bool { return ckpts[i] < ckpts[j] })
+	for _, c := range ckpts {
+		name := objName("vol", c)
+		objDone := index("put-done "+name, 0)
+		if objDone < 0 {
+			t.Fatalf("checkpoint %d never landed", c)
+		}
+		if super := index("put vol.super", index("put "+name, 0)); super < objDone {
+			t.Fatalf("super PUT started at %d, before checkpoint %d landed at %d", super, c, objDone)
+		}
+		done := index("put-done vol.super", objDone)
+		p, err := s.readCheckpointObject(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range p.deferred {
+			if _, listed := superDone[objName("vol", d.Obj)]; !listed {
+				superDone[objName("vol", d.Obj)] = done
+			}
+		}
+	}
+	deletes := 0
+	for i, e := range log {
+		v, ok := strings.CutPrefix(e, "delete ")
+		if !ok {
+			continue
+		}
+		deletes++
+		if done, released := superDone[v]; !released || done < 0 || i < done {
+			t.Fatalf("delete of %s at %d, but the super of the checkpoint releasing it completed at %d (released=%v)", v, i, done, released)
+		}
+	}
+	if uint64(deletes) != s.Stats().ObjectsDeleted {
+		t.Fatalf("%d backend deletes for %d retired objects", deletes, s.Stats().ObjectsDeleted)
+	}
+}
+
+// TestAbortWaitsForReap: Abort with deletes in flight returns only
+// once they finished, and from then on the backend does not change.
+func TestAbortWaitsForReap(t *testing.T) {
+	rs := &reapStore{Store: objstore.NewMem()}
+	s := newVolume(t, nil, churnConfig(rs))
+	rs.holdDeletes()
+	var w uint64
+	churnUntilParked(t, s, rs, &w, 1)
+
+	aborted := make(chan struct{})
+	go func() {
+		s.Abort()
+		close(aborted)
+	}()
+	select {
+	case <-aborted:
+		t.Fatal("Abort returned with deletes still in flight")
+	case <-time.After(50 * time.Millisecond):
+	}
+	rs.releaseDeletes(nil)
+	<-aborted
+	if n := rs.parkedDeletes(); n != 0 {
+		t.Fatalf("Abort returned with %d deletes in flight", n)
+	}
+	before, _ := rs.Store.List(ctx, "vol.")
+	ops := len(rs.opLog())
+	time.Sleep(50 * time.Millisecond)
+	after, _ := rs.Store.List(ctx, "vol.")
+	if fmt.Sprint(before) != fmt.Sprint(after) || len(rs.opLog()) != ops {
+		t.Fatalf("backend changed after Abort: %v -> %v", before, after)
+	}
+	if err := s.AuditUtilization(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestKillMidReapRedrivenAtOpen: a crash after some of a checkpoint's
+// victims were deleted and before the rest were loses nothing — open
+// re-drives the checkpoint's deferred list.
+func TestKillMidReapRedrivenAtOpen(t *testing.T) {
+	rs := &reapStore{Store: objstore.NewMem()}
+	s := newVolume(t, nil, churnConfig(rs))
+	rs.holdDeletes()
+	var w uint64
+	churnUntilParked(t, s, rs, &w, 2)
+	rs.hold <- nil // one victim's delete lands
+	waitFor(t, "the released delete", func() bool {
+		names, _ := rs.Store.List(ctx, "vol.")
+		return len(sortedSeqs("vol", names)) < int(s.Stats().Objects)
+	})
+	// The rest die with the process. context.Canceled keeps any retry
+	// layer from reissuing them.
+	killed := make(chan struct{})
+	go func() {
+		s.Abort()
+		close(killed)
+	}()
+	rs.releaseDeletes(fmt.Errorf("killed mid-reap: %w", context.Canceled))
+	<-killed
+	stranded := s.Stats().DeferredDeletes
+	if stranded == 0 {
+		t.Fatal("the kill stranded no victim")
+	}
+
+	s2, err := Open(ctx, Config{Volume: "vol", Store: rs.Store, Retry: objstore.RetryPolicy{MaxAttempts: -1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := s2.Stats(); st.DeferredDeletes != 0 || st.ObjectsDeleted < uint64(stranded) {
+		t.Fatalf("open re-drove %d deletes and left %d deferred; the kill stranded %d", st.ObjectsDeleted, st.DeferredDeletes, stranded)
+	}
+	backendMatchesTable(t, s2, rs.Store)
+	if err := s2.AuditUtilization(); err != nil {
+		t.Fatal(err)
+	}
+	if got := readAll(t, s2, churnExt); string(got) != string(payload(int64(w), int(churnExt.Bytes()))) {
+		t.Fatal("data wrong after kill mid-reap + reopen")
+	}
+}
+
+// TestReapDeleteFailureRedefers: every victim's first delete fails.
+// Each goes back on the pending list, the next checkpoint retries it,
+// and in the end every victim is deleted exactly once.
+func TestReapDeleteFailureRedefers(t *testing.T) {
+	faulty := objstore.NewFaulty(objstore.NewMem())
+	s := newVolume(t, nil, churnConfig(faulty))
+	for seq := uint32(1); seq < 64; seq++ {
+		faulty.FailDeletes(objName("vol", seq), 1)
+	}
+	var w uint64
+	for i := 0; i < 18; i++ {
+		churn(t, s, &w)
+	}
+	if err := s.Seal(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.AuditUtilization(); err != nil {
+		t.Fatalf("audit with re-deferred deletes: %v", err)
+	}
+	if s.Stats().DeferredDeletes == 0 {
+		t.Fatal("no failed delete was re-deferred")
+	}
+	// Two more checkpoints: the first retries what is pending and fails
+	// the newest victims once, the second retries those.
+	for i := 0; i < 2; i++ {
+		if err := s.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st := s.Stats()
+	if st.DeferredDeletes != 0 {
+		t.Fatalf("%d deletes still deferred", st.DeferredDeletes)
+	}
+	if st.ObjectsDeleted != st.GCVictims || faulty.InjectedFaults() != st.GCVictims {
+		t.Fatalf("%d victims, %d retired, %d first deletes failed: want all equal",
+			st.GCVictims, st.ObjectsDeleted, faulty.InjectedFaults())
+	}
+	backendMatchesTable(t, s, faulty.Inner)
+	if err := s.AuditUtilization(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestDeleteSnapshotReapsOffLock: DeleteSnapshot's deletes run with
+// the store lock released, the super is rewritten only after them, and
+// no checkpoint slips into the window.
+func TestDeleteSnapshotReapsOffLock(t *testing.T) {
+	rs := &reapStore{Store: objstore.NewMem()}
+	cfg := churnConfig(rs)
+	cfg.CheckpointEvery = 1 << 30
+	s := newVolume(t, nil, cfg)
+	var w uint64
+	churn(t, s, &w)
+	if _, err := s.CreateSnapshot("pin"); err != nil {
+		t.Fatal(err)
+	}
+	churn(t, s, &w)
+	churn(t, s, &w)
+	if err := s.Seal(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if s.Stats().ObjectsDeleted == s.Stats().GCVictims {
+		t.Fatal("the snapshot pinned nothing")
+	}
+
+	rs.holdDeletes()
+	start := len(rs.opLog())
+	done := make(chan error, 1)
+	go func() { done <- s.DeleteSnapshot("pin") }()
+	waitFor(t, "DeleteSnapshot's deletes", func() bool { return rs.parkedDeletes() > 0 })
+	half := block.Extent{LBA: 0, Sectors: churnExt.Sectors / 2}
+	w++
+	mustReturn(t, "Append", func() error { return s.Append(w, half, payload(int64(w), int(half.Bytes()))) })
+	held := len(rs.opLog())
+	rs.releaseDeletes(nil)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	log := rs.opLog()
+	for _, e := range log[start:held] {
+		if e == "put vol.super" {
+			t.Fatal("super PUT while the snapshot's deletes were held")
+		}
+	}
+	if log[len(log)-1] != "put-done vol.super" {
+		t.Fatalf("last backend op %q, want the super rewrite", log[len(log)-1])
+	}
+	if st := s.Stats(); st.DeferredDeletes != 0 || st.ObjectsDeleted != st.GCVictims {
+		t.Fatalf("%d deferred, %d deleted of %d victims", st.DeferredDeletes, st.ObjectsDeleted, st.GCVictims)
+	}
+	if err := s.AuditUtilization(); err != nil {
+		t.Fatal(err)
+	}
+}

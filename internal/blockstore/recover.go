@@ -196,20 +196,18 @@ func open(ctx context.Context, cfg Config, limit uint32, readOnly bool) (*Store,
 		})
 		// Re-sweep deferred deletes: a checkpointed deferredDelete whose
 		// GC object committed but whose victim delete never ran (the
-		// crash landed between the checkpoint and the delete, or the
-		// delete itself kept failing) would otherwise leak the victim
-		// object forever — nothing references it, so no later pass can
-		// rediscover it. Snapshot-pinned victims go back on the deferred
-		// list; delete failures queue on pending for the next checkpoint
-		// to retry, exactly as live-path deletions do.
+		// crash landed between the checkpoint and the delete, mid-reap,
+		// or the delete itself kept failing) would otherwise leak the
+		// victim object forever — nothing references it, so no later pass
+		// can rediscover it. The reaper takes the whole list: pinned
+		// victims go back on the deferred list; delete failures queue on
+		// pending for the next checkpoint to retry, exactly as live-path
+		// deletions do.
+		s.mu.Lock()
 		deferred := s.deferred
 		s.deferred = nil
-		for _, d := range deferred {
-			//lsvd:ignore recovery runs single-goroutine before the store is published; bs.mu cannot be contended
-			if err := s.completeDelete(d); err != nil {
-				s.pending = append(s.pending, d)
-			}
-		}
+		_ = s.reapLocked(deferred, &s.pending) // a failed delete must not fail the open
+		s.mu.Unlock()
 	}
 	s.stats.recoveredObjects = replayed
 	s.stats.recoveryGETs = gets.Load()
@@ -259,9 +257,12 @@ func runBounded(fanout, n int, fn func(i int)) {
 //lsvd:requires bs.mu
 func (s *Store) sweepOrphansLocked() error {
 	for seq := range s.orphans {
-		if err := s.deleteObject(seq); err != nil {
+		//lsvd:ignore an orphan must be gone before the next object PUT, and every PUT reserves its sequence number under mu
+		err := s.cfg.Store.Delete(s.ctx, s.name(seq))
+		if err != nil && !errors.Is(err, objstore.ErrNotFound) {
 			return fmt.Errorf("blockstore: sweeping orphan object %d: %w", seq, err)
 		}
+		s.retireObjectLocked(seq)
 		delete(s.orphans, seq)
 	}
 	return nil

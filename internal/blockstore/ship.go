@@ -24,11 +24,11 @@ import (
 //     objects in the feed.
 //  2. The shipped watermark below is the highest sequence S such that
 //     every committed object with seq <= S has been acked by the
-//     shipper. completeDelete refuses to delete any primary object
-//     above the watermark (shipPinnedLocked), parking it on the same
-//     persistent deferred list the snapshot pin uses — so no object
-//     the replica's checkpoints may reference disappears from the
-//     primary before the replica holds its own copy.
+//     shipper. The reaper refuses to delete any primary object above
+//     the watermark (pinnedLocked), parking it on the same persistent
+//     deferred list the snapshot pin uses — so no object the replica's
+//     checkpoints may reference disappears from the primary before the
+//     replica holds its own copy.
 //
 // Because feed order can run ahead of sequence order, the watermark is
 // NOT "highest acked seq": acking a GC object at seq 10 while data
@@ -172,25 +172,23 @@ func (s *Store) ShipAck(ev ShipEvent) {
 
 // redriveShipDeferredLocked re-runs the deferred-deletion list after
 // the shipped watermark advanced: entries no longer pinned (by the
-// watermark or a snapshot) delete now instead of waiting for the next
-// DeleteSnapshot or checkpoint sweep. Failures re-defer, as on the
-// checkpoint release path — deletion is space reclaim, not
-// correctness.
+// watermark or a snapshot) go to the reaper now instead of waiting for
+// the next DeleteSnapshot or open. s.mu is released for the deletes —
+// this is the shipper's ack path, and the foreground must not wait
+// behind it. Failures re-defer, as on the checkpoint release path —
+// deletion is space reclaim, not correctness.
 //
 //lsvd:requires bs.mu
 func (s *Store) redriveShipDeferredLocked() {
 	// A late ack racing Abort must not mutate the backend after the
-	// kill point (crash modeling: the store is quiescing).
-	if s.aborting || len(s.deferred) == 0 {
+	// kill point (crash modeling: the store is quiescing): the reaper
+	// claims nothing once aborting is set.
+	if len(s.deferred) == 0 {
 		return
 	}
 	deferred := s.deferred
 	s.deferred = nil
-	for _, d := range deferred {
-		if err := s.completeDelete(d); err != nil {
-			s.deferred = append(s.deferred, d)
-		}
-	}
+	_ = s.reapLocked(deferred, &s.deferred) // failures re-defer
 }
 
 // shipPinnedLocked reports whether deleting obj from the primary would

@@ -40,31 +40,24 @@ func (s *Store) CreateSnapshot(name string) (SnapshotInfo, error) {
 	return SnapshotInfo{Name: name, Seq: seq}, nil
 }
 
-// DeleteSnapshot removes a snapshot and performs any deferred object
-// deletions that it alone was pinning (§3.6).
+// DeleteSnapshot removes a snapshot and releases the deferred object
+// deletions that it alone was pinning (§3.6) to the reaper. The super is
+// rewritten once those deletes were attempted; a delete that failed
+// waits on the pending list for the next checkpoint, and the first such
+// error is returned.
 func (s *Store) DeleteSnapshot(name string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.readOnly {
 		return ErrReadOnly
 	}
-	idx := -1
-	for i, sn := range s.snapshots {
-		if sn.Name == name {
-			idx = i
-			break
-		}
-	}
-	if idx < 0 {
-		return fmt.Errorf("blockstore: snapshot %q not found", name)
-	}
 	// The superblock rewrite below must not race a checkpoint's
 	// off-lock super PUT (marker in the pipeline or a synchronous
 	// checkpoint's lock-drop window) — last-writer-wins on the super
 	// could resurrect the snapshot or lose the checkpoint pointer. Wait
-	// out any synchronous checkpoint, then drain the pipeline; holding
-	// s.mu from here on keeps new checkpoints out until the super is
-	// written.
+	// out any synchronous checkpoint, then drain the pipeline, then
+	// claim ckptActive: it parks every seal and checkpoint while the
+	// reaper has s.mu down, until the super is written.
 	for s.ckptActive {
 		s.commitCond.Wait()
 	}
@@ -79,21 +72,30 @@ func (s *Store) DeleteSnapshot(name string) error {
 			return err
 		}
 	}
+	idx := -1
+	for i, sn := range s.snapshots {
+		if sn.Name == name {
+			idx = i
+			break
+		}
+	}
+	if idx < 0 {
+		return fmt.Errorf("blockstore: snapshot %q not found", name)
+	}
 	s.snapshots = append(s.snapshots[:idx], s.snapshots[idx+1:]...)
 	deferred := s.deferred
 	s.deferred = nil
-	for _, d := range deferred {
-		if err := s.completeDelete(d); err != nil {
-			return err
-		}
-	}
+	s.ckptActive = true
+	derr := s.reapLocked(deferred, &s.pending)
+	s.ckptActive = false
+	s.commitCond.Broadcast()
 	if err := s.writeSuper(); err != nil {
 		return err
 	}
 	// The super no longer lists the snapshot: publish a super event so
 	// the replica's copy follows (the shipper re-reads the live super).
 	s.shipPublishLocked(0, journal.TypeSuper, 0)
-	return nil
+	return derr
 }
 
 // Snapshots lists the volume's snapshots.

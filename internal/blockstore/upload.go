@@ -132,9 +132,12 @@ func (s *Store) queueCheckpointLocked() {
 // checkpoint marker (first attempt only) and issues its PUTs on a
 // fresh goroutine. Finalization happens on that goroutine, under s.mu,
 // BEFORE done is set — so by the time the commit walk dequeues the
-// marker, lastCkpt and the deferred-delete release are already applied
-// and no object after the marker can commit past an undurable
-// checkpoint.
+// marker, lastCkpt is applied, the released victims are claimed in
+// s.reaping, and no object after the marker can commit past an
+// undurable checkpoint. The victims' backend deletes go out only after
+// that, with s.mu released and the commit walk already past the marker:
+// the pipeline waits for the checkpoint's two PUTs and never for its
+// deletes.
 //
 //lsvd:requires bs.mu
 func (s *Store) startCheckpointLocked(inf *inflightObj) {
@@ -155,8 +158,9 @@ func (s *Store) startCheckpointLocked(inf *inflightObj) {
 		err := s.putCheckpoint(shot)
 		s.mu.Lock()
 		var post func()
+		var victims []deferredDelete
 		if err == nil {
-			s.finalizeCheckpointLocked(shot)
+			victims = s.reapClaimLocked(s.finalizeCheckpointLocked(shot), &s.pending)
 			inf.done, inf.err = true, nil
 			post = s.commitReadyLocked()
 		} else {
@@ -167,6 +171,7 @@ func (s *Store) startCheckpointLocked(inf *inflightObj) {
 		if post != nil {
 			post()
 		}
+		_ = s.reap(victims, &s.pending) // failures wait on s.pending for the next checkpoint
 	})
 }
 
@@ -356,10 +361,10 @@ func (s *Store) resubmitFailedLocked() {
 }
 
 // waitInflightLocked blocks until the in-flight list drains (every
-// object committed) and any commit-triggered GC pass finishes,
-// resubmitting failures up to the fence attempt budget. On persistent
-// failure the object stays in the list so a later fence can retry it;
-// the error is returned to the caller.
+// object committed), any commit-triggered GC pass finishes and the
+// reaper has no delete in flight, resubmitting failures up to the fence
+// attempt budget. On persistent failure the object stays in the list
+// so a later fence can retry it; the error is returned to the caller.
 //
 //lsvd:requires bs.mu
 func (s *Store) waitInflightLocked() error {
@@ -367,7 +372,7 @@ func (s *Store) waitInflightLocked() error {
 	// yields instead of sitting in a budget wait.
 	s.fenceEnterLocked()
 	defer s.fenceExitLocked()
-	for len(s.inflight) > 0 || s.gcBusy {
+	for len(s.inflight) > 0 || s.gcBusy || len(s.reaping) > 0 {
 		if len(s.inflight) > 0 {
 			if front := s.inflight[0]; front.done && front.err != nil {
 				if front.attempts >= s.uploadAttempts() {
@@ -406,12 +411,12 @@ func (s *Store) sealAndWaitLocked() error {
 	return s.waitInflightLocked()
 }
 
-// Abort quiesces the pipeline without committing: no new uploads start
-// (the store becomes read-only) and Abort returns only once every
-// issued PUT has finished, so the backend stops changing. It models
-// process death for crash testing — queued batches are dropped, and
-// objects that did land out of order are exactly the stranded uploads
-// recovery's gap rule cleans up.
+// Abort quiesces the pipeline without committing: no new uploads or
+// reaps start (the store becomes read-only) and Abort returns only once
+// every issued PUT and delete has finished, so the backend stops
+// changing. It models process death for crash testing — queued batches
+// are dropped, and objects that did land out of order are exactly the
+// stranded uploads recovery's gap rule cleans up.
 func (s *Store) Abort() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -422,7 +427,7 @@ func (s *Store) Abort() {
 	// below then covers its in-progress pass like any other.
 	s.gcCond.Broadcast()
 	for {
-		busy := s.gcBusy || s.ckptActive
+		busy := s.gcBusy || s.ckptActive || len(s.reaping) > 0
 		for _, inf := range s.inflight {
 			if inf.ckpt != nil && inf.attempts == 0 {
 				// A queued checkpoint marker that never reached the

@@ -14,15 +14,22 @@ import (
 )
 
 // slowStore delays every PUT so the destage queue stays populated,
-// letting crash tests catch the pipeline mid-drain.
+// letting crash tests catch the pipeline mid-drain; delDelay charges
+// every Delete a metadata round trip.
 type slowStore struct {
 	objstore.Store
-	delay time.Duration
+	delay    time.Duration
+	delDelay time.Duration
 }
 
 func (s *slowStore) Put(ctx context.Context, name string, data []byte) error {
 	time.Sleep(s.delay)
 	return s.Store.Put(ctx, name, data)
+}
+
+func (s *slowStore) Delete(ctx context.Context, name string) error {
+	time.Sleep(s.delDelay)
+	return s.Store.Delete(ctx, name)
 }
 
 // TestCrashMidDestageRecoversFromCache: a crash with writes still
@@ -201,5 +208,52 @@ func TestDestageStress(t *testing.T) {
 	}
 	if err := h.disk.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCheckpointDeletesDoNotFenceTheRing: a sequential large-write
+// stream over a 12 ms-PUT / 2 ms-Delete backend, with a write log
+// smaller than three batches, kills one object per batch, so every
+// checkpoint releases a checkpoint interval's worth of victims. Their
+// deletes run off the block store's lock and behind the marker, so the
+// destage watermark keeps ticking through a checkpoint and the
+// ring-full writer does not escalate to a fence. (With the deletes
+// serial under the lock, each checkpoint held the watermark for
+// 40 × 2 ms, past the writer's three 20 ms graces: one fence per
+// checkpoint.) An unloaded run sees no fence at all; the bound leaves
+// room for the one a starved destager goroutine can cost under -race
+// with other packages' tests on the same two cores.
+func TestCheckpointDeletesDoNotFenceTheRing(t *testing.T) {
+	const batch = 2 * block.MiB
+	h := newHarness(t, func(o *Options) {
+		o.Store = &slowStore{Store: o.Store, delay: 12 * time.Millisecond, delDelay: 2 * time.Millisecond}
+		o.CacheDev = simdev.NewMem(64 * block.MiB)
+		o.WriteCacheFrac = 0.08 // ~5 MiB of log: 2.5 batches
+		o.VolBytes = 16 * block.MiB
+		o.BatchBytes = batch
+		o.CheckpointEvery = 40
+	})
+	data := payload(1, 128*1024)
+	const wraps = 24 // 192 objects: at least four checkpoints
+	for i := 0; i < wraps*int(h.opts.VolBytes)/len(data); i++ {
+		off := int64(i*len(data)) % h.opts.VolBytes
+		if err := h.disk.WriteAt(data, off); err != nil {
+			t.Fatalf("write %d: %v", i, err)
+		}
+	}
+	if err := h.disk.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	st := h.disk.Stats()
+	if st.RingKicks == 0 {
+		t.Fatal("the ring never filled: the test exerts no backpressure")
+	}
+	if st.Backend.Checkpoints < 4 || st.Backend.ObjectsDeleted < 4*40 {
+		t.Fatalf("%d checkpoints released %d victims; want at least 4 and 160",
+			st.Backend.Checkpoints, st.Backend.ObjectsDeleted)
+	}
+	if st.RingFences*4 > st.Backend.Checkpoints {
+		t.Fatalf("%d ring fences across %d checkpoints: checkpoint deletes stalled the destage watermark",
+			st.RingFences, st.Backend.Checkpoints)
 	}
 }
