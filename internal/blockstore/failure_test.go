@@ -92,10 +92,42 @@ func TestRecoveryWithNewerCheckpointObject(t *testing.T) {
 	if got := readAll(t, s2, ext); !bytes.Equal(got, data) {
 		t.Fatal("data lost when replaying a stranded checkpoint")
 	}
-	// The stranded checkpoint became the authoritative one.
-	if s2.Stats().Checkpoints == 0 && s2.Stats().Objects == 0 {
-		t.Fatal("no state recovered")
+	// The stranded checkpoint became the authoritative one, and the
+	// table names it like every other object in the backend.
+	if s2.lastCkpt != 3 {
+		t.Fatalf("recovered from checkpoint %d, want the stranded one (3)", s2.lastCkpt)
 	}
+	backendMatchesTable(t, s2, faulty)
+}
+
+// TestOpenTableNamesLoadedCheckpoint: a checkpoint's payload lists the
+// object table from before the checkpoint object itself existed; Open
+// must add it, or the reopened store counts one object fewer than the
+// one that wrote it.
+func TestOpenTableNamesLoadedCheckpoint(t *testing.T) {
+	store := objstore.NewMem()
+	s := newVolume(t, store, Config{CheckpointEvery: 1 << 30})
+	ext := block.Extent{LBA: 0, Sectors: 64}
+	for w := uint64(1); w <= 2; w++ {
+		_ = s.Append(w, ext, payload(int64(w), int(ext.Bytes())))
+		if err := s.Seal(); err != nil {
+			t.Fatal(err)
+		}
+		if w == 1 {
+			if err := s.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	live := s.Stats().Objects
+	s2, err := Open(ctx, Config{Volume: "vol", Store: store})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := s2.Stats().Objects; got != live {
+		t.Fatalf("reopened store counts %d objects, the store that wrote them %d", got, live)
+	}
+	backendMatchesTable(t, s2, store)
 }
 
 // TestAppendAfterGCFailurePath: injected failures during GC PUTs must

@@ -147,9 +147,7 @@ func mustReturn(t *testing.T, what string, fn func() error) {
 }
 
 // backendMatchesTable: the backend holds exactly the objects the table
-// names — nothing leaked, nothing lost. A store that was opened, not
-// created, recovered its table from the newest checkpoint's payload,
-// which does not list that checkpoint object itself.
+// names — nothing leaked, nothing lost.
 func backendMatchesTable(t *testing.T, s *Store, store objstore.Store) {
 	t.Helper()
 	names, err := store.List(ctx, "vol.")
@@ -158,11 +156,9 @@ func backendMatchesTable(t *testing.T, s *Store, store objstore.Store) {
 	}
 	backend := sortedSeqs("vol", names)
 	s.mu.RLock()
-	table := []uint32{s.lastCkpt}
+	var table []uint32
 	for seq := range s.objects {
-		if seq != s.lastCkpt {
-			table = append(table, seq)
-		}
+		table = append(table, seq)
 	}
 	s.mu.RUnlock()
 	sort.Slice(table, func(i, j int) bool { return table[i] < table[j] })
@@ -296,7 +292,7 @@ func TestCheckpointOrdersPutsBeforeDeletes(t *testing.T) {
 			t.Fatalf("super PUT started at %d, before checkpoint %d landed at %d", super, c, objDone)
 		}
 		done := index("put-done vol.super", objDone)
-		p, err := s.readCheckpointObject(c)
+		p, _, err := s.readCheckpointObject(c)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -88,36 +88,22 @@ func open(ctx context.Context, cfg Config, limit uint32, readOnly bool) (*Store,
 	// decrease the sequence number: a self-referencing or cyclic chain
 	// in a corrupt checkpoint must surface as an error, not a loop.
 	ckptSeq := sb.lastCkpt
-	var ckpt *checkpointPayload
 	for {
 		gets.Add(1)
-		payload, err := s.readCheckpointObject(ckptSeq)
+		payload, size, err := s.readCheckpointObject(ckptSeq)
 		if err != nil {
 			return nil, err
 		}
 		if limit == 0 || ckptSeq <= limit {
-			ckpt = payload
+			if err := s.loadCheckpoint(ckptSeq, payload, size); err != nil {
+				return nil, err
+			}
 			break
 		}
 		if payload.prevCkpt == 0 || payload.prevCkpt >= ckptSeq {
 			return nil, fmt.Errorf("blockstore: no checkpoint at or before seq %d", limit)
 		}
 		ckptSeq = payload.prevCkpt
-	}
-	s.lastCkpt = ckptSeq
-	s.durableWriteSeq = ckpt.durableWriteSeq
-	for i := range ckpt.objects {
-		o := ckpt.objects[i]
-		s.objects[o.seq] = &o
-	}
-	s.deferred = ckpt.deferred
-	for _, d := range s.deferred {
-		s.cleaned[d.Obj] = true
-	}
-	//lsvd:ignore recovery runs single-goroutine before the store is published; bs.mu cannot be contended
-	s.recomputeUtilLocked()
-	if err := s.m.UnmarshalBinary(ckpt.mapBytes); err != nil {
-		return nil, fmt.Errorf("blockstore: checkpoint map: %w", err)
 	}
 	// The checkpointed map may reference objects deleted... it cannot:
 	// GC defers deletion past the checkpoint that stops referencing
@@ -268,19 +254,46 @@ func (s *Store) sweepOrphansLocked() error {
 	return nil
 }
 
-func (s *Store) readCheckpointObject(seq uint32) (*checkpointPayload, error) {
+func (s *Store) readCheckpointObject(seq uint32) (p *checkpointPayload, size int64, err error) {
 	raw, err := s.cfg.Store.Get(s.ctx, s.name(seq))
 	if err != nil {
-		return nil, fmt.Errorf("blockstore: checkpoint %d: %w", seq, err)
+		return nil, 0, fmt.Errorf("blockstore: checkpoint %d: %w", seq, err)
 	}
 	h, payload, _, err := journal.Decode(raw, false)
 	if err != nil {
-		return nil, fmt.Errorf("blockstore: checkpoint %d corrupt: %w", seq, err)
+		return nil, 0, fmt.Errorf("blockstore: checkpoint %d corrupt: %w", seq, err)
 	}
 	if h.Type != journal.TypeCheckpoint {
-		return nil, fmt.Errorf("blockstore: object %d is %v, not a checkpoint", seq, h.Type)
+		return nil, 0, fmt.Errorf("blockstore: object %d is %v, not a checkpoint", seq, h.Type)
 	}
-	return decodeCheckpoint(payload)
+	p, err = decodeCheckpoint(payload)
+	return p, int64(len(raw)), err
+}
+
+// loadCheckpoint replaces the in-memory state with what checkpoint
+// object seq (size bytes in the backend) recorded. Its payload lists
+// the object table as it stood just before the checkpoint object itself
+// joined it (finalizeCheckpointLocked), so that entry is added here.
+func (s *Store) loadCheckpoint(seq uint32, p *checkpointPayload, size int64) error {
+	s.durableWriteSeq = p.durableWriteSeq
+	s.objects = make(map[uint32]*objInfo, len(p.objects)+1)
+	for i := range p.objects {
+		o := p.objects[i]
+		s.objects[o.seq] = &o
+	}
+	s.objects[seq] = &objInfo{seq: seq, typ: journal.TypeCheckpoint, totalBytes: size}
+	s.deferred = p.deferred
+	s.cleaned = make(map[uint32]bool)
+	for _, d := range s.deferred {
+		s.cleaned[d.Obj] = true
+	}
+	//lsvd:ignore recovery runs single-goroutine before the store is published; bs.mu cannot be contended
+	s.recomputeUtilLocked()
+	if err := s.m.UnmarshalBinary(p.mapBytes); err != nil {
+		return fmt.Errorf("blockstore: checkpoint %d map: %w", seq, err)
+	}
+	s.lastCkpt = seq
+	return nil
 }
 
 // objMeta is the prefetched metadata replay needs for one suffix
@@ -360,28 +373,11 @@ func (s *Store) applyObjectMeta(seq uint32, m *objMeta, gets *atomic.Uint64) err
 		// A checkpoint newer than the superblock pointer (its PUT
 		// completed but the super update didn't): reload state from it.
 		gets.Add(1)
-		payload, err := s.readCheckpointObject(seq)
+		payload, size, err := s.readCheckpointObject(seq)
 		if err != nil {
 			return err
 		}
-		s.durableWriteSeq = payload.durableWriteSeq
-		s.objects = make(map[uint32]*objInfo, len(payload.objects))
-		for i := range payload.objects {
-			o := payload.objects[i]
-			s.objects[o.seq] = &o
-		}
-		s.deferred = payload.deferred
-		s.cleaned = make(map[uint32]bool)
-		for _, d := range s.deferred {
-			s.cleaned[d.Obj] = true
-		}
-		//lsvd:ignore recovery runs single-goroutine before the store is published; bs.mu cannot be contended
-		s.recomputeUtilLocked()
-		if err := s.m.UnmarshalBinary(payload.mapBytes); err != nil {
-			return err
-		}
-		s.lastCkpt = seq
-		return nil
+		return s.loadCheckpoint(seq, payload, size)
 
 	case journal.TypeData, journal.TypeGC:
 		info := &objInfo{

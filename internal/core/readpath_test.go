@@ -489,3 +489,52 @@ func TestAdmissionSkipsBlocksTheWriteCacheHolds(t *testing.T) {
 		t.Fatal("read of B returned neither version")
 	}
 }
+
+// TestReadCacheCountsDemandReadsOnly: admission asks the read cache what
+// a fetched window would overwrite, once per prefetched extra; those
+// presence checks are not reads and must not move the hit and miss
+// counters the hit ratio is computed from.
+func TestReadCacheCountsDemandReadsOnly(t *testing.T) {
+	h := newHarness(t, func(o *Options) {
+		o.CacheDev = simdev.NewMem(32 * block.MiB)
+		o.VolBytes = 64 * block.MiB
+	})
+	const blk = 16 * 1024
+	for i := 0; i < 8; i++ { // one 128 KiB window, logged block by block
+		if err := h.disk.WriteAt(payload(int64(i), blk), int64(i)*blk); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := h.disk.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	if err := h.disk.Close(); err != nil {
+		t.Fatal(err)
+	}
+	h.opts.CacheDev = simdev.NewMem(32 * block.MiB) // both caches cold
+	h.reopen(t)
+	d := h.disk
+
+	got := make([]byte, blk)
+	if err := d.ReadAt(got, 3*blk); err != nil { // miss: admits the window's extras
+		t.Fatal(err)
+	}
+	d.adm.drain()
+	st := d.Stats()
+	if st.PrefetchedSectors == 0 {
+		t.Fatal("the miss admitted no extras: the test checks nothing")
+	}
+	if st.ReadCache.Hits != 0 || st.ReadCache.Misses != 1 {
+		t.Fatalf("one demand miss counted as %d hits, %d misses", st.ReadCache.Hits, st.ReadCache.Misses)
+	}
+	if err := d.ReadAt(got, 5*blk); err != nil { // an admitted extra: a hit
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, payload(5, blk)) {
+		t.Fatal("admitted extra read back wrong")
+	}
+	if st := d.Stats(); st.ReadCache.Hits != 1 || st.ReadCache.Misses != 1 || st.PrefetchHitSectors == 0 {
+		t.Fatalf("after one miss and one hit on prefetched data: %d hits, %d misses, %d prefetch-hit sectors",
+			st.ReadCache.Hits, st.ReadCache.Misses, st.PrefetchHitSectors)
+	}
+}

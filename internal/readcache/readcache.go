@@ -2,12 +2,16 @@
 // Unlike the write-back cache it holds only clean data fetched from the
 // backend, so its metadata needs no logging: losing the map merely
 // costs re-fetches. The cache allocates space in large slabs and
-// evicts whole slabs FIFO (the prototype's policy), giving the evicted
-// data a second chance: whatever lies in a 128 KiB chunk that was hit
-// after the slab filled is copied to the head of the slab's next life,
-// up to half a slab, so a hot set survives a cold scan. It keeps an
-// in-memory extent map from vLBA to SSD location that is periodically
-// persisted to a reserved region to avoid cold restarts (§3.2).
+// evicts whole slabs FIFO (the prototype's policy), with a second
+// chance for what is re-read: each view fills two logs, a nursery slab
+// with what misses bring in and a survivor slab with the 128 KiB chunks
+// of evicted slabs that were hit since those slabs took their place in
+// the FIFO order, and a slab that is mostly such chunks is not copied
+// at all but moved to the back of the order where it lies. Hot data
+// therefore packs at full density and a hot set larger than half the
+// arena survives a cold scan. It keeps an in-memory extent map from
+// vLBA to SSD location that is periodically persisted to a reserved
+// region to avoid cold restarts (§3.2).
 //
 // The slab pool is a shared Arena (§3.7: one local SSD statically
 // partitioned between the host's virtual disks — except the read cache
@@ -77,10 +81,9 @@ func (c *Config) setDefaults() {
 // multi-volume host size their arenas with it, so the two paths agree.
 // The Policy argument is ignored (see Policy).
 func SizedConfig(devBytes int64, _ Policy) Config {
-	mapBytes := devBytes / 8
-	if mapBytes > 16*block.MiB {
-		mapBytes = 16 * block.MiB
-	}
+	// The persisted map costs 24 bytes per extent: a thirty-second of
+	// the device covers one extent per 768 bytes cached.
+	mapBytes := min(devBytes/32, 16*block.MiB) &^ (block.BlockSize - 1)
 	if mapBytes < block.BlockSize {
 		mapBytes = block.BlockSize
 	}
@@ -95,11 +98,15 @@ func SizedConfig(devBytes int64, _ Policy) Config {
 const noOwner = -1
 
 type slab struct {
-	idx      int
-	gen      uint32 // generation: bumped on reuse, stored in map targets
-	owner    int    // view id owning every byte in the slab, or noOwner
-	stale    bool   // restored for a persisted view that has not reopened
-	fill     int64  // bytes used
+	idx int
+	gen uint32 // identity: new at every claim, stored in map targets and persisted
+	// order is the slab's place in its view's FIFO order: gen at claim
+	// or restore, renewed when the slab is re-armed and when a survivor
+	// slab is handed over full. Not persisted.
+	order    uint32
+	owner    int   // view id owning every byte in the slab, or noOwner
+	stale    bool  // restored for a persisted view that has not reopened
+	fill     int64 // bytes used
 	inserted []block.Extent
 
 	// pendingOwnerName names the persisted owner of a stale slab until
@@ -118,10 +125,12 @@ type Stats struct {
 	PersistedMapBytes  int64
 	PrefetchHitSectors uint64 // hit sectors that were inserted by prefetch
 	// Reinserts/ReinsertedBytes count the extents and bytes that
-	// evictions of this view's slabs copied forward: the SSD writes the
-	// second chance costs.
+	// evictions of this view's slabs copied into a survivor slab: the
+	// SSD writes the second chance costs. Rearms counts the slabs that
+	// got theirs in place, at no cost.
 	Reinserts       uint64
 	ReinsertedBytes uint64
+	Rearms          uint64
 
 	// OwnedSlabs/OwnedBytes are this view's arena occupancy;
 	// FairShareSlabs is the proportional floor fair eviction protects.
@@ -161,7 +170,7 @@ type Arena struct {
 	byName    map[string]*Cache
 	nextGen   uint32
 	// rescue holds the bytes an eviction copies forward, between reading
-	// them out of the victim slab and writing them to its head.
+	// them out of the victim slab and appending them to a survivor slab.
 	rescue []byte
 
 	evictions      uint64
@@ -186,16 +195,19 @@ type Cache struct {
 	// PrefetchHitSectors counter. Stats-only: it is not persisted.
 	pf *extmap.Map
 
-	active int // slab being filled, -1 if none
-	// newest is the generation of the slab this view claimed last;
-	// stamps[i] is its value at the last hit in chunk i (vLBA /
-	// chunkSectors), 0 if never hit. 32 KiB per GiB of volume touched.
+	// The view's two fill points, -1 if none: active is the nursery
+	// slab, which takes demand and prefetch inserts; survivor takes only
+	// what evictions rescue. Neither is persisted.
+	active, survivor int
+	// newest is the order of the slab this view claimed last; stamps[i]
+	// is its value at the last hit in chunk i (vLBA / chunkSectors), 0
+	// if never hit. 32 KiB per GiB of volume touched.
 	newest uint32
 	stamps []uint32
 
-	hits, misses, inserts      uint64
-	pfHitSectors               uint64
-	reinserts, reinsertedBytes uint64
+	hits, misses, inserts              uint64
+	pfHitSectors                       uint64
+	reinserts, reinsertedBytes, rearms uint64
 }
 
 // NewArena builds a shared read-cache arena on dev, attempting to load
@@ -239,7 +251,7 @@ func (a *Arena) Open(name string) *Cache {
 	if v, ok := a.byName[name]; ok {
 		return v
 	}
-	v := &Cache{a: a, id: len(a.views), name: name, m: extmap.New(), pf: extmap.New(), active: -1}
+	v := &Cache{a: a, id: len(a.views), name: name, m: extmap.New(), pf: extmap.New(), active: -1, survivor: -1}
 	a.views = append(a.views, v)
 	a.byName[name] = v
 	if raw, ok := a.pending[name]; ok {
@@ -262,12 +274,11 @@ func (a *Arena) Purge(name string) {
 	}
 	for _, s := range a.slabs {
 		if s.owner == v.id {
-			s.gen, s.owner, s.fill, s.inserted, s.stale = 0, noOwner, 0, nil, false
+			a.release(s)
 		}
 	}
 	v.m.Reset()
 	v.pf.Reset()
-	v.active = -1
 	v.stamps = nil
 }
 
@@ -315,32 +326,19 @@ func (c *Cache) Name() string { return c.name }
 // Arena returns the arena backing this view.
 func (c *Cache) Arena() *Arena { return c.a }
 
-// Lookup returns the view's coverage of ext and bumps hit statistics.
-// It is a presence check (admission asks it what a fetched window
-// would overwrite), not a read: only ReadExtent stamps chunks as hit.
+// Lookup returns the view's coverage of ext. It is a presence check
+// (admission asks it what a fetched window would overwrite), not a
+// read: only ReadExtent counts hits and misses and stamps chunks.
 func (c *Cache) Lookup(ext block.Extent) []extmap.Run {
-	a := c.a
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	runs := c.m.Lookup(ext)
-	hit := false
-	for _, r := range runs {
-		if r.Present {
-			hit = true
-			c.notePrefetchHit(r.Extent)
-		}
-	}
-	if hit {
-		c.hits++
-	} else {
-		c.misses++
-	}
-	return runs
+	c.a.mu.Lock()
+	defer c.a.mu.Unlock()
+	return c.m.Lookup(ext)
 }
 
-// touch stamps every chunk ext overlaps with the generation of the
-// view's newest slab. An eviction compares the stamp with the victim's
-// generation: greater means the chunk was hit after the victim filled.
+// touch stamps every chunk ext overlaps with the order of the slab the
+// view claimed last. An eviction compares the stamp with the victim's
+// order: greater means the chunk was hit after the victim took its
+// place and the view moved on to a later slab.
 func (c *Cache) touch(ext block.Extent) {
 	last := int((ext.End() - 1) / chunkSectors)
 	if last >= len(c.stamps) {
@@ -362,14 +360,6 @@ func (c *Cache) notePrefetchHit(ext block.Extent) {
 			c.pfHitSectors += uint64(pr.Sectors)
 		}
 	}
-}
-
-// ReadAt reads cached data previously located via Lookup. Under
-// concurrency a Lookup target can be evicted before the read; callers
-// on the data path should use ReadExtent, which holds the lock across
-// lookup and read.
-func (c *Cache) ReadAt(t extmap.Target, buf []byte) error {
-	return c.a.dev.ReadAt(buf, t.Off.Bytes())
 }
 
 // ReadExtent looks up ext, bumps hit statistics, and reads every
@@ -451,13 +441,29 @@ func (c *Cache) insert(ext block.Extent, data []byte, prefetched bool) error {
 	return nil
 }
 
-// writableSlab returns the view's active slab if it has space, or
-// claims a fresh slab: free first, then stale (persisted for a view
-// that never reopened), then a fair eviction. An eviction of one of
-// c's own slabs copies the slab's survivors to the head of its next
-// life before the caller appends; a slab taken from another view is
-// being reclaimed from an owner over its share and carries nothing
-// over.
+// writableSlab returns the view's nursery slab if it has space, or
+// claims a fresh one: free first, then stale (persisted for a view that
+// never reopened), then fair evictions, oldest first, until one frees a
+// slab for the nursery. A slab taken from another view is being
+// reclaimed from an owner over its share and carries nothing over. One
+// of c's own gets a second chance:
+//
+//   - if at least half of its still-mapped bytes lie in chunks hit since
+//     it took its place, it is re-armed where it lies — moved to the
+//     back of the order, nothing copied, its map entries as they were —
+//     and the next oldest slab is tried;
+//   - otherwise it is evicted and its hit chunks are appended to the
+//     survivor slab. When that is full the freed slab becomes the next
+//     survivor slab, takes the rest, and one more victim is evicted for
+//     the nursery.
+//
+// Three guards make every claim terminate with at least half a slab
+// freed, so an arena in which everything is hot degrades to plain FIFO
+// instead of copying itself in circles: a claim re-arms at most half of
+// c's slabs; an eviction rescues at most half a slab, which a survivor
+// slab just started (itself at most half full) always has room for; and
+// a fill point evicted because the view has nothing else carries
+// nothing over.
 func (a *Arena) writableSlab(c *Cache) (*slab, error) {
 	if c.active >= 0 {
 		if s := a.slabs[c.active]; s.owner == c.id && s.fill < a.cfg.SlabBytes {
@@ -466,46 +472,86 @@ func (a *Arena) writableSlab(c *Cache) (*slab, error) {
 		c.active = -1 // evicted out from under us or full
 	}
 	// A never-used slab, else the oldest stale one.
-	var claim *slab
+	var free *slab
 	for _, s := range a.slabs {
 		if s.owner != noOwner {
 			continue
 		}
 		if s.gen == 0 {
-			claim = s
+			free = s
 			break
 		}
-		if s.stale && (claim == nil || s.gen < claim.gen) {
-			claim = s
+		if s.stale && (free == nil || s.gen < free.gen) {
+			free = s
 		}
 	}
-	var keep []block.Extent
-	if claim == nil {
+	owned, _ := a.ownedSlabs(c.id)
+	for rearms := 0; free == nil; {
 		victim := a.pickVictim(c)
 		if victim < 0 {
 			return nil, fmt.Errorf("readcache: no evictable slab")
 		}
-		claim = a.slabs[victim]
-		keep = a.evict(victim, claim.owner == c.id)
-	}
-	claim.gen = a.nextGen
-	a.nextGen++
-	claim.owner = c.id
-	claim.stale = false
-	claim.fill = 0
-	claim.inserted = nil
-	c.active = claim.idx
-	c.newest = claim.gen
-	var off int64 // survivors are packed in a.rescue in order
-	for _, ext := range keep {
-		if err := a.place(c, claim, ext, a.rescue[off:][:ext.Bytes()]); err != nil {
+		s := a.slabs[victim]
+		pieces := a.unmap(s)
+		var mapped, hit int64
+		if s.owner == c.id && victim != c.survivor {
+			for _, p := range pieces {
+				mapped += p.Bytes()
+				if c.hitAfter(p.LBA, s.order) {
+					hit += p.Bytes()
+				}
+			}
+		}
+		if hit > 0 && 2*hit >= mapped && rearms < owned/2 {
+			for _, p := range pieces {
+				c.m.Update(p.Extent, p.Target)
+			}
+			a.toBack(s)
+			rearms++
+			c.rearms++
+			continue
+		}
+		kept, err := a.evict(s, pieces, hit > 0)
+		if err != nil {
 			return nil, err
 		}
-		off += ext.Bytes()
-		c.reinserts++
+		if !kept {
+			free = s
+		}
 	}
-	c.reinsertedBytes += uint64(off)
-	return claim, nil
+	a.claim(c, free)
+	c.active = free.idx
+	return free, nil
+}
+
+// claim makes s the newest slab of c: empty, under a new identity, at
+// the back of the view's order.
+func (a *Arena) claim(c *Cache, s *slab) {
+	a.release(s)
+	s.gen, s.owner = a.nextGen, c.id
+	a.toBack(s)
+	c.newest = s.order
+}
+
+// toBack gives s the newest place in the FIFO order.
+func (a *Arena) toBack(s *slab) {
+	s.order = a.nextGen
+	a.nextGen++
+}
+
+// release returns s to the free pool; its owner's map must no longer
+// point into it.
+func (a *Arena) release(s *slab) {
+	if s.owner != noOwner {
+		v := a.views[s.owner]
+		if v.active == s.idx {
+			v.active = -1
+		}
+		if v.survivor == s.idx {
+			v.survivor = -1
+		}
+	}
+	s.gen, s.order, s.owner, s.fill, s.inserted, s.stale = 0, 0, noOwner, 0, nil, false
 }
 
 // place appends data for ext to s, which has room for it, and maps it.
@@ -524,9 +570,8 @@ func (a *Arena) place(c *Cache, s *slab, ext block.Extent, data []byte) error {
 // view is the one holding the most slabs among views over the fair
 // share — so a view at or below its proportional floor is untouchable
 // while anyone (including the requester) is over it — and within the
-// victim view the oldest slab goes (lowest generation: generations are
-// assigned in fill order). Active slabs are spared unless they are the
-// view's only slab.
+// victim view the oldest slab goes (lowest order). The victim view's
+// two fill points are spared unless it owns nothing else.
 func (a *Arena) pickVictim(c *Cache) int {
 	share := a.fairShareSlabs()
 	owned := make([]int, len(a.views))
@@ -559,26 +604,100 @@ func (a *Arena) pickVictim(c *Cache) int {
 		}
 	}
 	v := a.views[victim]
-	best := -1
-	for _, s := range a.slabs {
-		if s.owner != victim || s.idx == v.active {
-			continue
+	oldest := func(fillPoints bool) int {
+		best := -1
+		for _, s := range a.slabs {
+			if s.owner == victim && (s.idx == v.active || s.idx == v.survivor) == fillPoints &&
+				(best < 0 || s.order < a.slabs[best].order) {
+				best = s.idx
+			}
 		}
-		if best < 0 || s.gen < a.slabs[best].gen {
-			best = s.idx
-		}
+		return best
 	}
-	if best < 0 && v.active >= 0 && a.slabs[v.active].owner == victim {
-		best = v.active // only the active slab is left
+	if best := oldest(false); best >= 0 {
+		return best
 	}
-	return best
+	return oldest(true) // only fill points are left
 }
 
-// hitAfter reports whether the chunk holding lba was hit while the
-// view's newest slab was younger than generation gen.
-func (c *Cache) hitAfter(lba block.LBA, gen uint32) bool {
+// hitAfter reports whether the chunk holding lba was hit after the view
+// had claimed a slab later than place order in its FIFO order.
+func (c *Cache) hitAfter(lba block.LBA, order uint32) bool {
 	i := int(lba / chunkSectors)
-	return i < len(c.stamps) && c.stamps[i] > gen
+	return i < len(c.stamps) && c.stamps[i] > order
+}
+
+// unmap drops every entry of the owner's map that still points into s
+// (so a later read misses instead of reading recycled bytes) and
+// returns what it dropped, cut at chunk boundaries, each sector once:
+// entries of s.inserted may overlap, and deleting a run as it is
+// visited keeps a later overlapping entry from seeing it again.
+func (a *Arena) unmap(s *slab) []extmap.Run {
+	invariant.Assertf(s.owner >= 0 && s.owner < len(a.views),
+		"readcache: slab %d owned by unknown view %d", s.idx, s.owner)
+	v := a.views[s.owner]
+	lo := block.LBAFromBytes(a.slabBase(s.idx))
+	hi := lo + block.LBA(a.cfg.SlabBytes>>block.SectorShift)
+	var pieces []extmap.Run
+	for _, ins := range s.inserted {
+		for _, r := range v.m.Lookup(ins) {
+			if !r.Present || r.Target.Obj != s.gen || r.Target.Off < lo || r.Target.Off >= hi {
+				continue
+			}
+			v.m.Delete(r.Extent)
+			for lba := r.LBA; lba < r.End(); {
+				end := min((lba/chunkSectors+1)*chunkSectors, r.End())
+				pieces = append(pieces, extmap.Run{
+					Extent: block.Extent{LBA: lba, Sectors: uint32(end - lba)},
+					Target: r.Target.Shift(lba - r.LBA), Present: true,
+				})
+				lba = end
+			}
+		}
+	}
+	return pieces
+}
+
+// evict frees s, whose unmapped pieces are given. With rescue set (s is
+// the requester's own), the pieces in chunks hit since s took its place
+// are first read into a.rescue — at most half a slab of them — and then
+// appended to the view's survivor slab, their prefetch tags left alone.
+// If there is no survivor slab or it fills up, s itself becomes the
+// next one and takes the rest: evict then reports that it kept s.
+func (a *Arena) evict(s *slab, pieces []extmap.Run, rescue bool) (kept bool, err error) {
+	v := a.views[s.owner]
+	var keep []block.Extent
+	var rescued int64 // bytes packed into a.rescue, in keep's order
+	for _, p := range pieces {
+		if rescue && v.hitAfter(p.LBA, s.order) && a.readRescue(p.Target.Off.Bytes(), rescued, p.Bytes()) {
+			keep = append(keep, p.Extent)
+			rescued += p.Bytes()
+		} else {
+			v.pf.Delete(p.Extent) // dropped for good: so is its prefetch tag
+		}
+	}
+	a.release(s)
+	a.evictions++
+	v.reinserts += uint64(len(keep))
+	v.reinsertedBytes += uint64(rescued)
+	var off int64
+	for _, ext := range keep {
+		if v.survivor < 0 || a.slabs[v.survivor].fill+ext.Bytes() > a.cfg.SlabBytes {
+			if v.survivor >= 0 {
+				// A survivor slab takes its place in the order when it
+				// is full, not when its first chunk arrives: what it holds
+				// was all hit before it got here.
+				a.toBack(a.slabs[v.survivor])
+			}
+			a.claim(v, s)
+			v.survivor, kept = s.idx, true
+		}
+		if err := a.place(v, a.slabs[v.survivor], ext, a.rescue[off:][:ext.Bytes()]); err != nil {
+			return kept, err
+		}
+		off += ext.Bytes()
+	}
+	return kept, nil
 }
 
 // readRescue reads n bytes at device offset src into a.rescue[at:],
@@ -591,61 +710,6 @@ func (a *Arena) readRescue(src, at, n int64) bool {
 		a.rescue = make([]byte, a.cfg.SlabBytes/2)
 	}
 	return a.dev.ReadAt(a.rescue[at:at+n], src) == nil
-}
-
-// evict empties one slab: the owning view's map entries for it are
-// dropped (so a later read misses instead of reading recycled bytes).
-// With rescue set, the parts still mapped into the slab whose chunk was
-// hit after the slab stopped being its view's newest are first read
-// into a.rescue, packed in the order returned, their prefetch tags left
-// alone. At most
-// half a slab is rescued, so every eviction frees at least half a slab
-// and an arena in which everything is hot degrades to plain FIFO
-// instead of copying itself in circles.
-func (a *Arena) evict(idx int, rescue bool) []block.Extent {
-	s := a.slabs[idx]
-	if s.owner == noOwner {
-		return nil
-	}
-	invariant.Assertf(s.owner >= 0 && s.owner < len(a.views),
-		"readcache: slab %d owned by unknown view %d", idx, s.owner)
-	v := a.views[s.owner]
-	lo := block.LBAFromBytes(a.slabBase(idx))
-	hi := lo + block.LBA(a.cfg.SlabBytes>>block.SectorShift)
-	var keep []block.Extent
-	var kept int64
-	// Entries of s.inserted may overlap; the map holds each sector once,
-	// and deleting a run as it is visited keeps a later overlapping
-	// entry from seeing it again.
-	for _, ins := range s.inserted {
-		for _, r := range v.m.Lookup(ins) {
-			if !r.Present || r.Target.Obj != s.gen || r.Target.Off < lo || r.Target.Off >= hi {
-				continue
-			}
-			v.m.Delete(r.Extent)
-			for lba := r.LBA; lba < r.End(); {
-				end := min((lba/chunkSectors+1)*chunkSectors, r.End())
-				piece := block.Extent{LBA: lba, Sectors: uint32(end - lba)}
-				src := (r.Target.Off + (lba - r.LBA)).Bytes()
-				lba = end
-				if rescue && v.hitAfter(piece.LBA, s.gen) && a.readRescue(src, kept, piece.Bytes()) {
-					keep = append(keep, piece)
-					kept += piece.Bytes()
-				} else {
-					v.pf.Delete(piece) // dropped for good: so is its prefetch tag
-				}
-			}
-		}
-	}
-	if v.active == idx {
-		v.active = -1
-	}
-	s.inserted = nil
-	s.fill = 0
-	s.owner = noOwner
-	s.stale = false
-	a.evictions++
-	return keep
 }
 
 // Invalidate drops any cached data overlapping ext (called by the core
@@ -662,10 +726,12 @@ func (c *Cache) Invalidate(ext block.Extent) {
 	}
 }
 
-// persistVersion tags the reserved-region layout: v2 adds per-slab
-// ownership and multiple named view maps. v1 blobs (or any parse
-// failure) load as a cold cache, which is safe.
-const persistVersion = 2
+// persistVersion tags the reserved-region layout: v2 added per-slab
+// ownership and multiple named view maps; v3 has the same payload, but
+// SizedConfig reserves less for it, so the slabs a v2 map points into
+// start elsewhere. Any other version (or any parse failure) loads as a
+// cold cache, which is safe.
+const persistVersion = 3
 
 // Persist writes the arena state — slab table plus every view's map —
 // to the reserved region (best effort; §3.2: "the read cache map is
@@ -783,7 +849,7 @@ func (a *Arena) loadState() {
 	// stale slab is reclaimable without a fairness pass.
 	for i, st := range state {
 		s := a.slabs[i]
-		s.gen = st.gen
+		s.gen, s.order = st.gen, st.gen
 		s.fill = st.fill
 		s.owner = noOwner
 		s.stale = st.gen != 0 && st.owner >= 0 && int(st.owner) < nviews
@@ -808,7 +874,7 @@ func (a *Arena) restoreView(v *Cache, raw []byte) {
 			s.owner = v.id
 			s.stale = false
 			s.pendingOwnerName = ""
-			v.newest = max(v.newest, s.gen)
+			v.newest = max(v.newest, s.order)
 		}
 	}
 	m := extmap.New()
@@ -870,6 +936,7 @@ func (c *Cache) Stats() Stats {
 		PrefetchHitSectors: c.pfHitSectors,
 		Reinserts:          c.reinserts,
 		ReinsertedBytes:    c.reinsertedBytes,
+		Rearms:             c.rearms,
 		OwnedSlabs:         ownedSlabs,
 		OwnedBytes:         ownedBytes,
 		FairShareSlabs:     a.fairShareSlabs(),

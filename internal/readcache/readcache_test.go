@@ -27,16 +27,13 @@ func payload(seed int64, n int) []byte {
 func readBack(t *testing.T, c *Cache, ext block.Extent) ([]byte, bool) {
 	t.Helper()
 	buf := make([]byte, ext.Bytes())
+	runs, err := c.ReadExtent(ext, buf)
+	if err != nil {
+		t.Fatal(err)
+	}
 	full := true
-	for _, run := range c.Lookup(ext) {
-		if !run.Present {
-			full = false
-			continue
-		}
-		off := (run.LBA - ext.LBA).Bytes()
-		if err := c.ReadAt(run.Target, buf[off:off+run.Bytes()]); err != nil {
-			t.Fatal(err)
-		}
+	for _, run := range runs {
+		full = full && run.Present
 	}
 	return buf, full
 }
@@ -61,6 +58,12 @@ func TestInsertLookup(t *testing.T) {
 	}
 	if c.Stats().Misses != 1 {
 		t.Fatalf("miss not counted: %+v", c.Stats())
+	}
+	// Admission's presence check is not a read: it counts as neither.
+	c.Lookup(ext)
+	c.Lookup(block.Extent{LBA: 99999, Sectors: 8})
+	if st := c.Stats(); st.Hits != 1 || st.Misses != 1 {
+		t.Fatalf("Lookup moved the demand-read counters: %+v", st)
 	}
 }
 
@@ -428,18 +431,30 @@ func TestArenaStatsOccupancy(t *testing.T) {
 }
 
 func TestSizedConfigMatchesCoreMath(t *testing.T) {
-	// 64 MiB device: map 8 MiB, slab stays 4 MiB (14 slabs >= 8).
+	// 64 MiB device: map 2 MiB, slab stays 4 MiB (15 slabs >= 8).
 	cfg := SizedConfig(64*block.MiB, FIFO)
-	if cfg.MapBytes != 8*block.MiB || cfg.SlabBytes != 4*block.MiB {
+	if cfg.MapBytes != 2*block.MiB || cfg.SlabBytes != 4*block.MiB {
 		t.Fatalf("64MiB: %+v", cfg)
 	}
-	// 8 MiB device: map 1 MiB, slab halves until >= 8 slabs fit.
+	// 8 MiB device: map 256 KiB, slab halves until >= 8 slabs fit.
 	cfg = SizedConfig(8*block.MiB, FIFO)
-	if (8*block.MiB-cfg.MapBytes)/cfg.SlabBytes < 8 {
+	if cfg.MapBytes != 256<<10 || (8*block.MiB-cfg.MapBytes)/cfg.SlabBytes < 8 {
 		t.Fatalf("8MiB: %+v holds too few slabs", cfg)
 	}
 	// 1 GiB device: map capped at 16 MiB.
 	if cfg := SizedConfig(block.GiB, FIFO); cfg.MapBytes != 16*block.MiB {
 		t.Fatalf("1GiB: %+v", cfg)
+	}
+	// The benchmark's arena device (four fifths of a 128 MiB cache): a
+	// whole number of blocks reserved, 24 slabs.
+	dev := int64(128*block.MiB) * 4 / 5 &^ (block.BlockSize - 1)
+	cfg = SizedConfig(dev, FIFO)
+	if cfg.MapBytes%block.BlockSize != 0 || (dev-block.BlockSize-cfg.MapBytes)/cfg.SlabBytes != 24 {
+		t.Fatalf("%d-byte device: %+v", dev, cfg)
+	}
+	// A device too small for a thirty-second to be a block still
+	// reserves one.
+	if cfg := SizedConfig(64<<10, FIFO); cfg.MapBytes != block.BlockSize {
+		t.Fatalf("64KiB: %+v", cfg)
 	}
 }
