@@ -30,8 +30,8 @@ import (
 //     needs is not statically held, however many frames separate the
 //     helper from the missing acquisition.
 //
-// The sanctioned exceptions (sync-mode seals, GC PUTs under the
-// seq-reservation critical section, backpressure stalls) carry
+// The sanctioned exceptions (GC PUTs under the seq-reservation
+// critical section, the orphan sweep, backpressure stalls) carry
 // //lsvd:ignore annotations with reasons; ignored operations also stay
 // out of the summaries, so a waiver at the origin covers every caller.
 func newLockheld() *Analyzer {

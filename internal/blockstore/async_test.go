@@ -90,6 +90,43 @@ func waitDurable(t *testing.T, s *Store, want uint64) {
 	}
 }
 
+// TestDefaultStoreIsThePipeline: a Config that sets no UploadDepth runs
+// the upload pipeline like every other store — the Append that fills
+// the batch returns with the object's PUT still parked, and Seal is the
+// fence that waits for it.
+func TestDefaultStoreIsThePipeline(t *testing.T) {
+	gs := newGateStore(objstore.NewMem())
+	s := newVolume(t, gs, Config{BatchBytes: 32 * 1024, CheckpointEvery: 1 << 30})
+
+	name := objName("vol", s.Stats().NextSeq)
+	gs.gate(name)
+	ext := block.Extent{LBA: 0, Sectors: 64}
+	data := payload(1, int(ext.Bytes()))
+	if err := s.Append(1, ext, data); err != nil {
+		t.Fatal(err)
+	}
+	if st := s.Stats(); st.InflightObjects != 1 || st.DurableWriteSeq != 0 {
+		t.Fatalf("auto-seal did not queue the object behind its parked PUT: %+v", st)
+	}
+	sealed := make(chan error, 1)
+	go func() { sealed <- s.Seal() }()
+	select {
+	case err := <-sealed:
+		t.Fatalf("Seal returned (%v) while the object's PUT was parked", err)
+	case <-time.After(20 * time.Millisecond):
+	}
+	gs.release(t, name, nil)
+	if err := <-sealed; err != nil {
+		t.Fatal(err)
+	}
+	if st := s.Stats(); st.InflightObjects != 0 || st.DurableWriteSeq != 1 {
+		t.Fatalf("fence returned before the commit: %+v", st)
+	}
+	if got := readAll(t, s, ext); !bytes.Equal(got, data) {
+		t.Fatal("data wrong after the fenced commit")
+	}
+}
+
 // TestAsyncCommitStaysInOrder: with concurrent uploads, map commit and
 // the durable watermark must advance strictly in sequence order even
 // when later objects' PUTs finish first (§3.4 prefix consistency).
@@ -184,11 +221,16 @@ func TestAsyncPersistentFailureSurfaces(t *testing.T) {
 	faulty.FailEveryNth(1) // every mutation fails
 
 	ext := block.Extent{LBA: 0, Sectors: 64}
-	if err := s.Append(1, ext, payload(8, int(ext.Bytes()))); err != nil {
+	data := payload(8, int(ext.Bytes()))
+	if err := s.Append(1, ext, data); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Seal(); !errors.Is(err, objstore.ErrInjected) {
 		t.Fatalf("persistent failure not surfaced: %v", err)
+	}
+	// Nothing durable, and the object is still held for a retry.
+	if st := s.Stats(); st.DurableWriteSeq != 0 || st.PendingBatch == 0 {
+		t.Fatalf("failed seal advanced the watermark or dropped the batch: %+v", st)
 	}
 	// Healing the store lets a later fence succeed.
 	faulty.FailEveryNth(0)
@@ -197,6 +239,9 @@ func TestAsyncPersistentFailureSurfaces(t *testing.T) {
 	}
 	if got := s.DurableWriteSeq(); got != 1 {
 		t.Fatalf("durable=%d after healed retry, want 1", got)
+	}
+	if got := readAll(t, s, ext); !bytes.Equal(got, data) {
+		t.Fatal("data wrong after retried seal")
 	}
 }
 

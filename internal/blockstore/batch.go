@@ -8,7 +8,6 @@ import (
 	"lsvd/internal/extmap"
 	"lsvd/internal/invariant"
 	"lsvd/internal/journal"
-	"lsvd/internal/objstore"
 )
 
 // batch accumulates client writes until sealed into an object. Writes
@@ -113,10 +112,7 @@ func (s *Store) Append(writeSeq uint64, ext block.Extent, data []byte) error {
 	s.batch.add(writeSeq, ext, data)
 	s.stats.bytesAppended += uint64(len(data))
 	if s.batch.fill >= s.cfg.BatchBytes {
-		if s.cfg.UploadDepth > 0 {
-			return s.sealAsyncLocked()
-		}
-		return s.sealLocked()
+		return s.sealAsyncLocked()
 	}
 	return nil
 }
@@ -133,9 +129,9 @@ func (s *Store) Trim(writeSeq uint64, ext block.Extent) error {
 }
 
 // Seal forces the current batch out as an object (used on commit
-// pressure and at shutdown). In asynchronous mode it is also the
-// pipeline fence: it returns only once every in-flight object has
-// committed, so DurableWriteSeq covers everything appended so far.
+// pressure and at shutdown). It is the pipeline fence: it returns only
+// once every in-flight object has committed, so DurableWriteSeq covers
+// everything appended so far.
 func (s *Store) Seal() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -150,18 +146,14 @@ func (s *Store) Seal() error {
 // in the background, advancing DurableWriteSeq (and firing OnDestage)
 // when it does. Core uses it as the ring-full "kick" — the records
 // pinning the cache-log head go out as an object while the writer
-// waits for the destage watermark, without draining the pipeline. In
-// synchronous mode it is a plain seal.
+// waits for the destage watermark, without draining the pipeline.
 func (s *Store) SealAsync() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.readOnly {
 		return ErrReadOnly
 	}
-	if s.cfg.UploadDepth > 0 {
-		return s.sealAsyncLocked()
-	}
-	return s.sealLocked()
+	return s.sealAsyncLocked()
 }
 
 // batchExtents flattens a batch's extent state for object building:
@@ -185,67 +177,6 @@ func batchExtents(b *batch, seq uint32) (exts []journal.ExtentEntry, offs []int6
 		})
 	}
 	return exts, offs
-}
-
-// sealLocked builds the object for the pending batch, PUTs it, updates
-// the map and accounting, then runs checkpoint/GC policy.
-//
-//lsvd:requires bs.mu
-func (s *Store) sealLocked() error {
-	// A synchronous checkpoint may have dropped s.mu for its PUTs;
-	// reserving a sequence number during that window would defeat its
-	// failure rollback (see checkpointLocked).
-	for s.ckptActive {
-		s.commitCond.Wait()
-	}
-	if err := s.sweepOrphansLocked(); err != nil {
-		return err
-	}
-	b := s.batch
-	if b.empty() {
-		return nil
-	}
-
-	seq := s.nextSeq
-	exts, offs := batchExtents(b, seq)
-	obj, info, mapped, err := s.buildObject(seq, journal.TypeData, b.maxWrite, exts, offs, b.slices)
-	if err != nil {
-		return err
-	}
-	//lsvd:ignore sync mode seals inline under mu by design; async mode routes through the upload pipeline
-	if err := objstore.PutVec(s.ctx, s.cfg.Store, objName(s.cfg.Volume, seq), obj); err != nil {
-		return err
-	}
-	s.stats.bytesPut += uint64(objstore.VecLen(obj))
-	s.stats.bytesCoalesced += b.coalesced
-	s.installObject(info, mapped, b.trims)
-
-	if b.maxWrite > s.durableWriteSeq {
-		s.durableWriteSeq = b.maxWrite
-		if s.cfg.OnDestage != nil {
-			s.cfg.OnDestage(s.durableWriteSeq)
-		}
-	}
-
-	s.batch = newBatch(s.cfg.BatchBytes, s.cfg.NoCoalesce)
-	s.nextSeq++
-	s.sinceCkpt++
-
-	if s.sinceCkpt >= s.cfg.CheckpointEvery {
-		if err := s.checkpointLocked(); err != nil {
-			return err
-		}
-	}
-	if s.gcServiceRunning() {
-		// The paced service owns GC triggering: credit its WAF bucket
-		// for the committed payload and let it wake on its own.
-		s.gcRefillLocked(int64(info.dataSectors) * block.SectorSize)
-	} else if s.cfg.GCLowWater > 0 && s.utilizationLocked() < s.cfg.GCLowWater {
-		if err := s.gcLocked(); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // buildObject assembles an object image as a VECTOR: the encoded

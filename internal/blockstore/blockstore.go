@@ -45,9 +45,10 @@ type Config struct {
 	// BatchBytes is the write batch / object payload target (paper:
 	// 8 or 32 MiB). Default 8 MiB.
 	BatchBytes int64
-	// GCLowWater triggers collection when live/total falls below it;
-	// GCHighWater stops collection. Paper: 0.70 / 0.75. GCLowWater 0
-	// disables automatic GC.
+	// GCLowWater wakes the paced background collector (gc.go) when
+	// live/total falls below it; GCHighWater stops a pass, RunGC's
+	// included. Paper: 0.70 / 0.75. GCLowWater 0 disables automatic GC:
+	// no collector is started and only RunGC collects.
 	GCLowWater, GCHighWater float64
 	// CheckpointEvery writes a map checkpoint after this many sealed
 	// objects. Default 32.
@@ -55,14 +56,6 @@ type Config struct {
 	// DefragHoleSectors plugs vLBA holes up to this size during GC by
 	// copying extra data, reducing map fragmentation (§4.6). 0 = off.
 	DefragHoleSectors uint32
-	// GCService runs garbage collection as a long-running paced
-	// background goroutine instead of inline commit-triggered passes:
-	// victims are picked by a garbage×age cost model, copy I/O is paced
-	// against the GCWAFTarget token bucket, and backend reads/writes go
-	// through UploadGate as a background borrower with no guaranteed
-	// share. RunGC still forces an immediate unpaced pass. The service
-	// starts only when GCLowWater > 0 and the store is writable.
-	GCService bool
 	// GCWAFTarget bounds the paced service's write amplification:
 	// total backend payload volume (foreground + GC copies) is held at
 	// or below GCWAFTarget × foreground volume, enforced by a token
@@ -90,10 +83,10 @@ type Config struct {
 	// commits race; callees must treat writeSeq as a high-water mark
 	// (keep the max), which writecache.SetDestaged does.
 	OnDestage func(writeSeq uint64)
-	// UploadDepth > 0 enables the asynchronous upload pipeline: sealed
+	// UploadDepth is the depth of the upload pipeline (upload.go): sealed
 	// objects are PUT by up to UploadDepth concurrent uploads while the
 	// next batch fills; map/watermark commit stays strictly in sequence
-	// order. 0 keeps the legacy synchronous seal (build + PUT inline).
+	// order. Default 4.
 	UploadDepth int
 	// Retry is the backend retry policy. setDefaults wraps Store in an
 	// objstore.Retrier with it, so every backend operation — reads, GC
@@ -118,9 +111,8 @@ type Config struct {
 	// registered volume a minimum share of it, so a hot neighbor cannot
 	// starve this volume's destage. UploadID names this store to the
 	// gate (the host registers/unregisters it around the volume's
-	// lifetime). UploadDepth still gates whether the async pipeline
-	// runs at all and sizes per-store derived limits (upload
-	// maxInflight = 2*UploadDepth).
+	// lifetime). UploadDepth still sizes the per-store derived limits
+	// (upload maxInflight = 2*UploadDepth).
 	UploadGate *iosched.Gate
 	UploadID   string
 
@@ -152,6 +144,9 @@ func (c *Config) setDefaults() {
 	}
 	if c.GCWAFTarget == 0 {
 		c.GCWAFTarget = 2.0
+	}
+	if c.UploadDepth <= 0 {
+		c.UploadDepth = 4
 	}
 	if c.OpenFanout == 0 {
 		c.OpenFanout = 8
@@ -280,24 +275,24 @@ type Store struct {
 
 	batch *batch
 
-	// Asynchronous upload pipeline state (Config.UploadDepth > 0):
-	// sealed objects awaiting build/upload/commit in sequence order,
-	// with a gate bounding concurrent build+PUTs and a condition
-	// variable (on mu) signalled at every upload completion.
+	// Upload pipeline state (upload.go): sealed objects awaiting
+	// build/upload/commit in sequence order, with a gate bounding
+	// concurrent build+PUTs and a condition variable (on mu) signalled
+	// at every upload completion.
 	inflight      []*inflightObj
 	inflightBytes int64
 	gate          *iosched.Gate
 	gateID        string
 	commitCond    *sync.Cond
 	aborting      bool
-	gcBusy        bool  // a GC pass (service, commit-triggered, or RunGC) holds the single slot
+	gcBusy        bool  // a GC pass (service or RunGC) holds the single slot
 	asyncErr      error // sticky commit-side (GC) failure, surfaced at the next fence
 
-	// Background GC service state (Config.GCService): the service
-	// goroutine sleeps on gcCond (same mutex as commitCond) and is
-	// woken by foreground commits (budget refills / utilization drops),
+	// Background GC service state (gc.go): the service goroutine
+	// sleeps on gcCond (same mutex as commitCond) and is woken by
+	// foreground commits (budget refills / utilization drops),
 	// idle-trickle timers, StopGC and Abort. fenceWaiters counts
-	// waiters in waitInflightLocked/gcLocked/Abort so a paced pass
+	// waiters in waitInflightLocked/RunGC/Abort so a paced pass
 	// yields the gcBusy slot promptly instead of stalling a fence on a
 	// budget wait.
 	gcCond       *sync.Cond
@@ -446,13 +441,11 @@ func newStore(ctx context.Context, cfg Config) *Store {
 	s.shipCond = sync.NewCond(&s.mu)
 	s.shipUnacked = make(map[uint32]struct{})
 	s.gcGateID = cfg.UploadID + "#gc"
-	if cfg.UploadDepth > 0 {
-		if cfg.UploadGate != nil {
-			s.gate, s.gateID = cfg.UploadGate, cfg.UploadID
-		} else {
-			s.gate = iosched.NewGate(cfg.UploadDepth)
-			s.gate.Register(s.gateID) // sole user: full capacity is its share
-		}
+	if cfg.UploadGate != nil {
+		s.gate, s.gateID = cfg.UploadGate, cfg.UploadID
+	} else {
+		s.gate = iosched.NewGate(cfg.UploadDepth)
+		s.gate.Register(s.gateID) // sole user: full capacity is its share
 	}
 	if cfg.FetchSem != nil {
 		s.fetchSem = cfg.FetchSem
@@ -601,10 +594,8 @@ func (s *Store) Stats() Stats {
 		OpenNanos:          s.stats.openNanos,
 		LastCkptStallNanos: s.stats.lastCkptStallNanos,
 	}
-	if s.gate != nil {
-		gs := s.gate.Stats(s.gateID)
-		st.UploadGrants, st.UploadBorrows, st.UploadWaits = gs.Grants, gs.Borrows, gs.Waits
-	}
+	gs := s.gate.Stats(s.gateID)
+	st.UploadGrants, st.UploadBorrows, st.UploadWaits = gs.Grants, gs.Borrows, gs.Waits
 	// The store chain may nest a namespace wrapper (host volumes are
 	// Retrier(Prefixed(raw)) or Prefixed(Retrier(raw))): walk it to
 	// find the Retrier.

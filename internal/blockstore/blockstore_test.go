@@ -88,8 +88,13 @@ func TestAutoSealAtBatchSize(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// The auto-seals only queued their uploads; fence before reading
+	// Stats. The batch is empty here, so this Seal adds no object.
+	if err := s.Seal(); err != nil {
+		t.Fatal(err)
+	}
 	st := s.Stats()
-	if st.Objects < 2 { // initial checkpoint + at least one data object
+	if st.Objects < 3 { // initial checkpoint + one data object per filled batch
 		t.Fatalf("no auto-seal: %+v", st)
 	}
 	if st.DurableWriteSeq == 0 {
@@ -254,6 +259,11 @@ func TestGCReclaimsSpaceAndPreservesData(t *testing.T) {
 		}
 	}
 	_ = s.Seal()
+	// Collection is the paced service's, behind the writes: let it reach
+	// the watermark, then stop it so nothing but this test touches the
+	// backend while the volume is reopened below.
+	waitFor(t, "the GC service to reach the low-water mark", func() bool { return s.Utilization() >= 0.70 })
+	s.StopGC()
 	if err := s.Checkpoint(); err != nil { // release pending deletes
 		t.Fatal(err)
 	}

@@ -14,9 +14,10 @@ import (
 // object, then superblock — run with the lock released. Two paths
 // share the snapshot/PUT/finalize pieces:
 //
-//   - The periodic checkpoint on the asynchronous write path is a
-//     MARKER in the upload pipeline (queueCheckpointLocked): it
-//     reserves its sequence number at seal time, and the snapshot is
+//   - The periodic checkpoint — every CheckpointEvery objects on the
+//     write path, and the GC service's idle checkpoint — is a MARKER
+//     in the upload pipeline (queueCheckpointLocked): it reserves its
+//     sequence number when it is queued, and the snapshot is
 //     taken only when the marker reaches the front of the in-flight
 //     list — i.e. once every earlier object has committed — so the
 //     checkpoint covers exactly the committed prefix without draining
@@ -26,11 +27,10 @@ import (
 //     the checkpoint's sequence, and the moment the super PUT returns
 //     the walk moves on.
 //   - checkpointLocked is the synchronous path (Create, Clone, the
-//     Checkpoint API, snapshot creation, sync-mode seals, the GC
-//     service's idle checkpoint): callers drain the pipeline first;
-//     ckptActive parks every sequence reservation while the lock is
-//     down so a failed checkpoint can return its sequence number and
-//     no gap is ever left in the log.
+//     Checkpoint API, snapshot creation): callers drain the pipeline
+//     first; ckptActive parks every sequence reservation while the
+//     lock is down so a failed checkpoint can return its sequence
+//     number and no gap is ever left in the log.
 //
 // A durable checkpoint RELEASES the GC victims that were waiting for
 // it; it does not delete them. finalizeCheckpointLocked hands the
@@ -228,16 +228,9 @@ func (s *Store) Checkpoint() error {
 	// A checkpoint must never record a nextSeq beyond an uncommitted
 	// object (recovery replay only covers seqs after the checkpoint),
 	// so drain the upload pipeline first.
-	if s.cfg.UploadDepth > 0 {
-		for _, inf := range s.inflight {
-			if inf.done && inf.err != nil {
-				inf.attempts = 0
-			}
-		}
-		s.resubmitFailedLocked()
-		if err := s.waitInflightLocked(); err != nil {
-			return err
-		}
+	s.rearmFailedLocked()
+	if err := s.waitInflightLocked(); err != nil {
+		return err
 	}
 	return s.checkpointLocked()
 }

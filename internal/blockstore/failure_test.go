@@ -9,42 +9,6 @@ import (
 	"lsvd/internal/objstore"
 )
 
-// TestSealRetriesAfterPutFailure: a failed object PUT must leave the
-// batch intact so the caller can retry, and the retry must produce a
-// correct object.
-func TestSealRetriesAfterPutFailure(t *testing.T) {
-	faulty := objstore.NewFaulty(objstore.NewMem())
-	s := newVolume(t, faulty, Config{})
-	ext := block.Extent{LBA: 0, Sectors: 64}
-	data := payload(1, int(ext.Bytes()))
-	if err := s.Append(1, ext, data); err != nil {
-		t.Fatal(err)
-	}
-	// Forever, so the Retrier's attempts can't absorb the failure.
-	faulty.FailPuts(objName("vol", s.Stats().NextSeq), -1)
-	if err := s.Seal(); !errors.Is(err, objstore.ErrInjected) {
-		t.Fatalf("injected failure not surfaced: %v", err)
-	}
-	// State must be unchanged: nothing durable, batch pending.
-	if s.Stats().DurableWriteSeq != 0 {
-		t.Fatal("failed seal advanced the watermark")
-	}
-	if s.Stats().PendingBatch == 0 {
-		t.Fatal("failed seal dropped the batch")
-	}
-	// Healing the store lets the retry succeed and data reads back.
-	faulty.FailPuts(objName("vol", s.Stats().NextSeq), 0)
-	if err := s.Seal(); err != nil {
-		t.Fatal(err)
-	}
-	if s.Stats().DurableWriteSeq != 1 {
-		t.Fatal("retry did not destage")
-	}
-	if got := readAll(t, s, ext); !bytes.Equal(got, data) {
-		t.Fatal("data wrong after retried seal")
-	}
-}
-
 // TestCheckpointFailureKeepsOldPointer: if the superblock update
 // fails, the previous checkpoint must stay authoritative so recovery
 // still works.

@@ -11,18 +11,18 @@ import (
 	"lsvd/internal/objstore"
 )
 
-// Garbage collection (§3.5) runs in two modes sharing one pass engine:
+// Garbage collection (§3.5) has two drivers sharing one pass engine:
 //
-//   - RunGC (and, without Config.GCService, the commit-triggered
-//     inline pass) collects unpaced until the high-water mark — the
-//     discrete semantics tools, tests and the Table 5 simulations
-//     depend on.
-//   - The background service (Config.GCService) is a per-store
-//     goroutine that wakes when utilization drops below the low-water
-//     mark and collects PACED: each copy batch first draws its bytes
-//     from a write-amplification token bucket refilled by foreground
-//     commits (gcRefillLocked), so sustained GC can never push total
-//     backend write volume past GCWAFTarget × foreground volume. An
+//   - RunGC is the forced pass: it collects unpaced until the
+//     high-water mark — the discrete step tools, tests and the Table 5
+//     simulations call at the moment they choose.
+//   - The background service is the one automatic trigger: a per-store
+//     goroutine, started on every writable store with GCLowWater > 0,
+//     that wakes when utilization drops below the low-water mark and
+//     collects PACED: each copy batch first draws its bytes from a
+//     write-amplification token bucket refilled by foreground commits
+//     (gcRefillLocked), so sustained GC can never push total backend
+//     write volume past GCWAFTarget × foreground volume. An
 //     idle trickle (gcIdleWait/one batch) keeps quiet volumes
 //     converging. The service's backend I/O goes through the upload
 //     gate as a background participant with no guaranteed share, and
@@ -55,8 +55,11 @@ const gcIdleWait = 5 * time.Millisecond
 
 // RunGC forces an immediate, unpaced collection pass until overall
 // utilization reaches the high-water mark or no further progress is
-// possible (§3.5). With the background service enabled it preempts the
-// paced pass (which yields its slot to fences) and runs inline.
+// possible (§3.5). It preempts the background service's paced pass
+// (which yields its slot to fences) and runs inline. Backend I/O inside
+// a pass (header fetches, source-data reads) drops s.mu, so the gcBusy
+// claim — shared with the background service — is what keeps passes
+// single-flight; fences and Abort wait for it via commitCond.
 func (s *Store) RunGC() error {
 	s.mu.Lock()
 	invariant.LockOrder("bs.mu")
@@ -65,17 +68,6 @@ func (s *Store) RunGC() error {
 	if s.readOnly {
 		return ErrReadOnly
 	}
-	return s.gcLocked()
-}
-
-// gcLocked claims the single GC slot and runs one unpaced pass.
-// Backend I/O inside a pass (header fetches, source-data reads) drops
-// s.mu, so the gcBusy claim — shared with the commit-triggered trigger
-// in upload.go and the background service — is what keeps passes
-// single-flight; fences and Abort wait for it via commitCond.
-//
-//lsvd:requires bs.mu
-func (s *Store) gcLocked() error {
 	s.fenceEnterLocked()
 	for s.gcBusy {
 		s.commitCond.Wait()
@@ -96,11 +88,11 @@ func (s *Store) gcLocked() error {
 
 // --- background service ---
 
-// startGCService launches the paced background collector when the
-// configuration asks for one. Create/open call it last, once the store
+// startGCService launches the paced background collector on a writable
+// store with a low-water mark. Create/open call it last, once the store
 // is fully recovered.
 func (s *Store) startGCService() {
-	if !s.cfg.GCService || s.readOnly || s.cfg.GCLowWater <= 0 {
+	if s.readOnly || s.cfg.GCLowWater <= 0 {
 		return
 	}
 	s.mu.Lock()
@@ -134,11 +126,6 @@ func (s *Store) StopGC() {
 	s.gcStop = false
 	s.mu.Unlock()
 }
-
-// gcServiceRunning reports whether the background collector owns GC
-// triggering (callers then nudge gcCond instead of running inline
-// passes). Caller holds s.mu.
-func (s *Store) gcServiceRunning() bool { return s.gcDone != nil }
 
 // fenceEnterLocked/fenceExitLocked bracket a fence's wait for the
 // gcBusy slot (seal, checkpoint, RunGC). Entry wakes a paced pass so
@@ -174,8 +161,7 @@ func (s *Store) gcWantedLocked() bool {
 // gcService is the background collector goroutine. It sleeps on gcCond
 // until woken by a commit (refill/utilization change), StopGC or
 // Abort; claims the single GC slot; and runs one paced pass. Pass
-// failures land in asyncErr and surface at the next fence, exactly
-// like commit-triggered passes.
+// failures land in asyncErr and surface at the next fence.
 func (s *Store) gcService() {
 	// The claim spans the whole loop: gcCond/commitCond waits and the
 	// lock drops inside writeGCObjectLocked touch no other named lock,
@@ -227,16 +213,16 @@ func (s *Store) gcService() {
 			}
 		}
 		// Deletion of cleaned victims waits for a checkpoint; with no
-		// foreground traffic to drive one, the service checkpoints
-		// itself so idle-time collection actually reclaims space. Never
-		// while uploads are in flight (a checkpoint must not record a
-		// nextSeq beyond an uncommitted object) — busy volumes
-		// checkpoint on their seal cadence anyway.
+		// foreground traffic to drive one, the service queues the marker
+		// itself so idle-time collection actually reclaims space. A
+		// marker, not checkpointLocked: on an empty pipeline it starts
+		// at once, behind uploads it waits its turn, and either way no
+		// seal parks behind its PUTs or its victims' deletes. Never
+		// inside a synchronous checkpoint's lock drop, which relies on
+		// no sequence number being reserved meanwhile.
 		if err == nil && !s.gcStop && !s.aborting &&
-			len(s.inflight) == 0 && s.sinceCkpt >= s.cfg.CheckpointEvery {
-			if cerr := s.checkpointLocked(); cerr != nil && s.asyncErr == nil {
-				s.asyncErr = cerr
-			}
+			!s.ckptQueued && !s.ckptActive && s.sinceCkpt >= s.cfg.CheckpointEvery {
+			s.queueCheckpointLocked()
 		}
 	}
 }
@@ -249,8 +235,8 @@ func (s *Store) gcService() {
 //
 //lsvd:requires bs.mu
 func (s *Store) gcRefillLocked(fg int64) {
-	if !s.gcServiceRunning() {
-		return
+	if s.gcDone == nil {
+		return // no service to pace: GCLowWater 0, or stopped
 	}
 	if waf := s.cfg.GCWAFTarget; waf > 1 {
 		s.gcBudget += int64(float64(fg) * (waf - 1))
@@ -315,7 +301,7 @@ func (s *Store) gcAwaitBudgetLocked(need int64) error {
 	}
 }
 
-// --- pass engine (shared by RunGC, commit-triggered and paced) ---
+// --- pass engine (shared by RunGC and the paced service) ---
 
 // gcPassLocked repeatedly collects the best-scoring victim, copying
 // its remaining live data into fresh GC objects, until utilization
@@ -594,19 +580,10 @@ func (s *Store) plugHolesLocked(pieces []gcPiece, paced bool) []gcPiece {
 // gcGateAcquire takes an upload-gate slot for GC backend I/O as a
 // background participant: no guaranteed share, always yielding to
 // foreground acquirers. Must be called WITHOUT s.mu held (the gate can
-// block while foreground uploads drain). No-op without a gate
-// (synchronous mode).
-func (s *Store) gcGateAcquire() {
-	if s.gate != nil {
-		s.gate.AcquireBackground(s.gcGateID)
-	}
-}
+// block while foreground uploads drain).
+func (s *Store) gcGateAcquire() { s.gate.AcquireBackground(s.gcGateID) }
 
-func (s *Store) gcGateRelease() {
-	if s.gate != nil {
-		s.gate.ReleaseBackground(s.gcGateID)
-	}
-}
+func (s *Store) gcGateRelease() { s.gate.ReleaseBackground(s.gcGateID) }
 
 // writeGCObjectLocked reads the pieces (preferring the local cache,
 // §3.5) and seals them into one GC object. Backend source reads drop
@@ -669,9 +646,6 @@ func (s *Store) writeGCObjectLocked(pieces []gcPiece) error {
 		}
 		if s.aborting {
 			return errGCAborted
-		}
-		if s.gate == nil {
-			break
 		}
 		s.mu.Unlock()
 		s.gcGateAcquire()

@@ -500,7 +500,7 @@ func TestGCServicePacedConvergence(t *testing.T) {
 	store := objstore.NewMem()
 	s := newVolume(t, store, Config{
 		BatchBytes: 64 * 1024, UploadDepth: 2,
-		GCService: true, GCLowWater: 0.70, GCHighWater: 0.75,
+		GCLowWater: 0.70, GCHighWater: 0.75,
 		GCWAFTarget: 2.0, CheckpointEvery: 8,
 	})
 	defer s.StopGC()

@@ -94,7 +94,7 @@ func (r *reapStore) opLog() []string {
 }
 
 // churnExt is one batch wide, so every churn write seals an object and
-// kills the previous one whole: the commit-triggered GC pass cleans it
+// kills the previous one whole: the paced service's next pass cleans it
 // without copying and the next checkpoint releases it.
 var churnExt = block.Extent{LBA: 0, Sectors: 64}
 

@@ -61,16 +61,9 @@ func (s *Store) DeleteSnapshot(name string) error {
 	for s.ckptActive {
 		s.commitCond.Wait()
 	}
-	if s.cfg.UploadDepth > 0 {
-		for _, inf := range s.inflight {
-			if inf.done && inf.err != nil {
-				inf.attempts = 0
-			}
-		}
-		s.resubmitFailedLocked()
-		if err := s.waitInflightLocked(); err != nil {
-			return err
-		}
+	s.rearmFailedLocked()
+	if err := s.waitInflightLocked(); err != nil {
+		return err
 	}
 	idx := -1
 	for i, sn := range s.snapshots {

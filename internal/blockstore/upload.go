@@ -1,7 +1,6 @@
 package blockstore
 
 import (
-	"errors"
 	"fmt"
 
 	"lsvd/internal/block"
@@ -10,18 +9,18 @@ import (
 	"lsvd/internal/objstore"
 )
 
-// Asynchronous upload pipeline. With Config.UploadDepth > 0, sealing a
-// batch only snapshots it and reserves its sequence number under s.mu;
-// the object image is marshalled inside the upload goroutine — off the
-// batch lock, so the next batch fills (and other volumes' writers run)
-// while the previous object is still being built and PUT. Map and
-// watermark commit remains strictly in sequence order — an object's
-// extents are installed and durableWriteSeq advanced only once every
-// earlier object has committed — so DurableWriteSeq and the §3.4
-// prefix-consistency rule are exactly as in the synchronous path. A
-// crash can strand out-of-order uploads on the backend; recovery's gap
-// rule (stop at the first missing sequence number, delete anything
-// beyond it) already handles that.
+// Upload pipeline: the one path by which a batch becomes an object.
+// Sealing a batch only snapshots it and reserves its sequence number
+// under s.mu; the object image is marshalled inside the upload
+// goroutine — off the batch lock, so the next batch fills (and other
+// volumes' writers run) while the previous object is still being built
+// and PUT, up to Config.UploadDepth at a time. Map and watermark commit
+// is strictly in sequence order — an object's extents are installed and
+// durableWriteSeq advanced only once every earlier object has
+// committed — which is what DurableWriteSeq and the §3.4
+// prefix-consistency rule rest on. A crash can strand out-of-order
+// uploads on the backend; recovery's gap rule (stop at the first
+// missing sequence number, delete anything beyond it) handles that.
 
 // uploadAttempts bounds automatic resubmission of a failed upload
 // within one fence; each explicit Seal/Checkpoint grants a fresh
@@ -74,6 +73,9 @@ type inflightObj struct {
 //
 //lsvd:requires bs.mu
 func (s *Store) sealAsyncLocked() error {
+	// A synchronous checkpoint may have dropped s.mu for its PUTs;
+	// reserving a sequence number during that window would defeat its
+	// failure rollback (see checkpointLocked).
 	for s.ckptActive {
 		s.commitCond.Wait()
 	}
@@ -257,11 +259,10 @@ func (s *Store) startUploadLocked(inf *inflightObj) {
 // successfully uploaded object at the front of the in-flight list:
 // map installation, accounting, durable watermark. It returns a
 // closure (nil when there is nothing to do) the caller must run AFTER
-// releasing s.mu: the OnDestage callback and the commit-triggered GC
-// pass execute off the lock, so a slow callback or a full collection
-// cannot stall every later commit, and a callback that reaches back
-// into the store cannot deadlock. Called with s.mu held from the
-// upload completion path.
+// releasing s.mu: the OnDestage callback executes off the lock, so a
+// slow callback cannot stall every later commit, and a callback that
+// reaches back into the store cannot deadlock. Called with s.mu held
+// from the upload completion path.
 //
 //lsvd:requires bs.mu
 func (s *Store) commitReadyLocked() func() {
@@ -306,47 +307,14 @@ func (s *Store) commitReadyLocked() func() {
 	if committed > 0 {
 		// Foreground payload committed: credit the paced service's WAF
 		// bucket and wake it (the commit may have dropped utilization
-		// below the low-water mark). With the service running, this
-		// replaces the inline commit-triggered pass below.
+		// below the low-water mark).
 		s.gcRefillLocked(committed)
 	}
-	needGC := false
-	if !s.gcServiceRunning() && !s.aborting && !s.gcBusy && s.cfg.GCLowWater > 0 &&
-		s.utilizationLocked() < s.cfg.GCLowWater {
-		// Claim the GC trigger under the lock so concurrent commits
-		// start at most one pass; fences wait for it via commitCond.
-		needGC = true
-		s.gcBusy = true
-	}
 	cb := s.cfg.OnDestage
-	if (watermark == 0 || cb == nil) && !needGC {
+	if watermark == 0 || cb == nil {
 		return nil
 	}
-	return func() {
-		if watermark > 0 && cb != nil {
-			cb(watermark)
-		}
-		if needGC {
-			s.commitTriggeredGC()
-		}
-	}
-}
-
-// commitTriggeredGC runs the GC pass claimed by commitReadyLocked on
-// the upload-completion goroutine, after s.mu was dropped. It already
-// owns the gcBusy claim, so it enters gcPassLocked directly (gcLocked
-// would wait on its own claim). Failures land in asyncErr and surface
-// at the next fence.
-func (s *Store) commitTriggeredGC() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if !s.aborting && !s.readOnly {
-		if err := s.gcPassLocked(false); err != nil && !errors.Is(err, errGCAborted) && s.asyncErr == nil {
-			s.asyncErr = err
-		}
-	}
-	s.gcBusy = false
-	s.commitCond.Broadcast()
+	return func() { cb(watermark) }
 }
 
 // resubmitFailedLocked reissues every failed upload.
@@ -360,9 +328,23 @@ func (s *Store) resubmitFailedLocked() {
 	}
 }
 
+// rearmFailedLocked grants every failed upload a fresh attempt budget
+// and reissues it: the first step of each explicit fence (Seal,
+// Checkpoint, CreateSnapshot, DeleteSnapshot).
+//
+//lsvd:requires bs.mu
+func (s *Store) rearmFailedLocked() {
+	for _, inf := range s.inflight {
+		if inf.done && inf.err != nil {
+			inf.attempts = 0
+		}
+	}
+	s.resubmitFailedLocked()
+}
+
 // waitInflightLocked blocks until the in-flight list drains (every
-// object committed), any commit-triggered GC pass finishes and the
-// reaper has no delete in flight, resubmitting failures up to the fence
+// object committed), any GC pass finishes and the reaper has no delete
+// in flight, resubmitting failures up to the fence
 // attempt budget. On persistent failure the object stays in the list
 // so a later fence can retry it; the error is returned to the caller.
 //
@@ -392,19 +374,11 @@ func (s *Store) waitInflightLocked() error {
 
 // sealAndWaitLocked is the synchronous fence: seal the pending batch
 // and wait for every in-flight object to commit. Failed uploads get a
-// fresh attempt budget. In synchronous mode it is exactly sealLocked.
+// fresh attempt budget.
 //
 //lsvd:requires bs.mu
 func (s *Store) sealAndWaitLocked() error {
-	if s.cfg.UploadDepth <= 0 {
-		return s.sealLocked()
-	}
-	for _, inf := range s.inflight {
-		if inf.done && inf.err != nil {
-			inf.attempts = 0
-		}
-	}
-	s.resubmitFailedLocked()
+	s.rearmFailedLocked()
 	if err := s.sealAsyncLocked(); err != nil {
 		return err
 	}

@@ -604,23 +604,19 @@ func (d *Disk) storeConfig() blockstore.Config {
 			d.stage.destaged(ws)
 			d.notifyDestage()
 		},
-		Retry:      d.opts.Retry,
-		FetchDepth: d.opts.FetchDepth,
-		OpenFanout: d.opts.OpenFanout,
+		Retry:       d.opts.Retry,
+		UploadDepth: d.opts.UploadDepth,
+		FetchDepth:  d.opts.FetchDepth,
+		OpenFanout:  d.opts.OpenFanout,
+		GCWAFTarget: d.opts.GCWAFTarget,
+		// Polled by the paced GC service, which every writable store
+		// runs. DestagePressure takes only the cache's own lock; the
+		// bs.mu → wc.mu order matches FetchFromCache below.
+		GCBackoff: func() bool { return d.wc.DestagePressure() },
 		// Replicated arms the shipped-watermark pin even before (and
 		// between) shipper attaches, so a crash-restart cycle cannot
 		// delete objects the replica still lacks.
 		Replicated: d.opts.ReplicaStore != nil && !d.readOnly,
-	}
-	if !d.readOnly {
-		cfg.UploadDepth = d.opts.UploadDepth
-		// The paced background GC service replaces commit-triggered
-		// inline passes on every writable volume. DestagePressure takes
-		// only the cache's own lock; the bs.mu → wc.mu order matches
-		// FetchFromCache below.
-		cfg.GCService = true
-		cfg.GCWAFTarget = d.opts.GCWAFTarget
-		cfg.GCBackoff = func() bool { return d.wc.DestagePressure() }
 	}
 	if !d.opts.DisableGCCacheFetch {
 		cfg.FetchFromCache = d.fetchFromWriteCache

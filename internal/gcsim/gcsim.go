@@ -6,8 +6,14 @@
 // merge + defragmentation (hole plugging).
 //
 // The simulator is not a separate model: it drives the real
-// blockstore implementation over a zero-elided in-memory object store,
-// so the numbers measure the actual production code paths.
+// blockstore implementation — the upload pipeline, the GC pass engine,
+// the marker checkpoints — over a zero-elided in-memory object store.
+// What it replaces is the clock. Production collects from a paced
+// background service whose progress depends on wall time; a simulation
+// must be repeatable, so Simulate starts no service (GCLowWater 0 to
+// the store) and owns the trigger itself: it fences every batch with
+// Seal and, when utilization is below the low-water mark, runs the
+// forced pass (RunGC) before the next write.
 package gcsim
 
 import (
@@ -97,9 +103,8 @@ func Simulate(ctx context.Context, spec workload.TraceSpec, mode Mode, cfg Confi
 		Store:           objstore.NewMemSlim(),
 		VolSectors:      block.LBAFromBytes(volBytes),
 		BatchBytes:      cfg.BatchBytes,
-		GCLowWater:      cfg.GCLowWater,
-		GCHighWater:     cfg.GCHighWater,
-		CheckpointEvery: 64, // releases deferred deletes; ckpt bytes don't count in WAF
+		GCHighWater:     cfg.GCHighWater, // RunGC's stop mark; the trigger is below
+		CheckpointEvery: 64,              // releases deferred deletes; ckpt bytes don't count in WAF
 		NoCoalesce:      mode == NoMerge,
 		DefragHoleSectors: func() uint32 {
 			if mode == Defrag {
@@ -113,6 +118,7 @@ func Simulate(ctx context.Context, spec workload.TraceSpec, mode Mode, cfg Confi
 	}
 
 	var ws uint64
+	var fill int64
 	for {
 		op, ok := tr.Next()
 		if !ok {
@@ -122,6 +128,19 @@ func Simulate(ctx context.Context, spec workload.TraceSpec, mode Mode, cfg Confi
 		ext := block.Extent{LBA: block.LBAFromBytes(op.Off), Sectors: uint32(op.Len / block.SectorSize)}
 		if err := bs.Append(ws, ext, make([]byte, op.Len)); err != nil {
 			return Result{}, fmt.Errorf("trace %s: %w", spec.ID, err)
+		}
+		if fill += int64(op.Len); fill < cfg.BatchBytes {
+			continue
+		}
+		// The store just sealed this batch; commit it and collect.
+		fill = 0
+		if err := bs.Seal(); err != nil {
+			return Result{}, err
+		}
+		if bs.Utilization() < cfg.GCLowWater {
+			if err := bs.RunGC(); err != nil {
+				return Result{}, err
+			}
 		}
 	}
 	if err := bs.Seal(); err != nil {

@@ -99,3 +99,27 @@ func TestGCTriggersOnChurn(t *testing.T) {
 		t.Fatal("churn trace never triggered GC")
 	}
 }
+
+// TestSimulateIsRepeatable: Simulate owns the GC trigger (Seal, then
+// RunGC below the low-water mark, at every batch boundary), so a churny
+// trace yields the same Result on every run even though the store
+// underneath uploads, commits and checkpoints on background goroutines.
+func TestSimulateIsRepeatable(t *testing.T) {
+	cfg := Defaults(1024)
+	for _, mode := range []Mode{Merge, Defrag} {
+		first, err := Simulate(ctx, spec("w41"), mode, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if first.GCRuns == 0 {
+			t.Fatalf("%v: churn trace never triggered GC", mode)
+		}
+		again, err := Simulate(ctx, spec("w41"), mode, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if again != first {
+			t.Fatalf("%v: two runs differ:\n%+v\n%+v", mode, first, again)
+		}
+	}
+}
