@@ -35,7 +35,7 @@ FUZZTIME ?= 10s
 # only ever goes down: delete a waiver, lower this number.
 WAIVER_BUDGET := 21
 
-.PHONY: all build fmt vet test race bench bench-read bench-multivol bench-multivol-profile bench-gc bench-open bench-replica bench-smoke fault gc-torture vet-lsvd vet-lsvd-update-baseline check-invariant fuzz-smoke check clean
+.PHONY: all build fmt vet test race bench-smoke fault gc-torture vet-lsvd vet-lsvd-update-baseline check-invariant fuzz-smoke check clean
 
 all: check
 
@@ -76,52 +76,6 @@ fault:
 	LSVD_FAULT_SEED=1 LSVD_FAULT_ITERS=24 \
 		$(GO) test -count=1 -run TestReplicaTorture ./internal/consistency
 
-# Destage-pipeline micro-benchmarks: write-ack latency over a 1 ms
-# backend and concurrent-reader throughput.
-bench:
-	$(GO) test -run xxx -bench 'DiskWriteAckAsync4K|DiskConcurrentReads' -benchtime 2s .
-
-# Read-miss-path benchmarks (cold seqread + QD-sweep random read
-# against a simulated-latency backend), recording BENCH_readpath.json.
-# The same test runs without the env var as a smoke check in `check`.
-bench-read:
-	LSVD_READBENCH_OUT=BENCH_readpath.json $(GO) test -count=1 -run TestReadPathQDSweep -v .
-
-# Multi-volume host benchmark (§3.7 shared-SSD packing): aggregate
-# write throughput as 1→8 volumes share one host, plus a fairness
-# sweep, recording BENCH_multivol.json. Runs without the env var as a
-# smoke check in `check`.
-bench-multivol:
-	LSVD_MULTIVOL_OUT=BENCH_multivol.json $(GO) test -count=1 -run TestMultiVolScaling -v .
-
-# Paced background GC benchmark (DESIGN.md §5g): sustained skewed
-# overwrites with the service on vs off, gating foreground p99 (≤1.5×
-# the GC-off baseline), measured write amplification (≤ the configured
-# target) and idle convergence back to the watermark, recording
-# BENCH_gc.json. Runs without the env var as a smoke check in `check`.
-bench-gc:
-	LSVD_GCBENCH_OUT=BENCH_gc.json $(GO) test -count=1 -run TestGCSustained -v .
-
-# Fast-open benchmark (DESIGN.md §5h): crash-recovery open over a
-# 256-object suffix with the recovery fan-out vs the serial baseline
-# (gate: >=3x), plus foreground write-ack p999 with background
-# checkpoints on vs off (gate: <=1.5x), recording BENCH_open.json.
-# Runs without the env var as a smoke check in `check`, where the open
-# speed-up is asserted and the p999 ratio only logged (on two CPUs it
-# is noise).
-bench-open:
-	LSVD_OPENBENCH_OUT=BENCH_open.json $(GO) test -count=1 -run TestOpenRecoveryBench -v .
-
-# Asynchronous-replication benchmark (DESIGN.md §5i): 8 volumes on one
-# host each shipping to a per-volume replica backend, gating foreground
-# write-ack p99 with replication on at ≤1.3x the replication-off
-# baseline and requiring a clean drain (zero final lag), recording
-# BENCH_replica.json. Runs without the env var as a smoke check in
-# `check`, where the drain is asserted and the p99 ratio only logged
-# (on two CPUs it is noise).
-bench-replica:
-	LSVD_REPLICABENCH_OUT=BENCH_replica.json $(GO) test -count=1 -run TestReplicaShipping -v .
-
 # The benchmark (benchmark/README.md) is its own module, which the root
 # `go test ./...` cannot see: its smoke test runs every workload at a
 # small scale against BENCHMARK.json in about six seconds.
@@ -135,17 +89,6 @@ bench-smoke:
 # RACE_PKGS; this target is the widened standalone sweep.
 gc-torture:
 	LSVD_FAULT_SEED=1 LSVD_FAULT_ITERS=24 $(GO) test -count=1 -run TestGCTorture ./internal/consistency
-
-# Opt-in lock-contention profiling of the scaling sweep (not part of
-# `make check`): reruns bench-multivol with mutex and block profiling
-# enabled, leaving pprof files plus the test binary in profiles/ for
-# `go tool pprof profiles/lsvd.test profiles/multivol-mutex.pb.gz`.
-bench-multivol-profile:
-	mkdir -p profiles
-	$(GO) test -count=1 -run TestMultiVolScaling -v \
-		-mutexprofile profiles/multivol-mutex.pb.gz -mutexprofilefraction 5 \
-		-blockprofile profiles/multivol-block.pb.gz -blockprofilerate 10000 \
-		-o profiles/lsvd.test .
 
 # Custom analyzer suite (DESIGN.md §5e): prove every analyzer against
 # its seeded testdata (zero missed, zero spurious findings), then run
@@ -198,7 +141,6 @@ fuzz-smoke:
 	done
 
 check: build fmt vet test race fault gc-torture vet-lsvd check-invariant fuzz-smoke bench-smoke
-	$(GO) test -count=1 -run 'TestReadPathQDSweep|TestMultiVolScaling|TestGCSustained|TestOpenRecoveryBench|TestReplicaShipping' .
 
 clean:
 	$(GO) clean -testcache

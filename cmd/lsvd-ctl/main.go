@@ -207,56 +207,57 @@ func main() {
 		// The stats snapshot is advisory observability: a bucket no host
 		// ever closed cleanly (or a snapshot from a different layout) is
 		// normal, so degrade to "n/a" — never to a fatal error.
-		snap, err := host.LoadStatsSnapshot(ctx, store)
+		vols, err := host.LoadStatsSnapshot(ctx, store)
 		switch {
 		case err != nil:
 			fmt.Printf("write path (last session): n/a (%v)\n", err)
-		case snap == nil || len(snap.Volumes) == 0:
+		case len(vols) == 0:
 			fmt.Println("write path (last session): n/a (no host/stats snapshot)")
 		default:
 			fmt.Println("write path (last session):")
-			for _, v := range snap.Volumes {
+			for _, v := range vols {
+				st, wc, be := v.Stats, v.Stats.WriteCache, v.Stats.Backend
 				var avg float64
-				if v.GroupBatches > 0 {
-					avg = float64(v.GroupRecords) / float64(v.GroupBatches)
+				if wc.GroupBatches > 0 {
+					avg = float64(wc.GroupRecords) / float64(wc.GroupBatches)
 				}
 				fmt.Printf("  %-12s %8d writes  %6d group batches (avg %.1f recs, hist %s)\n",
-					v.Volume, v.Writes, v.GroupBatches, avg, histString(v.BatchSizeHist))
+					v.Name, st.Writes, wc.GroupBatches, avg, histString(wc.BatchSizeHist[:]))
 				fmt.Printf("  %-12s reserve waits %d  ring kick/fence %d/%d  seal stalls %d  upload grant/borrow/wait %d/%d/%d\n",
-					"", v.ReserveWaits, v.RingKicks, v.RingFences, v.SealStalls,
-					v.UploadGrants, v.UploadBorrows, v.UploadWaits)
-				fmt.Printf("  %-12s runs coalesced %d\n", "", v.RunsCoalesced)
+					"", wc.ReserveWaits, st.RingKicks, st.RingFences, be.SealStalls,
+					be.UploadGrants, be.UploadBorrows, be.UploadWaits)
+				fmt.Printf("  %-12s runs coalesced %d\n", "", be.RunsCoalesced)
 			}
-			if snap.Version >= 2 {
-				fmt.Println("gc (last session):")
-				for _, v := range snap.Volumes {
-					fmt.Printf("  %-12s %4d runs  %4d victims  %6d MiB copied  waf %.2f measured / %.2f target  pace/backoff/yield %d/%d/%d\n",
-						v.Volume, v.GCRuns, v.GCVictims, v.GCCopiedBytes/(1<<20),
-						v.GCMeasuredWAF, v.GCWAFTarget,
-						v.GCPaceWaits, v.GCBackoffs, v.GCYields)
+			fmt.Println("gc (last session):")
+			for _, v := range vols {
+				be := v.Stats.Backend
+				var waf float64
+				if be.BytesAppended > 0 {
+					waf = float64(be.BytesAppended+be.GCBytesCopied) / float64(be.BytesAppended)
 				}
-			} else {
-				fmt.Println("gc (last session): n/a (snapshot from an older layout)")
+				fmt.Printf("  %-12s %4d runs  %4d victims  %6d MiB copied  waf %.2f measured / %.2f target  pace/backoff/yield %d/%d/%d\n",
+					v.Name, be.GCRuns, be.GCVictims, be.GCBytesCopied/(1<<20),
+					waf, be.GCWAFTarget, be.GCPaceWaits, be.GCBackoffs, be.GCYields)
 			}
-			switch {
-			case snap.Version < 3:
-				fmt.Println("replication (last session): n/a (snapshot from an older layout)")
-			case !anyReplicated(snap.Volumes):
+			replicated := false
+			for _, v := range vols {
+				if !v.Stats.ReplicaEnabled {
+					continue
+				}
+				if !replicated {
+					replicated = true
+					fmt.Println("replication (last session):")
+				}
+				// Lag is the residual at close time: zero after a clean drain.
+				r := v.Stats.Replica
+				fmt.Printf("  %-12s shipped seq %d  lag %d objs / %d KiB  copied %d objs / %d MiB\n",
+					v.Name, r.ShippedSeq, r.LagObjects, r.LagBytes/1024,
+					r.CopiedObjects, r.CopiedBytes/(1<<20))
+				fmt.Printf("  %-12s retries %d  errors %d  stalls on lag bound %d  last ship %.1f us\n",
+					"", r.Retries, r.Errors, v.Stats.ReplicaStalls, float64(r.LastShipNanos)/1e3)
+			}
+			if !replicated {
 				fmt.Println("replication (last session): off")
-			default:
-				fmt.Println("replication (last session):")
-				for _, v := range snap.Volumes {
-					if !v.ReplicaEnabled {
-						continue
-					}
-					fmt.Printf("  %-12s shipped seq %d  lag %d objs / %d KiB  copied %d objs / %d MiB\n",
-						v.Volume, v.ReplicaShippedSeq,
-						v.ReplicaLagObjects, v.ReplicaLagBytes/1024,
-						v.ReplicaCopied, v.ReplicaCopiedBytes/(1<<20))
-					fmt.Printf("  %-12s retries %d  errors %d  stalls on lag bound %d  last ship %.1f us\n",
-						"", v.ReplicaRetries, v.ReplicaErrors, v.ReplicaStalls,
-						float64(v.ReplicaLastShipNanos)/1e3)
-				}
 			}
 		}
 		if *cachePath != "" {
@@ -355,17 +356,6 @@ func histString(hist []uint64) string {
 		return "empty"
 	}
 	return b.String()
-}
-
-// anyReplicated reports whether at least one volume row in the stats
-// snapshot had replication enabled.
-func anyReplicated(rows []host.WritePathCounters) bool {
-	for _, v := range rows {
-		if v.ReplicaEnabled {
-			return true
-		}
-	}
-	return false
 }
 
 func parseSize(s string) (int64, error) {

@@ -11,7 +11,6 @@ package blockstore
 
 import (
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"sort"
@@ -98,12 +97,6 @@ type Config struct {
 	// read-miss fetch path (FetchSpan) keeps in flight across all
 	// readers. 0 leaves the pool unbounded; 1 serializes miss fetches.
 	FetchDepth int
-	// OpenFanout bounds the concurrent backend reads recovery issues
-	// while prefetching the replay suffix's headers (and the concurrent
-	// deletes for stranded objects). Replay APPLY order stays strictly
-	// sequential regardless — only the metadata round-trips overlap.
-	// Default 8; 1 recovers serially.
-	OpenFanout int
 
 	// UploadGate, when non-nil, replaces the store-private upload
 	// concurrency bound with a shared iosched.Gate: a multi-volume host
@@ -147,9 +140,6 @@ func (c *Config) setDefaults() {
 	}
 	if c.UploadDepth <= 0 {
 		c.UploadDepth = 4
-	}
-	if c.OpenFanout == 0 {
-		c.OpenFanout = 8
 	}
 	if c.Retry.MaxAttempts >= 0 && c.Store != nil {
 		if _, ok := c.Store.(*objstore.Retrier); !ok {
@@ -648,18 +638,18 @@ type superblock struct {
 }
 
 func encodeSuper(sb *superblock) ([]byte, error) {
-	var w binWriter
-	w.u64(uint64(sb.volSectors))
-	w.u32(sb.lastCkpt)
-	w.str(sb.baseVol)
-	w.u32(sb.baseSeq)
-	w.u32(uint32(len(sb.snapshots)))
+	var w journal.Codec
+	w.PutU64(uint64(sb.volSectors))
+	w.PutU32(sb.lastCkpt)
+	w.PutStr(sb.baseVol)
+	w.PutU32(sb.baseSeq)
+	w.PutU32(uint32(len(sb.snapshots)))
 	for _, sn := range sb.snapshots {
-		w.str(sn.Name)
-		w.u32(sn.Seq)
+		w.PutStr(sn.Name)
+		w.PutU32(sn.Seq)
 	}
-	h := &journal.Header{Type: journal.TypeSuper, DataLen: uint64(len(w.buf))}
-	return journal.Encode(h, w.buf, false)
+	h := &journal.Header{Type: journal.TypeSuper, DataLen: uint64(len(w.Buf))}
+	return journal.Encode(h, w.Buf, false)
 }
 
 func decodeSuper(raw []byte) (*superblock, error) {
@@ -670,20 +660,20 @@ func decodeSuper(raw []byte) (*superblock, error) {
 	if h.Type != journal.TypeSuper {
 		return nil, fmt.Errorf("blockstore: superblock object holds %v record", h.Type)
 	}
-	r := binReader{buf: data}
+	r := journal.Codec{Buf: data}
 	sb := &superblock{}
-	sb.volSectors = block.LBA(r.u64())
-	sb.lastCkpt = r.u32()
-	sb.baseVol = r.str()
-	sb.baseSeq = r.u32()
-	n := int(r.u32())
-	for i := 0; i < n && r.err == nil; i++ {
-		name := r.str()
-		seq := r.u32()
+	sb.volSectors = block.LBA(r.U64())
+	sb.lastCkpt = r.U32()
+	sb.baseVol = r.Str()
+	sb.baseSeq = r.U32()
+	n := int(r.U32())
+	for i := 0; i < n && r.Err == nil; i++ {
+		name := r.Str()
+		seq := r.U32()
 		sb.snapshots = append(sb.snapshots, snapshot{Name: name, Seq: seq})
 	}
-	if r.err != nil {
-		return nil, fmt.Errorf("blockstore: corrupt superblock: %w", r.err)
+	if r.Err != nil {
+		return nil, fmt.Errorf("blockstore: corrupt superblock: %w", r.Err)
 	}
 	return sb, nil
 }
@@ -725,67 +715,6 @@ func (s *Store) writeSuper() error {
 	//lsvd:ignore super rewrite is rare control-plane I/O and must be atomic with the in-memory pointers under mu
 	return s.cfg.Store.Put(s.ctx, superName(s.cfg.Volume), raw)
 }
-
-// --- small binary codec helpers ---
-
-type binWriter struct{ buf []byte }
-
-func (w *binWriter) u32(v uint32) {
-	var b [4]byte
-	binary.LittleEndian.PutUint32(b[:], v)
-	w.buf = append(w.buf, b[:]...)
-}
-
-func (w *binWriter) u64(v uint64) {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], v)
-	w.buf = append(w.buf, b[:]...)
-}
-
-func (w *binWriter) bytes(p []byte) {
-	w.u32(uint32(len(p)))
-	w.buf = append(w.buf, p...)
-}
-
-func (w *binWriter) str(s string) { w.bytes([]byte(s)) }
-
-type binReader struct {
-	buf []byte
-	err error
-}
-
-func (r *binReader) take(n int) []byte {
-	if r.err != nil {
-		return nil
-	}
-	if len(r.buf) < n {
-		r.err = fmt.Errorf("truncated at %d (need %d)", len(r.buf), n)
-		return nil
-	}
-	out := r.buf[:n]
-	r.buf = r.buf[n:]
-	return out
-}
-
-func (r *binReader) u32() uint32 {
-	b := r.take(4)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint32(b)
-}
-
-func (r *binReader) u64() uint64 {
-	b := r.take(8)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint64(b)
-}
-
-func (r *binReader) bytes() []byte { return r.take(int(r.u32())) }
-
-func (r *binReader) str() string { return string(r.bytes()) }
 
 // sortedSeqs returns the volume's own object sequence numbers present
 // in names, ascending.

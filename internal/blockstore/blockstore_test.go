@@ -5,7 +5,9 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"sync"
 	"testing"
+	"time"
 
 	"lsvd/internal/block"
 	"lsvd/internal/extmap"
@@ -195,6 +197,74 @@ func TestRecovery(t *testing.T) {
 	}
 	if s2.DurableWriteSeq() < 20 {
 		t.Fatalf("watermark %d", s2.DurableWriteSeq())
+	}
+}
+
+// overlapStore parks every range GET until a second one is in flight.
+// The wait is time-boxed: a recovery that probes headers one at a time
+// trips the box on its first probe, which lets the rest through, so a
+// serial replay fails the test (peak stays 1) instead of hanging it.
+type overlapStore struct {
+	objstore.Store
+	mu       sync.Mutex
+	inflight int
+	peak     int
+	open     sync.Once
+	overlap  chan struct{} // closed at the first overlap, or when the box trips
+}
+
+func (o *overlapStore) GetRange(ctx context.Context, name string, off, length int64) ([]byte, error) {
+	release := func() { o.open.Do(func() { close(o.overlap) }) }
+	o.mu.Lock()
+	o.inflight++
+	o.peak = max(o.peak, o.inflight)
+	if o.inflight == 2 {
+		release()
+	}
+	o.mu.Unlock()
+	select {
+	case <-o.overlap:
+	case <-time.After(2 * time.Second):
+		release()
+	}
+	o.mu.Lock()
+	o.inflight--
+	o.mu.Unlock()
+	return o.Store.GetRange(ctx, name, off, length)
+}
+
+// TestOpenReplaysSuffixWithOverlappingProbes: after a crash with no
+// checkpoint since Create, Open replays every sealed object, and the
+// header probes of that suffix are in flight together — recovery costs
+// suffix/openFanout round trips, not one per object.
+func TestOpenReplaysSuffixWithOverlappingProbes(t *testing.T) {
+	const n = 64
+	mem := objstore.NewMem()
+	s := newVolume(t, mem, Config{BatchBytes: 64 * 1024, CheckpointEvery: 1 << 30})
+	buf := payload(1, 64*1024)
+	for i := 0; i < n; i++ {
+		if err := s.Append(uint64(i+1), block.Extent{LBA: block.LBA(i * 128), Sectors: 128}, buf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Seal(); err != nil {
+		t.Fatal(err)
+	}
+	s.Abort()
+
+	store := &overlapStore{Store: mem, overlap: make(chan struct{})}
+	s2, err := Open(ctx, Config{Volume: "vol", Store: store})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := s2.Stats().RecoveredObjects; got != n {
+		t.Fatalf("replayed %d objects, want %d", got, n)
+	}
+	if store.peak < 2 {
+		t.Fatalf("recovery probed the %d-object suffix one header at a time (peak %d in flight)", n, store.peak)
+	}
+	if got := readAll(t, s2, block.Extent{LBA: (n - 1) * 128, Sectors: 128}); !bytes.Equal(got, buf) {
+		t.Fatal("last replayed object reads back wrong")
 	}
 }
 

@@ -110,42 +110,42 @@ func (s *Store) fillCkptShotLocked(shot *ckptShot) error {
 	if err := s.sweepOrphansLocked(); err != nil {
 		return err
 	}
-	var w binWriter
-	w.buf = s.ckptBuf[:0]
-	w.u32(s.lastCkpt)
-	w.u64(s.durableWriteSeq)
-	w.u32(s.nextSeq)
-	w.u32(uint32(len(s.objects)))
+	var w journal.Codec
+	w.Buf = s.ckptBuf[:0]
+	w.PutU32(s.lastCkpt)
+	w.PutU64(s.durableWriteSeq)
+	w.PutU32(s.nextSeq)
+	w.PutU32(uint32(len(s.objects)))
 	for _, o := range s.objects {
-		w.u32(o.seq)
-		w.u32(uint32(o.typ))
-		w.u64(uint64(o.totalBytes))
-		w.u32(o.hdrSectors)
-		w.u32(o.dataSectors)
-		w.u32(o.liveSectors)
-		w.u64(o.writeSeq)
+		w.PutU32(o.seq)
+		w.PutU32(uint32(o.typ))
+		w.PutU64(uint64(o.totalBytes))
+		w.PutU32(o.hdrSectors)
+		w.PutU32(o.dataSectors)
+		w.PutU32(o.liveSectors)
+		w.PutU64(o.writeSeq)
 	}
 	// Rule 4: a victim mid-reap is still listed, so open re-drives it.
-	w.u32(uint32(len(s.deferred) + len(s.pending) + len(s.reaping)))
+	w.PutU32(uint32(len(s.deferred) + len(s.pending) + len(s.reaping)))
 	for _, d := range s.deferred {
-		w.u32(d.Obj)
-		w.u32(d.GCSeq)
+		w.PutU32(d.Obj)
+		w.PutU32(d.GCSeq)
 	}
 	for _, d := range s.pending {
-		w.u32(d.Obj)
-		w.u32(d.GCSeq)
+		w.PutU32(d.Obj)
+		w.PutU32(d.GCSeq)
 	}
 	for _, d := range s.reaping {
-		w.u32(d.Obj)
-		w.u32(d.GCSeq)
+		w.PutU32(d.Obj)
+		w.PutU32(d.GCSeq)
 	}
 	// The map marshals straight into the payload buffer behind its
 	// length prefix — no intermediate allocation.
-	lenOff := len(w.buf)
-	w.u32(0)
-	w.buf = s.m.AppendBinary(w.buf)
-	binary.LittleEndian.PutUint32(w.buf[lenOff:], uint32(len(w.buf)-lenOff-4))
-	s.ckptBuf = w.buf
+	lenOff := len(w.Buf)
+	w.PutU32(0)
+	w.Buf = s.m.AppendBinary(w.Buf)
+	binary.LittleEndian.PutUint32(w.Buf[lenOff:], uint32(len(w.Buf)-lenOff-4))
+	s.ckptBuf = w.Buf
 
 	super, err := encodeSuper(&superblock{
 		volSectors: s.volSectors, lastCkpt: shot.seq,
@@ -154,7 +154,7 @@ func (s *Store) fillCkptShotLocked(shot *ckptShot) error {
 	if err != nil {
 		return err
 	}
-	shot.payload = w.buf
+	shot.payload = w.Buf
 	shot.super = super
 	shot.writeSeq = s.durableWriteSeq
 	shot.nPending = len(s.pending)
@@ -283,31 +283,31 @@ func (s *Store) checkpointLocked() error {
 }
 
 func decodeCheckpoint(data []byte) (*checkpointPayload, error) {
-	r := binReader{buf: data}
+	r := journal.Codec{Buf: data}
 	p := &checkpointPayload{}
-	p.prevCkpt = r.u32()
-	p.durableWriteSeq = r.u64()
-	p.nextSeq = r.u32()
-	nObj := int(r.u32())
-	for i := 0; i < nObj && r.err == nil; i++ {
+	p.prevCkpt = r.U32()
+	p.durableWriteSeq = r.U64()
+	p.nextSeq = r.U32()
+	nObj := int(r.U32())
+	for i := 0; i < nObj && r.Err == nil; i++ {
 		o := objInfo{}
-		o.seq = r.u32()
-		o.typ = journal.Type(r.u32())
-		o.totalBytes = int64(r.u64())
-		o.hdrSectors = r.u32()
-		o.dataSectors = r.u32()
-		o.liveSectors = r.u32()
-		o.writeSeq = r.u64()
+		o.seq = r.U32()
+		o.typ = journal.Type(r.U32())
+		o.totalBytes = int64(r.U64())
+		o.hdrSectors = r.U32()
+		o.dataSectors = r.U32()
+		o.liveSectors = r.U32()
+		o.writeSeq = r.U64()
 		p.objects = append(p.objects, o)
 	}
-	nDef := int(r.u32())
-	for i := 0; i < nDef && r.err == nil; i++ {
-		d := deferredDelete{Obj: r.u32(), GCSeq: r.u32()}
+	nDef := int(r.U32())
+	for i := 0; i < nDef && r.Err == nil; i++ {
+		d := deferredDelete{Obj: r.U32(), GCSeq: r.U32()}
 		p.deferred = append(p.deferred, d)
 	}
-	p.mapBytes = r.bytes()
-	if r.err != nil {
-		return nil, r.err
+	p.mapBytes = r.Bytes()
+	if r.Err != nil {
+		return nil, r.Err
 	}
 	return p, nil
 }

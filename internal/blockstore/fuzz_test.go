@@ -11,28 +11,28 @@ import (
 // encodeCheckpointForFuzz builds a well-formed checkpoint payload the
 // same way fillCkptShotLocked does, for seeding the corpus.
 func encodeCheckpointForFuzz(p *checkpointPayload) []byte {
-	var w binWriter
-	w.u32(p.prevCkpt)
-	w.u64(p.durableWriteSeq)
-	w.u32(p.nextSeq)
-	w.u32(uint32(len(p.objects)))
+	var w journal.Codec
+	w.PutU32(p.prevCkpt)
+	w.PutU64(p.durableWriteSeq)
+	w.PutU32(p.nextSeq)
+	w.PutU32(uint32(len(p.objects)))
 	for _, o := range p.objects {
-		w.u32(o.seq)
-		w.u32(uint32(o.typ))
-		w.u64(uint64(o.totalBytes))
-		w.u32(o.hdrSectors)
-		w.u32(o.dataSectors)
-		w.u32(o.liveSectors)
-		w.u64(o.writeSeq)
+		w.PutU32(o.seq)
+		w.PutU32(uint32(o.typ))
+		w.PutU64(uint64(o.totalBytes))
+		w.PutU32(o.hdrSectors)
+		w.PutU32(o.dataSectors)
+		w.PutU32(o.liveSectors)
+		w.PutU64(o.writeSeq)
 	}
-	w.u32(uint32(len(p.deferred)))
+	w.PutU32(uint32(len(p.deferred)))
 	for _, d := range p.deferred {
-		w.u32(d.Obj)
-		w.u32(d.GCSeq)
+		w.PutU32(d.Obj)
+		w.PutU32(d.GCSeq)
 	}
-	w.u32(uint32(len(p.mapBytes)))
-	w.bytes(p.mapBytes)
-	return w.buf
+	w.PutU32(uint32(len(p.mapBytes)))
+	w.PutBytes(p.mapBytes)
+	return w.Buf
 }
 
 // FuzzDecodeCheckpoint throws hostile bytes at the checkpoint decoder —

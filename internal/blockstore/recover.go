@@ -18,10 +18,10 @@ import (
 // Open recovers a volume: superblock → latest checkpoint → replay of
 // the consecutive object suffix, deleting stranded objects beyond the
 // first gap (§3.3). Metadata for the whole suffix is prefetched by a
-// bounded pool (Config.OpenFanout), so open time is
-// O(suffix / fanout) backend round-trips; the APPLY of the decoded
-// headers stays strictly sequential, so the crash-gap semantics are
-// byte-for-byte those of the serial replay.
+// bounded pool (openFanout), so open time is O(suffix / openFanout)
+// backend round-trips; the APPLY of the decoded headers stays strictly
+// sequential, so the crash-gap semantics are byte-for-byte those of a
+// serial replay.
 func Open(ctx context.Context, cfg Config) (*Store, error) {
 	return open(ctx, cfg, 0, false)
 }
@@ -61,6 +61,11 @@ func OpenSnapshot(ctx context.Context, cfg Config, name string) (*Store, error) 
 	}
 	return nil, fmt.Errorf("blockstore: snapshot %q not found", name)
 }
+
+// openFanout bounds the concurrent backend reads recovery issues while
+// prefetching the replay suffix's headers and sizes, and the concurrent
+// deletes of stranded objects.
+const openFanout = 8
 
 func open(ctx context.Context, cfg Config, limit uint32, readOnly bool) (*Store, error) {
 	start := time.Now()
@@ -126,7 +131,7 @@ func open(ctx context.Context, cfg Config, limit uint32, readOnly bool) (*Store,
 		suffix = append(suffix, seq)
 	}
 	metas := make([]*objMeta, len(suffix))
-	runBounded(cfg.OpenFanout, len(suffix), func(i int) {
+	runBounded(openFanout, len(suffix), func(i int) {
 		metas[i] = s.fetchObjectMeta(suffix[i], &gets)
 	})
 
@@ -169,7 +174,7 @@ func open(ctx context.Context, cfg Config, limit uint32, readOnly bool) (*Store,
 			}
 		}
 		var smu sync.Mutex
-		runBounded(cfg.OpenFanout, len(stranded), func(i int) {
+		runBounded(openFanout, len(stranded), func(i int) {
 			seq := stranded[i]
 			err := s.cfg.Store.Delete(s.ctx, s.name(seq))
 			smu.Lock()

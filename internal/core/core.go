@@ -71,15 +71,8 @@ type HostOptions struct {
 	// read's misses fan out across it, adjacent misses in the same
 	// object coalesce into one range GET, and concurrent readers
 	// missing on the same window share a single GET. Default 8; 1
-	// serializes all miss fetches (the pre-pipeline behavior, used as
-	// the benchmark baseline).
+	// serializes all miss fetches.
 	FetchDepth int
-	// OpenFanout bounds the concurrent backend reads recovery issues
-	// while replaying the log suffix at open (header probes, sizes,
-	// stranded-object deletes). Replay application stays strictly
-	// sequence-ordered regardless. 0 selects the block-store default
-	// (8); 1 serializes recovery I/O (the benchmark baseline).
-	OpenFanout int
 	// Retry is the backend retry policy (see objstore.RetryPolicy):
 	// every backend operation retries transient failures with
 	// exponential backoff under one per-op attempt budget. The zero
@@ -144,13 +137,11 @@ type VolumeOptions struct {
 	// wrapped in a Retrier under the same Retry policy as the primary
 	// unless it already is one.
 	ReplicaStore objstore.Store
-	// ReplicaMaxLagObjects / ReplicaMaxLagBytes bound the replication
-	// lag — the RPO knob. When the committed-but-unshipped backlog
-	// exceeds either bound, new writes and trims stall until the
-	// shipper catches up ("bounded or blocked", never silent
-	// exposure). 0 leaves that dimension unbounded.
+	// ReplicaMaxLagObjects bounds the replication lag — the RPO knob.
+	// When more committed objects than this are unshipped, new writes
+	// and trims stall until the shipper catches up ("bounded or
+	// blocked", never silent exposure). 0 leaves the lag unbounded.
 	ReplicaMaxLagObjects int
-	ReplicaMaxLagBytes   int64
 }
 
 // Resources injects host-owned shared resources into a Disk. When nil
@@ -213,13 +204,10 @@ type Stats struct {
 	RingKicks                     uint64 // ring-full: non-fencing seals kicked
 	RingFences                    uint64 // ring-full: watermark stalled, full fence
 
-	// Read-miss pipeline counters (GET amplification for bench runs):
-	// the first three mirror the block store's fetch-path counters,
-	// PrefetchHitSectors mirrors the read cache's, and
-	// AdmissionsDropped counts cache admissions shed under pressure.
-	BackendGETs        uint64
-	FetchesDeduped     uint64
-	RunsCoalesced      uint64
+	// Read-miss pipeline counters. PrefetchHitSectors mirrors the read
+	// cache's; AdmissionsDropped counts cache admissions shed under
+	// pressure. GET counts, dedup and coalescing are the block store's:
+	// Backend.FetchGETs, Backend.FetchesDeduped, Backend.RunsCoalesced.
 	PrefetchHitSectors uint64
 	AdmissionsDropped  uint64
 
@@ -607,7 +595,6 @@ func (d *Disk) storeConfig() blockstore.Config {
 		Retry:       d.opts.Retry,
 		UploadDepth: d.opts.UploadDepth,
 		FetchDepth:  d.opts.FetchDepth,
-		OpenFanout:  d.opts.OpenFanout,
 		GCWAFTarget: d.opts.GCWAFTarget,
 		// Polled by the paced GC service, which every writable store
 		// runs. DestagePressure takes only the cache's own lock; the
@@ -644,7 +631,6 @@ func (d *Disk) startPipeline(ctx context.Context) {
 			Backend:       d.bs,
 			Replica:       rs,
 			MaxLagObjects: d.opts.ReplicaMaxLagObjects,
-			MaxLagBytes:   d.opts.ReplicaMaxLagBytes,
 			OnAck:         d.notifyReplicaWake,
 		}
 		if d.res != nil {
@@ -735,7 +721,7 @@ func (d *Disk) pipelineErr() error {
 }
 
 // awaitReplicaLag is the RPO bound's escalation: while the replication
-// lag exceeds ReplicaMaxLagObjects/ReplicaMaxLagBytes, foreground
+// lag exceeds ReplicaMaxLagObjects, foreground
 // mutations stall here — OUTSIDE wmu, so the destage pipeline keeps
 // committing and the shipper keeps acking — until the replica catches
 // up. "Bounded or blocked": the volume never silently accumulates more
@@ -1321,9 +1307,6 @@ func (d *Disk) Stats() Stats {
 	st.WriteCache = d.wc.Stats()
 	st.ReadCache = d.rc.Stats()
 	st.Backend = d.bs.Stats()
-	st.BackendGETs = st.Backend.FetchGETs
-	st.FetchesDeduped = st.Backend.FetchesDeduped
-	st.RunsCoalesced = st.Backend.RunsCoalesced
 	st.PrefetchHitSectors = st.ReadCache.PrefetchHitSectors
 	return st
 }

@@ -81,7 +81,7 @@ func TestConcurrentColdReadsDedupOneGET(t *testing.T) {
 	}
 	d.adm.drain()
 	met.Reset()
-	getsBefore := d.Stats().BackendGETs
+	getsBefore := d.Stats().Backend.FetchGETs
 
 	const readers = 8
 	start := make(chan struct{})
@@ -116,11 +116,11 @@ func TestConcurrentColdReadsDedupOneGET(t *testing.T) {
 		t.Fatalf("%d concurrent identical cold reads issued %d backend GETs, want exactly 1", readers, n)
 	}
 	st := d.Stats()
-	if st.FetchesDeduped == 0 {
+	if st.Backend.FetchesDeduped == 0 {
 		t.Fatal("no fetch joins recorded for racing readers")
 	}
-	if got := st.BackendGETs - getsBefore; got != 1 {
-		t.Fatalf("Stats.BackendGETs advanced by %d, want 1", got)
+	if got := st.Backend.FetchGETs - getsBefore; got != 1 {
+		t.Fatalf("Stats.Backend.FetchGETs advanced by %d, want 1", got)
 	}
 }
 
@@ -382,12 +382,12 @@ func TestRunCoalescing(t *testing.T) {
 	}
 	st := h.disk.Stats()
 	const chunks = (1 << 20) / (2 * chunk)
-	if st.RunsCoalesced < chunks/2 {
+	if st.Backend.RunsCoalesced < chunks/2 {
 		t.Fatalf("only %d runs coalesced on a %d-run fragmented read (GETs=%d)",
-			st.RunsCoalesced, chunks, st.BackendGETs)
+			st.Backend.RunsCoalesced, chunks, st.Backend.FetchGETs)
 	}
-	if st.BackendGETs > 8 {
-		t.Fatalf("GET amplification too high: %d GETs for %d adjacent runs", st.BackendGETs, chunks)
+	if st.Backend.FetchGETs > 8 {
+		t.Fatalf("GET amplification too high: %d GETs for %d adjacent runs", st.Backend.FetchGETs, chunks)
 	}
 }
 

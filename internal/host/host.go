@@ -651,24 +651,23 @@ func (h *Host) Stats() Stats {
 }
 
 // Close closes every open volume (draining and checkpointing each)
-// and persists the shared arena. Each volume's write-path counters
-// are snapshotted after its close drains (so close-time seals and
-// uploads are counted; the gate retires counters rather than losing
-// them) and persisted at statsKey, keeping the session's group-commit
-// and upload-pipeline behavior observable offline via
-// `lsvd-ctl volumes`.
+// and persists the shared arena. Each volume's stats are snapshotted
+// after its close drains (so close-time seals and uploads are counted;
+// the gate retires counters rather than losing them) and persisted at
+// statsKey, keeping the session's group-commit, upload-pipeline, GC
+// and replication behavior observable offline via `lsvd-ctl volumes`.
 func (h *Host) Close() error {
 	h.mu.Lock()
 	h.closed = true
 	h.mu.Unlock()
 	var first error
-	var rows []WritePathCounters
+	var rows []VolumeStats
 	for _, e := range h.openSnapshot() {
 		d := e.Disk.(*core.Disk)
 		if err := d.Close(); err != nil && first == nil {
 			first = err
 		}
-		rows = append(rows, writePathCounters(e.Name, d.Stats()))
+		rows = append(rows, VolumeStats{Name: e.Name, Stats: d.Stats()})
 	}
 	if err := h.arena.Persist(); err != nil && first == nil {
 		first = err
@@ -679,150 +678,41 @@ func (h *Host) Close() error {
 	return first
 }
 
-// statsKey is where the last session's write-path counter snapshot
-// lives in the bucket.
+// statsKey is where the last session's per-volume stats snapshot lives
+// in the bucket.
 const statsKey = "host/stats"
 
-// WritePathCounters is one volume's write-path counter snapshot:
-// group-commit activity in the cache log, ring flow-control events,
-// and the seal/upload pipeline's stall and share accounting.
-type WritePathCounters struct {
-	Volume        string   `json:"volume"`
-	Writes        uint64   `json:"writes"`
-	GroupBatches  uint64   `json:"group_batches"`
-	GroupRecords  uint64   `json:"group_records"`
-	DevWrites     uint64   `json:"dev_writes"`
-	ReserveWaits  uint64   `json:"reserve_waits"`
-	BatchSizeHist []uint64 `json:"batch_size_hist"` // buckets 1,2,≤4,≤8,…
-	RingKicks     uint64   `json:"ring_kicks"`
-	RingFences    uint64   `json:"ring_fences"`
-	SealStalls    uint64   `json:"seal_stalls"`
-	UploadGrants  uint64   `json:"upload_grants"`
-	UploadBorrows uint64   `json:"upload_borrows"`
-	UploadWaits   uint64   `json:"upload_waits"`
-	RunsCoalesced uint64   `json:"runs_coalesced"`
-
-	// GC service counters (format version >= 2).
-	GCRuns        uint64  `json:"gc_runs"`
-	GCVictims     uint64  `json:"gc_victims"`
-	GCCopiedBytes uint64  `json:"gc_copied_bytes"`
-	GCPaceWaits   uint64  `json:"gc_pace_waits"`
-	GCBackoffs    uint64  `json:"gc_backoffs"`
-	GCYields      uint64  `json:"gc_yields"`
-	GCWAFTarget   float64 `json:"gc_waf_target"`
-	GCMeasuredWAF float64 `json:"gc_measured_waf"`
-
-	// Replication counters (format version >= 3). Lag fields are the
-	// residual at close time — zero after a clean drain.
-	ReplicaEnabled       bool   `json:"replica_enabled,omitempty"`
-	ReplicaShippedSeq    uint32 `json:"replica_shipped_seq,omitempty"`
-	ReplicaLagObjects    int    `json:"replica_lag_objects,omitempty"`
-	ReplicaLagBytes      int64  `json:"replica_lag_bytes,omitempty"`
-	ReplicaCopied        uint64 `json:"replica_copied_objects,omitempty"`
-	ReplicaCopiedBytes   int64  `json:"replica_copied_bytes,omitempty"`
-	ReplicaRetries       uint64 `json:"replica_retries,omitempty"`
-	ReplicaErrors        uint64 `json:"replica_errors,omitempty"`
-	ReplicaStalls        uint64 `json:"replica_stalls,omitempty"`
-	ReplicaLastShipNanos int64  `json:"replica_last_ship_nanos,omitempty"`
-}
+// statsVersion is the snapshot format: version 4 is every volume's
+// core.Stats as is. Versions 1–3 were a hand-flattened subset of it;
+// LoadStatsSnapshot reads them, like any format it does not know, as
+// "no snapshot".
+const statsVersion = 4
 
 type statsFile struct {
-	Version int                 `json:"version"`
-	Volumes []WritePathCounters `json:"volumes"`
-}
-
-// writePathCounters flattens one volume's Stats into its snapshot row.
-func writePathCounters(name string, st core.Stats) WritePathCounters {
-	hist := make([]uint64, len(st.WriteCache.BatchSizeHist))
-	copy(hist, st.WriteCache.BatchSizeHist[:])
-	row := WritePathCounters{
-		Volume:        name,
-		Writes:        st.Writes,
-		GroupBatches:  st.WriteCache.GroupBatches,
-		GroupRecords:  st.WriteCache.GroupRecords,
-		DevWrites:     st.WriteCache.DevWrites,
-		ReserveWaits:  st.WriteCache.ReserveWaits,
-		BatchSizeHist: hist,
-		RingKicks:     st.RingKicks,
-		RingFences:    st.RingFences,
-		SealStalls:    st.Backend.SealStalls,
-		UploadGrants:  st.Backend.UploadGrants,
-		UploadBorrows: st.Backend.UploadBorrows,
-		UploadWaits:   st.Backend.UploadWaits,
-		RunsCoalesced: st.RunsCoalesced,
-		GCRuns:        st.Backend.GCRuns,
-		GCVictims:     st.Backend.GCVictims,
-		GCCopiedBytes: st.Backend.GCBytesCopied,
-		GCPaceWaits:   st.Backend.GCPaceWaits,
-		GCBackoffs:    st.Backend.GCBackoffs,
-		GCYields:      st.Backend.GCYields,
-		GCWAFTarget:   st.Backend.GCWAFTarget,
-	}
-	if st.Backend.BytesAppended > 0 {
-		row.GCMeasuredWAF = float64(st.Backend.BytesAppended+st.Backend.GCBytesCopied) /
-			float64(st.Backend.BytesAppended)
-	}
-	if st.ReplicaEnabled {
-		row.ReplicaEnabled = true
-		row.ReplicaShippedSeq = st.Replica.ShippedSeq
-		row.ReplicaLagObjects = st.Replica.LagObjects
-		row.ReplicaLagBytes = st.Replica.LagBytes
-		row.ReplicaCopied = st.Replica.CopiedObjects
-		row.ReplicaCopiedBytes = st.Replica.CopiedBytes
-		row.ReplicaRetries = st.Replica.Retries
-		row.ReplicaErrors = st.Replica.Errors
-		row.ReplicaStalls = st.ReplicaStalls
-		row.ReplicaLastShipNanos = st.Replica.LastShipNanos
-	}
-	return row
+	Version int           `json:"version"`
+	Volumes []VolumeStats `json:"volumes"`
 }
 
 // persistStats writes the snapshot; FlatKeys hosts have no reserved
 // key namespace to write into, so they skip it.
-func (h *Host) persistStats(rows []WritePathCounters) {
+func (h *Host) persistStats(rows []VolumeStats) {
 	if h.opts.FlatKeys {
 		return
 	}
-	f := statsFile{Version: statsVersion, Volumes: rows}
-	raw, err := json.Marshal(f)
+	raw, err := json.Marshal(statsFile{Version: statsVersion, Volumes: rows})
 	if err != nil {
 		return
 	}
 	_ = h.retry.Put(context.Background(), statsKey, raw)
 }
 
-// statsVersion is the current snapshot format. Version 1 predates the
-// GC service counters, version 2 the replication counters; current
-// readers accept all three (absent fields simply decode as zero) and
-// report the version so tools can label an older snapshot honestly.
-const statsVersion = 3
-
-// StatsSnapshot is the decoded host/stats object plus its format
-// version, for readers that care which fields are meaningful.
-type StatsSnapshot struct {
-	Version int
-	Volumes []WritePathCounters
-}
-
-// LoadWritePathStats reads the write-path counter snapshot persisted
-// by the last clean host Close. A bucket no host has closed yet (or a
-// snapshot from a future format) yields nil, nil.
+// LoadStatsSnapshot reads the per-volume stats persisted by the last
+// clean host Close. A bucket no host has closed yet, an unparseable
+// snapshot and one in another format version all yield nil, nil — the
+// caller degrades to "n/a", never to an error.
 //
 //lsvd:classifies-errors
-func LoadWritePathStats(ctx context.Context, store objstore.Store) ([]WritePathCounters, error) {
-	snap, err := LoadStatsSnapshot(ctx, store)
-	if err != nil || snap == nil {
-		return nil, err
-	}
-	return snap.Volumes, nil
-}
-
-// LoadStatsSnapshot is LoadWritePathStats with the format version
-// attached. Absent snapshots, unparseable ones and future formats all
-// yield nil, nil — the caller degrades to "n/a", never to an error.
-//
-//lsvd:classifies-errors
-func LoadStatsSnapshot(ctx context.Context, store objstore.Store) (*StatsSnapshot, error) {
+func LoadStatsSnapshot(ctx context.Context, store objstore.Store) ([]VolumeStats, error) {
 	raw, err := store.Get(ctx, statsKey)
 	if err != nil {
 		if errors.Is(err, objstore.ErrNotFound) {
@@ -831,8 +721,8 @@ func LoadStatsSnapshot(ctx context.Context, store objstore.Store) (*StatsSnapsho
 		return nil, err
 	}
 	var f statsFile
-	if err := json.Unmarshal(raw, &f); err != nil || f.Version < 1 || f.Version > statsVersion {
+	if err := json.Unmarshal(raw, &f); err != nil || f.Version != statsVersion {
 		return nil, nil
 	}
-	return &StatsSnapshot{Version: f.Version, Volumes: f.Volumes}, nil
+	return f.Volumes, nil
 }

@@ -386,7 +386,7 @@ func TestHostArenaFairness(t *testing.T) {
 	if coldOwnedBefore == 0 {
 		t.Fatal("cold volume cached nothing in the arena; working set never left the write cache")
 	}
-	coldGETsBefore := cold.Stats().BackendGETs
+	coldGETsBefore := cold.Stats().Backend.FetchGETs
 
 	// Hot churns the arena far past its capacity while cold keeps
 	// reading its warmed set; collect cold's pass latencies.
@@ -420,9 +420,9 @@ func TestHostArenaFairness(t *testing.T) {
 	}
 	// Cold's warmed set was never evicted: its re-reads stayed on the
 	// SSD (no new backend GETs for cold).
-	if coldAfter.BackendGETs != coldGETsBefore {
+	if coldAfter.Backend.FetchGETs != coldGETsBefore {
 		t.Fatalf("cold went back to the backend under hot churn: GETs %d -> %d",
-			coldGETsBefore, coldAfter.BackendGETs)
+			coldGETsBefore, coldAfter.Backend.FetchGETs)
 	}
 	// Hot actually churned (evictions happened, hot is at its share).
 	ast := h.Stats().Arena
@@ -536,15 +536,15 @@ func TestHostServesVolumesOverNBD(t *testing.T) {
 }
 
 // TestVolumeSeesHostBudgets: the options a volume opens with carry the
-// host's half unchanged — budgets, fan-out and retry policy are the
-// host's whatever the caller put in the volume half — with the store
+// host's half unchanged — budgets and retry policy are the host's
+// whatever the caller put in the volume half — with the store
 // swapped for the volume's namespaced view and the name forced.
 func TestVolumeSeesHostBudgets(t *testing.T) {
 	ctx := context.Background()
 	h, err := New(ctx, Options{
 		HostOptions: core.HostOptions{
 			Store: objstore.NewMem(), CacheDev: simdev.NewMem(32 * block.MiB),
-			WriteCacheFrac: 0.4, UploadDepth: 3, FetchDepth: 5, OpenFanout: 2,
+			WriteCacheFrac: 0.4, UploadDepth: 3, FetchDepth: 5,
 			Retry: objstore.RetryPolicy{MaxAttempts: 7},
 		},
 	})

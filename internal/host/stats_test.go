@@ -45,19 +45,29 @@ func TestStatsSnapshotSmoke(t *testing.T) {
 	if _, err := os.Stat(filepath.Join(dir, "host", "stats")); err != nil {
 		t.Fatalf("snapshot object: %v", err)
 	}
-	wps, err := LoadWritePathStats(ctx, store)
+	vols, err := LoadStatsSnapshot(ctx, store)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(wps) != 1 || wps[0].Volume != "v1" {
-		t.Fatalf("snapshot rows: %+v", wps)
+	if len(vols) != 1 || vols[0].Name != "v1" {
+		t.Fatalf("snapshot rows: %+v", vols)
 	}
-	if wps[0].Writes != 16 || wps[0].GroupBatches == 0 {
-		t.Fatalf("counters: %+v", wps[0])
+	st := vols[0].Stats
+	if st.Writes != 16 || st.WriteCache.GroupBatches == 0 {
+		t.Fatalf("counters: %+v", st)
 	}
 	// The close-time drain seals and uploads at least one object, and
 	// its gate acquisition must survive the volume's Unregister.
-	if wps[0].UploadGrants+wps[0].UploadBorrows == 0 {
-		t.Fatalf("upload gate counters lost: %+v", wps[0])
+	if st.Backend.UploadGrants+st.Backend.UploadBorrows == 0 {
+		t.Fatalf("upload gate counters lost: %+v", st.Backend)
+	}
+
+	// A snapshot in a format this build does not write reads as absent.
+	old := []byte(`{"version":3,"volumes":[{"volume":"v1","writes":16}]}`)
+	if err := store.Put(ctx, statsKey, old); err != nil {
+		t.Fatal(err)
+	}
+	if vols, err := LoadStatsSnapshot(ctx, store); err != nil || vols != nil {
+		t.Fatalf("version 3 snapshot: got %+v, %v; want nil, nil", vols, err)
 	}
 }

@@ -33,7 +33,6 @@
 package readcache
 
 import (
-	"encoding/binary"
 	"fmt"
 	"sync"
 
@@ -742,28 +741,28 @@ func (c *Cache) Persist() error { return c.a.Persist() }
 func (a *Arena) Persist() error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	var w payloadWriter
-	w.u32(persistVersion)
-	w.u32(uint32(len(a.slabs)))
+	var w journal.Codec
+	w.PutU32(persistVersion)
+	w.PutU32(uint32(len(a.slabs)))
 	for _, s := range a.slabs {
-		w.u32(s.gen)
-		w.u64(uint64(s.fill))
+		w.PutU32(s.gen)
+		w.PutU64(uint64(s.fill))
 		owner := int32(noOwner)
 		if s.owner >= 0 {
 			owner = int32(s.owner)
 		}
-		w.u32(uint32(owner))
+		w.PutU32(uint32(owner))
 	}
-	w.u32(uint32(len(a.views)))
+	w.PutU32(uint32(len(a.views)))
 	for _, v := range a.views {
 		mapBytes, err := v.m.MarshalBinary()
 		if err != nil {
 			return err
 		}
-		w.str(v.name)
-		w.bytes(mapBytes)
+		w.PutStr(v.name)
+		w.PutBytes(mapBytes)
 	}
-	rec, err := journal.Encode(&journal.Header{Type: journal.TypeCheckpoint, Seq: 1, DataLen: uint64(len(w.buf))}, w.buf, true)
+	rec, err := journal.Encode(&journal.Header{Type: journal.TypeCheckpoint, Seq: 1, DataLen: uint64(len(w.Buf))}, w.Buf, true)
 	if err != nil {
 		return err
 	}
@@ -808,12 +807,12 @@ func (a *Arena) loadState() {
 	if err != nil {
 		return
 	}
-	r := payloadReader{buf: payload}
-	if r.u32() != persistVersion {
+	r := journal.Codec{Buf: payload}
+	if r.U32() != persistVersion {
 		return
 	}
-	n := int(r.u32())
-	if r.err != nil || n != len(a.slabs) {
+	n := int(r.U32())
+	if r.Err != nil || n != len(a.slabs) {
 		return
 	}
 	type slabState struct {
@@ -824,24 +823,24 @@ func (a *Arena) loadState() {
 	state := make([]slabState, n)
 	maxGen := uint32(0)
 	for i := range state {
-		state[i].gen = r.u32()
-		state[i].fill = int64(r.u64())
-		state[i].owner = int32(r.u32())
+		state[i].gen = r.U32()
+		state[i].fill = int64(r.U64())
+		state[i].owner = int32(r.U32())
 		if state[i].gen > maxGen {
 			maxGen = state[i].gen
 		}
 	}
-	nviews := int(r.u32())
-	if r.err != nil || nviews < 0 || nviews > n {
+	nviews := int(r.U32())
+	if r.Err != nil || nviews < 0 || nviews > n {
 		return
 	}
 	names := make([]string, nviews)
 	maps := make([][]byte, nviews)
 	for i := 0; i < nviews; i++ {
-		names[i] = r.str()
-		maps[i] = r.bytes()
+		names[i] = r.Str()
+		maps[i] = r.Bytes()
 	}
-	if r.err != nil {
+	if r.Err != nil {
 		return
 	}
 	// Commit: slab table first, then stash each view's map for its
@@ -977,64 +976,3 @@ func (a *Arena) Stats() ArenaStats {
 	}
 	return st
 }
-
-// --- persistence payload codec ---
-
-type payloadWriter struct{ buf []byte }
-
-func (w *payloadWriter) u32(v uint32) {
-	var b [4]byte
-	binary.LittleEndian.PutUint32(b[:], v)
-	w.buf = append(w.buf, b[:]...)
-}
-
-func (w *payloadWriter) u64(v uint64) {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], v)
-	w.buf = append(w.buf, b[:]...)
-}
-
-func (w *payloadWriter) bytes(p []byte) {
-	w.u32(uint32(len(p)))
-	w.buf = append(w.buf, p...)
-}
-
-func (w *payloadWriter) str(s string) { w.bytes([]byte(s)) }
-
-type payloadReader struct {
-	buf []byte
-	err error
-}
-
-func (r *payloadReader) take(n int) []byte {
-	if r.err != nil {
-		return nil
-	}
-	if n < 0 || len(r.buf) < n {
-		r.err = fmt.Errorf("truncated at %d (need %d)", len(r.buf), n)
-		return nil
-	}
-	out := r.buf[:n]
-	r.buf = r.buf[n:]
-	return out
-}
-
-func (r *payloadReader) u32() uint32 {
-	b := r.take(4)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint32(b)
-}
-
-func (r *payloadReader) u64() uint64 {
-	b := r.take(8)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint64(b)
-}
-
-func (r *payloadReader) bytes() []byte { return r.take(int(r.u32())) }
-
-func (r *payloadReader) str() string { return string(r.bytes()) }

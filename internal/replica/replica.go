@@ -44,12 +44,11 @@ type Config struct {
 	// needs no Register.
 	Gate   *iosched.Gate
 	GateID string
-	// MaxLagObjects/MaxLagBytes are the RPO bound: when the unshipped
-	// backlog exceeds either, OverBound() turns true and the owner
-	// (core's destage loop) applies write backpressure until the
-	// shipper catches up. 0 disables that bound.
+	// MaxLagObjects is the RPO bound: when more objects than this are
+	// unshipped, OverBound() turns true and the owner (core's write
+	// path) applies backpressure until the shipper catches up. 0
+	// disables the bound.
 	MaxLagObjects int
-	MaxLagBytes   int64
 	// OnAck, when set, is called after every ack (object copied,
 	// verified present, or deliberately skipped) — i.e. whenever the
 	// lag shrinks. Core uses it to wake writers stalled on the RPO
@@ -266,12 +265,11 @@ func (s *Shipper) shipSuper() {
 // configured RPO bound. The destage loop polls this to decide whether
 // to admit more foreground work.
 func (s *Shipper) OverBound() bool {
-	if s.cfg.MaxLagObjects <= 0 && s.cfg.MaxLagBytes <= 0 {
+	if s.cfg.MaxLagObjects <= 0 {
 		return false
 	}
-	objs, bytes := s.cfg.Backend.ShipLag()
-	return (s.cfg.MaxLagObjects > 0 && objs > s.cfg.MaxLagObjects) ||
-		(s.cfg.MaxLagBytes > 0 && bytes > s.cfg.MaxLagBytes)
+	objs, _ := s.cfg.Backend.ShipLag()
+	return objs > s.cfg.MaxLagObjects
 }
 
 // Stats returns cumulative progress plus the live lag.

@@ -87,30 +87,16 @@ type VolumeOptions struct {
 	Size int64
 
 	// Advanced tuning; zero values select the paper's configuration.
-	WriteCacheFraction float64 // SSD share for the write log (0.2)
-	BatchBytes         int64   // backend object size (8 MiB)
-	GCLowWater         float64 // GC trigger utilization (0.70); <0 disables
-	GCHighWater        float64 // GC stop utilization (0.75)
-	GCWAFTarget        float64 // background GC write-amplification budget (2.0); <0 unpaces
-	// PrefetchBytes is the temporal read-ahead window. 0 selects the
-	// default (128 KiB); there is no "disabled" value — the smallest
-	// window, one 512-byte sector, fetches nothing beyond the miss.
-	PrefetchBytes int64
+	BatchBytes  int64   // backend object size (8 MiB)
+	GCLowWater  float64 // GC trigger utilization (0.70); <0 disables
+	GCHighWater float64 // GC stop utilization (0.75)
+	GCWAFTarget float64 // background GC write-amplification budget (2.0); <0 unpaces
 
-	// Destage pipeline tuning; zero values select the defaults.
-	UploadDepth       int // concurrent backend object PUTs (4)
-	DestageQueueDepth int // queued writes between ack and destage (256)
-
-	// FetchDepth bounds concurrent backend range GETs on the
-	// read-miss path (8); 1 serializes misses as before the parallel
-	// read pipeline.
-	FetchDepth int
-
-	// OpenFanout bounds concurrent backend reads during crash
-	// recovery at Open (8); 1 serializes recovery I/O as before the
-	// parallel replay pipeline. Replay application stays strictly
-	// sequence-ordered either way.
-	OpenFanout int
+	// UploadDepth bounds concurrent backend object PUTs in the destage
+	// pipeline (4); FetchDepth bounds concurrent backend range GETs on
+	// the read-miss path (8).
+	UploadDepth int
+	FetchDepth  int
 
 	// Retry is the backend retry policy: transient store failures are
 	// retried with exponential backoff + jitter under one per-op
@@ -124,45 +110,36 @@ type VolumeOptions struct {
 	// store in commit order, keeping it a crash-consistent prefix of
 	// the primary. Recover from it with OpenFromReplica.
 	ReplicaStore ObjectStore
-	// ReplicaMaxLagObjects / ReplicaMaxLagBytes bound the replication
-	// lag — the recovery-point objective. When the unshipped backlog
-	// exceeds either bound, writes stall until the shipper catches up;
-	// 0 leaves that dimension unbounded.
+	// ReplicaMaxLagObjects bounds the replication lag — the
+	// recovery-point objective. When more committed objects than this
+	// are unshipped, writes stall until the shipper catches up; 0
+	// leaves the lag unbounded.
 	ReplicaMaxLagObjects int
-	ReplicaMaxLagBytes   int64
 }
 
 // coreOptions is the one translation of the public volume façade into
 // the internal options: each field lands in the half that declares it.
 func (o VolumeOptions) coreOptions() core.Options {
-	opts := core.Options{
+	return core.Options{
 		HostOptions: core.HostOptions{
-			Store:          o.Store,
-			CacheDev:       o.Cache,
-			WriteCacheFrac: o.WriteCacheFraction,
-			UploadDepth:    o.UploadDepth,
-			FetchDepth:     o.FetchDepth,
-			OpenFanout:     o.OpenFanout,
-			Retry:          o.Retry,
+			Store:       o.Store,
+			CacheDev:    o.Cache,
+			UploadDepth: o.UploadDepth,
+			FetchDepth:  o.FetchDepth,
+			Retry:       o.Retry,
 		},
 		VolumeOptions: core.VolumeOptions{
-			Volume:            o.Name,
-			VolBytes:          o.Size,
-			BatchBytes:        o.BatchBytes,
-			GCLowWater:        o.GCLowWater,
-			GCHighWater:       o.GCHighWater,
-			GCWAFTarget:       o.GCWAFTarget,
-			DestageQueueDepth: o.DestageQueueDepth,
+			Volume:      o.Name,
+			VolBytes:    o.Size,
+			BatchBytes:  o.BatchBytes,
+			GCLowWater:  o.GCLowWater,
+			GCHighWater: o.GCHighWater,
+			GCWAFTarget: o.GCWAFTarget,
 
 			ReplicaStore:         o.ReplicaStore,
 			ReplicaMaxLagObjects: o.ReplicaMaxLagObjects,
-			ReplicaMaxLagBytes:   o.ReplicaMaxLagBytes,
 		},
 	}
-	if o.PrefetchBytes > 0 {
-		opts.PrefetchSectors = uint32(o.PrefetchBytes / block.SectorSize)
-	}
-	return opts
 }
 
 // openFlat opens or creates the volume on the single-volume host every
@@ -202,7 +179,10 @@ func Clone(ctx context.Context, store ObjectStore, baseVolume, snapshot, newVolu
 }
 
 // OpenSnapshot mounts a named snapshot read-only; writes and trims
-// return core.ErrReadOnly.
+// return core.ErrReadOnly. Like OpenFromReplica it formats a fresh
+// write log over the first fifth of o.Cache, so pass a scratch cache
+// device: handing it a live volume's cache destroys that volume's
+// unflushed log.
 func OpenSnapshot(ctx context.Context, o VolumeOptions, snapshot string) (*Disk, error) {
 	return core.OpenSnapshot(ctx, o.coreOptions(), snapshot)
 }
@@ -292,17 +272,10 @@ type HostOptions struct {
 	// MaxVolumes is the number of write-cache slots carved from the
 	// SSD (default 8).
 	MaxVolumes int
-	// WriteCacheFraction is the SSD share carved into write-cache
-	// slots (default 0.2); the rest is the shared read arena.
-	WriteCacheFraction float64
 	// UploadDepth / FetchDepth are host-wide backend concurrency
 	// budgets shared by every volume (defaults 4 and 8).
 	UploadDepth int
 	FetchDepth  int
-	// OpenFanout bounds each volume's concurrent recovery reads at
-	// open (default 8; 1 serializes). Pair with Host.OpenAll to
-	// parallelize a multi-volume host restart across volumes too.
-	OpenFanout int
 	// Retry is the backend retry policy every volume inherits.
 	Retry RetryPolicy
 }
@@ -324,13 +297,11 @@ func OpenHost(ctx context.Context, o HostOptions) (*Host, error) {
 func (o HostOptions) hostOptions() host.Options {
 	return host.Options{
 		HostOptions: core.HostOptions{
-			Store:          o.Store,
-			CacheDev:       o.Cache,
-			WriteCacheFrac: o.WriteCacheFraction,
-			UploadDepth:    o.UploadDepth,
-			FetchDepth:     o.FetchDepth,
-			OpenFanout:     o.OpenFanout,
-			Retry:          o.Retry,
+			Store:       o.Store,
+			CacheDev:    o.Cache,
+			UploadDepth: o.UploadDepth,
+			FetchDepth:  o.FetchDepth,
+			Retry:       o.Retry,
 		},
 		MaxVolumes: o.MaxVolumes,
 	}
