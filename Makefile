@@ -16,7 +16,7 @@ GO ?= go
 # worker pool, and the cluster attach/failover protocol); `make race`
 # runs them under the race detector, including the destage stress
 # tests.
-RACE_PKGS := ./internal/core ./internal/blockstore ./internal/writecache ./internal/nbd ./internal/consistency ./internal/host ./internal/readcache ./internal/replica ./internal/cluster
+RACE_PKGS := ./internal/simdev ./internal/core ./internal/blockstore ./internal/writecache ./internal/nbd ./internal/consistency ./internal/host ./internal/readcache ./internal/replica ./internal/cluster
 
 # Native fuzz targets (package,function); fuzz-smoke runs each for
 # FUZZTIME and replays the checked-in testdata/fuzz corpora.

@@ -445,6 +445,13 @@ func newStore(ctx context.Context, cfg Config) *Store {
 	return s
 }
 
+// PipelineBytes is the most client data the write pipeline holds
+// uncommitted at once: the open batch plus the 2×UploadDepth sealed
+// objects reserveUploadSlotLocked admits.
+func (s *Store) PipelineBytes() int64 {
+	return int64(2*s.cfg.UploadDepth+1) * s.cfg.BatchBytes
+}
+
 // VolSectors returns the virtual disk size in sectors.
 func (s *Store) VolSectors() block.LBA { return s.volSectors }
 

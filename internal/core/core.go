@@ -23,6 +23,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -235,10 +236,6 @@ type counters struct {
 	prefetchedSectors             atomic.Uint64
 }
 
-// stagePoolCap bounds the staging-buffer freelist; beyond it, dead
-// buffers fall to the garbage collector.
-const stagePoolCap = 64
-
 // stagedBuf tracks one write's staging buffer until the destage
 // watermark passes its sequence number.
 type stagedBuf struct {
@@ -253,26 +250,35 @@ type stagedBuf struct {
 // destage watermark (the commit is what advances it) keeps the hot
 // write path from allocating — and the garbage collector from
 // scanning — a fresh buffer per write.
+//
+// Dead buffers wait in power-of-two size classes, so a volume that
+// mixes write sizes finds each size on its own list. The pool keeps at
+// most limit bytes of them — what the destage pipeline can hold in
+// flight, so a steady stream recycles every buffer; beyond it, dead
+// buffers fall to the garbage collector.
 type stagePool struct {
-	mu      sync.Mutex
-	free    [][]byte    // LIFO of dead buffers
-	pending []stagedBuf // in-flight, appended in ws order under wmu
+	mu        sync.Mutex
+	limit     int64                   // bound on freeBytes
+	freeBytes int64                   // capacity held on the free lists
+	free      [bits.UintSize][][]byte // free[c] holds buffers of capacity 1<<c
+	pending   []stagedBuf             // in-flight, appended in ws order under wmu
 }
 
+// stageClass returns the smallest c with 1<<c >= n.
+func stageClass(n int) int { return bits.Len(uint(n - 1)) }
+
 func (p *stagePool) get(n int) []byte {
+	c := stageClass(n)
 	p.mu.Lock()
-	for len(p.free) > 0 {
-		b := p.free[len(p.free)-1]
-		p.free = p.free[:len(p.free)-1]
-		if cap(b) >= n {
-			p.mu.Unlock()
-			return b[:n]
-		}
-		// Wrong size class (workload changed write size): drop it and
-		// keep looking; the freelist re-fills at the new size.
+	if l := p.free[c]; len(l) > 0 {
+		b := l[len(l)-1]
+		p.free[c] = l[:len(l)-1]
+		p.freeBytes -= int64(cap(b))
+		p.mu.Unlock()
+		return b[:n]
 	}
 	p.mu.Unlock()
-	return make([]byte, n)
+	return make([]byte, n, 1<<c)
 }
 
 // track records a buffer now owned by the destage pipeline. Callers
@@ -290,14 +296,33 @@ func (p *stagePool) destaged(ws uint64) {
 	p.mu.Lock()
 	i := 0
 	for ; i < len(p.pending) && p.pending[i].ws <= ws; i++ {
-		if len(p.free) < stagePoolCap {
-			p.free = append(p.free, p.pending[i].buf)
-		}
+		p.put(p.pending[i].buf)
 	}
 	if i > 0 {
 		p.pending = p.pending[:copy(p.pending, p.pending[i:])]
 	}
 	p.mu.Unlock()
+}
+
+// put returns a dead buffer to its class. When it does not fit under
+// the limit it first pushes out buffers of other classes — it is the
+// size in use now, they are what an earlier phase of the workload left
+// behind — and is dropped only when its own class fills the pool.
+func (p *stagePool) put(b []byte) {
+	c, size := stageClass(cap(b)), int64(cap(b))
+	for o := 0; o < len(p.free) && p.freeBytes+size > p.limit; o++ {
+		l := p.free[o]
+		for o != c && len(l) > 0 && p.freeBytes+size > p.limit {
+			l[len(l)-1] = nil
+			l = l[:len(l)-1]
+			p.freeBytes -= 1 << o
+		}
+		p.free[o] = l
+	}
+	if p.freeBytes+size <= p.limit {
+		p.free[c] = append(p.free[c], b)
+		p.freeBytes += size
+	}
 }
 
 // destageReq is one unit of work for the destager goroutine: a logged
@@ -642,6 +667,7 @@ func (d *Disk) startPipeline(ctx context.Context) {
 	if d.readOnly {
 		return
 	}
+	d.stage.limit = min(d.wc.Stats().LogBytes, d.bs.PipelineBytes())
 	d.ch = make(chan destageReq, d.opts.DestageQueueDepth)
 	d.quit = make(chan struct{})
 	d.done = make(chan struct{})

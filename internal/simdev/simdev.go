@@ -1,12 +1,17 @@
 // Package simdev provides the block devices LSVD layers sit on: a
-// sparse in-memory device with realistic crash semantics (writes
-// acknowledged before a flush may be lost), a file-backed device for
+// sparse in-memory device with realistic crash semantics (a write
+// acknowledged before a flush may be lost: the device keeps the
+// pre-image of every page written since the last flush, and a crash
+// rolls a random subset of those pages back), a file-backed device for
 // real deployments, and a metering wrapper that records the I/O stream
 // for the iomodel timing analysis.
 //
 // The memory device elides all-zero pages, so multi-gigabyte
 // experiment volumes written with zero payloads cost almost no RAM
 // while correctness tests with random payloads still see exact data.
+// Its wall-clock cost is the simulator's, not a device's: what the
+// I/O would cost on real hardware is the metered stream's modelled
+// time (DESIGN.md §7).
 package simdev
 
 import (
@@ -73,16 +78,32 @@ func vecLen(bufs [][]byte) int64 {
 
 // MemDevice is a sparse in-memory device. Nil pages read as zeros and
 // all-zero writes release pages, so only genuinely non-zero data costs
-// memory. Writes since the last Flush retain pre-images so Crash can
-// roll an arbitrary subset of them back, modeling a volatile device
-// cache lost on power failure.
+// memory. It models a volatile device cache lost on power failure:
+// every page written since the last Flush keeps its pre-image — the
+// page as it stood at that Flush — so Crash can roll an arbitrary
+// subset of them back.
+//
+// Pre-images are kept by copy-on-write: the first write to a page
+// after a Flush moves the current page into preimages (no copy) and
+// lands in a recycled page that inherits only the bytes the write
+// leaves alone; later writes to the same page go in place. A page held
+// in preimages is therefore never also in pages.
 type MemDevice struct {
-	mu        sync.RWMutex
-	size      int64
-	pages     map[int64][]byte
-	preimages map[int64][]byte // page index -> content at last flush
-	hasPre    map[int64]bool   // distinguishes "preimage is zero page"
+	mu    sync.RWMutex
+	size  int64
+	pages map[int64][]byte
+	// preimages has a key for every page written since the last Flush;
+	// a nil value means the page read as zeros then.
+	preimages map[int64][]byte
+	// free holds released pages (contents undefined) for reuse, at most
+	// maxFreePages of them: only pages that once held non-zero data ever
+	// get here, so zero-payload volumes keep costing almost no RAM.
+	free [][]byte
 }
+
+// maxFreePages bounds the page free list (16 MiB): about twice what a
+// write log dirties between two commit barriers.
+const maxFreePages = 256
 
 // NewMem returns a sparse in-memory device of the given size.
 func NewMem(size int64) *MemDevice {
@@ -90,7 +111,6 @@ func NewMem(size int64) *MemDevice {
 		size:      size,
 		pages:     make(map[int64][]byte),
 		preimages: make(map[int64][]byte),
-		hasPre:    make(map[int64]bool),
 	}
 }
 
@@ -163,53 +183,71 @@ func (d *MemDevice) writeLocked(p []byte, off int64) {
 		if n > pageSize-po {
 			n = pageSize - po
 		}
-		d.savePreimage(pg)
-		page := d.pages[pg]
-		if page == nil {
-			if allZero(p[:n]) {
-				// Writing zeros over a zero page: nothing to do.
-				p = p[n:]
-				off += n
-				continue
-			}
-			page = make([]byte, pageSize)
-			d.pages[pg] = page
-		}
-		copy(page[po:po+n], p[:n])
-		if allZero(page) {
-			delete(d.pages, pg)
-		}
+		d.writePage(pg, po, p[:n])
 		p = p[n:]
 		off += n
 	}
 }
 
-func (d *MemDevice) savePreimage(pg int64) {
-	if d.hasPre[pg] {
-		return
+// writePage stores p at offset po of page pg.
+func (d *MemDevice) writePage(pg, po int64, p []byte) {
+	page := d.pages[pg]
+	_, dirty := d.preimages[pg]
+	if !dirty {
+		// First write since the last Flush: the current page becomes
+		// the pre-image as it is, and the write goes to a fresh one.
+		d.preimages[pg] = page
 	}
-	d.hasPre[pg] = true
-	if page := d.pages[pg]; page != nil {
-		cp := make([]byte, pageSize)
-		copy(cp, page)
-		d.preimages[pg] = cp
-	} else {
-		d.preimages[pg] = nil // zero page
+	zero := allZero(p)
+	if page == nil && zero {
+		return // zeros over a zero page
+	}
+	if page == nil || !dirty {
+		old, end := page, po+int64(len(p))
+		page = d.newPage()
+		if old != nil {
+			copy(page[:po], old)
+			copy(page[end:], old[end:])
+		} else {
+			clear(page[:po])
+			clear(page[end:])
+		}
+		d.pages[pg] = page
+	}
+	copy(page[po:], p)
+	if zero && allZero(page) {
+		delete(d.pages, pg)
+		d.freePage(page)
 	}
 }
 
-// Flush implements Device: it commits all acknowledged writes, clearing
+// newPage returns a page whose contents are undefined.
+func (d *MemDevice) newPage() []byte {
+	if n := len(d.free); n > 0 {
+		page := d.free[n-1]
+		d.free = d.free[:n-1]
+		return page
+	}
+	return make([]byte, pageSize)
+}
+
+// freePage recycles a page nothing references anymore (nil is a no-op).
+func (d *MemDevice) freePage(page []byte) {
+	if page != nil && len(d.free) < maxFreePages {
+		d.free = append(d.free, page)
+	}
+}
+
+// Flush implements Device: it commits all acknowledged writes, dropping
 // the crash pre-images.
 func (d *MemDevice) Flush() error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.dropPreimages()
+	for _, pre := range d.preimages {
+		d.freePage(pre)
+	}
+	clear(d.preimages)
 	return nil
-}
-
-func (d *MemDevice) dropPreimages() {
-	d.preimages = make(map[int64][]byte)
-	d.hasPre = make(map[int64]bool)
 }
 
 // Crash simulates a power failure: every page written since the last
@@ -219,26 +257,26 @@ func (d *MemDevice) dropPreimages() {
 func (d *MemDevice) Crash(lossProb float64, rng *rand.Rand) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	for pg := range d.hasPre {
+	for pg, pre := range d.preimages {
 		if rng.Float64() >= lossProb {
+			d.freePage(pre)
 			continue
 		}
-		if pre := d.preimages[pg]; pre != nil {
-			page := make([]byte, pageSize)
-			copy(page, pre)
-			d.pages[pg] = page
+		d.freePage(d.pages[pg])
+		if pre != nil {
+			d.pages[pg] = pre
 		} else {
 			delete(d.pages, pg)
 		}
 	}
-	d.dropPreimages()
+	clear(d.preimages)
 }
 
 // DirtyPages returns the number of pages written since the last flush.
 func (d *MemDevice) DirtyPages() int {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	return len(d.hasPre)
+	return len(d.preimages)
 }
 
 // Discard erases the whole device (used to model losing the cache SSD
@@ -247,7 +285,7 @@ func (d *MemDevice) Discard() {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.pages = make(map[int64][]byte)
-	d.dropPreimages()
+	clear(d.preimages)
 }
 
 // PagesInUse returns the number of materialized (non-zero) pages.
