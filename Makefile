@@ -33,7 +33,7 @@ FUZZTIME ?= 10s
 # Ceiling on `//lsvd:ignore` waivers outside internal/analysis (whose
 # testdata seeds them on purpose). vet-lsvd fails above it. The budget
 # only ever goes down: delete a waiver, lower this number.
-WAIVER_BUDGET := 21
+WAIVER_BUDGET := 19
 
 .PHONY: all build fmt vet test race bench-smoke fault gc-torture vet-lsvd vet-lsvd-update-baseline check-invariant fuzz-smoke check clean
 

@@ -302,12 +302,10 @@ type Store struct {
 	sinceCkpt       int
 
 	// Checkpoint machinery (checkpoint.go). ckptQueued: a checkpoint
-	// marker sits in the upload pipeline. ckptActive: a synchronous
-	// checkpoint has dropped s.mu for its PUTs; sequence reservations
-	// (seals, GC objects) wait on commitCond until it clears. ckptBuf
-	// is the payload encode buffer reused across checkpoints.
+	// marker sits in the upload pipeline; GC object writes wait on
+	// commitCond until it clears. ckptBuf is the payload encode buffer
+	// reused across checkpoints.
 	ckptQueued bool
-	ckptActive bool
 	ckptBuf    []byte
 
 	hdrCache map[uint32]*hdrEntry
@@ -394,22 +392,35 @@ func Create(ctx context.Context, cfg Config) (*Store, error) {
 	if cfg.VolSectors == 0 {
 		return nil, fmt.Errorf("blockstore: zero volume size")
 	}
-	if _, err := cfg.Store.Get(ctx, superName(cfg.Volume)); err == nil {
-		return nil, fmt.Errorf("blockstore: volume %q already exists", cfg.Volume)
+	if err := requireAbsent(ctx, cfg, cfg.Volume); err != nil {
+		return nil, err
 	}
 	s := newStore(ctx, cfg)
 	s.volSectors = cfg.VolSectors
 	s.nextSeq = 1
-	// checkpointLocked drops and retakes s.mu around its PUTs, so even
-	// this single-threaded caller must hold it.
 	s.mu.Lock()
-	err := s.checkpointLocked()
+	err := s.checkpointFenceLocked()
 	s.mu.Unlock()
 	if err != nil {
 		return nil, err
 	}
 	s.startGCService()
 	return s, nil
+}
+
+// requireAbsent is the probe Create and Clone run before writing a new
+// volume's first superblock. Only ErrNotFound means the name is free: a
+// probe that failed any other way says nothing, and treating it as
+// "absent" would overwrite an existing volume's super.
+func requireAbsent(ctx context.Context, cfg Config, vol string) error {
+	_, err := cfg.Store.Get(ctx, superName(vol))
+	switch {
+	case err == nil:
+		return fmt.Errorf("blockstore: volume %q already exists", vol)
+	case errors.Is(err, objstore.ErrNotFound):
+		return nil
+	}
+	return fmt.Errorf("blockstore: probing for volume %q: %w", vol, err)
 }
 
 func newStore(ctx context.Context, cfg Config) *Store {
@@ -709,18 +720,6 @@ func DecodeSuperInfo(raw []byte) (*SuperInfo, error) {
 		info.Snapshots = append(info.Snapshots, SnapshotInfo{Name: sn.Name, Seq: sn.Seq})
 	}
 	return info, nil
-}
-
-func (s *Store) writeSuper() error {
-	raw, err := encodeSuper(&superblock{
-		volSectors: s.volSectors, lastCkpt: s.lastCkpt,
-		baseVol: s.baseVol, baseSeq: s.baseSeq, snapshots: s.snapshots,
-	})
-	if err != nil {
-		return err
-	}
-	//lsvd:ignore super rewrite is rare control-plane I/O and must be atomic with the in-memory pointers under mu
-	return s.cfg.Store.Put(s.ctx, superName(s.cfg.Volume), raw)
 }
 
 // sortedSeqs returns the volume's own object sequence numbers present

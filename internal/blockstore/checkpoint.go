@@ -4,51 +4,59 @@ import (
 	"encoding/binary"
 	"time"
 
-	"lsvd/internal/invariant"
 	"lsvd/internal/journal"
 )
 
-// Checkpoints (§3.3) are written WITHOUT holding s.mu across backend
-// I/O: the map and object table are snapshotted under a short lock
-// (ckptShot), then the encode finish and the two PUTs — checkpoint
-// object, then superblock — run with the lock released. Two paths
-// share the snapshot/PUT/finalize pieces:
+// A checkpoint (§3.3) is a numbered object in the stream and then a
+// superblock that points at it, and there is one way to write one: a
+// MARKER in the upload pipeline (queueCheckpointLocked). The marker
+// reserves its sequence number when it is queued; its state snapshot is
+// taken under a short hold of s.mu (fillCkptShotLocked) only when the
+// marker reaches the front of the in-flight list — once every earlier
+// object has committed — so the checkpoint covers exactly the committed
+// prefix without draining the pipeline. The two PUTs — checkpoint
+// object, then superblock — run on the marker's goroutine with s.mu
+// released. The marker holds the in-order commit walk for those two
+// PUTs and nothing else: later objects cannot commit until it is done,
+// so a crash can never leave acked data above a gap at the checkpoint's
+// sequence, and the moment the super PUT returns the walk moves on.
 //
-//   - The periodic checkpoint — every CheckpointEvery objects on the
-//     write path, and the GC service's idle checkpoint — is a MARKER
-//     in the upload pipeline (queueCheckpointLocked): it reserves its
-//     sequence number when it is queued, and the snapshot is
-//     taken only when the marker reaches the front of the in-flight
-//     list — i.e. once every earlier object has committed — so the
-//     checkpoint covers exactly the committed prefix without draining
-//     the pipeline. The marker holds the in-order commit walk for its
-//     own two PUTs and nothing else: later objects cannot commit until
-//     it is done, so a crash can never leave acked data above a gap at
-//     the checkpoint's sequence, and the moment the super PUT returns
-//     the walk moves on.
-//   - checkpointLocked is the synchronous path (Create, Clone, the
-//     Checkpoint API, snapshot creation): callers drain the pipeline
-//     first; ckptActive parks every sequence reservation while the
-//     lock is down so a failed checkpoint can return its sequence
-//     number and no gap is ever left in the log.
+// The write path queues a marker every CheckpointEvery objects and the
+// GC service queues one when it has idled past the interval. The
+// explicit callers — Checkpoint (hence core's Checkpoint and Close),
+// CreateSnapshot, DeleteSnapshot, Create and Clone — add only a fence
+// on each side (checkpointFenceLocked): they queue the same marker on a
+// drained pipeline and wait for the pipeline to drain again.
+//
+// Failure contract. A marker whose PUTs fail stays at the front of the
+// in-flight list with its sequence number: the number is never handed
+// back, so the log stays dense, and nothing behind the marker commits.
+// A fence resubmits it up to uploadAttempts() times, then returns the
+// error and leaves it queued; the next fence (Seal, Checkpoint, a
+// snapshot call) re-arms it with a fresh budget. A retry skips the
+// checkpoint object PUT if that already landed, and encodes the super
+// afresh (startCheckpointLocked), so it publishes the snapshot list of
+// the moment it runs, not of the moment it was queued.
 //
 // A durable checkpoint RELEASES the GC victims that were waiting for
 // it; it does not delete them. finalizeCheckpointLocked hands the
 // released entries to the reaper (reap.go), which parks the pinned
 // ones on s.deferred and claims the rest in s.reaping. The backend
-// deletes then run off s.mu, fanned out: on the marker's goroutine
-// after the marker is done and the commit walk has moved past it, or,
-// on the synchronous path, inside the same ckptActive lock-drop window
-// as the PUTs, so checkpointLocked returns with its victims gone.
+// deletes then run off s.mu, fanned out, on the marker's goroutine
+// after the marker is done and the commit walk has moved past it.
 //
-// Ordering rules the crash-consistency tests depend on:
+// Ordering rules the crash-consistency tests depend on. putCheckpoint
+// is the only function that PUTs a superblock, so rules 1 and 2 hold
+// for every super write, a snapshot's creation and deletion included:
 //
 //   1. The superblock PUT starts only after the checkpoint object PUT
 //      completed — the super never names a checkpoint that isn't
 //      durable.
 //   2. No victim released by a checkpoint is deleted before that
 //      checkpoint's super PUT succeeded — deleting a victim below the
-//      named checkpoint earlier would hole the replayable prefix.
+//      named checkpoint earlier would hole the replayable prefix, and
+//      deleting what a snapshot pins before the super that drops the
+//      snapshot would leave a listed snapshot unmountable.
 //   3. While a checkpoint marker is queued, GC object writes wait
 //      (writeGCObjectLocked): a GC object with a sequence number above
 //      the checkpoint's must not enter the checkpoint's map snapshot,
@@ -62,10 +70,11 @@ import (
 //      whichever checkpoint it recovers from.
 //   5. Abort claims no new reap and returns only once s.reaping is
 //      empty, like every issued PUT: the backend stops changing. The
-//      fences (waitInflightLocked, hence Seal, Checkpoint, DeleteSnapshot
-//      and core's Close) wait for s.reaping to empty as well, so "the
-//      pipeline is drained" still means no backend operation of this
-//      store is in flight.
+//      fences (waitInflightLocked, hence Seal, Checkpoint, the snapshot
+//      calls and core's Close) wait for s.reaping to empty as well, so
+//      "the pipeline is drained" still means no backend operation of
+//      this store is in flight, and a checkpoint fence returns with its
+//      victims gone.
 
 // checkpointPayload: the serialized object map, the object table,
 // deferred deletes, the durable write watermark and a pointer to the
@@ -81,18 +90,16 @@ type checkpointPayload struct {
 
 // ckptShot is one checkpoint's state snapshot, taken under s.mu in
 // fillCkptShotLocked and consumed off-lock by putCheckpoint. payload
-// aliases s.ckptBuf (reused across checkpoints; the single-flight
-// guards — ckptQueued for markers, ckptActive for the synchronous
-// path — keep at most one shot alive). rec and objDone carry resubmit
-// state: a retry after a failed superblock PUT reuses the encoded
-// record and skips the already-durable object PUT.
+// aliases s.ckptBuf (reused across checkpoints; ckptQueued keeps at
+// most one shot alive). rec and objDone carry resubmit state: a retry
+// after a failed superblock PUT reuses the encoded record and skips the
+// already-durable object PUT. super is encoded again for every attempt.
 type ckptShot struct {
 	seq      uint32
 	writeSeq uint64
 	payload  []byte
 	super    []byte
 	nPending int
-	prevTick int // sinceCkpt before the snapshot, restored on sync-path failure
 
 	rec     []byte
 	objDone bool
@@ -147,18 +154,9 @@ func (s *Store) fillCkptShotLocked(shot *ckptShot) error {
 	binary.LittleEndian.PutUint32(w.Buf[lenOff:], uint32(len(w.Buf)-lenOff-4))
 	s.ckptBuf = w.Buf
 
-	super, err := encodeSuper(&superblock{
-		volSectors: s.volSectors, lastCkpt: shot.seq,
-		baseVol: s.baseVol, baseSeq: s.baseSeq, snapshots: s.snapshots,
-	})
-	if err != nil {
-		return err
-	}
 	shot.payload = w.Buf
-	shot.super = super
 	shot.writeSeq = s.durableWriteSeq
 	shot.nPending = len(s.pending)
-	shot.prevTick = s.sinceCkpt
 	s.sinceCkpt = 0
 	s.stats.lastCkptStallNanos = time.Since(start).Nanoseconds()
 	return nil
@@ -218,68 +216,39 @@ func (s *Store) finalizeCheckpointLocked(shot *ckptShot) []deferredDelete {
 
 // Checkpoint writes the volume's map and metadata as a numbered object
 // in the stream (§3.3), updates the superblock pointer, and releases
-// object deletions that were waiting for a checkpoint.
+// object deletions that were waiting for a checkpoint. It returns once
+// those deletions have been attempted.
 func (s *Store) Checkpoint() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.readOnly {
 		return ErrReadOnly
 	}
-	// A checkpoint must never record a nextSeq beyond an uncommitted
-	// object (recovery replay only covers seqs after the checkpoint),
-	// so drain the upload pipeline first.
 	s.rearmFailedLocked()
 	if err := s.waitInflightLocked(); err != nil {
 		return err
 	}
-	return s.checkpointLocked()
+	return s.checkpointFenceLocked()
 }
 
-// checkpointLocked is the synchronous checkpoint: snapshot under s.mu,
-// PUT with the lock RELEASED, finalize, delete the released victims
-// with the lock released again. Callers hold s.mu with the upload
-// pipeline drained. ckptActive single-flights concurrent synchronous
-// checkpoints and parks every sequence reservation (seals, GC objects)
-// for the duration of both lock drops, so on failure the reserved
-// sequence number can be returned with no gap left behind.
+// checkpointFenceLocked is what an explicit checkpoint adds to the
+// periodic one: it queues the marker on a pipeline the caller has just
+// drained (so the marker starts at once and covers everything the
+// caller sealed) and waits for the pipeline to drain again — marker
+// durable, released victims reaped. s.mu is down while it waits, so
+// objects sealed meanwhile queue behind the marker and are waited for
+// too. On failure the marker stays queued (see the failure contract
+// above); callers undo only their own in-memory change.
 //
 //lsvd:requires bs.mu
-func (s *Store) checkpointLocked() error {
-	for s.ckptActive {
-		s.commitCond.Wait()
+func (s *Store) checkpointFenceLocked() error {
+	if s.aborting {
+		// Abort landed while the caller's opening fence had s.mu down and
+		// has promised that the backend stops changing.
+		return ErrReadOnly
 	}
-	invariant.Assertf(!s.ckptQueued,
-		"blockstore: synchronous checkpoint with a checkpoint marker still queued")
-	shot := &ckptShot{seq: s.nextSeq}
-	s.nextSeq++
-	if err := s.fillCkptShotLocked(shot); err != nil {
-		s.nextSeq--
-		return err
-	}
-	s.ckptActive = true
-	s.mu.Unlock()
-	err := s.putCheckpoint(shot)
-	s.mu.Lock()
-	if err != nil {
-		s.ckptActive = false
-		// No reservation advanced while ckptActive: the checkpoint's
-		// sequence number goes back so the log stays gapless. A
-		// checkpoint object whose PUT landed but whose super didn't is
-		// either overwritten by the next object at this seq or replayed
-		// wholesale by recovery — both consistent.
-		invariant.Assertf(s.nextSeq == shot.seq+1,
-			"blockstore: sequence %d reserved during a synchronous checkpoint at %d", s.nextSeq-1, shot.seq)
-		s.nextSeq = shot.seq
-		s.sinceCkpt = shot.prevTick
-		s.commitCond.Broadcast()
-		return err
-	}
-	// A failed delete is back on s.pending for the next checkpoint; it
-	// does not fail this one.
-	_ = s.reapLocked(s.finalizeCheckpointLocked(shot), &s.pending)
-	s.ckptActive = false
-	s.commitCond.Broadcast()
-	return nil
+	s.queueCheckpointLocked()
+	return s.waitInflightLocked()
 }
 
 func decodeCheckpoint(data []byte) (*checkpointPayload, error) {

@@ -2,7 +2,9 @@ package blockstore
 
 import (
 	"bytes"
+	"context"
 	"errors"
+	"sync/atomic"
 	"testing"
 
 	"lsvd/internal/block"
@@ -11,7 +13,8 @@ import (
 
 // TestCheckpointFailureKeepsOldPointer: if the superblock update
 // fails, the previous checkpoint must stay authoritative so recovery
-// still works.
+// still works; the failed marker keeps its sequence number and stays
+// queued, and the next Checkpoint on the same store finishes it.
 func TestCheckpointFailureKeepsOldPointer(t *testing.T) {
 	faulty := objstore.NewFaulty(objstore.NewMem())
 	s := newVolume(t, faulty, Config{CheckpointEvery: 1 << 30})
@@ -23,7 +26,6 @@ func TestCheckpointFailureKeepsOldPointer(t *testing.T) {
 	if err := s.Checkpoint(); !errors.Is(err, objstore.ErrInjected) {
 		t.Fatalf("super failure not surfaced: %v", err)
 	}
-	faulty.FailPuts(superName("vol"), 0)
 	// Recovery from the old superblock still finds everything (the
 	// data object replays from the old checkpoint).
 	s2, err := Open(ctx, Config{Volume: "vol", Store: faulty})
@@ -32,6 +34,130 @@ func TestCheckpointFailureKeepsOldPointer(t *testing.T) {
 	}
 	if got := readAll(t, s2, ext); !bytes.Equal(got, data) {
 		t.Fatal("data lost after failed checkpoint")
+	}
+
+	// The fault clears: the same store's next fence re-arms the marker
+	// at the number it already holds, so the log stays dense and the
+	// object whose PUT did land is the checkpoint, not an orphan.
+	faulty.FailPuts(superName("vol"), 0)
+	failedAt := s.Stats().NextSeq - 1
+	if err := s.Checkpoint(); err != nil {
+		t.Fatalf("checkpoint after the fault cleared: %v", err)
+	}
+	if st := s.Stats(); st.InflightObjects != 0 || st.NextSeq != failedAt+2 {
+		t.Fatalf("after the retry: %d in flight, next seq %d, want 0 and %d", st.InflightObjects, st.NextSeq, failedAt+2)
+	}
+	s3, err := Open(ctx, Config{Volume: "vol", Store: faulty})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := readAll(t, s3, ext); !bytes.Equal(got, data) {
+		t.Fatal("data lost after the retried checkpoint")
+	}
+	if st := s3.Stats(); st.RecoveredObjects != 0 || st.NextSeq != failedAt+2 || st.OrphanObjects != 0 {
+		t.Fatalf("reopen replayed %d objects to seq %d with %d orphans, want 0, %d, 0",
+			st.RecoveredObjects, st.NextSeq, st.OrphanObjects, failedAt+2)
+	}
+	backendMatchesTable(t, s3, faulty)
+}
+
+// TestFailedCreateSnapshotNotPublishedByRetry: a CreateSnapshot whose
+// super PUT fails returns the error and takes its entry back; the
+// marker it left queued encodes its super per attempt, so the retry a
+// later Checkpoint drives publishes a super without the snapshot.
+func TestFailedCreateSnapshotNotPublishedByRetry(t *testing.T) {
+	faulty := objstore.NewFaulty(objstore.NewMem())
+	s := newVolume(t, faulty, Config{CheckpointEvery: 1 << 30})
+	ext := block.Extent{LBA: 0, Sectors: 64}
+	_ = s.Append(1, ext, payload(6, int(ext.Bytes())))
+	if _, err := s.CreateSnapshot("kept"); err != nil {
+		t.Fatal(err)
+	}
+	faulty.FailPuts(superName("vol"), -1)
+	if _, err := s.CreateSnapshot("lost"); !errors.Is(err, objstore.ErrInjected) {
+		t.Fatalf("super failure not surfaced: %v", err)
+	}
+	faulty.FailPuts(superName("vol"), 0)
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	info := backendSuper(t, faulty)
+	if got := s.Snapshots(); len(got) != 1 || got[0].Name != "kept" {
+		t.Fatalf("store lists %+v, want only \"kept\"", got)
+	}
+	if len(info.Snapshots) != 1 || info.Snapshots[0] != s.Snapshots()[0] {
+		t.Fatalf("super lists %+v, the store %+v", info.Snapshots, s.Snapshots())
+	}
+	if info.LastCheckpoint != s.Stats().NextSeq-1 {
+		t.Fatalf("super names checkpoint %d, the newest is %d", info.LastCheckpoint, s.Stats().NextSeq-1)
+	}
+}
+
+// getFailStore fails the next n Gets of one name with an error that is
+// not ErrNotFound.
+type getFailStore struct {
+	objstore.Store
+	name string
+	n    atomic.Int32
+}
+
+var errProbe = errors.New("backend unreachable")
+
+func (g *getFailStore) Get(ctx context.Context, name string) ([]byte, error) {
+	if name == g.name && g.n.Add(-1) >= 0 {
+		return nil, errProbe
+	}
+	return g.Store.Get(ctx, name)
+}
+
+// TestCreateAndCloneProbeErrorIsNotAbsence: only ErrNotFound from the
+// existence probe means the volume name is free. A probe that failed
+// any other way must fail Create and Clone, not let them rewrite the
+// super of a volume that is there.
+func TestCreateAndCloneProbeErrorIsNotAbsence(t *testing.T) {
+	gs := &getFailStore{Store: objstore.NewMem(), name: superName("vol")}
+	noRetry := objstore.RetryPolicy{MaxAttempts: -1}
+	s := newVolume(t, gs, Config{Retry: noRetry})
+	ext := block.Extent{LBA: 0, Sectors: 64}
+	data := payload(7, int(ext.Bytes()))
+	_ = s.Append(1, ext, data)
+	if _, err := s.CreateSnapshot("golden"); err != nil {
+		t.Fatal(err)
+	}
+	stillThere := func(what string) {
+		t.Helper()
+		s2, err := Open(ctx, Config{Volume: "vol", Store: gs, Retry: noRetry})
+		if err != nil {
+			t.Fatalf("after %s: %v", what, err)
+		}
+		if got := readAll(t, s2, ext); !bytes.Equal(got, data) {
+			t.Fatalf("%s emptied the existing volume", what)
+		}
+	}
+
+	gs.n.Store(1)
+	if _, err := Create(ctx, Config{Volume: "vol", Store: gs, VolSectors: volSectors, Retry: noRetry}); !errors.Is(err, errProbe) {
+		t.Fatalf("Create over a failed probe: %v", err)
+	}
+	stillThere("Create")
+
+	if err := Clone(ctx, Config{Volume: "vol", Store: gs, Retry: noRetry}, "golden", "twin"); err != nil {
+		t.Fatal(err)
+	}
+	twin, err := gs.Store.Get(ctx, superName("twin"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	gs.name = superName("twin")
+	gs.n.Store(1)
+	if err := Clone(ctx, Config{Volume: "vol", Store: gs, Retry: noRetry}, "golden", "twin"); !errors.Is(err, errProbe) {
+		t.Fatalf("Clone over a failed probe: %v", err)
+	}
+	if after, _ := gs.Store.Get(ctx, superName("twin")); !bytes.Equal(after, twin) {
+		t.Fatal("Clone rewrote the super of an existing volume")
+	}
+	if err := Clone(ctx, Config{Volume: "vol", Store: gs, Retry: noRetry}, "golden", "twin"); err == nil {
+		t.Fatal("Clone over an existing volume accepted")
 	}
 }
 

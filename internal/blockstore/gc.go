@@ -214,14 +214,12 @@ func (s *Store) gcService() {
 		}
 		// Deletion of cleaned victims waits for a checkpoint; with no
 		// foreground traffic to drive one, the service queues the marker
-		// itself so idle-time collection actually reclaims space. A
-		// marker, not checkpointLocked: on an empty pipeline it starts
-		// at once, behind uploads it waits its turn, and either way no
-		// seal parks behind its PUTs or its victims' deletes. Never
-		// inside a synchronous checkpoint's lock drop, which relies on
-		// no sequence number being reserved meanwhile.
+		// itself so idle-time collection actually reclaims space: on an
+		// empty pipeline it starts at once, behind uploads it waits its
+		// turn, and either way no seal parks behind its PUTs or its
+		// victims' deletes.
 		if err == nil && !s.gcStop && !s.aborting &&
-			!s.ckptQueued && !s.ckptActive && s.sinceCkpt >= s.cfg.CheckpointEvery {
+			!s.ckptQueued && s.sinceCkpt >= s.cfg.CheckpointEvery {
 			s.queueCheckpointLocked()
 		}
 	}
@@ -623,14 +621,12 @@ func (s *Store) writeGCObjectLocked(pieces []gcPiece) error {
 	// and they must be satisfied simultaneously while never holding one
 	// across a wait for the other:
 	//
-	//   - No checkpoint underway. ckptActive: a synchronous checkpoint
-	//     dropped s.mu and relies on no sequence reservation happening
-	//     meanwhile. ckptQueued: a checkpoint marker is pending in the
-	//     upload pipeline, and a GC object sequenced ABOVE the marker
-	//     must not enter its state snapshot — recovery's gap rule could
-	//     delete the GC object (an uncommitted data object below it
-	//     leaves a gap) while the recovered map still references it,
-	//     after the checkpoint already released its victims.
+	//   - No checkpoint marker queued (ckptQueued): a GC object
+	//     sequenced ABOVE the marker must not enter its state snapshot —
+	//     recovery's gap rule could delete the GC object (an uncommitted
+	//     data object below it leaves a gap) while the recovered map
+	//     still references it, after the checkpoint already released
+	//     its victims.
 	//   - A gate slot for the PUT, taken before reserving the sequence
 	//     number: the acquire can block on foreground traffic and must
 	//     not happen inside the critical section (or under mu at all).
@@ -638,7 +634,7 @@ func (s *Store) writeGCObjectLocked(pieces []gcPiece) error {
 	//     marker only completes once the uploads ahead of it drain
 	//     through this same gate.
 	for {
-		for s.ckptActive || s.ckptQueued {
+		for s.ckptQueued {
 			if s.aborting {
 				return errGCAborted
 			}
@@ -654,7 +650,7 @@ func (s *Store) writeGCObjectLocked(pieces []gcPiece) error {
 			s.gcGateRelease()
 			return errGCAborted
 		}
-		if !s.ckptActive && !s.ckptQueued {
+		if !s.ckptQueued {
 			defer s.gcGateRelease()
 			break
 		}

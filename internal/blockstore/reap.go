@@ -8,10 +8,10 @@ import (
 )
 
 // The reaper is the one path by which a cleaned object leaves the
-// backend. Every release site — a durable checkpoint (marker or
-// synchronous), a shipped-watermark advance, DeleteSnapshot, and
-// recovery's deferred re-sweep — hands it a list of deferredDeletes
-// and it works in three steps:
+// backend. Every release site — a durable checkpoint (DeleteSnapshot's
+// included), a shipped-watermark advance, and recovery's deferred
+// re-sweep — hands it a list of deferredDeletes and it works in three
+// steps:
 //
 //  1. reapClaimLocked, under s.mu: entries a snapshot or the shipped
 //     watermark still pins join s.deferred; the rest move to s.reaping.
@@ -110,8 +110,7 @@ func (s *Store) reap(claimed []deferredDelete, requeue *[]deferredDelete) error 
 }
 
 // reapLocked runs all three steps for a caller that holds s.mu,
-// dropping it around the deletes. Callers whose invariants span the
-// drop park sequence reservations with ckptActive first.
+// dropping it around the deletes.
 //
 //lsvd:requires bs.mu
 func (s *Store) reapLocked(ds []deferredDelete, requeue *[]deferredDelete) error {

@@ -230,14 +230,21 @@ func TestReapDoesNotStallPipeline(t *testing.T) {
 }
 
 // TestCheckpointOrdersPutsBeforeDeletes proves rules 1 and 2 from the
-// backend's point of view, on the marker path and the synchronous one:
-// a super PUT starts only after the checkpoint object it names has
-// landed, and no victim's delete reaches the backend before the super
-// PUT of the first checkpoint that lists it has completed.
+// backend's point of view, for periodic markers, an explicit Checkpoint
+// and a snapshot's creation and deletion alike: a super PUT starts only
+// after the checkpoint object it names has landed, no victim's delete
+// reaches the backend before the super PUT of the first checkpoint that
+// lists it has completed, and what a snapshot pinned goes only after
+// the super that drops the snapshot.
 func TestCheckpointOrdersPutsBeforeDeletes(t *testing.T) {
 	rs := &reapStore{Store: objstore.NewMem()}
 	s := newVolume(t, nil, churnConfig(rs))
 	var w uint64
+	churn(t, s, &w)
+	churn(t, s, &w)
+	if _, err := s.CreateSnapshot("pin"); err != nil {
+		t.Fatal(err)
+	}
 	for i := 0; i < 18; i++ { // four marker checkpoints
 		churn(t, s, &w)
 	}
@@ -248,7 +255,7 @@ func TestCheckpointOrdersPutsBeforeDeletes(t *testing.T) {
 	if markerDeletes == 0 {
 		t.Fatal("marker checkpoints released nothing")
 	}
-	for i := 0; i < 3; i++ { // victims for the synchronous checkpoint
+	for i := 0; i < 3; i++ { // victims for the explicit checkpoint
 		churn(t, s, &w)
 	}
 	if err := s.Seal(); err != nil {
@@ -258,7 +265,20 @@ func TestCheckpointOrdersPutsBeforeDeletes(t *testing.T) {
 		t.Fatal(err)
 	}
 	if s.Stats().ObjectsDeleted == markerDeletes {
-		t.Fatal("the synchronous checkpoint released nothing")
+		t.Fatal("the explicit checkpoint released nothing")
+	}
+	s.mu.RLock()
+	pinned := append([]deferredDelete(nil), s.deferred...)
+	s.mu.RUnlock()
+	if len(pinned) == 0 {
+		t.Fatal("the snapshot pinned nothing")
+	}
+	unpinnedAt := len(rs.opLog())
+	if err := s.DeleteSnapshot("pin"); err != nil {
+		t.Fatal(err)
+	}
+	if st := s.Stats(); st.DeferredDeletes != 0 || st.ObjectsDeleted != st.GCVictims {
+		t.Fatalf("after DeleteSnapshot: %d deferred, %d deleted of %d victims", st.DeferredDeletes, st.ObjectsDeleted, st.GCVictims)
 	}
 
 	log := rs.opLog()
@@ -270,9 +290,13 @@ func TestCheckpointOrdersPutsBeforeDeletes(t *testing.T) {
 		}
 		return -1
 	}
-	// superDone[v]: log index at which the super PUT of the first
-	// checkpoint listing victim v completed.
+	// superDone[v]: log index at which the super PUT that releases victim
+	// v completed — the first checkpoint listing it, or for a pinned one
+	// DeleteSnapshot's.
 	superDone := make(map[string]int)
+	for _, d := range pinned {
+		superDone[objName("vol", d.Obj)] = index("put-done vol.super", unpinnedAt)
+	}
 	s.mu.RLock()
 	var ckpts []uint32
 	for seq, o := range s.objects {
@@ -368,13 +392,21 @@ func TestKillMidReapRedrivenAtOpen(t *testing.T) {
 		names, _ := rs.Store.List(ctx, "vol.")
 		return len(sortedSeqs("vol", names)) < int(s.Stats().Objects)
 	})
-	// The rest die with the process. context.Canceled keeps any retry
-	// layer from reissuing them.
+	killMidReapAndReopen(t, s, rs, w)
+}
+
+// killMidReapAndReopen kills s while rs holds its deletes — they die
+// with the process — and reopens the volume: the kill must have
+// stranded victims, open must re-drive every one of them, and the data
+// of write w must read back.
+func killMidReapAndReopen(t *testing.T, s *Store, rs *reapStore, w uint64) *Store {
+	t.Helper()
 	killed := make(chan struct{})
 	go func() {
 		s.Abort()
 		close(killed)
 	}()
+	// context.Canceled keeps any retry layer from reissuing the deletes.
 	rs.releaseDeletes(fmt.Errorf("killed mid-reap: %w", context.Canceled))
 	<-killed
 	stranded := s.Stats().DeferredDeletes
@@ -396,6 +428,7 @@ func TestKillMidReapRedrivenAtOpen(t *testing.T) {
 	if got := readAll(t, s2, churnExt); string(got) != string(payload(int64(w), int(churnExt.Bytes()))) {
 		t.Fatal("data wrong after kill mid-reap + reopen")
 	}
+	return s2
 }
 
 // TestReapDeleteFailureRedefers: every victim's first delete fails.
@@ -441,11 +474,10 @@ func TestReapDeleteFailureRedefers(t *testing.T) {
 	}
 }
 
-// TestDeleteSnapshotReapsOffLock: DeleteSnapshot's deletes run with
-// the store lock released, the super is rewritten only after them, and
-// no checkpoint slips into the window.
-func TestDeleteSnapshotReapsOffLock(t *testing.T) {
-	rs := &reapStore{Store: objstore.NewMem()}
+// pinnedVolume returns a store with a snapshot "pin" that alone pins at
+// least one cleaned object, and no periodic checkpoint to disturb it.
+func pinnedVolume(t *testing.T, rs *reapStore) (*Store, uint64) {
+	t.Helper()
 	cfg := churnConfig(rs)
 	cfg.CheckpointEvery = 1 << 30
 	s := newVolume(t, nil, cfg)
@@ -465,33 +497,84 @@ func TestDeleteSnapshotReapsOffLock(t *testing.T) {
 	if s.Stats().ObjectsDeleted == s.Stats().GCVictims {
 		t.Fatal("the snapshot pinned nothing")
 	}
+	return s, w
+}
+
+// backendSuper decodes the superblock the backend holds for "vol".
+func backendSuper(t *testing.T, store objstore.Store) *SuperInfo {
+	t.Helper()
+	raw, err := store.Get(ctx, superName("vol"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	info, err := DecodeSuperInfo(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return info
+}
+
+// TestDeleteSnapshotReapsOffLock: DeleteSnapshot is a checkpoint. The
+// super that drops the snapshot lands before any object the snapshot
+// pinned is deleted, and those deletes run with the store lock released.
+func TestDeleteSnapshotReapsOffLock(t *testing.T) {
+	rs := &reapStore{Store: objstore.NewMem()}
+	s, w := pinnedVolume(t, rs)
+	if err := s.DeleteSnapshot("nope"); err == nil {
+		t.Fatal("deleting an unknown snapshot succeeded")
+	}
 
 	rs.holdDeletes()
 	start := len(rs.opLog())
 	done := make(chan error, 1)
 	go func() { done <- s.DeleteSnapshot("pin") }()
 	waitFor(t, "DeleteSnapshot's deletes", func() bool { return rs.parkedDeletes() > 0 })
+	if got := backendSuper(t, rs.Store).Snapshots; len(got) != 0 {
+		t.Fatalf("deletes issued while the super still lists %+v", got)
+	}
 	half := block.Extent{LBA: 0, Sectors: churnExt.Sectors / 2}
 	w++
 	mustReturn(t, "Append", func() error { return s.Append(w, half, payload(int64(w), int(half.Bytes()))) })
-	held := len(rs.opLog())
+	select {
+	case err := <-done:
+		t.Fatalf("DeleteSnapshot returned (%v) with its deletes held", err)
+	default:
+	}
 	rs.releaseDeletes(nil)
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
-	log := rs.opLog()
-	for _, e := range log[start:held] {
-		if e == "put vol.super" {
-			t.Fatal("super PUT while the snapshot's deletes were held")
+	superDone := false
+	for _, e := range rs.opLog()[start:] {
+		switch {
+		case e == "put-done vol.super":
+			superDone = true
+		case strings.HasPrefix(e, "delete ") && !superDone:
+			t.Fatalf("%s before the super that drops the snapshot landed", e)
 		}
-	}
-	if log[len(log)-1] != "put-done vol.super" {
-		t.Fatalf("last backend op %q, want the super rewrite", log[len(log)-1])
 	}
 	if st := s.Stats(); st.DeferredDeletes != 0 || st.ObjectsDeleted != st.GCVictims {
 		t.Fatalf("%d deferred, %d deleted of %d victims", st.DeferredDeletes, st.ObjectsDeleted, st.GCVictims)
 	}
 	if err := s.AuditUtilization(); err != nil {
 		t.Fatal(err)
+	}
+	backendMatchesTable(t, s, rs.Store)
+}
+
+// TestKillAfterDeleteSnapshotSuperRedrivenAtOpen: a crash between the
+// super that drops a snapshot and the deletes of what it pinned reopens
+// with the snapshot gone and the deferred list re-driven.
+func TestKillAfterDeleteSnapshotSuperRedrivenAtOpen(t *testing.T) {
+	rs := &reapStore{Store: objstore.NewMem()}
+	s, w := pinnedVolume(t, rs)
+	rs.holdDeletes()
+	done := make(chan error, 1)
+	go func() { done <- s.DeleteSnapshot("pin") }()
+	waitFor(t, "DeleteSnapshot's deletes", func() bool { return rs.parkedDeletes() > 0 })
+	s2 := killMidReapAndReopen(t, s, rs, w)
+	<-done
+	if got := s2.Snapshots(); len(got) != 0 {
+		t.Fatalf("reopened with snapshots %+v", got)
 	}
 }

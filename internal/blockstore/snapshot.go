@@ -3,6 +3,7 @@ package blockstore
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"lsvd/internal/journal"
 )
@@ -11,6 +12,13 @@ import (
 type SnapshotInfo struct {
 	Name string
 	Seq  uint32
+}
+
+// snapshotIndexLocked returns the index of the named snapshot, or -1.
+//
+//lsvd:requires bs.mu
+func (s *Store) snapshotIndexLocked(name string) int {
+	return slices.IndexFunc(s.snapshots, func(sn snapshot) bool { return sn.Name == name })
 }
 
 // CreateSnapshot seals the pending batch and designates the resulting
@@ -23,72 +31,54 @@ func (s *Store) CreateSnapshot(name string) (SnapshotInfo, error) {
 	if s.readOnly {
 		return SnapshotInfo{}, ErrReadOnly
 	}
-	for _, sn := range s.snapshots {
-		if sn.Name == name {
-			return SnapshotInfo{}, fmt.Errorf("blockstore: snapshot %q already exists", name)
-		}
+	if s.snapshotIndexLocked(name) >= 0 {
+		return SnapshotInfo{}, fmt.Errorf("blockstore: snapshot %q already exists", name)
 	}
 	if err := s.sealAndWaitLocked(); err != nil {
 		return SnapshotInfo{}, err
 	}
 	seq := s.nextSeq - 1
 	s.snapshots = append(s.snapshots, snapshot{Name: name, Seq: seq})
-	if err := s.checkpointLocked(); err != nil {
-		s.snapshots = s.snapshots[:len(s.snapshots)-1]
+	if err := s.checkpointFenceLocked(); err != nil {
+		// The marker stays queued and a later fence retries it; its super
+		// is encoded per attempt, so taking the entry back here keeps the
+		// retry from publishing a snapshot this call reported as failed.
+		if i := s.snapshotIndexLocked(name); i >= 0 {
+			s.snapshots = slices.Delete(s.snapshots, i, i+1)
+		}
 		return SnapshotInfo{}, err
 	}
 	return SnapshotInfo{Name: name, Seq: seq}, nil
 }
 
 // DeleteSnapshot removes a snapshot and releases the deferred object
-// deletions that it alone was pinning (§3.6) to the reaper. The super is
-// rewritten once those deletes were attempted; a delete that failed
-// waits on the pending list for the next checkpoint, and the first such
-// error is returned.
+// deletions that it alone was pinning (§3.6). It is a checkpoint with
+// the snapshot gone: the deferred list joins the pending one, the
+// marker's super drops the name, and only then does the reaper delete
+// what nothing pins any more (its claim step re-parks the rest). A
+// delete that fails waits on the pending list for the next checkpoint.
 func (s *Store) DeleteSnapshot(name string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.readOnly {
 		return ErrReadOnly
 	}
-	// The superblock rewrite below must not race a checkpoint's
-	// off-lock super PUT (marker in the pipeline or a synchronous
-	// checkpoint's lock-drop window) — last-writer-wins on the super
-	// could resurrect the snapshot or lose the checkpoint pointer. Wait
-	// out any synchronous checkpoint, then drain the pipeline, then
-	// claim ckptActive: it parks every seal and checkpoint while the
-	// reaper has s.mu down, until the super is written.
-	for s.ckptActive {
-		s.commitCond.Wait()
+	if s.snapshotIndexLocked(name) < 0 {
+		return fmt.Errorf("blockstore: snapshot %q not found", name)
 	}
 	s.rearmFailedLocked()
 	if err := s.waitInflightLocked(); err != nil {
 		return err
 	}
-	idx := -1
-	for i, sn := range s.snapshots {
-		if sn.Name == name {
-			idx = i
-			break
-		}
-	}
-	if idx < 0 {
+	// The fence released s.mu: look the name up again.
+	i := s.snapshotIndexLocked(name)
+	if i < 0 {
 		return fmt.Errorf("blockstore: snapshot %q not found", name)
 	}
-	s.snapshots = append(s.snapshots[:idx], s.snapshots[idx+1:]...)
-	deferred := s.deferred
+	s.snapshots = slices.Delete(s.snapshots, i, i+1)
+	s.pending = append(s.pending, s.deferred...)
 	s.deferred = nil
-	s.ckptActive = true
-	derr := s.reapLocked(deferred, &s.pending)
-	s.ckptActive = false
-	s.commitCond.Broadcast()
-	if err := s.writeSuper(); err != nil {
-		return err
-	}
-	// The super no longer lists the snapshot: publish a super event so
-	// the replica's copy follows (the shipper re-reads the live super).
-	s.shipPublishLocked(0, journal.TypeSuper, 0)
-	return derr
+	return s.checkpointFenceLocked()
 }
 
 // Snapshots lists the volume's snapshots.
@@ -116,8 +106,8 @@ func Clone(ctx context.Context, base Config, snapName, newVolume string) error {
 	if src.baseVol != "" {
 		return fmt.Errorf("blockstore: cloning a clone (%q) is not supported", base.Volume)
 	}
-	if _, err := base.Store.Get(ctx, superName(newVolume)); err == nil {
-		return fmt.Errorf("blockstore: volume %q already exists", newVolume)
+	if err := requireAbsent(ctx, base, newVolume); err != nil {
+		return err
 	}
 	var snapSeq uint32
 	for _, sn := range src.snapshots {
@@ -144,7 +134,7 @@ func Clone(ctx context.Context, base Config, snapName, newVolume string) error {
 	clone.nextSeq = snapSeq + 1
 	clone.mu.Lock()
 	defer clone.mu.Unlock()
-	return clone.checkpointLocked()
+	return clone.checkpointFenceLocked()
 }
 
 // BaseImage returns the clone base (volume, snapshot seq) or "" for a

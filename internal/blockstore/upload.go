@@ -67,18 +67,11 @@ type inflightObj struct {
 // sealAsyncLocked seals the pending batch into an in-flight object and
 // starts its upload. It blocks (releasing no state; the condition
 // variable drops s.mu) while the pipeline is at capacity. The periodic
-// checkpoint is queued as a pipeline marker, not taken inline: the old
-// design drained the pipeline and PUT the checkpoint under s.mu here,
-// which was the foreground p999 cliff this marker design removes.
+// checkpoint is queued as a pipeline marker, never taken inline: the
+// seal does not wait for it.
 //
 //lsvd:requires bs.mu
 func (s *Store) sealAsyncLocked() error {
-	// A synchronous checkpoint may have dropped s.mu for its PUTs;
-	// reserving a sequence number during that window would defeat its
-	// failure rollback (see checkpointLocked).
-	for s.ckptActive {
-		s.commitCond.Wait()
-	}
 	if err := s.sweepOrphansLocked(); err != nil {
 		return err
 	}
@@ -131,10 +124,12 @@ func (s *Store) queueCheckpointLocked() {
 }
 
 // startCheckpointLocked snapshots state for a front-of-pipeline
-// checkpoint marker (first attempt only) and issues its PUTs on a
-// fresh goroutine. Finalization happens on that goroutine, under s.mu,
-// BEFORE done is set — so by the time the commit walk dequeues the
-// marker, lastCkpt is applied, the released victims are claimed in
+// checkpoint marker (first attempt only), encodes its superblock (every
+// attempt: a retry must publish the snapshot list as it stands now, not
+// one a failed CreateSnapshot has since rolled back) and issues its
+// PUTs on a fresh goroutine. Finalization happens on that goroutine,
+// under s.mu, BEFORE done is set — so by the time the commit walk
+// dequeues the marker, lastCkpt is applied, the released victims are claimed in
 // s.reaping, and no object after the marker can commit past an
 // undurable checkpoint. The victims' backend deletes go out only after
 // that, with s.mu released and the commit walk already past the marker:
@@ -149,12 +144,20 @@ func (s *Store) startCheckpointLocked(inf *inflightObj) {
 		s.stats.uploadRetries++
 	}
 	shot := inf.ckpt
+	var err error
 	if shot.payload == nil {
-		if err := s.fillCkptShotLocked(shot); err != nil {
-			inf.done, inf.err = true, err
-			s.commitCond.Broadcast()
-			return
-		}
+		err = s.fillCkptShotLocked(shot)
+	}
+	if err == nil {
+		shot.super, err = encodeSuper(&superblock{
+			volSectors: s.volSectors, lastCkpt: shot.seq,
+			baseVol: s.baseVol, baseSeq: s.baseSeq, snapshots: s.snapshots,
+		})
+	}
+	if err != nil {
+		inf.done, inf.err = true, err
+		s.commitCond.Broadcast()
+		return
 	}
 	invariant.Go("blockstore-checkpoint", func() {
 		err := s.putCheckpoint(shot)
@@ -401,7 +404,7 @@ func (s *Store) Abort() {
 	// below then covers its in-progress pass like any other.
 	s.gcCond.Broadcast()
 	for {
-		busy := s.gcBusy || s.ckptActive || len(s.reaping) > 0
+		busy := s.gcBusy || len(s.reaping) > 0
 		for _, inf := range s.inflight {
 			if inf.ckpt != nil && inf.attempts == 0 {
 				// A queued checkpoint marker that never reached the

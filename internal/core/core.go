@@ -1203,20 +1203,19 @@ func (d *Disk) Close() error {
 	close(d.ch)
 	//lsvd:ignore Close waits for the destager goroutine to exit under wmu by design
 	<-d.done
-	// Stop the background GC service before the final seal/checkpoint
-	// so the shutdown sequence races with no concurrent collector (on
-	// the error path too — the disk is going down either way).
+	// Stop the background GC service before the final checkpoint so the
+	// shutdown sequence races with no concurrent collector (on the error
+	// path too — the disk is going down either way).
 	//lsvd:ignore shutdown: Close holds wmu across GC stop by design; closed is set so nothing can queue behind it
 	d.bs.StopGC()
 	if derr == nil {
-		//lsvd:ignore shutdown: final seal under wmu by design — the disk is closed
-		derr = d.bs.Seal()
-	}
-	if derr == nil {
+		// The drain above sealed the last batch and the destager is gone,
+		// so the batch is empty; the checkpoint's own opening fence waits
+		// out whatever the collector left in the pipeline.
 		//lsvd:ignore shutdown: final checkpoint under wmu by design — the disk is closed
 		derr = d.bs.Checkpoint()
 	}
-	// Drain the shipper after the final seal+checkpoint so a clean close
+	// Drain the shipper after the final checkpoint so a clean close
 	// leaves the replica with the closing checkpoint and superblock — a
 	// zero-lag replica. On error paths it still detaches; with the
 	// replica backend down, the per-object drain budget caps the wait

@@ -1,6 +1,7 @@
 package host
 
 import (
+	"bytes"
 	"context"
 	"sync/atomic"
 	"testing"
@@ -136,5 +137,65 @@ func TestDeleteRestoresSlotWhenSaveFails(t *testing.T) {
 	}
 	if err := h.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// A slot's write-cache region outlives the volume that used it. The
+// next tenant formats over it, and must get an empty cache even if it
+// crashes right away: nothing the deleted volume logged may be replayed
+// into the new one.
+func TestReusedSlotDoesNotReplayDeletedVolume(t *testing.T) {
+	ctx := context.Background()
+	h := testHost(t, objstore.NewMem(), simdev.NewMem(64*block.MiB), 2)
+	opts := core.VolumeOptions{VolBytes: 8 * block.MiB}
+
+	a, err := h.Create(ctx, "a", opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	secret := bytes.Repeat([]byte{0x5a}, block.BlockSize)
+	for i := int64(0); i < 4; i++ {
+		if err := a.WriteAt(secret, i*block.BlockSize); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := a.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := h.Delete(ctx, "a"); err != nil {
+		t.Fatal(err)
+	}
+
+	b, err := h.Create(ctx, "b", opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	own := pattern(3, block.BlockSize)
+	if err := b.WriteAt(own, block.MiB); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	b.Kill()
+	b, err = h.Open(ctx, "b", opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := b.Stats().RecoveredReplayed; got != 1 {
+		t.Fatalf("reopen replayed %d cache records, want b's one write", got)
+	}
+	got := make([]byte, 4*block.BlockSize)
+	if err := b.ReadAt(got, 0); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, make([]byte, len(got))) {
+		t.Fatal("the new volume reads the deleted volume's data")
+	}
+	if err := b.ReadAt(got[:block.BlockSize], block.MiB); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got[:block.BlockSize], own) {
+		t.Fatal("the new volume lost its own write")
 	}
 }

@@ -55,6 +55,15 @@ const (
 	ckptStart  = 2 * block.BlockSize
 )
 
+// seqBits is the width of the record counter inside a log record's
+// sequence number; the bits above it carry the format epoch. Format
+// continues the device's epoch (kept in the superblock), so a record
+// logged by an earlier cache on the same device can never be the next
+// link of this cache's chain, whatever offsets and sizes line up:
+// replay's "sequence must be exactly nextSeq" test rejects it. The
+// epoch wraps after 65 536 formats of one device.
+const seqBits = 48
+
 // Config configures a cache instance.
 type Config struct {
 	// CheckpointBytes reserves space for two rotating map checkpoint
@@ -220,20 +229,31 @@ type Cache struct {
 }
 
 // Format initializes a device as an empty cache and returns it opened.
+// Whatever cache the device held before is invalidated: the superblock
+// generation continues from the one on the device, so the new super
+// wins readSuper's vote; the two checkpoints written here land in
+// alternate slots, so both superblock slots and both checkpoint slots
+// belong to the new format; and the format epoch moves on, so nothing
+// left in the ring is replayable (seqBits).
 func Format(dev simdev.Device, cfg Config) (*Cache, error) {
 	cfg.setDefaults()
-	c := &Cache{dev: dev, cfg: cfg, m: extmap.New(), nextSeq: 1}
+	c := &Cache{dev: dev, cfg: cfg, m: extmap.New()}
 	c.init()
 	c.logStart = ckptStart + cfg.CheckpointBytes
 	c.logEnd = dev.Size() &^ (block.BlockSize - 1)
 	if c.logEnd-c.logStart < 4*block.MiB {
 		return nil, fmt.Errorf("writecache: device of %d bytes too small (log area %d)", dev.Size(), c.logEnd-c.logStart)
 	}
+	prev, _ := c.readSuper() // zero on a device never formatted
+	c.superGen = prev.gen
+	c.nextSeq = (prev.epoch+1)<<seqBits | 1
 	c.head, c.tail = c.logStart, c.logStart
 	c.mapSeq = c.nextSeq
-	//lsvd:ignore construction runs single-goroutine before the cache is published; wcache.mu cannot be contended
-	if err := c.checkpointLocked(); err != nil {
-		return nil, err
+	for i := 0; i < 2; i++ {
+		//lsvd:ignore construction runs single-goroutine before the cache is published; wcache.mu cannot be contended
+		if err := c.checkpointLocked(); err != nil {
+			return nil, err
+		}
 	}
 	return c, nil
 }
@@ -263,20 +283,31 @@ func (c *Cache) init() {
 	c.qcond = sync.NewCond(&c.gmu)
 }
 
-// superblock payload: generation, checkpoint slot, checkpoint length.
-// The record is encoded unaligned (it is a few dozen bytes) so that it
-// fits entirely within its 4 KiB slot.
-func encodeSuper(gen uint64, slot uint32, ckptLen int64) ([]byte, error) {
-	data := make([]byte, 20)
-	binary.LittleEndian.PutUint64(data, gen)
-	binary.LittleEndian.PutUint32(data[8:], slot)
-	binary.LittleEndian.PutUint64(data[12:], uint64(ckptLen))
-	return journal.Encode(&journal.Header{Type: journal.TypeSuper, Seq: gen, DataLen: uint64(len(data))}, data, false)
+// superblock payload: generation, checkpoint slot, checkpoint length,
+// format epoch (absent, read as zero, on a device formatted before
+// epochs existed). The record is encoded unaligned (it is a few dozen
+// bytes) so that it fits entirely within its 4 KiB slot.
+type superblock struct {
+	gen     uint64
+	slot    uint32
+	ckptLen int64
+	epoch   uint64
+}
+
+func encodeSuper(sb superblock) ([]byte, error) {
+	data := make([]byte, 28)
+	binary.LittleEndian.PutUint64(data, sb.gen)
+	binary.LittleEndian.PutUint32(data[8:], sb.slot)
+	binary.LittleEndian.PutUint64(data[12:], uint64(sb.ckptLen))
+	binary.LittleEndian.PutUint64(data[20:], sb.epoch)
+	return journal.Encode(&journal.Header{Type: journal.TypeSuper, Seq: sb.gen, DataLen: uint64(len(data))}, data, false)
 }
 
 func (c *Cache) writeSuper(ckptLen int64) error {
 	c.superGen++
-	rec, err := encodeSuper(c.superGen, uint32(c.ckptSlot), ckptLen)
+	rec, err := encodeSuper(superblock{
+		gen: c.superGen, slot: uint32(c.ckptSlot), ckptLen: ckptLen, epoch: c.nextSeq >> seqBits,
+	})
 	if err != nil {
 		return err
 	}
@@ -290,8 +321,7 @@ func (c *Cache) writeSuper(ckptLen int64) error {
 	return c.dev.Flush()
 }
 
-func (c *Cache) readSuper() (gen uint64, slot uint32, ckptLen int64, err error) {
-	best := uint64(0)
+func (c *Cache) readSuper() (best superblock, err error) {
 	found := false
 	buf := make([]byte, block.BlockSize)
 	for _, off := range []int64{superSlot0, superSlot1} {
@@ -302,18 +332,22 @@ func (c *Cache) readSuper() (gen uint64, slot uint32, ckptLen int64, err error) 
 		if derr != nil || h.Type != journal.TypeSuper || len(data) < 20 {
 			continue
 		}
-		g := binary.LittleEndian.Uint64(data)
-		if !found || g > best {
-			best = g
-			slot = binary.LittleEndian.Uint32(data[8:])
-			ckptLen = int64(binary.LittleEndian.Uint64(data[12:]))
-			found = true
+		sb := superblock{
+			gen:     binary.LittleEndian.Uint64(data),
+			slot:    binary.LittleEndian.Uint32(data[8:]),
+			ckptLen: int64(binary.LittleEndian.Uint64(data[12:])),
+		}
+		if len(data) >= 28 {
+			sb.epoch = binary.LittleEndian.Uint64(data[20:])
+		}
+		if !found || sb.gen > best.gen {
+			best, found = sb, true
 		}
 	}
 	if !found {
-		return 0, 0, 0, fmt.Errorf("writecache: no valid superblock (device not formatted?)")
+		return superblock{}, fmt.Errorf("writecache: no valid superblock (device not formatted?)")
 	}
-	return best, slot, ckptLen, nil
+	return best, nil
 }
 
 // checkpoint payload layout. The checkpoint covers only the written
@@ -453,14 +487,14 @@ func (c *Cache) checkpointLocked() error {
 }
 
 func (c *Cache) loadCheckpoint() error {
-	gen, slot, ckptLen, err := c.readSuper()
+	sb, err := c.readSuper()
 	if err != nil {
 		return err
 	}
-	c.superGen = gen
-	c.ckptSlot = int(slot)
-	buf := make([]byte, ckptLen)
-	if err := c.dev.ReadAt(buf, c.ckptSlotOff(int(slot))); err != nil {
+	c.superGen = sb.gen
+	c.ckptSlot = int(sb.slot)
+	buf := make([]byte, sb.ckptLen)
+	if err := c.dev.ReadAt(buf, c.ckptSlotOff(int(sb.slot))); err != nil {
 		return err
 	}
 	h, payload, _, err := journal.Decode(buf, true)

@@ -376,12 +376,13 @@ func TestTooSmallDeviceRejected(t *testing.T) {
 
 func TestAutoCheckpoint(t *testing.T) {
 	c, _ := newCache(t, 64*block.MiB, Config{CheckpointEvery: 5})
+	formatted := c.Stats().Checkpoints
 	for i := 1; i <= 12; i++ {
 		ext := block.Extent{LBA: block.LBA(i * 10), Sectors: 8}
 		_ = c.Append(uint64(i), ext, payload(int64(i), int(ext.Bytes())))
 	}
-	if got := c.Stats().Checkpoints; got < 2 {
-		t.Fatalf("auto checkpoints=%d", got)
+	if got := c.Stats().Checkpoints - formatted; got != 2 {
+		t.Fatalf("auto checkpoints=%d, want 2 for 12 records at one per 5", got)
 	}
 }
 
@@ -447,5 +448,84 @@ func BenchmarkAppend16K(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
+	}
+}
+
+// usedDevice returns a device that holds a cache with n flushed records
+// of the given size at the start of the ring; closed says whether it
+// was closed (a second, newer superblock) or just abandoned.
+func usedDevice(t *testing.T, n int, sectors uint32, closed bool) *simdev.MemDevice {
+	t.Helper()
+	old, dev := newCache(t, 64*block.MiB, Config{CheckpointEvery: 1 << 30})
+	for i := 0; i < n; i++ {
+		ext := block.Extent{LBA: block.LBA(i) * block.LBA(sectors), Sectors: sectors}
+		if err := old.Append(uint64(i+1), ext, bytes.Repeat([]byte{0x5a}, int(ext.Bytes()))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	end := old.Flush
+	if closed {
+		end = old.Close
+	}
+	if err := end(); err != nil {
+		t.Fatal(err)
+	}
+	return dev
+}
+
+// TestFormatInvalidatesUsedDevice: a Format over a device that held
+// another cache yields an empty cache, crash or no crash — the previous
+// tenant's superblocks lose to the new one and nothing it logged is
+// replayable.
+func TestFormatInvalidatesUsedDevice(t *testing.T) {
+	dev := usedDevice(t, 4, 8, true)
+	if _, err := Format(dev, Config{CheckpointEvery: 1 << 30}); err != nil {
+		t.Fatal(err)
+	}
+	dev.Crash(1, rand.New(rand.NewSource(1)))
+	c, err := Open(dev, Config{CheckpointEvery: 1 << 30})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := c.Stats(); st.RecoveredRecs != 0 || st.Records != 0 || st.MapExtents != 0 || st.MaxWriteSeq != 0 {
+		t.Fatalf("freshly formatted cache recovered %+v", st)
+	}
+	if runs := c.Lookup(block.Extent{LBA: 0, Sectors: 64}); len(runs) != 1 || runs[0].Present {
+		t.Fatalf("freshly formatted cache maps %+v", runs)
+	}
+}
+
+// TestFormatOldRecordsDoNotChain: the old cache's superblock and
+// checkpoint are overwritten outright here, and the new log's first
+// record has the size of the old log's — so the old record 2 sits
+// exactly where replay looks next, and must not be taken for the new
+// record 2.
+func TestFormatOldRecordsDoNotChain(t *testing.T) {
+	dev := usedDevice(t, 4, 8, false)
+	c, err := Format(dev, Config{CheckpointEvery: 1 << 30})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ext := block.Extent{LBA: 1000, Sectors: 8}
+	data := payload(9, int(ext.Bytes()))
+	if err := c.Append(1, ext, data); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	dev.Crash(1, rand.New(rand.NewSource(1)))
+	c2, err := Open(dev, Config{CheckpointEvery: 1 << 30})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := c2.Stats(); st.RecoveredRecs != 1 || st.MaxWriteSeq != 1 {
+		t.Fatalf("recovered %d records up to write %d, want the one new record", st.RecoveredRecs, st.MaxWriteSeq)
+	}
+	if got, full := readBack(t, c2, ext); !full || !bytes.Equal(got, data) {
+		t.Fatal("the new record was lost")
+	}
+	if runs := c2.Lookup(block.Extent{LBA: 0, Sectors: 32}); len(runs) != 1 || runs[0].Present {
+		t.Fatalf("the previous cache's records were replayed: %+v", runs)
 	}
 }

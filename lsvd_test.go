@@ -44,6 +44,43 @@ func TestPublicAPIRoundTrip(t *testing.T) {
 	}
 }
 
+// TestCreateOverUsedCacheDevice: Create formats the cache device, and a
+// volume that crashes before writing anything must come back empty even
+// though the device still holds another volume's log.
+func TestCreateOverUsedCacheDevice(t *testing.T) {
+	cache := MemCacheDevice(256 * MiB)
+	old, err := Create(ctx, VolumeOptions{Name: "old", Store: MemStore(), Cache: cache, Size: 64 * MiB})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := old.WriteAt(bytes.Repeat([]byte{0x5a}, 64*1024), 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := old.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	fresh := VolumeOptions{Name: "new", Store: MemStore(), Cache: cache, Size: 64 * MiB}
+	disk, err := Create(ctx, fresh)
+	if err != nil {
+		t.Fatal(err)
+	}
+	disk.Kill()
+	if disk, err = Open(ctx, fresh); err != nil {
+		t.Fatal(err)
+	}
+	if got := disk.Stats().RecoveredReplayed; got != 0 {
+		t.Fatalf("a never-written volume replayed %d cache records", got)
+	}
+	got := make([]byte, 64*1024)
+	if err := disk.ReadAt(got, 0); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, make([]byte, len(got))) {
+		t.Fatal("a never-written volume reads the previous volume's data")
+	}
+}
+
 func TestPublicAPIDirStoreFileCache(t *testing.T) {
 	dir := t.TempDir()
 	store, err := DirStore(filepath.Join(dir, "objects"))
