@@ -470,9 +470,9 @@ func (d *Disk) released() {
 	}
 }
 
-// wcConfig scales the metadata reservations to the cache partition so
-// small experiment caches still leave room for data (the read cache's
-// counterpart is readcache.SizedConfig).
+// wcConfig scales the gap in front of the write log to the cache
+// partition, so the log is the size it has always been on every
+// partition (the read cache's counterpart is readcache.SizedConfig).
 func wcConfig(dev simdev.Device) writecache.Config {
 	ckpt := dev.Size() / 8
 	if ckpt > 16*block.MiB {
@@ -484,15 +484,18 @@ func wcConfig(dev simdev.Device) writecache.Config {
 	return writecache.Config{CheckpointBytes: ckpt &^ (block.BlockSize - 1)}
 }
 
-// Open recovers an LSVD volume: the cache log is replayed, the backend
-// recovered by the prefix rule, and any committed writes present in
-// the cache but missing from the backend are re-sent (§3.3).
+// Open recovers an LSVD volume: the cache log is replayed from the start
+// its superblock names, the backend recovered by the prefix rule, and
+// the two reconciled — the cache drops what the backend holds and
+// re-sends what it lacks (§3.3).
 func Open(ctx context.Context, opts Options) (*Disk, error) {
 	return OpenShared(ctx, opts, nil)
 }
 
 // OpenShared is Open with host-injected shared resources (res may be
-// nil, which is plain Open).
+// nil, which is plain Open). The cache is opened before the store — the
+// GC service starts inside blockstore.Open and polls the cache — and
+// reconciled after it, when the backend's durable watermark is known.
 func OpenShared(ctx context.Context, opts Options, res *Resources) (*Disk, error) {
 	opts.setDefaults()
 	start := time.Now()
@@ -515,11 +518,15 @@ func OpenShared(ctx context.Context, opts Options, res *Resources) (*Disk, error
 	}
 	d.volSectors = d.bs.VolSectors()
 
-	// Rewind & replay: push cache records newer than the backend's
-	// durable watermark back through the block store.
-	durable := d.bs.DurableWriteSeq()
+	// Reconcile the two logs, then rewind & replay: the cache drops
+	// every record at or below the backend's durable watermark — the
+	// backend owns those, and may have run ahead of what the cache device
+	// kept — and what is left is pushed back through the block store.
+	if err := d.wc.Reconcile(d.bs.DurableWriteSeq()); err != nil {
+		return nil, fmt.Errorf("core: cache reconcile: %w", err)
+	}
 	replayed := 0
-	err = d.wc.RecordsAfter(durable, func(ws uint64, typ journal.Type, ext block.Extent, data []byte) error {
+	err = d.wc.Records(func(ws uint64, typ journal.Type, ext block.Extent, data []byte) error {
 		replayed++
 		if typ == journal.TypeTrim {
 			return d.bs.Trim(ws, ext)
@@ -1157,7 +1164,8 @@ func (d *Disk) Drain() error {
 	return d.drainLocked()
 }
 
-// Checkpoint forces map checkpoints in both logs.
+// Checkpoint drains the pipeline, forces a backend map checkpoint and
+// moves the cache log's start past everything the backend now holds.
 func (d *Disk) Checkpoint() error {
 	d.wmu.Lock()
 	defer d.wmu.Unlock()

@@ -199,3 +199,56 @@ func TestReusedSlotDoesNotReplayDeletedVolume(t *testing.T) {
 		t.Fatal("the new volume lost its own write")
 	}
 }
+
+// ROADMAP 1(a) through a host slot: the volume's write log laps its
+// carve-out of the shared SSD, destage catches up, a flushed tail
+// smaller than a batch stays in the cache only — and Kill and Open on
+// the same slot must give every flushed block back.
+func TestKillAfterSlotWriteLogLapsKeepsFlushedTail(t *testing.T) {
+	ctx := context.Background()
+	h := testHost(t, objstore.NewMem(), simdev.NewMem(128*block.MiB), 2)
+	opts := core.VolumeOptions{VolBytes: 64 * block.MiB, BatchBytes: block.MiB}
+	d, err := h.Create(ctx, "a", opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const blk = 64 * 1024
+	latest := map[int64]int64{}
+	write := func(v, b int64) {
+		t.Helper()
+		if err := d.WriteAt(pattern(v, blk), b*blk); err != nil {
+			t.Fatal(err)
+		}
+		latest[b] = v
+	}
+	for v := int64(1); v*blk <= 2*d.Stats().WriteCache.LogBytes+blk; v++ {
+		write(v, v%48)
+		if v%8 == 0 {
+			if err := d.Flush(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := d.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	for b := int64(0); b < 6; b++ {
+		write(100000+b, b)
+	}
+	if err := d.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	d.Kill()
+	if d, err = h.Open(ctx, "a", opts); err != nil {
+		t.Fatal(err)
+	}
+	got := make([]byte, blk)
+	for b, v := range latest {
+		if err := d.ReadAt(got, b*blk); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, pattern(v, blk)) {
+			t.Fatalf("block %d does not read its last flushed version (%d)", b, v)
+		}
+	}
+}

@@ -1,40 +1,99 @@
 package writecache
 
 import (
+	"bytes"
 	"encoding/binary"
+	"errors"
 	"testing"
 
 	"lsvd/internal/block"
-	"lsvd/internal/extmap"
+	"lsvd/internal/journal"
 	"lsvd/internal/simdev"
 )
 
-// Hostile 64-bit ring/map counts in a checkpoint must be rejected by
-// the bound check, not wrapped negative by int() and fed to make().
-// Regression test for the count bounding in decodeCheckpoint.
-func TestDecodeCheckpointHostileCounts(t *testing.T) {
-	c := &Cache{m: extmap.New()}
-	mk := func(nRing, mapLen uint64) []byte {
-		buf := make([]byte, 56)
-		binary.LittleEndian.PutUint64(buf[40:], nRing)
-		binary.LittleEndian.PutUint64(buf[48:], mapLen)
-		return buf
-	}
-	cases := []struct {
-		name          string
-		nRing, mapLen uint64
-	}{
-		{"ring count wraps int", 1 << 62, 0},
-		{"ring count -1", ^uint64(0), 0},
-		{"map length wraps int", 0, 1 << 62},
-		{"map length -1", 0, ^uint64(0)},
-		{"ring count past payload", 1, 0},
-	}
-	for _, tc := range cases {
-		if err := c.decodeCheckpoint(mk(tc.nRing, tc.mapLen)); err == nil {
-			t.Errorf("%s: checkpoint accepted", tc.name)
+// FuzzOpen opens hostile device images: a well-framed superblock with a
+// wild start, sequence and epoch (or the retired checkpoint layout), a
+// well-framed record header at the log start with a wild type, length
+// and extent, and raw bytes behind it. Open must refuse or recover
+// without panicking or sizing a buffer from a field it has not bounded,
+// and whatever it recovers must be a cache that works.
+func FuzzOpen(f *testing.F) {
+	const logStart = superBytes + 2*block.BlockSize
+	f.Add(uint64(logStart), uint64(1<<seqBits|1), uint64(1), uint8(journal.TypeData), uint64(4096), uint32(8), false, []byte{})
+	f.Add(uint64(logStart), uint64(1<<seqBits|1), uint64(1), uint8(journal.TypeData), uint64(1<<63), uint32(1<<31), false, []byte("LSVD"))
+	f.Add(uint64(1<<62), ^uint64(0), ^uint64(0), uint8(journal.TypePad), uint64(0), ^uint32(0), false, []byte{})
+	f.Add(uint64(logStart+4096), uint64(2<<seqBits|1), uint64(9), uint8(journal.TypeTrim), uint64(0), uint32(0), false, []byte{1})
+	f.Add(uint64(0), uint64(0), uint64(3), uint8(journal.TypeGC), uint64(45), uint32(1), true, []byte{})
+	f.Fuzz(func(t *testing.T, startOff, startSeq, epoch uint64, typ uint8, dataLen uint64, sectors uint32, oldLayout bool, ring []byte) {
+		cfg := Config{CheckpointBytes: 2 * block.BlockSize}
+		dev := simdev.NewMem(logStart + 4*block.MiB)
+		c, err := Format(dev, cfg)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
+		for i := uint64(1); i <= 3; i++ {
+			ext := block.Extent{LBA: block.LBA(i) * 8, Sectors: 8}
+			if err := c.Append(i, ext, payload(int64(i), int(ext.Bytes()))); err != nil {
+				t.Fatal(err)
+			}
+		}
+
+		super, err := encodeSuper(superblock{gen: 1 << 40, epoch: epoch, startOff: int64(startOff), startSeq: startSeq})
+		if oldLayout {
+			old := make([]byte, 28)
+			binary.LittleEndian.PutUint64(old, 1<<40)
+			binary.LittleEndian.PutUint64(old[20:], epoch)
+			super, err = journal.Encode(&journal.Header{Type: journal.TypeSuper, Seq: 1 << 40, DataLen: 28}, old, false)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		hdr, err := journal.EncodeHeader(&journal.Header{
+			Type: journal.Type(typ), Seq: startSeq, WriteSeq: 4,
+			Extents: []journal.ExtentEntry{{LBA: 64, Sectors: sectors}},
+		}, block.BlockSize)
+		if err != nil {
+			t.Fatal(err)
+		}
+		binary.LittleEndian.PutUint64(hdr[32:], dataLen)
+		if len(ring) > 1<<20 {
+			ring = ring[:1<<20]
+		}
+		for _, w := range []struct {
+			p   []byte
+			off int64
+		}{{super, superSlot0}, {hdr, logStart}, {ring, logStart + block.BlockSize}} {
+			if err := dev.WriteAt(w.p, w.off); err != nil {
+				t.Fatal(err)
+			}
+		}
+
+		c, err = Open(dev, cfg)
+		if err != nil {
+			return
+		}
+		st := c.Stats()
+		if st.UsedBytes >= st.LogBytes || int64(st.Records)*block.BlockSize > st.UsedBytes {
+			t.Fatalf("recovered %d records in %d of %d log bytes", st.Records, st.UsedBytes, st.LogBytes)
+		}
+		ext := block.Extent{LBA: 1 << 20, Sectors: 16}
+		data := payload(7, int(ext.Bytes()))
+		if err := c.Append(st.MaxWriteSeq+1, ext, data); err != nil {
+			if errors.Is(err, ErrFull) {
+				return // a recovered ring of un-destaged records may be full
+			}
+			t.Fatal(err)
+		}
+		if err := c.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if c, err = Open(dev, cfg); err != nil {
+			t.Fatal(err)
+		}
+		if got, full := readBack(t, c, ext); !full || !bytes.Equal(got, data) {
+			t.Fatal("a write flushed to the recovered cache did not survive the next Open")
+		}
+	})
 }
 
 // A log record header whose DataLen would wrap int64 negative must end

@@ -24,7 +24,7 @@ func TestQuickCommittedWritesSurviveCrash(t *testing.T) {
 			ops = ops[:40]
 		}
 		dev := simdev.NewMem(64 * block.MiB)
-		c, err := Format(dev, Config{CheckpointEvery: 1 << 30})
+		c, err := Format(dev, Config{})
 		if err != nil {
 			return false
 		}
@@ -78,7 +78,7 @@ func TestQuickRecoveryIsPrefix(t *testing.T) {
 	f := func(nWrites uint8, lossPct uint8, seed int64) bool {
 		n := int(nWrites%30) + 5
 		dev := simdev.NewMem(64 * block.MiB)
-		c, err := Format(dev, Config{CheckpointEvery: 1 << 30})
+		c, err := Format(dev, Config{})
 		if err != nil {
 			return false
 		}

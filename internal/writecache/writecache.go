@@ -16,9 +16,10 @@
 //     bcache (§4.2.2).
 //
 // The log is a circular buffer. Records are reclaimed strictly FIFO
-// and only after the core marks them destaged to the backend; the map
-// is periodically checkpointed to a reserved SSD region to bound
-// replay time (§3.3).
+// and only after the core marks them destaged to the backend. The log
+// is also its own checkpoint: a superblock names the oldest record the
+// backend may lack, and recovery rebuilds the map from the records that
+// follow it (recover.go, §3.3).
 //
 // Appends use a reserve/commit group-commit protocol (DESIGN.md §5f):
 // Reserve claims ring space and a sequence number under a short
@@ -31,7 +32,6 @@
 package writecache
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"sort"
@@ -49,30 +49,14 @@ import (
 // backend; the caller must destage and mark progress, then retry.
 var ErrFull = errors.New("writecache: log full of un-destaged records")
 
-const (
-	superSlot0 = 0
-	superSlot1 = block.BlockSize
-	ckptStart  = 2 * block.BlockSize
-)
-
-// seqBits is the width of the record counter inside a log record's
-// sequence number; the bits above it carry the format epoch. Format
-// continues the device's epoch (kept in the superblock), so a record
-// logged by an earlier cache on the same device can never be the next
-// link of this cache's chain, whatever offsets and sizes line up:
-// replay's "sequence must be exactly nextSeq" test rejects it. The
-// epoch wraps after 65 536 formats of one device.
-const seqBits = 48
-
 // Config configures a cache instance.
 type Config struct {
-	// CheckpointBytes reserves space for two rotating map checkpoint
-	// slots. Default 16 MiB.
+	// CheckpointBytes is the gap left between the superblocks and the
+	// log. Default 16 MiB. Nothing is stored there since the log became
+	// its own checkpoint; the bytes stay out of the ring until the
+	// benchmark that sizes its ring through this field can be re-measured
+	// (ROADMAP item 2).
 	CheckpointBytes int64
-	// CheckpointEvery triggers an automatic checkpoint after this many
-	// appended records. Default 8192. Zero disables automatic
-	// checkpoints (explicit Checkpoint calls still work).
-	CheckpointEvery int
 }
 
 // One group-commit device write absorbs at most groupMaxRecords queued
@@ -86,9 +70,6 @@ const (
 func (c *Config) setDefaults() {
 	if c.CheckpointBytes == 0 {
 		c.CheckpointBytes = 16 * block.MiB
-	}
-	if c.CheckpointEvery == 0 {
-		c.CheckpointEvery = 8192
 	}
 }
 
@@ -128,11 +109,11 @@ type Stats struct {
 	MapExtents    int    // extent map entries
 	Appends       uint64 // records appended since open
 	Evictions     uint64 // records reclaimed
-	Checkpoints   uint64
+	Checkpoints   uint64 // superblocks written
 	MaxWriteSeq   uint64 // newest client write in the log
 	DestagedSeq   uint64 // newest client write known durable remotely
 	RecoveredRecs int    // records rebuilt from the log scan at open
-	ReplayedRecs  int    // records RecordsAfter handed back to the backend
+	ReplayedRecs  int    // records Records handed back to the backend
 	ReplayedBytes int64  // payload bytes of those records
 
 	// Group-commit activity.
@@ -186,7 +167,6 @@ var zeroPad [block.BlockSize]byte
 type Cache struct {
 	mu  sync.RWMutex //lsvd:lock wcache.mu
 	dev simdev.Device
-	cfg Config
 
 	logStart, logEnd int64
 	head, tail       int64 // byte offsets into [logStart, logEnd)
@@ -195,7 +175,13 @@ type Cache struct {
 	maxWriteSeq      uint64
 	destagedSeq      uint64
 	superGen         uint64
-	ckptSlot         int // which slot the next checkpoint uses (0/1)
+
+	// The start of the chain in the newest durable superblock: the ring
+	// offset recovery begins at and the sequence number it expects
+	// there. Nothing at or beyond it is released before a newer
+	// superblock is durable (evictOne).
+	startOff int64
+	startSeq uint64
 
 	ring []*record // FIFO of live records, oldest first
 	m    *extmap.Map
@@ -222,368 +208,13 @@ type Cache struct {
 	groupBatches, groupRecords      uint64
 	devWrites, reserveWaits         uint64
 	batchHist                       [BatchHistBuckets]uint64
-	sinceCkpt                       int
 	recovered                       int
 	replayedRecs                    int
 	replayedBytes                   int64
 }
 
-// Format initializes a device as an empty cache and returns it opened.
-// Whatever cache the device held before is invalidated: the superblock
-// generation continues from the one on the device, so the new super
-// wins readSuper's vote; the two checkpoints written here land in
-// alternate slots, so both superblock slots and both checkpoint slots
-// belong to the new format; and the format epoch moves on, so nothing
-// left in the ring is replayable (seqBits).
-func Format(dev simdev.Device, cfg Config) (*Cache, error) {
-	cfg.setDefaults()
-	c := &Cache{dev: dev, cfg: cfg, m: extmap.New()}
-	c.init()
-	c.logStart = ckptStart + cfg.CheckpointBytes
-	c.logEnd = dev.Size() &^ (block.BlockSize - 1)
-	if c.logEnd-c.logStart < 4*block.MiB {
-		return nil, fmt.Errorf("writecache: device of %d bytes too small (log area %d)", dev.Size(), c.logEnd-c.logStart)
-	}
-	prev, _ := c.readSuper() // zero on a device never formatted
-	c.superGen = prev.gen
-	c.nextSeq = (prev.epoch+1)<<seqBits | 1
-	c.head, c.tail = c.logStart, c.logStart
-	c.mapSeq = c.nextSeq
-	for i := 0; i < 2; i++ {
-		//lsvd:ignore construction runs single-goroutine before the cache is published; wcache.mu cannot be contended
-		if err := c.checkpointLocked(); err != nil {
-			return nil, err
-		}
-	}
-	return c, nil
-}
-
-// Open recovers a cache from a formatted device: it loads the latest
-// checkpoint and replays the log tail, stopping at the first record
-// whose magic, CRC or sequence number does not line up (§3.3).
-func Open(dev simdev.Device, cfg Config) (*Cache, error) {
-	cfg.setDefaults()
-	c := &Cache{dev: dev, cfg: cfg, m: extmap.New()}
-	c.init()
-	c.logStart = ckptStart + cfg.CheckpointBytes
-	c.logEnd = dev.Size() &^ (block.BlockSize - 1)
-	if err := c.loadCheckpoint(); err != nil {
-		return nil, err
-	}
-	if err := c.replay(); err != nil {
-		return nil, err
-	}
-	c.mapSeq = c.nextSeq
-	return c, nil
-}
-
-func (c *Cache) init() {
-	c.pendingMap = make(map[uint64]*pendingRec)
-	c.writtenCond = sync.NewCond(&c.mu)
-	c.qcond = sync.NewCond(&c.gmu)
-}
-
-// superblock payload: generation, checkpoint slot, checkpoint length,
-// format epoch (absent, read as zero, on a device formatted before
-// epochs existed). The record is encoded unaligned (it is a few dozen
-// bytes) so that it fits entirely within its 4 KiB slot.
-type superblock struct {
-	gen     uint64
-	slot    uint32
-	ckptLen int64
-	epoch   uint64
-}
-
-func encodeSuper(sb superblock) ([]byte, error) {
-	data := make([]byte, 28)
-	binary.LittleEndian.PutUint64(data, sb.gen)
-	binary.LittleEndian.PutUint32(data[8:], sb.slot)
-	binary.LittleEndian.PutUint64(data[12:], uint64(sb.ckptLen))
-	binary.LittleEndian.PutUint64(data[20:], sb.epoch)
-	return journal.Encode(&journal.Header{Type: journal.TypeSuper, Seq: sb.gen, DataLen: uint64(len(data))}, data, false)
-}
-
-func (c *Cache) writeSuper(ckptLen int64) error {
-	c.superGen++
-	rec, err := encodeSuper(superblock{
-		gen: c.superGen, slot: uint32(c.ckptSlot), ckptLen: ckptLen, epoch: c.nextSeq >> seqBits,
-	})
-	if err != nil {
-		return err
-	}
-	slotOff := int64(superSlot0)
-	if c.superGen%2 == 1 {
-		slotOff = superSlot1
-	}
-	if err := c.dev.WriteAt(rec, slotOff); err != nil {
-		return err
-	}
-	return c.dev.Flush()
-}
-
-func (c *Cache) readSuper() (best superblock, err error) {
-	found := false
-	buf := make([]byte, block.BlockSize)
-	for _, off := range []int64{superSlot0, superSlot1} {
-		if rerr := c.dev.ReadAt(buf, off); rerr != nil {
-			continue
-		}
-		h, data, _, derr := journal.Decode(buf, false)
-		if derr != nil || h.Type != journal.TypeSuper || len(data) < 20 {
-			continue
-		}
-		sb := superblock{
-			gen:     binary.LittleEndian.Uint64(data),
-			slot:    binary.LittleEndian.Uint32(data[8:]),
-			ckptLen: int64(binary.LittleEndian.Uint64(data[12:])),
-		}
-		if len(data) >= 28 {
-			sb.epoch = binary.LittleEndian.Uint64(data[20:])
-		}
-		if !found || sb.gen > best.gen {
-			best, found = sb, true
-		}
-	}
-	if !found {
-		return superblock{}, fmt.Errorf("writecache: no valid superblock (device not formatted?)")
-	}
-	return best, nil
-}
-
-// checkpoint payload layout. The checkpoint covers only the written
-// prefix of the ring — records whose group device write has completed
-// and whose map update has been applied. Reserved-but-unwritten
-// records are cut off at a truncated tail/nextSeq; if their device
-// writes land before a crash, the replay scan recovers them.
-func (c *Cache) encodeCheckpoint(ring []*record, tail int64, nextSeq uint64) ([]byte, error) {
-	mapBytes, err := c.m.MarshalBinary()
-	if err != nil {
-		return nil, err
-	}
-	// head, tail, nextSeq, maxWriteSeq, destagedSeq, nRing, mapLen
-	buf := make([]byte, 0, 7*8+len(ring)*44+len(mapBytes))
-	var scratch [8]byte
-	put64 := func(v uint64) {
-		binary.LittleEndian.PutUint64(scratch[:], v)
-		buf = append(buf, scratch[:]...)
-	}
-	put64(uint64(c.head))
-	put64(uint64(tail))
-	put64(nextSeq)
-	put64(c.maxWriteSeq)
-	put64(c.destagedSeq)
-	put64(uint64(len(ring)))
-	put64(uint64(len(mapBytes)))
-	for _, r := range ring {
-		put64(uint64(r.off))
-		put64(uint64(r.size))
-		put64(r.seq)
-		put64(r.writeSeq)
-		put64(uint64(r.ext.LBA))
-		binary.LittleEndian.PutUint32(scratch[:4], r.ext.Sectors)
-		buf = append(buf, scratch[:4]...)
-		buf = append(buf, byte(r.typ))
-	}
-	buf = append(buf, mapBytes...)
-	return buf, nil
-}
-
-func (c *Cache) decodeCheckpoint(data []byte) error {
-	if len(data) < 56 {
-		return fmt.Errorf("writecache: checkpoint too short (%d bytes)", len(data))
-	}
-	g := func(i int) uint64 { return binary.LittleEndian.Uint64(data[i*8:]) }
-	c.head = int64(g(0))
-	c.tail = int64(g(1))
-	c.nextSeq = g(2)
-	c.maxWriteSeq = g(3)
-	c.destagedSeq = g(4)
-	off := 56
-	const ringEntry = 45
-	// Bound both counts against the data actually present BEFORE
-	// converting: hostile 64-bit counts would wrap negative, pass the
-	// truncation check, and panic in make below. This also bounds the
-	// ring allocation by the checkpoint size.
-	if g(5) > uint64(len(data)-off)/ringEntry || g(6) > uint64(len(data)) {
-		return fmt.Errorf("writecache: checkpoint truncated")
-	}
-	nRing := int(g(5))
-	mapLen := int(g(6))
-	if len(data) < off+nRing*ringEntry+mapLen {
-		return fmt.Errorf("writecache: checkpoint truncated")
-	}
-	c.ring = make([]*record, 0, nRing)
-	c.used = 0
-	for i := 0; i < nRing; i++ {
-		p := data[off:]
-		r := &record{
-			off:      int64(binary.LittleEndian.Uint64(p)),
-			size:     int64(binary.LittleEndian.Uint64(p[8:])),
-			seq:      binary.LittleEndian.Uint64(p[16:]),
-			writeSeq: binary.LittleEndian.Uint64(p[24:]),
-			ext: block.Extent{
-				LBA:     block.LBA(binary.LittleEndian.Uint64(p[32:])),
-				Sectors: binary.LittleEndian.Uint32(p[40:]),
-			},
-			typ: journal.Type(p[44]),
-		}
-		c.ring = append(c.ring, r)
-		c.used += r.size
-		off += ringEntry
-	}
-	return c.m.UnmarshalBinary(data[off : off+mapLen])
-}
-
-func (c *Cache) ckptSlotOff(slot int) int64 {
-	half := c.cfg.CheckpointBytes / 2
-	return ckptStart + int64(slot)*half
-}
-
-// Checkpoint persists the map and ring index to the reserved SSD
-// region and commits it via the superblock, bounding recovery replay.
-func (c *Cache) Checkpoint() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.checkpointLocked()
-}
-
-//lsvd:requires wcache.mu
-func (c *Cache) checkpointLocked() error {
-	// Snapshot the written prefix: the map holds exactly the updates of
-	// records with seq < mapSeq, and the ring is in seq order, so the
-	// prefix boundary is the first non-written entry.
-	ring, tail, nextSeq := c.ring, c.tail, c.nextSeq
-	for i, r := range c.ring {
-		if r.state != recWritten {
-			ring, tail, nextSeq = c.ring[:i], r.off, r.seq
-			break
-		}
-	}
-	payload, err := c.encodeCheckpoint(ring, tail, nextSeq)
-	if err != nil {
-		return err
-	}
-	rec, err := journal.Encode(&journal.Header{Type: journal.TypeCheckpoint, Seq: c.superGen + 1, DataLen: uint64(len(payload))}, payload, true)
-	if err != nil {
-		return err
-	}
-	if int64(len(rec)) > c.cfg.CheckpointBytes/2 {
-		return fmt.Errorf("writecache: checkpoint of %d bytes exceeds slot of %d", len(rec), c.cfg.CheckpointBytes/2)
-	}
-	slot := (c.ckptSlot + 1) % 2
-	if err := c.dev.WriteAt(rec, c.ckptSlotOff(slot)); err != nil {
-		return err
-	}
-	if err := c.dev.Flush(); err != nil {
-		return err
-	}
-	c.ckptSlot = slot
-	if err := c.writeSuper(int64(len(rec))); err != nil {
-		return err
-	}
-	c.checkpoints++
-	c.sinceCkpt = 0
-	return nil
-}
-
-func (c *Cache) loadCheckpoint() error {
-	sb, err := c.readSuper()
-	if err != nil {
-		return err
-	}
-	c.superGen = sb.gen
-	c.ckptSlot = int(sb.slot)
-	buf := make([]byte, sb.ckptLen)
-	if err := c.dev.ReadAt(buf, c.ckptSlotOff(int(sb.slot))); err != nil {
-		return err
-	}
-	h, payload, _, err := journal.Decode(buf, true)
-	if err != nil {
-		return fmt.Errorf("writecache: checkpoint unreadable: %w", err)
-	}
-	if h.Type != journal.TypeCheckpoint {
-		return fmt.Errorf("writecache: checkpoint slot holds %v record", h.Type)
-	}
-	return c.decodeCheckpoint(payload)
-}
-
-// replay scans the log from the checkpointed tail, applying every
-// complete record in sequence until the chain breaks.
-func (c *Cache) replay() error {
-	hdr := make([]byte, journal.AlignedHeaderSize(1))
-	for {
-		if c.tail == c.logEnd {
-			c.tail = c.logStart
-		}
-		if err := c.dev.ReadAt(hdr, c.tail); err != nil {
-			return err
-		}
-		h, _, err := journal.DecodeHeader(hdr)
-		if err != nil || h.Seq != c.nextSeq {
-			break // end of log
-		}
-		var total int64
-		if h.Type == journal.TypePad {
-			// A pad claims the rest of the ring; only its header is
-			// on disk.
-			if len(h.Extents) != 1 {
-				break
-			}
-			total = int64(h.Extents[0].Sectors) << block.SectorShift
-			if c.tail+total != c.logEnd {
-				break // pad must end exactly at the ring boundary
-			}
-			if _, _, _, err := journal.Decode(hdr, true); err != nil {
-				break
-			}
-		} else {
-			if h.DataLen > uint64(c.logEnd) {
-				break // corrupt length field: would wrap the conversion
-			}
-			dataLen := int64(h.DataLen)
-			total = int64(journal.AlignedHeaderSize(len(h.Extents))) + dataLen
-			total = (total + block.BlockSize - 1) &^ (block.BlockSize - 1)
-			if c.tail+total > c.logEnd {
-				break // would run off the ring: corrupt length
-			}
-			full := make([]byte, total)
-			if err := c.dev.ReadAt(full, c.tail); err != nil {
-				return err
-			}
-			if _, _, _, err := journal.Decode(full, true); err != nil {
-				break // incomplete record (torn write): stop here
-			}
-		}
-		c.applyRecord(h, c.tail, total)
-		c.tail += total
-		c.recovered++
-	}
-	return nil
-}
-
-func (c *Cache) applyRecord(h *journal.Header, off, size int64) {
-	r := &record{off: off, size: size, seq: h.Seq, writeSeq: h.WriteSeq, typ: h.Type}
-	if len(h.Extents) > 0 {
-		r.ext = block.Extent{LBA: h.Extents[0].LBA, Sectors: h.Extents[0].Sectors}
-	}
-	switch h.Type {
-	case journal.TypeData:
-		dataOff := off + int64(journal.AlignedHeaderSize(len(h.Extents)))
-		c.m.Update(r.ext, extmap.Target{Off: block.LBAFromBytes(dataOff)})
-	case journal.TypeTrim:
-		c.m.Update(r.ext, extmap.Target{Off: trimTombstoneOff})
-	}
-	c.ring = append(c.ring, r)
-	c.used += size
-	c.nextSeq = h.Seq + 1
-	if h.WriteSeq > c.maxWriteSeq {
-		c.maxWriteSeq = h.WriteSeq
-	}
-}
-
-// contiguousFree returns how many bytes can be written at the tail
-// without crossing the head, and whether the tail would first need to
-// wrap (pad) to the start of the log.
+// freeAt returns how many bytes can be written at tail without
+// crossing the head or the end of the log.
 func (c *Cache) freeAt(tail int64) int64 {
 	if c.used == 0 {
 		return c.logEnd - tail
@@ -621,7 +252,9 @@ func (c *Cache) AppendTrim(writeSeq uint64, ext block.Extent) error {
 // that order, so callers that reserve under their own pipeline lock
 // get ring order == their pipeline order. Every successful Reserve
 // must be followed by exactly one Commit. ErrFull means the ring has
-// no reclaimable space and the caller must destage first, then retry.
+// no reclaimable space and the caller must destage first, then retry;
+// the only other failures are a record larger than the log and a device
+// error, which is sticky.
 func (c *Cache) Reserve(writeSeq uint64, typ journal.Type, ext block.Extent, dataLen int) (*Reservation, error) {
 	if typ == journal.TypeData && int64(dataLen) != ext.Bytes() {
 		return nil, fmt.Errorf("writecache: extent %v does not match %d data bytes", ext, dataLen)
@@ -667,6 +300,9 @@ func (c *Cache) Reserve(writeSeq uint64, typ journal.Type, ext block.Extent, dat
 		if c.evictOne() {
 			continue
 		}
+		if c.ioErr != nil {
+			return nil, c.ioErr
+		}
 		// The head is not reclaimable. If it is destaged but its group
 		// device write is still in flight, wait for the leader to land
 		// it; otherwise the caller must destage first.
@@ -693,12 +329,6 @@ func (c *Cache) Reserve(writeSeq uint64, typ journal.Type, ext block.Extent, dat
 		"writecache: ring accounting out of bounds after reserve")
 	c.nextSeq++
 	c.appends++
-	c.sinceCkpt++
-	if c.cfg.CheckpointEvery > 0 && c.sinceCkpt >= c.cfg.CheckpointEvery {
-		if err := c.checkpointLocked(); err != nil {
-			return nil, err
-		}
-	}
 	return &Reservation{rec: r, dataLen: dataLen}, nil
 }
 
@@ -917,6 +547,7 @@ func (c *Cache) writePad() error {
 		return err
 	}
 	if err := c.dev.WriteAt(rec, c.tail); err != nil {
+		c.ioErr = err
 		return err
 	}
 	c.ring = append(c.ring, &record{off: c.tail, size: padLen, seq: c.nextSeq, typ: journal.TypePad})
@@ -936,7 +567,13 @@ func (c *Cache) writePad() error {
 // evictOne reclaims the oldest record if the backend has it; the map
 // entries still pointing at its data are dropped. Records whose group
 // device write is still in flight are never reclaimed — the leader
-// would otherwise overwrite freshly reserved space.
+// would otherwise overwrite freshly reserved space. This is the only
+// place ring space is freed, so it is where the head could pass the
+// start the durable superblock names: a newer superblock is written
+// and flushed first (one per destaged stretch of the ring, not one per
+// lap), and if that fails nothing is released.
+//
+//lsvd:requires wcache.mu
 func (c *Cache) evictOne() bool {
 	if len(c.ring) == 0 {
 		return false
@@ -946,6 +583,9 @@ func (c *Cache) evictOne() bool {
 		return false
 	}
 	if (r.typ == journal.TypeData || r.typ == journal.TypeTrim) && r.writeSeq > c.destagedSeq {
+		return false
+	}
+	if r.seq >= c.startSeq && c.persistStartLocked() != nil {
 		return false
 	}
 	switch r.typ {
@@ -1099,40 +739,6 @@ func (c *Cache) ReadFullDestaged(ext block.Extent, buf []byte) bool {
 	return true
 }
 
-// RecordsAfter replays, in order, every data/trim record with writeSeq
-// greater than the given sequence, passing the write's extent and data
-// (nil for trims). Used for crash recovery: the core re-sends these to
-// the backend (§3.3 "rewind and replay").
-func (c *Cache) RecordsAfter(writeSeq uint64, fn func(writeSeq uint64, typ journal.Type, ext block.Extent, data []byte) error) error {
-	c.mu.RLock()
-	ring := make([]*record, len(c.ring))
-	copy(ring, c.ring)
-	c.mu.RUnlock()
-	recs, bytes := 0, int64(0)
-	for _, r := range ring {
-		if r.writeSeq <= writeSeq || r.typ == journal.TypePad {
-			continue
-		}
-		var data []byte
-		if r.typ == journal.TypeData {
-			data = make([]byte, r.ext.Bytes())
-			if err := c.dev.ReadAt(data, r.dataOff()); err != nil {
-				return err
-			}
-		}
-		if err := fn(r.writeSeq, r.typ, r.ext, data); err != nil {
-			return err
-		}
-		recs++
-		bytes += int64(len(data))
-	}
-	c.mu.Lock()
-	c.replayedRecs += recs
-	c.replayedBytes += bytes
-	c.mu.Unlock()
-	return nil
-}
-
 // MaxWriteSeq returns the newest client write sequence in the log.
 func (c *Cache) MaxWriteSeq() uint64 {
 	c.mu.RLock()
@@ -1193,16 +799,4 @@ func (c *Cache) DestagePressure() bool {
 	// instantly, while an occupancy clause here would latch the backoff
 	// signal on and starve the GC forever.
 	return dirty*2 > logBytes
-}
-
-// Close checkpoints and flushes the cache, after waiting out any
-// in-flight group commits.
-func (c *Cache) Close() error {
-	c.Quiesce()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if err := c.checkpointLocked(); err != nil {
-		return err
-	}
-	return c.dev.Flush()
 }

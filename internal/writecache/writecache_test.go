@@ -150,20 +150,31 @@ func TestRecoveryFromCleanClose(t *testing.T) {
 	}
 }
 
+// Replay starts at the persisted start: a checkpoint moves it to the
+// oldest record the backend lacks, and the next Open recovers that
+// record and everything logged behind it — flushed, never checkpointed
+// — and nothing before it.
 func TestRecoveryReplaysTailAfterCheckpoint(t *testing.T) {
 	dev := simdev.NewMem(64 * block.MiB)
 	c, _ := Format(dev, Config{})
-	ext1 := block.Extent{LBA: 0, Sectors: 16}
-	d1 := payload(1, int(ext1.Bytes()))
-	_ = c.Append(1, ext1, d1)
+	exts := []block.Extent{{LBA: 0, Sectors: 16}, {LBA: 500, Sectors: 16}, {LBA: 900, Sectors: 16}}
+	datas := make([][]byte, len(exts))
+	for i, ext := range exts[:2] {
+		datas[i] = payload(int64(i), int(ext.Bytes()))
+		_ = c.Append(uint64(i+1), ext, datas[i])
+	}
+	c.SetDestaged(1)
 	if err := c.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	// Writes after the checkpoint, then flush (commit) but no
+	if c.startOff != c.ring[1].off || c.startSeq != c.ring[1].seq {
+		t.Fatalf("start at %d (seq %#x), want the first un-destaged record at %d (seq %#x)",
+			c.startOff, c.startSeq, c.ring[1].off, c.ring[1].seq)
+	}
+	// A write after the checkpoint, then flush (commit) but no
 	// checkpoint: must be recovered by log replay.
-	ext2 := block.Extent{LBA: 500, Sectors: 16}
-	d2 := payload(2, int(ext2.Bytes()))
-	_ = c.Append(2, ext2, d2)
+	datas[2] = payload(2, int(exts[2].Bytes()))
+	_ = c.Append(3, exts[2], datas[2])
 	if err := c.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -171,22 +182,22 @@ func TestRecoveryReplaysTailAfterCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c2.Stats().RecoveredRecs != 1 {
-		t.Fatalf("RecoveredRecs=%d want 1", c2.Stats().RecoveredRecs)
+	if st := c2.Stats(); st.RecoveredRecs != 2 || st.MaxWriteSeq != 3 {
+		t.Fatalf("recovered %d records up to write %d, want 2 up to 3", st.RecoveredRecs, st.MaxWriteSeq)
 	}
-	got, full := readBack(t, c2, ext2)
-	if !full || !bytes.Equal(got, d2) {
-		t.Fatal("post-checkpoint write lost")
+	for i := 1; i < 3; i++ {
+		if got, full := readBack(t, c2, exts[i]); !full || !bytes.Equal(got, datas[i]) {
+			t.Fatalf("write %d, logged at or behind the start, lost", i+1)
+		}
 	}
-	got, full = readBack(t, c2, ext1)
-	if !full || !bytes.Equal(got, d1) {
-		t.Fatal("checkpointed write lost")
+	if _, full := readBack(t, c2, exts[0]); full {
+		t.Fatal("replay went back before the persisted start")
 	}
 }
 
 func TestRecoveryAfterCrashKeepsCommittedPrefix(t *testing.T) {
 	dev := simdev.NewMem(64 * block.MiB)
-	c, _ := Format(dev, Config{CheckpointEvery: 1 << 30})
+	c, _ := Format(dev, Config{})
 	// Committed writes.
 	for i := 0; i < 10; i++ {
 		ext := block.Extent{LBA: block.LBA(i * 64), Sectors: 16}
@@ -226,7 +237,7 @@ func TestRecoveryAfterPartialCrashIsPrefix(t *testing.T) {
 	// survived too (sequence-gap rule).
 	for seed := int64(0); seed < 10; seed++ {
 		dev := simdev.NewMem(64 * block.MiB)
-		c, _ := Format(dev, Config{CheckpointEvery: 1 << 30})
+		c, _ := Format(dev, Config{})
 		const n = 30
 		for i := 0; i < n; i++ {
 			ext := block.Extent{LBA: block.LBA(i * 64), Sectors: 16}
@@ -250,7 +261,7 @@ func TestRecoveryAfterPartialCrashIsPrefix(t *testing.T) {
 
 func TestRingWrapAndEviction(t *testing.T) {
 	// Small log: 8 MiB. Write 64 KiB records until wrap several times.
-	c, _ := newCache(t, 8*block.MiB+ckptStart+16*block.MiB, Config{CheckpointBytes: 16 * block.MiB, CheckpointEvery: 1 << 30})
+	c, _ := newCache(t, 8*block.MiB+superBytes+16*block.MiB, Config{CheckpointBytes: 16 * block.MiB})
 	recBytes := 64 * 1024
 	seq := uint64(0)
 	write := func() error {
@@ -298,7 +309,7 @@ func TestRingWrapAndEviction(t *testing.T) {
 }
 
 func TestEvictionRemovesOnlyStaleMappings(t *testing.T) {
-	c, _ := newCache(t, 8*block.MiB+ckptStart+16*block.MiB, Config{CheckpointBytes: 16 * block.MiB, CheckpointEvery: 1 << 30})
+	c, _ := newCache(t, 8*block.MiB+superBytes+16*block.MiB, Config{CheckpointBytes: 16 * block.MiB})
 	// Write A at LBA 0, then overwrite it; evicting the first record
 	// must not remove the mapping to the second copy.
 	ext := block.Extent{LBA: 0, Sectors: 128}
@@ -338,8 +349,11 @@ func TestRecordsAfter(t *testing.T) {
 		_ = c.Append(uint64(i), ext, d)
 	}
 	_ = c.AppendTrim(11, block.Extent{LBA: 100, Sectors: 8})
+	if err := c.Reconcile(5); err != nil {
+		t.Fatal(err)
+	}
 	var seen []uint64
-	err := c.RecordsAfter(5, func(ws uint64, typ journal.Type, ext block.Extent, data []byte) error {
+	err := c.Records(func(ws uint64, typ journal.Type, ext block.Extent, data []byte) error {
 		seen = append(seen, ws)
 		if typ == journal.TypeData && !bytes.Equal(data, want[ws]) {
 			t.Fatalf("record %d data mismatch", ws)
@@ -374,15 +388,161 @@ func TestTooSmallDeviceRejected(t *testing.T) {
 	}
 }
 
+// Eviction past the start writes exactly one superblock first: the head
+// may run up to the record the durable superblock names for free, and
+// releasing that record costs one superblock, which moves the start to
+// the oldest record the backend lacks — one per destaged stretch of the
+// ring, however many records or laps that is.
 func TestAutoCheckpoint(t *testing.T) {
-	c, _ := newCache(t, 64*block.MiB, Config{CheckpointEvery: 5})
+	c, dev := newCache(t, 8*block.MiB+superBytes+16*block.MiB, Config{CheckpointBytes: 16 * block.MiB})
 	formatted := c.Stats().Checkpoints
-	for i := 1; i <= 12; i++ {
-		ext := block.Extent{LBA: block.LBA(i * 10), Sectors: 8}
-		_ = c.Append(uint64(i), ext, payload(int64(i), int(ext.Bytes())))
+	ws := uint64(0)
+	fill := func() {
+		t.Helper()
+		for {
+			ext := block.Extent{LBA: block.LBA(ws+1) * 128, Sectors: 120}
+			err := c.Append(ws+1, ext, payload(int64(ws+1), int(ext.Bytes())))
+			if errors.Is(err, ErrFull) {
+				return
+			} else if err != nil {
+				t.Fatal(err)
+			}
+			ws++
+		}
 	}
-	if got := c.Stats().Checkpoints - formatted; got != 2 {
-		t.Fatalf("auto checkpoints=%d, want 2 for 12 records at one per 5", got)
+	supers := func() uint64 { return c.Stats().Checkpoints - formatted }
+
+	fill()
+	n := ws
+	if supers() != 0 || c.Stats().Evictions != 0 {
+		t.Fatalf("filling an empty ring wrote %d superblocks and evicted %d records", supers(), c.Stats().Evictions)
+	}
+	// Half the ring destaged: the head is the start, so the first
+	// eviction pays for a superblock and the rest of the half is free.
+	c.SetDestaged(n / 2)
+	fill()
+	if c.ring[0].writeSeq != n/2+1 || supers() != 1 {
+		t.Fatalf("evicting up to write %d wrote %d superblocks, want every destaged record gone for 1", c.ring[0].writeSeq, supers())
+	}
+	if c.startOff != c.ring[0].off || c.startSeq != c.ring[0].seq {
+		t.Fatalf("start at %d, want the oldest un-destaged record at %d", c.startOff, c.ring[0].off)
+	}
+	// The head has reached the start again: one more superblock, and it
+	// was flushed before the space was handed out, so a crash that loses
+	// everything unflushed still finds a start inside the live ring.
+	c.SetDestaged(ws)
+	fill()
+	if supers() != 2 {
+		t.Fatalf("second destaged stretch wrote %d superblocks in all, want 2", supers())
+	}
+	live := c.Stats().Records
+	if err := c.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	dev.Crash(1, rand.New(rand.NewSource(1)))
+	c2, err := Open(dev, Config{CheckpointBytes: 16 * block.MiB})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := c2.Stats(); st.RecoveredRecs != live || st.MaxWriteSeq != ws {
+		t.Fatalf("recovered %d records up to write %d, want the %d live ones up to %d", st.RecoveredRecs, st.MaxWriteSeq, live, ws)
+	}
+}
+
+// A write log may hold any number of live records: nothing that grows
+// with their count is persisted, so nothing can outgrow the space set
+// aside for it and fail the guest's write.
+func TestLiveRecordCountNeverFailsAppend(t *testing.T) {
+	c, dev := newCache(t, 64*block.MiB, Config{CheckpointBytes: 64 << 10})
+	ext := block.Extent{Sectors: 8}
+	data := payload(1, int(ext.Bytes()))
+	for i := 1; i <= 3000; i++ {
+		ext.LBA = block.LBA(i) * 8
+		if err := c.Append(uint64(i), ext, data); err != nil {
+			t.Fatalf("append %d: %v", i, err)
+		}
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	c2, err := Open(dev, Config{CheckpointBytes: 64 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := c2.Stats(); st.RecoveredRecs != 3000 {
+		t.Fatalf("recovered %d of 3000 live records", st.RecoveredRecs)
+	}
+}
+
+// failDev fails every write and flush once armed.
+type failDev struct {
+	simdev.Device
+	err error
+}
+
+func (d *failDev) WriteAt(p []byte, off int64) error {
+	if d.err != nil {
+		return d.err
+	}
+	return d.Device.WriteAt(p, off)
+}
+
+func (d *failDev) Flush() error {
+	if d.err != nil {
+		return d.err
+	}
+	return d.Device.Flush()
+}
+
+// Reserve fails in three ways only: ErrFull, a record larger than the
+// log, and a device error — which is sticky, whether it came from a
+// record write, a pad or the superblock an eviction needed.
+func TestReserveErrors(t *testing.T) {
+	boom := errors.New("device gone")
+	for _, destage := range []bool{false, true} {
+		dev := &failDev{Device: simdev.NewMem(8*block.MiB + superBytes)}
+		c, err := Format(dev, Config{CheckpointBytes: 2 * block.BlockSize})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ext := block.Extent{Sectors: 128}
+		data := payload(1, int(ext.Bytes()))
+		if _, err := c.Reserve(1, journal.TypeData, block.Extent{Sectors: 1 << 20}, 512<<20); err == nil || errors.Is(err, ErrFull) {
+			t.Fatalf("oversized record: %v", err)
+		}
+		var ws uint64
+		for {
+			err := c.Append(ws+1, ext, data)
+			if errors.Is(err, ErrFull) {
+				break
+			} else if err != nil {
+				t.Fatal(err)
+			}
+			ws++
+		}
+		// With the ring full, the next Reserve either has nothing to
+		// evict (ErrFull) or must write a superblock to evict the start.
+		if destage {
+			c.SetDestaged(ws)
+		}
+		dev.err = boom
+		_, err = c.Reserve(ws+1, journal.TypeData, ext, len(data))
+		if !destage {
+			if !errors.Is(err, ErrFull) {
+				t.Fatalf("full, nothing destaged: %v, want ErrFull", err)
+			}
+			continue
+		}
+		if !errors.Is(err, boom) {
+			t.Fatalf("eviction past the start on a failed device: %v, want the device error", err)
+		}
+		if c.Stats().Evictions != 0 {
+			t.Fatal("a record was released though the superblock that frees it never landed")
+		}
+		dev.err = nil
+		if _, err := c.Reserve(ws+1, journal.TypeData, ext, len(data)); !errors.Is(err, boom) {
+			t.Fatalf("device error not sticky: %v", err)
+		}
 	}
 }
 
@@ -433,7 +593,7 @@ func TestDestagePressureClearsWhenClean(t *testing.T) {
 
 func BenchmarkAppend16K(b *testing.B) {
 	dev := simdev.NewMem(2 * block.GiB)
-	c, err := Format(dev, Config{CheckpointEvery: 1 << 30})
+	c, err := Format(dev, Config{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -456,7 +616,7 @@ func BenchmarkAppend16K(b *testing.B) {
 // was closed (a second, newer superblock) or just abandoned.
 func usedDevice(t *testing.T, n int, sectors uint32, closed bool) *simdev.MemDevice {
 	t.Helper()
-	old, dev := newCache(t, 64*block.MiB, Config{CheckpointEvery: 1 << 30})
+	old, dev := newCache(t, 64*block.MiB, Config{})
 	for i := 0; i < n; i++ {
 		ext := block.Extent{LBA: block.LBA(i) * block.LBA(sectors), Sectors: sectors}
 		if err := old.Append(uint64(i+1), ext, bytes.Repeat([]byte{0x5a}, int(ext.Bytes()))); err != nil {
@@ -479,11 +639,11 @@ func usedDevice(t *testing.T, n int, sectors uint32, closed bool) *simdev.MemDev
 // replayable.
 func TestFormatInvalidatesUsedDevice(t *testing.T) {
 	dev := usedDevice(t, 4, 8, true)
-	if _, err := Format(dev, Config{CheckpointEvery: 1 << 30}); err != nil {
+	if _, err := Format(dev, Config{}); err != nil {
 		t.Fatal(err)
 	}
 	dev.Crash(1, rand.New(rand.NewSource(1)))
-	c, err := Open(dev, Config{CheckpointEvery: 1 << 30})
+	c, err := Open(dev, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -502,7 +662,7 @@ func TestFormatInvalidatesUsedDevice(t *testing.T) {
 // record 2.
 func TestFormatOldRecordsDoNotChain(t *testing.T) {
 	dev := usedDevice(t, 4, 8, false)
-	c, err := Format(dev, Config{CheckpointEvery: 1 << 30})
+	c, err := Format(dev, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -515,7 +675,7 @@ func TestFormatOldRecordsDoNotChain(t *testing.T) {
 		t.Fatal(err)
 	}
 	dev.Crash(1, rand.New(rand.NewSource(1)))
-	c2, err := Open(dev, Config{CheckpointEvery: 1 << 30})
+	c2, err := Open(dev, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
