@@ -22,6 +22,7 @@ RACE_PKGS := ./internal/simdev ./internal/core ./internal/blockstore ./internal/
 # FUZZTIME and replays the checked-in testdata/fuzz corpora.
 FUZZ_TARGETS := \
 	./internal/journal,FuzzDecode \
+	./internal/journal,FuzzCombine \
 	./internal/nbd,FuzzHandshake \
 	./internal/nbd,FuzzRequestStream \
 	./internal/extmap,FuzzOpsOracle \

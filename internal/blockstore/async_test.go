@@ -312,3 +312,70 @@ func TestAbortStrandsOutOfOrderUploads(t *testing.T) {
 		}
 	}
 }
+
+// TestKickSealsNoRuntBehindAnObjectInFlight: SealAsync is the ring-full
+// kick. While a data object is in flight its commit is what will free
+// the ring, so a batch under half full keeps filling; from half a batch
+// up the kick seals it; and with no data object in flight — an idle
+// pipeline, or one holding only a checkpoint marker — it seals at any
+// fill, because nothing else would ever move those records.
+func TestKickSealsNoRuntBehindAnObjectInFlight(t *testing.T) {
+	gs := newGateStore(objstore.NewMem())
+	const batchBytes = 64 * 1024
+	s := newVolume(t, gs, Config{BatchBytes: batchBytes, UploadDepth: 4, CheckpointEvery: 1 << 30})
+	var ws uint64
+	write := func(sectors uint32) {
+		t.Helper()
+		ws++
+		ext := block.Extent{LBA: block.LBA(ws) * 256, Sectors: sectors}
+		if err := s.Append(ws, ext, payload(int64(ws), int(ext.Bytes()))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	kick := func(wantInflight int, why string) {
+		t.Helper()
+		if err := s.SealAsync(); err != nil {
+			t.Fatal(err)
+		}
+		if got := s.Stats().InflightObjects; got != wantInflight {
+			t.Fatalf("%s: %d objects in flight after the kick, want %d", why, got, wantInflight)
+		}
+	}
+
+	// Nothing in flight: a single sector goes out.
+	first := objName("vol", s.Stats().NextSeq)
+	gs.gate(first)
+	write(1)
+	kick(1, "idle pipeline")
+
+	// That object's PUT is parked. A quarter batch stays where it is...
+	write(batchBytes / 4 / block.SectorSize)
+	kick(1, "quarter batch behind an object in flight")
+	if st := s.Stats(); st.PendingBatch != block.SectorSize+batchBytes/4 {
+		t.Fatalf("pending %d bytes: the kick dropped or sealed the open batch", st.PendingBatch)
+	}
+	// ...and at half a batch it is worth a PUT of its own.
+	write(batchBytes / 4 / block.SectorSize)
+	kick(2, "half batch behind an object in flight")
+
+	gs.release(t, first, nil)
+	waitDurable(t, s, ws)
+
+	// A checkpoint marker carries no client writes: behind it alone, a
+	// runt is sealed.
+	super := superName("vol")
+	gs.gate(super)
+	done := make(chan error, 1)
+	go func() { done <- s.Checkpoint() }()
+	waitFor(t, "the checkpoint marker", func() bool { return s.Stats().InflightObjects == 1 })
+	write(1)
+	kick(2, "runt behind a checkpoint marker only")
+	gs.release(t, super, nil)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	waitDurable(t, s, ws)
+	if err := s.AuditUtilization(); err != nil {
+		t.Fatal(err)
+	}
+}

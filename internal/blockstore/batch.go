@@ -10,21 +10,68 @@ import (
 	"lsvd/internal/journal"
 )
 
+// segments is the source of an object's data: buffers laid end to end
+// at virtual offsets, each with the CRC32C (journal.Sum) its owner took
+// when it handed the bytes over — the client's ack path for a write, the
+// GC for a piece it fetched. Objects are gathered from it as views, and
+// checksummed from the sums: only a piece that is less than its whole
+// buffer is read again.
+type segments struct {
+	bufs [][]byte
+	offs []int64 // virtual offset of each buffer
+	sums []uint32
+	fill int64
+}
+
+func (p *segments) push(data []byte, sum uint32) (off int64) {
+	off = p.fill
+	p.bufs = append(p.bufs, data)
+	p.offs = append(p.offs, off)
+	p.sums = append(p.sums, sum)
+	p.fill += int64(len(data))
+	return off
+}
+
+// gather appends zero-copy views of the n bytes at virtual offset off
+// to vec, and extends sum — the CRC32C of everything gathered so far —
+// over them. The views alias the retained buffers, which flow to the
+// store uncopied; the ownership handoff documented on Append is what
+// makes that safe. Extent targets never span buffers (coalescing splits
+// runs but a run's bytes always come from one write), yet the loop
+// handles crossings anyway — correctness should not hang on that
+// reasoning.
+func (p *segments) gather(vec [][]byte, sum uint32, off, n int64) ([][]byte, uint32) {
+	i := sort.Search(len(p.offs), func(i int) bool { return p.offs[i] > off }) - 1
+	for n > 0 {
+		piece := p.bufs[i][off-p.offs[i]:]
+		if int64(len(piece)) > n {
+			piece = piece[:n]
+		}
+		pieceSum := p.sums[i]
+		if len(piece) != len(p.bufs[i]) {
+			pieceSum = journal.Sum(piece) // what coalescing left of a write
+		}
+		sum = journal.Combine(sum, pieceSum, uint64(len(piece)))
+		vec = append(vec, piece)
+		off += int64(len(piece))
+		n -= int64(len(piece))
+		i++
+	}
+	return vec, sum
+}
+
 // batch accumulates client writes until sealed into an object. Writes
 // within a batch may be coalesced — overwritten bytes never reach the
 // backend — which is safe because the object is stored atomically
 // (§3.1: "Writes may thus be coalesced within a single batch, although
 // not across batches").
 //
-// The batch holds REFERENCES to the payloads it is given (segs), laid
-// out at virtual offsets in arrival order; nothing is copied until the
-// object image is gathered at build time. Append's callers therefore
-// hand over ownership of the data.
+// The batch holds REFERENCES to the payloads it is given, in arrival
+// order; nothing is copied until the object image is gathered at build
+// time. Append's callers therefore hand over ownership of the data.
 type batch struct {
+	segments
 	capBytes   int64
-	segs       [][]byte // payload references, arrival order
-	segOffs    []int64  // virtual offset of each segment
-	fill       int64
 	m          *extmap.Map // vLBA -> virtual offset (sectors), coalescing index
 	noCoalesce bool
 	raw        []journal.ExtentEntry // no-coalesce mode: extents in arrival order
@@ -41,33 +88,8 @@ func newBatch(capBytes int64, noCoalesce bool) *batch {
 
 func (b *batch) empty() bool { return b.writes == 0 && len(b.trims) == 0 }
 
-// slices appends zero-copy views of n bytes of batch payload starting
-// at virtual offset off to vec. The views alias the staging buffers
-// the batch retained at Append, which flow to the store uncopied —
-// the ownership handoff documented on Append is what makes that safe.
-// Extent targets never span segments (coalescing splits runs but a
-// run's bytes always come from one write), yet the loop handles
-// crossings anyway — correctness should not hang on that reasoning.
-func (b *batch) slices(vec [][]byte, off, n int64) [][]byte {
-	i := sort.Search(len(b.segOffs), func(i int) bool { return b.segOffs[i] > off }) - 1
-	for n > 0 {
-		seg := b.segs[i][off-b.segOffs[i]:]
-		if int64(len(seg)) > n {
-			seg = seg[:n]
-		}
-		vec = append(vec, seg)
-		off += int64(len(seg))
-		n -= int64(len(seg))
-		i++
-	}
-	return vec
-}
-
-func (b *batch) add(writeSeq uint64, ext block.Extent, data []byte) {
-	off := b.fill
-	b.segs = append(b.segs, data)
-	b.segOffs = append(b.segOffs, off)
-	b.fill += int64(len(data))
+func (b *batch) add(writeSeq uint64, ext block.Extent, data []byte, sum uint32) {
+	off := b.push(data, sum)
 	if b.noCoalesce {
 		b.raw = append(b.raw, journal.ExtentEntry{LBA: ext.LBA, Sectors: ext.Sectors})
 		b.rawOffs = append(b.rawOffs, off)
@@ -101,6 +123,16 @@ func (b *batch) addTrim(writeSeq uint64, ext block.Extent) {
 // ownership of data — it keeps a reference until the object holding it
 // commits — so the caller must not modify the buffer after Append.
 func (s *Store) Append(writeSeq uint64, ext block.Extent, data []byte) error {
+	return s.AppendSum(writeSeq, ext, data, journal.Sum(data))
+}
+
+// AppendSum is Append for a caller that has already checksummed the
+// write: sum is journal.Sum(data) as it was when the write was
+// acknowledged, and the object's CRC is built from it without reading
+// data again. A buffer that changes between here and the PUT therefore
+// yields an object that fails journal.Decode, not one that vouches for
+// the damage.
+func (s *Store) AppendSum(writeSeq uint64, ext block.Extent, data []byte, sum uint32) error {
 	if int64(len(data)) != ext.Bytes() {
 		return fmt.Errorf("blockstore: extent %v does not match %d data bytes", ext, len(data))
 	}
@@ -109,7 +141,7 @@ func (s *Store) Append(writeSeq uint64, ext block.Extent, data []byte) error {
 	if s.readOnly {
 		return ErrReadOnly
 	}
-	s.batch.add(writeSeq, ext, data)
+	s.batch.add(writeSeq, ext, data, sum)
 	s.stats.bytesAppended += uint64(len(data))
 	if s.batch.fill >= s.cfg.BatchBytes {
 		return s.sealAsyncLocked()
@@ -141,19 +173,45 @@ func (s *Store) Seal() error {
 	return s.sealAndWaitLocked()
 }
 
-// SealAsync pushes the current batch into the upload pipeline without
-// fencing: it returns once the object is queued, and the commit lands
-// in the background, advancing DurableWriteSeq (and firing OnDestage)
-// when it does. Core uses it as the ring-full "kick" — the records
-// pinning the cache-log head go out as an object while the writer
-// waits for the destage watermark, without draining the pipeline.
+// kickFillShare is the part of BatchBytes (one in kickFillShare) the
+// open batch must hold for a ring-full kick to seal it while a data
+// object is still in flight: below it the kick pays a full PUT round
+// trip — a pipeline slot for as long as a whole object would take it —
+// for under half the bytes.
+const kickFillShare = 2
+
+// SealAsync is the ring-full "kick": core calls it when the cache log is
+// full, so that the records pinning the log's head reach the backend
+// without draining the pipeline. It never fences — the commit lands in
+// the background, advancing DurableWriteSeq (and firing OnDestage) —
+// and it seals only a batch worth a PUT or one nothing else will move:
+// while a data object is in flight the head is pinned by that object,
+// whose commit frees space by itself, so a batch under 1/kickFillShare
+// full keeps filling and the caller waits for the watermark. With
+// nothing in flight the batch is sealed at any fill.
 func (s *Store) SealAsync() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.readOnly {
 		return ErrReadOnly
 	}
+	if s.batch.fill*kickFillShare < s.cfg.BatchBytes && s.dataInflightLocked() {
+		return nil
+	}
 	return s.sealAsyncLocked()
+}
+
+// dataInflightLocked reports whether a sealed data object awaits its
+// commit (checkpoint markers carry no client writes).
+//
+//lsvd:requires bs.mu
+func (s *Store) dataInflightLocked() bool {
+	for _, inf := range s.inflight {
+		if inf.ckpt == nil {
+			return true
+		}
+	}
+	return false
 }
 
 // batchExtents flattens a batch's extent state for object building:
@@ -179,31 +237,33 @@ func batchExtents(b *batch, seq uint32) (exts []journal.ExtentEntry, offs []int6
 	return exts, offs
 }
 
-// buildObject assembles an object image as a VECTOR: the encoded
-// header (padded to a sector boundary so data offsets are
-// sector-addressable) followed by zero-copy views of each non-trim
-// extent's payload, produced by slices(vec, srcOff, n) from the
-// caller's payload store. No contiguous image is materialized — the
-// CRC runs over the pieces (journal.EncodeHeader) and the store
-// receives the vector (objstore.PutVec), so payload bytes are not
-// copied at all between the write-path staging buffers and the
-// backend. It returns the vector, the object's table entry, and the
-// data extents paired with their in-object sector offsets for map
-// installation. It reads no Store state and is safe to call without
-// s.mu.
 type mappedExtent struct {
 	ext    block.Extent
 	srcSeq uint64
 	target extmap.Target
 }
 
-func (s *Store) buildObject(seq uint32, typ journal.Type, writeSeq uint64, exts []journal.ExtentEntry, offs []int64, slices func(vec [][]byte, srcOff, n int64) [][]byte) ([][]byte, *objInfo, []mappedExtent, error) {
+// buildObject assembles an object image as a VECTOR: the encoded
+// header (padded to a sector boundary so data offsets are
+// sector-addressable) followed by zero-copy views of each non-trim
+// extent's bytes, gathered from src at the offsets in offs. No
+// contiguous image is materialized and no payload byte is read that
+// its owner already checksummed — the header's CRC is combined from the
+// segments' sums (segments.gather, journal.EncodeHeaderSum) and the store
+// receives the vector (objstore.PutVec), so payload bytes are neither
+// copied nor passed over between the write-path staging buffers and the
+// backend. It returns the vector, the object's table entry, and the
+// data extents paired with their in-object sector offsets for map
+// installation. It reads no Store state and is safe to call without
+// s.mu.
+func buildObject(seq uint32, typ journal.Type, writeSeq uint64, exts []journal.ExtentEntry, offs []int64, src *segments) ([][]byte, *objInfo, []mappedExtent) {
 	hdrBytes := journal.HeaderSize(len(exts))
 	hdrBytes = (hdrBytes + block.SectorSize - 1) &^ (block.SectorSize - 1)
 	hdrSectors := uint32(hdrBytes / block.SectorSize)
 
 	vec := make([][]byte, 1, 1+len(offs))
 	var mapped []mappedExtent
+	var sum uint32 // CRC32C of the data gathered so far
 	cursor := int64(0)
 	di := 0 // index into offs (non-trim extents only)
 	for _, e := range exts {
@@ -211,7 +271,7 @@ func (s *Store) buildObject(seq uint32, typ journal.Type, writeSeq uint64, exts 
 			continue
 		}
 		n := int64(e.Sectors) << block.SectorShift
-		vec = slices(vec, offs[di], n)
+		vec, sum = src.gather(vec, sum, offs[di], n)
 		mapped = append(mapped, mappedExtent{
 			ext:    block.Extent{LBA: e.LBA, Sectors: e.Sectors},
 			srcSeq: e.SrcSeq,
@@ -222,18 +282,14 @@ func (s *Store) buildObject(seq uint32, typ journal.Type, writeSeq uint64, exts 
 	}
 
 	h := &journal.Header{Type: typ, Seq: uint64(seq), WriteSeq: writeSeq, Extents: exts, DataLen: uint64(cursor)}
-	hdr, err := journal.EncodeHeader(h, block.SectorSize, vec[1:]...)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	vec[0] = hdr
+	vec[0] = journal.EncodeHeaderSum(h, block.SectorSize, sum)
 
 	info := &objInfo{
 		seq: seq, typ: typ, totalBytes: int64(hdrBytes) + cursor,
 		hdrSectors: hdrSectors, dataSectors: uint32(cursor >> block.SectorShift),
 		liveSectors: uint32(cursor >> block.SectorShift), writeSeq: writeSeq,
 	}
-	return vec, info, mapped, nil
+	return vec, info, mapped
 }
 
 // installObject applies a sealed object's effects to the map and the

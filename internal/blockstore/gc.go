@@ -596,8 +596,8 @@ func (s *Store) gcGateRelease() { s.gate.ReleaseBackground(s.gcGateID) }
 //
 //lsvd:requires bs.mu
 func (s *Store) writeGCObjectLocked(pieces []gcPiece) error {
-	bufs := make([][]byte, len(pieces))
-	for i, p := range pieces {
+	var src segments // the pieces end to end, each summed as fetched
+	for _, p := range pieces {
 		data := make([]byte, p.ext.Bytes())
 		if p.srcObj != 0 && (s.cfg.FetchFromCache == nil || !s.cfg.FetchFromCache(p.ext, data)) {
 			name := s.name(p.srcObj)
@@ -614,7 +614,7 @@ func (s *Store) writeGCObjectLocked(pieces []gcPiece) error {
 			}
 			copy(data, got)
 		}
-		bufs[i] = data
+		src.push(data, journal.Sum(data))
 	}
 
 	// Two conditions gate the seq-reservation critical section below,
@@ -660,10 +660,8 @@ func (s *Store) writeGCObjectLocked(pieces []gcPiece) error {
 	}
 
 	exts := make([]journal.ExtentEntry, 0, len(pieces))
-	offs := make([]int64, 0, len(pieces))
 	seq := s.nextSeq
-	var copied int64
-	for i, p := range pieces {
+	for _, p := range pieces {
 		// srcObj 0 (a zero-fill plug of an unmapped gap) stays 0 in the
 		// header: installObject fills only still-unmapped holes for it.
 		// Installing zeros unconditionally would be wrong in both
@@ -672,37 +670,14 @@ func (s *Store) writeGCObjectLocked(pieces []gcPiece) error {
 		// object that replays before this GC object after a crash, must
 		// not be shadowed by plug zeros.
 		exts = append(exts, journal.ExtentEntry{LBA: p.ext.LBA, Sectors: p.ext.Sectors, SrcSeq: uint64(p.srcObj)})
-		offs = append(offs, copied)
-		copied += int64(len(bufs[i]))
 	}
-
-	// The pieces concatenated form the virtual payload; the slicer
-	// walks them like the batch path walks its segments, emitting
-	// zero-copy views.
-	slices := func(vec [][]byte, srcOff, n int64) [][]byte {
-		i := sort.Search(len(offs), func(i int) bool { return offs[i] > srcOff }) - 1
-		for n > 0 {
-			piece := bufs[i][srcOff-offs[i]:]
-			if int64(len(piece)) > n {
-				piece = piece[:n]
-			}
-			vec = append(vec, piece)
-			srcOff += int64(len(piece))
-			n -= int64(len(piece))
-			i++
-		}
-		return vec
-	}
-	obj, info, mapped, err := s.buildObject(seq, journal.TypeGC, s.durableWriteSeq, exts, offs, slices)
-	if err != nil {
-		return err
-	}
+	obj, info, mapped := buildObject(seq, journal.TypeGC, s.durableWriteSeq, exts, src.offs, &src)
 	//lsvd:ignore the GC PUT must complete inside the seq-reservation critical section under mu (see writeGCObjectLocked doc)
 	if err := objstore.PutVec(s.ctx, s.cfg.Store, objName(s.cfg.Volume, seq), obj); err != nil {
 		return err
 	}
 	s.stats.bytesPut += uint64(objstore.VecLen(obj))
-	s.stats.gcBytesCopied += uint64(copied)
+	s.stats.gcBytesCopied += uint64(src.fill)
 	s.installObject(info, mapped, nil)
 	s.nextSeq++
 	s.sinceCkpt++

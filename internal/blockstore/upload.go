@@ -227,22 +227,17 @@ func (s *Store) startUploadLocked(inf *inflightObj) {
 	obj := inf.obj // non-nil on resubmission: the image is built once
 	invariant.Go("blockstore-upload", func() {
 		s.gate.Acquire(s.gateID)
-		var err error
 		if obj == nil {
 			var info *objInfo
 			var mapped []mappedExtent
-			obj, info, mapped, err = s.buildObject(inf.seq, journal.TypeData,
-				inf.maxWrite, inf.exts, inf.offs, inf.b.slices)
-			if err == nil {
-				s.mu.Lock()
-				inf.obj, inf.info, inf.mapped = obj, info, mapped
-				inf.b, inf.exts, inf.offs = nil, nil, nil
-				s.mu.Unlock()
-			}
+			obj, info, mapped = buildObject(inf.seq, journal.TypeData,
+				inf.maxWrite, inf.exts, inf.offs, &inf.b.segments)
+			s.mu.Lock()
+			inf.obj, inf.info, inf.mapped = obj, info, mapped
+			inf.b, inf.exts, inf.offs = nil, nil, nil
+			s.mu.Unlock()
 		}
-		if err == nil {
-			err = objstore.PutVec(s.ctx, s.cfg.Store, name, obj)
-		}
+		err := objstore.PutVec(s.ctx, s.cfg.Store, name, obj)
 		s.gate.Release(s.gateID)
 		s.mu.Lock()
 		inf.done, inf.err = true, err

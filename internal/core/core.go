@@ -328,12 +328,14 @@ func (p *stagePool) put(b []byte) {
 // destageReq is one unit of work for the destager goroutine: a logged
 // write or trim to forward to the block store, a flush marker (non-nil
 // reply channel) that seals and fences the pipeline, or a kick — a
-// non-fencing seal issued by ring-full backpressure, which needs the
-// records ahead of it uploaded but not the whole pipeline drained.
+// non-fencing seal request issued by ring-full backpressure, which needs
+// the records ahead of it on their way to the backend but not the whole
+// pipeline drained.
 type destageReq struct {
 	ws    uint64
 	ext   block.Extent
 	data  []byte // nil for trims
+	sum   uint32 // journal.Sum(data), taken once on the ack path
 	trim  bool
 	flush chan error
 	kick  bool
@@ -433,7 +435,7 @@ func CreateShared(ctx context.Context, opts Options, res *Resources) (*Disk, err
 	if err != nil {
 		return nil, err
 	}
-	if d.wc, err = writecache.Format(wcDev, wcConfig(wcDev)); err != nil {
+	if d.wc, err = writecache.Format(wcDev, writecache.Config{}); err != nil {
 		return nil, err
 	}
 	if d.bs, err = blockstore.Create(ctx, d.storeConfig()); err != nil {
@@ -470,20 +472,6 @@ func (d *Disk) released() {
 	}
 }
 
-// wcConfig scales the gap in front of the write log to the cache
-// partition, so the log is the size it has always been on every
-// partition (the read cache's counterpart is readcache.SizedConfig).
-func wcConfig(dev simdev.Device) writecache.Config {
-	ckpt := dev.Size() / 8
-	if ckpt > 16*block.MiB {
-		ckpt = 16 * block.MiB
-	}
-	if ckpt < 2*block.BlockSize {
-		ckpt = 2 * block.BlockSize
-	}
-	return writecache.Config{CheckpointBytes: ckpt &^ (block.BlockSize - 1)}
-}
-
 // Open recovers an LSVD volume: the cache log is replayed from the start
 // its superblock names, the backend recovered by the prefix rule, and
 // the two reconciled — the cache drops what the backend holds and
@@ -504,11 +492,12 @@ func OpenShared(ctx context.Context, opts Options, res *Resources) (*Disk, error
 	if err != nil {
 		return nil, err
 	}
-	wc, wcErr := writecache.Open(wcDev, wcConfig(wcDev))
+	wc, wcErr := writecache.Open(wcDev)
 	if wcErr != nil {
-		// Cache lost or blank (§3.4 worst case): reformat it; the
-		// volume falls back to the backend's consistent prefix.
-		if wc, err = writecache.Format(wcDev, wcConfig(wcDev)); err != nil {
+		// Cache lost, blank or laid out by an earlier version (§3.4 worst
+		// case): reformat it; the volume falls back to the backend's
+		// consistent prefix.
+		if wc, err = writecache.Format(wcDev, writecache.Config{}); err != nil {
 			return nil, err
 		}
 	}
@@ -584,7 +573,7 @@ func openReadOnly(ctx context.Context, opts Options, mount func(blockstore.Confi
 	}
 	// The write cache stays empty; it exists only so the read path's
 	// three-level lookup works unchanged.
-	if d.wc, err = writecache.Format(wcDev, wcConfig(wcDev)); err != nil {
+	if d.wc, err = writecache.Format(wcDev, writecache.Config{}); err != nil {
 		return nil, err
 	}
 	if d.bs, err = mount(d.storeConfig()); err != nil {
@@ -701,9 +690,10 @@ func (d *Disk) destage() {
 			}
 			if req.kick {
 				// Every record queued before the kick is now in the
-				// batch; seal it without waiting so the commit (and the
-				// OnDestage watermark pulse the kicker sleeps on) can
-				// land while writes continue.
+				// batch; the store seals it without waiting, unless an
+				// object already in flight will free the ring first, so
+				// the commit (and the OnDestage watermark pulse the
+				// kicker sleeps on) can land while writes continue.
 				if err := d.bs.SealAsync(); err != nil {
 					d.failPipeline(err)
 				}
@@ -719,7 +709,7 @@ func (d *Disk) destage() {
 			if req.trim {
 				err = d.bs.Trim(req.ws, req.ext)
 			} else {
-				err = d.bs.Append(req.ws, req.ext, req.data)
+				err = d.bs.AppendSum(req.ws, req.ext, req.data, req.sum)
 			}
 			if err != nil {
 				d.failPipeline(err)
@@ -874,9 +864,13 @@ func (d *Disk) WriteAt(p []byte, off int64) error {
 	// Stage before the lock: the destage pipeline (and the block-store
 	// batch, which holds references) outlives the caller's ownership
 	// of p. The buffer comes from the recycle pool and returns to it
-	// when its object commits.
+	// when its object commits. The one checksum pass the payload gets is
+	// taken here, over the staged copy while it is cache-hot; the cache
+	// record's CRC and, later, the backend object's are both derived
+	// from it.
 	clone := d.stage.get(len(p))
 	copy(clone, p)
+	sum := journal.Sum(clone)
 
 	d.wmu.Lock()
 	if d.readOnly {
@@ -894,7 +888,7 @@ func (d *Disk) WriteAt(p []byte, off int64) error {
 		return err
 	}
 	d.stage.track(ws, clone)
-	qerr := d.enqueue(destageReq{ws: ws, ext: ext, data: clone})
+	qerr := d.enqueue(destageReq{ws: ws, ext: ext, data: clone, sum: sum})
 	d.wmu.Unlock()
 
 	// Off the lock: the payload lands on the cache SSD via the group
@@ -902,7 +896,7 @@ func (d *Disk) WriteAt(p []byte, off int64) error {
 	// reservation contract requires the Commit even if the enqueue
 	// failed (a killed disk's record is simply never destaged — crash
 	// semantics).
-	if err := d.wc.Commit(res, p); err != nil {
+	if err := d.wc.Commit(res, p, sum); err != nil {
 		return err
 	}
 	if qerr != nil {
@@ -935,17 +929,19 @@ const graceRounds = 3
 // reserveWithBackpressure claims cache-log space for one mutation
 // under wmu; the payload commit happens off wmu. A full ring means the
 // records pinning the head have not destaged yet, so the writer kicks
-// a non-fencing seal — the partial backend batch holding them goes out
-// as an object — and dozes until the destage watermark advances,
-// retrying as commits land and the head evicts. This is §3.2's "no
-// writes accepted until cache space is freed" as flow control rather
-// than stop-and-go: the volume's upload pipeline keeps running (and
-// other volumes keep the shared backend busy) while this writer waits.
-// Only a stalled watermark escalates to the full destage fence.
+// a non-fencing seal and dozes until the destage watermark advances,
+// retrying as commits land and the head evicts. The block store decides
+// what a kick seals (blockstore.SealAsync): a partial batch goes out
+// only when it is worth a PUT or nothing else is in flight, so the kick
+// is re-sent after every tick that did not free enough room — the
+// in-flight object it deferred to may have been the last one. This is
+// §3.2's "no writes accepted until cache space is freed" as flow control
+// rather than stop-and-go: the volume's upload pipeline keeps running
+// (and other volumes keep the shared backend busy) while this writer
+// waits. Only a stalled watermark escalates to the full destage fence.
 //
 //lsvd:requires core.wmu
 func (d *Disk) reserveWithBackpressure(ws uint64, typ journal.Type, ext block.Extent, dataLen int) (*writecache.Reservation, error) {
-	kicked := false
 	fences := 0
 	for {
 		res, err := d.wc.Reserve(ws, typ, ext, dataLen)
@@ -958,12 +954,9 @@ func (d *Disk) reserveWithBackpressure(ws uint64, typ journal.Type, ext block.Ex
 		if perr := d.pipelineErr(); perr != nil {
 			return nil, perr
 		}
-		if !kicked {
-			kicked = true
-			d.ringKicks.Add(1)
-			if qerr := d.enqueue(destageReq{kick: true}); qerr != nil {
-				return nil, qerr
-			}
+		d.ringKicks.Add(1)
+		if qerr := d.enqueue(destageReq{kick: true}); qerr != nil {
+			return nil, qerr
 		}
 		progressed := false
 		for round := 0; round < graceRounds; round++ {
@@ -1135,7 +1128,7 @@ func (d *Disk) Trim(off, length int64) error {
 	qerr := d.enqueue(destageReq{ws: ws, ext: ext, trim: true})
 	d.wmu.Unlock()
 
-	if err := d.wc.Commit(res, nil); err != nil {
+	if err := d.wc.Commit(res, nil, 0); err != nil {
 		return err
 	}
 	if qerr != nil {

@@ -2,11 +2,13 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"testing"
 	"time"
 
 	"lsvd/internal/block"
+	"lsvd/internal/journal"
 	"lsvd/internal/simdev"
 )
 
@@ -124,5 +126,85 @@ func TestBackendAheadOfCrashedCacheIsNotShadowed(t *testing.T) {
 	}
 	if !bytes.Equal(got, payload(2, blk)) {
 		t.Fatal("block 0 reads neither version")
+	}
+}
+
+// The write log is its partition less the two superblocks, on every
+// cache size: nothing else is stored there.
+func TestWriteLogSpansItsPartition(t *testing.T) {
+	for _, cacheMiB := range []int64{32, 128, 256} {
+		h := newHarness(t, func(o *Options) {
+			o.CacheDev = simdev.NewMem(cacheMiB * block.MiB)
+			o.VolBytes = 16 * block.MiB
+		})
+		partition := int64(float64(cacheMiB*block.MiB)*0.2) &^ (block.BlockSize - 1)
+		if got := h.disk.Stats().WriteCache.LogBytes; got != partition-2*block.BlockSize {
+			t.Errorf("%d MiB cache: write log of %d bytes in a partition of %d, want all but 8 KiB", cacheMiB, got, partition)
+		}
+		h.disk.Kill()
+	}
+}
+
+// A cache device laid out by the version before this one — its
+// superblock names a chain start but not where the log begins — is
+// refused by the write cache and recovered as cache loss (§3.4): the
+// volume opens on the backend's prefix with an empty, re-formatted log,
+// and the next crash recovers from the new layout.
+func TestParentLayoutCacheIsCacheLoss(t *testing.T) {
+	h := newHarness(t, func(o *Options) { o.BatchBytes = 256 * 1024 })
+	const blk = 64 * 1024
+	for i := int64(0); i < 8; i++ {
+		if err := h.disk.WriteAt(payload(i, blk), i*blk); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := h.disk.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	h.disk.Kill()
+
+	// Both slots as 6181c48 wrote them: gen, epoch, chain start, sequence.
+	le := binary.LittleEndian
+	old := make([]byte, 32)
+	le.PutUint64(old, 1<<20)
+	le.PutUint64(old[8:], 5)
+	le.PutUint64(old[16:], uint64(2*block.BlockSize+16*block.MiB))
+	le.PutUint64(old[24:], 5<<48|1)
+	super, err := journal.Encode(&journal.Header{Type: journal.TypeSuper, Seq: 1 << 20, DataLen: 32}, old, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, off := range []int64{0, block.BlockSize} {
+		if err := h.cache.WriteAt(super, off); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	h.reopen(t)
+	st := h.disk.Stats()
+	if st.WriteCache.RecoveredRecs != 0 || st.RecoveredReplayed != 0 || st.WriteCache.Checkpoints == 0 {
+		t.Fatalf("reopened with %d recovered records, %d replayed: want an empty, freshly formatted log", st.WriteCache.RecoveredRecs, st.RecoveredReplayed)
+	}
+	got := make([]byte, blk)
+	for i := int64(0); i < 8; i++ {
+		if err := h.disk.ReadAt(got, i*blk); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, payload(i, blk)) {
+			t.Fatalf("block %d lost with the cache though the backend held it", i)
+		}
+	}
+	if err := h.disk.WriteAt(payload(100, blk), 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := h.disk.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	h.reopen(t)
+	if err := h.disk.ReadAt(got, 0); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, payload(100, blk)) {
+		t.Fatal("a write flushed to the re-formatted cache did not survive the next crash")
 	}
 }

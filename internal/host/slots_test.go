@@ -3,6 +3,7 @@ package host
 import (
 	"bytes"
 	"context"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -250,5 +251,104 @@ func TestKillAfterSlotWriteLogLapsKeepsFlushedTail(t *testing.T) {
 		if !bytes.Equal(got, pattern(v, blk)) {
 			t.Fatalf("block %d does not read its last flushed version (%d)", b, v)
 		}
+	}
+}
+
+// parkedStore parks, from arm until release, every PUT under one
+// volume's prefix.
+type parkedStore struct {
+	objstore.Store
+	prefix  string
+	armed   atomic.Bool
+	arrived chan struct{} // one value per parked PUT
+	release chan struct{}
+}
+
+func (p *parkedStore) Put(ctx context.Context, name string, data []byte) error {
+	if p.armed.Load() && strings.HasPrefix(name, p.prefix) {
+		p.arrived <- struct{}{}
+		<-p.release
+	}
+	return p.Store.Put(ctx, name, data)
+}
+
+// A volume's write log is its slot less the two superblocks, and a
+// ring-full writer whose only in-flight object is parked behind a
+// neighbour on the host's upload gate — so its kick seals nothing and no
+// commit ticks — still gets through: the stalled watermark escalates to
+// the fence, and the gate slot, once the neighbour gives it back, is
+// this volume's by its guaranteed share.
+func TestRingFullBehindAParkedGateSlotStillProgresses(t *testing.T) {
+	ctx := context.Background()
+	ps := &parkedStore{Store: objstore.NewMem(), prefix: volPrefix("b"),
+		arrived: make(chan struct{}, 4), release: make(chan struct{})}
+	h, err := New(ctx, Options{
+		HostOptions: core.HostOptions{Store: ps, CacheDev: simdev.NewMem(128 * block.MiB), UploadDepth: 1},
+		MaxVolumes:  2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := h.Create(ctx, "a", core.VolumeOptions{VolBytes: 64 * block.MiB, BatchBytes: 9 * block.MiB, GCLowWater: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := h.Create(ctx, "b", core.VolumeOptions{VolBytes: 16 * block.MiB, BatchBytes: block.MiB, GCLowWater: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := a.Stats().WriteCache.LogBytes, h.slotBytes-2*block.BlockSize; got != want {
+		t.Fatalf("write log of %d bytes in a slot of %d, want all but 8 KiB", got, h.slotBytes)
+	}
+
+	// b takes the host's one upload slot and sits on it.
+	ps.armed.Store(true)
+	if err := b.WriteAt(pattern(1, int(block.MiB)), 0); err != nil {
+		t.Fatal(err)
+	}
+	<-ps.arrived
+
+	// a seals a 9 MiB batch (72 writes) behind it, then fills the 24
+	// records its log has left: under half a batch, one object in flight.
+	const blk = 128 * 1024
+	done := make(chan error, 1)
+	go func() {
+		for i := int64(0); i < 200; i++ {
+			if err := a.WriteAt(pattern(i, blk), i*blk); err != nil {
+				done <- err
+				return
+			}
+		}
+		done <- a.Drain()
+	}()
+	for deadline := time.Now().Add(10 * time.Second); a.Stats().RingKicks == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("a's ring never filled")
+		}
+	}
+	if st := a.Stats(); st.Backend.DurableWriteSeq != 0 || st.Backend.InflightObjects != 1 {
+		t.Fatalf("a committed through write %d with %d objects in flight while its upload was parked on the gate",
+			st.Backend.DurableWriteSeq, st.Backend.InflightObjects)
+	}
+	close(ps.release)
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(20 * time.Second):
+		t.Fatal("a's writer is still stalled after the gate slot came back")
+	}
+	got := make([]byte, blk)
+	for _, i := range []int64{0, 71, 72, 199} {
+		if err := a.ReadAt(got, i*blk); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, pattern(i, blk)) {
+			t.Fatalf("write %d does not read back", i)
+		}
+	}
+	if err := h.Close(); err != nil {
+		t.Fatal(err)
 	}
 }

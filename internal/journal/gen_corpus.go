@@ -1,6 +1,6 @@
 //go:build ignore
 
-// Generates the checked-in seed corpus for FuzzDecode:
+// Generates the checked-in seed corpora for FuzzDecode and FuzzCombine:
 //
 //	go run gen_corpus.go
 //
@@ -58,4 +58,23 @@ func main() {
 	}
 	write("pad-record", pad, true)
 	write("garbage", []byte("not a journal record"), false)
+
+	// FuzzCombine(a, b []byte, rep uint32): b is tiled rep times, so a
+	// few bytes of corpus reach each tail length the write path produces.
+	dir = filepath.Join("testdata", "fuzz", "FuzzCombine")
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		log.Fatal(err)
+	}
+	combine := func(name string, a, b []byte, rep uint32) {
+		body := fmt.Sprintf("go test fuzz v1\n[]byte(%s)\n[]byte(%s)\nuint32(%d)\n", strconv.Quote(string(a)), strconv.Quote(string(b)), rep)
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(body), 0o644); err != nil {
+			log.Fatal(err)
+		}
+	}
+	combine("empty-empty", nil, nil, 1)
+	combine("tail-1", []byte("header"), []byte{0}, 1)
+	combine("tail-511", []byte{0xff}, []byte("0123456"), 73)
+	combine("tail-4k", []byte("a"), bytes.Repeat([]byte{0xa5}, 64), 64)
+	combine("tail-128k", []byte("LSVD"), []byte("\x00\x01\x02\x03\x04\x05\x06\x07"), 16<<10)
+	combine("tail-8m-plus-1", nil, []byte("abc"), 2796203)
 }

@@ -178,22 +178,29 @@ func putHeader(buf []byte, h *Header, hs int) {
 // of [header, data...] instead of materializing the full record.
 func EncodeHeader(h *Header, hdrAlign int, data ...[]byte) ([]byte, error) {
 	var n uint64
+	var sum uint32
 	for _, d := range data {
 		n += uint64(len(d))
+		sum = crc32.Update(sum, castagnoli, d)
 	}
 	if n != h.DataLen {
 		return nil, fmt.Errorf("journal: header DataLen %d != data %d", h.DataLen, n)
 	}
+	return EncodeHeaderSum(h, hdrAlign, sum), nil
+}
+
+// EncodeHeaderSum is EncodeHeader for a caller that already holds
+// sum, the CRC32C (Sum) of the h.DataLen data bytes: the header is
+// stamped with the same CRC a pass over header and data would compute,
+// and the data is not read. The record then vouches for the bytes as
+// they were when sum was taken.
+func EncodeHeaderSum(h *Header, hdrAlign int, sum uint32) []byte {
 	hs := HeaderSize(len(h.Extents))
 	hs = (hs + hdrAlign - 1) / hdrAlign * hdrAlign
 	buf := make([]byte, hs)
 	putHeader(buf, h, hs)
-	crc := crc32.Update(0, castagnoli, buf)
-	for _, d := range data {
-		crc = crc32.Update(crc, castagnoli, d)
-	}
-	binary.LittleEndian.PutUint32(buf[crcOffset:], crc)
-	return buf, nil
+	binary.LittleEndian.PutUint32(buf[crcOffset:], Combine(Sum(buf), sum, h.DataLen))
+	return buf
 }
 
 // EncodeInto stamps h's header over the front of buf, whose data

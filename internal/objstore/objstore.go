@@ -8,6 +8,8 @@
 package objstore
 
 import (
+	"bufio"
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -81,13 +83,12 @@ func VecLen(bufs [][]byte) int64 {
 	return n
 }
 
-// VecJoin concatenates bufs into one buffer.
+// VecJoin concatenates bufs into one buffer. bytes.Join allocates it
+// without clearing it first; make followed by append clears every byte
+// it is about to overwrite, which for an 8 MiB object is a third pass
+// over memory.
 func VecJoin(bufs [][]byte) []byte {
-	out := make([]byte, 0, VecLen(bufs))
-	for _, b := range bufs {
-		out = append(out, b...)
-	}
-	return out
+	return bytes.Join(bufs, nil)
 }
 
 // slimPrefix is the minimum head kept verbatim by the slim memory
@@ -119,35 +120,17 @@ func NewMem() *Mem { return &Mem{objects: make(map[string]memObject)} }
 func NewMemSlim() *Mem { return &Mem{Slim: true, objects: make(map[string]memObject)} }
 
 // Put implements Store.
-func (s *Mem) Put(_ context.Context, name string, data []byte) error {
-	obj := memObject{size: int64(len(data))}
-	keep := len(data)
-	if s.Slim {
-		// Retain up to the last non-zero byte, at least slimPrefix.
-		nz := lastNonZero(data)
-		keep = nz + 1
-		if keep < slimPrefix {
-			keep = slimPrefix
-		}
-		if keep > len(data) {
-			keep = len(data)
-		}
-	}
-	obj.data = make([]byte, keep)
-	copy(obj.data, data[:keep])
-	s.mu.Lock()
-	s.objects[name] = obj
-	s.mu.Unlock()
-	return nil
+func (s *Mem) Put(ctx context.Context, name string, data []byte) error {
+	return s.PutV(ctx, name, [][]byte{data})
 }
 
 // PutV implements VectorPutter: one copy, straight from the caller's
 // pieces into the retained buffer (honoring slim-mode tail elision).
 func (s *Mem) PutV(_ context.Context, name string, bufs [][]byte) error {
 	size := VecLen(bufs)
-	keep := size
 	if s.Slim {
-		keep = 0
+		// Retain up to the last non-zero byte, at least slimPrefix.
+		keep := int64(0)
 		pos := size
 		for i := len(bufs) - 1; i >= 0; i-- {
 			pos -= int64(len(bufs[i]))
@@ -156,28 +139,25 @@ func (s *Mem) PutV(_ context.Context, name string, bufs [][]byte) error {
 				break
 			}
 		}
-		if keep < slimPrefix {
-			keep = slimPrefix
-		}
-		if keep > size {
-			keep = size
-		}
+		bufs = vecHead(bufs, min(max(keep, slimPrefix), size))
 	}
-	obj := memObject{size: size, data: make([]byte, 0, keep)}
-	for _, b := range bufs {
-		room := keep - int64(len(obj.data))
-		if room <= 0 {
-			break
-		}
-		if int64(len(b)) > room {
-			b = b[:room]
-		}
-		obj.data = append(obj.data, b...)
-	}
+	obj := memObject{size: size, data: VecJoin(bufs)}
 	s.mu.Lock()
 	s.objects[name] = obj
 	s.mu.Unlock()
 	return nil
+}
+
+// vecHead returns the first n bytes of bufs as a vector, sharing the
+// pieces (n <= VecLen(bufs)).
+func vecHead(bufs [][]byte, n int64) [][]byte {
+	for i, b := range bufs {
+		if int64(len(b)) >= n {
+			return append(bufs[:i:i], b[:n])
+		}
+		n -= int64(len(b))
+	}
+	return bufs
 }
 
 // Get implements Store.
@@ -334,7 +314,15 @@ func (s *Dir) path(name string) (string, error) {
 // Put implements Store with an atomic, crash-durable tmp+rename: the
 // staged file is fsynced before the rename and the parent directory
 // after, so an acknowledged Put survives a host crash (unless NoSync).
-func (s *Dir) Put(_ context.Context, name string, data []byte) error {
+func (s *Dir) Put(ctx context.Context, name string, data []byte) error {
+	return s.PutV(ctx, name, [][]byte{data})
+}
+
+// PutV implements VectorPutter: the pieces are written one after
+// another into the staged file, so an object handed over as a header
+// plus views of staging buffers is never joined into a buffer of its
+// own first.
+func (s *Dir) PutV(_ context.Context, name string, bufs [][]byte) error {
 	p, err := s.path(name)
 	if err != nil {
 		return err
@@ -347,7 +335,7 @@ func (s *Dir) Put(_ context.Context, name string, data []byte) error {
 	defer s.mu.Unlock()
 	s.tmpN++
 	tmp := filepath.Join(dir, fmt.Sprintf("%s%d.%d", tmpPrefix, os.Getpid(), s.tmpN))
-	if err := s.writeTemp(tmp, data); err != nil {
+	if err := s.writeTemp(tmp, bufs); err != nil {
 		os.Remove(tmp)
 		return err
 	}
@@ -361,12 +349,21 @@ func (s *Dir) Put(_ context.Context, name string, data []byte) error {
 	return syncDir(dir)
 }
 
-func (s *Dir) writeTemp(tmp string, data []byte) error {
+func (s *Dir) writeTemp(tmp string, bufs [][]byte) error {
 	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
 	if err != nil {
 		return err
 	}
-	if _, err := f.Write(data); err != nil {
+	// Small pieces (an object of 4 KiB writes has two thousand) share a
+	// write call; one as large as the buffer goes straight through it.
+	w := bufio.NewWriterSize(f, 256<<10)
+	for _, b := range bufs {
+		if _, err := w.Write(b); err != nil {
+			f.Close()
+			return err
+		}
+	}
+	if err := w.Flush(); err != nil {
 		f.Close()
 		return err
 	}

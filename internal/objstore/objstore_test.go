@@ -177,6 +177,65 @@ func TestSlimNonZeroTailPreserved(t *testing.T) {
 	}
 }
 
+// TestMemPutVRetainsExactly: a vectored PUT reads back as the joined
+// pieces, keeps a copy of its own, and in slim mode retains exactly up
+// to the last non-zero byte (at least the header prefix) wherever among
+// the pieces that byte falls.
+func TestMemPutVRetainsExactly(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		lastByte int64 // offset of the last non-zero byte; -1 for all zeros
+		keep     int
+	}{
+		{"all-zero", -1, slimPrefix},
+		{"inside-the-prefix", 100, slimPrefix},
+		{"middle-piece", 8192 + 77, 8192 + 78},
+		{"first-byte-of-a-piece", 3 * 8192, 3*8192 + 1},
+		{"very-last-byte", 5*8192 - 1, 5 * 8192},
+	} {
+		bufs := make([][]byte, 5)
+		for i := range bufs {
+			bufs[i] = make([]byte, 8192)
+		}
+		if tc.lastByte >= 0 {
+			bufs[0][1] = 7
+			bufs[tc.lastByte/8192][tc.lastByte%8192] = 9
+		}
+		want := VecJoin(bufs)
+		for _, s := range []*Mem{NewMem(), NewMemSlim()} {
+			if err := s.PutV(ctx, "o", append([][]byte{nil}, bufs...)); err != nil {
+				t.Fatal(err)
+			}
+			retained := len(s.objects["o"].data)
+			if wantKeep := map[bool]int{false: len(want), true: tc.keep}[s.Slim]; retained != wantKeep {
+				t.Errorf("%s slim=%v: retained %d bytes, want %d", tc.name, s.Slim, retained, wantKeep)
+			}
+			if got, err := s.Get(ctx, "o"); err != nil || !bytes.Equal(got, want) {
+				t.Errorf("%s slim=%v: object read back differs (%v)", tc.name, s.Slim, err)
+			}
+			if n, _ := s.Size(ctx, "o"); n != int64(len(want)) {
+				t.Errorf("%s slim=%v: size %d, want %d", tc.name, s.Slim, n, len(want))
+			}
+		}
+	}
+	// The store keeps its own copy, single piece included.
+	s := NewMem()
+	piece := []byte("immutable")
+	if err := s.PutV(ctx, "o", [][]byte{piece}); err != nil {
+		t.Fatal(err)
+	}
+	piece[0] = 'X'
+	if got, _ := s.Get(ctx, "o"); string(got) != "immutable" {
+		t.Fatalf("stored object aliases the caller's buffer: %q", got)
+	}
+	if err := s.PutV(ctx, "empty", nil); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := s.Get(ctx, "empty"); err != nil || len(got) != 0 {
+		t.Fatalf("empty object: %q, %v", got, err)
+	}
+}
+
 func TestDirNameValidation(t *testing.T) {
 	s, err := NewDir(t.TempDir())
 	if err != nil {

@@ -209,7 +209,7 @@ func (s *crashScript) run() {
 	}
 	s.log[a+1].dead, s.log[a+2].dead = len(s.dev.ops), len(s.dev.ops)
 	s.dev.acked = a
-	if s.c, err = Open(s.dev, s.cfg); err != nil {
+	if s.c, err = Open(s.dev); err != nil {
 		s.t.Fatal(err)
 	}
 	d := s.destaged[len(s.destaged)-1].ws
@@ -245,7 +245,7 @@ func (s *crashScript) check(img *imageDev, n int) string {
 		}
 	}
 
-	c, err := Open(img, s.cfg)
+	c, err := Open(img)
 	if err != nil {
 		if len(owed) > 0 {
 			return fmt.Sprintf("Open: %v, with appends %v flushed and not destaged", err, owed)

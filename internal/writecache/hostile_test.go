@@ -12,19 +12,23 @@ import (
 )
 
 // FuzzOpen opens hostile device images: a well-framed superblock with a
-// wild start, sequence and epoch (or the retired checkpoint layout), a
-// well-framed record header at the log start with a wild type, length
-// and extent, and raw bytes behind it. Open must refuse or recover
-// without panicking or sizing a buffer from a field it has not bounded,
-// and whatever it recovers must be a cache that works.
+// wild log start, chain start, sequence and epoch (or one of the two
+// retired layouts), a well-framed record header at the log start with a
+// wild type, length and extent, and raw bytes behind it. Open must
+// refuse or recover without panicking or sizing a buffer from a field it
+// has not bounded, and whatever it recovers must be a cache that works.
 func FuzzOpen(f *testing.F) {
 	const logStart = superBytes + 2*block.BlockSize
-	f.Add(uint64(logStart), uint64(1<<seqBits|1), uint64(1), uint8(journal.TypeData), uint64(4096), uint32(8), false, []byte{})
-	f.Add(uint64(logStart), uint64(1<<seqBits|1), uint64(1), uint8(journal.TypeData), uint64(1<<63), uint32(1<<31), false, []byte("LSVD"))
-	f.Add(uint64(1<<62), ^uint64(0), ^uint64(0), uint8(journal.TypePad), uint64(0), ^uint32(0), false, []byte{})
-	f.Add(uint64(logStart+4096), uint64(2<<seqBits|1), uint64(9), uint8(journal.TypeTrim), uint64(0), uint32(0), false, []byte{1})
-	f.Add(uint64(0), uint64(0), uint64(3), uint8(journal.TypeGC), uint64(45), uint32(1), true, []byte{})
-	f.Fuzz(func(t *testing.T, startOff, startSeq, epoch uint64, typ uint8, dataLen uint64, sectors uint32, oldLayout bool, ring []byte) {
+	f.Add(uint64(logStart), uint64(1<<seqBits|1), uint64(1), uint8(journal.TypeData), uint64(4096), uint32(8), uint8(0), uint64(logStart), []byte{})
+	f.Add(uint64(logStart), uint64(1<<seqBits|1), uint64(1), uint8(journal.TypeData), uint64(1<<63), uint32(1<<31), uint8(0), uint64(logStart), []byte("LSVD"))
+	f.Add(uint64(1<<62), ^uint64(0), ^uint64(0), uint8(journal.TypePad), uint64(0), ^uint32(0), uint8(0), uint64(logStart), []byte{})
+	f.Add(uint64(logStart+4096), uint64(2<<seqBits|1), uint64(9), uint8(journal.TypeTrim), uint64(0), uint32(0), uint8(0), uint64(logStart), []byte{1})
+	f.Add(uint64(0), uint64(0), uint64(3), uint8(journal.TypeGC), uint64(45), uint32(1), uint8(2), uint64(0), []byte{})
+	f.Add(uint64(logStart), uint64(1<<seqBits|1), uint64(1), uint8(journal.TypeData), uint64(4096), uint32(8), uint8(1), uint64(0), []byte{})
+	f.Add(uint64(logStart), uint64(1<<seqBits|1), uint64(1), uint8(journal.TypeData), uint64(4096), uint32(8), uint8(0), uint64(superBytes), []byte{})
+	f.Add(uint64(logStart), uint64(1<<seqBits|1), uint64(1), uint8(journal.TypeData), uint64(4096), uint32(8), uint8(0), uint64(1<<63|4096), []byte{})
+	f.Add(uint64(logStart), uint64(1<<seqBits|1), uint64(1), uint8(journal.TypePad), uint64(0), uint32(8), uint8(0), uint64(logStart+block.MiB+512), []byte{})
+	f.Fuzz(func(t *testing.T, startOff, startSeq, epoch uint64, typ uint8, dataLen uint64, sectors uint32, layout uint8, superLogStart uint64, ring []byte) {
 		cfg := Config{CheckpointBytes: 2 * block.BlockSize}
 		dev := simdev.NewMem(logStart + 4*block.MiB)
 		c, err := Format(dev, cfg)
@@ -38,12 +42,9 @@ func FuzzOpen(f *testing.F) {
 			}
 		}
 
-		super, err := encodeSuper(superblock{gen: 1 << 40, epoch: epoch, startOff: int64(startOff), startSeq: startSeq})
-		if oldLayout {
-			old := make([]byte, 28)
-			binary.LittleEndian.PutUint64(old, 1<<40)
-			binary.LittleEndian.PutUint64(old[20:], epoch)
-			super, err = journal.Encode(&journal.Header{Type: journal.TypeSuper, Seq: 1 << 40, DataLen: 28}, old, false)
+		super, err := encodeSuper(superblock{gen: 1 << 40, epoch: epoch, startOff: int64(startOff), startSeq: startSeq, logStart: int64(superLogStart)})
+		if layout != 0 {
+			super, err = retiredSuper(layout, 1<<40, epoch, startOff, startSeq)
 		}
 		if err != nil {
 			t.Fatal(err)
@@ -68,7 +69,7 @@ func FuzzOpen(f *testing.F) {
 			}
 		}
 
-		c, err = Open(dev, cfg)
+		c, err = Open(dev)
 		if err != nil {
 			return
 		}
@@ -87,13 +88,31 @@ func FuzzOpen(f *testing.F) {
 		if err := c.Flush(); err != nil {
 			t.Fatal(err)
 		}
-		if c, err = Open(dev, cfg); err != nil {
+		if c, err = Open(dev); err != nil {
 			t.Fatal(err)
 		}
 		if got, full := readBack(t, c, ext); !full || !bytes.Equal(got, data) {
 			t.Fatal("a write flushed to the recovered cache did not survive the next Open")
 		}
 	})
+}
+
+// retiredSuper frames a superblock of one of the two layouts before this
+// one: 1 is the 32-byte payload without a log start (PR 21), anything
+// else the 28-byte one that sat beside a map checkpoint.
+func retiredSuper(layout uint8, gen, epoch, startOff, startSeq uint64) ([]byte, error) {
+	le := binary.LittleEndian
+	old := make([]byte, 28)
+	le.PutUint64(old, gen)
+	le.PutUint64(old[20:], epoch)
+	if layout == 1 {
+		old = make([]byte, 32)
+		le.PutUint64(old, gen)
+		le.PutUint64(old[8:], epoch)
+		le.PutUint64(old[16:], startOff)
+		le.PutUint64(old[24:], startSeq)
+	}
+	return journal.Encode(&journal.Header{Type: journal.TypeSuper, Seq: gen, DataLen: uint64(len(old))}, old, false)
 }
 
 // A log record header whose DataLen would wrap int64 negative must end
@@ -128,7 +147,7 @@ func TestReplayHostileDataLen(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	c2, err := Open(dev, Config{})
+	c2, err := Open(dev)
 	if err != nil {
 		t.Fatalf("Open on corrupt log: %v", err)
 	}

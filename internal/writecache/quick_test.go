@@ -46,7 +46,7 @@ func TestQuickCommittedWritesSurviveCrash(t *testing.T) {
 			return false
 		}
 		dev.Crash(1.0, rng)
-		c2, err := Open(dev, Config{})
+		c2, err := Open(dev)
 		if err != nil {
 			return false
 		}
@@ -90,7 +90,7 @@ func TestQuickRecoveryIsPrefix(t *testing.T) {
 		}
 		rng := rand.New(rand.NewSource(seed))
 		dev.Crash(float64(lossPct%100)/100, rng)
-		c2, err := Open(dev, Config{})
+		c2, err := Open(dev)
 		if err != nil {
 			return false
 		}

@@ -40,16 +40,19 @@ const seqBits = 48
 
 // superblock is the whole on-device checkpoint: the generation (the
 // newer of the two slots wins), the epoch of the incarnation that wrote
-// it, and the start of the chain — the offset of a record boundary in
-// the ring and the sequence number expected there.
+// it, the start of the chain — the offset of a record boundary in the
+// ring and the sequence number expected there — and where the ring
+// itself starts (it runs to the end of the device), so that Open takes
+// the layout from the device that was formatted, not from its caller.
 type superblock struct {
 	gen      uint64
 	epoch    uint64
 	startOff int64
 	startSeq uint64
+	logStart int64
 }
 
-const superPayload = 32
+const superPayload = 40
 
 // The record is encoded unaligned (it is a few dozen bytes) so that it
 // fits entirely within its 4 KiB slot.
@@ -59,19 +62,24 @@ func encodeSuper(sb superblock) ([]byte, error) {
 	binary.LittleEndian.PutUint64(data[8:], sb.epoch)
 	binary.LittleEndian.PutUint64(data[16:], uint64(sb.startOff))
 	binary.LittleEndian.PutUint64(data[24:], sb.startSeq)
+	binary.LittleEndian.PutUint64(data[32:], uint64(sb.logStart))
 	return journal.Encode(&journal.Header{Type: journal.TypeSuper, Seq: sb.gen, DataLen: superPayload}, data, false)
 }
 
-// decodeSuper also reads the 28-byte payload of the layout that kept a
-// map checkpoint beside the log (gen, slot, length, epoch), but only
-// for its generation and epoch, which Format continues; its start
-// offset of zero lies outside every log, so Open refuses it.
+// decodeSuper also reads the payloads of the two layouts before this
+// one — 32 bytes (no log start: the log began where Config said) and 28
+// (gen, slot, length, epoch: a map checkpoint beside the log) — but only
+// for their generation and epoch, which Format continues; a log start of
+// zero lies inside the superblocks, so Open refuses them.
 func decodeSuper(data []byte) (superblock, bool) {
 	le := binary.LittleEndian
 	switch len(data) {
 	case superPayload:
 		return superblock{gen: le.Uint64(data), epoch: le.Uint64(data[8:]),
-			startOff: int64(le.Uint64(data[16:])), startSeq: le.Uint64(data[24:])}, true
+			startOff: int64(le.Uint64(data[16:])), startSeq: le.Uint64(data[24:]),
+			logStart: int64(le.Uint64(data[32:]))}, true
+	case 32:
+		return superblock{gen: le.Uint64(data), epoch: le.Uint64(data[8:])}, true
 	case 28:
 		return superblock{gen: le.Uint64(data), epoch: le.Uint64(data[20:])}, true
 	}
@@ -104,7 +112,8 @@ func readSuper(dev simdev.Device) (best superblock, err error) {
 // flushes: when it returns the new superblock is the one a crash finds.
 func (c *Cache) writeSuper() error {
 	gen := c.superGen + 1
-	rec, err := encodeSuper(superblock{gen: gen, epoch: c.nextSeq >> seqBits, startOff: c.startOff, startSeq: c.startSeq})
+	rec, err := encodeSuper(superblock{gen: gen, epoch: c.nextSeq >> seqBits,
+		startOff: c.startOff, startSeq: c.startSeq, logStart: c.logStart})
 	if err != nil {
 		return err
 	}
@@ -166,15 +175,19 @@ func (c *Cache) Close() error {
 	return c.Checkpoint()
 }
 
-// attach lays a cache out over dev without reading or writing it.
-func attach(dev simdev.Device, cfg Config) *Cache {
-	cfg.setDefaults()
+// attach lays a cache out over dev, with the log from logStart to the
+// end of the device, without reading or writing it.
+func attach(dev simdev.Device, logStart int64) (*Cache, error) {
 	c := &Cache{dev: dev, m: extmap.New(), pendingMap: make(map[uint64]*pendingRec)}
 	c.writtenCond = sync.NewCond(&c.mu)
 	c.qcond = sync.NewCond(&c.gmu)
-	c.logStart = superBytes + cfg.CheckpointBytes
+	c.logStart = logStart
 	c.logEnd = dev.Size() &^ (block.BlockSize - 1)
-	return c
+	if logStart < superBytes || logStart%block.BlockSize != 0 || c.logEnd-logStart < 4*block.MiB {
+		return nil, fmt.Errorf("writecache: no room for a log at %d of a %d-byte device (at least 4 MiB, 4 KiB-aligned, past the superblocks)",
+			logStart, dev.Size())
+	}
+	return c, nil
 }
 
 // Format initializes a device as an empty cache and returns it opened.
@@ -183,9 +196,9 @@ func attach(dev simdev.Device, cfg Config) *Cache {
 // written, so no superblock of the previous cache is left to find; and
 // the epoch moves on, so nothing left in the ring is replayable.
 func Format(dev simdev.Device, cfg Config) (*Cache, error) {
-	c := attach(dev, cfg)
-	if c.logEnd-c.logStart < 4*block.MiB {
-		return nil, fmt.Errorf("writecache: device of %d bytes too small (log area %d)", dev.Size(), c.logEnd-c.logStart)
+	c, err := attach(dev, superBytes+cfg.CheckpointBytes)
+	if err != nil {
+		return nil, err
 	}
 	prev, _ := readSuper(dev) // zero on a device never formatted
 	c.superGen = prev.gen
@@ -206,14 +219,17 @@ func Format(dev simdev.Device, cfg Config) (*Cache, error) {
 // one whose magic, CRC, position or sequence number does not line up
 // (§3.3), then opens a new epoch. The recovered cache does not know
 // what the backend holds; Reconcile tells it.
-func Open(dev simdev.Device, cfg Config) (*Cache, error) {
-	c := attach(dev, cfg)
+func Open(dev simdev.Device) (*Cache, error) {
 	sb, err := readSuper(dev)
 	if err != nil {
 		return nil, err
 	}
+	c, err := attach(dev, sb.logStart)
+	if err != nil {
+		return nil, fmt.Errorf("%w: device formatted with another layout", err)
+	}
 	if sb.startOff < c.logStart || sb.startOff >= c.logEnd || sb.startOff%block.BlockSize != 0 {
-		return nil, fmt.Errorf("writecache: superblock starts the log at %d, outside [%d, %d): device formatted with another layout",
+		return nil, fmt.Errorf("writecache: superblock starts the chain at %d, outside the log [%d, %d)",
 			sb.startOff, c.logStart, c.logEnd)
 	}
 	if sb.startSeq>>seqBits > sb.epoch {

@@ -2,6 +2,7 @@ package writecache
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"lsvd/internal/block"
@@ -50,7 +51,7 @@ func TestRecoveryAfterRingLaps(t *testing.T) {
 	if err := c.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	c2, err := Open(dev, cfg)
+	c2, err := Open(dev)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +97,7 @@ func TestStaleRecordBeyondHoleDoesNotChain(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	c, err = Open(dev, Config{})
+	c, err = Open(dev)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +105,7 @@ func TestStaleRecordBeyondHoleDoesNotChain(t *testing.T) {
 		t.Fatalf("recovered writes %v past the hole, want only 1", got)
 	}
 	// Opened twice without writing: epochs may skip.
-	if c, err = Open(dev, Config{}); err != nil {
+	if c, err = Open(dev); err != nil {
 		t.Fatal(err)
 	}
 	appendRec(c, 2, 3) // X, exactly over B
@@ -112,7 +113,7 @@ func TestStaleRecordBeyondHoleDoesNotChain(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	c, err = Open(dev, Config{})
+	c, err = Open(dev)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +133,7 @@ func TestStaleRecordBeyondHoleDoesNotChain(t *testing.T) {
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if c, err = Open(dev, Config{}); err != nil {
+	if c, err = Open(dev); err != nil {
 		t.Fatal(err)
 	}
 	if st := c.Stats(); st.RecoveredRecs != 0 || st.UsedBytes != 0 {
@@ -142,7 +143,7 @@ func TestStaleRecordBeyondHoleDoesNotChain(t *testing.T) {
 	if err := c.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if c, err = Open(dev, Config{}); err != nil {
+	if c, err = Open(dev); err != nil {
 		t.Fatal(err)
 	}
 	if got := recovered(t, c); len(got) != 1 || got[0] != 3 {
@@ -150,28 +151,58 @@ func TestStaleRecordBeyondHoleDoesNotChain(t *testing.T) {
 	}
 }
 
-// A device in the layout that kept a map checkpoint beside the log is
-// refused, which the core treats as cache loss; Format over it still
-// continues its generation and epoch.
+// A device in either retired layout — the one that kept a map checkpoint
+// beside the log, and PR 21's, whose superblock does not say where the
+// log starts — is refused with the layout error, which the core treats
+// as cache loss; Format over it still continues its generation and epoch.
 func TestOpenRefusesCheckpointLayout(t *testing.T) {
-	dev := simdev.NewMem(64 * block.MiB)
-	old := make([]byte, 28)
-	old[0], old[20] = 7, 3 // gen 7, epoch 3
-	rec, err := journal.Encode(&journal.Header{Type: journal.TypeSuper, Seq: 7, DataLen: 28}, old, false)
-	if err != nil {
-		t.Fatal(err)
+	for _, layout := range []uint8{2, 1} {
+		dev := simdev.NewMem(64 * block.MiB)
+		rec, err := retiredSuper(layout, 7, 3, uint64(superBytes+16*block.MiB), 3<<seqBits|1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := dev.WriteAt(rec, superSlot1); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Open(dev); err == nil || !strings.Contains(err.Error(), "another layout") {
+			t.Fatalf("layout %d: Open = %v, want the layout error", layout, err)
+		}
+		c, err := Format(dev, Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.superGen != 9 || c.nextSeq != 4<<seqBits|1 {
+			t.Fatalf("layout %d: formatted at generation %d, next sequence %#x; want 9 and epoch 4", layout, c.superGen, c.nextSeq)
+		}
 	}
-	if err := dev.WriteAt(rec, superSlot1); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Open(dev, Config{}); err == nil {
-		t.Fatal("opened a device in the checkpoint layout")
-	}
-	c, err := Format(dev, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.superGen != 9 || c.nextSeq != 4<<seqBits|1 {
-		t.Fatalf("formatted at generation %d, next sequence %#x; want 9 and epoch 4", c.superGen, c.nextSeq)
+}
+
+// The log runs from the superblocks (plus the gap Format was asked for)
+// to the end of the device, and Open finds it there without being told.
+func TestOpenTakesTheLayoutFromTheDevice(t *testing.T) {
+	for _, gap := range []int64{0, 2 * block.BlockSize, 16 * block.MiB} {
+		dev := simdev.NewMem(32 * block.MiB)
+		c, err := Format(dev, Config{CheckpointBytes: gap})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := dev.Size() - superBytes - gap
+		if got := c.Stats().LogBytes; got != want {
+			t.Fatalf("gap %d: formatted a log of %d bytes, want %d", gap, got, want)
+		}
+		ext := block.Extent{LBA: 8, Sectors: 8}
+		if err := c.Append(1, ext, payload(1, int(ext.Bytes()))); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if c, err = Open(dev); err != nil {
+			t.Fatal(err)
+		}
+		if st := c.Stats(); st.LogBytes != want || st.RecoveredRecs != 1 {
+			t.Fatalf("gap %d: reopened a log of %d bytes with %d records, want %d and 1", gap, st.LogBytes, st.RecoveredRecs, want)
+		}
 	}
 }

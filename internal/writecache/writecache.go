@@ -49,13 +49,13 @@ import (
 // backend; the caller must destage and mark progress, then retry.
 var ErrFull = errors.New("writecache: log full of un-destaged records")
 
-// Config configures a cache instance.
+// Config configures Format.
 type Config struct {
-	// CheckpointBytes is the gap left between the superblocks and the
-	// log. Default 16 MiB. Nothing is stored there since the log became
-	// its own checkpoint; the bytes stay out of the ring until the
-	// benchmark that sizes its ring through this field can be re-measured
-	// (ROADMAP item 2).
+	// CheckpointBytes is a gap Format leaves between the superblocks and
+	// the log; zero gives the log the whole device. Nothing is stored
+	// there since the log became its own checkpoint, and the one caller
+	// that sets it is the benchmark's ladder (ROADMAP item 2c deletes the
+	// type). Open reads where the log starts from the superblock.
 	CheckpointBytes int64
 }
 
@@ -66,12 +66,6 @@ const (
 	groupMaxRecords = 128
 	groupMaxBytes   = 8 * block.MiB
 )
-
-func (c *Config) setDefaults() {
-	if c.CheckpointBytes == 0 {
-		c.CheckpointBytes = 16 * block.MiB
-	}
-}
 
 type recState uint8
 
@@ -233,7 +227,7 @@ func (c *Cache) Append(writeSeq uint64, ext block.Extent, data []byte) error {
 	if err != nil {
 		return err
 	}
-	return c.Commit(res, data)
+	return c.Commit(res, data, journal.Sum(data))
 }
 
 // AppendTrim logs a discard of ext.
@@ -242,7 +236,7 @@ func (c *Cache) AppendTrim(writeSeq uint64, ext block.Extent) error {
 	if err != nil {
 		return err
 	}
-	return c.Commit(res, nil)
+	return c.Commit(res, nil, 0)
 }
 
 // Reserve claims log space and a sequence number for one client write
@@ -337,22 +331,21 @@ func (c *Cache) Reserve(writeSeq uint64, typ journal.Type, ext block.Extent, dat
 // its map update has been applied (in reservation order), i.e. once
 // the write may be acknowledged. The caller's data buffer is written
 // directly to the device — it must stay untouched until Commit
-// returns, and the cache does not retain it afterwards.
-func (c *Cache) Commit(res *Reservation, data []byte) error {
+// returns, and the cache does not retain it afterwards. sum is
+// journal.Sum(data): the caller's one pass over the payload, which the
+// record's CRC is derived from without reading data again.
+func (c *Cache) Commit(res *Reservation, data []byte, sum uint32) error {
 	if len(data) != res.dataLen {
 		return fmt.Errorf("writecache: commit of %d bytes does not match reservation of %d", len(data), res.dataLen)
 	}
 	r := res.rec
-	hdr, err := journal.EncodeHeader(&journal.Header{
+	hdr := journal.EncodeHeaderSum(&journal.Header{
 		Type:     r.typ,
 		Seq:      r.seq,
 		WriteSeq: r.writeSeq,
 		Extents:  []journal.ExtentEntry{{LBA: r.ext.LBA, Sectors: r.ext.Sectors}},
 		DataLen:  uint64(len(data)),
-	}, block.BlockSize, data)
-	if err != nil {
-		return err
-	}
+	}, block.BlockSize, sum)
 	pr := &pendingRec{
 		rec:  r,
 		hdr:  hdr,

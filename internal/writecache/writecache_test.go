@@ -135,7 +135,7 @@ func TestRecoveryFromCleanClose(t *testing.T) {
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
 	}
-	c2, err := Open(dev, Config{})
+	c2, err := Open(dev)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +178,7 @@ func TestRecoveryReplaysTailAfterCheckpoint(t *testing.T) {
 	if err := c.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	c2, err := Open(dev, Config{})
+	c2, err := Open(dev)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +214,7 @@ func TestRecoveryAfterCrashKeepsCommittedPrefix(t *testing.T) {
 		_ = c.Append(uint64(i+1), ext, payload(int64(i), int(ext.Bytes())))
 	}
 	dev.Crash(1.0, rand.New(rand.NewSource(5)))
-	c2, err := Open(dev, Config{})
+	c2, err := Open(dev)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +244,7 @@ func TestRecoveryAfterPartialCrashIsPrefix(t *testing.T) {
 			_ = c.Append(uint64(i+1), ext, payload(int64(i), int(ext.Bytes())))
 		}
 		dev.Crash(0.5, rand.New(rand.NewSource(seed)))
-		c2, err := Open(dev, Config{})
+		c2, err := Open(dev)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -377,7 +377,7 @@ func TestRecordsAfter(t *testing.T) {
 }
 
 func TestUnformattedDeviceRejected(t *testing.T) {
-	if _, err := Open(simdev.NewMem(64*block.MiB), Config{}); err == nil {
+	if _, err := Open(simdev.NewMem(64 * block.MiB)); err == nil {
 		t.Fatal("unformatted device opened")
 	}
 }
@@ -440,7 +440,7 @@ func TestAutoCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	dev.Crash(1, rand.New(rand.NewSource(1)))
-	c2, err := Open(dev, Config{CheckpointBytes: 16 * block.MiB})
+	c2, err := Open(dev)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -465,7 +465,7 @@ func TestLiveRecordCountNeverFailsAppend(t *testing.T) {
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
 	}
-	c2, err := Open(dev, Config{CheckpointBytes: 64 << 10})
+	c2, err := Open(dev)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -643,7 +643,7 @@ func TestFormatInvalidatesUsedDevice(t *testing.T) {
 		t.Fatal(err)
 	}
 	dev.Crash(1, rand.New(rand.NewSource(1)))
-	c, err := Open(dev, Config{})
+	c, err := Open(dev)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -675,7 +675,7 @@ func TestFormatOldRecordsDoNotChain(t *testing.T) {
 		t.Fatal(err)
 	}
 	dev.Crash(1, rand.New(rand.NewSource(1)))
-	c2, err := Open(dev, Config{})
+	c2, err := Open(dev)
 	if err != nil {
 		t.Fatal(err)
 	}
