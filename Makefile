@@ -68,9 +68,14 @@ race:
 # Recovery torture harness (§3.4 under injected backend faults): the
 # pinned seed keeps CI deterministic, the second run sweeps a hostile
 # 35% per-op failure rate. Override LSVD_FAULT_{SEED,RATE,ITERS} to
-# explore. The last line is the flake gate: twenty shuffled runs of the
-# whole consistency package in one process, zero failures.
+# explore. The backend crash enumeration opens every prefix of a
+# scripted workload's PUTs and DELETEs and every crash inside that open
+# (tier-1 runs it once); here it runs twenty times under the race
+# detector, each run a different interleaving of the same script. The
+# last line is the flake gate: twenty shuffled runs of the whole
+# consistency package in one process, zero failures.
 fault:
+	$(GO) test -count=20 -race -run 'TestBackendCrashEnumeration|TestSecondCrashAfterSuffixCheckpointKeepsPrefix' ./internal/blockstore
 	LSVD_FAULT_SEED=1 $(GO) test -count=1 -run TestFaultTorture ./internal/consistency
 	LSVD_FAULT_SEED=100 LSVD_FAULT_RATE=0.35 LSVD_FAULT_ITERS=8 \
 		$(GO) test -count=1 -run TestFaultTorture ./internal/consistency

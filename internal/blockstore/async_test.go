@@ -61,6 +61,14 @@ func (g *gateStore) release(t *testing.T, name string, err error) {
 	}
 }
 
+// parked reports whether a held Put of name is waiting for release.
+func (g *gateStore) parked(name string) bool {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	_, ok := g.gates[name]
+	return ok
+}
+
 func (g *gateStore) Put(ctx context.Context, name string, data []byte) error {
 	g.mu.Lock()
 	var ch chan error
@@ -363,14 +371,14 @@ func TestKickSealsNoRuntBehindAnObjectInFlight(t *testing.T) {
 
 	// A checkpoint marker carries no client writes: behind it alone, a
 	// runt is sealed.
-	super := superName("vol")
-	gs.gate(super)
+	ckpt := objName("vol", s.Stats().NextSeq)
+	gs.gate(ckpt)
 	done := make(chan error, 1)
 	go func() { done <- s.Checkpoint() }()
 	waitFor(t, "the checkpoint marker", func() bool { return s.Stats().InflightObjects == 1 })
 	write(1)
 	kick(2, "runt behind a checkpoint marker only")
-	gs.release(t, super, nil)
+	gs.release(t, ckpt, nil)
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}

@@ -71,7 +71,6 @@ func (p *segments) gather(vec [][]byte, sum uint32, off, n int64) ([][]byte, uin
 // time. Append's callers therefore hand over ownership of the data.
 type batch struct {
 	segments
-	capBytes   int64
 	m          *extmap.Map // vLBA -> virtual offset (sectors), coalescing index
 	noCoalesce bool
 	raw        []journal.ExtentEntry // no-coalesce mode: extents in arrival order
@@ -82,8 +81,8 @@ type batch struct {
 	writes     int
 }
 
-func newBatch(capBytes int64, noCoalesce bool) *batch {
-	return &batch{capBytes: capBytes, m: extmap.New(), noCoalesce: noCoalesce}
+func newBatch(noCoalesce bool) *batch {
+	return &batch{m: extmap.New(), noCoalesce: noCoalesce}
 }
 
 func (b *batch) empty() bool { return b.writes == 0 && len(b.trims) == 0 }

@@ -302,10 +302,12 @@ type Store struct {
 	sinceCkpt       int
 
 	// Checkpoint machinery (checkpoint.go). ckptQueued: a checkpoint
-	// marker sits in the upload pipeline; GC object writes wait on
-	// commitCond until it clears. ckptBuf is the payload encode buffer
-	// reused across checkpoints.
+	// marker sits in the upload pipeline or is owed its superblock; GC
+	// object writes wait on commitCond until it clears. superOwed is the
+	// marker whose checkpoint object has landed and whose super has not.
+	// ckptBuf is the payload encode buffer reused across checkpoints.
 	ckptQueued bool
+	superOwed  *inflightObj
 	ckptBuf    []byte
 
 	hdrCache map[uint32]*hdrEntry
@@ -436,7 +438,7 @@ func newStore(ctx context.Context, cfg Config) *Store {
 		reaping:    make(map[uint32]deferredDelete),
 		orphans:    make(map[uint32]bool),
 	}
-	s.batch = newBatch(cfg.BatchBytes, cfg.NoCoalesce)
+	s.batch = newBatch(cfg.NoCoalesce)
 	s.commitCond = sync.NewCond(&s.mu)
 	s.gcCond = sync.NewCond(&s.mu)
 	s.shipCond = sync.NewCond(&s.mu)

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"time"
 
+	"lsvd/internal/invariant"
 	"lsvd/internal/journal"
 )
 
@@ -16,38 +17,55 @@ import (
 // object has committed — so the checkpoint covers exactly the committed
 // prefix without draining the pipeline. The two PUTs — checkpoint
 // object, then superblock — run on the marker's goroutine with s.mu
-// released. The marker holds the in-order commit walk for those two
-// PUTs and nothing else: later objects cannot commit until it is done,
-// so a crash can never leave acked data above a gap at the checkpoint's
-// sequence, and the moment the super PUT returns the walk moves on.
+// released. The marker holds the in-order commit walk for the
+// checkpoint object PUT and never for the super: once the object has
+// landed no later object can commit above a hole at the checkpoint's
+// sequence, which is all the gap rule needs, so the marker leaves the
+// walk (checkpointObjectDurableLocked) and the objects waiting behind
+// it commit while its super is PUT. Recovery replays a durable
+// checkpoint the super does not name yet like any suffix object.
+// ckptQueued stays set until the super lands, so at most one super is
+// ever in flight and no second marker is queued meanwhile.
 //
 // The write path queues a marker every CheckpointEvery objects and the
 // GC service queues one when it has idled past the interval. The
 // explicit callers — Checkpoint (hence core's Checkpoint and Close),
 // CreateSnapshot, DeleteSnapshot, Create and Clone — add only a fence
 // on each side (checkpointFenceLocked): they queue the same marker on a
-// drained pipeline and wait for the pipeline to drain again.
+// drained pipeline and wait for the pipeline to drain again, super
+// included.
 //
-// Failure contract. A marker whose PUTs fail stays at the front of the
-// in-flight list with its sequence number: the number is never handed
-// back, so the log stays dense, and nothing behind the marker commits.
-// A fence resubmits it up to uploadAttempts() times, then returns the
-// error and leaves it queued; the next fence (Seal, Checkpoint, a
-// snapshot call) re-arms it with a fresh budget. A retry skips the
-// checkpoint object PUT if that already landed, and encodes the super
-// afresh (startCheckpointLocked), so it publishes the snapshot list of
-// the moment it runs, not of the moment it was queued.
+// Failure contract. A marker whose checkpoint object PUT fails stays at
+// the front of the in-flight list with its sequence number: the number
+// is never handed back, so the log stays dense, and nothing behind the
+// marker commits. A fence resubmits it up to uploadAttempts() times,
+// then returns the error and leaves it queued; the next fence (Seal,
+// Checkpoint, a snapshot call) re-arms it with a fresh budget. A marker
+// whose object landed and whose super PUT fails is OWED a super
+// (s.superOwed): objects behind it keep committing, but no victim is
+// released and no new marker is queued. Every fence re-arms the super
+// with a fresh budget, re-encodes it (armSuperLocked) — so it publishes
+// the snapshot list of the moment it runs, not of the moment the marker
+// was queued — re-PUTs it up to uploadAttempts() times and returns the
+// error while it still fails. The fences and Abort wait for a super PUT
+// in flight like any other.
 //
-// A durable checkpoint RELEASES the GC victims that were waiting for
-// it; it does not delete them. finalizeCheckpointLocked hands the
-// released entries to the reaper (reap.go), which parks the pinned
-// ones on s.deferred and claims the rest in s.reaping. The backend
-// deletes then run off s.mu, fanned out, on the marker's goroutine
-// after the marker is done and the commit walk has moved past it.
+// Open. A checkpoint recovery loaded from the suffix is owed its super
+// too, and its deferred list names victims newer than the checkpoint
+// the super still names. Open therefore PUTs a super naming it before
+// it reaps anything; if that PUT fails, the list waits on s.pending for
+// the session's first checkpoint (recover.go).
 //
-// Ordering rules the crash-consistency tests depend on. putCheckpoint
-// is the only function that PUTs a superblock, so rules 1 and 2 hold
-// for every super write, a snapshot's creation and deletion included:
+// A checkpoint whose super landed RELEASES the GC victims that were
+// waiting for it; it does not delete them. finalizeCheckpointLocked
+// hands the released entries to the reaper (reap.go), which parks the
+// pinned ones on s.deferred and claims the rest in s.reaping. The
+// backend deletes then run off s.mu, fanned out, on the goroutine that
+// PUT the super, with the commit walk long past the marker.
+//
+// Ordering rules the crash-consistency tests depend on. putSuper and
+// open are the only writers of a superblock, so rules 1 and 2 hold for
+// every super write, a snapshot's creation and deletion included:
 //
 //   1. The superblock PUT starts only after the checkpoint object PUT
 //      completed — the super never names a checkpoint that isn't
@@ -57,24 +75,25 @@ import (
 //      named checkpoint earlier would hole the replayable prefix, and
 //      deleting what a snapshot pins before the super that drops the
 //      snapshot would leave a listed snapshot unmountable.
-//   3. While a checkpoint marker is queued, GC object writes wait
-//      (writeGCObjectLocked): a GC object with a sequence number above
-//      the checkpoint's must not enter the checkpoint's map snapshot,
-//      or recovery's gap rule could delete an object the recovered map
-//      still references.
+//   3. While a checkpoint marker is queued or owed its super, GC object
+//      writes wait (writeGCObjectLocked): a GC object with a sequence
+//      number above the checkpoint's must not enter the checkpoint's
+//      map snapshot, or recovery's gap rule could delete an object the
+//      recovered map still references.
 //   4. Every checkpoint payload lists s.deferred, s.pending and
 //      s.reaping together as its deferred list, and keeps all of them
 //      in its object table. A crash in the middle of a reap therefore
 //      loses nothing: open re-drives the whole list (a delete that
 //      already landed finds the object missing, which counts as done),
 //      whichever checkpoint it recovers from.
-//   5. Abort claims no new reap and returns only once s.reaping is
-//      empty, like every issued PUT: the backend stops changing. The
-//      fences (waitInflightLocked, hence Seal, Checkpoint, the snapshot
-//      calls and core's Close) wait for s.reaping to empty as well, so
-//      "the pipeline is drained" still means no backend operation of
-//      this store is in flight, and a checkpoint fence returns with its
-//      victims gone.
+//   5. Abort claims no new reap, arms no super, and returns only once
+//      s.reaping is empty and every issued PUT — a super included — has
+//      finished: the backend stops changing. The fences
+//      (waitInflightLocked, hence Seal, Checkpoint, the snapshot calls
+//      and core's Close) wait for the owed super and for s.reaping to
+//      empty as well, so "the pipeline is drained" still means no
+//      backend operation of this store is in flight, and a checkpoint
+//      fence returns with its victims gone.
 
 // checkpointPayload: the serialized object map, the object table,
 // deferred deletes, the durable write watermark and a pointer to the
@@ -89,20 +108,16 @@ type checkpointPayload struct {
 }
 
 // ckptShot is one checkpoint's state snapshot, taken under s.mu in
-// fillCkptShotLocked and consumed off-lock by putCheckpoint. payload
-// aliases s.ckptBuf (reused across checkpoints; ckptQueued keeps at
-// most one shot alive). rec and objDone carry resubmit state: a retry
-// after a failed superblock PUT reuses the encoded record and skips the
-// already-durable object PUT. super is encoded again for every attempt.
+// fillCkptShotLocked and consumed off-lock by putCheckpointObject.
+// payload aliases s.ckptBuf (reused across checkpoints; ckptQueued keeps
+// at most one shot alive until its super lands). rec, the encoded
+// object, is kept for a resubmitted object PUT.
 type ckptShot struct {
 	seq      uint32
 	writeSeq uint64
 	payload  []byte
-	super    []byte
+	rec      []byte
 	nPending int
-
-	rec     []byte
-	objDone bool
 }
 
 // fillCkptShotLocked snapshots the volume state for a checkpoint at
@@ -162,13 +177,12 @@ func (s *Store) fillCkptShotLocked(shot *ckptShot) error {
 	return nil
 }
 
-// putCheckpoint performs a checkpoint's backend I/O. Called WITHOUT
-// s.mu held. The superblock PUT is ordered strictly after the
-// checkpoint object is durable (rule 1 above). It deliberately takes
-// no upload-gate slot: a GC pass parked on ckptQueued may hold gate
-// slots, so gating the checkpoint could deadlock — and checkpoints are
-// rare control-plane I/O.
-func (s *Store) putCheckpoint(shot *ckptShot) error {
+// putCheckpointObject PUTs a checkpoint's object, encoding it on the
+// first attempt. Called WITHOUT s.mu held. Neither it nor putSuper
+// takes an upload-gate slot: a GC pass parked on ckptQueued may hold
+// gate slots, so gating the checkpoint could deadlock — and checkpoints
+// are rare control-plane I/O.
+func (s *Store) putCheckpointObject(shot *ckptShot) error {
 	if shot.rec == nil {
 		h := &journal.Header{
 			Type: journal.TypeCheckpoint, Seq: uint64(shot.seq),
@@ -180,34 +194,92 @@ func (s *Store) putCheckpoint(shot *ckptShot) error {
 		}
 		shot.rec = rec
 	}
-	if !shot.objDone {
-		if err := s.cfg.Store.Put(s.ctx, objName(s.cfg.Volume, shot.seq), shot.rec); err != nil {
-			return err
-		}
-		shot.objDone = true
-	}
-	return s.cfg.Store.Put(s.ctx, superName(s.cfg.Volume), shot.super)
+	return s.cfg.Store.Put(s.ctx, objName(s.cfg.Volume, shot.seq), shot.rec)
 }
 
-// finalizeCheckpointLocked applies a durable checkpoint (object and
-// super both PUT) to the in-memory state and releases the GC victim
-// deletions that were waiting for it (rule 2 above): it returns them
-// for the caller to hand to the reaper, failures back to s.pending for
-// the next checkpoint. Only the pending entries that existed at
-// snapshot time are released — the payload's deferred list covers
-// exactly those, so recovery can re-drive a delete the crash
-// interrupted; entries queued since wait for the next checkpoint.
+// checkpointObjectDurableLocked takes a marker whose checkpoint object
+// has landed off the commit walk: the object joins the table and the
+// replication feed, and the marker becomes the checkpoint owed a
+// superblock, holding ckptQueued until putSuper clears it.
+//
+//lsvd:requires bs.mu
+func (s *Store) checkpointObjectDurableLocked(inf *inflightObj) {
+	invariant.Assertf(len(s.inflight) > 0 && s.inflight[0] == inf && s.superOwed == nil,
+		"blockstore: checkpoint %d landed off the front of the commit walk", inf.seq)
+	s.inflight = s.inflight[1:]
+	shot := inf.ckpt
+	s.objects[shot.seq] = &objInfo{seq: shot.seq, typ: journal.TypeCheckpoint, totalBytes: int64(len(shot.rec))}
+	s.shipPublishLocked(shot.seq, journal.TypeCheckpoint, int64(len(shot.rec)))
+	inf.attempts = 0
+	s.superOwed = inf
+}
+
+// armSuperLocked encodes the owed checkpoint's superblock, for every
+// attempt, with the snapshot list of this moment — a retry must not
+// publish a snapshot a failed CreateSnapshot has since taken back — and
+// marks its PUT in flight. It returns nil, leaving the attempt failed,
+// when the encode fails or Abort has landed: the backend stops
+// changing.
+//
+//lsvd:requires bs.mu
+func (s *Store) armSuperLocked(inf *inflightObj) []byte {
+	inf.done, inf.err = false, nil
+	inf.attempts++
+	super, err := s.superNaming(inf.seq)
+	if err == nil && s.aborting {
+		err = ErrReadOnly
+	}
+	if err != nil {
+		inf.done, inf.err = true, err
+		return nil
+	}
+	return super
+}
+
+// superNaming encodes the volume's superblock naming checkpoint ckpt.
+// Callers hold s.mu, or are recovery before the store is published.
+func (s *Store) superNaming(ckpt uint32) ([]byte, error) {
+	return encodeSuper(&superblock{
+		volSectors: s.volSectors, lastCkpt: ckpt,
+		baseVol: s.baseVol, baseSeq: s.baseSeq, snapshots: s.snapshots,
+	})
+}
+
+// putSuper PUTs the owed checkpoint's superblock as armSuperLocked
+// encoded it. Called WITHOUT s.mu held. On success the checkpoint
+// is finalized, its released victims are reaped here, off s.mu, and
+// ckptQueued clears; on failure the checkpoint stays owed and the next
+// fence retries it.
+func (s *Store) putSuper(inf *inflightObj, super []byte) {
+	err := s.cfg.Store.Put(s.ctx, superName(s.cfg.Volume), super)
+	s.mu.Lock()
+	var victims []deferredDelete
+	if err == nil {
+		victims = s.reapClaimLocked(s.finalizeCheckpointLocked(inf.ckpt), &s.pending)
+		s.superOwed = nil
+		s.ckptQueued = false
+	}
+	inf.done, inf.err = true, err
+	s.commitCond.Broadcast()
+	s.mu.Unlock()
+	_ = s.reap(victims, &s.pending) // failures wait on s.pending for the next checkpoint
+}
+
+// finalizeCheckpointLocked applies a checkpoint whose superblock has
+// landed to the in-memory state and releases the GC victim deletions
+// that were waiting for it (rule 2 above): it returns them for the
+// caller to hand to the reaper, failures back to s.pending for the next
+// checkpoint. Only the pending entries that existed at snapshot time
+// are released — the payload's deferred list covers exactly those, so
+// recovery can re-drive a delete the crash interrupted; entries queued
+// since wait for the next checkpoint.
 //
 //lsvd:requires bs.mu
 func (s *Store) finalizeCheckpointLocked(shot *ckptShot) []deferredDelete {
-	s.objects[shot.seq] = &objInfo{seq: shot.seq, typ: journal.TypeCheckpoint, totalBytes: int64(len(shot.rec))}
 	s.lastCkpt = shot.seq
 	s.stats.checkpoints++
-	// The checkpoint object and the superblock naming it are both
-	// durable here: publish the object to the replication feed, then a
-	// super event so the shipper re-copies the superblock once the
-	// checkpoint itself is on the replica.
-	s.shipPublishLocked(shot.seq, journal.TypeCheckpoint, int64(len(shot.rec)))
+	// The shipper re-copies the superblock once the checkpoint it names
+	// (published when it landed) is on the replica.
 	s.shipPublishLocked(0, journal.TypeSuper, 0)
 	released := s.pending[:shot.nPending]
 	s.pending = append([]deferredDelete(nil), s.pending[shot.nPending:]...)

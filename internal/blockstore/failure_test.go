@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -13,58 +15,69 @@ import (
 
 // TestCheckpointFailureKeepsOldPointer: if the superblock update
 // fails, the previous checkpoint must stay authoritative so recovery
-// still works; the failed marker keeps its sequence number and stays
-// queued, and the next Checkpoint on the same store finishes it.
+// still works. The checkpoint, whose object landed, is owed its super:
+// the marker has left the commit walk, an object sealed behind it
+// commits, and the next Checkpoint on the same store lands the owed
+// super before writing a checkpoint of its own.
 func TestCheckpointFailureKeepsOldPointer(t *testing.T) {
 	faulty := objstore.NewFaulty(objstore.NewMem())
 	s := newVolume(t, faulty, Config{CheckpointEvery: 1 << 30})
-	ext := block.Extent{LBA: 0, Sectors: 64}
-	data := payload(2, int(ext.Bytes()))
+	ext, ext2 := block.Extent{LBA: 0, Sectors: 64}, block.Extent{LBA: 64, Sectors: 64}
+	data, data2 := payload(2, int(ext.Bytes())), payload(12, int(ext2.Bytes()))
 	_ = s.Append(1, ext, data)
 	_ = s.Seal()
 	faulty.FailPuts(superName("vol"), -1)
 	if err := s.Checkpoint(); !errors.Is(err, objstore.ErrInjected) {
 		t.Fatalf("super failure not surfaced: %v", err)
 	}
-	// Recovery from the old superblock still finds everything (the
-	// data object replays from the old checkpoint).
+	failedAt := s.Stats().NextSeq - 1
+	_ = s.Append(2, ext2, data2)
+	if err := s.SealAsync(); err != nil {
+		t.Fatal(err)
+	}
+	waitDurable(t, s, 2)
+	if st := s.Stats(); st.InflightObjects != 0 {
+		t.Fatalf("%d objects in flight behind the owed super", st.InflightObjects)
+	}
+	// Recovery from the old superblock replays through the checkpoint it
+	// does not name (its own super PUT fails too, so it reaps nothing).
 	s2, err := Open(ctx, Config{Volume: "vol", Store: faulty})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := readAll(t, s2, ext); !bytes.Equal(got, data) {
+	if !bytes.Equal(readAll(t, s2, ext), data) || !bytes.Equal(readAll(t, s2, ext2), data2) {
 		t.Fatal("data lost after failed checkpoint")
 	}
 
-	// The fault clears: the same store's next fence re-arms the marker
-	// at the number it already holds, so the log stays dense and the
-	// object whose PUT did land is the checkpoint, not an orphan.
+	// The fault clears: the same store's next fence lands the owed super
+	// naming the number the checkpoint already holds, so the log stays
+	// dense and the object whose PUT did land is the checkpoint, not an
+	// orphan.
 	faulty.FailPuts(superName("vol"), 0)
-	failedAt := s.Stats().NextSeq - 1
 	if err := s.Checkpoint(); err != nil {
 		t.Fatalf("checkpoint after the fault cleared: %v", err)
 	}
-	if st := s.Stats(); st.InflightObjects != 0 || st.NextSeq != failedAt+2 {
-		t.Fatalf("after the retry: %d in flight, next seq %d, want 0 and %d", st.InflightObjects, st.NextSeq, failedAt+2)
+	if st := s.Stats(); st.InflightObjects != 0 || st.NextSeq != failedAt+3 {
+		t.Fatalf("after the retry: %d in flight, next seq %d, want 0 and %d", st.InflightObjects, st.NextSeq, failedAt+3)
 	}
 	s3, err := Open(ctx, Config{Volume: "vol", Store: faulty})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := readAll(t, s3, ext); !bytes.Equal(got, data) {
+	if !bytes.Equal(readAll(t, s3, ext), data) || !bytes.Equal(readAll(t, s3, ext2), data2) {
 		t.Fatal("data lost after the retried checkpoint")
 	}
-	if st := s3.Stats(); st.RecoveredObjects != 0 || st.NextSeq != failedAt+2 || st.OrphanObjects != 0 {
+	if st := s3.Stats(); st.RecoveredObjects != 0 || st.NextSeq != failedAt+3 || st.OrphanObjects != 0 {
 		t.Fatalf("reopen replayed %d objects to seq %d with %d orphans, want 0, %d, 0",
-			st.RecoveredObjects, st.NextSeq, st.OrphanObjects, failedAt+2)
+			st.RecoveredObjects, st.NextSeq, st.OrphanObjects, failedAt+3)
 	}
 	backendMatchesTable(t, s3, faulty)
 }
 
 // TestFailedCreateSnapshotNotPublishedByRetry: a CreateSnapshot whose
 // super PUT fails returns the error and takes its entry back; the
-// marker it left queued encodes its super per attempt, so the retry a
-// later Checkpoint drives publishes a super without the snapshot.
+// checkpoint it wrote is owed a super encoded per attempt, so the retry
+// the next fence drives publishes a super without the snapshot.
 func TestFailedCreateSnapshotNotPublishedByRetry(t *testing.T) {
 	faulty := objstore.NewFaulty(objstore.NewMem())
 	s := newVolume(t, faulty, Config{CheckpointEvery: 1 << 30})
@@ -78,7 +91,7 @@ func TestFailedCreateSnapshotNotPublishedByRetry(t *testing.T) {
 		t.Fatalf("super failure not surfaced: %v", err)
 	}
 	faulty.FailPuts(superName("vol"), 0)
-	if err := s.Checkpoint(); err != nil {
+	if err := s.Seal(); err != nil {
 		t.Fatal(err)
 	}
 	info := backendSuper(t, faulty)
@@ -188,6 +201,98 @@ func TestRecoveryWithNewerCheckpointObject(t *testing.T) {
 		t.Fatalf("recovered from checkpoint %d, want the stranded one (3)", s2.lastCkpt)
 	}
 	backendMatchesTable(t, s2, faulty)
+}
+
+// TestSecondCrashAfterSuffixCheckpointKeepsPrefix: checkpoint 3 is
+// named by the super; victim 4 dies under object 5 and is collected;
+// checkpoint 6 lands with its super failing; crash. Open loads 6 from
+// the suffix, and 6 releases victim 4. Open must not delete 4 while the
+// super still names 3 — a second crash would reopen from 3, stop at the
+// hole at 4 and delete 5 and 6 as stranded, losing the acknowledged
+// write in 5. Open PUTs the owed super first; when that PUT fails too,
+// the delete waits for the session's first checkpoint.
+func TestSecondCrashAfterSuffixCheckpointKeepsPrefix(t *testing.T) {
+	for _, openSuperFails := range []bool{false, true} {
+		t.Run(fmt.Sprintf("open-super-fails=%v", openSuperFails), func(t *testing.T) {
+			rs := &reapStore{Store: objstore.NewMem()}
+			faulty := objstore.NewFaulty(rs)
+			cfg := Config{Volume: "vol", Store: faulty, Retry: objstore.RetryPolicy{MaxAttempts: -1}}
+			s := newVolume(t, nil, Config{Store: faulty, CheckpointEvery: 1 << 30, GCHighWater: 0.99, Retry: cfg.Retry})
+			extA, extB := block.Extent{LBA: 0, Sectors: 64}, block.Extent{LBA: 64, Sectors: 64}
+			dataA, dataB := payload(41, int(extA.Bytes())), payload(43, int(extB.Bytes()))
+			steps := []func() error{
+				func() error { return s.Append(1, extA, dataA) }, s.Seal, // 2
+				s.Checkpoint, // 3
+				func() error { return s.Append(2, extB, payload(42, int(extB.Bytes()))) }, s.Seal, // 4
+				func() error { return s.Append(3, extB, dataB) }, s.Seal, // 5: 4 dies whole
+				s.RunGC, // 4 is cleaned, pending the next checkpoint
+			}
+			for i, step := range steps {
+				if err := step(); err != nil {
+					t.Fatalf("step %d: %v", i, err)
+				}
+			}
+			faulty.FailPuts(superName("vol"), -1)
+			if err := s.Checkpoint(); !errors.Is(err, objstore.ErrInjected) {
+				t.Fatalf("checkpoint 6 with its super failing: %v", err)
+			}
+			s.Abort()
+			if got := backendSuper(t, rs.Store).LastCheckpoint; got != 3 || s.Stats().NextSeq != 7 {
+				t.Fatalf("super names %d with next seq %d; the case wants 3 and 7", got, s.Stats().NextSeq)
+			}
+			if !openSuperFails {
+				faulty.FailPuts(superName("vol"), 0)
+			}
+
+			opened := len(rs.opLog())
+			s2, err := Open(ctx, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(readAll(t, s2, extA), dataA) || !bytes.Equal(readAll(t, s2, extB), dataB) {
+				t.Fatal("first open lost data")
+			}
+			superDone, deleted := false, false
+			for _, e := range rs.opLog()[opened:] {
+				switch {
+				case e == "put-done vol.super":
+					superDone = true
+				case strings.HasPrefix(e, "delete ") && !superDone && !deleted:
+					deleted = true
+					t.Errorf("open issued %q while the super named checkpoint 3", e)
+				}
+			}
+			if superDone == openSuperFails {
+				t.Errorf("open landed a super: %v; its PUT was to fail: %v", superDone, openSuperFails)
+			}
+
+			// The second crash: open leaves no goroutine behind, so the
+			// backend is exactly what it left.
+			s3, err := Open(ctx, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(readAll(t, s3, extA), dataA) || !bytes.Equal(readAll(t, s3, extB), dataB) {
+				t.Fatal("second open lost the acknowledged write in object 5")
+			}
+			if got := s3.DurableWriteSeq(); got != 3 {
+				t.Fatalf("second open recovered through write %d, want 3", got)
+			}
+			backendMatchesTable(t, s3, rs.Store)
+			if !openSuperFails {
+				return
+			}
+			// The fault clears: the session's first checkpoint releases 4.
+			faulty.FailPuts(superName("vol"), 0)
+			if err := s3.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := rs.Store.Size(ctx, objName("vol", 4)); !errors.Is(err, objstore.ErrNotFound) {
+				t.Fatalf("victim 4 outlived the first checkpoint after open: %v", err)
+			}
+			backendMatchesTable(t, s3, rs.Store)
+		})
+	}
 }
 
 // TestOpenTableNamesLoadedCheckpoint: a checkpoint's payload lists the

@@ -621,8 +621,9 @@ func (s *Store) writeGCObjectLocked(pieces []gcPiece) error {
 	// and they must be satisfied simultaneously while never holding one
 	// across a wait for the other:
 	//
-	//   - No checkpoint marker queued (ckptQueued): a GC object
-	//     sequenced ABOVE the marker must not enter its state snapshot —
+	//   - No checkpoint marker queued or owed its super (ckptQueued): a
+	//     GC object sequenced ABOVE the marker must not enter its state
+	//     snapshot —
 	//     recovery's gap rule could delete the GC object (an uncommitted
 	//     data object below it leaves a gap) while the recovered map
 	//     still references it, after the checkpoint already released

@@ -1,6 +1,7 @@
 package blockstore
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"sort"
@@ -15,17 +16,31 @@ import (
 	"lsvd/internal/objstore"
 )
 
-// reapStore logs every Put (start and completion) and Delete (arrival)
-// in order, and can park Deletes on a channel so a test holds a reap
-// open for as long as it likes.
+// reapStore is the recording backend. It logs every Put (start and
+// completion), Delete (arrival) and destage watermark in order, and
+// keeps every completed Put and Delete so the backend can be rebuilt as
+// of any prefix of them (at). It can park Deletes on a channel so a
+// test holds a reap open for as long as it likes.
 type reapStore struct {
 	objstore.Store
 
 	mu     sync.Mutex
-	log    []string   // "put N", "put-done N", "delete N"
+	log    []string   // "put N", "put-done N", "delete N", "delete-done N", "destage W"
 	hold   chan error // non-nil: every Delete waits for a value (its outcome) or a close
 	parked int
 	crash  error // outcome of Deletes woken by the close
+
+	done    []backendOp // completed mutations, in completion order
+	durable uint64      // newest destage watermark noted so far
+}
+
+// backendOp is one completed mutation: a Put of data, or (data nil) a
+// Delete. durable is the destage watermark noted before it completed:
+// a crash that loses this op can still have acknowledged that much.
+type backendOp struct {
+	name    string
+	data    []byte
+	durable uint64
 }
 
 func (r *reapStore) note(op, name string) {
@@ -34,11 +49,29 @@ func (r *reapStore) note(op, name string) {
 	r.mu.Unlock()
 }
 
+// completed notes a mutation that reached the backend.
+func (r *reapStore) completed(op, name string, data []byte) {
+	r.mu.Lock()
+	r.log = append(r.log, op+" "+name)
+	r.done = append(r.done, backendOp{name: name, data: data, durable: r.durable})
+	r.mu.Unlock()
+}
+
+// onDestage is a Config.OnDestage that logs the watermark.
+func (r *reapStore) onDestage(w uint64) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if w > r.durable {
+		r.durable = w
+		r.log = append(r.log, fmt.Sprintf("destage %d", w))
+	}
+}
+
 func (r *reapStore) Put(ctx context.Context, name string, data []byte) error {
 	r.note("put", name)
 	err := r.Store.Put(ctx, name, data)
 	if err == nil {
-		r.note("put-done", name)
+		r.completed("put-done", name, bytes.Clone(data))
 	}
 	return err
 }
@@ -63,7 +96,34 @@ func (r *reapStore) Delete(ctx context.Context, name string) error {
 			return err
 		}
 	}
-	return r.Store.Delete(ctx, name)
+	err := r.Store.Delete(ctx, name)
+	if err == nil {
+		r.completed("delete-done", name, nil)
+	}
+	return err
+}
+
+// ops returns the completed mutations so far.
+func (r *reapStore) ops() []backendOp {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return append([]backendOp(nil), r.done...)
+}
+
+// at materialises a backend holding exactly what the given prefixes of
+// completed mutations left, applied in order.
+func at(prefixes ...[]backendOp) *objstore.Mem {
+	m := objstore.NewMem()
+	for _, ops := range prefixes {
+		for _, op := range ops {
+			if op.data == nil {
+				_ = m.Delete(ctx, op.name) // a delete of a missing object is a no-op
+			} else if err := m.Put(ctx, op.name, op.data); err != nil {
+				panic(err)
+			}
+		}
+	}
+	return m
 }
 
 func (r *reapStore) holdDeletes() {
@@ -150,9 +210,15 @@ func mustReturn(t *testing.T, what string, fn func() error) {
 // names — nothing leaked, nothing lost.
 func backendMatchesTable(t *testing.T, s *Store, store objstore.Store) {
 	t.Helper()
+	if err := tableMismatch(s, store); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func tableMismatch(s *Store, store objstore.Store) error {
 	names, err := store.List(ctx, "vol.")
 	if err != nil {
-		t.Fatal(err)
+		return err
 	}
 	backend := sortedSeqs("vol", names)
 	s.mu.RLock()
@@ -163,8 +229,9 @@ func backendMatchesTable(t *testing.T, s *Store, store objstore.Store) {
 	s.mu.RUnlock()
 	sort.Slice(table, func(i, j int) bool { return table[i] < table[j] })
 	if fmt.Sprint(backend) != fmt.Sprint(table) {
-		t.Fatalf("backend holds %v, object table names %v", backend, table)
+		return fmt.Errorf("backend holds %v, object table names %v", backend, table)
 	}
+	return nil
 }
 
 // TestReapDoesNotStallPipeline: while a checkpoint's victim deletes
@@ -282,14 +349,7 @@ func TestCheckpointOrdersPutsBeforeDeletes(t *testing.T) {
 	}
 
 	log := rs.opLog()
-	index := func(entry string, from int) int {
-		for i := from; i < len(log); i++ {
-			if log[i] == entry {
-				return i
-			}
-		}
-		return -1
-	}
+	index := func(entry string, from int) int { return logIndex(log, entry, from) }
 	// superDone[v]: log index at which the super PUT that releases victim
 	// v completed — the first checkpoint listing it, or for a pinned one
 	// DeleteSnapshot's.

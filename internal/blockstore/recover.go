@@ -194,10 +194,28 @@ func open(ctx context.Context, cfg Config, limit uint32, readOnly bool) (*Store,
 		// victims go back on the deferred list; delete failures queue on
 		// pending for the next checkpoint to retry, exactly as live-path
 		// deletions do.
+		//
+		// Rule 2 holds here too. A checkpoint loaded from the suffix is
+		// owed its superblock, and its list names victims newer than the
+		// checkpoint the super still names: deleting one would hole the
+		// prefix the next open replays from that older checkpoint. So
+		// open PUTs the owed super first; if that fails, the list waits
+		// on pending for the first checkpoint of this session.
+		var superErr error
+		if s.lastCkpt != sb.lastCkpt {
+			var super []byte
+			if super, superErr = s.superNaming(s.lastCkpt); superErr == nil {
+				superErr = s.cfg.Store.Put(s.ctx, superName(cfg.Volume), super)
+			}
+		}
 		s.mu.Lock()
 		deferred := s.deferred
 		s.deferred = nil
-		_ = s.reapLocked(deferred, &s.pending) // a failed delete must not fail the open
+		if superErr != nil {
+			s.pending = append(s.pending, deferred...)
+		} else {
+			_ = s.reapLocked(deferred, &s.pending) // a failed delete must not fail the open
+		}
 		s.mu.Unlock()
 	}
 	s.stats.recoveredObjects = replayed
@@ -278,7 +296,7 @@ func (s *Store) readCheckpointObject(seq uint32) (p *checkpointPayload, size int
 // loadCheckpoint replaces the in-memory state with what checkpoint
 // object seq (size bytes in the backend) recorded. Its payload lists
 // the object table as it stood just before the checkpoint object itself
-// joined it (finalizeCheckpointLocked), so that entry is added here.
+// joined it (checkpointObjectDurableLocked), so that entry is added here.
 func (s *Store) loadCheckpoint(seq uint32, p *checkpointPayload, size int64) error {
 	s.durableWriteSeq = p.durableWriteSeq
 	s.objects = make(map[uint32]*objInfo, len(p.objects)+1)

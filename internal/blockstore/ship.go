@@ -17,7 +17,7 @@ import (
 //
 //  1. Events enter the feed at the exact point the object becomes
 //     visible to readers and recovery (installObject for data/GC,
-//     finalizeCheckpointLocked for checkpoints), so feed order IS
+//     checkpointObjectDurableLocked for checkpoints), so feed order IS
 //     commit order. Note commit order is not sequence order: a GC
 //     object reserves its sequence after in-flight data objects and
 //     commits immediately, so it can precede lower-numbered data

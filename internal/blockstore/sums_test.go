@@ -70,7 +70,7 @@ func TestObjectFromSumsIsByteIdentical(t *testing.T) {
 		{name: "empty-of-data", writes: []write{{lba: 0, sectors: 64, trim: true}}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			b := newBatch(8*block.MiB, tc.noCoalesce)
+			b := newBatch(tc.noCoalesce)
 			vol := make([]byte, 2048*block.SectorSize) // what the volume holds after the writes
 			var arrived [][]byte                       // data writes in arrival order
 			for i, w := range tc.writes {

@@ -56,7 +56,9 @@ type inflightObj struct {
 	// ckpt marks this entry as a checkpoint marker rather than a data
 	// object (see checkpoint.go). The shot is filled when the marker
 	// reaches the front of the list; seq is reserved at queue time so
-	// the log stays dense.
+	// the log stays dense. Once its checkpoint object lands the marker
+	// leaves the list for s.superOwed, and from then on done, err and
+	// attempts describe its superblock PUT.
 	ckpt *ckptShot
 
 	done     bool
@@ -95,7 +97,7 @@ func (s *Store) sealAsyncLocked() error {
 	}
 	s.inflight = append(s.inflight, inf)
 	s.inflightBytes += b.fill
-	s.batch = newBatch(s.cfg.BatchBytes, s.cfg.NoCoalesce)
+	s.batch = newBatch(s.cfg.NoCoalesce)
 	s.nextSeq++
 	s.startUploadLocked(inf)
 	return nil
@@ -113,6 +115,7 @@ func (s *Store) sealAsyncLocked() error {
 //
 //lsvd:requires bs.mu
 func (s *Store) queueCheckpointLocked() {
+	invariant.Assertf(!s.ckptQueued, "blockstore: second checkpoint marker queued at seq %d", s.nextSeq)
 	inf := &inflightObj{seq: s.nextSeq, ckpt: &ckptShot{seq: s.nextSeq}}
 	s.nextSeq++
 	s.sinceCkpt = 0
@@ -124,17 +127,13 @@ func (s *Store) queueCheckpointLocked() {
 }
 
 // startCheckpointLocked snapshots state for a front-of-pipeline
-// checkpoint marker (first attempt only), encodes its superblock (every
-// attempt: a retry must publish the snapshot list as it stands now, not
-// one a failed CreateSnapshot has since rolled back) and issues its
-// PUTs on a fresh goroutine. Finalization happens on that goroutine,
-// under s.mu, BEFORE done is set — so by the time the commit walk
-// dequeues the marker, lastCkpt is applied, the released victims are claimed in
-// s.reaping, and no object after the marker can commit past an
-// undurable checkpoint. The victims' backend deletes go out only after
-// that, with s.mu released and the commit walk already past the marker:
-// the pipeline waits for the checkpoint's two PUTs and never for its
-// deletes.
+// checkpoint marker (first attempt only) and PUTs its checkpoint object
+// on a fresh goroutine. When the object lands, that goroutine — in one
+// hold of s.mu — takes the marker off the commit walk
+// (checkpointObjectDurableLocked), commits the objects waiting behind
+// it and arms the superblock PUT, which it then runs itself with s.mu
+// released (putSuper): the walk waits for the checkpoint object and
+// never for the super or the victims' deletes.
 //
 //lsvd:requires bs.mu
 func (s *Store) startCheckpointLocked(inf *inflightObj) {
@@ -144,40 +143,47 @@ func (s *Store) startCheckpointLocked(inf *inflightObj) {
 		s.stats.uploadRetries++
 	}
 	shot := inf.ckpt
-	var err error
 	if shot.payload == nil {
-		err = s.fillCkptShotLocked(shot)
-	}
-	if err == nil {
-		shot.super, err = encodeSuper(&superblock{
-			volSectors: s.volSectors, lastCkpt: shot.seq,
-			baseVol: s.baseVol, baseSeq: s.baseSeq, snapshots: s.snapshots,
-		})
-	}
-	if err != nil {
-		inf.done, inf.err = true, err
-		s.commitCond.Broadcast()
-		return
+		if err := s.fillCkptShotLocked(shot); err != nil {
+			inf.done, inf.err = true, err
+			s.commitCond.Broadcast()
+			return
+		}
 	}
 	invariant.Go("blockstore-checkpoint", func() {
-		err := s.putCheckpoint(shot)
+		err := s.putCheckpointObject(shot)
 		s.mu.Lock()
-		var post func()
-		var victims []deferredDelete
-		if err == nil {
-			victims = s.reapClaimLocked(s.finalizeCheckpointLocked(shot), &s.pending)
-			inf.done, inf.err = true, nil
-			post = s.commitReadyLocked()
-		} else {
+		if err != nil {
 			inf.done, inf.err = true, err
+			s.commitCond.Broadcast()
+			s.mu.Unlock()
+			return
 		}
+		s.checkpointObjectDurableLocked(inf)
+		post := s.commitReadyLocked()
+		super := s.armSuperLocked(inf)
 		s.commitCond.Broadcast()
 		s.mu.Unlock()
 		if post != nil {
 			post()
 		}
-		_ = s.reap(victims, &s.pending) // failures wait on s.pending for the next checkpoint
+		if super != nil {
+			s.putSuper(inf, super)
+		}
 	})
+}
+
+// startSuperLocked re-arms a failed superblock PUT of the owed
+// checkpoint and issues it on a fresh goroutine (the fences' retry).
+//
+//lsvd:requires bs.mu
+func (s *Store) startSuperLocked(inf *inflightObj) {
+	if inf.attempts > 0 {
+		s.stats.uploadRetries++
+	}
+	if super := s.armSuperLocked(inf); super != nil {
+		invariant.Go("blockstore-super", func() { s.putSuper(inf, super) })
+	}
 }
 
 // reserveUploadSlotLocked waits until the in-flight list has room for
@@ -269,13 +275,9 @@ func (s *Store) commitReadyLocked() func() {
 	for len(s.inflight) > 0 {
 		inf := s.inflight[0]
 		if inf.ckpt != nil {
-			if inf.done && inf.err == nil {
-				// Already finalized by its goroutine; just dequeue so
-				// the objects behind it can commit.
-				s.inflight = s.inflight[1:]
-				s.ckptQueued = false
-				continue
-			}
+			// A marker leaves the list the moment its checkpoint object
+			// lands (checkpointObjectDurableLocked); until then nothing
+			// behind it commits.
 			if inf.attempts == 0 && !s.aborting {
 				// The marker just reached the front: every earlier
 				// object has committed, snapshot and start the PUTs.
@@ -326,9 +328,10 @@ func (s *Store) resubmitFailedLocked() {
 	}
 }
 
-// rearmFailedLocked grants every failed upload a fresh attempt budget
-// and reissues it: the first step of each explicit fence (Seal,
-// Checkpoint, CreateSnapshot, DeleteSnapshot).
+// rearmFailedLocked grants every failed upload, and a failed owed
+// superblock, a fresh attempt budget and reissues it: the first step of
+// each explicit fence (Seal, Checkpoint, CreateSnapshot,
+// DeleteSnapshot).
 //
 //lsvd:requires bs.mu
 func (s *Store) rearmFailedLocked() {
@@ -338,13 +341,18 @@ func (s *Store) rearmFailedLocked() {
 		}
 	}
 	s.resubmitFailedLocked()
+	if o := s.superOwed; o != nil && o.done && o.err != nil {
+		o.attempts = 0
+		s.startSuperLocked(o)
+	}
 }
 
 // waitInflightLocked blocks until the in-flight list drains (every
-// object committed), any GC pass finishes and the reaper has no delete
-// in flight, resubmitting failures up to the fence
-// attempt budget. On persistent failure the object stays in the list
-// so a later fence can retry it; the error is returned to the caller.
+// object committed), the owed superblock (if any) has landed, any GC
+// pass finishes and the reaper has no delete in flight, resubmitting
+// failures up to the fence attempt budget. On persistent failure the
+// object stays in the list, or the checkpoint stays owed its super, so
+// a later fence can retry it; the error is returned to the caller.
 //
 //lsvd:requires bs.mu
 func (s *Store) waitInflightLocked() error {
@@ -352,7 +360,7 @@ func (s *Store) waitInflightLocked() error {
 	// yields instead of sitting in a budget wait.
 	s.fenceEnterLocked()
 	defer s.fenceExitLocked()
-	for len(s.inflight) > 0 || s.gcBusy || len(s.reaping) > 0 {
+	for len(s.inflight) > 0 || s.superOwed != nil || s.gcBusy || len(s.reaping) > 0 {
 		if len(s.inflight) > 0 {
 			if front := s.inflight[0]; front.done && front.err != nil {
 				if front.attempts >= s.uploadAttempts() {
@@ -360,6 +368,13 @@ func (s *Store) waitInflightLocked() error {
 				}
 				s.resubmitFailedLocked()
 			}
+		}
+		if o := s.superOwed; o != nil && o.done && o.err != nil {
+			if o.attempts >= s.uploadAttempts() {
+				return fmt.Errorf("blockstore: superblock naming checkpoint %d failed after %d attempts: %w", o.seq, o.attempts, o.err)
+			}
+			s.startSuperLocked(o)
+			continue // an attempt that failed to start wakes no one
 		}
 		s.commitCond.Wait()
 	}
@@ -399,7 +414,7 @@ func (s *Store) Abort() {
 	// below then covers its in-progress pass like any other.
 	s.gcCond.Broadcast()
 	for {
-		busy := s.gcBusy || len(s.reaping) > 0
+		busy := s.gcBusy || len(s.reaping) > 0 || (s.superOwed != nil && !s.superOwed.done)
 		for _, inf := range s.inflight {
 			if inf.ckpt != nil && inf.attempts == 0 {
 				// A queued checkpoint marker that never reached the

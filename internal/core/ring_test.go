@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -14,14 +15,36 @@ import (
 )
 
 // parkStore records the size of every data object PUT and, once armed,
-// parks the next one until released.
+// parks the next one until released. With a disk attached it also keeps
+// an op log: each data object PUT's arrival and completion and each
+// write the test notes, stamped with the disk's ring fences so far.
 type parkStore struct {
 	objstore.Store
+	disk atomic.Pointer[Disk]
 
 	mu     sync.Mutex
 	sizes  []int // data objects, in PUT order
+	log    []parkOp
 	armed  bool
 	parked chan struct{} // non-nil once a PUT has waited on it
+}
+
+// parkOp is one op-log entry: "put" (size bytes, parked or not),
+// "put-done" or "write".
+type parkOp struct {
+	op     string
+	size   int
+	parked bool
+	fences uint64
+}
+
+func (p *parkStore) note(op parkOp) {
+	if d := p.disk.Load(); d != nil {
+		op.fences = d.ringFences.Load()
+	}
+	p.mu.Lock()
+	p.log = append(p.log, op)
+	p.mu.Unlock()
 }
 
 func (p *parkStore) Put(ctx context.Context, name string, data []byte) error {
@@ -37,10 +60,15 @@ func (p *parkStore) Put(ctx context.Context, name string, data []byte) error {
 		wait = p.parked
 	}
 	p.mu.Unlock()
+	p.note(parkOp{op: "put", size: len(data), parked: wait != nil})
 	if wait != nil {
 		<-wait
 	}
-	return p.Store.Put(ctx, name, data)
+	err := p.Store.Put(ctx, name, data)
+	if err == nil {
+		p.note(parkOp{op: "put-done", size: len(data), parked: wait != nil})
+	}
+	return err
 }
 
 func (p *parkStore) arm() {
@@ -65,6 +93,12 @@ func (p *parkStore) objectSizes() []int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return append([]int(nil), p.sizes...)
+}
+
+func (p *parkStore) opLog() []parkOp {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return append([]parkOp(nil), p.log...)
 }
 
 func waitFor(t *testing.T, what string, cond func() bool) {
@@ -105,21 +139,35 @@ func writeSequential(d *Disk, n int) error {
 // uploading and a third of a batch open. The kick seals nothing — the
 // uploading object pins the head and its commit frees it — and the
 // writer resumes on that commit's tick, without a fence.
+//
+// The assertions are over the op log, not the whole run's fence count:
+// from the parked object's PUT to the first write after it landed there
+// is no other data PUT (no runt sealed behind it, by the kick or by a
+// fence's flush marker) and no ring fence. Later ring-fulls of the run
+// are not pinned: a starved host may fence one of those legitimately.
 func TestRingFullWaitsForTheObjectInFlight(t *testing.T) {
 	const batch = 3 * block.MiB // 24 writes; 10 more fit in the log
 	ps := &parkStore{Store: objstore.NewMem()}
 	h := smallRing(t, ps, batch)
+	ps.disk.Store(h.disk)
 	ps.arm()
 	done := make(chan error, 1)
-	go func() { done <- writeSequential(h.disk, 60) }()
+	data := payload(1, 128*1024)
+	go func() {
+		for i := 0; i < 60; i++ {
+			if err := h.disk.WriteAt(data, int64(i)*int64(len(data))); err != nil {
+				done <- err
+				return
+			}
+			ps.note(parkOp{op: "write"})
+		}
+		done <- nil
+	}()
 
 	waitFor(t, "the writer to stall on a full ring", func() bool {
 		st := h.disk.Stats()
 		return ps.isParked() && st.RingKicks > 0 && st.DestageQueued == 0
 	})
-	if n, st := len(ps.objectSizes()), h.disk.bs.Stats(); n != 1 || st.InflightObjects != 1 {
-		t.Fatalf("%d objects PUT, %d in flight: the kick sealed a runt behind the uploading object", n, st.InflightObjects)
-	}
 	ps.release()
 	if err := <-done; err != nil {
 		t.Fatal(err)
@@ -127,18 +175,42 @@ func TestRingFullWaitsForTheObjectInFlight(t *testing.T) {
 	if err := h.disk.Drain(); err != nil {
 		t.Fatal(err)
 	}
-	if st := h.disk.Stats(); st.RingFences != 0 {
-		t.Fatalf("%d ring fences: the writer did not resume on the commit tick", st.RingFences)
+
+	log := ps.opLog()
+	park, landed, resumed := -1, -1, -1
+	for i, op := range log {
+		switch {
+		case op.op == "put" && park < 0:
+			if !op.parked {
+				t.Fatal("the first data object was not the parked one")
+			}
+			park = i
+		case op.op == "put-done" && op.parked:
+			landed = i
+		case op.op == "write" && landed >= 0 && resumed < 0:
+			resumed = i
+		}
 	}
-	if first := ps.objectSizes()[0]; int64(first) < batch {
+	if landed < 0 || resumed < 0 {
+		t.Fatalf("parked PUT at %d, landed at %d, writer resumed at %d: want a write after it landed", park, landed, resumed)
+	}
+	for _, op := range log[park : resumed+1] {
+		if op.op == "put" && !op.parked {
+			t.Fatalf("a %d-byte object was sealed behind the parked one before the writer resumed: the kick or a fence sealed a runt", op.size)
+		}
+		if op.fences != 0 {
+			t.Fatalf("a ring fence before the writer resumed on the parked object's commit: %+v", log[park:resumed+1])
+		}
+	}
+	if first := log[park].size; int64(first) < batch {
 		t.Fatalf("first object holds %d bytes, want a full batch of %d", first, batch)
 	}
-	got := make([]byte, 128*1024)
+	got := make([]byte, len(data))
 	for _, i := range []int64{0, 33, 34, 59} {
 		if err := h.disk.ReadAt(got, i*int64(len(got))); err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(got, payload(1, len(got))) {
+		if !bytes.Equal(got, data) {
 			t.Fatalf("write %d does not read back", i)
 		}
 	}

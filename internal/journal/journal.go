@@ -203,27 +203,6 @@ func EncodeHeaderSum(h *Header, hdrAlign int, sum uint32) []byte {
 	return buf
 }
 
-// EncodeInto stamps h's header over the front of buf, whose data
-// payload must already be in place at buf[hdrLen:hdrLen+h.DataLen]
-// with hdrLen the hdrAlign-padded header size. It returns hdrLen.
-// This builds a record in a single caller-owned allocation — the
-// backend object path uses it to gather extents directly into the
-// final object image instead of copying data twice.
-func EncodeInto(h *Header, buf []byte, hdrAlign int) (int, error) {
-	hs := HeaderSize(len(h.Extents))
-	hs = (hs + hdrAlign - 1) / hdrAlign * hdrAlign
-	if uint64(len(buf)) < uint64(hs)+h.DataLen {
-		return 0, fmt.Errorf("journal: buffer of %d bytes too small for header %d + data %d", len(buf), hs, h.DataLen)
-	}
-	dl := int(h.DataLen) // safe: bounds-checked against len(buf) above
-	clear(buf[:hs])
-	putHeader(buf, h, hs)
-	crc := crc32.Update(0, castagnoli, buf[:hs])
-	crc = crc32.Update(crc, castagnoli, buf[hs:hs+dl])
-	binary.LittleEndian.PutUint32(buf[crcOffset:], crc)
-	return hs, nil
-}
-
 // DecodeHeader parses a header from the front of buf without verifying
 // the data CRC (the data may not have been read yet). It returns the
 // header and the header's encoded length (including alignment padding).
