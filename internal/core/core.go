@@ -116,10 +116,12 @@ type VolumeOptions struct {
 	// volume. Default 2.0, applied by the block store; < 0 disables
 	// pacing (the service copies as fast as the upload gate lets it).
 	GCWAFTarget float64
-	// PrefetchSectors is the temporal read-ahead window. 0 selects the
-	// default, 256 sectors (128 KiB); the smallest window, 1 sector,
-	// never reaches past the demand miss and is the "off" setting the
-	// prefetch ablation uses.
+	// PrefetchSectors is the ceiling of the temporal read-ahead window.
+	// 0 selects the default, 256 sectors (128 KiB). The window starts
+	// there and, once the read arena is full, backs off to as little as
+	// 8 sectors while its extras go unread (readpath.go). The smallest
+	// ceiling, 1 sector, never reaches past the demand miss and is the
+	// "off" setting the prefetch ablation uses.
 	PrefetchSectors uint32
 	// CheckpointEvery objects between backend map checkpoints.
 	CheckpointEvery int
@@ -206,7 +208,8 @@ type Stats struct {
 	RingFences                    uint64 // ring-full: watermark stalled, full fence
 
 	// Read-miss pipeline counters. PrefetchHitSectors mirrors the read
-	// cache's; AdmissionsDropped counts cache admissions shed under
+	// cache's: prefetched sectors read at least once, each counted on
+	// its first read. AdmissionsDropped counts cache admissions shed under
 	// pressure. GET counts, dedup and coalescing are the block store's:
 	// Backend.FetchGETs, Backend.FetchesDeduped, Backend.RunsCoalesced.
 	PrefetchHitSectors uint64
@@ -301,6 +304,15 @@ func (p *stagePool) destaged(ws uint64) {
 	if i > 0 {
 		p.pending = p.pending[:copy(p.pending, p.pending[i:])]
 	}
+	p.mu.Unlock()
+}
+
+// drop empties the free lists and admits nothing more: a shut-down disk
+// that stays reachable (a host's table, a caller's stats) pins no
+// staging memory.
+func (p *stagePool) drop() {
+	p.mu.Lock()
+	p.limit, p.freeBytes, p.free, p.pending = 0, 0, [bits.UintSize][][]byte{}, nil
 	p.mu.Unlock()
 }
 
@@ -403,6 +415,8 @@ type Disk struct {
 	// adm applies read-cache admissions (demand fills + temporal
 	// prefetch) on a background goroutine, off the read ack path.
 	adm admitter
+	// window sizes each read-miss GET's temporal prefetch (readpath.go).
+	window prefetchWindow
 
 	c                 counters
 	recoveredReplayed int
@@ -641,6 +655,7 @@ func (d *Disk) storeConfig() blockstore.Config {
 // replication shipper (when a replica store is configured), and the
 // destager goroutine (skipped for read-only mounts).
 func (d *Disk) startPipeline(ctx context.Context) {
+	d.window.reset(d.opts.PrefetchSectors)
 	d.adm.start(d)
 	if !d.readOnly && d.opts.ReplicaStore != nil {
 		rs := d.opts.ReplicaStore
@@ -1143,13 +1158,16 @@ func (d *Disk) Trim(off, length int64) error {
 // Drain fences the destage pipeline: queue drained, batch sealed,
 // every upload committed. All acknowledged writes are durable remotely
 // when it returns; cache and backend are synchronized (used before VM
-// migration, §4.3/§4.4).
+// migration, §4.3/§4.4). It also waits for the read cache admissions
+// queued before the call, so counters read after it include the
+// prefetch of every read that returned before it.
 func (d *Disk) Drain() error {
 	d.wmu.Lock()
 	defer d.wmu.Unlock()
 	if d.closed {
 		return ErrClosed
 	}
+	defer d.adm.drain()
 	if d.readOnly {
 		//lsvd:ignore drain fence: wmu held across the seal by design — no writes admitted until the pipeline is synchronized
 		return d.bs.Seal()
@@ -1193,6 +1211,7 @@ func (d *Disk) Close() error {
 	// the read cache before it is persisted. The host's OnClose fires
 	// once the disk is down, whatever path got it there.
 	defer d.released()
+	defer d.stage.drop()
 	defer d.adm.stop()
 	if d.readOnly {
 		d.adm.drain()
@@ -1269,6 +1288,7 @@ func (d *Disk) Kill() {
 	d.wc.Quiesce()
 	d.adm.stop()
 	d.bs.Abort()
+	d.stage.drop()
 	d.released()
 }
 

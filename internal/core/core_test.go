@@ -39,6 +39,7 @@ func newHarness(t *testing.T, mutate func(*Options)) *harness {
 		t.Fatal(err)
 	}
 	h.disk = d
+	t.Cleanup(func() { h.disk.Kill() })
 	return h
 }
 
@@ -200,6 +201,7 @@ func TestFlushIsSingleDeviceFlush(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer d.Kill()
 	before := metered.Meter.Snapshot()
 	if err := d.WriteAt(payload(1, 4096), 0); err != nil {
 		t.Fatal(err)

@@ -1,0 +1,9 @@
+package core
+
+import (
+	"testing"
+
+	"lsvd/internal/testleak"
+)
+
+func TestMain(m *testing.M) { testleak.Main(m) }

@@ -201,9 +201,14 @@ func buildSpans(runs []extmap.Run) []span {
 // prefetch extras. Only the fetch leader enqueues extras: a shared
 // window's extras are already owned by its leader.
 func (d *Disk) fetchSpan(ext block.Extent, sp span, p []byte, epoch uint64) error {
-	win, err := d.bs.FetchSpan(sp.runs, d.opts.PrefetchSectors)
+	win, err := d.bs.FetchSpan(sp.runs, d.window.next(d.rc.PrefetchReads()))
 	if err != nil {
 		return err
+	}
+	// Shrunk after the GET, not before it: readers missing on the same
+	// block meanwhile computed the same key and joined this flight.
+	if !win.Shared && d.rc.Arena().Full() {
+		d.window.shrink()
 	}
 	for _, run := range sp.runs {
 		data, err := win.Slice(run)
@@ -224,6 +229,53 @@ func (d *Disk) fetchSpan(ext block.Extent, sp span, p []byte, epoch uint64) erro
 		win.Release()
 	}
 	return nil
+}
+
+// minWindowSectors is the adaptive window's floor (4 KiB), unless
+// PrefetchSectors is smaller still.
+const minWindowSectors = 8
+
+// prefetchWindow is a volume's temporal-prefetch window (§3.2), in
+// sectors, between min(minWindowSectors, ceiling) and the ceiling,
+// Options.PrefetchSectors. It backs off the way block-layer readahead
+// does: halved after every GET the volume leads once the read arena is
+// full, doubled by every read that consumes a prefetched sector. So it
+// holds its width only while the extras save at least one GET for each
+// GET issued. Until the arena is full the extras fill otherwise empty
+// slabs and evict nothing, so the window stays wide; a hit counts only
+// on a sector's first read, so a hot set read again and again does not
+// keep a useless window wide.
+type prefetchWindow struct {
+	mu       sync.Mutex
+	sectors  uint32
+	ceiling  uint32
+	credited uint64 // the read cache's PrefetchReads already applied
+}
+
+func (w *prefetchWindow) reset(ceiling uint32) {
+	w.mu.Lock()
+	w.sectors, w.ceiling, w.credited = ceiling, ceiling, 0
+	w.mu.Unlock()
+}
+
+// next returns the window for the next GET, first doubling it once for
+// each prefetched first read (reads is the read cache's running count)
+// not yet credited.
+func (w *prefetchWindow) next(reads uint64) uint32 {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	for ; w.credited < reads && w.sectors < w.ceiling; w.credited++ {
+		w.sectors = min(2*w.sectors, w.ceiling)
+	}
+	w.credited = max(w.credited, reads)
+	return w.sectors
+}
+
+// shrink halves the window, down to its floor.
+func (w *prefetchWindow) shrink() {
+	w.mu.Lock()
+	w.sectors = max(w.sectors/2, min(minWindowSectors, w.ceiling))
+	w.mu.Unlock()
 }
 
 // admitDemand inserts the demand runs into the read cache on the fetch
@@ -265,14 +317,16 @@ type admitTask struct {
 // extras simply are not cached) rather than stalling the read ack
 // path — the demand runs were already admitted by the fetch worker.
 type admitter struct {
-	mu      sync.Mutex
-	cond    *sync.Cond
-	q       []admitTask
-	max     int
-	busy    bool
-	stopped bool
-	done    chan struct{}
-	dropped atomic.Uint64
+	mu   sync.Mutex
+	cond *sync.Cond
+	q    []admitTask
+	max  int
+	// queued and applied count the tasks enqueued and the tasks the
+	// loop has finished, so drain can wait for a prefix of the queue.
+	queued, applied uint64
+	stopped         bool
+	done            chan struct{}
+	dropped         atomic.Uint64
 }
 
 func (a *admitter) start(d *Disk) {
@@ -292,6 +346,7 @@ func (a *admitter) enqueue(t admitTask) bool {
 		return false
 	}
 	a.q = append(a.q, t)
+	a.queued++
 	a.cond.Broadcast()
 	a.mu.Unlock()
 	return true
@@ -314,19 +369,20 @@ func (a *admitter) loop(d *Disk) {
 		}
 		t := a.q[0]
 		a.q = a.q[1:]
-		a.busy = true
 		a.mu.Unlock()
 		d.admit(t)
 		a.mu.Lock()
-		a.busy = false
+		a.applied++
 		a.cond.Broadcast()
 	}
 }
 
-// drain blocks until every queued admission has been applied.
+// drain blocks until every admission queued before the call has been
+// applied. Later ones are not waited for, so readers that keep
+// refilling the queue cannot hold it up.
 func (a *admitter) drain() {
 	a.mu.Lock()
-	for !a.stopped && (len(a.q) > 0 || a.busy) {
+	for upTo := a.queued; !a.stopped && a.applied < upTo; {
 		a.cond.Wait()
 	}
 	a.mu.Unlock()

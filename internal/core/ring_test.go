@@ -14,19 +14,21 @@ import (
 	"lsvd/internal/simdev"
 )
 
-// parkStore records the size of every data object PUT and, once armed,
-// parks the next one until released. With a disk attached it also keeps
-// an op log: each data object PUT's arrival and completion and each
-// write the test notes, stamped with the disk's ring fences so far.
+// parkStore records the size of every data object PUT and the length
+// of every data range GET and, once armed for one of the two, parks the
+// next such op until released. With a disk attached it also keeps an op
+// log: each data object PUT's arrival and completion and each write the
+// test notes, stamped with the disk's ring fences so far.
 type parkStore struct {
 	objstore.Store
 	disk atomic.Pointer[Disk]
 
 	mu     sync.Mutex
-	sizes  []int // data objects, in PUT order
+	sizes  []int   // data objects, in PUT order
+	gets   []int64 // data range GETs' lengths, in issue order
 	log    []parkOp
-	armed  bool
-	parked chan struct{} // non-nil once a PUT has waited on it
+	armed  string        // "put" or "get": the op the next of which parks
+	parked chan struct{} // non-nil once an op has waited on it
 }
 
 // parkOp is one op-log entry: "put" (size bytes, parked or not),
@@ -53,12 +55,7 @@ func (p *parkStore) Put(ctx context.Context, name string, data []byte) error {
 	}
 	p.mu.Lock()
 	p.sizes = append(p.sizes, len(data))
-	var wait chan struct{}
-	if p.armed {
-		p.armed = false
-		p.parked = make(chan struct{})
-		wait = p.parked
-	}
+	wait := p.parkLocked("put")
 	p.mu.Unlock()
 	p.note(parkOp{op: "put", size: len(data), parked: wait != nil})
 	if wait != nil {
@@ -71,9 +68,37 @@ func (p *parkStore) Put(ctx context.Context, name string, data []byte) error {
 	return err
 }
 
-func (p *parkStore) arm() {
+// GetRange logs data range GETs (object headers start at offset 0,
+// data never does) and parks one when armed for "get".
+func (p *parkStore) GetRange(ctx context.Context, name string, off, length int64) ([]byte, error) {
+	var wait chan struct{}
+	if off > 0 {
+		p.mu.Lock()
+		p.gets = append(p.gets, length)
+		wait = p.parkLocked("get")
+		p.mu.Unlock()
+	}
+	if wait != nil {
+		<-wait
+	}
+	return p.Store.GetRange(ctx, name, off, length)
+}
+
+// parkLocked returns the channel an op of kind op must wait on, nil
+// unless the store is armed for it.
+func (p *parkStore) parkLocked(op string) chan struct{} {
+	if p.armed != op {
+		return nil
+	}
+	p.armed = ""
+	p.parked = make(chan struct{})
+	return p.parked
+}
+
+// arm parks the next op of kind op, "put" or "get".
+func (p *parkStore) arm(op string) {
 	p.mu.Lock()
-	p.armed = true
+	p.armed = op
 	p.mu.Unlock()
 }
 
@@ -93,6 +118,13 @@ func (p *parkStore) objectSizes() []int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return append([]int(nil), p.sizes...)
+}
+
+// dataGets returns the lengths of the data range GETs so far.
+func (p *parkStore) dataGets() []int64 {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return append([]int64(nil), p.gets...)
 }
 
 func (p *parkStore) opLog() []parkOp {
@@ -150,7 +182,7 @@ func TestRingFullWaitsForTheObjectInFlight(t *testing.T) {
 	ps := &parkStore{Store: objstore.NewMem()}
 	h := smallRing(t, ps, batch)
 	ps.disk.Store(h.disk)
-	ps.arm()
+	ps.arm("put")
 	done := make(chan error, 1)
 	data := payload(1, 128*1024)
 	go func() {

@@ -33,48 +33,10 @@ func Ablations(ctx context.Context, e Env) (*Table, error) {
 	{
 		var backendReads [2]uint64
 		for i, prefetch := range []uint32{1, 256} { // PrefetchSectors 0 means default; use 1 as "off"
-			opts := core.Options{
-				HostOptions:   core.HostOptions{WriteCacheFrac: 0.6},
-				VolumeOptions: core.VolumeOptions{PrefetchSectors: prefetch, BatchBytes: 2 * block.MiB},
-			}
-			st, err := newLSVD(ctx, e, e.smallCache(), cluster.SSDConfig1(), opts)
-			if err != nil {
+			var err error
+			if backendReads[i], err = prefetchReread(ctx, e, prefetch); err != nil {
 				return nil, err
 			}
-			// Write clusters of temporally-adjacent data...
-			buf := make([]byte, 16<<10)
-			for c := 0; c < 64; c++ {
-				for k := 0; k < 16; k++ {
-					off := (int64(c)*997*16<<10 + int64(k)*16<<10) % (e.volBytes() - int64(len(buf)))
-					off &^= block.BlockSize - 1
-					if err := st.disk.WriteAt(buf, off); err != nil {
-						return nil, err
-					}
-				}
-			}
-			if err := st.disk.Drain(); err != nil {
-				return nil, err
-			}
-			// ...lose the cache, then re-read each cluster in order:
-			// with temporal prefetch the first miss pulls the rest. The
-			// old stack's pipeline is killed so it cannot race the
-			// reopened volume.
-			st.disk.Kill()
-			opts.Volume, opts.Store, opts.CacheDev = "vol", st.store, newBlankCache(e)
-			disk2, err := core.Open(ctx, opts)
-			if err != nil {
-				return nil, err
-			}
-			for c := 0; c < 64; c++ {
-				for k := 0; k < 16; k++ {
-					off := (int64(c)*997*16<<10 + int64(k)*16<<10) % (e.volBytes() - int64(len(buf)))
-					off &^= block.BlockSize - 1
-					if err := disk2.ReadAt(buf, off); err != nil {
-						return nil, err
-					}
-				}
-			}
-			backendReads[i] = disk2.Stats().BackendReadSectors
 		}
 		t.Rows = append(t.Rows, []string{"temporal prefetch", "backend sectors read",
 			fmt.Sprint(backendReads[0]), fmt.Sprint(backendReads[1])})
@@ -84,39 +46,10 @@ func Ablations(ctx context.Context, e Env) (*Table, error) {
 	{
 		var gets [2]uint64
 		for i, disable := range []bool{true, false} {
-			// GCLowWater -1 disables the background service so the
-			// explicit RunGC below does all the cleaning: how many GC
-			// passes the paced service fits in before Drain returns is
-			// scheduling-dependent, and this ablation compares absolute
-			// GET counts between the two runs.
-			st, err := newLSVD(ctx, e, e.bigCache(), cluster.SSDConfig1(), core.Options{
-				HostOptions: core.HostOptions{WriteCacheFrac: 0.6},
-				VolumeOptions: core.VolumeOptions{
-					DisableGCCacheFetch: disable, BatchBytes: 1 * block.MiB, GCLowWater: -1,
-				},
-			})
-			if err != nil {
+			var err error
+			if gets[i], err = gcCleaningGETs(ctx, e, int64(i), disable); err != nil {
 				return nil, err
 			}
-			// Random churn leaves victims partially live, so the GC
-			// must copy data — from the backend, or from the (large)
-			// local cache when the optimization is on.
-			buf := make([]byte, 64<<10)
-			rng := rand.New(rand.NewSource(e.Seed + int64(i)))
-			for k := 0; k < 600; k++ {
-				off := int64(rng.Intn(256)) * (64 << 10)
-				if err := st.disk.WriteAt(buf, off); err != nil {
-					return nil, err
-				}
-			}
-			if err := st.disk.Drain(); err != nil {
-				return nil, err
-			}
-			if err := st.disk.RunGC(); err != nil {
-				return nil, err
-			}
-			s := st.store.Stats()
-			gets[i] = s.GetRanges + s.Gets
 		}
 		t.Rows = append(t.Rows, []string{"GC reads from cache", "backend GETs",
 			fmt.Sprint(gets[0]), fmt.Sprint(gets[1])})
@@ -152,6 +85,99 @@ func Ablations(ctx context.Context, e Env) (*Table, error) {
 	}
 
 	return t, nil
+}
+
+// prefetchReread writes 64 clusters of temporally adjacent data, loses
+// the cache, re-reads each cluster in order and returns the backend
+// sectors the re-read fetched: with temporal prefetch the first miss
+// pulls the rest of its window.
+func prefetchReread(ctx context.Context, e Env, prefetch uint32) (uint64, error) {
+	opts := core.Options{
+		HostOptions:   core.HostOptions{WriteCacheFrac: 0.6},
+		VolumeOptions: core.VolumeOptions{PrefetchSectors: prefetch, BatchBytes: 2 * block.MiB},
+	}
+	st, err := newLSVD(ctx, e, e.smallCache(), cluster.SSDConfig1(), opts)
+	if err != nil {
+		return 0, err
+	}
+	defer st.disk.Kill()
+	buf := make([]byte, 16<<10)
+	clusters := func(io func([]byte, int64) error) error {
+		for c := 0; c < 64; c++ {
+			for k := 0; k < 16; k++ {
+				off := (int64(c)*997*16<<10 + int64(k)*16<<10) % (e.volBytes() - int64(len(buf)))
+				if err := io(buf, off&^(block.BlockSize-1)); err != nil {
+					return err
+				}
+			}
+		}
+		return nil
+	}
+	if err := clusters(st.disk.WriteAt); err != nil {
+		return 0, err
+	}
+	if err := st.disk.Drain(); err != nil {
+		return 0, err
+	}
+	// The old stack's pipeline is killed so it cannot race the reopened
+	// volume.
+	st.disk.Kill()
+	opts.Volume, opts.Store, opts.CacheDev = "vol", st.store, newBlankCache(e)
+	disk2, err := core.Open(ctx, opts)
+	if err != nil {
+		return 0, err
+	}
+	defer disk2.Kill()
+	// Drain after every read lands its prefetch extras before the next
+	// read looks for them: the count is what the window saves, not how
+	// far the read outran the admitter.
+	err = clusters(func(p []byte, off int64) error {
+		if err := disk2.ReadAt(p, off); err != nil {
+			return err
+		}
+		return disk2.Drain()
+	})
+	if err != nil {
+		return 0, err
+	}
+	return disk2.Stats().BackendReadSectors, nil
+}
+
+// gcCleaningGETs churns a volume with random 64 KiB writes, which leave
+// victims partially live, runs one GC pass and returns the backend GETs
+// it took to copy their live data: from the backend, or from the
+// (large) local cache when the optimization is on. GCLowWater -1
+// disables the background service so the explicit RunGC does all the
+// cleaning: how many passes the paced service fits in before Drain
+// returns is scheduling-dependent, and this ablation compares absolute
+// GET counts between the two runs.
+func gcCleaningGETs(ctx context.Context, e Env, seed int64, disableCacheFetch bool) (uint64, error) {
+	st, err := newLSVD(ctx, e, e.bigCache(), cluster.SSDConfig1(), core.Options{
+		HostOptions: core.HostOptions{WriteCacheFrac: 0.6},
+		VolumeOptions: core.VolumeOptions{
+			DisableGCCacheFetch: disableCacheFetch, BatchBytes: 1 * block.MiB, GCLowWater: -1,
+		},
+	})
+	if err != nil {
+		return 0, err
+	}
+	defer st.disk.Kill()
+	buf := make([]byte, 64<<10)
+	rng := rand.New(rand.NewSource(e.Seed + seed))
+	for k := 0; k < 600; k++ {
+		off := int64(rng.Intn(256)) * (64 << 10)
+		if err := st.disk.WriteAt(buf, off); err != nil {
+			return 0, err
+		}
+	}
+	if err := st.disk.Drain(); err != nil {
+		return 0, err
+	}
+	if err := st.disk.RunGC(); err != nil {
+		return 0, err
+	}
+	s := st.store.Stats()
+	return s.GetRanges + s.Gets, nil
 }
 
 func newBlankCache(e Env) simdev.Device { return simdev.NewMem(e.smallCache()) }

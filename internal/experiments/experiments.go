@@ -111,7 +111,10 @@ type lsvdStack struct {
 }
 
 // newLSVD builds an LSVD disk over a metered NVMe cache and an
-// erasure-coded simulated pool fronted by an S3 endpoint model.
+// erasure-coded simulated pool fronted by an S3 endpoint model. Callers
+// defer st.disk.Kill(): it stops the disk's goroutines so the stack can
+// be collected, and the numbers are read by then, so nothing is
+// checkpointed.
 func newLSVD(ctx context.Context, e Env, cacheBytes int64, poolCfg cluster.Config, opts core.Options) (*lsvdStack, error) {
 	st := &lsvdStack{cacheMem: simdev.NewMem(cacheBytes)}
 	st.cacheDev = simdev.NewMetered(st.cacheMem, iomodel.NVMeP3700)

@@ -165,6 +165,7 @@ func backendLoadLSVD(ctx context.Context, e Env, vdisks int) (*backendLoadResult
 		if err != nil {
 			return nil, err
 		}
+		defer d.Kill()
 		disks = append(disks, d)
 	}
 	for i, d := range disks {

@@ -82,6 +82,7 @@ func microCellLSVD(ctx context.Context, e Env, pattern workload.Pattern, bs, qd 
 	if err != nil {
 		return 0, err
 	}
+	defer st.disk.Kill()
 	if pattern == workload.RandRead || pattern == workload.SeqRead {
 		if err := precondition(st.disk, e); err != nil {
 			return 0, err

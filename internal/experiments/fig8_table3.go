@@ -71,6 +71,7 @@ func filebenchLSVD(ctx context.Context, e Env, m workload.FilebenchModel) (float
 	if err != nil {
 		return 0, err
 	}
+	defer st.disk.Kill()
 	if err := precondition(st.disk, e); err != nil {
 		return 0, err
 	}

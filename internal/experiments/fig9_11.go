@@ -64,6 +64,7 @@ func smallCacheLSVD(ctx context.Context, e Env, pattern workload.Pattern, bs, qd
 	if err != nil {
 		return 0, err
 	}
+	defer st.disk.Kill()
 	gen := &workload.Fio{Pattern: pattern, BlockSize: bs, VolBytes: e.volBytes(), TotalBytes: smallCacheBudget(e), Seed: e.Seed}
 	c, err := workload.Run(st.disk, gen, nil, 0)
 	if err != nil {
@@ -98,29 +99,12 @@ func Fig11(ctx context.Context, e Env) (*Table, error) {
 	}
 	totalWrites := 20 * int64(1<<30) / e.Scale
 
-	// LSVD: write-back proceeds during the load; the volume is synced
-	// (cache fully destaged) almost immediately after the last write.
-	{
-		st, err := newLSVD(ctx, e, e.smallCache(), cluster.HDDConfig2(), core.Options{HostOptions: core.HostOptions{WriteCacheFrac: 0.6}})
-		if err != nil {
-			return nil, err
-		}
-		gen := &workload.Fio{Pattern: workload.RandWrite, BlockSize: 4096, VolBytes: e.volBytes(), TotalBytes: totalWrites, Seed: e.Seed}
-		c, err := workload.Run(st.disk, gen, nil, 0)
-		if err != nil {
-			return nil, err
-		}
-		clientDone := st.elapsed(c.Writes, 32, 0)
-		if err := st.disk.Drain(); err != nil {
-			return nil, err
-		}
-		synced := st.elapsed(c.Writes, 32, 0) // destage already accounted
-		wb := st.store.Stats().BytesPut
-		t.Rows = append(t.Rows, []string{
-			"LSVD", f1(clientDone.Seconds()), f1(synced.Seconds()),
-			f1(throughputMBs(wb, synced)),
-		})
+	row, err := fig11LSVD(ctx, e, totalWrites)
+	if err != nil {
+		return nil, err
 	}
+	t.Rows = append(t.Rows, row)
+
 	// bcache+RBD: no write-back during load; after the client stops,
 	// the dirty cache drains to the replicated backend at HDD speed.
 	{
@@ -154,4 +138,30 @@ func Fig11(ctx context.Context, e Env) (*Table, error) {
 		})
 	}
 	return t, nil
+}
+
+// fig11LSVD is Fig 11's LSVD row: write-back proceeds during the load,
+// so the volume is synced (cache fully destaged) almost immediately
+// after the last write.
+func fig11LSVD(ctx context.Context, e Env, totalWrites int64) ([]string, error) {
+	st, err := newLSVD(ctx, e, e.smallCache(), cluster.HDDConfig2(), core.Options{HostOptions: core.HostOptions{WriteCacheFrac: 0.6}})
+	if err != nil {
+		return nil, err
+	}
+	defer st.disk.Kill()
+	gen := &workload.Fio{Pattern: workload.RandWrite, BlockSize: 4096, VolBytes: e.volBytes(), TotalBytes: totalWrites, Seed: e.Seed}
+	c, err := workload.Run(st.disk, gen, nil, 0)
+	if err != nil {
+		return nil, err
+	}
+	clientDone := st.elapsed(c.Writes, 32, 0)
+	if err := st.disk.Drain(); err != nil {
+		return nil, err
+	}
+	synced := st.elapsed(c.Writes, 32, 0) // destage already accounted
+	wb := st.store.Stats().BytesPut
+	return []string{
+		"LSVD", f1(clientDone.Seconds()), f1(synced.Seconds()),
+		f1(throughputMBs(wb, synced)),
+	}, nil
 }

@@ -93,6 +93,7 @@ func crashTrialLSVD(ctx context.Context, e Env, trial int64) (consistency.Report
 	if err != nil {
 		return consistency.Report{}, err
 	}
+	defer disk.Kill()
 	w, err := consistency.NewWriter(disk)
 	if err != nil {
 		return consistency.Report{}, err
@@ -108,6 +109,7 @@ func crashTrialLSVD(ctx context.Context, e Env, trial int64) (consistency.Report
 	if err != nil {
 		return consistency.Report{}, err
 	}
+	defer disk2.Kill()
 	return w.Check(disk2)
 }
 

@@ -35,6 +35,7 @@ package readcache
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"lsvd/internal/block"
 	"lsvd/internal/extmap"
@@ -122,7 +123,7 @@ type Stats struct {
 	SlabEvictions      uint64 // arena-wide
 	MapExtents         int
 	PersistedMapBytes  int64
-	PrefetchHitSectors uint64 // hit sectors that were inserted by prefetch
+	PrefetchHitSectors uint64 // prefetched sectors read at least once, each counted once
 	// Reinserts/ReinsertedBytes count the extents and bytes that
 	// evictions of this view's slabs copied into a survivor slab: the
 	// SSD writes the second chance costs. Rearms counts the slabs that
@@ -174,6 +175,9 @@ type Arena struct {
 
 	evictions      uint64
 	persistedBytes int64
+	// full records whether the last nursery claim found no never-used or
+	// stale slab, so that new slabs displace cached data.
+	full atomic.Bool
 
 	// pending holds persisted view maps (keyed by name) awaiting their
 	// Open; stale slab ownership is tracked on the slabs themselves.
@@ -190,8 +194,9 @@ type Cache struct {
 
 	m *extmap.Map
 	// pf marks vLBA ranges whose cached copy came from temporal
-	// prefetch rather than a demand miss; hits on them feed the
-	// PrefetchHitSectors counter. Stats-only: it is not persisted.
+	// prefetch rather than a demand miss and has not been read yet. The
+	// first hit consumes the tag, crediting PrefetchHitSectors and
+	// pfReads. Not persisted.
 	pf *extmap.Map
 
 	// The view's two fill points, -1 if none: active is the nursery
@@ -207,6 +212,9 @@ type Cache struct {
 	hits, misses, inserts              uint64
 	pfHitSectors                       uint64
 	reinserts, reinsertedBytes, rearms uint64
+	// pfReads counts the ReadExtent calls that consumed a prefetch tag;
+	// atomic so the read path can poll it without the arena lock.
+	pfReads atomic.Uint64
 }
 
 // NewArena builds a shared read-cache arena on dev, attempting to load
@@ -348,18 +356,34 @@ func (c *Cache) touch(ext block.Extent) {
 	}
 }
 
-// notePrefetchHit credits hit sectors that prefetch (rather than a
-// demand miss) brought into the cache.
-func (c *Cache) notePrefetchHit(ext block.Extent) {
+// consumePrefetchTags credits the hit sectors of ext that prefetch
+// brought in and nobody has read yet, and drops their tags: a sector
+// counts once, on its first read. It reports whether any were tagged.
+func (c *Cache) consumePrefetchTags(ext block.Extent) bool {
 	if c.pf.Len() == 0 {
-		return
+		return false
 	}
+	tagged := false
 	for _, pr := range c.pf.Lookup(ext) {
 		if pr.Present {
 			c.pfHitSectors += uint64(pr.Sectors)
+			tagged = true
 		}
 	}
+	if tagged {
+		c.pf.Delete(ext)
+	}
+	return tagged
 }
+
+// PrefetchReads returns how many reads so far consumed an unread
+// prefetch tag: each is a read the temporal window answered from the
+// cache instead of a backend GET.
+func (c *Cache) PrefetchReads() uint64 { return c.pfReads.Load() }
+
+// Full reports whether the arena's last nursery claim had to displace
+// cached data, finding no never-used or stale slab.
+func (a *Arena) Full() bool { return a.full.Load() }
 
 // ReadExtent looks up ext, bumps hit statistics, and reads every
 // present run into the matching positions of buf (len(buf) ==
@@ -371,14 +395,16 @@ func (c *Cache) ReadExtent(ext block.Extent, buf []byte) ([]extmap.Run, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	runs := c.m.Lookup(ext)
-	hit := false
+	hit, prefetched := false, false
 	for _, r := range runs {
 		if !r.Present {
 			continue
 		}
 		hit = true
 		c.touch(r.Extent)
-		c.notePrefetchHit(r.Extent)
+		if c.consumePrefetchTags(r.Extent) {
+			prefetched = true
+		}
 		off := (r.LBA - ext.LBA).Bytes()
 		if err := a.dev.ReadAt(buf[off:off+r.Bytes()], r.Target.Off.Bytes()); err != nil {
 			return nil, err
@@ -388,6 +414,9 @@ func (c *Cache) ReadExtent(ext block.Extent, buf []byte) ([]extmap.Run, error) {
 		c.hits++
 	} else {
 		c.misses++
+	}
+	if prefetched {
+		c.pfReads.Add(1)
 	}
 	return runs, nil
 }
@@ -399,8 +428,9 @@ func (c *Cache) Insert(ext block.Extent, data []byte) error {
 }
 
 // InsertPrefetched is Insert for data brought in by temporal prefetch
-// rather than a demand miss; later hits on it are counted separately
-// so bench runs can report what the read-ahead earned.
+// rather than a demand miss. The data stays tagged until its first hit,
+// which PrefetchHitSectors and PrefetchReads count, so the read-ahead's
+// caller can tell whether it earns its bytes.
 func (c *Cache) InsertPrefetched(ext block.Extent, data []byte) error {
 	return c.insert(ext, data, true)
 }
@@ -484,6 +514,7 @@ func (a *Arena) writableSlab(c *Cache) (*slab, error) {
 			free = s
 		}
 	}
+	a.full.Store(free == nil)
 	owned, _ := a.ownedSlabs(c.id)
 	for rearms := 0; free == nil; {
 		victim := a.pickVictim(c)

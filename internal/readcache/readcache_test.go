@@ -85,6 +85,72 @@ func TestInvalidate(t *testing.T) {
 	}
 }
 
+// TestPrefetchTagCountsFirstReadOnly: a prefetched sector is credited
+// on its first hit and never again, and a demand insert or an
+// invalidation over it drops the tag unread.
+func TestPrefetchTagCountsFirstReadOnly(t *testing.T) {
+	c := newCache(t, 64*block.MiB, Config{})
+	ext := block.Extent{LBA: 0, Sectors: 64}
+	if err := c.InsertPrefetched(ext, payload(1, int(ext.Bytes()))); err != nil {
+		t.Fatal(err)
+	}
+	part := block.Extent{LBA: 8, Sectors: 16}
+	for i := 0; i < 3; i++ {
+		if _, full := readBack(t, c, part); !full {
+			t.Fatal("prefetched data missed")
+		}
+		if st := c.Stats(); st.PrefetchHitSectors != 16 || c.PrefetchReads() != 1 {
+			t.Fatalf("read %d of one prefetched range: %d sectors over %d reads credited, want 16 over 1",
+				i+1, st.PrefetchHitSectors, c.PrefetchReads())
+		}
+	}
+	// The rest of the range is still unread: one more first read.
+	if _, full := readBack(t, c, ext); !full {
+		t.Fatal("prefetched data missed")
+	}
+	if st := c.Stats(); st.PrefetchHitSectors != 64 || c.PrefetchReads() != 2 {
+		t.Fatalf("whole range: %d sectors over %d reads credited, want 64 over 2", st.PrefetchHitSectors, c.PrefetchReads())
+	}
+
+	other := block.Extent{LBA: 1000, Sectors: 32}
+	if err := c.InsertPrefetched(other, payload(2, int(other.Bytes()))); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Insert(block.Extent{LBA: 1000, Sectors: 16}, payload(3, 16*block.SectorSize)); err != nil {
+		t.Fatal(err)
+	}
+	c.Invalidate(block.Extent{LBA: 1016, Sectors: 16})
+	if n := c.pf.Len(); n != 0 {
+		t.Fatalf("%d prefetch tags left after a demand insert and an invalidation covered them", n)
+	}
+	readBack(t, c, other)
+	if st := c.Stats(); st.PrefetchHitSectors != 64 || c.PrefetchReads() != 2 {
+		t.Fatalf("demand data credited as prefetched: %d sectors, %d reads", st.PrefetchHitSectors, c.PrefetchReads())
+	}
+}
+
+// TestArenaFullOnceAClaimEvicts: Full turns on at the first claim that
+// finds no never-used slab, and a purge that frees slabs turns it off
+// at the next claim.
+func TestArenaFullOnceAClaimEvicts(t *testing.T) {
+	const slabBytes = 256 << 10
+	a, _ := arenaFor(t, 4, slabBytes)
+	v := a.Open("v")
+	fillSlabs(t, v, 1, 0, 4, slabBytes)
+	if a.Full() {
+		t.Fatal("arena full while its claims still found never-used slabs")
+	}
+	fillSlabs(t, v, 5, 4*slabBytes/block.SectorSize, 1, slabBytes)
+	if !a.Full() {
+		t.Fatal("a claim evicted and the arena does not say it is full")
+	}
+	a.Purge("v")
+	fillSlabs(t, v, 6, 0, 1, slabBytes)
+	if a.Full() {
+		t.Fatal("arena still full after a purge freed its slabs")
+	}
+}
+
 func TestInsertSpanningSlabs(t *testing.T) {
 	cfg := Config{SlabBytes: 1 * block.MiB, MapBytes: 1 * block.MiB}
 	c := newCache(t, 8*block.MiB, cfg)
