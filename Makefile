@@ -16,7 +16,7 @@ GO ?= go
 # worker pool, and the cluster attach/failover protocol); `make race`
 # runs them under the race detector, including the destage stress
 # tests.
-RACE_PKGS := ./internal/simdev ./internal/core ./internal/blockstore ./internal/writecache ./internal/nbd ./internal/consistency ./internal/host ./internal/readcache ./internal/replica ./internal/cluster
+RACE_PKGS := ./internal/simdev ./internal/core ./internal/blockstore ./internal/writecache ./internal/nbd ./internal/consistency ./internal/host ./internal/readcache ./internal/replica ./internal/cluster ./internal/testrec
 
 # Native fuzz targets (package,function); fuzz-smoke runs each for
 # FUZZTIME and replays the checked-in testdata/fuzz corpora.
@@ -68,14 +68,17 @@ race:
 # Recovery torture harness (§3.4 under injected backend faults): the
 # pinned seed keeps CI deterministic, the second run sweeps a hostile
 # 35% per-op failure rate. Override LSVD_FAULT_{SEED,RATE,ITERS} to
-# explore. The backend crash enumeration opens every prefix of a
-# scripted workload's PUTs and DELETEs and every crash inside that open
-# (tier-1 runs it once); here it runs twenty times under the race
-# detector, each run a different interleaving of the same script. The
-# last line is the flake gate: twenty shuffled runs of the whole
-# consistency package in one process, zero failures.
+# explore. The crash enumerations open every prefix of a scripted
+# workload's trace — the backend's PUTs and DELETEs and every crash
+# inside that open; the cache device's writes and flushes with each way
+# its unflushed pages can be lost (tier-1 runs each once); here each
+# runs twenty times under the race detector, each run a different
+# interleaving of the same script. The last line is the flake gate:
+# twenty shuffled runs of the whole consistency package in one process,
+# zero failures.
 fault:
 	$(GO) test -count=20 -race -run 'TestBackendCrashEnumeration|TestSecondCrashAfterSuffixCheckpointKeepsPrefix' ./internal/blockstore
+	$(GO) test -count=20 -race -run TestCrashEnumeration ./internal/writecache
 	LSVD_FAULT_SEED=1 $(GO) test -count=1 -run TestFaultTorture ./internal/consistency
 	LSVD_FAULT_SEED=100 LSVD_FAULT_RATE=0.35 LSVD_FAULT_ITERS=8 \
 		$(GO) test -count=1 -run TestFaultTorture ./internal/consistency

@@ -5,86 +5,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 	"testing"
 	"time"
 
 	"lsvd/internal/block"
 	"lsvd/internal/objstore"
+	"lsvd/internal/testrec"
 )
-
-// gateStore blocks selected PUTs until the test releases them, so a
-// test can force uploads to complete (or fail) in any order it likes.
-type gateStore struct {
-	objstore.Store
-
-	mu    sync.Mutex
-	gated map[string]bool
-	gates map[string]chan error
-}
-
-func newGateStore(inner objstore.Store) *gateStore {
-	return &gateStore{
-		Store: inner,
-		gated: make(map[string]bool),
-		gates: make(map[string]chan error),
-	}
-}
-
-// gate arms a hold on the named object's next Put.
-func (g *gateStore) gate(name string) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	g.gated[name] = true
-}
-
-// release lets a held Put proceed, waiting for it to arrive first. A
-// non-nil err makes the Put fail without writing.
-func (g *gateStore) release(t *testing.T, name string, err error) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		g.mu.Lock()
-		ch, ok := g.gates[name]
-		if ok {
-			delete(g.gates, name)
-		}
-		g.mu.Unlock()
-		if ok {
-			ch <- err
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("no Put arrived for %s", name)
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
-
-// parked reports whether a held Put of name is waiting for release.
-func (g *gateStore) parked(name string) bool {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	_, ok := g.gates[name]
-	return ok
-}
-
-func (g *gateStore) Put(ctx context.Context, name string, data []byte) error {
-	g.mu.Lock()
-	var ch chan error
-	if g.gated[name] {
-		delete(g.gated, name)
-		ch = make(chan error)
-		g.gates[name] = ch
-	}
-	g.mu.Unlock()
-	if ch != nil {
-		if err := <-ch; err != nil {
-			return err
-		}
-	}
-	return g.Store.Put(ctx, name, data)
-}
 
 // waitDurable polls until DurableWriteSeq reaches want.
 func waitDurable(t *testing.T, s *Store, want uint64) {
@@ -103,11 +30,10 @@ func waitDurable(t *testing.T, s *Store, want uint64) {
 // the batch returns with the object's PUT still parked, and Seal is the
 // fence that waits for it.
 func TestDefaultStoreIsThePipeline(t *testing.T) {
-	gs := newGateStore(objstore.NewMem())
-	s := newVolume(t, gs, Config{BatchBytes: 32 * 1024, CheckpointEvery: 1 << 30})
+	rs := testrec.NewStore(objstore.NewMem())
+	s := newVolume(t, rs, Config{BatchBytes: 32 * 1024, CheckpointEvery: 1 << 30})
 
-	name := objName("vol", s.Stats().NextSeq)
-	gs.gate(name)
+	p := rs.Park(testrec.Puts.Named(objName("vol", s.Stats().NextSeq)))
 	ext := block.Extent{LBA: 0, Sectors: 64}
 	data := payload(1, int(ext.Bytes()))
 	if err := s.Append(1, ext, data); err != nil {
@@ -123,7 +49,8 @@ func TestDefaultStoreIsThePipeline(t *testing.T) {
 		t.Fatalf("Seal returned (%v) while the object's PUT was parked", err)
 	case <-time.After(20 * time.Millisecond):
 	}
-	gs.release(t, name, nil)
+	<-p.Arrived()
+	p.Release(nil)
 	if err := <-sealed; err != nil {
 		t.Fatal(err)
 	}
@@ -139,14 +66,15 @@ func TestDefaultStoreIsThePipeline(t *testing.T) {
 // the durable watermark must advance strictly in sequence order even
 // when later objects' PUTs finish first (§3.4 prefix consistency).
 func TestAsyncCommitStaysInOrder(t *testing.T) {
-	gs := newGateStore(objstore.NewMem())
-	s := newVolume(t, gs, Config{BatchBytes: 32 * 1024, UploadDepth: 4, CheckpointEvery: 1 << 30})
+	rs := testrec.NewStore(objstore.NewMem())
+	s := newVolume(t, rs, Config{BatchBytes: 32 * 1024, UploadDepth: 4, CheckpointEvery: 1 << 30})
 
 	// Three batch-sized appends auto-seal three objects; hold all of
 	// their uploads.
 	first := s.Stats().NextSeq
-	for i := uint32(0); i < 3; i++ {
-		gs.gate(objName("vol", first+i))
+	var parks [3]*testrec.Parked
+	for i := range parks {
+		parks[i] = rs.Park(testrec.Puts.Named(objName("vol", first+uint32(i))))
 	}
 	exts := make([]block.Extent, 3)
 	data := make([][]byte, 3)
@@ -163,7 +91,7 @@ func TestAsyncCommitStaysInOrder(t *testing.T) {
 
 	// Let the NEWEST object land first: nothing may commit, or a crash
 	// here would expose write 3 without writes 1 and 2.
-	gs.release(t, objName("vol", first+2), nil)
+	parks[2].Release(nil)
 	time.Sleep(5 * time.Millisecond)
 	if got := s.DurableWriteSeq(); got != 0 {
 		t.Fatalf("out-of-order commit: durable=%d with earlier uploads pending", got)
@@ -171,7 +99,7 @@ func TestAsyncCommitStaysInOrder(t *testing.T) {
 
 	// Oldest lands: exactly write 1 commits (the middle object still
 	// holds back the already-uploaded newest).
-	gs.release(t, objName("vol", first), nil)
+	parks[0].Release(nil)
 	waitDurable(t, s, 1)
 	time.Sleep(5 * time.Millisecond)
 	if got := s.DurableWriteSeq(); got != 1 {
@@ -179,7 +107,7 @@ func TestAsyncCommitStaysInOrder(t *testing.T) {
 	}
 
 	// Middle lands: it and the newest commit together.
-	gs.release(t, objName("vol", first+1), nil)
+	parks[1].Release(nil)
 	waitDurable(t, s, 3)
 
 	for i := range exts {
@@ -258,11 +186,12 @@ func TestAsyncPersistentFailureSurfaces(t *testing.T) {
 // in memory, and recovery's gap rule must delete the stranded objects
 // so the volume reopens to a consistent prefix.
 func TestAbortStrandsOutOfOrderUploads(t *testing.T) {
-	gs := newGateStore(objstore.NewMem())
-	s := newVolume(t, gs, Config{BatchBytes: 32 * 1024, UploadDepth: 4, CheckpointEvery: 1 << 30})
+	mem := objstore.NewMem()
+	rs := testrec.NewStore(mem)
+	s := newVolume(t, rs, Config{BatchBytes: 32 * 1024, UploadDepth: 4, CheckpointEvery: 1 << 30})
 
 	first := s.Stats().NextSeq
-	gs.gate(objName("vol", first)) // hold the oldest object's PUT
+	p := rs.Park(testrec.Puts.Named(objName("vol", first))) // hold the oldest object's PUT
 	exts := make([]block.Extent, 3)
 	for i := range exts {
 		exts[i] = block.Extent{LBA: block.LBA(i * 64), Sectors: 64}
@@ -271,40 +200,31 @@ func TestAbortStrandsOutOfOrderUploads(t *testing.T) {
 		}
 	}
 	// Wait for the later uploads to land out of order.
-	waitObject := func(name string) {
-		deadline := time.Now().Add(5 * time.Second)
-		for {
-			if _, err := gs.Store.Size(ctx, name); err == nil {
-				return
-			}
-			if time.Now().After(deadline) {
-				t.Fatalf("object %s never landed", name)
-			}
-			time.Sleep(time.Millisecond)
+	for i := uint32(1); i < 3; i++ {
+		if !rs.Await(0, testrec.Puts.Named(objName("vol", first+i)), 5*time.Second) {
+			t.Fatalf("object %d never landed", first+i)
 		}
 	}
-	waitObject(objName("vol", first+1))
-	waitObject(objName("vol", first+2))
 
 	// "Crash": the held PUT dies with the process. Abort blocks until
-	// every issued PUT finishes, so fail the held one concurrently.
-	// The error wraps context.Canceled so the Retrier treats it as
-	// terminal instead of reissuing the PUT past the cleared gate.
-	crash := fmt.Errorf("crash before PUT completed: %w", context.Canceled)
-	done := make(chan struct{})
+	// every issued PUT finishes, so fail the held one beside it. The
+	// error wraps context.Canceled so the Retrier treats it as terminal
+	// instead of reissuing the PUT.
+	<-p.Arrived()
+	aborted := make(chan struct{})
 	go func() {
-		defer close(done)
-		gs.release(t, objName("vol", first), crash)
+		s.Abort()
+		close(aborted)
 	}()
-	s.Abort()
-	<-done
+	p.Release(fmt.Errorf("crash before PUT completed: %w", context.Canceled))
+	<-aborted
 	if got := s.DurableWriteSeq(); got != 0 {
 		t.Fatalf("aborted store committed writes: durable=%d", got)
 	}
 
 	// Recovery: the oldest object is missing, so the stranded later
 	// objects must be deleted and every read comes back a hole.
-	s2, err := Open(ctx, Config{Volume: "vol", Store: gs})
+	s2, err := Open(ctx, Config{Volume: "vol", Store: mem})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,7 +235,7 @@ func TestAbortStrandsOutOfOrderUploads(t *testing.T) {
 		}
 	}
 	for i := uint32(0); i < 3; i++ {
-		if _, err := gs.Store.Size(ctx, objName("vol", first+i)); !errors.Is(err, objstore.ErrNotFound) {
+		if _, err := mem.Size(ctx, objName("vol", first+i)); !errors.Is(err, objstore.ErrNotFound) {
 			t.Fatalf("stranded object %d not cleaned up: %v", first+i, err)
 		}
 	}
@@ -328,9 +248,9 @@ func TestAbortStrandsOutOfOrderUploads(t *testing.T) {
 // pipeline, or one holding only a checkpoint marker — it seals at any
 // fill, because nothing else would ever move those records.
 func TestKickSealsNoRuntBehindAnObjectInFlight(t *testing.T) {
-	gs := newGateStore(objstore.NewMem())
+	rs := testrec.NewStore(objstore.NewMem())
 	const batchBytes = 64 * 1024
-	s := newVolume(t, gs, Config{BatchBytes: batchBytes, UploadDepth: 4, CheckpointEvery: 1 << 30})
+	s := newVolume(t, rs, Config{BatchBytes: batchBytes, UploadDepth: 4, CheckpointEvery: 1 << 30})
 	var ws uint64
 	write := func(sectors uint32) {
 		t.Helper()
@@ -351,8 +271,7 @@ func TestKickSealsNoRuntBehindAnObjectInFlight(t *testing.T) {
 	}
 
 	// Nothing in flight: a single sector goes out.
-	first := objName("vol", s.Stats().NextSeq)
-	gs.gate(first)
+	first := rs.Park(testrec.Puts.Named(objName("vol", s.Stats().NextSeq)))
 	write(1)
 	kick(1, "idle pipeline")
 
@@ -366,19 +285,18 @@ func TestKickSealsNoRuntBehindAnObjectInFlight(t *testing.T) {
 	write(batchBytes / 4 / block.SectorSize)
 	kick(2, "half batch behind an object in flight")
 
-	gs.release(t, first, nil)
+	first.Release(nil)
 	waitDurable(t, s, ws)
 
 	// A checkpoint marker carries no client writes: behind it alone, a
 	// runt is sealed.
-	ckpt := objName("vol", s.Stats().NextSeq)
-	gs.gate(ckpt)
+	ckpt := rs.Park(testrec.Puts.Named(objName("vol", s.Stats().NextSeq)))
 	done := make(chan error, 1)
 	go func() { done <- s.Checkpoint() }()
-	waitFor(t, "the checkpoint marker", func() bool { return s.Stats().InflightObjects == 1 })
+	<-ckpt.Arrived()
 	write(1)
 	kick(2, "runt behind a checkpoint marker only")
-	gs.release(t, ckpt, nil)
+	ckpt.Release(nil)
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}

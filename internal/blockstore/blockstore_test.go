@@ -5,14 +5,17 @@ import (
 	"context"
 	"errors"
 	"math/rand"
-	"sync"
 	"testing"
 	"time"
 
 	"lsvd/internal/block"
 	"lsvd/internal/extmap"
 	"lsvd/internal/objstore"
+	"lsvd/internal/testleak"
+	"lsvd/internal/testrec"
 )
+
+func TestMain(m *testing.M) { testleak.Main(m) }
 
 var ctx = context.Background()
 
@@ -33,6 +36,7 @@ func newVolume(t *testing.T, store objstore.Store, cfg Config) *Store {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(s.StopGC)
 	return s
 }
 
@@ -200,39 +204,6 @@ func TestRecovery(t *testing.T) {
 	}
 }
 
-// overlapStore parks every range GET until a second one is in flight.
-// The wait is time-boxed: a recovery that probes headers one at a time
-// trips the box on its first probe, which lets the rest through, so a
-// serial replay fails the test (peak stays 1) instead of hanging it.
-type overlapStore struct {
-	objstore.Store
-	mu       sync.Mutex
-	inflight int
-	peak     int
-	open     sync.Once
-	overlap  chan struct{} // closed at the first overlap, or when the box trips
-}
-
-func (o *overlapStore) GetRange(ctx context.Context, name string, off, length int64) ([]byte, error) {
-	release := func() { o.open.Do(func() { close(o.overlap) }) }
-	o.mu.Lock()
-	o.inflight++
-	o.peak = max(o.peak, o.inflight)
-	if o.inflight == 2 {
-		release()
-	}
-	o.mu.Unlock()
-	select {
-	case <-o.overlap:
-	case <-time.After(2 * time.Second):
-		release()
-	}
-	o.mu.Lock()
-	o.inflight--
-	o.mu.Unlock()
-	return o.Store.GetRange(ctx, name, off, length)
-}
-
 // TestOpenReplaysSuffixWithOverlappingProbes: after a crash with no
 // checkpoint since Create, Open replays every sealed object, and the
 // header probes of that suffix are in flight together — recovery costs
@@ -252,7 +223,25 @@ func TestOpenReplaysSuffixWithOverlappingProbes(t *testing.T) {
 	}
 	s.Abort()
 
-	store := &overlapStore{Store: mem, overlap: make(chan struct{})}
+	// The first range GET parks until a second is in flight. The wait is
+	// time-boxed: a recovery that probes headers one at a time trips the
+	// box on its first probe, which lets the rest through, so a serial
+	// replay fails the test instead of hanging it.
+	store := testrec.NewStore(mem)
+	p := store.Park(testrec.GetRanges)
+	overlapped := make(chan bool, 1)
+	go func() {
+		defer p.Release(nil)
+		for i := 0; i < 2; i++ {
+			select {
+			case <-p.Arrived():
+			case <-time.After(2 * time.Second):
+				overlapped <- false
+				return
+			}
+		}
+		overlapped <- true
+	}()
 	s2, err := Open(ctx, Config{Volume: "vol", Store: store})
 	if err != nil {
 		t.Fatal(err)
@@ -260,8 +249,8 @@ func TestOpenReplaysSuffixWithOverlappingProbes(t *testing.T) {
 	if got := s2.Stats().RecoveredObjects; got != n {
 		t.Fatalf("replayed %d objects, want %d", got, n)
 	}
-	if store.peak < 2 {
-		t.Fatalf("recovery probed the %d-object suffix one header at a time (peak %d in flight)", n, store.peak)
+	if !<-overlapped {
+		t.Fatalf("recovery probed the %d-object suffix one header at a time", n)
 	}
 	if got := readAll(t, s2, block.Extent{LBA: (n - 1) * 128, Sectors: 128}); !bytes.Equal(got, buf) {
 		t.Fatal("last replayed object reads back wrong")

@@ -11,6 +11,7 @@ import (
 
 	"lsvd/internal/journal"
 	"lsvd/internal/objstore"
+	"lsvd/internal/testrec"
 )
 
 // The commit walk waits for a marker's checkpoint object and never for
@@ -68,15 +69,14 @@ func markerVolume(t *testing.T, store objstore.Store, cfg func(*Config)) (*Store
 // starts only after the checkpoint object landed, and no victim the
 // checkpoint releases is deleted before its super landed.
 func TestWalkPassesMarkerBeforeItsSuper(t *testing.T) {
-	gs := newGateStore(objstore.NewMem())
-	rs := &reapStore{Store: gs}
-	s, w, ckpt := markerVolume(t, rs, func(c *Config) { c.OnDestage = rs.onDestage })
+	rs := testrec.NewStore(objstore.NewMem())
+	s, w, ckpt := markerVolume(t, rs, func(c *Config) { c.OnDestage = func(w uint64) { rs.Note("destage", int64(w)) } })
 	super := superName("vol")
-	gs.gate(super)
+	p := rs.Park(testrec.Super)
 	churn(t, s, &w) // queues the marker, then seals object ckpt+1 behind it
-	waitFor(t, "the parked super", func() bool { return gs.parked(super) })
+	<-p.Arrived()
 
-	log := rs.opLog()
+	log := rs.Lines()
 	landed := logIndex(log, "put-done "+objName("vol", ckpt), 0)
 	destaged := logIndex(log, fmt.Sprintf("destage %d", w), 0)
 	switch {
@@ -93,11 +93,11 @@ func TestWalkPassesMarkerBeforeItsSuper(t *testing.T) {
 		t.Fatalf("%d objects in flight, durable %d: want 0 and %d", st.InflightObjects, st.DurableWriteSeq, w)
 	}
 
-	gs.release(t, super, nil)
+	p.Release(nil)
 	if err := s.Seal(); err != nil {
 		t.Fatal(err)
 	}
-	log = rs.opLog()
+	log = rs.Lines()
 	superDone := logIndex(log, "put-done "+super, landed)
 	deletes := 0
 	for i, e := range log[landed:] {
@@ -120,11 +120,12 @@ func TestWalkPassesMarkerBeforeItsSuper(t *testing.T) {
 // next fence retries the super and surfaces its error. A reopen from
 // the old super replays through the checkpoint it does not name.
 func TestFailedSuperIsOwedNotQueued(t *testing.T) {
-	rs := &reapStore{Store: objstore.NewMem()}
+	mem := objstore.NewMem()
+	rs := testrec.NewStore(mem)
 	faulty := objstore.NewFaulty(rs)
 	s, w, ckpt := markerVolume(t, faulty, nil)
 	faulty.FailPuts(superName("vol"), -1)
-	from, deleted := len(rs.opLog()), s.Stats().ObjectsDeleted
+	from, deleted := rs.Now(), s.Stats().ObjectsDeleted
 
 	const behind = 9 // past two more checkpoint intervals
 	for i := 0; i < behind; i++ {
@@ -138,7 +139,7 @@ func TestFailedSuperIsOwedNotQueued(t *testing.T) {
 		t.Fatalf("next seq %d (want %d), %d objects deleted, %d super PUTs failed: want one marker, no release, no retry",
 			st.NextSeq, ckpt+1+behind, st.ObjectsDeleted-deleted, faulty.InjectedFaults())
 	}
-	for _, e := range rs.opLog()[from:] {
+	for _, e := range rs.Lines()[from:] {
 		if strings.HasPrefix(e, "delete ") {
 			t.Fatalf("%s while the checkpoint releasing it is owed its super", e)
 		}
@@ -155,7 +156,7 @@ func TestFailedSuperIsOwedNotQueued(t *testing.T) {
 	}
 	s.Abort()
 
-	s2, err := Open(ctx, Config{Volume: "vol", Store: rs.Store, Retry: objstore.RetryPolicy{MaxAttempts: -1}})
+	s2, err := Open(ctx, Config{Volume: "vol", Store: mem, Retry: objstore.RetryPolicy{MaxAttempts: -1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,32 +167,31 @@ func TestFailedSuperIsOwedNotQueued(t *testing.T) {
 	if got := readAll(t, s2, churnExt); !bytes.Equal(got, payload(int64(w), int(churnExt.Bytes()))) {
 		t.Fatal("the newest write does not read back")
 	}
-	if got := backendSuper(t, rs.Store).LastCheckpoint; got != ckpt {
+	if got := backendSuper(t, mem).LastCheckpoint; got != ckpt {
 		t.Fatalf("after open the super names %d, want the checkpoint it owed (%d)", got, ckpt)
 	}
-	backendMatchesTable(t, s2, rs.Store)
+	backendMatchesTable(t, s2, mem)
 }
 
 // TestAbortWaitsForParkedSuper: Abort with a super PUT in flight
 // returns only after it has landed, and the backend does not change
 // afterwards — the victims the checkpoint released stay.
 func TestAbortWaitsForParkedSuper(t *testing.T) {
-	gs := newGateStore(objstore.NewMem())
-	rs := &reapStore{Store: gs}
+	rs := testrec.NewStore(objstore.NewMem())
 	s, w, _ := markerVolume(t, rs, nil)
 	super := superName("vol")
-	gs.gate(super)
+	p := rs.Park(testrec.Super)
 	churn(t, s, &w)
-	waitFor(t, "the parked super", func() bool { return gs.parked(super) })
+	<-p.Arrived()
 
-	parkedAt := len(rs.opLog())
+	parkedAt := int(rs.Now())
 	logAtReturn := make(chan []string, 1)
 	go func() {
 		s.Abort()
-		logAtReturn <- rs.opLog()
+		logAtReturn <- rs.Lines()
 	}()
 	waitAborting(t, s)
-	gs.release(t, super, nil)
+	p.Release(nil)
 	log := <-logAtReturn
 	if logIndex(log, "put-done "+super, parkedAt) < 0 {
 		t.Fatalf("Abort returned before the super in flight landed: %v", log[parkedAt:])
@@ -202,7 +202,7 @@ func TestAbortWaitsForParkedSuper(t *testing.T) {
 		}
 	}
 	time.Sleep(20 * time.Millisecond)
-	if after := rs.opLog(); len(after) != len(log) {
+	if after := rs.Lines(); len(after) != len(log) {
 		t.Fatalf("backend changed after Abort: %v", after[len(log):])
 	}
 	if st := s.Stats(); st.DeferredDeletes == 0 {
@@ -218,15 +218,14 @@ func TestAbortWaitsForParkedSuper(t *testing.T) {
 // object committed behind it — and its super event when the super
 // lands.
 func TestShipFeedCheckpointBeforeObjectsBehindIt(t *testing.T) {
-	gs := newGateStore(objstore.NewMem())
-	s, w, ckpt := markerVolume(t, gs, func(c *Config) { c.Replicated = true })
+	rs := testrec.NewStore(objstore.NewMem())
+	s, w, ckpt := markerVolume(t, rs, func(c *Config) { c.Replicated = true })
 	s.ShipAttach()
-	super := superName("vol")
-	gs.gate(super)
+	p := rs.Park(testrec.Super)
 	churn(t, s, &w)
 	churn(t, s, &w)
-	waitFor(t, "the parked super", func() bool { return gs.parked(super) })
-	gs.release(t, super, nil)
+	<-p.Arrived()
+	p.Release(nil)
 	if err := s.Seal(); err != nil {
 		t.Fatal(err)
 	}
@@ -255,13 +254,12 @@ func TestShipFeedCheckpointBeforeObjectsBehindIt(t *testing.T) {
 // super returns once Abort has landed. Its re-arm then fails at once
 // and wakes no one, so the fence must not wait for a wake-up.
 func TestFenceReturnsWhenAbortLandsOnOwedSuper(t *testing.T) {
-	gs := newGateStore(objstore.NewMem())
-	s := newVolume(t, gs, Config{CheckpointEvery: 1 << 30, Retry: objstore.RetryPolicy{MaxAttempts: 3}})
-	super := superName("vol")
-	gs.gate(super)
+	rs := testrec.NewStore(objstore.NewMem())
+	s := newVolume(t, rs, Config{CheckpointEvery: 1 << 30, Retry: objstore.RetryPolicy{MaxAttempts: 3}})
+	p := rs.Park(testrec.Super)
 	fenced := make(chan error, 1)
 	go func() { fenced <- s.Checkpoint() }()
-	waitFor(t, "the parked super", func() bool { return gs.parked(super) })
+	<-p.Arrived()
 	aborted := make(chan struct{})
 	go func() {
 		s.Abort()
@@ -269,7 +267,7 @@ func TestFenceReturnsWhenAbortLandsOnOwedSuper(t *testing.T) {
 	}()
 	waitAborting(t, s)
 	// context.Canceled keeps the retry layer from reissuing the PUT.
-	gs.release(t, super, fmt.Errorf("killed: %w", context.Canceled))
+	p.Release(fmt.Errorf("killed: %w", context.Canceled))
 	<-aborted
 	select {
 	case err := <-fenced:

@@ -2,15 +2,13 @@ package blockstore
 
 import (
 	"bytes"
-	"context"
 	"fmt"
-	"sync"
 	"testing"
 	"time"
 
 	"lsvd/internal/block"
-	"lsvd/internal/journal"
 	"lsvd/internal/objstore"
+	"lsvd/internal/testrec"
 )
 
 // Backend crash enumeration (ROADMAP item 1d, the backend half): a
@@ -19,43 +17,9 @@ import (
 // and opened. Every backend operation that open itself completes is a
 // second crash point, after which the volume is opened again.
 
-// lagStore lands every checkpoint object after the next data object
-// PUT that completes (or after enumLag when none follows), so the
-// trace always holds a data object that reached the backend behind a
-// checkpoint still in flight — the cut the commit walk's ordering
-// exists for.
-type lagStore struct {
-	objstore.Store
-
-	mu     sync.Mutex
-	landed chan struct{} // closed, and replaced, as each data object lands
-}
-
+// enumLag bounds how long a checkpoint object's PUT waits for a data
+// object behind it to land first.
 const enumLag = 20 * time.Millisecond
-
-func (l *lagStore) Put(ctx context.Context, name string, data []byte) error {
-	h, _, err := journal.DecodeHeader(data)
-	if err == nil && h.Type == journal.TypeCheckpoint {
-		l.mu.Lock()
-		landed := l.landed
-		l.mu.Unlock()
-		select {
-		case <-landed:
-		case <-time.After(enumLag):
-		}
-		return l.Store.Put(ctx, name, data)
-	}
-	if perr := l.Store.Put(ctx, name, data); perr != nil {
-		return perr
-	}
-	if err == nil && h.Type == journal.TypeData {
-		l.mu.Lock()
-		close(l.landed)
-		l.landed = make(chan struct{})
-		l.mu.Unlock()
-	}
-	return nil
-}
 
 // enumScript is the workload: three checkpoint intervals of one-object
 // writes over six extents; a GC pass that cleans a whole-dead victim
@@ -65,7 +29,7 @@ func (l *lagStore) Put(ctx context.Context, name string, data []byte) error {
 // and released by deleting it.
 type enumScript struct {
 	t      *testing.T
-	rs     *reapStore
+	rs     *testrec.Store
 	faulty *objstore.Faulty
 	s      *Store
 	writes []enumWrite // write w is writes[w-1]
@@ -107,14 +71,23 @@ func (e *enumScript) must(what string, err error) {
 
 func (e *enumScript) run() {
 	e.t.Helper()
-	e.rs = &reapStore{Store: &lagStore{Store: objstore.NewMem(), landed: make(chan struct{})}}
+	e.rs = testrec.NewStore(objstore.NewMem())
+	e.rs.Keep = true
+	// Every checkpoint object lands after the next data object PUT that
+	// completes (or after enumLag when none follows), so the trace always
+	// holds a data object that reached the backend behind a checkpoint
+	// still in flight — the cut the commit walk's ordering exists for.
+	e.rs.Do(testrec.CheckpointObject, func(op testrec.Op) error {
+		e.rs.Await(op.Stamp, testrec.DataObject, enumLag)
+		return nil
+	})
 	e.faulty = objstore.NewFaulty(e.rs)
 	var err error
 	e.s, err = Create(ctx, Config{
 		Volume: "vol", Store: e.faulty, VolSectors: volSectors,
 		BatchBytes: enumSlot(0).Bytes(), UploadDepth: 4, CheckpointEvery: 4,
 		GCHighWater: 0.99, Retry: objstore.RetryPolicy{MaxAttempts: -1},
-		OnDestage: e.rs.onDestage,
+		OnDestage: func(w uint64) { e.rs.Note("destage", int64(w)) },
 	})
 	e.must("create", err)
 
@@ -169,7 +142,7 @@ func (e *enumScript) run() {
 	if st.GCVictims < 4 || st.ObjectsDeleted != st.GCVictims || st.DeferredDeletes != 0 {
 		e.t.Fatalf("script: %d victims, %d deleted, %d deferred", st.GCVictims, st.ObjectsDeleted, st.DeferredDeletes)
 	}
-	e.must("table", tableMismatch(e.s, e.rs.Store))
+	e.must("table", tableMismatch(e.s, e.rs))
 }
 
 // check opens a crashed backend at which writes up to durable had been
@@ -223,10 +196,19 @@ func (e *enumScript) check(store objstore.Store, durable uint64) (*Store, string
 func TestBackendCrashEnumeration(t *testing.T) {
 	e := &enumScript{t: t}
 	e.run()
-	trace := e.rs.ops()
-	e.rs.mu.Lock()
-	final := e.rs.durable
-	e.rs.mu.Unlock()
+
+	// A crash point precedes each PUT or DELETE's completion, and one
+	// follows the last.
+	landed := func(op testrec.Op) bool {
+		return op.Done && op.Err == nil && (op.Kind == testrec.Put || op.Kind == testrec.Delete)
+	}
+	var cuts []uint64
+	for _, op := range e.rs.Log() {
+		if landed(op) {
+			cuts = append(cuts, op.Stamp-1)
+		}
+	}
+	cuts = append(cuts, e.rs.Now())
 
 	points, reopens, violations, suffixCkpts := 0, 0, 0, 0
 	report := func(what string, v string) {
@@ -237,42 +219,41 @@ func TestBackendCrashEnumeration(t *testing.T) {
 			t.Errorf("%s: %s", what, v)
 		}
 	}
-	for k := 0; k <= len(trace); k++ {
-		durable := final
-		if k < len(trace) {
-			durable = trace[k].durable
-		}
-		super := -1
-		for i := 0; i < k; i++ {
-			if trace[i].name == superName("vol") {
-				super = i
+	for k, stamp := range cuts {
+		var acked uint64 // the destage watermark noted so far
+		published := false
+		for _, op := range e.rs.Log()[:stamp] {
+			if op.Kind == testrec.Note {
+				acked = max(acked, uint64(op.Off))
 			}
+			published = published || (landed(op) && op.Name == superName("vol"))
 		}
-		if super < 0 {
+		if !published {
 			continue // Create had not published the volume
 		}
-		prefix := trace[:k]
-		rec := &reapStore{Store: at(prefix)}
+		rec := testrec.NewStore(e.rs.At(stamp))
+		rec.Keep = true
 		points++
-		s, v := e.check(rec, durable)
-		report(fmt.Sprintf("crash after %d of %d backend ops", k, len(trace)), v)
+		s, v := e.check(rec, acked)
+		report(fmt.Sprintf("crash after %d of %d backend ops", k, len(cuts)-1), v)
 		if s == nil {
 			continue
 		}
-		if s.lastCkpt != backendSuper(t, at(prefix)).LastCheckpoint {
+		if s.lastCkpt != backendSuper(t, e.rs.At(stamp)).LastCheckpoint {
 			suffixCkpts++
 		}
-		opened := rec.ops()
-		for j := 1; j <= len(opened); j++ {
-			points++
-			reopens++
-			_, v := e.check(at(prefix, opened[:j]), durable)
-			report(fmt.Sprintf("crash after %d of %d backend ops, then after %d of open's %d", k, len(trace), j, len(opened)), v)
+		for _, op := range rec.Log() {
+			if landed(op) {
+				points++
+				reopens++
+				_, v := e.check(rec.Apply(e.rs.At(stamp), op.Stamp), acked)
+				report(fmt.Sprintf("crash after %d of %d backend ops, then inside the open", k, len(cuts)-1), v)
+			}
 		}
 	}
 	if suffixCkpts == 0 {
 		t.Error("no crash point left a checkpoint the super does not name")
 	}
 	t.Logf("%d writes, %d backend ops: %d crash points (%d inside an open, %d with a suffix checkpoint), %d violations",
-		len(e.writes), len(trace), points, reopens, suffixCkpts, violations)
+		len(e.writes), len(cuts)-1, points, reopens, suffixCkpts, violations)
 }

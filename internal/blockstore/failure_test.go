@@ -2,15 +2,14 @@ package blockstore
 
 import (
 	"bytes"
-	"context"
 	"errors"
 	"fmt"
 	"strings"
-	"sync/atomic"
 	"testing"
 
 	"lsvd/internal/block"
 	"lsvd/internal/objstore"
+	"lsvd/internal/testrec"
 )
 
 // TestCheckpointFailureKeepsOldPointer: if the superblock update
@@ -106,29 +105,16 @@ func TestFailedCreateSnapshotNotPublishedByRetry(t *testing.T) {
 	}
 }
 
-// getFailStore fails the next n Gets of one name with an error that is
-// not ErrNotFound.
-type getFailStore struct {
-	objstore.Store
-	name string
-	n    atomic.Int32
-}
-
 var errProbe = errors.New("backend unreachable")
-
-func (g *getFailStore) Get(ctx context.Context, name string) ([]byte, error) {
-	if name == g.name && g.n.Add(-1) >= 0 {
-		return nil, errProbe
-	}
-	return g.Store.Get(ctx, name)
-}
 
 // TestCreateAndCloneProbeErrorIsNotAbsence: only ErrNotFound from the
 // existence probe means the volume name is free. A probe that failed
 // any other way must fail Create and Clone, not let them rewrite the
 // super of a volume that is there.
 func TestCreateAndCloneProbeErrorIsNotAbsence(t *testing.T) {
-	gs := &getFailStore{Store: objstore.NewMem(), name: superName("vol")}
+	mem := objstore.NewMem()
+	gs := testrec.NewStore(mem)
+	probe := func(vol string) testrec.Match { return testrec.Kinds(testrec.Get).Named(superName(vol)).Once() }
 	noRetry := objstore.RetryPolicy{MaxAttempts: -1}
 	s := newVolume(t, gs, Config{Retry: noRetry})
 	ext := block.Extent{LBA: 0, Sectors: 64}
@@ -148,7 +134,7 @@ func TestCreateAndCloneProbeErrorIsNotAbsence(t *testing.T) {
 		}
 	}
 
-	gs.n.Store(1)
+	gs.Fail(probe("vol"), errProbe)
 	if _, err := Create(ctx, Config{Volume: "vol", Store: gs, VolSectors: volSectors, Retry: noRetry}); !errors.Is(err, errProbe) {
 		t.Fatalf("Create over a failed probe: %v", err)
 	}
@@ -157,16 +143,15 @@ func TestCreateAndCloneProbeErrorIsNotAbsence(t *testing.T) {
 	if err := Clone(ctx, Config{Volume: "vol", Store: gs, Retry: noRetry}, "golden", "twin"); err != nil {
 		t.Fatal(err)
 	}
-	twin, err := gs.Store.Get(ctx, superName("twin"))
+	twin, err := mem.Get(ctx, superName("twin"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	gs.name = superName("twin")
-	gs.n.Store(1)
+	gs.Fail(probe("twin"), errProbe)
 	if err := Clone(ctx, Config{Volume: "vol", Store: gs, Retry: noRetry}, "golden", "twin"); !errors.Is(err, errProbe) {
 		t.Fatalf("Clone over a failed probe: %v", err)
 	}
-	if after, _ := gs.Store.Get(ctx, superName("twin")); !bytes.Equal(after, twin) {
+	if after, _ := mem.Get(ctx, superName("twin")); !bytes.Equal(after, twin) {
 		t.Fatal("Clone rewrote the super of an existing volume")
 	}
 	if err := Clone(ctx, Config{Volume: "vol", Store: gs, Retry: noRetry}, "golden", "twin"); err == nil {
@@ -214,7 +199,8 @@ func TestRecoveryWithNewerCheckpointObject(t *testing.T) {
 func TestSecondCrashAfterSuffixCheckpointKeepsPrefix(t *testing.T) {
 	for _, openSuperFails := range []bool{false, true} {
 		t.Run(fmt.Sprintf("open-super-fails=%v", openSuperFails), func(t *testing.T) {
-			rs := &reapStore{Store: objstore.NewMem()}
+			mem := objstore.NewMem()
+			rs := testrec.NewStore(mem)
 			faulty := objstore.NewFaulty(rs)
 			cfg := Config{Volume: "vol", Store: faulty, Retry: objstore.RetryPolicy{MaxAttempts: -1}}
 			s := newVolume(t, nil, Config{Store: faulty, CheckpointEvery: 1 << 30, GCHighWater: 0.99, Retry: cfg.Retry})
@@ -237,14 +223,14 @@ func TestSecondCrashAfterSuffixCheckpointKeepsPrefix(t *testing.T) {
 				t.Fatalf("checkpoint 6 with its super failing: %v", err)
 			}
 			s.Abort()
-			if got := backendSuper(t, rs.Store).LastCheckpoint; got != 3 || s.Stats().NextSeq != 7 {
+			if got := backendSuper(t, mem).LastCheckpoint; got != 3 || s.Stats().NextSeq != 7 {
 				t.Fatalf("super names %d with next seq %d; the case wants 3 and 7", got, s.Stats().NextSeq)
 			}
 			if !openSuperFails {
 				faulty.FailPuts(superName("vol"), 0)
 			}
 
-			opened := len(rs.opLog())
+			opened := rs.Now()
 			s2, err := Open(ctx, cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -253,7 +239,7 @@ func TestSecondCrashAfterSuffixCheckpointKeepsPrefix(t *testing.T) {
 				t.Fatal("first open lost data")
 			}
 			superDone, deleted := false, false
-			for _, e := range rs.opLog()[opened:] {
+			for _, e := range rs.Lines()[opened:] {
 				switch {
 				case e == "put-done vol.super":
 					superDone = true
@@ -278,7 +264,7 @@ func TestSecondCrashAfterSuffixCheckpointKeepsPrefix(t *testing.T) {
 			if got := s3.DurableWriteSeq(); got != 3 {
 				t.Fatalf("second open recovered through write %d, want 3", got)
 			}
-			backendMatchesTable(t, s3, rs.Store)
+			backendMatchesTable(t, s3, mem)
 			if !openSuperFails {
 				return
 			}
@@ -287,10 +273,10 @@ func TestSecondCrashAfterSuffixCheckpointKeepsPrefix(t *testing.T) {
 			if err := s3.Checkpoint(); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := rs.Store.Size(ctx, objName("vol", 4)); !errors.Is(err, objstore.ErrNotFound) {
+			if _, err := mem.Size(ctx, objName("vol", 4)); !errors.Is(err, objstore.ErrNotFound) {
 				t.Fatalf("victim 4 outlived the first checkpoint after open: %v", err)
 			}
-			backendMatchesTable(t, s3, rs.Store)
+			backendMatchesTable(t, s3, mem)
 		})
 	}
 }

@@ -2,15 +2,14 @@ package blockstore
 
 import (
 	"bytes"
-	"context"
 	"errors"
-	"sync"
 	"testing"
 	"time"
 
 	"lsvd/internal/block"
 	"lsvd/internal/journal"
 	"lsvd/internal/objstore"
+	"lsvd/internal/testrec"
 )
 
 // TestVictimCostModel: candidates are ordered by garbage ratio × age,
@@ -43,27 +42,6 @@ func TestVictimCostModel(t *testing.T) {
 	}
 }
 
-// abortDuringGetRange flips the store into aborting state the first
-// time the GC's source read hits the backend — modelling a Kill landing
-// inside a pass's lock drop.
-type abortDuringGetRange struct {
-	objstore.Store
-	s    *Store
-	once bool
-}
-
-func (a *abortDuringGetRange) GetRange(ctx context.Context, name string, off, n int64) ([]byte, error) {
-	if !a.once {
-		a.once = true
-		// The GC dropped s.mu around this call, so taking it here is
-		// deadlock-free — exactly the window a concurrent Abort can hit.
-		a.s.mu.Lock()
-		a.s.aborting = true
-		a.s.mu.Unlock()
-	}
-	return a.Store.GetRange(ctx, name, off, n)
-}
-
 // TestGCAbortMidVictimNoUtilDrift: a pass aborted after it started
 // collecting a victim (but before the victim is fully relocated) must
 // leave the utilization accounting consistent — the victim stays in
@@ -71,10 +49,17 @@ func (a *abortDuringGetRange) GetRange(ctx context.Context, name string, off, n 
 // normally. Locks the regression for the old subtract-at-clean-time
 // scheme, where an abort could strand the counters permanently.
 func TestGCAbortMidVictimNoUtilDrift(t *testing.T) {
-	mem := objstore.NewMem()
-	wrap := &abortDuringGetRange{Store: mem}
-	s := newVolume(t, wrap, Config{BatchBytes: 64 * 1024, GCLowWater: 0})
-	wrap.s = s
+	rs := testrec.NewStore(objstore.NewMem())
+	s := newVolume(t, rs, Config{BatchBytes: 64 * 1024, GCLowWater: 0})
+	// A Kill lands the first time the GC's source read hits the backend.
+	// The GC dropped s.mu around that read, so taking it here is
+	// deadlock-free — exactly the window a concurrent Abort can hit.
+	rs.Do(testrec.GetRanges.Once(), func(testrec.Op) error {
+		s.mu.Lock()
+		s.aborting = true
+		s.mu.Unlock()
+		return nil
+	})
 
 	ext := block.Extent{LBA: 0, Sectors: 128}
 	orig := payload(1, int(ext.Bytes()))
@@ -258,38 +243,6 @@ func TestDeferredDeleteResweepKeepsSnapshotPin(t *testing.T) {
 	}
 }
 
-// stallStore instruments the async pipeline: PUTs of selected objects
-// block on a channel (an upload in flight for as long as the test
-// wants), and the first GetRange of a selected object runs a callback
-// first (a hook inside a GC pass's lock drop).
-type stallStore struct {
-	objstore.Store
-	mu         sync.Mutex
-	putGates   map[string]chan struct{}
-	onGetRange map[string]func()
-}
-
-func (g *stallStore) Put(ctx context.Context, name string, data []byte) error {
-	g.mu.Lock()
-	gate := g.putGates[name]
-	g.mu.Unlock()
-	if gate != nil {
-		<-gate
-	}
-	return g.Store.Put(ctx, name, data)
-}
-
-func (g *stallStore) GetRange(ctx context.Context, name string, off, n int64) ([]byte, error) {
-	g.mu.Lock()
-	hook := g.onGetRange[name]
-	delete(g.onGetRange, name)
-	g.mu.Unlock()
-	if hook != nil {
-		hook()
-	}
-	return g.Store.GetRange(ctx, name, off, n)
-}
-
 // TestGCStaleSourceNotResurrected is the deterministic reproduction of
 // the conditional-install ordering bug: once GC objects exist,
 // container sequence numbers no longer order data by freshness — a GC
@@ -311,12 +264,8 @@ func (g *stallStore) GetRange(ctx context.Context, name string, off, n int64) ([
 //	         then D_b commits inside the pass's source-read lock drop,
 //	         then G2 = n+3 installs its copy -- which MUST lose to D_b.
 func TestGCStaleSourceNotResurrected(t *testing.T) {
-	wrap := &stallStore{
-		Store:      objstore.NewMem(),
-		putGates:   make(map[string]chan struct{}),
-		onGetRange: make(map[string]func()),
-	}
-	s := newVolume(t, wrap, Config{
+	rs := testrec.NewStore(objstore.NewMem())
+	s := newVolume(t, rs, Config{
 		BatchBytes: 64 * block.SectorSize, // exactly the A extent: appends auto-seal
 		// Three gate slots: two are pinned by the stalled PUTs, the
 		// third lets the GC's background I/O through.
@@ -347,11 +296,8 @@ func TestGCStaleSourceNotResurrected(t *testing.T) {
 	s.mu.Lock()
 	n := s.nextSeq
 	s.mu.Unlock()
-	gateA, gateB := make(chan struct{}), make(chan struct{})
-	wrap.mu.Lock()
-	wrap.putGates[objName("vol", n)] = gateA
-	wrap.putGates[objName("vol", n+1)] = gateB
-	wrap.mu.Unlock()
+	parkA := rs.Park(testrec.Puts.Named(objName("vol", n)))
+	parkB := rs.Park(testrec.Puts.Named(objName("vol", n+1)))
 
 	// D_a = obj n: 48 fresh sectors + an overwrite of A's sectors 0..15.
 	// The second append fills the batch, so it auto-seals; the PUT then
@@ -396,7 +342,7 @@ func TestGCStaleSourceNotResurrected(t *testing.T) {
 	}
 
 	// D_a commits: G1's sectors 0..15 die, making it pass 2's victim.
-	close(gateA)
+	parkA.Release(nil)
 	waitFor(t, "D_a commit", func() bool {
 		s.mu.Lock()
 		defer s.mu.Unlock()
@@ -406,23 +352,21 @@ func TestGCStaleSourceNotResurrected(t *testing.T) {
 	// Pass 2: by the time the pass reads G1's data (the map was already
 	// sampled: sectors 16..31 -> G1), D_b commits. G2 = n+3's copy of
 	// those sectors is one generation stale and must not install.
-	wrap.mu.Lock()
-	wrap.onGetRange[objName("vol", n+2)] = func() {
-		close(gateB)
+	readG1 := testrec.GetRanges.Named(objName("vol", n+2))
+	from := rs.Now()
+	rs.Do(readG1.Once(), func(testrec.Op) error {
+		parkB.Release(nil)
 		waitFor(t, "D_b commit", func() bool {
 			s.mu.Lock()
 			defer s.mu.Unlock()
 			return len(s.inflight) == 0
 		})
-	}
-	wrap.mu.Unlock()
+		return nil
+	})
 	if err := s.RunGC(); err != nil {
 		t.Fatal(err)
 	}
-	wrap.mu.Lock()
-	hooked := len(wrap.onGetRange)
-	wrap.mu.Unlock()
-	if hooked != 0 {
+	if !rs.Await(from, readG1, 0) {
 		t.Fatal("pass 2 never read G1 from the backend: interleaving not reproduced")
 	}
 	s.mu.Lock()
@@ -458,7 +402,7 @@ func TestGCStaleSourceNotResurrected(t *testing.T) {
 	// Crash replay sees the same object sequence from scratch: D_b
 	// (n+1) replays before G2 (n+3), whose header says "copied from
 	// n+2" -- the exact-match predicate must reject it there too.
-	s2, err := Open(ctx, Config{Volume: "vol", Store: wrap})
+	s2, err := Open(ctx, Config{Volume: "vol", Store: rs})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,32 +2,30 @@ package blockstore
 
 import (
 	"bytes"
-	"context"
 	"sync"
 	"testing"
 	"time"
 
 	"lsvd/internal/block"
 	"lsvd/internal/objstore"
+	"lsvd/internal/testrec"
 )
 
-// slowRangeStore delays range GETs so concurrent cold readers overlap.
-type slowRangeStore struct {
-	objstore.Store
-	delay time.Duration
-}
-
-func (s *slowRangeStore) GetRange(ctx context.Context, name string, off, length int64) ([]byte, error) {
-	time.Sleep(s.delay)
-	return s.Store.GetRange(ctx, name, off, length)
+// slowRanges delays every range GET so concurrent cold readers overlap.
+func slowRanges() objstore.Store {
+	rs := testrec.NewStore(objstore.NewMem())
+	rs.Do(testrec.GetRanges, func(testrec.Op) error {
+		time.Sleep(5 * time.Millisecond)
+		return nil
+	})
+	return rs
 }
 
 // TestHeaderSingleflight: concurrent cold header readers share one
 // backend fetch (the old headerL issued it under s.mu, serializing
 // every lookup behind the GET and re-fetching per caller).
 func TestHeaderSingleflight(t *testing.T) {
-	slow := &slowRangeStore{Store: objstore.NewMem(), delay: 5 * time.Millisecond}
-	met := objstore.NewMetered(slow)
+	met := objstore.NewMetered(slowRanges())
 	s := newVolume(t, met, Config{})
 	data := bytes.Repeat([]byte{7}, 64*1024)
 	if err := s.Append(1, block.Extent{LBA: 0, Sectors: 128}, data); err != nil {
@@ -81,8 +79,7 @@ func TestHeaderSingleflight(t *testing.T) {
 // the same aligned window share one range GET, and joiners see the
 // Shared flag.
 func TestFetchSpanWindowDedup(t *testing.T) {
-	slow := &slowRangeStore{Store: objstore.NewMem(), delay: 5 * time.Millisecond}
-	met := objstore.NewMetered(slow)
+	met := objstore.NewMetered(slowRanges())
 	s := newVolume(t, met, Config{FetchDepth: 8})
 	data := bytes.Repeat([]byte{9}, 256*1024)
 	if err := s.Append(1, block.Extent{LBA: 0, Sectors: 512}, data); err != nil {

@@ -1,12 +1,10 @@
 package blockstore
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -14,144 +12,8 @@ import (
 	"lsvd/internal/block"
 	"lsvd/internal/journal"
 	"lsvd/internal/objstore"
+	"lsvd/internal/testrec"
 )
-
-// reapStore is the recording backend. It logs every Put (start and
-// completion), Delete (arrival) and destage watermark in order, and
-// keeps every completed Put and Delete so the backend can be rebuilt as
-// of any prefix of them (at). It can park Deletes on a channel so a
-// test holds a reap open for as long as it likes.
-type reapStore struct {
-	objstore.Store
-
-	mu     sync.Mutex
-	log    []string   // "put N", "put-done N", "delete N", "delete-done N", "destage W"
-	hold   chan error // non-nil: every Delete waits for a value (its outcome) or a close
-	parked int
-	crash  error // outcome of Deletes woken by the close
-
-	done    []backendOp // completed mutations, in completion order
-	durable uint64      // newest destage watermark noted so far
-}
-
-// backendOp is one completed mutation: a Put of data, or (data nil) a
-// Delete. durable is the destage watermark noted before it completed:
-// a crash that loses this op can still have acknowledged that much.
-type backendOp struct {
-	name    string
-	data    []byte
-	durable uint64
-}
-
-func (r *reapStore) note(op, name string) {
-	r.mu.Lock()
-	r.log = append(r.log, op+" "+name)
-	r.mu.Unlock()
-}
-
-// completed notes a mutation that reached the backend.
-func (r *reapStore) completed(op, name string, data []byte) {
-	r.mu.Lock()
-	r.log = append(r.log, op+" "+name)
-	r.done = append(r.done, backendOp{name: name, data: data, durable: r.durable})
-	r.mu.Unlock()
-}
-
-// onDestage is a Config.OnDestage that logs the watermark.
-func (r *reapStore) onDestage(w uint64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if w > r.durable {
-		r.durable = w
-		r.log = append(r.log, fmt.Sprintf("destage %d", w))
-	}
-}
-
-func (r *reapStore) Put(ctx context.Context, name string, data []byte) error {
-	r.note("put", name)
-	err := r.Store.Put(ctx, name, data)
-	if err == nil {
-		r.completed("put-done", name, bytes.Clone(data))
-	}
-	return err
-}
-
-func (r *reapStore) Delete(ctx context.Context, name string) error {
-	r.mu.Lock()
-	r.log = append(r.log, "delete "+name)
-	hold := r.hold
-	if hold != nil {
-		r.parked++
-	}
-	r.mu.Unlock()
-	if hold != nil {
-		err, sent := <-hold
-		r.mu.Lock()
-		r.parked--
-		if !sent {
-			err = r.crash
-		}
-		r.mu.Unlock()
-		if err != nil {
-			return err
-		}
-	}
-	err := r.Store.Delete(ctx, name)
-	if err == nil {
-		r.completed("delete-done", name, nil)
-	}
-	return err
-}
-
-// ops returns the completed mutations so far.
-func (r *reapStore) ops() []backendOp {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return append([]backendOp(nil), r.done...)
-}
-
-// at materialises a backend holding exactly what the given prefixes of
-// completed mutations left, applied in order.
-func at(prefixes ...[]backendOp) *objstore.Mem {
-	m := objstore.NewMem()
-	for _, ops := range prefixes {
-		for _, op := range ops {
-			if op.data == nil {
-				_ = m.Delete(ctx, op.name) // a delete of a missing object is a no-op
-			} else if err := m.Put(ctx, op.name, op.data); err != nil {
-				panic(err)
-			}
-		}
-	}
-	return m
-}
-
-func (r *reapStore) holdDeletes() {
-	r.mu.Lock()
-	r.hold = make(chan error)
-	r.mu.Unlock()
-}
-
-// releaseDeletes wakes every parked Delete, and lets later ones
-// through, with outcome err (nil: the delete goes to the backend).
-func (r *reapStore) releaseDeletes(err error) {
-	r.mu.Lock()
-	r.crash = err
-	close(r.hold)
-	r.mu.Unlock()
-}
-
-func (r *reapStore) parkedDeletes() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.parked
-}
-
-func (r *reapStore) opLog() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return append([]string(nil), r.log...)
-}
 
 // churnExt is one batch wide, so every churn write seals an object and
 // kills the previous one whole: the paced service's next pass cleans it
@@ -177,16 +39,20 @@ func churn(t *testing.T, s *Store, w *uint64) {
 	waitDurable(t, s, *w)
 }
 
-// churnUntilParked churns until a checkpoint's deletes sit in the
-// store's hold.
-func churnUntilParked(t *testing.T, s *Store, rs *reapStore, w *uint64, want int) {
+// churnUntilParked churns until want of a checkpoint's deletes sit in
+// the park.
+func churnUntilParked(t *testing.T, s *Store, p *testrec.Parked, w *uint64, want int) {
 	t.Helper()
-	for i := 0; rs.parkedDeletes() < want; i++ {
-		if i > 64 {
-			t.Fatalf("%d deletes parked after %d objects, want %d", rs.parkedDeletes(), i, want)
+	for i, parked := 0, 0; parked < want; {
+		select {
+		case <-p.Arrived():
+			parked++
+		default:
+			if i++; i > 64 {
+				t.Fatalf("%d deletes parked after %d objects, want %d", parked, i, want)
+			}
+			churn(t, s, w)
 		}
-		churn(t, s, w)
-		time.Sleep(2 * time.Millisecond)
 	}
 }
 
@@ -239,7 +105,8 @@ func tableMismatch(s *Store, store objstore.Store) error {
 // has moved past the marker — appends, seals and fetches return, and
 // an object sealed after the checkpoint commits.
 func TestReapDoesNotStallPipeline(t *testing.T) {
-	rs := &reapStore{Store: objstore.NewMem()}
+	mem := objstore.NewMem()
+	rs := testrec.NewStore(mem)
 	var destaged atomic.Uint64
 	cfg := churnConfig(rs)
 	cfg.OnDestage = func(w uint64) {
@@ -251,9 +118,9 @@ func TestReapDoesNotStallPipeline(t *testing.T) {
 		}
 	}
 	s := newVolume(t, nil, cfg)
-	rs.holdDeletes()
+	p := rs.Park(testrec.Deletes)
 	var w uint64
-	churnUntilParked(t, s, rs, &w, 1)
+	churnUntilParked(t, s, p, &w, 1)
 	deleted := s.Stats().ObjectsDeleted
 
 	half := block.Extent{LBA: 0, Sectors: churnExt.Sectors / 2}
@@ -270,7 +137,7 @@ func TestReapDoesNotStallPipeline(t *testing.T) {
 	})
 	waitDurable(t, s, w)
 	waitFor(t, "OnDestage for the object behind the checkpoint", func() bool { return destaged.Load() >= w })
-	if rs.parkedDeletes() == 0 {
+	if rs.Await(0, testrec.Deletes, 0) {
 		t.Fatal("the deletes were not held for the duration of the test")
 	}
 	if got := s.Stats().ObjectsDeleted; got != deleted {
@@ -280,7 +147,7 @@ func TestReapDoesNotStallPipeline(t *testing.T) {
 		t.Fatalf("audit mid-reap: %v", err)
 	}
 
-	rs.releaseDeletes(nil)
+	p.Release(nil)
 	if err := s.Seal(); err != nil {
 		t.Fatal(err)
 	}
@@ -293,7 +160,7 @@ func TestReapDoesNotStallPipeline(t *testing.T) {
 	if err := s.AuditUtilization(); err != nil {
 		t.Fatal(err)
 	}
-	backendMatchesTable(t, s, rs.Store)
+	backendMatchesTable(t, s, mem)
 }
 
 // TestCheckpointOrdersPutsBeforeDeletes proves rules 1 and 2 from the
@@ -304,7 +171,7 @@ func TestReapDoesNotStallPipeline(t *testing.T) {
 // lists it has completed, and what a snapshot pinned goes only after
 // the super that drops the snapshot.
 func TestCheckpointOrdersPutsBeforeDeletes(t *testing.T) {
-	rs := &reapStore{Store: objstore.NewMem()}
+	rs := testrec.NewStore(objstore.NewMem())
 	s := newVolume(t, nil, churnConfig(rs))
 	var w uint64
 	churn(t, s, &w)
@@ -340,7 +207,7 @@ func TestCheckpointOrdersPutsBeforeDeletes(t *testing.T) {
 	if len(pinned) == 0 {
 		t.Fatal("the snapshot pinned nothing")
 	}
-	unpinnedAt := len(rs.opLog())
+	unpinnedAt := int(rs.Now())
 	if err := s.DeleteSnapshot("pin"); err != nil {
 		t.Fatal(err)
 	}
@@ -348,7 +215,7 @@ func TestCheckpointOrdersPutsBeforeDeletes(t *testing.T) {
 		t.Fatalf("after DeleteSnapshot: %d deferred, %d deleted of %d victims", st.DeferredDeletes, st.ObjectsDeleted, st.GCVictims)
 	}
 
-	log := rs.opLog()
+	log := rs.Lines()
 	index := func(entry string, from int) int { return logIndex(log, entry, from) }
 	// superDone[v]: log index at which the super PUT that releases victim
 	// v completed — the first checkpoint listing it, or for a pinned one
@@ -405,11 +272,12 @@ func TestCheckpointOrdersPutsBeforeDeletes(t *testing.T) {
 // TestAbortWaitsForReap: Abort with deletes in flight returns only
 // once they finished, and from then on the backend does not change.
 func TestAbortWaitsForReap(t *testing.T) {
-	rs := &reapStore{Store: objstore.NewMem()}
+	mem := objstore.NewMem()
+	rs := testrec.NewStore(mem)
 	s := newVolume(t, nil, churnConfig(rs))
-	rs.holdDeletes()
+	p := rs.Park(testrec.Deletes)
 	var w uint64
-	churnUntilParked(t, s, rs, &w, 1)
+	churnUntilParked(t, s, p, &w, 1)
 
 	aborted := make(chan struct{})
 	go func() {
@@ -421,16 +289,14 @@ func TestAbortWaitsForReap(t *testing.T) {
 		t.Fatal("Abort returned with deletes still in flight")
 	case <-time.After(50 * time.Millisecond):
 	}
-	rs.releaseDeletes(nil)
+	p.Release(nil)
 	<-aborted
-	if n := rs.parkedDeletes(); n != 0 {
-		t.Fatalf("Abort returned with %d deletes in flight", n)
-	}
-	before, _ := rs.Store.List(ctx, "vol.")
-	ops := len(rs.opLog())
+	// A delete still in flight when Abort returned would land below.
+	before, _ := mem.List(ctx, "vol.")
+	ops := rs.Now()
 	time.Sleep(50 * time.Millisecond)
-	after, _ := rs.Store.List(ctx, "vol.")
-	if fmt.Sprint(before) != fmt.Sprint(after) || len(rs.opLog()) != ops {
+	after, _ := mem.List(ctx, "vol.")
+	if fmt.Sprint(before) != fmt.Sprint(after) || rs.Now() != ops {
 		t.Fatalf("backend changed after Abort: %v -> %v", before, after)
 	}
 	if err := s.AuditUtilization(); err != nil {
@@ -442,24 +308,23 @@ func TestAbortWaitsForReap(t *testing.T) {
 // victims were deleted and before the rest were loses nothing — open
 // re-drives the checkpoint's deferred list.
 func TestKillMidReapRedrivenAtOpen(t *testing.T) {
-	rs := &reapStore{Store: objstore.NewMem()}
+	mem := objstore.NewMem()
+	rs := testrec.NewStore(mem)
 	s := newVolume(t, nil, churnConfig(rs))
-	rs.holdDeletes()
+	p := rs.Park(testrec.Deletes.After(1)) // one victim's delete lands
 	var w uint64
-	churnUntilParked(t, s, rs, &w, 2)
-	rs.hold <- nil // one victim's delete lands
-	waitFor(t, "the released delete", func() bool {
-		names, _ := rs.Store.List(ctx, "vol.")
-		return len(sortedSeqs("vol", names)) < int(s.Stats().Objects)
-	})
-	killMidReapAndReopen(t, s, rs, w)
+	churnUntilParked(t, s, p, &w, 1)
+	if !rs.Await(0, testrec.Deletes, 10*time.Second) {
+		t.Fatal("the first delete never landed")
+	}
+	killMidReapAndReopen(t, s, p, mem, w)
 }
 
-// killMidReapAndReopen kills s while rs holds its deletes — they die
-// with the process — and reopens the volume: the kill must have
+// killMidReapAndReopen kills s while p holds its deletes — they die
+// with the process — and reopens the volume on mem: the kill must have
 // stranded victims, open must re-drive every one of them, and the data
 // of write w must read back.
-func killMidReapAndReopen(t *testing.T, s *Store, rs *reapStore, w uint64) *Store {
+func killMidReapAndReopen(t *testing.T, s *Store, p *testrec.Parked, mem *objstore.Mem, w uint64) *Store {
 	t.Helper()
 	killed := make(chan struct{})
 	go func() {
@@ -467,21 +332,21 @@ func killMidReapAndReopen(t *testing.T, s *Store, rs *reapStore, w uint64) *Stor
 		close(killed)
 	}()
 	// context.Canceled keeps any retry layer from reissuing the deletes.
-	rs.releaseDeletes(fmt.Errorf("killed mid-reap: %w", context.Canceled))
+	p.Release(fmt.Errorf("killed mid-reap: %w", context.Canceled))
 	<-killed
 	stranded := s.Stats().DeferredDeletes
 	if stranded == 0 {
 		t.Fatal("the kill stranded no victim")
 	}
 
-	s2, err := Open(ctx, Config{Volume: "vol", Store: rs.Store, Retry: objstore.RetryPolicy{MaxAttempts: -1}})
+	s2, err := Open(ctx, Config{Volume: "vol", Store: mem, Retry: objstore.RetryPolicy{MaxAttempts: -1}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if st := s2.Stats(); st.DeferredDeletes != 0 || st.ObjectsDeleted < uint64(stranded) {
 		t.Fatalf("open re-drove %d deletes and left %d deferred; the kill stranded %d", st.ObjectsDeleted, st.DeferredDeletes, stranded)
 	}
-	backendMatchesTable(t, s2, rs.Store)
+	backendMatchesTable(t, s2, mem)
 	if err := s2.AuditUtilization(); err != nil {
 		t.Fatal(err)
 	}
@@ -536,7 +401,7 @@ func TestReapDeleteFailureRedefers(t *testing.T) {
 
 // pinnedVolume returns a store with a snapshot "pin" that alone pins at
 // least one cleaned object, and no periodic checkpoint to disturb it.
-func pinnedVolume(t *testing.T, rs *reapStore) (*Store, uint64) {
+func pinnedVolume(t *testing.T, rs objstore.Store) (*Store, uint64) {
 	t.Helper()
 	cfg := churnConfig(rs)
 	cfg.CheckpointEvery = 1 << 30
@@ -578,18 +443,19 @@ func backendSuper(t *testing.T, store objstore.Store) *SuperInfo {
 // super that drops the snapshot lands before any object the snapshot
 // pinned is deleted, and those deletes run with the store lock released.
 func TestDeleteSnapshotReapsOffLock(t *testing.T) {
-	rs := &reapStore{Store: objstore.NewMem()}
+	mem := objstore.NewMem()
+	rs := testrec.NewStore(mem)
 	s, w := pinnedVolume(t, rs)
 	if err := s.DeleteSnapshot("nope"); err == nil {
 		t.Fatal("deleting an unknown snapshot succeeded")
 	}
 
-	rs.holdDeletes()
-	start := len(rs.opLog())
+	p := rs.Park(testrec.Deletes)
+	start := rs.Now()
 	done := make(chan error, 1)
 	go func() { done <- s.DeleteSnapshot("pin") }()
-	waitFor(t, "DeleteSnapshot's deletes", func() bool { return rs.parkedDeletes() > 0 })
-	if got := backendSuper(t, rs.Store).Snapshots; len(got) != 0 {
+	<-p.Arrived()
+	if got := backendSuper(t, mem).Snapshots; len(got) != 0 {
 		t.Fatalf("deletes issued while the super still lists %+v", got)
 	}
 	half := block.Extent{LBA: 0, Sectors: churnExt.Sectors / 2}
@@ -600,12 +466,12 @@ func TestDeleteSnapshotReapsOffLock(t *testing.T) {
 		t.Fatalf("DeleteSnapshot returned (%v) with its deletes held", err)
 	default:
 	}
-	rs.releaseDeletes(nil)
+	p.Release(nil)
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
 	superDone := false
-	for _, e := range rs.opLog()[start:] {
+	for _, e := range rs.Lines()[start:] {
 		switch {
 		case e == "put-done vol.super":
 			superDone = true
@@ -619,20 +485,21 @@ func TestDeleteSnapshotReapsOffLock(t *testing.T) {
 	if err := s.AuditUtilization(); err != nil {
 		t.Fatal(err)
 	}
-	backendMatchesTable(t, s, rs.Store)
+	backendMatchesTable(t, s, mem)
 }
 
 // TestKillAfterDeleteSnapshotSuperRedrivenAtOpen: a crash between the
 // super that drops a snapshot and the deletes of what it pinned reopens
 // with the snapshot gone and the deferred list re-driven.
 func TestKillAfterDeleteSnapshotSuperRedrivenAtOpen(t *testing.T) {
-	rs := &reapStore{Store: objstore.NewMem()}
+	mem := objstore.NewMem()
+	rs := testrec.NewStore(mem)
 	s, w := pinnedVolume(t, rs)
-	rs.holdDeletes()
+	p := rs.Park(testrec.Deletes)
 	done := make(chan error, 1)
 	go func() { done <- s.DeleteSnapshot("pin") }()
-	waitFor(t, "DeleteSnapshot's deletes", func() bool { return rs.parkedDeletes() > 0 })
-	s2 := killMidReapAndReopen(t, s, rs, w)
+	<-p.Arrived()
+	s2 := killMidReapAndReopen(t, s, p, mem, w)
 	<-done
 	if got := s2.Snapshots(); len(got) != 0 {
 		t.Fatalf("reopened with snapshots %+v", got)

@@ -2,36 +2,15 @@ package blockstore
 
 import (
 	"bytes"
-	"context"
 	"errors"
 	"strings"
-	"sync"
 	"testing"
 
 	"lsvd/internal/block"
 	"lsvd/internal/journal"
 	"lsvd/internal/objstore"
+	"lsvd/internal/testrec"
 )
-
-// imageStore keeps every image it is handed, by name, in PUT order.
-type imageStore struct {
-	objstore.Store
-	mu     sync.Mutex
-	names  []string
-	images map[string][]byte
-}
-
-func newImageStore() *imageStore {
-	return &imageStore{Store: objstore.NewMem(), images: make(map[string][]byte)}
-}
-
-func (s *imageStore) Put(ctx context.Context, name string, data []byte) error {
-	s.mu.Lock()
-	s.names = append(s.names, name)
-	s.images[name] = append([]byte(nil), data...)
-	s.mu.Unlock()
-	return s.Store.Put(ctx, name, data)
-}
 
 // onePassHeader frames an object's header the way every version before
 // checksum-once did: one CRC pass over header and data.
@@ -133,7 +112,8 @@ func TestObjectFromSumsIsByteIdentical(t *testing.T) {
 // pass, and checks every image the backend received — data objects and
 // the GC's — against the one-pass header over its own bytes.
 func TestEveryStoredObjectMatchesOnePass(t *testing.T) {
-	store := newImageStore()
+	store := testrec.NewStore(objstore.NewMem())
+	store.Keep = true
 	s := newVolume(t, store, Config{BatchBytes: 256 * 1024, GCLowWater: 0.70, GCHighWater: 0.75,
 		CheckpointEvery: 1 << 30, Retry: objstore.RetryPolicy{MaxAttempts: -1}})
 	s.StopGC() // passes are run by hand below
@@ -173,11 +153,11 @@ func TestEveryStoredObjectMatchesOnePass(t *testing.T) {
 	}
 
 	types := map[journal.Type]int{}
-	for _, name := range store.names {
-		if strings.HasSuffix(name, ".super") {
+	for _, op := range store.Log() {
+		if op.Kind != testrec.Put || !op.Done || op.Err != nil || strings.HasSuffix(op.Name, ".super") {
 			continue
 		}
-		image := store.images[name]
+		name, image := op.Name, op.Data
 		h, data, _, err := journal.Decode(image, false)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -205,7 +185,7 @@ func TestEveryStoredObjectMatchesOnePass(t *testing.T) {
 // acknowledged — so the object fails journal.Decode wherever it is read
 // back, instead of vouching for the damage.
 func TestDamagedStagedBufferFailsDecode(t *testing.T) {
-	store := newImageStore()
+	store := objstore.NewMem()
 	s := newVolume(t, store, Config{CheckpointEvery: 1 << 30})
 	good := block.Extent{LBA: 0, Sectors: 256}
 	bad := block.Extent{LBA: 4096, Sectors: 256}
@@ -218,7 +198,8 @@ func TestDamagedStagedBufferFailsDecode(t *testing.T) {
 	if err := s.Seal(); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, err := journal.Decode(store.images[first], false); err != nil {
+	image, _ := store.Get(ctx, first) // a missing object fails Decode
+	if _, _, _, err := journal.Decode(image, false); err != nil {
 		t.Fatalf("intact object: %v", err)
 	}
 
@@ -231,7 +212,8 @@ func TestDamagedStagedBufferFailsDecode(t *testing.T) {
 	if err := s.Seal(); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, err := journal.Decode(store.images[second], false); !errors.Is(err, journal.ErrCorrupt) {
+	image, _ = store.Get(ctx, second)
+	if _, _, _, err := journal.Decode(image, false); !errors.Is(err, journal.ErrCorrupt) {
 		t.Fatalf("object built over a damaged staging buffer decodes: %v", err)
 	}
 }

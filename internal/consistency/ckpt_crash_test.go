@@ -1,12 +1,11 @@
 package consistency
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -16,45 +15,8 @@ import (
 	"lsvd/internal/journal"
 	"lsvd/internal/objstore"
 	"lsvd/internal/simdev"
+	"lsvd/internal/testrec"
 )
-
-// cutStore simulates a clean crash of the backend session: after the
-// cut, every mutation fails permanently (as if the host died with the
-// PUTs on the wire), while the objects that completed earlier stay
-// exactly as written. Cutting between a checkpoint object's PUT and
-// its superblock PUT is the interesting window for the off-lock
-// checkpoint pipeline — the audit below proves the super can never
-// name a checkpoint the crash swallowed.
-type cutStore struct {
-	objstore.Store
-	puts     atomic.Int64
-	cutAt    atomic.Int64 // fail mutations once puts reaches this (0 = never)
-	cutSuper atomic.Bool  // instead: fail exactly the next super PUT and cut there
-}
-
-func (c *cutStore) cut() bool {
-	at := c.cutAt.Load()
-	return at > 0 && c.puts.Load() >= at
-}
-
-func (c *cutStore) Put(ctx context.Context, name string, data []byte) error {
-	if c.cut() {
-		return fmt.Errorf("%w: backend cut", objstore.ErrInjected)
-	}
-	if c.cutSuper.Load() && strings.HasSuffix(name, ".super") {
-		c.cutAt.Store(1) // everything from here on is past the crash
-		return fmt.Errorf("%w: backend cut at super PUT", objstore.ErrInjected)
-	}
-	c.puts.Add(1)
-	return c.Store.Put(ctx, name, data)
-}
-
-func (c *cutStore) Delete(ctx context.Context, name string) error {
-	if c.cut() {
-		return fmt.Errorf("%w: backend cut", objstore.ErrInjected)
-	}
-	return c.Store.Delete(ctx, name)
-}
 
 // TestCheckpointCrashTorture kills the volume with the backend cut at
 // an arbitrary PUT boundary — frequently mid-background-checkpoint,
@@ -90,7 +52,7 @@ func TestCheckpointCrashTorture(t *testing.T) {
 func ckptCrashIteration(t *testing.T, seed int64) {
 	rng := rand.New(rand.NewSource(seed))
 	mem := objstore.NewMem()
-	store := &cutStore{Store: mem}
+	store := testrec.NewStore(mem)
 	cache := simdev.NewMem(32 * block.MiB)
 	opts := core.Options{
 		HostOptions: core.HostOptions{
@@ -111,11 +73,29 @@ func ckptCrashIteration(t *testing.T, seed int64) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if seed%2 == 0 {
-		store.cutSuper.Store(true)
-	} else {
-		store.cutAt.Store(int64(3 + rng.Intn(40)))
+	// Cut the backend session: from the cut on every mutation fails (the
+	// host died with the PUTs on the wire); what completed earlier stays
+	// as written. Half the seeds cut at the next super PUT, between a
+	// checkpoint object and its super — the audit below proves the super
+	// never names a checkpoint the crash swallowed; the rest once 3 to 42
+	// PUTs, Create's included, have gone through.
+	puts := len(slices.DeleteFunc(store.Log(), func(op testrec.Op) bool { return op.Kind != testrec.Put || op.Done }))
+	cutAt, cut := -1, false
+	if seed%2 != 0 {
+		cutAt = 3 + rng.Intn(40)
 	}
+	mutation := testrec.Kinds(testrec.Put, testrec.Delete)
+	heal := store.Fail(func(op testrec.Op) bool {
+		if !cut && op.Kind == testrec.Put {
+			if cutAt < 0 {
+				cut = testrec.Super(op)
+			} else {
+				cut = puts >= cutAt
+				puts++
+			}
+		}
+		return cut && mutation(op)
+	}, fmt.Errorf("%w: backend cut", objstore.ErrInjected))
 
 	w, err := NewWriter(disk)
 	if err != nil {
@@ -160,8 +140,7 @@ func ckptCrashIteration(t *testing.T, seed int64) {
 
 	// Heal the backend and recover: consistent prefix, committed writes
 	// intact (the cache survived).
-	store.cutAt.Store(0)
-	store.cutSuper.Store(false)
+	heal()
 	disk2, err := core.Open(ctx, opts)
 	if err != nil {
 		t.Fatalf("recovery failed: %v", err)

@@ -12,7 +12,10 @@ import (
 	"lsvd/internal/core"
 	"lsvd/internal/objstore"
 	"lsvd/internal/simdev"
+	"lsvd/internal/testleak"
 )
+
+func TestMain(m *testing.M) { testleak.Main(m) }
 
 var ctx = context.Background()
 
@@ -135,6 +138,7 @@ func TestLSVDCrashIsMountable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(disk2.Kill)
 	r, err := w.Check(disk2)
 	if err != nil {
 		t.Fatal(err)
@@ -172,6 +176,7 @@ func TestLSVDCrashWithCacheKeepsCommitted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(disk2.Kill)
 	r, err := w.Check(disk2)
 	if err != nil {
 		t.Fatal(err)

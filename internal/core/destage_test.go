@@ -2,44 +2,25 @@ package core
 
 import (
 	"bytes"
-	"context"
 	"math/rand"
+	"slices"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"lsvd/internal/block"
-	"lsvd/internal/journal"
-	"lsvd/internal/objstore"
 	"lsvd/internal/simdev"
+	"lsvd/internal/testrec"
 )
 
-// slowStore delays every PUT so the destage queue stays populated,
-// letting crash tests catch the pipeline mid-drain; delDelay charges
-// every Delete a metadata round trip. note, when set, sees every PUT as
-// it arrives (with the image) and every Delete as it arrives.
-type slowStore struct {
-	objstore.Store
-	delay    time.Duration
-	delDelay time.Duration
-	note     func(op string, image []byte)
-}
-
-func (s *slowStore) Put(ctx context.Context, name string, data []byte) error {
-	if s.note != nil {
-		s.note("put", data)
-	}
-	time.Sleep(s.delay)
-	return s.Store.Put(ctx, name, data)
-}
-
-func (s *slowStore) Delete(ctx context.Context, name string) error {
-	if s.note != nil {
-		s.note("delete", nil)
-	}
-	time.Sleep(s.delDelay)
-	return s.Store.Delete(ctx, name)
+// delay makes every operation m matches wait d on its way to the
+// backend.
+func delay(rs *testrec.Store, m testrec.Match, d time.Duration) *testrec.Store {
+	rs.Do(m, func(testrec.Op) error {
+		time.Sleep(d)
+		return nil
+	})
+	return rs
 }
 
 // TestCrashMidDestageRecoversFromCache: a crash with writes still
@@ -48,7 +29,9 @@ func (s *slowStore) Delete(ctx context.Context, name string) error {
 // tail the backend is missing (§3.3).
 func TestCrashMidDestageRecoversFromCache(t *testing.T) {
 	h := newHarness(t, func(o *Options) {
-		o.Store = &slowStore{Store: o.Store, delay: 2 * time.Millisecond}
+		// Slow PUTs keep the destage queue populated, so the crash
+		// catches the pipeline mid-drain.
+		o.Store = delay(testrec.NewStore(o.Store), testrec.Puts, 2*time.Millisecond)
 		o.BatchBytes = 64 * 1024 // seal often so the pipeline is busy
 	})
 	const n = 32
@@ -90,7 +73,7 @@ func TestCrashMidDestageRecoversFromCache(t *testing.T) {
 // in-order commit of concurrent uploads is exactly what guarantees it.
 func TestCrashMidDestageBlankCacheKeepsPrefix(t *testing.T) {
 	h := newHarness(t, func(o *Options) {
-		o.Store = &slowStore{Store: o.Store, delay: 2 * time.Millisecond}
+		o.Store = delay(testrec.NewStore(o.Store), testrec.Puts, 2*time.Millisecond)
 		o.BatchBytes = 64 * 1024
 		o.UploadDepth = 8
 	})
@@ -232,47 +215,28 @@ func TestDestageStress(t *testing.T) {
 // writer's three 20 ms graces: one fence per checkpoint, inside its
 // deletes.)
 //
-// The assertion is over the backend's op log, each entry stamped with
-// the fence count as the op arrived: no fence is taken between a
-// marker's checkpoint PUT and the last delete it released. How many
-// checkpoints or victims a run produces is not pinned, and a fence a
-// starved destager costs somewhere else in the run does not count; one
-// marker in four may still lose its window to such a fence.
+// The assertion is over the backend's op log: as a marker's checkpoint
+// PUT and each delete arrive, they note the fences taken so far, and no
+// fence falls between the checkpoint and the last delete it released.
+// How many checkpoints or victims a run produces is not pinned, and a
+// fence a starved destager costs somewhere else in the run does not
+// count; one marker in four may still lose its window to such a fence.
 func TestCheckpointDeletesDoNotFenceTheRing(t *testing.T) {
-	type entry struct {
-		op     string // "ckpt" (a marker's checkpoint PUT), "delete"
-		fences uint64
-	}
-	var (
-		mu   sync.Mutex
-		log  []entry
-		disk atomic.Pointer[Disk]
-	)
-	note := func(op string, image []byte) {
-		d := disk.Load()
-		if d == nil {
-			return // Create's own checkpoint
-		}
-		if op == "put" {
-			if h, _, err := journal.DecodeHeader(image); err != nil || h.Type != journal.TypeCheckpoint {
-				return
-			}
-			op = "ckpt"
-		}
-		mu.Lock()
-		log = append(log, entry{op: op, fences: d.ringFences.Load()})
-		mu.Unlock()
-	}
 	const batch = 2 * block.MiB
+	var rs *testrec.Store
 	h := newHarness(t, func(o *Options) {
-		o.Store = &slowStore{Store: o.Store, delay: 12 * time.Millisecond, delDelay: 2 * time.Millisecond, note: note}
+		rs = testrec.NewStore(o.Store)
+		o.Store = rs
 		o.CacheDev = simdev.NewMem(64 * block.MiB)
 		o.WriteCacheFrac = 0.08 // ~5 MiB of log: 2.5 batches
 		o.VolBytes = 16 * block.MiB
 		o.BatchBytes = batch
 		o.CheckpointEvery = 40
 	})
-	disk.Store(h.disk)
+	noteFences(rs, h.disk, testrec.CheckpointObject, "ckpt")
+	noteFences(rs, h.disk, testrec.Deletes, "delete")
+	delay(rs, testrec.Puts, 12*time.Millisecond)
+	delay(rs, testrec.Deletes, 2*time.Millisecond)
 	data := payload(1, 128*1024)
 	const wraps = 24 // ~190 objects: several checkpoint intervals
 	for i := 0; i < wraps*int(h.opts.VolBytes)/len(data); i++ {
@@ -290,21 +254,20 @@ func TestCheckpointDeletesDoNotFenceTheRing(t *testing.T) {
 
 	// A window is one marker: its checkpoint PUT and the deletes that
 	// arrive before the next marker's.
-	mu.Lock()
-	defer mu.Unlock()
+	log := slices.DeleteFunc(rs.Log(), func(op testrec.Op) bool { return op.Kind != testrec.Note })
 	windows, fenced := 0, 0
 	for i := 0; i < len(log); {
-		if log[i].op != "ckpt" {
+		if log[i].Name != "ckpt" {
 			i++
 			continue
 		}
 		j := i + 1
-		for j < len(log) && log[j].op != "ckpt" {
+		for j < len(log) && log[j].Name != "ckpt" {
 			j++
 		}
 		if deletes := j - i - 1; deletes >= 8 { // a marker that released a real batch of victims
 			windows++
-			if log[j-1].fences != log[i].fences {
+			if log[j-1].Off != log[i].Off {
 				fenced++
 			}
 		}

@@ -11,6 +11,7 @@ import (
 	"lsvd/internal/block"
 	"lsvd/internal/objstore"
 	"lsvd/internal/simdev"
+	"lsvd/internal/testrec"
 )
 
 func (w *prefetchWindow) current() uint32 {
@@ -27,9 +28,9 @@ const (
 // coldVolume writes coldDataBytes sequentially, then reopens the volume
 // on a fresh 16 MiB cache device, so every read starts as a miss and the
 // read arena fills after about 10 MiB of fetches.
-func coldVolume(t *testing.T, ceiling uint32) (*harness, *parkStore) {
+func coldVolume(t *testing.T, ceiling uint32) (*harness, *testrec.Store) {
 	t.Helper()
-	store := &parkStore{Store: objstore.NewMem()}
+	store := testrec.NewStore(objstore.NewMem())
 	h := newHarness(t, func(o *Options) {
 		o.Store = store
 		o.WriteCacheFrac = 0.3
@@ -49,6 +50,18 @@ func coldVolume(t *testing.T, ceiling uint32) (*harness, *parkStore) {
 	h.opts.CacheDev = simdev.NewMem(coldCacheDev)
 	h.reopen(t)
 	return h, store
+}
+
+// dataGets returns the lengths of the data range GETs rs logged after
+// stamp from.
+func dataGets(rs *testrec.Store, from uint64) []int64 {
+	var gets []int64
+	for _, op := range rs.Log()[from:] {
+		if testrec.DataRead(op) && !op.Done {
+			gets = append(gets, op.Len)
+		}
+	}
+	return gets
 }
 
 // readAt reads n bytes at off and waits for the admission it queued, so
@@ -88,12 +101,12 @@ func TestWindowBacksOffOnUniformReads(t *testing.T) {
 		}
 		uniform()
 	}
-	from, missed := len(store.dataGets()), d.Stats().BackendReadSectors
+	from, missed := store.Now(), d.Stats().BackendReadSectors
 	for i := 0; i < 600; i++ {
 		uniform()
 	}
 	var fetched int64
-	for _, n := range store.dataGets()[from:] {
+	for _, n := range dataGets(store, from) {
 		fetched += n
 	}
 	missedBytes := int64(d.Stats().BackendReadSectors-missed) * block.SectorSize
@@ -116,7 +129,7 @@ func TestWindowHoldsOnClusteredReads(t *testing.T) {
 	for ; !d.rc.Arena().Full(); off += blk {
 		readAt(t, d, off, blk)
 	}
-	from := len(store.dataGets())
+	from := store.Now()
 	region := coldDataBytes - off
 	for ; off < coldDataBytes; off += blk {
 		readAt(t, d, off, blk)
@@ -124,7 +137,7 @@ func TestWindowHoldsOnClusteredReads(t *testing.T) {
 	// One 128 KiB window per GET, plus a couple of clamped ones at the
 	// edges of each 8 MiB object's data region. A window stuck at half
 	// the ceiling would need twice the GETs.
-	gets := store.dataGets()[from:]
+	gets := dataGets(store, from)
 	objects := int(region/(8*block.MiB)) + 2
 	if limit := int(region/(128*1024)) + 2*objects; len(gets) > limit {
 		t.Fatalf("clustered re-read of %d KiB on a full arena made %d GETs, want <= %d", region>>10, len(gets), limit)
@@ -145,9 +158,9 @@ func TestConcurrentMissesShareAGetAcrossAWindowChange(t *testing.T) {
 	}
 	off += 1 * block.MiB // a block no window has touched
 	before := d.Stats().Backend
-	from := len(store.dataGets())
+	from := store.Now()
 
-	store.arm("get")
+	p := store.Park(testrec.DataRead.Once())
 	var wg sync.WaitGroup
 	errs := make([]error, 2)
 	read := func(i int) {
@@ -156,11 +169,11 @@ func TestConcurrentMissesShareAGetAcrossAWindowChange(t *testing.T) {
 	}
 	wg.Add(1)
 	go read(0)
-	waitFor(t, "the leader's GET to park", store.isParked)
+	<-p.Arrived()
 	wg.Add(1)
 	go read(1)
 	waitFor(t, "the second reader to join the parked GET", joinedFlight)
-	store.release()
+	p.Release(nil)
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
@@ -171,7 +184,7 @@ func TestConcurrentMissesShareAGetAcrossAWindowChange(t *testing.T) {
 		t.Fatal(err)
 	}
 	after := d.Stats().Backend
-	if gets := store.dataGets()[from:]; len(gets) != 1 || after.FetchesDeduped-before.FetchesDeduped != 1 {
+	if gets := dataGets(store, from); len(gets) != 1 || after.FetchesDeduped-before.FetchesDeduped != 1 {
 		t.Fatalf("two concurrent misses on one block: %d data GETs, %d joins; want 1 and 1",
 			len(gets), after.FetchesDeduped-before.FetchesDeduped)
 	}
@@ -207,7 +220,7 @@ func TestWindowOfOneSectorFetchesOnlyTheRequest(t *testing.T) {
 	if !d.rc.Arena().Full() {
 		t.Fatal("16 MiB of reads did not fill the arena: the test checks half of what it should")
 	}
-	gets := store.dataGets()
+	gets := dataGets(store, 0)
 	if reads := int(16 * block.MiB / blk); len(gets) != reads {
 		t.Fatalf("%d data GETs for %d reads", len(gets), reads)
 	}

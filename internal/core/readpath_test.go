@@ -2,7 +2,6 @@ package core
 
 import (
 	"bytes"
-	"context"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -12,26 +11,16 @@ import (
 	"lsvd/internal/block"
 	"lsvd/internal/objstore"
 	"lsvd/internal/simdev"
+	"lsvd/internal/testrec"
 )
-
-// slowReadStore delays every range GET, widening the window in which
-// concurrent readers of the same cold data race each other.
-type slowReadStore struct {
-	objstore.Store
-	delay time.Duration
-}
-
-func (s *slowReadStore) GetRange(ctx context.Context, name string, off, length int64) ([]byte, error) {
-	time.Sleep(s.delay)
-	return s.Store.GetRange(ctx, name, off, length)
-}
 
 // TestConcurrentColdReadsDedupOneGET proves the singleflight window:
 // N readers missing on the same cold 4 KiB at the same moment issue
 // exactly one backend range GET between them.
 func TestConcurrentColdReadsDedupOneGET(t *testing.T) {
-	slow := &slowReadStore{Store: objstore.NewMem(), delay: 10 * time.Millisecond}
-	met := objstore.NewMetered(slow)
+	// Every range GET is slow, widening the window in which concurrent
+	// readers of the same cold data race each other.
+	met := objstore.NewMetered(delay(testrec.NewStore(objstore.NewMem()), testrec.GetRanges, 10*time.Millisecond))
 	opts := Options{
 		HostOptions: HostOptions{Store: met, CacheDev: simdev.NewMem(64 * block.MiB)},
 		VolumeOptions: VolumeOptions{
@@ -391,44 +380,13 @@ func TestRunCoalescing(t *testing.T) {
 	}
 }
 
-// gatedPutStore holds every PUT while its gate is set, so a test can
-// keep a write acknowledged but uncommitted for as long as it likes.
-type gatedPutStore struct {
-	objstore.Store
-	mu   sync.Mutex
-	gate chan struct{}
-}
-
-func (s *gatedPutStore) hold() {
-	s.mu.Lock()
-	s.gate = make(chan struct{})
-	s.mu.Unlock()
-}
-
-func (s *gatedPutStore) release() {
-	s.mu.Lock()
-	close(s.gate)
-	s.gate = nil
-	s.mu.Unlock()
-}
-
-func (s *gatedPutStore) Put(ctx context.Context, name string, data []byte) error {
-	s.mu.Lock()
-	gate := s.gate
-	s.mu.Unlock()
-	if gate != nil {
-		<-gate
-	}
-	return s.Store.Put(ctx, name, data)
-}
-
 // TestAdmissionSkipsBlocksTheWriteCacheHolds: between a write's ack and
 // its object's commit the map still assigns the block's old version to
 // the old object, so a window fetched for a neighbour carries that old
 // version as a live-looking prefetch extra. Admitting it would serve
 // stale bytes once the write-cache record is evicted.
 func TestAdmissionSkipsBlocksTheWriteCacheHolds(t *testing.T) {
-	store := &gatedPutStore{Store: objstore.NewMem()}
+	store := testrec.NewStore(objstore.NewMem())
 	h := newHarness(t, func(o *Options) {
 		o.Store = store
 		o.CacheDev = simdev.NewMem(32 * block.MiB)
@@ -453,7 +411,7 @@ func TestAdmissionSkipsBlocksTheWriteCacheHolds(t *testing.T) {
 	h.reopen(t)
 	d := h.disk
 
-	store.hold()
+	held := store.Park(testrec.Puts)
 	if err := d.WriteAt(newB, blk); err != nil { // acknowledged, not committed
 		t.Fatal(err)
 	}
@@ -462,7 +420,7 @@ func TestAdmissionSkipsBlocksTheWriteCacheHolds(t *testing.T) {
 		t.Fatal(err)
 	}
 	d.adm.drain()
-	store.release()
+	held.Release(nil)
 	if err := d.Drain(); err != nil {
 		t.Fatal(err)
 	}

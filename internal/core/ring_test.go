@@ -2,135 +2,22 @@ package core
 
 import (
 	"bytes"
-	"context"
-	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"lsvd/internal/block"
-	"lsvd/internal/journal"
 	"lsvd/internal/objstore"
 	"lsvd/internal/simdev"
+	"lsvd/internal/testrec"
 )
 
-// parkStore records the size of every data object PUT and the length
-// of every data range GET and, once armed for one of the two, parks the
-// next such op until released. With a disk attached it also keeps an op
-// log: each data object PUT's arrival and completion and each write the
-// test notes, stamped with the disk's ring fences so far.
-type parkStore struct {
-	objstore.Store
-	disk atomic.Pointer[Disk]
-
-	mu     sync.Mutex
-	sizes  []int   // data objects, in PUT order
-	gets   []int64 // data range GETs' lengths, in issue order
-	log    []parkOp
-	armed  string        // "put" or "get": the op the next of which parks
-	parked chan struct{} // non-nil once an op has waited on it
-}
-
-// parkOp is one op-log entry: "put" (size bytes, parked or not),
-// "put-done" or "write".
-type parkOp struct {
-	op     string
-	size   int
-	parked bool
-	fences uint64
-}
-
-func (p *parkStore) note(op parkOp) {
-	if d := p.disk.Load(); d != nil {
-		op.fences = d.ringFences.Load()
-	}
-	p.mu.Lock()
-	p.log = append(p.log, op)
-	p.mu.Unlock()
-}
-
-func (p *parkStore) Put(ctx context.Context, name string, data []byte) error {
-	if h, _, err := journal.DecodeHeader(data); err != nil || h.Type != journal.TypeData {
-		return p.Store.Put(ctx, name, data)
-	}
-	p.mu.Lock()
-	p.sizes = append(p.sizes, len(data))
-	wait := p.parkLocked("put")
-	p.mu.Unlock()
-	p.note(parkOp{op: "put", size: len(data), parked: wait != nil})
-	if wait != nil {
-		<-wait
-	}
-	err := p.Store.Put(ctx, name, data)
-	if err == nil {
-		p.note(parkOp{op: "put-done", size: len(data), parked: wait != nil})
-	}
-	return err
-}
-
-// GetRange logs data range GETs (object headers start at offset 0,
-// data never does) and parks one when armed for "get".
-func (p *parkStore) GetRange(ctx context.Context, name string, off, length int64) ([]byte, error) {
-	var wait chan struct{}
-	if off > 0 {
-		p.mu.Lock()
-		p.gets = append(p.gets, length)
-		wait = p.parkLocked("get")
-		p.mu.Unlock()
-	}
-	if wait != nil {
-		<-wait
-	}
-	return p.Store.GetRange(ctx, name, off, length)
-}
-
-// parkLocked returns the channel an op of kind op must wait on, nil
-// unless the store is armed for it.
-func (p *parkStore) parkLocked(op string) chan struct{} {
-	if p.armed != op {
+// noteFences logs label, with the ring fences d has taken so far, as
+// each operation m matches arrives.
+func noteFences(rs *testrec.Store, d *Disk, m testrec.Match, label string) {
+	rs.Do(m, func(testrec.Op) error {
+		rs.Note(label, int64(d.ringFences.Load()))
 		return nil
-	}
-	p.armed = ""
-	p.parked = make(chan struct{})
-	return p.parked
-}
-
-// arm parks the next op of kind op, "put" or "get".
-func (p *parkStore) arm(op string) {
-	p.mu.Lock()
-	p.armed = op
-	p.mu.Unlock()
-}
-
-func (p *parkStore) release() {
-	p.mu.Lock()
-	close(p.parked)
-	p.mu.Unlock()
-}
-
-func (p *parkStore) isParked() bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.parked != nil
-}
-
-func (p *parkStore) objectSizes() []int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return append([]int(nil), p.sizes...)
-}
-
-// dataGets returns the lengths of the data range GETs so far.
-func (p *parkStore) dataGets() []int64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return append([]int64(nil), p.gets...)
-}
-
-func (p *parkStore) opLog() []parkOp {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return append([]parkOp(nil), p.log...)
+	})
 }
 
 func waitFor(t *testing.T, what string, cond func() bool) {
@@ -157,16 +44,6 @@ func smallRing(t *testing.T, store objstore.Store, batchBytes int64) *harness {
 	})
 }
 
-func writeSequential(d *Disk, n int) error {
-	data := payload(1, 128*1024)
-	for i := 0; i < n; i++ {
-		if err := d.WriteAt(data, int64(i)*int64(len(data))); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // TestRingFullWaitsForTheObjectInFlight: the ring fills with one object
 // uploading and a third of a batch open. The kick seals nothing — the
 // uploading object pins the head and its commit frees it — and the
@@ -179,10 +56,10 @@ func writeSequential(d *Disk, n int) error {
 // are not pinned: a starved host may fence one of those legitimately.
 func TestRingFullWaitsForTheObjectInFlight(t *testing.T) {
 	const batch = 3 * block.MiB // 24 writes; 10 more fit in the log
-	ps := &parkStore{Store: objstore.NewMem()}
-	h := smallRing(t, ps, batch)
-	ps.disk.Store(h.disk)
-	ps.arm("put")
+	rs := testrec.NewStore(objstore.NewMem())
+	h := smallRing(t, rs, batch)
+	noteFences(rs, h.disk, testrec.DataObject, "put")
+	p := rs.Park(testrec.DataObject.Once())
 	done := make(chan error, 1)
 	data := payload(1, 128*1024)
 	go func() {
@@ -191,16 +68,17 @@ func TestRingFullWaitsForTheObjectInFlight(t *testing.T) {
 				done <- err
 				return
 			}
-			ps.note(parkOp{op: "write"})
+			rs.Note("ack", int64(h.disk.ringFences.Load()))
 		}
 		done <- nil
 	}()
 
+	parked := <-p.Arrived()
 	waitFor(t, "the writer to stall on a full ring", func() bool {
 		st := h.disk.Stats()
-		return ps.isParked() && st.RingKicks > 0 && st.DestageQueued == 0
+		return st.RingKicks > 0 && st.DestageQueued == 0
 	})
-	ps.release()
+	p.Release(nil)
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
@@ -208,34 +86,26 @@ func TestRingFullWaitsForTheObjectInFlight(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	log := ps.opLog()
-	park, landed, resumed := -1, -1, -1
-	for i, op := range log {
-		switch {
-		case op.op == "put" && park < 0:
-			if !op.parked {
-				t.Fatal("the first data object was not the parked one")
-			}
-			park = i
-		case op.op == "put-done" && op.parked:
-			landed = i
-		case op.op == "write" && landed >= 0 && resumed < 0:
-			resumed = i
+	if parked.Len < batch {
+		t.Fatalf("first object holds %d bytes, want a full batch of %d", parked.Len, batch)
+	}
+	landed := false
+	var resumed testrec.Op
+	for _, op := range rs.Log()[parked.Stamp:] {
+		if op.Kind == testrec.Put && op.Done && op.Name == parked.Name {
+			landed = true
+		} else if testrec.DataObject(op) && !op.Done {
+			t.Fatalf("a %d-byte object was sealed behind the parked one before the writer resumed: the kick or a fence sealed a runt", op.Len)
+		} else if op.Kind == testrec.Note && op.Name == "ack" && landed {
+			resumed = op
+			break
 		}
 	}
-	if landed < 0 || resumed < 0 {
-		t.Fatalf("parked PUT at %d, landed at %d, writer resumed at %d: want a write after it landed", park, landed, resumed)
+	if resumed.Stamp == 0 {
+		t.Fatalf("the parked PUT landed: %v; want a write acknowledged after it", landed)
 	}
-	for _, op := range log[park : resumed+1] {
-		if op.op == "put" && !op.parked {
-			t.Fatalf("a %d-byte object was sealed behind the parked one before the writer resumed: the kick or a fence sealed a runt", op.size)
-		}
-		if op.fences != 0 {
-			t.Fatalf("a ring fence before the writer resumed on the parked object's commit: %+v", log[park:resumed+1])
-		}
-	}
-	if first := log[park].size; int64(first) < batch {
-		t.Fatalf("first object holds %d bytes, want a full batch of %d", first, batch)
+	if resumed.Off != 0 {
+		t.Fatalf("%d ring fences before the writer resumed on the parked object's commit", resumed.Off)
 	}
 	got := make([]byte, len(data))
 	for _, i := range []int64{0, 33, 34, 59} {
@@ -252,27 +122,39 @@ func TestRingFullWaitsForTheObjectInFlight(t *testing.T) {
 // the whole log never fills, so the kick is the only thing that moves
 // the ring's records; with no object in flight it seals them at any
 // fill and the writer keeps lapping the log.
+//
+// The pass condition is an ordering over the op log: every data object
+// is PUT, under half a batch, with no ring fence taken since the
+// writer's last ack — the kick sealed it, not a fence's flush marker.
 func TestRingFullWithNothingInFlightSealsAtAnyFill(t *testing.T) {
 	const batch = 16 * block.MiB
-	ps := &parkStore{Store: objstore.NewMem()}
-	h := smallRing(t, ps, batch)
-	if err := writeSequential(h.disk, 110); err != nil { // three laps of the log
-		t.Fatal(err)
+	rs := testrec.NewStore(objstore.NewMem())
+	h := smallRing(t, rs, batch)
+	noteFences(rs, h.disk, testrec.DataObject, "put")
+	data := payload(1, 128*1024)
+	for i := 0; i < 110; i++ { // three laps of the log
+		if err := h.disk.WriteAt(data, int64(i)*int64(len(data))); err != nil {
+			t.Fatal(err)
+		}
+		rs.Note("ack", int64(h.disk.ringFences.Load()))
 	}
 	if err := h.disk.Drain(); err != nil {
 		t.Fatal(err)
 	}
-	st := h.disk.Stats()
-	if st.RingKicks < 2 || st.RingFences != 0 {
-		t.Fatalf("%d kicks, %d fences over three laps; want the kicks alone to free the ring", st.RingKicks, st.RingFences)
-	}
-	sizes := ps.objectSizes()
-	if len(sizes) < 3 {
-		t.Fatalf("objects %v: want one per lap", sizes)
-	}
-	for _, n := range sizes {
-		if int64(n) >= batch/2 {
-			t.Fatalf("object of %d bytes: the case is meant to seal under half a batch (%d)", n, batch/2)
+	objects, fences := 0, int64(0)
+	for _, op := range rs.Log() {
+		switch {
+		case op.Kind == testrec.Note && op.Name == "ack":
+			fences = op.Off
+		case op.Kind == testrec.Note && op.Name == "put" && op.Off != fences:
+			t.Fatalf("a ring fence before object %d was PUT: a fence's flush marker sealed the records, not the kick", objects)
+		case testrec.DataObject(op) && !op.Done:
+			if objects++; op.Len >= batch/2 {
+				t.Fatalf("object of %d bytes: the case is meant to seal under half a batch (%d)", op.Len, batch/2)
+			}
 		}
+	}
+	if objects < 3 {
+		t.Fatalf("%d objects: want one per lap", objects)
 	}
 }

@@ -1,9 +1,7 @@
 package core
 
 import (
-	"context"
 	"runtime"
-	"sync/atomic"
 	"testing"
 
 	"lsvd/internal/objstore"
@@ -66,26 +64,6 @@ func TestStagePoolMixedSizes(t *testing.T) {
 	}
 }
 
-// putCounter counts the bytes handed to the backend, so a test can
-// subtract the in-memory store's own copy of every object from the
-// process's allocation total.
-type putCounter struct {
-	*objstore.Mem
-	bytes atomic.Int64
-}
-
-func (s *putCounter) Put(ctx context.Context, name string, data []byte) error {
-	s.bytes.Add(int64(len(data)))
-	return s.Mem.Put(ctx, name, data)
-}
-
-func (s *putCounter) PutV(ctx context.Context, name string, bufs [][]byte) error {
-	for _, b := range bufs {
-		s.bytes.Add(int64(len(b)))
-	}
-	return s.Mem.PutV(ctx, name, bufs)
-}
-
 // TestLargeWriteAckAllocatesNoPayload guards the 128 KiB ack path: on a
 // warmed disk neither the cache device (a pre-image copy per page) nor
 // the staging pool (a miss per write) may allocate payload-sized
@@ -99,7 +77,7 @@ func TestLargeWriteAckAllocatesNoPayload(t *testing.T) {
 		volBytes = 64 << 20
 		perFlush = 64
 	)
-	store := &putCounter{Mem: objstore.NewMem()}
+	store := objstore.NewMetered(objstore.NewMem())
 	h := newHarness(t, func(o *Options) {
 		o.Store = store
 		o.VolBytes = volBytes
@@ -128,13 +106,14 @@ func TestLargeWriteAckAllocatesNoPayload(t *testing.T) {
 	const measured = 1024
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	put := store.bytes.Load()
+	put := store.Stats().BytesPut
 	write(measured)
 	if err := h.disk.Drain(); err != nil {
 		t.Fatal(err)
 	}
 	runtime.ReadMemStats(&after)
-	perWrite := (int64(after.TotalAlloc-before.TotalAlloc) - (store.bytes.Load() - put)) / measured
+	// The in-memory store copies every object it is handed.
+	perWrite := (int64(after.TotalAlloc-before.TotalAlloc) - int64(store.Stats().BytesPut-put)) / measured
 	t.Logf("%d B allocated per 128 KiB write, backend copy excluded", perWrite)
 	if perWrite > wr/4 {
 		t.Fatalf("%d B allocated per 128 KiB write (backend copy excluded), want under 32 KiB", perWrite)

@@ -16,7 +16,7 @@ import (
 
 // Table5 reproduces Table 5: simulated LSVD batching and garbage
 // collection on the CloudPhysics-like traces, in the paper's three
-// configurations. The GCScale knob trades fidelity for runtime
+// configurations, at eight times Env.Scale: the traces are week-long
 // (DESIGN.md: ratios are scale-free).
 func Table5(ctx context.Context, e Env) (*Table, error) {
 	scale := float64(e.Scale) * 8 // traces are week-long; scale harder

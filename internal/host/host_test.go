@@ -16,7 +16,10 @@ import (
 	"lsvd/internal/nbd"
 	"lsvd/internal/objstore"
 	"lsvd/internal/simdev"
+	"lsvd/internal/testleak"
 )
+
+func TestMain(m *testing.M) { testleak.Main(m) }
 
 func testHost(t *testing.T, store objstore.Store, cache simdev.Device, maxVols int) *Host {
 	t.Helper()

@@ -3,8 +3,6 @@ package host
 import (
 	"bytes"
 	"context"
-	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -12,33 +10,8 @@ import (
 	"lsvd/internal/core"
 	"lsvd/internal/objstore"
 	"lsvd/internal/simdev"
+	"lsvd/internal/testrec"
 )
-
-// gatedStore blocks Put calls on the slot table until released, and
-// can be switched to fail them terminally — the two backend behaviors
-// the slot-persistence path must survive.
-type gatedStore struct {
-	objstore.Store
-	hold    chan struct{} // non-nil: slot PUTs block until closed
-	reached chan struct{} // signaled once a slot PUT has started
-	fail    atomic.Bool   // slot PUTs return a terminal error
-}
-
-func (g *gatedStore) Put(ctx context.Context, name string, data []byte) error {
-	if name == slotsKey {
-		if g.fail.Load() {
-			return objstore.ErrBadName
-		}
-		if g.hold != nil {
-			select {
-			case g.reached <- struct{}{}:
-			default:
-			}
-			<-g.hold
-		}
-	}
-	return g.Store.Put(ctx, name, data)
-}
 
 // A slow or hung slot-table PUT (it can ride a whole retry backoff
 // schedule) must not stall reads of the host state: Volumes and Disk
@@ -46,23 +19,16 @@ func (g *gatedStore) Put(ctx context.Context, name string, data []byte) error {
 // Regression test for saveSlots blocking on the backend under h.mu.
 func TestSlotSavePersistsOffHostLock(t *testing.T) {
 	ctx := context.Background()
-	g := &gatedStore{
-		Store:   objstore.NewMem(),
-		hold:    make(chan struct{}),
-		reached: make(chan struct{}, 1),
-	}
+	g := testrec.NewStore(objstore.NewMem())
 	h := testHost(t, g, simdev.NewMem(48*block.MiB), 2)
+	hold := g.Park(testrec.Puts.Named(slotsKey))
 
 	created := make(chan error, 1)
 	go func() {
 		_, err := h.Create(ctx, "v1", core.VolumeOptions{VolBytes: 4 * block.MiB})
 		created <- err
 	}()
-	select {
-	case <-g.reached:
-	case <-time.After(5 * time.Second):
-		t.Fatal("Create never reached the slot-table PUT")
-	}
+	<-hold.Arrived()
 
 	// The PUT is parked. Host-state reads must still complete.
 	stateRead := make(chan []string, 1)
@@ -80,7 +46,7 @@ func TestSlotSavePersistsOffHostLock(t *testing.T) {
 		t.Fatal("Volumes/Disk blocked behind the in-flight slot-table PUT")
 	}
 
-	close(g.hold)
+	hold.Release(nil)
 	if err := <-created; err != nil {
 		t.Fatalf("Create failed after release: %v", err)
 	}
@@ -102,7 +68,7 @@ func TestSlotSavePersistsOffHostLock(t *testing.T) {
 // rollback path introduced when saveSlots moved off the host lock.
 func TestDeleteRestoresSlotWhenSaveFails(t *testing.T) {
 	ctx := context.Background()
-	g := &gatedStore{Store: objstore.NewMem()}
+	g := testrec.NewStore(objstore.NewMem())
 	h := testHost(t, g, simdev.NewMem(48*block.MiB), 2)
 
 	d, err := h.Create(ctx, "v1", core.VolumeOptions{VolBytes: 4 * block.MiB})
@@ -113,7 +79,7 @@ func TestDeleteRestoresSlotWhenSaveFails(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	g.fail.Store(true)
+	heal := g.Fail(testrec.Puts.Named(slotsKey), objstore.ErrBadName) // terminal: no retry
 	if err := h.Delete(ctx, "v1"); err == nil {
 		t.Fatal("Delete succeeded despite the slot-table PUT failing")
 	}
@@ -129,7 +95,7 @@ func TestDeleteRestoresSlotWhenSaveFails(t *testing.T) {
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
-	g.fail.Store(false)
+	heal()
 	if err := h.Delete(ctx, "v1"); err != nil {
 		t.Fatalf("Delete after recovery: %v", err)
 	}
@@ -183,6 +149,7 @@ func TestReusedSlotDoesNotReplayDeletedVolume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(b.Kill)
 	if got := b.Stats().RecoveredReplayed; got != 1 {
 		t.Fatalf("reopen replayed %d cache records, want b's one write", got)
 	}
@@ -243,6 +210,7 @@ func TestKillAfterSlotWriteLogLapsKeepsFlushedTail(t *testing.T) {
 	if d, err = h.Open(ctx, "a", opts); err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(d.Kill)
 	got := make([]byte, blk)
 	for b, v := range latest {
 		if err := d.ReadAt(got, b*blk); err != nil {
@@ -254,24 +222,6 @@ func TestKillAfterSlotWriteLogLapsKeepsFlushedTail(t *testing.T) {
 	}
 }
 
-// parkedStore parks, from arm until release, every PUT under one
-// volume's prefix.
-type parkedStore struct {
-	objstore.Store
-	prefix  string
-	armed   atomic.Bool
-	arrived chan struct{} // one value per parked PUT
-	release chan struct{}
-}
-
-func (p *parkedStore) Put(ctx context.Context, name string, data []byte) error {
-	if p.armed.Load() && strings.HasPrefix(name, p.prefix) {
-		p.arrived <- struct{}{}
-		<-p.release
-	}
-	return p.Store.Put(ctx, name, data)
-}
-
 // A volume's write log is its slot less the two superblocks, and a
 // ring-full writer whose only in-flight object is parked behind a
 // neighbour on the host's upload gate — so its kick seals nothing and no
@@ -280,8 +230,7 @@ func (p *parkedStore) Put(ctx context.Context, name string, data []byte) error {
 // this volume's by its guaranteed share.
 func TestRingFullBehindAParkedGateSlotStillProgresses(t *testing.T) {
 	ctx := context.Background()
-	ps := &parkedStore{Store: objstore.NewMem(), prefix: volPrefix("b"),
-		arrived: make(chan struct{}, 4), release: make(chan struct{})}
+	ps := testrec.NewStore(objstore.NewMem())
 	h, err := New(ctx, Options{
 		HostOptions: core.HostOptions{Store: ps, CacheDev: simdev.NewMem(128 * block.MiB), UploadDepth: 1},
 		MaxVolumes:  2,
@@ -302,11 +251,11 @@ func TestRingFullBehindAParkedGateSlotStillProgresses(t *testing.T) {
 	}
 
 	// b takes the host's one upload slot and sits on it.
-	ps.armed.Store(true)
+	p := ps.Park(testrec.Puts.Prefixed(volPrefix("b")))
 	if err := b.WriteAt(pattern(1, int(block.MiB)), 0); err != nil {
 		t.Fatal(err)
 	}
-	<-ps.arrived
+	<-p.Arrived()
 
 	// a seals a 9 MiB batch (72 writes) behind it, then fills the 24
 	// records its log has left: under half a batch, one object in flight.
@@ -330,7 +279,7 @@ func TestRingFullBehindAParkedGateSlotStillProgresses(t *testing.T) {
 		t.Fatalf("a committed through write %d with %d objects in flight while its upload was parked on the gate",
 			st.Backend.DurableWriteSeq, st.Backend.InflightObjects)
 	}
-	close(ps.release)
+	p.Release(nil)
 	select {
 	case err := <-done:
 		if err != nil {

@@ -5,14 +5,17 @@ import (
 	"context"
 	"errors"
 	"math/rand"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"lsvd/internal/block"
 	"lsvd/internal/blockstore"
 	"lsvd/internal/objstore"
+	"lsvd/internal/testleak"
+	"lsvd/internal/testrec"
 )
+
+func TestMain(m *testing.M) { testleak.Main(m) }
 
 var ctx = context.Background()
 
@@ -38,21 +41,7 @@ func readAll(t *testing.T, s *blockstore.Store, ext block.Extent) []byte {
 	return buf
 }
 
-// limitStore errors every Put after the first allowed ones — a replica
-// backend that goes down mid-stream, leaving the shipper lagged.
-type limitStore struct {
-	objstore.Store
-	allowed atomic.Int32
-}
-
 var errDown = errors.New("replica backend down")
-
-func (s *limitStore) Put(ctx context.Context, name string, data []byte) error {
-	if s.allowed.Add(-1) < 0 {
-		return errDown
-	}
-	return s.Store.Put(ctx, name, data)
-}
 
 // waitCaughtUp blocks until the shipper's lag is zero and the replica
 // holds a superblock.
@@ -142,8 +131,7 @@ func TestShipperMirrorsVolume(t *testing.T) {
 func TestLaggedReplicaIsPrefix(t *testing.T) {
 	primary := objstore.NewMem()
 	inner := objstore.NewMem()
-	secondary := &limitStore{Store: inner}
-	secondary.allowed.Store(1 << 30)
+	secondary := testrec.NewStore(inner)
 	bs, err := blockstore.Create(ctx, blockstore.Config{
 		Volume: "vol", Store: primary, VolSectors: 1 << 20,
 		BatchBytes: 64 * 1024, CheckpointEvery: 4, Replicated: true,
@@ -164,7 +152,9 @@ func TestLaggedReplicaIsPrefix(t *testing.T) {
 		}
 	}
 	waitCaughtUp(t, sh, inner)
-	secondary.allowed.Store(3)
+	// The replica backend goes down mid-stream, three PUTs from now,
+	// leaving the shipper lagged.
+	secondary.Fail(testrec.Puts.After(3), errDown)
 	for i := 10; i < 30; i++ {
 		ext := block.Extent{LBA: block.LBA(i * 512), Sectors: 64}
 		if err := bs.Append(uint64(i+1), ext, payload(int64(i), int(ext.Bytes()))); err != nil {

@@ -8,89 +8,16 @@ import (
 	"lsvd/internal/block"
 	"lsvd/internal/journal"
 	"lsvd/internal/simdev"
+	"lsvd/internal/testrec"
 )
 
 // Crash enumeration (ROADMAP item 1d, first step): a scripted workload
 // runs once over a recording device, and then every prefix of the
 // recorded write/flush trace is crashed in every way the device model
 // allows at one-page depth — all unflushed 64 KiB pages kept, all lost,
-// each single one lost — and opened.
-
-const crashPage = 64 << 10 // simdev's crash granularity
-
-// traceOp is one device operation: a write of data at off, or a flush
-// (data nil).
-type traceOp struct {
-	off  int64
-	data []byte
-}
-
-// traceDev records the write/flush trace of the cache above it. It has
-// no vectored write, so a record lands as separate header and payload
-// writes and the trace can be cut between them. At every flush it notes
-// the newest write the script had been acknowledged: that write is
-// durable in every prefix that includes the flush.
-type traceDev struct {
-	simdev.Device
-	ops     []traceOp
-	acked   int   // index of the newest acknowledged append, -1 if none
-	durable []int // per op: acked as of the newest flush in ops[:i+1]
-}
-
-func (d *traceDev) record(op traceOp, durable int) {
-	d.ops = append(d.ops, op)
-	d.durable = append(d.durable, durable)
-}
-
-func (d *traceDev) lastDurable() int {
-	if len(d.durable) == 0 {
-		return -1
-	}
-	return d.durable[len(d.durable)-1]
-}
-
-func (d *traceDev) WriteAt(p []byte, off int64) error {
-	d.record(traceOp{off: off, data: bytes.Clone(p)}, d.lastDurable())
-	return d.Device.WriteAt(p, off)
-}
-
-func (d *traceDev) Flush() error {
-	d.record(traceOp{}, d.acked)
-	return d.Device.Flush()
-}
-
-// imageDev is a crashed device: base, with at most one page taken from
-// alt instead, under the writes of the Open that examines it.
-type imageDev struct {
-	base, alt []byte
-	altPage   int64 // -1: none
-	written   []traceOp
-}
-
-func (d *imageDev) Size() int64  { return int64(len(d.base)) }
-func (d *imageDev) Flush() error { return nil }
-
-func (d *imageDev) WriteAt(p []byte, off int64) error {
-	d.written = append(d.written, traceOp{off: off, data: bytes.Clone(p)})
-	return nil
-}
-
-func (d *imageDev) ReadAt(p []byte, off int64) error {
-	overlay := func(src []byte, srcOff int64) {
-		lo, hi := max(off, srcOff), min(off+int64(len(p)), srcOff+int64(len(src)))
-		if lo < hi {
-			copy(p[lo-off:hi-off], src[lo-srcOff:hi-srcOff])
-		}
-	}
-	overlay(d.base, 0)
-	if d.altPage >= 0 {
-		overlay(d.alt[d.altPage*crashPage:(d.altPage+1)*crashPage], d.altPage*crashPage)
-	}
-	for _, w := range d.written {
-		overlay(w.data, w.off)
-	}
-	return nil
-}
+// each single one lost — and opened. A record's header and payload are
+// separate writes in the trace, so a prefix can hold one without the
+// other.
 
 // logged is one append of the script.
 type logged struct {
@@ -98,32 +25,27 @@ type logged struct {
 	typ  journal.Type
 	ext  block.Extent
 	data []byte
-	// dead is the trace length from which the record must never be
-	// recovered again: it was unflushed when a lost page cut it off and
-	// the next Open discarded it. Zero: never.
-	dead int
+	// dead is the stamp from which the record must never be recovered
+	// again: it was unflushed when a lost page cut it off and the next
+	// Open discarded it. Zero: never.
+	dead uint64
 }
 
 // crashScript is the workload: two ring laps of mixed records with a
 // flush every few, the backend trailing a few records behind, one
 // explicit checkpoint, trims, and in the middle a lost page followed by
-// a reopen that appends into the hole.
+// a reopen that appends into the hole. Its notes in the device's log:
+// "acked i" once append i returned, "destaged ws" once the cache was
+// told the backend holds every write up to ws.
 type crashScript struct {
 	t   *testing.T
-	dev *traceDev
+	dev *testrec.Device
 	cfg Config
 	c   *Cache
 
 	log      []logged
 	ws       uint64
-	destaged []destageMark
-}
-
-// destageMark: from trace length at on, the cache has been told the
-// backend holds every write up to ws.
-type destageMark struct {
-	at int
-	ws uint64
+	destaged uint64 // the newest watermark told to the cache
 }
 
 func (s *crashScript) append(typ journal.Type, sectors uint32) {
@@ -142,15 +64,16 @@ func (s *crashScript) append(typ journal.Type, sectors uint32) {
 		s.t.Fatalf("append %d: %v", id, err)
 	}
 	s.log = append(s.log, rec)
-	s.dev.acked = id
+	s.dev.Note("acked", int64(id))
 }
 
 func (s *crashScript) destage(idx int) {
 	if idx < 0 {
 		return
 	}
-	s.c.SetDestaged(s.log[idx].ws)
-	s.destaged = append(s.destaged, destageMark{len(s.dev.ops), s.log[idx].ws})
+	s.destaged = s.log[idx].ws
+	s.c.SetDestaged(s.destaged)
+	s.dev.Note("destaged", int64(s.destaged))
 }
 
 // lap appends a ring and a half of records, so the head chases the
@@ -204,15 +127,15 @@ func (s *crashScript) run() {
 	s.append(journal.TypeData, 120)
 	bOff := s.c.ring[len(s.c.ring)-1].off
 	s.append(journal.TypeData, 120)
+	dead := s.dev.Note("acked", int64(a))
+	s.log[a+1].dead, s.log[a+2].dead = dead, dead
 	if err := s.dev.WriteAt(make([]byte, block.BlockSize), bOff+2*block.BlockSize); err != nil {
 		s.t.Fatal(err)
 	}
-	s.log[a+1].dead, s.log[a+2].dead = len(s.dev.ops), len(s.dev.ops)
-	s.dev.acked = a
 	if s.c, err = Open(s.dev); err != nil {
 		s.t.Fatal(err)
 	}
-	d := s.destaged[len(s.destaged)-1].ws
+	d := s.destaged
 	if err := s.c.Reconcile(d); err != nil {
 		s.t.Fatal(err)
 	}
@@ -226,20 +149,27 @@ func (s *crashScript) run() {
 	}
 }
 
-// check opens one crashed image of the first n trace ops and returns a
-// description of the first violation, or "".
-func (s *crashScript) check(img *imageDev, n int) string {
-	live := func(i int) bool { return s.log[i].dead == 0 || n < s.log[i].dead }
+// check opens one crashed image of the trace as of the end of prefix,
+// a prefix of the device's log, and returns a description of the first
+// violation, or "".
+func (s *crashScript) check(img simdev.Device, prefix []testrec.Op) string {
+	stamp := uint64(len(prefix))
+	live := func(i int) bool { return s.log[i].dead == 0 || stamp < s.log[i].dead }
 	// owed: the appends this crash must give back — flushed, not
 	// discarded since, and newer than what the backend holds.
-	var destaged uint64
-	for _, d := range s.destaged {
-		if d.at <= n {
-			destaged = d.ws
+	acked, durable, destaged := int64(-1), int64(-1), uint64(0)
+	for _, op := range prefix {
+		switch {
+		case op.Kind == testrec.Note && op.Name == "acked":
+			acked = op.Off
+		case op.Kind == testrec.Note:
+			destaged = uint64(op.Off)
+		case op.Kind == testrec.Flush && op.Done:
+			durable = acked
 		}
 	}
 	var owed []int
-	for i := 0; n > 0 && i <= s.dev.durable[n-1]; i++ {
+	for i := 0; int64(i) <= durable; i++ {
 		if live(i) && s.log[i].ws > destaged {
 			owed = append(owed, i)
 		}
@@ -286,59 +216,49 @@ func (s *crashScript) check(img *imageDev, n int) string {
 }
 
 func TestCrashEnumeration(t *testing.T) {
-	cfg := Config{CheckpointBytes: crashPage - superBytes} // the log starts on a page boundary
-	size := int64(crashPage + 4*block.MiB)
-	s := &crashScript{t: t, cfg: cfg, dev: &traceDev{Device: simdev.NewMem(size), acked: -1}}
+	cfg := Config{CheckpointBytes: testrec.Page - superBytes} // the log starts on a page boundary
+	size := int64(testrec.Page + 4*block.MiB)
+	s := &crashScript{t: t, cfg: cfg, dev: testrec.NewDevice(simdev.NewMem(size))}
 	s.run()
 
-	// cur is the device with every write of the prefix applied, dur the
-	// device as of the prefix's last flush; dirty lists the pages that
-	// differ, which are the ones a crash may roll back.
-	cur, dur := make([]byte, size), make([]byte, size)
-	dirty := map[int64]bool{}
-	points, violations := 0, 0
-	try := func(n int, img *imageDev, what string) {
-		points++
-		if v := s.check(img, n); v != "" {
-			if violations++; violations <= 5 {
-				t.Errorf("crash after %d of %d device ops, %s: %s", n, len(s.dev.ops), what, v)
-			}
-		}
-	}
-	for n := 0; n <= len(s.dev.ops); n++ {
-		if n > 0 {
-			if op := s.dev.ops[n-1]; op.data == nil {
-				for pg := range dirty {
-					copy(dur[pg*crashPage:(pg+1)*crashPage], cur[pg*crashPage:])
-				}
-				clear(dirty)
-			} else {
-				copy(cur[op.off:], op.data)
-				for pg := op.off / crashPage; pg*crashPage < op.off+int64(len(op.data)); pg++ {
-					dirty[pg] = true
-				}
-			}
-		}
-		try(n, &imageDev{base: cur, altPage: -1}, "every unflushed page kept")
-		if len(dirty) == 0 {
+	// A crash point follows every completed device write and flush.
+	log := s.dev.Log()
+	ops := []uint64{0}
+	pads, supers := 0, 0
+	for _, op := range log {
+		if !op.Done || (op.Kind != testrec.Write && op.Kind != testrec.Flush) {
 			continue
 		}
-		try(n, &imageDev{base: dur, altPage: -1}, "every unflushed page lost")
-		for pg := range dirty {
-			try(n, &imageDev{base: cur, alt: dur, altPage: pg}, fmt.Sprintf("page %d lost", pg))
-		}
-	}
-	pads, supers := 0, 0
-	for _, op := range s.dev.ops {
-		if h, _, err := journal.DecodeHeader(op.data); err == nil && h.Type == journal.TypePad {
+		ops = append(ops, op.Stamp)
+		if h, _, err := journal.DecodeHeader(op.Data); err == nil && h.Type == journal.TypePad {
 			pads++
 		} else if err == nil && h.Type == journal.TypeSuper {
 			supers++
+		}
+	}
+	points, violations := 0, 0
+	try := func(n int, lost []int64, what string) {
+		points++
+		if v := s.check(s.dev.Image(ops[n], lost), log[:ops[n]]); v != "" {
+			if violations++; violations <= 5 {
+				t.Errorf("crash after %d of %d device ops, %s: %s", n, len(ops)-1, what, v)
+			}
+		}
+	}
+	for n := range ops {
+		try(n, nil, "every unflushed page kept")
+		dirty := s.dev.Unflushed(ops[n])
+		if len(dirty) == 0 {
+			continue
+		}
+		try(n, dirty, "every unflushed page lost")
+		for _, pg := range dirty {
+			try(n, []int64{pg}, fmt.Sprintf("page %d lost", pg))
 		}
 	}
 	if pads == 0 {
 		t.Error("the script never wrapped the ring with a pad")
 	}
 	t.Logf("%d appends, %d pads, %d superblocks, %d device ops: %d crash points, %d violations",
-		len(s.log), pads, supers, len(s.dev.ops), points, violations)
+		len(s.log), pads, supers, len(ops)-1, points, violations)
 }

@@ -9,6 +9,7 @@ import (
 	"lsvd/internal/block"
 	"lsvd/internal/journal"
 	"lsvd/internal/simdev"
+	"lsvd/internal/testrec"
 )
 
 func newCache(t *testing.T, devBytes int64, cfg Config) (*Cache, *simdev.MemDevice) {
@@ -474,33 +475,13 @@ func TestLiveRecordCountNeverFailsAppend(t *testing.T) {
 	}
 }
 
-// failDev fails every write and flush once armed.
-type failDev struct {
-	simdev.Device
-	err error
-}
-
-func (d *failDev) WriteAt(p []byte, off int64) error {
-	if d.err != nil {
-		return d.err
-	}
-	return d.Device.WriteAt(p, off)
-}
-
-func (d *failDev) Flush() error {
-	if d.err != nil {
-		return d.err
-	}
-	return d.Device.Flush()
-}
-
 // Reserve fails in three ways only: ErrFull, a record larger than the
 // log, and a device error — which is sticky, whether it came from a
 // record write, a pad or the superblock an eviction needed.
 func TestReserveErrors(t *testing.T) {
 	boom := errors.New("device gone")
 	for _, destage := range []bool{false, true} {
-		dev := &failDev{Device: simdev.NewMem(8*block.MiB + superBytes)}
+		dev := testrec.NewDevice(simdev.NewMem(8*block.MiB + superBytes))
 		c, err := Format(dev, Config{CheckpointBytes: 2 * block.BlockSize})
 		if err != nil {
 			t.Fatal(err)
@@ -525,7 +506,7 @@ func TestReserveErrors(t *testing.T) {
 		if destage {
 			c.SetDestaged(ws)
 		}
-		dev.err = boom
+		heal := dev.Fail(testrec.Kinds(testrec.Write, testrec.Flush), boom)
 		_, err = c.Reserve(ws+1, journal.TypeData, ext, len(data))
 		if !destage {
 			if !errors.Is(err, ErrFull) {
@@ -539,7 +520,7 @@ func TestReserveErrors(t *testing.T) {
 		if c.Stats().Evictions != 0 {
 			t.Fatal("a record was released though the superblock that frees it never landed")
 		}
-		dev.err = nil
+		heal()
 		if _, err := c.Reserve(ws+1, journal.TypeData, ext, len(data)); !errors.Is(err, boom) {
 			t.Fatalf("device error not sticky: %v", err)
 		}
