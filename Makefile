@@ -124,10 +124,10 @@ vet-lsvd-update-baseline:
 	$(GO) build -o bin/lsvd-vet ./cmd/lsvd-vet
 	./bin/lsvd-vet -write-baseline vet-baseline.json ./...
 
-# Runtime invariant layer: rebuild with -tags lsvdcheck so the asserts,
-# lock-order tracking, and goroutine guards are compiled in, then run
-# the fault-torture and concurrency stress packages under the race
-# detector.
+# Runtime invariant layer: rebuild with -tags lsvdcheck so the asserts
+# are compiled in, then run the fault-torture and concurrency stress
+# packages under the race detector. Lock order is checked statically,
+# by vet-lsvd.
 check-invariant:
 	LSVD_FAULT_SEED=1 $(GO) test -count=1 -tags lsvdcheck -race \
 		$(RACE_PKGS) ./internal/invariant

@@ -38,7 +38,7 @@ func newErrclass() *Analyzer {
 				if !ok {
 					return true
 				}
-				callee := calleeOf(pass.Info, call)
+				callee := calleeOf(pass.Info, call.Fun)
 				if callee == nil || callee.Pkg() == nil || callee.Pkg().Path() != objstorePath {
 					return true
 				}

@@ -27,18 +27,27 @@ import (
 //   - Requires[F]: the //lsvd:requires contract — locks the caller
 //     must hold on entry.
 //
-// Dynamic calls are handled conservatively: a call through a function
-// value or an interface method cannot be resolved, so no summary flows
-// through it (callers must not assume it is pure — consumers that need
-// soundness on that front, like spinwait, treat unresolvable calls as
-// disqualifying). Function literals that escape or run on their own
+// A call through a func-typed struct field (s.cfg.GCBackoff()) reaches
+// every function the target set binds to that field, by composite-
+// literal key or field assignment: a function literal, a method value
+// or a named function (Bound). Bound literals are call-graph nodes of
+// their own, summarized like declared functions. Other dynamic calls —
+// through a local variable or parameter, a func value passed to another
+// function, an interface method — stay unresolved, so no summary flows
+// through them (callers must not assume they are pure — consumers that
+// need soundness on that front, like spinwait, treat unresolvable calls
+// as disqualifying). Function literals that escape or run on their own
 // goroutine are walked as independent roots, exactly as in the flow
 // walker. Calls into packages outside the analyzed target set resolve
 // to empty summaries.
 type Interproc struct {
 	// Funcs indexes every declared function in the target set by its
-	// stable key (types.Func.FullName).
+	// stable key (types.Func.FullName), and every bound function
+	// literal by its position.
 	Funcs map[string]*ipFunc
+	// Bound[field]: the Funcs keys bound to a func-typed struct field,
+	// keyed by fieldKey.
+	Bound map[string][]string
 	// Requires: declared //lsvd:requires contracts, keyed like Funcs.
 	Requires map[string][]string
 	// Blocking[fn][lock]: blocking ops reachable while the caller's
@@ -66,8 +75,7 @@ type blockEntry struct {
 // ipFunc is one call-graph node.
 type ipFunc struct {
 	key  string
-	fn   *types.Func
-	decl *ast.FuncDecl
+	body *ast.BlockStmt
 	pass *Pass // bare per-package context for walking
 
 	calls   map[string]bool // resolved module callees, own goroutine
@@ -97,6 +105,7 @@ func funcKey(fn *types.Func) string { return fn.FullName() }
 func buildInterproc(l *Loader, pkgs []*Package, anns []*Annotations) *Interproc {
 	ip := &Interproc{
 		Funcs:       make(map[string]*ipFunc),
+		Bound:       make(map[string][]string),
 		Requires:    make(map[string][]string),
 		Blocking:    make(map[string]map[string]map[blockEntry]bool),
 		Acquired:    make(map[string]map[string]map[string]bool),
@@ -106,16 +115,19 @@ func buildInterproc(l *Loader, pkgs []*Package, anns []*Annotations) *Interproc 
 		ip.Locks = append([]string(nil), anns[0].Global.LockNames...)
 	}
 
-	// Index every declared function and resolve its //lsvd:requires.
+	// Index every declared function and resolve its //lsvd:requires;
+	// index every field binding. Both are complete before any walk, which
+	// resolves field calls across packages through Bound.
 	for i, p := range pkgs {
-		pass := &Pass{Fset: l.Fset, Files: p.Files, Pkg: p.Pkg, Info: p.Info, Ann: anns[i]}
+		pass := &Pass{Fset: l.Fset, Files: p.Files, Pkg: p.Pkg, Info: p.Info, Ann: anns[i], IP: ip}
 		for fn, fd := range declaredFuncs(pass) {
 			key := funcKey(fn)
-			ip.Funcs[key] = &ipFunc{key: key, fn: fn, decl: fd, pass: pass}
+			ip.Funcs[key] = &ipFunc{key: key, body: fd.Body, pass: pass}
 			if req := anns[i].Requires[fn]; len(req) > 0 {
 				ip.Requires[key] = uniqStrings(req)
 			}
 		}
+		ip.bindFields(pass)
 	}
 
 	// Base facts: one unlocked walk per function (call edges, blocking
@@ -132,17 +144,16 @@ func buildInterproc(l *Loader, pkgs []*Package, anns []*Annotations) *Interproc 
 		f.callsHeld = make(map[string]map[string]bool)
 		f.blockHeld = make(map[string]map[blockEntry]bool)
 		f.acqHeld = make(map[string]map[string]bool)
-		f.touches = touchedLocks(f.pass, f.decl)
+		f.touches = touchedLocks(f.pass, f.body)
 
-		walkFunc(f.pass, f.decl.Body, nil, flowEvents{
+		walkFunc(f.pass, f.body, nil, flowEvents{
 			onAnyBlocking: func(pos token.Pos, desc string) {
 				f.anyBlock[blockEntry{desc, pos}] = true
 			},
-			onAnyCall: func(pos token.Pos, callee *types.Func) {
-				k := funcKey(callee)
-				f.calls[k] = true
-				if _, ok := f.callPos[k]; !ok {
-					f.callPos[k] = pos
+			onAnyCall: func(pos token.Pos, callee string) {
+				f.calls[callee] = true
+				if _, ok := f.callPos[callee]; !ok {
+					f.callPos[callee] = pos
 				}
 			},
 			onAcquire: func(pos token.Pos, lock string, held []string) {
@@ -155,15 +166,15 @@ func buildInterproc(l *Loader, pkgs []*Package, anns []*Annotations) *Interproc 
 			ents := make(map[blockEntry]bool)
 			calls := make(map[string]bool)
 			acq := make(map[string]bool)
-			walkFunc(f.pass, f.decl.Body, []string{lock}, flowEvents{
+			walkFunc(f.pass, f.body, []string{lock}, flowEvents{
 				onBlocking: func(pos token.Pos, desc string, held []string) {
 					if containsStr(held, lock) {
 						ents[blockEntry{desc, pos}] = true
 					}
 				},
-				onCall: func(pos token.Pos, callee *types.Func, held []string) {
+				onCall: func(pos token.Pos, callee, _ string, held []string) {
 					if containsStr(held, lock) {
-						calls[funcKey(callee)] = true
+						calls[callee] = true
 					}
 				},
 				onAcquire: func(pos token.Pos, acquired string, held []string) {
@@ -305,12 +316,84 @@ func cloneStrSet(in map[string]bool) map[string]bool {
 	return out
 }
 
-// touchedLocks prescans a declaration for identifiers resolving to
-// annotated mutex fields: the locks whose held-state the body could
-// change. A conservative superset — any mention counts.
-func touchedLocks(pass *Pass, fd *ast.FuncDecl) map[string]bool {
+// bindFields indexes what a package binds to struct fields, through
+// composite-literal keys and field assignments: function literals,
+// method values and named functions. A bound literal becomes a
+// call-graph node of its own.
+func (ip *Interproc) bindFields(pass *Pass) {
+	bind := func(field string, v ast.Expr) {
+		if field == "" {
+			return
+		}
+		var key string
+		if lit, ok := ast.Unparen(v).(*ast.FuncLit); ok {
+			key = "func literal at " + pass.Fset.Position(lit.Pos()).String()
+			ip.Funcs[key] = &ipFunc{key: key, body: lit.Body, pass: pass}
+		} else if fn := calleeOf(pass.Info, v); fn != nil {
+			key = funcKey(fn)
+		}
+		if key != "" && !containsStr(ip.Bound[field], key) {
+			ip.Bound[field] = append(ip.Bound[field], key)
+		}
+	}
+	for _, f := range pass.Files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.CompositeLit:
+				for _, elt := range n.Elts {
+					if kv, ok := elt.(*ast.KeyValueExpr); ok {
+						if id, ok := kv.Key.(*ast.Ident); ok {
+							bind(fieldKey(pass.Info.TypeOf(n), id.Name), kv.Value)
+						}
+					}
+				}
+			case *ast.AssignStmt:
+				if len(n.Lhs) == len(n.Rhs) {
+					for i, lhs := range n.Lhs {
+						if sel, ok := ast.Unparen(lhs).(*ast.SelectorExpr); ok {
+							bind(selectedField(pass.Info, sel), n.Rhs[i])
+						}
+					}
+				}
+			}
+			return true
+		})
+	}
+}
+
+// fieldKey names a struct field module-wide by its owning named type
+// ("lsvd/internal/blockstore.Config.GCBackoff"): every package
+// type-checks on its own, so an importer's field object is not the
+// declaring package's, but the name is the same. "" when owner is not
+// a named type.
+func fieldKey(owner types.Type, name string) string {
+	if p, ok := owner.(*types.Pointer); ok {
+		owner = p.Elem()
+	}
+	n, ok := owner.(*types.Named)
+	if !ok {
+		return ""
+	}
+	return n.Obj().Pkg().Path() + "." + n.Obj().Name() + "." + name
+}
+
+// selectedField returns the fieldKey of a selector naming a field the
+// receiver declares itself; "" for any other selector, a field promoted
+// from an embedded struct included.
+func selectedField(info *types.Info, sel *ast.SelectorExpr) string {
+	s := info.Selections[sel]
+	if s == nil || s.Kind() != types.FieldVal || len(s.Index()) != 1 {
+		return ""
+	}
+	return fieldKey(s.Recv(), sel.Sel.Name)
+}
+
+// touchedLocks prescans a body for identifiers resolving to annotated
+// mutex fields: the locks whose held-state the body could change. A
+// conservative superset — any mention counts.
+func touchedLocks(pass *Pass, body *ast.BlockStmt) map[string]bool {
 	touched := make(map[string]bool)
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
+	ast.Inspect(body, func(n ast.Node) bool {
 		id, ok := n.(*ast.Ident)
 		if !ok {
 			return true

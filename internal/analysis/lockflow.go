@@ -38,12 +38,15 @@ type flowEvents struct {
 	// onAcquire fires when an annotated lock is acquired; held is the
 	// set before the acquisition.
 	onAcquire func(pos token.Pos, lock string, held []string)
-	// onCall fires for a statically-resolved call to a module function.
-	onCall func(pos token.Pos, callee *types.Func, held []string)
-	// onAnyCall fires for a statically-resolved module call made on the
-	// function's own goroutine (spawned bodies excluded), regardless of
-	// locks: the call-graph edge set.
-	onAnyCall func(pos token.Pos, callee *types.Func)
+	// onCall fires for a resolved call to a module function: callee is
+	// its Interproc.Funcs key, name what a message calls it. A call
+	// through a func-typed struct field fires once per function the
+	// module binds to that field (Interproc.Bound).
+	onCall func(pos token.Pos, callee, name string, held []string)
+	// onAnyCall fires for a resolved module call made on the function's
+	// own goroutine (spawned bodies excluded), regardless of locks: the
+	// call-graph edge set.
+	onAnyCall func(pos token.Pos, callee string)
 }
 
 type lockWalker struct {
@@ -344,21 +347,33 @@ func (w *lockWalker) call(call *ast.CallExpr) {
 			}
 		}
 	}
-	fn := calleeOf(w.pass.Info, call)
+	fn := calleeOf(w.pass.Info, call.Fun)
 	if fn == nil {
+		if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
+			for _, key := range w.pass.IP.Bound[selectedField(w.pass.Info, sel)] {
+				w.moduleCall(call.Pos(), key, sel.Sel.Name)
+			}
+		}
 		return
 	}
 	if desc, isBlocking := blockingCallee(fn); isBlocking {
 		w.blocking(call.Pos(), desc)
 		return
 	}
-	if fn.Pkg() != nil && isModulePath(fn.Pkg().Path()) && !w.pass.Ann.IgnoredAt(call.Pos()) {
-		if w.ev.onAnyCall != nil && w.rootDepth == 0 {
-			w.ev.onAnyCall(call.Pos(), fn)
-		}
-		if w.ev.onCall != nil {
-			w.ev.onCall(call.Pos(), fn, cloneHeld(w.held))
-		}
+	if fn.Pkg() != nil && isModulePath(fn.Pkg().Path()) {
+		w.moduleCall(call.Pos(), funcKey(fn), fn.Name())
+	}
+}
+
+func (w *lockWalker) moduleCall(pos token.Pos, key, name string) {
+	if w.pass.Ann.IgnoredAt(pos) {
+		return
+	}
+	if w.ev.onAnyCall != nil && w.rootDepth == 0 {
+		w.ev.onAnyCall(pos, key)
+	}
+	if w.ev.onCall != nil {
+		w.ev.onCall(pos, key, name, cloneHeld(w.held))
 	}
 }
 
@@ -399,11 +414,13 @@ func (w *lockWalker) lockName(e ast.Expr) (string, bool) {
 	return name, ok
 }
 
-// calleeOf returns the statically-resolved callee of a call, if any
-// (package functions, methods, interface methods; nil for func values
-// and builtins).
-func calleeOf(info *types.Info, call *ast.CallExpr) *types.Func {
-	switch fun := ast.Unparen(call.Fun).(type) {
+// calleeOf returns the function an expression statically names, if any
+// (package functions, methods and method values, interface methods; nil
+// for func values and builtins). Given a call's Fun it is the callee;
+// calls through a func-typed struct field resolve through
+// Interproc.Bound instead.
+func calleeOf(info *types.Info, fun ast.Expr) *types.Func {
+	switch fun := ast.Unparen(fun).(type) {
 	case *ast.Ident:
 		fn, _ := info.Uses[fun].(*types.Func)
 		return fn

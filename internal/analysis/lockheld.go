@@ -47,18 +47,17 @@ func newLockheld() *Analyzer {
 				onBlocking: func(pos token.Pos, desc string, held []string) {
 					pass.Reportf(pos, "%s while holding %s", desc, strings.Join(uniqStrings(held), ", "))
 				},
-				onCall: func(pos token.Pos, callee *types.Func, held []string) {
-					ckey := funcKey(callee)
+				onCall: func(pos token.Pos, callee, name string, held []string) {
 					heldSet := uniqStrings(held)
-					for _, r := range ip.Requires[ckey] {
+					for _, r := range ip.Requires[callee] {
 						if !containsStr(heldSet, r) {
-							pass.Reportf(pos, "call to %s requires %s held (//lsvd:requires), but it is not held here", callee.Name(), r)
+							pass.Reportf(pos, "call to %s requires %s held (//lsvd:requires), but it is not held here", name, r)
 						}
 					}
 					for _, l := range heldSet {
-						if e, ok := minBlockEntry(ip.Blocking[ckey][l]); ok {
+						if e, ok := minBlockEntry(ip.Blocking[callee][l]); ok {
 							pass.Reportf(pos, "call to %s may block while holding %s: reaches %s at %s",
-								callee.Name(), l, e.desc, pass.Fset.Position(e.pos))
+								name, l, e.desc, pass.Fset.Position(e.pos))
 						}
 					}
 				},

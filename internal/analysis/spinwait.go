@@ -222,7 +222,7 @@ func classifySpinCall(pass *Pass, call *ast.CallExpr, stmtPos bool) spinCallClas
 			return spinBenign
 		}
 	}
-	fn := calleeOf(pass.Info, call)
+	fn := calleeOf(pass.Info, call.Fun)
 	if fn == nil {
 		return spinWork // func value / unresolvable: assume real work
 	}

@@ -1,8 +1,10 @@
 // Package lockorder is the golden self-test for the lockorder
 // analyzer: a direct two-lock cycle (a<->b), an indirect cycle closed
-// through a call chain (a->c directly, c->a via a helper call), a
-// re-acquisition self-edge, and a private helper lock that must NOT
-// contribute edges because nobody calls it with another lock held.
+// through a call chain (a->c directly, c->a via a helper call), two
+// cycles closed through calls via func-typed struct fields (one bound
+// to a function literal, one to a method value), a re-acquisition
+// self-edge, and a private helper lock that must NOT contribute edges
+// because nobody calls it with another lock held.
 package lockorder
 
 import "sync"
@@ -43,6 +45,67 @@ func (p *pair) cThenCallA() {
 	p.c.Lock()
 	defer p.c.Unlock()
 	p.lockA() // want "lock order cycle"
+}
+
+// collector calls its hooks with its own lock held, the way the block
+// store's GC calls Config.GCBackoff and Config.FetchFromCache under
+// bs.mu.
+type collector struct {
+	mu    sync.Mutex //lsvd:lock order.gc
+	poll  func() bool
+	fetch func() bool
+}
+
+func (g *collector) pass() {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if g.poll() { // want "lock order cycle"
+		return
+	}
+	g.fetch() // want "lock order cycle"
+}
+
+type ring struct {
+	mu sync.Mutex //lsvd:lock order.ring
+}
+
+func (r *ring) busy() bool {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return false
+}
+
+type cache struct {
+	mu sync.Mutex //lsvd:lock order.cache
+}
+
+func (c *cache) read() bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return true
+}
+
+// newCollector binds poll to a literal by composite-literal key and
+// fetch to a method value by field assignment.
+func newCollector(r *ring, c *cache) *collector {
+	g := &collector{poll: func() bool { return r.busy() }}
+	g.fetch = c.read
+	return g
+}
+
+// The reverse orders, each taken directly.
+func (r *ring) drainInto(g *collector) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	g.mu.Lock() // want "lock order cycle"
+	g.mu.Unlock()
+}
+
+func (c *cache) evictFrom(g *collector) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	g.mu.Lock() // want "lock order cycle"
+	g.mu.Unlock()
 }
 
 type reentry struct {

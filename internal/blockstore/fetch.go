@@ -61,7 +61,6 @@ func (f *Fetch) Release() {
 		return
 	}
 	f.s.fetchMu.Lock()
-	invariant.LockOrder("bs.fetchMu")
 	f.f.refs--
 	invariant.Assertf(f.f.refs >= 0,
 		"blockstore: fetch window %d@[%d,%d) released more times than acquired",
@@ -69,7 +68,6 @@ func (f *Fetch) Release() {
 	if f.f.refs <= 0 {
 		delete(f.s.flights, f.f.key)
 	}
-	invariant.LockRelease("bs.fetchMu")
 	f.s.fetchMu.Unlock()
 	f.f = nil
 }
@@ -111,10 +109,8 @@ func (s *Store) FetchSpan(runs []extmap.Run, windowSectors uint32) (*Fetch, erro
 		}
 	}
 	s.mu.RLock()
-	invariant.LockOrder("bs.mu")
 	o := s.objects[obj]
 	name := s.name(obj)
-	invariant.LockRelease("bs.mu")
 	s.mu.RUnlock()
 	if q := block.LBA(windowSectors); q > 0 && o != nil {
 		// Align to the prefetch quantum within the data region so
@@ -136,10 +132,8 @@ func (s *Store) FetchSpan(runs []extmap.Run, windowSectors uint32) (*Fetch, erro
 	key := fetchKey{obj: obj, lo: lo, hi: hi}
 
 	s.fetchMu.Lock()
-	invariant.LockOrder("bs.fetchMu")
 	if f, ok := s.flights[key]; ok {
 		f.refs++
-		invariant.LockRelease("bs.fetchMu")
 		s.fetchMu.Unlock()
 		<-f.done
 		if f.err != nil {
@@ -152,7 +146,6 @@ func (s *Store) FetchSpan(runs []extmap.Run, windowSectors uint32) (*Fetch, erro
 	}
 	f := &flight{key: key, done: make(chan struct{}), refs: 1}
 	s.flights[key] = f
-	invariant.LockRelease("bs.fetchMu")
 	s.fetchMu.Unlock()
 
 	if s.fetchSem != nil {
@@ -169,9 +162,7 @@ func (s *Store) FetchSpan(runs []extmap.Run, windowSectors uint32) (*Fetch, erro
 	f.raw, f.err = raw, err
 	if err != nil {
 		s.fetchMu.Lock()
-		invariant.LockOrder("bs.fetchMu")
 		delete(s.flights, key)
-		invariant.LockRelease("bs.fetchMu")
 		s.fetchMu.Unlock()
 		close(f.done)
 		return nil, err

@@ -62,9 +62,7 @@ const gcIdleWait = 5 * time.Millisecond
 // single-flight; fences and Abort wait for it via commitCond.
 func (s *Store) RunGC() error {
 	s.mu.Lock()
-	invariant.LockOrder("bs.mu")
 	defer s.mu.Unlock()
-	defer invariant.LockRelease("bs.mu")
 	if s.readOnly {
 		return ErrReadOnly
 	}
@@ -109,16 +107,13 @@ func (s *Store) startGCService() {
 // Stopping an already-stopped (or never-started) service is a no-op.
 func (s *Store) StopGC() {
 	s.mu.Lock()
-	invariant.LockOrder("bs.mu")
 	done := s.gcDone
 	if done == nil {
-		invariant.LockRelease("bs.mu")
 		s.mu.Unlock()
 		return
 	}
 	s.gcStop = true
 	s.gcCond.Broadcast()
-	invariant.LockRelease("bs.mu")
 	s.mu.Unlock()
 	<-done
 	s.mu.Lock()
@@ -166,13 +161,11 @@ func (s *Store) gcService() {
 	// The claim spans the whole loop: gcCond/commitCond waits and the
 	// lock drops inside writeGCObjectLocked touch no other named lock,
 	// while the paths that DO cross layers under mu — GCBackoff →
-	// wcache.DestagePressure and FetchFromCache → wcache — record the
-	// bs.mu → wcache.mu edge the lockdep checks against FetchSpan and
-	// the destage side.
+	// wcache.DestagePressure and FetchFromCache → wcache — take
+	// wcache.mu, so bs.mu → wcache.mu is the order lsvd-vet's lockorder
+	// holds every other path to.
 	s.mu.Lock()
-	invariant.LockOrder("bs.mu")
 	defer s.mu.Unlock()
-	defer invariant.LockRelease("bs.mu")
 	defer close(s.gcDone)
 	for {
 		for !s.gcStop && !s.aborting &&
@@ -276,10 +269,7 @@ func (s *Store) gcAwaitBudgetLocked(need int64) error {
 		epoch := s.gcRefills
 		grant := s.cfg.BatchBytes
 		t := time.AfterFunc(gcIdleWait, func() {
-			// Timer goroutine: its own lockdep stack, so the claim here
-			// cannot collide with the parked pass that armed it.
 			s.mu.Lock()
-			invariant.LockOrder("bs.mu")
 			if s.gcRefills == epoch {
 				s.gcBudget += grant
 				// Same burst cap as the foreground refill: a pass parked
@@ -291,7 +281,6 @@ func (s *Store) gcAwaitBudgetLocked(need int64) error {
 				s.gcRefills++
 			}
 			s.gcCond.Broadcast()
-			invariant.LockRelease("bs.mu")
 			s.mu.Unlock()
 		})
 		s.gcCond.Wait()

@@ -3,7 +3,6 @@ package blockstore
 import (
 	"sort"
 
-	"lsvd/internal/invariant"
 	"lsvd/internal/journal"
 	"lsvd/internal/objstore"
 )
@@ -91,12 +90,8 @@ func (s *Store) shipPublishLocked(seq uint32, typ journal.Type, bytes int64) {
 // replica and acks without copying what is already there), so deferred
 // deletions stay pinned until each object is confirmed on the replica.
 func (s *Store) ShipAttach() []ShipEvent {
-	invariant.LockOrder("bs.mu")
 	s.mu.Lock()
-	defer func() {
-		s.mu.Unlock()
-		invariant.LockRelease("bs.mu")
-	}()
+	defer s.mu.Unlock()
 	s.shipAttached = true
 	s.shipClosed = false
 	s.shipFeed = nil
@@ -125,12 +120,8 @@ func (s *Store) ShipAttach() []ShipEvent {
 // it. The second return is false only when the feed is closed AND
 // empty — a drain-mode close delivers every queued event first.
 func (s *Store) ShipNext() ([]ShipEvent, bool) {
-	invariant.LockOrder("bs.mu")
 	s.mu.Lock()
-	defer func() {
-		s.mu.Unlock()
-		invariant.LockRelease("bs.mu")
-	}()
+	defer s.mu.Unlock()
 	for len(s.shipFeed) == 0 && !s.shipClosed {
 		s.shipCond.Wait()
 	}
@@ -147,12 +138,8 @@ func (s *Store) ShipAck(ev ShipEvent) {
 	if ev.IsSuper() {
 		return
 	}
-	invariant.LockOrder("bs.mu")
 	s.mu.Lock()
-	defer func() {
-		s.mu.Unlock()
-		invariant.LockRelease("bs.mu")
-	}()
+	defer s.mu.Unlock()
 	if _, ok := s.shipUnacked[ev.Seq]; !ok {
 		return
 	}
@@ -206,12 +193,8 @@ func (s *Store) shipPinnedLocked(obj uint32) bool {
 // ShipClose detaches the feed. drain=true leaves queued events for the
 // shipper to finish (clean close); drain=false drops them (Kill).
 func (s *Store) ShipClose(drain bool) {
-	invariant.LockOrder("bs.mu")
 	s.mu.Lock()
-	defer func() {
-		s.mu.Unlock()
-		invariant.LockRelease("bs.mu")
-	}()
+	defer s.mu.Unlock()
 	s.shipClosed = true
 	if !drain {
 		s.shipFeed = nil

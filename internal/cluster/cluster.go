@@ -21,7 +21,6 @@ import (
 	"time"
 
 	"lsvd/internal/block"
-	"lsvd/internal/invariant"
 	"lsvd/internal/iomodel"
 )
 
@@ -164,9 +163,7 @@ func (p *Pool) diskRead(d int, size int64) {
 // of size/k (parity included) plus the configured metadata writes.
 func (p *Pool) PutObject(key string, size int64) {
 	p.mu.Lock()
-	invariant.LockOrder("cluster.mu")
 	defer p.mu.Unlock()
-	defer invariant.LockRelease("cluster.mu")
 	k, m := p.cfg.ECData, p.cfg.ECParity
 	chunk := (size + int64(k) - 1) / int64(k)
 	targets := p.pick(key, k+m)
@@ -187,9 +184,7 @@ func (p *Pool) PutObject(key string, size int64) {
 // DeleteObject records the (cheap) metadata I/O of removing an object.
 func (p *Pool) DeleteObject(key string) {
 	p.mu.Lock()
-	invariant.LockOrder("cluster.mu")
 	defer p.mu.Unlock()
-	defer invariant.LockRelease("cluster.mu")
 	for _, d := range p.pick(key, 1) {
 		p.diskWrite(d, int64(p.cfg.MetaWriteBytes), false)
 	}
@@ -199,9 +194,7 @@ func (p *Pool) DeleteObject(key string) {
 // erasure-coded object: one read per data chunk the range touches.
 func (p *Pool) ReadObjectRange(key string, objSize, off, length int64) {
 	p.mu.Lock()
-	invariant.LockOrder("cluster.mu")
 	defer p.mu.Unlock()
-	defer invariant.LockRelease("cluster.mu")
 	k := p.cfg.ECData
 	chunk := (objSize + int64(k) - 1) / int64(k)
 	if chunk <= 0 {
@@ -223,9 +216,7 @@ func (p *Pool) ReadObjectRange(key string, objSize, off, length int64) {
 // are sequential at the device — while the data write seeks.
 func (p *Pool) WriteReplicated(key string, size int64) {
 	p.mu.Lock()
-	invariant.LockOrder("cluster.mu")
 	defer p.mu.Unlock()
-	defer invariant.LockRelease("cluster.mu")
 	targets := p.pick(key, p.cfg.Replicas)
 	for _, d := range targets {
 		p.diskWrite(d, size, false)
@@ -237,18 +228,14 @@ func (p *Pool) WriteReplicated(key string, size int64) {
 // at the primary.
 func (p *Pool) ReadReplicated(key string, size int64) {
 	p.mu.Lock()
-	invariant.LockOrder("cluster.mu")
 	defer p.mu.Unlock()
-	defer invariant.LockRelease("cluster.mu")
 	p.diskRead(p.pick(key, 1)[0], size)
 }
 
 // Totals sums the counters over all devices.
 func (p *Pool) Totals() iomodel.Counters {
 	p.mu.Lock()
-	invariant.LockOrder("cluster.mu")
 	defer p.mu.Unlock()
-	defer invariant.LockRelease("cluster.mu")
 	var c iomodel.Counters
 	for _, d := range p.disks {
 		c = c.Add(d.Snapshot())
@@ -261,9 +248,7 @@ func (p *Pool) Totals() iomodel.Counters {
 // model time (latency hidden by queueing).
 func (p *Pool) Utilization(elapsed time.Duration) float64 {
 	p.mu.Lock()
-	invariant.LockOrder("cluster.mu")
 	defer p.mu.Unlock()
-	defer invariant.LockRelease("cluster.mu")
 	if elapsed <= 0 || len(p.disks) == 0 {
 		return 0
 	}
@@ -283,9 +268,7 @@ func (p *Pool) Utilization(elapsed time.Duration) float64 {
 // pool-side bound on a run's elapsed time.
 func (p *Pool) MaxBusy() time.Duration {
 	p.mu.Lock()
-	invariant.LockOrder("cluster.mu")
 	defer p.mu.Unlock()
-	defer invariant.LockRelease("cluster.mu")
 	var m time.Duration
 	for _, d := range p.disks {
 		if b := iomodel.Elapsed(d.Params(), d.Snapshot(), 1<<20); b > m {
@@ -298,9 +281,7 @@ func (p *Pool) MaxBusy() time.Duration {
 // WriteSizes merges the per-device write-size histograms (Fig 14).
 func (p *Pool) WriteSizes() *iomodel.SizeHistogram {
 	p.mu.Lock()
-	invariant.LockOrder("cluster.mu")
 	defer p.mu.Unlock()
-	defer invariant.LockRelease("cluster.mu")
 	h := iomodel.NewSizeHistogram()
 	for _, d := range p.disks {
 		h.Merge(d.WriteSizes())
@@ -311,9 +292,7 @@ func (p *Pool) WriteSizes() *iomodel.SizeHistogram {
 // Reset zeroes all device meters.
 func (p *Pool) Reset() {
 	p.mu.Lock()
-	invariant.LockOrder("cluster.mu")
 	defer p.mu.Unlock()
-	defer invariant.LockRelease("cluster.mu")
 	for i, d := range p.disks {
 		d.Reset()
 		p.heads[i] = 0

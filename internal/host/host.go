@@ -115,16 +115,17 @@ type Host struct {
 	uploadGate *iosched.Gate
 	fetchSem   chan struct{}
 
-	// slotsMu serializes slot-table persistence: snapshot-under-mu
-	// plus PUT happen atomically with respect to other writers, so a
-	// later snapshot can never be overwritten by an earlier one. It
-	// is taken before host.mu and never held across volume I/O.
-	slotsMu sync.Mutex
+	// slotsMu serializes slot-table PUTs and guards slotsSaved, the
+	// generation of the newest snapshot persisted. It is a leaf lock:
+	// nothing else is taken under it.
+	slotsMu    sync.Mutex
+	slotsSaved uint64
 
-	mu     sync.Mutex            //lsvd:lock host.mu
-	slots  map[string]int        // volume name -> write-cache slot
-	open   map[string]*core.Disk // volumes currently open
-	closed bool
+	mu       sync.Mutex            //lsvd:lock host.mu
+	slots    map[string]int        // volume name -> write-cache slot
+	slotsGen uint64                // generation of the newest slot-table snapshot
+	open     map[string]*core.Disk // volumes currently open
+	closed   bool
 }
 
 // New opens a host on the SSD + bucket: the SSD is carved (write-cache
@@ -232,30 +233,36 @@ func (h *Host) loadSlots(ctx context.Context) error {
 
 // saveSlots persists the slot table. It must be called WITHOUT h.mu:
 // the backend PUT (which can retry through a whole backoff schedule)
-// must never stall Volumes/Disk/Open on the host lock. slotsMu keeps
-// snapshot+PUT atomic across writers, so the persisted table can only
-// move forward.
+// must never stall Volumes/Disk/Open on the host lock. Each snapshot
+// is stamped with a generation under h.mu; a PUT whose snapshot is
+// older than one already persisted is skipped, so the persisted table
+// can only move forward.
 func (h *Host) saveSlots(ctx context.Context) error {
 	if h.opts.FlatKeys {
 		return nil
 	}
-	h.slotsMu.Lock()
-	invariant.LockOrder("host.slotsMu")
-	defer h.slotsMu.Unlock()
-	defer invariant.LockRelease("host.slotsMu")
 	h.mu.Lock()
-	invariant.LockOrder("host.mu")
+	h.slotsGen++
+	gen := h.slotsGen
 	f := slotsFile{Version: 1, Slots: make(map[string]int, len(h.slots))}
 	for name, slot := range h.slots {
 		f.Slots[name] = slot
 	}
-	invariant.LockRelease("host.mu")
 	h.mu.Unlock()
 	raw, err := json.Marshal(f)
 	if err != nil {
 		return err
 	}
-	return h.retry.Put(ctx, slotsKey, raw)
+	h.slotsMu.Lock()
+	defer h.slotsMu.Unlock()
+	if h.slotsSaved > gen {
+		return nil
+	}
+	if err := h.retry.Put(ctx, slotsKey, raw); err != nil {
+		return err
+	}
+	h.slotsSaved = gen
+	return nil
 }
 
 func checkVolName(name string) error {

@@ -3,6 +3,11 @@ package host
 import (
 	"bytes"
 	"context"
+	"encoding/json"
+	"fmt"
+	"maps"
+	"math/rand"
+	"sync"
 	"testing"
 	"time"
 
@@ -56,6 +61,60 @@ func TestSlotSavePersistsOffHostLock(t *testing.T) {
 	}
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
+	}
+	if err := h.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// Concurrent Create and Delete of distinct volumes each persist a
+// snapshot of the slot table, and the PUTs land in whatever order the
+// slot lock hands out. Whatever that order, the persisted table must end
+// equal to the in-memory one: a snapshot older than one already
+// persisted is never written over it.
+func TestConcurrentSlotSavesPersistTheNewestTable(t *testing.T) {
+	ctx := context.Background()
+	g := testrec.NewStore(objstore.NewMem())
+	h := testHost(t, g, simdev.NewMem(240*block.MiB), 8)
+	g.Do(testrec.Puts.Named(slotsKey), func(testrec.Op) error {
+		time.Sleep(time.Duration(rand.Intn(2000)) * time.Microsecond)
+		return nil
+	})
+
+	var wg sync.WaitGroup
+	errs := make(chan error, 8)
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func(name string, keep bool) {
+			defer wg.Done()
+			d, err := h.Create(ctx, name, core.VolumeOptions{VolBytes: 4 * block.MiB})
+			if err == nil {
+				err = d.Close()
+			}
+			if err == nil && !keep {
+				err = h.Delete(ctx, name)
+			}
+			if err != nil {
+				errs <- fmt.Errorf("%s: %w", name, err)
+			}
+		}(fmt.Sprintf("v%d", i), i%2 == 0)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+
+	raw, err := g.Get(ctx, slotsKey)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var f slotsFile
+	if err := json.Unmarshal(raw, &f); err != nil {
+		t.Fatal(err)
+	}
+	if !maps.Equal(f.Slots, h.slots) || len(h.slots) != 4 {
+		t.Fatalf("persisted slot table %v, in memory %v", f.Slots, h.slots)
 	}
 	if err := h.Close(); err != nil {
 		t.Fatal(err)

@@ -1,10 +1,11 @@
-// Package invariant provides build-tag-gated runtime assertions, a
-// lock-order checker, and the goroutine panic guard (DESIGN.md §5e).
-// Assert/LockOrder compile to empty, inlinable no-ops without the
-// lsvdcheck tag, so production binaries pay nothing; `make
-// check-invariant` runs the torture and stress suites with `-tags
-// lsvdcheck -race` so violations crash the test instead of corrupting
-// state silently. Go (the panic guard) is always active.
+// Package invariant provides build-tag-gated runtime assertions and the
+// goroutine panic guard (DESIGN.md §5e). Assert and Assertf compile to
+// empty, inlinable no-ops without the lsvdcheck tag, so production
+// binaries pay nothing; `make check-invariant` runs the torture and
+// stress suites with `-tags lsvdcheck -race` so violations crash the
+// test instead of corrupting state silently. Go (the panic guard) is
+// always active. Lock order is checked statically, by lsvd-vet's
+// lockorder analyzer.
 package invariant
 
 import (

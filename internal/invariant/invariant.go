@@ -2,13 +2,7 @@
 
 package invariant
 
-import (
-	"fmt"
-	"runtime"
-	"strconv"
-	"strings"
-	"sync"
-)
+import "fmt"
 
 // Enabled reports whether the lsvdcheck build tag is on. Callers can
 // gate expensive invariant computations on it; the Assert calls
@@ -31,128 +25,4 @@ func Assertf(cond bool, format string, args ...any) {
 	if !cond {
 		panic("lsvd invariant violated: " + fmt.Sprintf(format, args...))
 	}
-}
-
-// Runtime lock-order tracking (a miniature lockdep): LockOrder is
-// called just after acquiring a named lock and LockRelease just before
-// releasing it. The checker maintains a per-goroutine stack of held
-// locks and a global acquired-before edge set; an acquisition that
-// would close a cycle — evidence that two code paths take the same two
-// locks in opposite orders — panics with both orders. Edges accumulate
-// across the whole run, so a violation is caught even when the two
-// conflicting paths never race in this execution.
-var lockState struct {
-	sync.Mutex
-	held  map[uint64][]string        // goroutine id -> stack of held lock names
-	after map[string]map[string]bool // A -> set of B with "B acquired while A held"
-	site  map[[2]string]string       // edge -> first call site that created it
-}
-
-func init() {
-	lockState.held = make(map[uint64][]string)
-	lockState.after = make(map[string]map[string]bool)
-	lockState.site = make(map[[2]string]string)
-}
-
-// LockOrder records that the calling goroutine acquired the named
-// lock, and panics if the acquisition is inconsistent with the
-// acquired-before order observed so far (or re-acquires a name the
-// goroutine already holds).
-func LockOrder(name string) {
-	g := gid()
-	lockState.Lock()
-	defer lockState.Unlock()
-	held := lockState.held[g]
-	for _, a := range held {
-		if a == name {
-			panic("lsvd invariant violated: lock " + name + " re-acquired while already held")
-		}
-		if path := orderPath(name, a); path != nil {
-			panic(fmt.Sprintf(
-				"lsvd invariant violated: lock order cycle: acquiring %s while holding %s, but %s was established (first at %s)",
-				name, a, strings.Join(path, " -> "), lockState.site[[2]string{path[0], path[1]}]))
-		}
-	}
-	site := callSite()
-	for _, a := range held {
-		if lockState.after[a] == nil {
-			lockState.after[a] = make(map[string]bool)
-		}
-		if !lockState.after[a][name] {
-			lockState.after[a][name] = true
-			lockState.site[[2]string{a, name}] = site
-		}
-	}
-	lockState.held[g] = append(held, name)
-}
-
-// LockRelease records that the calling goroutine released the named
-// lock. Releases need not be LIFO (lock-drop protocols release the
-// outer lock mid-section); the name is removed wherever it sits.
-func LockRelease(name string) {
-	g := gid()
-	lockState.Lock()
-	defer lockState.Unlock()
-	held := lockState.held[g]
-	for i := len(held) - 1; i >= 0; i-- {
-		if held[i] == name {
-			held = append(held[:i], held[i+1:]...)
-			break
-		}
-	}
-	if len(held) == 0 {
-		delete(lockState.held, g)
-	} else {
-		lockState.held[g] = held
-	}
-}
-
-// orderPath returns an acquired-before chain from -> ... -> to if one
-// exists in the recorded edges (lockState must be held).
-func orderPath(from, to string) []string {
-	if from == to {
-		return []string{from, to}
-	}
-	seen := map[string]bool{from: true}
-	var dfs func(n string, path []string) []string
-	dfs = func(n string, path []string) []string {
-		for m := range lockState.after[n] {
-			if m == to {
-				return append(append(path, n), to)
-			}
-			if !seen[m] {
-				seen[m] = true
-				if p := dfs(m, path); p != nil {
-					return p
-				}
-			}
-		}
-		return nil
-	}
-	return dfs(from, nil)
-}
-
-// gid extracts the current goroutine id from the runtime stack header
-// ("goroutine N [running]:"). Slow, which is fine: this file only
-// exists under the lsvdcheck tag.
-func gid() uint64 {
-	var buf [64]byte
-	n := runtime.Stack(buf[:], false)
-	s := strings.TrimPrefix(string(buf[:n]), "goroutine ")
-	if i := strings.IndexByte(s, ' '); i > 0 {
-		if id, err := strconv.ParseUint(s[:i], 10, 64); err == nil {
-			return id
-		}
-	}
-	return 0
-}
-
-func callSite() string {
-	if _, file, line, ok := runtime.Caller(2); ok {
-		if i := strings.LastIndexByte(file, '/'); i >= 0 {
-			file = file[i+1:]
-		}
-		return file + ":" + strconv.Itoa(line)
-	}
-	return "?"
 }

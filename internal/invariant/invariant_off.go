@@ -10,9 +10,3 @@ func Assert(bool, string) {}
 
 // Assertf is a no-op without the lsvdcheck tag.
 func Assertf(bool, string, ...any) {}
-
-// LockOrder is a no-op without the lsvdcheck tag.
-func LockOrder(string) {}
-
-// LockRelease is a no-op without the lsvdcheck tag.
-func LockRelease(string) {}

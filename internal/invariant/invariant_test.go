@@ -1,9 +1,6 @@
 package invariant
 
-import (
-	"sync"
-	"testing"
-)
+import "testing"
 
 func TestGoRunsFunction(t *testing.T) {
 	done := make(chan int, 1)
@@ -28,39 +25,4 @@ func TestAssertPanicsWhenTagged(t *testing.T) {
 		}
 	}()
 	Assert(false, "must fire")
-}
-
-func TestLockOrderDetectsInversion(t *testing.T) {
-	if !Enabled {
-		LockOrder("x") // no-ops; just prove they are callable
-		LockRelease("x")
-		t.Skip("lock-order tracking compiled out without -tags lsvdcheck")
-	}
-	// Establish a -> b on one goroutine, then attempt b -> a on
-	// another and require the checker to catch the inversion.
-	LockOrder("test.a")
-	LockOrder("test.b")
-	LockRelease("test.b")
-	LockRelease("test.a")
-
-	var wg sync.WaitGroup
-	wg.Add(1)
-	caught := false
-	go func() {
-		defer wg.Done()
-		defer func() {
-			if recover() != nil {
-				caught = true
-				LockRelease("test.b")
-			}
-		}()
-		LockOrder("test.b")
-		LockOrder("test.a") // must panic: closes the a->b cycle
-		LockRelease("test.a")
-		LockRelease("test.b")
-	}()
-	wg.Wait()
-	if !caught {
-		t.Fatal("lock-order inversion b->a after a->b was not detected")
-	}
 }

@@ -747,9 +747,7 @@ func (a *Arena) readRescue(src, at, n int64) bool {
 func (c *Cache) Invalidate(ext block.Extent) {
 	a := c.a
 	a.mu.Lock()
-	invariant.LockOrder("arena.mu")
 	defer a.mu.Unlock()
-	defer invariant.LockRelease("arena.mu")
 	c.m.Delete(ext)
 	if c.pf.Len() > 0 {
 		c.pf.Delete(ext)

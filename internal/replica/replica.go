@@ -274,11 +274,9 @@ func (s *Shipper) OverBound() bool {
 
 // Stats returns cumulative progress plus the live lag.
 func (s *Shipper) Stats() Stats {
-	invariant.LockOrder("replica.mu")
 	s.mu.Lock()
 	st := s.stats
 	s.mu.Unlock()
-	invariant.LockRelease("replica.mu")
 	st.ShippedSeq = s.cfg.Backend.ShippedSeq()
 	st.LagObjects, st.LagBytes = s.cfg.Backend.ShipLag()
 	if rt, ok := s.cfg.Replica.(*objstore.Retrier); ok {
@@ -349,11 +347,9 @@ func (s *Shipper) sleep(d time.Duration) bool {
 }
 
 func (s *Shipper) bump(f func(*Stats)) {
-	invariant.LockOrder("replica.mu")
 	s.mu.Lock()
 	f(&s.stats)
 	s.mu.Unlock()
-	invariant.LockRelease("replica.mu")
 }
 
 // backoff is the per-object retry schedule: exponential from 1ms,

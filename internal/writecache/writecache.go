@@ -254,9 +254,7 @@ func (c *Cache) Reserve(writeSeq uint64, typ journal.Type, ext block.Extent, dat
 		return nil, fmt.Errorf("writecache: extent %v does not match %d data bytes", ext, dataLen)
 	}
 	c.mu.Lock()
-	invariant.LockOrder("wcache.mu")
 	defer c.mu.Unlock()
-	defer invariant.LockRelease("wcache.mu")
 
 	if c.ioErr != nil {
 		return nil, c.ioErr
@@ -355,14 +353,12 @@ func (c *Cache) Commit(res *Reservation, data []byte, sum uint32) error {
 	}
 
 	c.gmu.Lock()
-	invariant.LockOrder("wcache.gmu")
 	c.commitq = append(c.commitq, pr)
 	c.committing++
 	lead := !c.leaderBusy
 	if lead {
 		c.leaderBusy = true
 	}
-	invariant.LockRelease("wcache.gmu")
 	c.gmu.Unlock()
 
 	if lead {
@@ -398,7 +394,6 @@ func (c *Cache) Quiesce() {
 // concurrent appends into one device barrier (group commit).
 func (c *Cache) runLeader() {
 	c.gmu.Lock()
-	invariant.LockOrder("wcache.gmu")
 	for len(c.commitq) > 0 {
 		take, bytes := 0, int64(0)
 		for take < len(c.commitq) && take < groupMaxRecords {
@@ -412,16 +407,13 @@ func (c *Cache) runLeader() {
 		batch := make([]*pendingRec, take)
 		copy(batch, c.commitq)
 		c.commitq = c.commitq[take:]
-		invariant.LockRelease("wcache.gmu")
 		c.gmu.Unlock()
 
 		c.writeGroup(batch)
 
 		c.gmu.Lock()
-		invariant.LockOrder("wcache.gmu")
 	}
 	c.leaderBusy = false
-	invariant.LockRelease("wcache.gmu")
 	c.gmu.Unlock()
 }
 
@@ -454,7 +446,6 @@ func (c *Cache) writeGroup(batch []*pendingRec) {
 	}
 
 	c.mu.Lock()
-	invariant.LockOrder("wcache.mu")
 	if c.ioErr != nil {
 		werr = c.ioErr
 	}
@@ -484,7 +475,6 @@ func (c *Cache) writeGroup(batch []*pendingRec) {
 		c.batchHist[batchHistBucket(len(batch))]++
 	}
 	c.writtenCond.Broadcast()
-	invariant.LockRelease("wcache.mu")
 	c.mu.Unlock()
 }
 
@@ -696,10 +686,8 @@ func (c *Cache) ReadExtent(ext block.Extent, buf []byte) ([]extmap.Run, error) {
 // the image is no longer a prefix of the acknowledged writes (§3.4).
 func (c *Cache) ReadFullDestaged(ext block.Extent, buf []byte) bool {
 	// GC's FetchFromCache path: called while blockstore holds bs.mu, so
-	// this records the same bs.mu → wcache.mu edge as DestagePressure.
+	// this takes the same bs.mu → wcache.mu order as DestagePressure.
 	c.mu.RLock()
-	invariant.LockOrder("wcache.mu")
-	defer invariant.LockRelease("wcache.mu")
 	defer c.mu.RUnlock()
 	// The ring is writeSeq-ordered (records are reserved under the
 	// caller's write mutex), so the un-destaged records form a suffix.
@@ -772,8 +760,6 @@ func (c *Cache) DestagePressure() bool {
 	// wcache.mu edge must stay consistent with every other cross-layer
 	// path (FetchFromCache takes the same order).
 	c.mu.RLock()
-	invariant.LockOrder("wcache.mu")
-	defer invariant.LockRelease("wcache.mu")
 	defer c.mu.RUnlock()
 	logBytes := c.logEnd - c.logStart
 	if logBytes <= 0 {
