@@ -6,6 +6,8 @@
 //	         -cache-size 10G -volume vm1 -create -size 100G -listen :10809
 //
 // Then on a client: nbd-client <host> 10809 /dev/nbd0 -name vm1
+//
+// SIGTERM or SIGINT closes the volume and exits 0.
 package main
 
 import (
@@ -14,10 +16,14 @@ import (
 	"fmt"
 	"log"
 	"net"
+	"os"
+	"os/signal"
 	"strconv"
 	"strings"
+	"syscall"
 
 	"lsvd"
+	"lsvd/internal/invariant"
 )
 
 func parseSize(s string) (int64, error) {
@@ -90,14 +96,26 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer disk.Close()
 
 	ln, err := net.Listen("tcp", *listen)
 	if err != nil {
 		log.Fatal(err)
 	}
+	// SIGTERM or SIGINT stops accepting and closes the volume, which
+	// destages and checkpoints it, before a clean exit.
+	stop := make(chan os.Signal, 1)
+	signal.Notify(stop, syscall.SIGTERM, os.Interrupt)
+	served := make(chan error, 1)
+	invariant.Go("lsvd-nbd-serve", func() { served <- lsvd.ServeNBD(ln, *volume, disk) })
 	log.Printf("serving volume %q (%d bytes) on %s", *volume, disk.Size(), ln.Addr())
-	if err := lsvd.ServeNBD(ln, *volume, disk); err != nil {
+	select {
+	case err := <-served:
+		log.Fatal(err)
+	case sig := <-stop:
+		log.Printf("%v: closing volume %q", sig, *volume)
+		ln.Close()
+	}
+	if err := disk.Close(); err != nil {
 		log.Fatal(err)
 	}
 }

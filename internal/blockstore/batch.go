@@ -307,6 +307,7 @@ func (s *Store) installObject(info *objInfo, mapped []mappedExtent, trims []bloc
 	// any map update: in no-coalesce mode an object's own extents
 	// overlap, so displacement accounting must already see it.
 	s.objects[info.seq] = info
+	s.topInstalled = max(s.topInstalled, info.seq)
 	// This is the commit point for data and GC objects — the one place
 	// the object becomes visible to readers and recovery — so it is
 	// also where the replication feed learns about it (ship.go rule 1).
@@ -372,6 +373,9 @@ func (s *Store) installObject(info *objInfo, mapped []mappedExtent, trims []bloc
 			}
 		}
 		s.applyDisplaced(displaced)
+	}
+	if s.utilCounted(info) && info.liveSectors == 0 {
+		s.diedLocked(info) // trims only, or GC copies a newer write beat
 	}
 	s.hdrCache[info.seq] = &hdrEntry{extents: extentEntries(mapped, trims, info), hdrSectors: info.hdrSectors}
 	s.pruneHdrCache()

@@ -303,12 +303,18 @@ func TestGCReclaimsSpaceAndPreservesData(t *testing.T) {
 		BatchBytes: 128 * 1024, GCLowWater: 0.70, GCHighWater: 0.75,
 		CheckpointEvery: 8,
 	})
-	// Overwrite a small working set repeatedly to generate garbage.
+	// Overwrite a small working set repeatedly to generate garbage. The
+	// odd extents are written once, so the first round's objects stay
+	// half live and only the collector can reclaim them; every later
+	// object dies whole and is reaped without it.
 	const ws = 32 // extents
 	latest := map[int]int64{}
 	seq := uint64(0)
 	for round := 0; round < 30; round++ {
 		for i := 0; i < ws; i++ {
+			if round > 0 && i%2 == 1 {
+				continue
+			}
 			seq++
 			ext := block.Extent{LBA: block.LBA(i * 128), Sectors: 64}
 			latest[i] = int64(seq)

@@ -12,14 +12,20 @@ import (
 
 // ckptHistory builds a volume with three generations of data, each
 // followed by an explicit checkpoint, and returns the extents written.
+// A snapshot of the empty volume keeps every checkpoint the chain walk
+// can reach; without one, each checkpoint deletes the one before it.
 // Layout (Create's initial checkpoint is seq 1):
 //
-//	seq 2 data A, seq 3 ckpt (prev 1)
-//	seq 4 data B, seq 5 ckpt (prev 3)
-//	seq 6 data C, seq 7 ckpt (prev 5)
+//	seq 2 ckpt (prev 1) of snapshot "chain" at seq 1
+//	seq 3 data A, seq 4 ckpt (prev 2)
+//	seq 5 data B, seq 6 ckpt (prev 4)
+//	seq 7 data C, seq 8 ckpt (prev 6)
 func ckptHistory(t *testing.T, store objstore.Store) (a, b, c block.Extent, dataA, dataB []byte) {
 	t.Helper()
 	s := newVolume(t, store, Config{})
+	if _, err := s.CreateSnapshot("chain"); err != nil {
+		t.Fatal(err)
+	}
 	a = block.Extent{LBA: 0, Sectors: 8}
 	b = block.Extent{LBA: 100, Sectors: 8}
 	c = block.Extent{LBA: 200, Sectors: 8}
@@ -39,8 +45,8 @@ func ckptHistory(t *testing.T, store objstore.Store) (a, b, c block.Extent, data
 			t.Fatal(err)
 		}
 	}
-	if s.nextSeq != 8 {
-		t.Fatalf("history layout drifted: nextSeq = %d, want 8", s.nextSeq)
+	if s.nextSeq != 9 {
+		t.Fatalf("history layout drifted: nextSeq = %d, want 9", s.nextSeq)
 	}
 	return a, b, c, dataA, dataB
 }
@@ -52,13 +58,13 @@ func TestOpenAtWalksCheckpointChain(t *testing.T) {
 	store := objstore.NewMem()
 	a, b, c, dataA, dataB := ckptHistory(t, store)
 
-	// Limit 4: the walk is 7 → 5 → 3; replay covers (3, 4].
-	s, err := OpenAt(ctx, Config{Volume: "vol", Store: store, VolSectors: volSectors}, 4)
+	// Limit 5: the walk is 8 → 6 → 4; replay covers (4, 5].
+	s, err := OpenAt(ctx, Config{Volume: "vol", Store: store, VolSectors: volSectors}, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.lastCkpt != 3 {
-		t.Fatalf("landed on checkpoint %d, want 3", s.lastCkpt)
+	if s.lastCkpt != 4 {
+		t.Fatalf("landed on checkpoint %d, want 4", s.lastCkpt)
 	}
 	if got := readAll(t, s, a); !bytes.Equal(got, dataA) {
 		t.Fatal("first generation lost")
@@ -68,11 +74,11 @@ func TestOpenAtWalksCheckpointChain(t *testing.T) {
 	}
 	for _, run := range s.Lookup(c) {
 		if run.Present {
-			t.Fatalf("third generation visible at limit 4: %v", run)
+			t.Fatalf("third generation visible at limit 5: %v", run)
 		}
 	}
 	// A snapshot mount never deletes "stranded" objects above the limit.
-	if _, err := store.Get(ctx, objName("vol", 6)); err != nil {
+	if _, err := store.Get(ctx, objName("vol", 7)); err != nil {
 		t.Fatalf("object above the mount limit was deleted: %v", err)
 	}
 }
@@ -83,19 +89,19 @@ func TestOpenAtLandsOnOlderCheckpoint(t *testing.T) {
 	store := objstore.NewMem()
 	a, b, _, dataA, _ := ckptHistory(t, store)
 
-	s, err := OpenAt(ctx, Config{Volume: "vol", Store: store, VolSectors: volSectors}, 3)
+	s, err := OpenAt(ctx, Config{Volume: "vol", Store: store, VolSectors: volSectors}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.lastCkpt != 3 {
-		t.Fatalf("landed on checkpoint %d, want 3", s.lastCkpt)
+	if s.lastCkpt != 4 {
+		t.Fatalf("landed on checkpoint %d, want 4", s.lastCkpt)
 	}
 	if got := readAll(t, s, a); !bytes.Equal(got, dataA) {
 		t.Fatal("first generation lost")
 	}
 	for _, run := range s.Lookup(b) {
 		if run.Present {
-			t.Fatalf("second generation visible at limit 3: %v", run)
+			t.Fatalf("second generation visible at limit 4: %v", run)
 		}
 	}
 	if s.stats.recoveredObjects != 0 {
@@ -138,9 +144,9 @@ func TestOpenAtBrokenCheckpointChain(t *testing.T) {
 		name string
 		prev map[uint32]uint32 // ckpt seq -> corrupted prevCkpt
 	}{
-		{"self-reference", map[uint32]uint32{5: 5}},
-		{"forward-pointer", map[uint32]uint32{5: 7}},
-		{"two-node-cycle", map[uint32]uint32{7: 5, 5: 7}},
+		{"self-reference", map[uint32]uint32{6: 6}},
+		{"forward-pointer", map[uint32]uint32{6: 8}},
+		{"two-node-cycle", map[uint32]uint32{8: 6, 6: 8}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			store := objstore.NewMem()
@@ -148,8 +154,8 @@ func TestOpenAtBrokenCheckpointChain(t *testing.T) {
 			for seq, prev := range tc.prev {
 				rewriteCheckpointPrev(t, store, seq, prev)
 			}
-			// Limit 2 forces the walk below the corrupted links.
-			_, err := OpenAt(ctx, Config{Volume: "vol", Store: store, VolSectors: volSectors}, 2)
+			// Limit 3 forces the walk below the corrupted links.
+			_, err := OpenAt(ctx, Config{Volume: "vol", Store: store, VolSectors: volSectors}, 3)
 			if err == nil {
 				t.Fatal("OpenAt on a broken chain succeeded")
 			}

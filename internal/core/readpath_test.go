@@ -496,3 +496,52 @@ func TestReadCacheCountsDemandReadsOnly(t *testing.T) {
 			st.ReadCache.Hits, st.ReadCache.Misses, st.PrefetchHitSectors)
 	}
 }
+
+// TestReadMissAcrossAReap: a read miss looks its blocks up in the map
+// and then GETs the range with no lock held. If the object dies
+// meanwhile — overwritten whole, below the checkpoint the superblock
+// names — the reaper deletes it at once and the GET finds it missing.
+// The read looks the blocks up again and returns the new data.
+func TestReadMissAcrossAReap(t *testing.T) {
+	store := testrec.NewStore(objstore.NewMem())
+	h := newHarness(t, func(o *Options) {
+		o.Store = store
+		o.CacheDev = simdev.NewMem(32 * block.MiB)
+		o.VolBytes = 64 * block.MiB
+	})
+	const n = 64 * 1024
+	oldX, newX := payload(1, n), payload(2, n)
+	if err := h.disk.WriteAt(oldX, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := h.disk.Close(); err != nil { // its object lies below the checkpoint Close writes
+		t.Fatal(err)
+	}
+	h.opts.CacheDev = simdev.NewMem(32 * block.MiB) // both caches cold
+	h.reopen(t)
+	d := h.disk
+
+	held := store.Park(testrec.DataRead.Once())
+	got := make([]byte, n)
+	read := make(chan error, 1)
+	go func() { read <- d.ReadAt(got, 0) }()
+	op := <-held.Arrived()
+
+	from := store.Now()
+	if err := d.WriteAt(newX, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	if !store.Await(from, testrec.Deletes.Named(op.Name), 10*time.Second) {
+		t.Fatalf("%s was not reaped when its last block was overwritten", op.Name)
+	}
+	held.Release(nil)
+	if err := <-read; err != nil {
+		t.Fatalf("read across the reap: %v", err)
+	}
+	if !bytes.Equal(got, newX) {
+		t.Fatal("read across the reap did not return the data that replaced the reaped object's")
+	}
+}
