@@ -160,7 +160,7 @@ func (s *Store) ShipAck(ev ShipEvent) {
 // redriveShipDeferredLocked re-runs the deferred-deletion list after
 // the shipped watermark advanced: entries no longer pinned (by the
 // watermark or a snapshot) go to the reaper now instead of waiting for
-// the next DeleteSnapshot or open. s.mu is released for the deletes —
+// the next landed super or open. s.mu is released for the deletes —
 // this is the shipper's ack path, and the foreground must not wait
 // behind it. Failures re-defer, as on the checkpoint release path —
 // deletion is space reclaim, not correctness.
@@ -170,12 +170,7 @@ func (s *Store) redriveShipDeferredLocked() {
 	// A late ack racing Abort must not mutate the backend after the
 	// kill point (crash modeling: the store is quiescing): the reaper
 	// claims nothing once aborting is set.
-	if len(s.deferred) == 0 {
-		return
-	}
-	deferred := s.deferred
-	s.deferred = nil
-	_ = s.reapLocked(deferred, &s.deferred) // failures re-defer
+	_ = s.reapLocked(s.redriveLocked()) // failures re-defer
 }
 
 // shipPinnedLocked reports whether deleting obj from the primary would

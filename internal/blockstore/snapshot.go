@@ -53,10 +53,12 @@ func (s *Store) CreateSnapshot(name string) (SnapshotInfo, error) {
 
 // DeleteSnapshot removes a snapshot and releases the deferred object
 // deletions that it alone was pinning (§3.6). It is a checkpoint with
-// the snapshot gone: the deferred list joins the pending one, the
-// marker's super drops the name, and only then does the reaper delete
-// what nothing pins any more (its claim step re-parks the rest). A
-// delete that fails waits on the pending list for the next checkpoint.
+// the snapshot gone: the marker's super drops the name, and only once
+// it has landed does the reaper re-drive the deferred list and delete
+// what nothing pins any more (its claim step re-parks the rest). Until
+// then the snapshot still pins through the durable super's list, so a
+// death committed meanwhile waits too. A delete that fails waits on the
+// deferred list for the next checkpoint.
 func (s *Store) DeleteSnapshot(name string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -76,8 +78,6 @@ func (s *Store) DeleteSnapshot(name string) error {
 		return fmt.Errorf("blockstore: snapshot %q not found", name)
 	}
 	s.snapshots = slices.Delete(s.snapshots, i, i+1)
-	s.pending = append(s.pending, s.deferred...)
-	s.deferred = nil
 	return s.checkpointFenceLocked()
 }
 
@@ -132,6 +132,7 @@ func Clone(ctx context.Context, base Config, snapName, newVolume string) error {
 	}
 	clone.durableWriteSeq = src.durableWriteSeq
 	clone.nextSeq = snapSeq + 1
+	clone.indexCkpts()
 	clone.mu.Lock()
 	defer clone.mu.Unlock()
 	return clone.checkpointFenceLocked()
