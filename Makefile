@@ -35,7 +35,7 @@ FUZZTIME ?= 10s
 # Ceiling on `//lsvd:ignore` waivers outside internal/analysis (whose
 # testdata seeds them on purpose). vet-lsvd fails above it. The budget
 # only ever goes down: delete a waiver, lower this number.
-WAIVER_BUDGET := 18
+WAIVER_BUDGET := 5
 
 .PHONY: all build fmt vet test race bench-smoke fault gc-torture vet-lsvd vet-lsvd-update-baseline check-invariant fuzz-smoke check clean
 
@@ -73,12 +73,16 @@ race:
 # inside that open; the cache device's writes and flushes with each way
 # its unflushed pages can be lost (tier-1 runs each once); here each
 # runs twenty times under the race detector, each run a different
-# interleaving of the same script. The last line is the flake gate:
-# twenty shuffled runs of the whole consistency package in one process,
-# zero failures.
+# interleaving of the same script; at up to 30 s a cache run on a 2-CPU
+# VM, twenty can pass go test's default 10-minute timeout. The fences
+# and shutdown race each other's writers the same way: a snapshot and a
+# checkpoint under a continuous writer, Close and Kill against parked
+# writers. The last line is the flake gate: twenty shuffled runs of the
+# whole consistency package in one process, zero failures.
 fault:
 	$(GO) test -count=20 -race -run 'TestBackendCrashEnumeration|TestSecondCrashAfterSuffixCheckpointKeepsPrefix' ./internal/blockstore
-	$(GO) test -count=20 -race -run TestCrashEnumeration ./internal/writecache
+	$(GO) test -count=20 -race -timeout 30m -run TestCrashEnumeration ./internal/writecache
+	$(GO) test -count=20 -race -run 'UnderWriter|TestShutdownReleasesParkedWriters|TestDeleteSnapshotWhileSnapshotQueued' ./internal/core
 	LSVD_FAULT_SEED=1 $(GO) test -count=1 -run TestFaultTorture ./internal/consistency
 	LSVD_FAULT_SEED=100 LSVD_FAULT_RATE=0.35 LSVD_FAULT_ITERS=8 \
 		$(GO) test -count=1 -run TestFaultTorture ./internal/consistency

@@ -162,14 +162,18 @@ func (s *Store) Trim(writeSeq uint64, ext block.Extent) error {
 // Seal forces the current batch out as an object (used on commit
 // pressure and at shutdown). It is the pipeline fence: it returns only
 // once every in-flight object has committed, so DurableWriteSeq covers
-// everything appended so far.
+// everything appended so far. Failed uploads get a fresh attempt budget.
 func (s *Store) Seal() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.readOnly {
 		return ErrReadOnly
 	}
-	return s.sealAndWaitLocked()
+	s.rearmFailedLocked()
+	if err := s.sealAsyncLocked(); err != nil {
+		return err
+	}
+	return s.waitInflightLocked()
 }
 
 // kickFillShare is the part of BatchBytes (one in kickFillShare) the

@@ -818,25 +818,38 @@ func (s *Store) deadLocked(o *objInfo, keep uint32) bool {
 	return false
 }
 
-// sweepDeadLocked is one pass over the table, for open and for a
-// checkpoint whose super landed: it records on s.pending every dead
-// object nothing has recorded yet, for the release rule that follows.
-// Data and GC objects die as they are displaced, so in the live path
-// this finds only the checkpoints the new one supersedes; at open it
-// also re-derives a death a crash interrupted before any checkpoint
-// listed it.
+// sweepDeadLocked is one pass over the table, for open: it records on
+// s.pending every dead object nothing has recorded yet, for the release
+// rule that follows — a death a crash interrupted before any checkpoint
+// listed it, and the checkpoints the named one supersedes. In the live
+// path data and GC objects die as they are displaced, and a landed super
+// needs only supersededLocked.
 //
 //lsvd:requires bs.mu
 func (s *Store) sweepDeadLocked() {
-	keep := s.ckptKeepLocked()
 	for _, o := range s.objects {
-		switch {
-		case s.cleaned[o.seq] || !s.deadLocked(o, keep):
-		case o.typ == journal.TypeCheckpoint:
-			s.cleaned[o.seq] = true
-			s.pending = append(s.pending, deferredDelete{Obj: o.seq, GCSeq: o.seq})
-		default:
+		if s.utilCounted(o) && o.liveSectors == 0 {
 			s.diedLocked(o)
+		}
+	}
+	s.supersededLocked()
+}
+
+// supersededLocked records on s.pending every own checkpoint no chain
+// walk reads any more (deadLocked), found through the checkpoint index:
+// its prefix below ckptKeepLocked, which holds only what is not yet
+// deleted.
+//
+//lsvd:requires bs.mu
+func (s *Store) supersededLocked() {
+	keep := s.ckptKeepLocked()
+	for _, seq := range s.ckpts {
+		if seq >= keep {
+			return
+		}
+		if seq > s.baseSeq && !s.cleaned[seq] {
+			s.cleaned[seq] = true
+			s.pending = append(s.pending, deferredDelete{Obj: seq, GCSeq: seq})
 		}
 	}
 }

@@ -29,12 +29,13 @@ import (
 // ever in flight and no second marker is queued meanwhile.
 //
 // The write path queues a marker every CheckpointEvery objects and the
-// GC service queues one when it has idled past the interval. The
-// explicit callers — Checkpoint (hence core's Checkpoint and Close),
-// CreateSnapshot, DeleteSnapshot, Create and Clone — add only a fence
-// on each side (checkpointFenceLocked): they queue the same marker on a
-// drained pipeline and wait for the pipeline to drain again, super
-// included.
+// GC service queues one when it has idled past the interval. Mark (hence
+// CreateSnapshot, and core's Checkpoint and Snapshot) queues one right
+// behind the batch it seals and waits for that marker's super alone,
+// while appends go on behind it. The full fences — Checkpoint (hence
+// core's Close), DeleteSnapshot, Create and Clone — queue the same marker
+// on a drained pipeline and wait for the pipeline to drain again, super
+// and victims' deletes included (checkpointFenceLocked).
 //
 // Failure contract. A marker whose checkpoint object PUT fails stays at
 // the front of the in-flight list with its sequence number: the number
@@ -86,7 +87,7 @@ import (
 //      object in the suffix, or one the checkpoint still maps whose
 //      killer a crash could strand, would hole the replay. A checkpoint
 //      object is deleted only once a super names a newer one and no
-//      snapshot's chain walk reads it (sweepDeadLocked). What a
+//      snapshot's chain walk reads it (supersededLocked). What a
 //      snapshot pins is deleted only after the super that drops the
 //      snapshot has landed: the pins count the snapshots s.durable
 //      lists as well as s.snapshots (snapPinsLocked), so a snapshot the
@@ -299,7 +300,7 @@ func (s *Store) finalizeCheckpointLocked(shot *ckptShot) []deferredDelete {
 	// The shipper re-copies the superblock once the checkpoint it names
 	// (published when it landed) is on the replica.
 	s.shipPublishLocked(0, journal.TypeSuper, 0)
-	s.sweepDeadLocked()
+	s.supersededLocked()
 	return s.reapClaimLocked(append(s.redriveLocked(), s.releaseLocked()...))
 }
 
@@ -313,27 +314,26 @@ func (s *Store) Checkpoint() error {
 	if s.readOnly {
 		return ErrReadOnly
 	}
+	return s.checkpointFenceLocked()
+}
+
+// checkpointFenceLocked is the full checkpoint fence: drain the
+// pipeline, queue a marker on it (so the marker starts at once and
+// covers everything sealed so far) and wait for the pipeline to drain
+// again — marker durable, released victims reaped. s.mu is down while it
+// waits, so objects sealed meanwhile queue behind the marker and are
+// waited for too. On failure the marker stays queued (see the failure
+// contract above); callers undo only their own in-memory change.
+//
+//lsvd:requires bs.mu
+func (s *Store) checkpointFenceLocked() error {
 	s.rearmFailedLocked()
 	if err := s.waitInflightLocked(); err != nil {
 		return err
 	}
-	return s.checkpointFenceLocked()
-}
-
-// checkpointFenceLocked is what an explicit checkpoint adds to the
-// periodic one: it queues the marker on a pipeline the caller has just
-// drained (so the marker starts at once and covers everything the
-// caller sealed) and waits for the pipeline to drain again — marker
-// durable, released victims reaped. s.mu is down while it waits, so
-// objects sealed meanwhile queue behind the marker and are waited for
-// too. On failure the marker stays queued (see the failure contract
-// above); callers undo only their own in-memory change.
-//
-//lsvd:requires bs.mu
-func (s *Store) checkpointFenceLocked() error {
 	if s.aborting {
-		// Abort landed while the caller's opening fence had s.mu down and
-		// has promised that the backend stops changing.
+		// Abort landed while the opening fence had s.mu down and has
+		// promised that the backend stops changing.
 		return ErrReadOnly
 	}
 	s.queueCheckpointLocked()

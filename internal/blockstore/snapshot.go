@@ -21,34 +21,91 @@ func (s *Store) snapshotIndexLocked(name string) int {
 	return slices.IndexFunc(s.snapshots, func(sn snapshot) bool { return sn.Name == name })
 }
 
-// CreateSnapshot seals the pending batch and designates the resulting
-// log position as a snapshot (§3.6: "any object in the object stream
-// can be designated as a snapshot"). The snapshot is durable once the
-// accompanying checkpoint and superblock update complete.
+// CreateSnapshot designates the end of what has been appended as a
+// snapshot (§3.6: "any object in the object stream can be designated as
+// a snapshot") and waits until it is durable: Mark, then Wait.
 func (s *Store) CreateSnapshot(name string) (SnapshotInfo, error) {
+	if name == "" {
+		return SnapshotInfo{}, fmt.Errorf("blockstore: empty snapshot name")
+	}
+	m, err := s.Mark(name)
+	if err != nil {
+		return SnapshotInfo{}, err
+	}
+	return m.Wait()
+}
+
+// Marker is a consistency point in the object stream (Mark): a
+// checkpoint marker in the upload pipeline right behind the object that
+// sealed everything appended before it, and, when named, a snapshot at
+// that object.
+type Marker struct {
+	s    *Store
+	ckpt uint32       // the checkpoint marker's sequence number
+	snap SnapshotInfo // Name is "" for a plain checkpoint
+}
+
+// Mark makes the end of what has been appended a consistency point
+// without waiting for it to be durable. It seals the open batch, names
+// the sealed position snapshot name (unless name is "") — pinned from
+// now on, so nothing the snapshot reads is deleted, and published by
+// this marker's superblock — and queues a checkpoint marker right behind
+// it, so the checkpoint covers exactly what was appended before the
+// call. Appends after Mark returns queue behind the marker and never
+// wait for its PUTs. Mark itself waits only for a seal's pipeline slot
+// and for a checkpoint marker already queued to land its superblock:
+// the pipeline holds one at a time.
+func (s *Store) Mark(name string) (*Marker, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.readOnly {
-		return SnapshotInfo{}, ErrReadOnly
+		return nil, ErrReadOnly
 	}
-	if s.snapshotIndexLocked(name) >= 0 {
-		return SnapshotInfo{}, fmt.Errorf("blockstore: snapshot %q already exists", name)
-	}
-	if err := s.sealAndWaitLocked(); err != nil {
-		return SnapshotInfo{}, err
-	}
-	seq := s.nextSeq - 1
-	s.snapshots = append(s.snapshots, snapshot{Name: name, Seq: seq})
-	if err := s.checkpointFenceLocked(); err != nil {
-		// The marker stays queued and a later fence retries it; its super
-		// is encoded per attempt, so taking the entry back here keeps the
-		// retry from publishing a snapshot this call reported as failed.
-		if i := s.snapshotIndexLocked(name); i >= 0 {
-			s.snapshots = slices.Delete(s.snapshots, i, i+1)
+	s.rearmFailedLocked()
+	for {
+		for s.ckptQueued {
+			if err := s.fenceStepLocked(); err != nil {
+				return nil, err
+			}
 		}
-		return SnapshotInfo{}, err
+		s.sinceCkpt = 0 // the marker queued below is this interval's checkpoint
+		if err := s.sealAsyncLocked(); err != nil {
+			return nil, err
+		}
+		if !s.ckptQueued {
+			break // else the GC service queued one while the seal waited for a slot
+		}
 	}
-	return SnapshotInfo{Name: name, Seq: seq}, nil
+	m := &Marker{s: s, ckpt: s.nextSeq, snap: SnapshotInfo{Name: name, Seq: s.nextSeq - 1}}
+	if name != "" {
+		if s.snapshotIndexLocked(name) >= 0 {
+			return nil, fmt.Errorf("blockstore: snapshot %q already exists", name)
+		}
+		s.snapshots = append(s.snapshots, snapshot(m.snap))
+	}
+	s.queueCheckpointLocked()
+	return m, nil
+}
+
+// Wait returns once the marker's checkpoint is durable — a superblock
+// naming it has landed — resubmitting failures within the fence budget.
+// On failure the marker stays queued for a later fence to retry (the
+// checkpoint failure contract) and its snapshot is taken back: a
+// superblock is encoded per attempt, so the retry does not publish a
+// snapshot this call reported as failed.
+func (m *Marker) Wait() (SnapshotInfo, error) {
+	s := m.s
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for s.durable.lastCkpt < m.ckpt {
+		if err := s.fenceStepLocked(); err != nil {
+			if i := slices.Index(s.snapshots, snapshot(m.snap)); i >= 0 {
+				s.snapshots = slices.Delete(s.snapshots, i, i+1)
+			}
+			return SnapshotInfo{}, err
+		}
+	}
+	return m.snap, nil
 }
 
 // DeleteSnapshot removes a snapshot and releases the deferred object
@@ -65,14 +122,6 @@ func (s *Store) DeleteSnapshot(name string) error {
 	if s.readOnly {
 		return ErrReadOnly
 	}
-	if s.snapshotIndexLocked(name) < 0 {
-		return fmt.Errorf("blockstore: snapshot %q not found", name)
-	}
-	s.rearmFailedLocked()
-	if err := s.waitInflightLocked(); err != nil {
-		return err
-	}
-	// The fence released s.mu: look the name up again.
 	i := s.snapshotIndexLocked(name)
 	if i < 0 {
 		return fmt.Errorf("blockstore: snapshot %q not found", name)

@@ -340,8 +340,7 @@ func (s *Store) resubmitFailedLocked() {
 
 // rearmFailedLocked grants every failed upload, and a failed owed
 // superblock, a fresh attempt budget and reissues it: the first step of
-// each explicit fence (Seal, Checkpoint, CreateSnapshot,
-// DeleteSnapshot).
+// each explicit fence (Seal, Checkpoint, Mark, DeleteSnapshot).
 //
 //lsvd:requires bs.mu
 func (s *Store) rearmFailedLocked() {
@@ -371,22 +370,9 @@ func (s *Store) waitInflightLocked() error {
 	s.fenceEnterLocked()
 	defer s.fenceExitLocked()
 	for len(s.inflight) > 0 || s.superOwed != nil || s.gcBusy || len(s.reaping) > 0 {
-		if len(s.inflight) > 0 {
-			if front := s.inflight[0]; front.done && front.err != nil {
-				if front.attempts >= s.uploadAttempts() {
-					return fmt.Errorf("blockstore: object %d upload failed after %d attempts: %w", front.seq, front.attempts, front.err)
-				}
-				s.resubmitFailedLocked()
-			}
+		if err := s.fenceStepLocked(); err != nil {
+			return err
 		}
-		if o := s.superOwed; o != nil && o.done && o.err != nil {
-			if o.attempts >= s.uploadAttempts() {
-				return fmt.Errorf("blockstore: superblock naming checkpoint %d failed after %d attempts: %w", o.seq, o.attempts, o.err)
-			}
-			s.startSuperLocked(o)
-			continue // an attempt that failed to start wakes no one
-		}
-		s.commitCond.Wait()
 	}
 	if err := s.asyncErr; err != nil {
 		s.asyncErr = nil
@@ -395,17 +381,34 @@ func (s *Store) waitInflightLocked() error {
 	return nil
 }
 
-// sealAndWaitLocked is the synchronous fence: seal the pending batch
-// and wait for every in-flight object to commit. Failed uploads get a
-// fresh attempt budget.
+// fenceStepLocked is one round of every fence's wait (waitInflightLocked,
+// Mark, Marker.Wait): a failed upload at the front of the pipeline is
+// resubmitted and a failed owed superblock re-PUT, each up to the fence
+// attempt budget, after which the error is returned; otherwise it sleeps
+// until the next completion.
 //
 //lsvd:requires bs.mu
-func (s *Store) sealAndWaitLocked() error {
-	s.rearmFailedLocked()
-	if err := s.sealAsyncLocked(); err != nil {
-		return err
+func (s *Store) fenceStepLocked() error {
+	if s.aborting {
+		return ErrReadOnly
 	}
-	return s.waitInflightLocked()
+	if len(s.inflight) > 0 {
+		if front := s.inflight[0]; front.done && front.err != nil {
+			if front.attempts >= s.uploadAttempts() {
+				return fmt.Errorf("blockstore: object %d upload failed after %d attempts: %w", front.seq, front.attempts, front.err)
+			}
+			s.resubmitFailedLocked()
+		}
+	}
+	if o := s.superOwed; o != nil && o.done && o.err != nil {
+		if o.attempts >= s.uploadAttempts() {
+			return fmt.Errorf("blockstore: superblock naming checkpoint %d failed after %d attempts: %w", o.seq, o.attempts, o.err)
+		}
+		s.startSuperLocked(o)
+		return nil // an attempt that failed to start wakes no one
+	}
+	s.commitCond.Wait()
+	return nil
 }
 
 // Abort quiesces the pipeline without committing: no new uploads or
@@ -421,8 +424,10 @@ func (s *Store) Abort() {
 	s.readOnly = true
 	// Wake the background GC service (and any budget wait inside a
 	// paced pass) so it observes aborting and exits; the gcBusy check
-	// below then covers its in-progress pass like any other.
+	// below then covers its in-progress pass like any other. Fence
+	// waiters wake too, and give up.
 	s.gcCond.Broadcast()
+	s.commitCond.Broadcast()
 	for {
 		busy := s.gcBusy || len(s.reaping) > 0 || (s.superOwed != nil && !s.superOwed.done)
 		for _, inf := range s.inflight {

@@ -338,28 +338,38 @@ func (p *stagePool) put(b []byte) {
 }
 
 // destageReq is one unit of work for the destager goroutine: a logged
-// write or trim to forward to the block store, a flush marker (non-nil
-// reply channel) that seals and fences the pipeline, or a kick — a
-// non-fencing seal request issued by ring-full backpressure, which needs
-// the records ahead of it on their way to the backend but not the whole
-// pipeline drained.
+// write or trim (nil data) to forward to the block store; a kick — a non-fencing
+// seal request issued by ring-full backpressure, which needs the records
+// ahead of it on their way to the backend but not the whole pipeline
+// drained; or a fence marker (non-nil fence), a consistency point at its
+// place in the write stream.
 type destageReq struct {
-	ws    uint64
-	ext   block.Extent
-	data  []byte // nil for trims
-	sum   uint32 // journal.Sum(data), taken once on the ack path
-	trim  bool
-	flush chan error
-	kick  bool
+	ws   uint64
+	ext  block.Extent
+	data []byte
+	sum  uint32 // journal.Sum(data), taken once on the ack path
+	kick bool
+
+	fence chan fenceReply
+	ckpt  bool   // the marker writes a checkpoint (Checkpoint, Snapshot), not a pipeline fence (Drain)
+	name  string // the snapshot a checkpoint marker names, or ""
 }
 
-// Disk is an LSVD virtual disk. Mutations (write/trim) are ordered by
-// a single write mutex — the write log must stay strictly ordered —
-// but return as soon as the cache log append and queue handoff are
-// done; destage to the backend happens on a background goroutine.
-// Reads take no disk-level lock at all: each cache layer and the block
-// store guard their own state, and the combined lookup+read methods
-// make each level's snapshot internally consistent.
+// fenceReply is the destager's answer to a fence marker: the block
+// store's marker to wait for, or the pipeline fence's outcome.
+type fenceReply struct {
+	m   *blockstore.Marker
+	err error
+}
+
+// Disk is an LSVD virtual disk. Mutations (write/trim) and fence markers
+// enter the write stream one at a time, in writeSeq order — the write
+// log must stay strictly ordered — but return as soon as the cache log
+// append and queue handoff are done; destage to the backend happens on a
+// background goroutine. Nothing waits under wmu (enter). Reads take no
+// disk-level lock at all: each cache layer and the block store guard
+// their own state, and the combined lookup+read methods make each
+// level's snapshot internally consistent.
 type Disk struct {
 	opts Options
 
@@ -387,19 +397,25 @@ type Disk struct {
 	volSectors block.LBA
 	readOnly   bool
 
-	wmu      sync.Mutex //lsvd:lock core.wmu (orders mutations; guards closed and queue handoff)
-	closed   bool
+	// wmu covers the metadata step of an admission (handoffLocked):
+	// the closed check, sequence number, ring reservation and queue slot.
+	// closed is closed under it, once, by Close or Kill.
+	wmu      sync.Mutex //lsvd:lock core.wmu
+	closed   chan struct{}
 	writeSeq atomic.Uint64
 
-	// Destage pipeline (nil channels on read-only mounts).
+	// Destage pipeline (nil channels on read-only mounts). turn is the
+	// admission ticket (enter).
+	turn chan struct{}
 	ch   chan destageReq
 	quit chan struct{} // closed by Kill: drop the queue, stop now
 	done chan struct{} // closed when the destager exits
 	perr atomic.Pointer[error]
 
 	// destageTick is pulsed (non-blocking, capacity 1) whenever the
-	// destage watermark advances or the pipeline fails; a writer stalled
-	// on a full ring sleeps on it instead of fencing the pipeline.
+	// destage watermark advances, the pipeline fails or the destager
+	// takes a request off a full queue; an admission waiting for room
+	// sleeps on it.
 	destageTick chan struct{}
 	ringKicks   atomic.Uint64 // non-fencing seals issued by ring-full backpressure
 	ringFences  atomic.Uint64 // full fences after the watermark stalled
@@ -655,6 +671,7 @@ func (d *Disk) storeConfig() blockstore.Config {
 // replication shipper (when a replica store is configured), and the
 // destager goroutine (skipped for read-only mounts).
 func (d *Disk) startPipeline(ctx context.Context) {
+	d.closed = make(chan struct{})
 	d.window.reset(d.opts.PrefetchSectors)
 	d.adm.start(d)
 	if !d.readOnly && d.opts.ReplicaStore != nil {
@@ -679,6 +696,7 @@ func (d *Disk) startPipeline(ctx context.Context) {
 		return
 	}
 	d.stage.limit = min(d.wc.Stats().LogBytes, d.bs.PipelineBytes())
+	d.turn = make(chan struct{}, 1)
 	d.ch = make(chan destageReq, d.opts.DestageQueueDepth)
 	d.quit = make(chan struct{})
 	d.done = make(chan struct{})
@@ -688,6 +706,13 @@ func (d *Disk) startPipeline(ctx context.Context) {
 // destage drains the queue into the block store. On Kill (quit closed)
 // it returns immediately, dropping whatever is still queued — those
 // writes live on in the cache log and are replayed at the next Open.
+//
+// A fence marker is the consistency point of the operation that queued
+// it: every write ahead of it in the queue is in the block store's batch
+// and none behind it is. Checkpoint and Snapshot hand the store a
+// checkpoint marker there (blockstore.Mark), which seals the batch and
+// queues the checkpoint behind it in the upload pipeline, so the
+// destager moves on at once; Drain fences the pipeline itself (Seal).
 func (d *Disk) destage() {
 	defer close(d.done)
 	var lastWS uint64
@@ -699,8 +724,17 @@ func (d *Disk) destage() {
 			if !ok {
 				return
 			}
-			if req.flush != nil {
-				req.flush <- d.bs.Seal()
+			if len(d.ch) == cap(d.ch)-1 {
+				d.notifyDestage() // room for an admission waiting on the full queue
+			}
+			if req.fence != nil {
+				var r fenceReply
+				if req.ckpt {
+					r.m, r.err = d.bs.Mark(req.name)
+				} else {
+					r.err = d.bs.Seal()
+				}
+				req.fence <- r
 				continue
 			}
 			if req.kick {
@@ -714,14 +748,14 @@ func (d *Disk) destage() {
 				}
 				continue
 			}
-			// The queue is FIFO and producers serialize under wmu, so
-			// write sequence numbers reach the block store in order —
+			// The queue is FIFO and producers take the admission ticket,
+			// so write sequence numbers reach the block store in order —
 			// the property prefix consistency (§3.1) rests on.
 			invariant.Assertf(req.ws >= lastWS,
 				"core: destage writeSeq regressed: %d after %d", req.ws, lastWS)
 			lastWS = req.ws
 			var err error
-			if req.trim {
+			if req.data == nil {
 				err = d.bs.Trim(req.ws, req.ext)
 			} else {
 				err = d.bs.AppendSum(req.ws, req.ext, req.data, req.sum)
@@ -764,8 +798,8 @@ func (d *Disk) pipelineErr() error {
 // committing and the shipper keeps acking — until the replica catches
 // up. "Bounded or blocked": the volume never silently accumulates more
 // unreplicated data than the configured exposure. Stalled writers
-// sleep on the wake channel rather than polling; every shipper ack,
-// pipeline failure, and close broadcasts it.
+// sleep on the wake channel rather than polling; every shipper ack and
+// pipeline failure broadcasts it, and Close and Kill close closed.
 func (d *Disk) awaitReplicaLag() error {
 	if d.shipper == nil || !d.shipper.OverBound() {
 		return nil
@@ -779,16 +813,16 @@ func (d *Disk) awaitReplicaLag() error {
 		if err := d.pipelineErr(); err != nil {
 			return err
 		}
-		d.wmu.Lock()
-		closed := d.closed
-		d.wmu.Unlock()
-		if closed {
+		if d.isClosed() {
 			return ErrClosed
 		}
 		if !d.shipper.OverBound() {
 			return nil
 		}
-		<-wake
+		select {
+		case <-wake:
+		case <-d.closed:
+		}
 	}
 }
 
@@ -811,16 +845,13 @@ func (d *Disk) replicaWakeCh() <-chan struct{} {
 	return ch
 }
 
-// enqueue hands a request to the destager, blocking while the queue is
-// full (backpressure). Kill unblocks it.
-//
-//lsvd:ignore destage backpressure by design: the write path stalls under wmu when the queue is full; quit unblocks it
-func (d *Disk) enqueue(req destageReq) error {
+// isClosed reports whether Close or Kill has begun.
+func (d *Disk) isClosed() bool {
 	select {
-	case d.ch <- req:
-		return nil
-	case <-d.quit:
-		return ErrClosed
+	case <-d.closed:
+		return true
+	default:
+		return false
 	}
 }
 
@@ -854,13 +885,6 @@ func (d *Disk) checkIO(p []byte, off int64) (block.Extent, error) {
 // WriteAt implements vdisk.Disk: the write is persisted to the cache
 // log (acknowledged) and queued for background destage (§3.2). It does
 // not wait for the backend.
-//
-// The hot path holds wmu only for metadata — sequence assignment, ring
-// reservation, destage-queue handoff — so concurrent writers pipeline:
-// the payload copy happens before the lock and the cache-SSD append
-// (group commit) after it. FIFO writeSeq order into the destage queue
-// is preserved because both the sequence and the queue slot are taken
-// under the same wmu hold.
 func (d *Disk) WriteAt(p []byte, off int64) error {
 	ext, err := d.checkIO(p, off)
 	if err != nil {
@@ -869,118 +893,113 @@ func (d *Disk) WriteAt(p []byte, off int64) error {
 	if ext.Empty() {
 		return nil
 	}
+	if err := d.mutate(ext, p); err != nil {
+		return err
+	}
+	d.c.writes.Add(1)
+	d.c.bytesWritten.Add(uint64(len(p)))
+	return nil
+}
+
+// mutate logs a write of p, or a trim (nil p), of ext and queues it for
+// destage. Only the metadata step (enter) is taken one mutation at a
+// time: the payload is staged before it and lands on the cache SSD after
+// it, so concurrent writers pipeline.
+func (d *Disk) mutate(ext block.Extent, p []byte) error {
+	if d.readOnly {
+		return ErrReadOnly
+	}
 	if err := d.pipelineErr(); err != nil {
 		return err
 	}
 	if err := d.awaitReplicaLag(); err != nil {
 		return err
 	}
-
-	// Stage before the lock: the destage pipeline (and the block-store
-	// batch, which holds references) outlives the caller's ownership
-	// of p. The buffer comes from the recycle pool and returns to it
-	// when its object commits. The one checksum pass the payload gets is
-	// taken here, over the staged copy while it is cache-hot; the cache
-	// record's CRC and, later, the backend object's are both derived
-	// from it.
-	clone := d.stage.get(len(p))
-	copy(clone, p)
-	sum := journal.Sum(clone)
-
-	d.wmu.Lock()
-	if d.readOnly {
-		d.wmu.Unlock()
-		return ErrReadOnly
+	req := destageReq{ext: ext}
+	if p != nil {
+		// Stage first: the destage pipeline (and the block-store batch,
+		// which holds references) outlives the caller's ownership of p.
+		// The buffer comes from the recycle pool and returns to it when
+		// its object commits. The one checksum pass the payload gets is
+		// taken here, over the staged copy while it is cache-hot; the
+		// cache record's CRC and, later, the backend object's are both
+		// derived from it.
+		req.data = d.stage.get(len(p))
+		copy(req.data, p)
+		req.sum = journal.Sum(req.data)
 	}
-	if d.closed {
-		d.wmu.Unlock()
-		return ErrClosed
-	}
-	ws := d.writeSeq.Add(1)
-	res, err := d.reserveWithBackpressure(ws, journal.TypeData, ext, len(p))
+	res, err := d.enter(req)
 	if err != nil {
-		d.wmu.Unlock()
 		return err
 	}
-	d.stage.track(ws, clone)
-	qerr := d.enqueue(destageReq{ws: ws, ext: ext, data: clone, sum: sum})
-	d.wmu.Unlock()
-
-	// Off the lock: the payload lands on the cache SSD via the group
-	// commit leader; Commit returns when this write is readable. The
-	// reservation contract requires the Commit even if the enqueue
-	// failed (a killed disk's record is simply never destaged — crash
-	// semantics).
-	if err := d.wc.Commit(res, p, sum); err != nil {
+	// The group commit leader lands the record; Commit returns when it
+	// is readable.
+	if err := d.wc.Commit(res, p, req.sum); err != nil {
 		return err
-	}
-	if qerr != nil {
-		return qerr
 	}
 	// Drop any stale read-cache copy (write-after-read hazard), and
 	// bump the epoch so an in-flight backend fetch self-invalidates.
 	d.rcGen.Add(1)
 	d.rc.Invalidate(ext)
-	d.c.writes.Add(1)
-	d.c.bytesWritten.Add(uint64(len(p)))
 	return nil
 }
 
 // destageGrace bounds how long a ring-full writer sleeps waiting for
 // the destage watermark before concluding it has stalled and falling
 // back to the full fence (which resubmits failed uploads and surfaces
-// their errors). Healthy pipelines tick far faster than this.
-const destageGrace = 20 * time.Millisecond
+// their errors). Healthy pipelines tick far faster than this; it is
+// long because a loaded host can leave a healthy destager unscheduled
+// for tens of milliseconds, and the fence adds a full pipeline flush on
+// top of that load, so escalating early makes the stall strictly worse.
+const destageGrace = 60 * time.Millisecond
 
-// graceRounds is how many consecutive destageGrace expiries a
-// ring-full writer tolerates before escalating to the fence. One
-// silent grace usually means scheduler starvation, not a wedged
-// pipeline (a loaded host can leave a healthy destager unscheduled
-// for tens of milliseconds); the fence adds a full pipeline flush on
-// top of that load, so escalating on the first silence makes the
-// stall strictly worse.
-const graceRounds = 3
+// errQueueFull is handoffLocked's answer while the destage queue has no
+// room for another request.
+var errQueueFull = errors.New("core: destage queue full")
 
-// reserveWithBackpressure claims cache-log space for one mutation
-// under wmu; the payload commit happens off wmu. A full ring means the
-// records pinning the head have not destaged yet, so the writer kicks
-// a non-fencing seal and dozes until the destage watermark advances,
-// retrying as commits land and the head evicts. The block store decides
-// what a kick seals (blockstore.SealAsync): a partial batch goes out
-// only when it is worth a PUT or nothing else is in flight, so the kick
-// is re-sent after every tick that did not free enough room — the
-// in-flight object it deferred to may have been the last one. This is
-// §3.2's "no writes accepted until cache space is freed" as flow control
-// rather than stop-and-go: the volume's upload pipeline keeps running
-// (and other volumes keep the shared backend busy) while this writer
-// waits. Only a stalled watermark escalates to the full destage fence.
+// enter places req at the end of the write stream: a write or trim with
+// its cache-log record reserved (the reservation is returned, and the
+// caller must Commit it), or a marker. It holds the admission ticket
+// throughout, a one-slot channel: Go queues blocked senders in arrival
+// order, so the ticket is a FIFO, and an admission that has to wait for
+// room — a full destage queue or a full ring — keeps every later one
+// behind it, which keeps writeSeq order into both the ring and the
+// queue, while it waits holding no lock. Close and Kill release the
+// whole line.
 //
-//lsvd:requires core.wmu
-func (d *Disk) reserveWithBackpressure(ws uint64, typ journal.Type, ext block.Extent, dataLen int) (*writecache.Reservation, error) {
+// A full destage queue is waited out in handoff. A full ring means the
+// records pinning its head have not destaged yet, so the writer kicks a
+// non-fencing seal and dozes until the destage watermark advances,
+// retrying as commits land and the head evicts. The block store decides
+// what a kick seals (blockstore.SealAsync): a partial batch goes out only
+// when it is worth a PUT or nothing else is in flight, so the kick is
+// re-sent after every tick that did not free enough room — the in-flight
+// object it deferred to may have been the last one. This is §3.2's "no
+// writes accepted until cache space is freed" as flow control rather
+// than stop-and-go: the volume's upload pipeline keeps running (and
+// other volumes keep the shared backend busy) while this writer waits.
+// Only a stalled watermark escalates to the full destage fence.
+func (d *Disk) enter(req destageReq) (*writecache.Reservation, error) {
+	select {
+	case d.turn <- struct{}{}:
+	case <-d.closed:
+		return nil, ErrClosed
+	}
+	defer func() { <-d.turn }()
 	fences := 0
 	for {
-		res, err := d.wc.Reserve(ws, typ, ext, dataLen)
-		if err == nil {
-			return res, nil
-		}
+		res, err := d.handoff(req)
 		if !errors.Is(err, writecache.ErrFull) {
-			return nil, err
+			return res, err
 		}
 		if perr := d.pipelineErr(); perr != nil {
 			return nil, perr
 		}
 		d.ringKicks.Add(1)
-		if qerr := d.enqueue(destageReq{kick: true}); qerr != nil {
+		if _, qerr := d.handoff(destageReq{kick: true}); qerr != nil {
 			return nil, qerr
 		}
-		progressed := false
-		for round := 0; round < graceRounds; round++ {
-			if d.awaitDestage() {
-				progressed = true
-				break
-			}
-		}
-		if progressed {
+		if d.awaitDestage() {
 			continue
 		}
 		// Watermark stalled: escalate to the fence, then retry.
@@ -989,18 +1008,19 @@ func (d *Disk) reserveWithBackpressure(ws uint64, typ journal.Type, ext block.Ex
 		}
 		fences++
 		d.ringFences.Add(1)
-		if err := d.drainLocked(); err != nil {
-			return nil, err
+		reply := make(chan fenceReply, 1)
+		if _, qerr := d.handoff(destageReq{fence: reply}); qerr != nil {
+			return nil, qerr
+		}
+		if _, ferr := d.awaitFence(reply); ferr != nil {
+			return nil, ferr
 		}
 	}
 }
 
 // awaitDestage sleeps until destage progress is signalled or the grace
-// period expires; true means progress. It deliberately holds wmu — a
-// volume with a full ring admits no writes — while the destager and
-// the upload pipeline, which never take wmu, drain the backlog.
-//
-//lsvd:ignore ring-full backpressure: blocking under wmu is the contract (no writes admitted until the ring drains); the drain side never takes wmu, the grace timer bounds the wait, and quit unblocks on Kill
+// period expires; true means progress, or that the disk is closing and
+// the retry will say so.
 func (d *Disk) awaitDestage() bool {
 	t := time.NewTimer(destageGrace)
 	defer t.Stop()
@@ -1009,28 +1029,92 @@ func (d *Disk) awaitDestage() bool {
 		return true
 	case <-t.C:
 		return false
-	case <-d.quit:
-		return false // killed: the fence path surfaces ErrClosed
+	case <-d.closed:
+		return true
 	}
 }
 
-// drainLocked (wmu held) makes every queued and batched write durable
-// in the backend: it pushes a flush marker through the destage queue
-// and waits for the destager's Seal — which itself fences the upload
-// pool — to complete.
+// handoff puts req in the destage queue, waiting off wmu while the queue
+// is full; a full ring is the caller's to wait out (writecache.ErrFull).
+func (d *Disk) handoff(req destageReq) (*writecache.Reservation, error) {
+	for {
+		d.wmu.Lock()
+		res, err := d.handoffLocked(req)
+		d.wmu.Unlock()
+		if err != errQueueFull {
+			return res, err
+		}
+		d.awaitDestage()
+	}
+}
+
+// handoffLocked is the metadata step of an admission, which never
+// waits: the closed check, then, for a write or trim, its sequence
+// number and ring reservation, then the queue slot. Only the ticket
+// holder sends to the queue, so the room checked first is still there at
+// the send; and a send under wmu with closed checked is one Close never
+// races when it closes the queue.
 //
-//lsvd:ignore flush fence: the caller requires queued destage work durable before returning; blocking under wmu is the contract and quit unblocks it
 //lsvd:requires core.wmu
-func (d *Disk) drainLocked() error {
-	fl := make(chan error, 1)
-	if err := d.enqueue(destageReq{flush: fl}); err != nil {
-		return err
+func (d *Disk) handoffLocked(req destageReq) (*writecache.Reservation, error) {
+	if d.isClosed() {
+		return nil, ErrClosed
+	}
+	if len(d.ch) == cap(d.ch) {
+		return nil, errQueueFull
+	}
+	var res *writecache.Reservation
+	if req.fence == nil && !req.kick {
+		typ := journal.TypeTrim
+		if req.data != nil {
+			typ = journal.TypeData
+		}
+		ws := d.writeSeq.Load() + 1
+		var err error
+		if res, err = d.wc.Reserve(ws, typ, req.ext, len(req.data)); err != nil {
+			return nil, err
+		}
+		d.writeSeq.Store(ws)
+		req.ws = ws
+		if req.data != nil {
+			d.stage.track(ws, req.data)
+		}
 	}
 	select {
-	case err := <-fl:
-		return err
-	case <-d.quit:
-		return ErrClosed
+	case d.ch <- req:
+		return res, nil
+	default:
+		panic("core: destage queue filled under the admission ticket")
+	}
+}
+
+// fence puts a marker at the end of the write stream — behind every
+// write and trim admitted before it, ahead of every later one — and
+// waits off every lock for the destager's answer. Writes keep being
+// admitted meanwhile.
+func (d *Disk) fence(ckpt bool, name string) (blockstore.SnapshotInfo, error) {
+	if d.readOnly {
+		return blockstore.SnapshotInfo{}, ErrReadOnly
+	}
+	reply := make(chan fenceReply, 1)
+	if _, err := d.enter(destageReq{fence: reply, ckpt: ckpt, name: name}); err != nil {
+		return blockstore.SnapshotInfo{}, err
+	}
+	return d.awaitFence(reply)
+}
+
+// awaitFence waits for the destager's answer to a marker and then, for a
+// checkpoint marker, for its checkpoint to land. Close and Kill end the
+// first wait: the marker may still be processed, unreported.
+func (d *Disk) awaitFence(reply <-chan fenceReply) (blockstore.SnapshotInfo, error) {
+	select {
+	case r := <-reply:
+		if r.m == nil {
+			return blockstore.SnapshotInfo{}, r.err
+		}
+		return r.m.Wait()
+	case <-d.closed:
+		return blockstore.SnapshotInfo{}, ErrClosed
 	}
 }
 
@@ -1117,95 +1201,54 @@ func (d *Disk) Trim(off, length int64) error {
 	if lba+n > d.volSectors {
 		return fmt.Errorf("core: trim beyond end of disk")
 	}
-	ext := block.Extent{LBA: lba, Sectors: uint32(n)}
-	if err := d.pipelineErr(); err != nil {
+	if err := d.mutate(block.Extent{LBA: lba, Sectors: uint32(n)}, nil); err != nil {
 		return err
 	}
-	if err := d.awaitReplicaLag(); err != nil {
-		return err
-	}
-
-	d.wmu.Lock()
-	if d.readOnly {
-		d.wmu.Unlock()
-		return ErrReadOnly
-	}
-	if d.closed {
-		d.wmu.Unlock()
-		return ErrClosed
-	}
-	ws := d.writeSeq.Add(1)
-	res, err := d.reserveWithBackpressure(ws, journal.TypeTrim, ext, 0)
-	if err != nil {
-		d.wmu.Unlock()
-		return err
-	}
-	qerr := d.enqueue(destageReq{ws: ws, ext: ext, trim: true})
-	d.wmu.Unlock()
-
-	if err := d.wc.Commit(res, nil, 0); err != nil {
-		return err
-	}
-	if qerr != nil {
-		return qerr
-	}
-	d.rcGen.Add(1)
-	d.rc.Invalidate(ext)
 	d.c.trims.Add(1)
 	return nil
 }
 
-// Drain fences the destage pipeline: queue drained, batch sealed,
-// every upload committed. All acknowledged writes are durable remotely
-// when it returns; cache and backend are synchronized (used before VM
-// migration, §4.3/§4.4). It also waits for the read cache admissions
-// queued before the call, so counters read after it include the
-// prefetch of every read that returned before it.
+// Drain fences the destage pipeline at a marker: every write
+// acknowledged before the call is durable remotely when it returns, and
+// cache and backend are synchronized (used before VM migration,
+// §4.3/§4.4). Writes issued meanwhile queue behind the marker. It also
+// waits for the read cache admissions queued before the call, so
+// counters read after it include the prefetch of every read that
+// returned before it.
 func (d *Disk) Drain() error {
-	d.wmu.Lock()
-	defer d.wmu.Unlock()
-	if d.closed {
-		return ErrClosed
-	}
 	defer d.adm.drain()
-	if d.readOnly {
-		//lsvd:ignore drain fence: wmu held across the seal by design — no writes admitted until the pipeline is synchronized
-		return d.bs.Seal()
-	}
-	return d.drainLocked()
+	_, err := d.fence(false, "")
+	return err
 }
 
-// Checkpoint drains the pipeline, forces a backend map checkpoint and
-// moves the cache log's start past everything the backend now holds.
+// Checkpoint forces a backend map checkpoint at a marker — it covers
+// every write acknowledged before the call — and moves the cache log's
+// start past everything the backend now holds.
 func (d *Disk) Checkpoint() error {
-	d.wmu.Lock()
-	defer d.wmu.Unlock()
-	if d.closed {
-		return ErrClosed
-	}
-	if !d.readOnly {
-		if err := d.drainLocked(); err != nil {
-			return err
-		}
-	}
-	//lsvd:ignore checkpoint fence: wmu held across both checkpoints by design — admitting writes mid-checkpoint would split the consistency point
-	if err := d.bs.Checkpoint(); err != nil {
+	if _, err := d.fence(true, ""); err != nil {
 		return err
 	}
 	return d.wc.Checkpoint()
 }
 
-// Close drains, checkpoints and persists all metadata.
-func (d *Disk) Close() error {
+// shut marks the disk closed, under wmu: every admission, queued for the
+// ticket or waiting for room, now fails with ErrClosed. It reports
+// whether this call did it; the rest of Close and Kill runs off the lock.
+func (d *Disk) shut() bool {
 	d.wmu.Lock()
 	defer d.wmu.Unlock()
-	if d.closed {
+	if d.isClosed() {
+		return false
+	}
+	close(d.closed)
+	return true
+}
+
+// Close destages, checkpoints and persists all metadata.
+func (d *Disk) Close() error {
+	if !d.shut() {
 		return nil
 	}
-	d.closed = true
-	// Writers stalled on the RPO bound must observe closed — Close
-	// holds wmu, so they would otherwise sleep through the shutdown.
-	d.notifyReplicaWake()
 	// Stop the admitter on every exit path (queued windows are
 	// released); the happy paths drain it first so admissions land in
 	// the read cache before it is persisted. The host's OnClose fires
@@ -1217,22 +1260,19 @@ func (d *Disk) Close() error {
 		d.adm.drain()
 		return d.rc.Persist()
 	}
-	derr := d.drainLocked()
-	// No writer can be mid-send: sends happen under wmu with the
-	// closed flag checked, so closing the channel here is safe.
+	// No admission is mid-send (handoffLocked), so the queue can close:
+	// the destager forwards what it holds, markers included, and exits.
 	close(d.ch)
-	//lsvd:ignore Close waits for the destager goroutine to exit under wmu by design
 	<-d.done
+	derr := d.bs.Seal()
 	// Stop the background GC service before the final checkpoint so the
 	// shutdown sequence races with no concurrent collector (on the error
 	// path too — the disk is going down either way).
-	//lsvd:ignore shutdown: Close holds wmu across GC stop by design; closed is set so nothing can queue behind it
 	d.bs.StopGC()
 	if derr == nil {
-		// The drain above sealed the last batch and the destager is gone,
-		// so the batch is empty; the checkpoint's own opening fence waits
-		// out whatever the collector left in the pipeline.
-		//lsvd:ignore shutdown: final checkpoint under wmu by design — the disk is closed
+		// The seal above left the batch empty and the destager is gone;
+		// the checkpoint's own opening fence waits out whatever the
+		// collector left in the pipeline.
 		derr = d.bs.Checkpoint()
 	}
 	// Drain the shipper after the final checkpoint so a clean close
@@ -1241,7 +1281,6 @@ func (d *Disk) Close() error {
 	// replica backend down, the per-object drain budget caps the wait
 	// and the replica simply stays at its last consistent watermark.
 	if d.shipper != nil {
-		//lsvd:ignore shutdown: replica drain under wmu by design — budget-capped, and the disk is closed
 		d.shipper.Close()
 	}
 	if derr != nil {
@@ -1260,31 +1299,23 @@ func (d *Disk) Close() error {
 // uploads are quiesced so the backend stops changing. The disk is
 // unusable afterwards; recover with Open.
 func (d *Disk) Kill() {
-	d.wmu.Lock()
-	defer d.wmu.Unlock()
-	if d.closed {
+	if !d.shut() {
 		return
 	}
-	d.closed = true
-	// Wake writers stalled on the RPO bound so they see closed and
-	// error out instead of sleeping through the kill.
-	d.notifyReplicaWake()
 	// Stop replication before quiescing the backend: a late ack would
 	// advance the watermark and re-drive deferred deletions, mutating
 	// the backend after the kill point. Abort drops queued feed events —
 	// the crash model — leaving the replica a consistent prefix.
 	if d.shipper != nil {
-		//lsvd:ignore kill path: Abort joins the shipper goroutine under wmu by design; it exits promptly without backend I/O
 		d.shipper.Abort()
 	}
 	if d.quit != nil {
 		close(d.quit)
-		//lsvd:ignore Kill waits for the destager to exit; quit is closed so the exit is prompt
 		<-d.done
 	}
-	// Writers that passed wmu before the kill may still be committing
-	// their cache-log group writes; wait them out so nothing touches
-	// the (possibly host-shared) device after Kill returns.
+	// Writers admitted before the kill may still be committing their
+	// cache-log group writes; wait them out so nothing touches the
+	// (possibly host-shared) device after Kill returns.
 	d.wc.Quiesce()
 	d.adm.stop()
 	d.bs.Abort()
@@ -1292,21 +1323,10 @@ func (d *Disk) Kill() {
 	d.released()
 }
 
-// Snapshot creates a named snapshot (§3.6) after fencing the pipeline
-// so the snapshot covers every acknowledged write.
+// Snapshot creates a named snapshot (§3.6) at a marker: it holds exactly
+// the writes acknowledged before the marker entered the write stream.
 func (d *Disk) Snapshot(name string) (blockstore.SnapshotInfo, error) {
-	d.wmu.Lock()
-	defer d.wmu.Unlock()
-	if d.closed {
-		return blockstore.SnapshotInfo{}, ErrClosed
-	}
-	if !d.readOnly {
-		if err := d.drainLocked(); err != nil {
-			return blockstore.SnapshotInfo{}, err
-		}
-	}
-	//lsvd:ignore snapshot fence: wmu held across snapshot creation by design — the snapshot must cover every acknowledged write
-	return d.bs.CreateSnapshot(name)
+	return d.fence(true, name)
 }
 
 // DeleteSnapshot removes a snapshot.

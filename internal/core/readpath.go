@@ -399,7 +399,6 @@ func (a *admitter) stop() {
 	a.stopped = true
 	a.cond.Broadcast()
 	a.mu.Unlock()
-	//lsvd:ignore shutdown handoff: the loop observes stopped and exits promptly
 	<-a.done
 }
 

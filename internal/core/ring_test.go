@@ -31,8 +31,9 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	}
 }
 
-// smallRing is a volume whose write log holds 34 writes of 128 KiB.
-func smallRing(t *testing.T, store objstore.Store, batchBytes int64) *harness {
+// smallRing is a volume whose write log holds 34 writes of 128 KiB;
+// tune, when set, adjusts its options further.
+func smallRing(t *testing.T, store objstore.Store, batchBytes int64, tune func(*Options)) *harness {
 	return newHarness(t, func(o *Options) {
 		o.Store = store
 		o.CacheDev = simdev.NewMem(64 * block.MiB)
@@ -41,6 +42,9 @@ func smallRing(t *testing.T, store objstore.Store, batchBytes int64) *harness {
 		o.BatchBytes = batchBytes
 		o.CheckpointEvery = 1 << 20
 		o.GCLowWater = -1
+		if tune != nil {
+			tune(o)
+		}
 	})
 }
 
@@ -52,12 +56,12 @@ func smallRing(t *testing.T, store objstore.Store, batchBytes int64) *harness {
 // The assertions are over the op log, not the whole run's fence count:
 // from the parked object's PUT to the first write after it landed there
 // is no other data PUT (no runt sealed behind it, by the kick or by a
-// fence's flush marker) and no ring fence. Later ring-fulls of the run
+// fence's drain marker) and no ring fence. Later ring-fulls of the run
 // are not pinned: a starved host may fence one of those legitimately.
 func TestRingFullWaitsForTheObjectInFlight(t *testing.T) {
 	const batch = 3 * block.MiB // 24 writes; 10 more fit in the log
 	rs := testrec.NewStore(objstore.NewMem())
-	h := smallRing(t, rs, batch)
+	h := smallRing(t, rs, batch, nil)
 	noteFences(rs, h.disk, testrec.DataObject, "put")
 	p := rs.Park(testrec.DataObject.Once())
 	done := make(chan error, 1)
@@ -125,11 +129,11 @@ func TestRingFullWaitsForTheObjectInFlight(t *testing.T) {
 //
 // The pass condition is an ordering over the op log: every data object
 // is PUT, under half a batch, with no ring fence taken since the
-// writer's last ack — the kick sealed it, not a fence's flush marker.
+// writer's last ack — the kick sealed it, not a fence's drain marker.
 func TestRingFullWithNothingInFlightSealsAtAnyFill(t *testing.T) {
 	const batch = 16 * block.MiB
 	rs := testrec.NewStore(objstore.NewMem())
-	h := smallRing(t, rs, batch)
+	h := smallRing(t, rs, batch, nil)
 	noteFences(rs, h.disk, testrec.DataObject, "put")
 	data := payload(1, 128*1024)
 	for i := 0; i < 110; i++ { // three laps of the log
@@ -147,7 +151,7 @@ func TestRingFullWithNothingInFlightSealsAtAnyFill(t *testing.T) {
 		case op.Kind == testrec.Note && op.Name == "ack":
 			fences = op.Off
 		case op.Kind == testrec.Note && op.Name == "put" && op.Off != fences:
-			t.Fatalf("a ring fence before object %d was PUT: a fence's flush marker sealed the records, not the kick", objects)
+			t.Fatalf("a ring fence before object %d was PUT: a fence's drain marker sealed the records, not the kick", objects)
 		case testrec.DataObject(op) && !op.Done:
 			if objects++; op.Len >= batch/2 {
 				t.Fatalf("object of %d bytes: the case is meant to seal under half a batch (%d)", op.Len, batch/2)
