@@ -77,11 +77,12 @@ race:
 # VM, twenty can pass go test's default 10-minute timeout. The fences
 # and shutdown race each other's writers the same way: a snapshot and a
 # checkpoint under a continuous writer, Close and Kill against parked
-# writers. The last line is the flake gate: twenty shuffled runs of the
+# writers, and a commit that arrives after the cache is quiesced must be
+# refused. The last line is the flake gate: twenty shuffled runs of the
 # whole consistency package in one process, zero failures.
 fault:
 	$(GO) test -count=20 -race -run 'TestBackendCrashEnumeration|TestSecondCrashAfterSuffixCheckpointKeepsPrefix' ./internal/blockstore
-	$(GO) test -count=20 -race -timeout 30m -run TestCrashEnumeration ./internal/writecache
+	$(GO) test -count=20 -race -timeout 30m -run 'TestCrashEnumeration|TestCommitAfterQuiesceIsRefused' ./internal/writecache
 	$(GO) test -count=20 -race -run 'UnderWriter|TestShutdownReleasesParkedWriters|TestDeleteSnapshotWhileSnapshotQueued' ./internal/core
 	LSVD_FAULT_SEED=1 $(GO) test -count=1 -run TestFaultTorture ./internal/consistency
 	LSVD_FAULT_SEED=100 LSVD_FAULT_RATE=0.35 LSVD_FAULT_ITERS=8 \

@@ -593,7 +593,7 @@ func TestWindowExtrasReturnsTemporalNeighbors(t *testing.T) {
 	if len(runs) != 1 || !runs[0].Present {
 		t.Fatalf("lookup: %+v", runs)
 	}
-	f, err := s.FetchSpan(runs, 1024)
+	f, err := s.FetchSpan(runs, 1024, false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -86,12 +86,18 @@ func (f *Fetch) Slice(run extmap.Run) ([]byte, error) {
 // covering every run in the span. All runs must be present and target
 // the same object; the caller groups and orders them (the core
 // coalesces adjacent misses into spans). windowSectors > 0 aligns the
-// window outward to that quantum (clamped to the object's data region)
-// — identical misses then collapse onto identical keys, and the slack
-// is the temporal prefetch the object layout gives for free. The GET
+// window outward to multiples of that quantum counted from the start of
+// the object's data region, not of the object: the header is padded
+// only to a sector, so object-relative multiples would cut every window
+// into sub-block slivers. A window is thus whole quanta of the data
+// region (the last one clamped to its end); identical misses collapse
+// onto identical keys, and the slack is the temporal prefetch the
+// object layout gives for free. ahead aligns only the window's end: it
+// starts at the span, so a stream's next window reaches forward from
+// where its last one ended and fetches none of that again. The GET
 // itself is bounded by the store's fetcher pool (Config.FetchDepth)
 // and deduplicated against other in-flight windows.
-func (s *Store) FetchSpan(runs []extmap.Run, windowSectors uint32) (*Fetch, error) {
+func (s *Store) FetchSpan(runs []extmap.Run, windowSectors uint32, ahead bool) (*Fetch, error) {
 	if len(runs) == 0 {
 		return nil, fmt.Errorf("blockstore: FetchSpan of empty span")
 	}
@@ -113,17 +119,13 @@ func (s *Store) FetchSpan(runs []extmap.Run, windowSectors uint32) (*Fetch, erro
 	name := s.name(obj)
 	s.mu.RUnlock()
 	if q := block.LBA(windowSectors); q > 0 && o != nil {
-		// Align to the prefetch quantum within the data region so
-		// concurrent misses in the same neighborhood share a key.
 		dataStart := block.LBA(o.hdrSectors)
 		dataEnd := dataStart + block.LBA(o.dataSectors)
-		lo = lo / q * q
-		if lo < dataStart {
-			lo = dataStart
-		}
-		hi = (hi + q - 1) / q * q
-		if hi > dataEnd {
-			hi = dataEnd
+		if lo >= dataStart {
+			if !ahead {
+				lo = dataStart + (lo-dataStart)/q*q
+			}
+			hi = min(dataStart+(hi-dataStart+q-1)/q*q, dataEnd)
 		}
 	}
 	if len(runs) > 1 {

@@ -75,6 +75,57 @@ func TestHeaderSingleflight(t *testing.T) {
 	}
 }
 
+// TestFetchSpanWindowsAreWholeBlocksOfTheDataRegion: an object's header
+// is padded only to a sector, so its data region starts off every 4 KiB
+// boundary of the object. Windows are aligned to the data region: a
+// block-aligned 8 KiB miss at a 4 KiB quantum fetches exactly its two
+// blocks, a 128 KiB window starts a multiple of 128 KiB into the data,
+// and a window ahead starts at the miss and ends on such a multiple.
+func TestFetchSpanWindowsAreWholeBlocksOfTheDataRegion(t *testing.T) {
+	s := newVolume(t, objstore.NewMem(), Config{})
+	data := payload(3, 1*1024*1024)
+	if err := s.Append(1, block.Extent{LBA: 0, Sectors: 2048}, data); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Seal(); err != nil {
+		t.Fatal(err)
+	}
+	miss := block.Extent{LBA: 37 * block.SectorsPerBlock, Sectors: 2 * block.SectorsPerBlock}
+	runs := s.Lookup(miss)
+	if len(runs) != 1 || !runs[0].Present {
+		t.Fatalf("unexpected lookup shape: %v", runs)
+	}
+	s.mu.RLock()
+	dataStart := block.LBA(s.objects[runs[0].Target.Obj].hdrSectors)
+	s.mu.RUnlock()
+	if dataStart%2 != 1 {
+		t.Fatalf("header of %d sectors: the test needs an odd count", dataStart)
+	}
+	for _, c := range []struct {
+		quantum uint32
+		ahead   bool
+		lo      block.LBA
+		bytes   int
+	}{
+		{block.SectorsPerBlock, false, runs[0].Target.Off, 8 * 1024},
+		{256, false, dataStart + 256, 128 * 1024},
+		{256, true, runs[0].Target.Off, int((dataStart + 512 - runs[0].Target.Off).Bytes())},
+	} {
+		f, err := s.FetchSpan(runs, c.quantum, c.ahead)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if f.Lo != c.lo || len(f.Raw) != c.bytes {
+			t.Errorf("quantum %d, ahead %v: window at sector %d of %d bytes, want %d of %d (data region at %d)",
+				c.quantum, c.ahead, f.Lo, len(f.Raw), c.lo, c.bytes, dataStart)
+		}
+		if got, err := f.Slice(runs[0]); err != nil || !bytes.Equal(got, data[miss.LBA.Bytes():][:miss.Bytes()]) {
+			t.Errorf("quantum %d: demand bytes wrong (err %v)", c.quantum, err)
+		}
+		f.Release()
+	}
+}
+
 // TestFetchSpanWindowDedup: concurrent FetchSpan calls for runs inside
 // the same aligned window share one range GET, and joiners see the
 // Shared flag.
@@ -114,7 +165,7 @@ func TestFetchSpanWindowDedup(t *testing.T) {
 			if i%2 == 1 {
 				runs = runsB
 			}
-			f, err := s.FetchSpan(runs, window)
+			f, err := s.FetchSpan(runs, window, false)
 			if err != nil {
 				errs[i] = err
 				return

@@ -131,7 +131,7 @@ func TestReapDoesNotStallPipeline(t *testing.T) {
 	mustReturn(t, "SealAsync", s.SealAsync)
 	mustReturn(t, "FetchSpan", func() error {
 		runs := s.Lookup(block.Extent{LBA: block.LBA(half.Sectors), Sectors: 8})
-		f, err := s.FetchSpan(runs, 0)
+		f, err := s.FetchSpan(runs, 0, false)
 		if err == nil {
 			f.Release()
 		}

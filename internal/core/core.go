@@ -116,12 +116,13 @@ type VolumeOptions struct {
 	// volume. Default 2.0, applied by the block store; < 0 disables
 	// pacing (the service copies as fast as the upload gate lets it).
 	GCWAFTarget float64
-	// PrefetchSectors is the ceiling of the temporal read-ahead window.
-	// 0 selects the default, 256 sectors (128 KiB). The window starts
-	// there and, once the read arena is full, backs off to as little as
-	// 8 sectors while its extras go unread (readpath.go). The smallest
-	// ceiling, 1 sector, never reaches past the demand miss and is the
-	// "off" setting the prefetch ablation uses.
+	// PrefetchSectors is the temporal read-ahead window, in sectors of
+	// the object's data region. 0 selects the default, 256 sectors
+	// (128 KiB). Every miss fetches it while the read arena has a free
+	// slab; once the arena is full, only a miss that continues a stream
+	// does, and any other fetches just its own 4 KiB blocks
+	// (readpath.go). 1 sector never reaches past the demand miss and is
+	// the "off" setting the prefetch ablation uses.
 	PrefetchSectors uint32
 	// CheckpointEvery objects between backend map checkpoints.
 	CheckpointEvery int
@@ -431,8 +432,8 @@ type Disk struct {
 	// adm applies read-cache admissions (demand fills + temporal
 	// prefetch) on a background goroutine, off the read ack path.
 	adm admitter
-	// window sizes each read-miss GET's temporal prefetch (readpath.go).
-	window prefetchWindow
+	// stream sizes each read-miss GET's temporal prefetch (readpath.go).
+	stream stream
 
 	c                 counters
 	recoveredReplayed int
@@ -672,7 +673,6 @@ func (d *Disk) storeConfig() blockstore.Config {
 // destager goroutine (skipped for read-only mounts).
 func (d *Disk) startPipeline(ctx context.Context) {
 	d.closed = make(chan struct{})
-	d.window.reset(d.opts.PrefetchSectors)
 	d.adm.start(d)
 	if !d.readOnly && d.opts.ReplicaStore != nil {
 		rs := d.opts.ReplicaStore
@@ -935,6 +935,9 @@ func (d *Disk) mutate(ext block.Extent, p []byte) error {
 	// The group commit leader lands the record; Commit returns when it
 	// is readable.
 	if err := d.wc.Commit(res, p, req.sum); err != nil {
+		if errors.Is(err, writecache.ErrClosed) {
+			return ErrClosed // Kill quiesced the cache since enter
+		}
 		return err
 	}
 	// Drop any stale read-cache copy (write-after-read hazard), and

@@ -14,12 +14,6 @@ import (
 	"lsvd/internal/testrec"
 )
 
-func (w *prefetchWindow) current() uint32 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.sectors
-}
-
 const (
 	coldDataBytes = 48 * block.MiB
 	coldCacheDev  = 16 * block.MiB // 30 % write log, a 10 MiB read arena
@@ -52,14 +46,23 @@ func coldVolume(t *testing.T, ceiling uint32) (*harness, *testrec.Store) {
 	return h, store
 }
 
+// dataGetOps returns the data range GETs rs logged after stamp from.
+func dataGetOps(rs *testrec.Store, from uint64) []testrec.Op {
+	var gets []testrec.Op
+	for _, op := range rs.Log()[from:] {
+		if testrec.DataRead(op) && !op.Done {
+			gets = append(gets, op)
+		}
+	}
+	return gets
+}
+
 // dataGets returns the lengths of the data range GETs rs logged after
 // stamp from.
 func dataGets(rs *testrec.Store, from uint64) []int64 {
 	var gets []int64
-	for _, op := range rs.Log()[from:] {
-		if testrec.DataRead(op) && !op.Done {
-			gets = append(gets, op.Len)
-		}
+	for _, op := range dataGetOps(rs, from) {
+		gets = append(gets, op.Len)
 	}
 	return gets
 }
@@ -81,46 +84,103 @@ func readAt(t *testing.T, d *Disk, off int64, n int) {
 	}
 }
 
+// fetchedBytes sums the lengths of the data GETs rs logged after stamp
+// from.
+func fetchedBytes(rs *testrec.Store, from uint64) int64 {
+	var n int64
+	for _, g := range dataGets(rs, from) {
+		n += g
+	}
+	return n
+}
+
+// fillArena reads 8 KiB blocks uniformly until the read arena is full.
+// Every miss until then fetches a ceiling window: the extras fill empty
+// slabs and displace nothing. A window is 128 KiB unless it is clamped
+// at the end of an 8 MiB object's data region, which only the one
+// window that reaches it can be.
+func fillArena(t *testing.T, d *Disk, store *testrec.Store, rng *rand.Rand) {
+	t.Helper()
+	const blk, ceiling = 8 * 1024, 128 * 1024
+	from := store.Now()
+	for !d.rc.Arena().Full() {
+		readAt(t, d, rng.Int63n(coldDataBytes/blk)*blk, blk)
+	}
+	clamped := map[string]bool{}
+	for _, op := range dataGetOps(store, from) {
+		if op.Len > ceiling || op.Len < ceiling && clamped[op.Name] {
+			t.Fatalf("GET of %d KiB at %d of %s while the arena had free slabs, want a %d KiB window",
+				op.Len>>10, op.Off, op.Name, ceiling>>10)
+		}
+		clamped[op.Name] = clamped[op.Name] || op.Len < ceiling
+	}
+}
+
 // TestWindowBacksOffOnUniformReads: once the arena is full, 8 KiB reads
-// uniform over four times the arena find almost none of a 128 KiB
-// window's extras before they are evicted. The window collapses and a
-// miss costs about its own bytes, where the fixed window fetched 16
-// times them. Until the arena is full the window stays at its ceiling:
-// the extras fill empty slabs and displace nothing.
+// uniform over four times the arena continue no stream, so each miss
+// fetches its own two blocks and no more, where a fixed 128 KiB window
+// fetched 16 times them.
 func TestWindowBacksOffOnUniformReads(t *testing.T) {
 	h, store := coldVolume(t, 256)
 	d := h.disk
 	rng := rand.New(rand.NewSource(1))
+	fillArena(t, d, store, rng)
 	const blk = 8 * 1024
-	uniform := func() { readAt(t, d, rng.Int63n(coldDataBytes/blk)*blk, blk) }
-
-	fills := 0
-	for ; !d.rc.Arena().Full(); fills++ {
-		if got := d.window.current(); got != 256 {
-			t.Fatalf("window %d sectors after %d reads, while the arena still had free slabs", got, fills)
-		}
-		uniform()
-	}
 	from, missed := store.Now(), d.Stats().BackendReadSectors
 	for i := 0; i < 600; i++ {
-		uniform()
+		readAt(t, d, rng.Int63n(coldDataBytes/blk)*blk, blk)
 	}
-	var fetched int64
-	for _, n := range dataGets(store, from) {
-		fetched += n
-	}
+	fetched := fetchedBytes(store, from)
 	missedBytes := int64(d.Stats().BackendReadSectors-missed) * block.SectorSize
 	ratio := float64(fetched) / float64(missedBytes)
-	t.Logf("arena full after %d reads; then %d KiB fetched for %d KiB missed (x%.2f), window %d",
-		fills, fetched>>10, missedBytes>>10, ratio, d.window.current())
-	if ratio > 2 {
-		t.Fatalf("uniform reads on a full arena fetched %.2f bytes per missed byte, want <= 2", ratio)
+	t.Logf("%d KiB fetched for %d KiB missed on a full arena (x%.2f)", fetched>>10, missedBytes>>10, ratio)
+	if ratio > 1.1 {
+		t.Fatalf("uniform reads on a full arena fetched %.2f bytes per missed byte, want <= 1.1", ratio)
 	}
 }
 
-// TestWindowHoldsOnClusteredReads: a sequential re-read consumes every
-// window's extras, so a full arena does not shrink the window: each GET
-// halves it and the reads it saves double it back.
+// TestSequentialScanAfterUniformReads: uniform reads fill the arena and
+// leave every miss fetching only its own blocks; a sequential scan that
+// follows still gets ceiling windows. Its second read starts where the
+// first one's window ended, and each window after that starts where the
+// last ended, so the scan costs about one GET per 128 KiB, not one per
+// read. A window reaches only ahead of the stream, so no GET fetches a
+// byte an earlier one brought, and none is wider than the ceiling plus
+// the read that starts it.
+func TestSequentialScanAfterUniformReads(t *testing.T) {
+	h, store := coldVolume(t, 256)
+	d := h.disk
+	rng := rand.New(rand.NewSource(2))
+	fillArena(t, d, store, rng)
+	const blk = 8 * 1024
+	for i := 0; i < 200; i++ {
+		readAt(t, d, rng.Int63n(coldDataBytes/blk)*blk, blk)
+	}
+	const scan, step = 8 * block.MiB, 16 * 1024
+	from := store.Now()
+	for off := int64(16 * block.MiB); off < 16*block.MiB+scan; off += step {
+		readAt(t, d, off, step)
+	}
+	gets := dataGetOps(store, from)
+	t.Logf("%d KiB scan in %d KiB reads: %d GETs, %d KiB fetched", scan>>10, step>>10, len(gets), fetchedBytes(store, from)>>10)
+	if len(gets) > 70 {
+		t.Fatalf("a %d KiB scan on a full arena made %d GETs, want <= 70", scan>>10, len(gets))
+	}
+	for i, g := range gets {
+		if g.Len > 128*1024+step {
+			t.Errorf("scan GET of %d KiB at %d of %s, want <= %d KiB", g.Len>>10, g.Off, g.Name, (128*1024+step)>>10)
+		}
+		for _, e := range gets[:i] {
+			if e.Name == g.Name && e.Off < g.Off+g.Len && g.Off < e.Off+e.Len {
+				t.Errorf("scan GET [%d,+%d) of %s fetches again bytes of GET [%d,+%d)", g.Off, g.Len, g.Name, e.Off, e.Len)
+			}
+		}
+	}
+}
+
+// TestWindowHoldsOnClusteredReads: a sequential re-read on a full arena
+// is one stream, so every window after the first starts where the last
+// one ended and fetches the ceiling.
 func TestWindowHoldsOnClusteredReads(t *testing.T) {
 	h, store := coldVolume(t, 256)
 	d := h.disk
@@ -144,10 +204,10 @@ func TestWindowHoldsOnClusteredReads(t *testing.T) {
 	}
 }
 
-// TestConcurrentMissesShareAGetAcrossAWindowChange: the window shrinks
-// after a led GET returns, not before it is issued, so a second reader
-// missing on the same block while the GET is in flight computes the
-// same key and joins it.
+// TestConcurrentMissesShareAGetAcrossAWindowChange: the stream records
+// a led window after its GET returns, not before it is issued,
+// so a second reader missing on the same block while the GET is in
+// flight computes the same key and joins it.
 func TestConcurrentMissesShareAGetAcrossAWindowChange(t *testing.T) {
 	h, store := coldVolume(t, 256)
 	d := h.disk
@@ -188,8 +248,13 @@ func TestConcurrentMissesShareAGetAcrossAWindowChange(t *testing.T) {
 		t.Fatalf("two concurrent misses on one block: %d data GETs, %d joins; want 1 and 1",
 			len(gets), after.FetchesDeduped-before.FetchesDeduped)
 	}
-	if got := d.window.current(); got != 128 {
-		t.Fatalf("window %d sectors after one led GET on a full arena, want 128", got)
+	run := d.bs.Lookup(block.Extent{LBA: block.LBAFromBytes(off), Sectors: blk / block.SectorSize})[0]
+	d.stream.mu.Lock()
+	obj, end := d.stream.obj, d.stream.end
+	d.stream.mu.Unlock()
+	if want := run.Target.Off + blk/block.SectorSize; obj != run.Target.Obj || end != want {
+		t.Fatalf("stream ends at %d of object %d after one led GET of a block no stream reached, want %d of %d",
+			end, obj, want, run.Target.Obj)
 	}
 }
 

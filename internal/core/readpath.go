@@ -198,17 +198,19 @@ func buildSpans(runs []extmap.Run) []span {
 // fetchSpan fetches one span's window (or joins another reader's
 // in-flight fetch of it), scatters the demand runs into p, admits them
 // into the read cache, and hands the window to the admitter for the
-// prefetch extras. Only the fetch leader enqueues extras: a shared
-// window's extras are already owned by its leader.
+// prefetch extras. Only the fetch leader enqueues extras and records
+// the window's end: a shared window is already owned by its leader.
 func (d *Disk) fetchSpan(ext block.Extent, sp span, p []byte, epoch uint64) error {
-	win, err := d.bs.FetchSpan(sp.runs, d.window.next(d.rc.PrefetchReads()))
+	obj := sp.runs[0].Target.Obj
+	q, ahead := d.stream.window(obj, sp.lo, d.rc.Arena().Full(), d.opts.PrefetchSectors)
+	win, err := d.bs.FetchSpan(sp.runs, q, ahead)
 	if err != nil {
 		return err
 	}
-	// Shrunk after the GET, not before it: readers missing on the same
+	// Recorded after the GET, not before it: readers missing on the same
 	// block meanwhile computed the same key and joined this flight.
-	if !win.Shared && d.rc.Arena().Full() {
-		d.window.shrink()
+	if !win.Shared {
+		d.stream.record(obj, win.Lo+block.LBA(len(win.Raw)>>block.SectorShift))
 	}
 	for _, run := range sp.runs {
 		data, err := win.Slice(run)
@@ -231,51 +233,45 @@ func (d *Disk) fetchSpan(ext block.Extent, sp span, p []byte, epoch uint64) erro
 	return nil
 }
 
-// minWindowSectors is the adaptive window's floor (4 KiB), unless
-// PrefetchSectors is smaller still.
-const minWindowSectors = 8
-
-// prefetchWindow is a volume's temporal-prefetch window (§3.2), in
-// sectors, between min(minWindowSectors, ceiling) and the ceiling,
-// Options.PrefetchSectors. It backs off the way block-layer readahead
-// does: halved after every GET the volume leads once the read arena is
-// full, doubled by every read that consumes a prefetched sector. So it
-// holds its width only while the extras save at least one GET for each
-// GET issued. Until the arena is full the extras fill otherwise empty
-// slabs and evict nothing, so the window stays wide; a hit counts only
-// on a sector's first read, so a hot set read again and again does not
-// keep a useless window wide.
-type prefetchWindow struct {
-	mu       sync.Mutex
-	sectors  uint32
-	ceiling  uint32
-	credited uint64 // the read cache's PrefetchReads already applied
+// stream is a volume's read-ahead state (§3.2 temporal prefetch), after
+// Linux on-demand readahead: the object and end sector of the last
+// window the volume led. While the read arena has a free slab every
+// miss fetches the ceiling, Options.PrefetchSectors: the extras fill
+// empty slabs and evict nothing. Once it is full, a miss fetches only
+// its own blocks unless it starts where that window ended. Data written
+// together lies together in its object, so such a miss is a stream
+// reading on in write order, and it gets a ceiling window ahead of it;
+// a random miss gets no read-ahead, and its extras cannot evict data
+// that would have been read. One end is what the tests and workloads
+// exercise: a second stream or a random miss in between ends a stream,
+// and its next miss starts it again at the cost of one exact GET.
+type stream struct {
+	mu  sync.Mutex
+	obj uint32
+	end block.LBA // object sector one past the window
 }
 
-func (w *prefetchWindow) reset(ceiling uint32) {
-	w.mu.Lock()
-	w.sectors, w.ceiling, w.credited = ceiling, ceiling, 0
-	w.mu.Unlock()
-}
-
-// next returns the window for the next GET, first doubling it once for
-// each prefetched first read (reads is the read cache's running count)
-// not yet credited.
-func (w *prefetchWindow) next(reads uint64) uint32 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	for ; w.credited < reads && w.sectors < w.ceiling; w.credited++ {
-		w.sectors = min(2*w.sectors, w.ceiling)
+// window returns the window quantum for a miss on object obj whose span
+// starts at object sector lo, and whether the miss continues the stream
+// (the window then reaches only ahead of it).
+func (s *stream) window(obj uint32, lo block.LBA, full bool, ceiling uint32) (uint32, bool) {
+	if !full {
+		return ceiling, false
 	}
-	w.credited = max(w.credited, reads)
-	return w.sectors
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if obj == s.obj && lo == s.end {
+		return ceiling, true
+	}
+	return min(block.SectorsPerBlock, ceiling), false
 }
 
-// shrink halves the window, down to its floor.
-func (w *prefetchWindow) shrink() {
-	w.mu.Lock()
-	w.sectors = max(w.sectors/2, min(minWindowSectors, w.ceiling))
-	w.mu.Unlock()
+// record makes a led window ending at object sector end of obj the
+// stream's.
+func (s *stream) record(obj uint32, end block.LBA) {
+	s.mu.Lock()
+	s.obj, s.end = obj, end
+	s.mu.Unlock()
 }
 
 // admitDemand inserts the demand runs into the read cache on the fetch

@@ -17,7 +17,7 @@ import (
 // §3/§6 by toggling each one on the same workload:
 //
 //   - temporal read prefetch (§3.2, §6.3 "Cache Placement and
-//     Pre-fetching"): backend reads saved on re-reads of
+//     Pre-fetching"): backend GETs and bytes saved on re-reads of
 //     temporally-clustered data;
 //   - GC reads from the local cache (§3.5, §6.3 "Garbage Collection"):
 //     backend GETs eliminated during cleaning;
@@ -31,15 +31,17 @@ func Ablations(ctx context.Context, e Env) (*Table, error) {
 
 	// 1. Temporal prefetch.
 	{
-		var backendReads [2]uint64
+		var re [2]rereadCost
 		for i, prefetch := range []uint32{1, 256} { // PrefetchSectors 0 means default; use 1 as "off"
 			var err error
-			if backendReads[i], err = prefetchReread(ctx, e, prefetch); err != nil {
+			if re[i], err = prefetchReread(ctx, e, prefetch); err != nil {
 				return nil, err
 			}
 		}
-		t.Rows = append(t.Rows, []string{"temporal prefetch", "backend sectors read",
-			fmt.Sprint(backendReads[0]), fmt.Sprint(backendReads[1])})
+		t.Rows = append(t.Rows,
+			[]string{"temporal prefetch", "backend data GETs", fmt.Sprint(re[0].gets), fmt.Sprint(re[1].gets)},
+			[]string{"temporal prefetch", "backend bytes read", fmt.Sprint(re[0].bytes), fmt.Sprint(re[1].bytes)},
+			[]string{"temporal prefetch", "demand sectors from backend", fmt.Sprint(re[0].sectors), fmt.Sprint(re[1].sectors)})
 	}
 
 	// 2. GC fetch from local cache.
@@ -87,18 +89,23 @@ func Ablations(ctx context.Context, e Env) (*Table, error) {
 	return t, nil
 }
 
+// rereadCost is what a re-read cost the backend: the data GETs it
+// issued, the bytes the store returned for all its GETs (object headers
+// included), and the demand sectors those GETs served.
+type rereadCost struct{ gets, bytes, sectors uint64 }
+
 // prefetchReread writes 64 clusters of temporally adjacent data, loses
-// the cache, re-reads each cluster in order and returns the backend
-// sectors the re-read fetched: with temporal prefetch the first miss
-// pulls the rest of its window.
-func prefetchReread(ctx context.Context, e Env, prefetch uint32) (uint64, error) {
+// the cache, re-reads each cluster in order and returns what the
+// re-read cost the backend: with temporal prefetch the first miss pulls
+// the rest of its window.
+func prefetchReread(ctx context.Context, e Env, prefetch uint32) (rereadCost, error) {
 	opts := core.Options{
 		HostOptions:   core.HostOptions{WriteCacheFrac: 0.6},
 		VolumeOptions: core.VolumeOptions{PrefetchSectors: prefetch, BatchBytes: 2 * block.MiB},
 	}
 	st, err := newLSVD(ctx, e, e.smallCache(), cluster.SSDConfig1(), opts)
 	if err != nil {
-		return 0, err
+		return rereadCost{}, err
 	}
 	defer st.disk.Kill()
 	buf := make([]byte, 16<<10)
@@ -114,10 +121,10 @@ func prefetchReread(ctx context.Context, e Env, prefetch uint32) (uint64, error)
 		return nil
 	}
 	if err := clusters(st.disk.WriteAt); err != nil {
-		return 0, err
+		return rereadCost{}, err
 	}
 	if err := st.disk.Drain(); err != nil {
-		return 0, err
+		return rereadCost{}, err
 	}
 	// The old stack's pipeline is killed so it cannot race the reopened
 	// volume.
@@ -125,9 +132,10 @@ func prefetchReread(ctx context.Context, e Env, prefetch uint32) (uint64, error)
 	opts.Volume, opts.Store, opts.CacheDev = "vol", st.store, newBlankCache(e)
 	disk2, err := core.Open(ctx, opts)
 	if err != nil {
-		return 0, err
+		return rereadCost{}, err
 	}
 	defer disk2.Kill()
+	before, gets := st.store.Stats().BytesGot, disk2.Stats().Backend.FetchGETs
 	// Drain after every read lands its prefetch extras before the next
 	// read looks for them: the count is what the window saves, not how
 	// far the read outran the admitter.
@@ -138,9 +146,13 @@ func prefetchReread(ctx context.Context, e Env, prefetch uint32) (uint64, error)
 		return disk2.Drain()
 	})
 	if err != nil {
-		return 0, err
+		return rereadCost{}, err
 	}
-	return disk2.Stats().BackendReadSectors, nil
+	return rereadCost{
+		gets:    disk2.Stats().Backend.FetchGETs - gets,
+		bytes:   st.store.Stats().BytesGot - before,
+		sectors: disk2.Stats().BackendReadSectors,
+	}, nil
 }
 
 // gcCleaningGETs churns a volume with random 64 KiB writes, which leave

@@ -328,7 +328,7 @@ func TestAblations(t *testing.T) {
 		return cellF(t, tab, r, "off"), cellF(t, tab, r, "on")
 	}
 	if off, on := get("temporal prefetch"); on >= off {
-		t.Errorf("prefetch did not reduce backend reads: %v -> %v", off, on)
+		t.Errorf("prefetch did not reduce backend GETs: %v -> %v", off, on)
 	}
 	if off, on := get("GC reads from cache"); on >= off {
 		t.Errorf("GC cache fetch did not reduce backend GETs: %v -> %v", off, on)

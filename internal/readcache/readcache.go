@@ -195,8 +195,8 @@ type Cache struct {
 	m *extmap.Map
 	// pf marks vLBA ranges whose cached copy came from temporal
 	// prefetch rather than a demand miss and has not been read yet. The
-	// first hit consumes the tag, crediting PrefetchHitSectors and
-	// pfReads. Not persisted.
+	// first hit consumes the tag, crediting PrefetchHitSectors. Not
+	// persisted.
 	pf *extmap.Map
 
 	// The view's two fill points, -1 if none: active is the nursery
@@ -212,9 +212,6 @@ type Cache struct {
 	hits, misses, inserts              uint64
 	pfHitSectors                       uint64
 	reinserts, reinsertedBytes, rearms uint64
-	// pfReads counts the ReadExtent calls that consumed a prefetch tag;
-	// atomic so the read path can poll it without the arena lock.
-	pfReads atomic.Uint64
 }
 
 // NewArena builds a shared read-cache arena on dev, attempting to load
@@ -358,10 +355,10 @@ func (c *Cache) touch(ext block.Extent) {
 
 // consumePrefetchTags credits the hit sectors of ext that prefetch
 // brought in and nobody has read yet, and drops their tags: a sector
-// counts once, on its first read. It reports whether any were tagged.
-func (c *Cache) consumePrefetchTags(ext block.Extent) bool {
+// counts once, on its first read.
+func (c *Cache) consumePrefetchTags(ext block.Extent) {
 	if c.pf.Len() == 0 {
-		return false
+		return
 	}
 	tagged := false
 	for _, pr := range c.pf.Lookup(ext) {
@@ -373,13 +370,7 @@ func (c *Cache) consumePrefetchTags(ext block.Extent) bool {
 	if tagged {
 		c.pf.Delete(ext)
 	}
-	return tagged
 }
-
-// PrefetchReads returns how many reads so far consumed an unread
-// prefetch tag: each is a read the temporal window answered from the
-// cache instead of a backend GET.
-func (c *Cache) PrefetchReads() uint64 { return c.pfReads.Load() }
 
 // Full reports whether the arena's last nursery claim had to displace
 // cached data, finding no never-used or stale slab.
@@ -395,16 +386,14 @@ func (c *Cache) ReadExtent(ext block.Extent, buf []byte) ([]extmap.Run, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	runs := c.m.Lookup(ext)
-	hit, prefetched := false, false
+	hit := false
 	for _, r := range runs {
 		if !r.Present {
 			continue
 		}
 		hit = true
 		c.touch(r.Extent)
-		if c.consumePrefetchTags(r.Extent) {
-			prefetched = true
-		}
+		c.consumePrefetchTags(r.Extent)
 		off := (r.LBA - ext.LBA).Bytes()
 		if err := a.dev.ReadAt(buf[off:off+r.Bytes()], r.Target.Off.Bytes()); err != nil {
 			return nil, err
@@ -414,9 +403,6 @@ func (c *Cache) ReadExtent(ext block.Extent, buf []byte) ([]extmap.Run, error) {
 		c.hits++
 	} else {
 		c.misses++
-	}
-	if prefetched {
-		c.pfReads.Add(1)
 	}
 	return runs, nil
 }
@@ -429,8 +415,8 @@ func (c *Cache) Insert(ext block.Extent, data []byte) error {
 
 // InsertPrefetched is Insert for data brought in by temporal prefetch
 // rather than a demand miss. The data stays tagged until its first hit,
-// which PrefetchHitSectors and PrefetchReads count, so the read-ahead's
-// caller can tell whether it earns its bytes.
+// which PrefetchHitSectors counts, so the read-ahead's caller can tell
+// whether it earns its bytes.
 func (c *Cache) InsertPrefetched(ext block.Extent, data []byte) error {
 	return c.insert(ext, data, true)
 }

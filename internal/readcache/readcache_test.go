@@ -99,17 +99,17 @@ func TestPrefetchTagCountsFirstReadOnly(t *testing.T) {
 		if _, full := readBack(t, c, part); !full {
 			t.Fatal("prefetched data missed")
 		}
-		if st := c.Stats(); st.PrefetchHitSectors != 16 || c.PrefetchReads() != 1 {
-			t.Fatalf("read %d of one prefetched range: %d sectors over %d reads credited, want 16 over 1",
-				i+1, st.PrefetchHitSectors, c.PrefetchReads())
+		if st := c.Stats(); st.PrefetchHitSectors != 16 {
+			t.Fatalf("read %d of one prefetched range: %d sectors credited, want 16",
+				i+1, st.PrefetchHitSectors)
 		}
 	}
 	// The rest of the range is still unread: one more first read.
 	if _, full := readBack(t, c, ext); !full {
 		t.Fatal("prefetched data missed")
 	}
-	if st := c.Stats(); st.PrefetchHitSectors != 64 || c.PrefetchReads() != 2 {
-		t.Fatalf("whole range: %d sectors over %d reads credited, want 64 over 2", st.PrefetchHitSectors, c.PrefetchReads())
+	if st := c.Stats(); st.PrefetchHitSectors != 64 {
+		t.Fatalf("whole range: %d sectors credited, want 64", st.PrefetchHitSectors)
 	}
 
 	other := block.Extent{LBA: 1000, Sectors: 32}
@@ -124,8 +124,8 @@ func TestPrefetchTagCountsFirstReadOnly(t *testing.T) {
 		t.Fatalf("%d prefetch tags left after a demand insert and an invalidation covered them", n)
 	}
 	readBack(t, c, other)
-	if st := c.Stats(); st.PrefetchHitSectors != 64 || c.PrefetchReads() != 2 {
-		t.Fatalf("demand data credited as prefetched: %d sectors, %d reads", st.PrefetchHitSectors, c.PrefetchReads())
+	if st := c.Stats(); st.PrefetchHitSectors != 64 {
+		t.Fatalf("demand data credited as prefetched: %d sectors", st.PrefetchHitSectors)
 	}
 }
 

@@ -49,6 +49,10 @@ import (
 // backend; the caller must destage and mark progress, then retry.
 var ErrFull = errors.New("writecache: log full of un-destaged records")
 
+// ErrClosed is returned by a Commit that arrives after Quiesce: the
+// record is not written and the write must not be acknowledged.
+var ErrClosed = errors.New("writecache: closed")
+
 // Config configures Format.
 type Config struct {
 	// CheckpointBytes is a gap Format leaves between the superblocks and
@@ -181,13 +185,14 @@ type Cache struct {
 	m    *extmap.Map
 
 	// Group-commit state. gmu guards only the commit queue, leadership
-	// flag and in-flight commit count, and is never held together with
-	// mu.
+	// flag, in-flight commit count and closed flag, and is never held
+	// together with mu.
 	gmu        sync.Mutex //lsvd:lock wcache.gmu
 	commitq    []*pendingRec
 	leaderBusy bool
 	committing int        // Commit calls between enqueue and ack
 	qcond      *sync.Cond // broadcast when committing drops to zero
+	closed     bool       // set by Quiesce: later Commits fail
 
 	// mapSeq is the next record sequence whose map update may be
 	// applied; pendingMap holds device-written records (nil for pads,
@@ -353,6 +358,10 @@ func (c *Cache) Commit(res *Reservation, data []byte, sum uint32) error {
 	}
 
 	c.gmu.Lock()
+	if c.closed {
+		c.gmu.Unlock()
+		return ErrClosed
+	}
 	c.commitq = append(c.commitq, pr)
 	c.committing++
 	lead := !c.leaderBusy
@@ -376,14 +385,19 @@ func (c *Cache) Commit(res *Reservation, data []byte, sum uint32) error {
 }
 
 // Quiesce blocks until no Commit is in flight — no group device write
-// can be running or about to run. Shutdown paths (Close, Kill) use it
-// so that once they return, nothing is still writing to the device:
-// a host may hand the volume's SSD section to a new tenant.
+// can be running or about to run — and closes the cache to new ones: a
+// writer that reserved before the call but reaches Commit after it gets
+// ErrClosed and writes nothing. Shutdown paths (Close, Kill) use it so
+// that once they return, nothing is still writing to the device: a host
+// may hand the volume's SSD section to a new tenant. It waits before it
+// closes because a queued Commit may be waiting, for its ack, on an
+// earlier reservation's Commit still on its way.
 func (c *Cache) Quiesce() {
 	c.gmu.Lock()
 	for c.committing > 0 {
 		c.qcond.Wait()
 	}
+	c.closed = true
 	c.gmu.Unlock()
 }
 

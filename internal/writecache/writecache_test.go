@@ -670,3 +670,34 @@ func TestFormatOldRecordsDoNotChain(t *testing.T) {
 		t.Fatalf("the previous cache's records were replayed: %+v", runs)
 	}
 }
+
+// TestCommitAfterQuiesceIsRefused: a writer that reserved before
+// Quiesce but commits after it gets ErrClosed, and the device sees no
+// write once Quiesce has returned: a shutdown may hand the device to a
+// new tenant at that point.
+func TestCommitAfterQuiesceIsRefused(t *testing.T) {
+	dev := testrec.NewDevice(simdev.NewMem(8 * block.MiB))
+	c, err := Format(dev, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ext := block.Extent{LBA: 0, Sectors: block.SectorsPerBlock}
+	data := payload(1, int(ext.Bytes()))
+	res, err := c.Reserve(1, journal.TypeData, ext, len(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Quiesce()
+	from := dev.Now()
+	if err := c.Commit(res, data, journal.Sum(data)); !errors.Is(err, ErrClosed) {
+		t.Fatalf("commit after Quiesce returned %v, want ErrClosed", err)
+	}
+	for _, op := range dev.Log()[from:] {
+		if op.Kind == testrec.Write || op.Kind == testrec.Flush {
+			t.Fatalf("device %s after Quiesce returned", op.Kind)
+		}
+	}
+	if runs := c.Lookup(ext); len(runs) != 1 || runs[0].Present {
+		t.Fatalf("a refused commit is readable: %v", runs)
+	}
+}
