@@ -205,12 +205,12 @@ func (s *Store) SealAsync() error {
 }
 
 // dataInflightLocked reports whether a sealed data object awaits its
-// commit (checkpoint markers carry no client writes).
+// commit (checkpoint markers and GC entries carry no client writes).
 //
 //lsvd:requires bs.mu
 func (s *Store) dataInflightLocked() bool {
 	for _, inf := range s.inflight {
-		if inf.ckpt == nil {
+		if inf.typ == journal.TypeData {
 			return true
 		}
 	}
@@ -311,7 +311,6 @@ func (s *Store) installObject(info *objInfo, mapped []mappedExtent, trims []bloc
 	// any map update: in no-coalesce mode an object's own extents
 	// overlap, so displacement accounting must already see it.
 	s.objects[info.seq] = info
-	s.topInstalled = max(s.topInstalled, info.seq)
 	// This is the commit point for data and GC objects — the one place
 	// the object becomes visible to readers and recovery — so it is
 	// also where the replication feed learns about it (ship.go rule 1).
@@ -321,7 +320,7 @@ func (s *Store) installObject(info *objInfo, mapped []mappedExtent, trims []bloc
 		s.utilData += uint64(info.dataSectors)
 	}
 	for _, t := range trims {
-		s.applyDisplaced(s.m.Delete(t))
+		s.applyDisplaced(s.m.Delete(t), info.seq)
 	}
 	for _, me := range mapped {
 		var displaced []extmap.Run
@@ -341,7 +340,7 @@ func (s *Store) installObject(info *objInfo, mapped []mappedExtent, trims []bloc
 					filled += r.Sectors
 				}
 			}
-			s.applyDisplaced(s.m.UpdateIf(me.ext, me.target, func(extmap.Run) bool { return false }))
+			s.applyDisplaced(s.m.UpdateIf(me.ext, me.target, func(extmap.Run) bool { return false }), info.seq)
 			if gap := me.ext.Sectors - filled; gap > 0 && info.liveSectors >= gap {
 				info.liveSectors -= gap
 				if s.utilCounted(info) {
@@ -376,10 +375,10 @@ func (s *Store) installObject(info *objInfo, mapped []mappedExtent, trims []bloc
 				}
 			}
 		}
-		s.applyDisplaced(displaced)
+		s.applyDisplaced(displaced, info.seq)
 	}
 	if s.utilCounted(info) && info.liveSectors == 0 {
-		s.diedLocked(info) // trims only, or GC copies a newer write beat
+		s.diedLocked(info, info.seq) // trims only, or GC copies a newer write beat
 	}
 	s.hdrCache[info.seq] = &hdrEntry{extents: extentEntries(mapped, trims, info), hdrSectors: info.hdrSectors}
 	s.pruneHdrCache()

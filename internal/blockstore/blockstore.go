@@ -270,11 +270,6 @@ type Store struct {
 	// the snapshot pins (snapPinsLocked).
 	ckpts []uint32
 
-	// topInstalled is the highest sequence number installed in the map.
-	// Only a GC object, which commits as soon as it is PUT, can sit
-	// above an upload still in flight (see prefixCommittedLocked).
-	topInstalled uint32
-
 	// Running utilization counters over own, non-cleaned data/GC
 	// objects, so the per-seal GC trigger is O(1).
 	utilLive, utilData uint64
@@ -318,9 +313,9 @@ type Store struct {
 	sinceCkpt       int
 
 	// Checkpoint machinery (checkpoint.go). ckptQueued: a checkpoint
-	// marker sits in the upload pipeline or is owed its superblock; GC
-	// object writes wait on commitCond until it clears. superOwed is the
-	// marker whose checkpoint object has landed and whose super has not.
+	// marker sits in the upload pipeline or is owed its superblock.
+	// superOwed is the marker whose checkpoint object has landed and
+	// whose super has not.
 	// ckptBuf is the payload encode buffer reused across checkpoints.
 	ckptQueued bool
 	superOwed  *inflightObj
@@ -587,7 +582,7 @@ func (s *Store) AuditUtilization() error {
 			return fmt.Errorf("blockstore: dead object %d (%v) was never released", seq, o.typ)
 		}
 	}
-	if !s.readOnly && s.prefixCommittedLocked() {
+	if !s.readOnly {
 		for _, d := range s.pending {
 			if d.Obj < s.durable.lastCkpt {
 				return fmt.Errorf("blockstore: dead object %d lies below the named checkpoint %d and was never released", d.Obj, s.durable.lastCkpt)
@@ -666,11 +661,12 @@ func (s *Store) Stats() Stats {
 	return st
 }
 
-// applyDisplaced decrements live counters for displaced map runs; an
-// own object that loses its last live sector dies (diedLocked).
+// applyDisplaced decrements live counters for the map runs displaced by
+// installing object by; an own object that loses its last live sector
+// dies (diedLocked).
 //
 //lsvd:requires bs.mu
-func (s *Store) applyDisplaced(displaced []extmap.Run) {
+func (s *Store) applyDisplaced(displaced []extmap.Run, by uint32) {
 	for _, r := range displaced {
 		o := s.objects[r.Target.Obj]
 		if o == nil {
@@ -684,7 +680,7 @@ func (s *Store) applyDisplaced(displaced []extmap.Run) {
 		if s.utilCounted(o) {
 			s.utilLive -= uint64(dec)
 			if o.liveSectors == 0 {
-				s.diedLocked(o)
+				s.diedLocked(o, by)
 			}
 		}
 	}
@@ -692,37 +688,36 @@ func (s *Store) applyDisplaced(displaced []extmap.Run) {
 
 // diedLocked records the death of an own data or GC object whose live
 // count is zero: it waits on s.pending for the release rule
-// (releaseLocked). GCSeq bounds the objects that displaced it, for the
-// snapshot pin.
+// (releaseLocked). by, its GCSeq for the snapshot pin, is the object
+// whose install killed it, or a sequence number no lower.
 //
 //lsvd:requires bs.mu
-func (s *Store) diedLocked(o *objInfo) {
+func (s *Store) diedLocked(o *objInfo, by uint32) {
 	if s.cleaned[o.seq] {
 		return
 	}
 	s.cleaned[o.seq] = true
-	s.pending = append(s.pending, deferredDelete{Obj: o.seq, GCSeq: s.topInstalled})
+	s.pending = append(s.pending, deferredDelete{Obj: o.seq, GCSeq: by})
 }
 
 // releaseLocked is the release rule, the one place it is written: it
 // takes off s.pending, and returns for the reaper, every dead object
-// below the checkpoint the durable superblock names, once every
-// installed object is inside the committed prefix. Recovery loads that
-// checkpoint and replays only the objects after it, so such an object
-// is read through the checkpoint's map alone, and every recovery
-// replays the installs that killed it. The rest wait: an object in the
-// replay suffix until a super names a newer checkpoint, one displaced
-// by a GC object above an upload in flight until that upload commits.
-// A read-only store releases nothing.
+// below the checkpoint the durable superblock names. Recovery loads
+// that checkpoint and replays only the objects after it, so such an
+// object is read through the checkpoint's map alone; objects commit in
+// sequence order, so every install that killed it lies in the prefix
+// every recovery replays. The rest wait: an object in the replay suffix
+// until a super names a newer checkpoint. A read-only store releases
+// nothing.
 //
 // Callers hand the result to the reaper before they drop s.mu. They
 // are every place the rule's answer can change: the commit walk, a GC
-// install, a landed super and open. One call is one pass over
+// pass's victim, a landed super and open. One call is one pass over
 // s.pending, which holds only what died since the named checkpoint.
 //
 //lsvd:requires bs.mu
 func (s *Store) releaseLocked() []deferredDelete {
-	if s.readOnly || len(s.pending) == 0 || !s.prefixCommittedLocked() {
+	if s.readOnly || len(s.pending) == 0 {
 		return nil
 	}
 	var out []deferredDelete
@@ -736,15 +731,6 @@ func (s *Store) releaseLocked() []deferredDelete {
 	}
 	s.pending = waiting
 	return out
-}
-
-// prefixCommittedLocked reports whether every installed object lies in
-// the consecutive prefix of durable objects: no upload is in flight
-// below the highest installed sequence number.
-//
-//lsvd:requires bs.mu
-func (s *Store) prefixCommittedLocked() bool {
-	return len(s.inflight) == 0 || s.inflight[0].seq > s.topInstalled
 }
 
 // ckptKeepLocked is the oldest checkpoint an OpenAt chain walk reads.
@@ -829,7 +815,7 @@ func (s *Store) deadLocked(o *objInfo, keep uint32) bool {
 func (s *Store) sweepDeadLocked() {
 	for _, o := range s.objects {
 		if s.utilCounted(o) && o.liveSectors == 0 {
-			s.diedLocked(o)
+			s.diedLocked(o, s.nextSeq-1)
 		}
 	}
 	s.supersededLocked()

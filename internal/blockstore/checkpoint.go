@@ -82,28 +82,22 @@ import (
 //   2. Nothing a recovery can read is deleted. Recovery loads the
 //      checkpoint the durable super names (s.durable) and replays the
 //      objects after it, so a dead data or GC object is deleted only
-//      once it lies below that checkpoint and every object that
-//      displaced it is in the committed prefix (releaseLocked) — an
-//      object in the suffix, or one the checkpoint still maps whose
-//      killer a crash could strand, would hole the replay. A checkpoint
-//      object is deleted only once a super names a newer one and no
-//      snapshot's chain walk reads it (supersededLocked). What a
+//      once it lies below that checkpoint (releaseLocked) — an object in
+//      the suffix would hole the replay; the objects that killed it
+//      committed in sequence order, so every recovery replays them. A
+//      checkpoint object is deleted only once a super names a newer one
+//      and no snapshot's chain walk reads it (supersededLocked). What a
 //      snapshot pins is deleted only after the super that drops the
 //      snapshot has landed: the pins count the snapshots s.durable
 //      lists as well as s.snapshots (snapPinsLocked), so a snapshot the
 //      durable super lists stays mountable.
-//   3. While a checkpoint marker is queued or owed its super, GC object
-//      writes wait (writeGCObjectLocked): a GC object with a sequence
-//      number above the checkpoint's must not enter the checkpoint's
-//      map snapshot, or recovery's gap rule could delete an object the
-//      recovered map still references.
-//   4. Every checkpoint payload lists s.deferred, s.pending and
+//   3. Every checkpoint payload lists s.deferred, s.pending and
 //      s.reaping together as its deferred list, and keeps all of them
 //      in its object table. A crash in the middle of a reap therefore
 //      loses nothing: open puts the whole list back under the release
 //      rule (a delete that already landed finds the object missing,
 //      which counts as done), whichever checkpoint it recovers from.
-//   5. Abort claims no new reap, arms no super, and returns only once
+//   4. Abort claims no new reap, arms no super, and returns only once
 //      s.reaping is empty and every issued PUT — a super included — has
 //      finished: the backend stops changing. The fences
 //      (waitInflightLocked, hence Seal, Checkpoint, the snapshot calls
@@ -165,7 +159,7 @@ func (s *Store) fillCkptShotLocked(shot *ckptShot) error {
 		w.PutU32(o.liveSectors)
 		w.PutU64(o.writeSeq)
 	}
-	// Rule 4: a victim mid-reap is still listed, so open re-drives it.
+	// Rule 3: a victim mid-reap is still listed, so open re-drives it.
 	w.PutU32(uint32(len(s.deferred) + len(s.pending) + len(s.reaping)))
 	for _, ds := range [][]deferredDelete{s.deferred, s.pending} {
 		for _, d := range ds {
@@ -194,9 +188,7 @@ func (s *Store) fillCkptShotLocked(shot *ckptShot) error {
 
 // putCheckpointObject PUTs a checkpoint's object, encoding it on the
 // first attempt. Called WITHOUT s.mu held. Neither it nor putSuper
-// takes an upload-gate slot: a GC pass parked on ckptQueued may hold
-// gate slots, so gating the checkpoint could deadlock — and checkpoints
-// are rare control-plane I/O.
+// takes an upload-gate slot: checkpoints are rare control-plane I/O.
 func (s *Store) putCheckpointObject(shot *ckptShot) error {
 	if shot.rec == nil {
 		h := &journal.Header{

@@ -3,7 +3,6 @@ package blockstore
 import (
 	"bytes"
 	"fmt"
-	"slices"
 	"testing"
 	"time"
 
@@ -30,8 +29,9 @@ const enumLag = 20 * time.Millisecond
 // checkpoint's map still points at that dies whole and is deleted at
 // once (killBelowNamed); a GC pass that copies a half-dead victim; a
 // victim pinned by a snapshot and released by deleting it; and a GC
-// object that commits above a data object still in flight, whose
-// victim below the named checkpoint must wait for a checkpoint.
+// object that lands behind a data upload held in flight and commits
+// only after it, its victim below the named checkpoint dying and
+// deleted only then.
 type enumScript struct {
 	t      *testing.T
 	rs     *testrec.Store
@@ -127,7 +127,7 @@ func (e *enumScript) run() {
 	}
 	e.killBelowNamed(2)
 	// Half of slot 2 is overwritten: GC copies the other half into a GC
-	// object, which waits out any marker queued (rule 3).
+	// object, which queues behind any marker queued.
 	e.write(block.Extent{LBA: enumSlot(2).LBA, Sectors: 32}, false)
 	e.must("seal", e.s.Seal())
 	e.must("gc", e.s.RunGC())
@@ -146,22 +146,31 @@ func (e *enumScript) run() {
 
 	// Half of slot 1's object, below the named checkpoint, is
 	// overwritten. GC copies the other half while the next data
-	// object's PUT is held, so the GC object commits above an upload in
-	// flight: a crash before that upload lands strands it, and the
-	// victim must wait for a checkpoint.
+	// object's PUT is held, so the GC object lands behind an upload in
+	// flight: a crash before that upload lands strands it, so it commits,
+	// and its victim dies, only once the upload has.
 	victim := e.target(enumSlot(1))
 	e.write(block.Extent{LBA: enumSlot(1).LBA, Sectors: 32}, false)
 	e.must("seal", e.s.Seal())
 	held := e.rs.Park(testrec.DataObject.Once())
 	e.write(enumSlot(4), false)
 	<-held.Arrived()
-	e.must("gc", e.s.RunGC())
+	from := e.rs.Now()
+	gc := make(chan error, 1)
+	go func() { gc <- e.s.RunGC() }()
+	landed := e.rs.Await(from, testrec.GCObject, 10*time.Second)
 	e.s.mu.RLock()
-	waits := slices.ContainsFunc(e.s.pending, func(d deferredDelete) bool { return d.Obj == victim })
+	dead := e.s.cleaned[victim]
 	e.s.mu.RUnlock()
 	held.Release(nil)
-	if !waits {
-		e.t.Fatalf("GC victim %d, killed above an upload in flight, is not waiting for a checkpoint", victim)
+	e.must("gc", <-gc)
+	switch {
+	case !landed:
+		e.t.Fatal("the GC object did not land behind the held upload")
+	case dead:
+		e.t.Fatalf("GC victim %d died before the upload ahead of its copy committed", victim)
+	case !e.rs.Await(from, testrec.Deletes.Named(objName("vol", victim)), 10*time.Second):
+		e.t.Fatalf("GC victim %d, below the named checkpoint, was not deleted once its copy committed", victim)
 	}
 	waitDurable(e.t, e.s, uint64(len(e.writes)))
 	e.must("checkpoint", e.s.Checkpoint())

@@ -56,10 +56,13 @@ const gcIdleWait = 5 * time.Millisecond
 // RunGC forces an immediate, unpaced collection pass until overall
 // utilization reaches the high-water mark or no further progress is
 // possible (§3.5). It preempts the background service's paced pass
-// (which yields its slot to fences) and runs inline. Backend I/O inside
-// a pass (header fetches, source-data reads) drops s.mu, so the gcBusy
-// claim — shared with the background service — is what keeps passes
-// single-flight; fences and Abort wait for it via commitCond.
+// (which yields its slot to fences) and runs inline, and returns once
+// the GC objects it wrote have committed. Backend I/O inside a pass
+// (header fetches, source-data reads) drops s.mu, so the gcBusy claim
+// — shared with the background service — is what keeps passes
+// single-flight; fences and Abort wait for it via commitCond. Like
+// Seal, it gives failed uploads a fresh attempt budget, but not a
+// failed superblock: it waits for no superblock.
 func (s *Store) RunGC() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -74,6 +77,7 @@ func (s *Store) RunGC() error {
 	if s.aborting {
 		return nil
 	}
+	s.resubmitFailedLocked(true)
 	s.gcBusy = true
 	err := s.gcPassLocked(false)
 	s.gcBusy = false
@@ -195,11 +199,12 @@ func (s *Store) gcService() {
 				s.asyncErr = err
 			}
 		}
-		if err == nil && s.gcWantedLocked() {
-			// The pass ran to completion yet utilization is still below
-			// the low-water mark: nothing (more) is collectable right
-			// now. Re-running immediately would spin under s.mu, so
-			// park until the next commit changes the picture.
+		if !errors.Is(err, errGCYield) && s.gcWantedLocked() {
+			// The pass ran to completion, or failed, yet utilization is
+			// still below the low-water mark: nothing (more) is
+			// collectable right now, or a failed upload holds the
+			// pipeline. Re-running immediately would spin under s.mu,
+			// so park until the next commit changes the picture.
 			epoch := s.gcRefills
 			for !s.gcStop && !s.aborting && s.gcRefills == epoch {
 				s.gcCond.Wait()
@@ -448,12 +453,13 @@ func (s *Store) collectLocked(seq uint32, paced bool) error {
 
 	// The install that relocated the victim's last live sector killed it
 	// (diedLocked). Every piece was relocated or overwritten, so it is
-	// dead whatever its counter says. Its contribution stays in the
-	// running counters until its delete retires (retireObjectLocked);
-	// utilizationLocked excludes cleaned objects on the fly, so an abort
-	// or crash between here and the delete cannot strand the accounting.
+	// dead whatever its counter says, and every object that displaced it
+	// has committed. Its contribution stays in the running counters until
+	// its delete retires (retireObjectLocked); utilizationLocked excludes
+	// cleaned objects on the fly, so an abort or crash between here and
+	// the delete cannot strand the accounting.
 	if v := s.objects[seq]; v != nil && !s.cleaned[seq] {
-		s.diedLocked(v)
+		s.diedLocked(v, s.nextSeq-1)
 	}
 	s.stats.gcVictims++
 	_ = s.reapLocked(s.releaseLocked()) // a failed delete waits on s.deferred for the next checkpoint
@@ -582,15 +588,15 @@ func (s *Store) gcGateAcquire() { s.gate.AcquireBackground(s.gcGateID) }
 func (s *Store) gcGateRelease() { s.gate.ReleaseBackground(s.gcGateID) }
 
 // writeGCObjectLocked reads the pieces (preferring the local cache,
-// §3.5) and seals them into one GC object. Backend source reads drop
-// s.mu — the sources are immutable objects, and installation is
-// conditional on the map still pointing at the copied data, so
-// concurrent seals/trims during the drop at worst make parts of the GC
-// object dead at birth (accounted below). Backend I/O (source GETs and
-// the PUT) holds a background gate slot, acquired during a lock drop so
-// foreground lookups never wait behind the gate. The sequence number is
-// taken only after the read phase, under the same continuous critical
-// section as the PUT and install, exactly as before.
+// §3.5) and queues them as one GC object in the upload pipeline, which
+// PUTs it off s.mu and commits it in sequence order like a client
+// batch; then it waits for that commit as a fence does. Source reads
+// drop s.mu — the sources are immutable objects, and installation is
+// conditional on the map still pointing at the copied data, so seals,
+// commits and trims meanwhile at worst make parts of the GC object dead
+// at birth. Its backend I/O is background: the PUT's gate slot is taken
+// before the sequence number and handed to the upload, so the entry
+// never waits for one behind the uploads queued after it.
 //
 //lsvd:requires bs.mu
 func (s *Store) writeGCObjectLocked(pieces []gcPiece) error {
@@ -622,76 +628,39 @@ func (s *Store) writeGCObjectLocked(pieces []gcPiece) error {
 	if pieces = kept; len(pieces) == 0 {
 		return nil
 	}
-
-	// Two conditions gate the seq-reservation critical section below,
-	// and they must be satisfied simultaneously while never holding one
-	// across a wait for the other:
-	//
-	//   - No checkpoint marker queued or owed its super (ckptQueued): a
-	//     GC object sequenced ABOVE the marker must not enter its state
-	//     snapshot —
-	//     recovery's gap rule could delete the GC object (an uncommitted
-	//     data object below it leaves a gap) while the recovered map
-	//     still references it, after the checkpoint already released
-	//     its victims.
-	//   - A gate slot for the PUT, taken before reserving the sequence
-	//     number: the acquire can block on foreground traffic and must
-	//     not happen inside the critical section (or under mu at all).
-	//     It must also not be HELD while waiting out a checkpoint: the
-	//     marker only completes once the uploads ahead of it drain
-	//     through this same gate.
-	for {
-		for s.ckptQueued {
-			if s.aborting {
-				return errGCAborted
-			}
-			s.commitCond.Wait()
-		}
-		if s.aborting {
-			return errGCAborted
-		}
-		s.mu.Unlock()
-		s.gcGateAcquire()
-		s.mu.Lock()
-		if s.aborting {
-			s.gcGateRelease()
-			return errGCAborted
-		}
-		if !s.ckptQueued {
-			break
-		}
-		// A checkpoint slipped in while the gate acquire blocked: give
-		// the slot back so the pipeline can drain, and wait it out.
+	s.mu.Unlock()
+	s.gcGateAcquire()
+	s.mu.Lock()
+	if s.aborting {
 		s.gcGateRelease()
+		return errGCAborted
 	}
 
 	exts := make([]journal.ExtentEntry, 0, len(pieces))
-	seq := s.nextSeq
 	for _, p := range pieces {
 		// srcObj 0 (a zero-fill plug of an unmapped gap) stays 0 in the
 		// header: installObject fills only still-unmapped holes for it.
-		// Installing zeros unconditionally would be wrong in both
-		// directions of time — a client write that lands during this
-		// function's lock drops, or one sitting in a lower-seq in-flight
-		// object that replays before this GC object after a crash, must
-		// not be shadowed by plug zeros.
+		// Installing zeros unconditionally would be wrong: a client write
+		// that lands during this function's lock drops, in an object that
+		// commits before this one, must not be shadowed by plug zeros.
 		exts = append(exts, journal.ExtentEntry{LBA: p.ext.LBA, Sectors: p.ext.Sectors, SrcSeq: uint64(p.srcObj)})
 	}
-	obj, info, mapped := buildObject(seq, journal.TypeGC, s.durableWriteSeq, exts, src.offs, &src)
-	//lsvd:ignore the GC PUT must complete inside the seq-reservation critical section under mu (see writeGCObjectLocked doc)
-	err := objstore.PutVec(s.ctx, s.cfg.Store, objName(s.cfg.Volume, seq), obj)
-	s.gcGateRelease()
-	if err != nil {
-		return err
+	inf := &inflightObj{
+		seq: s.nextSeq, typ: journal.TypeGC, maxWrite: s.durableWriteSeq,
+		src: &src, exts: exts, offs: src.offs,
 	}
-	s.stats.bytesPut += uint64(objstore.VecLen(obj))
-	s.stats.gcBytesCopied += uint64(src.fill)
-	s.installObject(info, mapped, nil)
 	s.nextSeq++
-	s.sinceCkpt++
-	// The install may have killed its sources below the named
-	// checkpoint: hand them to the reaper now.
-	_ = s.reapLocked(s.releaseLocked()) // a failed delete waits on s.deferred for the next checkpoint
+	s.inflight = append(s.inflight, inf)
+	s.startUploadLocked(inf, true)
+	for len(s.inflight) > 0 && s.inflight[0].seq <= inf.seq {
+		if s.aborting {
+			return errGCAborted
+		}
+		if err := s.retryFrontLocked(); err != nil {
+			return err
+		}
+		s.commitCond.Wait()
+	}
 	return nil
 }
 

@@ -3,6 +3,8 @@ package blockstore
 import (
 	"bytes"
 	"errors"
+	"slices"
+	"sync"
 	"testing"
 	"time"
 
@@ -245,35 +247,30 @@ func TestDeferredDeleteResweepKeepsSnapshotPin(t *testing.T) {
 	}
 }
 
-// TestGCStaleSourceNotResurrected is the deterministic reproduction of
-// the conditional-install ordering bug: once GC objects exist,
-// container sequence numbers no longer order data by freshness — a GC
-// object's copy of old data carries a sequence number ABOVE that of a
-// later write still sitting in a lower-seq in-flight object. A
-// second-generation collection that samples the map before that object
-// commits, and installs after, used to resurrect the stale copy (its
-// "current target <= my source" check passed), both on the live path
-// and again on crash replay. The install predicate must be an exact
-// source match.
+// TestGCStaleSourceNotResurrected: a GC pass samples the map, reads
+// its sources with s.mu dropped, and its object commits behind every
+// upload sealed before it. An overwrite of a sampled range that commits
+// in between — here one during the source read, one after the GC
+// object has landed, both sealed before the pass — must win: the GC
+// copy installs only where the map still points at the exact object
+// it was copied from, when the entry commits and again on crash
+// replay, which applies the objects in the same order.
 //
-// Interleaving forced here (n = first stalled data seq):
-//
-//	obj n   (D_a, in flight, PUT stalled): overwrites half of A's live data
-//	obj n+1 (D_b, in flight, PUT stalled): overwrites the other half
-//	pass 1:  collects A -> G1 = n+2 (samples the map before either commits)
-//	D_a commits -> G1 half dead (garbage for pass 2)
-//	pass 2:  samples G1's live range (still stale: D_b uncommitted),
-//	         then D_b commits inside the pass's source-read lock drop,
-//	         then G2 = n+3 installs its copy -- which MUST lose to D_b.
+//	obj a            A: 64 sectors, of which B (obj a+1) overwrote 32..63
+//	obj n   (D_a, PUT held): overwrites A's sectors 0..15
+//	obj n+1 (D_b, PUT held): overwrites A's sectors 16..23
+//	pass:    samples 0..31 -> A; D_a commits during the source read
+//	obj n+2 (G, queued behind D_b): lands, then D_b commits, then G:
+//	         only A's sectors 24..31 install
 func TestGCStaleSourceNotResurrected(t *testing.T) {
 	rs := testrec.NewStore(objstore.NewMem())
 	s := newVolume(t, rs, Config{
-		BatchBytes: 64 * block.SectorSize, // exactly the A extent: appends auto-seal
-		// Three gate slots: two are pinned by the stalled PUTs, the
-		// third lets the GC's background I/O through.
-		UploadDepth:     3,
-		GCLowWater:      0, // manual RunGC only
-		GCHighWater:     0.9,
+		BatchBytes:  64 * block.SectorSize, // exactly the A extent: appends auto-seal
+		UploadDepth: 3,
+		GCLowWater:  0, // manual RunGC only
+		// Above A's 0.67 and below the 0.88 collecting it leaves, so the
+		// pass stops before G becomes a victim of its own.
+		GCHighWater:     0.8,
 		CheckpointEvery: 1 << 30,
 	})
 
@@ -285,6 +282,7 @@ func TestGCStaleSourceNotResurrected(t *testing.T) {
 	if err := s.Seal(); err != nil {
 		t.Fatal(err)
 	}
+	a := s.Stats().NextSeq - 1
 	extB := block.Extent{LBA: 32, Sectors: 32}
 	v2 := payload(2, int(extB.Bytes()))
 	if err := s.Append(2, extB, v2); err != nil {
@@ -295,15 +293,12 @@ func TestGCStaleSourceNotResurrected(t *testing.T) {
 	}
 	// A now holds 32 live sectors (0..31); utilization 64/96 = 0.667.
 
-	s.mu.Lock()
-	n := s.nextSeq
-	s.mu.Unlock()
+	n := s.Stats().NextSeq
 	parkA := rs.Park(testrec.Puts.Named(objName("vol", n)))
 	parkB := rs.Park(testrec.Puts.Named(objName("vol", n+1)))
-
 	// D_a = obj n: 48 fresh sectors + an overwrite of A's sectors 0..15.
-	// The second append fills the batch, so it auto-seals; the PUT then
-	// stalls on gateA with the extents not yet installed.
+	// The second append fills the batch, so it auto-seals; its PUT is
+	// held with the extents not yet installed.
 	fillA := block.Extent{LBA: 64, Sectors: 48}
 	if err := s.Append(3, fillA, payload(3, int(fillA.Bytes()))); err != nil {
 		t.Fatal(err)
@@ -313,86 +308,74 @@ func TestGCStaleSourceNotResurrected(t *testing.T) {
 	if err := s.Append(4, overA, v3); err != nil {
 		t.Fatal(err)
 	}
-	// D_b = obj n+1: likewise, overwriting A's sectors 16..31.
-	fillB := block.Extent{LBA: 112, Sectors: 48}
+	// D_b = obj n+1: 56 fresh sectors + an overwrite of A's sectors 16..23.
+	fillB := block.Extent{LBA: 112, Sectors: 56}
 	if err := s.Append(5, fillB, payload(5, int(fillB.Bytes()))); err != nil {
 		t.Fatal(err)
 	}
-	overB := block.Extent{LBA: 16, Sectors: 16}
+	overB := block.Extent{LBA: 16, Sectors: 8}
 	v4 := payload(6, int(overB.Bytes()))
 	if err := s.Append(6, overB, v4); err != nil {
 		t.Fatal(err)
 	}
-	s.mu.Lock()
-	inflight := len(s.inflight)
-	s.mu.Unlock()
-	if inflight != 2 {
-		t.Fatalf("expected 2 stalled uploads, have %d", inflight)
+	if st := s.Stats(); st.InflightObjects != 2 {
+		t.Fatalf("expected 2 held uploads, have %d", st.InflightObjects)
 	}
 
-	// Pass 1 collects A. The map still shows sectors 0..31 -> A (neither
-	// stalled object has committed), so G1 = n+2 copies all 32 and
-	// installs them -- legal: the sources it copied are still current.
-	if err := s.RunGC(); err != nil {
-		t.Fatal(err)
-	}
-	s.mu.Lock()
-	g1 := s.objects[n+2]
-	s.mu.Unlock()
-	if g1 == nil || g1.typ != journal.TypeGC {
-		t.Fatalf("pass 1 did not produce GC object %d", n+2)
-	}
-
-	// D_a commits: G1's sectors 0..15 die, making it pass 2's victim.
-	parkA.Release(nil)
-	waitFor(t, "D_a commit", func() bool {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		return len(s.inflight) == 1
-	})
-
-	// Pass 2: by the time the pass reads G1's data (the map was already
-	// sampled: sectors 16..31 -> G1), D_b commits. G2 = n+3's copy of
-	// those sectors is one generation stale and must not install.
-	readG1 := testrec.GetRanges.Named(objName("vol", n+2))
+	// The pass has sampled sectors 0..31 -> A when it reads A's data;
+	// D_a commits inside that read.
+	readA := testrec.DataRead.Named(objName("vol", a))
 	from := rs.Now()
-	rs.Do(readG1.Once(), func(testrec.Op) error {
-		parkB.Release(nil)
-		waitFor(t, "D_b commit", func() bool {
-			s.mu.Lock()
-			defer s.mu.Unlock()
-			return len(s.inflight) == 0
-		})
+	rs.Do(readA.Once(), func(testrec.Op) error {
+		parkA.Release(nil)
+		for deadline := time.Now().Add(10 * time.Second); s.DurableWriteSeq() < 4; {
+			if time.Now().After(deadline) {
+				return errors.New("D_a did not commit")
+			}
+			time.Sleep(time.Millisecond)
+		}
 		return nil
 	})
-	if err := s.RunGC(); err != nil {
+	gc := make(chan error, 1)
+	go func() { gc <- s.RunGC() }()
+	if !rs.Await(from, testrec.GCObject.Named(objName("vol", n+2)), 10*time.Second) {
+		parkB.Release(nil)
+		t.Fatalf("GC object %d did not land behind the held upload: %v", n+2, <-gc)
+	}
+	if _, ok := s.ObjectType(n + 2); ok {
+		t.Fatalf("GC object %d installed above the upload in flight", n+2)
+	}
+	parkB.Release(nil)
+	if err := <-gc; err != nil {
 		t.Fatal(err)
 	}
-	if !rs.Await(from, readG1, 0) {
-		t.Fatal("pass 2 never read G1 from the backend: interleaving not reproduced")
+	if !rs.Await(from, readA, 0) {
+		t.Fatal("the pass never read A from the backend: interleaving not reproduced")
 	}
 	s.mu.Lock()
-	g2 := s.objects[n+3]
+	g := s.objects[n+2]
 	s.mu.Unlock()
-	if g2 == nil || g2.typ != journal.TypeGC || g2.dataSectors != 16 {
-		t.Fatalf("pass 2 did not relocate G1's sampled range into %d: %+v", n+3, g2)
+	if g == nil || g.typ != journal.TypeGC || g.dataSectors != 32 {
+		t.Fatalf("the pass did not relocate A's sampled range into %d: %+v", n+2, g)
 	}
-	if g2.liveSectors != 0 {
-		t.Fatalf("G2 installed %d stale sectors over the newer committed write", g2.liveSectors)
+	if g.liveSectors != 8 {
+		t.Fatalf("G installed %d sectors, want the 8 no newer write covers", g.liveSectors)
 	}
 
 	if err := s.Seal(); err != nil {
 		t.Fatal(err)
 	}
-	for _, c := range []struct {
+	reads := []struct {
 		name string
 		ext  block.Extent
 		want []byte
 	}{
 		{"D_a overwrite", overA, v3},
 		{"D_b overwrite", overB, v4},
+		{"A's survivors", block.Extent{LBA: 24, Sectors: 8}, v1[24*block.SectorSize : 32*block.SectorSize]},
 		{"B", extB, v2},
-	} {
+	}
+	for _, c := range reads {
 		if got := readAll(t, s, c.ext); !bytes.Equal(got, c.want) {
 			t.Fatalf("%s: GC resurrected stale data", c.name)
 		}
@@ -401,22 +384,14 @@ func TestGCStaleSourceNotResurrected(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Crash replay sees the same object sequence from scratch: D_b
-	// (n+1) replays before G2 (n+3), whose header says "copied from
-	// n+2" -- the exact-match predicate must reject it there too.
+	// Crash replay applies D_a, D_b and then G, whose header says
+	// "copied from A": the predicate must reject the stale pieces there
+	// too.
 	s2, err := Open(ctx, Config{Volume: "vol", Store: rs})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, c := range []struct {
-		name string
-		ext  block.Extent
-		want []byte
-	}{
-		{"D_a overwrite", overA, v3},
-		{"D_b overwrite", overB, v4},
-		{"B", extB, v2},
-	} {
+	for _, c := range reads {
 		if got := readAll(t, s2, c.ext); !bytes.Equal(got, c.want) {
 			t.Fatalf("%s: crash replay resurrected stale data", c.name)
 		}
@@ -424,6 +399,162 @@ func TestGCStaleSourceNotResurrected(t *testing.T) {
 	if err := s2.AuditUtilization(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestGCObjectRidesThePipeline: a GC object is an ordinary entry of
+// the upload pipeline, built and PUT off s.mu and committed in sequence
+// order. A data upload D is held and a checkpoint marker M queued
+// behind it; the GC pass's object G takes the next sequence number and
+// its PUT is parked. Meanwhile lookups and appends return and a data
+// object E sealed behind G uploads. G then lands while D is still held:
+// it is not installed, its victim is not dead, and nothing commits past
+// D. Once D is released, M's snapshot excludes G's install, E commits
+// only after G has landed — DurableWriteSeq and OnDestage, over the op
+// log — and the victim dies, and is deleted, only after G commits.
+func TestGCObjectRidesThePipeline(t *testing.T) {
+	rs := testrec.NewStore(objstore.NewMem())
+	rs.Keep = true
+	s := newVolume(t, rs, Config{
+		BatchBytes: 64 * block.SectorSize, UploadDepth: 4,
+		GCHighWater: 0.99, CheckpointEvery: 1 << 30,
+		OnDestage: func(w uint64) { rs.Note("destage", int64(w)) },
+	})
+	slot := func(i int) block.Extent { return block.Extent{LBA: block.LBA(i) * 64, Sectors: 64} }
+	data := map[block.LBA][]byte{}
+	var w uint64
+	write := func(ext block.Extent) {
+		w++
+		data[ext.LBA] = payload(int64(w), int(ext.Bytes()))
+		if err := s.Append(w, ext, data[ext.LBA]); err != nil {
+			t.Error(err)
+		}
+	}
+	// within runs fn and fails the test when it has not returned in time:
+	// it would block behind a PUT that holds s.mu.
+	within := func(what string, fn func()) {
+		t.Helper()
+		done := make(chan struct{})
+		go func() { defer close(done); fn() }()
+		select {
+		case <-done:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%s blocked while the GC object's PUT is parked", what)
+		}
+	}
+
+	// The victim: slot 0's object, half overwritten by slot 0's second
+	// write (a half-slot batch sealed on its own).
+	write(slot(0))
+	if err := s.Seal(); err != nil {
+		t.Fatal(err)
+	}
+	victim := s.Stats().NextSeq - 1
+	write(block.Extent{LBA: 0, Sectors: 32})
+	if err := s.Seal(); err != nil {
+		t.Fatal(err)
+	}
+	durable := s.DurableWriteSeq()
+
+	// Each park is released once, by the test or, when it fails, by the
+	// cleanup that lets the store drain.
+	releaser := func(p *testrec.Parked) func() {
+		var once sync.Once
+		rel := func() { once.Do(func() { p.Release(nil) }) }
+		t.Cleanup(rel)
+		return rel
+	}
+	held := rs.Park(testrec.DataObject.Once())
+	releaseHeld := releaser(held)
+	parked := rs.Park(testrec.GCObject)
+	releaseParked := releaser(parked)
+	d := s.Stats().NextSeq
+	write(slot(1))
+	<-held.Arrived()
+	mk, err := s.Mark("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, g, e := d+1, d+2, d+3
+
+	gc := make(chan error, 1)
+	go func() { gc <- s.RunGC() }()
+	select {
+	case op := <-parked.Arrived():
+		if op.Name != objName("vol", g) {
+			t.Fatalf("GC object PUT %s, want sequence number %d", op.Name, g)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the GC object's PUT did not start behind the held upload and the queued marker")
+	}
+	within("Lookup", func() { s.Lookup(slot(0)) })
+	from := rs.Now()
+	within("Append", func() { write(slot(2)) })
+	if !rs.Await(from, testrec.DataObject.Named(objName("vol", e)), 5*time.Second) {
+		t.Fatalf("data object %d, sealed behind the parked GC object, did not upload", e)
+	}
+
+	// G lands with D still held.
+	releaseParked()
+	if !rs.Await(from, testrec.GCObject.Named(objName("vol", g)), 5*time.Second) {
+		t.Fatal("the GC object did not land")
+	}
+	s.mu.RLock()
+	installed, dead := s.objects[g] != nil, s.cleaned[victim]
+	s.mu.RUnlock()
+	if installed || dead || s.DurableWriteSeq() != durable {
+		t.Fatalf("with upload %d held, GC object %d installed %v, victim dead %v, durable %d (want %d)",
+			d, g, installed, dead, s.DurableWriteSeq(), durable)
+	}
+	releaseHeld()
+	if err := <-gc; err != nil {
+		t.Fatal(err)
+	}
+	if _, err := mk.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Seal(); err != nil {
+		t.Fatal(err)
+	}
+
+	log := rs.Log()
+	at := func(m testrec.Match) int {
+		return slices.IndexFunc(log, func(op testrec.Op) bool { return op.Done && op.Err == nil && m(op) })
+	}
+	gLanded := at(testrec.GCObject.Named(objName("vol", g)))
+	eDestaged := slices.IndexFunc(log, func(op testrec.Op) bool { return op.Kind == testrec.Note && uint64(op.Off) >= w })
+	if eDestaged < gLanded {
+		t.Fatalf("write %d destaged at %d, before GC object %d landed at %d", w, eDestaged, g, gLanded)
+	}
+	if del := at(testrec.Deletes.Named(objName("vol", victim))); del < gLanded {
+		t.Fatalf("victim %d deleted at %d; its copy landed at %d", victim, del, gLanded)
+	}
+	ck := log[at(testrec.CheckpointObject.Named(objName("vol", m)))]
+	_, raw, _, err := journal.Decode(ck.Data, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := decodeCheckpoint(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, o := range p.objects {
+		if o.seq >= m {
+			t.Fatalf("checkpoint %d's snapshot holds object %d", m, o.seq)
+		}
+		if o.seq == victim && o.liveSectors != 32 {
+			t.Fatalf("checkpoint %d's snapshot has the victim %d live sectors, want 32", m, o.liveSectors)
+		}
+	}
+
+	for lba, want := range data {
+		if got := readAll(t, s, block.Extent{LBA: lba, Sectors: uint32(len(want) / block.SectorSize)}); !bytes.Equal(got, want) {
+			t.Fatalf("sector %d reads stale data", lba)
+		}
+	}
+	if err := s.AuditUtilization(); err != nil {
+		t.Fatal(err)
+	}
+	backendMatchesTable(t, s, rs)
 }
 
 // waitFor polls cond until it holds, failing the test after 10s.

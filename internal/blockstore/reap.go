@@ -11,9 +11,9 @@ import (
 
 // The reaper is the one path by which a dead object leaves the backend.
 // Every release site — the release rule (releaseLocked) at a commit, a
-// GC install, a landed super and open, and the re-drive of s.deferred
-// at a landed super and a shipped-watermark advance — hands it a list
-// of deferredDeletes and it works in three steps:
+// GC pass's victim, a landed super and open, and the re-drive of
+// s.deferred at a landed super and a shipped-watermark advance — hands
+// it a list of deferredDeletes and it works in three steps:
 //
 //  1. reapClaimLocked, under s.mu: entries a snapshot or the shipped
 //     watermark still pins join s.deferred; the rest move to s.reaping.

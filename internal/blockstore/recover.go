@@ -102,7 +102,10 @@ func open(ctx context.Context, cfg Config, limit uint32, readOnly bool) (*Store,
 			return nil, err
 		}
 		if limit == 0 || ckptSeq <= limit {
-			if err := s.loadCheckpoint(ckptSeq, payload, size); err != nil {
+			s.mu.Lock()
+			err := s.loadCheckpointLocked(ckptSeq, payload, size)
+			s.mu.Unlock()
+			if err != nil {
 				return nil, err
 			}
 			break
@@ -114,10 +117,9 @@ func open(ctx context.Context, cfg Config, limit uint32, readOnly bool) (*Store,
 	}
 	// The checkpointed map may reference an object deleted since the
 	// checkpoint was taken: it died after the snapshot, below the named
-	// checkpoint. The release rule deleted it only once every object
-	// that displaced it was in the committed prefix, and those objects
-	// lie in the suffix replayed below, whose installs clear every
-	// reference to it before anything reads the map.
+	// checkpoint. Objects commit in sequence order, so every object that
+	// displaced it lies in the suffix replayed below, whose installs
+	// clear every reference to it before anything reads the map.
 
 	// Replay the consecutive suffix after the checkpoint: one List,
 	// then the headers and sizes of every suffix object prefetched
@@ -194,7 +196,7 @@ func open(ctx context.Context, cfg Config, limit uint32, readOnly bool) (*Store,
 		// delete never ran (the crash landed between the release and the
 		// delete, mid-reap, or the delete itself kept failing) would
 		// otherwise leak the object forever. The checkpoint's whole list
-		// sits on s.pending (loadCheckpoint), beside the deaths replay
+		// sits on s.pending (loadCheckpointLocked), beside the deaths replay
 		// recorded and one sweep of the table (sweepDeadLocked) — which
 		// also catches a death a crash interrupted before any checkpoint
 		// listed it — and the release rule hands the reaper what it may
@@ -221,7 +223,6 @@ func open(ctx context.Context, cfg Config, limit uint32, readOnly bool) (*Store,
 			}
 		}
 		s.mu.Lock()
-		s.topInstalled = s.nextSeq - 1
 		s.sweepDeadLocked()
 		_ = s.reapLocked(s.releaseLocked()) // a failed delete must not fail the open
 		s.mu.Unlock()
@@ -301,11 +302,15 @@ func (s *Store) readCheckpointObject(seq uint32) (p *checkpointPayload, size int
 	return p, int64(len(raw)), err
 }
 
-// loadCheckpoint replaces the in-memory state with what checkpoint
-// object seq (size bytes in the backend) recorded. Its payload lists
-// the object table as it stood just before the checkpoint object itself
-// joined it (checkpointObjectDurableLocked), so that entry is added here.
-func (s *Store) loadCheckpoint(seq uint32, p *checkpointPayload, size int64) error {
+// loadCheckpointLocked replaces the in-memory state with what
+// checkpoint object seq (size bytes in the backend) recorded. Its
+// payload lists the object table as it stood just before the checkpoint
+// object itself joined it (checkpointObjectDurableLocked), so that entry
+// is added here. Open calls it, and replays the suffix, under s.mu,
+// which nothing else can hold before the store is published.
+//
+//lsvd:requires bs.mu
+func (s *Store) loadCheckpointLocked(seq uint32, p *checkpointPayload, size int64) error {
 	s.durableWriteSeq = p.durableWriteSeq
 	s.objects = make(map[uint32]*objInfo, len(p.objects)+1)
 	for i := range p.objects {
@@ -320,7 +325,6 @@ func (s *Store) loadCheckpoint(seq uint32, p *checkpointPayload, size int64) err
 	for _, d := range s.pending {
 		s.cleaned[d.Obj] = true
 	}
-	//lsvd:ignore recovery runs single-goroutine before the store is published; bs.mu cannot be contended
 	s.recomputeUtilLocked()
 	s.indexCkpts()
 	if err := s.m.UnmarshalBinary(p.mapBytes); err != nil {
@@ -411,7 +415,9 @@ func (s *Store) applyObjectMeta(seq uint32, m *objMeta, gets *atomic.Uint64) err
 		if err != nil {
 			return err
 		}
-		return s.loadCheckpoint(seq, payload, size)
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		return s.loadCheckpointLocked(seq, payload, size)
 
 	case journal.TypeData, journal.TypeGC:
 		info := &objInfo{
@@ -435,7 +441,8 @@ func (s *Store) applyObjectMeta(seq uint32, m *objMeta, gets *atomic.Uint64) err
 			info.dataSectors += e.Sectors
 		}
 		info.liveSectors = info.dataSectors
-		//lsvd:ignore recovery runs single-goroutine before the store is published; bs.mu cannot be contended
+		s.mu.Lock()
+		defer s.mu.Unlock()
 		s.installObject(info, mapped, trims)
 		if h.WriteSeq > s.durableWriteSeq {
 			s.durableWriteSeq = h.WriteSeq

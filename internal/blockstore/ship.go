@@ -17,10 +17,7 @@ import (
 //  1. Events enter the feed at the exact point the object becomes
 //     visible to readers and recovery (installObject for data/GC,
 //     checkpointObjectDurableLocked for checkpoints), so feed order IS
-//     commit order. Note commit order is not sequence order: a GC
-//     object reserves its sequence after in-flight data objects and
-//     commits immediately, so it can precede lower-numbered data
-//     objects in the feed.
+//     commit order, which is sequence order (upload.go).
 //  2. The shipped watermark below is the highest sequence S such that
 //     every committed object with seq <= S has been acked by the
 //     shipper. The reaper refuses to delete any primary object above
@@ -29,12 +26,10 @@ import (
 //     checkpoints may reference disappears from the primary before the
 //     replica holds its own copy.
 //
-// Because feed order can run ahead of sequence order, the watermark is
-// NOT "highest acked seq": acking a GC object at seq 10 while data
-// objects 8 and 9 are still unshipped must not unpin them. Instead the
-// feed tracks the set of published-but-unacked seqs and the watermark
-// is min(unacked)-1 (or the highest published seq when the set is
-// empty) — exactly the contiguously-shipped prefix.
+// The feed tracks the set of published-but-unacked seqs and the
+// watermark is min(unacked)-1 (or the highest published seq when the
+// set is empty) — exactly the contiguously-shipped prefix, whatever
+// order the acks come in.
 //
 // Superblock updates ride the feed as Seq-0 events (journal.TypeSuper)
 // that carry no lag accounting: the shipper re-reads the LIVE super

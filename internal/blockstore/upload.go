@@ -9,7 +9,8 @@ import (
 	"lsvd/internal/objstore"
 )
 
-// Upload pipeline: the one path by which a batch becomes an object.
+// Upload pipeline: the one path by which a batch becomes an object, a
+// client batch or a GC pass's copies (writeGCObjectLocked) alike.
 // Sealing a batch only snapshots it and reserves its sequence number
 // under s.mu; the object image is marshalled inside the upload
 // goroutine — off the batch lock, so the next batch fills (and other
@@ -32,8 +33,10 @@ func (s *Store) uploadAttempts() int { return s.cfg.Retry.Attempts() }
 
 // inflightObj is a sealed object whose PUT has been issued (or failed
 // and awaits resubmission) but whose map commit has not yet happened.
+// A GC entry (typ TypeGC) carries no client write: its fill is zero.
 type inflightObj struct {
 	seq       uint32
+	typ       journal.Type
 	trims     []block.Extent
 	coalesced uint64
 	maxWrite  uint64
@@ -41,11 +44,11 @@ type inflightObj struct {
 
 	// Build inputs, snapshotted at seal time. The first upload attempt
 	// marshals the object vector off s.mu and publishes obj/info/mapped
-	// under it (dropping exts/offs); resubmissions reuse the vector,
-	// whose payload views keep the batch's staging buffers alive. Only
-	// the single active upload goroutine touches these fields between
+	// under it (dropping src/exts/offs); resubmissions reuse the vector,
+	// whose payload views keep the staging buffers alive. Only the
+	// single active upload goroutine touches these fields between
 	// done=false and done=true, so the handoff is race-free.
-	b    *batch
+	src  *segments
 	exts []journal.ExtentEntry
 	offs []int64
 
@@ -91,15 +94,15 @@ func (s *Store) sealAsyncLocked() error {
 	seq := s.nextSeq
 	exts, offs := batchExtents(b, seq)
 	inf := &inflightObj{
-		seq: seq, trims: b.trims, coalesced: b.coalesced,
+		seq: seq, typ: journal.TypeData, trims: b.trims, coalesced: b.coalesced,
 		maxWrite: b.maxWrite, fill: b.fill,
-		b: b, exts: exts, offs: offs,
+		src: &b.segments, exts: exts, offs: offs,
 	}
 	s.inflight = append(s.inflight, inf)
 	s.inflightBytes += b.fill
 	s.batch = newBatch(s.cfg.NoCoalesce)
 	s.nextSeq++
-	s.startUploadLocked(inf)
+	s.startUploadLocked(inf, false)
 	return nil
 }
 
@@ -116,7 +119,7 @@ func (s *Store) sealAsyncLocked() error {
 //lsvd:requires bs.mu
 func (s *Store) queueCheckpointLocked() {
 	invariant.Assertf(!s.ckptQueued, "blockstore: second checkpoint marker queued at seq %d", s.nextSeq)
-	inf := &inflightObj{seq: s.nextSeq, ckpt: &ckptShot{seq: s.nextSeq}}
+	inf := &inflightObj{seq: s.nextSeq, typ: journal.TypeCheckpoint, ckpt: &ckptShot{seq: s.nextSeq}}
 	s.nextSeq++
 	s.sinceCkpt = 0
 	s.ckptQueued = true
@@ -197,11 +200,8 @@ func (s *Store) reserveUploadSlotLocked() error {
 	maxInflight := 2 * s.cfg.UploadDepth
 	stalled := false
 	for len(s.inflight) >= maxInflight {
-		if front := s.inflight[0]; front.done && front.err != nil {
-			if front.attempts >= s.uploadAttempts() {
-				return fmt.Errorf("blockstore: object %d upload failed after %d attempts: %w", front.seq, front.attempts, front.err)
-			}
-			s.resubmitFailedLocked()
+		if err := s.retryFrontLocked(); err != nil {
+			return err
 		}
 		if !stalled {
 			stalled = true
@@ -216,10 +216,13 @@ func (s *Store) reserveUploadSlotLocked() error {
 // fresh goroutine, bounded by the upload gate. The gate is acquired
 // inside the goroutine so the caller never blocks holding s.mu, and
 // the object marshal happens under the gate slot too — it is part of
-// the upload's cost, and keeping it off s.mu is the point.
+// the upload's cost, and keeping it off s.mu is the point. bg: the
+// caller hands over the background slot it holds, for a GC entry's
+// first attempt. A resubmission takes a foreground slot: it is at or
+// near the front of the commit walk.
 //
 //lsvd:requires bs.mu
-func (s *Store) startUploadLocked(inf *inflightObj) {
+func (s *Store) startUploadLocked(inf *inflightObj, bg bool) {
 	if inf.ckpt != nil {
 		s.startCheckpointLocked(inf)
 		return
@@ -232,19 +235,25 @@ func (s *Store) startUploadLocked(inf *inflightObj) {
 	name := objName(s.cfg.Volume, inf.seq)
 	obj := inf.obj // non-nil on resubmission: the image is built once
 	invariant.Go("blockstore-upload", func() {
-		s.gate.Acquire(s.gateID)
+		if !bg {
+			s.gate.Acquire(s.gateID)
+		}
 		if obj == nil {
 			var info *objInfo
 			var mapped []mappedExtent
-			obj, info, mapped = buildObject(inf.seq, journal.TypeData,
-				inf.maxWrite, inf.exts, inf.offs, &inf.b.segments)
+			obj, info, mapped = buildObject(inf.seq, inf.typ,
+				inf.maxWrite, inf.exts, inf.offs, inf.src)
 			s.mu.Lock()
 			inf.obj, inf.info, inf.mapped = obj, info, mapped
-			inf.b, inf.exts, inf.offs = nil, nil, nil
+			inf.src, inf.exts, inf.offs = nil, nil, nil
 			s.mu.Unlock()
 		}
 		err := objstore.PutVec(s.ctx, s.cfg.Store, name, obj)
-		s.gate.Release(s.gateID)
+		if bg {
+			s.gcGateRelease()
+		} else {
+			s.gate.Release(s.gateID)
+		}
 		s.mu.Lock()
 		inf.done, inf.err = true, err
 		var post func()
@@ -298,7 +307,11 @@ func (s *Store) commitReadyLocked() func() {
 		s.stats.bytesPut += uint64(objstore.VecLen(inf.obj))
 		s.stats.bytesCoalesced += inf.coalesced
 		s.installObject(inf.info, inf.mapped, inf.trims)
-		committed += int64(inf.info.dataSectors) * block.SectorSize
+		if n := int64(inf.info.dataSectors) * block.SectorSize; inf.typ == journal.TypeGC {
+			s.stats.gcBytesCopied += uint64(n)
+		} else {
+			committed += n
+		}
 		if inf.maxWrite > s.durableWriteSeq {
 			s.durableWriteSeq = inf.maxWrite
 			watermark = s.durableWriteSeq
@@ -327,13 +340,38 @@ func (s *Store) commitReadyLocked() func() {
 	}
 }
 
-// resubmitFailedLocked reissues every failed upload.
+// retryFrontLocked handles a failed upload at the front of the
+// pipeline, which nothing behind can commit past: it reissues every
+// failed upload, or returns the front's error once its attempt budget
+// is spent.
 //
 //lsvd:requires bs.mu
-func (s *Store) resubmitFailedLocked() {
+func (s *Store) retryFrontLocked() error {
+	if len(s.inflight) == 0 {
+		return nil
+	}
+	front := s.inflight[0]
+	if !front.done || front.err == nil {
+		return nil
+	}
+	if front.attempts >= s.uploadAttempts() {
+		return fmt.Errorf("blockstore: object %d upload failed after %d attempts: %w", front.seq, front.attempts, front.err)
+	}
+	s.resubmitFailedLocked(false)
+	return nil
+}
+
+// resubmitFailedLocked reissues every failed upload; fresh grants each
+// a new attempt budget first (the explicit fences and RunGC).
+//
+//lsvd:requires bs.mu
+func (s *Store) resubmitFailedLocked(fresh bool) {
 	for _, inf := range s.inflight {
 		if inf.done && inf.err != nil {
-			s.startUploadLocked(inf)
+			if fresh {
+				inf.attempts = 0
+			}
+			s.startUploadLocked(inf, false)
 		}
 	}
 }
@@ -344,12 +382,7 @@ func (s *Store) resubmitFailedLocked() {
 //
 //lsvd:requires bs.mu
 func (s *Store) rearmFailedLocked() {
-	for _, inf := range s.inflight {
-		if inf.done && inf.err != nil {
-			inf.attempts = 0
-		}
-	}
-	s.resubmitFailedLocked()
+	s.resubmitFailedLocked(true)
 	if o := s.superOwed; o != nil && o.done && o.err != nil {
 		o.attempts = 0
 		s.startSuperLocked(o)
@@ -392,13 +425,8 @@ func (s *Store) fenceStepLocked() error {
 	if s.aborting {
 		return ErrReadOnly
 	}
-	if len(s.inflight) > 0 {
-		if front := s.inflight[0]; front.done && front.err != nil {
-			if front.attempts >= s.uploadAttempts() {
-				return fmt.Errorf("blockstore: object %d upload failed after %d attempts: %w", front.seq, front.attempts, front.err)
-			}
-			s.resubmitFailedLocked()
-		}
+	if err := s.retryFrontLocked(); err != nil {
+		return err
 	}
 	if o := s.superOwed; o != nil && o.done && o.err != nil {
 		if o.attempts >= s.uploadAttempts() {

@@ -157,9 +157,10 @@ var (
 	Puts      = Kinds(Put)
 	Deletes   = Kinds(Delete)
 	GetRanges = Kinds(GetRange)
-	// DataObject and CheckpointObject are PUTs of a block store's
-	// objects, by their header types.
+	// DataObject, GCObject and CheckpointObject are PUTs of a block
+	// store's objects, by their header types.
 	DataObject       = Match(func(op Op) bool { return op.Kind == Put && op.Type == journal.TypeData })
+	GCObject         = Match(func(op Op) bool { return op.Kind == Put && op.Type == journal.TypeGC })
 	CheckpointObject = Match(func(op Op) bool { return op.Kind == Put && op.Type == journal.TypeCheckpoint })
 	// Super is a PUT of a volume superblock.
 	Super = Match(func(op Op) bool { return op.Kind == Put && strings.HasSuffix(op.Name, ".super") })

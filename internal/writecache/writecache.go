@@ -36,6 +36,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"lsvd/internal/block"
 	"lsvd/internal/extmap"
@@ -49,8 +50,9 @@ import (
 // backend; the caller must destage and mark progress, then retry.
 var ErrFull = errors.New("writecache: log full of un-destaged records")
 
-// ErrClosed is returned by a Commit that arrives after Quiesce: the
-// record is not written and the write must not be acknowledged.
+// ErrClosed is returned by a Reserve or a Commit that arrives after
+// Quiesce: the record is not written and the write must not be
+// acknowledged.
 var ErrClosed = errors.New("writecache: closed")
 
 // Config configures Format.
@@ -185,14 +187,16 @@ type Cache struct {
 	m    *extmap.Map
 
 	// Group-commit state. gmu guards only the commit queue, leadership
-	// flag, in-flight commit count and closed flag, and is never held
-	// together with mu.
+	// flag and in-flight commit count, and is never held together with
+	// mu. closed is set under gmu, so a Commit that sees it clear is
+	// counted in committing before Quiesce can return; Reserve reads it
+	// under mu.
 	gmu        sync.Mutex //lsvd:lock wcache.gmu
 	commitq    []*pendingRec
 	leaderBusy bool
-	committing int        // Commit calls between enqueue and ack
-	qcond      *sync.Cond // broadcast when committing drops to zero
-	closed     bool       // set by Quiesce: later Commits fail
+	committing int         // Commit calls between enqueue and ack
+	qcond      *sync.Cond  // broadcast when committing drops to zero
+	closed     atomic.Bool // set by Quiesce: later Reserves and Commits fail
 
 	// mapSeq is the next record sequence whose map update may be
 	// applied; pendingMap holds device-written records (nil for pads,
@@ -252,8 +256,8 @@ func (c *Cache) AppendTrim(writeSeq uint64, ext block.Extent) error {
 // get ring order == their pipeline order. Every successful Reserve
 // must be followed by exactly one Commit. ErrFull means the ring has
 // no reclaimable space and the caller must destage first, then retry;
-// the only other failures are a record larger than the log and a device
-// error, which is sticky.
+// the other failures are a record larger than the log, a device error,
+// which is sticky, and ErrClosed after Quiesce.
 func (c *Cache) Reserve(writeSeq uint64, typ journal.Type, ext block.Extent, dataLen int) (*Reservation, error) {
 	if typ == journal.TypeData && int64(dataLen) != ext.Bytes() {
 		return nil, fmt.Errorf("writecache: extent %v does not match %d data bytes", ext, dataLen)
@@ -278,6 +282,10 @@ func (c *Cache) Reserve(writeSeq uint64, typ journal.Type, ext block.Extent, dat
 	// make a full ring indistinguishable from an empty one.
 	guard := int64(block.BlockSize)
 	for {
+		// Checked before any pad or eviction, and again after every wait.
+		if c.closed.Load() {
+			return nil, ErrClosed
+		}
 		free := c.freeAt(c.tail)
 		if free >= need+guard {
 			break
@@ -358,7 +366,7 @@ func (c *Cache) Commit(res *Reservation, data []byte, sum uint32) error {
 	}
 
 	c.gmu.Lock()
-	if c.closed {
+	if c.closed.Load() {
 		c.gmu.Unlock()
 		return ErrClosed
 	}
@@ -386,19 +394,25 @@ func (c *Cache) Commit(res *Reservation, data []byte, sum uint32) error {
 
 // Quiesce blocks until no Commit is in flight — no group device write
 // can be running or about to run — and closes the cache to new ones: a
-// writer that reserved before the call but reaches Commit after it gets
-// ErrClosed and writes nothing. Shutdown paths (Close, Kill) use it so
-// that once they return, nothing is still writing to the device: a host
-// may hand the volume's SSD section to a new tenant. It waits before it
-// closes because a queued Commit may be waiting, for its ack, on an
-// earlier reservation's Commit still on its way.
+// writer that reserved before the call but reaches Commit after it, or
+// reserves after it, gets ErrClosed and writes nothing, not even the pad
+// record a wrapping Reserve writes. Shutdown paths (Close, Kill) use it
+// so that once they return, nothing is still writing to the device: a
+// host may hand the volume's SSD section to a new tenant. It waits
+// before it closes because a queued Commit may be waiting, for its ack,
+// on an earlier reservation's Commit still on its way.
 func (c *Cache) Quiesce() {
 	c.gmu.Lock()
 	for c.committing > 0 {
 		c.qcond.Wait()
 	}
-	c.closed = true
+	c.closed.Store(true)
 	c.gmu.Unlock()
+	// A Reserve past its check holds mu until its pad is written; one
+	// waiting for a group write wakes to find the cache closed.
+	c.mu.Lock()
+	c.writtenCond.Broadcast()
+	c.mu.Unlock()
 }
 
 // runLeader drains the commit queue in batches, issuing one vectored

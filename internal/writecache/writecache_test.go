@@ -672,25 +672,49 @@ func TestFormatOldRecordsDoNotChain(t *testing.T) {
 }
 
 // TestCommitAfterQuiesceIsRefused: a writer that reserved before
-// Quiesce but commits after it gets ErrClosed, and the device sees no
-// write once Quiesce has returned: a shutdown may hand the device to a
-// new tenant at that point.
+// Quiesce but commits after it gets ErrClosed, and so does a Reserve
+// after it that would wrap the ring; the device sees no write once
+// Quiesce has returned — neither the record, nor the pad or the
+// superblock a wrap writes: a shutdown may hand the device to a new
+// tenant at that point.
 func TestCommitAfterQuiesceIsRefused(t *testing.T) {
 	dev := testrec.NewDevice(simdev.NewMem(8 * block.MiB))
 	c, err := Format(dev, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ext := block.Extent{LBA: 0, Sectors: block.SectorsPerBlock}
+	// Fill the ring with destaged 1 MiB records, so the next one fits
+	// only by evicting the head and padding the tail.
+	big := block.Extent{LBA: 0, Sectors: uint32(block.MiB / block.SectorSize)}
+	var ws uint64
+	for {
+		ws++
+		if err := c.Append(ws, big, payload(int64(ws), int(big.Bytes()))); errors.Is(err, ErrFull) {
+			break
+		} else if err != nil {
+			t.Fatal(err)
+		}
+	}
+	c.SetDestaged(ws - 1)
+	ext := block.Extent{LBA: big.End(), Sectors: block.SectorsPerBlock}
 	data := payload(1, int(ext.Bytes()))
-	res, err := c.Reserve(1, journal.TypeData, ext, len(data))
+	res, err := c.Reserve(ws, journal.TypeData, ext, len(data))
 	if err != nil {
 		t.Fatal(err)
+	}
+	c.mu.RLock()
+	wraps := c.freeAt(c.tail) < big.Bytes()+2*block.BlockSize
+	c.mu.RUnlock()
+	if !wraps {
+		t.Fatal("a 1 MiB record fits at the tail: the Reserve below would not wrap")
 	}
 	c.Quiesce()
 	from := dev.Now()
 	if err := c.Commit(res, data, journal.Sum(data)); !errors.Is(err, ErrClosed) {
 		t.Fatalf("commit after Quiesce returned %v, want ErrClosed", err)
+	}
+	if _, err := c.Reserve(ws+1, journal.TypeData, big, int(big.Bytes())); !errors.Is(err, ErrClosed) {
+		t.Fatalf("a wrapping reserve after Quiesce returned %v, want ErrClosed", err)
 	}
 	for _, op := range dev.Log()[from:] {
 		if op.Kind == testrec.Write || op.Kind == testrec.Flush {
