@@ -14,8 +14,10 @@ GO ?= go
 # Packages whose concurrency is load-bearing (the async destage
 # pipeline, the shared read arena, the multi-volume host, the NBD
 # worker pool, and the cluster attach/failover protocol); `make race`
-# runs them under the race detector, including the destage stress
-# tests.
+# runs them and the invariant package under the race detector,
+# including the destage stress tests and the pinned-seed torture runs.
+# The runtime asserts are compiled into every build, so every run
+# checks them.
 RACE_PKGS := ./internal/simdev ./internal/core ./internal/blockstore ./internal/writecache ./internal/nbd ./internal/consistency ./internal/host ./internal/readcache ./internal/replica ./internal/cluster ./internal/testrec
 
 # Native fuzz targets (package,function); fuzz-smoke runs each for
@@ -37,7 +39,7 @@ FUZZTIME ?= 10s
 # only ever goes down: delete a waiver, lower this number.
 WAIVER_BUDGET := 2
 
-.PHONY: all build fmt vet test race bench-smoke fault gc-torture vet-lsvd vet-lsvd-update-baseline check-invariant fuzz-smoke check clean
+.PHONY: all build fmt vet test race bench-smoke fault gc-torture vet-lsvd vet-lsvd-update-baseline fuzz-smoke check clean
 
 all: check
 
@@ -63,7 +65,7 @@ test:
 	$(GO) test -shuffle=on ./...
 
 race:
-	$(GO) test -race $(RACE_PKGS)
+	LSVD_FAULT_SEED=1 $(GO) test -race $(RACE_PKGS) ./internal/invariant
 
 # Recovery torture harness (§3.4 under injected backend faults): the
 # pinned seed keeps CI deterministic, the second run sweeps a hostile
@@ -104,12 +106,12 @@ bench-smoke:
 # GC-specific torture: the concurrent-writer fault workload with the
 # paced service deliberately kept hungry, asserting per-writer prefix
 # consistency plus exact utilization accounting across aborted passes
-# and crash recovery. Also runs under `race` and `check-invariant` via
-# RACE_PKGS; this target is the widened standalone sweep.
+# and crash recovery. Also runs under `race` via RACE_PKGS; this
+# target is the widened standalone sweep.
 gc-torture:
 	LSVD_FAULT_SEED=1 LSVD_FAULT_ITERS=24 $(GO) test -count=1 -run TestGCTorture ./internal/consistency
 
-# Custom analyzer suite (DESIGN.md §5e): prove every analyzer against
+# Custom analyzer suite (DESIGN.md §15): prove every analyzer against
 # its seeded testdata (zero missed, zero spurious findings), then run
 # the built driver over the whole module and gate on vet-baseline.json.
 # The gate fails only on findings whose fingerprint is NOT in the
@@ -131,14 +133,6 @@ vet-lsvd-update-baseline:
 	$(GO) build -o bin/lsvd-vet ./cmd/lsvd-vet
 	./bin/lsvd-vet -write-baseline vet-baseline.json ./...
 
-# Runtime invariant layer: rebuild with -tags lsvdcheck so the asserts
-# are compiled in, then run the fault-torture and concurrency stress
-# packages under the race detector. Lock order is checked statically,
-# by vet-lsvd.
-check-invariant:
-	LSVD_FAULT_SEED=1 $(GO) test -count=1 -tags lsvdcheck -race \
-		$(RACE_PKGS) ./internal/invariant
-
 # Replay the checked-in seed corpora, then give each fuzz target
 # FUZZTIME of coverage-guided exploration. Every target must have a
 # committed corpus under <pkg>/testdata/fuzz/<Fn>/ — an empty corpus
@@ -159,7 +153,7 @@ fuzz-smoke:
 		$(GO) test $$pkg -fuzz="^$$fn$$" -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s; \
 	done
 
-check: build fmt vet test race fault gc-torture vet-lsvd check-invariant fuzz-smoke bench-smoke
+check: build fmt vet test race fault gc-torture vet-lsvd fuzz-smoke bench-smoke
 
 clean:
 	$(GO) clean -testcache

@@ -1,6 +1,6 @@
 // lsvd-vet runs the lsvd analyzer suite (annform, chanleak, ctxflow,
 // deferorder, errclass, goroguard, lockheld, lockorder, sectmath,
-// spinwait — see DESIGN.md §5e) over the module. Stdlib only: packages
+// spinwait — see DESIGN.md §15) over the module. Stdlib only: packages
 // load through `go list -export` and go/importer, not
 // golang.org/x/tools.
 //

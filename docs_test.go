@@ -1,0 +1,97 @@
+package lsvd
+
+import (
+	"io/fs"
+	"os"
+	"path/filepath"
+	"regexp"
+	"strings"
+	"testing"
+)
+
+// designHeading matches a numbered DESIGN.md heading: "## 8. core" or
+// "### 11.2 Checkpoints".
+var designHeading = regexp.MustCompile(`(?m)^#{2,3} (\d+[a-z]?(?:\.\d+)?)\.? `)
+
+// designRef matches a section reference to DESIGN.md, possibly broken
+// across a line (and a Go comment marker) between the name and the "§".
+var designRef = regexp.MustCompile(`DESIGN(?:\.md)?(?:\s|//)+§\s*(\d+[a-z]?(?:\.\d+)?)`)
+
+// bareLetterRef matches a bare section sign before a number with a
+// letter suffix. The paper's sections are numbers only, so such a
+// reference can only mean a DESIGN.md section.
+var bareLetterRef = regexp.MustCompile(`§\s*(\d+[a-z])\b`)
+
+// ownSectionRef matches a section number of 8 or above. DESIGN.md cites
+// the paper's sections 2 to 6, so such a number is one of its own.
+var ownSectionRef = regexp.MustCompile(`§((?:[89]|[1-9]\d)(?:\.\d+)?)`)
+
+// TestDesignReferencesResolve: every "DESIGN.md §N" in the docs, the
+// Makefile and the Go sources names a heading DESIGN.md has, and so do
+// every bare letter-suffixed section in a Go comment and every section
+// of 8 or above that DESIGN.md cites itself. The changelog and results/
+// quote the document as it was, so they are not checked; benchmark/ is
+// its own module.
+func TestDesignReferencesResolve(t *testing.T) {
+	b, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	design := string(b)
+	headings := map[string]bool{}
+	for _, m := range designHeading.FindAllStringSubmatch(design, -1) {
+		headings[m[1]] = true
+	}
+	if len(headings) < 10 {
+		t.Fatalf("found only %d numbered headings in DESIGN.md", len(headings))
+	}
+
+	files := []string{"README.md", "ROADMAP.md", "EXPERIMENTS.md", "Makefile"}
+	err = filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && path != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "benchmark" || d.Name() == "results") {
+			return filepath.SkipDir
+		}
+		if !d.IsDir() && strings.HasSuffix(path, ".go") {
+			files = append(files, path)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	refs := 0
+	for _, f := range files {
+		b, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		src := string(b)
+		for _, m := range designRef.FindAllStringSubmatchIndex(src, -1) {
+			refs++
+			if sec := src[m[2]:m[3]]; !headings[sec] {
+				t.Errorf("%s:%d: DESIGN.md has no section §%s", f, lineOf(src, m[0]), sec)
+			}
+		}
+		if strings.HasSuffix(f, ".go") {
+			for _, m := range bareLetterRef.FindAllStringSubmatchIndex(src, -1) {
+				if sec := src[m[2]:m[3]]; !headings[sec] {
+					t.Errorf("%s:%d: §%s names no DESIGN.md section", f, lineOf(src, m[0]), sec)
+				}
+			}
+		}
+	}
+	if refs == 0 {
+		t.Fatal("found no DESIGN.md references at all; the pattern is broken")
+	}
+	for _, m := range ownSectionRef.FindAllStringSubmatchIndex(design, -1) {
+		if sec := design[m[2]:m[3]]; !headings[sec] {
+			t.Errorf("DESIGN.md:%d: §%s names no section", lineOf(design, m[0]), sec)
+		}
+	}
+}
+
+func lineOf(s string, off int) int { return strings.Count(s[:off], "\n") + 1 }

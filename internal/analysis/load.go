@@ -6,7 +6,7 @@
 // summaries shared by the concurrency analyzers, and the ten analyzers
 // themselves (annform, chanleak, ctxflow, deferorder, errclass,
 // goroguard, lockheld, lockorder, sectmath, spinwait). See DESIGN.md
-// §5e.
+// §15.
 package analysis
 
 import (

@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"go/types"
 	"os"
 	"path/filepath"
 	"strings"
@@ -42,33 +43,27 @@ func TestLoaderExcludesTestFiles(t *testing.T) {
 	}
 }
 
-// TestLoaderExcludesLsvdcheckTagged: without -tags lsvdcheck, the
-// build-constrained invariant implementation must not load — the
-// analyzers vet the default build, and loading both variants would be
-// a duplicate-symbol type error anyway.
-func TestLoaderExcludesLsvdcheckTagged(t *testing.T) {
-	loader, pkgs := loadModule(t)
-	var inv *Package
-	for _, p := range pkgs {
-		if p.Path == "lsvd/internal/invariant" {
-			inv = p
-		}
+// TestLoaderHonoursBuildConstraints: the loader vets the default
+// build, so a file behind a build tag must not load. The testdata
+// package declares one constant in two files under opposite
+// constraints; loading both would be a duplicate-symbol type error.
+func TestLoaderHonoursBuildConstraints(t *testing.T) {
+	loader, pkgs, err := NewLoader(filepath.Join("testdata", "src", "buildtag"), ".")
+	if err != nil {
+		t.Fatalf("loading buildtag: %v", err)
 	}
-	if inv == nil {
-		t.Fatal("lsvd/internal/invariant not among loaded packages")
+	if len(pkgs) != 1 {
+		t.Fatalf("loaded %d packages, want 1", len(pkgs))
 	}
-	sawOff := false
-	for _, f := range inv.Files {
-		name := filepath.Base(loader.Fset.Position(f.Pos()).Filename)
-		switch name {
-		case "invariant.go":
-			t.Error("lsvdcheck-tagged invariant.go loaded without the tag")
-		case "invariant_off.go":
-			sawOff = true
-		}
+	var names []string
+	for _, f := range pkgs[0].Files {
+		names = append(names, filepath.Base(loader.Fset.Position(f.Pos()).Filename))
 	}
-	if !sawOff {
-		t.Error("default-build invariant_off.go missing from the package")
+	if len(names) != 1 || names[0] != "default.go" {
+		t.Errorf("loaded files %v, want only default.go", names)
+	}
+	if c, ok := pkgs[0].Pkg.Scope().Lookup("Variant").(*types.Const); !ok || c.Val().String() != `"default"` {
+		t.Errorf("Variant resolves to %v, want the default build's constant", c)
 	}
 }
 

@@ -305,8 +305,9 @@ func buildObject(seq uint32, typ journal.Type, writeSeq uint64, exts []journal.E
 //
 //lsvd:requires bs.mu
 func (s *Store) installObject(info *objInfo, mapped []mappedExtent, trims []block.Extent) {
-	invariant.Assertf(s.objects[info.seq] == nil,
-		"blockstore: object %d installed twice", info.seq)
+	if s.objects[info.seq] != nil {
+		invariant.Failf("blockstore: object %d installed twice", info.seq)
+	}
 	// Register the object (and its utilization contribution) before
 	// any map update: in no-coalesce mode an object's own extents
 	// overlap, so displacement accounting must already see it.

@@ -211,8 +211,9 @@ func (s *Store) putCheckpointObject(shot *ckptShot) error {
 //
 //lsvd:requires bs.mu
 func (s *Store) checkpointObjectDurableLocked(inf *inflightObj) {
-	invariant.Assertf(len(s.inflight) > 0 && s.inflight[0] == inf && s.superOwed == nil,
-		"blockstore: checkpoint %d landed off the front of the commit walk", inf.seq)
+	if len(s.inflight) == 0 || s.inflight[0] != inf || s.superOwed != nil {
+		invariant.Failf("blockstore: checkpoint %d landed off the front of the commit walk", inf.seq)
+	}
 	s.inflight = s.inflight[1:]
 	shot := inf.ckpt
 	s.objects[shot.seq] = &objInfo{seq: shot.seq, typ: journal.TypeCheckpoint, totalBytes: int64(len(shot.rec))}

@@ -62,9 +62,10 @@ func (f *Fetch) Release() {
 	}
 	f.s.fetchMu.Lock()
 	f.f.refs--
-	invariant.Assertf(f.f.refs >= 0,
-		"blockstore: fetch window %d@[%d,%d) released more times than acquired",
-		f.f.key.obj, f.f.key.lo, f.f.key.hi)
+	if f.f.refs < 0 {
+		invariant.Failf("blockstore: fetch window %d@[%d,%d) released more times than acquired",
+			f.f.key.obj, f.f.key.lo, f.f.key.hi)
+	}
 	if f.f.refs <= 0 {
 		delete(f.s.flights, f.f.key)
 	}

@@ -463,18 +463,6 @@ func (s *Store) collectLocked(seq uint32, paced bool) error {
 	}
 	s.stats.gcVictims++
 	_ = s.reapLocked(s.releaseLocked()) // a failed delete waits on s.deferred for the next checkpoint
-	if invariant.Enabled {
-		var live, data uint64
-		for _, o := range s.objects {
-			if s.utilCounted(o) {
-				live += uint64(o.liveSectors)
-				data += uint64(o.dataSectors)
-			}
-		}
-		invariant.Assertf(live == s.utilLive && data == s.utilData,
-			"blockstore: utilization drift after collecting %d: counters %d/%d, objects %d/%d",
-			seq, s.utilLive, s.utilData, live, data)
-	}
 	return nil
 }
 

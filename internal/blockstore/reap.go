@@ -152,8 +152,9 @@ func (s *Store) retireObjectLocked(seq uint32) {
 		}
 	}
 	if s.utilCounted(o) {
-		invariant.Assertf(s.utilLive >= uint64(o.liveSectors) && s.utilData >= uint64(o.dataSectors),
-			"blockstore: utilization underflow deleting object %d", seq)
+		if s.utilLive < uint64(o.liveSectors) || s.utilData < uint64(o.dataSectors) {
+			invariant.Failf("blockstore: utilization underflow deleting object %d", seq)
+		}
 		// An object's utilization contribution is removed only here, at
 		// delete retirement — never when the GC merely marks it cleaned
 		// (utilizationLocked excludes cleaned objects on the fly), so an

@@ -779,3 +779,46 @@ func TestSupersededCheckpointsDeleted(t *testing.T) {
 	}
 	atMostTwo("after the snapshot was deleted")
 }
+
+// TestCleanReopenDeletesNothing: a clean shutdown (seal, checkpoint,
+// abort, as core's Close does) deletes every object it released, the
+// superseded checkpoint included, so the open that follows finds
+// nothing to delete. The checkpoint it loads was taken before those
+// deletes ran and still lists them; open retires the entries its LIST
+// shows gone without a backend call.
+func TestCleanReopenDeletesNothing(t *testing.T) {
+	mem := objstore.NewMem()
+	rs := testrec.NewStore(mem)
+	s := newVolume(t, nil, churnConfig(rs))
+	var w uint64
+	for i := 0; i < 12; i++ {
+		churn(t, s, &w)
+	}
+	s.StopGC()
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	s.Abort()
+	if !rs.Await(0, testrec.Deletes, 0) {
+		t.Fatal("the churn deleted nothing, so the reopen proves nothing")
+	}
+
+	from := rs.Now()
+	s2, err := Open(ctx, Config{Volume: "vol", Store: rs, Retry: objstore.RetryPolicy{MaxAttempts: -1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s2.Abort)
+	for _, op := range rs.Log() {
+		if op.Stamp > from && op.Kind == testrec.Delete {
+			t.Errorf("open after a clean close issued %v", op)
+		}
+	}
+	backendMatchesTable(t, s2, mem)
+	if err := s2.AuditUtilization(); err != nil {
+		t.Fatal(err)
+	}
+	if got := readAll(t, s2, churnExt); string(got) != string(payload(int64(w), int(churnExt.Bytes()))) {
+		t.Fatal("data wrong after a clean close and reopen")
+	}
+}

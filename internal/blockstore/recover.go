@@ -222,9 +222,19 @@ func open(ctx context.Context, cfg Config, limit uint32, readOnly bool) (*Store,
 				s.durable = named
 			}
 		}
+		// An entry whose object the LIST above did not show was deleted
+		// after its checkpoint was taken: retire it without a call.
 		s.mu.Lock()
 		s.sweepDeadLocked()
-		_ = s.reapLocked(s.releaseLocked()) // a failed delete must not fail the open
+		var reap []deferredDelete
+		for _, d := range s.releaseLocked() {
+			if present[d.Obj] {
+				reap = append(reap, d)
+			} else {
+				s.retireObjectLocked(d.Obj)
+			}
+		}
+		_ = s.reapLocked(reap) // a failed delete must not fail the open
 		s.mu.Unlock()
 	}
 	s.stats.recoveredObjects = replayed

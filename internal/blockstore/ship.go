@@ -7,7 +7,7 @@ import (
 	"lsvd/internal/objstore"
 )
 
-// The replication change feed (DESIGN.md §5i). A volume opened with
+// The replication change feed (DESIGN.md §11.6). A volume opened with
 // Config.Replicated publishes every COMMITTED object — data objects,
 // GC objects, checkpoints — plus superblock updates, in commit order,
 // to an in-memory feed that a single shipper goroutine drains into a

@@ -118,7 +118,9 @@ func (s *Store) sealAsyncLocked() error {
 //
 //lsvd:requires bs.mu
 func (s *Store) queueCheckpointLocked() {
-	invariant.Assertf(!s.ckptQueued, "blockstore: second checkpoint marker queued at seq %d", s.nextSeq)
+	if s.ckptQueued {
+		invariant.Failf("blockstore: second checkpoint marker queued at seq %d", s.nextSeq)
+	}
 	inf := &inflightObj{seq: s.nextSeq, typ: journal.TypeCheckpoint, ckpt: &ckptShot{seq: s.nextSeq}}
 	s.nextSeq++
 	s.sinceCkpt = 0
@@ -300,10 +302,10 @@ func (s *Store) commitReadyLocked() func() {
 		}
 		s.inflight = s.inflight[1:]
 		s.inflightBytes -= inf.fill
-		invariant.Assertf(s.inflightBytes >= 0,
-			"blockstore: inflight bytes %d negative after committing object %d", s.inflightBytes, inf.info.seq)
-		invariant.Assertf(inf.info.seq < s.nextSeq,
-			"blockstore: committed object %d at or beyond the unreserved seq %d", inf.info.seq, s.nextSeq)
+		if s.inflightBytes < 0 || inf.info.seq >= s.nextSeq {
+			invariant.Failf("blockstore: committed object %d (next seq %d) left inflight bytes at %d",
+				inf.info.seq, s.nextSeq, s.inflightBytes)
+		}
 		s.stats.bytesPut += uint64(objstore.VecLen(inf.obj))
 		s.stats.bytesCoalesced += inf.coalesced
 		s.installObject(inf.info, inf.mapped, inf.trims)

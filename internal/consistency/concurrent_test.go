@@ -258,10 +258,9 @@ func dumpObjects(t *testing.T, store objstore.Store, lo, hi int64) {
 
 // TestConcurrentTorture runs the concurrent crash/recover loop. Under
 // -race it doubles as a data-race hunt over the group-commit reserve
-// path, the off-lock seal/upload pipeline and Kill's quiesce; under
-// -tags lsvdcheck every internal invariant fires too (both come via
-// the standard make targets — the consistency package is in
-// RACE_PKGS).
+// path, the off-lock seal/upload pipeline and Kill's quiesce, with
+// every internal invariant armed as in any build (`make race` runs it:
+// the consistency package is in RACE_PKGS).
 func TestConcurrentTorture(t *testing.T) {
 	seed := envInt("LSVD_FAULT_SEED", 1)
 	iters := envInt("LSVD_FAULT_ITERS", 12)

@@ -135,7 +135,7 @@ type VolumeOptions struct {
 	DestageQueueDepth int
 
 	// ReplicaStore, when non-nil, enables asynchronous replication
-	// (paper §4.8, DESIGN.md §5i): a per-volume shipper drains the
+	// (paper §4.8, DESIGN.md §14): a per-volume shipper drains the
 	// block store's commit feed into this second backend, keeping the
 	// replica a crash-consistent prefix of the primary. The store is
 	// wrapped in a Retrier under the same Retry policy as the primary
@@ -216,7 +216,7 @@ type Stats struct {
 	PrefetchHitSectors uint64
 	AdmissionsDropped  uint64
 
-	// Replication telemetry (DESIGN.md §5i). ReplicaEnabled marks the
+	// Replication telemetry (DESIGN.md §14). ReplicaEnabled marks the
 	// volume as replicated; Replica carries the shipper's cumulative
 	// counters and live lag; ReplicaStalls counts foreground operations
 	// that blocked on the RPO bound.
@@ -585,7 +585,7 @@ func OpenSnapshot(ctx context.Context, opts Options, snapshot string) (*Disk, er
 
 // OpenReadOnly mounts the volume's newest consistent prefix read-only
 // without taking write ownership — the restore-from-replica inspection
-// mount (§4.8, DESIGN.md §5i). Point Options.Store at the replica; a
+// mount (§4.8, DESIGN.md §14). Point Options.Store at the replica; a
 // torn tail object left by a shipper killed mid-copy truncates
 // recovery exactly like a crashed primary's own tail.
 func OpenReadOnly(ctx context.Context, opts Options) (*Disk, error) {
@@ -703,6 +703,16 @@ func (d *Disk) startPipeline(ctx context.Context) {
 	invariant.Go("core-destage", d.destage)
 }
 
+// checkDestageOrder asserts that write sequence numbers reach the block
+// store in order — the property prefix consistency (§3.1) rests on. The
+// queue is FIFO and producers take the admission ticket, so ws never
+// falls below the last one destaged.
+func checkDestageOrder(ws, last uint64) {
+	if ws < last {
+		invariant.Failf("core: destage writeSeq regressed: %d after %d", ws, last)
+	}
+}
+
 // destage drains the queue into the block store. On Kill (quit closed)
 // it returns immediately, dropping whatever is still queued — those
 // writes live on in the cache log and are replayed at the next Open.
@@ -748,11 +758,7 @@ func (d *Disk) destage() {
 				}
 				continue
 			}
-			// The queue is FIFO and producers take the admission ticket,
-			// so write sequence numbers reach the block store in order —
-			// the property prefix consistency (§3.1) rests on.
-			invariant.Assertf(req.ws >= lastWS,
-				"core: destage writeSeq regressed: %d after %d", req.ws, lastWS)
+			checkDestageOrder(req.ws, lastWS)
 			lastWS = req.ws
 			var err error
 			if req.data == nil {

@@ -281,3 +281,18 @@ func TestCheckpointDeletesDoNotFenceTheRing(t *testing.T) {
 			fenced, windows)
 	}
 }
+
+// The destager asserts write-sequence order once per request, in every
+// build: in order it allocates nothing, out of order it panics.
+func TestDestageOrderAssert(t *testing.T) {
+	ws := uint64(1 << 40) // large enough that boxing it would allocate
+	if n := testing.AllocsPerRun(1000, func() { checkDestageOrder(ws+1, ws) }); n != 0 {
+		t.Fatalf("in-order check: %.1f allocs, want 0", n)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a regressed writeSeq did not panic")
+		}
+	}()
+	checkDestageOrder(ws, ws+1)
+}

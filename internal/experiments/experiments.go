@@ -3,7 +3,7 @@
 // where applicable the bcache+RBD baseline) over simulated devices,
 // runs a scaled version of the paper's workload through the actual
 // code paths, and converts the metered I/O into time with the
-// calibrated iomodel (DESIGN.md §7). Absolute numbers are model
+// calibrated iomodel (DESIGN.md §16.1). Absolute numbers are model
 // outputs; relative results come from the genuine I/O streams.
 package experiments
 

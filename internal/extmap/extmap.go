@@ -108,7 +108,7 @@ func (m *Map) Update(ext block.Extent, t Target) []Run {
 // mapped and accepted by pred; holes stay holes. This is the operation
 // the garbage collector needs: data is moved only where the map still
 // points at the copied source, and ranges trimmed in the meantime are
-// not resurrected (DESIGN.md §6).
+// not resurrected (DESIGN.md §11.4).
 func (m *Map) UpdateExisting(ext block.Extent, t Target, pred func(Run) bool) []Run {
 	if pred == nil {
 		pred = func(Run) bool { return true }
@@ -120,7 +120,7 @@ func (m *Map) UpdateExisting(ext block.Extent, t Target, pred func(Run) bool) []
 // existing mapping (holes always accept). Portions whose existing
 // mapping is rejected are left untouched. Displaced runs are returned.
 // This implements the conditional update needed when garbage collection
-// races with fresh writes (DESIGN.md §6).
+// races with fresh writes (DESIGN.md §11.4).
 func (m *Map) UpdateIf(ext block.Extent, t Target, pred func(Run) bool) []Run {
 	return m.mutate(ext, t, true, pred)
 }

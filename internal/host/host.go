@@ -289,15 +289,14 @@ func (h *Host) leaseLocked(name string, assign bool) (int, error) {
 	if h.closed {
 		return 0, fmt.Errorf("host: closed")
 	}
-	if invariant.Enabled {
-		// Slot assignments are a bijection: two volumes sharing a
-		// write-cache slot would corrupt each other's logs.
-		seen := make(map[int]string, len(h.slots))
-		for n, s := range h.slots {
-			prev, dup := seen[s]
-			invariant.Assertf(!dup, "host: volumes %q and %q share write-cache slot %d", prev, n, s)
-			seen[s] = n
+	// Slot assignments are a bijection: two volumes sharing a
+	// write-cache slot would corrupt each other's logs.
+	seen := make(map[int]string, len(h.slots))
+	for n, s := range h.slots {
+		if prev, dup := seen[s]; dup {
+			invariant.Failf("host: volumes %q and %q share write-cache slot %d", prev, n, s)
 		}
+		seen[s] = n
 	}
 	if _, isOpen := h.open[name]; isOpen {
 		return 0, fmt.Errorf("host: volume %q is already open", name)

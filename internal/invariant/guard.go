@@ -1,11 +1,8 @@
-// Package invariant provides build-tag-gated runtime assertions and the
-// goroutine panic guard (DESIGN.md §5e). Assert and Assertf compile to
-// empty, inlinable no-ops without the lsvdcheck tag, so production
-// binaries pay nothing; `make check-invariant` runs the torture and
-// stress suites with `-tags lsvdcheck -race` so violations crash the
-// test instead of corrupting state silently. Go (the panic guard) is
-// always active. Lock order is checked statically, by lsvd-vet's
-// lockorder analyzer.
+// Package invariant provides runtime assertions and the goroutine
+// panic guard (DESIGN.md §15.2). The assertions are always compiled in and
+// cost one branch when they hold, so a violated invariant crashes the
+// test or the daemon instead of corrupting state silently. Lock order
+// is checked statically, by lsvd-vet's lockorder analyzer.
 package invariant
 
 import (

@@ -1,28 +1,20 @@
-//go:build lsvdcheck
-
 package invariant
 
 import "fmt"
 
-// Enabled reports whether the lsvdcheck build tag is on. Callers can
-// gate expensive invariant computations on it; the Assert calls
-// themselves compile to no-ops without the tag.
-const Enabled = true
-
-// Assert panics when cond is false. It exists so stated invariants
-// (DESIGN.md §5e) fail loudly under `-tags lsvdcheck` instead of
-// corrupting state silently; without the tag it costs nothing.
+// Assert panics when cond is false, so a stated invariant fails loudly
+// instead of corrupting state silently. Pass a constant msg: the call
+// then costs one predictable branch when cond holds.
 func Assert(cond bool, msg string) {
 	if !cond {
 		panic("lsvd invariant violated: " + msg)
 	}
 }
 
-// Assertf is Assert with formatting. The arguments are only evaluated
-// on failure paths in tagged builds; callers on hot paths should still
-// prefer Assert with a constant message.
-func Assertf(cond bool, format string, args ...any) {
-	if !cond {
-		panic("lsvd invariant violated: " + fmt.Sprintf(format, args...))
-	}
+// Failf panics with a formatted invariant violation. Call it only on
+// the failing branch, `if !cond { invariant.Failf(...) }`: its
+// arguments escape to the heap, so boxing them before the condition is
+// known would make every passing check allocate.
+func Failf(format string, args ...any) {
+	panic("lsvd invariant violated: " + fmt.Sprintf(format, args...))
 }

@@ -12,17 +12,22 @@ func TestGoRunsFunction(t *testing.T) {
 
 func TestAssertPassesWhenTrue(t *testing.T) {
 	Assert(true, "never fires")
-	Assertf(true, "never fires %d", 1)
 }
 
-func TestAssertPanicsWhenTagged(t *testing.T) {
-	if !Enabled {
-		t.Skip("assertions compiled out without -tags lsvdcheck")
-	}
+func TestAssertPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("Assert(false) did not panic under lsvdcheck")
+			t.Fatal("Assert(false) did not panic")
 		}
 	}()
 	Assert(false, "must fire")
+}
+
+func TestFailfPanicsWithMessage(t *testing.T) {
+	defer func() {
+		if r := recover(); r != "lsvd invariant violated: slot 3 held twice" {
+			t.Fatalf("Failf panicked with %v", r)
+		}
+	}()
+	Failf("slot %d held %s", 3, "twice")
 }

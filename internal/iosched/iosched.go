@@ -100,8 +100,9 @@ func (g *Gate) Unregister(id string) {
 	if u == nil {
 		return
 	}
-	invariant.Assertf(u.waiting == 0,
-		"iosched: unregistering %q with %d waiters", id, u.waiting)
+	if u.waiting != 0 {
+		invariant.Failf("iosched: unregistering %q with %d waiters", id, u.waiting)
+	}
 	g.retired[id] = UserStats{Grants: u.grants, Borrows: u.borrows, Waits: u.waits}
 	delete(g.users, id)
 	g.cond.Broadcast()
@@ -218,10 +219,11 @@ func (g *Gate) AcquireBackground(id string) {
 func (g *Gate) ReleaseBackground(id string) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	invariant.Assertf(g.held > 0, "iosched: background release of %q below zero", id)
-	g.held--
 	u := g.bg[id]
-	invariant.Assertf(u != nil && u.held > 0, "iosched: background user %q releasing unheld slot", id)
+	if g.held <= 0 || u == nil || u.held <= 0 {
+		invariant.Failf("iosched: background user %q releasing unheld slot", id)
+	}
+	g.held--
 	u.held--
 	g.cond.Broadcast()
 }
@@ -230,10 +232,12 @@ func (g *Gate) ReleaseBackground(id string) {
 func (g *Gate) Release(id string) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	invariant.Assertf(g.held > 0, "iosched: release of %q below zero", id)
+	u := g.users[id]
+	if g.held <= 0 || u != nil && u.held <= 0 {
+		invariant.Failf("iosched: user %q releasing unheld slot", id)
+	}
 	g.held--
-	if u := g.users[id]; u != nil {
-		invariant.Assertf(u.held > 0, "iosched: user %q releasing unheld slot", id)
+	if u != nil {
 		u.held--
 	}
 	g.cond.Broadcast()

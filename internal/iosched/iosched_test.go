@@ -1,6 +1,7 @@
 package iosched
 
 import (
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -159,4 +160,29 @@ func (g *Gate) minShare() int {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	return g.minShareLocked()
+}
+
+// The release asserts are unconditional, so they must cost nothing
+// while they hold: a foreground or background acquire/release pair
+// allocates nothing.
+func TestGateAcquireReleaseAllocatesNothing(t *testing.T) {
+	// Ids built at run time, as volume names are: boxing a constant
+	// string would not allocate and would hide an escaping argument.
+	vol, other, gc := strings.Repeat("a", 2), strings.Repeat("b", 2), strings.Repeat("g", 2)
+	g := NewGate(2)
+	g.Register(vol)
+	g.AcquireBackground(gc) // creates the background user once
+	g.ReleaseBackground(gc)
+	for _, c := range []struct {
+		name string
+		fn   func()
+	}{
+		{"foreground", func() { g.Acquire(vol); g.Release(vol) }},
+		{"borrower", func() { g.Acquire(other); g.Release(other) }},
+		{"background", func() { g.AcquireBackground(gc); g.ReleaseBackground(gc) }},
+	} {
+		if n := testing.AllocsPerRun(1000, c.fn); n != 0 {
+			t.Errorf("%s acquire/release: %.1f allocs, want 0", c.name, n)
+		}
+	}
 }

@@ -649,8 +649,9 @@ func (c *Cache) hitAfter(lba block.LBA, order uint32) bool {
 // entries of s.inserted may overlap, and deleting a run as it is
 // visited keeps a later overlapping entry from seeing it again.
 func (a *Arena) unmap(s *slab) []extmap.Run {
-	invariant.Assertf(s.owner >= 0 && s.owner < len(a.views),
-		"readcache: slab %d owned by unknown view %d", s.idx, s.owner)
+	if s.owner < 0 || s.owner >= len(a.views) {
+		invariant.Failf("readcache: slab %d owned by unknown view %d", s.idx, s.owner)
+	}
 	v := a.views[s.owner]
 	lo := block.LBAFromBytes(a.slabBase(s.idx))
 	hi := lo + block.LBA(a.cfg.SlabBytes>>block.SectorShift)

@@ -1,6 +1,6 @@
 // Package replica implements LSVD's asynchronous replication (paper
 // §4.8) on top of the blockstore's commit feed (ship.go, DESIGN.md
-// §5i): because the volume is an ordered stream of immutable numbered
+// §14): because the volume is an ordered stream of immutable numbered
 // objects, a crash-consistent replica is maintained by copying objects
 // to a second object store in commit order and refreshing the
 // superblock only once the checkpoint it names is present there.

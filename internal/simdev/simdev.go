@@ -11,7 +11,7 @@
 // while correctness tests with random payloads still see exact data.
 // Its wall-clock cost is the simulator's, not a device's: what the
 // I/O would cost on real hardware is the metered stream's modelled
-// time (DESIGN.md §7).
+// time (DESIGN.md §16.2).
 package simdev
 
 import (

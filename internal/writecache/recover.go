@@ -11,7 +11,7 @@ import (
 	"lsvd/internal/simdev"
 )
 
-// Recovery (DESIGN.md §5). The log is its own checkpoint: all that is
+// Recovery (DESIGN.md §9.1). The log is its own checkpoint: all that is
 // persisted beside it is a 4 KiB superblock naming one record boundary
 // in the live ring, and four rules make that enough.
 //
@@ -356,7 +356,7 @@ func (c *Cache) applyRecord(h *journal.Header, size int64) {
 }
 
 // Reconcile is the one rule that joins the two logs after a restart
-// (DESIGN.md §5): durable is the newest client write the recovered
+// (DESIGN.md §9.1): durable is the newest client write the recovered
 // backend holds, and every record at or below it is dropped, however
 // far the backend ran ahead of what this device kept. The cache then
 // holds exactly the writes the backend lacks.

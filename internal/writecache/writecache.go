@@ -21,7 +21,7 @@
 // backend may lack, and recovery rebuilds the map from the records that
 // follow it (recover.go, §3.3).
 //
-// Appends use a reserve/commit group-commit protocol (DESIGN.md §5f):
+// Appends use a reserve/commit group-commit protocol (DESIGN.md §9.3):
 // Reserve claims ring space and a sequence number under a short
 // metadata-only lock; Commit frames the record off-lock and hands it
 // to a group-commit leader, which lands many queued records with one
@@ -60,8 +60,8 @@ type Config struct {
 	// CheckpointBytes is a gap Format leaves between the superblocks and
 	// the log; zero gives the log the whole device. Nothing is stored
 	// there since the log became its own checkpoint, and the one caller
-	// that sets it is the benchmark's ladder (ROADMAP item 2c deletes the
-	// type). Open reads where the log starts from the superblock.
+	// that sets it is the benchmark's ladder (ROADMAP item 1(c) deletes
+	// the type). Open reads where the log starts from the superblock.
 	CheckpointBytes int64
 }
 
