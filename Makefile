@@ -81,11 +81,14 @@ race:
 # checkpoint under a continuous writer, Close and Kill against parked
 # writers, a commit or a wrapping reserve that arrives after the cache
 # is quiesced must be refused, and a GC object parked in its PUT must
-# hold back every commit behind it while appends go on. The last line
+# hold back every commit behind it while appends go on. So do the object
+# lifecycle's races: a death while a snapshot's drop is owed its super,
+# an owed super failing at open, a GC read across a reap, a clean reopen
+# and a snapshot delete whose super fails. The last line
 # is the flake gate: twenty shuffled runs of the whole consistency
 # package in one process, zero failures.
 fault:
-	$(GO) test -count=20 -race -run 'TestBackendCrashEnumeration|TestSecondCrashAfterSuffixCheckpointKeepsPrefix|TestGCObjectRidesThePipeline' ./internal/blockstore
+	$(GO) test -count=20 -race -run 'TestBackendCrashEnumeration|TestSecondCrashAfterSuffixCheckpointKeepsPrefix|TestGCObjectRidesThePipeline|TestDeathWhileSnapshotDropOwedItsSuper|TestOpenOwedSuperFailingHoldsSuffixDeaths|TestGCReadAcrossAReap|TestCleanReopenDeletesNothing|TestDeleteSnapshotFailureKeepsName' ./internal/blockstore
 	$(GO) test -count=20 -race -timeout 30m -run 'TestCrashEnumeration|TestCommitAfterQuiesceIsRefused' ./internal/writecache
 	$(GO) test -count=20 -race -run 'UnderWriter|TestShutdownReleasesParkedWriters|TestDeleteSnapshotWhileSnapshotQueued' ./internal/core
 	LSVD_FAULT_SEED=1 $(GO) test -count=1 -run TestFaultTorture ./internal/consistency

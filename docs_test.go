@@ -22,6 +22,11 @@ var designRef = regexp.MustCompile(`DESIGN(?:\.md)?(?:\s|//)+§\s*(\d+[a-z]?(?:\
 // reference can only mean a DESIGN.md section.
 var bareLetterRef = regexp.MustCompile(`§\s*(\d+[a-z])\b`)
 
+// roadmapRef matches a citation of a ROADMAP.md item by its number,
+// with or without the word "item", possibly broken across a comment
+// line.
+var roadmapRef = regexp.MustCompile(`ROADMAP(?:\.md)?(?:\s|//)+(?:items?\s+)?\d`)
+
 // ownSectionRef matches a section number of 8 or above. DESIGN.md cites
 // the paper's sections 2 to 6, so such a number is one of its own.
 var ownSectionRef = regexp.MustCompile(`§((?:[89]|[1-9]\d)(?:\.\d+)?)`)
@@ -29,7 +34,9 @@ var ownSectionRef = regexp.MustCompile(`§((?:[89]|[1-9]\d)(?:\.\d+)?)`)
 // TestDesignReferencesResolve: every "DESIGN.md §N" in the docs, the
 // Makefile and the Go sources names a heading DESIGN.md has, and so do
 // every bare letter-suffixed section in a Go comment and every section
-// of 8 or above that DESIGN.md cites itself. The changelog and results/
+// of 8 or above that DESIGN.md cites itself. No Go source cites a
+// ROADMAP.md item: items are renumbered and struck, so a source points
+// at a DESIGN.md section or a test instead. The changelog and results/
 // quote the document as it was, so they are not checked; benchmark/ is
 // its own module.
 func TestDesignReferencesResolve(t *testing.T) {
@@ -81,6 +88,9 @@ func TestDesignReferencesResolve(t *testing.T) {
 				if sec := src[m[2]:m[3]]; !headings[sec] {
 					t.Errorf("%s:%d: §%s names no DESIGN.md section", f, lineOf(src, m[0]), sec)
 				}
+			}
+			for _, m := range roadmapRef.FindAllStringIndex(src, -1) {
+				t.Errorf("%s:%d: cites a ROADMAP.md item; cite a DESIGN.md section or a test", f, lineOf(src, m[0]))
 			}
 		}
 	}

@@ -312,13 +312,14 @@ func (s *Store) installObject(info *objInfo, mapped []mappedExtent, trims []bloc
 	// any map update: in no-coalesce mode an object's own extents
 	// overlap, so displacement accounting must already see it.
 	s.objects[info.seq] = info
+	s.count.rows[stateLive]++
 	// This is the commit point for data and GC objects — the one place
 	// the object becomes visible to readers and recovery — so it is
 	// also where the replication feed learns about it (ship.go rule 1).
 	s.shipPublishLocked(info.seq, info.typ, info.totalBytes)
-	if s.utilCounted(info) {
-		s.utilLive += uint64(info.liveSectors)
-		s.utilData += uint64(info.dataSectors)
+	if s.counted(info) {
+		s.count.live += uint64(info.liveSectors)
+		s.count.data += uint64(info.dataSectors)
 	}
 	for _, t := range trims {
 		s.applyDisplaced(s.m.Delete(t), info.seq)
@@ -344,8 +345,8 @@ func (s *Store) installObject(info *objInfo, mapped []mappedExtent, trims []bloc
 			s.applyDisplaced(s.m.UpdateIf(me.ext, me.target, func(extmap.Run) bool { return false }), info.seq)
 			if gap := me.ext.Sectors - filled; gap > 0 && info.liveSectors >= gap {
 				info.liveSectors -= gap
-				if s.utilCounted(info) {
-					s.utilLive -= uint64(gap)
+				if s.counted(info) {
+					s.count.live -= uint64(gap)
 				}
 			}
 			continue
@@ -371,14 +372,14 @@ func (s *Store) installObject(info *objInfo, mapped []mappedExtent, trims []bloc
 			}
 			if gap := me.ext.Sectors - installed; gap > 0 && info.liveSectors >= gap {
 				info.liveSectors -= gap
-				if s.utilCounted(info) {
-					s.utilLive -= uint64(gap)
+				if s.counted(info) {
+					s.count.live -= uint64(gap)
 				}
 			}
 		}
 		s.applyDisplaced(displaced, info.seq)
 	}
-	if s.utilCounted(info) && info.liveSectors == 0 {
+	if s.counted(info) && info.liveSectors == 0 {
 		s.diedLocked(info, info.seq) // trims only, or GC copies a newer write beat
 	}
 	s.hdrCache[info.seq] = &hdrEntry{extents: extentEntries(mapped, trims, info), hdrSectors: info.hdrSectors}

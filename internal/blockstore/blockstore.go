@@ -120,7 +120,7 @@ type Config struct {
 	// Replicated marks the volume as having an asynchronous replica: a
 	// shipper (internal/replica) attaches via ShipAttach and drains the
 	// commit feed (ship.go). The flag also arms the shipped-watermark
-	// pin in the reaper (pinnedLocked), so deferred deletions wait for
+	// pin in the reaper (pinnedLocked), so released rows stay held for
 	// the replica even across sessions where the shipper has not
 	// attached yet.
 	Replicated bool
@@ -149,7 +149,11 @@ func (c *Config) setDefaults() {
 	}
 }
 
-// objInfo tracks one backend object.
+// objInfo tracks one backend object: its row in the object table.
+// state is its place in the object lifecycle (reap.go), written only by
+// transition; killedBy bounds the objects whose installs killed it, for
+// the snapshot pin (pinnedLocked); shipped records the shipper's ack
+// (ship.go).
 type objInfo struct {
 	seq         uint32
 	typ         journal.Type
@@ -158,6 +162,10 @@ type objInfo struct {
 	dataSectors uint32
 	liveSectors uint32
 	writeSeq    uint64
+
+	state    objState
+	killedBy uint32
+	shipped  bool
 }
 
 // snapshot is a named pointer into the object stream.
@@ -166,8 +174,8 @@ type snapshot struct {
 	Seq  uint32
 }
 
-// deferredDelete records a dead object awaiting deletion. GCSeq bounds
-// the objects that displaced it, for the snapshot pin (pinnedLocked).
+// deferredDelete is one entry of a checkpoint's deferred list: a row
+// that is not live, and its killedBy.
 type deferredDelete struct {
 	Obj   uint32
 	GCSeq uint32
@@ -248,18 +256,12 @@ type Store struct {
 
 	readOnly bool
 
-	// A cleaned (dead) object's deferredDelete sits on exactly one of
-	// three lists until its delete retires (reap.go): pending (dead,
-	// waiting for the release rule, releaseLocked), deferred (released,
-	// but pinned by a snapshot or the shipped watermark, or its delete
-	// failed: every landed super and every watermark advance re-drives
-	// it), reaping (backend delete in flight, off s.mu). Fences and Abort
-	// wait for reaping to empty.
 	snapshots []snapshot
-	deferred  []deferredDelete
-	pending   []deferredDelete
-	reaping   map[uint32]deferredDelete // by Obj
-	cleaned   map[uint32]bool           // dead objects awaiting deletion
+
+	// toReap lists the rows released into stateReaping under this hold of
+	// s.mu, for the caller to delete once it drops the lock (reap.go); it
+	// is empty whenever s.mu is free.
+	toReap []uint32
 
 	// durable is the last superblock known to have landed: the
 	// checkpoint recovery loads and the snapshots it keeps mountable. The
@@ -270,9 +272,10 @@ type Store struct {
 	// the snapshot pins (snapPinsLocked).
 	ckpts []uint32
 
-	// Running utilization counters over own, non-cleaned data/GC
-	// objects, so the per-seal GC trigger is O(1).
-	utilLive, utilData uint64
+	// count is the running tally of the table (tallyLocked): the
+	// utilization sums over live own data/GC rows, so the per-seal GC
+	// trigger is O(1), and the rows in each state.
+	count tally
 
 	batch *batch
 
@@ -336,16 +339,16 @@ type Store struct {
 
 	// Replication change feed (ship.go), guarded by mu. shipCond (write
 	// side of mu, like commitCond) wakes the shipper when events arrive
-	// or the feed closes. shipUnacked is the published-but-unacked seq
-	// set; shipMark caches the derived watermark (min(unacked)-1, or
-	// shipMaxPub when the set is empty).
+	// or the feed closes. The rows published up to shipMaxPub and not
+	// yet shipped are the lag, shipLag rows of shipLagBytes; shipMark is
+	// the watermark.
 	shipCond     *sync.Cond
 	shipFeed     []ShipEvent
 	shipAttached bool
 	shipClosed   bool
 	shipMaxPub   uint32
-	shipUnacked  map[uint32]struct{}
 	shipMark     uint32
+	shipLag      int
 	shipLagBytes int64
 
 	stats struct {
@@ -445,8 +448,6 @@ func newStore(ctx context.Context, cfg Config) *Store {
 		hdrCache:   make(map[uint32]*hdrEntry),
 		hdrFlights: make(map[uint32]*hdrFlight),
 		flights:    make(map[fetchKey]*flight),
-		cleaned:    make(map[uint32]bool),
-		reaping:    make(map[uint32]deferredDelete),
 		orphans:    make(map[uint32]bool),
 		durable:    &superblock{},
 	}
@@ -454,7 +455,6 @@ func newStore(ctx context.Context, cfg Config) *Store {
 	s.commitCond = sync.NewCond(&s.mu)
 	s.gcCond = sync.NewCond(&s.mu)
 	s.shipCond = sync.NewCond(&s.mu)
-	s.shipUnacked = make(map[uint32]struct{})
 	s.gcGateID = cfg.UploadID + "#gc"
 	if cfg.UploadGate != nil {
 		s.gate, s.gateID = cfg.UploadGate, cfg.UploadID
@@ -496,113 +496,82 @@ func (s *Store) Utilization() float64 {
 	return s.utilizationLocked()
 }
 
-// utilizationLocked is live/total over the volume's own data objects,
-// excluding objects the GC has already cleaned (their deletion is
-// merely deferred; counting them would make collection look futile and
-// trigger runaway over-collection). The running counters cover EVERY
-// own data/GC object — cleaned ones included — and the exclusion is
-// computed here by walking the (checkpoint-bounded) cleaned set. A
-// cleaned object therefore leaves the pool exactly when its delete
-// retires, never earlier: an aborted pass, a crash before the delete,
-// or a snapshot pin cannot strand the counters out of sync with the
-// object table (the drift class the old subtract-at-clean-time scheme
-// allowed).
+// utilizationLocked is live/total over the volume's own live data and
+// GC rows. A row that has died is out of the pool (transition): its
+// deletion is merely owed, and counting it would make collection look
+// futile and trigger runaway over-collection.
 //
 //lsvd:requires bs.mu
 func (s *Store) utilizationLocked() float64 {
-	live, data := s.utilLive, s.utilData
-	for seq := range s.cleaned {
-		o := s.objects[seq]
-		if o == nil || o.seq <= s.baseSeq ||
-			(o.typ != journal.TypeData && o.typ != journal.TypeGC) {
-			continue
-		}
-		live -= uint64(o.liveSectors)
-		data -= uint64(o.dataSectors)
-	}
-	if data == 0 {
+	if s.count.data == 0 {
 		return 1.0
 	}
-	return float64(live) / float64(data)
+	return float64(s.count.live) / float64(s.count.data)
 }
 
-// utilCounted reports whether o participates in the utilization
-// counters (own data/GC object, cleaned or not — cleaned objects are
-// excluded on the fly by utilizationLocked and leave the counters at
-// delete retirement).
-func (s *Store) utilCounted(o *objInfo) bool {
-	return o != nil && o.seq > s.baseSeq &&
+// counted reports whether o is in the utilization counters: an own,
+// live data or GC row.
+func (s *Store) counted(o *objInfo) bool {
+	return o.state == stateLive && o.seq > s.baseSeq &&
 		(o.typ == journal.TypeData || o.typ == journal.TypeGC)
 }
 
-// AuditUtilization recomputes the utilization counters from the object
-// table and fails if they disagree with the running values, if a
-// cleaned object is awaiting deletion without a pending, deferred or
-// reaping entry to retire it, if a dead object was never recorded — an
-// own data or GC object with no live sector, or (on a writable store) a
-// checkpoint no chain walk reads — or if a writable store holds on
-// s.pending an entry the release rule would release now. Tests call it
-// after abort/crash/recovery interleavings to prove the accounting
-// cannot drift and no garbage is forgotten.
+// tally is what the table sums to: live and data sectors over the
+// counted rows, and the number of rows in each state.
+type tally struct {
+	live, data uint64
+	rows       [numStates]int
+}
+
+// owed is the number of rows whose deletion is owed: every row that is
+// not live.
+func (t *tally) owed() int { return t.rows[stateDead] + t.rows[stateHeld] + t.rows[stateReaping] }
+
+// tallyLocked recounts the table.
+//
+//lsvd:requires bs.mu
+func (s *Store) tallyLocked() tally {
+	var t tally
+	for _, o := range s.objects {
+		if s.counted(o) {
+			t.live += uint64(o.liveSectors)
+			t.data += uint64(o.dataSectors)
+		}
+		t.rows[o.state]++
+	}
+	return t
+}
+
+// AuditUtilization recounts the table and fails if the running tally
+// disagrees with it, if a row is still live that the release rule counts
+// as garbage — an own data or GC object with no live sector, or (on a
+// writable store) a checkpoint no chain walk reads — if a writable store
+// holds a dead row the release rule would release now, or if a release
+// was left queued with s.mu free. Tests call it after
+// abort/crash/recovery interleavings to prove the accounting cannot
+// drift and no garbage is forgotten.
 func (s *Store) AuditUtilization() error {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	var live, data uint64
-	for _, o := range s.objects {
-		if s.utilCounted(o) {
-			live += uint64(o.liveSectors)
-			data += uint64(o.dataSectors)
-		}
+	if t := s.tallyLocked(); t != s.count {
+		return fmt.Errorf("blockstore: table tally drifted: have %+v, rows sum to %+v", s.count, t)
 	}
-	if live != s.utilLive || data != s.utilData {
-		return fmt.Errorf("blockstore: utilization counters drifted: have live/data %d/%d, objects sum to %d/%d",
-			s.utilLive, s.utilData, live, data)
-	}
-	retiring := make(map[uint32]bool, len(s.deferred)+len(s.pending)+len(s.reaping))
-	for _, d := range s.deferred {
-		retiring[d.Obj] = true
-	}
-	for _, d := range s.pending {
-		retiring[d.Obj] = true
-	}
-	for seq := range s.reaping {
-		retiring[seq] = true
-	}
-	for seq := range s.cleaned {
-		if s.objects[seq] != nil && !retiring[seq] {
-			return fmt.Errorf("blockstore: cleaned object %d has no pending/deferred delete", seq)
-		}
+	if len(s.toReap) != 0 {
+		return fmt.Errorf("blockstore: releases %v queued with the store lock free", s.toReap)
 	}
 	var keep uint32 // a read-only mount releases no checkpoint
 	if !s.readOnly {
 		keep = s.ckptKeepLocked()
 	}
 	for seq, o := range s.objects {
-		if s.deadLocked(o, keep) && !retiring[seq] {
-			return fmt.Errorf("blockstore: dead object %d (%v) was never released", seq, o.typ)
+		if o.state == stateLive && s.deadLocked(o, keep) {
+			return fmt.Errorf("blockstore: dead object %d (%v) was never recorded", seq, o.typ)
 		}
-	}
-	if !s.readOnly {
-		for _, d := range s.pending {
-			if d.Obj < s.durable.lastCkpt {
-				return fmt.Errorf("blockstore: dead object %d lies below the named checkpoint %d and was never released", d.Obj, s.durable.lastCkpt)
-			}
+		if !s.readOnly && o.state == stateDead && seq < s.durable.lastCkpt {
+			return fmt.Errorf("blockstore: dead object %d lies below the named checkpoint %d and was never released", seq, s.durable.lastCkpt)
 		}
 	}
 	return nil
-}
-
-// recomputeUtilLocked rebuilds the running counters from the table.
-//
-//lsvd:requires bs.mu
-func (s *Store) recomputeUtilLocked() {
-	s.utilLive, s.utilData = 0, 0
-	for _, o := range s.objects {
-		if s.utilCounted(o) {
-			s.utilLive += uint64(o.liveSectors)
-			s.utilData += uint64(o.dataSectors)
-		}
-	}
 }
 
 // Stats returns a statistics snapshot.
@@ -621,10 +590,10 @@ func (s *Store) Stats() Stats {
 		PendingBatch:    s.batch.fill + s.inflightBytes,
 		InflightObjects: len(s.inflight), UploadRetries: s.stats.uploadRetries,
 		SealStalls:      s.stats.sealStalls,
-		DeferredDeletes: len(s.deferred) + len(s.pending) + len(s.reaping),
+		DeferredDeletes: s.count.owed(),
 		OrphanObjects:   len(s.orphans),
 		ShippedSeq:      s.shipMark,
-		ShipLagObjects:  len(s.shipUnacked),
+		ShipLagObjects:  s.shipLag,
 		ShipLagBytes:    s.shipLagBytes,
 		FetchGETs:       s.fetchStats.gets.Load(),
 		FetchesDeduped:  s.fetchStats.deduped.Load(),
@@ -677,60 +646,13 @@ func (s *Store) applyDisplaced(displaced []extmap.Run, by uint32) {
 			dec = o.liveSectors
 		}
 		o.liveSectors -= dec
-		if s.utilCounted(o) {
-			s.utilLive -= uint64(dec)
+		if s.counted(o) {
+			s.count.live -= uint64(dec)
 			if o.liveSectors == 0 {
 				s.diedLocked(o, by)
 			}
 		}
 	}
-}
-
-// diedLocked records the death of an own data or GC object whose live
-// count is zero: it waits on s.pending for the release rule
-// (releaseLocked). by, its GCSeq for the snapshot pin, is the object
-// whose install killed it, or a sequence number no lower.
-//
-//lsvd:requires bs.mu
-func (s *Store) diedLocked(o *objInfo, by uint32) {
-	if s.cleaned[o.seq] {
-		return
-	}
-	s.cleaned[o.seq] = true
-	s.pending = append(s.pending, deferredDelete{Obj: o.seq, GCSeq: by})
-}
-
-// releaseLocked is the release rule, the one place it is written: it
-// takes off s.pending, and returns for the reaper, every dead object
-// below the checkpoint the durable superblock names. Recovery loads
-// that checkpoint and replays only the objects after it, so such an
-// object is read through the checkpoint's map alone; objects commit in
-// sequence order, so every install that killed it lies in the prefix
-// every recovery replays. The rest wait: an object in the replay suffix
-// until a super names a newer checkpoint. A read-only store releases
-// nothing.
-//
-// Callers hand the result to the reaper before they drop s.mu. They
-// are every place the rule's answer can change: the commit walk, a GC
-// pass's victim, a landed super and open. One call is one pass over
-// s.pending, which holds only what died since the named checkpoint.
-//
-//lsvd:requires bs.mu
-func (s *Store) releaseLocked() []deferredDelete {
-	if s.readOnly || len(s.pending) == 0 {
-		return nil
-	}
-	var out []deferredDelete
-	waiting := s.pending[:0]
-	for _, d := range s.pending {
-		if d.Obj < s.durable.lastCkpt {
-			out = append(out, d)
-		} else {
-			waiting = append(waiting, d)
-		}
-	}
-	s.pending = waiting
-	return out
 }
 
 // ckptKeepLocked is the oldest checkpoint an OpenAt chain walk reads.
@@ -804,27 +726,27 @@ func (s *Store) deadLocked(o *objInfo, keep uint32) bool {
 	return false
 }
 
-// sweepDeadLocked is one pass over the table, for open: it records on
-// s.pending every dead object nothing has recorded yet, for the release
-// rule that follows — a death a crash interrupted before any checkpoint
-// listed it, and the checkpoints the named one supersedes. In the live
-// path data and GC objects die as they are displaced, and a landed super
-// needs only supersededLocked.
+// sweepDeadLocked is open's pass over the table: it kills every live
+// row that is garbage — a death a crash interrupted before any
+// checkpoint recorded it, and the checkpoints the named one supersedes —
+// and then applies the release rule to the whole table (redriveLocked).
+// In the live path data and GC objects die as they are displaced, and a
+// landed super needs only supersededLocked.
 //
 //lsvd:requires bs.mu
 func (s *Store) sweepDeadLocked() {
 	for _, o := range s.objects {
-		if s.utilCounted(o) && o.liveSectors == 0 {
+		if s.counted(o) && o.liveSectors == 0 {
 			s.diedLocked(o, s.nextSeq-1)
 		}
 	}
 	s.supersededLocked()
+	s.redriveLocked()
 }
 
-// supersededLocked records on s.pending every own checkpoint no chain
-// walk reads any more (deadLocked), found through the checkpoint index:
-// its prefix below ckptKeepLocked, which holds only what is not yet
-// deleted.
+// supersededLocked kills every own checkpoint no chain walk reads any
+// more (deadLocked), found through the checkpoint index: its prefix
+// below ckptKeepLocked, which holds only what is not yet deleted.
 //
 //lsvd:requires bs.mu
 func (s *Store) supersededLocked() {
@@ -833,9 +755,8 @@ func (s *Store) supersededLocked() {
 		if seq >= keep {
 			return
 		}
-		if seq > s.baseSeq && !s.cleaned[seq] {
-			s.cleaned[seq] = true
-			s.pending = append(s.pending, deferredDelete{Obj: seq, GCSeq: seq})
+		if o := s.objects[seq]; seq > s.baseSeq && o.state == stateLive {
+			s.diedLocked(o, seq)
 		}
 	}
 }

@@ -46,8 +46,8 @@ import (
 // whose object landed and whose super PUT fails is OWED a super
 // (s.superOwed): objects behind it keep committing, but the release rule
 // still reads the last landed super (s.durable), so nothing above the
-// checkpoint that super names is released, and no new marker is queued. Every fence re-arms the super
-// with a fresh budget, re-encodes it (armSuperLocked) — so it publishes
+// checkpoint that super names is released, and no new marker is queued.
+// Every fence re-arms the super with a fresh budget, re-encodes it (armSuperLocked) — so it publishes
 // the snapshot list of the moment it runs, not of the moment the marker
 // was queued — re-PUTs it up to uploadAttempts() times and returns the
 // error while it still fails. The fences and Abort wait for a super PUT
@@ -63,14 +63,13 @@ import (
 // A checkpoint whose super landed RELEASES what was waiting for it; it
 // does not delete it. Most garbage never waits for a checkpoint: an
 // object that dies below the named checkpoint goes to the reaper from
-// the commit that killed it (releaseLocked). What does wait is an
-// object that died in the replay suffix, and every checkpoint the new
-// one supersedes; and what s.deferred holds, pinned or failed, is
-// re-driven. finalizeCheckpointLocked hands these to the reaper
-// (reap.go), which parks the pinned ones on s.deferred and claims the
-// rest in s.reaping. The backend deletes then run off s.mu, fanned out,
-// on the goroutine that PUT the super, with the commit walk long past
-// the marker.
+// the commit that killed it (diedLocked). What does wait is an object
+// that died in the replay suffix, and every checkpoint the new one
+// supersedes; and the held rows, pinned or failed, are re-driven.
+// finalizeCheckpointLocked releases these (reap.go): the pinned ones
+// stay held and the rest are claimed. The backend deletes then run off
+// s.mu, fanned out, on the goroutine that PUT the super, with the
+// commit walk long past the marker.
 //
 // Ordering rules the crash-consistency tests depend on. putSuper and
 // open are the only writers of a superblock, so rules 1 and 2 hold for
@@ -82,7 +81,7 @@ import (
 //   2. Nothing a recovery can read is deleted. Recovery loads the
 //      checkpoint the durable super names (s.durable) and replays the
 //      objects after it, so a dead data or GC object is deleted only
-//      once it lies below that checkpoint (releaseLocked) — an object in
+//      once it lies below that checkpoint (the release rule) — an object in
 //      the suffix would hole the replay; the objects that killed it
 //      committed in sequence order, so every recovery replays them. A
 //      checkpoint object is deleted only once a super names a newer one
@@ -91,18 +90,18 @@ import (
 //      snapshot has landed: the pins count the snapshots s.durable
 //      lists as well as s.snapshots (snapPinsLocked), so a snapshot the
 //      durable super lists stays mountable.
-//   3. Every checkpoint payload lists s.deferred, s.pending and
-//      s.reaping together as its deferred list, and keeps all of them
-//      in its object table. A crash in the middle of a reap therefore
-//      loses nothing: open puts the whole list back under the release
-//      rule (a delete that already landed finds the object missing,
-//      which counts as done), whichever checkpoint it recovers from.
+//   3. Every checkpoint payload lists the rows that are not live as its
+//      deferred list, and keeps them in its object table. A crash in the
+//      middle of a reap therefore loses nothing: open puts the whole
+//      list back to dead, under the release rule (a delete that already
+//      landed finds the object missing, which counts as done), whichever
+//      checkpoint it recovers from.
 //   4. Abort claims no new reap, arms no super, and returns only once
-//      s.reaping is empty and every issued PUT — a super included — has
+//      no row is reaping and every issued PUT — a super included — has
 //      finished: the backend stops changing. The fences
 //      (waitInflightLocked, hence Seal, Checkpoint, the snapshot calls
-//      and core's Close) wait for the owed super and for s.reaping to
-//      empty as well, so "the pipeline is drained" still means no
+//      and core's Close) wait for the owed super and for the reaping
+//      rows as well, so "the pipeline is drained" still means no
 //      backend operation of this store is in flight, and a checkpoint
 //      fence returns with its victims gone.
 
@@ -159,17 +158,14 @@ func (s *Store) fillCkptShotLocked(shot *ckptShot) error {
 		w.PutU32(o.liveSectors)
 		w.PutU64(o.writeSeq)
 	}
-	// Rule 3: a victim mid-reap is still listed, so open re-drives it.
-	w.PutU32(uint32(len(s.deferred) + len(s.pending) + len(s.reaping)))
-	for _, ds := range [][]deferredDelete{s.deferred, s.pending} {
-		for _, d := range ds {
-			w.PutU32(d.Obj)
-			w.PutU32(d.GCSeq)
+	// Rule 3: every row that is not live, mid-reap included, is listed,
+	// so open re-drives it.
+	w.PutU32(uint32(s.count.owed()))
+	for _, o := range s.objects {
+		if o.state != stateLive {
+			w.PutU32(o.seq)
+			w.PutU32(o.killedBy)
 		}
-	}
-	for _, d := range s.reaping {
-		w.PutU32(d.Obj)
-		w.PutU32(d.GCSeq)
 	}
 	// The map marshals straight into the payload buffer behind its
 	// length prefix — no intermediate allocation.
@@ -217,6 +213,7 @@ func (s *Store) checkpointObjectDurableLocked(inf *inflightObj) {
 	s.inflight = s.inflight[1:]
 	shot := inf.ckpt
 	s.objects[shot.seq] = &objInfo{seq: shot.seq, typ: journal.TypeCheckpoint, totalBytes: int64(len(shot.rec))}
+	s.count.rows[stateLive]++
 	s.ckpts = append(s.ckpts, shot.seq) // the highest sequence number in the table
 	s.shipPublishLocked(shot.seq, journal.TypeCheckpoint, int64(len(shot.rec)))
 	inf.attempts = 0
@@ -265,28 +262,28 @@ func (s *Store) superNaming(ckpt uint32) *superblock {
 func (s *Store) putSuper(inf *inflightObj, super []byte) {
 	err := s.cfg.Store.Put(s.ctx, superName(s.cfg.Volume), super)
 	s.mu.Lock()
-	var victims []deferredDelete
 	if err == nil {
-		victims = s.finalizeCheckpointLocked(inf.ckpt)
+		s.finalizeCheckpointLocked(inf.ckpt)
 		s.superOwed = nil
 		s.ckptQueued = false
 	}
+	victims := s.takeReapLocked()
 	inf.done, inf.err = true, err
 	s.commitCond.Broadcast()
 	s.mu.Unlock()
-	_ = s.reap(victims) // failures wait on s.deferred for the next checkpoint
+	_ = s.reap(victims) // failures stay held for the next checkpoint
 }
 
 // finalizeCheckpointLocked applies a checkpoint whose superblock has
 // landed to the in-memory state — the super it carried becomes
-// s.durable — and claims, for the caller to reap, what was waiting for
-// it (rule 2 above): the checkpoints below it no chain walk reads, what
-// the release rule now releases, and s.deferred, re-driven because a
-// snapshot the super dropped pins nothing any more and a failed delete
-// is owed a retry.
+// s.durable — and claims on s.toReap, for the caller to reap, what was
+// waiting for it (rule 2 above): the checkpoints below it no chain walk
+// reads, the dead rows the release rule now releases, and the held
+// rows, re-driven because a snapshot the super dropped pins nothing any
+// more and a failed delete is owed a retry.
 //
 //lsvd:requires bs.mu
-func (s *Store) finalizeCheckpointLocked(shot *ckptShot) []deferredDelete {
+func (s *Store) finalizeCheckpointLocked(shot *ckptShot) {
 	s.lastCkpt = shot.seq
 	s.durable = shot.super
 	s.stats.checkpoints++
@@ -294,7 +291,7 @@ func (s *Store) finalizeCheckpointLocked(shot *ckptShot) []deferredDelete {
 	// (published when it landed) is on the replica.
 	s.shipPublishLocked(0, journal.TypeSuper, 0)
 	s.supersededLocked()
-	return s.reapClaimLocked(append(s.redriveLocked(), s.releaseLocked()...))
+	s.redriveLocked()
 }
 
 // Checkpoint writes the volume's map and metadata as a numbered object

@@ -11,7 +11,7 @@ import (
 	"lsvd/internal/testrec"
 )
 
-// Backend crash enumeration (ROADMAP item 1d, the backend half): a
+// Backend crash enumeration (DESIGN.md §11.3, Enumeration): a
 // scripted workload runs once over the recording store, and the backend
 // is then rebuilt as of every prefix of its completed PUTs and DELETEs
 // and opened. Every backend operation that open itself completes is a
@@ -160,7 +160,7 @@ func (e *enumScript) run() {
 	go func() { gc <- e.s.RunGC() }()
 	landed := e.rs.Await(from, testrec.GCObject, 10*time.Second)
 	e.s.mu.RLock()
-	dead := e.s.cleaned[victim]
+	dead := died(e.s, victim)
 	e.s.mu.RUnlock()
 	held.Release(nil)
 	e.must("gc", <-gc)

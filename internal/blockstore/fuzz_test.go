@@ -30,7 +30,6 @@ func encodeCheckpointForFuzz(p *checkpointPayload) []byte {
 		w.PutU32(d.Obj)
 		w.PutU32(d.GCSeq)
 	}
-	w.PutU32(uint32(len(p.mapBytes)))
 	w.PutBytes(p.mapBytes)
 	return w.Buf
 }

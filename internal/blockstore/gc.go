@@ -38,14 +38,14 @@ import (
 // bytes that were about to die anyway).
 
 // errGCAborted abandons a GC pass mid-collection when Abort lands
-// during one of the lock drops below; the victim is left uncleaned (its
+// during one of the lock drops below; the victim is left live (its
 // live data was not fully relocated) and the error never escapes the
 // pass drivers.
 var errGCAborted = errors.New("blockstore: gc pass aborted")
 
 // errGCYield cuts a paced pass short because a fence (seal, checkpoint,
 // RunGC, Abort) is waiting on the gcBusy slot. Partially relocated
-// victims stay uncleaned and are re-collected next wake-up.
+// victims stay live and are re-collected next wake-up.
 var errGCYield = errors.New("blockstore: gc pass yielded to a fence")
 
 // gcIdleWait is how long the paced service waits for a foreground
@@ -299,7 +299,7 @@ func (s *Store) gcAwaitBudgetLocked(need int64) error {
 // its remaining live data into fresh GC objects, until utilization
 // recovers to the high-water mark. A victim dies when its last live
 // sector is relocated, and is deleted under the release rule
-// (releaseLocked): at once below the named checkpoint, else after the next
+// (reap.go): at once below the named checkpoint, else after the next
 // one, so recovery never sees holes (§3.3); deletion is further deferred
 // while a snapshot pins it (§3.6).
 // Caller owns the gcBusy claim. Paced passes pace each copy batch
@@ -333,7 +333,7 @@ func (s *Store) gcPassLocked(paced bool) error {
 				return nil
 			}
 			o := s.objects[seq]
-			if o == nil || s.cleaned[seq] || o.dataSectors == 0 ||
+			if o == nil || o.state != stateLive || o.dataSectors == 0 ||
 				float64(o.liveSectors)/float64(o.dataSectors) >= 0.999 {
 				continue
 			}
@@ -363,7 +363,7 @@ func (s *Store) victimCandidatesLocked() []uint32 {
 	}
 	var cands []cand
 	for _, o := range s.objects {
-		if o.seq <= s.baseSeq || s.cleaned[o.seq] {
+		if o.seq <= s.baseSeq || o.state != stateLive {
 			continue
 		}
 		if o.typ != journal.TypeData && o.typ != journal.TypeGC {
@@ -407,7 +407,7 @@ type gcPiece struct {
 // Paced collections draw each batch's bytes from the WAF bucket first;
 // a yield mid-victim is safe — already-copied pieces are live in their
 // GC objects, the rest stay live in the victim, and the victim is only
-// marked cleaned (entering the deferred-delete path) after its last
+// killed (entering the object lifecycle's dead state) after its last
 // piece relocated.
 //
 //lsvd:requires bs.mu
@@ -423,7 +423,7 @@ func (s *Store) collectLocked(seq uint32, paced bool) error {
 		return errGCAborted
 	}
 	victim := s.objects[seq]
-	if victim == nil || s.cleaned[seq] {
+	if victim == nil || victim.state != stateLive {
 		return nil
 	}
 	pieces := s.livePiecesLocked(victim, hdr)
@@ -454,15 +454,12 @@ func (s *Store) collectLocked(seq uint32, paced bool) error {
 	// The install that relocated the victim's last live sector killed it
 	// (diedLocked). Every piece was relocated or overwritten, so it is
 	// dead whatever its counter says, and every object that displaced it
-	// has committed. Its contribution stays in the running counters until
-	// its delete retires (retireObjectLocked); utilizationLocked excludes
-	// cleaned objects on the fly, so an abort or crash between here and
-	// the delete cannot strand the accounting.
-	if v := s.objects[seq]; v != nil && !s.cleaned[seq] {
+	// has committed.
+	if v := s.objects[seq]; v != nil && v.state == stateLive {
 		s.diedLocked(v, s.nextSeq-1)
 	}
 	s.stats.gcVictims++
-	_ = s.reapLocked(s.releaseLocked()) // a failed delete waits on s.deferred for the next checkpoint
+	_ = s.reapLocked() // a failed delete stays held for the next checkpoint
 	return nil
 }
 
@@ -659,5 +656,6 @@ func (s *Store) writeGCObjectLocked(pieces []gcPiece) error {
 //
 //lsvd:requires bs.mu
 func (s *Store) reapedLocked(seq uint32, err error) bool {
-	return errors.Is(err, objstore.ErrNotFound) && (s.objects[seq] == nil || s.cleaned[seq])
+	o := s.objects[seq]
+	return errors.Is(err, objstore.ErrNotFound) && (o == nil || o.state != stateLive)
 }

@@ -21,7 +21,6 @@ import (
 func TestVictimCostModel(t *testing.T) {
 	s := &Store{
 		objects: make(map[uint32]*objInfo),
-		cleaned: make(map[uint32]bool),
 		nextSeq: 100,
 	}
 	add := func(seq uint32, live, data uint32) {
@@ -47,7 +46,7 @@ func TestVictimCostModel(t *testing.T) {
 // TestGCAbortMidVictimNoUtilDrift: a pass aborted after it started
 // collecting a victim (but before the victim is fully relocated) must
 // leave the utilization accounting consistent — the victim stays in
-// the pool, is not marked cleaned, and a later pass collects it
+// the pool, stays live, and a later pass collects it
 // normally. Locks the regression for the old subtract-at-clean-time
 // scheme, where an abort could strand the counters permanently.
 func TestGCAbortMidVictimNoUtilDrift(t *testing.T) {
@@ -83,9 +82,9 @@ func TestGCAbortMidVictimNoUtilDrift(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.mu.Lock()
-	if len(s.cleaned) != 0 || len(s.pending) != 0 {
+	if n := s.count.owed(); n != 0 {
 		s.mu.Unlock()
-		t.Fatalf("aborted pass marked victims cleaned: cleaned=%v pending=%v", s.cleaned, s.pending)
+		t.Fatalf("aborted pass killed %d victims", n)
 	}
 	aborting := s.aborting
 	s.mu.Unlock()
@@ -118,18 +117,28 @@ func TestGCAbortMidVictimNoUtilDrift(t *testing.T) {
 	}
 }
 
-// cleanedVictim returns the one object the GC pass cleaned.
+// cleanedVictim returns the one object the GC pass killed.
 func cleanedVictim(t *testing.T, s *Store) uint32 {
 	t.Helper()
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	if len(s.cleaned) != 1 {
-		t.Fatalf("GC cleaned %v, want one victim", s.cleaned)
+	var dead []uint32
+	for seq, o := range s.objects {
+		if o.state != stateLive {
+			dead = append(dead, seq)
+		}
 	}
-	for seq := range s.cleaned {
-		return seq
+	if len(dead) != 1 {
+		t.Fatalf("GC killed %v, want one victim", dead)
 	}
-	return 0
+	return dead[0]
+}
+
+// died reports whether object seq has died: its row is gone from the
+// table or is no longer live. The caller holds s.mu.
+func died(s *Store, seq uint32) bool {
+	o := s.objects[seq]
+	return o == nil || o.state != stateLive
 }
 
 // TestDeferredDeleteResweptOnOpen: a crash after the checkpoint that
@@ -178,10 +187,10 @@ func TestDeferredDeleteResweptOnOpen(t *testing.T) {
 		t.Fatalf("victim %d still leaked after reopen: %v", victim, err)
 	}
 	s2.mu.Lock()
-	ndef, ncleaned := len(s2.deferred), len(s2.cleaned)
+	owed := s2.count.owed()
 	s2.mu.Unlock()
-	if ndef != 0 || ncleaned != 0 {
-		t.Fatalf("resweep left deferred=%d cleaned=%d", ndef, ncleaned)
+	if owed != 0 {
+		t.Fatalf("resweep left %d deletes owed", owed)
 	}
 	if err := s2.AuditUtilization(); err != nil {
 		t.Fatalf("utilization drift after resweep: %v", err)
@@ -228,12 +237,7 @@ func TestDeferredDeleteResweepKeepsSnapshotPin(t *testing.T) {
 		t.Fatalf("pinned victim %d deleted by resweep: %v", victim, err)
 	}
 	s2.mu.Lock()
-	pinned := false
-	for _, d := range s2.deferred {
-		if d.Obj == victim {
-			pinned = true
-		}
-	}
+	pinned := s2.objects[victim] != nil && s2.objects[victim].state == stateHeld
 	s2.mu.Unlock()
 	if !pinned {
 		t.Fatal("resweep dropped the snapshot-pinned deferred delete")
@@ -499,7 +503,7 @@ func TestGCObjectRidesThePipeline(t *testing.T) {
 		t.Fatal("the GC object did not land")
 	}
 	s.mu.RLock()
-	installed, dead := s.objects[g] != nil, s.cleaned[victim]
+	installed, dead := s.objects[g] != nil, died(s, victim)
 	s.mu.RUnlock()
 	if installed || dead || s.DurableWriteSeq() != durable {
 		t.Fatalf("with upload %d held, GC object %d installed %v, victim dead %v, durable %d (want %d)",

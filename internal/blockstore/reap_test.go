@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"lsvd/internal/block"
+	"lsvd/internal/extmap"
 	"lsvd/internal/journal"
 	"lsvd/internal/objstore"
 	"lsvd/internal/testrec"
@@ -296,8 +297,13 @@ func TestCheckpointOrdersPutsBeforeDeletes(t *testing.T) {
 	if s.Stats().ObjectsDeleted == markerDeletes {
 		t.Fatal("the explicit checkpoint released nothing")
 	}
+	var pinned []uint32
 	s.mu.RLock()
-	pinned := append([]deferredDelete(nil), s.deferred...)
+	for seq, o := range s.objects {
+		if o.state == stateHeld {
+			pinned = append(pinned, seq)
+		}
+	}
 	s.mu.RUnlock()
 	if len(pinned) == 0 {
 		t.Fatal("the snapshot pinned nothing")
@@ -314,9 +320,9 @@ func TestCheckpointOrdersPutsBeforeDeletes(t *testing.T) {
 	}
 	lines := rs.Lines()
 	superDone := logIndex(lines, "put-done vol.super", unpinnedAt)
-	for _, d := range pinned {
-		if i := logIndex(lines, "delete "+objName("vol", d.Obj), 0); i < superDone {
-			t.Fatalf("pinned object %d deleted at %d, before the super that drops the snapshot landed at %d", d.Obj, i, superDone)
+	for _, seq := range pinned {
+		if i := logIndex(lines, "delete "+objName("vol", seq), 0); i < superDone {
+			t.Fatalf("pinned object %d deleted at %d, before the super that drops the snapshot landed at %d", seq, i, superDone)
 		}
 	}
 	deletes := 0
@@ -820,5 +826,113 @@ func TestCleanReopenDeletesNothing(t *testing.T) {
 	}
 	if got := readAll(t, s2, churnExt); string(got) != string(payload(int64(w), int(churnExt.Bytes()))) {
 		t.Fatal("data wrong after a clean close and reopen")
+	}
+}
+
+// TestDeleteSnapshotFailureKeepsName: a DeleteSnapshot whose super
+// fails leaves the snapshot listed, as the durable super still lists it
+// and still mounts it, so the caller can retry; the retry that lands
+// deletes what the snapshot pinned.
+func TestDeleteSnapshotFailureKeepsName(t *testing.T) {
+	faulty := objstore.NewFaulty(objstore.NewMem())
+	s, _ := pinnedVolume(t, faulty)
+	faulty.FailPuts(superName("vol"), 1<<20)
+	if err := s.DeleteSnapshot("pin"); err == nil {
+		t.Fatal("DeleteSnapshot succeeded without its super")
+	}
+	if got := s.Snapshots(); len(got) != 1 || got[0].Name != "pin" {
+		t.Fatalf("after the failed delete the volume lists %+v, want pin", got)
+	}
+	if got := backendSuper(t, faulty.Inner).Snapshots; len(got) != 1 || got[0].Name != "pin" {
+		t.Fatalf("the durable super lists %+v, want pin", got)
+	}
+	faulty.Disarm()
+	if err := s.DeleteSnapshot("pin"); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.Snapshots(); len(got) != 0 {
+		t.Fatalf("after the retry the volume lists %+v", got)
+	}
+	garbageGone(t, s, faulty.Inner)
+}
+
+// panics reports whether fn panics.
+func panics(fn func()) (p bool) {
+	defer func() { p = recover() != nil }()
+	fn()
+	return false
+}
+
+// TestLifecycleEdges: transition takes every edge of the object
+// lifecycle without allocating, and panics on every other pair of
+// states and on a row that is not in the state it is moved from.
+func TestLifecycleEdges(t *testing.T) {
+	legal := map[[2]objState]bool{
+		{stateLive, stateDead}:    true,
+		{stateDead, stateHeld}:    true,
+		{stateHeld, stateReaping}: true,
+		{stateReaping, stateHeld}: true,
+	}
+	for from := stateLive; from < numStates; from++ {
+		for to := stateLive; to < numStates; to++ {
+			s := &Store{}
+			move := func() {
+				o := objInfo{seq: 7, typ: journal.TypeData, state: from}
+				s.transition(&o, from, to)
+			}
+			if !legal[[2]objState{from, to}] {
+				if !panics(move) {
+					t.Errorf("illegal edge %d→%d taken", from, to)
+				}
+				continue
+			}
+			if n := testing.AllocsPerRun(100, move); n != 0 {
+				t.Errorf("edge %d→%d allocates %.0f times", from, to, n)
+			}
+		}
+	}
+	if !panics(func() {
+		o := objInfo{seq: 7, typ: journal.TypeData, state: stateHeld}
+		(&Store{}).transition(&o, stateLive, stateDead)
+	}) {
+		t.Error("a held row was moved as if it were live")
+	}
+}
+
+// TestLoadCheckpointDeferredListAsDecoded: a checkpoint's deferred list
+// is decoded input. One that names a row the table lacks and names a
+// row twice loads without a panic, into a table that audits clean.
+func TestLoadCheckpointDeferredListAsDecoded(t *testing.T) {
+	mapBytes, err := extmap.New().MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := decodeCheckpoint(encodeCheckpointForFuzz(&checkpointPayload{
+		prevCkpt: 3, durableWriteSeq: 99, nextSeq: 7,
+		objects: []objInfo{
+			{seq: 4, typ: journal.TypeData, totalBytes: 4096, hdrSectors: 1, dataSectors: 7, liveSectors: 5, writeSeq: 80},
+			{seq: 5, typ: journal.TypeCheckpoint, totalBytes: 512},
+			{seq: 6, typ: journal.TypeGC, totalBytes: 8192, hdrSectors: 1, dataSectors: 15, writeSeq: 99},
+		},
+		deferred: []deferredDelete{{Obj: 2, GCSeq: 6}, {Obj: 6, GCSeq: 6}, {Obj: 6, GCSeq: 6}},
+		mapBytes: mapBytes,
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{Volume: "vol", Store: objstore.NewMem()}
+	cfg.setDefaults()
+	s := newStore(ctx, cfg)
+	s.mu.Lock()
+	err = s.loadCheckpointLocked(7, p, 512)
+	s.mu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.AuditUtilization(); err != nil {
+		t.Fatal(err)
+	}
+	if st := s.Stats(); st.Objects != 4 || st.DeferredDeletes != 1 {
+		t.Fatalf("loaded %d rows with %d deletes owed, want 4 and 1", st.Objects, st.DeferredDeletes)
 	}
 }

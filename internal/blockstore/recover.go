@@ -88,8 +88,11 @@ func open(ctx context.Context, cfg Config, limit uint32, readOnly bool) (*Store,
 	s.baseVol = sb.baseVol
 	s.baseSeq = sb.baseSeq
 	s.snapshots = slices.Clone(sb.snapshots)
-	s.durable = sb
 
+	// s.durable stays the empty super until the suffix is replayed, so
+	// the release rule releases nothing during replay: a suffix
+	// checkpoint reloads the whole table.
+	//
 	// Find the newest checkpoint at or before the limit, walking the
 	// prev-pointer chain for snapshot mounts. Each hop must strictly
 	// decrease the sequence number: a self-referencing or cyclic chain
@@ -164,6 +167,7 @@ func open(ctx context.Context, cfg Config, limit uint32, readOnly bool) (*Store,
 		next++
 	}
 	s.nextSeq = next
+	s.durable = sb
 
 	// Delete stranded objects beyond the prefix (§3.3) — writes that
 	// were in flight when the client died — fanned out like the
@@ -192,17 +196,16 @@ func open(ctx context.Context, cfg Config, limit uint32, readOnly bool) (*Store,
 			}
 			s.stats.objectsDeleted++
 		})
-		// Re-sweep deferred deletes: a checkpointed deferredDelete whose
-		// delete never ran (the crash landed between the release and the
-		// delete, mid-reap, or the delete itself kept failing) would
-		// otherwise leak the object forever. The checkpoint's whole list
-		// sits on s.pending (loadCheckpointLocked), beside the deaths replay
-		// recorded and one sweep of the table (sweepDeadLocked) — which
-		// also catches a death a crash interrupted before any checkpoint
-		// listed it — and the release rule hands the reaper what it may
-		// delete: pinned entries go on the deferred list, and so do
-		// delete failures, for the next checkpoint to retry, exactly as
-		// live-path deletions do.
+		// Re-drive the owed deletes: a row the checkpoint lists as not live
+		// whose delete never ran (the crash landed between the release and
+		// the delete, mid-reap, or the delete itself kept failing) would
+		// otherwise leak the object forever. The checkpoint's rows are dead
+		// again (loadCheckpointLocked), beside the deaths replay recorded
+		// and one sweep of the table (sweepDeadLocked) — which also catches
+		// a death a crash interrupted before any checkpoint listed it — and
+		// the release rule claims what it may delete: pinned rows stay
+		// held, and so do delete failures, for the next checkpoint to
+		// retry, exactly as live-path deletions do.
 		//
 		// Rule 2 holds here too. A checkpoint loaded from the suffix is
 		// owed its superblock, and its list and the sweep may name
@@ -222,19 +225,17 @@ func open(ctx context.Context, cfg Config, limit uint32, readOnly bool) (*Store,
 				s.durable = named
 			}
 		}
-		// An entry whose object the LIST above did not show was deleted
-		// after its checkpoint was taken: retire it without a call.
 		s.mu.Lock()
 		s.sweepDeadLocked()
-		var reap []deferredDelete
-		for _, d := range s.releaseLocked() {
-			if present[d.Obj] {
-				reap = append(reap, d)
-			} else {
-				s.retireObjectLocked(d.Obj)
+		// A released row whose object the LIST above did not show was
+		// deleted after its checkpoint was taken: retire it without a call.
+		for seq, o := range s.objects {
+			if o.state >= stateHeld && !present[seq] {
+				s.retireObjectLocked(o)
 			}
 		}
-		_ = s.reapLocked(reap) // a failed delete must not fail the open
+		s.toReap = slices.DeleteFunc(s.toReap, func(seq uint32) bool { return !present[seq] })
+		_ = s.reapLocked() // a failed delete must not fail the open
 		s.mu.Unlock()
 	}
 	s.stats.recoveredObjects = replayed
@@ -290,7 +291,7 @@ func (s *Store) sweepOrphansLocked() error {
 		if err != nil && !errors.Is(err, objstore.ErrNotFound) {
 			return fmt.Errorf("blockstore: sweeping orphan object %d: %w", seq, err)
 		}
-		s.retireObjectLocked(seq)
+		s.stats.objectsDeleted++
 		delete(s.orphans, seq)
 	}
 	return nil
@@ -328,14 +329,17 @@ func (s *Store) loadCheckpointLocked(seq uint32, p *checkpointPayload, size int6
 		s.objects[o.seq] = &o
 	}
 	s.objects[seq] = &objInfo{seq: seq, typ: journal.TypeCheckpoint, totalBytes: size}
-	// The list goes back under the release rule; deaths replayed before
-	// this checkpoint are in it.
-	s.pending, s.deferred = p.deferred, nil
-	s.cleaned = make(map[uint32]bool)
-	for _, d := range s.pending {
-		s.cleaned[d.Obj] = true
+	// The deferred list's rows go back under the release rule, dead;
+	// deaths replayed before this checkpoint are in it. The list is
+	// decoded input: a name with no row, or an own row named twice, is
+	// taken as it stands, and a clone-base row is never garbage.
+	for _, d := range p.deferred {
+		if o := s.objects[d.Obj]; o != nil && o.seq > s.baseSeq {
+			o.state = stateDead
+			o.killedBy = d.GCSeq
+		}
 	}
-	s.recomputeUtilLocked()
+	s.count = s.tallyLocked()
 	s.indexCkpts()
 	if err := s.m.UnmarshalBinary(p.mapBytes); err != nil {
 		return fmt.Errorf("blockstore: checkpoint %d map: %w", seq, err)

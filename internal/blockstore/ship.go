@@ -1,7 +1,7 @@
 package blockstore
 
 import (
-	"sort"
+	"slices"
 
 	"lsvd/internal/journal"
 	"lsvd/internal/objstore"
@@ -21,15 +21,14 @@ import (
 //  2. The shipped watermark below is the highest sequence S such that
 //     every committed object with seq <= S has been acked by the
 //     shipper. The reaper refuses to delete any primary object above
-//     the watermark (pinnedLocked), parking it on the same persistent
-//     deferred list the snapshot pin uses — so no object the replica's
-//     checkpoints may reference disappears from the primary before the
-//     replica holds its own copy.
+//     the watermark (pinnedLocked), holding it like a snapshot pin does
+//     — so no object the replica's checkpoints may reference disappears
+//     from the primary before the replica holds its own copy.
 //
-// The feed tracks the set of published-but-unacked seqs and the
-// watermark is min(unacked)-1 (or the highest published seq when the
-// set is empty) — exactly the contiguously-shipped prefix, whatever
-// order the acks come in.
+// An ack sets the row's shipped bit, and the watermark walks forward
+// over shipped rows, and over numbers no row holds, up to the highest
+// published seq: exactly the contiguously-shipped prefix, whatever order
+// the acks come in, at amortised O(1) per sequence number.
 //
 // Superblock updates ride the feed as Seq-0 events (journal.TypeSuper)
 // that carry no lag accounting: the shipper re-reads the LIVE super
@@ -68,10 +67,8 @@ func (s *Store) shipPublishLocked(seq uint32, typ journal.Type, bytes int64) {
 		ev.Name = superName(s.cfg.Volume)
 	} else {
 		ev.Name = s.name(seq)
-		s.shipUnacked[seq] = struct{}{}
-		if seq > s.shipMaxPub {
-			s.shipMaxPub = seq
-		}
+		s.shipMaxPub = max(s.shipMaxPub, seq)
+		s.shipLag++
 		s.shipLagBytes += bytes
 	}
 	s.shipFeed = append(s.shipFeed, ev)
@@ -81,30 +78,27 @@ func (s *Store) shipPublishLocked(seq uint32, typ journal.Type, bytes int64) {
 // ShipAttach registers the volume's shipper and returns the backlog:
 // one event per committed object, ascending by sequence number, plus a
 // trailing superblock event. It resets the watermark to zero — every
-// object counts as unshipped until acked (the shipper probes the
-// replica and acks without copying what is already there), so deferred
-// deletions stay pinned until each object is confirmed on the replica.
+// row counts as unshipped until acked (the shipper probes the replica
+// and acks without copying what is already there), so held rows stay
+// pinned until each object is confirmed on the replica.
 func (s *Store) ShipAttach() []ShipEvent {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.shipAttached = true
 	s.shipClosed = false
 	s.shipFeed = nil
-	s.shipUnacked = make(map[uint32]struct{}, len(s.objects))
-	s.shipMaxPub, s.shipMark, s.shipLagBytes = 0, 0, 0
+	s.shipMaxPub, s.shipMark, s.shipLag, s.shipLagBytes = 0, 0, len(s.objects), 0
 	seqs := make([]uint32, 0, len(s.objects))
 	for seq := range s.objects {
 		seqs = append(seqs, seq)
 	}
-	sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
+	slices.Sort(seqs)
 	evs := make([]ShipEvent, 0, len(seqs)+1)
 	for _, seq := range seqs {
 		o := s.objects[seq]
 		evs = append(evs, ShipEvent{Seq: seq, Typ: o.typ, Name: s.name(seq), Bytes: o.totalBytes})
-		s.shipUnacked[seq] = struct{}{}
-		if seq > s.shipMaxPub {
-			s.shipMaxPub = seq
-		}
+		o.shipped = false
+		s.shipMaxPub = seq
 		s.shipLagBytes += o.totalBytes
 	}
 	evs = append(evs, ShipEvent{Typ: journal.TypeSuper, Name: superName(s.cfg.Volume)})
@@ -127,57 +121,47 @@ func (s *Store) ShipNext() ([]ShipEvent, bool) {
 
 // ShipAck records that the shipper has durably copied (or verified, or
 // deliberately skipped) one numbered object, advances the watermark,
-// and — when it moved — re-drives the deferred deletions the watermark
-// was pinning. Super events need no ack.
+// and — when it moved while a row is held — re-drives the held rows,
+// with s.mu released for the deletes: this is the shipper's ack path,
+// and the foreground must not wait behind it. A late ack racing Abort
+// deletes nothing: nothing is claimed once aborting is set. Super
+// events need no ack, and a repeated ack changes nothing.
 func (s *Store) ShipAck(ev ShipEvent) {
 	if ev.IsSuper() {
 		return
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, ok := s.shipUnacked[ev.Seq]; !ok {
+	o := s.objects[ev.Seq]
+	if o == nil || !s.shipLaggingLocked(o) {
 		return
 	}
-	delete(s.shipUnacked, ev.Seq)
-	s.shipLagBytes -= ev.Bytes
-	mark := s.shipMaxPub
-	for seq := range s.shipUnacked {
-		if seq <= mark {
-			mark = seq - 1
+	o.shipped = true
+	s.shipLag--
+	s.shipLagBytes -= o.totalBytes
+	mark := s.shipMark
+	for mark < s.shipMaxPub {
+		if next := s.objects[mark+1]; next != nil && !next.shipped {
+			break
 		}
+		mark++
 	}
-	if mark != s.shipMark {
-		s.shipMark = mark
-		s.redriveShipDeferredLocked()
+	if mark == s.shipMark {
+		return
+	}
+	s.shipMark = mark
+	if s.count.rows[stateHeld] > 0 {
+		s.redriveLocked()
+		_ = s.reapLocked() // failures stay held
 	}
 }
 
-// redriveShipDeferredLocked re-runs the deferred-deletion list after
-// the shipped watermark advanced: entries no longer pinned (by the
-// watermark or a snapshot) go to the reaper now instead of waiting for
-// the next landed super or open. s.mu is released for the deletes —
-// this is the shipper's ack path, and the foreground must not wait
-// behind it. Failures re-defer, as on the checkpoint release path —
-// deletion is space reclaim, not correctness.
+// shipLaggingLocked reports whether o is in the replication lag:
+// published to an attached shipper and not yet acked.
 //
 //lsvd:requires bs.mu
-func (s *Store) redriveShipDeferredLocked() {
-	// A late ack racing Abort must not mutate the backend after the
-	// kill point (crash modeling: the store is quiescing): the reaper
-	// claims nothing once aborting is set.
-	_ = s.reapLocked(s.redriveLocked()) // failures re-defer
-}
-
-// shipPinnedLocked reports whether deleting obj from the primary would
-// race the shipper: anything above the shipped watermark may not have
-// reached the replica, and the replica's latest checkpoint may still
-// reference it. Before a shipper attaches the watermark is zero, so a
-// replicated volume conservatively pins everything — the attach
-// backlog probe acks already-shipped objects and unpins them promptly.
-//
-//lsvd:requires bs.mu
-func (s *Store) shipPinnedLocked(obj uint32) bool {
-	return s.cfg.Replicated && obj > s.shipMark
+func (s *Store) shipLaggingLocked(o *objInfo) bool {
+	return s.shipAttached && !o.shipped && o.seq <= s.shipMaxPub
 }
 
 // ShipClose detaches the feed. drain=true leaves queued events for the
@@ -198,7 +182,7 @@ func (s *Store) ShipClose(drain bool) {
 func (s *Store) ShipLag() (objects int, bytes int64) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return len(s.shipUnacked), s.shipLagBytes
+	return s.shipLag, s.shipLagBytes
 }
 
 // ShippedSeq returns the shipped watermark: every committed object

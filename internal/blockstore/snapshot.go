@@ -108,14 +108,16 @@ func (m *Marker) Wait() (SnapshotInfo, error) {
 	return m.snap, nil
 }
 
-// DeleteSnapshot removes a snapshot and releases the deferred object
-// deletions that it alone was pinning (§3.6). It is a checkpoint with
-// the snapshot gone: the marker's super drops the name, and only once
-// it has landed does the reaper re-drive the deferred list and delete
-// what nothing pins any more (its claim step re-parks the rest). Until
-// then the snapshot still pins through the durable super's list, so a
-// death committed meanwhile waits too. A delete that fails waits on the
-// deferred list for the next checkpoint.
+// DeleteSnapshot removes a snapshot and releases the object deletions
+// that it alone was pinning (§3.6). It is a checkpoint with the snapshot
+// gone: the marker's super drops the name, and only once it has landed
+// are the held rows re-driven and what nothing pins any more deleted.
+// Until then the snapshot still pins through the durable super's list,
+// so a death committed meanwhile waits too. A delete that fails stays
+// held for the next checkpoint. If the fence fails while the durable
+// super still lists the snapshot, the name is put back, as Marker.Wait
+// takes back a snapshot it could not publish: the snapshot still
+// mounts, and the caller may retry.
 func (s *Store) DeleteSnapshot(name string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -126,8 +128,15 @@ func (s *Store) DeleteSnapshot(name string) error {
 	if i < 0 {
 		return fmt.Errorf("blockstore: snapshot %q not found", name)
 	}
+	sn := s.snapshots[i]
 	s.snapshots = slices.Delete(s.snapshots, i, i+1)
-	return s.checkpointFenceLocked()
+	err := s.checkpointFenceLocked()
+	if err != nil && slices.Contains(s.durable.snapshots, sn) && s.snapshotIndexLocked(name) < 0 {
+		// The durable super still lists the snapshot, so it still mounts:
+		// put the name back for the caller to retry.
+		s.snapshots = slices.Insert(s.snapshots, min(i, len(s.snapshots)), sn)
+	}
+	return err
 }
 
 // Snapshots lists the volume's snapshots.
@@ -177,6 +186,7 @@ func Clone(ctx context.Context, base Config, snapName, newVolume string) error {
 			continue
 		}
 		cp := *o
+		cp.state = stateLive // the base is immutable: none of it is garbage
 		clone.objects[seq] = &cp
 	}
 	clone.durableWriteSeq = src.durableWriteSeq
@@ -184,6 +194,7 @@ func Clone(ctx context.Context, base Config, snapName, newVolume string) error {
 	clone.indexCkpts()
 	clone.mu.Lock()
 	defer clone.mu.Unlock()
+	clone.count = clone.tallyLocked()
 	return clone.checkpointFenceLocked()
 }
 

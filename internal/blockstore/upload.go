@@ -277,8 +277,8 @@ func (s *Store) startUploadLocked(inf *inflightObj, bg bool) {
 // releasing s.mu: the OnDestage callback executes off the lock, so a
 // slow callback cannot stall every later commit, and a callback that
 // reaches back into the store cannot deadlock; then the deletes of what
-// the release rule let go after these commits run, like every reap, off
-// the lock. Called with s.mu held from the upload completion path.
+// these commits killed and the release rule let go run, like every
+// reap, off the lock. Called with s.mu held from the upload completion path.
 //
 //lsvd:requires bs.mu
 func (s *Store) commitReadyLocked() func() {
@@ -326,7 +326,7 @@ func (s *Store) commitReadyLocked() func() {
 		// below the low-water mark).
 		s.gcRefillLocked(committed)
 	}
-	victims := s.reapClaimLocked(s.releaseLocked())
+	victims := s.takeReapLocked()
 	cb := s.cfg.OnDestage
 	if watermark == 0 {
 		cb = nil
@@ -338,7 +338,7 @@ func (s *Store) commitReadyLocked() func() {
 		if cb != nil {
 			cb(watermark)
 		}
-		_ = s.reap(victims) // a failed delete waits on s.deferred for the next checkpoint
+		_ = s.reap(victims) // a failed delete stays held for the next checkpoint
 	}
 }
 
@@ -404,7 +404,7 @@ func (s *Store) waitInflightLocked() error {
 	// yields instead of sitting in a budget wait.
 	s.fenceEnterLocked()
 	defer s.fenceExitLocked()
-	for len(s.inflight) > 0 || s.superOwed != nil || s.gcBusy || len(s.reaping) > 0 {
+	for len(s.inflight) > 0 || s.superOwed != nil || s.gcBusy || s.count.rows[stateReaping] > 0 {
 		if err := s.fenceStepLocked(); err != nil {
 			return err
 		}
@@ -459,7 +459,7 @@ func (s *Store) Abort() {
 	s.gcCond.Broadcast()
 	s.commitCond.Broadcast()
 	for {
-		busy := s.gcBusy || len(s.reaping) > 0 || (s.superOwed != nil && !s.superOwed.done)
+		busy := s.gcBusy || s.count.rows[stateReaping] > 0 || (s.superOwed != nil && !s.superOwed.done)
 		for _, inf := range s.inflight {
 			if inf.ckpt != nil && inf.attempts == 0 {
 				// A queued checkpoint marker that never reached the

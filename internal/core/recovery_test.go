@@ -49,9 +49,10 @@ func checkVersions(t *testing.T, d *Disk, latest map[int64]int64) {
 	}
 }
 
-// ROADMAP 1(a): the write log laps, destage catches up, a flushed tail
-// smaller than a batch stays in the cache only — and a plain Kill and
-// Open on the same device must give every flushed block back.
+// DESIGN.md §9.1 rule 1: the write log laps, destage catches up, a
+// flushed tail smaller than a batch stays in the cache only — and a
+// plain Kill and Open on the same device must give every flushed block
+// back.
 func TestKillAfterWriteLogLapsKeepsFlushedTail(t *testing.T) {
 	h := newHarness(t, func(o *Options) {
 		o.CacheDev = simdev.NewMem(64 * block.MiB)
@@ -79,10 +80,10 @@ func TestKillAfterWriteLogLapsKeepsFlushedTail(t *testing.T) {
 	}
 }
 
-// ROADMAP 1(b): destage works from memory, so the backend can hold a
-// version the cache device never made durable. After a crash that loses
-// every unflushed cache page the older cached version must not shadow
-// the newer backend one.
+// DESIGN.md §9.1 rule 4: destage works from memory, so the backend can
+// hold a version the cache device never made durable. After a crash
+// that loses every unflushed cache page the older cached version must
+// not shadow the newer backend one.
 func TestBackendAheadOfCrashedCacheIsNotShadowed(t *testing.T) {
 	h := newHarness(t, func(o *Options) { o.BatchBytes = 256 * 1024 })
 	const blk = 64 * 1024

@@ -227,10 +227,10 @@ func TestReusedSlotDoesNotReplayDeletedVolume(t *testing.T) {
 	}
 }
 
-// ROADMAP 1(a) through a host slot: the volume's write log laps its
-// carve-out of the shared SSD, destage catches up, a flushed tail
-// smaller than a batch stays in the cache only — and Kill and Open on
-// the same slot must give every flushed block back.
+// DESIGN.md §9.1 rule 1 through a host slot: the volume's write log
+// laps its carve-out of the shared SSD, destage catches up, a flushed
+// tail smaller than a batch stays in the cache only — and Kill and Open
+// on the same slot must give every flushed block back.
 func TestKillAfterSlotWriteLogLapsKeepsFlushedTail(t *testing.T) {
 	ctx := context.Background()
 	h := testHost(t, objstore.NewMem(), simdev.NewMem(128*block.MiB), 2)

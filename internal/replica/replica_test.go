@@ -348,12 +348,57 @@ func TestWatermarkOutOfOrderAcks(t *testing.T) {
 			t.Fatalf("watermark %d advanced past unshipped seq %d", got, numbered[0].Seq)
 		}
 	}
+	// A duplicate ack moves neither the watermark nor the lag.
+	mark := bs.ShippedSeq()
+	lag, lagBytes := bs.ShipLag()
+	bs.ShipAck(numbered[1])
+	if got := bs.ShippedSeq(); got != mark {
+		t.Fatalf("duplicate ack moved the watermark %d -> %d", mark, got)
+	}
+	if n, b := bs.ShipLag(); n != lag || b != lagBytes {
+		t.Fatalf("duplicate ack moved the lag %d/%d -> %d/%d", lag, lagBytes, n, b)
+	}
 	bs.ShipAck(numbered[0])
 	if got, want := bs.ShippedSeq(), numbered[len(numbered)-1].Seq; got != want {
 		t.Fatalf("watermark %d after all acks, want %d", got, want)
 	}
 	if lag, _ := bs.ShipLag(); lag != 0 {
 		t.Fatalf("lag %d after all acks", lag)
+	}
+
+	// Overwrite every extent and checkpoint: the acked objects die and
+	// are deleted, so a shipper attaching now sees a table that starts
+	// above seq 1, and acking it all still carries the watermark to the
+	// last seq.
+	for i := 0; i < 3; i++ {
+		ext := block.Extent{LBA: block.LBA(i * 512), Sectors: 8}
+		if err := bs.Append(uint64(i+4), ext, payload(int64(i+4), int(ext.Bytes()))); err != nil {
+			t.Fatal(err)
+		}
+		if err := bs.Seal(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := bs.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	numbered = numbered[:0]
+	for _, ev := range bs.ShipAttach() {
+		if !ev.IsSuper() {
+			numbered = append(numbered, ev)
+		}
+	}
+	if len(numbered) == 0 || numbered[0].Seq <= 1 {
+		t.Fatalf("re-attach backlog %+v does not start above seq 1", numbered)
+	}
+	for _, ev := range numbered {
+		bs.ShipAck(ev)
+	}
+	if got, want := bs.ShippedSeq(), numbered[len(numbered)-1].Seq; got != want {
+		t.Fatalf("watermark %d after the re-attached table was acked, want %d", got, want)
+	}
+	if lag, _ := bs.ShipLag(); lag != 0 {
+		t.Fatalf("lag %d after the re-attached table was acked", lag)
 	}
 }
 

@@ -11,7 +11,7 @@ import (
 	"lsvd/internal/testrec"
 )
 
-// Crash enumeration (ROADMAP item 1d, first step): a scripted workload
+// Crash enumeration (DESIGN.md §5): a scripted workload
 // runs once over a recording device, and then every prefix of the
 // recorded write/flush trace is crashed in every way the device model
 // allows at one-page depth — all unflushed 64 KiB pages kept, all lost,

@@ -59,9 +59,9 @@ var ErrClosed = errors.New("writecache: closed")
 type Config struct {
 	// CheckpointBytes is a gap Format leaves between the superblocks and
 	// the log; zero gives the log the whole device. Nothing is stored
-	// there since the log became its own checkpoint, and the one caller
-	// that sets it is the benchmark's ladder (ROADMAP item 1(c) deletes
-	// the type). Open reads where the log starts from the superblock.
+	// there since the log became its own checkpoint; the one caller that
+	// sets it is the benchmark's ladder, and the field goes once that
+	// stops. Open reads where the log starts from the superblock.
 	CheckpointBytes int64
 }
 
