@@ -13,12 +13,13 @@ GO ?= go
 
 # Packages whose concurrency is load-bearing (the async destage
 # pipeline, the shared read arena, the multi-volume host, the NBD
-# worker pool, and the cluster attach/failover protocol); `make race`
-# runs them and the invariant package under the race detector,
+# worker pool, the cluster attach/failover protocol, and the public API
+# the daemon opens its volume through, replication included); `make
+# race` runs them and the invariant package under the race detector,
 # including the destage stress tests and the pinned-seed torture runs.
 # The runtime asserts are compiled into every build, so every run
 # checks them.
-RACE_PKGS := ./internal/simdev ./internal/core ./internal/blockstore ./internal/writecache ./internal/nbd ./internal/consistency ./internal/host ./internal/readcache ./internal/replica ./internal/cluster ./internal/testrec
+RACE_PKGS := . ./internal/simdev ./internal/core ./internal/blockstore ./internal/writecache ./internal/nbd ./internal/consistency ./internal/host ./internal/readcache ./internal/replica ./internal/cluster ./internal/testrec
 
 # Native fuzz targets (package,function); fuzz-smoke runs each for
 # FUZZTIME and replays the checked-in testdata/fuzz corpora.

@@ -15,7 +15,9 @@
 // (key layout "vol/<name>/…", slot table at "host/slots") with
 // per-volume stats, a host-aggregate line, and — when the host's
 // cache SSD image is given via -cache — the shared read arena's
-// per-volume occupancy, so cross-tenant fairness is observable.
+// per-volume occupancy, so cross-tenant fairness is observable. An
+// lsvd-nbd cache (one volume from lsvd.Create) is the one-slot layout:
+// read it with -max-volumes 1, and its read cache is the "(default)" view.
 package main
 
 import (
@@ -45,7 +47,7 @@ func usage() {
 func main() {
 	storeDir := flag.String("store", "", "object store directory (required)")
 	cachePath := flag.String("cache", "", "host cache SSD image (volumes: arena occupancy)")
-	maxVolumes := flag.Int("max-volumes", 0, "host slot count the cache was carved with (default 8)")
+	maxVolumes := flag.Int("max-volumes", 0, "host slot count the cache was carved with (default 8; an lsvd-nbd cache is 1)")
 	wcFrac := flag.Float64("wc-frac", 0, "host write-cache fraction the cache was carved with (default 0.2)")
 	flag.Parse()
 	args := flag.Args()

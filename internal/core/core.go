@@ -24,6 +24,7 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -148,22 +149,22 @@ type VolumeOptions struct {
 	ReplicaMaxLagObjects int
 }
 
-// Resources injects host-owned shared resources into a Disk. When nil
-// (the single-volume constructors), the disk owns its CacheDev
-// exclusively and builds private pools; when set, Options.CacheDev is
-// ignored and the disk runs on the host's carve-outs:
+// Resources are what a Disk runs on beyond its own state: a write-cache
+// log section, a read-cache view and the backend budgets. A host leases
+// them to each volume it opens (CreateShared, OpenShared); Create, Open
+// and the read-only mounts build the same set for a volume that has
+// Options.CacheDev to itself (ownResources). Every disk runs on one.
 //
-//   - WCDev: this volume's write-cache log section of the shared SSD.
-//   - ReadCache: this volume's view of the host's shared read-cache
-//     arena (fair eviction across volumes happens inside the arena).
-//   - UploadGate/FetchSem: the host-wide backend concurrency budgets;
-//     every volume's destage PUTs and miss-path GETs draw from these
-//     shared pools, so Options.UploadDepth/FetchDepth only size the
-//     per-volume derived limits. The gate guarantees each registered
-//     volume a minimum share of the PUT budget (UploadID names this
-//     volume to it); the host owns registration.
+//   - WCDev: this volume's write-cache log section (a CacheLayout slot).
+//   - ReadCache: this volume's view of the read-cache arena (fair
+//     eviction across volumes happens inside the arena).
+//   - UploadGate/FetchSem: the backend concurrency budgets every
+//     destage PUT and miss-path GET draws from; Options.UploadDepth
+//     only sizes the per-volume derived limits. The gate guarantees each
+//     registered volume a minimum share of the PUT budget (UploadID
+//     names this volume to it); the builder owns registration.
 //   - OnClose: invoked exactly once when the disk shuts down (Close or
-//     Kill), so the host can release the volume's slot.
+//     Kill), so the builder can release the volume's lease.
 type Resources struct {
 	WCDev      simdev.Device
 	ReadCache  *readcache.Cache
@@ -173,7 +174,80 @@ type Resources struct {
 	OnClose    func()
 }
 
-func (o *Options) setDefaults() {
+// CacheLayout is the one split of a cache SSD: the first frac of it,
+// block-aligned, is cut into n equal write-cache log slots, and the rest
+// is the read arena. A single volume is the one-slot layout.
+func CacheLayout(dev simdev.Device, n int, frac float64) ([]simdev.Device, simdev.Device, error) {
+	total := dev.Size()
+	slotBytes := (int64(float64(total)*frac) &^ (block.BlockSize - 1)) / int64(n) &^ (block.BlockSize - 1)
+	if slotBytes <= 0 {
+		return nil, nil, fmt.Errorf("core: cache of %d bytes cannot hold %d write-cache slots", total, n)
+	}
+	arena, err := simdev.NewSection(dev, int64(n)*slotBytes, total-int64(n)*slotBytes)
+	if err != nil {
+		return nil, nil, fmt.Errorf("core: cache layout: %w", err)
+	}
+	slots := make([]simdev.Device, n)
+	for i := range slots {
+		slots[i], _ = simdev.NewSection(dev, int64(i)*slotBytes, slotBytes) // in bounds: the arena follows
+	}
+	return slots, arena, nil
+}
+
+// ownResources builds the Resources of a volume with the cache device to
+// itself: slot 0 of a one-slot CacheLayout, the arena's "" view, and an
+// upload gate and fetch semaphore of its own depths.
+func ownResources(opts Options) (*Resources, error) {
+	slots, arenaDev, err := CacheLayout(opts.CacheDev, 1, opts.WriteCacheFrac)
+	if err != nil {
+		return nil, err
+	}
+	rc, err := readcache.New(arenaDev, readcache.SizedConfig(arenaDev.Size(), readcache.FIFO))
+	if err != nil {
+		return nil, err
+	}
+	gate := iosched.NewGate(opts.UploadDepth)
+	gate.Register(opts.Volume)
+	return &Resources{
+		WCDev:      slots[0],
+		ReadCache:  rc,
+		UploadGate: gate,
+		UploadID:   opts.Volume,
+		FetchSem:   make(chan struct{}, opts.FetchDepth),
+		OnClose:    func() { gate.Unregister(opts.Volume) },
+	}, nil
+}
+
+// Check refuses host options with no backend or no cache device. Every
+// disk constructor runs it, and so does host.New.
+func (o *HostOptions) Check() error {
+	if o.Store == nil || o.CacheDev == nil {
+		return errors.New("core: Store and CacheDev are required")
+	}
+	return nil
+}
+
+// CheckVolume refuses a name that cannot be a volume's key namespace:
+// empty, "." or "..", a path separator, or the directory store's
+// temporary-file marker. Every disk constructor runs it, and so does
+// the host before it leases a slot.
+func CheckVolume(name string) error {
+	if name == "" || name == "." || name == ".." ||
+		strings.ContainsAny(name, "/\\") || strings.Contains(name, "#tmp#") {
+		return fmt.Errorf("core: invalid volume name %q", name)
+	}
+	return nil
+}
+
+// setDefaults checks the options every constructor is handed, then
+// fills the zero-valued knobs.
+func (o *Options) setDefaults() error {
+	if err := o.Check(); err != nil {
+		return err
+	}
+	if err := CheckVolume(o.Volume); err != nil {
+		return err
+	}
 	o.HostOptions.SetDefaults()
 	if o.GCLowWater == 0 {
 		o.GCLowWater = 0.70
@@ -190,6 +264,7 @@ func (o *Options) setDefaults() {
 	if o.DestageQueueDepth <= 0 {
 		o.DestageQueueDepth = 256
 	}
+	return nil
 }
 
 // Stats aggregates counters from all three layers.
@@ -374,7 +449,7 @@ type fenceReply struct {
 type Disk struct {
 	opts Options
 
-	// res is non-nil for host-managed disks (shared SSD + pools); the
+	// res is what the disk runs on (a host's lease or its own); the
 	// release once-guard fires OnClose exactly once across Close/Kill.
 	res     *Resources
 	release sync.Once
@@ -454,19 +529,20 @@ func Create(ctx context.Context, opts Options) (*Disk, error) {
 	return CreateShared(ctx, opts, nil)
 }
 
-// CreateShared is Create with host-injected shared resources (res may
-// be nil, which is plain Create).
+// CreateShared is Create on a host's lease (res nil is plain Create).
 func CreateShared(ctx context.Context, opts Options, res *Resources) (*Disk, error) {
-	opts.setDefaults()
+	if err := opts.setDefaults(); err != nil {
+		return nil, err
+	}
 	if opts.VolBytes <= 0 || opts.VolBytes%block.SectorSize != 0 {
 		return nil, fmt.Errorf("core: invalid volume size %d", opts.VolBytes)
 	}
 	d := &Disk{opts: opts, volSectors: block.LBAFromBytes(opts.VolBytes), destageTick: make(chan struct{}, 1)}
-	wcDev, err := d.attachCaches(res)
+	err := d.attach(res)
 	if err != nil {
 		return nil, err
 	}
-	if d.wc, err = writecache.Format(wcDev, writecache.Config{}); err != nil {
+	if d.wc, err = writecache.Format(d.res.WCDev, writecache.Config{}); err != nil {
 		return nil, err
 	}
 	if d.bs, err = blockstore.Create(ctx, d.storeConfig()); err != nil {
@@ -476,32 +552,21 @@ func CreateShared(ctx context.Context, opts Options, res *Resources) (*Disk, err
 	return d, nil
 }
 
-// attachCaches resolves the disk's write-cache device and read cache:
-// host-injected carve-outs when res is non-nil, otherwise an exclusive
-// static split of Options.CacheDev (the historical single-volume
-// layout).
-func (d *Disk) attachCaches(res *Resources) (simdev.Device, error) {
-	if res != nil {
-		d.res = res
-		d.rc = res.ReadCache
-		return res.WCDev, nil
+// attach sets the disk on res, or on Resources of its own when res is
+// nil.
+func (d *Disk) attach(res *Resources) error {
+	if res == nil {
+		var err error
+		if res, err = ownResources(d.opts); err != nil {
+			return err
+		}
 	}
-	wcDev, rcDev, err := splitCache(d.opts)
-	if err != nil {
-		return nil, err
-	}
-	if d.rc, err = readcache.New(rcDev, readcache.SizedConfig(rcDev.Size(), readcache.FIFO)); err != nil {
-		return nil, err
-	}
-	return wcDev, nil
+	d.res, d.rc = res, res.ReadCache
+	return nil
 }
 
-// released fires the host's OnClose hook exactly once (Close or Kill).
-func (d *Disk) released() {
-	if d.res != nil && d.res.OnClose != nil {
-		d.release.Do(d.res.OnClose)
-	}
-}
+// released fires OnClose exactly once (Close or Kill).
+func (d *Disk) released() { d.release.Do(d.res.OnClose) }
 
 // Open recovers an LSVD volume: the cache log is replayed from the start
 // its superblock names, the backend recovered by the prefix rule, and
@@ -511,24 +576,26 @@ func Open(ctx context.Context, opts Options) (*Disk, error) {
 	return OpenShared(ctx, opts, nil)
 }
 
-// OpenShared is Open with host-injected shared resources (res may be
-// nil, which is plain Open). The cache is opened before the store — the
-// GC service starts inside blockstore.Open and polls the cache — and
-// reconciled after it, when the backend's durable watermark is known.
+// OpenShared is Open on a host's lease (res nil is plain Open). The
+// cache is opened before the store — the GC service starts inside
+// blockstore.Open and polls the cache — and reconciled after it, when
+// the backend's durable watermark is known.
 func OpenShared(ctx context.Context, opts Options, res *Resources) (*Disk, error) {
-	opts.setDefaults()
+	if err := opts.setDefaults(); err != nil {
+		return nil, err
+	}
 	start := time.Now()
 	d := &Disk{opts: opts, destageTick: make(chan struct{}, 1)}
-	wcDev, err := d.attachCaches(res)
+	err := d.attach(res)
 	if err != nil {
 		return nil, err
 	}
-	wc, wcErr := writecache.Open(wcDev)
+	wc, wcErr := writecache.Open(d.res.WCDev)
 	if wcErr != nil {
 		// Cache lost, blank or laid out by an earlier version (§3.4 worst
 		// case): reformat it; the volume falls back to the backend's
 		// consistent prefix.
-		if wc, err = writecache.Format(wcDev, writecache.Config{}); err != nil {
+		if wc, err = writecache.Format(d.res.WCDev, writecache.Config{}); err != nil {
 			return nil, err
 		}
 	}
@@ -595,16 +662,18 @@ func OpenReadOnly(ctx context.Context, opts Options) (*Disk, error) {
 }
 
 func openReadOnly(ctx context.Context, opts Options, mount func(blockstore.Config) (*blockstore.Store, error)) (*Disk, error) {
-	opts.setDefaults()
+	if err := opts.setDefaults(); err != nil {
+		return nil, err
+	}
 	opts.GCLowWater = 0
 	d := &Disk{opts: opts, readOnly: true, destageTick: make(chan struct{}, 1)}
-	wcDev, err := d.attachCaches(nil)
+	err := d.attach(nil)
 	if err != nil {
 		return nil, err
 	}
 	// The write cache stays empty; it exists only so the read path's
 	// three-level lookup works unchanged.
-	if d.wc, err = writecache.Format(wcDev, writecache.Config{}); err != nil {
+	if d.wc, err = writecache.Format(d.res.WCDev, writecache.Config{}); err != nil {
 		return nil, err
 	}
 	if d.bs, err = mount(d.storeConfig()); err != nil {
@@ -614,20 +683,6 @@ func openReadOnly(ctx context.Context, opts Options, mount func(blockstore.Confi
 	d.writeSeq.Store(d.bs.DurableWriteSeq())
 	d.startPipeline(ctx)
 	return d, nil
-}
-
-func splitCache(opts Options) (simdev.Device, simdev.Device, error) {
-	total := opts.CacheDev.Size()
-	wcBytes := int64(float64(total)*opts.WriteCacheFrac) &^ (block.BlockSize - 1)
-	wcDev, err := simdev.NewSection(opts.CacheDev, 0, wcBytes)
-	if err != nil {
-		return nil, nil, fmt.Errorf("core: cache split: %w", err)
-	}
-	rcDev, err := simdev.NewSection(opts.CacheDev, wcBytes, total-wcBytes)
-	if err != nil {
-		return nil, nil, fmt.Errorf("core: cache split: %w", err)
-	}
-	return wcDev, rcDev, nil
 }
 
 func (d *Disk) storeConfig() blockstore.Config {
@@ -647,6 +702,9 @@ func (d *Disk) storeConfig() blockstore.Config {
 		Retry:       d.opts.Retry,
 		UploadDepth: d.opts.UploadDepth,
 		FetchDepth:  d.opts.FetchDepth,
+		UploadGate:  d.res.UploadGate,
+		UploadID:    d.res.UploadID,
+		FetchSem:    d.res.FetchSem,
 		GCWAFTarget: d.opts.GCWAFTarget,
 		// Polled by the paced GC service, which every writable store
 		// runs. DestagePressure takes only the cache's own lock; the
@@ -659,11 +717,6 @@ func (d *Disk) storeConfig() blockstore.Config {
 	}
 	if !d.opts.DisableGCCacheFetch {
 		cfg.FetchFromCache = d.fetchFromWriteCache
-	}
-	if d.res != nil {
-		cfg.UploadGate = d.res.UploadGate
-		cfg.UploadID = d.res.UploadID
-		cfg.FetchSem = d.res.FetchSem
 	}
 	return cfg
 }
@@ -680,17 +733,14 @@ func (d *Disk) startPipeline(ctx context.Context) {
 			rs = objstore.NewRetrier(rs, d.opts.Retry)
 		}
 		d.replicaWake = make(chan struct{})
-		rcfg := replica.Config{
+		d.shipper = replica.Start(ctx, replica.Config{
 			Backend:       d.bs,
 			Replica:       rs,
+			Gate:          d.res.UploadGate,
+			GateID:        d.res.UploadID + "#ship",
 			MaxLagObjects: d.opts.ReplicaMaxLagObjects,
 			OnAck:         d.notifyReplicaWake,
-		}
-		if d.res != nil {
-			rcfg.Gate = d.res.UploadGate
-			rcfg.GateID = d.res.UploadID + "#ship"
-		}
-		d.shipper = replica.Start(ctx, rcfg)
+		})
 	}
 	if d.readOnly {
 		return

@@ -33,10 +33,8 @@ import (
 	"fmt"
 	"net"
 	"sort"
-	"strings"
 	"sync"
 
-	"lsvd/internal/block"
 	"lsvd/internal/core"
 	"lsvd/internal/invariant"
 	"lsvd/internal/iosched"
@@ -60,25 +58,11 @@ type Options struct {
 	// host can serve; the read-cache arena (the rest of the SSD) is
 	// shared dynamically and needs no slots.
 	MaxVolumes int
-
-	// FlatKeys serves a single volume with the historical flat key
-	// layout ("<name>.<seq>" at bucket root, no slot metadata, no op
-	// metering) so the pre-host lsvd.Open API stays byte-compatible
-	// with existing buckets. Requires MaxVolumes == 1 (or 0, which
-	// then defaults to 1).
-	FlatKeys bool
 }
 
 func (o *Options) setDefaults() error {
 	if o.MaxVolumes == 0 {
-		if o.FlatKeys {
-			o.MaxVolumes = 1
-		} else {
-			o.MaxVolumes = 8
-		}
-	}
-	if o.FlatKeys && o.MaxVolumes != 1 {
-		return fmt.Errorf("host: FlatKeys requires MaxVolumes == 1, got %d", o.MaxVolumes)
+		o.MaxVolumes = 8
 	}
 	if o.MaxVolumes < 1 {
 		return fmt.Errorf("host: MaxVolumes %d < 1", o.MaxVolumes)
@@ -102,8 +86,7 @@ type slotsFile struct {
 // MaxVolumes volumes on top of them.
 type Host struct {
 	opts  Options
-	store objstore.Store    // what volumes see (metered unless FlatKeys)
-	meter *objstore.Metered // nil in FlatKeys mode
+	meter *objstore.Metered // the backend every volume and the host itself see
 
 	// retry wraps the host's own direct backend operations (slot
 	// table I/O, volume deletion sweeps) with the same transient-error
@@ -111,7 +94,7 @@ type Host struct {
 	retry *objstore.Retrier
 
 	arena      *readcache.Arena
-	slotBytes  int64
+	slotDevs   []simdev.Device // the write-cache slots, by index
 	uploadGate *iosched.Gate
 	fetchSem   chan struct{}
 
@@ -132,27 +115,23 @@ type Host struct {
 // slots + shared arena), the volume→slot table is loaded, and the
 // global semaphores are built. Volumes are then opened individually.
 func New(ctx context.Context, opts Options) (*Host, error) {
+	if err := opts.Check(); err != nil {
+		return nil, err
+	}
 	if err := opts.setDefaults(); err != nil {
 		return nil, err
 	}
-	if opts.Store == nil || opts.CacheDev == nil {
-		return nil, fmt.Errorf("host: Store and CacheDev are required")
-	}
 	h := &Host{
 		opts:  opts,
-		store: opts.Store,
+		meter: &objstore.Metered{Inner: opts.Store},
 		slots: make(map[string]int),
 		open:  make(map[string]*core.Disk),
 	}
-	if !opts.FlatKeys {
-		h.meter = &objstore.Metered{Inner: opts.Store}
-		h.store = h.meter
-	}
-	h.retry = objstore.NewRetrier(h.store, opts.Retry)
+	h.retry = objstore.NewRetrier(h.meter, opts.Retry)
 
 	var arenaDev simdev.Device
 	var err error
-	h.slotBytes, arenaDev, err = carve(opts.CacheDev, opts.MaxVolumes, opts.WriteCacheFrac)
+	h.slotDevs, arenaDev, err = core.CacheLayout(opts.CacheDev, opts.MaxVolumes, opts.WriteCacheFrac)
 	if err != nil {
 		return nil, err
 	}
@@ -164,41 +143,23 @@ func New(ctx context.Context, opts Options) (*Host, error) {
 	h.uploadGate = iosched.NewGate(opts.UploadDepth)
 	h.fetchSem = make(chan struct{}, opts.FetchDepth)
 
-	if !opts.FlatKeys {
-		if err := h.loadSlots(ctx); err != nil {
-			return nil, err
-		}
+	if err := h.loadSlots(ctx); err != nil {
+		return nil, err
 	}
 	return h, nil
-}
-
-// carve splits the SSD: MaxVolumes equal write-cache slots at the
-// front, the shared read arena on the remainder.
-func carve(dev simdev.Device, maxVolumes int, frac float64) (int64, simdev.Device, error) {
-	total := dev.Size()
-	wcBytes := int64(float64(total)*frac) &^ (block.BlockSize - 1)
-	slotBytes := (wcBytes / int64(maxVolumes)) &^ (block.BlockSize - 1)
-	wcBytes = slotBytes * int64(maxVolumes)
-	if slotBytes <= 0 {
-		return 0, nil, fmt.Errorf("host: cache of %d bytes cannot hold %d write-cache slots", total, maxVolumes)
-	}
-	arenaDev, err := simdev.NewSection(dev, wcBytes, total-wcBytes)
-	if err != nil {
-		return 0, nil, fmt.Errorf("host: arena carve: %w", err)
-	}
-	return slotBytes, arenaDev, nil
 }
 
 // InspectArena loads the persisted read-arena occupancy of a host
 // cache device without opening any volume (offline observability:
 // lsvd-ctl). The geometry arguments must match the host that wrote
-// the device; zero values select the host defaults.
+// the device; zero values select the host defaults. An lsvd.Create
+// volume's cache is the one-slot layout: maxVolumes 1.
 func InspectArena(dev simdev.Device, maxVolumes int, frac float64) (readcache.ArenaStats, error) {
 	o := Options{MaxVolumes: maxVolumes, HostOptions: core.HostOptions{WriteCacheFrac: frac}}
 	if err := o.setDefaults(); err != nil {
 		return readcache.ArenaStats{}, err
 	}
-	_, arenaDev, err := carve(dev, o.MaxVolumes, o.WriteCacheFrac)
+	_, arenaDev, err := core.CacheLayout(dev, o.MaxVolumes, o.WriteCacheFrac)
 	if err != nil {
 		return readcache.ArenaStats{}, err
 	}
@@ -238,9 +199,6 @@ func (h *Host) loadSlots(ctx context.Context) error {
 // older than one already persisted is skipped, so the persisted table
 // can only move forward.
 func (h *Host) saveSlots(ctx context.Context) error {
-	if h.opts.FlatKeys {
-		return nil
-	}
 	h.mu.Lock()
 	h.slotsGen++
 	gen := h.slotsGen
@@ -265,20 +223,9 @@ func (h *Host) saveSlots(ctx context.Context) error {
 	return nil
 }
 
-func checkVolName(name string) error {
-	if name == "" || name == "." || name == ".." ||
-		strings.ContainsAny(name, "/\\") || strings.Contains(name, "#tmp#") {
-		return fmt.Errorf("host: invalid volume name %q", name)
-	}
-	return nil
-}
-
 // volStore returns the namespaced backend view of one volume.
 func (h *Host) volStore(name string) (objstore.Store, error) {
-	if h.opts.FlatKeys {
-		return h.store, nil
-	}
-	return objstore.NewPrefixed(h.store, volPrefix(name))
+	return objstore.NewPrefixed(h.meter, volPrefix(name))
 }
 
 // leaseLocked reserves the volume's slot and marks it open (mu held).
@@ -333,19 +280,11 @@ func (h *Host) leaseLocked(name string, assign bool) (int, error) {
 // resources builds the core.Resources lease for one volume,
 // registering it on the shared upload gate so it is guaranteed a
 // minimum share of the host's PUT budget while open.
-func (h *Host) resources(name string, slot int) (*core.Resources, error) {
-	wcDev, err := simdev.NewSection(h.opts.CacheDev, int64(slot)*h.slotBytes, h.slotBytes)
-	if err != nil {
-		return nil, fmt.Errorf("host: slot %d carve: %w", slot, err)
-	}
-	viewName := name
-	if h.opts.FlatKeys {
-		viewName = "" // the historical single-view arena name
-	}
+func (h *Host) resources(name string, slot int) *core.Resources {
 	h.uploadGate.Register(name)
 	return &core.Resources{
-		WCDev:      wcDev,
-		ReadCache:  h.arena.Open(viewName),
+		WCDev:      h.slotDevs[slot],
+		ReadCache:  h.arena.Open(name),
 		UploadGate: h.uploadGate,
 		UploadID:   name,
 		FetchSem:   h.fetchSem,
@@ -355,7 +294,7 @@ func (h *Host) resources(name string, slot int) (*core.Resources, error) {
 			delete(h.open, name)
 			h.mu.Unlock()
 		},
-	}, nil
+	}
 }
 
 // coreOptions assembles the full core.Options for one volume: the
@@ -373,13 +312,11 @@ func (h *Host) coreOptions(name string, v core.VolumeOptions) (core.Options, err
 }
 
 func (h *Host) openVolume(ctx context.Context, name string, v core.VolumeOptions, create bool) (*core.Disk, error) {
-	if err := checkVolName(name); err != nil {
+	if err := core.CheckVolume(name); err != nil {
 		return nil, err
 	}
 	h.mu.Lock()
-	// A flat-key host has no slot table: Open of a pre-host bucket
-	// self-assigns the (only) slot.
-	slot, err := h.leaseLocked(name, create || h.opts.FlatKeys)
+	slot, err := h.leaseLocked(name, create)
 	if err != nil {
 		h.mu.Unlock()
 		return nil, err
@@ -408,10 +345,7 @@ func (h *Host) openVolume(ctx context.Context, name string, v core.VolumeOptions
 	if err != nil {
 		return fail(err)
 	}
-	res, err := h.resources(name, slot)
-	if err != nil {
-		return fail(err)
-	}
+	res := h.resources(name, slot)
 	var d *core.Disk
 	if create {
 		d, err = core.CreateShared(ctx, opts, res)
@@ -481,11 +415,8 @@ func (h *Host) OpenAll(ctx context.Context, vols map[string]core.VolumeOptions) 
 // Delete removes a volume: its slot, its arena view, and every object
 // under its key prefix. The volume must not be open.
 func (h *Host) Delete(ctx context.Context, name string) error {
-	if err := checkVolName(name); err != nil {
+	if err := core.CheckVolume(name); err != nil {
 		return err
-	}
-	if h.opts.FlatKeys {
-		return fmt.Errorf("host: flat-key hosts do not manage volume lifecycles")
 	}
 	h.mu.Lock()
 	if _, isOpen := h.open[name]; isOpen {
@@ -582,77 +513,21 @@ type VolumeStats struct {
 }
 
 // Stats is the host-aggregate picture: per-open-volume stats, the
-// shared arena's occupancy table, host-wide backend op counts
-// (zero-valued on FlatKeys hosts, which do not meter), and the
-// aggregate GC picture across open volumes.
+// shared arena's occupancy table and host-wide backend op counts.
 type Stats struct {
 	Volumes []VolumeStats
 	Arena   readcache.ArenaStats
 	Backend objstore.Stats
-	GC      GCStats
-	Replica ReplicaStats
-}
-
-// ReplicaStats aggregates replication across the host's open volumes:
-// how many volumes replicate, the combined live lag (the host-wide
-// recovery-point exposure), and cumulative shipping progress.
-type ReplicaStats struct {
-	Volumes       int // replicated volumes currently open
-	LagObjects    int
-	LagBytes      int64
-	CopiedObjects uint64
-	CopiedBytes   int64
-	Retries       uint64
-	Errors        uint64
-	Stalls        uint64 // foreground ops blocked on an RPO bound
-}
-
-// GCStats aggregates the garbage collectors of every open volume.
-// MeasuredWAF is the realized host-wide write amplification:
-// (foreground bytes + GC copy bytes) / foreground bytes — the quantity
-// each volume's GCWAFTarget budgets. Zero before any foreground write.
-type GCStats struct {
-	Runs        uint64
-	Victims     uint64
-	BytesCopied uint64
-	PaceWaits   uint64
-	Backoffs    uint64
-	Yields      uint64
-	MeasuredWAF float64
 }
 
 // Stats snapshots the host.
 func (h *Host) Stats() Stats {
 	var st Stats
-	var appended uint64
 	for _, e := range h.openSnapshot() {
-		vs := e.Disk.(*core.Disk).Stats()
-		st.Volumes = append(st.Volumes, VolumeStats{Name: e.Name, Stats: vs})
-		st.GC.Runs += vs.Backend.GCRuns
-		st.GC.Victims += vs.Backend.GCVictims
-		st.GC.BytesCopied += vs.Backend.GCBytesCopied
-		st.GC.PaceWaits += vs.Backend.GCPaceWaits
-		st.GC.Backoffs += vs.Backend.GCBackoffs
-		st.GC.Yields += vs.Backend.GCYields
-		appended += vs.Backend.BytesAppended
-		if vs.ReplicaEnabled {
-			st.Replica.Volumes++
-			st.Replica.LagObjects += vs.Replica.LagObjects
-			st.Replica.LagBytes += vs.Replica.LagBytes
-			st.Replica.CopiedObjects += vs.Replica.CopiedObjects
-			st.Replica.CopiedBytes += vs.Replica.CopiedBytes
-			st.Replica.Retries += vs.Replica.Retries
-			st.Replica.Errors += vs.Replica.Errors
-			st.Replica.Stalls += vs.ReplicaStalls
-		}
-	}
-	if appended > 0 {
-		st.GC.MeasuredWAF = float64(appended+st.GC.BytesCopied) / float64(appended)
+		st.Volumes = append(st.Volumes, VolumeStats{Name: e.Name, Stats: e.Disk.(*core.Disk).Stats()})
 	}
 	st.Arena = h.arena.Stats()
-	if h.meter != nil {
-		st.Backend = h.meter.Stats()
-	}
+	st.Backend = h.meter.Stats()
 	return st
 }
 
@@ -699,12 +574,8 @@ type statsFile struct {
 	Volumes []VolumeStats `json:"volumes"`
 }
 
-// persistStats writes the snapshot; FlatKeys hosts have no reserved
-// key namespace to write into, so they skip it.
+// persistStats writes the snapshot.
 func (h *Host) persistStats(rows []VolumeStats) {
-	if h.opts.FlatKeys {
-		return
-	}
 	raw, err := json.Marshal(statsFile{Version: statsVersion, Volumes: rows})
 	if err != nil {
 		return

@@ -443,39 +443,6 @@ func TestHostArenaFairness(t *testing.T) {
 	}
 }
 
-func TestHostFlatKeysCompat(t *testing.T) {
-	ctx := context.Background()
-	store := objstore.NewMem()
-	h, err := New(ctx, Options{
-		HostOptions: core.HostOptions{Store: store, CacheDev: simdev.NewMem(32 * block.MiB)}, FlatKeys: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, err := h.Create(ctx, "vm", core.VolumeOptions{VolBytes: 4 * block.MiB})
-	if err != nil {
-		t.Fatal(err)
-	}
-	data := pattern(1, 128<<10)
-	if err := d.WriteAt(data, 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Drain(); err != nil {
-		t.Fatal(err)
-	}
-	// Flat layout: objects at the bucket root, no host metadata.
-	names, err := store.List(ctx, "vm.")
-	if err != nil || len(names) == 0 {
-		t.Fatalf("no flat objects: %v %v", names, err)
-	}
-	if _, err := store.Get(ctx, slotsKey); err == nil {
-		t.Fatal("flat-key host wrote slot metadata")
-	}
-	if err := h.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestHostServesVolumesOverNBD(t *testing.T) {
 	ctx := context.Background()
 	h := testHost(t, objstore.NewMem(), simdev.NewMem(64*block.MiB), 2)

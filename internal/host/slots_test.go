@@ -305,8 +305,8 @@ func TestRingFullBehindAParkedGateSlotStillProgresses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := a.Stats().WriteCache.LogBytes, h.slotBytes-2*block.BlockSize; got != want {
-		t.Fatalf("write log of %d bytes in a slot of %d, want all but 8 KiB", got, h.slotBytes)
+	if got, want := a.Stats().WriteCache.LogBytes, h.slotDevs[0].Size()-2*block.BlockSize; got != want {
+		t.Fatalf("write log of %d bytes in a slot of %d, want all but 8 KiB", got, h.slotDevs[0].Size())
 	}
 
 	// b takes the host's one upload slot and sits on it.

@@ -26,8 +26,7 @@ type Prefixed struct {
 // NewPrefixed scopes inner to prefix. The prefix itself must be a
 // clean, relative, non-escaping path; a trailing "/" is appended if
 // missing. An empty prefix returns a transparent wrapper (the identity
-// namespace), which single-volume hosts use so their key layout stays
-// the historical flat one.
+// namespace).
 func NewPrefixed(inner Store, prefix string) (*Prefixed, error) {
 	if prefix != "" {
 		p := strings.TrimSuffix(prefix, "/")

@@ -38,10 +38,9 @@ type Config struct {
 	// indefinitely (the object MUST eventually ship — lag growth is the
 	// escalation path, not data loss) but backs off between attempts.
 	Replica objstore.Store
-	// Gate/GateID, when set, bound the shipper's backend I/O with
-	// background-class slots of the shared upload gate; GateID is a
-	// borrow-only identity (conventionally "<uploadID>#ship") that
-	// needs no Register.
+	// Gate/GateID bound the shipper's backend I/O with background-class
+	// slots of the volume's upload gate; GateID is a borrow-only
+	// identity ("<uploadID>#ship") that needs no Register.
 	Gate   *iosched.Gate
 	GateID string
 	// MaxLagObjects is the RPO bound: when more objects than this are
@@ -203,10 +202,8 @@ func (s *Shipper) shipObject(ev blockstore.ShipEvent) bool {
 // copyObject is one GET(primary) + PUT(replica) under a background
 // gate slot.
 func (s *Shipper) copyObject(ev blockstore.ShipEvent) error {
-	if s.cfg.Gate != nil {
-		s.cfg.Gate.AcquireBackground(s.cfg.GateID)
-		defer s.cfg.Gate.ReleaseBackground(s.cfg.GateID)
-	}
+	s.cfg.Gate.AcquireBackground(s.cfg.GateID)
+	defer s.cfg.Gate.ReleaseBackground(s.cfg.GateID)
 	start := time.Now()
 	data, err := s.primary.Get(s.ctx, ev.Name)
 	if err != nil {
@@ -233,10 +230,8 @@ func (s *Shipper) copyObject(ev blockstore.ShipEvent) error {
 // retried here for the same reason: the replica merely stays on its
 // previous — still consistent — superblock.
 func (s *Shipper) shipSuper() {
-	if s.cfg.Gate != nil {
-		s.cfg.Gate.AcquireBackground(s.cfg.GateID)
-		defer s.cfg.Gate.ReleaseBackground(s.cfg.GateID)
-	}
+	s.cfg.Gate.AcquireBackground(s.cfg.GateID)
+	defer s.cfg.Gate.ReleaseBackground(s.cfg.GateID)
 	raw, err := s.primary.Get(s.ctx, blockstore.SuperName(s.volume))
 	if err != nil {
 		s.bump(func(st *Stats) { st.Errors++ })

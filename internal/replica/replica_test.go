@@ -10,6 +10,7 @@ import (
 
 	"lsvd/internal/block"
 	"lsvd/internal/blockstore"
+	"lsvd/internal/iosched"
 	"lsvd/internal/objstore"
 	"lsvd/internal/testleak"
 	"lsvd/internal/testrec"
@@ -43,6 +44,14 @@ func readAll(t *testing.T, s *blockstore.Store, ext block.Extent) []byte {
 
 var errDown = errors.New("replica backend down")
 
+// ship starts a shipper from bs to replica the way core does: borrowing
+// background slots of the volume's upload gate as "vol#ship".
+func ship(bs *blockstore.Store, replica objstore.Store) *Shipper {
+	gate := iosched.NewGate(4)
+	gate.Register("vol")
+	return Start(ctx, Config{Backend: bs, Replica: replica, Gate: gate, GateID: "vol#ship"})
+}
+
 // waitCaughtUp blocks until the shipper's lag is zero and the replica
 // holds a superblock.
 func waitCaughtUp(t *testing.T, sh *Shipper, replica objstore.Store) {
@@ -70,7 +79,7 @@ func TestShipperMirrorsVolume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sh := Start(ctx, Config{Backend: bs, Replica: secondary})
+	sh := ship(bs, secondary)
 
 	want := map[int][]byte{}
 	ws := uint64(0)
@@ -139,7 +148,7 @@ func TestLaggedReplicaIsPrefix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sh := Start(ctx, Config{Backend: bs, Replica: secondary})
+	sh := ship(bs, secondary)
 	// Bootstrap: let the replica fully catch up (super included), then
 	// the backend "goes down" and the primary keeps writing.
 	for i := 0; i < 10; i++ {
@@ -199,7 +208,7 @@ func TestReattachIsIncremental(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sh := Start(ctx, Config{Backend: bs, Replica: secondary})
+	sh := ship(bs, secondary)
 	for i := 0; i < 5; i++ {
 		ext := block.Extent{LBA: block.LBA(i * 512), Sectors: 64}
 		if err := bs.Append(uint64(i+1), ext, payload(int64(i), int(ext.Bytes()))); err != nil {
@@ -222,7 +231,7 @@ func TestReattachIsIncremental(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sh2 := Start(ctx, Config{Backend: bs2, Replica: secondary})
+	sh2 := ship(bs2, secondary)
 	sh2.Close()
 	second := sh2.Stats()
 	if second.CopiedObjects != 0 {
@@ -253,7 +262,7 @@ func TestReattachRecopiesTornObject(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sh := Start(ctx, Config{Backend: bs, Replica: secondary})
+	sh := ship(bs, secondary)
 	for i := 0; i < 5; i++ {
 		ext := block.Extent{LBA: block.LBA(i * 512), Sectors: 64}
 		if err := bs.Append(uint64(i+1), ext, payload(int64(i), int(ext.Bytes()))); err != nil {
@@ -279,7 +288,7 @@ func TestReattachRecopiesTornObject(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sh2 := Start(ctx, Config{Backend: bs2, Replica: secondary})
+	sh2 := ship(bs2, secondary)
 	sh2.Close()
 	st := sh2.Stats()
 	if st.CopiedObjects != 1 {
@@ -473,7 +482,7 @@ func TestDeleteSnapshotRespectsShipWatermark(t *testing.T) {
 
 	// Drain a shipper: every object (victims included) reaches the
 	// replica, the watermark advance releases the deferred deletes.
-	sh := Start(ctx, Config{Backend: bs, Replica: secondary})
+	sh := ship(bs, secondary)
 	sh.Close()
 	if got := sh.Stats().SkippedGone; got != 0 {
 		t.Fatalf("%d objects vanished before shipping (404 on replica restore)", got)
@@ -514,7 +523,7 @@ func TestShipperRetriesFaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sh := Start(ctx, Config{Backend: bs, Replica: secondary})
+	sh := ship(bs, secondary)
 	want := map[int][]byte{}
 	ws := uint64(0)
 	for round := 0; round < 6; round++ {

@@ -142,34 +142,18 @@ func (o VolumeOptions) coreOptions() core.Options {
 	}
 }
 
-// openFlat opens or creates the volume on the single-volume host every
-// Create/Open runs on: one slot covering the whole write-cache region,
-// the historical flat key layout, and the volume's own depths as the
-// (single-tenant) host-wide budgets. Multi-volume deployments use
-// OpenHost instead.
-func (o VolumeOptions) openFlat(ctx context.Context, create bool) (*Disk, error) {
-	opts := o.coreOptions()
-	h, err := host.New(ctx, host.Options{HostOptions: opts.HostOptions, FlatKeys: true})
-	if err != nil {
-		return nil, err
-	}
-	if create {
-		return h.Create(ctx, o.Name, opts.VolumeOptions)
-	}
-	return h.Open(ctx, o.Name, opts.VolumeOptions)
-}
-
-// Create initializes a new volume. It is a thin one-volume host: the
-// same code path that packs eight volumes onto a shared SSD serves a
-// single volume with the pre-host key layout and cache split.
+// Create initializes a new volume on a cache device of its own: the
+// one-slot cache layout a host's slot uses, its own upload gate and fetch
+// budget, and its objects at the bucket root as "<name>.<seq>".
+// Multi-volume deployments use OpenHost instead.
 func Create(ctx context.Context, o VolumeOptions) (*Disk, error) {
-	return o.openFlat(ctx, true)
+	return core.Create(ctx, o.coreOptions())
 }
 
 // Open recovers an existing volume: local log replay, backend prefix
 // recovery, and re-destage of any writes the backend is missing.
 func Open(ctx context.Context, o VolumeOptions) (*Disk, error) {
-	return o.openFlat(ctx, false)
+	return core.Open(ctx, o.coreOptions())
 }
 
 // Clone creates a new volume sharing the base volume's objects up to

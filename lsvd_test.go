@@ -3,13 +3,16 @@ package lsvd
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"math/rand"
 	"net"
 	"path/filepath"
 	"reflect"
 	"testing"
 
+	"lsvd/internal/host"
 	"lsvd/internal/nbd"
+	"lsvd/internal/objstore"
 )
 
 var ctx = context.Background()
@@ -244,6 +247,132 @@ func TestPublicAPIReplication(t *testing.T) {
 	}
 	if err := rdisk.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestEveryDoorRefusesBadInput: each single-volume entry point refuses
+// a missing store or cache device and a name that cannot be a key
+// namespace before it sends the backend a single request. The same
+// door with the input left alone opens the volume.
+func TestEveryDoorRefusesBadInput(t *testing.T) {
+	existing := MemStore()
+	disk, err := Create(ctx, VolumeOptions{Name: "v", Store: existing, Cache: MemCacheDevice(64 * MiB), Size: 16 * MiB})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := disk.Snapshot("snap"); err != nil {
+		t.Fatal(err)
+	}
+	if err := disk.Close(); err != nil {
+		t.Fatal(err)
+	}
+	doors := []struct {
+		name  string
+		store ObjectStore // what the door opens the volume from
+		open  func(VolumeOptions) (*Disk, error)
+	}{
+		{"Create", MemStore(), func(o VolumeOptions) (*Disk, error) { return Create(ctx, o) }},
+		{"Open", existing, func(o VolumeOptions) (*Disk, error) { return Open(ctx, o) }},
+		{"OpenSnapshot", existing, func(o VolumeOptions) (*Disk, error) { return OpenSnapshot(ctx, o, "snap") }},
+		{"OpenFromReplica", existing, func(o VolumeOptions) (*Disk, error) {
+			o.Store, o.ReplicaStore = nil, o.Store
+			return OpenFromReplica(ctx, o, false)
+		}},
+	}
+	type input struct {
+		name   string
+		mutate func(*VolumeOptions)
+	}
+	inputs := []input{
+		{"nil Cache", func(o *VolumeOptions) { o.Cache = nil }},
+		{"nil Store", func(o *VolumeOptions) { o.Store = nil }},
+	}
+	for _, name := range []string{"", "..", "a/b", "#tmp#x"} {
+		inputs = append(inputs, input{fmt.Sprintf("name %q", name), func(o *VolumeOptions) { o.Name = name }})
+	}
+	for _, door := range doors {
+		o := VolumeOptions{Name: "v", Store: door.store, Cache: MemCacheDevice(64 * MiB), Size: 16 * MiB}
+		d, err := door.open(o)
+		if err != nil {
+			t.Fatalf("%s with good input: %v", door.name, err)
+		}
+		if err := d.Close(); err != nil {
+			t.Fatal(err)
+		}
+		for _, in := range inputs {
+			meter := &objstore.Metered{Inner: door.store}
+			o := VolumeOptions{Name: "v", Store: meter, Cache: MemCacheDevice(64 * MiB), Size: 16 * MiB}
+			in.mutate(&o)
+			if d, err := door.open(o); err == nil {
+				d.Kill()
+				t.Errorf("%s with %s: no error", door.name, in.name)
+			}
+			if st := meter.Stats(); st != (objstore.Stats{}) {
+				t.Errorf("%s with %s: %+v backend ops before refusing", door.name, in.name, st)
+			}
+		}
+	}
+}
+
+// TestCreateKeepsTheFlatLayout: a volume from Create keeps its objects
+// at the bucket root as "<name>.<seq>" and writes no host metadata, so
+// buckets written before the multi-volume host open unchanged.
+func TestCreateKeepsTheFlatLayout(t *testing.T) {
+	store := MemStore()
+	disk, err := Create(ctx, VolumeOptions{Name: "vm", Store: store, Cache: MemCacheDevice(32 * MiB), Size: 4 * MiB})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := disk.WriteAt(bytes.Repeat([]byte{7}, 128<<10), 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := disk.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if names, err := store.List(ctx, "vm."); err != nil || len(names) == 0 {
+		t.Fatalf("no objects under vm.: %v %v", names, err)
+	}
+	if names, err := store.List(ctx, "host/"); err != nil || len(names) != 0 {
+		t.Fatalf("host metadata in the bucket: %v %v", names, err)
+	}
+}
+
+// TestCreateCacheInspectsAsOneSlotHost: a cache device written by
+// Create and Open is the one-slot host layout, so host.InspectArena
+// with maxVolumes 1 (lsvd-ctl -cache -max-volumes 1) finds the read
+// cache's "" view and what it holds.
+func TestCreateCacheInspectsAsOneSlotHost(t *testing.T) {
+	store, cache := MemStore(), MemCacheDevice(64*MiB)
+	o := VolumeOptions{Name: "v", Store: store, Cache: cache, Size: 16 * MiB}
+	disk, err := Create(ctx, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := bytes.Repeat([]byte{9}, 1<<20)
+	if err := disk.WriteAt(data, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := disk.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// After a reopen the write cache no longer serves what the backend
+	// holds, so this read goes through the read cache.
+	if disk, err = Open(ctx, o); err != nil {
+		t.Fatal(err)
+	}
+	got := make([]byte, len(data))
+	if err := disk.ReadAt(got, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := disk.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st, err := host.InspectArena(cache, 1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.LiveSlabs == 0 || len(st.Views) != 1 || st.Views[0].Volume != "" || st.Views[0].Bytes < int64(len(data)) {
+		t.Fatalf("arena %+v: want one live \"\" view holding the %d bytes read", st, len(data))
 	}
 }
 
