@@ -239,7 +239,7 @@ func main() {
 				}
 				fmt.Printf("  %-12s %4d runs  %4d victims  %6d MiB copied  waf %.2f measured / %.2f target  pace/backoff/yield %d/%d/%d\n",
 					v.Name, be.GCRuns, be.GCVictims, be.GCBytesCopied/(1<<20),
-					waf, be.GCWAFTarget, be.GCPaceWaits, be.GCBackoffs, be.GCYields)
+					waf, blockstore.GCWAFTarget, be.GCPaceWaits, be.GCBackoffs, be.GCYields)
 			}
 			replicated := false
 			for _, v := range vols {

@@ -1,6 +1,9 @@
 package lsvd
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -102,6 +105,94 @@ func TestDesignReferencesResolve(t *testing.T) {
 			t.Errorf("DESIGN.md:%d: §%s names no section", lineOf(design, m[0]), sec)
 		}
 	}
+}
+
+// goName matches a backticked token that reads as a Go identifier or
+// selector: `checkDestageOrder`, `core.CacheLayout`.
+var goName = regexp.MustCompile("`([A-Za-z_][A-Za-z0-9_]*(?:\\.[A-Za-z_][A-Za-z0-9_]*)*)`")
+
+// TestDesignChecksExist: every Go name an **Invariants** or **Crash
+// contract** paragraph of §6–§15 cites — the test, fuzz target or assert
+// that holds the claim — is declared in a Go source outside testdata/,
+// each part of a selector on its own: a package, or a func, method,
+// type, field, parameter, var or const.
+func TestDesignChecksExist(t *testing.T) {
+	b, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	design := string(b)
+	from, to := strings.Index(design, "\n## 6. "), strings.Index(design, "\n## 16. ")
+	if from < 0 || to < from {
+		t.Fatal("DESIGN.md has no §6 to §15")
+	}
+	declared := goDeclarations(t)
+	cited := 0
+	for off, para := from, ""; off < to; off += len(para) + 2 {
+		para, _, _ = strings.Cut(design[off:to], "\n\n")
+		if !strings.Contains(para, "**Invariants") && !strings.Contains(para, "**Crash contract") {
+			continue
+		}
+		for _, m := range goName.FindAllStringSubmatchIndex(para, -1) {
+			cited++
+			for _, part := range strings.Split(para[m[2]:m[3]], ".") {
+				if !declared[part] {
+					t.Errorf("DESIGN.md:%d: %s names %q, which no Go source declares",
+						lineOf(design, off+m[0]), para[m[0]:m[1]], part)
+				}
+			}
+		}
+	}
+	if cited == 0 {
+		t.Fatal("found no cited checks at all; the pattern is broken")
+	}
+}
+
+// goDeclarations returns every name the module's Go sources outside
+// testdata/ declare: packages, funcs, methods, types, fields, parameters,
+// vars and consts.
+func goDeclarations(t *testing.T) map[string]bool {
+	t.Helper()
+	declared := map[string]bool{}
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && path != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata" || d.Name() == "benchmark") {
+			return filepath.SkipDir
+		}
+		if d.IsDir() || !strings.HasSuffix(path, ".go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		declared[f.Name.Name] = true
+		ast.Inspect(f, func(n ast.Node) bool {
+			var names []*ast.Ident
+			switch n := n.(type) {
+			case *ast.FuncDecl:
+				names = []*ast.Ident{n.Name}
+			case *ast.TypeSpec:
+				names = []*ast.Ident{n.Name}
+			case *ast.ValueSpec:
+				names = n.Names
+			case *ast.Field:
+				names = n.Names
+			}
+			for _, id := range names {
+				declared[id.Name] = true
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return declared
 }
 
 func lineOf(s string, off int) int { return strings.Count(s[:off], "\n") + 1 }

@@ -123,14 +123,14 @@ func TestAsyncCommitStaysInOrder(t *testing.T) {
 // TestAsyncUploadFailureRetriedBySeal: a failed async upload must not
 // be lost — the Seal fence resubmits it and succeeds.
 func TestAsyncUploadFailureRetriedBySeal(t *testing.T) {
-	faulty := objstore.NewFaulty(objstore.NewMem())
-	s := newVolume(t, faulty, Config{BatchBytes: 32 * 1024, UploadDepth: 2, CheckpointEvery: 1 << 30})
+	rs := testrec.NewStore(objstore.NewMem())
+	s := newVolume(t, rs, Config{BatchBytes: 32 * 1024, UploadDepth: 2, CheckpointEvery: 1 << 30})
 
 	ext := block.Extent{LBA: 0, Sectors: 64}
 	data := payload(7, int(ext.Bytes()))
 	// Fail the upload's whole Retrier budget so it surfaces as a failed
 	// in-flight object; the fence's resubmission then succeeds.
-	faulty.FailPuts(objName("vol", s.Stats().NextSeq), objstore.RetryPolicy{}.Attempts())
+	rs.Fail(testrec.Puts.Named(objName("vol", s.Stats().NextSeq)).First(objstore.RetryPolicy{}.Attempts()), testrec.ErrFault)
 	if err := s.Append(1, ext, data); err != nil {
 		t.Fatal(err) // the PUT failure is asynchronous; Append succeeds
 	}
@@ -152,16 +152,16 @@ func TestAsyncUploadFailureRetriedBySeal(t *testing.T) {
 // surface an error at the fence instead of wedging or silently
 // dropping the object.
 func TestAsyncPersistentFailureSurfaces(t *testing.T) {
-	faulty := objstore.NewFaulty(objstore.NewMem())
-	s := newVolume(t, faulty, Config{BatchBytes: 32 * 1024, UploadDepth: 2, CheckpointEvery: 1 << 30})
-	faulty.FailEveryNth(1) // every mutation fails
+	rs := testrec.NewStore(objstore.NewMem())
+	s := newVolume(t, rs, Config{BatchBytes: 32 * 1024, UploadDepth: 2, CheckpointEvery: 1 << 30})
+	heal := rs.Fail(testrec.Kinds(testrec.Put, testrec.Delete), testrec.ErrFault) // every mutation fails
 
 	ext := block.Extent{LBA: 0, Sectors: 64}
 	data := payload(8, int(ext.Bytes()))
 	if err := s.Append(1, ext, data); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Seal(); !errors.Is(err, objstore.ErrInjected) {
+	if err := s.Seal(); !errors.Is(err, testrec.ErrFault) {
 		t.Fatalf("persistent failure not surfaced: %v", err)
 	}
 	// Nothing durable, and the object is still held for a retry.
@@ -169,7 +169,7 @@ func TestAsyncPersistentFailureSurfaces(t *testing.T) {
 		t.Fatalf("failed seal advanced the watermark or dropped the batch: %+v", st)
 	}
 	// Healing the store lets a later fence succeed.
-	faulty.FailEveryNth(0)
+	heal()
 	if err := s.Seal(); err != nil {
 		t.Fatal(err)
 	}

@@ -56,13 +56,6 @@ type Config struct {
 	// DefragHoleSectors plugs vLBA holes up to this size during GC by
 	// copying extra data, reducing map fragmentation (§4.6). 0 = off.
 	DefragHoleSectors uint32
-	// GCWAFTarget bounds the paced service's write amplification:
-	// total backend payload volume (foreground + GC copies) is held at
-	// or below GCWAFTarget × foreground volume, enforced by a token
-	// bucket refilled as foreground commits land (an idle trickle keeps
-	// quiet volumes converging to the watermark). Default 2.0; < 0
-	// disables pacing (the service copies as fast as it can).
-	GCWAFTarget float64
 	// GCBackoff, when set, is polled by the paced service between copy
 	// batches; while it returns true (foreground destage under
 	// pressure) the service defers copying even with budget available.
@@ -136,9 +129,6 @@ func (c *Config) setDefaults() {
 	if c.CheckpointEvery == 0 {
 		c.CheckpointEvery = 32
 	}
-	if c.GCWAFTarget == 0 {
-		c.GCWAFTarget = 2.0
-	}
 	if c.UploadDepth <= 0 {
 		c.UploadDepth = 4
 	}
@@ -193,12 +183,11 @@ type Stats struct {
 	BytesCoalesced  uint64 // client bytes eliminated by batch merge
 	GCBytesCopied   uint64
 	GCRuns          uint64
-	GCVictims       uint64  // objects whose live data the GC relocated
-	GCPaceWaits     uint64  // paced copy batches that waited for WAF budget
-	GCBackoffs      uint64  // paced copy batches deferred to destage pressure
-	GCYields        uint64  // paced passes cut short by a waiting fence
-	GCBudgetBytes   int64   // current WAF token-bucket level
-	GCWAFTarget     float64 // configured write-amplification budget
+	GCVictims       uint64 // objects whose live data the GC relocated
+	GCPaceWaits     uint64 // paced copy batches that waited for WAF budget
+	GCBackoffs      uint64 // paced copy batches deferred to destage pressure
+	GCYields        uint64 // paced passes cut short by a waiting fence
+	GCBudgetBytes   int64  // current WAF token-bucket level
 	ObjectsDeleted  uint64
 	Checkpoints     uint64
 	DurableWriteSeq uint64
@@ -584,8 +573,7 @@ func (s *Store) Stats() Stats {
 		BytesCoalesced: s.stats.bytesCoalesced, GCBytesCopied: s.stats.gcBytesCopied,
 		GCRuns: s.stats.gcRuns, GCVictims: s.stats.gcVictims,
 		GCPaceWaits: s.stats.gcPaceWaits, GCBackoffs: s.stats.gcBackoffs,
-		GCYields: s.stats.gcYields, GCBudgetBytes: s.gcBudget,
-		GCWAFTarget: s.cfg.GCWAFTarget, ObjectsDeleted: s.stats.objectsDeleted,
+		GCYields: s.stats.gcYields, GCBudgetBytes: s.gcBudget, ObjectsDeleted: s.stats.objectsDeleted,
 		Checkpoints: s.stats.checkpoints, DurableWriteSeq: s.durableWriteSeq,
 		PendingBatch:    s.batch.fill + s.inflightBytes,
 		InflightObjects: len(s.inflight), UploadRetries: s.stats.uploadRetries,

@@ -122,9 +122,8 @@ func TestWalkPassesMarkerBeforeItsSuper(t *testing.T) {
 func TestFailedSuperIsOwedNotQueued(t *testing.T) {
 	mem := objstore.NewMem()
 	rs := testrec.NewStore(mem)
-	faulty := objstore.NewFaulty(rs)
-	s, w, ckpt := markerVolume(t, faulty, nil)
-	faulty.FailPuts(superName("vol"), -1)
+	s, w, ckpt := markerVolume(t, rs, nil)
+	rs.Fail(testrec.Super, testrec.ErrFault)
 	from, deleted := rs.Now(), s.Stats().ObjectsDeleted
 
 	const behind = 9 // past two more checkpoint intervals
@@ -135,9 +134,9 @@ func TestFailedSuperIsOwedNotQueued(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := s.Stats()
-	if st.NextSeq != ckpt+1+behind || st.ObjectsDeleted != deleted || faulty.InjectedFaults() != 1 {
+	if failed, _ := rs.Faults(); st.NextSeq != ckpt+1+behind || st.ObjectsDeleted != deleted || failed != 1 {
 		t.Fatalf("next seq %d (want %d), %d objects deleted, %d super PUTs failed: want one marker, no release, no retry",
-			st.NextSeq, ckpt+1+behind, st.ObjectsDeleted-deleted, faulty.InjectedFaults())
+			st.NextSeq, ckpt+1+behind, st.ObjectsDeleted-deleted, failed)
 	}
 	for _, e := range rs.Lines()[from:] {
 		if strings.HasPrefix(e, "delete ") {
@@ -148,10 +147,10 @@ func TestFailedSuperIsOwedNotQueued(t *testing.T) {
 		t.Fatalf("checkpoint %d is not in the table", ckpt)
 	}
 
-	if err := s.Seal(); !errors.Is(err, objstore.ErrInjected) {
+	if err := s.Seal(); !errors.Is(err, testrec.ErrFault) {
 		t.Fatalf("the fence did not surface the owed super: %v", err)
 	}
-	if n := faulty.InjectedFaults(); n != 2 {
+	if n, _ := rs.Faults(); n != 2 {
 		t.Fatalf("%d super PUTs failed: the fence should have retried once", n)
 	}
 	s.Abort()

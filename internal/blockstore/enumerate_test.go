@@ -35,7 +35,6 @@ const enumLag = 20 * time.Millisecond
 type enumScript struct {
 	t      *testing.T
 	rs     *testrec.Store
-	faulty *objstore.Faulty
 	s      *Store
 	writes []enumWrite // write w is writes[w-1]
 	snap   int         // writes before the snapshot
@@ -79,6 +78,7 @@ func (e *enumScript) run() {
 	e.t.Helper()
 	e.rs = testrec.NewStore(objstore.NewMem())
 	e.rs.Keep = true
+	e.rs.Reproduce(e.t, 64)
 	// Every checkpoint object lands after the next data object PUT that
 	// completes (or after enumLag when none follows), so the trace always
 	// holds a data object that reached the backend behind a checkpoint
@@ -87,10 +87,9 @@ func (e *enumScript) run() {
 		e.rs.Await(op.Stamp, testrec.DataObject, enumLag)
 		return nil
 	})
-	e.faulty = objstore.NewFaulty(e.rs)
 	var err error
 	e.s, err = Create(ctx, Config{
-		Volume: "vol", Store: e.faulty, VolSectors: volSectors,
+		Volume: "vol", Store: e.rs, VolSectors: volSectors,
 		BatchBytes: enumSlot(0).Bytes(), UploadDepth: 4, CheckpointEvery: 4,
 		GCHighWater: 0.99, Retry: objstore.RetryPolicy{MaxAttempts: -1},
 		OnDestage: func(w uint64) { e.rs.Note("destage", int64(w)) },
@@ -113,9 +112,9 @@ func (e *enumScript) run() {
 	// Third: marker 11's super fails once. The object behind it is not
 	// waited for (the parent holds it behind the marker); a fence
 	// retries the super.
-	e.faulty.FailPuts(superName("vol"), 1)
+	e.rs.Fail(testrec.Super.Once(), testrec.ErrFault)
 	e.write(enumSlot(1), false)
-	waitFor(e.t, "the failed super", func() bool { return e.faulty.InjectedFaults() == 1 })
+	waitFor(e.t, "the failed super", func() bool { n, _ := e.rs.Faults(); return n == 1 })
 	for try := 0; ; try++ {
 		err := e.s.Seal()
 		if err == nil {
@@ -293,7 +292,8 @@ func TestBackendCrashEnumeration(t *testing.T) {
 	e.run()
 
 	// A crash point precedes each PUT or DELETE's completion, and one
-	// follows the last.
+	// follows the last. A failed operation changes nothing, so it adds
+	// none.
 	landed := func(op testrec.Op) bool {
 		return op.Done && op.Err == nil && (op.Kind == testrec.Put || op.Kind == testrec.Delete)
 	}

@@ -19,14 +19,14 @@ import (
 // commits, and the next Checkpoint on the same store lands the owed
 // super before writing a checkpoint of its own.
 func TestCheckpointFailureKeepsOldPointer(t *testing.T) {
-	faulty := objstore.NewFaulty(objstore.NewMem())
-	s := newVolume(t, faulty, Config{CheckpointEvery: 1 << 30})
+	rs := testrec.NewStore(objstore.NewMem())
+	s := newVolume(t, rs, Config{CheckpointEvery: 1 << 30})
 	ext, ext2 := block.Extent{LBA: 0, Sectors: 64}, block.Extent{LBA: 64, Sectors: 64}
 	data, data2 := payload(2, int(ext.Bytes())), payload(12, int(ext2.Bytes()))
 	_ = s.Append(1, ext, data)
 	_ = s.Seal()
-	faulty.FailPuts(superName("vol"), -1)
-	if err := s.Checkpoint(); !errors.Is(err, objstore.ErrInjected) {
+	heal := rs.Fail(testrec.Super, testrec.ErrFault)
+	if err := s.Checkpoint(); !errors.Is(err, testrec.ErrFault) {
 		t.Fatalf("super failure not surfaced: %v", err)
 	}
 	failedAt := s.Stats().NextSeq - 1
@@ -40,7 +40,7 @@ func TestCheckpointFailureKeepsOldPointer(t *testing.T) {
 	}
 	// Recovery from the old superblock replays through the checkpoint it
 	// does not name (its own super PUT fails too, so it reaps nothing).
-	s2, err := Open(ctx, Config{Volume: "vol", Store: faulty})
+	s2, err := Open(ctx, Config{Volume: "vol", Store: rs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,14 +52,14 @@ func TestCheckpointFailureKeepsOldPointer(t *testing.T) {
 	// naming the number the checkpoint already holds, so the log stays
 	// dense and the object whose PUT did land is the checkpoint, not an
 	// orphan.
-	faulty.FailPuts(superName("vol"), 0)
+	heal()
 	if err := s.Checkpoint(); err != nil {
 		t.Fatalf("checkpoint after the fault cleared: %v", err)
 	}
 	if st := s.Stats(); st.InflightObjects != 0 || st.NextSeq != failedAt+3 {
 		t.Fatalf("after the retry: %d in flight, next seq %d, want 0 and %d", st.InflightObjects, st.NextSeq, failedAt+3)
 	}
-	s3, err := Open(ctx, Config{Volume: "vol", Store: faulty})
+	s3, err := Open(ctx, Config{Volume: "vol", Store: rs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestCheckpointFailureKeepsOldPointer(t *testing.T) {
 		t.Fatalf("reopen replayed %d objects to seq %d with %d orphans, want 0, %d, 0",
 			st.RecoveredObjects, st.NextSeq, st.OrphanObjects, failedAt+3)
 	}
-	backendMatchesTable(t, s3, faulty)
+	backendMatchesTable(t, s3, rs)
 }
 
 // TestFailedCreateSnapshotNotPublishedByRetry: a CreateSnapshot whose
@@ -78,22 +78,22 @@ func TestCheckpointFailureKeepsOldPointer(t *testing.T) {
 // checkpoint it wrote is owed a super encoded per attempt, so the retry
 // the next fence drives publishes a super without the snapshot.
 func TestFailedCreateSnapshotNotPublishedByRetry(t *testing.T) {
-	faulty := objstore.NewFaulty(objstore.NewMem())
-	s := newVolume(t, faulty, Config{CheckpointEvery: 1 << 30})
+	rs := testrec.NewStore(objstore.NewMem())
+	s := newVolume(t, rs, Config{CheckpointEvery: 1 << 30})
 	ext := block.Extent{LBA: 0, Sectors: 64}
 	_ = s.Append(1, ext, payload(6, int(ext.Bytes())))
 	if _, err := s.CreateSnapshot("kept"); err != nil {
 		t.Fatal(err)
 	}
-	faulty.FailPuts(superName("vol"), -1)
-	if _, err := s.CreateSnapshot("lost"); !errors.Is(err, objstore.ErrInjected) {
+	heal := rs.Fail(testrec.Super, testrec.ErrFault)
+	if _, err := s.CreateSnapshot("lost"); !errors.Is(err, testrec.ErrFault) {
 		t.Fatalf("super failure not surfaced: %v", err)
 	}
-	faulty.FailPuts(superName("vol"), 0)
+	heal()
 	if err := s.Seal(); err != nil {
 		t.Fatal(err)
 	}
-	info := backendSuper(t, faulty)
+	info := backendSuper(t, rs)
 	if got := s.Snapshots(); len(got) != 1 || got[0].Name != "kept" {
 		t.Fatalf("store lists %+v, want only \"kept\"", got)
 	}
@@ -163,17 +163,17 @@ func TestCreateAndCloneProbeErrorIsNotAbsence(t *testing.T) {
 // completed but whose superblock update did not must be picked up
 // during replay (the replayObject TypeCheckpoint path).
 func TestRecoveryWithNewerCheckpointObject(t *testing.T) {
-	faulty := objstore.NewFaulty(objstore.NewMem())
-	s := newVolume(t, faulty, Config{CheckpointEvery: 1 << 30})
+	rs := testrec.NewStore(objstore.NewMem())
+	s := newVolume(t, rs, Config{CheckpointEvery: 1 << 30})
 	ext := block.Extent{LBA: 0, Sectors: 64}
 	data := payload(3, int(ext.Bytes()))
 	_ = s.Append(1, ext, data)
 	_ = s.Seal()
 	// Checkpoint object lands; superblock write fails.
-	faulty.FailPuts(superName("vol"), -1)
+	heal := rs.Fail(testrec.Super, testrec.ErrFault)
 	_ = s.Checkpoint()
-	faulty.FailPuts(superName("vol"), 0)
-	s2, err := Open(ctx, Config{Volume: "vol", Store: faulty})
+	heal()
+	s2, err := Open(ctx, Config{Volume: "vol", Store: rs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +185,7 @@ func TestRecoveryWithNewerCheckpointObject(t *testing.T) {
 	if s2.lastCkpt != 3 {
 		t.Fatalf("recovered from checkpoint %d, want the stranded one (3)", s2.lastCkpt)
 	}
-	backendMatchesTable(t, s2, faulty)
+	backendMatchesTable(t, s2, rs)
 }
 
 // TestSecondCrashAfterSuffixCheckpointKeepsPrefix: checkpoint 3 is
@@ -201,9 +201,8 @@ func TestSecondCrashAfterSuffixCheckpointKeepsPrefix(t *testing.T) {
 		t.Run(fmt.Sprintf("open-super-fails=%v", openSuperFails), func(t *testing.T) {
 			mem := objstore.NewMem()
 			rs := testrec.NewStore(mem)
-			faulty := objstore.NewFaulty(rs)
-			cfg := Config{Volume: "vol", Store: faulty, Retry: objstore.RetryPolicy{MaxAttempts: -1}}
-			s := newVolume(t, nil, Config{Store: faulty, CheckpointEvery: 1 << 30, GCHighWater: 0.99, Retry: cfg.Retry})
+			cfg := Config{Volume: "vol", Store: rs, Retry: objstore.RetryPolicy{MaxAttempts: -1}}
+			s := newVolume(t, nil, Config{Store: rs, CheckpointEvery: 1 << 30, GCHighWater: 0.99, Retry: cfg.Retry})
 			extA, extB := block.Extent{LBA: 0, Sectors: 64}, block.Extent{LBA: 64, Sectors: 64}
 			dataA, dataB := payload(41, int(extA.Bytes())), payload(43, int(extB.Bytes()))
 			steps := []func() error{
@@ -218,8 +217,8 @@ func TestSecondCrashAfterSuffixCheckpointKeepsPrefix(t *testing.T) {
 					t.Fatalf("step %d: %v", i, err)
 				}
 			}
-			faulty.FailPuts(superName("vol"), -1)
-			if err := s.Checkpoint(); !errors.Is(err, objstore.ErrInjected) {
+			heal := rs.Fail(testrec.Super, testrec.ErrFault)
+			if err := s.Checkpoint(); !errors.Is(err, testrec.ErrFault) {
 				t.Fatalf("checkpoint 6 with its super failing: %v", err)
 			}
 			s.Abort()
@@ -227,7 +226,7 @@ func TestSecondCrashAfterSuffixCheckpointKeepsPrefix(t *testing.T) {
 				t.Fatalf("super names %d with next seq %d; the case wants 3 and 7", got, s.Stats().NextSeq)
 			}
 			if !openSuperFails {
-				faulty.FailPuts(superName("vol"), 0)
+				heal()
 			}
 
 			opened := rs.Now()
@@ -269,7 +268,7 @@ func TestSecondCrashAfterSuffixCheckpointKeepsPrefix(t *testing.T) {
 				return
 			}
 			// The fault clears: the session's first checkpoint releases 4.
-			faulty.FailPuts(superName("vol"), 0)
+			heal()
 			if err := s3.Checkpoint(); err != nil {
 				t.Fatal(err)
 			}
@@ -314,8 +313,8 @@ func TestOpenTableNamesLoadedCheckpoint(t *testing.T) {
 // TestAppendAfterGCFailurePath: injected failures during GC PUTs must
 // not corrupt the map — data remains readable from the old objects.
 func TestGCPutFailureLeavesDataReadable(t *testing.T) {
-	faulty := objstore.NewFaulty(objstore.NewMem())
-	s := newVolume(t, faulty, Config{BatchBytes: 64 * 1024, GCLowWater: 0})
+	rs := testrec.NewStore(objstore.NewMem())
+	s := newVolume(t, rs, Config{BatchBytes: 64 * 1024, GCLowWater: 0})
 	ext := block.Extent{LBA: 0, Sectors: 128}
 	orig := payload(4, int(ext.Bytes()))
 	_ = s.Append(1, ext, orig)
@@ -325,11 +324,11 @@ func TestGCPutFailureLeavesDataReadable(t *testing.T) {
 	_ = s.Append(2, half, newer)
 	_ = s.Seal()
 	// Fail the next PUT (the GC object).
-	faulty.FailEveryNth(1)
+	heal := rs.Fail(testrec.Kinds(testrec.Put, testrec.Delete), testrec.ErrFault)
 	if err := s.RunGC(); err == nil {
 		t.Fatal("GC with failing store succeeded")
 	}
-	faulty.FailEveryNth(0)
+	heal()
 	want := append([]byte{}, orig...)
 	copy(want, newer)
 	if got := readAll(t, s, ext); !bytes.Equal(got, want) {
@@ -349,8 +348,8 @@ func TestGCPutFailureLeavesDataReadable(t *testing.T) {
 // open successfully, refuse new object writes until the orphan is
 // swept, then sweep it on the next seal.
 func TestStrandedDeleteFailureDoesNotFailOpen(t *testing.T) {
-	faulty := objstore.NewFaulty(objstore.NewMem())
-	s := newVolume(t, faulty, Config{CheckpointEvery: 1 << 30})
+	rs := testrec.NewStore(objstore.NewMem())
+	s := newVolume(t, rs, Config{CheckpointEvery: 1 << 30})
 	ext := block.Extent{LBA: 0, Sectors: 64}
 	data := payload(11, int(ext.Bytes()))
 	_ = s.Append(1, ext, data)
@@ -361,12 +360,12 @@ func TestStrandedDeleteFailureDoesNotFailOpen(t *testing.T) {
 	// Plant a stranded object one past the gap (its predecessor's PUT
 	// "never completed"), and make its deletion fail forever.
 	stranded := objName("vol", s.Stats().NextSeq+1)
-	if err := faulty.Put(ctx, stranded, []byte("stranded junk")); err != nil {
+	if err := rs.Put(ctx, stranded, []byte("stranded junk")); err != nil {
 		t.Fatal(err)
 	}
-	faulty.FailDeletes(stranded, -1)
+	heal := rs.Fail(testrec.Deletes.Named(stranded), testrec.ErrFault)
 
-	s2, err := Open(ctx, Config{Volume: "vol", Store: faulty})
+	s2, err := Open(ctx, Config{Volume: "vol", Store: rs})
 	if err != nil {
 		t.Fatalf("failed stranded-delete aborted Open: %v", err)
 	}
@@ -381,19 +380,19 @@ func TestStrandedDeleteFailureDoesNotFailOpen(t *testing.T) {
 	// new seqs would fill the gap below the orphan and a crash would
 	// make its stale bytes replayable.
 	_ = s2.Append(2, ext, payload(12, int(ext.Bytes())))
-	if err := s2.Seal(); !errors.Is(err, objstore.ErrInjected) {
+	if err := s2.Seal(); !errors.Is(err, testrec.ErrFault) {
 		t.Fatalf("seal ignored a sweep failure: %v", err)
 	}
 
 	// Heal: the next seal sweeps the orphan and proceeds.
-	faulty.FailDeletes(stranded, 0)
+	heal()
 	if err := s2.Seal(); err != nil {
 		t.Fatal(err)
 	}
 	if got := s2.Stats().OrphanObjects; got != 0 {
 		t.Fatalf("orphans=%d after sweep", got)
 	}
-	if _, err := faulty.Size(ctx, stranded); !errors.Is(err, objstore.ErrNotFound) {
+	if _, err := rs.Size(ctx, stranded); !errors.Is(err, objstore.ErrNotFound) {
 		t.Fatalf("orphan still on the backend: %v", err)
 	}
 }
@@ -457,12 +456,12 @@ func TestTruncatedTailObjectIsCrashGap(t *testing.T) {
 // in a Retrier, so a transient failure is absorbed invisibly but
 // counted.
 func TestBackendRetriesSurfaceInStats(t *testing.T) {
-	faulty := objstore.NewFaulty(objstore.NewMem())
-	s := newVolume(t, faulty, Config{})
+	rs := testrec.NewStore(objstore.NewMem())
+	s := newVolume(t, rs, Config{})
 	ext := block.Extent{LBA: 0, Sectors: 64}
 	data := payload(31, int(ext.Bytes()))
 	_ = s.Append(1, ext, data)
-	faulty.FailPuts(objName("vol", s.Stats().NextSeq), 1) // one transient blip
+	rs.Fail(testrec.Puts.Named(objName("vol", s.Stats().NextSeq)).Once(), testrec.ErrFault) // one transient blip
 	if err := s.Seal(); err != nil {
 		t.Fatalf("retrier did not absorb the blip: %v", err)
 	}

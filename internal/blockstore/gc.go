@@ -53,6 +53,12 @@ var errGCYield = errors.New("blockstore: gc pass yielded to a fence")
 // with no write traffic still converges to the watermark.
 const gcIdleWait = 5 * time.Millisecond
 
+// GCWAFTarget bounds the paced service's write amplification: total
+// backend payload volume (foreground + GC copies) is held at or below
+// GCWAFTarget × foreground volume, by a token bucket refilled as
+// foreground commits land.
+const GCWAFTarget = 2.0
+
 // RunGC forces an immediate, unpaced collection pass until overall
 // utilization reaches the high-water mark or no further progress is
 // possible (§3.5). It preempts the background service's paced pass
@@ -234,12 +240,7 @@ func (s *Store) gcRefillLocked(fg int64) {
 	if s.gcDone == nil {
 		return // no service to pace: GCLowWater 0, or stopped
 	}
-	if waf := s.cfg.GCWAFTarget; waf > 1 {
-		s.gcBudget += int64(float64(fg) * (waf - 1))
-		if burst := 4 * s.cfg.BatchBytes; s.gcBudget > burst {
-			s.gcBudget = burst
-		}
-	}
+	s.gcBudget = min(s.gcBudget+int64(float64(fg)*(GCWAFTarget-1)), 4*s.cfg.BatchBytes)
 	s.gcRefills++
 	s.gcCond.Broadcast()
 }
@@ -263,7 +264,7 @@ func (s *Store) gcAwaitBudgetLocked(need int64) error {
 			return errGCYield
 		}
 		backoff := s.cfg.GCBackoff != nil && s.cfg.GCBackoff()
-		if !backoff && (s.gcBudget >= need || s.cfg.GCWAFTarget < 0) {
+		if !backoff && s.gcBudget >= need {
 			return nil
 		}
 		if backoff {
@@ -528,7 +529,7 @@ func (s *Store) plugHolesLocked(pieces []gcPiece, paced bool) []gcPiece {
 		liveSectors += uint64(p.ext.Sectors)
 	}
 	budget := liveSectors / 4 // <=25% extra copy volume
-	if paced && s.cfg.GCWAFTarget >= 0 {
+	if paced {
 		// All-unsigned: the bucket can be negative or smaller than the
 		// live bytes, either way there is no spare for plugging.
 		var spare uint64

@@ -145,10 +145,10 @@ func died(s *Store, seq uint32) bool {
 // records a GC victim's deferred delete but before the delete itself
 // runs must not leak the victim — Open re-sweeps the deferred list.
 func TestDeferredDeleteResweptOnOpen(t *testing.T) {
-	faulty := objstore.NewFaulty(objstore.NewMem())
+	rs := testrec.NewStore(objstore.NewMem())
 	// MaxAttempts < 0 disables the Retrier so armed faults fire
 	// deterministically.
-	s := newVolume(t, faulty, Config{
+	s := newVolume(t, rs, Config{
 		GCLowWater: 0, CheckpointEvery: 1 << 30,
 		Retry: objstore.RetryPolicy{MaxAttempts: -1},
 	})
@@ -168,22 +168,22 @@ func TestDeferredDeleteResweptOnOpen(t *testing.T) {
 	// The checkpoint persists the deferred delete, then the delete
 	// itself fails — the state a crash-between-commit-and-delete
 	// leaves behind.
-	faulty.FailDeletes(objName("vol", victim), -1)
+	heal := rs.Fail(testrec.Deletes.Named(objName("vol", victim)), testrec.ErrFault)
 	if err := s.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := faulty.Get(ctx, objName("vol", victim)); err != nil {
+	if _, err := rs.Get(ctx, objName("vol", victim)); err != nil {
 		t.Fatalf("victim %d missing before the crash: %v", victim, err)
 	}
 	// Crash: the handle is simply abandoned.
 
-	faulty.Disarm()
-	s2, err := Open(ctx, Config{Volume: "vol", Store: faulty,
+	heal()
+	s2, err := Open(ctx, Config{Volume: "vol", Store: rs,
 		Retry: objstore.RetryPolicy{MaxAttempts: -1}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := faulty.Get(ctx, objName("vol", victim)); !errors.Is(err, objstore.ErrNotFound) {
+	if _, err := rs.Get(ctx, objName("vol", victim)); !errors.Is(err, objstore.ErrNotFound) {
 		t.Fatalf("victim %d still leaked after reopen: %v", victim, err)
 	}
 	s2.mu.Lock()
@@ -206,8 +206,8 @@ func TestDeferredDeleteResweptOnOpen(t *testing.T) {
 // must not delete a victim a snapshot still pins — it goes back on the
 // deferred list, exactly as the live path would defer it.
 func TestDeferredDeleteResweepKeepsSnapshotPin(t *testing.T) {
-	faulty := objstore.NewFaulty(objstore.NewMem())
-	s := newVolume(t, faulty, Config{
+	store := objstore.NewMem()
+	s := newVolume(t, store, Config{
 		GCLowWater: 0, CheckpointEvery: 1 << 30,
 		Retry: objstore.RetryPolicy{MaxAttempts: -1},
 	})
@@ -228,12 +228,12 @@ func TestDeferredDeleteResweepKeepsSnapshotPin(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The pin already deferred the delete; crash and reopen.
-	s2, err := Open(ctx, Config{Volume: "vol", Store: faulty,
+	s2, err := Open(ctx, Config{Volume: "vol", Store: store,
 		Retry: objstore.RetryPolicy{MaxAttempts: -1}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := faulty.Get(ctx, objName("vol", victim)); err != nil {
+	if _, err := store.Get(ctx, objName("vol", victim)); err != nil {
 		t.Fatalf("pinned victim %d deleted by resweep: %v", victim, err)
 	}
 	s2.mu.Lock()
@@ -246,7 +246,7 @@ func TestDeferredDeleteResweepKeepsSnapshotPin(t *testing.T) {
 	if err := s2.DeleteSnapshot("pin"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := faulty.Get(ctx, objName("vol", victim)); !errors.Is(err, objstore.ErrNotFound) {
+	if _, err := store.Get(ctx, objName("vol", victim)); !errors.Is(err, objstore.ErrNotFound) {
 		t.Fatalf("victim %d survived snapshot deletion: %v", victim, err)
 	}
 }
@@ -581,12 +581,11 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 // in the next round and the cold half is never overwritten, so each
 // victim has survivors the collector must copy.
 func TestGCServicePacedConvergence(t *testing.T) {
-	const wafTarget = 2.0
 	store := objstore.NewMem()
 	s := newVolume(t, store, Config{
 		BatchBytes: 64 * 1024, UploadDepth: 2,
 		GCLowWater: 0.70, GCHighWater: 0.75,
-		GCWAFTarget: wafTarget, CheckpointEvery: 8,
+		CheckpointEvery: 8,
 	})
 	defer s.StopGC()
 	const (
@@ -641,9 +640,9 @@ func TestGCServicePacedConvergence(t *testing.T) {
 	// copy budget beyond the foreground-driven refill.
 	waf := float64(st.BytesAppended+st.GCBytesCopied) / float64(st.BytesAppended)
 	t.Logf("measured WAF %.3f (%d KiB copied for %d KiB appended), bound %.2f, headroom %.3f",
-		waf, st.GCBytesCopied>>10, st.BytesAppended>>10, 1.25*wafTarget, 1.25*wafTarget-waf)
-	if waf > 1.25*wafTarget {
-		t.Fatalf("measured WAF %.3f exceeds 1.25x the target %.1f", waf, wafTarget)
+		waf, st.GCBytesCopied>>10, st.BytesAppended>>10, 1.25*GCWAFTarget, 1.25*GCWAFTarget-waf)
+	if waf > 1.25*GCWAFTarget {
+		t.Fatalf("measured WAF %.3f exceeds 1.25x the target %.1f", waf, GCWAFTarget)
 	}
 	for lba, wseq := range latest {
 		ext := block.Extent{LBA: lba, Sectors: 64}

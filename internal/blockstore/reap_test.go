@@ -428,11 +428,14 @@ func killMidReapAndReopen(t *testing.T, s *Store, p *testrec.Parked, mem *objsto
 // checkpoint retries it, and in the end every dead object is deleted
 // exactly once.
 func TestReapDeleteFailureRedefers(t *testing.T) {
-	faulty := objstore.NewFaulty(objstore.NewMem())
-	s := newVolume(t, nil, churnConfig(faulty))
-	for seq := uint32(1); seq < 64; seq++ {
-		faulty.FailDeletes(objName("vol", seq), 1)
-	}
+	rs := testrec.NewStore(objstore.NewMem())
+	s := newVolume(t, nil, churnConfig(rs))
+	deleted := map[string]bool{}
+	heal := rs.Fail(func(op testrec.Op) bool {
+		first := op.Kind == testrec.Delete && !deleted[op.Name]
+		deleted[op.Name] = true
+		return first
+	}, testrec.ErrFault)
 	var w uint64
 	for i := 0; i < 18; i++ {
 		churn(t, s, &w)
@@ -443,14 +446,14 @@ func TestReapDeleteFailureRedefers(t *testing.T) {
 	if err := s.AuditUtilization(); err != nil {
 		t.Fatalf("audit with re-deferred deletes: %v", err)
 	}
-	if s.Stats().DeferredDeletes == 0 || faulty.InjectedFaults() == 0 {
+	if failed, _ := rs.Faults(); s.Stats().DeferredDeletes == 0 || failed == 0 {
 		t.Fatal("no failed delete was re-deferred")
 	}
-	faulty.Disarm()
+	heal()
 	if err := s.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	garbageGone(t, s, faulty.Inner)
+	garbageGone(t, s, rs)
 	if st := s.Stats(); st.ObjectsDeleted != uint64(int(st.NextSeq)-1-st.Objects) {
 		t.Fatalf("%d objects retired, but %d of the %d written are gone", st.ObjectsDeleted, int(st.NextSeq)-1-st.Objects, st.NextSeq-1)
 	}
@@ -621,8 +624,8 @@ func TestDeathWhileSnapshotDropOwedItsSuper(t *testing.T) {
 // this session stays until a newer super lands: a crash before that
 // replays from the older checkpoint, through the object.
 func TestOpenOwedSuperFailingHoldsSuffixDeaths(t *testing.T) {
-	faulty := objstore.NewFaulty(objstore.NewMem())
-	cfg := churnConfig(faulty)
+	rs := testrec.NewStore(objstore.NewMem())
+	cfg := churnConfig(rs)
 	cfg.CheckpointEvery, cfg.GCLowWater = 1<<30, 0
 	s := newVolume(t, nil, cfg)
 	var w uint64
@@ -632,14 +635,14 @@ func TestOpenOwedSuperFailingHoldsSuffixDeaths(t *testing.T) {
 	}
 	churn(t, s, &w)
 	victim := s.Lookup(churnExt)[0].Target.Obj
-	faulty.FailPuts(superName("vol"), 1<<20)
+	heal := rs.Fail(testrec.Super, testrec.ErrFault)
 	if err := s.Checkpoint(); err == nil {
 		t.Fatal("the checkpoint's super PUT did not fail")
 	}
 	s.Abort()
 
-	faulty.Disarm()
-	faulty.FailPuts(superName("vol"), 1) // open's PUT of the owed super
+	heal()
+	rs.Fail(testrec.Super.Once(), testrec.ErrFault) // open's PUT of the owed super
 	reopen := cfg
 	reopen.Volume = "vol"
 	s2, err := Open(ctx, reopen)
@@ -653,7 +656,7 @@ func TestOpenOwedSuperFailingHoldsSuffixDeaths(t *testing.T) {
 		t.Fatalf("object %d is not between the named checkpoint %d and the loaded one %d", victim, named, loaded)
 	}
 	churn(t, s2, &w)
-	if _, err := faulty.Get(ctx, objName("vol", victim)); err != nil {
+	if _, err := rs.Get(ctx, objName("vol", victim)); err != nil {
 		t.Fatalf("object %d, above the checkpoint the durable super names, was deleted: %v", victim, err)
 	}
 	if err := s2.AuditUtilization(); err != nil {
@@ -672,7 +675,7 @@ func TestOpenOwedSuperFailingHoldsSuffixDeaths(t *testing.T) {
 	if got := readAll(t, s3, churnExt); !bytes.Equal(got, payload(int64(w), int(churnExt.Bytes()))) {
 		t.Fatal("data wrong after the crash")
 	}
-	garbageGone(t, s3, faulty.Inner)
+	garbageGone(t, s3, rs)
 }
 
 // TestKillAfterDeleteSnapshotSuperRedrivenAtOpen: a crash between the
@@ -834,26 +837,27 @@ func TestCleanReopenDeletesNothing(t *testing.T) {
 // and still mounts it, so the caller can retry; the retry that lands
 // deletes what the snapshot pinned.
 func TestDeleteSnapshotFailureKeepsName(t *testing.T) {
-	faulty := objstore.NewFaulty(objstore.NewMem())
-	s, _ := pinnedVolume(t, faulty)
-	faulty.FailPuts(superName("vol"), 1<<20)
+	mem := objstore.NewMem()
+	rs := testrec.NewStore(mem)
+	s, _ := pinnedVolume(t, rs)
+	heal := rs.Fail(testrec.Super, testrec.ErrFault)
 	if err := s.DeleteSnapshot("pin"); err == nil {
 		t.Fatal("DeleteSnapshot succeeded without its super")
 	}
 	if got := s.Snapshots(); len(got) != 1 || got[0].Name != "pin" {
 		t.Fatalf("after the failed delete the volume lists %+v, want pin", got)
 	}
-	if got := backendSuper(t, faulty.Inner).Snapshots; len(got) != 1 || got[0].Name != "pin" {
+	if got := backendSuper(t, mem).Snapshots; len(got) != 1 || got[0].Name != "pin" {
 		t.Fatalf("the durable super lists %+v, want pin", got)
 	}
-	faulty.Disarm()
+	heal()
 	if err := s.DeleteSnapshot("pin"); err != nil {
 		t.Fatal(err)
 	}
 	if got := s.Snapshots(); len(got) != 0 {
 		t.Fatalf("after the retry the volume lists %+v", got)
 	}
-	garbageGone(t, s, faulty.Inner)
+	garbageGone(t, s, mem)
 }
 
 // panics reports whether fn panics.

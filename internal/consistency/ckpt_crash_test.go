@@ -52,7 +52,7 @@ func TestCheckpointCrashTorture(t *testing.T) {
 func ckptCrashIteration(t *testing.T, seed int64) {
 	rng := rand.New(rand.NewSource(seed))
 	mem := objstore.NewMem()
-	store := testrec.NewStore(mem)
+	store := faultStore(t, "backend", mem)
 	cache := simdev.NewMem(32 * block.MiB)
 	opts := core.Options{
 		HostOptions: core.HostOptions{
@@ -95,7 +95,7 @@ func ckptCrashIteration(t *testing.T, seed int64) {
 			}
 		}
 		return cut && mutation(op)
-	}, fmt.Errorf("%w: backend cut", objstore.ErrInjected))
+	}, fmt.Errorf("%w: backend cut", testrec.ErrFault))
 
 	w, err := NewWriter(disk)
 	if err != nil {
@@ -109,7 +109,7 @@ func ckptCrashIteration(t *testing.T, seed int64) {
 			err = w.Write(rng.Int63n(blocks-4), 1+rng.Intn(4))
 		}
 		if err != nil {
-			if !errors.Is(err, objstore.ErrInjected) {
+			if !errors.Is(err, testrec.ErrFault) {
 				t.Fatalf("op %d failed outside the cut model: %v", i, err)
 			}
 			break

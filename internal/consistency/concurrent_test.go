@@ -15,6 +15,7 @@ import (
 	"lsvd/internal/journal"
 	"lsvd/internal/objstore"
 	"lsvd/internal/simdev"
+	"lsvd/internal/testrec"
 )
 
 // Concurrent-writer torture: several goroutines hammer one disk with
@@ -99,7 +100,7 @@ func (w *cwWriter) run(disk *core.Disk, seed int64) {
 			err = disk.WriteAt(p, blk*block.BlockSize)
 		}
 		if err != nil {
-			if !errors.Is(err, core.ErrClosed) && !errors.Is(err, objstore.ErrInjected) {
+			if !errors.Is(err, core.ErrClosed) && !errors.Is(err, testrec.ErrFault) {
 				w.err = err
 			}
 			return
@@ -282,7 +283,7 @@ func TestConcurrentTorture(t *testing.T) {
 
 func concurrentIteration(t *testing.T, seed int64) {
 	rng := rand.New(rand.NewSource(seed ^ 0x636f6e63))
-	store := objstore.NewFaulty(objstore.NewMem())
+	store := faultStore(t, "backend", objstore.NewMem())
 	cache := simdev.NewMem(32 * block.MiB)
 	opts := core.Options{
 		HostOptions: core.HostOptions{
@@ -303,12 +304,8 @@ func concurrentIteration(t *testing.T, seed int64) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	store.Arm(objstore.FaultConfig{
-		Seed:       seed,
-		Rates:      objstore.UniformRates(cwFaultRate),
-		TornWrites: true,
-	})
-	defer store.Disarm()
+	disarm := store.Tear(testrec.Any.Chance(seed, cwFaultRate), seed)
+	defer disarm()
 
 	writers := make([]*cwWriter, cwWriters)
 	var wg sync.WaitGroup
@@ -352,15 +349,15 @@ func concurrentIteration(t *testing.T, seed int64) {
 		buf := make([]byte, block.BlockSize)
 		stampBlock(buf, cwStamp(w.gid, seq), w.base)
 		if err := disk2.WriteAt(buf, w.base*block.BlockSize); err != nil {
-			if errors.Is(err, objstore.ErrInjected) {
-				store.Disarm()
+			if errors.Is(err, testrec.ErrFault) {
+				disarm()
 				_ = disk2.Close()
 				return // legal crash point; this iteration ends here
 			}
 			t.Fatalf("post-recovery write (writer %d): %v", w.gid, err)
 		}
 	}
-	if err := disk2.Flush(); err != nil && !errors.Is(err, objstore.ErrInjected) {
+	if err := disk2.Flush(); err != nil && !errors.Is(err, testrec.ErrFault) {
 		t.Fatalf("post-recovery barrier: %v", err)
 	}
 	for _, w := range writers {
@@ -374,7 +371,7 @@ func concurrentIteration(t *testing.T, seed int64) {
 		}
 	}
 
-	store.Disarm() // let Close drain without injected failures
+	disarm() // let Close drain without injected failures
 	if err := disk2.Close(); err != nil {
 		t.Logf("close after torture: %v", err)
 	}

@@ -13,6 +13,7 @@ import (
 	"lsvd/internal/core"
 	"lsvd/internal/objstore"
 	"lsvd/internal/simdev"
+	"lsvd/internal/testrec"
 )
 
 // GC torture: the concurrent-writer workload with the paced background
@@ -43,7 +44,7 @@ func TestGCTorture(t *testing.T) {
 
 func gcTortureIteration(t *testing.T, seed int64) {
 	rng := rand.New(rand.NewSource(seed ^ 0x67635f74))
-	store := objstore.NewFaulty(objstore.NewMem())
+	store := faultStore(t, "backend", objstore.NewMem())
 	cache := simdev.NewMem(32 * block.MiB)
 	opts := core.Options{
 		HostOptions: core.HostOptions{
@@ -61,19 +62,15 @@ func gcTortureIteration(t *testing.T, seed int64) {
 			// Keep the service hungry: almost any garbage pulls utilization
 			// under the low-water mark, so passes overlap the writers, the
 			// faults and the Kill.
-			GCLowWater: 0.95, GCHighWater: 0.98, GCWAFTarget: 2.0,
+			GCLowWater: 0.95, GCHighWater: 0.98,
 		},
 	}
 	disk, err := core.Create(ctx, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	store.Arm(objstore.FaultConfig{
-		Seed:       seed,
-		Rates:      objstore.UniformRates(cwFaultRate),
-		TornWrites: true,
-	})
-	defer store.Disarm()
+	disarm := store.Tear(testrec.Any.Chance(seed, cwFaultRate), seed)
+	defer disarm()
 
 	writers := make([]*cwWriter, cwWriters)
 	var wg sync.WaitGroup
@@ -106,7 +103,7 @@ func gcTortureIteration(t *testing.T, seed int64) {
 	for _, w := range writers {
 		if err := w.check(disk2, cacheSurvives); err != nil {
 			t.Error(err)
-			store.Disarm()
+			disarm()
 			dumpObjects(t, store, w.base, w.base+cwSpan)
 		}
 	}
@@ -125,15 +122,15 @@ func gcTortureIteration(t *testing.T, seed int64) {
 		buf := make([]byte, block.BlockSize)
 		stampBlock(buf, cwStamp(w.gid, seq), w.base)
 		if err := disk2.WriteAt(buf, w.base*block.BlockSize); err != nil {
-			if errors.Is(err, objstore.ErrInjected) {
-				store.Disarm()
+			if errors.Is(err, testrec.ErrFault) {
+				disarm()
 				_ = disk2.Close()
 				return // legal crash point; this iteration ends here
 			}
 			t.Fatalf("post-recovery write (writer %d): %v", w.gid, err)
 		}
 	}
-	if err := disk2.Flush(); err != nil && !errors.Is(err, objstore.ErrInjected) {
+	if err := disk2.Flush(); err != nil && !errors.Is(err, testrec.ErrFault) {
 		t.Fatalf("post-recovery barrier: %v", err)
 	}
 	for _, w := range writers {
@@ -153,7 +150,7 @@ func gcTortureIteration(t *testing.T, seed int64) {
 	t.Logf("post-recovery gc: runs=%d victims=%d copied=%d yields=%d util=%.3f",
 		st.GCRuns, st.GCVictims, st.GCBytesCopied, st.GCYields, disk2.Backend().Utilization())
 
-	store.Disarm() // let Close drain without injected failures
+	disarm() // let Close drain without injected failures
 	if err := disk2.Close(); err != nil {
 		t.Logf("close after GC torture: %v", err)
 	}

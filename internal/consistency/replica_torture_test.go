@@ -13,6 +13,7 @@ import (
 	"lsvd/internal/core"
 	"lsvd/internal/objstore"
 	"lsvd/internal/simdev"
+	"lsvd/internal/testrec"
 )
 
 // Replica torture: concurrent writers hammer a replicated volume while
@@ -68,8 +69,7 @@ func TestReplicaTorture(t *testing.T) {
 
 func replicaIteration(t *testing.T, seed int64) {
 	rng := rand.New(rand.NewSource(seed ^ 0x7265706c))
-	primary := objstore.NewFaulty(objstore.NewMem())
-	replica := objstore.NewFaulty(objstore.NewMem())
+	primary, replica := faultStore(t, "primary", objstore.NewMem()), faultStore(t, "replica", objstore.NewMem())
 	cache := simdev.NewMem(32 * block.MiB)
 	opts := core.Options{
 		HostOptions: core.HostOptions{
@@ -92,21 +92,13 @@ func replicaIteration(t *testing.T, seed int64) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	primary.Arm(objstore.FaultConfig{
-		Seed:       seed,
-		Rates:      objstore.UniformRates(cwFaultRate),
-		TornWrites: true,
-	})
+	disarmPrimary := primary.Tear(testrec.Any.Chance(seed, cwFaultRate), seed)
 	// The replica backend faults harder than the primary: the shipper
 	// must absorb the asymmetry via retries and, past the lag bound,
 	// write backpressure — never by skipping an object.
-	replica.Arm(objstore.FaultConfig{
-		Seed:       seed + 1,
-		Rates:      objstore.UniformRates(2 * cwFaultRate),
-		TornWrites: true,
-	})
-	defer primary.Disarm()
-	defer replica.Disarm()
+	disarmReplica := replica.Tear(testrec.Any.Chance(seed+1, 2*cwFaultRate), seed+1)
+	defer disarmPrimary()
+	defer disarmReplica()
 
 	writers := make([]*cwWriter, cwWriters)
 	var wg sync.WaitGroup
@@ -122,8 +114,8 @@ func replicaIteration(t *testing.T, seed int64) {
 	time.Sleep(time.Duration(2+rng.Intn(7)) * time.Millisecond)
 	disk.Kill()
 	wg.Wait()
-	primary.Disarm()
-	replica.Disarm()
+	disarmPrimary()
+	disarmReplica()
 	for _, w := range writers {
 		if w.err != nil {
 			t.Fatalf("writer %d failed outside the fault model: %v", w.gid, w.err)

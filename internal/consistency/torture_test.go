@@ -15,6 +15,7 @@ import (
 	"lsvd/internal/core"
 	"lsvd/internal/objstore"
 	"lsvd/internal/simdev"
+	"lsvd/internal/testrec"
 )
 
 // Torture-harness knobs, overridable from the environment so `make
@@ -53,11 +54,24 @@ func openWithRetry(t *testing.T, opts core.Options) (*core.Disk, error) {
 		if d, err = core.Open(ctx, opts); err == nil {
 			return d, nil
 		}
-		if !errors.Is(err, objstore.ErrInjected) {
+		if !errors.Is(err, testrec.ErrFault) {
 			return nil, err
 		}
 	}
 	return nil, err
+}
+
+// faultStore returns a torture's backend: a recorder over inner that
+// logs, as t ends, the faults its rules injected and, if t failed, its
+// newest entries: the reproducer.
+func faultStore(t *testing.T, name string, inner objstore.Store) *testrec.Store {
+	s := testrec.NewStore(inner)
+	s.Reproduce(t, 64)
+	t.Cleanup(func() {
+		failed, torn := s.Faults()
+		t.Logf("%s store: %d faults injected, %d PUTs torn", name, failed, torn)
+	})
+	return s
 }
 
 // waitGoroutines polls until the goroutine count returns to roughly
@@ -105,7 +119,7 @@ func TestFaultTorture(t *testing.T) {
 
 func tortureIteration(t *testing.T, seed int64, rate float64) {
 	rng := rand.New(rand.NewSource(seed))
-	store := objstore.NewFaulty(objstore.NewMem())
+	store := faultStore(t, "backend", objstore.NewMem())
 	cache := simdev.NewMem(32 * block.MiB)
 	opts := core.Options{
 		HostOptions: core.HostOptions{
@@ -130,12 +144,8 @@ func tortureIteration(t *testing.T, seed int64, rate float64) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	store.Arm(objstore.FaultConfig{
-		Seed:       seed,
-		Rates:      objstore.UniformRates(rate),
-		TornWrites: true,
-	})
-	defer store.Disarm()
+	disarm := store.Tear(testrec.Any.Chance(seed, rate), seed) // the failure model of DESIGN.md §13
+	defer disarm()
 
 	w, err := NewWriter(disk)
 	if err != nil {
@@ -157,7 +167,7 @@ func tortureIteration(t *testing.T, seed int64, rate float64) {
 		if err != nil {
 			// The async pipeline may surface an exhausted retry budget;
 			// that is a legal crash point, not a harness failure.
-			if !errors.Is(err, objstore.ErrInjected) {
+			if !errors.Is(err, testrec.ErrFault) {
 				t.Fatalf("op %d failed outside the fault model: %v", i, err)
 			}
 			break
@@ -199,13 +209,13 @@ func tortureIteration(t *testing.T, seed int64, rate float64) {
 	}
 	for i := 0; i < 30; i++ {
 		if err := w.Write(rng.Int63n(blocks-4), 1+rng.Intn(2)); err != nil {
-			if !errors.Is(err, objstore.ErrInjected) {
+			if !errors.Is(err, testrec.ErrFault) {
 				t.Fatalf("post-recovery write failed outside the fault model: %v", err)
 			}
 			break
 		}
 	}
-	if err := w.Barrier(); err != nil && !errors.Is(err, objstore.ErrInjected) {
+	if err := w.Barrier(); err != nil && !errors.Is(err, testrec.ErrFault) {
 		t.Fatalf("post-recovery barrier: %v", err)
 	}
 	if r, err = w.Check(disk2); err != nil {
@@ -214,7 +224,7 @@ func tortureIteration(t *testing.T, seed int64, rate float64) {
 		t.Fatalf("post-recovery image inconsistent:\n  %s", strings.Join(r.Violations, "\n  "))
 	}
 
-	store.Disarm() // let Close drain without injected failures
+	disarm() // let Close drain without injected failures
 	if err := disk2.Close(); err != nil {
 		t.Logf("close after torture: %v", err)
 	}

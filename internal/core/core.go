@@ -111,12 +111,6 @@ type VolumeOptions struct {
 	// GCLowWater/GCHighWater are the §3.5 utilization thresholds.
 	// Defaults 0.70/0.75; GCLowWater < 0 disables GC.
 	GCLowWater, GCHighWater float64
-	// GCWAFTarget bounds the background GC service's write
-	// amplification: total backend write volume (foreground + GC
-	// copies) stays at or below this multiple of the foreground
-	// volume. Default 2.0, applied by the block store; < 0 disables
-	// pacing (the service copies as fast as the upload gate lets it).
-	GCWAFTarget float64
 	// PrefetchSectors is the temporal read-ahead window, in sectors of
 	// the object's data region. 0 selects the default, 256 sectors
 	// (128 KiB). Every miss fetches it while the read arena has a free
@@ -705,7 +699,6 @@ func (d *Disk) storeConfig() blockstore.Config {
 		UploadGate:  d.res.UploadGate,
 		UploadID:    d.res.UploadID,
 		FetchSem:    d.res.FetchSem,
-		GCWAFTarget: d.opts.GCWAFTarget,
 		// Polled by the paced GC service, which every writable store
 		// runs. DestagePressure takes only the cache's own lock; the
 		// bs.mu → wc.mu order matches FetchFromCache below.

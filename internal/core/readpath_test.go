@@ -254,14 +254,14 @@ func TestReadPathTorture(t *testing.T) {
 }
 
 // TestReadPathFaultInjected reruns a cold concurrent read workload
-// against a backend that drops and delays range GETs: the retry layer
-// must absorb the faults and every read must still return the exact
-// destaged bytes.
+// against a backend that delays every range GET and fails every other
+// one: the retry layer must absorb the faults and every read must still
+// return the exact destaged bytes.
 func TestReadPathFaultInjected(t *testing.T) {
-	faulty := objstore.NewFaulty(objstore.NewMem())
+	rs := testrec.NewStore(objstore.NewMem())
 	opts := Options{
 		HostOptions: HostOptions{
-			Store:      faulty,
+			Store:      rs,
 			CacheDev:   simdev.NewMem(128 * block.MiB),
 			FetchDepth: 8,
 			Retry:      objstore.RetryPolicy{MaxAttempts: 8, BaseDelay: time.Millisecond, Seed: 42},
@@ -293,12 +293,9 @@ func TestReadPathFaultInjected(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer d.Close()
-	faulty.Arm(objstore.FaultConfig{
-		Seed:    7,
-		Rates:   objstore.FaultRates{GetRange: 0.2},
-		Latency: time.Millisecond,
-	})
-	defer faulty.Disarm()
+	delay(rs, testrec.GetRanges, time.Millisecond)
+	heal := rs.Fail(testrec.GetRanges.Every(2), testrec.ErrFault)
+	defer heal()
 
 	var wg sync.WaitGroup
 	errs := make(chan error, 4)
@@ -329,7 +326,7 @@ func TestReadPathFaultInjected(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if faulty.InjectedFaults() == 0 {
+	if failed, _ := rs.Faults(); failed == 0 {
 		t.Fatal("fault injection never fired; test is vacuous")
 	}
 }

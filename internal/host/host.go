@@ -182,11 +182,21 @@ func (h *Host) loadSlots(ctx context.Context) error {
 	if err := json.Unmarshal(raw, &f); err != nil {
 		return fmt.Errorf("host: parsing %s: %w", slotsKey, err)
 	}
+	// A table the leases could not have written is refused here, before
+	// leaseLocked's bijection assert meets it.
+	owner := make(map[int]string, len(f.Slots))
 	for name, slot := range f.Slots {
+		if err := core.CheckVolume(name); err != nil {
+			return fmt.Errorf("host: %s: %w", slotsKey, err)
+		}
 		if slot < 0 || slot >= h.opts.MaxVolumes {
 			return fmt.Errorf("host: %s assigns %q slot %d outside 0..%d (MaxVolumes shrank?)",
 				slotsKey, name, slot, h.opts.MaxVolumes-1)
 		}
+		if other, ok := owner[slot]; ok {
+			return fmt.Errorf("host: %s assigns slot %d to both %q and %q", slotsKey, slot, min(name, other), max(name, other))
+		}
+		owner[slot] = name
 		h.slots[name] = slot
 	}
 	return nil

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"maps"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -358,5 +359,43 @@ func TestRingFullBehindAParkedGateSlotStillProgresses(t *testing.T) {
 	}
 	if err := h.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestNewRefusesABadSlotTable: a slot table that gives one slot to two
+// volumes, names a volume core refuses, or assigns a slot past
+// MaxVolumes fails New, which then writes nothing, where a shared slot
+// would otherwise reach leaseLocked's bijection assert at the next
+// Create or Open.
+func TestNewRefusesABadSlotTable(t *testing.T) {
+	ctx := context.Background()
+	for name, tc := range map[string]struct {
+		slots map[string]int
+		want  string
+	}{
+		"shared slot":  {map[string]int{"a": 1, "b": 1, "c": 0}, `slot 1 to both "a" and "b"`},
+		"bad name":     {map[string]int{"a/b": 0}, `invalid volume name "a/b"`},
+		"out of range": {map[string]int{"a": 2}, "outside 0..1"},
+	} {
+		t.Run(name, func(t *testing.T) {
+			mem := objstore.NewMem()
+			raw, err := json.Marshal(slotsFile{Version: 1, Slots: tc.slots})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := mem.Put(ctx, slotsKey, raw); err != nil {
+				t.Fatal(err)
+			}
+			rs := testrec.NewStore(mem)
+			_, err = New(ctx, Options{HostOptions: core.HostOptions{Store: rs, CacheDev: simdev.NewMem(48 * block.MiB)}, MaxVolumes: 2})
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("New over %v: %v, want an error naming %s", tc.slots, err, tc.want)
+			}
+			for _, op := range rs.Log() {
+				if op.Kind == testrec.Put || op.Kind == testrec.Delete {
+					t.Fatalf("New refused the table but issued %v", op)
+				}
+			}
+		})
 	}
 }

@@ -60,7 +60,7 @@ type Store interface {
 // a header plus references into payload staging buffers; a store that
 // implements PutV saves one full copy of every object. All wrappers in
 // this package forward it, so the zero-copy path survives Prefixed,
-// Retrier, Metered and Faulty stacking.
+// Retrier and Metered stacking.
 type VectorPutter interface {
 	PutV(ctx context.Context, name string, bufs [][]byte) error
 }

@@ -8,10 +8,13 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-	"time"
 )
 
 var ctx = context.Background()
+
+// StoreContract is storeContract for the external tests, which run it
+// over the recorder.
+var StoreContract = storeContract
 
 // storeContract exercises the Store interface contract on any
 // implementation.
@@ -111,27 +114,7 @@ func TestDirContract(t *testing.T) {
 	storeContract(t, s)
 }
 func TestMeteredContract(t *testing.T) { storeContract(t, NewMetered(NewMem())) }
-func TestFaultyContract(t *testing.T)  { storeContract(t, NewFaulty(NewMem())) }
 func TestRetrierContract(t *testing.T) { storeContract(t, NewRetrier(NewMem(), RetryPolicy{})) }
-
-// The composed stack the torture harness uses: a Retrier over a Faulty
-// store injecting failures on a third of all operations. With a
-// 16-attempt budget the contract must pass as if the store were
-// healthy.
-func TestRetrierOverFaultyContract(t *testing.T) {
-	faulty := NewFaulty(NewMem())
-	faulty.Arm(FaultConfig{Seed: 42, Rates: UniformRates(0.33)})
-	r := NewRetrier(faulty, RetryPolicy{
-		MaxAttempts: 16, BaseDelay: 10 * time.Microsecond, MaxDelay: 100 * time.Microsecond,
-	})
-	storeContract(t, r)
-	if faulty.InjectedFaults() == 0 {
-		t.Fatal("fault regime never fired; the test proves nothing")
-	}
-	if r.Retries() == 0 {
-		t.Fatal("retrier absorbed no failures")
-	}
-}
 
 func TestSlimZeroTail(t *testing.T) {
 	s := NewMemSlim()
@@ -319,52 +302,6 @@ func TestMeteredCounts(t *testing.T) {
 	s.Reset()
 	if s.Stats() != (Stats{}) {
 		t.Fatal("reset failed")
-	}
-}
-
-func TestFaultyInjection(t *testing.T) {
-	s := NewFaulty(NewMem())
-	s.FailPut("victim")
-	if err := s.Put(ctx, "ok", []byte("x")); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Put(ctx, "victim", []byte("x")); !errors.Is(err, ErrInjected) {
-		t.Fatalf("want injected fault, got %v", err)
-	}
-	// One-shot: retry succeeds.
-	if err := s.Put(ctx, "victim", []byte("x")); err != nil {
-		t.Fatalf("retry failed: %v", err)
-	}
-	s.FailEveryNth(2)
-	var fails int
-	for i := 0; i < 10; i++ {
-		if err := s.Put(ctx, "n", []byte("x")); err != nil {
-			fails++
-		}
-	}
-	if fails != 5 {
-		t.Fatalf("fails=%d want 5", fails)
-	}
-}
-
-// TestFaultyLatencyCanceled pins the ctxSleep behavior: a canceled
-// context cuts injected latency short instead of sleeping it out, so
-// shutdown paths are not held hostage by the fault injector.
-func TestFaultyLatencyCanceled(t *testing.T) {
-	s := NewFaulty(NewMem())
-	s.Arm(FaultConfig{Seed: 1, Latency: 30 * time.Second})
-	cctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	start := time.Now()
-	err := s.Put(cctx, "k", []byte("x"))
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("want context.Canceled, got %v", err)
-	}
-	if d := time.Since(start); d > 5*time.Second {
-		t.Fatalf("canceled Put slept %v through injected latency", d)
-	}
-	if _, err := s.Get(cctx, "k"); !errors.Is(err, context.Canceled) {
-		t.Fatalf("want context.Canceled from Get, got %v", err)
 	}
 }
 

@@ -1,20 +1,46 @@
-package objstore
+package objstore_test
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"testing"
 	"time"
+
+	"lsvd/internal/objstore"
+	"lsvd/internal/testrec"
 )
 
+var ctx = context.Background()
+
 // fastPolicy keeps retry tests quick.
-var fastPolicy = RetryPolicy{MaxAttempts: 4, BaseDelay: 10 * time.Microsecond, MaxDelay: 100 * time.Microsecond}
+var fastPolicy = objstore.RetryPolicy{MaxAttempts: 4, BaseDelay: 10 * time.Microsecond, MaxDelay: 100 * time.Microsecond}
+
+func TestRecorderContract(t *testing.T) {
+	objstore.StoreContract(t, testrec.NewStore(objstore.NewMem()))
+}
+
+// The composed stack the torture harness uses: a Retrier over a recorder
+// failing a third of all operations. With a 16-attempt budget the
+// contract must pass as if the store were healthy.
+func TestRetrierOverFaultsContract(t *testing.T) {
+	rec := testrec.NewStore(objstore.NewMem())
+	rec.Fail(testrec.Any.Chance(42, 0.33), testrec.ErrFault)
+	r := objstore.NewRetrier(rec, objstore.RetryPolicy{
+		MaxAttempts: 16, BaseDelay: 10 * time.Microsecond, MaxDelay: 100 * time.Microsecond,
+	})
+	objstore.StoreContract(t, r)
+	if failed, _ := rec.Faults(); failed == 0 {
+		t.Fatal("no fault was injected; the test proves nothing")
+	}
+	if r.Retries() == 0 {
+		t.Fatal("retrier absorbed no failures")
+	}
+}
 
 func TestRetrierAbsorbsTransientFailures(t *testing.T) {
-	faulty := NewFaulty(NewMem())
-	r := NewRetrier(faulty, fastPolicy)
-	faulty.FailPuts("x", 2) // two failures, then heal
+	rec := testrec.NewStore(objstore.NewMem())
+	r := objstore.NewRetrier(rec, fastPolicy)
+	rec.Fail(testrec.Puts.First(2), testrec.ErrFault) // two failures, then heal
 	if err := r.Put(ctx, "x", []byte("data")); err != nil {
 		t.Fatalf("retrier did not absorb transient failures: %v", err)
 	}
@@ -27,43 +53,43 @@ func TestRetrierAbsorbsTransientFailures(t *testing.T) {
 }
 
 func TestRetrierExhaustsBudget(t *testing.T) {
-	faulty := NewFaulty(NewMem())
-	r := NewRetrier(faulty, fastPolicy)
-	faulty.FailPuts("x", -1) // forever
+	rec := testrec.NewStore(objstore.NewMem())
+	r := objstore.NewRetrier(rec, fastPolicy)
+	rec.Fail(testrec.Puts, testrec.ErrFault) // forever
 	err := r.Put(ctx, "x", []byte("data"))
-	if !errors.Is(err, ErrInjected) {
+	if !errors.Is(err, testrec.ErrFault) {
 		t.Fatalf("persistent failure not surfaced with its class: %v", err)
 	}
-	if got := faulty.InjectedFaults(); got != uint64(fastPolicy.Attempts()) {
+	if got, _ := rec.Faults(); got != fastPolicy.Attempts() {
 		t.Fatalf("attempts=%d want %d", got, fastPolicy.Attempts())
 	}
 }
 
 // Terminal errors must pass through unwrapped and unretried.
 func TestRetrierPreservesTerminalErrors(t *testing.T) {
-	mem := NewMem()
-	r := NewRetrier(mem, fastPolicy)
-	if _, err := r.Get(ctx, "missing"); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("ErrNotFound lost through Retrier: %v", err)
+	mem := objstore.NewMem()
+	r := objstore.NewRetrier(mem, fastPolicy)
+	if _, err := r.Get(ctx, "missing"); !errors.Is(err, objstore.ErrNotFound) {
+		t.Fatalf("objstore.ErrNotFound lost through Retrier: %v", err)
 	}
-	if err := r.Delete(ctx, "missing"); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("delete ErrNotFound lost: %v", err)
+	if err := r.Delete(ctx, "missing"); !errors.Is(err, objstore.ErrNotFound) {
+		t.Fatalf("delete objstore.ErrNotFound lost: %v", err)
 	}
 	_ = r.Put(ctx, "x", []byte("abc"))
-	if _, err := r.GetRange(ctx, "x", 99, 1); !errors.Is(err, ErrBadRange) {
-		t.Fatalf("ErrBadRange lost: %v", err)
+	if _, err := r.GetRange(ctx, "x", 99, 1); !errors.Is(err, objstore.ErrBadRange) {
+		t.Fatalf("objstore.ErrBadRange lost: %v", err)
 	}
 	if got := r.Retries(); got != 0 {
 		t.Fatalf("terminal errors were retried %d times", got)
 	}
 
-	dir, err := NewDir(t.TempDir())
+	dir, err := objstore.NewDir(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	rd := NewRetrier(dir, fastPolicy)
-	if err := rd.Put(ctx, "../escape", []byte("x")); !errors.Is(err, ErrBadName) {
-		t.Fatalf("ErrBadName lost: %v", err)
+	rd := objstore.NewRetrier(dir, fastPolicy)
+	if err := rd.Put(ctx, "../escape", []byte("x")); !errors.Is(err, objstore.ErrBadName) {
+		t.Fatalf("objstore.ErrBadName lost: %v", err)
 	}
 	if got := rd.Retries(); got != 0 {
 		t.Fatalf("bad name retried %d times", got)
@@ -71,9 +97,9 @@ func TestRetrierPreservesTerminalErrors(t *testing.T) {
 }
 
 func TestRetrierContextCancellation(t *testing.T) {
-	faulty := NewFaulty(NewMem())
-	r := NewRetrier(faulty, RetryPolicy{MaxAttempts: 50, BaseDelay: 50 * time.Millisecond})
-	faulty.FailPuts("x", -1)
+	rec := testrec.NewStore(objstore.NewMem())
+	r := objstore.NewRetrier(rec, objstore.RetryPolicy{MaxAttempts: 50, BaseDelay: 50 * time.Millisecond})
+	rec.Fail(testrec.Puts, testrec.ErrFault)
 	cctx, cancel := context.WithCancel(context.Background())
 	go func() {
 		time.Sleep(5 * time.Millisecond)
@@ -86,7 +112,7 @@ func TestRetrierContextCancellation(t *testing.T) {
 	}
 	// The last real failure is returned, not the cancellation, so the
 	// caller can still classify what actually went wrong.
-	if !errors.Is(err, ErrInjected) {
+	if !errors.Is(err, testrec.ErrFault) {
 		t.Fatalf("cancelled retry returned %v, want the last injected error", err)
 	}
 	if time.Since(start) > 2*time.Second {
@@ -95,79 +121,13 @@ func TestRetrierContextCancellation(t *testing.T) {
 }
 
 func TestRetrierDisabled(t *testing.T) {
-	faulty := NewFaulty(NewMem())
-	r := NewRetrier(faulty, RetryPolicy{MaxAttempts: -1})
-	faulty.FailPuts("x", 1)
-	if err := r.Put(ctx, "x", []byte("d")); !errors.Is(err, ErrInjected) {
+	rec := testrec.NewStore(objstore.NewMem())
+	r := objstore.NewRetrier(rec, objstore.RetryPolicy{MaxAttempts: -1})
+	rec.Fail(testrec.Puts.Once(), testrec.ErrFault)
+	if err := r.Put(ctx, "x", []byte("d")); !errors.Is(err, testrec.ErrFault) {
 		t.Fatalf("disabled retrier retried anyway: %v", err)
 	}
-	if got := faulty.InjectedFaults(); got != 1 {
+	if got, _ := rec.Faults(); got != 1 {
 		t.Fatalf("attempts=%d want 1", got)
-	}
-}
-
-// Torn-write injection: a failed Put of a NEW object may leave a
-// truncated prefix; a failed overwrite must leave the old object
-// untouched (atomic replace, protecting the superblock).
-func TestFaultyTornWrites(t *testing.T) {
-	mem := NewMem()
-	faulty := NewFaulty(mem)
-	faulty.Arm(FaultConfig{Seed: 7, TornWrites: true})
-
-	data := []byte("0123456789abcdef")
-	torn := 0
-	for i := 0; i < 32; i++ {
-		name := string(rune('a'+i%26)) + string(rune('0'+i/26))
-		faulty.FailPuts(name, 1)
-		if err := faulty.Put(ctx, name, data); !errors.Is(err, ErrInjected) {
-			t.Fatalf("armed put did not fail: %v", err)
-		}
-		got, err := mem.Get(ctx, name)
-		switch {
-		case errors.Is(err, ErrNotFound):
-			// tear at 0 or no tear this round
-		case err != nil:
-			t.Fatal(err)
-		default:
-			if !bytes.HasPrefix(data, got) && len(got) != 0 {
-				t.Fatalf("torn object %q is not a prefix: %q", name, got)
-			}
-			torn++
-		}
-	}
-	if faulty.TornPuts() == 0 || torn == 0 {
-		t.Fatal("torn-write mode never tore an object")
-	}
-
-	// Overwrites never tear.
-	if err := faulty.Put(ctx, "super", []byte("old-superblock")); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 8; i++ {
-		faulty.FailPuts("super", 1)
-		if err := faulty.Put(ctx, "super", []byte("new")); !errors.Is(err, ErrInjected) {
-			t.Fatalf("armed overwrite did not fail: %v", err)
-		}
-	}
-	if got, err := mem.Get(ctx, "super"); err != nil || string(got) != "old-superblock" {
-		t.Fatalf("failed overwrite damaged the object: %v %q", err, got)
-	}
-}
-
-func TestFaultySeededDeterminism(t *testing.T) {
-	run := func() []bool {
-		f := NewFaulty(NewMem())
-		f.Arm(FaultConfig{Seed: 99, Rates: UniformRates(0.5)})
-		var outcomes []bool
-		for i := 0; i < 64; i++ {
-			outcomes = append(outcomes, f.Put(ctx, "x", []byte("d")) == nil)
-		}
-		return outcomes
-	}
-	a, b := run(), run()
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("fault sequence diverged at op %d", i)
-		}
 	}
 }

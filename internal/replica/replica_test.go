@@ -508,14 +508,17 @@ func TestDeleteSnapshotRespectsShipWatermark(t *testing.T) {
 	}
 }
 
+// TestShipperRetriesFaults ships through a replica store that fails or
+// tears three operations in ten: the replica converges to the primary,
+// and no super lands on it before the checkpoint it names has landed
+// whole.
 func TestShipperRetriesFaults(t *testing.T) {
 	primary := objstore.NewMem()
 	inner := objstore.NewMem()
-	faulty := objstore.NewFaulty(inner)
-	faulty.Arm(objstore.FaultConfig{
-		Seed: 7, Rates: objstore.UniformRates(0.3), TornWrites: true,
-	})
-	secondary := objstore.NewRetrier(faulty, objstore.RetryPolicy{})
+	rs := testrec.NewStore(inner)
+	rs.Keep = true
+	heal := rs.Tear(testrec.Any.Chance(7, 0.3), 7)
+	secondary := objstore.NewRetrier(rs, objstore.RetryPolicy{})
 	bs, err := blockstore.Create(ctx, blockstore.Config{
 		Volume: "vol", Store: primary, VolSectors: 1 << 20,
 		BatchBytes: 64 * 1024, CheckpointEvery: 4, Replicated: true,
@@ -543,7 +546,7 @@ func TestShipperRetriesFaults(t *testing.T) {
 	if err := bs.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	faulty.Disarm() // heal before the drain so Close converges
+	heal() // before the drain so Close converges
 	sh.Close()
 	if lag := sh.Stats().LagObjects; lag != 0 {
 		t.Fatalf("lag %d after drain", lag)
@@ -557,5 +560,25 @@ func TestShipperRetriesFaults(t *testing.T) {
 		if got := readAll(t, rep, ext); !bytes.Equal(got, want[i]) {
 			t.Fatalf("replica extent %d differs after faulted shipping", i)
 		}
+	}
+	landed, supers := map[string]bool{}, 0
+	for _, op := range rs.Log() {
+		switch {
+		case op.Kind != testrec.Put || !op.Done || op.Err != nil:
+		case op.Name != blockstore.SuperName("vol"):
+			landed[op.Name] = true
+		default:
+			supers++
+			info, err := blockstore.DecodeSuperInfo(op.Data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ckpt := blockstore.ObjName("vol", info.LastCheckpoint); info.LastCheckpoint != 0 && !landed[ckpt] {
+				t.Fatalf("a super naming %s landed before that checkpoint did", ckpt)
+			}
+		}
+	}
+	if supers == 0 {
+		t.Fatal("no super landed on the replica")
 	}
 }

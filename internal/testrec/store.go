@@ -3,6 +3,8 @@ package testrec
 import (
 	"context"
 	"encoding/binary"
+	"errors"
+	"math/rand"
 
 	"lsvd/internal/journal"
 	"lsvd/internal/objstore"
@@ -42,6 +44,36 @@ func (s *Store) PutV(ctx context.Context, name string, bufs [][]byte) error {
 		func() error { return objstore.PutVec(ctx, s.inner, name, bufs) })
 }
 
+// Tear fails every operation m matches with ErrFault. A PUT of an
+// object the wrapped store does not hold first leaves a prefix of its
+// bytes there, whose length is drawn from seed and its stamp, as a
+// connection cut mid-transfer would; a failed overwrite leaves the old
+// object whole, as an atomic-replace store does. The log keeps the
+// prefix as the PUT's Data, so At and Apply rebuild it. stop heals.
+func (s *Store) Tear(m Match, seed int64) (stop func()) {
+	ctx := context.Background()
+	return s.Do(m, func(op Op) error {
+		if op.Kind != Put {
+			return ErrFault
+		}
+		if _, err := s.inner.Size(ctx, op.Name); !errors.Is(err, objstore.ErrNotFound) {
+			return ErrFault
+		}
+		n := rand.New(rand.NewSource(seed ^ int64(op.Stamp))).Int63n(op.Len + 1)
+		prefix := append(make([]byte, 0, n), objstore.VecJoin(op.bufs)[:n]...) // non-nil: Data marks a tear
+		if s.inner.Put(ctx, op.Name, prefix) != nil {
+			return ErrFault
+		}
+		return torn(prefix)
+	})
+}
+
+// torn is the error of a PUT Tear failed after it left its prefix.
+type torn []byte
+
+func (torn) Error() string { return ErrFault.Error() + ": torn put" }
+func (torn) Unwrap() error { return ErrFault }
+
 // Get implements objstore.Store.
 func (s *Store) Get(ctx context.Context, name string) ([]byte, error) {
 	return read(s, Op{Kind: Get, Name: name}, func() ([]byte, error) { return s.inner.Get(ctx, name) })
@@ -78,7 +110,7 @@ func read[T any](s *Store, op Op, fn func() (T, error)) (v T, err error) {
 }
 
 // At returns a store holding what the PUTs and DELETEs that completed
-// up to stamp left. It needs Keep.
+// up to stamp left, torn PUTs' prefixes included. It needs Keep.
 func (s *Store) At(stamp uint64) *objstore.Mem { return s.Apply(objstore.NewMem(), stamp) }
 
 // Apply makes on m, in order, the PUTs and DELETEs that completed up to
@@ -90,7 +122,7 @@ func (s *Store) Apply(m *objstore.Mem, stamp uint64) *objstore.Mem {
 	ctx := context.Background()
 	for _, op := range s.upTo(stamp) {
 		switch {
-		case op.src != &s.recorder || !op.Done || op.Err != nil:
+		case op.src != &s.recorder || !op.Done || op.Err != nil && op.Data == nil:
 		case op.Kind == Put:
 			_ = m.Put(ctx, op.Name, op.Data) // a Mem PUT cannot fail
 		case op.Kind == Delete:

@@ -6,15 +6,20 @@
 // test notes itself. By a Match, the test can park, fail or delay any of
 // them; it can rebuild the store (At) or the device (Image) as of any
 // stamp; and it states orderings over the log instead of wall-clock
-// bounds. Only _test.go files import it.
+// bounds. The backend failure model of DESIGN.md §13 is a set of its
+// rules: Fail, or Tear, with ErrFault on the operations a Match picks by
+// name, count or seeded chance. Only _test.go files import it.
 package testrec
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"math/rand"
 	"slices"
 	"strings"
 	"sync"
+	"testing"
 	"time"
 
 	"lsvd/internal/journal"
@@ -36,9 +41,14 @@ const (
 	Flush    Kind = "flush"
 )
 
+// ErrFault is the error the fault rules fail operations with; Faults
+// counts them.
+var ErrFault = errors.New("testrec: injected fault")
+
 // Op is one log entry. An operation is logged on arrival and again on
-// completion (Done), with the same fields plus Err and, when kept, the
-// bytes it wrote (Data).
+// completion (Done), with the same fields plus Err and the bytes it
+// wrote (Data): a completed PUT's or write's when kept, a torn PUT's
+// prefix always.
 type Op struct {
 	Stamp uint64 // position in the log, from 1
 	Kind  Kind
@@ -50,15 +60,18 @@ type Op struct {
 	Err   error
 	Data  []byte
 	src   *recorder
+	bufs  [][]byte // a PUT's or write's bytes, seen by the hooks only
 }
 
 // String renders an entry as the ordering tests search for it: "put
 // vol.super", "put-done vol.super", "delete-failed vol.00000004",
-// "destage 12".
+// "put-torn vol.00000005", "destage 12".
 func (op Op) String() string {
 	switch {
 	case op.Kind == Note:
 		return fmt.Sprintf("%s %d", op.Name, op.Off)
+	case op.Done && op.Err != nil && op.Data != nil:
+		return string(op.Kind) + "-torn " + op.Name
 	case op.Done && op.Err != nil:
 		return string(op.Kind) + "-failed " + op.Name
 	case op.Done:
@@ -103,6 +116,17 @@ func (c *Clock) Now() uint64 {
 // Log returns a copy of the log.
 func (c *Clock) Log() []Op { return slices.Clone(c.upTo(^uint64(0))) }
 
+// Reproduce logs the newest n entries if t has failed when it ends: the
+// reproducer of a torture failure.
+func (c *Clock) Reproduce(t testing.TB, n int) {
+	t.Cleanup(func() {
+		if t.Failed() {
+			lines := c.Lines()
+			t.Logf("the newest %d log entries:\n\t%s", n, strings.Join(lines[max(0, len(lines)-n):], "\n\t"))
+		}
+	})
+}
+
 // Lines returns the log, one Op.String per entry.
 func (c *Clock) Lines() []string {
 	log := c.upTo(^uint64(0))
@@ -123,7 +147,7 @@ func (c *Clock) upTo(stamp uint64) []Op {
 
 // Await reports whether an operation m matches completed, without
 // error, after stamp from, waiting for one up to d. m must not count
-// (Once, After): it may see an entry twice.
+// (Once, First, After, Every) or draw (Chance): it may see an entry twice.
 func (c *Clock) Await(from uint64, m Match, d time.Duration) bool {
 	timer := time.NewTimer(d)
 	defer timer.Stop()
@@ -154,6 +178,7 @@ func Kinds(ks ...Kind) Match { return func(op Op) bool { return slices.Contains(
 
 // Matches shared by the tests of several packages.
 var (
+	Any       = Match(func(Op) bool { return true })
 	Puts      = Kinds(Put)
 	Deletes   = Kinds(Delete)
 	GetRanges = Kinds(GetRange)
@@ -178,24 +203,36 @@ func (m Match) Prefixed(p string) Match {
 }
 
 // Once narrows m to the first operation it matches.
-func (m Match) Once() Match {
-	seen := false
+func (m Match) Once() Match { return m.First(1) }
+
+// First narrows m to the first n operations it matches.
+func (m Match) First(n int) Match { return m.count(func(i int) bool { return i <= n }) }
+
+// After narrows m to the operations it matches after the first n.
+func (m Match) After(n int) Match { return m.count(func(i int) bool { return i > n }) }
+
+// Every narrows m to every nth operation it matches.
+func (m Match) Every(n int) Match { return m.count(func(i int) bool { return i%n == 0 }) }
+
+// count narrows m to the operations it matches whose count, from 1, keep
+// accepts.
+func (m Match) count(keep func(i int) bool) Match {
+	i := 0
 	return func(op Op) bool {
-		hit := !seen && m(op)
-		seen = seen || hit
-		return hit
+		if !m(op) {
+			return false
+		}
+		i++
+		return keep(i)
 	}
 }
 
-// After narrows m to the operations it matches after the first n.
-func (m Match) After(n int) Match {
-	return func(op Op) bool {
-		hit := m(op)
-		if hit {
-			n--
-		}
-		return hit && n < 0
-	}
+// Chance narrows m to each operation it matches with probability p,
+// drawn from a stream seeded with seed: the same arrivals, in the same
+// order, draw the same operations.
+func (m Match) Chance(seed int64, p float64) Match {
+	rng := rand.New(rand.NewSource(seed))
+	return func(op Op) bool { return m(op) && rng.Float64() < p }
 }
 
 // recorder is what a Store and a Device share: the clock and the hooks.
@@ -236,6 +273,20 @@ func (r *recorder) Fail(m Match, err error) (stop func()) {
 	return r.Do(m, func(Op) error { return err })
 }
 
+// Faults counts, from the log, this recorder's operations that completed
+// with ErrFault, and the torn PUTs among them.
+func (r *recorder) Faults() (failed, torn int) {
+	for _, op := range r.upTo(^uint64(0)) {
+		if op.src == r && op.Done && errors.Is(op.Err, ErrFault) {
+			failed++
+			if op.Data != nil {
+				torn++
+			}
+		}
+	}
+	return failed, torn
+}
+
 // Park holds every operation m matches until Release.
 func (r *recorder) Park(m Match) *Parked {
 	p := &Parked{arrived: make(chan Op, parkBuffer), released: make(chan struct{})}
@@ -245,7 +296,8 @@ func (r *recorder) Park(m Match) *Parked {
 
 // do logs op's arrival; runs the hooks it matches, in the order they
 // were added, and then call, unless a hook failed it; and logs its
-// completion with the outcome and, when kept, the bytes it wrote.
+// completion with the outcome and the bytes it wrote: all of them when
+// kept, a torn PUT's prefix always.
 func (r *recorder) do(op Op, data [][]byte, call func() error) error {
 	op.src = r
 	op = r.add(op)
@@ -258,17 +310,23 @@ func (r *recorder) do(op Op, data [][]byte, call func() error) error {
 	}
 	r.mu.Unlock()
 	var err error
+	op.bufs = data
 	for _, fn := range fns {
 		if err = fn(op); err != nil {
 			break
 		}
 	}
+	op.bufs = nil
 	if err == nil {
 		err = call()
 	}
 	op.Done, op.Err = true, err
-	if err == nil && r.Keep {
+	var t torn
+	switch {
+	case err == nil && r.Keep:
 		op.Data = bytes.Join(data, nil)
+	case errors.As(err, &t):
+		op.Data = t
 	}
 	r.add(op)
 	return err

@@ -108,12 +108,14 @@ func contents(t *testing.T, s objstore.Store) map[string]string {
 }
 
 // TestAtMatchesTheStoreAsItWas: At(stamp) holds exactly what the wrapped
-// store held when that stamp was logged; a failed PUT leaves nothing.
+// store held when that stamp was logged; a failed PUT leaves nothing,
+// and a torn one the prefix it left.
 func TestAtMatchesTheStoreAsItWas(t *testing.T) {
 	mem := objstore.NewMem()
 	s := NewStore(mem)
 	s.Keep = true
 	s.Fail(Puts.Named("o4"), errors.New("refused"))
+	s.Tear(Puts.Named("o3"), 3)
 	rng := rand.New(rand.NewSource(2))
 	type snap struct {
 		stamp uint64
@@ -127,7 +129,7 @@ func TestAtMatchesTheStoreAsItWas(t *testing.T) {
 		case 0:
 			_ = s.Delete(ctx, name) // the object may be missing
 		case 1:
-			_ = s.PutV(ctx, name, [][]byte{data, []byte("-v")}) // o4 is refused
+			_ = s.PutV(ctx, name, [][]byte{data, []byte("-v")}) // o4 is refused, o3 torn
 		default:
 			_ = s.Put(ctx, name, data)
 		}
@@ -137,6 +139,101 @@ func TestAtMatchesTheStoreAsItWas(t *testing.T) {
 		if got := contents(t, s.At(sn.stamp)); !maps.Equal(got, sn.objs) {
 			t.Fatalf("At(%d) holds %v, the store held %v", sn.stamp, got, sn.objs)
 		}
+	}
+	if _, torn := s.Faults(); torn == 0 {
+		t.Fatal("no PUT was torn; the test proves nothing")
+	}
+}
+
+// TestTearLeavesAPrefixOfNewObjectsOnly: a torn PUT of a new object
+// leaves a prefix of its bytes, and one of them at least some bytes; a
+// torn overwrite leaves the old object whole. Faults counts both from
+// the log.
+func TestTearLeavesAPrefixOfNewObjectsOnly(t *testing.T) {
+	mem := objstore.NewMem()
+	s := NewStore(mem)
+	s.Tear(Puts.Prefixed("new"), 7)
+	data := []byte("0123456789abcdef")
+	partial := 0
+	for i := 0; i < 32; i++ {
+		name := fmt.Sprintf("new%d", i)
+		if err := s.PutV(ctx, name, [][]byte{data[:5], data[5:]}); !errors.Is(err, ErrFault) {
+			t.Fatalf("torn put: %v", err)
+		}
+		got, err := mem.Get(ctx, name)
+		if err != nil || !bytes.HasPrefix(data, got) {
+			t.Fatalf("torn object %q holds %q (%v), not a prefix", name, got, err)
+		}
+		if len(got) > 0 && len(got) < len(data) {
+			partial++
+		}
+	}
+	if partial == 0 {
+		t.Fatal("no tear left part of an object")
+	}
+	if err := s.Put(ctx, "super", []byte("old")); err != nil {
+		t.Fatal(err)
+	}
+	s.Tear(Puts.Named("super"), 7)
+	for i := 0; i < 8; i++ {
+		if err := s.Put(ctx, "super", []byte("new")); !errors.Is(err, ErrFault) {
+			t.Fatalf("torn overwrite: %v", err)
+		}
+	}
+	if got, err := mem.Get(ctx, "super"); err != nil || string(got) != "old" {
+		t.Fatalf("a torn overwrite left %q (%v)", got, err)
+	}
+	if failed, torn := s.Faults(); failed != 40 || torn != 32 {
+		t.Fatalf("Faults() = %d, %d; want 40, 32", failed, torn)
+	}
+	if lines := s.Lines(); lines[1] != "put-torn new0" || lines[len(lines)-1] != "put-failed super" {
+		t.Fatalf("the log reads %q … %q", lines[1], lines[len(lines)-1])
+	}
+}
+
+// TestChanceIsSeeded: for a fixed sequential stream of operations,
+// Chance picks the same ones from the same seed, at about its rate.
+func TestChanceIsSeeded(t *testing.T) {
+	run := func(seed int64) []bool {
+		s := NewStore(objstore.NewMem())
+		s.Fail(Puts.Chance(seed, 0.3), ErrFault)
+		var failed []bool
+		for i := 0; i < 1000; i++ {
+			failed = append(failed, s.Put(ctx, "x", nil) != nil)
+			if _, err := s.Get(ctx, "x"); err != nil && !errors.Is(err, objstore.ErrNotFound) {
+				t.Fatal(err) // a GET is not a PUT
+			}
+		}
+		return failed
+	}
+	a := run(99)
+	if !slices.Equal(a, run(99)) {
+		t.Fatal("the same seed picked different operations")
+	}
+	if slices.Equal(a, run(100)) {
+		t.Fatal("another seed picked the same operations")
+	}
+	if n := len(slices.DeleteFunc(a, func(f bool) bool { return !f })); n < 250 || n > 350 {
+		t.Fatalf("chance 0.3 picked %d of 1000", n)
+	}
+}
+
+// TestFirstAndEveryCount: First(n) picks the first n operations its
+// Match does, Every(n) every nth.
+func TestFirstAndEveryCount(t *testing.T) {
+	s := NewStore(objstore.NewMem())
+	s.Fail(Puts.Named("victim").First(2), ErrFault)
+	s.Fail(Puts.Named("n").Every(3), ErrFault)
+	var got []bool
+	for _, name := range []string{"ok", "victim", "n", "victim", "n", "victim", "n", "n", "n", "n"} {
+		got = append(got, s.Put(ctx, name, nil) == nil)
+	}
+	want := []bool{true, false, true, false, true, true, false, true, true, false}
+	if !slices.Equal(got, want) {
+		t.Fatalf("outcomes %v, want %v", got, want)
+	}
+	if failed, _ := s.Faults(); failed != 4 {
+		t.Fatalf("Faults() counts %d failures, want 4", failed)
 	}
 }
 

@@ -90,7 +90,6 @@ type VolumeOptions struct {
 	BatchBytes  int64   // backend object size (8 MiB)
 	GCLowWater  float64 // GC trigger utilization (0.70); <0 disables
 	GCHighWater float64 // GC stop utilization (0.75)
-	GCWAFTarget float64 // background GC write-amplification budget (2.0); <0 unpaces
 
 	// UploadDepth bounds concurrent backend object PUTs in the destage
 	// pipeline (4); FetchDepth bounds concurrent backend range GETs on
@@ -134,7 +133,6 @@ func (o VolumeOptions) coreOptions() core.Options {
 			BatchBytes:  o.BatchBytes,
 			GCLowWater:  o.GCLowWater,
 			GCHighWater: o.GCHighWater,
-			GCWAFTarget: o.GCWAFTarget,
 
 			ReplicaStore:         o.ReplicaStore,
 			ReplicaMaxLagObjects: o.ReplicaMaxLagObjects,
