@@ -71,25 +71,29 @@ race:
 # Recovery torture harness (§3.4 under injected backend faults): the
 # pinned seed keeps CI deterministic, the second run sweeps a hostile
 # 35% per-op failure rate. Override LSVD_FAULT_{SEED,RATE,ITERS} to
-# explore. The crash enumerations open every prefix of a scripted
-# workload's trace — the backend's PUTs and DELETEs and every crash
-# inside that open; the cache device's writes and flushes with each way
-# its unflushed pages can be lost (tier-1 runs each once); here each
-# runs twenty times under the race detector, each run a different
-# interleaving of the same script; at up to 30 s a cache run on a 2-CPU
-# VM, twenty can pass go test's default 10-minute timeout. The fences
-# and shutdown race each other's writers the same way: a snapshot and a
-# checkpoint under a continuous writer, Close and Kill against parked
-# writers, a commit or a wrapping reserve that arrives after the cache
-# is quiesced must be refused, and a GC object parked in its PUT must
-# hold back every commit behind it while appends go on. So do the object
-# lifecycle's races: a death while a snapshot's drop is owed its super,
-# an owed super failing at open, a GC read across a reap, a clean reopen
-# and a snapshot delete whose super fails. The last line
-# is the flake gate: twenty shuffled runs of the whole consistency
-# package in one process, zero failures.
+# explore. The cache crash enumeration opens every prefix of a scripted
+# workload's device trace with each way its unflushed pages can be lost
+# (tier-1 runs it once); here it runs twenty times under the race
+# detector, each run a different interleaving of the same script; at up
+# to 30 s a cache run on a 2-CPU VM, twenty can pass go test's default
+# 10-minute timeout. The backend schedule explorer holds every backend
+# PUT, DELETE and range GET and releases them one at a time: its
+# regression rows (a death while a snapshot's drop is owed its super, an
+# owed super failing at open, a GC read across a reap, objects landing
+# behind one in flight) run twenty times under the race detector beside
+# the other block-store races, and the exploration itself runs once at
+# preemption bound 3 (LSVD_FAULT_PREEMPT; tier-1 runs bound 2), where it
+# takes minutes. The fences and shutdown race each other's writers: a
+# snapshot and a checkpoint under a continuous writer, Close and Kill
+# against parked writers, a commit or a wrapping reserve that arrives
+# after the cache is quiesced must be refused, and a GC object parked in
+# its PUT must hold back every commit behind it while appends go on. The
+# last line is the flake gate: twenty shuffled runs of the whole
+# consistency package in one process, zero failures.
 fault:
-	$(GO) test -count=20 -race -run 'TestBackendCrashEnumeration|TestSecondCrashAfterSuffixCheckpointKeepsPrefix|TestGCObjectRidesThePipeline|TestDeathWhileSnapshotDropOwedItsSuper|TestOpenOwedSuperFailingHoldsSuffixDeaths|TestGCReadAcrossAReap|TestCleanReopenDeletesNothing|TestDeleteSnapshotFailureKeepsName' ./internal/blockstore
+	$(GO) test -count=20 -race -run 'TestSecondCrashAfterSuffixCheckpointKeepsPrefix|TestGCObjectRidesThePipeline|TestCleanReopenDeletesNothing|TestDeleteSnapshotFailureKeepsName|TestAbortWaits' ./internal/blockstore
+	$(GO) test -count=20 -race -run 'TestBackendCrashEnumeration/regression' ./internal/blockstore
+	LSVD_FAULT_PREEMPT=3 $(GO) test -count=1 -race -timeout 60m -run 'TestBackendCrashEnumeration/explore' ./internal/blockstore
 	$(GO) test -count=20 -race -timeout 30m -run 'TestCrashEnumeration|TestCommitAfterQuiesceIsRefused' ./internal/writecache
 	$(GO) test -count=20 -race -run 'UnderWriter|TestShutdownReleasesParkedWriters|TestDeleteSnapshotWhileSnapshotQueued' ./internal/core
 	LSVD_FAULT_SEED=1 $(GO) test -count=1 -run TestFaultTorture ./internal/consistency

@@ -178,31 +178,25 @@ func TestFailedSuperIsOwedNotQueued(t *testing.T) {
 func TestAbortWaitsForParkedSuper(t *testing.T) {
 	rs := testrec.NewStore(objstore.NewMem())
 	s, w, _ := markerVolume(t, rs, nil)
-	super := superName("vol")
 	p := rs.Park(testrec.Super)
 	churn(t, s, &w)
 	<-p.Arrived()
 
 	parkedAt := int(rs.Now())
-	logAtReturn := make(chan []string, 1)
+	aborted := make(chan struct{})
 	go func() {
 		s.Abort()
-		logAtReturn <- rs.Lines()
+		rs.Note("abort returned", 0)
+		close(aborted)
 	}()
 	waitAborting(t, s)
 	p.Release(nil)
-	log := <-logAtReturn
-	if logIndex(log, "put-done "+super, parkedAt) < 0 {
-		t.Fatalf("Abort returned before the super in flight landed: %v", log[parkedAt:])
-	}
-	for _, e := range log[parkedAt:] {
+	<-aborted
+	abortReturnedLast(t, rs)
+	for _, e := range rs.Lines()[parkedAt:] {
 		if strings.HasPrefix(e, "delete ") {
 			t.Fatalf("%s after Abort began", e)
 		}
-	}
-	time.Sleep(20 * time.Millisecond)
-	if after := rs.Lines(); len(after) != len(log) {
-		t.Fatalf("backend changed after Abort: %v", after[len(log):])
 	}
 	if st := s.Stats(); st.DeferredDeletes == 0 {
 		t.Fatal("the released victims were deleted")

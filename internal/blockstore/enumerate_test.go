@@ -2,42 +2,61 @@ package blockstore
 
 import (
 	"bytes"
+	"cmp"
+	"errors"
 	"fmt"
+	"hash/maphash"
+	"os"
+	"slices"
+	"sort"
+	"strconv"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"lsvd/internal/block"
+	"lsvd/internal/iosched"
+	"lsvd/internal/journal"
 	"lsvd/internal/objstore"
 	"lsvd/internal/testrec"
 )
 
-// Backend crash enumeration (DESIGN.md §11.3, Enumeration): a
-// scripted workload runs once over the recording store, and the backend
-// is then rebuilt as of every prefix of its completed PUTs and DELETEs
-// and opened. Every backend operation that open itself completes is a
-// second crash point, after which the volume is opened again.
+// Backend schedule explorer (DESIGN.md §11.3, Enumeration). A scripted
+// workload keeps several block-store operations in flight at once over
+// a recording store whose gate holds every PUT, DELETE and range GET.
+// runSchedule releases one held operation at a time, once every goroutine
+// has settled, so a run is one order of backend completions: a
+// schedule. The default schedule releases the oldest held operation
+// first, those that arrived together in label order. A schedule deviates
+// from it at most enumBound times, each time releasing a younger
+// operation (a preemption, as in CHESS), or failing before it applies
+// the super PUT it would release next (once per schedule). Two deletes
+// are never swapped: each is legal or not when it is sent
+// (deleteOrderViolation), and the reaper takes their results together.
+//
+// Every distinct backend state of every schedule, cut before each
+// completed PUT or DELETE and after the last, is opened and checked
+// (enumOpen), and so is every state that open's own PUTs and DELETEs
+// leave. A state whose open loads a checkpoint the super does not name
+// is opened again with that open's super PUT failing, and written on
+// until an object between the two checkpoints dies (owedSuper).
 
-// enumLag bounds how long a checkpoint object's PUT waits for a data
-// object behind it to land first.
-const enumLag = 20 * time.Millisecond
+// enumSettle bounds each wait for the goroutines to settle: a schedule
+// that takes longer fails.
+const enumSettle = 10 * time.Second
 
-// enumScript is the workload: three checkpoint intervals of one-object
-// writes over six extents, whose whole-dead objects are released at
-// commit below the checkpoint the super names and by the next
-// checkpoint above it; a marker whose super fails once and is retried
-// by a fence while the object behind it commits; an object the named
-// checkpoint's map still points at that dies whole and is deleted at
-// once (killBelowNamed); a GC pass that copies a half-dead victim; a
-// victim pinned by a snapshot and released by deleting it; and a GC
-// object that lands behind a data upload held in flight and commits
-// only after it, its victim below the named checkpoint dying and
-// deleted only then.
-type enumScript struct {
-	t      *testing.T
-	rs     *testrec.Store
-	s      *Store
-	writes []enumWrite // write w is writes[w-1]
-	snap   int         // writes before the snapshot
+// enumBound is the preemption bound: LSVD_FAULT_PREEMPT, else 2.
+func enumBound(t *testing.T) int {
+	v := os.Getenv("LSVD_FAULT_PREEMPT")
+	if v == "" {
+		return 2
+	}
+	n, err := strconv.Atoi(v)
+	if err != nil || n < 0 {
+		t.Fatalf("LSVD_FAULT_PREEMPT=%q", v)
+	}
+	return n
 }
 
 type enumWrite struct {
@@ -53,175 +72,610 @@ func enumSlot(slot int) block.Extent {
 
 const enumSlots = 6
 
-// write appends a write to ext; wait waits for its commit.
-func (e *enumScript) write(ext block.Extent, wait bool) {
-	e.t.Helper()
-	w := uint64(len(e.writes) + 1)
+// enumChoice is one deviation of a schedule from the default: at step,
+// release the held operation labelled op, failed before it applies if
+// fail.
+type enumChoice struct {
+	step int
+	op   string
+	fail bool
+}
+
+func (c enumChoice) String() string {
+	if c.fail {
+		return fmt.Sprintf("%d fail %s", c.step, c.op)
+	}
+	return fmt.Sprintf("%d %s", c.step, c.op)
+}
+
+// parseChoices reads a schedule printed by enumChoice.String.
+func parseChoices(row []string) ([]enumChoice, error) {
+	var sched []enumChoice
+	for _, s := range row {
+		n, op, _ := strings.Cut(s, " ")
+		step, err := strconv.Atoi(n)
+		if err != nil {
+			return nil, fmt.Errorf("choice %q: %v", s, err)
+		}
+		op, fail := strings.CutPrefix(op, "fail ")
+		sched = append(sched, enumChoice{step, op, fail})
+	}
+	return sched, nil
+}
+
+// enumRow prints a schedule as a row of enumRegressions.
+func enumRow(sched []enumChoice) string {
+	q := make([]string, len(sched))
+	for i, c := range sched {
+		q[i] = strconv.Quote(c.String())
+	}
+	return fmt.Sprintf(`{"name", []string{%s}, nil, false},`, strings.Join(q, ", "))
+}
+
+// label names a held operation in a schedule; a range GET by its
+// offset too.
+func label(op testrec.Op) string {
+	if op.Kind == testrec.GetRange {
+		return fmt.Sprintf("%v@%d", op, op.Off)
+	}
+	return op.String()
+}
+
+// enumRun is one run of the script under one schedule.
+type enumRun struct {
+	rs      *testrec.Store
+	g       *testrec.Gate
+	s       *Store
+	writes  []enumWrite // write w is writes[w-1]
+	snap    int         // writes the snapshot holds
+	pending []chan error
+	shipMu  sync.Mutex
+	unacked []ShipEvent // drained by the shipper, not acked
+	shipped chan struct{}
+	steps   [][]string // the labels held at each step, in release order by default
+	failed  string     // the script's error: a violation
+}
+
+// runSchedule runs the script under sched. Its error is its own:
+// a settle that did not come, a script stuck with nothing held, or a
+// schedule the run diverged from.
+func runSchedule(sched []enumChoice) (*enumRun, error) {
+	r := &enumRun{rs: testrec.NewStore(objstore.NewMem())}
+	r.rs.Keep = true
+	r.g = r.rs.Gate(testrec.Kinds(testrec.Put, testrec.Delete, testrec.GetRange))
+	done := make(chan error, 1)
+	go func() { done <- r.script() }()
+	arrived := map[*testrec.Held]int{}
+	for step := 0; ; {
+		if err := testrec.Settle(enumSettle); err != nil {
+			r.g.Open()
+			return r, err
+		}
+		var order []*testrec.Held
+		var script *testrec.Held
+		for _, h := range r.g.Held() {
+			if _, ok := arrived[h]; !ok {
+				arrived[h] = step
+			}
+			if h.Kind == testrec.Note && h.Name == "script" {
+				script = h
+			} else {
+				order = append(order, h)
+			}
+		}
+		if script != nil {
+			r.g.Release(script, nil) // the script asked to go on once settled
+			continue
+		}
+		if len(order) == 0 {
+			select {
+			case err := <-done:
+				if err != nil {
+					r.failed = err.Error()
+				}
+				if len(sched) > 0 {
+					return r, fmt.Errorf("the run ended at step %d, before the deviation %v", step, sched[0])
+				}
+				return r, nil
+			default:
+				r.g.Open()
+				return r, fmt.Errorf("stuck at step %d: the script waits and nothing is held", step)
+			}
+		}
+		slices.SortStableFunc(order, func(a, b *testrec.Held) int {
+			if d := arrived[a] - arrived[b]; d != 0 {
+				return d
+			}
+			return strings.Compare(label(a.Op), label(b.Op))
+		})
+		labels := make([]string, len(order))
+		for i, h := range order {
+			labels[i] = label(h.Op)
+		}
+		r.steps = append(r.steps, labels)
+		pick, err := order[0], error(nil)
+		if len(sched) > 0 && sched[0].step == step {
+			c := sched[0]
+			sched = sched[1:]
+			i := slices.Index(labels, c.op)
+			if i < 0 {
+				r.g.Open()
+				return r, fmt.Errorf("diverged at step %d: %q is not held, %q are", step, c.op, labels)
+			}
+			if pick = order[i]; c.fail {
+				err = testrec.ErrFault
+			}
+		}
+		r.g.Release(pick, err)
+		step++
+	}
+}
+
+// sync holds the script until every goroutine has settled.
+// runSchedule releases a "script" hold with nil.
+func (r *enumRun) sync() { _ = r.g.Hold("script", 0) }
+
+// spawn runs op on an actor goroutine of its own, lets it run until it
+// blocks, and returns where its error arrives (wait).
+func (r *enumRun) spawn(op func() error) chan error {
+	ch := make(chan error, 1)
+	go func() { ch <- op() }()
+	r.pending = append(r.pending, ch)
+	r.sync()
+	return ch
+}
+
+func (r *enumRun) wait(what string, ch chan error) error {
+	r.pending = slices.DeleteFunc(r.pending, func(c chan error) bool { return c == ch })
+	if err := <-ch; err != nil {
+		return fmt.Errorf("%s: %w", what, err)
+	}
+	return nil
+}
+
+// write appends write w, the next, to ext.
+func (r *enumRun) write(ext block.Extent) error {
+	w := uint64(len(r.writes) + 1)
 	data := payload(int64(1000+w), int(ext.Bytes()))
-	if err := e.s.Append(w, ext, data); err != nil {
-		e.t.Fatalf("write %d: %v", w, err)
+	r.writes = append(r.writes, enumWrite{ext, data})
+	if err := r.s.Append(w, ext, data); err != nil {
+		return fmt.Errorf("write %d: %w", w, err)
 	}
-	e.writes = append(e.writes, enumWrite{ext, data})
-	if wait {
-		waitDurable(e.t, e.s, w)
-	}
+	return nil
 }
 
-func (e *enumScript) must(what string, err error) {
-	e.t.Helper()
-	if err != nil {
-		e.t.Fatalf("%s: %v", what, err)
-	}
-}
-
-func (e *enumScript) run() {
-	e.t.Helper()
-	e.rs = testrec.NewStore(objstore.NewMem())
-	e.rs.Keep = true
-	e.rs.Reproduce(e.t, 64)
-	// Every checkpoint object lands after the next data object PUT that
-	// completes (or after enumLag when none follows), so the trace always
-	// holds a data object that reached the backend behind a checkpoint
-	// still in flight — the cut the commit walk's ordering exists for.
-	e.rs.Do(testrec.CheckpointObject, func(op testrec.Op) error {
-		e.rs.Await(op.Stamp, testrec.DataObject, enumLag)
-		return nil
-	})
+// retry runs a fence until it succeeds, at most three times: a schedule
+// fails at most two super PUTs, the scripted one and a deviation.
+func retry(what string, fence func() error) error {
 	var err error
-	e.s, err = Create(ctx, Config{
-		Volume: "vol", Store: e.rs, VolSectors: volSectors,
-		BatchBytes: enumSlot(0).Bytes(), UploadDepth: 4, CheckpointEvery: 4,
-		GCHighWater: 0.99, Retry: objstore.RetryPolicy{MaxAttempts: -1},
-		OnDestage: func(w uint64) { e.rs.Note("destage", int64(w)) },
-	})
-	e.must("create", err)
-
-	// First interval: objects 2–5.
-	for slot := 0; slot < 4; slot++ {
-		e.write(enumSlot(slot), true)
-	}
-	// Second: the first seal queues marker 6, then slot 0 is rewritten
-	// and slot 4 written and rewritten whole; GC cleans both dead
-	// objects, 8 newer than the checkpoint the super names.
-	e.write(enumSlot(0), true)
-	e.write(enumSlot(4), true)
-	e.write(enumSlot(4), true)
-	e.write(enumSlot(5), true)
-	e.must("gc", e.s.RunGC())
-
-	// Third: marker 11's super fails once. The object behind it is not
-	// waited for (the parent holds it behind the marker); a fence
-	// retries the super.
-	e.rs.Fail(testrec.Super.Once(), testrec.ErrFault)
-	e.write(enumSlot(1), false)
-	waitFor(e.t, "the failed super", func() bool { n, _ := e.rs.Faults(); return n == 1 })
-	for try := 0; ; try++ {
-		err := e.s.Seal()
-		if err == nil {
+	for range 3 {
+		if err = fence(); !errors.Is(err, testrec.ErrFault) {
 			break
 		}
-		if try == 2 {
-			e.t.Fatalf("the super was not retried: %v", err)
+	}
+	if err != nil {
+		return fmt.Errorf("%s: %w", what, err)
+	}
+	return nil
+}
+
+// ship is the replica's shipper. It drains the feed as objects commit,
+// but acks only when the script says so (ack): until then the rows it
+// has not acked stay pinned.
+func (r *enumRun) ship(evs []ShipEvent) {
+	defer close(r.shipped)
+	for ok := true; ok; evs, ok = r.s.ShipNext() {
+		r.shipMu.Lock()
+		r.unacked = append(r.unacked, evs...)
+		r.shipMu.Unlock()
+	}
+}
+
+// ack acks every object the shipper has drained, re-driving what the
+// shipped watermark pinned.
+func (r *enumRun) ack() {
+	r.shipMu.Lock()
+	evs := r.unacked
+	r.unacked = nil
+	r.shipMu.Unlock()
+	for _, ev := range evs {
+		r.s.ShipAck(ev)
+	}
+}
+
+// script plays the workload and audits the store once it has drained.
+// On an error it kills the store; either way it returns only once every
+// actor and the shipper have.
+func (r *enumRun) script() error {
+	err := r.play()
+	if r.s == nil {
+		return err
+	}
+	if err != nil {
+		r.s.ShipClose(false)
+		r.s.Abort()
+	}
+	for _, ch := range r.pending {
+		<-ch
+	}
+	r.s.ShipClose(true)
+	<-r.shipped
+	if err != nil {
+		return err
+	}
+	s := r.s
+	if n := s.Stats().DeferredDeletes; n != 0 {
+		return fmt.Errorf("drained with %d deletes owed", n)
+	}
+	if err := s.AuditUtilization(); err != nil {
+		return err
+	}
+	return tableMismatch(s, r.rs)
+}
+
+// play is the workload: a few operations in flight together at a time,
+// on a replicated volume whose shipper acks what has committed at the
+// end of each paragraph, and once in flight with the rest. One fence
+// waits at a time: of two woken by one failed super, the first to run
+// fails and its retry re-arms the super, and whether a Checkpoint then
+// retries with a marker of its own depends on which ran first, so
+// sequence numbers, and with them the schedule's labels, would differ
+// from run to run.
+func (r *enumRun) play() error {
+	if err := retry("create", func() (err error) {
+		r.s, err = Create(ctx, Config{
+			Volume: "vol", Store: r.rs, VolSectors: volSectors,
+			BatchBytes: enumSlot(0).Bytes(), UploadDepth: 1, UploadGate: iosched.NewGate(16),
+			CheckpointEvery: 4, GCHighWater: 0.99, Retry: objstore.RetryPolicy{MaxAttempts: -1},
+			Replicated: true, OnDestage: func(w uint64) { r.rs.Note("destage", int64(w)) },
+		})
+		return err
+	}); err != nil {
+		return err
+	}
+	s := r.s
+	r.shipped = make(chan struct{})
+	go r.ship(s.ShipAttach())
+	writes := func(exts ...block.Extent) error {
+		for _, ext := range exts {
+			if err := r.write(ext); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+
+	// Four objects in flight, then a fence.
+	if err := writes(enumSlot(0), enumSlot(1), enumSlot(2), enumSlot(3)); err != nil {
+		return err
+	}
+	if err := retry("seal", s.Seal); err != nil {
+		return err
+	}
+	r.ack()
+
+	// Half of slot 2 and all of slot 0 are overwritten: the one object
+	// becomes a GC victim, the other dies in the replay suffix. Slots 4
+	// and 5 are written; the interval's fourth object queues a
+	// checkpoint marker. A forced GC pass runs among them.
+	if err := writes(block.Extent{LBA: enumSlot(2).LBA, Sectors: 32}, enumSlot(0), enumSlot(4), enumSlot(5)); err != nil {
+		return err
+	}
+	if err := r.wait("gc", r.spawn(s.RunGC)); err != nil {
+		return err
+	}
+	if err := retry("seal", s.Seal); err != nil {
+		return err
+	}
+	r.ack()
+
+	// A checkpoint whose super fails once and is retried, while slot 1's
+	// object, below the named checkpoint, is killed, and the shipper's
+	// ack of it is in flight.
+	r.rs.Fail(testrec.Super.Once(), testrec.ErrFault)
+	ckpt := r.spawn(func() error { return retry("checkpoint", s.Checkpoint) })
+	if err := writes(enumSlot(1)); err != nil {
+		return err
+	}
+	ship := r.spawn(func() error {
+		_ = r.g.Hold("ship-ack", 0) // only super PUTs are released failed
+		r.ack()
+		return nil
+	})
+	if err := r.wait("checkpoint", ckpt); err != nil {
+		return err
+	}
+	if err := r.wait("ship", ship); err != nil {
+		return err
+	}
+	r.ack()
+
+	// A snapshot of every slot.
+	r.snap = len(r.writes)
+	if err := retry("snapshot", func() error { _, err := s.CreateSnapshot("snap"); return err }); err != nil {
+		return err
+	}
+	r.ack()
+
+	// The snapshot is deleted while slot 5 is rewritten. The object that
+	// write kills lies below the named checkpoint, and the snapshot the
+	// durable super lists reads it until the super that drops it lands.
+	drop := r.spawn(func() error { return retry("delete snapshot", func() error { return s.DeleteSnapshot("snap") }) })
+	if err := writes(enumSlot(5)); err != nil {
+		return err
+	}
+	if err := r.wait("delete snapshot", drop); err != nil {
+		return err
+	}
+	r.ack()
+
+	// Half of slot 3 is overwritten. A GC pass then reads its object's
+	// header and live half with s.mu dropped while the write of the other
+	// half kills it below the named checkpoint, so the reaper may delete
+	// it under the pass, and the GC object may land behind that write.
+	if err := writes(block.Extent{LBA: enumSlot(3).LBA, Sectors: 32}); err != nil {
+		return err
+	}
+	if err := retry("seal", s.Seal); err != nil {
+		return err
+	}
+	r.ack()
+	s.mu.Lock()
+	clear(s.hdrCache)
+	s.mu.Unlock()
+	gc := r.spawn(s.RunGC)
+	if err := writes(block.Extent{LBA: enumSlot(3).LBA + 32, Sectors: 32}); err != nil {
+		return err
+	}
+	if err := s.SealAsync(); err != nil {
+		return err
+	}
+	if err := r.wait("gc", gc); err != nil {
+		return err
+	}
+	if err := retry("checkpoint", s.Checkpoint); err != nil {
+		return err
+	}
+	r.ack()
+	return nil
+}
+
+// landed reports whether op is a PUT or DELETE that completed: a crash
+// point precedes it. A failed operation changes nothing.
+func landed(op testrec.Op) bool {
+	return op.Done && op.Err == nil && (op.Kind == testrec.Put || op.Kind == testrec.Delete)
+}
+
+// enumCheck checks crash states, each distinct one once.
+type enumCheck struct {
+	seed   maphash.Seed
+	seen   map[uint64]bool
+	points int // distinct crash states checked
+	inOpen int // of them, states a check's open left with its own operations
+	owed   int // continuations run with the open's super failing
+}
+
+func newEnumCheck() *enumCheck { return &enumCheck{seed: maphash.MakeSeed(), seen: map[uint64]bool{}} }
+
+// fresh reports whether the state of objects (name → content hash),
+// checked with tag, is new.
+func (c *enumCheck) fresh(objects map[string]uint64, tag uint64) bool {
+	var h maphash.Hash
+	h.SetSeed(c.seed)
+	names := make([]string, 0, len(objects))
+	for name := range objects {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		h.WriteString(name)
+		h.WriteString(strconv.FormatUint(objects[name], 16))
+	}
+	h.WriteString(strconv.FormatUint(tag, 16))
+	key := h.Sum64()
+	if c.seen[key] {
+		return false
+	}
+	c.seen[key] = true
+	return true
+}
+
+// memState hashes mem's objects, as fresh keys them.
+func (c *enumCheck) memState(mem *objstore.Mem) map[string]uint64 {
+	names, _ := mem.List(ctx, "")
+	objects := map[string]uint64{}
+	for _, name := range names {
+		data, _ := mem.Get(ctx, name)
+		objects[name] = c.content(data)
+	}
+	return objects
+}
+
+// content hashes an object's bytes, a checkpoint's table in sequence
+// order: the table is a map, so one state encodes it in any order.
+func (c *enumCheck) content(data []byte) uint64 {
+	h, payload, _, err := journal.Decode(data, false)
+	if err != nil || h.Type != journal.TypeCheckpoint {
+		return maphash.Bytes(c.seed, data)
+	}
+	p, err := decodeCheckpoint(payload)
+	if err != nil {
+		return maphash.Bytes(c.seed, data)
+	}
+	slices.SortFunc(p.objects, func(a, b objInfo) int { return cmp.Compare(a.seq, b.seq) })
+	slices.SortFunc(p.deferred, func(a, b deferredDelete) int { return cmp.Compare(a.Obj, b.Obj) })
+	return maphash.String(c.seed, fmt.Sprint(p.prevCkpt, p.durableWriteSeq, p.nextSeq, p.objects, p.deferred, p.mapBytes))
+}
+
+// run checks one run: the script's own audit, the order of its
+// deletes, and every distinct crash state. It returns the violations.
+func (c *enumCheck) run(r *enumRun) []string {
+	var vs []string
+	if r.failed != "" {
+		vs = append(vs, "script: "+r.failed)
+	}
+	if v := deleteOrderViolation(r.rs.Log()); v != "" {
+		vs = append(vs, v)
+	}
+	objects := map[string]uint64{}
+	var acked uint64 // the destage watermark noted so far
+	published := false
+	cut := func(stamp uint64) {
+		if published && c.fresh(objects, acked) {
+			vs = append(vs, c.crash(r, stamp, acked)...)
 		}
 	}
-	e.killBelowNamed(2)
-	// Half of slot 2 is overwritten: GC copies the other half into a GC
-	// object, which queues behind any marker queued.
-	e.write(block.Extent{LBA: enumSlot(2).LBA, Sectors: 32}, false)
-	e.must("seal", e.s.Seal())
-	e.must("gc", e.s.RunGC())
+	for _, op := range r.rs.Log() {
+		switch {
+		case op.Kind == testrec.Note && op.Name == "destage":
+			acked = max(acked, uint64(op.Off))
+		case landed(op):
+			cut(op.Stamp - 1)
+			if op.Kind == testrec.Put {
+				objects[op.Name] = c.content(op.Data)
+			} else {
+				delete(objects, op.Name)
+			}
+			published = published || op.Name == superName("vol")
+		}
+	}
+	cut(r.rs.Now())
+	return vs
+}
 
-	// A snapshot pins slot 3's object; killing and collecting it parks it
-	// on the deferred list until the snapshot goes.
-	_, err = e.s.CreateSnapshot("snap")
-	e.must("snapshot", err)
-	e.snap = len(e.writes)
-	e.write(enumSlot(3), true)
-	e.must("gc", e.s.RunGC())
-	e.write(enumSlot(5), true)
-	e.must("checkpoint", e.s.Checkpoint())
-	e.must("delete snapshot", e.s.DeleteSnapshot("snap"))
-	e.write(enumSlot(0), true)
-
-	// Half of slot 1's object, below the named checkpoint, is
-	// overwritten. GC copies the other half while the next data
-	// object's PUT is held, so the GC object lands behind an upload in
-	// flight: a crash before that upload lands strands it, so it commits,
-	// and its victim dies, only once the upload has.
-	victim := e.target(enumSlot(1))
-	e.write(block.Extent{LBA: enumSlot(1).LBA, Sectors: 32}, false)
-	e.must("seal", e.s.Seal())
-	held := e.rs.Park(testrec.DataObject.Once())
-	e.write(enumSlot(4), false)
-	<-held.Arrived()
-	from := e.rs.Now()
-	gc := make(chan error, 1)
-	go func() { gc <- e.s.RunGC() }()
-	landed := e.rs.Await(from, testrec.GCObject, 10*time.Second)
-	e.s.mu.RLock()
-	dead := died(e.s, victim)
-	e.s.mu.RUnlock()
-	held.Release(nil)
-	e.must("gc", <-gc)
+// crash checks the backend as the run left it at stamp, with writes up
+// to acked acknowledged, then every state its open's own operations
+// leave; a suffix checkpoint also gets the owed-super continuation.
+func (c *enumCheck) crash(r *enumRun, stamp, acked uint64) []string {
+	var vs []string
+	report := func(what, v string) {
+		if v != "" {
+			vs = append(vs, fmt.Sprintf("crash at stamp %d%s: %s", stamp, what, v))
+		}
+	}
+	c.points++
+	rec := testrec.NewStore(r.rs.At(stamp))
+	rec.Keep = true
+	s, v := enumOpen(rec, r.writes, r.snap, acked)
+	report("", v)
+	if s == nil {
+		return vs
+	}
+	for _, op := range rec.Log() {
+		if !landed(op) {
+			continue
+		}
+		state := rec.Apply(r.rs.At(stamp), op.Stamp)
+		if c.fresh(c.memState(state), acked) {
+			c.points++
+			c.inOpen++
+			_, v := enumOpen(state, r.writes, r.snap, acked)
+			report(fmt.Sprintf(", then inside the open at its stamp %d", op.Stamp), v)
+		}
+	}
+	raw, err := r.rs.At(stamp).Get(ctx, superName("vol"))
+	super, derr := DecodeSuperInfo(raw)
 	switch {
-	case !landed:
-		e.t.Fatal("the GC object did not land behind the held upload")
-	case dead:
-		e.t.Fatalf("GC victim %d died before the upload ahead of its copy committed", victim)
-	case !e.rs.Await(from, testrec.Deletes.Named(objName("vol", victim)), 10*time.Second):
-		e.t.Fatalf("GC victim %d, below the named checkpoint, was not deleted once its copy committed", victim)
+	case err != nil || derr != nil:
+		report("", fmt.Sprintf("super: %v %v", err, derr))
+	case s.lastCkpt != super.LastCheckpoint:
+		report(", open's super failing", c.owedSuper(r, stamp, acked))
 	}
-	waitDurable(e.t, e.s, uint64(len(e.writes)))
-	e.must("checkpoint", e.s.Checkpoint())
-
-	st := e.s.Stats()
-	if st.GCVictims < 2 || st.DeferredDeletes != 0 {
-		e.t.Fatalf("script: %d victims, %d deletes owed", st.GCVictims, st.DeferredDeletes)
-	}
-	e.must("audit", e.s.AuditUtilization())
-	e.must("table", tableMismatch(e.s, e.rs))
-	if v := deleteOrderViolation(e.rs.Log()); v != "" {
-		e.t.Fatalf("script: %s", v)
-	}
+	return vs
 }
 
-// target returns the object ext's first sector maps to.
-func (e *enumScript) target(ext block.Extent) uint32 {
-	e.t.Helper()
-	runs := e.s.Lookup(block.Extent{LBA: ext.LBA, Sectors: 1})
-	if len(runs) != 1 || !runs[0].Present {
-		e.t.Fatalf("%v is not mapped", ext)
+// owedSuper opens the state at stamp, whose open loads a checkpoint
+// from the replay suffix, with the super PUT that open owes failing. The
+// durable super then still names the older checkpoint. It writes over
+// every live sector of a data object between the two, so the object
+// dies, and checks each state that leaves: the object must stay until a
+// super names a newer checkpoint, for a crash replays through it.
+func (c *enumCheck) owedSuper(r *enumRun, stamp, acked uint64) string {
+	rec := testrec.NewStore(r.rs.At(stamp))
+	rec.Keep = true
+	rec.Fail(testrec.Super.Once(), testrec.ErrFault)
+	s, err := Open(ctx, Config{
+		Volume: "vol", Store: rec, BatchBytes: enumSlot(0).Bytes(), Retry: objstore.RetryPolicy{MaxAttempts: -1},
+		OnDestage: func(w uint64) { rec.Note("destage", int64(w)) },
+	})
+	if err != nil {
+		return fmt.Sprintf("open: %v", err)
 	}
-	return runs[0].Target.Obj
+	if n, _ := rec.Faults(); n != 1 {
+		return "the open's super PUT did not fail"
+	}
+	raw, err := rec.Get(ctx, superName("vol"))
+	if err != nil {
+		return err.Error()
+	}
+	super, err := DecodeSuperInfo(raw)
+	if err != nil {
+		return err.Error()
+	}
+	named, loaded := super.LastCheckpoint, s.lastCkpt
+	var victim uint32
+	var exts []block.Extent
+	for _, run := range s.Lookup(block.Extent{LBA: 0, Sectors: enumSlots * enumSlot(0).Sectors}) {
+		if o := run.Target.Obj; run.Present && named < o && o < loaded && (victim == 0 || o == victim) {
+			victim = o
+			exts = append(exts, run.Extent)
+		}
+	}
+	if victim == 0 {
+		return "" // nothing between the two checkpoints is mapped
+	}
+	c.owed++
+	writes := slices.Clone(r.writes[:s.DurableWriteSeq()])
+	for _, ext := range exts {
+		w := uint64(len(writes) + 1)
+		data := payload(int64(5000+w), int(ext.Bytes()))
+		writes = append(writes, enumWrite{ext, data})
+		if err := s.Append(w, ext, data); err != nil {
+			return fmt.Sprintf("continuation write %d: %v", w, err)
+		}
+	}
+	if err := s.Seal(); err != nil {
+		return fmt.Sprintf("continuation seal: %v", err)
+	}
+	s.mu.RLock()
+	dead := died(s, victim)
+	s.mu.RUnlock()
+	if !dead {
+		return fmt.Sprintf("the continuation did not kill object %d", victim)
+	}
+	cont := acked
+	check := func(at uint64) string {
+		state := rec.Apply(r.rs.At(stamp), at)
+		if !c.fresh(c.memState(state), cont^1<<63) {
+			return ""
+		}
+		c.points++
+		_, v := enumOpen(state, writes, r.snap, cont)
+		if v != "" {
+			return fmt.Sprintf("continuation killing object %d (checkpoints %d, %d), crash at its stamp %d: %s", victim, named, loaded, at, v)
+		}
+		return ""
+	}
+	for _, op := range rec.Log() {
+		switch {
+		case op.Kind == testrec.Note && op.Name == "destage":
+			cont = max(cont, uint64(op.Off))
+		case landed(op):
+			if v := check(op.Stamp - 1); v != "" {
+				return v
+			}
+		}
+	}
+	return check(rec.Now())
 }
 
-// killBelowNamed rewrites slot whole. Its object lies below the
-// checkpoint the super names, whose map still points at it, so it dies
-// at this commit and its delete lands before the script goes on.
-func (e *enumScript) killBelowNamed(slot int) {
-	e.t.Helper()
-	victim := e.target(enumSlot(slot))
-	e.s.mu.RLock()
-	named := e.s.lastCkpt
-	e.s.mu.RUnlock()
-	if victim >= named {
-		e.t.Fatalf("slot %d's object %d is not below the named checkpoint %d", slot, victim, named)
-	}
-	from := e.rs.Now()
-	e.write(enumSlot(slot), true)
-	if !e.rs.Await(from, testrec.Deletes.Named(objName("vol", victim)), 10*time.Second) {
-		e.t.Fatalf("object %d was not deleted when it died", victim)
-	}
-	e.s.mu.RLock()
-	defer e.s.mu.RUnlock()
-	if e.s.lastCkpt != named {
-		e.t.Fatalf("the named checkpoint moved from %d to %d", named, e.s.lastCkpt)
-	}
-}
-
-// check opens a crashed backend at which writes up to durable had been
-// acknowledged, and returns the store and the first violation, or "".
-func (e *enumScript) check(store objstore.Store, durable uint64) (*Store, string) {
+// enumOpen opens a crashed backend at which writes up to durable had
+// been acknowledged, and returns the store and the first violation, or
+// "". The volume must read as of the writes it recovered, every snapshot
+// the super lists as of the first snap, the backend must hold exactly
+// the object table, no orphan may be left and the utilization audit
+// must pass.
+func enumOpen(store objstore.Store, writes []enumWrite, snap int, durable uint64) (*Store, string) {
 	s, err := Open(ctx, Config{Volume: "vol", Store: store, Retry: objstore.RetryPolicy{MaxAttempts: -1}})
 	if err != nil {
 		return nil, fmt.Sprintf("open: %v", err)
@@ -230,17 +684,15 @@ func (e *enumScript) check(store objstore.Store, durable uint64) (*Store, string
 	if r < durable {
 		return s, fmt.Sprintf("recovered through write %d, but %d was acknowledged durable", r, durable)
 	}
-	// Prefix consistency: the volume reads as of write r.
-	if v := e.readsAsOf(s, int(r)); v != "" {
+	if v := readsAsOf(s, writes, int(r)); v != "" {
 		return s, v
 	}
-	// Every snapshot the super lists mounts and reads as of its writes.
 	for _, sn := range s.Snapshots() {
 		m, err := OpenSnapshot(ctx, Config{Volume: "vol", Store: store, Retry: objstore.RetryPolicy{MaxAttempts: -1}}, sn.Name)
 		if err != nil {
 			return s, fmt.Sprintf("snapshot %q: %v", sn.Name, err)
 		}
-		if v := e.readsAsOf(m, e.snap); v != "" {
+		if v := readsAsOf(m, writes, snap); v != "" {
 			return s, fmt.Sprintf("snapshot %q: %s", sn.Name, v)
 		}
 	}
@@ -258,10 +710,10 @@ func (e *enumScript) check(store objstore.Store, durable uint64) (*Store, string
 
 // readsAsOf returns "" if s reads as of the first n writes, else what
 // differs.
-func (e *enumScript) readsAsOf(s *Store, n int) string {
+func readsAsOf(s *Store, writes []enumWrite, n int) string {
 	vol := block.Extent{LBA: 0, Sectors: enumSlots * enumSlot(0).Sectors}
 	want := make([]byte, vol.Bytes())
-	for _, w := range e.writes[:n] {
+	for _, w := range writes[:n] {
 		copy(want[w.ext.LBA.Bytes():], w.data)
 	}
 	got := make([]byte, vol.Bytes())
@@ -281,74 +733,158 @@ func (e *enumScript) readsAsOf(s *Store, n int) string {
 	return ""
 }
 
-// TestBackendCrashEnumeration cuts the script's backend trace at every
-// prefix of completed operations, opens it, then cuts again after each
-// of that open's own operations and opens once more. Every open must
-// succeed with the acknowledged writes, a consistent prefix, every
-// listed snapshot mountable as of its writes, a backend that matches
-// its object table and no orphan.
+// enumRegressions are schedules that always run: the interleavings
+// hand-placed tests once pinned, and any the explorer finds. saw lists
+// log lines that must appear in this order, so the race the row exists
+// for happened; owed asks that some crash state ran the owed-super
+// continuation. Rows named group/case run as subtests of one group. The
+// explorer prints a failing schedule as a row.
+type enumRegression struct {
+	name  string
+	sched []string
+	saw   []string
+	owed  bool
+}
+
+var enumRegressions = []enumRegression{
+	// DeleteSnapshot's checkpoint object lands and its super is held
+	// while the write behind it commits, killing object 9, which the
+	// snapshot reads below the named checkpoint: 9 is deleted only after
+	// a super that drops the snapshot lands, and every crash before it
+	// mounts the snapshot. In crash-first that super fails first, as if
+	// the process died before it landed.
+	{"snapshot-drop-owed-super/crash-first", []string{"30 fail put vol.super"}, []string{
+		"put-done vol.00000015", "put vol.super", "put-done vol.00000016", "put-failed vol.super", "put-done vol.super", "delete vol.00000009"}, false},
+	{"snapshot-drop-owed-super/super-lands", nil, []string{
+		"put-done vol.00000015", "put vol.super", "put-done vol.00000016", "put-done vol.super", "delete vol.00000009"}, false},
+	// Every crash state whose open loads a checkpoint the super does not
+	// name reopens with that open's super failing and kills an object
+	// between the two checkpoints.
+	{"open-owed-super-fails", nil, nil, true},
+	// The GC pass's read of its victim's header, then of its live data,
+	// is held while the write of the victim's other half commits and the
+	// reaper deletes it: the read finds it gone and the pass goes on.
+	{"gc-reads-across-reap/header", []string{"35 put vol.00000018", "36 delete vol.00000005"}, []string{
+		"get-range vol.00000005", "put-done vol.00000018", "delete-done vol.00000005", "get-range-failed vol.00000005"}, false},
+	{"gc-reads-across-reap/source", []string{"37 delete vol.00000005"}, []string{
+		"get-range-done vol.00000005", "get-range vol.00000005", "delete-done vol.00000005", "get-range-failed vol.00000005"}, false},
+	// The GC object lands while the data object ahead of it is held: it
+	// commits, and its victim dies, only once that upload has.
+	{"gc-object-behind-held-upload", []string{"36 get-range vol.00000005@16896", "37 put vol.00000019"}, []string{
+		"put vol.00000019", "put-done vol.00000019", "put-done vol.00000018", "delete vol.00000005"}, false},
+	// A data object lands while the checkpoint object ahead of it is
+	// held: the cut the commit walk's ordering exists for.
+	{"data-behind-checkpoint-in-flight", []string{"28 put vol.00000016"}, []string{
+		"put vol.00000015", "put-done vol.00000016", "put-done vol.00000015"}, false},
+}
+
+// TestBackendCrashEnumeration runs the regression schedules, then
+// explores every schedule of the script up to the preemption bound.
+// Every crash state of every schedule must open with the acknowledged
+// writes, a consistent prefix, every listed snapshot mountable as of its
+// writes, a backend that matches its object table and no orphan.
 func TestBackendCrashEnumeration(t *testing.T) {
-	e := &enumScript{t: t}
-	e.run()
-
-	// A crash point precedes each PUT or DELETE's completion, and one
-	// follows the last. A failed operation changes nothing, so it adds
-	// none.
-	landed := func(op testrec.Op) bool {
-		return op.Done && op.Err == nil && (op.Kind == testrec.Put || op.Kind == testrec.Delete)
-	}
-	var cuts []uint64
-	for _, op := range e.rs.Log() {
-		if landed(op) {
-			cuts = append(cuts, op.Stamp-1)
-		}
-	}
-	cuts = append(cuts, e.rs.Now())
-
-	points, reopens, violations, suffixCkpts := 0, 0, 0, 0
-	report := func(what string, v string) {
-		if v == "" {
-			return
-		}
-		if violations++; violations <= 5 {
-			t.Errorf("%s: %s", what, v)
-		}
-	}
-	for k, stamp := range cuts {
-		var acked uint64 // the destage watermark noted so far
-		published := false
-		for _, op := range e.rs.Log()[:stamp] {
-			if op.Kind == testrec.Note {
-				acked = max(acked, uint64(op.Off))
-			}
-			published = published || (landed(op) && op.Name == superName("vol"))
-		}
-		if !published {
-			continue // Create had not published the volume
-		}
-		rec := testrec.NewStore(e.rs.At(stamp))
-		rec.Keep = true
-		points++
-		s, v := e.check(rec, acked)
-		report(fmt.Sprintf("crash after %d of %d backend ops", k, len(cuts)-1), v)
-		if s == nil {
-			continue
-		}
-		if s.lastCkpt != backendSuper(t, e.rs.At(stamp)).LastCheckpoint {
-			suffixCkpts++
-		}
-		for _, op := range rec.Log() {
-			if landed(op) {
-				points++
-				reopens++
-				_, v := e.check(rec.Apply(e.rs.At(stamp), op.Stamp), acked)
-				report(fmt.Sprintf("crash after %d of %d backend ops, then inside the open", k, len(cuts)-1), v)
+	t.Run("regression", func(t *testing.T) {
+		var groups []string
+		for _, row := range enumRegressions {
+			if g, _, _ := strings.Cut(row.name, "/"); !slices.Contains(groups, g) {
+				groups = append(groups, g)
 			}
 		}
+		for _, g := range groups {
+			t.Run(g, func(t *testing.T) {
+				for _, row := range enumRegressions {
+					if row.name == g {
+						regress(t, row)
+					} else if c, ok := strings.CutPrefix(row.name, g+"/"); ok {
+						t.Run(c, func(t *testing.T) { regress(t, row) })
+					}
+				}
+			})
+		}
+	})
+	t.Run("explore", func(t *testing.T) {
+		bound := enumBound(t)
+		c := newEnumCheck()
+		type job struct {
+			sched []enumChoice
+			fail  bool // a super PUT is released failed
+		}
+		stack := []job{{}}
+		schedules, violations := 0, 0
+		for len(stack) > 0 {
+			j := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			r, err := runSchedule(j.sched)
+			if err != nil {
+				t.Fatalf("%s: %v", enumRow(j.sched), err)
+			}
+			schedules++
+			if vs := c.run(r); len(vs) > 0 {
+				if violations++; violations <= 3 {
+					t.Errorf("%s\n\t%s\nthe newest log entries:\n\t%s", enumRow(j.sched), strings.Join(vs[:min(5, len(vs))], "\n\t"), tail(r.rs.Lines(), 64))
+				}
+			}
+			if len(j.sched) == bound {
+				continue
+			}
+			from := 0
+			if n := len(j.sched); n > 0 {
+				from = j.sched[n-1].step + 1
+			}
+			for k := from; k < len(r.steps); k++ {
+				for i, op := range r.steps[k] {
+					if i > 0 && !(isDelete(op) && isDelete(r.steps[k][0])) {
+						stack = append(stack, job{append(slices.Clip(j.sched), enumChoice{k, op, false}), j.fail})
+					}
+					if i == 0 && !j.fail && op == "put "+superName("vol") {
+						stack = append(stack, job{append(slices.Clip(j.sched), enumChoice{k, op, true}), true})
+					}
+				}
+			}
+		}
+		if c.owed == 0 {
+			t.Error("no crash state left a checkpoint the super does not name with an object between the two")
+		}
+		t.Logf("preemption bound %d: %d schedules, %d distinct crash states (%d inside an open, %d owed-super continuations), %d violating schedules",
+			bound, schedules, c.points, c.inOpen, c.owed, violations)
+	})
+}
+
+// regress runs one regression row: its schedule must pass every check,
+// and its log must show the race the row exists for.
+func regress(t *testing.T, row enumRegression) {
+	sched, err := parseChoices(row.sched)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if suffixCkpts == 0 {
-		t.Error("no crash point left a checkpoint the super does not name")
+	r, err := runSchedule(sched)
+	if err != nil {
+		t.Fatalf("%s: %v", enumRow(sched), err)
 	}
-	t.Logf("%d writes, %d backend ops: %d crash points (%d inside an open, %d with a suffix checkpoint), %d violations",
-		len(e.writes), len(cuts)-1, points, reopens, suffixCkpts, violations)
+	c := newEnumCheck()
+	if vs := c.run(r); len(vs) > 0 {
+		t.Fatalf("%s:\n\t%s\nthe newest log entries:\n\t%s", enumRow(sched), strings.Join(vs[:min(5, len(vs))], "\n\t"), tail(r.rs.Lines(), 64))
+	}
+	if row.owed && c.owed == 0 {
+		t.Fatal("no crash state ran the owed-super continuation")
+	}
+	lines := r.rs.Lines()
+	i := 0
+	for _, want := range row.saw {
+		for i < len(lines) && lines[i] != want {
+			i++
+		}
+		if i == len(lines) {
+			t.Fatalf("the log has no %q after the lines before it: the race did not happen", want)
+		}
+	}
+}
+
+// isDelete reports whether a label is a DELETE's.
+func isDelete(op string) bool { return strings.HasPrefix(op, "delete ") }
+
+// tail returns the newest n lines, one per line.
+func tail(lines []string, n int) string {
+	return strings.Join(lines[max(0, len(lines)-n):], "\n\t")
 }

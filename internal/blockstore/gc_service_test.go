@@ -651,79 +651,3 @@ func TestGCServicePacedConvergence(t *testing.T) {
 		}
 	}
 }
-
-// TestGCReadAcrossAReap: a GC pass reads its victim's header, then its
-// live data, each with s.mu dropped. If the victim dies meanwhile — its
-// last live sectors overwritten below the named checkpoint — the reaper
-// deletes it at once, and the read finds it missing. That is the victim
-// being reaped, not a pass error: RunGC succeeds, copies nothing stale,
-// and nothing is left owed.
-func TestGCReadAcrossAReap(t *testing.T) {
-	for _, tc := range []struct {
-		name  string
-		read  testrec.Match
-		fetch bool // drop the cached header, so the pass fetches it
-	}{
-		{"header", testrec.GetRanges, true},
-		{"source", testrec.DataRead, false},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			rs := testrec.NewStore(objstore.NewMem())
-			s := newVolume(t, rs, Config{GCLowWater: 0, Retry: objstore.RetryPolicy{MaxAttempts: -1}})
-			ext := block.Extent{LBA: 0, Sectors: 128}
-			lo, hi := block.Extent{LBA: 0, Sectors: 64}, block.Extent{LBA: 64, Sectors: 64}
-			mustWrite := func(w uint64, e block.Extent) {
-				t.Helper()
-				if err := s.Append(w, e, payload(int64(w), int(e.Bytes()))); err != nil {
-					t.Fatal(err)
-				}
-			}
-			mustWrite(1, ext)
-			if err := s.Seal(); err != nil {
-				t.Fatal(err)
-			}
-			victim := s.Lookup(ext)[0].Target.Obj
-			if err := s.Checkpoint(); err != nil { // the victim lies below the named checkpoint
-				t.Fatal(err)
-			}
-			mustWrite(2, lo)
-			if err := s.Seal(); err != nil {
-				t.Fatal(err)
-			}
-			if tc.fetch {
-				s.mu.Lock()
-				delete(s.hdrCache, victim)
-				s.mu.Unlock()
-			}
-			held := rs.Park(tc.read.Named(objName("vol", victim)))
-			gc := make(chan error, 1)
-			go func() { gc <- s.RunGC() }()
-			<-held.Arrived()
-
-			// RunGC holds the GC slot, so no fence may run: seal without one.
-			from := rs.Now()
-			mustWrite(3, hi)
-			if err := s.SealAsync(); err != nil {
-				t.Fatal(err)
-			}
-			waitDurable(t, s, 3)
-			if !rs.Await(from, testrec.Deletes.Named(objName("vol", victim)), 10*time.Second) {
-				t.Fatal("the victim was not reaped when it died")
-			}
-			held.Release(nil)
-			if err := <-gc; err != nil {
-				t.Fatalf("RunGC across the reap: %v", err)
-			}
-			want := append(payload(2, int(lo.Bytes())), payload(3, int(hi.Bytes()))...)
-			if got := readAll(t, s, ext); !bytes.Equal(got, want) {
-				t.Fatal("data wrong after GC across a reap")
-			}
-			if st := s.Stats(); st.GCBytesCopied != 0 || st.DeferredDeletes != 0 {
-				t.Fatalf("copied %d bytes, %d deletes owed", st.GCBytesCopied, st.DeferredDeletes)
-			}
-			if err := s.AuditUtilization(); err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
-}

@@ -3,8 +3,8 @@ package blockstore
 import (
 	"bytes"
 	"context"
-	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -339,8 +339,7 @@ func TestCheckpointOrdersPutsBeforeDeletes(t *testing.T) {
 // TestAbortWaitsForReap: Abort with deletes in flight returns only
 // once they finished, and from then on the backend does not change.
 func TestAbortWaitsForReap(t *testing.T) {
-	mem := objstore.NewMem()
-	rs := testrec.NewStore(mem)
+	rs := testrec.NewStore(objstore.NewMem())
 	s := newVolume(t, nil, churnConfig(rs))
 	p := rs.Park(testrec.Deletes)
 	var w uint64
@@ -349,25 +348,50 @@ func TestAbortWaitsForReap(t *testing.T) {
 	aborted := make(chan struct{})
 	go func() {
 		s.Abort()
+		rs.Note("abort returned", 0)
 		close(aborted)
 	}()
-	select {
-	case <-aborted:
-		t.Fatal("Abort returned with deletes still in flight")
-	case <-time.After(50 * time.Millisecond):
-	}
+	waitAborting(t, s)
 	p.Release(nil)
 	<-aborted
-	// A delete still in flight when Abort returned would land below.
-	before, _ := mem.List(ctx, "vol.")
-	ops := rs.Now()
-	time.Sleep(50 * time.Millisecond)
-	after, _ := mem.List(ctx, "vol.")
-	if fmt.Sprint(before) != fmt.Sprint(after) || rs.Now() != ops {
-		t.Fatalf("backend changed after Abort: %v -> %v", before, after)
-	}
+	abortReturnedLast(t, rs)
 	if err := s.AuditUtilization(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// abortReturnedLast waits for every goroutine to settle, then reads the
+// log: each PUT or delete that arrived before the note "abort returned"
+// completed before it, and nothing is logged after it.
+func abortReturnedLast(t *testing.T, rs *testrec.Store) {
+	t.Helper()
+	if err := testrec.Settle(10 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	log := rs.Log()
+	at := slices.IndexFunc(log, func(op testrec.Op) bool { return op.Kind == testrec.Note && op.Name == "abort returned" })
+	if at < 0 {
+		t.Fatal("Abort never returned")
+	}
+	open := map[string]int{} // kind and name → arrived and not completed
+	for _, op := range log[:at] {
+		if op.Kind != testrec.Put && op.Kind != testrec.Delete {
+			continue
+		}
+		key := string(op.Kind) + " " + op.Name
+		if op.Done {
+			open[key]--
+		} else {
+			open[key]++
+		}
+	}
+	for key, n := range open {
+		if n > 0 {
+			t.Fatalf("%s arrived before Abort returned and had not completed", key)
+		}
+	}
+	if after := rs.Lines()[at+1:]; len(after) > 0 {
+		t.Fatalf("the backend changed after Abort returned: %q", after)
 	}
 }
 
@@ -540,142 +564,6 @@ func TestDeleteSnapshotReapsOffLock(t *testing.T) {
 		}
 	}
 	garbageGone(t, s, mem)
-}
-
-// TestDeathWhileSnapshotDropOwedItsSuper: an object a snapshot reads
-// through its checkpoint's map dies below the named checkpoint while the
-// super of DeleteSnapshot is held. The durable super still lists the
-// snapshot, so the object outlives that super: a crash before it lands
-// leaves the snapshot mountable, and once it lands the object goes.
-func TestDeathWhileSnapshotDropOwedItsSuper(t *testing.T) {
-	for _, crash := range []bool{true, false} {
-		name := "super lands"
-		if crash {
-			name = "crash first"
-		}
-		t.Run(name, func(t *testing.T) {
-			mem := objstore.NewMem()
-			rs := testrec.NewStore(mem)
-			rs.Keep = true
-			cfg := churnConfig(rs)
-			cfg.CheckpointEvery, cfg.GCLowWater = 1<<30, 0
-			s := newVolume(t, nil, cfg)
-			var w uint64
-			churn(t, s, &w)
-			snapData := payload(int64(w), int(churnExt.Bytes()))
-			runs := s.Lookup(churnExt)
-			victim := runs[0].Target.Obj
-			// The snapshot loads this checkpoint, whose map points at victim.
-			if err := s.Checkpoint(); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := s.CreateSnapshot("pin"); err != nil {
-				t.Fatal(err)
-			}
-
-			p := rs.Park(testrec.Super)
-			done := make(chan error, 1)
-			go func() { done <- s.DeleteSnapshot("pin") }()
-			<-p.Arrived()
-			from := rs.Now()
-			churn(t, s, &w) // commits behind the marker and kills victim
-			if rs.Await(from, testrec.Deletes.Named(objName("vol", victim)), 100*time.Millisecond) {
-				t.Fatalf("object %d deleted while the durable super still lists the snapshot that reads it", victim)
-			}
-
-			if crash {
-				killed := make(chan struct{})
-				go func() {
-					s.Abort()
-					close(killed)
-				}()
-				p.Release(fmt.Errorf("killed before the super landed: %w", context.Canceled))
-				<-killed
-				if err := <-done; err == nil {
-					t.Fatal("DeleteSnapshot succeeded without its super")
-				}
-				snap, err := OpenSnapshot(ctx, Config{Volume: "vol", Store: mem, Retry: objstore.RetryPolicy{MaxAttempts: -1}}, "pin")
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got := readAll(t, snap, churnExt); !bytes.Equal(got, snapData) {
-					t.Fatal("the snapshot the durable super lists does not read as of its creation")
-				}
-			} else {
-				p.Release(nil)
-				if err := <-done; err != nil {
-					t.Fatal(err)
-				}
-				if _, err := mem.Get(ctx, objName("vol", victim)); !errors.Is(err, objstore.ErrNotFound) {
-					t.Fatalf("object %d outlived the super that drops the snapshot: %v", victim, err)
-				}
-				garbageGone(t, s, mem)
-			}
-			if v := deleteOrderViolation(rs.Log()); v != "" {
-				t.Fatal(v)
-			}
-		})
-	}
-}
-
-// TestOpenOwedSuperFailingHoldsSuffixDeaths: open loads a checkpoint
-// from the suffix and its super PUT fails, so the durable super still
-// names the older checkpoint. An object between the two that dies in
-// this session stays until a newer super lands: a crash before that
-// replays from the older checkpoint, through the object.
-func TestOpenOwedSuperFailingHoldsSuffixDeaths(t *testing.T) {
-	rs := testrec.NewStore(objstore.NewMem())
-	cfg := churnConfig(rs)
-	cfg.CheckpointEvery, cfg.GCLowWater = 1<<30, 0
-	s := newVolume(t, nil, cfg)
-	var w uint64
-	churn(t, s, &w)
-	if err := s.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	churn(t, s, &w)
-	victim := s.Lookup(churnExt)[0].Target.Obj
-	heal := rs.Fail(testrec.Super, testrec.ErrFault)
-	if err := s.Checkpoint(); err == nil {
-		t.Fatal("the checkpoint's super PUT did not fail")
-	}
-	s.Abort()
-
-	heal()
-	rs.Fail(testrec.Super.Once(), testrec.ErrFault) // open's PUT of the owed super
-	reopen := cfg
-	reopen.Volume = "vol"
-	s2, err := Open(ctx, reopen)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s2.mu.RLock()
-	named, loaded := s2.durable.lastCkpt, s2.lastCkpt
-	s2.mu.RUnlock()
-	if !(named < victim && victim < loaded) {
-		t.Fatalf("object %d is not between the named checkpoint %d and the loaded one %d", victim, named, loaded)
-	}
-	churn(t, s2, &w)
-	if _, err := rs.Get(ctx, objName("vol", victim)); err != nil {
-		t.Fatalf("object %d, above the checkpoint the durable super names, was deleted: %v", victim, err)
-	}
-	if err := s2.AuditUtilization(); err != nil {
-		t.Fatal(err)
-	}
-	s2.Abort()
-
-	s3, err := Open(ctx, reopen)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(s3.StopGC)
-	if got := s3.DurableWriteSeq(); got < w {
-		t.Fatalf("recovered through write %d, but %d was acknowledged durable", got, w)
-	}
-	if got := readAll(t, s3, churnExt); !bytes.Equal(got, payload(int64(w), int(churnExt.Bytes()))) {
-		t.Fatal("data wrong after the crash")
-	}
-	garbageGone(t, s3, rs)
 }
 
 // TestKillAfterDeleteSnapshotSuperRedrivenAtOpen: a crash between the

@@ -4,9 +4,10 @@
 // operation and device write or flush is logged on arrival and on
 // completion, stamped from the Clock they share, beside the events the
 // test notes itself. By a Match, the test can park, fail or delay any of
-// them; it can rebuild the store (At) or the device (Image) as of any
-// stamp; and it states orderings over the log instead of wall-clock
-// bounds. The backend failure model of DESIGN.md §13 is a set of its
+// them, or hold them all at a Gate and release them in an order of its
+// choosing once the program has settled (Settle); it can rebuild the
+// store (At) or the device (Image) as of any stamp; and it states
+// orderings over the log instead of wall-clock bounds. The backend failure model of DESIGN.md §13 is a set of its
 // rules: Fail, or Tear, with ErrFault on the operations a Match picks by
 // name, count or seeded chance. Only _test.go files import it.
 package testrec

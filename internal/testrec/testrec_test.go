@@ -9,7 +9,10 @@ import (
 	"math/rand"
 	"runtime"
 	"slices"
+	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"lsvd/internal/objstore"
 	"lsvd/internal/simdev"
@@ -295,5 +298,128 @@ func TestParkReleaseAndFailInLogOrder(t *testing.T) {
 		"put b", "put-failed b", "put b", "put-done b", "end 7"}
 	if got := s.Lines(); !slices.Equal(got, want) {
 		t.Fatalf("log %q, want %q", got, want)
+	}
+}
+
+// gateRun drives three writers, each PUTting three objects, through a
+// gate: it starts them one at a time, and at each step releases the
+// held operation choose picks, failing every third. It returns the log.
+func gateRun(t *testing.T, choose func(step int, held []*Held) *Held) []string {
+	t.Helper()
+	s := NewStore(objstore.NewMem())
+	g := s.Gate(Puts)
+	settle := func() {
+		t.Helper()
+		if err := Settle(10 * time.Second); err != nil {
+			t.Fatal(err)
+		}
+	}
+	done := make(chan struct{}, 3)
+	for w := range 3 {
+		go func() {
+			for i := range 3 {
+				_ = s.Put(ctx, fmt.Sprintf("w%d.%d", w, i), []byte{byte(i)}) // the log records the outcome
+			}
+			done <- struct{}{}
+		}()
+		settle()
+	}
+	for step := 0; len(done) < 3; step++ {
+		settle()
+		held := g.Held()
+		if len(held) == 0 {
+			continue
+		}
+		var err error
+		if step%3 == 2 {
+			err = ErrFault
+		}
+		g.Release(choose(step, held), err)
+	}
+	return s.Lines()
+}
+
+// TestGateReplaysAChoiceSequence: the same choices give the same log,
+// run after run, whatever the goroutines' scheduling: once settled,
+// only the goroutine of the released operation moves.
+func TestGateReplaysAChoiceSequence(t *testing.T) {
+	choose := func(step int, held []*Held) *Held { return held[(step*7)%len(held)] }
+	want := gateRun(t, choose)
+	if len(want) != 18 {
+		t.Fatalf("log %q: want nine PUTs, each logged twice", want)
+	}
+	for run := 1; run < 20; run++ {
+		if got := gateRun(t, choose); !slices.Equal(got, want) {
+			t.Fatalf("run %d logged %q, run 0 %q", run, got, want)
+		}
+	}
+}
+
+// TestGateReleaseAsFailed: a held operation released with an error is
+// logged failed and never reaches the wrapped store; one released with
+// nil does.
+func TestGateReleaseAsFailed(t *testing.T) {
+	mem := objstore.NewMem()
+	s := NewStore(mem)
+	g := s.Gate(Puts)
+	done := make(chan error, 1)
+	for _, name := range []string{"failed", "landed"} {
+		go func() { done <- s.Put(ctx, name, []byte(name)) }()
+		if err := Settle(10 * time.Second); err != nil {
+			t.Fatal(err)
+		}
+		held := g.Held()
+		if len(held) != 1 || held[0].String() != "put "+name {
+			t.Fatalf("held %v", held)
+		}
+		var fault error
+		if name == "failed" {
+			fault = ErrFault
+		}
+		g.Release(held[0], fault)
+		if err := <-done; !errors.Is(err, fault) {
+			t.Fatalf("put %s returned %v", name, err)
+		}
+	}
+	if _, err := mem.Size(ctx, "failed"); !errors.Is(err, objstore.ErrNotFound) {
+		t.Fatalf("the put released as failed reached the store: %v", err)
+	}
+	if _, err := mem.Size(ctx, "landed"); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"put failed", "put-failed failed", "put landed", "put-done landed"}
+	if got := s.Lines(); !slices.Equal(got, want) {
+		t.Fatalf("log %q, want %q", got, want)
+	}
+	if n, _ := s.Faults(); n != 1 {
+		t.Fatalf("%d faults counted", n)
+	}
+}
+
+// TestSettleFailsWithinItsBound: a goroutine that never blocks keeps
+// Settle from returning nil; it fails once its bound has passed, not
+// much later.
+func TestSettleFailsWithinItsBound(t *testing.T) {
+	var stop atomic.Bool
+	spun := make(chan struct{})
+	go func() {
+		for !stop.Load() {
+			runtime.Gosched()
+		}
+		close(spun)
+	}()
+	start := time.Now()
+	err := Settle(100 * time.Millisecond)
+	took := time.Since(start)
+	stop.Store(true)
+	<-spun
+	if err == nil || !strings.Contains(err.Error(), "TestSettleFailsWithinItsBound") {
+		t.Fatalf("Settle with a spinning goroutine: %v", err)
+	}
+	if took < 100*time.Millisecond || took > 5*time.Second {
+		t.Fatalf("Settle failed after %v, bound 100ms", took)
+	}
+	if err := Settle(10 * time.Second); err != nil {
+		t.Fatal(err)
 	}
 }
