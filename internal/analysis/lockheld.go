@@ -30,9 +30,9 @@ import (
 //     needs is not statically held, however many frames separate the
 //     helper from the missing acquisition.
 //
-// A sanctioned exception (the orphan sweep) carries an //lsvd:ignore
-// annotation with its reason; ignored operations also stay out of the
-// summaries, so a waiver at the origin covers every caller.
+// A waived site carries an //lsvd:ignore annotation with its reason;
+// ignored operations also stay out of the summaries, so a waiver at the
+// origin covers every caller.
 func newLockheld() *Analyzer {
 	a := &Analyzer{
 		Name: "lockheld",

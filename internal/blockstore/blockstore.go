@@ -199,7 +199,6 @@ type Stats struct {
 	UploadBorrows   uint64 // upload slots borrowed beyond the share (idle capacity)
 	UploadWaits     uint64 // upload slot acquisitions that blocked on the gate
 	DeferredDeletes int
-	OrphanObjects   int    // stranded objects whose deletion failed, awaiting sweep
 	BackendRetries  uint64 // transient backend failures absorbed by the Retrier
 	FetchGETs       uint64 // backend range GETs issued by the read-miss fetch path
 	FetchesDeduped  uint64 // span fetches served by joining another reader's in-flight GET
@@ -242,6 +241,11 @@ type Store struct {
 
 	baseVol string
 	baseSeq uint32
+
+	// epoch is this session's, stamped above the object number in the
+	// header Seq of every object it writes (headerSeq). Set before the
+	// store is published and never changed, so it is read without s.mu.
+	epoch uint32
 
 	readOnly bool
 
@@ -295,11 +299,6 @@ type Store struct {
 	gcRefills    uint64        // refill epoch, for idle-grant detection
 	fenceWaiters int
 	gcGateID     string // borrower-only gate identity for GC backend I/O
-
-	// orphans are stranded objects recovery could not delete; they are
-	// swept before every subsequent object PUT so a stale object can
-	// never become replayable again (see sweepOrphansLocked).
-	orphans map[uint32]bool
 
 	durableWriteSeq uint64
 	sinceCkpt       int
@@ -366,6 +365,17 @@ type hdrEntry struct {
 func objName(vol string, seq uint32) string { return fmt.Sprintf("%s.%08d", vol, seq) }
 
 func superName(vol string) string { return vol + ".super" }
+
+// epochBits is the width of the object number inside a header Seq; the
+// bits above it carry the epoch of the session that wrote the object
+// (DESIGN.md §11.3, the epoch rule).
+const epochBits = 32
+
+// headerSeq is the header Seq of object seq written in epoch.
+func headerSeq(epoch, seq uint32) uint64 { return uint64(epoch)<<epochBits | uint64(seq) }
+
+// epochOf is the epoch a decoded header carries.
+func epochOf(h *journal.Header) uint32 { return uint32(h.Seq >> epochBits) }
 
 // name returns the object name for seq, resolving clone-base objects
 // to the base volume's prefix (§3.6).
@@ -437,7 +447,6 @@ func newStore(ctx context.Context, cfg Config) *Store {
 		hdrCache:   make(map[uint32]*hdrEntry),
 		hdrFlights: make(map[uint32]*hdrFlight),
 		flights:    make(map[fetchKey]*flight),
-		orphans:    make(map[uint32]bool),
 		durable:    &superblock{},
 	}
 	s.batch = newBatch(cfg.NoCoalesce)
@@ -579,7 +588,6 @@ func (s *Store) Stats() Stats {
 		InflightObjects: len(s.inflight), UploadRetries: s.stats.uploadRetries,
 		SealStalls:      s.stats.sealStalls,
 		DeferredDeletes: s.count.owed(),
-		OrphanObjects:   len(s.orphans),
 		ShippedSeq:      s.shipMark,
 		ShipLagObjects:  s.shipLag,
 		ShipLagBytes:    s.shipLagBytes,

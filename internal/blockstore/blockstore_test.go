@@ -46,7 +46,7 @@ func payload(seed int64, n int) []byte {
 	return b
 }
 
-// readAll reads ext via Lookup/ReadRun, zero-filling holes.
+// readAll reads ext via Lookup/FetchSpan, zero-filling holes.
 func readAll(t *testing.T, s *Store, ext block.Extent) []byte {
 	t.Helper()
 	buf := make([]byte, ext.Bytes())
@@ -54,13 +54,23 @@ func readAll(t *testing.T, s *Store, ext block.Extent) []byte {
 		if !run.Present {
 			continue
 		}
-		data, err := s.ReadRun(run)
-		if err != nil {
+		if err := readRun(s, run, buf[(run.LBA-ext.LBA).Bytes():]); err != nil {
 			t.Fatal(err)
 		}
-		copy(buf[(run.LBA-ext.LBA).Bytes():], data)
 	}
 	return buf
+}
+
+// readRun reads one present run into dst with a range GET of its own.
+func readRun(s *Store, run extmap.Run, dst []byte) error {
+	f, err := s.FetchSpan([]extmap.Run{run}, 0, false)
+	if err != nil {
+		return err
+	}
+	defer f.Release()
+	data, err := f.Slice(run)
+	copy(dst, data)
+	return err
 }
 
 func TestWriteSealRead(t *testing.T) {
@@ -515,6 +525,11 @@ func TestCloneSharesBaseAndDiverges(t *testing.T) {
 	c2, err := Open(ctx, Config{Volume: "clone2", Store: store})
 	if err != nil {
 		t.Fatal(err)
+	}
+	// A clone's first epoch starts above its base checkpoint's: the base
+	// was written in epoch 0, so the clone's checkpoint carries epoch 1.
+	if _, _, e, err := c1.readCheckpointObject(c1.lastCkpt); err != nil || e != 1 || c1.epoch != 2 {
+		t.Fatalf("clone checkpoint %d of epoch %d (%v), opened in epoch %d; want 1 and 2", c1.lastCkpt, e, err, c1.epoch)
 	}
 	// Both clones read the base data through the shared prefix.
 	if got := readAll(t, c1, ext); !bytes.Equal(got, baseData) {

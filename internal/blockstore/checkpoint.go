@@ -138,11 +138,8 @@ type ckptShot struct {
 // tooling.
 //
 //lsvd:requires bs.mu
-func (s *Store) fillCkptShotLocked(shot *ckptShot) error {
+func (s *Store) fillCkptShotLocked(shot *ckptShot) {
 	start := time.Now()
-	if err := s.sweepOrphansLocked(); err != nil {
-		return err
-	}
 	var w journal.Codec
 	w.Buf = s.ckptBuf[:0]
 	w.PutU32(s.lastCkpt)
@@ -179,7 +176,6 @@ func (s *Store) fillCkptShotLocked(shot *ckptShot) error {
 	shot.writeSeq = s.durableWriteSeq
 	s.sinceCkpt = 0
 	s.stats.lastCkptStallNanos = time.Since(start).Nanoseconds()
-	return nil
 }
 
 // putCheckpointObject PUTs a checkpoint's object, encoding it on the
@@ -188,7 +184,7 @@ func (s *Store) fillCkptShotLocked(shot *ckptShot) error {
 func (s *Store) putCheckpointObject(shot *ckptShot) error {
 	if shot.rec == nil {
 		h := &journal.Header{
-			Type: journal.TypeCheckpoint, Seq: uint64(shot.seq),
+			Type: journal.TypeCheckpoint, Seq: headerSeq(s.epoch, shot.seq),
 			WriteSeq: shot.writeSeq, DataLen: uint64(len(shot.payload)),
 		}
 		rec, err := journal.EncodeSectorHeader(h, shot.payload)

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"time"
 
 	"lsvd/internal/block"
 	"lsvd/internal/objstore"
@@ -50,8 +51,8 @@ func TestCheckpointFailureKeepsOldPointer(t *testing.T) {
 
 	// The fault clears: the same store's next fence lands the owed super
 	// naming the number the checkpoint already holds, so the log stays
-	// dense and the object whose PUT did land is the checkpoint, not an
-	// orphan.
+	// dense and the object whose PUT did land is the checkpoint, not a
+	// stranded object.
 	heal()
 	if err := s.Checkpoint(); err != nil {
 		t.Fatalf("checkpoint after the fault cleared: %v", err)
@@ -66,9 +67,9 @@ func TestCheckpointFailureKeepsOldPointer(t *testing.T) {
 	if !bytes.Equal(readAll(t, s3, ext), data) || !bytes.Equal(readAll(t, s3, ext2), data2) {
 		t.Fatal("data lost after the retried checkpoint")
 	}
-	if st := s3.Stats(); st.RecoveredObjects != 0 || st.NextSeq != failedAt+3 || st.OrphanObjects != 0 {
-		t.Fatalf("reopen replayed %d objects to seq %d with %d orphans, want 0, %d, 0",
-			st.RecoveredObjects, st.NextSeq, st.OrphanObjects, failedAt+3)
+	if st := s3.Stats(); st.RecoveredObjects != 0 || st.NextSeq != failedAt+3 {
+		t.Fatalf("reopen replayed %d objects to seq %d, want 0, %d",
+			st.RecoveredObjects, st.NextSeq, failedAt+3)
 	}
 	backendMatchesTable(t, s3, rs)
 }
@@ -343,57 +344,64 @@ func TestGCPutFailureLeavesDataReadable(t *testing.T) {
 	}
 }
 
-// TestStrandedDeleteFailureDoesNotFailOpen: recovery must tolerate a
-// stranded object whose DELETE keeps failing — record it as an orphan,
-// open successfully, refuse new object writes until the orphan is
-// swept, then sweep it on the next seal.
+// TestStrandedDeleteFailureDoesNotFailOpen: a dead session's object
+// stranded past a gap, holding a block, whose DELETE fails forever,
+// neither fails the open nor blocks a write: the next session's write
+// of that block fills the gap and destages, and the recovery after that
+// session crashes leaves the stranded object out, for it is of an older
+// epoch than the object before it (DESIGN.md §11.3).
 func TestStrandedDeleteFailureDoesNotFailOpen(t *testing.T) {
 	rs := testrec.NewStore(objstore.NewMem())
-	s := newVolume(t, rs, Config{CheckpointEvery: 1 << 30})
 	ext := block.Extent{LBA: 0, Sectors: 64}
+	s := newVolume(t, rs, Config{CheckpointEvery: 1 << 30, BatchBytes: ext.Bytes()})
 	data := payload(11, int(ext.Bytes()))
 	_ = s.Append(1, ext, data)
 	if err := s.Seal(); err != nil {
 		t.Fatal(err)
 	}
 
-	// Plant a stranded object one past the gap (its predecessor's PUT
-	// "never completed"), and make its deletion fail forever.
-	stranded := objName("vol", s.Stats().NextSeq+1)
-	if err := rs.Put(ctx, stranded, []byte("stranded junk")); err != nil {
-		t.Fatal(err)
+	// The next object's PUT never lands; the one behind it, which
+	// overwrites ext, does, and the session dies. Each write fills a
+	// batch and seals it.
+	gap := s.Stats().NextSeq
+	stranded := objName("vol", gap+1)
+	lost := rs.Fail(testrec.Puts.Named(objName("vol", gap)), testrec.ErrFault)
+	from := rs.Now()
+	_ = s.Append(2, block.Extent{LBA: 512, Sectors: 64}, payload(12, int(ext.Bytes())))
+	_ = s.Append(3, ext, payload(13, int(ext.Bytes())))
+	if !rs.Await(from, testrec.Puts.Named(stranded), 5*time.Second) {
+		t.Fatal("the object past the gap never landed")
 	}
-	heal := rs.Fail(testrec.Deletes.Named(stranded), testrec.ErrFault)
+	s.Abort()
+	lost()
+	rs.Fail(testrec.Deletes.Named(stranded), testrec.ErrFault)
 
 	s2, err := Open(ctx, Config{Volume: "vol", Store: rs})
 	if err != nil {
 		t.Fatalf("failed stranded-delete aborted Open: %v", err)
 	}
-	if got := s2.Stats().OrphanObjects; got != 1 {
-		t.Fatalf("orphans=%d want 1", got)
-	}
 	if got := readAll(t, s2, ext); !bytes.Equal(got, data) {
-		t.Fatal("data lost across orphaned recovery")
+		t.Fatal("data lost across recovery")
 	}
-
-	// While the orphan is undeletable, no new object may be written:
-	// new seqs would fill the gap below the orphan and a crash would
-	// make its stale bytes replayable.
-	_ = s2.Append(2, ext, payload(12, int(ext.Bytes())))
-	if err := s2.Seal(); !errors.Is(err, testrec.ErrFault) {
-		t.Fatalf("seal ignored a sweep failure: %v", err)
-	}
-
-	// Heal: the next seal sweeps the orphan and proceeds.
-	heal()
+	newer := payload(14, int(ext.Bytes()))
+	_ = s2.Append(2, ext, newer)
 	if err := s2.Seal(); err != nil {
+		t.Fatalf("a write with a stranded object undeletable did not destage: %v", err)
+	}
+	s2.Abort()
+	if _, err := rs.Size(ctx, stranded); err != nil {
+		t.Fatalf("the stranded object is gone: %v", err)
+	}
+
+	s3, err := Open(ctx, Config{Volume: "vol", Store: rs})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if got := s2.Stats().OrphanObjects; got != 0 {
-		t.Fatalf("orphans=%d after sweep", got)
+	if got := readAll(t, s3, ext); !bytes.Equal(got, newer) {
+		t.Fatal("recovery replayed the stranded object over the write that followed it")
 	}
-	if _, err := rs.Size(ctx, stranded); !errors.Is(err, objstore.ErrNotFound) {
-		t.Fatalf("orphan still on the backend: %v", err)
+	if st := s3.Stats(); st.NextSeq != gap+1 || st.DurableWriteSeq != 2 {
+		t.Fatalf("recovered to next seq %d, write %d; want %d, 2", st.NextSeq, st.DurableWriteSeq, gap+1)
 	}
 }
 

@@ -308,9 +308,6 @@ func (s *Store) gcAwaitBudgetLocked(need int64) error {
 //
 //lsvd:requires bs.mu
 func (s *Store) gcPassLocked(paced bool) error {
-	if err := s.sweepOrphansLocked(); err != nil {
-		return err
-	}
 	s.stats.gcRuns++
 	high := s.cfg.GCHighWater
 	if high <= 0 {

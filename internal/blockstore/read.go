@@ -25,25 +25,6 @@ func (s *Store) LookupInto(dst []extmap.Run, ext block.Extent) []extmap.Run {
 	return s.m.LookupAppend(dst, ext)
 }
 
-// ReadRun fetches the data for one present run returned by Lookup,
-// using a single range GET.
-func (s *Store) ReadRun(run extmap.Run) ([]byte, error) {
-	if !run.Present {
-		return nil, fmt.Errorf("blockstore: ReadRun on absent run %v", run.Extent)
-	}
-	s.mu.RLock()
-	name := s.name(run.Target.Obj)
-	s.mu.RUnlock()
-	data, err := s.cfg.Store.GetRange(s.ctx, name, run.Target.Off.Bytes(), run.Bytes())
-	if err != nil {
-		return nil, err
-	}
-	if int64(len(data)) != run.Bytes() {
-		return nil, fmt.Errorf("blockstore: short object read: %d of %d bytes", len(data), run.Bytes())
-	}
-	return data, nil
-}
-
 // Prefetched is extra data retrieved alongside a read miss, destined
 // for the read cache. Data aliases the fetched window and is read-only.
 type Prefetched struct {

@@ -40,8 +40,7 @@ import (
 // hands to the reaper before it drops the lock:
 //
 //  1. reap, with s.mu RELEASED: the backend deletes, reapFanout at a
-//     time. No Store.Delete runs under s.mu (the orphan sweep is the one
-//     waived exception, see sweepOrphansLocked).
+//     time. No Store.Delete runs under s.mu.
 //  2. reap again, under one short hold of s.mu: successes leave the
 //     table; failures go back to held, for the next landed super.
 //     Deletion is space reclaim, not correctness, so a failure never

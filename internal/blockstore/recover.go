@@ -17,12 +17,13 @@ import (
 )
 
 // Open recovers a volume: superblock → latest checkpoint → replay of
-// the consecutive object suffix, deleting stranded objects beyond the
-// first gap (§3.3). Metadata for the whole suffix is prefetched by a
-// bounded pool (openFanout), so open time is O(suffix / openFanout)
-// backend round-trips; the APPLY of the decoded headers stays strictly
-// sequential, so the crash-gap semantics are byte-for-byte those of a
-// serial replay.
+// the consecutive object suffix, which ends at the first gap, torn
+// object or object of an older epoch than the one before it (§3.3;
+// DESIGN.md §11.3, the epoch rule). Metadata for the whole suffix is
+// prefetched by a bounded pool (openFanout), so open time is
+// O(suffix / openFanout) backend round-trips; the APPLY of the decoded
+// headers stays strictly sequential, so the crash-gap semantics are
+// byte-for-byte those of a serial replay.
 func Open(ctx context.Context, cfg Config) (*Store, error) {
 	return open(ctx, cfg, 0, false)
 }
@@ -98,9 +99,10 @@ func open(ctx context.Context, cfg Config, limit uint32, readOnly bool) (*Store,
 	// decrease the sequence number: a self-referencing or cyclic chain
 	// in a corrupt checkpoint must surface as an error, not a loop.
 	ckptSeq := sb.lastCkpt
+	var epoch uint32 // the loaded checkpoint's
 	for {
 		gets.Add(1)
-		payload, size, err := s.readCheckpointObject(ckptSeq)
+		payload, size, e, err := s.readCheckpointObject(ckptSeq)
 		if err != nil {
 			return nil, err
 		}
@@ -111,6 +113,7 @@ func open(ctx context.Context, cfg Config, limit uint32, readOnly bool) (*Store,
 			if err != nil {
 				return nil, err
 			}
+			epoch = e
 			break
 		}
 		if payload.prevCkpt == 0 || payload.prevCkpt >= ckptSeq {
@@ -126,31 +129,46 @@ func open(ctx context.Context, cfg Config, limit uint32, readOnly bool) (*Store,
 
 	// Replay the consecutive suffix after the checkpoint: one List,
 	// then the headers and sizes of every suffix object prefetched
-	// concurrently.
+	// concurrently. A writable open prefetches the stranded objects
+	// beyond the first gap as well: their epochs bound its own.
 	gets.Add(1)
 	names, err := cfg.Store.List(ctx, cfg.Volume+".")
 	if err != nil {
 		return nil, err
 	}
-	present := make(map[uint32]bool)
-	for _, seq := range sortedSeqs(cfg.Volume, names) {
+	listed := sortedSeqs(cfg.Volume, names)
+	present := make(map[uint32]bool, len(listed))
+	for _, seq := range listed {
 		present[seq] = true
 	}
-	var suffix []uint32
+	var fetch []uint32
 	for seq := ckptSeq + 1; present[seq] && (limit == 0 || seq <= limit); seq++ {
-		suffix = append(suffix, seq)
+		fetch = append(fetch, seq)
 	}
-	metas := make([]*objMeta, len(suffix))
-	runBounded(openFanout, len(suffix), func(i int) {
-		metas[i] = s.fetchObjectMeta(suffix[i], &gets)
+	suffix := len(fetch)
+	if !readOnly {
+		for _, seq := range listed {
+			if seq > ckptSeq+uint32(suffix) {
+				fetch = append(fetch, seq)
+			}
+		}
+	}
+	metas := make([]*objMeta, len(fetch))
+	runBounded(openFanout, len(fetch), func(i int) {
+		metas[i] = s.fetchObjectMeta(fetch[i], &gets)
 	})
 
 	// Apply strictly in sequence order, so a torn object (the crash
 	// gap) bounds the consistent prefix exactly as a serial replay
-	// would have.
+	// would have, and so does the epoch rule: an object of an older
+	// epoch than the one before it is a dead session's leftover, never
+	// a link.
 	next := ckptSeq + 1
 	replayed := 0
-	for i, seq := range suffix {
+	for i, seq := range fetch[:suffix] {
+		if m := metas[i]; m.h != nil && epochOf(m.h) < epoch {
+			break
+		}
 		if err := s.applyObjectMeta(seq, metas[i], &gets); err != nil {
 			if limit == 0 && errors.Is(err, journal.ErrCorrupt) {
 				// A truncated or torn object is the crash gap (§3.3):
@@ -163,39 +181,43 @@ func open(ctx context.Context, cfg Config, limit uint32, readOnly bool) (*Store,
 			}
 			return nil, err
 		}
+		epoch = epochOf(metas[i].h)
 		replayed++
 		next++
 	}
 	s.nextSeq = next
 	s.durable = sb
 
-	// Delete stranded objects beyond the prefix (§3.3) — writes that
-	// were in flight when the client died — fanned out like the
-	// prefetch. A failed delete must not fail recovery: the object is
-	// recorded as an orphan and swept before any subsequent object PUT,
-	// so it can never fill back into the replayable prefix (see
-	// sweepOrphansLocked). Stranded objects were never installed (the
-	// checkpoint only covers seqs at or below its own), so the raw
-	// backend delete is the whole job.
-	if !readOnly {
-		var stranded []uint32
-		for seq := range present {
-			if seq >= next {
-				stranded = append(stranded, seq)
-			}
+	// This session's epoch tops every epoch the open saw, a writable
+	// open's stranded objects' included, so none of them can ever follow
+	// an object it writes. A header torn before its epoch can never be
+	// replayed; one gone since the LIST cannot either. A read-only mount
+	// writes nothing, but a clone starts from the epoch of its snapshot's.
+	for _, m := range metas[replayed:] {
+		switch {
+		case m.h != nil:
+			epoch = max(epoch, epochOf(m.h))
+		case !readOnly && !errors.Is(m.err, journal.ErrCorrupt) && !errors.Is(m.err, objstore.ErrNotFound):
+			return nil, m.err
 		}
-		var smu sync.Mutex
+	}
+	s.epoch = epoch + 1
+
+	if !readOnly {
+		// Delete the stranded objects beyond the prefix (§3.3) — writes
+		// that were in flight when the client died — fanned out like
+		// the prefetch. This only reclaims space: a failed delete leaks
+		// the object until a later open or this session's own PUT of
+		// that name, and fails nothing. Stranded objects were never
+		// installed, so the raw backend delete is the whole job.
+		var deleted atomic.Uint64
+		stranded := slices.DeleteFunc(listed, func(seq uint32) bool { return seq < next })
 		runBounded(openFanout, len(stranded), func(i int) {
-			seq := stranded[i]
-			err := s.cfg.Store.Delete(s.ctx, s.name(seq))
-			smu.Lock()
-			defer smu.Unlock()
-			if err != nil && !errors.Is(err, objstore.ErrNotFound) {
-				s.orphans[seq] = true
-				return
+			if s.cfg.Store.Delete(s.ctx, s.name(stranded[i])) == nil {
+				deleted.Add(1)
 			}
-			s.stats.objectsDeleted++
 		})
+		s.stats.objectsDeleted += deleted.Load()
 		// Re-drive the owed deletes: a row the checkpoint lists as not live
 		// whose delete never ran (the crash landed between the release and
 		// the delete, mid-reap, or the delete itself kept failing) would
@@ -275,42 +297,22 @@ func runBounded(fanout, n int, fn func(i int)) {
 	wg.Wait()
 }
 
-// sweepOrphansLocked retries deletion of stranded objects whose
-// recovery-time delete failed. It must run before every object PUT
-// (seal, GC, checkpoint): once new objects fill the sequence gap below
-// an orphan, a crash would put the orphan back inside the consecutive
-// prefix and recovery would resurrect its stale data. No new object
-// may be written while an orphan remains, so a persistently failing
-// sweep surfaces as a write-path error — never an Open failure.
-//
-//lsvd:requires bs.mu
-func (s *Store) sweepOrphansLocked() error {
-	for seq := range s.orphans {
-		//lsvd:ignore an orphan must be gone before the next object PUT, and every PUT reserves its sequence number under mu
-		err := s.cfg.Store.Delete(s.ctx, s.name(seq))
-		if err != nil && !errors.Is(err, objstore.ErrNotFound) {
-			return fmt.Errorf("blockstore: sweeping orphan object %d: %w", seq, err)
-		}
-		s.stats.objectsDeleted++
-		delete(s.orphans, seq)
-	}
-	return nil
-}
-
-func (s *Store) readCheckpointObject(seq uint32) (p *checkpointPayload, size int64, err error) {
+// readCheckpointObject reads and decodes checkpoint object seq, and
+// returns its backend size and the epoch its header carries.
+func (s *Store) readCheckpointObject(seq uint32) (p *checkpointPayload, size int64, epoch uint32, err error) {
 	raw, err := s.cfg.Store.Get(s.ctx, s.name(seq))
 	if err != nil {
-		return nil, 0, fmt.Errorf("blockstore: checkpoint %d: %w", seq, err)
+		return nil, 0, 0, fmt.Errorf("blockstore: checkpoint %d: %w", seq, err)
 	}
 	h, payload, _, err := journal.Decode(raw, false)
 	if err != nil {
-		return nil, 0, fmt.Errorf("blockstore: checkpoint %d corrupt: %w", seq, err)
+		return nil, 0, 0, fmt.Errorf("blockstore: checkpoint %d corrupt: %w", seq, err)
 	}
 	if h.Type != journal.TypeCheckpoint {
-		return nil, 0, fmt.Errorf("blockstore: object %d is %v, not a checkpoint", seq, h.Type)
+		return nil, 0, 0, fmt.Errorf("blockstore: object %d is %v, not a checkpoint", seq, h.Type)
 	}
 	p, err = decodeCheckpoint(payload)
-	return p, int64(len(raw)), err
+	return p, int64(len(raw)), epochOf(h), err
 }
 
 // loadCheckpointLocked replaces the in-memory state with what
@@ -425,7 +427,7 @@ func (s *Store) applyObjectMeta(seq uint32, m *objMeta, gets *atomic.Uint64) err
 		// A checkpoint newer than the superblock pointer (its PUT
 		// completed but the super update didn't): reload state from it.
 		gets.Add(1)
-		payload, size, err := s.readCheckpointObject(seq)
+		payload, size, _, err := s.readCheckpointObject(seq)
 		if err != nil {
 			return err
 		}

@@ -165,3 +165,88 @@ func TestOpenAtBrokenCheckpointChain(t *testing.T) {
 		})
 	}
 }
+
+// TestEpochZeroBucketOpens: each object's header Seq carries its
+// session's epoch above the object number, a writable open taking one
+// above every epoch it saw; and a bucket whose objects all carry epoch
+// 0, as one written before objects carried epochs, opens with every
+// write and goes on from epoch 1.
+func TestEpochZeroBucketOpens(t *testing.T) {
+	store := objstore.NewMem()
+	cfg := Config{Volume: "vol", Store: store, CheckpointEvery: 1 << 30}
+	var want []block.Extent
+	write := func(s *Store) {
+		t.Helper()
+		ext := block.Extent{LBA: block.LBA(len(want)) * 8, Sectors: 8}
+		want = append(want, ext)
+		if err := s.Append(uint64(len(want)), ext, payload(int64(len(want)), int(ext.Bytes()))); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Seal(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	reopen := func() *Store {
+		t.Helper()
+		s, err := Open(ctx, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, ext := range want {
+			if !bytes.Equal(readAll(t, s, ext), payload(int64(i+1), int(ext.Bytes()))) {
+				t.Fatalf("write %d lost", i+1)
+			}
+		}
+		return s
+	}
+	// headers rewrites every object's header Seq by fn and returns the
+	// epochs it found, by object number.
+	headers := func(fn func(seq uint64) uint64) map[uint32]uint32 {
+		t.Helper()
+		names, err := store.List(ctx, "vol.")
+		if err != nil {
+			t.Fatal(err)
+		}
+		epochs := map[uint32]uint32{}
+		for _, seq := range sortedSeqs("vol", names) {
+			raw, err := store.Get(ctx, objName("vol", seq))
+			if err != nil {
+				t.Fatal(err)
+			}
+			h, data, _, err := journal.Decode(raw, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if uint32(h.Seq) != seq {
+				t.Fatalf("object %d carries object number %d", seq, uint32(h.Seq))
+			}
+			epochs[seq] = epochOf(h)
+			h.Seq = fn(h.Seq)
+			if raw, err = journal.EncodeSectorHeader(h, data); err != nil {
+				t.Fatal(err)
+			}
+			if err := store.Put(ctx, objName("vol", seq), raw); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return epochs
+	}
+
+	s := newVolume(t, store, Config{CheckpointEvery: 1 << 30})
+	write(s) // object 2, beside Create's checkpoint 1
+	s.Abort()
+	s = reopen()
+	write(s) // object 3
+	s.Abort()
+	if got := headers(func(seq uint64) uint64 { return seq }); got[1] != 0 || got[2] != 0 || got[3] != 1 {
+		t.Fatalf("epochs by object %v, want 0, 0, 1", got)
+	}
+	headers(func(seq uint64) uint64 { return seq & (1<<epochBits - 1) })
+	s = reopen()
+	if s.epoch != 1 {
+		t.Fatalf("an open of an epoch-0 bucket took epoch %d", s.epoch)
+	}
+	write(s)
+	s.Abort()
+	reopen().Abort()
+}

@@ -179,6 +179,7 @@ func Clone(ctx context.Context, base Config, snapName, newVolume string) error {
 	clone.volSectors = src.volSectors
 	clone.baseVol = base.Volume
 	clone.baseSeq = snapSeq
+	clone.epoch = src.epoch
 	clone.m = src.m.Clone()
 	clone.objects = make(map[uint32]*objInfo, len(src.objects))
 	for seq, o := range src.objects {

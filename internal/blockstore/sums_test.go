@@ -66,7 +66,7 @@ func TestObjectFromSumsIsByteIdentical(t *testing.T) {
 			}
 			const seq = 7
 			exts, offs := batchExtents(b, seq)
-			obj, info, mapped := buildObject(seq, journal.TypeData, b.maxWrite, exts, offs, &b.segments)
+			obj, info, mapped := buildObject(seq, 0, journal.TypeData, b.maxWrite, exts, offs, &b.segments)
 
 			h := &journal.Header{Type: journal.TypeData, Seq: seq, WriteSeq: b.maxWrite, Extents: exts,
 				DataLen: uint64(objstore.VecLen(obj[1:]))}

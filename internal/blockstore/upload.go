@@ -77,9 +77,6 @@ type inflightObj struct {
 //
 //lsvd:requires bs.mu
 func (s *Store) sealAsyncLocked() error {
-	if err := s.sweepOrphansLocked(); err != nil {
-		return err
-	}
 	if s.batch.empty() {
 		return nil
 	}
@@ -149,11 +146,7 @@ func (s *Store) startCheckpointLocked(inf *inflightObj) {
 	}
 	shot := inf.ckpt
 	if shot.payload == nil {
-		if err := s.fillCkptShotLocked(shot); err != nil {
-			inf.done, inf.err = true, err
-			s.commitCond.Broadcast()
-			return
-		}
+		s.fillCkptShotLocked(shot)
 	}
 	invariant.Go("blockstore-checkpoint", func() {
 		err := s.putCheckpointObject(shot)
@@ -243,7 +236,7 @@ func (s *Store) startUploadLocked(inf *inflightObj, bg bool) {
 		if obj == nil {
 			var info *objInfo
 			var mapped []mappedExtent
-			obj, info, mapped = buildObject(inf.seq, inf.typ,
+			obj, info, mapped = buildObject(inf.seq, s.epoch, inf.typ,
 				inf.maxWrite, inf.exts, inf.offs, inf.src)
 			s.mu.Lock()
 			inf.obj, inf.info, inf.mapped = obj, info, mapped

@@ -22,8 +22,10 @@
 //     listed and deleted independently inside one bucket.
 //
 // Volume-name → slot assignments persist in a small JSON object at
-// key "host/slots", so reopening a host reattaches every volume to
-// the write-cache section holding its log.
+// key "host/slots", beside the carving that placed the slots, so
+// reopening a host reattaches every volume to the write-cache section
+// holding its log, and a host that would carve the SSD differently is
+// refused (LayoutError).
 package host
 
 import (
@@ -80,6 +82,30 @@ func volPrefix(name string) string { return "vol/" + name + "/" }
 type slotsFile struct {
 	Version int            `json:"version"`
 	Slots   map[string]int `json:"slots"`
+	// Layout is the carving the slots were leased in; a table written
+	// before it was recorded has none, and the next save records it.
+	Layout *Layout `json:"layout,omitempty"`
+}
+
+// Layout is how a host carves its cache SSD: Slots write-cache slots
+// of SlotBytes each from offset 0, the read arena on the rest. It
+// follows from the device size, MaxVolumes and WriteCacheFrac.
+type Layout struct {
+	Slots     int   `json:"slots"`
+	SlotBytes int64 `json:"slot_bytes"`
+}
+
+// LayoutError is New's refusal of options that carve the cache SSD
+// otherwise than the slot table records: a volume's flushed writes not
+// yet in the backend sit in its slot's log, which any other carving
+// moves.
+type LayoutError struct {
+	Recorded, Asked Layout
+}
+
+func (e *LayoutError) Error() string {
+	return fmt.Sprintf("host: %s records %d write-cache slots of %d bytes, but these options carve %d of %d",
+		slotsKey, e.Recorded.Slots, e.Recorded.SlotBytes, e.Asked.Slots, e.Asked.SlotBytes)
 }
 
 // Host owns one cache SSD and one backend session and serves
@@ -95,6 +121,7 @@ type Host struct {
 
 	arena      *readcache.Arena
 	slotDevs   []simdev.Device // the write-cache slots, by index
+	layout     Layout          // how slotDevs carve the SSD
 	uploadGate *iosched.Gate
 	fetchSem   chan struct{}
 
@@ -112,8 +139,9 @@ type Host struct {
 }
 
 // New opens a host on the SSD + bucket: the SSD is carved (write-cache
-// slots + shared arena), the volume→slot table is loaded, and the
-// global semaphores are built. Volumes are then opened individually.
+// slots + shared arena), the volume→slot table is loaded and its
+// recorded carving checked, and the global semaphores are built.
+// Volumes are then opened individually.
 func New(ctx context.Context, opts Options) (*Host, error) {
 	if err := opts.Check(); err != nil {
 		return nil, err
@@ -135,6 +163,10 @@ func New(ctx context.Context, opts Options) (*Host, error) {
 	if err != nil {
 		return nil, err
 	}
+	h.layout = Layout{Slots: len(h.slotDevs), SlotBytes: h.slotDevs[0].Size()}
+	if err := h.loadSlots(ctx); err != nil {
+		return nil, err
+	}
 	h.arena, err = readcache.NewArena(arenaDev, readcache.SizedConfig(arenaDev.Size(), readcache.FIFO))
 	if err != nil {
 		return nil, fmt.Errorf("host: arena: %w", err)
@@ -142,10 +174,6 @@ func New(ctx context.Context, opts Options) (*Host, error) {
 
 	h.uploadGate = iosched.NewGate(opts.UploadDepth)
 	h.fetchSem = make(chan struct{}, opts.FetchDepth)
-
-	if err := h.loadSlots(ctx); err != nil {
-		return nil, err
-	}
 	return h, nil
 }
 
@@ -182,6 +210,9 @@ func (h *Host) loadSlots(ctx context.Context) error {
 	if err := json.Unmarshal(raw, &f); err != nil {
 		return fmt.Errorf("host: parsing %s: %w", slotsKey, err)
 	}
+	if f.Layout != nil && *f.Layout != h.layout {
+		return &LayoutError{Recorded: *f.Layout, Asked: h.layout}
+	}
 	// A table the leases could not have written is refused here, before
 	// leaseLocked's bijection assert meets it.
 	owner := make(map[int]string, len(f.Slots))
@@ -212,7 +243,7 @@ func (h *Host) saveSlots(ctx context.Context) error {
 	h.mu.Lock()
 	h.slotsGen++
 	gen := h.slotsGen
-	f := slotsFile{Version: 1, Slots: make(map[string]int, len(h.slots))}
+	f := slotsFile{Version: 1, Slots: make(map[string]int, len(h.slots)), Layout: &h.layout}
 	for name, slot := range h.slots {
 		f.Slots[name] = slot
 	}

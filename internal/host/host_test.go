@@ -3,6 +3,7 @@ package host
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"net"
@@ -150,6 +151,57 @@ func TestHostRestartReattachesSlots(t *testing.T) {
 		}
 		if !bytes.Equal(got, data) {
 			t.Fatalf("%s lost data across restart", name)
+		}
+	}
+	if err := h2.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestHostRestartRefusesAnotherCarving: a host reopened with a
+// MaxVolumes that carves the SSD otherwise is refused with a
+// LayoutError, for the new carving would move every slot's log but
+// slot 0's; reopened as it was carved, it gives back each volume's
+// flushed writes that never reached the backend.
+func TestHostRestartRefusesAnotherCarving(t *testing.T) {
+	ctx := context.Background()
+	store := objstore.NewMem()
+	cache := simdev.NewMem(128 * block.MiB)
+	h := testHost(t, store, cache, 2)
+	want := map[string][]byte{}
+	for i := 0; i < 2; i++ {
+		name := fmt.Sprintf("vm%d", i)
+		d, err := h.Create(ctx, name, core.VolumeOptions{VolBytes: 4 * block.MiB})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[name] = pattern(int64(300+i), 256<<10)
+		if err := d.WriteAt(want[name], 0); err != nil {
+			t.Fatal(err)
+		}
+		if err := d.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		d.Kill()
+	}
+
+	_, err := New(ctx, Options{HostOptions: core.HostOptions{Store: store, CacheDev: cache}, MaxVolumes: 4})
+	var le *LayoutError
+	if !errors.As(err, &le) || le.Recorded.Slots != 2 || le.Asked.Slots != 4 {
+		t.Fatalf("New with MaxVolumes 4 over a 2-slot carving: %v, want a LayoutError", err)
+	}
+	h2 := testHost(t, store, cache, 2)
+	for name, data := range want {
+		d, err := h2.Open(ctx, name, core.VolumeOptions{})
+		if err != nil {
+			t.Fatalf("reopen %s: %v", name, err)
+		}
+		got := make([]byte, len(data))
+		if err := d.ReadAt(got, 0); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, data) {
+			t.Fatalf("%s lost its flushed writes across the restart", name)
 		}
 	}
 	if err := h2.Close(); err != nil {

@@ -1,6 +1,7 @@
 package iosched
 
 import (
+	"fmt"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -154,6 +155,64 @@ func TestGateUnregisterGrowsShares(t *testing.T) {
 	if got := g.minShare(); got != 4 {
 		t.Fatalf("share after unregister = %d, want full capacity 4", got)
 	}
+}
+
+// TestGateUnregisterWithWaitersFails: a user is unregistered only with
+// no waiters; Unregister with an Acquire of the id blocked fails its
+// assert, and succeeds once the waiter has its slot and gives it back.
+func TestGateUnregisterWithWaitersFails(t *testing.T) {
+	g := NewGate(1)
+	g.Register("a")
+	g.Acquire("a")
+	acquired := make(chan struct{})
+	go func() {
+		g.Acquire("a")
+		close(acquired)
+	}()
+	for waiting := 0; waiting == 0; {
+		time.Sleep(time.Millisecond)
+		g.mu.Lock()
+		waiting = g.users["a"].waiting
+		g.mu.Unlock()
+	}
+	func() {
+		defer func() {
+			if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "1 waiters") {
+				t.Fatalf("Unregister with a waiter: %v, want an invariant failure", r)
+			}
+		}()
+		g.Unregister("a")
+	}()
+	g.Release("a")
+	<-acquired
+	g.Release("a")
+	g.Unregister("a")
+}
+
+// TestGateReleaseOfAnUnheldSlotFails: a release never frees a slot its
+// user does not hold, foreground or background; the assert fails it.
+func TestGateReleaseOfAnUnheldSlotFails(t *testing.T) {
+	g := NewGate(2)
+	g.Register("a")
+	g.Register("b")
+	g.Acquire("b") // another user's slot is not a's to free
+	for name, release := range map[string]func(){
+		"foreground": func() { g.Release("a") },
+		"background": func() { g.ReleaseBackground("gc") },
+	} {
+		func() {
+			defer func() {
+				if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "releasing unheld slot") {
+					t.Errorf("%s release of an unheld slot: %v, want an invariant failure", name, r)
+				}
+			}()
+			release()
+		}()
+	}
+	if st := g.Stats("b"); st.Held != 1 {
+		t.Fatalf("b holds %d slots after the refused releases", st.Held)
+	}
+	g.Release("b")
 }
 
 func (g *Gate) minShare() int {

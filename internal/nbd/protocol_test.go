@@ -9,6 +9,7 @@ import (
 
 	"lsvd/internal/block"
 	"lsvd/internal/simdev"
+	"lsvd/internal/vdisk"
 )
 
 // protoConn starts a server handling one raw net.Pipe connection and
@@ -17,7 +18,13 @@ import (
 // return value.
 func protoConn(t *testing.T) (net.Conn, chan error) {
 	t.Helper()
-	s := NewServer(Export{Name: "d", Disk: memVDisk{dev: simdev.NewMem(block.MiB)}})
+	return protoConnTo(t, memVDisk{dev: simdev.NewMem(block.MiB)})
+}
+
+// protoConnTo is protoConn serving disk, of block.MiB bytes, as "d".
+func protoConnTo(t *testing.T, disk vdisk.Disk) (net.Conn, chan error) {
+	t.Helper()
+	s := NewServer(Export{Name: "d", Disk: disk})
 	client, server := net.Pipe()
 	errc := make(chan error, 1)
 	go func() {
@@ -273,5 +280,99 @@ func TestRequestWritePayloadTruncated(t *testing.T) {
 	// A write claiming 4096 bytes but delivering 100 then EOF.
 	sendRequest(t, c, cmdWrite, 7, 0, 4096, make([]byte, 100))
 	c.Close()
+	waitClosed(t, errc)
+}
+
+// recDisk records the length of every write that reaches it, and its
+// Flush returns only once release is closed, after announcing itself
+// on flushing.
+type recDisk struct {
+	memVDisk
+	writes            chan int
+	flushing, release chan struct{}
+}
+
+func newRecDisk() recDisk {
+	return recDisk{memVDisk{simdev.NewMem(block.MiB)}, make(chan int, 8), make(chan struct{}, 1), make(chan struct{})}
+}
+
+func (d recDisk) WriteAt(p []byte, off int64) error {
+	d.writes <- len(p)
+	return d.memVDisk.WriteAt(p, off)
+}
+
+func (d recDisk) Flush() error {
+	d.flushing <- struct{}{}
+	<-d.release
+	return d.memVDisk.Flush()
+}
+
+// TestWriteReachesDiskWithItsDeclaredLength: a write reaches the disk
+// with exactly the bytes its header declares before its reply, which
+// carries its handle; one whose payload is cut short never reaches the
+// disk.
+func TestWriteReachesDiskWithItsDeclaredLength(t *testing.T) {
+	d := newRecDisk()
+	c, errc := protoConnTo(t, d)
+	enterTransmission(t, c)
+	sendRequest(t, c, cmdWrite, 5, 4096, 1024, make([]byte, 1024))
+	if handle, errno, _ := readSimpleReply(t, c, 0); handle != 5 || errno != 0 {
+		t.Fatalf("write reply handle=%d errno=%d, want 5/0", handle, errno)
+	}
+	select {
+	case n := <-d.writes:
+		if n != 1024 {
+			t.Fatalf("the disk got a write of %d bytes, want 1024", n)
+		}
+	default:
+		t.Fatal("the write was acknowledged before it reached the disk")
+	}
+	sendRequest(t, c, cmdWrite, 6, 0, 4096, make([]byte, 100))
+	c.Close()
+	waitClosed(t, errc)
+	select {
+	case n := <-d.writes:
+		t.Fatalf("a write cut short reached the disk with %d bytes", n)
+	default:
+	}
+}
+
+// TestFlushReplyWaitsForDiskFlush: the reply to a flush, with its
+// handle, is sent only once Disk.Flush has returned.
+func TestFlushReplyWaitsForDiskFlush(t *testing.T) {
+	d := newRecDisk()
+	c, errc := protoConnTo(t, d)
+	enterTransmission(t, c)
+	sendRequest(t, c, cmdFlush, 9, 0, 0, nil)
+	replies := make(chan [16]byte, 1)
+	go func() {
+		var hdr [16]byte
+		if _, err := io.ReadFull(c, hdr[:]); err == nil {
+			replies <- hdr
+		}
+	}()
+	released := false
+	defer func() {
+		if !released {
+			close(d.release) // let the server finish on a failed run
+		}
+	}()
+	select {
+	case <-d.flushing:
+	case <-replies:
+		t.Fatal("the server replied to a flush before calling Disk.Flush")
+	}
+	select {
+	case <-replies:
+		t.Fatal("the server replied while Disk.Flush had not returned")
+	case <-time.After(50 * time.Millisecond):
+	}
+	released = true
+	close(d.release)
+	hdr := <-replies
+	if handle, errno := binary.BigEndian.Uint64(hdr[8:]), binary.BigEndian.Uint32(hdr[4:]); handle != 9 || errno != 0 {
+		t.Fatalf("flush reply handle=%d errno=%d, want 9/0", handle, errno)
+	}
+	sendRequest(t, c, cmdDisc, 10, 0, 0, nil)
 	waitClosed(t, errc)
 }

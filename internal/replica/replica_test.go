@@ -10,6 +10,7 @@ import (
 
 	"lsvd/internal/block"
 	"lsvd/internal/blockstore"
+	"lsvd/internal/extmap"
 	"lsvd/internal/iosched"
 	"lsvd/internal/objstore"
 	"lsvd/internal/testleak"
@@ -33,11 +34,16 @@ func readAll(t *testing.T, s *blockstore.Store, ext block.Extent) []byte {
 		if !run.Present {
 			continue
 		}
-		data, err := s.ReadRun(run)
+		f, err := s.FetchSpan([]extmap.Run{run}, 0, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, err := f.Slice(run)
 		if err != nil {
 			t.Fatal(err)
 		}
 		copy(buf[(run.LBA-ext.LBA).Bytes():], data)
+		f.Release()
 	}
 	return buf
 }

@@ -4,8 +4,10 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"math/rand"
 
+	"lsvd/internal/invariant"
 	"lsvd/internal/journal"
 	"lsvd/internal/objstore"
 )
@@ -73,6 +75,32 @@ type torn []byte
 
 func (torn) Error() string { return ErrFault.Error() + ": torn put" }
 func (torn) Unwrap() error { return ErrFault }
+
+// ReleaseLate releases h, a PUT of s's held at g, failed with ErrFault,
+// and holds its write at g as an operation of its own, logged
+// "put-late NAME" before the failure, which applies it once released:
+// a request whose caller saw it fail — its reply lost, its connection
+// cut — and which the store still applies later. Its completion is
+// logged as the PUT's, so At and Apply rebuild it.
+func (s *Store) ReleaseLate(g *Gate, h *Held) {
+	if h.Kind != Put || h.src != &s.recorder {
+		panic(fmt.Sprintf("testrec: %v is not a PUT of this store", h.Op))
+	}
+	op := s.add(Op{Kind: Put, Name: h.Name, Len: h.Len, Type: h.Type, Late: true, src: &s.recorder})
+	data := objstore.VecJoin(h.bufs) // a copy: the caller may reuse its buffers
+	g.Release(h, ErrFault)
+	invariant.Go("testrec-late-put", func() {
+		err := g.wait(op)
+		if err == nil {
+			err = s.inner.Put(context.Background(), op.Name, data)
+		}
+		op.Done, op.Err = true, err
+		if err == nil && s.Keep {
+			op.Data = data
+		}
+		s.add(op)
+	})
+}
 
 // Get implements objstore.Store.
 func (s *Store) Get(ctx context.Context, name string) ([]byte, error) {

@@ -5,7 +5,8 @@
 // completion, stamped from the Clock they share, beside the events the
 // test notes itself. By a Match, the test can park, fail or delay any of
 // them, or hold them all at a Gate and release them in an order of its
-// choosing once the program has settled (Settle); it can rebuild the
+// choosing once the program has settled (Settle), a PUT perhaps failed
+// to its caller and applied later (ReleaseLate); it can rebuild the
 // store (At) or the device (Image) as of any stamp; and it states
 // orderings over the log instead of wall-clock bounds. The backend failure model of DESIGN.md §13 is a set of its
 // rules: Fail, or Tear, with ErrFault on the operations a Match picks by
@@ -58,6 +59,7 @@ type Op struct {
 	Off   int64        // range or device offset; a note's value
 	Len   int64        // bytes written or asked for
 	Type  journal.Type // a PUT's header type, 0 when it has none
+	Late  bool         // the write of a PUT its caller saw fail (Store.ReleaseLate)
 	Err   error
 	Data  []byte
 	src   *recorder
@@ -66,11 +68,13 @@ type Op struct {
 
 // String renders an entry as the ordering tests search for it: "put
 // vol.super", "put-done vol.super", "delete-failed vol.00000004",
-// "put-torn vol.00000005", "destage 12".
+// "put-torn vol.00000005", "put-late vol.00000006", "destage 12".
 func (op Op) String() string {
 	switch {
 	case op.Kind == Note:
 		return fmt.Sprintf("%s %d", op.Name, op.Off)
+	case op.Late && !op.Done:
+		return string(op.Kind) + "-late " + op.Name
 	case op.Done && op.Err != nil && op.Data != nil:
 		return string(op.Kind) + "-torn " + op.Name
 	case op.Done && op.Err != nil:

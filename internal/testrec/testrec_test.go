@@ -396,6 +396,50 @@ func TestGateReleaseAsFailed(t *testing.T) {
 	}
 }
 
+// TestGateReleaseLate: a PUT released late fails to its caller and
+// reaches the store only when its write, held as an operation of its
+// own, is released; the log, At and Faults see it as such.
+func TestGateReleaseLate(t *testing.T) {
+	mem := objstore.NewMem()
+	s := NewStore(mem)
+	s.Keep = true
+	g := s.Gate(Puts)
+	done := make(chan error, 1)
+	go func() { done <- s.Put(ctx, "obj", []byte("late")) }()
+	if err := Settle(10 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	s.ReleaseLate(g, g.Held()[0])
+	if err := <-done; !errors.Is(err, ErrFault) {
+		t.Fatalf("the put released late returned %v", err)
+	}
+	if err := Settle(10 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	failed := s.Now()
+	if _, err := mem.Size(ctx, "obj"); !errors.Is(err, objstore.ErrNotFound) {
+		t.Fatalf("the late write landed before its release: %v", err)
+	}
+	held := g.Held()
+	if len(held) != 1 || held[0].String() != "put-late obj" {
+		t.Fatalf("held %v", held)
+	}
+	g.Release(held[0], nil)
+	if !s.Await(failed, Puts.Named("obj"), 10*time.Second) {
+		t.Fatal("the late write never landed")
+	}
+	if got, err := s.At(s.Now()).Get(ctx, "obj"); err != nil || string(got) != "late" {
+		t.Fatalf("At holds %q, %v", got, err)
+	}
+	want := []string{"put obj", "put-late obj", "put-failed obj", "put-done obj"}
+	if got := s.Lines(); !slices.Equal(got, want) {
+		t.Fatalf("log %q, want %q", got, want)
+	}
+	if n, _ := s.Faults(); n != 1 {
+		t.Fatalf("%d faults counted", n)
+	}
+}
+
 // TestSettleFailsWithinItsBound: a goroutine that never blocks keeps
 // Settle from returning nil; it fails once its bound has passed, not
 // much later.
