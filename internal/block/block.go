@@ -89,9 +89,6 @@ func (e Extent) Intersect(o Extent) (Extent, bool) {
 	return Extent{LBA: lo, Sectors: uint32(hi - lo)}, true
 }
 
-// Adjacent reports whether o begins exactly where e ends.
-func (e Extent) Adjacent(o Extent) bool { return e.End() == o.LBA }
-
 func (e Extent) String() string {
 	return fmt.Sprintf("[%d+%d)", e.LBA, e.Sectors)
 }

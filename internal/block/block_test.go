@@ -46,9 +46,6 @@ func TestOverlapIntersect(t *testing.T) {
 	if a.Overlaps(c) {
 		t.Fatal("adjacent extents reported overlapping")
 	}
-	if !a.Adjacent(c) {
-		t.Fatal("adjacency missed")
-	}
 	iv, ok := a.Intersect(b)
 	if !ok || iv.LBA != 5 || iv.Sectors != 5 {
 		t.Fatalf("intersect %+v", iv)

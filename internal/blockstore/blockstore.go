@@ -33,6 +33,10 @@ const trimMarker = ^uint64(0)
 // ErrReadOnly is returned for mutations on snapshot mounts.
 var ErrReadOnly = errors.New("blockstore: volume is read-only")
 
+// DefaultUploadDepth is the upload depth of a store, or a disk, whose
+// options leave it zero and give it no gate.
+const DefaultUploadDepth = 4
+
 // Config configures a block store volume.
 type Config struct {
 	// Volume is the object name prefix; objects are named
@@ -48,7 +52,8 @@ type Config struct {
 	// GCLowWater wakes the paced background collector (gc.go) when
 	// live/total falls below it; GCHighWater stops a pass, RunGC's
 	// included. Paper: 0.70 / 0.75. GCLowWater 0 disables automatic GC:
-	// no collector is started and only RunGC collects.
+	// no collector is started and only RunGC collects. (A disk's 0
+	// means 0.70; it hands a disabled collector down as 0.)
 	GCLowWater, GCHighWater float64
 	// CheckpointEvery writes a map checkpoint after this many sealed
 	// objects. Default 32.
@@ -76,10 +81,12 @@ type Config struct {
 	// commits race; callees must treat writeSeq as a high-water mark
 	// (keep the max), which writecache.SetDestaged does.
 	OnDestage func(writeSeq uint64)
-	// UploadDepth is the depth of the upload pipeline (upload.go): sealed
-	// objects are PUT by up to UploadDepth concurrent uploads while the
-	// next batch fills; map/watermark commit stays strictly in sequence
-	// order. Default 4.
+	// UploadDepth is the depth of the upload pipeline (upload.go): up to
+	// 2×UploadDepth sealed objects are in flight while the next batch
+	// fills, PUT as the upload gate grants slots; map/watermark commit
+	// stays strictly in sequence order. 0 takes the capacity of
+	// UploadGate, the gate that enforces it, or, for a store given none,
+	// DefaultUploadDepth, which then sizes its private gate.
 	UploadDepth int
 	// Retry is the backend retry policy. setDefaults wraps Store in an
 	// objstore.Retrier with it, so every backend operation — reads, GC
@@ -87,27 +94,20 @@ type Config struct {
 	// policy; the upload pipeline's per-fence resubmission budget is
 	// Retry.Attempts() as well. MaxAttempts < 0 disables wrapping.
 	Retry objstore.RetryPolicy
-	// FetchDepth bounds the number of concurrent backend range GETs the
-	// read-miss fetch path (FetchSpan) keeps in flight across all
-	// readers. 0 leaves the pool unbounded; 1 serializes miss fetches.
-	FetchDepth int
 
-	// UploadGate, when non-nil, replaces the store-private upload
-	// concurrency bound with a shared iosched.Gate: a multi-volume host
-	// imposes ONE global PUT budget while the gate guarantees each
-	// registered volume a minimum share of it, so a hot neighbor cannot
-	// starve this volume's destage. UploadID names this store to the
-	// gate (the host registers/unregisters it around the volume's
-	// lifetime). UploadDepth still sizes the per-store derived limits
-	// (upload maxInflight = 2*UploadDepth).
+	// UploadGate, when non-nil, replaces the store-private upload gate
+	// with a shared iosched.Gate: a multi-volume host imposes ONE global
+	// PUT budget while the gate guarantees each registered volume a
+	// minimum share of it, so a hot neighbor cannot starve this volume's
+	// destage. UploadID names this store to the gate (the host
+	// registers/unregisters it around the volume's lifetime).
 	UploadGate *iosched.Gate
 	UploadID   string
 
-	// FetchSem, when non-nil, replaces the store-private fetch
-	// semaphore with a shared one: one global budget of concurrent
-	// miss-path range GETs across every volume on the backend session.
-	// Capacity is the channel's; FetchDepth still gates whether the
-	// bound applies at all.
+	// FetchSem, when non-nil, bounds the read-miss fetch path
+	// (FetchSpan): one budget of concurrent range GETs, the channel's
+	// capacity, shared by every store handed the same channel. A store
+	// without one issues its miss GETs unbounded.
 	FetchSem chan struct{}
 
 	// Replicated marks the volume as having an asynchronous replica: a
@@ -129,8 +129,11 @@ func (c *Config) setDefaults() {
 	if c.CheckpointEvery == 0 {
 		c.CheckpointEvery = 32
 	}
+	if c.UploadDepth <= 0 && c.UploadGate != nil {
+		c.UploadDepth = c.UploadGate.Capacity()
+	}
 	if c.UploadDepth <= 0 {
-		c.UploadDepth = 4
+		c.UploadDepth = DefaultUploadDepth
 	}
 	if c.Retry.MaxAttempts >= 0 && c.Store != nil {
 		if _, ok := c.Store.(*objstore.Retrier); !ok {
@@ -319,11 +322,10 @@ type Store struct {
 	hdrMu      sync.Mutex //lsvd:lock bs.hdrMu
 	hdrFlights map[uint32]*hdrFlight
 
-	// Read-miss fetch machinery (fetch.go): in-flight/retained window
-	// table and the bounded fetcher pool.
-	fetchMu  sync.Mutex //lsvd:lock bs.fetchMu
-	flights  map[fetchKey]*flight
-	fetchSem chan struct{} // nil when FetchDepth == 0 (unbounded)
+	// Read-miss fetch machinery (fetch.go): the in-flight/retained
+	// window table; Config.FetchSem bounds its GETs.
+	fetchMu sync.Mutex //lsvd:lock bs.fetchMu
+	flights map[fetchKey]*flight
 
 	// Replication change feed (ship.go), guarded by mu. shipCond (write
 	// side of mu, like commitCond) wakes the shipper when events arrive
@@ -459,11 +461,6 @@ func newStore(ctx context.Context, cfg Config) *Store {
 	} else {
 		s.gate = iosched.NewGate(cfg.UploadDepth)
 		s.gate.Register(s.gateID) // sole user: full capacity is its share
-	}
-	if cfg.FetchSem != nil {
-		s.fetchSem = cfg.FetchSem
-	} else if cfg.FetchDepth > 0 {
-		s.fetchSem = make(chan struct{}, cfg.FetchDepth)
 	}
 	return s
 }
@@ -651,7 +648,7 @@ func (s *Store) applyDisplaced(displaced []extmap.Run, by uint32) {
 	}
 }
 
-// ckptKeepLocked is the oldest checkpoint an OpenAt chain walk reads.
+// ckptKeepLocked is the oldest checkpoint a snapshot mount's walk reads.
 // The walk starts at the named checkpoint and follows prevCkpt down to
 // the newest checkpoint at or below the sequence it mounts, so with no
 // snapshot pinned only the named checkpoint is read, and with snapshots

@@ -10,6 +10,7 @@ import (
 
 	"lsvd/internal/block"
 	"lsvd/internal/extmap"
+	"lsvd/internal/journal"
 	"lsvd/internal/objstore"
 	"lsvd/internal/testleak"
 	"lsvd/internal/testrec"
@@ -71,6 +72,17 @@ func readRun(s *Store, run extmap.Run, dst []byte) error {
 	data, err := f.Slice(run)
 	copy(dst, data)
 	return err
+}
+
+// objectType is the type of the object table's row seq, if it has one.
+func objectType(s *Store, seq uint32) (journal.Type, bool) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	o, ok := s.objects[seq]
+	if !ok {
+		return 0, false
+	}
+	return o.typ, true
 }
 
 func TestWriteSealRead(t *testing.T) {

@@ -143,7 +143,7 @@ func TestFailedSuperIsOwedNotQueued(t *testing.T) {
 			t.Fatalf("%s while the checkpoint releasing it is owed its super", e)
 		}
 	}
-	if typ, ok := s.ObjectType(ckpt); !ok || typ != journal.TypeCheckpoint {
+	if typ, ok := objectType(s, ckpt); !ok || typ != journal.TypeCheckpoint {
 		t.Fatalf("checkpoint %d is not in the table", ckpt)
 	}
 

@@ -96,7 +96,7 @@ func (f *Fetch) Slice(run extmap.Run) ([]byte, error) {
 // object layout gives for free. ahead aligns only the window's end: it
 // starts at the span, so a stream's next window reaches forward from
 // where its last one ended and fetches none of that again. The GET
-// itself is bounded by the store's fetcher pool (Config.FetchDepth)
+// itself is bounded by the shared fetch semaphore (Config.FetchSem)
 // and deduplicated against other in-flight windows.
 func (s *Store) FetchSpan(runs []extmap.Run, windowSectors uint32, ahead bool) (*Fetch, error) {
 	if len(runs) == 0 {
@@ -151,13 +151,14 @@ func (s *Store) FetchSpan(runs []extmap.Run, windowSectors uint32, ahead bool) (
 	s.flights[key] = f
 	s.fetchMu.Unlock()
 
-	if s.fetchSem != nil {
-		s.fetchSem <- struct{}{}
+	sem := s.cfg.FetchSem
+	if sem != nil {
+		sem <- struct{}{}
 	}
 	s.fetchStats.gets.Add(1)
 	raw, err := s.cfg.Store.GetRange(s.ctx, name, lo.Bytes(), (hi - lo).Bytes())
-	if s.fetchSem != nil {
-		<-s.fetchSem
+	if sem != nil {
+		<-sem
 	}
 	if err == nil && int64(len(raw)) < (hi-lo).Bytes() {
 		err = fmt.Errorf("blockstore: short object read: %d of %d bytes", len(raw), (hi - lo).Bytes())

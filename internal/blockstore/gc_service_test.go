@@ -346,7 +346,7 @@ func TestGCStaleSourceNotResurrected(t *testing.T) {
 		parkB.Release(nil)
 		t.Fatalf("GC object %d did not land behind the held upload: %v", n+2, <-gc)
 	}
-	if _, ok := s.ObjectType(n + 2); ok {
+	if _, ok := objectType(s, n+2); ok {
 		t.Fatalf("GC object %d installed above the upload in flight", n+2)
 	}
 	parkB.Release(nil)

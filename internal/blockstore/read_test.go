@@ -131,7 +131,7 @@ func TestFetchSpanWindowsAreWholeBlocksOfTheDataRegion(t *testing.T) {
 // Shared flag.
 func TestFetchSpanWindowDedup(t *testing.T) {
 	met := objstore.NewMetered(slowRanges())
-	s := newVolume(t, met, Config{FetchDepth: 8})
+	s := newVolume(t, met, Config{FetchSem: make(chan struct{}, 8)})
 	data := bytes.Repeat([]byte{9}, 256*1024)
 	if err := s.Append(1, block.Extent{LBA: 0, Sectors: 512}, data); err != nil {
 		t.Fatal(err)

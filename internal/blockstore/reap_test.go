@@ -605,11 +605,11 @@ func backendCkpts(t *testing.T, store objstore.Store) []uint32 {
 	return out
 }
 
-// TestSupersededCheckpointsDeleted: a checkpoint no OpenAt chain walk
-// reads is deleted once a super names a newer one. With no snapshot
-// that is every checkpoint below the named one; a snapshot keeps the
-// checkpoints from the one it loads upward, so it still mounts and
-// clones, and deleting it lets them go.
+// TestSupersededCheckpointsDeleted: a checkpoint no snapshot mount's
+// chain walk reads is deleted once a super names a newer one. With no
+// snapshot that is every checkpoint below the named one; a snapshot
+// keeps the checkpoints from the one it loads upward, so it still mounts
+// and clones, and deleting it lets them go.
 func TestSupersededCheckpointsDeleted(t *testing.T) {
 	mem := objstore.NewMem()
 	s := newVolume(t, mem, Config{CheckpointEvery: 1, Retry: objstore.RetryPolicy{MaxAttempts: -1}})

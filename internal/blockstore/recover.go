@@ -28,13 +28,6 @@ func Open(ctx context.Context, cfg Config) (*Store, error) {
 	return open(ctx, cfg, 0, false)
 }
 
-// OpenAt mounts the volume read-only as of object sequence snapSeq
-// (a snapshot mount, §3.6): recovery replays up to snapSeq and no
-// farther, and stranded objects are left untouched.
-func OpenAt(ctx context.Context, cfg Config, snapSeq uint32) (*Store, error) {
-	return open(ctx, cfg, snapSeq, true)
-}
-
 // OpenHeadReadOnly mounts the volume read-only at its newest
 // consistent prefix without taking write ownership. This is the
 // restore-from-replica inspection mount (§4.8): a replica is a

@@ -51,7 +51,8 @@ func ckptHistory(t *testing.T, store objstore.Store) (a, b, c block.Extent, data
 	return a, b, c, dataA, dataB
 }
 
-// OpenAt below the newest checkpoint must walk the prevCkpt chain from
+// A read-only mount as of an object sequence (open with a limit, as a
+// snapshot mount does) below the newest checkpoint must walk the prevCkpt chain from
 // the superblock's pointer back to the newest checkpoint at or before
 // the limit, then replay only up to the limit.
 func TestOpenAtWalksCheckpointChain(t *testing.T) {
@@ -59,7 +60,7 @@ func TestOpenAtWalksCheckpointChain(t *testing.T) {
 	a, b, c, dataA, dataB := ckptHistory(t, store)
 
 	// Limit 5: the walk is 8 → 6 → 4; replay covers (4, 5].
-	s, err := OpenAt(ctx, Config{Volume: "vol", Store: store, VolSectors: volSectors}, 5)
+	s, err := open(ctx, Config{Volume: "vol", Store: store, VolSectors: volSectors}, 5, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,13 +84,13 @@ func TestOpenAtWalksCheckpointChain(t *testing.T) {
 	}
 }
 
-// OpenAt exactly at a checkpoint's own sequence lands on it with no
+// A mount exactly at a checkpoint's own sequence lands on it with no
 // replay at all.
 func TestOpenAtLandsOnOlderCheckpoint(t *testing.T) {
 	store := objstore.NewMem()
 	a, b, _, dataA, _ := ckptHistory(t, store)
 
-	s, err := OpenAt(ctx, Config{Volume: "vol", Store: store, VolSectors: volSectors}, 4)
+	s, err := open(ctx, Config{Volume: "vol", Store: store, VolSectors: volSectors}, 4, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,9 +156,9 @@ func TestOpenAtBrokenCheckpointChain(t *testing.T) {
 				rewriteCheckpointPrev(t, store, seq, prev)
 			}
 			// Limit 3 forces the walk below the corrupted links.
-			_, err := OpenAt(ctx, Config{Volume: "vol", Store: store, VolSectors: volSectors}, 3)
+			_, err := open(ctx, Config{Volume: "vol", Store: store, VolSectors: volSectors}, 3, true)
 			if err == nil {
-				t.Fatal("OpenAt on a broken chain succeeded")
+				t.Fatal("a mount below a broken chain succeeded")
 			}
 			if !strings.Contains(err.Error(), "no checkpoint at or before seq") {
 				t.Fatalf("unexpected error: %v", err)

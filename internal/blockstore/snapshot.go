@@ -4,8 +4,6 @@ import (
 	"context"
 	"fmt"
 	"slices"
-
-	"lsvd/internal/journal"
 )
 
 // SnapshotInfo describes one snapshot.
@@ -205,32 +203,4 @@ func (s *Store) BaseImage() (string, uint32) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.baseVol, s.baseSeq
-}
-
-// ObjectNames returns the names of all sequence objects currently in
-// the volume (own objects only, not the clone base), ascending; used by
-// the asynchronous replicator (§4.8).
-func (s *Store) ObjectNames() ([]string, error) {
-	names, err := s.cfg.Store.List(s.ctx, s.cfg.Volume+".")
-	if err != nil {
-		return nil, err
-	}
-	var out []string
-	for _, n := range names {
-		if _, ok := parseSeq(s.cfg.Volume, n); ok {
-			out = append(out, n)
-		}
-	}
-	return out, nil
-}
-
-// Types of a given object seq, for tooling.
-func (s *Store) ObjectType(seq uint32) (journal.Type, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	o, ok := s.objects[seq]
-	if !ok {
-		return 0, false
-	}
-	return o.typ, true
 }

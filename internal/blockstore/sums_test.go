@@ -16,11 +16,12 @@ import (
 // checksum-once did: one CRC pass over header and data.
 func onePassHeader(t *testing.T, h *journal.Header, data ...[]byte) []byte {
 	t.Helper()
-	hdr, err := journal.EncodeHeader(h, block.SectorSize, data...)
+	payload := bytes.Join(data, nil)
+	rec, err := journal.EncodeSectorHeader(h, payload)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return hdr
+	return rec[:len(rec)-len(payload)]
 }
 
 // TestObjectFromSumsIsByteIdentical: an object whose CRC is combined

@@ -112,9 +112,6 @@ func New(cfg Config) (*Pool, error) {
 	return p, nil
 }
 
-// Disks returns the number of devices in the pool.
-func (p *Pool) Disks() int { return len(p.disks) }
-
 // Config returns the pool configuration.
 func (p *Pool) Config() Config { return p.cfg }
 

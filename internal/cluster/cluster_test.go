@@ -15,8 +15,8 @@ func TestPoolGeometry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Disks() != 63 {
-		t.Fatalf("disks=%d", p.Disks())
+	if len(p.disks) != 63 {
+		t.Fatalf("disks=%d", len(p.disks))
 	}
 	if _, err := New(Config{}); err == nil {
 		t.Fatal("empty config accepted")

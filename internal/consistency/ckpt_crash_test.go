@@ -56,7 +56,7 @@ func ckptCrashIteration(t *testing.T, seed int64) {
 	cache := simdev.NewMem(32 * block.MiB)
 	opts := core.Options{
 		HostOptions: core.HostOptions{
-			Store: store, CacheDev: cache, UploadDepth: 2,
+			Store: store, Cache: cache, UploadDepth: 2,
 			Retry: objstore.RetryPolicy{
 				MaxAttempts: 3,
 				BaseDelay:   50 * time.Microsecond,

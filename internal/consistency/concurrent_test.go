@@ -287,7 +287,7 @@ func concurrentIteration(t *testing.T, seed int64) {
 	cache := simdev.NewMem(32 * block.MiB)
 	opts := core.Options{
 		HostOptions: core.HostOptions{
-			Store: store, CacheDev: cache, UploadDepth: 2,
+			Store: store, Cache: cache, UploadDepth: 2,
 			Retry: objstore.RetryPolicy{
 				MaxAttempts: 16,
 				BaseDelay:   50 * time.Microsecond,
@@ -329,7 +329,7 @@ func concurrentIteration(t *testing.T, seed int64) {
 
 	cacheSurvives := rng.Intn(2) == 0
 	if !cacheSurvives {
-		opts.CacheDev = simdev.NewMem(32 * block.MiB)
+		opts.Cache = simdev.NewMem(32 * block.MiB)
 	}
 	disk2, err := openWithRetry(t, opts)
 	if err != nil {

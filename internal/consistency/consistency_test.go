@@ -113,7 +113,7 @@ func TestAcceptsAnyTruePrefix(t *testing.T) {
 func TestLSVDCrashIsMountable(t *testing.T) {
 	store := objstore.NewMem()
 	opts := core.Options{
-		HostOptions:   core.HostOptions{Store: store, CacheDev: simdev.NewMem(128 * block.MiB)},
+		HostOptions:   core.HostOptions{Store: store, Cache: simdev.NewMem(128 * block.MiB)},
 		VolumeOptions: core.VolumeOptions{Volume: "vol", VolBytes: 128 * block.MiB, BatchBytes: 256 * 1024},
 	}
 	disk, err := core.Create(ctx, opts)
@@ -133,7 +133,7 @@ func TestLSVDCrashIsMountable(t *testing.T) {
 	// Crash with TOTAL cache loss (worst case, §3.4). Kill the old
 	// stack's destage pipeline as the crash would.
 	disk.Kill()
-	opts.CacheDev = simdev.NewMem(128 * block.MiB)
+	opts.Cache = simdev.NewMem(128 * block.MiB)
 	disk2, err := core.Open(ctx, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -154,7 +154,7 @@ func TestLSVDCrashWithCacheKeepsCommitted(t *testing.T) {
 	store := objstore.NewMem()
 	cache := simdev.NewMem(128 * block.MiB)
 	opts := core.Options{
-		HostOptions:   core.HostOptions{Store: store, CacheDev: cache},
+		HostOptions:   core.HostOptions{Store: store, Cache: cache},
 		VolumeOptions: core.VolumeOptions{Volume: "vol", VolBytes: 128 * block.MiB, BatchBytes: 1 * block.MiB},
 	}
 	disk, err := core.Create(ctx, opts)

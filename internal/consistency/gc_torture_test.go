@@ -48,7 +48,7 @@ func gcTortureIteration(t *testing.T, seed int64) {
 	cache := simdev.NewMem(32 * block.MiB)
 	opts := core.Options{
 		HostOptions: core.HostOptions{
-			Store: store, CacheDev: cache, UploadDepth: 2,
+			Store: store, Cache: cache, UploadDepth: 2,
 			Retry: objstore.RetryPolicy{
 				MaxAttempts: 16,
 				BaseDelay:   50 * time.Microsecond,
@@ -94,7 +94,7 @@ func gcTortureIteration(t *testing.T, seed int64) {
 
 	cacheSurvives := rng.Intn(2) == 0
 	if !cacheSurvives {
-		opts.CacheDev = simdev.NewMem(32 * block.MiB)
+		opts.Cache = simdev.NewMem(32 * block.MiB)
 	}
 	disk2, err := openWithRetry(t, opts)
 	if err != nil {

@@ -73,7 +73,7 @@ func replicaIteration(t *testing.T, seed int64) {
 	cache := simdev.NewMem(32 * block.MiB)
 	opts := core.Options{
 		HostOptions: core.HostOptions{
-			Store: primary, CacheDev: cache, UploadDepth: 2,
+			Store: primary, Cache: cache, UploadDepth: 2,
 			Retry: objstore.RetryPolicy{
 				MaxAttempts: 16,
 				BaseDelay:   50 * time.Microsecond,
@@ -128,7 +128,7 @@ func replicaIteration(t *testing.T, seed int64) {
 	ropts := opts
 	ropts.Store = replica
 	ropts.ReplicaStore = nil
-	ropts.CacheDev = simdev.NewMem(32 * block.MiB)
+	ropts.Cache = simdev.NewMem(32 * block.MiB)
 	rdisk, rerr := core.Open(ctx, ropts)
 	if rerr != nil {
 		// The only legal failure is a replica that was never
@@ -186,7 +186,7 @@ func replicaIteration(t *testing.T, seed int64) {
 	// appending new objects), then check the RPO.
 	popts := opts
 	popts.ReplicaStore = nil // audit mount: no shipper
-	popts.CacheDev = simdev.NewMem(32 * block.MiB)
+	popts.Cache = simdev.NewMem(32 * block.MiB)
 	pdisk, err := openWithRetry(t, popts)
 	if err != nil {
 		t.Fatalf("primary recovery failed: %v", err)

@@ -123,7 +123,7 @@ func tortureIteration(t *testing.T, seed int64, rate float64) {
 	cache := simdev.NewMem(32 * block.MiB)
 	opts := core.Options{
 		HostOptions: core.HostOptions{
-			Store: store, CacheDev: cache, UploadDepth: 2,
+			Store: store, Cache: cache, UploadDepth: 2,
 			Retry: objstore.RetryPolicy{
 				// 16 attempts: even a 0.35-rate sweep has a negligible
 				// chance of exhausting the budget on any single op.
@@ -180,7 +180,7 @@ func tortureIteration(t *testing.T, seed int64, rate float64) {
 	// prefix is acceptable).
 	cacheSurvives := rng.Intn(2) == 0
 	if !cacheSurvives {
-		opts.CacheDev = simdev.NewMem(32 * block.MiB)
+		opts.Cache = simdev.NewMem(32 * block.MiB)
 	}
 	disk2, err := openWithRetry(t, opts)
 	if err != nil {

@@ -53,27 +53,38 @@ type Options struct {
 
 // HostOptions is the host-owned half of Options: the shared hardware
 // (cache SSD, backend session) and the global concurrency budgets a
-// multi-volume host divides among its tenants.
+// multi-volume host divides among its tenants. lsvd.HostOptions is this
+// type, and host.New takes it.
 type HostOptions struct {
 	// Store is the S3-like backend.
 	Store objstore.Store
-	// CacheDev is the local SSD. It is statically partitioned: the
-	// first WriteCacheFrac of it logs writes, the rest is read cache.
-	CacheDev simdev.Device
+	// Cache is the local SSD. It is statically partitioned: the first
+	// WriteCacheFrac of it logs writes, the rest is read cache.
+	Cache simdev.Device
+	// MaxVolumes is the number of write-cache slots a host carves from
+	// the SSD's WriteCacheFrac (default 8). It bounds how many volumes
+	// the host can serve; the read-cache arena (the rest of the SSD) is
+	// shared dynamically and needs no slots. A single-volume disk is the
+	// one-slot layout and ignores it.
+	MaxVolumes int
 	// WriteCacheFrac is the fraction of the SSD used for the write
-	// log. Default 0.2 (§3.1's sizing discussion).
+	// log. Default 0.2 (§3.1's sizing discussion). The experiments of
+	// Fig 9–16 and the ablations table set 0.6.
 	WriteCacheFrac float64
 
 	// UploadDepth is the number of concurrent backend object PUTs the
-	// destage pipeline keeps in flight. Default 4. Map commit stays
-	// strictly in sequence order regardless.
+	// destage pipeline keeps in flight: the capacity of the upload gate
+	// (Resources.UploadGate) every PUT draws from. Default 4. On a host
+	// the gate is host-wide. Map commit stays strictly in sequence order
+	// regardless.
 	UploadDepth int
 	// FetchDepth is the number of concurrent backend range GETs the
-	// read-miss path keeps in flight (the fetcher pool). A single
-	// read's misses fan out across it, adjacent misses in the same
-	// object coalesce into one range GET, and concurrent readers
-	// missing on the same window share a single GET. Default 8; 1
-	// serializes all miss fetches.
+	// read-miss path keeps in flight: the capacity of the fetch
+	// semaphore (Resources.FetchSem), host-wide on a host, and the size
+	// of each volume's fetcher pool. A single read's misses fan out
+	// across it, adjacent misses in the same object coalesce into one
+	// range GET, and concurrent readers missing on the same window share
+	// a single GET. Default 8; 1 serializes all miss fetches.
 	FetchDepth int
 	// Retry is the backend retry policy (see objstore.RetryPolicy):
 	// every backend operation retries transient failures with
@@ -82,14 +93,17 @@ type HostOptions struct {
 	Retry objstore.RetryPolicy
 }
 
-// SetDefaults fills the zero-valued host-level budgets; host.Options
-// embeds HostOptions and defaults it through the same function.
+// SetDefaults fills the zero-valued host-level knobs: every door, a
+// host's and a single volume's, defaults them here.
 func (o *HostOptions) SetDefaults() {
+	if o.MaxVolumes == 0 {
+		o.MaxVolumes = 8
+	}
 	if o.WriteCacheFrac == 0 {
 		o.WriteCacheFrac = 0.2
 	}
 	if o.UploadDepth <= 0 {
-		o.UploadDepth = 4
+		o.UploadDepth = blockstore.DefaultUploadDepth
 	}
 	if o.FetchDepth <= 0 {
 		o.FetchDepth = 8
@@ -109,7 +123,8 @@ type VolumeOptions struct {
 	// paper). Default 8 MiB, applied by the block store.
 	BatchBytes int64
 	// GCLowWater/GCHighWater are the §3.5 utilization thresholds.
-	// Defaults 0.70/0.75; GCLowWater < 0 disables GC.
+	// Defaults 0.70/0.75: here 0 means 0.70, and GCLowWater < 0 disables
+	// GC, which reaches blockstore.Config as 0, whose 0 means off.
 	GCLowWater, GCHighWater float64
 	// PrefetchSectors is the temporal read-ahead window, in sectors of
 	// the object's data region. 0 selects the default, 256 sectors
@@ -117,16 +132,23 @@ type VolumeOptions struct {
 	// slab; once the arena is full, only a miss that continues a stream
 	// does, and any other fetches just its own 4 KiB blocks
 	// (readpath.go). 1 sector never reaches past the demand miss and is
-	// the "off" setting the prefetch ablation uses.
+	// the "off" setting of the ablations table's temporal-prefetch rows.
 	PrefetchSectors uint32
-	// CheckpointEvery objects between backend map checkpoints.
+	// CheckpointEvery objects between backend map checkpoints. Default
+	// 32, applied by the block store. Fig 15 sets 8, so cleaned objects
+	// are released while its backend composition is sampled.
 	CheckpointEvery int
 	// DisableGCCacheFetch stops the GC from reading live data out of
-	// the local write cache (ablation for §3.5's optimization).
+	// the local write cache: the "off" column of the ablations table's
+	// GC-fetch row (§3.5's optimization).
 	DisableGCCacheFetch bool
 	// DestageQueueDepth is the capacity of the in-memory destage queue
 	// between WriteAt and the destager goroutine; a full queue blocks
-	// the writer (§3.2 backpressure). Default 256 requests.
+	// the writer (§3.2 backpressure). Default 256 requests. No product
+	// path sets it: it stays a field because the tortures need a
+	// shallower queue to reach that wait at all. At 32 the concurrent
+	// and checkpoint-crash tortures block on a full queue about a hundred
+	// times each in 24 iterations; at 256 none ever does.
 	DestageQueueDepth int
 
 	// ReplicaStore, when non-nil, enables asynchronous replication
@@ -147,16 +169,17 @@ type VolumeOptions struct {
 // log section, a read-cache view and the backend budgets. A host leases
 // them to each volume it opens (CreateShared, OpenShared); Create, Open
 // and the read-only mounts build the same set for a volume that has
-// Options.CacheDev to itself (ownResources). Every disk runs on one.
+// Options.Cache to itself (ownResources). Every disk runs on one.
 //
 //   - WCDev: this volume's write-cache log section (a CacheLayout slot).
 //   - ReadCache: this volume's view of the read-cache arena (fair
 //     eviction across volumes happens inside the arena).
 //   - UploadGate/FetchSem: the backend concurrency budgets every
-//     destage PUT and miss-path GET draws from; Options.UploadDepth
-//     only sizes the per-volume derived limits. The gate guarantees each
-//     registered volume a minimum share of the PUT budget (UploadID
-//     names this volume to it); the builder owns registration.
+//     destage PUT and miss-path GET draws from, of UploadDepth and
+//     FetchDepth slots. The block store sizes its upload pipeline from
+//     the gate's capacity. The gate guarantees each registered volume a
+//     minimum share of the PUT budget (UploadID names this volume to
+//     it); the builder owns registration.
 //   - OnClose: invoked exactly once when the disk shuts down (Close or
 //     Kill), so the builder can release the volume's lease.
 type Resources struct {
@@ -192,7 +215,7 @@ func CacheLayout(dev simdev.Device, n int, frac float64) ([]simdev.Device, simde
 // itself: slot 0 of a one-slot CacheLayout, the arena's "" view, and an
 // upload gate and fetch semaphore of its own depths.
 func ownResources(opts Options) (*Resources, error) {
-	slots, arenaDev, err := CacheLayout(opts.CacheDev, 1, opts.WriteCacheFrac)
+	slots, arenaDev, err := CacheLayout(opts.Cache, 1, opts.WriteCacheFrac)
 	if err != nil {
 		return nil, err
 	}
@@ -215,8 +238,8 @@ func ownResources(opts Options) (*Resources, error) {
 // Check refuses host options with no backend or no cache device. Every
 // disk constructor runs it, and so does host.New.
 func (o *HostOptions) Check() error {
-	if o.Store == nil || o.CacheDev == nil {
-		return errors.New("core: Store and CacheDev are required")
+	if o.Store == nil || o.Cache == nil {
+		return errors.New("core: Store and Cache are required")
 	}
 	return nil
 }
@@ -693,12 +716,10 @@ func (d *Disk) storeConfig() blockstore.Config {
 			d.stage.destaged(ws)
 			d.notifyDestage()
 		},
-		Retry:       d.opts.Retry,
-		UploadDepth: d.opts.UploadDepth,
-		FetchDepth:  d.opts.FetchDepth,
-		UploadGate:  d.res.UploadGate,
-		UploadID:    d.res.UploadID,
-		FetchSem:    d.res.FetchSem,
+		Retry:      d.opts.Retry,
+		UploadGate: d.res.UploadGate,
+		UploadID:   d.res.UploadID,
+		FetchSem:   d.res.FetchSem,
 		// Polled by the paced GC service, which every writable store
 		// runs. DestagePressure takes only the cache's own lock; the
 		// bs.mu → wc.mu order matches FetchFromCache below.

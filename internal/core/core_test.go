@@ -28,7 +28,7 @@ func newHarness(t *testing.T, mutate func(*Options)) *harness {
 		store: objstore.NewMem(),
 	}
 	h.opts = Options{
-		HostOptions:   HostOptions{Store: h.store, CacheDev: h.cache},
+		HostOptions:   HostOptions{Store: h.store, Cache: h.cache},
 		VolumeOptions: VolumeOptions{Volume: "vol", VolBytes: 512 * block.MiB},
 	}
 	if mutate != nil {
@@ -119,7 +119,7 @@ func TestAlignmentAndBoundsChecked(t *testing.T) {
 func TestReadFallsThroughToBackend(t *testing.T) {
 	// Tiny write cache so records are destaged and evicted quickly.
 	h := newHarness(t, func(o *Options) {
-		o.CacheDev = simdev.NewMem(256 * block.MiB)
+		o.Cache = simdev.NewMem(256 * block.MiB)
 		o.BatchBytes = 256 * 1024
 	})
 	// Write enough distinct data to blow through the write cache.
@@ -133,7 +133,7 @@ func TestReadFallsThroughToBackend(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Reopen with a FRESH cache: all reads must come from the backend.
-	h.opts.CacheDev = simdev.NewMem(256 * block.MiB)
+	h.opts.Cache = simdev.NewMem(256 * block.MiB)
 	h.reopen(t)
 	for i := 0; i < n; i++ {
 		got := make([]byte, 64*1024)
@@ -171,7 +171,7 @@ func TestWriteAfterReadHazard(t *testing.T) {
 	}
 	h.disk.Drain()
 	// Pull the old data into the read cache via a fresh-cache reopen.
-	h.opts.CacheDev = simdev.NewMem(256 * block.MiB)
+	h.opts.Cache = simdev.NewMem(256 * block.MiB)
 	h.reopen(t)
 	got := make([]byte, 64*1024)
 	h.disk.ReadAt(got, 0)
@@ -194,7 +194,7 @@ func TestFlushIsSingleDeviceFlush(t *testing.T) {
 	metered := simdev.NewMetered(cache, iomodelNVMe())
 	h := &harness{cache: cache, store: objstore.NewMem()}
 	h.opts = Options{
-		HostOptions:   HostOptions{Store: h.store, CacheDev: metered},
+		HostOptions:   HostOptions{Store: h.store, Cache: metered},
 		VolumeOptions: VolumeOptions{Volume: "vol", VolBytes: 512 * block.MiB},
 	}
 	d, err := Create(ctx, h.opts)
@@ -267,7 +267,7 @@ func TestCacheLossFallsBackToPrefix(t *testing.T) {
 	}
 	h.disk.Flush()
 	// Total cache loss: blank device (§3.4 worst case).
-	h.opts.CacheDev = simdev.NewMem(256 * block.MiB)
+	h.opts.Cache = simdev.NewMem(256 * block.MiB)
 	h.reopen(t)
 	// All writes up to the drain point must be present (they are a
 	// committed prefix durable in the backend).
@@ -319,7 +319,7 @@ func TestTrimEndToEnd(t *testing.T) {
 	}
 	// Trim survives drain + fresh-cache reopen.
 	h.disk.Drain()
-	h.opts.CacheDev = simdev.NewMem(256 * block.MiB)
+	h.opts.Cache = simdev.NewMem(256 * block.MiB)
 	h.reopen(t)
 	if err := h.disk.ReadAt(got, 0); err != nil {
 		t.Fatal(err)
@@ -347,6 +347,9 @@ func TestSnapshotThroughDisk(t *testing.T) {
 	}
 }
 
+// TestCleanCloseReopen: Close leaves a checkpoint and the cache start
+// at the tail, so the next open replays nothing, from the cache or from
+// the backend, and reads what was written.
 func TestCleanCloseReopen(t *testing.T) {
 	h := newHarness(t, nil)
 	data := payload(7, 256*1024)
@@ -355,6 +358,10 @@ func TestCleanCloseReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 	h.reopen(t)
+	if st := h.disk.Stats(); st.RecoveredReplayed != 0 || st.Backend.RecoveredObjects != 0 {
+		t.Errorf("the open after a clean close replayed %d cache records and %d objects, want none",
+			st.RecoveredReplayed, st.Backend.RecoveredObjects)
+	}
 	got := make([]byte, len(data))
 	if err := h.disk.ReadAt(got, 12<<20); err != nil {
 		t.Fatal(err)
@@ -406,7 +413,7 @@ func TestBackpressureWhenCacheSmall(t *testing.T) {
 	// 16 MiB cache (3.2 MiB write log) with an 8 MiB batch: appends
 	// must trigger destage-based backpressure rather than failing.
 	h := newHarness(t, func(o *Options) {
-		o.CacheDev = simdev.NewMem(64 * block.MiB)
+		o.Cache = simdev.NewMem(64 * block.MiB)
 		o.WriteCacheFrac = 0.55 // log area ~35 MiB minus metadata
 		o.BatchBytes = 4 * block.MiB
 	})
@@ -475,7 +482,7 @@ func TestRandomizedMirrorCheck(t *testing.T) {
 	verify("reopened")
 	// And with a lost cache after a full drain.
 	h.disk.Drain()
-	h.opts.CacheDev = simdev.NewMem(256 * block.MiB)
+	h.opts.Cache = simdev.NewMem(256 * block.MiB)
 	h.reopen(t)
 	verify("cache-lost")
 }

@@ -84,7 +84,7 @@ func TestCrashMidDestageBlankCacheKeepsPrefix(t *testing.T) {
 		}
 	}
 	h.disk.Kill()
-	h.opts.CacheDev = simdev.NewMem(256 * block.MiB)
+	h.opts.Cache = simdev.NewMem(256 * block.MiB)
 	h.reopen(t)
 	present := make([]bool, n)
 	for i := 0; i < n; i++ {
@@ -227,7 +227,7 @@ func TestCheckpointDeletesDoNotFenceTheRing(t *testing.T) {
 	h := newHarness(t, func(o *Options) {
 		rs = testrec.NewStore(o.Store)
 		o.Store = rs
-		o.CacheDev = simdev.NewMem(64 * block.MiB)
+		o.Cache = simdev.NewMem(64 * block.MiB)
 		o.WriteCacheFrac = 0.08 // ~5 MiB of log: 2.5 batches
 		o.VolBytes = 16 * block.MiB
 		o.BatchBytes = batch

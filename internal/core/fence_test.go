@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"lsvd/internal/block"
-	"lsvd/internal/blockstore"
 	"lsvd/internal/objstore"
 	"lsvd/internal/simdev"
 	"lsvd/internal/testrec"
@@ -149,7 +148,7 @@ func markUnderWriter(t *testing.T, mark func(*Disk) error, mount func(o Options,
 	}
 
 	o := h.opts
-	o.CacheDev = simdev.NewMem(128 * block.MiB)
+	o.Cache = simdev.NewMem(128 * block.MiB)
 	m, err := mount(o, parked)
 	if err != nil {
 		t.Fatal(err)
@@ -175,16 +174,34 @@ func TestSnapshotUnderWriter(t *testing.T) {
 }
 
 // TestCheckpointUnderWriter: the same for a checkpoint, mounted as of
-// the checkpoint object its marker wrote.
+// the checkpoint object its marker wrote: the head of a copy of the
+// bucket without the objects after it.
 func TestCheckpointUnderWriter(t *testing.T) {
 	markUnderWriter(t, (*Disk).Checkpoint, func(o Options, ckpt testrec.Op) (*Disk, error) {
-		seq, err := strconv.ParseUint(strings.TrimPrefix(ckpt.Name, o.Volume+"."), 10, 32)
+		objSeq := func(name string) (uint64, error) {
+			return strconv.ParseUint(strings.TrimPrefix(name, o.Volume+"."), 10, 32)
+		}
+		last, err := objSeq(ckpt.Name)
 		if err != nil {
 			return nil, err
 		}
-		return openReadOnly(ctx, o, func(cfg blockstore.Config) (*blockstore.Store, error) {
-			return blockstore.OpenAt(ctx, cfg, uint32(seq))
-		})
+		names, err := o.Store.List(ctx, "")
+		if err != nil {
+			return nil, err
+		}
+		upTo := objstore.NewMem()
+		for _, name := range names {
+			if seq, err := objSeq(name); err == nil && seq > last {
+				continue
+			}
+			data, err := o.Store.Get(ctx, name)
+			if err != nil {
+				return nil, err
+			}
+			_ = upTo.Put(ctx, name, data) // a Mem PUT cannot fail
+		}
+		o.Store = upTo
+		return OpenReadOnly(ctx, o)
 	})
 }
 
@@ -326,7 +343,7 @@ func TestDeleteSnapshotWhileSnapshotQueued(t *testing.T) {
 		t.Fatalf("snapshots after reopen: %+v, want [new]", snaps)
 	}
 	o := h.opts
-	o.CacheDev = simdev.NewMem(128 * block.MiB)
+	o.Cache = simdev.NewMem(128 * block.MiB)
 	if _, err := OpenSnapshot(ctx, o, "old"); err == nil {
 		t.Fatal("the deleted snapshot still mounts")
 	}

@@ -41,7 +41,7 @@ func coldVolume(t *testing.T, ceiling uint32) (*harness, *testrec.Store) {
 	if err := h.disk.Close(); err != nil {
 		t.Fatal(err)
 	}
-	h.opts.CacheDev = simdev.NewMem(coldCacheDev)
+	h.opts.Cache = simdev.NewMem(coldCacheDev)
 	h.reopen(t)
 	return h, store
 }

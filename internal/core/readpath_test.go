@@ -22,7 +22,7 @@ func TestConcurrentColdReadsDedupOneGET(t *testing.T) {
 	// readers of the same cold data race each other.
 	met := objstore.NewMetered(delay(testrec.NewStore(objstore.NewMem()), testrec.GetRanges, 10*time.Millisecond))
 	opts := Options{
-		HostOptions: HostOptions{Store: met, CacheDev: simdev.NewMem(64 * block.MiB)},
+		HostOptions: HostOptions{Store: met, Cache: simdev.NewMem(64 * block.MiB)},
 		VolumeOptions: VolumeOptions{
 			Volume:   "vol",
 			VolBytes: 64 * block.MiB,
@@ -52,7 +52,7 @@ func TestConcurrentColdReadsDedupOneGET(t *testing.T) {
 	}
 
 	// Fresh cache: both blocks are cold, reads must hit the backend.
-	opts.CacheDev = simdev.NewMem(64 * block.MiB)
+	opts.Cache = simdev.NewMem(64 * block.MiB)
 	d, err = Open(ctx, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -155,7 +155,7 @@ func TestReadPathTorture(t *testing.T) {
 	}
 	// Fresh cache so reads exercise the backend fan-out, not the warm
 	// write cache alone.
-	h.opts.CacheDev = simdev.NewMem(256 * block.MiB)
+	h.opts.Cache = simdev.NewMem(256 * block.MiB)
 	h.reopen(t)
 	for b := 0; b < blocks; b++ {
 		allowed[b][0] = true
@@ -262,7 +262,7 @@ func TestReadPathFaultInjected(t *testing.T) {
 	opts := Options{
 		HostOptions: HostOptions{
 			Store:      rs,
-			CacheDev:   simdev.NewMem(128 * block.MiB),
+			Cache:      simdev.NewMem(128 * block.MiB),
 			FetchDepth: 8,
 			Retry:      objstore.RetryPolicy{MaxAttempts: 8, BaseDelay: time.Millisecond, Seed: 42},
 		},
@@ -287,7 +287,7 @@ func TestReadPathFaultInjected(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	opts.CacheDev = simdev.NewMem(128 * block.MiB)
+	opts.Cache = simdev.NewMem(128 * block.MiB)
 	d, err = Open(ctx, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -352,7 +352,7 @@ func TestRunCoalescing(t *testing.T) {
 	if err := h.disk.Drain(); err != nil {
 		t.Fatal(err)
 	}
-	h.opts.CacheDev = simdev.NewMem(256 * block.MiB)
+	h.opts.Cache = simdev.NewMem(256 * block.MiB)
 	h.reopen(t)
 
 	got := make([]byte, len(data))
@@ -386,7 +386,7 @@ func TestAdmissionSkipsBlocksTheWriteCacheHolds(t *testing.T) {
 	store := testrec.NewStore(objstore.NewMem())
 	h := newHarness(t, func(o *Options) {
 		o.Store = store
-		o.CacheDev = simdev.NewMem(32 * block.MiB)
+		o.Cache = simdev.NewMem(32 * block.MiB)
 		o.VolBytes = 64 * block.MiB
 	})
 	const blk = 4096
@@ -404,7 +404,7 @@ func TestAdmissionSkipsBlocksTheWriteCacheHolds(t *testing.T) {
 	if err := h.disk.Close(); err != nil {
 		t.Fatal(err)
 	}
-	h.opts.CacheDev = simdev.NewMem(32 * block.MiB) // both caches cold
+	h.opts.Cache = simdev.NewMem(32 * block.MiB) // both caches cold
 	h.reopen(t)
 	d := h.disk
 
@@ -451,7 +451,7 @@ func TestAdmissionSkipsBlocksTheWriteCacheHolds(t *testing.T) {
 // counters the hit ratio is computed from.
 func TestReadCacheCountsDemandReadsOnly(t *testing.T) {
 	h := newHarness(t, func(o *Options) {
-		o.CacheDev = simdev.NewMem(32 * block.MiB)
+		o.Cache = simdev.NewMem(32 * block.MiB)
 		o.VolBytes = 64 * block.MiB
 	})
 	const blk = 16 * 1024
@@ -466,7 +466,7 @@ func TestReadCacheCountsDemandReadsOnly(t *testing.T) {
 	if err := h.disk.Close(); err != nil {
 		t.Fatal(err)
 	}
-	h.opts.CacheDev = simdev.NewMem(32 * block.MiB) // both caches cold
+	h.opts.Cache = simdev.NewMem(32 * block.MiB) // both caches cold
 	h.reopen(t)
 	d := h.disk
 
@@ -503,7 +503,7 @@ func TestReadMissAcrossAReap(t *testing.T) {
 	store := testrec.NewStore(objstore.NewMem())
 	h := newHarness(t, func(o *Options) {
 		o.Store = store
-		o.CacheDev = simdev.NewMem(32 * block.MiB)
+		o.Cache = simdev.NewMem(32 * block.MiB)
 		o.VolBytes = 64 * block.MiB
 	})
 	const n = 64 * 1024
@@ -514,7 +514,7 @@ func TestReadMissAcrossAReap(t *testing.T) {
 	if err := h.disk.Close(); err != nil { // its object lies below the checkpoint Close writes
 		t.Fatal(err)
 	}
-	h.opts.CacheDev = simdev.NewMem(32 * block.MiB) // both caches cold
+	h.opts.Cache = simdev.NewMem(32 * block.MiB) // both caches cold
 	h.reopen(t)
 	d := h.disk
 

@@ -55,7 +55,7 @@ func checkVersions(t *testing.T, d *Disk, latest map[int64]int64) {
 // back.
 func TestKillAfterWriteLogLapsKeepsFlushedTail(t *testing.T) {
 	h := newHarness(t, func(o *Options) {
-		o.CacheDev = simdev.NewMem(64 * block.MiB)
+		o.Cache = simdev.NewMem(64 * block.MiB)
 		o.BatchBytes = block.MiB
 	})
 	latest := lapWriteLog(t, h.disk)
@@ -135,7 +135,7 @@ func TestBackendAheadOfCrashedCacheIsNotShadowed(t *testing.T) {
 func TestWriteLogSpansItsPartition(t *testing.T) {
 	for _, cacheMiB := range []int64{32, 128, 256} {
 		h := newHarness(t, func(o *Options) {
-			o.CacheDev = simdev.NewMem(cacheMiB * block.MiB)
+			o.Cache = simdev.NewMem(cacheMiB * block.MiB)
 			o.VolBytes = 16 * block.MiB
 		})
 		partition := int64(float64(cacheMiB*block.MiB)*0.2) &^ (block.BlockSize - 1)

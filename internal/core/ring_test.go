@@ -36,7 +36,7 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 func smallRing(t *testing.T, store objstore.Store, batchBytes int64, tune func(*Options)) *harness {
 	return newHarness(t, func(o *Options) {
 		o.Store = store
-		o.CacheDev = simdev.NewMem(64 * block.MiB)
+		o.Cache = simdev.NewMem(64 * block.MiB)
 		o.WriteCacheFrac = 0.07 // 4.47 MiB of log
 		o.VolBytes = 64 * block.MiB
 		o.BatchBytes = batchBytes

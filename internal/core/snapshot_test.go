@@ -29,7 +29,7 @@ func TestSnapshotMountReadOnly(t *testing.T) {
 	h.disk.Drain()
 
 	snapOpts := h.opts
-	snapOpts.CacheDev = simdev.NewMem(128 * block.MiB)
+	snapOpts.Cache = simdev.NewMem(128 * block.MiB)
 	snap, err := OpenSnapshot(ctx, snapOpts, "s1")
 	if err != nil {
 		t.Fatal(err)

@@ -83,7 +83,7 @@ func TestLargeWriteAckAllocatesNoPayload(t *testing.T) {
 		o.VolBytes = volBytes
 		// A 12 MiB write log: the warm-up fills it many times over, so
 		// the pipeline's high-water mark is reached before measuring.
-		o.CacheDev = simdev.NewMem(volBytes)
+		o.Cache = simdev.NewMem(volBytes)
 	})
 	defer h.disk.Close()
 	data := payload(19, wr)

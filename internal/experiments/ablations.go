@@ -129,7 +129,7 @@ func prefetchReread(ctx context.Context, e Env, prefetch uint32) (rereadCost, er
 	// The old stack's pipeline is killed so it cannot race the reopened
 	// volume.
 	st.disk.Kill()
-	opts.Volume, opts.Store, opts.CacheDev = "vol", st.store, newBlankCache(e)
+	opts.Volume, opts.Store, opts.Cache = "vol", st.store, newBlankCache(e)
 	disk2, err := core.Open(ctx, opts)
 	if err != nil {
 		return rereadCost{}, err

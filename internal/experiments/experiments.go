@@ -125,7 +125,7 @@ func newLSVD(ctx context.Context, e Env, cacheBytes int64, poolCfg cluster.Confi
 	st.store = objstore.NewMetered(cluster.NewStore(objstore.NewMemSlim(), st.pool))
 	opts.Volume = "vol"
 	opts.Store = st.store
-	opts.CacheDev = st.cacheDev
+	opts.Cache = st.cacheDev
 	if opts.VolBytes == 0 {
 		opts.VolBytes = e.volBytes()
 	}

@@ -157,7 +157,7 @@ func backendLoadLSVD(ctx context.Context, e Env, vdisks int) (*backendLoadResult
 			return nil, err
 		}
 		d, err := core.Create(ctx, core.Options{
-			HostOptions: core.HostOptions{Store: store, CacheDev: section, WriteCacheFrac: 0.6},
+			HostOptions: core.HostOptions{Store: store, Cache: section, WriteCacheFrac: 0.6},
 			VolumeOptions: core.VolumeOptions{
 				Volume: fmt.Sprintf("vol%d", i), VolBytes: e.volBytes(), BatchBytes: 4 << 20,
 			},

@@ -86,7 +86,7 @@ func crashTrialLSVD(ctx context.Context, e Env, trial int64) (consistency.Report
 	volBytes := int64(128 * block.MiB)
 	store := objstore.NewMem()
 	opts := core.Options{
-		HostOptions:   core.HostOptions{Store: store, CacheDev: simdev.NewMem(cacheBytes)},
+		HostOptions:   core.HostOptions{Store: store, Cache: simdev.NewMem(cacheBytes)},
 		VolumeOptions: core.VolumeOptions{Volume: "vol", VolBytes: volBytes, BatchBytes: 1 * block.MiB},
 	}
 	disk, err := core.Create(ctx, opts)
@@ -104,7 +104,7 @@ func crashTrialLSVD(ctx context.Context, e Env, trial int64) (consistency.Report
 	// VM reset + cache deleted (§4.4): kill the destage pipeline as the
 	// reset would, then reopen with a blank cache.
 	disk.Kill()
-	opts.CacheDev = simdev.NewMem(cacheBytes)
+	opts.Cache = simdev.NewMem(cacheBytes)
 	disk2, err := core.Open(ctx, opts)
 	if err != nil {
 		return consistency.Report{}, err

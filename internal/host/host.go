@@ -46,33 +46,6 @@ import (
 	"lsvd/internal/simdev"
 )
 
-// Options configures a Host: the shared hardware and global budgets of
-// core.HostOptions plus the packing geometry. On a host, UploadDepth
-// and FetchDepth are HOST-WIDE — at most that many object PUTs and
-// range GETs in flight across all volumes combined: one tenant gets
-// what a single-volume disk had, eight tenants share it. Per-volume
-// knobs live in core.VolumeOptions, passed to Create/Open.
-type Options struct {
-	core.HostOptions
-
-	// MaxVolumes is the number of write-cache slots carved from the
-	// SSD's WriteCacheFrac (default 8). It bounds how many volumes the
-	// host can serve; the read-cache arena (the rest of the SSD) is
-	// shared dynamically and needs no slots.
-	MaxVolumes int
-}
-
-func (o *Options) setDefaults() error {
-	if o.MaxVolumes == 0 {
-		o.MaxVolumes = 8
-	}
-	if o.MaxVolumes < 1 {
-		return fmt.Errorf("host: MaxVolumes %d < 1", o.MaxVolumes)
-	}
-	o.HostOptions.SetDefaults()
-	return nil
-}
-
 // slotsKey is where the volume→slot table lives in the bucket.
 const slotsKey = "host/slots"
 
@@ -109,9 +82,14 @@ func (e *LayoutError) Error() string {
 }
 
 // Host owns one cache SSD and one backend session and serves
-// MaxVolumes volumes on top of them.
+// MaxVolumes volumes on top of them. Its options are core.HostOptions:
+// on a host, UploadDepth and FetchDepth are HOST-WIDE — at most that
+// many object PUTs and range GETs in flight across all volumes
+// combined: one tenant gets what a single-volume disk had, eight
+// tenants share it. Per-volume knobs live in core.VolumeOptions, passed
+// to Create/Open.
 type Host struct {
-	opts  Options
+	opts  core.HostOptions
 	meter *objstore.Metered // the backend every volume and the host itself see
 
 	// retry wraps the host's own direct backend operations (slot
@@ -142,12 +120,13 @@ type Host struct {
 // slots + shared arena), the volume→slot table is loaded and its
 // recorded carving checked, and the global semaphores are built.
 // Volumes are then opened individually.
-func New(ctx context.Context, opts Options) (*Host, error) {
+func New(ctx context.Context, opts core.HostOptions) (*Host, error) {
 	if err := opts.Check(); err != nil {
 		return nil, err
 	}
-	if err := opts.setDefaults(); err != nil {
-		return nil, err
+	opts.SetDefaults()
+	if opts.MaxVolumes < 1 {
+		return nil, fmt.Errorf("host: MaxVolumes %d < 1", opts.MaxVolumes)
 	}
 	h := &Host{
 		opts:  opts,
@@ -159,7 +138,7 @@ func New(ctx context.Context, opts Options) (*Host, error) {
 
 	var arenaDev simdev.Device
 	var err error
-	h.slotDevs, arenaDev, err = core.CacheLayout(opts.CacheDev, opts.MaxVolumes, opts.WriteCacheFrac)
+	h.slotDevs, arenaDev, err = core.CacheLayout(opts.Cache, opts.MaxVolumes, opts.WriteCacheFrac)
 	if err != nil {
 		return nil, err
 	}
@@ -183,10 +162,8 @@ func New(ctx context.Context, opts Options) (*Host, error) {
 // the device; zero values select the host defaults. An lsvd.Create
 // volume's cache is the one-slot layout: maxVolumes 1.
 func InspectArena(dev simdev.Device, maxVolumes int, frac float64) (readcache.ArenaStats, error) {
-	o := Options{MaxVolumes: maxVolumes, HostOptions: core.HostOptions{WriteCacheFrac: frac}}
-	if err := o.setDefaults(); err != nil {
-		return readcache.ArenaStats{}, err
-	}
+	o := core.HostOptions{MaxVolumes: maxVolumes, WriteCacheFrac: frac}
+	o.SetDefaults()
 	_, arenaDev, err := core.CacheLayout(dev, o.MaxVolumes, o.WriteCacheFrac)
 	if err != nil {
 		return readcache.ArenaStats{}, err
@@ -240,6 +217,16 @@ func (h *Host) loadSlots(ctx context.Context) error {
 // older than one already persisted is skipped, so the persisted table
 // can only move forward.
 func (h *Host) saveSlots(ctx context.Context) error {
+	gen, raw, err := h.snapshotSlots()
+	if err != nil {
+		return err
+	}
+	return h.putSlots(ctx, gen, raw)
+}
+
+// snapshotSlots encodes the slot table and stamps it with the next
+// generation.
+func (h *Host) snapshotSlots() (uint64, []byte, error) {
 	h.mu.Lock()
 	h.slotsGen++
 	gen := h.slotsGen
@@ -249,9 +236,11 @@ func (h *Host) saveSlots(ctx context.Context) error {
 	}
 	h.mu.Unlock()
 	raw, err := json.Marshal(f)
-	if err != nil {
-		return err
-	}
+	return gen, raw, err
+}
+
+// putSlots PUTs snapshot gen, raw unless a newer one has landed.
+func (h *Host) putSlots(ctx context.Context, gen uint64, raw []byte) error {
 	h.slotsMu.Lock()
 	defer h.slotsMu.Unlock()
 	if h.slotsSaved > gen {
@@ -346,7 +335,7 @@ func (h *Host) coreOptions(name string, v core.VolumeOptions) (core.Options, err
 	if err != nil {
 		return core.Options{}, err
 	}
-	opts := core.Options{HostOptions: h.opts.HostOptions, VolumeOptions: v}
+	opts := core.Options{HostOptions: h.opts, VolumeOptions: v}
 	opts.Store = st
 	opts.Volume = name
 	return opts, nil

@@ -24,9 +24,7 @@ func TestMain(m *testing.M) { testleak.Main(m) }
 
 func testHost(t *testing.T, store objstore.Store, cache simdev.Device, maxVols int) *Host {
 	t.Helper()
-	h, err := New(context.Background(), Options{
-		HostOptions: core.HostOptions{Store: store, CacheDev: cache}, MaxVolumes: maxVols,
-	})
+	h, err := New(context.Background(), core.HostOptions{Store: store, Cache: cache, MaxVolumes: maxVols})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +183,7 @@ func TestHostRestartRefusesAnotherCarving(t *testing.T) {
 		d.Kill()
 	}
 
-	_, err := New(ctx, Options{HostOptions: core.HostOptions{Store: store, CacheDev: cache}, MaxVolumes: 4})
+	_, err := New(ctx, core.HostOptions{Store: store, Cache: cache, MaxVolumes: 4})
 	var le *LayoutError
 	if !errors.As(err, &le) || le.Recorded.Slots != 2 || le.Asked.Slots != 4 {
 		t.Fatalf("New with MaxVolumes 4 over a 2-slot carving: %v, want a LayoutError", err)
@@ -379,9 +377,9 @@ func TestHostArenaFairness(t *testing.T) {
 	// volume (~5.6 MiB log area), arena ~19 MiB -> map ~2.4 MiB, 8
 	// slabs of 2 MiB (16 MiB capacity), fair share 4. Hot's miss-able
 	// working set (~18 MiB) exceeds the whole arena, so it must churn.
-	h, err := New(ctx, Options{
-		HostOptions: core.HostOptions{Store: store, CacheDev: simdev.NewMem(32 * block.MiB), WriteCacheFrac: 0.4},
-		MaxVolumes:  2,
+	h, err := New(ctx, core.HostOptions{
+		Store: store, Cache: simdev.NewMem(32 * block.MiB), WriteCacheFrac: 0.4,
+		MaxVolumes: 2,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -563,12 +561,10 @@ func TestHostServesVolumesOverNBD(t *testing.T) {
 // swapped for the volume's namespaced view and the name forced.
 func TestVolumeSeesHostBudgets(t *testing.T) {
 	ctx := context.Background()
-	h, err := New(ctx, Options{
-		HostOptions: core.HostOptions{
-			Store: objstore.NewMem(), CacheDev: simdev.NewMem(32 * block.MiB),
-			WriteCacheFrac: 0.4, UploadDepth: 3, FetchDepth: 5,
-			Retry: objstore.RetryPolicy{MaxAttempts: 7},
-		},
+	h, err := New(ctx, core.HostOptions{
+		Store: objstore.NewMem(), Cache: simdev.NewMem(32 * block.MiB),
+		WriteCacheFrac: 0.4, UploadDepth: 3, FetchDepth: 5,
+		Retry: objstore.RetryPolicy{MaxAttempts: 7},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -582,7 +578,7 @@ func TestVolumeSeesHostBudgets(t *testing.T) {
 	if got.Store == h.opts.Store {
 		t.Error("volume sees the bucket root, not its namespaced view")
 	}
-	wantHost := h.opts.HostOptions
+	wantHost := h.opts
 	wantHost.Store = got.Store
 	if got.HostOptions != wantHost {
 		t.Errorf("host half %+v, want %+v", got.HostOptions, wantHost)

@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"maps"
-	"math/rand"
 	"strings"
 	"sync"
 	"testing"
@@ -68,45 +67,75 @@ func TestSlotSavePersistsOffHostLock(t *testing.T) {
 	}
 }
 
-// Concurrent Create and Delete of distinct volumes each persist a
-// snapshot of the slot table, and the PUTs land in whatever order the
-// slot lock hands out. Whatever that order, the persisted table must end
-// equal to the in-memory one: a snapshot older than one already
-// persisted is never written over it.
+// Saves of a changing slot table race for the slot lock, and the one
+// that takes it first need not hold the newest snapshot. Eight snapshots
+// are taken as the table grows and PUT newest first: the newest one's
+// PUT is held on a gate while the seven older saves queue behind it,
+// then released. Every older save must then be skipped rather than
+// written over it, so the persisted table ends equal to the in-memory
+// one.
 func TestConcurrentSlotSavesPersistTheNewestTable(t *testing.T) {
 	ctx := context.Background()
-	g := testrec.NewStore(objstore.NewMem())
-	h := testHost(t, g, simdev.NewMem(240*block.MiB), 8)
-	g.Do(testrec.Puts.Named(slotsKey), func(testrec.Op) error {
-		time.Sleep(time.Duration(rand.Intn(2000)) * time.Microsecond)
-		return nil
-	})
-
-	var wg sync.WaitGroup
-	errs := make(chan error, 8)
+	rs := testrec.NewStore(objstore.NewMem())
+	h := testHost(t, rs, simdev.NewMem(240*block.MiB), 8)
+	type snapshot struct {
+		gen uint64
+		raw []byte
+	}
+	var snaps []snapshot
 	for i := 0; i < 8; i++ {
+		h.mu.Lock()
+		h.slots[fmt.Sprintf("v%d", i)] = i
+		h.mu.Unlock()
+		gen, raw, err := h.snapshotSlots()
+		if err != nil {
+			t.Fatal(err)
+		}
+		snaps = append(snaps, snapshot{gen, raw})
+	}
+
+	g := rs.Gate(testrec.Puts.Named(slotsKey))
+	var wg sync.WaitGroup
+	put := func(s snapshot) {
 		wg.Add(1)
-		go func(name string, keep bool) {
+		go func() {
 			defer wg.Done()
-			d, err := h.Create(ctx, name, core.VolumeOptions{VolBytes: 4 * block.MiB})
-			if err == nil {
-				err = d.Close()
+			if err := h.putSlots(ctx, s.gen, s.raw); err != nil {
+				t.Error(err)
 			}
-			if err == nil && !keep {
-				err = h.Delete(ctx, name)
-			}
-			if err != nil {
-				errs <- fmt.Errorf("%s: %w", name, err)
-			}
-		}(fmt.Sprintf("v%d", i), i%2 == 0)
+		}()
+	}
+	settle := func() []*testrec.Held {
+		t.Helper()
+		if err := testrec.Settle(10 * time.Second); err != nil {
+			t.Fatal(err)
+		}
+		return g.Held()
+	}
+	put(snaps[len(snaps)-1])
+	newest := settle()
+	if len(newest) != 1 {
+		t.Fatalf("%d slot-table PUTs held, want the newest snapshot's", len(newest))
+	}
+	for _, s := range snaps[:len(snaps)-1] {
+		put(s)
+	}
+	if held := settle(); len(held) != 1 {
+		t.Fatalf("%d slot-table PUTs held while the newest holds the slot lock", len(held))
+	}
+	g.Release(newest[0], nil)
+	stale := 0
+	for held := settle(); len(held) > 0; held = settle() {
+		stale++
+		g.Release(held[0], nil)
 	}
 	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
+	g.Open()
+	if stale > 0 {
+		t.Errorf("%d older snapshots were PUT after the newest landed", stale)
 	}
 
-	raw, err := g.Get(ctx, slotsKey)
+	raw, err := rs.Get(ctx, slotsKey)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +143,7 @@ func TestConcurrentSlotSavesPersistTheNewestTable(t *testing.T) {
 	if err := json.Unmarshal(raw, &f); err != nil {
 		t.Fatal(err)
 	}
-	if !maps.Equal(f.Slots, h.slots) || len(h.slots) != 4 {
+	if !maps.Equal(f.Slots, h.slots) || len(h.slots) != 8 {
 		t.Fatalf("persisted slot table %v, in memory %v", f.Slots, h.slots)
 	}
 	if err := h.Close(); err != nil {
@@ -291,9 +320,9 @@ func TestKillAfterSlotWriteLogLapsKeepsFlushedTail(t *testing.T) {
 func TestRingFullBehindAParkedGateSlotStillProgresses(t *testing.T) {
 	ctx := context.Background()
 	ps := testrec.NewStore(objstore.NewMem())
-	h, err := New(ctx, Options{
-		HostOptions: core.HostOptions{Store: ps, CacheDev: simdev.NewMem(128 * block.MiB), UploadDepth: 1},
-		MaxVolumes:  2,
+	h, err := New(ctx, core.HostOptions{
+		Store: ps, Cache: simdev.NewMem(128 * block.MiB), UploadDepth: 1,
+		MaxVolumes: 2,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -387,7 +416,7 @@ func TestNewRefusesABadSlotTable(t *testing.T) {
 				t.Fatal(err)
 			}
 			rs := testrec.NewStore(mem)
-			_, err = New(ctx, Options{HostOptions: core.HostOptions{Store: rs, CacheDev: simdev.NewMem(48 * block.MiB)}, MaxVolumes: 2})
+			_, err = New(ctx, core.HostOptions{Store: rs, Cache: simdev.NewMem(48 * block.MiB), MaxVolumes: 2})
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("New over %v: %v, want an error naming %s", tc.slots, err, tc.want)
 			}

@@ -9,6 +9,19 @@ import (
 	"lsvd/internal/block"
 )
 
+// EncodeHeader is the reference EncodeHeaderSum is checked against: the
+// record header, padded to hdrAlign, framed by one CRC pass over the
+// header and the data slices laid out after it, as Encode frames a
+// whole record.
+func EncodeHeader(h *Header, hdrAlign int, data ...[]byte) ([]byte, error) {
+	payload := bytes.Join(data, nil)
+	rec, err := encode(h, payload, hdrAlign, 1)
+	if err != nil {
+		return nil, err
+	}
+	return rec[:len(rec)-len(payload)], nil
+}
+
 // combineLens are the tail lengths the write path actually produces
 // (nothing, a sector's neighbours, a block, a large write, a batch and
 // a byte) — each a different pattern of zero operators.

@@ -171,29 +171,14 @@ func putHeader(buf []byte, h *Header, hs int) {
 	}
 }
 
-// EncodeHeader serializes only the record header, padded to hdrAlign,
-// with the CRC computed as if the data slices followed the header
-// contiguously. The result decodes identically to Encode's header, but
-// the payload is never copied: callers issue one vectored device write
-// of [header, data...] instead of materializing the full record.
-func EncodeHeader(h *Header, hdrAlign int, data ...[]byte) ([]byte, error) {
-	var n uint64
-	var sum uint32
-	for _, d := range data {
-		n += uint64(len(d))
-		sum = crc32.Update(sum, castagnoli, d)
-	}
-	if n != h.DataLen {
-		return nil, fmt.Errorf("journal: header DataLen %d != data %d", h.DataLen, n)
-	}
-	return EncodeHeaderSum(h, hdrAlign, sum), nil
-}
-
-// EncodeHeaderSum is EncodeHeader for a caller that already holds
-// sum, the CRC32C (Sum) of the h.DataLen data bytes: the header is
-// stamped with the same CRC a pass over header and data would compute,
-// and the data is not read. The record then vouches for the bytes as
-// they were when sum was taken.
+// EncodeHeaderSum serializes only the record header, padded to
+// hdrAlign, for a caller that already holds sum, the CRC32C (Sum) of the
+// h.DataLen data bytes: the header is stamped with the same CRC a pass
+// over header and data would compute, and the data is not read. The
+// result decodes identically to Encode's header, but the payload is
+// never copied: callers issue one vectored write of [header, data...]
+// instead of materializing the full record. The record then vouches for
+// the bytes as they were when sum was taken.
 func EncodeHeaderSum(h *Header, hdrAlign int, sum uint32) []byte {
 	hs := HeaderSize(len(h.Extents))
 	hs = (hs + hdrAlign - 1) / hdrAlign * hdrAlign

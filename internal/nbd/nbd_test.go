@@ -157,7 +157,7 @@ func TestConcurrentClients(t *testing.T) {
 // the full paper stack minus the kernel.
 func TestLSVDOverNBD(t *testing.T) {
 	disk, err := core.Create(context.Background(), core.Options{
-		HostOptions:   core.HostOptions{Store: objstore.NewMem(), CacheDev: simdev.NewMem(128 * block.MiB)},
+		HostOptions:   core.HostOptions{Store: objstore.NewMem(), Cache: simdev.NewMem(128 * block.MiB)},
 		VolumeOptions: core.VolumeOptions{Volume: "vol", VolBytes: 128 * block.MiB},
 	})
 	if err != nil {

@@ -42,9 +42,6 @@ func NewPrefixed(inner Store, prefix string) (*Prefixed, error) {
 // shared Retrier).
 func (s *Prefixed) Inner() Store { return s.inner }
 
-// Prefix returns the namespace prefix, "" for the identity wrapper.
-func (s *Prefixed) Prefix() string { return s.prefix }
-
 // checkScopedName rejects names that would address objects outside the
 // namespace once joined with the prefix.
 func checkScopedName(name string) error {

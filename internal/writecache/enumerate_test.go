@@ -55,7 +55,7 @@ func (s *crashScript) append(typ journal.Type, sectors uint32) {
 	rec := logged{ws: s.ws, typ: typ, ext: block.Extent{LBA: block.LBA(id) * 256, Sectors: sectors}}
 	var err error
 	if typ == journal.TypeTrim {
-		err = s.c.AppendTrim(rec.ws, rec.ext)
+		err = appendTrim(s.c, rec.ws, rec.ext)
 	} else {
 		rec.data = payload(int64(id), int(rec.ext.Bytes()))
 		err = s.c.Append(rec.ws, rec.ext, rec.data)

@@ -49,10 +49,10 @@ func FuzzOpen(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		hdr, err := journal.EncodeHeader(&journal.Header{
+		hdr, err := journal.Encode(&journal.Header{
 			Type: journal.Type(typ), Seq: startSeq, WriteSeq: 4,
 			Extents: []journal.ExtentEntry{{LBA: 64, Sectors: sectors}},
-		}, block.BlockSize)
+		}, nil, true)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -239,15 +239,6 @@ func (c *Cache) Append(writeSeq uint64, ext block.Extent, data []byte) error {
 	return c.Commit(res, data, journal.Sum(data))
 }
 
-// AppendTrim logs a discard of ext.
-func (c *Cache) AppendTrim(writeSeq uint64, ext block.Extent) error {
-	res, err := c.Reserve(writeSeq, journal.TypeTrim, ext, 0)
-	if err != nil {
-		return err
-	}
-	return c.Commit(res, nil, 0)
-}
-
 // Reserve claims log space and a sequence number for one client write
 // under a short metadata-only critical section; the payload I/O
 // happens in Commit, off this lock. Reservation order defines the

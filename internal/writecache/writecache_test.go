@@ -28,6 +28,15 @@ func payload(seed int64, n int) []byte {
 	return b
 }
 
+// appendTrim logs a discard of ext, as the core's admission does.
+func appendTrim(c *Cache, writeSeq uint64, ext block.Extent) error {
+	res, err := c.Reserve(writeSeq, journal.TypeTrim, ext, 0)
+	if err != nil {
+		return err
+	}
+	return c.Commit(res, nil, 0)
+}
+
 // readBack looks up ext and reads all present runs into a buffer,
 // returning the data and whether the whole extent was present.
 func readBack(t *testing.T, c *Cache, ext block.Extent) ([]byte, bool) {
@@ -91,7 +100,7 @@ func TestTrim(t *testing.T) {
 	c, _ := newCache(t, 64*block.MiB, Config{})
 	ext := block.Extent{LBA: 0, Sectors: 64}
 	_ = c.Append(1, ext, payload(1, int(ext.Bytes())))
-	if err := c.AppendTrim(2, block.Extent{LBA: 16, Sectors: 16}); err != nil {
+	if err := appendTrim(c, 2, block.Extent{LBA: 16, Sectors: 16}); err != nil {
 		t.Fatal(err)
 	}
 	runs := c.Lookup(ext)
@@ -349,7 +358,7 @@ func TestRecordsAfter(t *testing.T) {
 		want[uint64(i)] = d
 		_ = c.Append(uint64(i), ext, d)
 	}
-	_ = c.AppendTrim(11, block.Extent{LBA: 100, Sectors: 8})
+	_ = appendTrim(c, 11, block.Extent{LBA: 100, Sectors: 8})
 	if err := c.Reconcile(5); err != nil {
 		t.Fatal(err)
 	}

@@ -88,7 +88,7 @@ type VolumeOptions struct {
 
 	// Advanced tuning; zero values select the paper's configuration.
 	BatchBytes  int64   // backend object size (8 MiB)
-	GCLowWater  float64 // GC trigger utilization (0.70); <0 disables
+	GCLowWater  float64 // GC trigger utilization: 0 selects 0.70; <0 disables
 	GCHighWater float64 // GC stop utilization (0.75)
 
 	// UploadDepth bounds concurrent backend object PUTs in the destage
@@ -122,7 +122,7 @@ func (o VolumeOptions) coreOptions() core.Options {
 	return core.Options{
 		HostOptions: core.HostOptions{
 			Store:       o.Store,
-			CacheDev:    o.Cache,
+			Cache:       o.Cache,
 			UploadDepth: o.UploadDepth,
 			FetchDepth:  o.FetchDepth,
 			Retry:       o.Retry,
@@ -245,22 +245,13 @@ type HostStats = host.Stats
 // HostOptions.
 type VolumeSpec = core.VolumeOptions
 
-// HostOptions configures OpenHost.
-type HostOptions struct {
-	// Store is the backend bucket shared by all volumes.
-	Store ObjectStore
-	// Cache is the host's cache SSD shared by all volumes.
-	Cache CacheDevice
-	// MaxVolumes is the number of write-cache slots carved from the
-	// SSD (default 8).
-	MaxVolumes int
-	// UploadDepth / FetchDepth are host-wide backend concurrency
-	// budgets shared by every volume (defaults 4 and 8).
-	UploadDepth int
-	FetchDepth  int
-	// Retry is the backend retry policy every volume inherits.
-	Retry RetryPolicy
-}
+// HostOptions configures OpenHost: the host-owned half of a volume's
+// configuration, shared by every volume on the host — backend, cache
+// SSD, its split (MaxVolumes write-cache slots carved from
+// WriteCacheFrac of it), the host-wide UploadDepth and FetchDepth
+// budgets, and the retry policy. Zero values select the defaults (8
+// slots, 0.2, 4, 8, and the retry defaults).
+type HostOptions = core.HostOptions
 
 // OpenHost opens a multi-volume host on one SSD and one bucket:
 //
@@ -272,19 +263,5 @@ type HostOptions struct {
 // Volumes lease per-volume write-log slots and share the read arena
 // and backend budgets; h.Close() closes every open volume.
 func OpenHost(ctx context.Context, o HostOptions) (*Host, error) {
-	return host.New(ctx, o.hostOptions())
-}
-
-// hostOptions is the one translation of the public host façade.
-func (o HostOptions) hostOptions() host.Options {
-	return host.Options{
-		HostOptions: core.HostOptions{
-			Store:       o.Store,
-			CacheDev:    o.Cache,
-			UploadDepth: o.UploadDepth,
-			FetchDepth:  o.FetchDepth,
-			Retry:       o.Retry,
-		},
-		MaxVolumes: o.MaxVolumes,
-	}
+	return host.New(ctx, o)
 }

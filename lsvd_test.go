@@ -6,10 +6,13 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
+	"os/exec"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
+	"lsvd/internal/blockstore"
 	"lsvd/internal/host"
 	"lsvd/internal/nbd"
 	"lsvd/internal/objstore"
@@ -376,6 +379,127 @@ func TestCreateCacheInspectsAsOneSlotHost(t *testing.T) {
 	}
 }
 
+// peek follows a path of field names, exported or not, through
+// pointers and interfaces from v. The door test reads the configuration
+// a running disk resolved where the disk keeps it, so that no accessor
+// exists for a test alone.
+func peek(t *testing.T, v any, path string) reflect.Value {
+	t.Helper()
+	r := reflect.ValueOf(v)
+	for _, name := range strings.Split(path, ".") {
+		for r.Kind() == reflect.Pointer || r.Kind() == reflect.Interface {
+			r = r.Elem()
+		}
+		if r = r.FieldByName(name); !r.IsValid() {
+			t.Fatalf("%T has no field path %s", v, path)
+		}
+	}
+	return r
+}
+
+// number reads an integer, a float or a channel's capacity.
+func number(r reflect.Value) float64 {
+	switch {
+	case r.CanInt():
+		return float64(r.Int())
+	case r.CanUint():
+		return float64(r.Uint())
+	case r.CanFloat():
+		return r.Float()
+	}
+	return float64(r.Cap())
+}
+
+// TestZeroMeansTheDefaultAtEveryDoor: at every door — Create, Open,
+// OpenHost with Host.Create, and Host.Open — options left zero resolve
+// to the documented defaults, read from the running disk's resolved
+// options (opts) and its block store's config (bs.cfg). GCLowWater is
+// the trap: a door's 0 means 0.70, while a blockstore.Config's 0 means
+// no collector, which a bare store shows.
+func TestZeroMeansTheDefaultAtEveryDoor(t *testing.T) {
+	want := []struct {
+		path string
+		v    float64
+	}{
+		{"opts.MaxVolumes", 8},
+		{"opts.WriteCacheFrac", 0.2},
+		{"opts.UploadDepth", 4},
+		{"opts.FetchDepth", 8},
+		{"opts.Retry.MaxAttempts", 0}, // the Retrier's defaults, below
+		{"opts.GCLowWater", 0.70},
+		{"opts.GCHighWater", 0.75},
+		{"opts.PrefetchSectors", 256},
+		{"opts.DestageQueueDepth", 256},
+		{"bs.cfg.BatchBytes", 8 << 20},
+		{"bs.cfg.CheckpointEvery", 32},
+		{"bs.cfg.GCLowWater", 0.70},
+		{"bs.cfg.GCHighWater", 0.75},
+		{"bs.cfg.UploadDepth", 4},
+		{"bs.cfg.UploadGate.cap", 4},
+		{"bs.cfg.FetchSem", 8},
+		{"bs.cfg.Store.policy.MaxAttempts", 0},
+	}
+	if p := (RetryPolicy{}); p.Attempts() != 4 {
+		t.Fatalf("the zero retry policy makes %d attempts, want the documented 4", p.Attempts())
+	}
+	check := func(door string, d *Disk, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatalf("%s: %v", door, err)
+		}
+		for _, w := range want {
+			if got := number(peek(t, d, w.path)); got != w.v {
+				t.Errorf("%s: %s = %v, want %v", door, w.path, got, w.v)
+			}
+		}
+		if err := d.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	o := VolumeOptions{Name: "v", Store: MemStore(), Cache: MemCacheDevice(64 * MiB), Size: 16 * MiB}
+	d, err := Create(ctx, o)
+	check("Create", d, err)
+	d, err = Open(ctx, o)
+	check("Open", d, err)
+
+	h, err := OpenHost(ctx, HostOptions{Store: MemStore(), Cache: MemCacheDevice(256 * MiB)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := number(peek(t, h, "layout.Slots")); got != 8 {
+		t.Errorf("OpenHost carves %v write-cache slots, want 8", got)
+	}
+	d, err = h.Create(ctx, "v", VolumeSpec{VolBytes: 16 * MiB})
+	check("Host.Create", d, err)
+	d, err = h.Open(ctx, "v", VolumeSpec{})
+	check("Host.Open", d, err)
+	if err := h.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	bs, err := blockstore.Create(ctx, blockstore.Config{Volume: "v", Store: MemStore(), VolSectors: 1 << 15})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer bs.Abort()
+	if lw, gc := number(peek(t, bs, "cfg.GCLowWater")), peek(t, bs, "gcDone"); lw != 0 || !gc.IsNil() {
+		t.Errorf("a bare store's zero GCLowWater resolved to %v with a collector %v, want 0 and none", lw, !gc.IsNil())
+	}
+}
+
+// TestBenchmarkModuleVets: benchmark/ is a module of its own, which the
+// root go build and go test cannot see, and it uses the program's names
+// — lsvd's options and doors, blockstore.Config, core's stats — as they
+// are. go vet type-checks it against this checkout, so a rename it
+// depends on fails here rather than only in the benchmark's smoke test.
+func TestBenchmarkModuleVets(t *testing.T) {
+	vet := exec.Command("go", "vet", "./...")
+	vet.Dir = "benchmark"
+	if out, err := vet.CombinedOutput(); err != nil {
+		t.Fatalf("go vet in benchmark/: %v\n%s", err, out)
+	}
+}
+
 // setNonZero gives one façade field a value its translation must carry.
 func setNonZero(t *testing.T, v reflect.Value) {
 	t.Helper()
@@ -397,22 +521,19 @@ func setNonZero(t *testing.T, v reflect.Value) {
 	}
 }
 
-// TestEveryPublicKnobReachesTheCore sets each exported field of the two
-// public option façades alone and requires the internal options to
-// change: a field added to a façade and forgotten in its translation
-// fails here instead of being silently ignored.
+// TestEveryPublicKnobReachesTheCore sets each exported field of the
+// public volume façade alone and requires the internal options to
+// change: a field added to VolumeOptions and forgotten in its
+// translation fails here instead of being silently ignored. The host
+// façade is core.HostOptions itself and has no translation.
 func TestEveryPublicKnobReachesTheCore(t *testing.T) {
-	each := func(facade any, translate func(reflect.Value) any) {
-		typ := reflect.TypeOf(facade)
-		zero := translate(reflect.New(typ).Elem())
-		for i := 0; i < typ.NumField(); i++ {
-			o := reflect.New(typ).Elem()
-			setNonZero(t, o.Field(i))
-			if reflect.DeepEqual(translate(o), zero) {
-				t.Errorf("%s.%s does not reach the internal options", typ.Name(), typ.Field(i).Name)
-			}
+	typ := reflect.TypeOf(VolumeOptions{})
+	zero := VolumeOptions{}.coreOptions()
+	for i := 0; i < typ.NumField(); i++ {
+		o := reflect.New(typ).Elem()
+		setNonZero(t, o.Field(i))
+		if reflect.DeepEqual(o.Interface().(VolumeOptions).coreOptions(), zero) {
+			t.Errorf("VolumeOptions.%s does not reach the internal options", typ.Field(i).Name)
 		}
 	}
-	each(VolumeOptions{}, func(o reflect.Value) any { return o.Interface().(VolumeOptions).coreOptions() })
-	each(HostOptions{}, func(o reflect.Value) any { return o.Interface().(HostOptions).hostOptions() })
 }
