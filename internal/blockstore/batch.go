@@ -261,7 +261,6 @@ type mappedExtent struct {
 // Store state and is safe to call without s.mu.
 func buildObject(seq, epoch uint32, typ journal.Type, writeSeq uint64, exts []journal.ExtentEntry, offs []int64, src *segments) ([][]byte, *objInfo, []mappedExtent) {
 	hdrBytes := journal.HeaderSize(len(exts))
-	hdrBytes = (hdrBytes + block.SectorSize - 1) &^ (block.SectorSize - 1)
 	hdrSectors := uint32(hdrBytes / block.SectorSize)
 
 	vec := make([][]byte, 1, 1+len(offs))
@@ -285,7 +284,7 @@ func buildObject(seq, epoch uint32, typ journal.Type, writeSeq uint64, exts []jo
 	}
 
 	h := &journal.Header{Type: typ, Seq: headerSeq(epoch, seq), WriteSeq: writeSeq, Extents: exts, DataLen: uint64(cursor)}
-	vec[0] = journal.EncodeHeaderSum(h, block.SectorSize, sum)
+	vec[0] = journal.EncodeHeaderSum(h, sum)
 
 	info := &objInfo{
 		seq: seq, typ: typ, totalBytes: int64(hdrBytes) + cursor,

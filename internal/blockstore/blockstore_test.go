@@ -3,6 +3,7 @@ package blockstore
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"math/rand"
 	"testing"
@@ -223,6 +224,64 @@ func TestRecovery(t *testing.T) {
 	}
 	if s2.DurableWriteSeq() < 20 {
 		t.Fatalf("watermark %d", s2.DurableWriteSeq())
+	}
+}
+
+// TestUnpaddedSuperblockOpens: a bucket whose superblock an earlier
+// version wrote with an unpadded header, before every record was framed
+// to a sector, opens and reads back every block.
+func TestUnpaddedSuperblockOpens(t *testing.T) {
+	store := objstore.NewMem()
+	s := newVolume(t, store, Config{CheckpointEvery: 4, BatchBytes: 64 * 1024})
+	want := map[int][]byte{}
+	for i := 0; i < 20; i++ {
+		ext := block.Extent{LBA: block.LBA(i * 200), Sectors: 64}
+		want[i] = payload(int64(i), int(ext.Bytes()))
+		if err := s.Append(uint64(i+1), ext, want[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Seal(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := store.Get(ctx, superName("vol"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, data, _, err := journal.Decode(raw, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sb, err := decodeSuper(raw); err != nil || sb.lastCkpt == 0 {
+		t.Fatalf("superblock names no checkpoint (%v): nothing rests on it", err)
+	}
+	// The earlier framing: the 48 fixed header bytes, then the payload,
+	// with the CRC over both.
+	const hdrLen = 48
+	le := binary.LittleEndian
+	old := append(raw[:hdrLen:hdrLen], data...)
+	le.PutUint32(old[12:], hdrLen)
+	le.PutUint32(old[8:], 0)
+	le.PutUint32(old[8:], journal.Sum(old))
+	if h2, _, n, err := journal.Decode(old, false); err != nil || n != len(old) || h2.Type != h.Type {
+		t.Fatalf("hand-framed superblock does not decode: %v", err)
+	}
+	if err := store.Put(ctx, superName("vol"), old); err != nil {
+		t.Fatal(err)
+	}
+
+	s2, err := Open(ctx, Config{Volume: "vol", Store: store})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 20; i++ {
+		ext := block.Extent{LBA: block.LBA(i * 200), Sectors: 64}
+		if got := readAll(t, s2, ext); !bytes.Equal(got, want[i]) {
+			t.Fatalf("write %d lost under an unpadded superblock", i)
+		}
 	}
 }
 

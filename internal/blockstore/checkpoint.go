@@ -187,7 +187,7 @@ func (s *Store) putCheckpointObject(shot *ckptShot) error {
 			Type: journal.TypeCheckpoint, Seq: headerSeq(s.epoch, shot.seq),
 			WriteSeq: shot.writeSeq, DataLen: uint64(len(shot.payload)),
 		}
-		rec, err := journal.EncodeSectorHeader(h, shot.payload)
+		rec, err := journal.Encode(h, shot.payload, false)
 		if err != nil {
 			return err
 		}

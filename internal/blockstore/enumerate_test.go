@@ -333,6 +333,14 @@ func (r *enumRun) script(play func(*enumRun) error) error {
 // retries with a marker of its own depends on which ran first, so
 // sequence numbers, and with them the schedule's labels, would differ
 // from run to run.
+//
+// The pipeline pairing is no door's (each door's depth is its gate's
+// capacity). UploadDepth 1 keeps two sealed objects in flight, and the
+// 16-slot gate never holds a PUT, so every PUT the pipeline issues
+// reaches the explorer's gate, which alone orders them. Depth 1 with a
+// 1-slot gate would queue the second object's PUT in iosched, where the
+// explorer could not land it before the first; depth 16 with 16 slots
+// would put 32 objects in flight and multiply the schedules.
 func (r *enumRun) play() error {
 	if err := retry("create", func() (err error) {
 		r.s, err = Create(ctx, Config{
@@ -357,7 +365,8 @@ func (r *enumRun) play() error {
 		return nil
 	}
 
-	// Four objects in flight, then a fence.
+	// Four objects through the two-object pipeline (the third seal waits
+	// for the first to commit), then a fence.
 	if err := writes(enumSlot(0), enumSlot(1), enumSlot(2), enumSlot(3)); err != nil {
 		return err
 	}
@@ -465,7 +474,7 @@ func stalePutAfterList(r *enumRun) error {
 			r.s = nil
 		}
 	}()
-	cfg := Config{
+	cfg := Config{ // play's pipeline pairing
 		Volume: "vol", Store: r.rs, VolSectors: volSectors,
 		BatchBytes: enumSlot(0).Bytes(), UploadDepth: 1, UploadGate: iosched.NewGate(16),
 		CheckpointEvery: 1 << 30, Retry: objstore.RetryPolicy{MaxAttempts: -1},

@@ -102,7 +102,6 @@ func fetchHeader(s *Store, name string) (*hdrEntry, error) {
 		return nil, err
 	}
 	need := journal.HeaderSize(int(headerExtentCount(probe)))
-	need = (need + block.SectorSize - 1) &^ (block.SectorSize - 1)
 	buf := probe
 	if need > len(probe) {
 		if buf, err = s.cfg.Store.GetRange(s.ctx, name, 0, int64(need)); err != nil {
@@ -113,9 +112,7 @@ func fetchHeader(s *Store, name string) (*hdrEntry, error) {
 	if err != nil {
 		return nil, fmt.Errorf("blockstore: header of %s unreadable: %w", name, err)
 	}
-	hs := journal.HeaderSize(len(hdr.Extents))
-	hs = (hs + block.SectorSize - 1) &^ (block.SectorSize - 1)
-	return &hdrEntry{extents: hdr.Extents, hdrSectors: uint32(hs / block.SectorSize)}, nil
+	return &hdrEntry{extents: hdr.Extents, hdrSectors: uint32(journal.HeaderSize(len(hdr.Extents)) / block.SectorSize)}, nil
 }
 
 // headerExtentCount peeks the extent count field of an encoded header.

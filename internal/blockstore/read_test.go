@@ -11,21 +11,36 @@ import (
 	"lsvd/internal/testrec"
 )
 
-// slowRanges delays every range GET so concurrent cold readers overlap.
-func slowRanges() objstore.Store {
-	rs := testrec.NewStore(objstore.NewMem())
-	rs.Do(testrec.GetRanges, func(testrec.Op) error {
-		time.Sleep(5 * time.Millisecond)
-		return nil
-	})
-	return rs
+// overlapped runs n callers of fn while a gate holds every range GET,
+// and opens the gate only once all of them have parked, in the GET or
+// behind one: every caller arrives while the first fetch is in flight.
+// It returns the number of range GETs that were held at that point.
+func overlapped(t *testing.T, rs *testrec.Store, n int, fn func(i int)) int {
+	t.Helper()
+	g := rs.Gate(testrec.GetRanges)
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			fn(i)
+		}(i)
+	}
+	if err := testrec.Settle(10 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	held := len(g.Held())
+	g.Open()
+	wg.Wait()
+	return held
 }
 
 // TestHeaderSingleflight: concurrent cold header readers share one
 // backend fetch (the old headerL issued it under s.mu, serializing
 // every lookup behind the GET and re-fetching per caller).
 func TestHeaderSingleflight(t *testing.T) {
-	met := objstore.NewMetered(slowRanges())
+	rs := testrec.NewStore(objstore.NewMem())
+	met := objstore.NewMetered(rs)
 	s := newVolume(t, met, Config{})
 	data := bytes.Repeat([]byte{7}, 64*1024)
 	if err := s.Append(1, block.Extent{LBA: 0, Sectors: 128}, data); err != nil {
@@ -44,21 +59,10 @@ func TestHeaderSingleflight(t *testing.T) {
 
 	const callers = 8
 	var (
-		wg   sync.WaitGroup
 		hdrs [callers]*hdrEntry
 		errs [callers]error
 	)
-	start := make(chan struct{})
-	for i := 0; i < callers; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			<-start
-			hdrs[i], errs[i] = s.header(seq)
-		}(i)
-	}
-	close(start)
-	wg.Wait()
+	held := overlapped(t, rs, callers, func(i int) { hdrs[i], errs[i] = s.header(seq) })
 	for i := 0; i < callers; i++ {
 		if errs[i] != nil {
 			t.Fatal(errs[i])
@@ -67,11 +71,12 @@ func TestHeaderSingleflight(t *testing.T) {
 			t.Fatal("callers decoded separate header copies")
 		}
 	}
-	if n := s.Stats().HeaderFetches; n != 1 {
-		t.Fatalf("%d concurrent cold header reads did %d backend fetches, want 1", callers, n)
+	// The header fits the 4 KiB probe: one fetch is one range GET.
+	if n := s.Stats().HeaderFetches; n != 1 || held != 1 {
+		t.Fatalf("%d overlapping cold header reads did %d backend fetches, %d of them in flight together, want 1", callers, n, held)
 	}
-	if got := met.Stats().GetRanges; got > 2 {
-		t.Fatalf("header singleflight issued %d range GETs, want <=2 (probe + tail)", got)
+	if got := met.Stats().GetRanges; got != 1 {
+		t.Fatalf("header singleflight issued %d range GETs, want 1", got)
 	}
 }
 
@@ -130,7 +135,8 @@ func TestFetchSpanWindowsAreWholeBlocksOfTheDataRegion(t *testing.T) {
 // the same aligned window share one range GET, and joiners see the
 // Shared flag.
 func TestFetchSpanWindowDedup(t *testing.T) {
-	met := objstore.NewMetered(slowRanges())
+	rs := testrec.NewStore(objstore.NewMem())
+	met := objstore.NewMetered(rs)
 	s := newVolume(t, met, Config{FetchSem: make(chan struct{}, 8)})
 	data := bytes.Repeat([]byte{9}, 256*1024)
 	if err := s.Append(1, block.Extent{LBA: 0, Sectors: 512}, data); err != nil {
@@ -151,46 +157,37 @@ func TestFetchSpanWindowDedup(t *testing.T) {
 
 	const callers = 6
 	var (
-		wg     sync.WaitGroup
 		shared [callers]bool
 		errs   [callers]error
 	)
-	start := make(chan struct{})
-	for i := 0; i < callers; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			<-start
-			runs := runsA
-			if i%2 == 1 {
-				runs = runsB
-			}
-			f, err := s.FetchSpan(runs, window, false)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			defer f.Release()
-			shared[i] = f.Shared
-			got, err := f.Slice(runs[0])
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			if !bytes.Equal(got, data[:4096]) { // uniform payload
-				t.Error("window slice returned wrong bytes")
-			}
-		}(i)
-	}
-	close(start)
-	wg.Wait()
+	held := overlapped(t, rs, callers, func(i int) {
+		runs := runsA
+		if i%2 == 1 {
+			runs = runsB
+		}
+		f, err := s.FetchSpan(runs, window, false)
+		if err != nil {
+			errs[i] = err
+			return
+		}
+		defer f.Release()
+		shared[i] = f.Shared
+		got, err := f.Slice(runs[0])
+		if err != nil {
+			errs[i] = err
+			return
+		}
+		if !bytes.Equal(got, data[:4096]) { // uniform payload
+			t.Error("window slice returned wrong bytes")
+		}
+	})
 	for _, err := range errs {
 		if err != nil {
 			t.Fatal(err)
 		}
 	}
-	if n := met.Stats().GetRanges; n != 1 {
-		t.Fatalf("same-window concurrent fetches issued %d GETs, want 1", n)
+	if n := met.Stats().GetRanges; n != 1 || held != 1 {
+		t.Fatalf("same-window overlapping fetches issued %d GETs, %d of them in flight together, want 1", n, held)
 	}
 	nShared := 0
 	for _, sh := range shared {

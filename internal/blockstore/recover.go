@@ -370,7 +370,6 @@ func (s *Store) fetchObjectMeta(seq uint32, gets *atomic.Uint64) *objMeta {
 		return m
 	}
 	need := journal.HeaderSize(int(headerExtentCount(probe)))
-	need = (need + block.SectorSize - 1) &^ (block.SectorSize - 1)
 	buf := probe
 	if need > len(probe) {
 		gets.Add(1)
@@ -384,10 +383,8 @@ func (s *Store) fetchObjectMeta(seq uint32, gets *atomic.Uint64) *objMeta {
 		m.err = fmt.Errorf("blockstore: header of %s unreadable: %w", name, err)
 		return m
 	}
-	hs := journal.HeaderSize(len(h.Extents))
-	hs = (hs + block.SectorSize - 1) &^ (block.SectorSize - 1)
 	m.h = h
-	m.hdrSectors = uint32(hs / block.SectorSize)
+	m.hdrSectors = uint32(journal.HeaderSize(len(h.Extents)) / block.SectorSize)
 	gets.Add(1)
 	m.size, m.err = s.cfg.Store.Size(s.ctx, name)
 	return m

@@ -129,7 +129,7 @@ func rewriteCheckpointPrev(t *testing.T, store objstore.Store, seq, prev uint32)
 	p.prevCkpt = prev
 	body := encodeCheckpointForFuzz(p)
 	h.DataLen = uint64(len(body))
-	rec, err := journal.EncodeSectorHeader(h, body)
+	rec, err := journal.Encode(h, body, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +223,7 @@ func TestEpochZeroBucketOpens(t *testing.T) {
 			}
 			epochs[seq] = epochOf(h)
 			h.Seq = fn(h.Seq)
-			if raw, err = journal.EncodeSectorHeader(h, data); err != nil {
+			if raw, err = journal.Encode(h, data, false); err != nil {
 				t.Fatal(err)
 			}
 			if err := store.Put(ctx, objName("vol", seq), raw); err != nil {

@@ -17,7 +17,7 @@ import (
 func onePassHeader(t *testing.T, h *journal.Header, data ...[]byte) []byte {
 	t.Helper()
 	payload := bytes.Join(data, nil)
-	rec, err := journal.EncodeSectorHeader(h, payload)
+	rec, err := journal.Encode(h, payload, false)
 	if err != nil {
 		t.Fatal(err)
 	}

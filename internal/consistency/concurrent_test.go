@@ -223,9 +223,7 @@ func dumpObjects(t *testing.T, store objstore.Store, lo, hi int64) {
 			continue
 		}
 		var parts []string
-		hdrBytes := journal.HeaderSize(len(h.Extents))
-		hdrBytes = (hdrBytes + 511) &^ 511
-		cursor := int64(hdrBytes)
+		cursor := int64(journal.HeaderSize(len(h.Extents)))
 		for _, e := range h.Extents {
 			isTrim := e.SrcSeq == ^uint64(0)
 			end := e.LBA + block.LBA(e.Sectors)

@@ -146,12 +146,20 @@ func TestWriteLogSpansItsPartition(t *testing.T) {
 	}
 }
 
-// A cache device laid out by the version before this one — its
-// superblock names a chain start but not where the log begins — is
-// refused by the write cache and recovered as cache loss (§3.4): the
-// volume opens on the backend's prefix with an empty, re-formatted log,
-// and the next crash recovers from the new layout.
+// A cache device laid out by an earlier version is refused by the write
+// cache and recovered as cache loss (§3.4): the volume opens on the
+// backend's prefix with an empty, re-formatted log, and the next crash
+// recovers from the new layout. Two earlier layouts: a superblock that
+// names a chain start but not where the log begins, and a ring framed
+// with 4 KiB record headers whose chain holds writes the backend lacks;
+// those go with the cache, as they would with a device lost whole.
 func TestParentLayoutCacheIsCacheLoss(t *testing.T) {
+	for _, layout := range []string{"no log start", "4 KiB headers"} {
+		t.Run(layout, func(t *testing.T) { parentLayoutIsCacheLoss(t, layout) })
+	}
+}
+
+func parentLayoutIsCacheLoss(t *testing.T, layout string) {
 	h := newHarness(t, func(o *Options) { o.BatchBytes = 256 * 1024 })
 	const blk = 64 * 1024
 	for i := int64(0); i < 8; i++ {
@@ -164,14 +172,37 @@ func TestParentLayoutCacheIsCacheLoss(t *testing.T) {
 	}
 	h.disk.Kill()
 
-	// Both slots as 6181c48 wrote them: gen, epoch, chain start, sequence.
+	// Both slots as the earlier version wrote them: gen, epoch, chain
+	// start, sequence, and then (40 bytes) the log start.
 	le := binary.LittleEndian
 	old := make([]byte, 32)
+	le.PutUint64(old[16:], uint64(2*block.BlockSize+16*block.MiB))
+	if layout == "4 KiB headers" {
+		logStart := int64(2 * block.BlockSize)
+		old = make([]byte, 40)
+		le.PutUint64(old[16:], uint64(logStart))
+		le.PutUint64(old[32:], uint64(logStart))
+		// New versions of blocks 0 and 1 the backend never got, chained
+		// from the start, each header and record padded to 4 KiB.
+		off := logStart
+		for i := int64(0); i < 2; i++ {
+			rec, err := journal.Encode(&journal.Header{
+				Type: journal.TypeData, Seq: 5<<48 | uint64(i+1), WriteSeq: uint64(100 + i), DataLen: blk,
+				Extents: []journal.ExtentEntry{{LBA: block.LBA(i * blk / block.SectorSize), Sectors: blk / block.SectorSize}},
+			}, payload(200+i, blk), true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := h.cache.WriteAt(rec, off); err != nil {
+				t.Fatal(err)
+			}
+			off += int64(len(rec))
+		}
+	}
 	le.PutUint64(old, 1<<20)
 	le.PutUint64(old[8:], 5)
-	le.PutUint64(old[16:], uint64(2*block.BlockSize+16*block.MiB))
 	le.PutUint64(old[24:], 5<<48|1)
-	super, err := journal.Encode(&journal.Header{Type: journal.TypeSuper, Seq: 1 << 20, DataLen: 32}, old, false)
+	super, err := journal.Encode(&journal.Header{Type: journal.TypeSuper, Seq: 1 << 20, DataLen: uint64(len(old))}, old, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,8 +214,11 @@ func TestParentLayoutCacheIsCacheLoss(t *testing.T) {
 
 	h.reopen(t)
 	st := h.disk.Stats()
-	if st.WriteCache.RecoveredRecs != 0 || st.RecoveredReplayed != 0 || st.WriteCache.Checkpoints == 0 {
-		t.Fatalf("reopened with %d recovered records, %d replayed: want an empty, freshly formatted log", st.WriteCache.RecoveredRecs, st.RecoveredReplayed)
+	// Format writes both superblock slots; an Open that took the device
+	// as an empty chain would have written one.
+	if st.WriteCache.RecoveredRecs != 0 || st.RecoveredReplayed != 0 || st.WriteCache.Checkpoints != 2 {
+		t.Fatalf("reopened with %d recovered records, %d replayed, %d superblocks written: want an empty, freshly formatted log",
+			st.WriteCache.RecoveredRecs, st.RecoveredReplayed, st.WriteCache.Checkpoints)
 	}
 	got := make([]byte, blk)
 	for i := int64(0); i < 8; i++ {

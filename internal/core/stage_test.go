@@ -67,10 +67,10 @@ func TestStagePoolMixedSizes(t *testing.T) {
 // TestLargeWriteAckAllocatesNoPayload guards the 128 KiB ack path: on a
 // warmed disk neither the cache device (a pre-image copy per page) nor
 // the staging pool (a miss per write) may allocate payload-sized
-// memory. What remains per write is framing, about 22 KiB of it: the
-// two extent maps' chunk copies (14 KiB) and the 4 KiB record header
-// lead. The bound is a quarter of the payload: one pre-image copy per
-// write (64 KiB) or one pool miss in twelve would cross it.
+// memory. What remains per write is framing: the two extent maps'
+// chunk copies (14 KiB) and the one-sector record header lead. The
+// bound is a quarter of the payload: one pre-image copy per write
+// (64 KiB) or one pool miss in twelve would cross it.
 func TestLargeWriteAckAllocatesNoPayload(t *testing.T) {
 	const (
 		wr       = 128 << 10

@@ -7,7 +7,17 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"lsvd/internal/testrec"
 )
+
+// settle waits until every goroutine of the test is parked.
+func settle(t *testing.T) {
+	t.Helper()
+	if err := testrec.Settle(10 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+}
 
 func TestGateBoundsConcurrency(t *testing.T) {
 	g := NewGate(3)
@@ -48,6 +58,16 @@ func TestGateMinimumShare(t *testing.T) {
 	// Capacity 4, two users: each is guaranteed 2 slots. The hog takes
 	// all 4 (2 guaranteed + 2 borrowed); the victim must still get a
 	// slot as soon as one frees, even though the hog has more queued.
+	// The hog queues last: a broadcast readies the waiters in queue
+	// order, and the runtime runs the last one readied first, so without
+	// the share rule the slot goes to a hog in about 49 runs of 50. Four
+	// rounds make that a failure.
+	for range 4 {
+		minimumShareRound(t)
+	}
+}
+
+func minimumShareRound(t *testing.T) {
 	g := NewGate(4)
 	g.Register("hog")
 	g.Register("victim")
@@ -55,7 +75,12 @@ func TestGateMinimumShare(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		g.Acquire("hog")
 	}
-	// Queue more hog demand plus one victim request.
+	victimGot := make(chan struct{})
+	go func() {
+		g.Acquire("victim")
+		close(victimGot)
+	}()
+	settle(t)
 	hogGot := make(chan struct{}, 8)
 	for i := 0; i < 4; i++ {
 		go func() {
@@ -63,19 +88,15 @@ func TestGateMinimumShare(t *testing.T) {
 			hogGot <- struct{}{}
 		}()
 	}
-	victimGot := make(chan struct{})
-	go func() {
-		g.Acquire("victim")
-		close(victimGot)
-	}()
 
-	// Let everyone park, then free exactly one slot.
-	time.Sleep(20 * time.Millisecond)
+	// Once everyone has parked, free exactly one slot; once the waiters
+	// have settled again, it must be the victim's.
+	settle(t)
 	g.Release("hog")
-
+	settle(t)
 	select {
 	case <-victimGot:
-	case <-time.After(2 * time.Second):
+	default:
 		t.Fatal("victim starved: released slot went to the over-share hog")
 	}
 	select {
@@ -169,12 +190,7 @@ func TestGateUnregisterWithWaitersFails(t *testing.T) {
 		g.Acquire("a")
 		close(acquired)
 	}()
-	for waiting := 0; waiting == 0; {
-		time.Sleep(time.Millisecond)
-		g.mu.Lock()
-		waiting = g.users["a"].waiting
-		g.mu.Unlock()
-	}
+	settle(t)
 	func() {
 		defer func() {
 			if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "1 waiters") {

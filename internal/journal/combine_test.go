@@ -10,12 +10,11 @@ import (
 )
 
 // EncodeHeader is the reference EncodeHeaderSum is checked against: the
-// record header, padded to hdrAlign, framed by one CRC pass over the
-// header and the data slices laid out after it, as Encode frames a
-// whole record.
-func EncodeHeader(h *Header, hdrAlign int, data ...[]byte) ([]byte, error) {
+// record header framed by one CRC pass over the header and the data
+// slices laid out after it, as Encode frames a whole record.
+func EncodeHeader(h *Header, data ...[]byte) ([]byte, error) {
 	payload := bytes.Join(data, nil)
-	rec, err := encode(h, payload, hdrAlign, 1)
+	rec, err := Encode(h, payload, false)
 	if err != nil {
 		return nil, err
 	}
@@ -53,32 +52,30 @@ func TestCombineMatchesOnePass(t *testing.T) {
 }
 
 // TestEncodeHeaderSumStampsTheSameCRC: a header framed from a payload
-// sum is the header a pass over the payload frames, at both alignments
-// and for the empty payload of a trim.
+// sum is the header a pass over the payload frames, for the empty
+// payload of a trim too.
 func TestEncodeHeaderSumStampsTheSameCRC(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	data := make([]byte, 128<<10)
 	rng.Read(data)
 	for _, n := range []int{0, block.SectorSize, len(data)} {
-		for _, align := range []int{block.SectorSize, block.BlockSize} {
-			h := &Header{Type: TypeData, Seq: 3, WriteSeq: 5, DataLen: uint64(n),
-				Extents: []ExtentEntry{{LBA: 64, Sectors: uint32(n / block.SectorSize), SrcSeq: 3}}}
-			want, err := EncodeHeader(h, align, data[:n/2], data[n/2:n])
-			if err != nil {
-				t.Fatal(err)
-			}
-			got := EncodeHeaderSum(h, align, Sum(data[:n]))
-			if !bytes.Equal(got, want) {
-				t.Fatalf("%d bytes, align %d: headers differ", n, align)
-			}
-			if err := Verify(got, data[:n]); err != nil {
-				t.Fatalf("%d bytes, align %d: %v", n, align, err)
-			}
+		h := &Header{Type: TypeData, Seq: 3, WriteSeq: 5, DataLen: uint64(n),
+			Extents: []ExtentEntry{{LBA: 64, Sectors: uint32(n / block.SectorSize), SrcSeq: 3}}}
+		want, err := EncodeHeader(h, data[:n/2], data[n/2:n])
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := EncodeHeaderSum(h, Sum(data[:n]))
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%d bytes: headers differ", n)
+		}
+		if err := Verify(got, data[:n]); err != nil {
+			t.Fatalf("%d bytes: %v", n, err)
 		}
 	}
 	// The sum speaks for the bytes as they were when it was taken.
 	h := &Header{Type: TypeData, Seq: 1, DataLen: uint64(len(data)), Extents: []ExtentEntry{{Sectors: 256}}}
-	hdr := EncodeHeaderSum(h, block.SectorSize, Sum(data))
+	hdr := EncodeHeaderSum(h, Sum(data))
 	data[len(data)/2] ^= 1
 	if err := Verify(hdr, data); err == nil {
 		t.Fatal("a byte changed after the sum was taken and the record still verifies")

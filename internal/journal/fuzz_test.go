@@ -21,17 +21,17 @@ func FuzzDecode(f *testing.F) {
 		Type: TypeData, Seq: 7, WriteSeq: 9, DataLen: uint64(len(data)),
 		Extents: []ExtentEntry{{LBA: 8, Sectors: 2, SrcSeq: 7}},
 	}
-	if rec, err := Encode(h, data, true); err == nil {
+	if rec, err := Encode(h, data, false); err == nil {
+		f.Add(rec, false)
+		f.Add(rec[:headerFixed-1], false)
+	}
+	if rec, err := Encode(h, data, true); err == nil { // the ladder's 4 KiB framing
 		f.Add(rec, true)
 		f.Add(rec[:len(rec)-1], true)
 		f.Add(rec, false)
 	}
-	if rec, err := EncodeSectorHeader(h, data); err == nil {
+	if rec, err := Encode(&Header{Type: TypePad, Seq: 1}, nil, false); err == nil {
 		f.Add(rec, false)
-		f.Add(rec[:headerFixed-1], false)
-	}
-	if rec, err := Encode(&Header{Type: TypePad, Seq: 1}, nil, true); err == nil {
-		f.Add(rec, true)
 	}
 	f.Add([]byte("not a journal record"), false)
 

@@ -38,7 +38,7 @@ func TestDecodeHostileDataLen(t *testing.T) {
 		1 << 63,               // wraps int() negative
 		^uint64(0),            // -1 as int()
 	} {
-		rec, err := EncodeSectorHeader(h, data)
+		rec, err := Encode(h, data, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -64,7 +64,7 @@ func TestDecodeTruncationEveryOffset(t *testing.T) {
 		Type: TypeData, Seq: 1, WriteSeq: 5, DataLen: uint64(len(d1)),
 		Extents: []ExtentEntry{{LBA: 0, Sectors: 3, SrcSeq: 1}},
 	}
-	rec1, err := EncodeSectorHeader(h1, d1)
+	rec1, err := Encode(h1, d1, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func TestDecodeTruncationEveryOffset(t *testing.T) {
 		Type: TypeData, Seq: 2, WriteSeq: 6, DataLen: uint64(len(d2)),
 		Extents: []ExtentEntry{{LBA: 9, Sectors: 1, SrcSeq: 2}},
 	}
-	rec2, err := EncodeSectorHeader(h2, d2)
+	rec2, err := Encode(h2, d2, false)
 	if err != nil {
 		t.Fatal(err)
 	}

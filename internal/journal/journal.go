@@ -104,33 +104,28 @@ const (
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// HeaderSize returns the encoded header size for n extents, before any
-// alignment padding.
-func HeaderSize(n int) int { return headerFixed + n*entrySize }
+// headerLen is the encoded size of a header with n extents before its
+// sector padding: the least hdrLen a decoder accepts.
+func headerLen(n int) int { return headerFixed + n*entrySize }
 
-// AlignedHeaderSize returns HeaderSize rounded up to the 4 KiB cache
-// log alignment.
-func AlignedHeaderSize(n int) int {
-	s := HeaderSize(n)
-	return (s + block.BlockSize - 1) &^ (block.BlockSize - 1)
+// HeaderSize returns the framed size of a header with n extents: the
+// fixed fields and the extent list padded to a 512-byte sector, so that
+// the data behind it is sector-addressable.
+func HeaderSize(n int) int {
+	return (headerLen(n) + block.SectorSize - 1) &^ (block.SectorSize - 1)
 }
 
-// Encode serializes the header followed by data. If align4K, the header
-// is padded to a 4 KiB multiple before the data, and the whole record
-// is padded to a 4 KiB multiple at the end, matching the cache log
-// layout (§3.1); backend objects use the unaligned form. The CRC is
+// Encode serializes the header followed by data in the framing of every
+// record the program writes — cache records, backend objects,
+// checkpoints and superblocks alike: the header padded to one sector
+// (HeaderSize), then the data, with no trailing pad. The CRC is
 // computed over the padded header (crc field zeroed) and the data.
+// align4K selects the cache log's retired framing, header and record
+// each padded to 4 KiB, which only the benchmark's ladder still times.
 func Encode(h *Header, data []byte, align4K bool) ([]byte, error) {
 	if align4K {
 		return encode(h, data, block.BlockSize, block.BlockSize)
 	}
-	return encode(h, data, 1, 1)
-}
-
-// EncodeSectorHeader serializes a record whose header is padded to a
-// 512-byte sector boundary with no trailing padding — the backend
-// object layout, where data offsets must be sector-addressable.
-func EncodeSectorHeader(h *Header, data []byte) ([]byte, error) {
 	return encode(h, data, block.SectorSize, 1)
 }
 
@@ -138,7 +133,7 @@ func encode(h *Header, data []byte, hdrAlign, totalAlign int) ([]byte, error) {
 	if uint64(len(data)) != h.DataLen {
 		return nil, fmt.Errorf("journal: header DataLen %d != data %d", h.DataLen, len(data))
 	}
-	hs := HeaderSize(len(h.Extents))
+	hs := headerLen(len(h.Extents))
 	hs = (hs + hdrAlign - 1) / hdrAlign * hdrAlign
 	total := hs + len(data)
 	total = (total + totalAlign - 1) / totalAlign * totalAlign
@@ -171,17 +166,15 @@ func putHeader(buf []byte, h *Header, hs int) {
 	}
 }
 
-// EncodeHeaderSum serializes only the record header, padded to
-// hdrAlign, for a caller that already holds sum, the CRC32C (Sum) of the
-// h.DataLen data bytes: the header is stamped with the same CRC a pass
-// over header and data would compute, and the data is not read. The
-// result decodes identically to Encode's header, but the payload is
-// never copied: callers issue one vectored write of [header, data...]
-// instead of materializing the full record. The record then vouches for
-// the bytes as they were when sum was taken.
-func EncodeHeaderSum(h *Header, hdrAlign int, sum uint32) []byte {
+// EncodeHeaderSum serializes only the record header, framed as Encode
+// frames it, for a caller that already holds sum, the CRC32C (Sum) of
+// the h.DataLen data bytes: the header is stamped with the same CRC a
+// pass over header and data would compute, and the data is not read.
+// The payload is never copied: callers issue one vectored write of
+// [header, data...] instead of materializing the full record. The
+// record then vouches for the bytes as they were when sum was taken.
+func EncodeHeaderSum(h *Header, sum uint32) []byte {
 	hs := HeaderSize(len(h.Extents))
-	hs = (hs + hdrAlign - 1) / hdrAlign * hdrAlign
 	buf := make([]byte, hs)
 	putHeader(buf, h, hs)
 	binary.LittleEndian.PutUint32(buf[crcOffset:], Combine(Sum(buf), sum, h.DataLen))
@@ -190,7 +183,9 @@ func EncodeHeaderSum(h *Header, hdrAlign int, sum uint32) []byte {
 
 // DecodeHeader parses a header from the front of buf without verifying
 // the data CRC (the data may not have been read yet). It returns the
-// header and the header's encoded length (including alignment padding).
+// header and the header's encoded length (including its padding). A
+// header shorter than HeaderSize is accepted: the block store's
+// superblock was once written unpadded.
 func DecodeHeader(buf []byte) (*Header, int, error) {
 	if len(buf) < headerFixed {
 		return nil, 0, fmt.Errorf("%w: short header: %d bytes", ErrCorrupt, len(buf))
@@ -207,7 +202,7 @@ func DecodeHeader(buf []byte) (*Header, int, error) {
 	}
 	hdrLen := int(le.Uint32(buf[12:]))
 	n := int(le.Uint32(buf[40:]))
-	if hdrLen < HeaderSize(n) || hdrLen > len(buf) {
+	if hdrLen < headerLen(n) || hdrLen > len(buf) {
 		return nil, 0, fmt.Errorf("%w: header length %d invalid for %d extents (buf %d)", ErrCorrupt, hdrLen, n, len(buf))
 	}
 	if n > 0 {

@@ -29,8 +29,8 @@ func TestRoundTripUnaligned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rec) != HeaderSize(2)+len(data) {
-		t.Fatalf("record length %d", len(rec))
+	if len(rec) != block.SectorSize+len(data) || HeaderSize(2) != block.SectorSize {
+		t.Fatalf("record length %d: want one header sector and the data", len(rec))
 	}
 	h2, d2, n, err := Decode(rec, false)
 	if err != nil {
@@ -100,14 +100,14 @@ func TestShortBuffer(t *testing.T) {
 
 func TestPadRecord(t *testing.T) {
 	h := &Header{Type: TypePad, Seq: 9}
-	rec, err := Encode(h, nil, true)
+	rec, err := Encode(h, nil, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rec) != block.BlockSize {
+	if len(rec) != block.SectorSize {
 		t.Fatalf("pad record is %d bytes", len(rec))
 	}
-	h2, _, _, err := Decode(rec, true)
+	h2, _, _, err := Decode(rec, false)
 	if err != nil || h2.Type != TypePad {
 		t.Fatalf("pad decode: %v %+v", err, h2)
 	}

@@ -19,7 +19,7 @@ func TestLoadStateHostileDataLen(t *testing.T) {
 		// A structurally valid checkpoint header at the persist
 		// offset, DataLen then corrupted in place. loadState must
 		// reject it on the bound alone — the CRC is never reached.
-		rec, err := journal.Encode(&journal.Header{Type: journal.TypeCheckpoint, Seq: 1, DataLen: 0}, nil, true)
+		rec, err := journal.Encode(&journal.Header{Type: journal.TypeCheckpoint, Seq: 1, DataLen: 0}, nil, false)
 		if err != nil {
 			t.Fatal(err)
 		}

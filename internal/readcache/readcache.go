@@ -744,9 +744,11 @@ func (c *Cache) Invalidate(ext block.Extent) {
 // persistVersion tags the reserved-region layout: v2 added per-slab
 // ownership and multiple named view maps; v3 has the same payload, but
 // SizedConfig reserves less for it, so the slabs a v2 map points into
-// start elsewhere. Any other version (or any parse failure) loads as a
-// cold cache, which is safe.
-const persistVersion = 3
+// start elsewhere; v4 frames the record with a one-sector header
+// (journal.Encode) where v3 padded header and record to 4 KiB. Any
+// other version (or any parse failure) loads as a cold cache, which is
+// safe.
+const persistVersion = 4
 
 // Persist writes the arena state — slab table plus every view's map —
 // to the reserved region (best effort; §3.2: "the read cache map is
@@ -778,7 +780,7 @@ func (a *Arena) Persist() error {
 		w.PutStr(v.name)
 		w.PutBytes(mapBytes)
 	}
-	rec, err := journal.Encode(&journal.Header{Type: journal.TypeCheckpoint, Seq: 1, DataLen: uint64(len(w.Buf))}, w.Buf, true)
+	rec, err := journal.Encode(&journal.Header{Type: journal.TypeCheckpoint, Seq: 1, DataLen: uint64(len(w.Buf))}, w.Buf, false)
 	if err != nil {
 		return err
 	}
@@ -795,11 +797,11 @@ func (a *Arena) Persist() error {
 // loadState attempts to restore persisted arena state; any failure
 // leaves the arena cold, which is safe.
 func (a *Arena) loadState() {
-	hdr := make([]byte, block.BlockSize)
+	hdr := make([]byte, journal.HeaderSize(0))
 	if err := a.dev.ReadAt(hdr, block.BlockSize); err != nil {
 		return
 	}
-	h, _, err := journal.DecodeHeader(hdr)
+	h, hdrLen, err := journal.DecodeHeader(hdr)
 	if err != nil || h.Type != journal.TypeCheckpoint {
 		return
 	}
@@ -810,8 +812,7 @@ func (a *Arena) loadState() {
 		return
 	}
 	dataLen := int64(h.DataLen)
-	total := int64(journal.AlignedHeaderSize(len(h.Extents))) + dataLen
-	total = (total + block.BlockSize - 1) &^ (block.BlockSize - 1)
+	total := int64(hdrLen) + dataLen
 	if total > a.cfg.MapBytes {
 		return
 	}
@@ -819,7 +820,7 @@ func (a *Arena) loadState() {
 	if err := a.dev.ReadAt(full, block.BlockSize); err != nil {
 		return
 	}
-	_, payload, _, err := journal.Decode(full, true)
+	_, payload, _, err := journal.Decode(full, false)
 	if err != nil {
 		return
 	}

@@ -467,12 +467,12 @@ func TestPersistAfterReinsertionsRestoresValidMap(t *testing.T) {
 	if err := dev.ReadAt(rec, block.BlockSize); err != nil {
 		t.Fatal(err)
 	}
-	h, payload, _, err := journal.Decode(rec, true)
+	h, payload, _, err := journal.Decode(rec, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	binary.LittleEndian.PutUint32(payload, 2)
-	v2, err := journal.Encode(&journal.Header{Type: h.Type, Seq: h.Seq, DataLen: h.DataLen}, payload, true)
+	v2, err := journal.Encode(&journal.Header{Type: h.Type, Seq: h.Seq, DataLen: h.DataLen}, payload, false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -82,7 +82,7 @@ func (s *crashScript) lap() {
 	s.t.Helper()
 	for written := int64(0); written < s.c.Stats().LogBytes*3/2; {
 		i := len(s.log)
-		sectors := uint32(120) // with its header, one crash page
+		sectors := uint32(127) // with its header sector, one crash page
 		switch {
 		case i%11 == 3:
 			s.append(journal.TypeTrim, 64)
@@ -93,7 +93,7 @@ func (s *crashScript) lap() {
 			sectors = 96 // records stop lining up with crash pages
 		}
 		s.append(journal.TypeData, sectors)
-		written += s.log[i].ext.Bytes() + block.BlockSize
+		written += s.log[i].ext.Bytes() + hdrBytes
 		if i%4 == 3 {
 			if err := s.c.Flush(); err != nil {
 				s.t.Fatal(err)
@@ -124,9 +124,9 @@ func (s *crashScript) run() {
 		s.t.Fatal(err)
 	}
 	a := len(s.log) - 1
-	s.append(journal.TypeData, 120)
+	s.append(journal.TypeData, 127)
 	bOff := s.c.ring[len(s.c.ring)-1].off
-	s.append(journal.TypeData, 120)
+	s.append(journal.TypeData, 127)
 	dead := s.dev.Note("acked", int64(a))
 	s.log[a+1].dead, s.log[a+2].dead = dead, dead
 	if err := s.dev.WriteAt(make([]byte, block.BlockSize), bOff+2*block.BlockSize); err != nil {

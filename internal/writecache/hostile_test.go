@@ -12,9 +12,12 @@ import (
 )
 
 // FuzzOpen opens hostile device images: a well-framed superblock with a
-// wild log start, chain start, sequence and epoch (or one of the two
-// retired layouts), a well-framed record header at the log start with a
-// wild type, length and extent, and raw bytes behind it. Open must
+// wild log start, chain start, sequence and epoch (or one of the three
+// retired layouts), a record header at the log start with a wild type,
+// length and extent, and raw bytes behind it. The header is framed as
+// Commit frames one, its CRC taken over as many of those bytes as it
+// claims, so a header whose length and extent agree with them is a whole
+// record, packed against whatever the ring held behind it. Open must
 // refuse or recover without panicking or sizing a buffer from a field it
 // has not bounded, and whatever it recovers must be a cache that works.
 func FuzzOpen(f *testing.F) {
@@ -28,6 +31,10 @@ func FuzzOpen(f *testing.F) {
 	f.Add(uint64(logStart), uint64(1<<seqBits|1), uint64(1), uint8(journal.TypeData), uint64(4096), uint32(8), uint8(0), uint64(superBytes), []byte{})
 	f.Add(uint64(logStart), uint64(1<<seqBits|1), uint64(1), uint8(journal.TypeData), uint64(4096), uint32(8), uint8(0), uint64(1<<63|4096), []byte{})
 	f.Add(uint64(logStart), uint64(1<<seqBits|1), uint64(1), uint8(journal.TypePad), uint64(0), uint32(8), uint8(0), uint64(logStart+block.MiB+512), []byte{})
+	// Whole records: a trim, and one sector of data packed against what
+	// is left of the record the ring held there.
+	f.Add(uint64(logStart), uint64(1<<seqBits|1), uint64(1), uint8(journal.TypeTrim), uint64(0), uint32(8), uint8(0), uint64(logStart), []byte{})
+	f.Add(uint64(logStart), uint64(1<<seqBits|1), uint64(1), uint8(journal.TypeData), uint64(512), uint32(1), uint8(0), uint64(logStart), make([]byte, 512))
 	f.Fuzz(func(t *testing.T, startOff, startSeq, epoch uint64, typ uint8, dataLen uint64, sectors uint32, layout uint8, superLogStart uint64, ring []byte) {
 		cfg := Config{CheckpointBytes: 2 * block.BlockSize}
 		dev := simdev.NewMem(logStart + 4*block.MiB)
@@ -49,21 +56,17 @@ func FuzzOpen(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		hdr, err := journal.Encode(&journal.Header{
-			Type: journal.Type(typ), Seq: startSeq, WriteSeq: 4,
-			Extents: []journal.ExtentEntry{{LBA: 64, Sectors: sectors}},
-		}, nil, true)
-		if err != nil {
-			t.Fatal(err)
-		}
-		binary.LittleEndian.PutUint64(hdr[32:], dataLen)
 		if len(ring) > 1<<20 {
 			ring = ring[:1<<20]
 		}
+		hdr := journal.EncodeHeaderSum(&journal.Header{
+			Type: journal.Type(typ), Seq: startSeq, WriteSeq: 4, DataLen: dataLen,
+			Extents: []journal.ExtentEntry{{LBA: 64, Sectors: sectors}},
+		}, journal.Sum(ring[:min(dataLen, uint64(len(ring)))]))
 		for _, w := range []struct {
 			p   []byte
 			off int64
-		}{{super, superSlot0}, {hdr, logStart}, {ring, logStart + block.BlockSize}} {
+		}{{super, superSlot0}, {hdr, logStart}, {ring, logStart + int64(len(hdr))}} {
 			if err := dev.WriteAt(w.p, w.off); err != nil {
 				t.Fatal(err)
 			}
@@ -74,7 +77,7 @@ func FuzzOpen(f *testing.F) {
 			return
 		}
 		st := c.Stats()
-		if st.UsedBytes >= st.LogBytes || int64(st.Records)*block.BlockSize > st.UsedBytes {
+		if st.UsedBytes >= st.LogBytes || int64(st.Records)*hdrBytes > st.UsedBytes {
 			t.Fatalf("recovered %d records in %d of %d log bytes", st.Records, st.UsedBytes, st.LogBytes)
 		}
 		ext := block.Extent{LBA: 1 << 20, Sectors: 16}
@@ -97,20 +100,27 @@ func FuzzOpen(f *testing.F) {
 	})
 }
 
-// retiredSuper frames a superblock of one of the two layouts before this
-// one: 1 is the 32-byte payload without a log start (PR 21), anything
-// else the 28-byte one that sat beside a map checkpoint.
+// retiredSuper frames a superblock of one of the three layouts before
+// this one: 1 is the 32-byte payload without a log start, 3 the 40-byte
+// one of a ring framed with 4 KiB record headers, anything else the
+// 28-byte one that sat beside a map checkpoint.
 func retiredSuper(layout uint8, gen, epoch, startOff, startSeq uint64) ([]byte, error) {
 	le := binary.LittleEndian
-	old := make([]byte, 28)
-	le.PutUint64(old, gen)
-	le.PutUint64(old[20:], epoch)
-	if layout == 1 {
+	var old []byte
+	switch layout {
+	case 1, 3:
 		old = make([]byte, 32)
 		le.PutUint64(old, gen)
 		le.PutUint64(old[8:], epoch)
 		le.PutUint64(old[16:], startOff)
 		le.PutUint64(old[24:], startSeq)
+		if layout == 3 {
+			old = le.AppendUint64(old, superBytes)
+		}
+	default:
+		old = make([]byte, 28)
+		le.PutUint64(old, gen)
+		le.PutUint64(old[20:], epoch)
 	}
 	return journal.Encode(&journal.Header{Type: journal.TypeSuper, Seq: gen, DataLen: uint64(len(old))}, old, false)
 }

@@ -52,10 +52,10 @@ type superblock struct {
 	logStart int64
 }
 
-const superPayload = 40
+// The payload ends with the size of the record headers the ring is
+// framed with (hdrBytes). The record fits entirely within its 4 KiB slot.
+const superPayload = 48
 
-// The record is encoded unaligned (it is a few dozen bytes) so that it
-// fits entirely within its 4 KiB slot.
 func encodeSuper(sb superblock) ([]byte, error) {
 	data := make([]byte, superPayload)
 	binary.LittleEndian.PutUint64(data, sb.gen)
@@ -63,22 +63,28 @@ func encodeSuper(sb superblock) ([]byte, error) {
 	binary.LittleEndian.PutUint64(data[16:], uint64(sb.startOff))
 	binary.LittleEndian.PutUint64(data[24:], sb.startSeq)
 	binary.LittleEndian.PutUint64(data[32:], uint64(sb.logStart))
+	binary.LittleEndian.PutUint64(data[40:], uint64(hdrBytes))
 	return journal.Encode(&journal.Header{Type: journal.TypeSuper, Seq: sb.gen, DataLen: superPayload}, data, false)
 }
 
-// decodeSuper also reads the payloads of the two layouts before this
-// one — 32 bytes (no log start: the log began where Config said) and 28
-// (gen, slot, length, epoch: a map checkpoint beside the log) — but only
-// for their generation and epoch, which Format continues; a log start of
-// zero lies inside the superblocks, so Open refuses them.
+// decodeSuper reads a superblock of a ring framed otherwise, and the
+// payloads of the three layouts before this one — 40 bytes (a ring of
+// records with 4 KiB headers), 32 (no log start: the log began where
+// Config said) and 28 (gen, slot, length, epoch: a map checkpoint
+// beside the log) — only for their generation and epoch, which Format
+// continues; a log start of zero lies inside the superblocks, so Open
+// refuses them.
 func decodeSuper(data []byte) (superblock, bool) {
 	le := binary.LittleEndian
 	switch len(data) {
 	case superPayload:
-		return superblock{gen: le.Uint64(data), epoch: le.Uint64(data[8:]),
-			startOff: int64(le.Uint64(data[16:])), startSeq: le.Uint64(data[24:]),
-			logStart: int64(le.Uint64(data[32:]))}, true
-	case 32:
+		sb := superblock{gen: le.Uint64(data), epoch: le.Uint64(data[8:])}
+		if int64(le.Uint64(data[40:])) == hdrBytes {
+			sb.startOff, sb.startSeq = int64(le.Uint64(data[16:])), le.Uint64(data[24:])
+			sb.logStart = int64(le.Uint64(data[32:]))
+		}
+		return sb, true
+	case 40, 32:
 		return superblock{gen: le.Uint64(data), epoch: le.Uint64(data[8:])}, true
 	case 28:
 		return superblock{gen: le.Uint64(data), epoch: le.Uint64(data[20:])}, true
@@ -228,7 +234,7 @@ func Open(dev simdev.Device) (*Cache, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: device formatted with another layout", err)
 	}
-	if sb.startOff < c.logStart || sb.startOff >= c.logEnd || sb.startOff%block.BlockSize != 0 {
+	if sb.startOff < c.logStart || sb.startOff >= c.logEnd || sb.startOff%block.SectorSize != 0 {
 		return nil, fmt.Errorf("writecache: superblock starts the chain at %d, outside the log [%d, %d)",
 			sb.startOff, c.logStart, c.logEnd)
 	}
@@ -251,10 +257,11 @@ func Open(dev simdev.Device) (*Cache, error) {
 // chains reports whether a record numbered seq may follow one numbered
 // next-1: it is the next one, or the first one of a later epoch that is
 // no newer than the superblock's (an Open's first append follows
-// whatever chain that Open recovered).
+// whatever chain that Open recovered). The epoch compared is next-1's:
+// after the last counter of an epoch, next has carried into the one above.
 func chains(seq, next, superEpoch uint64) bool {
 	epoch := seq >> seqBits
-	return seq == next || (epoch > next>>seqBits && epoch <= superEpoch && seq&(1<<seqBits-1) == 1)
+	return seq == next || (epoch > (next-1)>>seqBits && epoch <= superEpoch && seq&(1<<seqBits-1) == 1)
 }
 
 // replay rebuilds the ring and the map from the log alone, applying
@@ -262,7 +269,7 @@ func chains(seq, next, superEpoch uint64) bool {
 func (c *Cache) replay(superEpoch uint64) error {
 	c.head, c.tail = c.startOff, c.startOff
 	next := c.startSeq
-	hdr := make([]byte, journal.AlignedHeaderSize(1))
+	hdr := make([]byte, hdrBytes)
 	for {
 		if err := c.dev.ReadAt(hdr, c.tail); err != nil {
 			return err
@@ -288,8 +295,8 @@ func (c *Cache) replay(superEpoch uint64) error {
 }
 
 // completeRecord returns the ring bytes the record at the tail claims,
-// or zero if it is not a whole record of this log: hdr is its first
-// block, h that block decoded. Only a device read fails it.
+// or zero if it is not a whole record of this log: hdr is its header
+// sector, h that sector decoded. Only a device read fails it.
 func (c *Cache) completeRecord(h *journal.Header, hdr []byte) (int64, error) {
 	if len(h.Extents) != 1 {
 		return 0, nil
@@ -313,7 +320,7 @@ func (c *Cache) completeRecord(h *journal.Header, hdr []byte) (int64, error) {
 		if h.DataLen > uint64(c.logEnd) || h.DataLen != uint64(ext.Bytes()) {
 			return 0, nil
 		}
-		size := (int64(len(hdr)) + ext.Bytes() + block.BlockSize - 1) &^ (block.BlockSize - 1)
+		size := int64(len(hdr)) + ext.Bytes()
 		if c.tail+size > c.logEnd {
 			return 0, nil
 		}
@@ -324,7 +331,7 @@ func (c *Cache) completeRecord(h *journal.Header, hdr []byte) (int64, error) {
 	default:
 		return 0, nil
 	}
-	if _, _, _, err := journal.Decode(rec, true); err != nil {
+	if _, _, _, err := journal.Decode(rec, false); err != nil {
 		return 0, nil // incomplete record (torn write)
 	}
 	if h.Type == journal.TypePad {

@@ -156,7 +156,7 @@ func TestStaleRecordBeyondHoleDoesNotChain(t *testing.T) {
 // log starts — is refused with the layout error, which the core treats
 // as cache loss; Format over it still continues its generation and epoch.
 func TestOpenRefusesCheckpointLayout(t *testing.T) {
-	for _, layout := range []uint8{2, 1} {
+	for _, layout := range []uint8{2, 1, 3} {
 		dev := simdev.NewMem(64 * block.MiB)
 		rec, err := retiredSuper(layout, 7, 3, uint64(superBytes+16*block.MiB), 3<<seqBits|1)
 		if err != nil {

@@ -1,9 +1,9 @@
 // Package writecache implements LSVD's log-structured write-back cache
 // (paper §3.1, Fig 2): incoming writes are persisted as sequential log
-// records on the cache SSD — a 4 KiB-aligned header carrying the
-// virtual LBA, sequence number and CRC, followed by the data — and
-// indexed by an in-memory extent map from vLBA to physical SSD
-// location.
+// records on the cache SSD — a one-sector header carrying the virtual
+// LBA, sequence number and CRC, followed by the data (journal.Encode,
+// the framing of every record the program writes) — and indexed by an
+// in-memory extent map from vLBA to physical SSD location.
 //
 // Because the cache is a log:
 //
@@ -85,7 +85,7 @@ const (
 // record is the in-memory ring index entry for one live log record.
 type record struct {
 	off      int64 // byte offset of the header on the device
-	size     int64 // total record bytes (header + padded data)
+	size     int64 // ring bytes the record claims (header + data; a pad, the rest of the ring)
 	seq      uint64
 	writeSeq uint64
 	typ      journal.Type
@@ -93,7 +93,11 @@ type record struct {
 	state    recState
 }
 
-func (r *record) dataOff() int64 { return r.off + int64(journal.AlignedHeaderSize(1)) }
+// hdrBytes is a record header's size in the ring: one extent, framed as
+// journal.Encode frames every record, in one sector.
+var hdrBytes = int64(journal.HeaderSize(1))
+
+func (r *record) dataOff() int64 { return r.off + hdrBytes }
 
 // BatchHistBuckets is the number of group-commit batch-size histogram
 // buckets: batch sizes 1, 2, 3-4, 5-8, ... in powers of two, with the
@@ -141,7 +145,6 @@ type pendingRec struct {
 	rec  *record
 	hdr  []byte
 	data []byte
-	pad  int64
 	done chan struct{}
 	err  error
 }
@@ -152,10 +155,6 @@ type Reservation struct {
 	rec     *record
 	dataLen int
 }
-
-// zeroPad backs the trailing-padding slices of vectored record writes;
-// records are 4 KiB-padded, so a record's tail pad is < 4 KiB.
-var zeroPad [block.BlockSize]byte
 
 // Cache is a log-structured write-back cache on a block device.
 // Metadata mutations take the write lock; lookups and data reads share
@@ -260,9 +259,7 @@ func (c *Cache) Reserve(writeSeq uint64, typ journal.Type, ext block.Extent, dat
 		return nil, c.ioErr
 	}
 
-	hdrLen := int64(journal.AlignedHeaderSize(1))
-	need := hdrLen + int64(dataLen)
-	need = (need + block.BlockSize - 1) &^ (block.BlockSize - 1)
+	need := hdrBytes + int64(dataLen)
 	if need > c.logEnd-c.logStart-int64(block.BlockSize) {
 		return nil, fmt.Errorf("writecache: record of %d bytes exceeds log of %d", need, c.logEnd-c.logStart)
 	}
@@ -314,6 +311,11 @@ func (c *Cache) Reserve(writeSeq uint64, typ journal.Type, ext block.Extent, dat
 		return nil, ErrFull
 	}
 
+	// Ring order is writeSeq order: persistStartLocked and
+	// ReadFullDestaged take the un-destaged records to be a suffix.
+	if writeSeq < c.maxWriteSeq {
+		invariant.Failf("writecache: write %d reserved behind write %d", writeSeq, c.maxWriteSeq)
+	}
 	r := &record{off: c.tail, size: need, seq: c.nextSeq, writeSeq: writeSeq, typ: typ, ext: ext, state: recReserved}
 	c.ring = append(c.ring, r)
 	c.used += r.size
@@ -347,14 +349,8 @@ func (c *Cache) Commit(res *Reservation, data []byte, sum uint32) error {
 		WriteSeq: r.writeSeq,
 		Extents:  []journal.ExtentEntry{{LBA: r.ext.LBA, Sectors: r.ext.Sectors}},
 		DataLen:  uint64(len(data)),
-	}, block.BlockSize, sum)
-	pr := &pendingRec{
-		rec:  r,
-		hdr:  hdr,
-		data: data,
-		pad:  r.size - int64(len(hdr)) - int64(len(data)),
-		done: make(chan struct{}),
-	}
+	}, sum)
+	pr := &pendingRec{rec: r, hdr: hdr, data: data, done: make(chan struct{})}
 
 	c.gmu.Lock()
 	if c.closed.Load() {
@@ -438,9 +434,9 @@ func (c *Cache) runLeader() {
 
 // writeGroup lands one batch: records are sorted by ring offset and
 // merged into contiguous spans, each written with a single vectored
-// device write straight from the callers' buffers (header, payload,
-// zero pad — no staging copy). Then, under the metadata lock, map
-// updates are applied in sequence order and the records acknowledged.
+// device write straight from the callers' buffers (header, payload —
+// no staging copy). Then, under the metadata lock, map updates are
+// applied in sequence order and the records acknowledged.
 func (c *Cache) writeGroup(batch []*pendingRec) {
 	sort.Slice(batch, func(i, j int) bool { return batch[i].rec.off < batch[j].rec.off })
 	var werr error
@@ -454,9 +450,6 @@ func (c *Cache) writeGroup(batch []*pendingRec) {
 			bufs = append(bufs, pr.hdr)
 			if len(pr.data) > 0 {
 				bufs = append(bufs, pr.data)
-			}
-			if pr.pad > 0 {
-				bufs = append(bufs, zeroPad[:pr.pad])
 			}
 			next += pr.rec.size
 		}
@@ -531,7 +524,7 @@ func (c *Cache) drainMapChainLocked() {
 }
 
 // writePad claims the space from tail to the end of the log with a pad
-// record so the next record starts at logStart. Only the 4 KiB header
+// record so the next record starts at logStart. Only the header sector
 // is written; the skipped length rides in the header's extent entry, so
 // no zero payload is materialized. Pads are written inline under the
 // metadata lock — they are rare and keep the ring geometry simple.
@@ -544,7 +537,7 @@ func (c *Cache) writePad() error {
 		Seq:     c.nextSeq,
 		Extents: []journal.ExtentEntry{{Sectors: uint32(padLen >> block.SectorShift)}},
 	}
-	rec, err := journal.Encode(h, nil, true)
+	rec, err := journal.Encode(h, nil, false)
 	if err != nil {
 		return err
 	}

@@ -3,7 +3,9 @@ package writecache
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"lsvd/internal/block"
@@ -482,6 +484,22 @@ func TestLiveRecordCountNeverFailsAppend(t *testing.T) {
 	if st := c2.Stats(); st.RecoveredRecs != 3000 {
 		t.Fatalf("recovered %d of 3000 live records", st.RecoveredRecs)
 	}
+}
+
+// Ring order is writeSeq order: a reserve behind an acknowledged write
+// fails its assert.
+func TestReserveBehindANewerWriteFails(t *testing.T) {
+	c, _ := newCache(t, 64*block.MiB, Config{})
+	ext := block.Extent{LBA: 8, Sectors: 8}
+	if err := c.Append(5, ext, payload(5, int(ext.Bytes()))); err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "reserved behind write 5") {
+			t.Fatalf("a reserve of write 4 after write 5: %v, want an invariant failure", r)
+		}
+	}()
+	_, _ = c.Reserve(4, journal.TypeTrim, ext, 0)
 }
 
 // Reserve fails in three ways only: ErrFull, a record larger than the
