@@ -31,6 +31,7 @@ FUZZ_TARGETS := \
 	./internal/extmap,FuzzOpsOracle \
 	./internal/extmap,FuzzUnmarshalBinary \
 	./internal/blockstore,FuzzDecodeCheckpoint \
+	./internal/blockstore,FuzzOpenSuffix \
 	./internal/readcache,FuzzArenaOracle \
 	./internal/writecache,FuzzOpen
 FUZZTIME ?= 10s

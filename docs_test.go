@@ -111,11 +111,12 @@ func TestDesignReferencesResolve(t *testing.T) {
 // selector: `checkDestageOrder`, `core.CacheLayout`.
 var goName = regexp.MustCompile("`([A-Za-z_][A-Za-z0-9_]*(?:\\.[A-Za-z_][A-Za-z0-9_]*)*)`")
 
-// TestDesignChecksExist: every Go name an **Invariants** or **Crash
-// contract** paragraph of §6–§15 cites — the test, fuzz target or assert
-// that holds the claim — is declared in a Go source outside testdata/,
-// each part of a selector on its own: a package, or a func, method,
-// type, field, parameter, var or const.
+// TestDesignChecksExist: every sentence of an **Invariants** or **Crash
+// contract** paragraph of §6–§15 cites a check — the test, fuzz target
+// or assert that holds its claim — and every Go name such a paragraph
+// cites is declared in a Go source outside testdata/, each part of a
+// selector on its own: a package, or a func, method, type, field,
+// parameter, var or const.
 func TestDesignChecksExist(t *testing.T) {
 	b, err := os.ReadFile("DESIGN.md")
 	if err != nil {
@@ -133,6 +134,11 @@ func TestDesignChecksExist(t *testing.T) {
 		if !strings.Contains(para, "**Invariants") && !strings.Contains(para, "**Crash contract") {
 			continue
 		}
+		for _, sentence := range sentences(para) {
+			if !goName.MatchString(sentence) {
+				t.Errorf("DESIGN.md:%d: a sentence names no check: %q", lineOf(design, off), sentence)
+			}
+		}
 		for _, m := range goName.FindAllStringSubmatchIndex(para, -1) {
 			cited++
 			for _, part := range strings.Split(para[m[2]:m[3]], ".") {
@@ -146,6 +152,26 @@ func TestDesignChecksExist(t *testing.T) {
 	if cited == 0 {
 		t.Fatal("found no cited checks at all; the pattern is broken")
 	}
+}
+
+// sentences splits a paragraph after each '.', '!' or '?' outside
+// backticks that ends it or is followed by white space.
+func sentences(para string) []string {
+	var out []string
+	code, start := false, 0
+	for i, r := range para {
+		switch {
+		case r == '`':
+			code = !code
+		case !code && strings.ContainsRune(".!?", r) && (i+1 == len(para) || strings.ContainsRune(" \n", rune(para[i+1]))):
+			out = append(out, strings.TrimSpace(para[start:i+1]))
+			start = i + 1
+		}
+	}
+	if rest := strings.TrimSpace(para[start:]); rest != "" {
+		out = append(out, rest)
+	}
+	return out
 }
 
 // goDeclarations returns every name the module's Go sources outside

@@ -13,6 +13,15 @@ import (
 	"lsvd/internal/testrec"
 )
 
+// settle waits until every goroutine of the test is parked, so that
+// what has not happened by then cannot happen before the test moves.
+func settle(t *testing.T) {
+	t.Helper()
+	if err := testrec.Settle(10 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // waitDurable polls until DurableWriteSeq reaches want.
 func waitDurable(t *testing.T, s *Store, want uint64) {
 	t.Helper()
@@ -44,12 +53,13 @@ func TestDefaultStoreIsThePipeline(t *testing.T) {
 	}
 	sealed := make(chan error, 1)
 	go func() { sealed <- s.Seal() }()
+	<-p.Arrived()
+	settle(t)
 	select {
 	case err := <-sealed:
 		t.Fatalf("Seal returned (%v) while the object's PUT was parked", err)
-	case <-time.After(20 * time.Millisecond):
+	default:
 	}
-	<-p.Arrived()
 	p.Release(nil)
 	if err := <-sealed; err != nil {
 		t.Fatal(err)
@@ -92,7 +102,7 @@ func TestAsyncCommitStaysInOrder(t *testing.T) {
 	// Let the NEWEST object land first: nothing may commit, or a crash
 	// here would expose write 3 without writes 1 and 2.
 	parks[2].Release(nil)
-	time.Sleep(5 * time.Millisecond)
+	settle(t)
 	if got := s.DurableWriteSeq(); got != 0 {
 		t.Fatalf("out-of-order commit: durable=%d with earlier uploads pending", got)
 	}
@@ -100,8 +110,7 @@ func TestAsyncCommitStaysInOrder(t *testing.T) {
 	// Oldest lands: exactly write 1 commits (the middle object still
 	// holds back the already-uploaded newest).
 	parks[0].Release(nil)
-	waitDurable(t, s, 1)
-	time.Sleep(5 * time.Millisecond)
+	settle(t)
 	if got := s.DurableWriteSeq(); got != 1 {
 		t.Fatalf("durable=%d after first object, want 1", got)
 	}

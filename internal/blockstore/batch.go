@@ -257,7 +257,7 @@ type mappedExtent struct {
 // copied nor passed over between the write-path staging buffers and the
 // backend. It returns the vector, the object's table entry, and the
 // data extents paired with their in-object sector offsets for map
-// installation. epoch is the writing session's (headerSeq). It reads no
+// installation. epoch is the writing session's. It reads no
 // Store state and is safe to call without s.mu.
 func buildObject(seq, epoch uint32, typ journal.Type, writeSeq uint64, exts []journal.ExtentEntry, offs []int64, src *segments) ([][]byte, *objInfo, []mappedExtent) {
 	hdrBytes := journal.HeaderSize(len(exts))
@@ -283,7 +283,7 @@ func buildObject(seq, epoch uint32, typ journal.Type, writeSeq uint64, exts []jo
 		di++
 	}
 
-	h := &journal.Header{Type: typ, Seq: headerSeq(epoch, seq), WriteSeq: writeSeq, Extents: exts, DataLen: uint64(cursor)}
+	h := &journal.Header{Type: typ, Seq: uint64(seq), Epoch: epoch, WriteSeq: writeSeq, Extents: exts, DataLen: uint64(cursor)}
 	vec[0] = journal.EncodeHeaderSum(h, sum)
 
 	info := &objInfo{

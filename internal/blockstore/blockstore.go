@@ -245,9 +245,9 @@ type Store struct {
 	baseVol string
 	baseSeq uint32
 
-	// epoch is this session's, stamped above the object number in the
-	// header Seq of every object it writes (headerSeq). Set before the
-	// store is published and never changed, so it is read without s.mu.
+	// epoch is this session's, stamped in the header of every object it
+	// writes (journal.Follows). Set before the store is published and
+	// never changed, so it is read without s.mu.
 	epoch uint32
 
 	readOnly bool
@@ -367,17 +367,6 @@ type hdrEntry struct {
 func objName(vol string, seq uint32) string { return fmt.Sprintf("%s.%08d", vol, seq) }
 
 func superName(vol string) string { return vol + ".super" }
-
-// epochBits is the width of the object number inside a header Seq; the
-// bits above it carry the epoch of the session that wrote the object
-// (DESIGN.md §11.3, the epoch rule).
-const epochBits = 32
-
-// headerSeq is the header Seq of object seq written in epoch.
-func headerSeq(epoch, seq uint32) uint64 { return uint64(epoch)<<epochBits | uint64(seq) }
-
-// epochOf is the epoch a decoded header carries.
-func epochOf(h *journal.Header) uint32 { return uint32(h.Seq >> epochBits) }
 
 // name returns the object name for seq, resolving clone-base objects
 // to the base volume's prefix (§3.6).

@@ -599,8 +599,8 @@ func TestCloneSharesBaseAndDiverges(t *testing.T) {
 	}
 	// A clone's first epoch starts above its base checkpoint's: the base
 	// was written in epoch 0, so the clone's checkpoint carries epoch 1.
-	if _, _, e, err := c1.readCheckpointObject(c1.lastCkpt); err != nil || e != 1 || c1.epoch != 2 {
-		t.Fatalf("clone checkpoint %d of epoch %d (%v), opened in epoch %d; want 1 and 2", c1.lastCkpt, e, err, c1.epoch)
+	if h, _, _, err := c1.readCheckpointObject(c1.lastCkpt); err != nil || h.Epoch != 1 || c1.epoch != 2 {
+		t.Fatalf("clone checkpoint %d (%v), opened in epoch %d; want epochs 1 and 2", c1.lastCkpt, err, c1.epoch)
 	}
 	// Both clones read the base data through the shared prefix.
 	if got := readAll(t, c1, ext); !bytes.Equal(got, baseData) {

@@ -184,7 +184,7 @@ func (s *Store) fillCkptShotLocked(shot *ckptShot) {
 func (s *Store) putCheckpointObject(shot *ckptShot) error {
 	if shot.rec == nil {
 		h := &journal.Header{
-			Type: journal.TypeCheckpoint, Seq: headerSeq(s.epoch, shot.seq),
+			Type: journal.TypeCheckpoint, Seq: uint64(shot.seq), Epoch: s.epoch,
 			WriteSeq: shot.writeSeq, DataLen: uint64(len(shot.payload)),
 		}
 		rec, err := journal.Encode(h, shot.payload, false)

@@ -4,8 +4,10 @@ import (
 	"encoding/binary"
 	"testing"
 
+	"lsvd/internal/block"
 	"lsvd/internal/extmap"
 	"lsvd/internal/journal"
+	"lsvd/internal/objstore"
 )
 
 // encodeCheckpointForFuzz builds a well-formed checkpoint payload the
@@ -95,6 +97,110 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 		if len(p2.objects) != len(p.objects) || len(p2.deferred) != len(p.deferred) ||
 			p2.prevCkpt != p.prevCkpt || p2.nextSeq != p.nextSeq || p2.durableWriteSeq != p.durableWriteSeq {
 			t.Fatal("decode/encode/decode is not a fixed point")
+		}
+	})
+}
+
+// suffixObj is one object FuzzOpenSuffix lays behind a created volume's
+// checkpoint, in the 27 bytes of its spec: header epoch, Seq, type,
+// extent count, DataLen, and the object's size in the bucket.
+type suffixObj struct {
+	epoch   uint32
+	seq     uint64
+	typ     journal.Type
+	nExt    uint16
+	dataLen uint64
+	size    uint32
+}
+
+const suffixObjBytes = 27
+
+func suffixSpec(objs ...suffixObj) []byte {
+	var w journal.Codec
+	for _, o := range objs {
+		w.PutU32(o.epoch)
+		w.PutU64(o.seq)
+		w.Buf = append(w.Buf, byte(o.typ))
+		w.Buf = binary.LittleEndian.AppendUint16(w.Buf, o.nExt)
+		w.PutU64(o.dataLen)
+		w.PutU32(o.size)
+	}
+	return w.Buf
+}
+
+// wholeObj is a data object of n 4 KiB extents that holds all it claims.
+func wholeObj(epoch uint32, seq uint64, n uint16) suffixObj {
+	return suffixObj{epoch, seq, journal.TypeData, n, uint64(n) * block.BlockSize,
+		uint32(journal.HeaderSize(int(n))) + uint32(n)*block.BlockSize}
+}
+
+// FuzzOpenSuffix opens a created volume behind whose checkpoint lie one
+// to three hostile objects, each with a header epoch, Seq, type, DataLen
+// and extent count of the fuzzer's choosing, cut or zero-padded to a
+// size of its choosing. Open must not panic and may fail only with an
+// error; what it replays must be a consecutive prefix of them, each
+// header naming its own object and no epoch below its predecessor's
+// (journal.Follows), and the table it rebuilds must audit clean.
+func FuzzOpenSuffix(f *testing.F) {
+	const hdr1 = 512 // journal.HeaderSize(1)
+	// A chain; a header past the 4 KiB probe; a fallen epoch; a header
+	// naming another object; the retired packed stamps.
+	f.Add(suffixSpec(wholeObj(0, 2, 1), wholeObj(1, 3, 2), wholeObj(1, 4, 1)))
+	f.Add(suffixSpec(wholeObj(0, 2, 600), wholeObj(0, 3, 1)))
+	f.Add(suffixSpec(wholeObj(2, 2, 1), wholeObj(1, 3, 1)))
+	f.Add(suffixSpec(wholeObj(0, 2, 1), wholeObj(0, 4, 1)))
+	f.Add(suffixSpec(wholeObj(0, 1<<32|2, 1), wholeObj(0, 2<<32|3, 1), wholeObj(0, 1<<32|4, 1)))
+	f.Add(suffixSpec(wholeObj(0, 2, 1), suffixObj{0, 3, journal.TypeData, 1, block.BlockSize, hdr1 + 100}))
+	f.Add(suffixSpec(suffixObj{0, 2, journal.TypeGC, 1, 1 << 63, hdr1 + block.BlockSize}))
+	f.Add(suffixSpec(suffixObj{0, 2, journal.TypeCheckpoint, 0, 16, hdr1 + 16}))
+	f.Add(suffixSpec(suffixObj{^uint32(0), 2, 0, 0, 0, 10}))
+	f.Fuzz(func(t *testing.T, spec []byte) {
+		if len(spec) < suffixObjBytes {
+			spec = append(spec, make([]byte, suffixObjBytes-len(spec))...)
+		}
+		store := objstore.NewMem()
+		cfg := Config{Volume: "vol", Store: store, VolSectors: volSectors}
+		s, err := Create(ctx, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Abort()
+		le := binary.LittleEndian
+		var hdrs []*journal.Header // each object's header as recovery decodes it, nil if it cannot
+		for i := 0; i < min(3, len(spec)/suffixObjBytes); i++ {
+			o := spec[i*suffixObjBytes:]
+			exts := make([]journal.ExtentEntry, le.Uint16(o[13:])%1024)
+			for j := range exts {
+				exts[j] = journal.ExtentEntry{LBA: block.LBA(i<<13 + j<<3), Sectors: 8, SrcSeq: uint64(2 + i)}
+			}
+			h := &journal.Header{Type: journal.Type(o[12]), Seq: le.Uint64(o[4:]), Epoch: le.Uint32(o),
+				WriteSeq: uint64(1 + i), Extents: exts, DataLen: le.Uint64(o[15:])}
+			size := int(le.Uint32(o[23:]) % (2 << 20))
+			body := payload(int64(i), int(min(h.DataLen, uint64(max(0, size-journal.HeaderSize(len(exts)))))))
+			obj := append(journal.EncodeHeaderSum(h, journal.Sum(body)), body...)
+			obj = append(obj[:min(size, len(obj))], make([]byte, max(0, size-len(obj)))...)
+			if err := store.Put(ctx, objName("vol", uint32(2+i)), obj); err != nil {
+				t.Fatal(err)
+			}
+			dh, _, _ := journal.DecodeHeader(obj)
+			hdrs = append(hdrs, dh)
+		}
+
+		s, err = Open(ctx, cfg)
+		if err != nil {
+			return
+		}
+		defer s.Abort()
+		prev := &journal.Header{Seq: 1} // Create's checkpoint, of epoch 0
+		for i := range s.Stats().RecoveredObjects {
+			h := hdrs[i]
+			if h == nil || h.Seq != uint64(2+i) || h.Epoch < prev.Epoch {
+				t.Fatalf("replayed object %d of %d with header %+v behind %+v", 2+i, len(hdrs)+1, h, prev)
+			}
+			prev = h
+		}
+		if err := s.AuditUtilization(); err != nil {
+			t.Fatal(err)
 		}
 	})
 }

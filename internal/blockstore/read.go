@@ -63,8 +63,10 @@ func (s *Store) header(seq uint32) (*hdrEntry, error) {
 	s.hdrMu.Unlock()
 
 	s.fetchStats.headerFetches.Add(1)
-	f.h, f.err = fetchHeader(s, name)
-	if f.err == nil {
+	if h, hdrSectors, _, err := s.fetchHeader(name); err != nil {
+		f.err = err
+	} else {
+		f.h = &hdrEntry{extents: h.Extents, hdrSectors: hdrSectors}
 		s.mu.Lock()
 		// The object may have been deleted while we fetched; caching
 		// its header is harmless (pruned like any other entry).
@@ -96,23 +98,25 @@ func (s *Store) headerGCLocked(seq uint32) (*hdrEntry, error) {
 	return h, err
 }
 
-func fetchHeader(s *Store, name string) (*hdrEntry, error) {
-	probe, err := s.cfg.Store.GetRange(s.ctx, name, 0, block.BlockSize)
+// fetchHeader reads and decodes object name's header: a probe of one
+// block, and a second ranged GET only when the extent list overflows
+// it. It returns the sectors the header occupies and the GETs issued.
+func (s *Store) fetchHeader(name string) (h *journal.Header, hdrSectors uint32, gets uint64, err error) {
+	gets++
+	buf, err := s.cfg.Store.GetRange(s.ctx, name, 0, block.BlockSize)
 	if err != nil {
-		return nil, err
+		return nil, 0, gets, err
 	}
-	need := journal.HeaderSize(int(headerExtentCount(probe)))
-	buf := probe
-	if need > len(probe) {
+	if need := journal.HeaderSize(int(headerExtentCount(buf))); need > len(buf) {
+		gets++
 		if buf, err = s.cfg.Store.GetRange(s.ctx, name, 0, int64(need)); err != nil {
-			return nil, err
+			return nil, 0, gets, err
 		}
 	}
-	hdr, _, err := journal.DecodeHeader(buf)
-	if err != nil {
-		return nil, fmt.Errorf("blockstore: header of %s unreadable: %w", name, err)
+	if h, _, err = journal.DecodeHeader(buf); err != nil {
+		return nil, 0, gets, fmt.Errorf("blockstore: header of %s unreadable: %w", name, err)
 	}
-	return &hdrEntry{extents: hdr.Extents, hdrSectors: uint32(journal.HeaderSize(len(hdr.Extents)) / block.SectorSize)}, nil
+	return h, uint32(journal.HeaderSize(len(h.Extents)) / block.SectorSize), gets, nil
 }
 
 // headerExtentCount peeks the extent count field of an encoded header.

@@ -18,12 +18,12 @@ import (
 
 // Open recovers a volume: superblock → latest checkpoint → replay of
 // the consecutive object suffix, which ends at the first gap, torn
-// object or object of an older epoch than the one before it (§3.3;
-// DESIGN.md §11.3, the epoch rule). Metadata for the whole suffix is
-// prefetched by a bounded pool (openFanout), so open time is
-// O(suffix / openFanout) backend round-trips; the APPLY of the decoded
-// headers stays strictly sequential, so the crash-gap semantics are
-// byte-for-byte those of a serial replay.
+// object or object that does not follow the one before it (§3.3;
+// journal.Follows; DESIGN.md §11.3, the epoch rule). Metadata for the
+// whole suffix is prefetched by a bounded pool (openFanout), so open
+// time is O(suffix / openFanout) backend round-trips; the APPLY of the
+// decoded headers stays strictly sequential, so the crash-gap semantics
+// are byte-for-byte those of a serial replay.
 func Open(ctx context.Context, cfg Config) (*Store, error) {
 	return open(ctx, cfg, 0, false)
 }
@@ -92,10 +92,10 @@ func open(ctx context.Context, cfg Config, limit uint32, readOnly bool) (*Store,
 	// decrease the sequence number: a self-referencing or cyclic chain
 	// in a corrupt checkpoint must surface as an error, not a loop.
 	ckptSeq := sb.lastCkpt
-	var epoch uint32 // the loaded checkpoint's
+	var prev *journal.Header // the loaded checkpoint's: the walk's first link
 	for {
 		gets.Add(1)
-		payload, size, e, err := s.readCheckpointObject(ckptSeq)
+		h, payload, size, err := s.readCheckpointObject(ckptSeq)
 		if err != nil {
 			return nil, err
 		}
@@ -106,7 +106,7 @@ func open(ctx context.Context, cfg Config, limit uint32, readOnly bool) (*Store,
 			if err != nil {
 				return nil, err
 			}
-			epoch = e
+			prev = h
 			break
 		}
 		if payload.prevCkpt == 0 || payload.prevCkpt >= ckptSeq {
@@ -153,13 +153,12 @@ func open(ctx context.Context, cfg Config, limit uint32, readOnly bool) (*Store,
 
 	// Apply strictly in sequence order, so a torn object (the crash
 	// gap) bounds the consistent prefix exactly as a serial replay
-	// would have, and so does the epoch rule: an object of an older
-	// epoch than the one before it is a dead session's leftover, never
-	// a link.
-	next := ckptSeq + 1
+	// would have, and so does the chain rule: an object that does not
+	// follow the one before it — a dead session's leftover, or one whose
+	// header names another object — is never a link.
 	replayed := 0
 	for i, seq := range fetch[:suffix] {
-		if m := metas[i]; m.h != nil && epochOf(m.h) < epoch {
+		if m := metas[i]; m.h != nil && !journal.Follows(prev, m.h) {
 			break
 		}
 		if err := s.applyObjectMeta(seq, metas[i], &gets); err != nil {
@@ -174,10 +173,10 @@ func open(ctx context.Context, cfg Config, limit uint32, readOnly bool) (*Store,
 			}
 			return nil, err
 		}
-		epoch = epochOf(metas[i].h)
+		prev = metas[i].h
 		replayed++
-		next++
 	}
+	next := ckptSeq + 1 + uint32(replayed)
 	s.nextSeq = next
 	s.durable = sb
 
@@ -186,10 +185,11 @@ func open(ctx context.Context, cfg Config, limit uint32, readOnly bool) (*Store,
 	// an object it writes. A header torn before its epoch can never be
 	// replayed; one gone since the LIST cannot either. A read-only mount
 	// writes nothing, but a clone starts from the epoch of its snapshot's.
+	epoch := prev.Epoch
 	for _, m := range metas[replayed:] {
 		switch {
 		case m.h != nil:
-			epoch = max(epoch, epochOf(m.h))
+			epoch = max(epoch, m.h.Epoch)
 		case !readOnly && !errors.Is(m.err, journal.ErrCorrupt) && !errors.Is(m.err, objstore.ErrNotFound):
 			return nil, m.err
 		}
@@ -291,21 +291,21 @@ func runBounded(fanout, n int, fn func(i int)) {
 }
 
 // readCheckpointObject reads and decodes checkpoint object seq, and
-// returns its backend size and the epoch its header carries.
-func (s *Store) readCheckpointObject(seq uint32) (p *checkpointPayload, size int64, epoch uint32, err error) {
+// returns its header and backend size.
+func (s *Store) readCheckpointObject(seq uint32) (h *journal.Header, p *checkpointPayload, size int64, err error) {
 	raw, err := s.cfg.Store.Get(s.ctx, s.name(seq))
 	if err != nil {
-		return nil, 0, 0, fmt.Errorf("blockstore: checkpoint %d: %w", seq, err)
+		return nil, nil, 0, fmt.Errorf("blockstore: checkpoint %d: %w", seq, err)
 	}
 	h, payload, _, err := journal.Decode(raw, false)
 	if err != nil {
-		return nil, 0, 0, fmt.Errorf("blockstore: checkpoint %d corrupt: %w", seq, err)
+		return nil, nil, 0, fmt.Errorf("blockstore: checkpoint %d corrupt: %w", seq, err)
 	}
 	if h.Type != journal.TypeCheckpoint {
-		return nil, 0, 0, fmt.Errorf("blockstore: object %d is %v, not a checkpoint", seq, h.Type)
+		return nil, nil, 0, fmt.Errorf("blockstore: object %d is %v, not a checkpoint", seq, h.Type)
 	}
 	p, err = decodeCheckpoint(payload)
-	return p, int64(len(raw)), epochOf(h), err
+	return h, p, int64(len(raw)), err
 }
 
 // loadCheckpointLocked replaces the in-memory state with what
@@ -354,37 +354,17 @@ type objMeta struct {
 	err        error
 }
 
-// fetchObjectMeta fetches and decodes one object's header — a probe
-// GetRange, plus a second ranged GET only when the extent list
-// overflows the probe — and its size. This replaces the serial
-// replay's three round-trips per object (a header fetch via s.header,
-// a DUPLICATE raw GetRange of the same header bytes, then Size) with
-// two, issued concurrently across the suffix by the prefetch pool.
+// fetchObjectMeta fetches one object's header (fetchHeader) and its
+// size; the prefetch pool issues these concurrently across the suffix.
 func (s *Store) fetchObjectMeta(seq uint32, gets *atomic.Uint64) *objMeta {
 	m := &objMeta{}
 	name := s.name(seq)
-	gets.Add(1)
-	probe, err := s.cfg.Store.GetRange(s.ctx, name, 0, block.BlockSize)
-	if err != nil {
-		m.err = err
+	var n uint64
+	m.h, m.hdrSectors, n, m.err = s.fetchHeader(name)
+	gets.Add(n)
+	if m.err != nil {
 		return m
 	}
-	need := journal.HeaderSize(int(headerExtentCount(probe)))
-	buf := probe
-	if need > len(probe) {
-		gets.Add(1)
-		if buf, err = s.cfg.Store.GetRange(s.ctx, name, 0, int64(need)); err != nil {
-			m.err = err
-			return m
-		}
-	}
-	h, _, err := journal.DecodeHeader(buf)
-	if err != nil {
-		m.err = fmt.Errorf("blockstore: header of %s unreadable: %w", name, err)
-		return m
-	}
-	m.h = h
-	m.hdrSectors = uint32(journal.HeaderSize(len(h.Extents)) / block.SectorSize)
 	gets.Add(1)
 	m.size, m.err = s.cfg.Store.Size(s.ctx, name)
 	return m
@@ -417,7 +397,7 @@ func (s *Store) applyObjectMeta(seq uint32, m *objMeta, gets *atomic.Uint64) err
 		// A checkpoint newer than the superblock pointer (its PUT
 		// completed but the super update didn't): reload state from it.
 		gets.Add(1)
-		payload, size, _, err := s.readCheckpointObject(seq)
+		_, payload, size, err := s.readCheckpointObject(seq)
 		if err != nil {
 			return err
 		}

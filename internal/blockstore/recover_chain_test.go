@@ -2,6 +2,8 @@ package blockstore
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"strings"
 	"testing"
 
@@ -167,87 +169,139 @@ func TestOpenAtBrokenCheckpointChain(t *testing.T) {
 	}
 }
 
-// TestEpochZeroBucketOpens: each object's header Seq carries its
-// session's epoch above the object number, a writable open taking one
-// above every epoch it saw; and a bucket whose objects all carry epoch
-// 0, as one written before objects carried epochs, opens with every
-// write and goes on from epoch 1.
-func TestEpochZeroBucketOpens(t *testing.T) {
-	store := objstore.NewMem()
-	cfg := Config{Volume: "vol", Store: store, CheckpointEvery: 1 << 30}
-	var want []block.Extent
-	write := func(s *Store) {
-		t.Helper()
-		ext := block.Extent{LBA: block.LBA(len(want)) * 8, Sectors: 8}
-		want = append(want, ext)
-		if err := s.Append(uint64(len(want)), ext, payload(int64(len(want)), int(ext.Bytes()))); err != nil {
-			t.Fatal(err)
-		}
-		if err := s.Seal(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	reopen := func() *Store {
-		t.Helper()
-		s, err := Open(ctx, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, ext := range want {
-			if !bytes.Equal(readAll(t, s, ext), payload(int64(i+1), int(ext.Bytes()))) {
-				t.Fatalf("write %d lost", i+1)
-			}
-		}
-		return s
-	}
-	// headers rewrites every object's header Seq by fn and returns the
-	// epochs it found, by object number.
-	headers := func(fn func(seq uint64) uint64) map[uint32]uint32 {
-		t.Helper()
-		names, err := store.List(ctx, "vol.")
-		if err != nil {
-			t.Fatal(err)
-		}
-		epochs := map[uint32]uint32{}
-		for _, seq := range sortedSeqs("vol", names) {
-			raw, err := store.Get(ctx, objName("vol", seq))
-			if err != nil {
-				t.Fatal(err)
-			}
-			h, data, _, err := journal.Decode(raw, false)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if uint32(h.Seq) != seq {
-				t.Fatalf("object %d carries object number %d", seq, uint32(h.Seq))
-			}
-			epochs[seq] = epochOf(h)
-			h.Seq = fn(h.Seq)
-			if raw, err = journal.Encode(h, data, false); err != nil {
-				t.Fatal(err)
-			}
-			if err := store.Put(ctx, objName("vol", seq), raw); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return epochs
-	}
+// epochBucket holds a bucket and the writes made to its volume "vol",
+// one object per write, across sessions that each end in Abort.
+type epochBucket struct {
+	store objstore.Store
+	cfg   Config
+	want  []block.Extent
+}
 
-	s := newVolume(t, store, Config{CheckpointEvery: 1 << 30})
-	write(s) // object 2, beside Create's checkpoint 1
+func newEpochBucket(t *testing.T) (*epochBucket, *Store) {
+	store := objstore.NewMem()
+	b := &epochBucket{store: store, cfg: Config{Volume: "vol", Store: store, CheckpointEvery: 1 << 30}}
+	return b, newVolume(t, store, Config{CheckpointEvery: 1 << 30})
+}
+
+// write appends the next write in an object of its own and aborts.
+func (b *epochBucket) write(t *testing.T, s *Store) {
+	t.Helper()
+	ext := block.Extent{LBA: block.LBA(len(b.want)) * 8, Sectors: 8}
+	b.want = append(b.want, ext)
+	if err := s.Append(uint64(len(b.want)), ext, payload(int64(len(b.want)), int(ext.Bytes()))); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Seal(); err != nil {
+		t.Fatal(err)
+	}
 	s.Abort()
-	s = reopen()
-	write(s) // object 3
-	s.Abort()
-	if got := headers(func(seq uint64) uint64 { return seq }); got[1] != 0 || got[2] != 0 || got[3] != 1 {
+}
+
+// reopen opens the volume and checks that every write reads back.
+func (b *epochBucket) reopen(t *testing.T) *Store {
+	t.Helper()
+	s, err := Open(ctx, b.cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, ext := range b.want {
+		if !bytes.Equal(readAll(t, s, ext), payload(int64(i+1), int(ext.Bytes()))) {
+			t.Fatalf("write %d lost", i+1)
+		}
+	}
+	return s
+}
+
+// rewrite re-encodes every object's header through fn, and returns the
+// epochs the headers carried, by object number.
+func (b *epochBucket) rewrite(t *testing.T, fn func(h *journal.Header)) map[uint32]uint32 {
+	t.Helper()
+	names, err := b.store.List(ctx, "vol.")
+	if err != nil {
+		t.Fatal(err)
+	}
+	epochs := map[uint32]uint32{}
+	for _, seq := range sortedSeqs("vol", names) {
+		raw, err := b.store.Get(ctx, objName("vol", seq))
+		if err != nil {
+			t.Fatal(err)
+		}
+		h, data, _, err := journal.Decode(raw, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if h.Seq != uint64(seq) {
+			t.Fatalf("object %d carries object number %d", seq, h.Seq)
+		}
+		epochs[seq] = h.Epoch
+		fn(h)
+		if raw, err = journal.Encode(h, data, false); err != nil {
+			t.Fatal(err)
+		}
+		if err := b.store.Put(ctx, objName("vol", seq), raw); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return epochs
+}
+
+// TestEpochZeroBucketOpens: each object's header carries its session's
+// epoch, a writable open taking one above every epoch it saw; and a
+// bucket whose objects all carry epoch 0, as one written before objects
+// carried epochs, opens with every write and goes on from epoch 1.
+func TestEpochZeroBucketOpens(t *testing.T) {
+	b, s := newEpochBucket(t)
+	b.write(t, s) // object 2, beside Create's checkpoint 1
+	b.write(t, b.reopen(t))
+	if got := b.rewrite(t, func(*journal.Header) {}); got[1] != 0 || got[2] != 0 || got[3] != 1 {
 		t.Fatalf("epochs by object %v, want 0, 0, 1", got)
 	}
-	headers(func(seq uint64) uint64 { return seq & (1<<epochBits - 1) })
-	s = reopen()
+	b.rewrite(t, func(h *journal.Header) { h.Epoch = 0 })
+	s = b.reopen(t)
 	if s.epoch != 1 {
 		t.Fatalf("an open of an epoch-0 bucket took epoch %d", s.epoch)
 	}
-	write(s)
-	s.Abort()
-	reopen().Abort()
+	b.write(t, s)
+	b.reopen(t).Abort()
+}
+
+// TestPackedStampBucketOpens: a bucket whose headers carry the retired
+// stamp, epoch·2³² + object number in Seq over a zero epoch word, opens
+// with every write; and a stranded object a dead session left behind it,
+// with a lower packed epoch than the object it would follow, is still
+// not replayed, but deleted.
+func TestPackedStampBucketOpens(t *testing.T) {
+	b, s := newEpochBucket(t)
+	b.write(t, s)           // object 2, epoch 0
+	b.write(t, b.reopen(t)) // object 3, epoch 1
+	b.write(t, b.reopen(t)) // object 4, epoch 2
+	b.rewrite(t, func(h *journal.Header) { h.Seq, h.Epoch = uint64(h.Epoch)<<32|h.Seq, 0 })
+	raw, err := b.store.Get(ctx, objName("vol", 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if binary.LittleEndian.Uint64(raw[16:]) != 2<<32|4 || binary.LittleEndian.Uint32(raw[44:]) != 0 {
+		t.Fatal("object 4 does not carry the packed stamp")
+	}
+
+	// Object 5 of the session of epoch 1, landed after object 4's.
+	ext := block.Extent{LBA: 0, Sectors: 8}
+	stale, err := journal.Encode(&journal.Header{Type: journal.TypeData, Seq: 1<<32 | 5, WriteSeq: 9,
+		Extents: []journal.ExtentEntry{{LBA: ext.LBA, Sectors: ext.Sectors, SrcSeq: 5}}, DataLen: uint64(ext.Bytes())},
+		payload(99, int(ext.Bytes())), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := b.store.Put(ctx, objName("vol", 5), stale); err != nil {
+		t.Fatal(err)
+	}
+	s = b.reopen(t)
+	if st := s.Stats(); st.RecoveredObjects != 3 || s.epoch != 3 {
+		t.Fatalf("replayed %d objects and took epoch %d; want objects 2 to 4 and epoch 3", st.RecoveredObjects, s.epoch)
+	}
+	if _, err := b.store.Size(ctx, objName("vol", 5)); !errors.Is(err, objstore.ErrNotFound) {
+		t.Fatalf("the stranded object is still in the bucket (%v)", err)
+	}
+	b.write(t, s)
+	b.reopen(t).Abort()
 }

@@ -149,12 +149,15 @@ func TestWriteLogSpansItsPartition(t *testing.T) {
 // A cache device laid out by an earlier version is refused by the write
 // cache and recovered as cache loss (§3.4): the volume opens on the
 // backend's prefix with an empty, re-formatted log, and the next crash
-// recovers from the new layout. Two earlier layouts: a superblock that
-// names a chain start but not where the log begins, and a ring framed
-// with 4 KiB record headers whose chain holds writes the backend lacks;
-// those go with the cache, as they would with a device lost whole.
+// recovers from the new layout. Three earlier layouts: a superblock that
+// names a chain start but not where the log begins, a ring framed with
+// 4 KiB record headers, and one whose records packed their epoch above a
+// 48-bit counter in the sequence; the last two hold a chain of writes the
+// backend lacks, which go with the cache, as they would with a device
+// lost whole. The packed records left in the ring must not chain behind
+// the records the re-formatted log writes over them.
 func TestParentLayoutCacheIsCacheLoss(t *testing.T) {
-	for _, layout := range []string{"no log start", "4 KiB headers"} {
+	for _, layout := range []string{"no log start", "4 KiB headers", "packed stamps"} {
 		t.Run(layout, func(t *testing.T) { parentLayoutIsCacheLoss(t, layout) })
 	}
 }
@@ -177,19 +180,23 @@ func parentLayoutIsCacheLoss(t *testing.T, layout string) {
 	le := binary.LittleEndian
 	old := make([]byte, 32)
 	le.PutUint64(old[16:], uint64(2*block.BlockSize+16*block.MiB))
-	if layout == "4 KiB headers" {
+	if layout != "no log start" {
 		logStart := int64(2 * block.BlockSize)
 		old = make([]byte, 40)
 		le.PutUint64(old[16:], uint64(logStart))
 		le.PutUint64(old[32:], uint64(logStart))
-		// New versions of blocks 0 and 1 the backend never got, chained
-		// from the start, each header and record padded to 4 KiB.
+		if layout == "packed stamps" {
+			old = le.AppendUint64(old, uint64(journal.HeaderSize(1)))
+		}
+		// New versions of blocks 0 to 3 the backend never got, chained
+		// from the start, each header and record padded to 4 KiB or
+		// each header framed in one sector.
 		off := logStart
-		for i := int64(0); i < 2; i++ {
+		for i := int64(0); i < 4; i++ {
 			rec, err := journal.Encode(&journal.Header{
 				Type: journal.TypeData, Seq: 5<<48 | uint64(i+1), WriteSeq: uint64(100 + i), DataLen: blk,
 				Extents: []journal.ExtentEntry{{LBA: block.LBA(i * blk / block.SectorSize), Sectors: blk / block.SectorSize}},
-			}, payload(200+i, blk), true)
+			}, payload(200+i, blk), layout == "4 KiB headers")
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -221,14 +228,20 @@ func parentLayoutIsCacheLoss(t *testing.T, layout string) {
 			st.WriteCache.RecoveredRecs, st.RecoveredReplayed, st.WriteCache.Checkpoints)
 	}
 	got := make([]byte, blk)
-	for i := int64(0); i < 8; i++ {
-		if err := h.disk.ReadAt(got, i*blk); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, payload(i, blk)) {
-			t.Fatalf("block %d lost with the cache though the backend held it", i)
+	backendHolds := func(from int64) {
+		t.Helper()
+		for i := from; i < 8; i++ {
+			if err := h.disk.ReadAt(got, i*blk); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, payload(i, blk)) {
+				t.Fatalf("block %d reads other than the backend's version", i)
+			}
 		}
 	}
+	backendHolds(0)
+	// Written where the old ring's first record lies, so that the old
+	// second record starts exactly where this one ends.
 	if err := h.disk.WriteAt(payload(100, blk), 0); err != nil {
 		t.Fatal(err)
 	}
@@ -242,4 +255,5 @@ func parentLayoutIsCacheLoss(t *testing.T, layout string) {
 	if !bytes.Equal(got, payload(100, blk)) {
 		t.Fatal("a write flushed to the re-formatted cache did not survive the next crash")
 	}
+	backendHolds(1)
 }

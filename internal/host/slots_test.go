@@ -359,10 +359,11 @@ func TestRingFullBehindAParkedGateSlotStillProgresses(t *testing.T) {
 		}
 		done <- a.Drain()
 	}()
-	for deadline := time.Now().Add(10 * time.Second); a.Stats().RingKicks == 0; time.Sleep(time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatal("a's ring never filled")
-		}
+	if err := testrec.Settle(10 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if a.Stats().RingKicks == 0 {
+		t.Fatal("a's writer settled without kicking a seal for its full ring")
 	}
 	if st := a.Stats(); st.Backend.DurableWriteSeq != 0 || st.Backend.InflightObjects != 1 {
 		t.Fatalf("a committed through write %d with %d objects in flight while its upload was parked on the gate",

@@ -157,10 +157,11 @@ func TestGateUnknownUserBorrows(t *testing.T) {
 		g.Acquire("anon")
 		close(done)
 	}()
+	settle(t)
 	select {
 	case <-done:
 		t.Fatal("gate exceeded capacity for anonymous users")
-	case <-time.After(20 * time.Millisecond):
+	default:
 	}
 	g.Release("anon")
 	<-done

@@ -18,7 +18,7 @@ import (
 func FuzzDecode(f *testing.F) {
 	data := bytes.Repeat([]byte{0xa5}, 2*block.SectorSize)
 	h := &Header{
-		Type: TypeData, Seq: 7, WriteSeq: 9, DataLen: uint64(len(data)),
+		Type: TypeData, Seq: 7, Epoch: 3, WriteSeq: 9, DataLen: uint64(len(data)),
 		Extents: []ExtentEntry{{LBA: 8, Sectors: 2, SrcSeq: 7}},
 	}
 	if rec, err := Encode(h, data, false); err == nil {
@@ -30,7 +30,7 @@ func FuzzDecode(f *testing.F) {
 		f.Add(rec[:len(rec)-1], true)
 		f.Add(rec, false)
 	}
-	if rec, err := Encode(&Header{Type: TypePad, Seq: 1}, nil, false); err == nil {
+	if rec, err := Encode(&Header{Type: TypePad, Seq: 1, Epoch: 1}, nil, false); err == nil {
 		f.Add(rec, false)
 	}
 	f.Add([]byte("not a journal record"), false)

@@ -36,7 +36,7 @@ func main() {
 
 	data := bytes.Repeat([]byte{0xa5}, 2*block.SectorSize)
 	h := &journal.Header{
-		Type: journal.TypeData, Seq: 7, WriteSeq: 9, DataLen: uint64(len(data)),
+		Type: journal.TypeData, Seq: 7, Epoch: 3, WriteSeq: 9, DataLen: uint64(len(data)),
 		Extents: []journal.ExtentEntry{{LBA: 8, Sectors: 2, SrcSeq: 7}},
 	}
 	sector, err := journal.Encode(h, data, false)
@@ -46,7 +46,7 @@ func main() {
 	write("sector-record", sector, false)
 	write("sector-short-header", sector[:30], false)
 
-	pad, err := journal.Encode(&journal.Header{Type: journal.TypePad, Seq: 1}, nil, false)
+	pad, err := journal.Encode(&journal.Header{Type: journal.TypePad, Seq: 1, Epoch: 1}, nil, false)
 	if err != nil {
 		log.Fatal(err)
 	}

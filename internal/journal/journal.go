@@ -81,9 +81,19 @@ type ExtentEntry struct {
 type Header struct {
 	Type     Type
 	Seq      uint64 // position in this log's sequence
+	Epoch    uint32 // the writing session's (Follows)
 	WriteSeq uint64 // last client write sequence folded into the record
 	Extents  []ExtentEntry
 	DataLen  uint64 // bytes of data following the header
+}
+
+// Follows is the chain rule both logs replay by (§3.3): next is the
+// record after prev when it holds the next position, written by prev's
+// session or a later one. A record a dead session left beyond a gap
+// that a later session refilled carries an older epoch than its
+// would-be predecessor, so it is never a link.
+func Follows(prev, next *Header) bool {
+	return next.Seq == prev.Seq+1 && next.Epoch >= prev.Epoch
 }
 
 // DataSectors returns the total sectors described by the extent list.
@@ -96,7 +106,7 @@ func (h *Header) DataSectors() uint64 {
 }
 
 const (
-	headerFixed = 4 + 4 + 4 + 4 + 8 + 8 + 8 + 4 + 4 // magic,type,hdrLen,crc,seq,writeSeq,dataLen,nExtents,reserved
+	headerFixed = 4 + 4 + 4 + 4 + 8 + 8 + 8 + 4 + 4 // magic,type,hdrLen,crc,seq,writeSeq,dataLen,nExtents,epoch
 	entrySize   = 8 + 4 + 8                         // lba, sectors, srcSeq
 
 	crcOffset = 8 // byte offset of the crc field within the header
@@ -157,6 +167,7 @@ func putHeader(buf []byte, h *Header, hs int) {
 	le.PutUint64(buf[24:], h.WriteSeq)
 	le.PutUint64(buf[32:], h.DataLen)
 	le.PutUint32(buf[40:], uint32(len(h.Extents)))
+	le.PutUint32(buf[44:], h.Epoch)
 	off := headerFixed
 	for _, e := range h.Extents {
 		le.PutUint64(buf[off:], uint64(e.LBA))
@@ -185,7 +196,9 @@ func EncodeHeaderSum(h *Header, sum uint32) []byte {
 // the data CRC (the data may not have been read yet). It returns the
 // header and the header's encoded length (including its padding). A
 // header shorter than HeaderSize is accepted: the block store's
-// superblock was once written unpadded.
+// superblock was once written unpadded. A zero epoch word under a Seq
+// of 2³² or more is the retired stamp of epoch·2³² + position in Seq,
+// which it splits.
 func DecodeHeader(buf []byte) (*Header, int, error) {
 	if len(buf) < headerFixed {
 		return nil, 0, fmt.Errorf("%w: short header: %d bytes", ErrCorrupt, len(buf))
@@ -197,8 +210,12 @@ func DecodeHeader(buf []byte) (*Header, int, error) {
 	h := &Header{
 		Type:     Type(le.Uint32(buf[4:])),
 		Seq:      le.Uint64(buf[16:]),
+		Epoch:    le.Uint32(buf[44:]),
 		WriteSeq: le.Uint64(buf[24:]),
 		DataLen:  le.Uint64(buf[32:]),
+	}
+	if h.Epoch == 0 && h.Seq>>32 != 0 {
+		h.Epoch, h.Seq = uint32(h.Seq>>32), h.Seq&(1<<32-1)
 	}
 	hdrLen := int(le.Uint32(buf[12:]))
 	n := int(le.Uint32(buf[40:]))

@@ -132,9 +132,11 @@ func TestTypeString(t *testing.T) {
 }
 
 // Property: any header with random extents and random data round-trips
-// exactly in both aligned and unaligned modes.
+// exactly in both aligned and unaligned modes. Its epoch is not zero: a
+// zero epoch under a Seq of 2³² or more is the retired packed stamp.
 func TestQuickRoundTrip(t *testing.T) {
-	f := func(seq, writeSeq uint64, nExt uint8, dataBlocks uint8, align bool, seed int64) bool {
+	f := func(seq, writeSeq uint64, epoch uint32, nExt uint8, dataBlocks uint8, align bool, seed int64) bool {
+		epoch |= 1
 		rng := rand.New(rand.NewSource(seed))
 		n := int(nExt%32) + 1
 		exts := make([]ExtentEntry, n)
@@ -143,7 +145,7 @@ func TestQuickRoundTrip(t *testing.T) {
 		}
 		data := make([]byte, (int(dataBlocks%16)+1)*block.SectorSize)
 		rng.Read(data)
-		h := &Header{Type: TypeData, Seq: seq, WriteSeq: writeSeq, Extents: exts, DataLen: uint64(len(data))}
+		h := &Header{Type: TypeData, Seq: seq, Epoch: epoch, WriteSeq: writeSeq, Extents: exts, DataLen: uint64(len(data))}
 		rec, err := Encode(h, data, align)
 		if err != nil {
 			return false
@@ -152,7 +154,7 @@ func TestQuickRoundTrip(t *testing.T) {
 		if err != nil || total != len(rec) || !bytes.Equal(d2, data) {
 			return false
 		}
-		if h2.Seq != seq || h2.WriteSeq != writeSeq || len(h2.Extents) != n {
+		if h2.Seq != seq || h2.Epoch != epoch || h2.WriteSeq != writeSeq || len(h2.Extents) != n {
 			return false
 		}
 		for i := range exts {
@@ -200,6 +202,47 @@ func BenchmarkEncode32MB(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := Encode(h, data, false); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// Follows is the next position, by the same session or a later one; a
+// header of the retired stamp, epoch·2³² + position in Seq over a zero
+// epoch word, decodes to the two fields, and one whose Seq fits 32 bits
+// decodes as epoch 0.
+func TestFollowsAndThePackedStamp(t *testing.T) {
+	prev := &Header{Seq: 9, Epoch: 4}
+	for _, c := range []struct {
+		next Header
+		want bool
+	}{
+		{Header{Seq: 10, Epoch: 4}, true},
+		{Header{Seq: 10, Epoch: 7}, true},
+		{Header{Seq: 10, Epoch: 3}, false},
+		{Header{Seq: 11, Epoch: 4}, false},
+		{Header{Seq: 9, Epoch: 4}, false},
+	} {
+		if got := Follows(prev, &c.next); got != c.want {
+			t.Errorf("Follows(%+v, %+v) = %v", *prev, c.next, got)
+		}
+	}
+	for _, c := range []struct {
+		seq       uint64
+		epoch     uint32
+		wantSeq   uint64
+		wantEpoch uint32
+	}{
+		{5<<32 | 10, 0, 10, 5},
+		{10, 0, 10, 0},
+		{5<<32 | 10, 2, 5<<32 | 10, 2},
+	} {
+		rec, err := Encode(&Header{Type: TypeData, Seq: c.seq, Epoch: c.epoch}, nil, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h, _, err := DecodeHeader(rec)
+		if err != nil || h.Seq != c.wantSeq || h.Epoch != c.wantEpoch {
+			t.Errorf("Seq %#x over epoch %d decoded to Seq %#x, epoch %d (%v)", c.seq, c.epoch, h.Seq, h.Epoch, err)
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"math"
 	"testing"
 
 	"lsvd/internal/block"
@@ -12,30 +13,35 @@ import (
 )
 
 // FuzzOpen opens hostile device images: a well-framed superblock with a
-// wild log start, chain start, sequence and epoch (or one of the three
+// wild log start, chain start, sequence and epochs (or one of the four
 // retired layouts), a record header at the log start with a wild type,
-// length and extent, and raw bytes behind it. The header is framed as
-// Commit frames one, its CRC taken over as many of those bytes as it
-// claims, so a header whose length and extent agree with them is a whole
-// record, packed against whatever the ring held behind it. Open must
-// refuse or recover without panicking or sizing a buffer from a field it
-// has not bounded, and whatever it recovers must be a cache that works.
+// epoch, length and extent, and raw bytes behind it. The header is
+// framed as Commit frames one, its CRC taken over as many of those bytes
+// as it claims, so a header whose length and extent agree with them is a
+// whole record, packed against whatever the ring held behind it. Open
+// must refuse or recover without panicking or sizing a buffer from a
+// field it has not bounded, and whatever it recovers must be a cache
+// that works: it keeps a flushed write across the next Open, unless it
+// took the last epoch there is, when that Open refuses it.
 func FuzzOpen(f *testing.F) {
 	const logStart = superBytes + 2*block.BlockSize
-	f.Add(uint64(logStart), uint64(1<<seqBits|1), uint64(1), uint8(journal.TypeData), uint64(4096), uint32(8), uint8(0), uint64(logStart), []byte{})
-	f.Add(uint64(logStart), uint64(1<<seqBits|1), uint64(1), uint8(journal.TypeData), uint64(1<<63), uint32(1<<31), uint8(0), uint64(logStart), []byte("LSVD"))
-	f.Add(uint64(1<<62), ^uint64(0), ^uint64(0), uint8(journal.TypePad), uint64(0), ^uint32(0), uint8(0), uint64(logStart), []byte{})
-	f.Add(uint64(logStart+4096), uint64(2<<seqBits|1), uint64(9), uint8(journal.TypeTrim), uint64(0), uint32(0), uint8(0), uint64(logStart), []byte{1})
-	f.Add(uint64(0), uint64(0), uint64(3), uint8(journal.TypeGC), uint64(45), uint32(1), uint8(2), uint64(0), []byte{})
-	f.Add(uint64(logStart), uint64(1<<seqBits|1), uint64(1), uint8(journal.TypeData), uint64(4096), uint32(8), uint8(1), uint64(0), []byte{})
-	f.Add(uint64(logStart), uint64(1<<seqBits|1), uint64(1), uint8(journal.TypeData), uint64(4096), uint32(8), uint8(0), uint64(superBytes), []byte{})
-	f.Add(uint64(logStart), uint64(1<<seqBits|1), uint64(1), uint8(journal.TypeData), uint64(4096), uint32(8), uint8(0), uint64(1<<63|4096), []byte{})
-	f.Add(uint64(logStart), uint64(1<<seqBits|1), uint64(1), uint8(journal.TypePad), uint64(0), uint32(8), uint8(0), uint64(logStart+block.MiB+512), []byte{})
-	// Whole records: a trim, and one sector of data packed against what
-	// is left of the record the ring held there.
-	f.Add(uint64(logStart), uint64(1<<seqBits|1), uint64(1), uint8(journal.TypeTrim), uint64(0), uint32(8), uint8(0), uint64(logStart), []byte{})
-	f.Add(uint64(logStart), uint64(1<<seqBits|1), uint64(1), uint8(journal.TypeData), uint64(512), uint32(1), uint8(0), uint64(logStart), make([]byte, 512))
-	f.Fuzz(func(t *testing.T, startOff, startSeq, epoch uint64, typ uint8, dataLen uint64, sectors uint32, layout uint8, superLogStart uint64, ring []byte) {
+	f.Add(uint64(logStart), uint64(1), uint32(1), uint32(1), uint32(1), uint8(journal.TypeData), uint64(4096), uint32(8), uint8(0), uint64(logStart), []byte{})
+	f.Add(uint64(logStart), uint64(1), uint32(1), uint32(1), uint32(1), uint8(journal.TypeData), uint64(1<<63), uint32(1<<31), uint8(0), uint64(logStart), []byte("LSVD"))
+	f.Add(uint64(1<<62), ^uint64(0), ^uint32(0), ^uint32(0), ^uint32(0), uint8(journal.TypePad), uint64(0), ^uint32(0), uint8(0), uint64(logStart), []byte{})
+	f.Add(uint64(logStart+4096), uint64(1), uint32(9), uint32(2), uint32(2), uint8(journal.TypeTrim), uint64(0), uint32(0), uint8(0), uint64(logStart), []byte{1})
+	f.Add(uint64(0), uint64(0), uint32(3), uint32(0), uint32(0), uint8(journal.TypeGC), uint64(45), uint32(1), uint8(2), uint64(0), []byte{})
+	f.Add(uint64(logStart), uint64(1), uint32(1), uint32(1), uint32(1), uint8(journal.TypeData), uint64(4096), uint32(8), uint8(1), uint64(0), []byte{})
+	f.Add(uint64(logStart), uint64(1), uint32(1), uint32(1), uint32(1), uint8(journal.TypeData), uint64(4096), uint32(8), uint8(4), uint64(0), []byte{})
+	f.Add(uint64(logStart), uint64(1), uint32(1), uint32(1), uint32(1), uint8(journal.TypeData), uint64(4096), uint32(8), uint8(0), uint64(superBytes), []byte{})
+	f.Add(uint64(logStart), uint64(1), uint32(1), uint32(1), uint32(1), uint8(journal.TypeData), uint64(4096), uint32(8), uint8(0), uint64(1<<63|4096), []byte{})
+	f.Add(uint64(logStart), uint64(1), uint32(1), uint32(1), uint32(1), uint8(journal.TypePad), uint64(0), uint32(8), uint8(0), uint64(logStart+block.MiB+512), []byte{})
+	// Whole records: a trim, one sector of data packed against what is
+	// left of the record the ring held there, and one of a later epoch
+	// than the start names.
+	f.Add(uint64(logStart), uint64(1), uint32(1), uint32(1), uint32(1), uint8(journal.TypeTrim), uint64(0), uint32(8), uint8(0), uint64(logStart), []byte{})
+	f.Add(uint64(logStart), uint64(1), uint32(1), uint32(1), uint32(1), uint8(journal.TypeData), uint64(512), uint32(1), uint8(0), uint64(logStart), make([]byte, 512))
+	f.Add(uint64(logStart), uint64(7), uint32(5), uint32(2), uint32(9), uint8(journal.TypeTrim), uint64(0), uint32(8), uint8(0), uint64(logStart), []byte{})
+	f.Fuzz(func(t *testing.T, startOff, startSeq uint64, epoch, startEpoch, recEpoch uint32, typ uint8, dataLen uint64, sectors uint32, layout uint8, superLogStart uint64, ring []byte) {
 		cfg := Config{CheckpointBytes: 2 * block.BlockSize}
 		dev := simdev.NewMem(logStart + 4*block.MiB)
 		c, err := Format(dev, cfg)
@@ -49,9 +55,10 @@ func FuzzOpen(f *testing.F) {
 			}
 		}
 
-		super, err := encodeSuper(superblock{gen: 1 << 40, epoch: epoch, startOff: int64(startOff), startSeq: startSeq, logStart: int64(superLogStart)})
+		super, err := encodeSuper(superblock{gen: 1 << 40, epoch: epoch, startOff: int64(startOff),
+			startSeq: startSeq, startEpoch: startEpoch, logStart: int64(superLogStart)})
 		if layout != 0 {
-			super, err = retiredSuper(layout, 1<<40, epoch, startOff, startSeq)
+			super, err = retiredSuper(layout, 1<<40, uint64(epoch), startOff, startSeq)
 		}
 		if err != nil {
 			t.Fatal(err)
@@ -60,7 +67,7 @@ func FuzzOpen(f *testing.F) {
 			ring = ring[:1<<20]
 		}
 		hdr := journal.EncodeHeaderSum(&journal.Header{
-			Type: journal.Type(typ), Seq: startSeq, WriteSeq: 4, DataLen: dataLen,
+			Type: journal.Type(typ), Seq: startSeq, Epoch: recEpoch, WriteSeq: 4, DataLen: dataLen,
 			Extents: []journal.ExtentEntry{{LBA: 64, Sectors: sectors}},
 		}, journal.Sum(ring[:min(dataLen, uint64(len(ring)))]))
 		for _, w := range []struct {
@@ -91,7 +98,11 @@ func FuzzOpen(f *testing.F) {
 		if err := c.Flush(); err != nil {
 			t.Fatal(err)
 		}
+		last := c.epoch
 		if c, err = Open(dev); err != nil {
+			if last == math.MaxUint32 {
+				return // no epoch is left to open in: refused, as cache loss
+			}
 			t.Fatal(err)
 		}
 		if got, full := readBack(t, c, ext); !full || !bytes.Equal(got, data) {
@@ -100,22 +111,26 @@ func FuzzOpen(f *testing.F) {
 	})
 }
 
-// retiredSuper frames a superblock of one of the three layouts before
+// retiredSuper frames a superblock of one of the four layouts before
 // this one: 1 is the 32-byte payload without a log start, 3 the 40-byte
-// one of a ring framed with 4 KiB record headers, anything else the
-// 28-byte one that sat beside a map checkpoint.
+// one of a ring framed with 4 KiB record headers, 4 the 48-byte one
+// whose start sequence packed its epoch, anything else the 28-byte one
+// that sat beside a map checkpoint.
 func retiredSuper(layout uint8, gen, epoch, startOff, startSeq uint64) ([]byte, error) {
 	le := binary.LittleEndian
 	var old []byte
 	switch layout {
-	case 1, 3:
+	case 1, 3, 4:
 		old = make([]byte, 32)
 		le.PutUint64(old, gen)
 		le.PutUint64(old[8:], epoch)
 		le.PutUint64(old[16:], startOff)
 		le.PutUint64(old[24:], startSeq)
-		if layout == 3 {
+		if layout >= 3 {
 			old = le.AppendUint64(old, superBytes)
+		}
+		if layout == 4 {
+			old = le.AppendUint64(old, uint64(hdrBytes))
 		}
 	default:
 		old = make([]byte, 28)

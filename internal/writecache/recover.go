@@ -18,10 +18,11 @@ import (
 //  1. The record the durable superblock names is never released before
 //     a newer superblock has been written and flushed (evictOne).
 //  2. Open follows the chain from that record by magic, CRC, offset
-//     adjacency and sequence number (replay, chains).
-//  3. Every Format and every Open takes a new epoch and persists it
-//     before its first append, so nothing an earlier incarnation left
-//     beyond its recovered chain can ever be a link of a later one.
+//     adjacency and journal.Follows (replay).
+//  3. Every Format and every Open takes a new epoch above every one it
+//     saw and persists it before its first append, so nothing an
+//     earlier incarnation left beyond its recovered chain can ever be a
+//     link of a later one.
 //  4. The caller, once it knows what the backend holds, drops
 //     everything the backend owns (Reconcile); what is left is exactly
 //     what Records hands back for re-destage.
@@ -32,43 +33,40 @@ const (
 	superBytes = 2 * block.BlockSize
 )
 
-// seqBits is the width of the record counter inside a log record's
-// sequence number; the bits above it carry the epoch of the Format or
-// Open that logged it. The epoch wraps after 65 536 formats and opens
-// of one device.
-const seqBits = 48
-
 // superblock is the whole on-device checkpoint: the generation (the
 // newer of the two slots wins), the epoch of the incarnation that wrote
 // it, the start of the chain — the offset of a record boundary in the
-// ring and the sequence number expected there — and where the ring
-// itself starts (it runs to the end of the device), so that Open takes
-// the layout from the device that was formatted, not from its caller.
+// ring, and the sequence number and epoch of the record expected there,
+// or of the next record when the start is the tail — and where the
+// ring itself starts (it runs to the end of the device), so that Open
+// takes the layout from the device that was formatted, not from its
+// caller.
 type superblock struct {
-	gen      uint64
-	epoch    uint64
-	startOff int64
-	startSeq uint64
-	logStart int64
+	gen        uint64
+	epoch      uint32
+	startOff   int64
+	startSeq   uint64
+	startEpoch uint32
+	logStart   int64
 }
 
-// The payload ends with the size of the record headers the ring is
-// framed with (hdrBytes). The record fits entirely within its 4 KiB slot.
-const superPayload = 48
+// The payload is seven 64-bit words, the last the size of the record
+// headers the ring is framed with (hdrBytes). The record fits entirely
+// within its 4 KiB slot.
+const superPayload = 56
 
 func encodeSuper(sb superblock) ([]byte, error) {
-	data := make([]byte, superPayload)
-	binary.LittleEndian.PutUint64(data, sb.gen)
-	binary.LittleEndian.PutUint64(data[8:], sb.epoch)
-	binary.LittleEndian.PutUint64(data[16:], uint64(sb.startOff))
-	binary.LittleEndian.PutUint64(data[24:], sb.startSeq)
-	binary.LittleEndian.PutUint64(data[32:], uint64(sb.logStart))
-	binary.LittleEndian.PutUint64(data[40:], uint64(hdrBytes))
-	return journal.Encode(&journal.Header{Type: journal.TypeSuper, Seq: sb.gen, DataLen: superPayload}, data, false)
+	var c journal.Codec
+	for _, w := range []uint64{sb.gen, uint64(sb.epoch), uint64(sb.startOff), sb.startSeq,
+		uint64(sb.startEpoch), uint64(sb.logStart), uint64(hdrBytes)} {
+		c.PutU64(w)
+	}
+	return journal.Encode(&journal.Header{Type: journal.TypeSuper, Seq: sb.gen, DataLen: superPayload}, c.Buf, false)
 }
 
 // decodeSuper reads a superblock of a ring framed otherwise, and the
-// payloads of the three layouts before this one — 40 bytes (a ring of
+// payloads of the four layouts before this one — 48 bytes (a start
+// whose sequence packed its epoch above a counter), 40 (a ring of
 // records with 4 KiB headers), 32 (no log start: the log began where
 // Config said) and 28 (gen, slot, length, epoch: a map checkpoint
 // beside the log) — only for their generation and epoch, which Format
@@ -78,16 +76,21 @@ func decodeSuper(data []byte) (superblock, bool) {
 	le := binary.LittleEndian
 	switch len(data) {
 	case superPayload:
-		sb := superblock{gen: le.Uint64(data), epoch: le.Uint64(data[8:])}
-		if int64(le.Uint64(data[40:])) == hdrBytes {
+		sb := superblock{gen: le.Uint64(data), epoch: uint32(le.Uint64(data[8:]))}
+		if int64(le.Uint64(data[48:])) == hdrBytes {
 			sb.startOff, sb.startSeq = int64(le.Uint64(data[16:])), le.Uint64(data[24:])
-			sb.logStart = int64(le.Uint64(data[32:]))
+			sb.startEpoch, sb.logStart = uint32(le.Uint64(data[32:])), int64(le.Uint64(data[40:]))
 		}
 		return sb, true
+	case 48:
+		// Its records packed their epoch over a 48-bit counter, which
+		// DecodeHeader splits at bit 32 into an epoch below
+		// (epoch+1)·2¹⁶; Format must take one above them all.
+		return superblock{gen: le.Uint64(data), epoch: uint32(min(le.Uint64(data[8:])+1, 1<<16-1)<<16 - 1)}, true
 	case 40, 32:
-		return superblock{gen: le.Uint64(data), epoch: le.Uint64(data[8:])}, true
+		return superblock{gen: le.Uint64(data), epoch: uint32(le.Uint64(data[8:]))}, true
 	case 28:
-		return superblock{gen: le.Uint64(data), epoch: le.Uint64(data[20:])}, true
+		return superblock{gen: le.Uint64(data), epoch: uint32(le.Uint64(data[20:]))}, true
 	}
 	return superblock{}, false
 }
@@ -118,8 +121,8 @@ func readSuper(dev simdev.Device) (best superblock, err error) {
 // flushes: when it returns the new superblock is the one a crash finds.
 func (c *Cache) writeSuper() error {
 	gen := c.superGen + 1
-	rec, err := encodeSuper(superblock{gen: gen, epoch: c.nextSeq >> seqBits,
-		startOff: c.startOff, startSeq: c.startSeq, logStart: c.logStart})
+	rec, err := encodeSuper(superblock{gen: gen, epoch: c.epoch, startOff: c.startOff,
+		startSeq: c.startSeq, startEpoch: c.startEpoch, logStart: c.logStart})
 	if err != nil {
 		return err
 	}
@@ -147,16 +150,16 @@ func (c *Cache) writeSuper() error {
 //
 //lsvd:requires wcache.mu
 func (c *Cache) persistStartLocked() error {
-	prevOff, prevSeq := c.startOff, c.startSeq
-	c.startOff, c.startSeq = c.tail, c.nextSeq
+	prevOff, prevSeq, prevEpoch := c.startOff, c.startSeq, c.startEpoch
+	c.startOff, c.startSeq, c.startEpoch = c.tail, c.nextSeq, c.epoch
 	for _, r := range c.ring {
 		if r.typ != journal.TypePad && r.writeSeq > c.destagedSeq {
-			c.startOff, c.startSeq = r.off, r.seq
+			c.startOff, c.startSeq, c.startEpoch = r.off, r.seq, r.epoch
 			break
 		}
 	}
 	if err := c.writeSuper(); err != nil {
-		c.startOff, c.startSeq = prevOff, prevSeq
+		c.startOff, c.startSeq, c.startEpoch = prevOff, prevSeq, prevEpoch
 		c.ioErr = err
 		return err
 	}
@@ -207,11 +210,10 @@ func Format(dev simdev.Device, cfg Config) (*Cache, error) {
 		return nil, err
 	}
 	prev, _ := readSuper(dev) // zero on a device never formatted
-	c.superGen = prev.gen
-	c.nextSeq = (prev.epoch+1)<<seqBits | 1
-	c.mapSeq = c.nextSeq
+	c.superGen, c.epoch = prev.gen, prev.epoch+1
+	c.nextSeq, c.mapSeq = 1, 1
 	c.head, c.tail = c.logStart, c.logStart
-	c.startOff, c.startSeq = c.logStart, c.nextSeq
+	c.startOff, c.startSeq, c.startEpoch = c.logStart, c.nextSeq, c.epoch
 	for i := 0; i < 2; i++ {
 		if err := c.writeSuper(); err != nil {
 			return nil, err
@@ -222,9 +224,10 @@ func Format(dev simdev.Device, cfg Config) (*Cache, error) {
 
 // Open recovers a cache from a formatted device: it follows the chain
 // of records from the start the superblock names, stopping at the first
-// one whose magic, CRC, position or sequence number does not line up
-// (§3.3), then opens a new epoch. The recovered cache does not know
-// what the backend holds; Reconcile tells it.
+// one whose magic, CRC or position does not line up or that does not
+// follow its predecessor (§3.3), then opens a new epoch and goes on
+// numbering records after the last one recovered. The recovered cache
+// does not know what the backend holds; Reconcile tells it.
 func Open(dev simdev.Device) (*Cache, error) {
 	sb, err := readSuper(dev)
 	if err != nil {
@@ -238,49 +241,42 @@ func Open(dev simdev.Device) (*Cache, error) {
 		return nil, fmt.Errorf("writecache: superblock starts the chain at %d, outside the log [%d, %d)",
 			sb.startOff, c.logStart, c.logEnd)
 	}
-	if sb.startSeq>>seqBits > sb.epoch {
-		return nil, fmt.Errorf("writecache: superblock of epoch %d expects sequence %#x of a later one", sb.epoch, sb.startSeq)
-	}
 	c.superGen = sb.gen
-	c.startOff, c.startSeq = sb.startOff, sb.startSeq
-	if err := c.replay(sb.epoch); err != nil {
+	c.startOff, c.startSeq, c.startEpoch = sb.startOff, sb.startSeq, sb.startEpoch
+	last, err := c.replay()
+	if err != nil {
 		return nil, err
 	}
-	c.nextSeq = (sb.epoch+1)<<seqBits | 1
-	c.mapSeq = c.nextSeq
+	// Epochs never fall along the chain, so the last link's tops it.
+	if c.epoch = max(sb.epoch, last.Epoch) + 1; c.epoch == 0 {
+		return nil, fmt.Errorf("writecache: no epoch is left to open in")
+	}
+	c.nextSeq, c.mapSeq = last.Seq+1, last.Seq+1
 	if err := c.writeSuper(); err != nil {
 		return nil, err
 	}
 	return c, nil
 }
 
-// chains reports whether a record numbered seq may follow one numbered
-// next-1: it is the next one, or the first one of a later epoch that is
-// no newer than the superblock's (an Open's first append follows
-// whatever chain that Open recovered). The epoch compared is next-1's:
-// after the last counter of an epoch, next has carried into the one above.
-func chains(seq, next, superEpoch uint64) bool {
-	epoch := seq >> seqBits
-	return seq == next || (epoch > (next-1)>>seqBits && epoch <= superEpoch && seq&(1<<seqBits-1) == 1)
-}
-
 // replay rebuilds the ring and the map from the log alone, applying
-// every complete record from the start until the chain breaks.
-func (c *Cache) replay(superEpoch uint64) error {
+// every complete record from the start until the chain breaks, and
+// returns the header of the last record applied; the first one's
+// predecessor is the one the superblock's start implies.
+func (c *Cache) replay() (*journal.Header, error) {
 	c.head, c.tail = c.startOff, c.startOff
-	next := c.startSeq
+	prev := &journal.Header{Seq: c.startSeq - 1, Epoch: c.startEpoch}
 	hdr := make([]byte, hdrBytes)
 	for {
 		if err := c.dev.ReadAt(hdr, c.tail); err != nil {
-			return err
+			return nil, err
 		}
 		h, hdrLen, err := journal.DecodeHeader(hdr)
-		if err != nil || hdrLen != len(hdr) || !chains(h.Seq, next, superEpoch) {
+		if err != nil || hdrLen != len(hdr) || !journal.Follows(prev, h) {
 			break // end of log
 		}
 		size, err := c.completeRecord(h, hdr)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		// One guard block always separates tail from head (Reserve), so
 		// a chain that fills the ring is not one this package wrote.
@@ -288,10 +284,10 @@ func (c *Cache) replay(superEpoch uint64) error {
 			break
 		}
 		c.applyRecord(h, size)
-		next = h.Seq + 1
+		prev = h
 	}
 	c.recovered = len(c.ring)
-	return nil
+	return prev, nil
 }
 
 // completeRecord returns the ring bytes the record at the tail claims,
@@ -341,7 +337,7 @@ func (c *Cache) completeRecord(h *journal.Header, hdr []byte) (int64, error) {
 }
 
 func (c *Cache) applyRecord(h *journal.Header, size int64) {
-	r := &record{off: c.tail, size: size, seq: h.Seq, writeSeq: h.WriteSeq, typ: h.Type}
+	r := &record{off: c.tail, size: size, seq: h.Seq, epoch: h.Epoch, writeSeq: h.WriteSeq, typ: h.Type}
 	if h.Type != journal.TypePad { // a pad's extent is only its length
 		r.ext = block.Extent{LBA: h.Extents[0].LBA, Sectors: h.Extents[0].Sectors}
 	}

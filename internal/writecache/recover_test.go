@@ -151,14 +151,16 @@ func TestStaleRecordBeyondHoleDoesNotChain(t *testing.T) {
 	}
 }
 
-// A device in either retired layout — the one that kept a map checkpoint
-// beside the log, and PR 21's, whose superblock does not say where the
-// log starts — is refused with the layout error, which the core treats
-// as cache loss; Format over it still continues its generation and epoch.
+// A device in a retired layout — the one that kept a map checkpoint
+// beside the log, the one whose superblock does not say where the log
+// starts, the one of 4 KiB record headers and the one whose sequences
+// packed their epoch — is refused with the layout error, which the core
+// treats as cache loss; Format over it still continues its generation,
+// and takes an epoch above every one its records carry.
 func TestOpenRefusesCheckpointLayout(t *testing.T) {
-	for _, layout := range []uint8{2, 1, 3} {
+	for layout, epoch := range map[uint8]uint32{2: 4, 1: 4, 3: 4, 4: 4 << 16} {
 		dev := simdev.NewMem(64 * block.MiB)
-		rec, err := retiredSuper(layout, 7, 3, uint64(superBytes+16*block.MiB), 3<<seqBits|1)
+		rec, err := retiredSuper(layout, 7, 3, uint64(superBytes+16*block.MiB), 3<<48|1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -172,8 +174,8 @@ func TestOpenRefusesCheckpointLayout(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if c.superGen != 9 || c.nextSeq != 4<<seqBits|1 {
-			t.Fatalf("layout %d: formatted at generation %d, next sequence %#x; want 9 and epoch 4", layout, c.superGen, c.nextSeq)
+		if c.superGen != 9 || c.epoch != epoch {
+			t.Fatalf("layout %d: formatted at generation %d, epoch %d; want 9 and %d", layout, c.superGen, c.epoch, epoch)
 		}
 	}
 }
@@ -204,5 +206,42 @@ func TestOpenTakesTheLayoutFromTheDevice(t *testing.T) {
 		if st := c.Stats(); st.LogBytes != want || st.RecoveredRecs != 1 {
 			t.Fatalf("gap %d: reopened a log of %d bytes with %d records, want %d and 1", gap, st.LogBytes, st.RecoveredRecs, want)
 		}
+	}
+}
+
+// A cache opened 2¹⁶ times and more keeps its flushed writes: the epoch
+// is a 32-bit word of its own, not the bits above a 48-bit counter,
+// where the 65 536th Open wrapped it to 0 and the next refused the
+// device.
+func TestEpochOutlivesSixteenBits(t *testing.T) {
+	dev := simdev.NewMem(64 * block.MiB)
+	c, err := Format(dev, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.epoch, c.startEpoch = 1<<16-2, 1<<16-2
+	if err := c.writeSuper(); err != nil {
+		t.Fatal(err)
+	}
+	if c, err = Open(dev); err != nil {
+		t.Fatal(err)
+	}
+	ext := block.Extent{LBA: 8, Sectors: 8}
+	if err := c.Append(1, ext, payload(1, int(ext.Bytes()))); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 4; i++ {
+		if c, err = Open(dev); err != nil {
+			t.Fatalf("open %d past epoch %d: %v", i+1, 1<<16-1, err)
+		}
+		if got, full := readBack(t, c, ext); !full || !bytes.Equal(got, payload(1, int(ext.Bytes()))) {
+			t.Fatalf("open %d past epoch %d lost the flushed write", i+1, 1<<16-1)
+		}
+	}
+	if c.epoch != 1<<16+3 {
+		t.Fatalf("opened in epoch %d, want %d", c.epoch, 1<<16+3)
 	}
 }

@@ -89,6 +89,7 @@ type record struct {
 	seq      uint64
 	writeSeq uint64
 	typ      journal.Type
+	epoch    uint32       // of the Format or Open that logged it
 	ext      block.Extent // data extent (zero for pads)
 	state    recState
 }
@@ -171,16 +172,18 @@ type Cache struct {
 	head, tail       int64 // byte offsets into [logStart, logEnd)
 	used             int64
 	nextSeq          uint64
+	epoch            uint32 // this Format's or Open's, stamped on its records
 	maxWriteSeq      uint64
 	destagedSeq      uint64
 	superGen         uint64
 
 	// The start of the chain in the newest durable superblock: the ring
-	// offset recovery begins at and the sequence number it expects
-	// there. Nothing at or beyond it is released before a newer
+	// offset recovery begins at and the sequence number and epoch it
+	// expects there. Nothing at or beyond it is released before a newer
 	// superblock is durable (evictOne).
-	startOff int64
-	startSeq uint64
+	startOff   int64
+	startSeq   uint64
+	startEpoch uint32
 
 	ring []*record // FIFO of live records, oldest first
 	m    *extmap.Map
@@ -316,7 +319,7 @@ func (c *Cache) Reserve(writeSeq uint64, typ journal.Type, ext block.Extent, dat
 	if writeSeq < c.maxWriteSeq {
 		invariant.Failf("writecache: write %d reserved behind write %d", writeSeq, c.maxWriteSeq)
 	}
-	r := &record{off: c.tail, size: need, seq: c.nextSeq, writeSeq: writeSeq, typ: typ, ext: ext, state: recReserved}
+	r := &record{off: c.tail, size: need, seq: c.nextSeq, epoch: c.epoch, writeSeq: writeSeq, typ: typ, ext: ext, state: recReserved}
 	c.ring = append(c.ring, r)
 	c.used += r.size
 	c.tail += r.size
@@ -346,6 +349,7 @@ func (c *Cache) Commit(res *Reservation, data []byte, sum uint32) error {
 	hdr := journal.EncodeHeaderSum(&journal.Header{
 		Type:     r.typ,
 		Seq:      r.seq,
+		Epoch:    r.epoch,
 		WriteSeq: r.writeSeq,
 		Extents:  []journal.ExtentEntry{{LBA: r.ext.LBA, Sectors: r.ext.Sectors}},
 		DataLen:  uint64(len(data)),
@@ -535,6 +539,7 @@ func (c *Cache) writePad() error {
 	h := &journal.Header{
 		Type:    journal.TypePad,
 		Seq:     c.nextSeq,
+		Epoch:   c.epoch,
 		Extents: []journal.ExtentEntry{{Sectors: uint32(padLen >> block.SectorShift)}},
 	}
 	rec, err := journal.Encode(h, nil, false)
@@ -545,7 +550,7 @@ func (c *Cache) writePad() error {
 		c.ioErr = err
 		return err
 	}
-	c.ring = append(c.ring, &record{off: c.tail, size: padLen, seq: c.nextSeq, typ: journal.TypePad})
+	c.ring = append(c.ring, &record{off: c.tail, size: padLen, seq: c.nextSeq, epoch: c.epoch, typ: journal.TypePad})
 	c.used += padLen
 	// Keep the in-order map chain moving past the pad's sequence slot.
 	if c.mapSeq == c.nextSeq {
