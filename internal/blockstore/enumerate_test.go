@@ -3,12 +3,12 @@ package blockstore
 import (
 	"bytes"
 	"cmp"
+	"crypto/sha256"
+	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/maphash"
 	"os"
 	"slices"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -38,9 +38,10 @@ import (
 // Every distinct backend state of every schedule, cut before each
 // completed PUT or DELETE and after the last, is opened and checked
 // (enumOpen), and so is every state that open's own PUTs and DELETEs
-// leave. A state whose open loads a checkpoint the super does not name
-// is opened again with that open's super PUT failing, and written on
-// until an object between the two checkpoints dies (owedSuper).
+// leave, released in one order (inOrder). A state whose open loads a
+// checkpoint the super does not name is opened again with that open's
+// super PUT failing, and written on until an object between the two
+// checkpoints dies (owedSuper).
 
 // enumSettle bounds each wait for the goroutines to settle: a schedule
 // that takes longer fails.
@@ -244,10 +245,26 @@ func (r *enumRun) wait(what string, ch chan error) error {
 	return nil
 }
 
+// enumPayloads holds the payloads the schedules write: every schedule
+// writes the same ones, and making them afresh for each cost about a
+// fifth of the explorer's CPU. The store never writes into an appended
+// buffer.
+var enumPayloads sync.Map // [2]int64{seed, n} → []byte
+
+func enumPayload(seed int64, n int) []byte {
+	key := [2]int64{seed, int64(n)}
+	if b, ok := enumPayloads.Load(key); ok {
+		return b.([]byte)
+	}
+	b := payload(seed, n)
+	enumPayloads.Store(key, b)
+	return b
+}
+
 // write appends write w, the next, to ext.
 func (r *enumRun) write(ext block.Extent) error {
 	w := uint64(len(r.writes) + 1)
-	data := payload(int64(1000+w), int(ext.Bytes()))
+	data := enumPayload(int64(1000+w), int(ext.Bytes()))
 	r.writes = append(r.writes, enumWrite{ext, data})
 	if err := r.s.Append(w, ext, data); err != nil {
 		return fmt.Errorf("write %d: %w", w, err)
@@ -514,36 +531,54 @@ func landed(op testrec.Op) bool {
 
 // enumCheck checks crash states, each distinct one once.
 type enumCheck struct {
-	seed   maphash.Seed
 	seen   map[uint64]bool
 	points int // distinct crash states checked
 	inOpen int // of them, states a check's open left with its own operations
 	owed   int // continuations run with the open's super failing
 }
 
-func newEnumCheck() *enumCheck { return &enumCheck{seed: maphash.MakeSeed(), seen: map[uint64]bool{}} }
+func newEnumCheck() *enumCheck { return &enumCheck{seen: map[uint64]bool{}} }
+
+// sum64 is the hash of states and contents: unseeded, so that one set of
+// states has one digest in every run.
+func sum64(b []byte) uint64 {
+	h := sha256.Sum256(b)
+	return binary.LittleEndian.Uint64(h[:])
+}
 
 // fresh reports whether the state of objects (name → content hash),
 // checked with tag, is new.
 func (c *enumCheck) fresh(objects map[string]uint64, tag uint64) bool {
-	var h maphash.Hash
-	h.SetSeed(c.seed)
 	names := make([]string, 0, len(objects))
 	for name := range objects {
 		names = append(names, name)
 	}
-	sort.Strings(names)
+	slices.Sort(names)
+	var b []byte
 	for _, name := range names {
-		h.WriteString(name)
-		h.WriteString(strconv.FormatUint(objects[name], 16))
+		b = fmt.Appendf(b, "%s %x\n", name, objects[name])
 	}
-	h.WriteString(strconv.FormatUint(tag, 16))
-	key := h.Sum64()
+	key := sum64(fmt.Appendf(b, "%x", tag))
 	if c.seen[key] {
 		return false
 	}
 	c.seen[key] = true
 	return true
+}
+
+// digest names the set of states checked, the same in every run that
+// checks the same set.
+func (c *enumCheck) digest() string {
+	keys := make([]uint64, 0, len(c.seen))
+	for key := range c.seen {
+		keys = append(keys, key)
+	}
+	slices.Sort(keys)
+	var b []byte
+	for _, key := range keys {
+		b = binary.LittleEndian.AppendUint64(b, key)
+	}
+	return fmt.Sprintf("%016x", sum64(b))
 }
 
 // memState hashes mem's objects, as fresh keys them.
@@ -562,15 +597,15 @@ func (c *enumCheck) memState(mem *objstore.Mem) map[string]uint64 {
 func (c *enumCheck) content(data []byte) uint64 {
 	h, payload, _, err := journal.Decode(data, false)
 	if err != nil || h.Type != journal.TypeCheckpoint {
-		return maphash.Bytes(c.seed, data)
+		return sum64(data)
 	}
 	p, err := decodeCheckpoint(payload)
 	if err != nil {
-		return maphash.Bytes(c.seed, data)
+		return sum64(data)
 	}
 	slices.SortFunc(p.objects, func(a, b objInfo) int { return cmp.Compare(a.seq, b.seq) })
 	slices.SortFunc(p.deferred, func(a, b deferredDelete) int { return cmp.Compare(a.Obj, b.Obj) })
-	return maphash.String(c.seed, fmt.Sprint(p.prevCkpt, p.durableWriteSeq, p.nextSeq, p.objects, p.deferred, p.mapBytes))
+	return sum64(fmt.Append(nil, p.prevCkpt, p.durableWriteSeq, p.nextSeq, p.objects, p.deferred, p.mapBytes))
 }
 
 // run checks one run: the script's own audit, the order of its
@@ -622,7 +657,12 @@ func (c *enumCheck) crash(r *enumRun, stamp, acked uint64) []string {
 	c.points++
 	rec := testrec.NewStore(r.rs.At(stamp))
 	rec.Keep = true
-	s, v := enumOpen(rec, r.writes, r.snap, acked)
+	var s *Store
+	var v string
+	if err := inOrder(rec, func() { s, v = enumOpen(rec, r.writes, r.snap, acked) }); err != nil {
+		report("", err.Error())
+		return vs
+	}
 	report("", v)
 	if s == nil {
 		return vs
@@ -660,10 +700,16 @@ func (c *enumCheck) owedSuper(r *enumRun, stamp, acked uint64) string {
 	rec := testrec.NewStore(r.rs.At(stamp))
 	rec.Keep = true
 	rec.Fail(testrec.Super.Once(), testrec.ErrFault)
-	s, err := Open(ctx, Config{
-		Volume: "vol", Store: rec, BatchBytes: enumSlot(0).Bytes(), Retry: objstore.RetryPolicy{MaxAttempts: -1},
-		OnDestage: func(w uint64) { rec.Note("destage", int64(w)) },
-	})
+	var s *Store
+	var err error
+	if err := inOrder(rec, func() {
+		s, err = Open(ctx, Config{
+			Volume: "vol", Store: rec, BatchBytes: enumSlot(0).Bytes(), Retry: objstore.RetryPolicy{MaxAttempts: -1},
+			OnDestage: func(w uint64) { rec.Note("destage", int64(w)) },
+		})
+	}); err != nil {
+		return err.Error()
+	}
 	if err != nil {
 		return fmt.Sprintf("open: %v", err)
 	}
@@ -692,16 +738,25 @@ func (c *enumCheck) owedSuper(r *enumRun, stamp, acked uint64) string {
 	}
 	c.owed++
 	writes := slices.Clone(r.writes[:s.DurableWriteSeq()])
-	for _, ext := range exts {
-		w := uint64(len(writes) + 1)
-		data := payload(int64(5000+w), int(ext.Bytes()))
-		writes = append(writes, enumWrite{ext, data})
-		if err := s.Append(w, ext, data); err != nil {
-			return fmt.Sprintf("continuation write %d: %v", w, err)
+	var v string
+	if err := inOrder(rec, func() {
+		for _, ext := range exts {
+			w := uint64(len(writes) + 1)
+			data := enumPayload(int64(5000+w), int(ext.Bytes()))
+			writes = append(writes, enumWrite{ext, data})
+			if err := s.Append(w, ext, data); err != nil {
+				v = fmt.Sprintf("continuation write %d: %v", w, err)
+				return
+			}
 		}
+		if err := s.Seal(); err != nil {
+			v = fmt.Sprintf("continuation seal: %v", err)
+		}
+	}); err != nil {
+		return err.Error()
 	}
-	if err := s.Seal(); err != nil {
-		return fmt.Sprintf("continuation seal: %v", err)
+	if v != "" {
+		return v
 	}
 	s.mu.RLock()
 	dead := died(s, victim)
@@ -733,6 +788,37 @@ func (c *enumCheck) owedSuper(r *enumRun, stamp, acked uint64) string {
 		}
 	}
 	return check(rec.Now())
+}
+
+// inOrder runs fn, a check's own open or continuation, with every PUT
+// and DELETE of rec held, and releases them one at a time, in label
+// order, whenever the program has settled. Open deletes and uploads
+// several objects at once; in the order they happened to complete, the
+// states they leave, which the checks go on to open, would differ from
+// run to run.
+func inOrder(rec *testrec.Store, fn func()) error {
+	g := rec.Gate(testrec.Kinds(testrec.Put, testrec.Delete))
+	defer g.Open()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		fn()
+	}()
+	for {
+		if err := testrec.Settle(enumSettle); err != nil {
+			return err
+		}
+		held := g.Held()
+		if len(held) == 0 {
+			select {
+			case <-done:
+				return nil
+			default:
+				return errors.New("a check's open waits and nothing is held")
+			}
+		}
+		g.Release(slices.MinFunc(held, func(a, b *testrec.Held) int { return strings.Compare(label(a.Op), label(b.Op)) }), nil)
+	}
 }
 
 // enumOpen opens a crashed backend at which writes up to durable had
@@ -915,8 +1001,8 @@ func TestBackendCrashEnumeration(t *testing.T) {
 		if c.owed == 0 {
 			t.Error("no crash state left a checkpoint the super does not name with an object between the two")
 		}
-		t.Logf("preemption bound %d: %d schedules, %d distinct crash states (%d inside an open, %d owed-super continuations), %d violating schedules",
-			bound, schedules, c.points, c.inOpen, c.owed, violations)
+		t.Logf("preemption bound %d: %d schedules, %d distinct crash states (%d inside an open, %d owed-super continuations; digest %s), %d violating schedules",
+			bound, schedules, c.points, c.inOpen, c.owed, c.digest(), violations)
 	})
 }
 

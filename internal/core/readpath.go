@@ -100,68 +100,51 @@ func (d *Disk) fetchMisses(ext block.Extent, misses []block.Extent, p []byte, ep
 	}
 	spans := buildSpans(runs)
 
-	workers := d.opts.FetchDepth
-	if workers > len(spans) {
-		workers = len(spans)
-	}
-	if workers <= 1 {
-		return d.fetchSpansSerial(ext, spans, p, epoch)
-	}
+	// The caller is one of the workers: it runs alone when one suffices.
+	workers := min(d.opts.FetchDepth, len(spans))
 	var (
 		wg       sync.WaitGroup
 		next     atomic.Int64
+		failed   atomic.Bool // no span is claimed after the first error but ErrNotFound
 		mu       sync.Mutex
 		retry    []block.Extent
 		firstErr error
 		notFound error
 	)
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
+	work := func() {
+		for !failed.Load() {
+			i := int(next.Add(1)) - 1
+			if i >= len(spans) {
+				return
+			}
+			err := d.fetchSpan(ext, spans[i], p, epoch)
+			if err == nil {
+				continue
+			}
+			mu.Lock()
+			if errors.Is(err, objstore.ErrNotFound) {
+				notFound = err
+				for _, r := range spans[i].runs {
+					retry = append(retry, r.Extent)
+				}
+			} else if firstErr == nil {
+				firstErr = err
+				failed.Store(true)
+			}
+			mu.Unlock()
+		}
+	}
+	wg.Add(workers - 1)
+	for w := 1; w < workers; w++ {
 		invariant.Go("core-fetch-worker", func() {
 			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(spans) {
-					return
-				}
-				if err := d.fetchSpan(ext, spans[i], p, epoch); err != nil {
-					mu.Lock()
-					if errors.Is(err, objstore.ErrNotFound) {
-						notFound = err
-						for _, r := range spans[i].runs {
-							retry = append(retry, r.Extent)
-						}
-					} else if firstErr == nil {
-						firstErr = err
-					}
-					mu.Unlock()
-				}
-			}
+			work()
 		})
 	}
+	work()
 	wg.Wait()
 	if firstErr != nil {
 		return nil, firstErr
-	}
-	return retry, notFound
-}
-
-// fetchSpansSerial is the workers<=1 path without goroutine overhead;
-// backend GETs are still bounded by the store-wide fetcher pool.
-func (d *Disk) fetchSpansSerial(ext block.Extent, spans []span, p []byte, epoch uint64) ([]block.Extent, error) {
-	var retry []block.Extent
-	var notFound error
-	for _, sp := range spans {
-		if err := d.fetchSpan(ext, sp, p, epoch); err != nil {
-			if errors.Is(err, objstore.ErrNotFound) {
-				notFound = err
-				for _, r := range sp.runs {
-					retry = append(retry, r.Extent)
-				}
-				continue
-			}
-			return nil, err
-		}
 	}
 	return retry, notFound
 }

@@ -19,10 +19,15 @@ func settle(t *testing.T) {
 	}
 }
 
+// TestGateBoundsConcurrency: twenty acquirers of a 3-slot gate, each
+// holding its slot until told to let go. Once they have all parked,
+// exactly three hold; releasing one at a time, and settling after each,
+// keeps three holding and never lets a fourth in.
 func TestGateBoundsConcurrency(t *testing.T) {
 	g := NewGate(3)
 	g.Register("a")
 	var cur, max atomic.Int64
+	letGo := make(chan struct{})
 	var wg sync.WaitGroup
 	for i := 0; i < 20; i++ {
 		wg.Add(1)
@@ -36,10 +41,21 @@ func TestGateBoundsConcurrency(t *testing.T) {
 					break
 				}
 			}
-			time.Sleep(time.Millisecond)
+			<-letGo
 			cur.Add(-1)
 			g.Release("a")
 		}()
+	}
+	settle(t)
+	if n := cur.Load(); n != 3 {
+		t.Fatalf("%d of 20 acquirers hold a 3-slot gate once parked, want 3", n)
+	}
+	for left := 20; left > 0; left-- {
+		letGo <- struct{}{}
+		settle(t)
+		if n := cur.Load(); n != int64(min(3, left-1)) {
+			t.Fatalf("%d hold with %d acquirers left, capacity 3", n, left-1)
+		}
 	}
 	wg.Wait()
 	if m := max.Load(); m > 3 {

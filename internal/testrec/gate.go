@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -98,20 +99,33 @@ func (g *Gate) Open() {
 // blocked in a select that includes a timer counts as blocked; the
 // caller's program must not have one. Settle fails if the program has
 // not settled within d.
+//
+// A dump stops the world and formats every goroutine's stack, so Settle
+// takes none while the program visibly moves: while the number of
+// goroutines or of recorded operations has changed since it last
+// looked. That only saves dumps; the dump alone decides.
 func Settle(d time.Duration) error {
 	deadline := time.Now().Add(d)
-	buf := make([]byte, 64<<10)
+	buf := dumpBufs.Get().(*[]byte)
+	defer dumpBufs.Put(buf)
+	last := activity()
 	for spins := 16; ; spins = min(2*spins, 1024) {
-		// A dump stops the world: give the program its turns first.
+		// Give the program its turns first.
 		for range spins {
 			runtime.Gosched()
 		}
-		n := runtime.Stack(buf, true)
-		if n == len(buf) {
-			buf = make([]byte, 2*len(buf))
+		now := activity()
+		if now != last && spins < 1024 && time.Now().Before(deadline) {
+			last = now
 			continue
 		}
-		busy := busyGoroutine(buf[:n])
+		last = now
+		n := runtime.Stack(*buf, true)
+		if n == len(*buf) {
+			*buf = make([]byte, 2*len(*buf))
+			continue
+		}
+		busy := busyGoroutine((*buf)[:n])
 		if busy == nil {
 			return nil
 		}
@@ -121,6 +135,18 @@ func Settle(d time.Duration) error {
 	}
 }
 
+// dumpBufs keeps Settle's dump buffers: a schedule explorer settles tens
+// of thousands of times, and a fresh 64 KiB buffer each time was most of
+// its garbage.
+var dumpBufs = sync.Pool{New: func() any { b := make([]byte, 64<<10); return &b }}
+
+// recorded counts the operations and notes of every Clock.
+var recorded atomic.Uint64
+
+// activity is what Settle watches between dumps: a goroutine that
+// starts, exits or records an operation is not settled.
+func activity() [2]uint64 { return [2]uint64{uint64(runtime.NumGoroutine()), recorded.Load()} }
+
 // blockedStates are the goroutine states, as a stack dump prints them,
 // in which only another goroutine can wake it. "semacquire" is not one:
 // the runtime's own semaphores, such as a GC phase's, print it too.
@@ -128,6 +154,13 @@ var blockedStates = []string{
 	"chan receive", "chan send", "select",
 	"sync.Cond.Wait", "sync.Mutex.Lock", "sync.RWMutex.Lock", "sync.RWMutex.RLock", "sync.WaitGroup.Wait",
 }
+
+// idleLoops are the runtime's own loops that wait outside blockedStates
+// and that nothing of the program's wakes: os/signal's, for a signal in
+// a system call, and those of the test binary's CPU profiler and
+// execution tracer (-cpuprofile, -trace), which sleep or read between
+// samples.
+var idleLoops = []string{"os/signal.signal_recv", "runtime/pprof.profileWriter", "runtime/trace.Start.func1"}
 
 // busyGoroutine returns the first goroutine of a dump, after the
 // caller's, that is not blocked, or nil.
@@ -138,8 +171,7 @@ func busyGoroutine(dump []byte) []byte {
 		_, state, _ := bytes.Cut(head, []byte(" ["))
 		state, _, _ = bytes.Cut(state, []byte("]"))
 		state, _, _ = bytes.Cut(state, []byte(","))
-		// os/signal's loop waits for a signal in a system call.
-		if !slices.Contains(blockedStates, string(state)) && !bytes.Contains(g, []byte("os/signal.signal_recv")) {
+		if !slices.Contains(blockedStates, string(state)) && !slices.ContainsFunc(idleLoops, func(f string) bool { return bytes.Contains(g, []byte(f)) }) {
 			return g
 		}
 	}

@@ -99,6 +99,7 @@ func NewClock() *Clock { return &Clock{changed: make(chan struct{})} }
 func (c *Clock) add(op Op) Op {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	recorded.Add(1)
 	op.Stamp = uint64(len(c.log)) + 1
 	c.log = append(c.log, op)
 	close(c.changed)

@@ -5,9 +5,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"maps"
 	"math/rand"
 	"runtime"
+	"runtime/pprof"
+	"runtime/trace"
 	"slices"
 	"strings"
 	"sync/atomic"
@@ -464,6 +467,22 @@ func TestSettleFailsWithinItsBound(t *testing.T) {
 		t.Fatalf("Settle failed after %v, bound 100ms", took)
 	}
 	if err := Settle(10 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestSettleUnderProfilers: the CPU profiler and the execution tracer
+// of a test binary run with -cpuprofile or -trace have goroutines of
+// their own, which sleep or read between samples; Settle settles beside
+// them. Each is started here unless the flags have started it already.
+func TestSettleUnderProfilers(t *testing.T) {
+	if err := pprof.StartCPUProfile(io.Discard); err == nil {
+		defer pprof.StopCPUProfile()
+	}
+	if err := trace.Start(io.Discard); err == nil {
+		defer trace.Stop()
+	}
+	if err := Settle(2 * time.Second); err != nil {
 		t.Fatal(err)
 	}
 }
