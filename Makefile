@@ -69,10 +69,13 @@ test:
 race:
 	LSVD_FAULT_SEED=1 $(GO) test -race $(RACE_PKGS) ./internal/invariant
 
-# Recovery torture harness (§3.4 under injected backend faults): the
-# pinned seed keeps CI deterministic, the second run sweeps a hostile
-# 35% per-op failure rate. Override LSVD_FAULT_{SEED,RATE,ITERS} to
-# explore. The cache crash enumeration opens every prefix of a scripted
+# Recovery torture harness (§3.4 under injected backend faults): each
+# iteration is a seeded walk on one gate (DESIGN.md §5), so a seed is one
+# run; the second run sweeps a hostile 35% per-op failure rate. Override
+# LSVD_FAULT_{SEED,RATE,ITERS} to explore. A failing iteration prints one
+# line, LSVD_TORTURE_REPLAY='{"TestX", seed, []string{choices}}' go test
+# -run '^TestX$$' ./internal/consistency, that replays exactly its walk.
+# The cache crash enumeration opens every prefix of a scripted
 # workload's device trace with each way its unflushed pages can be lost
 # (tier-1 runs it once); here it runs twenty times under the race
 # detector, each run a different interleaving of the same script; at up
@@ -83,9 +86,9 @@ race:
 # owed super failing at open, a GC read across a reap, objects landing
 # behind one in flight) run twenty times under the race detector beside
 # the other block-store races, and the exploration itself runs once at
-# preemption bound 3 (LSVD_FAULT_PREEMPT; tier-1 runs bound 2), where it
-# takes minutes. The fences and shutdown race each other's writers: a
-# snapshot and a checkpoint under a continuous writer, Close and Kill
+# preemption bound 3 (LSVD_FAULT_PREEMPT; tier-1 runs bound 2). The
+# fences and shutdown race each other's writers: a snapshot and a
+# checkpoint under a continuous writer, Close and Kill
 # against parked writers, a commit or a wrapping reserve that arrives
 # after the cache is quiesced must be refused, and a GC object parked in
 # its PUT must hold back every commit behind it while appends go on. The

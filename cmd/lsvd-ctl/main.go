@@ -59,9 +59,10 @@ func main() {
 		log.Fatal(err)
 	}
 	// Meter every backend op this invocation performs, so the
-	// host-aggregate line reports real GET/PUT counts.
+	// host-aggregate line reports real GET/PUT counts, and retry
+	// transient failures under the default policy.
 	meter := &objstore.Metered{Inner: dirStore}
-	var store objstore.Store = meter
+	var store objstore.Store = objstore.NewRetrier(meter, objstore.RetryPolicy{})
 	ctx := context.Background()
 
 	openVol := func(name string) *blockstore.Store {

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -151,6 +152,72 @@ func TestDesignChecksExist(t *testing.T) {
 	}
 	if cited == 0 {
 		t.Fatal("found no cited checks at all; the pattern is broken")
+	}
+}
+
+// timerFuncs are the time package's functions that start a timer or
+// wait on one.
+var timerFuncs = map[string]bool{"Sleep": true, "After": true, "AfterFunc": true, "NewTimer": true, "NewTicker": true, "Tick": true}
+
+// clockFree are where a timer may bypass objstore.Clock: test helpers
+// (testrec, testleak), the experiments, which pace simulated clients in
+// real time, and the clock of real time itself.
+var clockFree = []string{"internal/testrec/", "internal/testleak/", "internal/experiments/", "internal/objstore/clock.go"}
+
+// TestTimersUseTheClock: no non-test Go source outside clockFree starts
+// a timer or sleeps on its own. The product's timers go through
+// objstore.Clock (DESIGN.md §11.4), so a test can hold and fire each
+// one as an event.
+func TestTimersUseTheClock(t *testing.T) {
+	fset := token.NewFileSet()
+	found := 0
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && path != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata" || d.Name() == "benchmark") {
+			return filepath.SkipDir
+		}
+		if d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		pkg := ""
+		for _, imp := range f.Imports {
+			if imp.Path.Value == `"time"` {
+				pkg = "time"
+				if imp.Name != nil {
+					pkg = imp.Name.Name
+				}
+			}
+		}
+		if pkg == "" {
+			return nil
+		}
+		exempt := slices.ContainsFunc(clockFree, func(p string) bool { return strings.HasPrefix(filepath.ToSlash(path), p) })
+		ast.Inspect(f, func(n ast.Node) bool {
+			sel, ok := n.(*ast.SelectorExpr)
+			if !ok {
+				return true
+			}
+			if id, ok := sel.X.(*ast.Ident); ok && id.Name == pkg && timerFuncs[sel.Sel.Name] {
+				found++
+				if !exempt {
+					t.Errorf("%s: time.%s bypasses objstore.Clock", fset.Position(sel.Pos()), sel.Sel.Name)
+				}
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if found == 0 {
+		t.Fatal("found no timer at all, not even the clock's own; the walk is broken")
 	}
 }
 

@@ -133,7 +133,7 @@ func TestAsyncCommitStaysInOrder(t *testing.T) {
 // be lost — the Seal fence resubmits it and succeeds.
 func TestAsyncUploadFailureRetriedBySeal(t *testing.T) {
 	rs := testrec.NewStore(objstore.NewMem())
-	s := newVolume(t, rs, Config{BatchBytes: 32 * 1024, UploadDepth: 2, CheckpointEvery: 1 << 30})
+	s := newVolume(t, objstore.NewRetrier(rs, objstore.RetryPolicy{}), Config{BatchBytes: 32 * 1024, UploadDepth: 2, CheckpointEvery: 1 << 30})
 
 	ext := block.Extent{LBA: 0, Sectors: 64}
 	data := payload(7, int(ext.Bytes()))

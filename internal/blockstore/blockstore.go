@@ -88,13 +88,6 @@ type Config struct {
 	// UploadGate, the gate that enforces it, or, for a store given none,
 	// DefaultUploadDepth, which then sizes its private gate.
 	UploadDepth int
-	// Retry is the backend retry policy. setDefaults wraps Store in an
-	// objstore.Retrier with it, so every backend operation — reads, GC
-	// fetches, recovery, uploads — retries transient failures under one
-	// policy; the upload pipeline's per-fence resubmission budget is
-	// Retry.Attempts() as well. MaxAttempts < 0 disables wrapping.
-	Retry objstore.RetryPolicy
-
 	// UploadGate, when non-nil, replaces the store-private upload gate
 	// with a shared iosched.Gate: a multi-volume host imposes ONE global
 	// PUT budget while the gate guarantees each registered volume a
@@ -134,11 +127,6 @@ func (c *Config) setDefaults() {
 	}
 	if c.UploadDepth <= 0 {
 		c.UploadDepth = DefaultUploadDepth
-	}
-	if c.Retry.MaxAttempts >= 0 && c.Store != nil {
-		if _, ok := c.Store.(*objstore.Retrier); !ok {
-			c.Store = objstore.NewRetrier(c.Store, c.Retry)
-		}
 	}
 }
 

@@ -379,7 +379,8 @@ func TestRecoveryPrefixRuleDeletesStranded(t *testing.T) {
 }
 
 func TestGCReclaimsSpaceAndPreservesData(t *testing.T) {
-	store := objstore.NewMem()
+	store := testrec.NewStore(objstore.NewMem())
+	g := idleTimers(t, store)
 	s := newVolume(t, store, Config{
 		BatchBytes: 128 * 1024, GCLowWater: 0.70, GCHighWater: 0.75,
 		CheckpointEvery: 8,
@@ -408,7 +409,7 @@ func TestGCReclaimsSpaceAndPreservesData(t *testing.T) {
 	// Collection is the paced service's, behind the writes: let it reach
 	// the watermark, then stop it so nothing but this test touches the
 	// backend while the volume is reopened below.
-	waitFor(t, "the GC service to reach the low-water mark", func() bool { return s.Utilization() >= 0.70 })
+	trickle(t, g, "return to the low-water mark", 1000, func() bool { return s.Utilization() >= 0.70 })
 	s.StopGC()
 	if err := s.Checkpoint(); err != nil { // release pending deletes
 		t.Fatal(err)

@@ -155,7 +155,7 @@ func TestFailedSuperIsOwedNotQueued(t *testing.T) {
 	}
 	s.Abort()
 
-	s2, err := Open(ctx, Config{Volume: "vol", Store: mem, Retry: objstore.RetryPolicy{MaxAttempts: -1}})
+	s2, err := Open(ctx, Config{Volume: "vol", Store: mem})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +248,7 @@ func TestShipFeedCheckpointBeforeObjectsBehindIt(t *testing.T) {
 // and wakes no one, so the fence must not wait for a wake-up.
 func TestFenceReturnsWhenAbortLandsOnOwedSuper(t *testing.T) {
 	rs := testrec.NewStore(objstore.NewMem())
-	s := newVolume(t, rs, Config{CheckpointEvery: 1 << 30, Retry: objstore.RetryPolicy{MaxAttempts: 3}})
+	s := newVolume(t, objstore.NewRetrier(rs, objstore.RetryPolicy{MaxAttempts: 3}), Config{CheckpointEvery: 1 << 30})
 	p := rs.Park(testrec.Super)
 	fenced := make(chan error, 1)
 	go func() { fenced <- s.Checkpoint() }()

@@ -8,6 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"runtime"
 	"slices"
 	"strconv"
 	"strings"
@@ -73,59 +74,9 @@ func enumSlot(slot int) block.Extent {
 
 const enumSlots = 6
 
-// enumChoice is one deviation of a schedule from the default: at step,
-// release the held operation labelled op, failed before it applies if
-// fail, or, if late, failed to its caller and applied when the held
-// "put-late" operation it leaves is released (testrec.Store.ReleaseLate).
-type enumChoice struct {
-	step int
-	op   string
-	fail bool
-	late bool
-}
-
-func (c enumChoice) String() string {
-	switch {
-	case c.fail:
-		return fmt.Sprintf("%d fail %s", c.step, c.op)
-	case c.late:
-		return fmt.Sprintf("%d late %s", c.step, c.op)
-	}
-	return fmt.Sprintf("%d %s", c.step, c.op)
-}
-
-// parseChoices reads a schedule printed by enumChoice.String.
-func parseChoices(row []string) ([]enumChoice, error) {
-	var sched []enumChoice
-	for _, s := range row {
-		n, op, _ := strings.Cut(s, " ")
-		step, err := strconv.Atoi(n)
-		if err != nil {
-			return nil, fmt.Errorf("choice %q: %v", s, err)
-		}
-		op, fail := strings.CutPrefix(op, "fail ")
-		op, late := strings.CutPrefix(op, "late ")
-		sched = append(sched, enumChoice{step, op, fail, late})
-	}
-	return sched, nil
-}
-
 // enumRow prints a schedule as a row of enumRegressions.
-func enumRow(sched []enumChoice) string {
-	q := make([]string, len(sched))
-	for i, c := range sched {
-		q[i] = strconv.Quote(c.String())
-	}
-	return fmt.Sprintf(`{"name", []string{%s}, nil, false, nil},`, strings.Join(q, ", "))
-}
-
-// label names a held operation in a schedule; a range GET by its
-// offset too.
-func label(op testrec.Op) string {
-	if op.Kind == testrec.GetRange {
-		return fmt.Sprintf("%v@%d", op, op.Off)
-	}
-	return op.String()
+func enumRow(sched []testrec.Choice) string {
+	return fmt.Sprintf(`{"name", %s, nil, false, nil},`, testrec.Quote(sched))
 }
 
 // enumRun is one run of the script under one schedule.
@@ -143,89 +94,23 @@ type enumRun struct {
 	failed  string     // the script's error: a violation
 }
 
-// runSchedule runs the script with workload play under sched. Its
-// error is its own: a settle that did not come, a script stuck with
-// nothing held, or a schedule the run diverged from.
-func runSchedule(play func(*enumRun) error, sched []enumChoice) (*enumRun, error) {
+// runSchedule runs the script with workload play under sched
+// (testrec.Run). Its error is the run's own: a settle that did not come,
+// a script stuck with nothing held, or a schedule the run diverged from.
+func runSchedule(play func(*enumRun) error, sched []testrec.Choice) (*enumRun, error) {
 	r := &enumRun{rs: testrec.NewStore(objstore.NewMem())}
 	r.rs.Keep = true
 	r.g = r.rs.Gate(testrec.Kinds(testrec.Put, testrec.Delete, testrec.GetRange))
-	done := make(chan error, 1)
-	go func() { done <- r.script(play) }()
-	arrived := map[*testrec.Held]int{}
-	for step := 0; ; {
-		if err := testrec.Settle(enumSettle); err != nil {
-			r.g.Open()
-			return r, err
-		}
-		var order []*testrec.Held
-		var script *testrec.Held
-		for _, h := range r.g.Held() {
-			if _, ok := arrived[h]; !ok {
-				arrived[h] = step
-			}
-			if h.Kind == testrec.Note && h.Name == "script" {
-				script = h
-			} else {
-				order = append(order, h)
-			}
-		}
-		if script != nil {
-			r.g.Release(script, nil) // the script asked to go on once settled
-			continue
-		}
-		if len(order) == 0 {
-			select {
-			case err := <-done:
-				if err != nil {
-					r.failed = err.Error()
-				}
-				if len(sched) > 0 {
-					return r, fmt.Errorf("the run ended at step %d, before the deviation %v", step, sched[0])
-				}
-				return r, nil
-			default:
-				r.g.Open()
-				return r, fmt.Errorf("stuck at step %d: the script waits and nothing is held", step)
-			}
-		}
-		slices.SortStableFunc(order, func(a, b *testrec.Held) int {
-			if d := arrived[a] - arrived[b]; d != 0 {
-				return d
-			}
-			return strings.Compare(label(a.Op), label(b.Op))
-		})
-		labels := make([]string, len(order))
-		for i, h := range order {
-			labels[i] = label(h.Op)
-		}
-		r.steps = append(r.steps, labels)
-		pick, err := order[0], error(nil)
-		if len(sched) > 0 && sched[0].step == step {
-			c := sched[0]
-			sched = sched[1:]
-			i := slices.Index(labels, c.op)
-			if i < 0 {
-				r.g.Open()
-				return r, fmt.Errorf("diverged at step %d: %q is not held, %q are", step, c.op, labels)
-			}
-			if pick = order[i]; c.fail {
-				err = testrec.ErrFault
-			}
-			if c.late {
-				r.rs.ReleaseLate(r.g, pick)
-				step++
-				continue
-			}
-		}
-		r.g.Release(pick, err)
-		step++
+	run, err := testrec.Run(r.g, enumSettle, func() error { return r.script(play) }, sched, nil)
+	r.steps = run.Steps
+	if run.Failed != nil {
+		r.failed = run.Failed.Error()
 	}
+	return r, err
 }
 
 // sync holds the script until every goroutine has settled.
-// runSchedule releases a "script" hold with nil.
-func (r *enumRun) sync() { _ = r.g.Hold("script", 0) }
+func (r *enumRun) sync() { _ = r.g.Hold(testrec.ScriptNote, 0) }
 
 // spawn runs op on an actor goroutine of its own, lets it run until it
 // blocks, and returns where its error arrives (wait).
@@ -363,7 +248,7 @@ func (r *enumRun) play() error {
 		r.s, err = Create(ctx, Config{
 			Volume: "vol", Store: r.rs, VolSectors: volSectors,
 			BatchBytes: enumSlot(0).Bytes(), UploadDepth: 1, UploadGate: iosched.NewGate(16),
-			CheckpointEvery: 4, GCHighWater: 0.99, Retry: objstore.RetryPolicy{MaxAttempts: -1},
+			CheckpointEvery: 4, GCHighWater: 0.99,
 			Replicated: true, OnDestage: func(w uint64) { r.rs.Note("destage", int64(w)) },
 		})
 		return err
@@ -494,8 +379,8 @@ func stalePutAfterList(r *enumRun) error {
 	cfg := Config{ // play's pipeline pairing
 		Volume: "vol", Store: r.rs, VolSectors: volSectors,
 		BatchBytes: enumSlot(0).Bytes(), UploadDepth: 1, UploadGate: iosched.NewGate(16),
-		CheckpointEvery: 1 << 30, Retry: objstore.RetryPolicy{MaxAttempts: -1},
-		OnDestage: func(w uint64) { r.rs.Note("destage", int64(w)) },
+		CheckpointEvery: 1 << 30,
+		OnDestage:       func(w uint64) { r.rs.Note("destage", int64(w)) },
 	}
 	var err error
 	if r.s, err = Create(ctx, cfg); err != nil {
@@ -704,7 +589,7 @@ func (c *enumCheck) owedSuper(r *enumRun, stamp, acked uint64) string {
 	var err error
 	if err := inOrder(rec, func() {
 		s, err = Open(ctx, Config{
-			Volume: "vol", Store: rec, BatchBytes: enumSlot(0).Bytes(), Retry: objstore.RetryPolicy{MaxAttempts: -1},
+			Volume: "vol", Store: rec, BatchBytes: enumSlot(0).Bytes(),
 			OnDestage: func(w uint64) { rec.Note("destage", int64(w)) },
 		})
 	}); err != nil {
@@ -817,7 +702,7 @@ func inOrder(rec *testrec.Store, fn func()) error {
 				return errors.New("a check's open waits and nothing is held")
 			}
 		}
-		g.Release(slices.MinFunc(held, func(a, b *testrec.Held) int { return strings.Compare(label(a.Op), label(b.Op)) }), nil)
+		g.Release(slices.MinFunc(held, func(a, b *testrec.Held) int { return strings.Compare(testrec.Label(a.Op), testrec.Label(b.Op)) }), nil)
 	}
 }
 
@@ -827,7 +712,7 @@ func inOrder(rec *testrec.Store, fn func()) error {
 // the super lists as of the first snap, the backend must hold exactly
 // the object table and the utilization audit must pass.
 func enumOpen(store objstore.Store, writes []enumWrite, snap int, durable uint64) (*Store, string) {
-	s, err := Open(ctx, Config{Volume: "vol", Store: store, Retry: objstore.RetryPolicy{MaxAttempts: -1}})
+	s, err := Open(ctx, Config{Volume: "vol", Store: store})
 	if err != nil {
 		return nil, fmt.Sprintf("open: %v", err)
 	}
@@ -839,7 +724,7 @@ func enumOpen(store objstore.Store, writes []enumWrite, snap int, durable uint64
 		return s, v
 	}
 	for _, sn := range s.Snapshots() {
-		m, err := OpenSnapshot(ctx, Config{Volume: "vol", Store: store, Retry: objstore.RetryPolicy{MaxAttempts: -1}}, sn.Name)
+		m, err := OpenSnapshot(ctx, Config{Volume: "vol", Store: store}, sn.Name)
 		if err != nil {
 			return s, fmt.Sprintf("snapshot %q: %v", sn.Name, err)
 		}
@@ -939,6 +824,8 @@ var enumRegressions = []enumRegression{
 // writes, a consistent prefix, every listed snapshot mountable as of its
 // writes and a backend that matches its object table.
 func TestBackendCrashEnumeration(t *testing.T) {
+	// On one P, testrec.Run settles most steps without a stack dump.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	t.Run("regression", func(t *testing.T) {
 		var groups []string
 		for _, row := range enumRegressions {
@@ -962,7 +849,7 @@ func TestBackendCrashEnumeration(t *testing.T) {
 		bound := enumBound(t)
 		c := newEnumCheck()
 		type job struct {
-			sched []enumChoice
+			sched []testrec.Choice
 			fail  bool // a super PUT is released failed
 		}
 		stack := []job{{}}
@@ -985,15 +872,15 @@ func TestBackendCrashEnumeration(t *testing.T) {
 			}
 			from := 0
 			if n := len(j.sched); n > 0 {
-				from = j.sched[n-1].step + 1
+				from = j.sched[n-1].Step + 1
 			}
 			for k := from; k < len(r.steps); k++ {
 				for i, op := range r.steps[k] {
 					if i > 0 && !(isDelete(op) && isDelete(r.steps[k][0])) {
-						stack = append(stack, job{append(slices.Clip(j.sched), enumChoice{step: k, op: op}), j.fail})
+						stack = append(stack, job{append(slices.Clip(j.sched), testrec.Choice{Step: k, Op: op}), j.fail})
 					}
 					if i == 0 && !j.fail && op == "put "+superName("vol") {
-						stack = append(stack, job{append(slices.Clip(j.sched), enumChoice{step: k, op: op, fail: true}), true})
+						stack = append(stack, job{append(slices.Clip(j.sched), testrec.Choice{Step: k, Op: op, Fail: true}), true})
 					}
 				}
 			}
@@ -1009,7 +896,7 @@ func TestBackendCrashEnumeration(t *testing.T) {
 // regress runs one regression row: its schedule must pass every check,
 // and its log must show the race the row exists for.
 func regress(t *testing.T, row enumRegression) {
-	sched, err := parseChoices(row.sched)
+	sched, err := testrec.ParseChoices(row.sched)
 	if err != nil {
 		t.Fatal(err)
 	}

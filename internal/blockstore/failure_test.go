@@ -116,8 +116,7 @@ func TestCreateAndCloneProbeErrorIsNotAbsence(t *testing.T) {
 	mem := objstore.NewMem()
 	gs := testrec.NewStore(mem)
 	probe := func(vol string) testrec.Match { return testrec.Kinds(testrec.Get).Named(superName(vol)).Once() }
-	noRetry := objstore.RetryPolicy{MaxAttempts: -1}
-	s := newVolume(t, gs, Config{Retry: noRetry})
+	s := newVolume(t, gs, Config{})
 	ext := block.Extent{LBA: 0, Sectors: 64}
 	data := payload(7, int(ext.Bytes()))
 	_ = s.Append(1, ext, data)
@@ -126,7 +125,7 @@ func TestCreateAndCloneProbeErrorIsNotAbsence(t *testing.T) {
 	}
 	stillThere := func(what string) {
 		t.Helper()
-		s2, err := Open(ctx, Config{Volume: "vol", Store: gs, Retry: noRetry})
+		s2, err := Open(ctx, Config{Volume: "vol", Store: gs})
 		if err != nil {
 			t.Fatalf("after %s: %v", what, err)
 		}
@@ -136,12 +135,12 @@ func TestCreateAndCloneProbeErrorIsNotAbsence(t *testing.T) {
 	}
 
 	gs.Fail(probe("vol"), errProbe)
-	if _, err := Create(ctx, Config{Volume: "vol", Store: gs, VolSectors: volSectors, Retry: noRetry}); !errors.Is(err, errProbe) {
+	if _, err := Create(ctx, Config{Volume: "vol", Store: gs, VolSectors: volSectors}); !errors.Is(err, errProbe) {
 		t.Fatalf("Create over a failed probe: %v", err)
 	}
 	stillThere("Create")
 
-	if err := Clone(ctx, Config{Volume: "vol", Store: gs, Retry: noRetry}, "golden", "twin"); err != nil {
+	if err := Clone(ctx, Config{Volume: "vol", Store: gs}, "golden", "twin"); err != nil {
 		t.Fatal(err)
 	}
 	twin, err := mem.Get(ctx, superName("twin"))
@@ -149,13 +148,13 @@ func TestCreateAndCloneProbeErrorIsNotAbsence(t *testing.T) {
 		t.Fatal(err)
 	}
 	gs.Fail(probe("twin"), errProbe)
-	if err := Clone(ctx, Config{Volume: "vol", Store: gs, Retry: noRetry}, "golden", "twin"); !errors.Is(err, errProbe) {
+	if err := Clone(ctx, Config{Volume: "vol", Store: gs}, "golden", "twin"); !errors.Is(err, errProbe) {
 		t.Fatalf("Clone over a failed probe: %v", err)
 	}
 	if after, _ := mem.Get(ctx, superName("twin")); !bytes.Equal(after, twin) {
 		t.Fatal("Clone rewrote the super of an existing volume")
 	}
-	if err := Clone(ctx, Config{Volume: "vol", Store: gs, Retry: noRetry}, "golden", "twin"); err == nil {
+	if err := Clone(ctx, Config{Volume: "vol", Store: gs}, "golden", "twin"); err == nil {
 		t.Fatal("Clone over an existing volume accepted")
 	}
 }
@@ -202,8 +201,8 @@ func TestSecondCrashAfterSuffixCheckpointKeepsPrefix(t *testing.T) {
 		t.Run(fmt.Sprintf("open-super-fails=%v", openSuperFails), func(t *testing.T) {
 			mem := objstore.NewMem()
 			rs := testrec.NewStore(mem)
-			cfg := Config{Volume: "vol", Store: rs, Retry: objstore.RetryPolicy{MaxAttempts: -1}}
-			s := newVolume(t, nil, Config{Store: rs, CheckpointEvery: 1 << 30, GCHighWater: 0.99, Retry: cfg.Retry})
+			cfg := Config{Volume: "vol", Store: rs}
+			s := newVolume(t, nil, Config{Store: rs, CheckpointEvery: 1 << 30, GCHighWater: 0.99})
 			extA, extB := block.Extent{LBA: 0, Sectors: 64}, block.Extent{LBA: 64, Sectors: 64}
 			dataA, dataB := payload(41, int(extA.Bytes())), payload(43, int(extB.Bytes()))
 			steps := []func() error{
@@ -465,7 +464,7 @@ func TestTruncatedTailObjectIsCrashGap(t *testing.T) {
 // counted.
 func TestBackendRetriesSurfaceInStats(t *testing.T) {
 	rs := testrec.NewStore(objstore.NewMem())
-	s := newVolume(t, rs, Config{})
+	s := newVolume(t, objstore.NewRetrier(rs, objstore.RetryPolicy{}), Config{})
 	ext := block.Extent{LBA: 0, Sectors: 64}
 	data := payload(31, int(ext.Bytes()))
 	_ = s.Append(1, ext, data)

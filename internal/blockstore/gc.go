@@ -274,7 +274,7 @@ func (s *Store) gcAwaitBudgetLocked(need int64) error {
 		}
 		epoch := s.gcRefills
 		grant := s.cfg.BatchBytes
-		t := time.AfterFunc(gcIdleWait, func() {
+		stop := objstore.ClockOf(s.cfg.Store).AfterFunc("gc-idle", gcIdleWait, func() {
 			s.mu.Lock()
 			if s.gcRefills == epoch {
 				s.gcBudget += grant
@@ -290,7 +290,7 @@ func (s *Store) gcAwaitBudgetLocked(need int64) error {
 			s.mu.Unlock()
 		})
 		s.gcCond.Wait()
-		t.Stop()
+		stop()
 	}
 }
 

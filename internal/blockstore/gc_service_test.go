@@ -5,6 +5,7 @@ import (
 	"errors"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -150,7 +151,6 @@ func TestDeferredDeleteResweptOnOpen(t *testing.T) {
 	// deterministically.
 	s := newVolume(t, rs, Config{
 		GCLowWater: 0, CheckpointEvery: 1 << 30,
-		Retry: objstore.RetryPolicy{MaxAttempts: -1},
 	})
 	ext := block.Extent{LBA: 0, Sectors: 128}
 	orig := payload(1, int(ext.Bytes()))
@@ -178,8 +178,7 @@ func TestDeferredDeleteResweptOnOpen(t *testing.T) {
 	// Crash: the handle is simply abandoned.
 
 	heal()
-	s2, err := Open(ctx, Config{Volume: "vol", Store: rs,
-		Retry: objstore.RetryPolicy{MaxAttempts: -1}})
+	s2, err := Open(ctx, Config{Volume: "vol", Store: rs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +208,6 @@ func TestDeferredDeleteResweepKeepsSnapshotPin(t *testing.T) {
 	store := objstore.NewMem()
 	s := newVolume(t, store, Config{
 		GCLowWater: 0, CheckpointEvery: 1 << 30,
-		Retry: objstore.RetryPolicy{MaxAttempts: -1},
 	})
 	ext := block.Extent{LBA: 0, Sectors: 128}
 	_ = s.Append(1, ext, payload(1, int(ext.Bytes())))
@@ -228,8 +226,7 @@ func TestDeferredDeleteResweepKeepsSnapshotPin(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The pin already deferred the delete; crash and reopen.
-	s2, err := Open(ctx, Config{Volume: "vol", Store: store,
-		Retry: objstore.RetryPolicy{MaxAttempts: -1}})
+	s2, err := Open(ctx, Config{Volume: "vol", Store: store})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,11 +329,11 @@ func TestGCStaleSourceNotResurrected(t *testing.T) {
 	from := rs.Now()
 	rs.Do(readA.Once(), func(testrec.Op) error {
 		parkA.Release(nil)
-		for deadline := time.Now().Add(10 * time.Second); s.DurableWriteSeq() < 4; {
-			if time.Now().After(deadline) {
-				return errors.New("D_a did not commit")
-			}
-			time.Sleep(time.Millisecond)
+		if err := testrec.Settle(10 * time.Second); err != nil {
+			return err
+		}
+		if s.DurableWriteSeq() < 4 {
+			return errors.New("D_a did not commit")
 		}
 		return nil
 	})
@@ -561,15 +558,45 @@ func TestGCObjectRidesThePipeline(t *testing.T) {
 	backendMatchesTable(t, s, rs)
 }
 
-// waitFor polls cond until it holds, failing the test after 10s.
+// waitFor waits until every goroutine has settled, then fails the test
+// unless cond holds.
 func waitFor(t *testing.T, what string, cond func() bool) {
 	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for !cond() {
-		if time.Now().After(deadline) {
-			t.Fatalf("timed out waiting for %s", what)
+	if err := testrec.Settle(10 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if !cond() {
+		t.Fatalf("settled before %s", what)
+	}
+}
+
+// idleTimers holds the timers of rs's clock, the paced GC service's
+// idle trickle among them, until trickle fires them.
+func idleTimers(t *testing.T, rs *testrec.Store) *testrec.Gate {
+	g := testrec.NewGate(rs.Clock)
+	g.Timers()
+	t.Cleanup(g.Open)
+	return g
+}
+
+// trickle fires the timers g holds, the oldest first, each once the
+// program has settled, until cond holds, and returns how many it fired;
+// it fails the test if cond does not hold after n of them, or once none
+// is held.
+func trickle(t *testing.T, g *testrec.Gate, what string, n int, cond func() bool) int {
+	t.Helper()
+	for i := 0; ; i++ {
+		if err := testrec.Settle(10 * time.Second); err != nil {
+			t.Fatal(err)
 		}
-		time.Sleep(time.Millisecond)
+		if cond() {
+			return i
+		}
+		held := g.Held()
+		if len(held) == 0 || i == n {
+			t.Fatalf("no %s after %d timers, with %d held", what, i, len(held))
+		}
+		g.Release(held[0], nil)
 	}
 }
 
@@ -581,7 +608,8 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 // in the next round and the cold half is never overwritten, so each
 // victim has survivors the collector must copy.
 func TestGCServicePacedConvergence(t *testing.T) {
-	store := objstore.NewMem()
+	store := testrec.NewStore(objstore.NewMem())
+	g := idleTimers(t, store)
 	s := newVolume(t, store, Config{
 		BatchBytes: 64 * 1024, UploadDepth: 2,
 		GCLowWater: 0.70, GCHighWater: 0.75,
@@ -613,14 +641,9 @@ func TestGCServicePacedConvergence(t *testing.T) {
 	if err := s.Seal(); err != nil {
 		t.Fatal(err)
 	}
-	// No more foreground traffic: the idle trickle must finish the job.
-	deadline := time.Now().Add(30 * time.Second)
-	for s.Utilization() < 0.70 {
-		if time.Now().After(deadline) {
-			t.Fatalf("service never converged: util %.3f, stats %+v", s.Utilization(), s.Stats())
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	// No more foreground traffic: the service converges on the budget
+	// the writes credited, and on the idle trickle if that runs out.
+	trickle(t, g, "convergence", 1000, func() bool { return s.Utilization() >= 0.70 })
 	s.StopGC()
 	if err := s.Checkpoint(); err != nil {
 		t.Fatal(err)
@@ -649,5 +672,44 @@ func TestGCServicePacedConvergence(t *testing.T) {
 		if got := readAll(t, s, ext); !bytes.Equal(got, payload(wseq, int(ext.Bytes()))) {
 			t.Fatalf("extent at %d corrupted by paced GC", lba)
 		}
+	}
+}
+
+// TestGCIdleTrickle: with no foreground traffic and an empty budget, a
+// paced pass copies only what the idle trickle grants: each of its
+// timers (held here, and fired one at a time) grants one batch, until
+// utilization is back at the low-water mark.
+func TestGCIdleTrickle(t *testing.T) {
+	rs := testrec.NewStore(objstore.NewMem())
+	g := idleTimers(t, rs)
+	var backoff atomic.Bool
+	backoff.Store(true) // the pass waits, its budget filling, while the writes go on
+	s := newVolume(t, rs, Config{
+		BatchBytes: 64 * block.SectorSize, GCLowWater: 0.90, GCHighWater: 0.95,
+		CheckpointEvery: 1 << 30, GCBackoff: backoff.Load,
+	})
+	// Each object holds a hot and a cold extent; the next object's hot
+	// extent kills the last one's, so every object but the newest is
+	// half live.
+	for w := uint64(1); w <= 16; w++ {
+		for _, ext := range []block.Extent{{LBA: 0, Sectors: 32}, {LBA: block.LBA(w) * 32, Sectors: 32}} {
+			if err := s.Append(w, ext, payload(int64(w)<<8|int64(ext.LBA), int(ext.Bytes()))); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := s.Seal(); err != nil {
+		t.Fatal(err)
+	}
+	s.mu.Lock()
+	s.gcBudget = 0
+	s.mu.Unlock()
+	backoff.Store(false)
+	fired := trickle(t, g, "collection", 100, func() bool { return s.Utilization() >= 0.90 })
+	if st := s.Stats(); fired == 0 || st.GCBytesCopied == 0 {
+		t.Fatalf("collected with %d idle grants and %d bytes copied", fired, st.GCBytesCopied)
+	}
+	if err := s.AuditUtilization(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -27,7 +27,6 @@ func churnConfig(store objstore.Store) Config {
 	return Config{
 		Store: store, BatchBytes: churnExt.Bytes(), UploadDepth: 4, CheckpointEvery: 4,
 		GCLowWater: 0.70, GCHighWater: 0.75,
-		Retry: objstore.RetryPolicy{MaxAttempts: -1},
 	}
 }
 
@@ -430,7 +429,7 @@ func killMidReapAndReopen(t *testing.T, s *Store, p *testrec.Parked, mem *objsto
 		t.Fatal("the kill stranded no victim")
 	}
 
-	s2, err := Open(ctx, Config{Volume: "vol", Store: mem, Retry: objstore.RetryPolicy{MaxAttempts: -1}})
+	s2, err := Open(ctx, Config{Volume: "vol", Store: mem})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -612,7 +611,7 @@ func backendCkpts(t *testing.T, store objstore.Store) []uint32 {
 // and clones, and deleting it lets them go.
 func TestSupersededCheckpointsDeleted(t *testing.T) {
 	mem := objstore.NewMem()
-	s := newVolume(t, mem, Config{CheckpointEvery: 1, Retry: objstore.RetryPolicy{MaxAttempts: -1}})
+	s := newVolume(t, mem, Config{CheckpointEvery: 1})
 	ext := block.Extent{LBA: 0, Sectors: 64}
 	var w uint64
 	write := func(n int) {
@@ -701,7 +700,7 @@ func TestCleanReopenDeletesNothing(t *testing.T) {
 	}
 
 	from := rs.Now()
-	s2, err := Open(ctx, Config{Volume: "vol", Store: rs, Retry: objstore.RetryPolicy{MaxAttempts: -1}})
+	s2, err := Open(ctx, Config{Volume: "vol", Store: rs})
 	if err != nil {
 		t.Fatal(err)
 	}

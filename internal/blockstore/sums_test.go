@@ -116,7 +116,7 @@ func TestEveryStoredObjectMatchesOnePass(t *testing.T) {
 	store := testrec.NewStore(objstore.NewMem())
 	store.Keep = true
 	s := newVolume(t, store, Config{BatchBytes: 256 * 1024, GCLowWater: 0.70, GCHighWater: 0.75,
-		CheckpointEvery: 1 << 30, Retry: objstore.RetryPolicy{MaxAttempts: -1}})
+		CheckpointEvery: 1 << 30})
 	s.StopGC() // passes are run by hand below
 	ws := uint64(0)
 	put := func(lba block.LBA, sectors uint32) {

@@ -25,11 +25,17 @@ import (
 
 // uploadAttempts bounds automatic resubmission of a failed upload
 // within one fence; each explicit Seal/Checkpoint grants a fresh
-// budget. It is the same knob as the backend retry policy
-// (Config.Retry), so "how hard do we try" is one setting: each PUT
-// already retries transient errors inside the Retrier, and the fence
-// resubmits a persistently failed object this many times on top.
-func (s *Store) uploadAttempts() int { return s.cfg.Retry.Attempts() }
+// budget. It is the attempt budget of the Retrier the store is given,
+// so "how hard do we try" is one setting: each PUT already retries
+// transient errors inside the Retrier, and the fence resubmits a
+// persistently failed object this many times on top. A store given no
+// Retrier tries once.
+func (s *Store) uploadAttempts() int {
+	if r, ok := s.cfg.Store.(*objstore.Retrier); ok {
+		return r.Policy().Attempts()
+	}
+	return 1
+}
 
 // inflightObj is a sealed object whose PUT has been issued (or failed
 // and awaits resubmission) but whose map commit has not yet happened.

@@ -14,7 +14,6 @@ import (
 	"lsvd/internal/core"
 	"lsvd/internal/journal"
 	"lsvd/internal/objstore"
-	"lsvd/internal/simdev"
 	"lsvd/internal/testrec"
 )
 
@@ -33,30 +32,21 @@ import (
 // checkpoint object is durable but the pointer update is lost, which
 // recovery must absorb by replaying the newer checkpoint wholesale.
 func TestCheckpointCrashTorture(t *testing.T) {
-	seed := envInt("LSVD_FAULT_SEED", 1)
 	iters := envInt("LSVD_FAULT_ITERS", 16)
 	if testing.Short() && iters > 8 {
 		iters = 8
 	}
-	for it := int64(0); it < iters; it++ {
-		it := it
-		t.Run(fmt.Sprintf("seed=%d", seed+it), func(t *testing.T) {
-			ckptCrashIteration(t, seed+it)
-		})
-		if t.Failed() {
-			break
-		}
-	}
+	torture(t, iters, ckptCrashIteration)
 }
 
-func ckptCrashIteration(t *testing.T, seed int64) {
+func ckptCrashIteration(w *walk) error {
+	seed := w.seed
 	rng := rand.New(rand.NewSource(seed))
 	mem := objstore.NewMem()
-	store := faultStore(t, "backend", mem)
-	cache := simdev.NewMem(32 * block.MiB)
+	store := w.store("backend", mem)
 	opts := core.Options{
 		HostOptions: core.HostOptions{
-			Store: store, Cache: cache, UploadDepth: 2,
+			Store: store, Cache: w.device(), UploadDepth: 2,
 			Retry: objstore.RetryPolicy{
 				MaxAttempts: 3,
 				BaseDelay:   50 * time.Microsecond,
@@ -71,21 +61,23 @@ func ckptCrashIteration(t *testing.T, seed int64) {
 	}
 	disk, err := core.Create(ctx, opts)
 	if err != nil {
-		t.Fatal(err)
+		return err
 	}
+	defer disk.Kill()
 	// Cut the backend session: from the cut on every mutation fails (the
 	// host died with the PUTs on the wire); what completed earlier stays
 	// as written. Half the seeds cut at the next super PUT, between a
 	// checkpoint object and its super — the audit below proves the super
 	// never names a checkpoint the crash swallowed; the rest once 3 to 42
-	// PUTs, Create's included, have gone through.
+	// PUTs, Create's included, have gone through. The cut is decided as
+	// each operation is released, in the walk's order.
 	puts := len(slices.DeleteFunc(store.Log(), func(op testrec.Op) bool { return op.Kind != testrec.Put || op.Done }))
 	cutAt, cut := -1, false
 	if seed%2 != 0 {
 		cutAt = 3 + rng.Intn(40)
 	}
 	mutation := testrec.Kinds(testrec.Put, testrec.Delete)
-	heal := store.Fail(func(op testrec.Op) bool {
+	heal := store.Do(testrec.Any, func(op testrec.Op) error {
 		if !cut && op.Kind == testrec.Put {
 			if cutAt < 0 {
 				cut = testrec.Super(op)
@@ -94,23 +86,26 @@ func ckptCrashIteration(t *testing.T, seed int64) {
 				puts++
 			}
 		}
-		return cut && mutation(op)
-	}, fmt.Errorf("%w: backend cut", testrec.ErrFault))
+		if cut && mutation(op) {
+			return fmt.Errorf("%w: backend cut", testrec.ErrFault)
+		}
+		return nil
+	})
 
-	w, err := NewWriter(disk)
+	wr, err := NewWriter(disk)
 	if err != nil {
-		t.Fatal(err)
+		return err
 	}
 	blocks := disk.Size() / block.BlockSize
 	for i := 0; i < 200; i++ {
 		if rng.Intn(8) == 0 {
-			err = w.Barrier()
+			err = wr.Barrier()
 		} else {
-			err = w.Write(rng.Int63n(blocks-4), 1+rng.Intn(4))
+			err = wr.Write(rng.Int63n(blocks-4), 1+rng.Intn(4))
 		}
 		if err != nil {
 			if !errors.Is(err, testrec.ErrFault) {
-				t.Fatalf("op %d failed outside the cut model: %v", i, err)
+				return fmt.Errorf("op %d failed outside the cut model: %w", i, err)
 			}
 			break
 		}
@@ -121,21 +116,20 @@ func ckptCrashIteration(t *testing.T, seed int64) {
 	// point at a checkpoint object that is present and whole.
 	raw, err := mem.Get(ctx, "vol.super")
 	if err != nil {
-		t.Fatalf("superblock missing after crash: %v", err)
+		return fmt.Errorf("superblock missing after crash: %w", err)
 	}
 	info, err := blockstore.DecodeSuperInfo(raw)
 	if err != nil {
-		t.Fatalf("superblock corrupt after crash: %v", err)
+		return fmt.Errorf("superblock corrupt after crash: %w", err)
 	}
 	obj, err := mem.Get(ctx, fmt.Sprintf("vol.%08d", info.LastCheckpoint))
 	if err != nil {
-		t.Fatalf("super names checkpoint %d but its object is missing: %v",
-			info.LastCheckpoint, err)
+		return fmt.Errorf("super names checkpoint %d but its object is missing: %w", info.LastCheckpoint, err)
 	}
 	if h, _, _, err := journal.Decode(obj, false); err != nil {
-		t.Fatalf("super-named checkpoint %d does not decode: %v", info.LastCheckpoint, err)
+		return fmt.Errorf("super-named checkpoint %d does not decode: %w", info.LastCheckpoint, err)
 	} else if h.Type != journal.TypeCheckpoint {
-		t.Fatalf("super-named object %d is %v, not a checkpoint", info.LastCheckpoint, h.Type)
+		return fmt.Errorf("super-named object %d is %v, not a checkpoint", info.LastCheckpoint, h.Type)
 	}
 
 	// Heal the backend and recover: consistent prefix, committed writes
@@ -143,20 +137,22 @@ func ckptCrashIteration(t *testing.T, seed int64) {
 	heal()
 	disk2, err := core.Open(ctx, opts)
 	if err != nil {
-		t.Fatalf("recovery failed: %v", err)
+		return fmt.Errorf("recovery failed: %w", err)
 	}
-	r, err := w.Check(disk2)
+	defer disk2.Kill()
+	r, err := wr.Check(w.checked(disk2))
 	if err != nil {
-		t.Fatal(err)
+		return err
 	}
 	if !r.Mountable {
-		t.Fatalf("image not a consistent prefix:\n  %s", strings.Join(r.Violations, "\n  "))
+		return fmt.Errorf("image not a consistent prefix:\n  %s", strings.Join(r.Violations, "\n  "))
 	}
 	if !r.CommittedPreserved {
-		t.Fatalf("committed writes lost despite surviving cache: recovered v%d < committed v%d",
-			r.RecoveredVersion, w.Committed())
+		return fmt.Errorf("committed writes lost despite surviving cache: recovered v%d < committed v%d",
+			r.RecoveredVersion, wr.Committed())
 	}
 	if err := disk2.Close(); err != nil {
-		t.Logf("close after checkpoint crash: %v", err)
+		w.t.Logf("close after checkpoint crash: %v", err)
 	}
+	return nil
 }

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -14,8 +13,8 @@ import (
 	"lsvd/internal/core"
 	"lsvd/internal/journal"
 	"lsvd/internal/objstore"
-	"lsvd/internal/simdev"
 	"lsvd/internal/testrec"
+	"lsvd/internal/vdisk"
 )
 
 // Concurrent-writer torture: several goroutines hammer one disk with
@@ -34,6 +33,9 @@ const (
 	cwSpan      = 256 // blocks per goroutine range
 	cwMaxRun    = 4   // max blocks per write/trim
 	cwFaultRate = 0.05
+	// The walk kills the disk at step cwKillMin + [0, cwKillSpan).
+	cwKillMin  = 50
+	cwKillSpan = 800
 )
 
 // cwOp is one recorded operation of a torture goroutine. Seq is the
@@ -65,14 +67,17 @@ func cwDecode(v uint64) (gid int, seq uint64) {
 }
 
 // run issues randomized ops until the disk dies under it (Kill, or an
-// exhausted retry budget — both legal crash points). The op is
-// recorded before it is issued, so an errored tail op stays in the
-// history as the "maybe applied" candidate.
-func (w *cwWriter) run(disk *core.Disk, seed int64) {
+// exhausted retry budget — both legal crash points), holding before each
+// until the walk lets it go. The op is recorded before it is issued, so
+// an errored tail op stays in the history as the "maybe applied"
+// candidate.
+func (w *cwWriter) run(disk *core.Disk, seed int64, hold func(gid int, op uint64)) {
 	rng := rand.New(rand.NewSource(seed))
 	buf := make([]byte, cwMaxRun*block.BlockSize)
-	var seq uint64
+	var seq, n uint64
 	for {
+		n++
+		hold(w.gid, n)
 		var err error
 		switch {
 		case rng.Intn(12) == 0:
@@ -113,7 +118,7 @@ func (w *cwWriter) run(disk *core.Disk, seed int64) {
 // there must be a cut c — at least the committed watermark when the
 // cache survived, at least the newest visible op always — such that
 // the owned range holds exactly the state after ops[0:c].
-func (w *cwWriter) check(disk *core.Disk, cacheSurvives bool) error {
+func (w *cwWriter) check(disk vdisk.Disk, cacheSurvives bool) error {
 	rec := make([]uint64, cwSpan)
 	buf := make([]byte, block.BlockSize)
 	var maxSeen uint64
@@ -261,31 +266,41 @@ func dumpObjects(t *testing.T, store objstore.Store, lo, hi int64) {
 // every internal invariant armed as in any build (`make race` runs it:
 // the consistency package is in RACE_PKGS).
 func TestConcurrentTorture(t *testing.T) {
-	seed := envInt("LSVD_FAULT_SEED", 1)
 	iters := envInt("LSVD_FAULT_ITERS", 12)
 	if testing.Short() && iters > 4 {
 		iters = 4
 	}
-	baseGoroutines := runtime.NumGoroutine()
-	for it := int64(0); it < iters; it++ {
-		it := it
-		t.Run(fmt.Sprintf("seed=%d", seed+it), func(t *testing.T) {
-			concurrentIteration(t, seed+it)
-		})
-		if t.Failed() {
-			break
-		}
-	}
-	waitGoroutines(t, baseGoroutines)
+	torture(t, iters, concurrentIteration)
 }
 
-func concurrentIteration(t *testing.T, seed int64) {
+// startWriters runs the torture's writers on disk, each on its own
+// range, until the walk kills the disk at a step drawn from rng, and
+// returns them once every one has stopped.
+func startWriters(w *walk, disk *core.Disk, rng *rand.Rand) []*cwWriter {
+	writers := make([]*cwWriter, cwWriters)
+	var wg sync.WaitGroup
+	for g := 0; g < cwWriters; g++ {
+		cw := &cwWriter{gid: g, base: int64(g) * cwSpan}
+		writers[g] = cw
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			cw.run(disk, w.seed*int64(cwWriters)+int64(cw.gid), w.hold)
+		}()
+	}
+	w.awaitKill(cwKillMin + rng.Intn(cwKillSpan))
+	disk.Kill()
+	wg.Wait()
+	return writers
+}
+
+func concurrentIteration(w *walk) error {
+	seed := w.seed
 	rng := rand.New(rand.NewSource(seed ^ 0x636f6e63))
-	store := faultStore(t, "backend", objstore.NewMem())
-	cache := simdev.NewMem(32 * block.MiB)
+	store := w.store("backend", objstore.NewMem())
 	opts := core.Options{
 		HostOptions: core.HostOptions{
-			Store: store, Cache: cache, UploadDepth: 2,
+			Store: store, Cache: w.device(), UploadDepth: 2,
 			Retry: objstore.RetryPolicy{
 				MaxAttempts: 16,
 				BaseDelay:   50 * time.Microsecond,
@@ -300,77 +315,75 @@ func concurrentIteration(t *testing.T, seed int64) {
 	}
 	disk, err := core.Create(ctx, opts)
 	if err != nil {
-		t.Fatal(err)
+		return err
 	}
+	defer disk.Kill()
 	disarm := store.Tear(testrec.Any.Chance(seed, cwFaultRate), seed)
 	defer disarm()
 
-	writers := make([]*cwWriter, cwWriters)
-	var wg sync.WaitGroup
-	for g := 0; g < cwWriters; g++ {
-		w := &cwWriter{gid: g, base: int64(g) * cwSpan}
-		writers[g] = w
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			w.run(disk, seed*int64(cwWriters)+int64(w.gid))
-		}()
-	}
-	time.Sleep(time.Duration(2+rng.Intn(7)) * time.Millisecond)
-	disk.Kill()
-	wg.Wait()
-	for _, w := range writers {
-		if w.err != nil {
-			t.Fatalf("writer %d failed outside the fault model: %v", w.gid, w.err)
+	writers := startWriters(w, disk, rng)
+	for _, cw := range writers {
+		if cw.err != nil {
+			return fmt.Errorf("writer %d failed outside the fault model: %w", cw.gid, cw.err)
 		}
 	}
 
 	cacheSurvives := rng.Intn(2) == 0
 	if !cacheSurvives {
-		opts.Cache = simdev.NewMem(32 * block.MiB)
+		opts.Cache = w.device()
 	}
-	disk2, err := openWithRetry(t, opts)
+	disk2, err := openWithRetry(opts)
 	if err != nil {
-		t.Fatalf("recovery failed (cacheSurvives=%v): %v", cacheSurvives, err)
+		return fmt.Errorf("recovery failed (cacheSurvives=%v): %w", cacheSurvives, err)
 	}
-	for _, w := range writers {
-		if err := w.check(disk2, cacheSurvives); err != nil {
-			t.Error(err)
-			dumpObjects(t, store, writers[3].base, writers[3].base+cwSpan)
+	defer disk2.Kill()
+	var errs []error
+	for _, cw := range writers {
+		if err := cw.check(w.checked(disk2), cacheSurvives); err != nil {
+			errs = append(errs, err)
+			dumpObjects(w.t, store, cw.base, cw.base+cwSpan)
 		}
 	}
-
-	// The recovered disk must keep working: one fresh stamped write per
-	// range, a barrier, and a read-back.
-	for _, w := range writers {
-		seq := uint64(len(w.ops)) + 1
-		buf := make([]byte, block.BlockSize)
-		stampBlock(buf, cwStamp(w.gid, seq), w.base)
-		if err := disk2.WriteAt(buf, w.base*block.BlockSize); err != nil {
-			if errors.Is(err, testrec.ErrFault) {
-				disarm()
-				_ = disk2.Close()
-				return // legal crash point; this iteration ends here
-			}
-			t.Fatalf("post-recovery write (writer %d): %v", w.gid, err)
-		}
+	if err := errors.Join(errs...); err != nil {
+		return err
 	}
-	if err := disk2.Flush(); err != nil && !errors.Is(err, testrec.ErrFault) {
-		t.Fatalf("post-recovery barrier: %v", err)
-	}
-	for _, w := range writers {
-		buf := make([]byte, block.BlockSize)
-		if err := disk2.ReadAt(buf, w.base*block.BlockSize); err != nil {
-			t.Fatalf("post-recovery read (writer %d): %v", w.gid, err)
+	if err := postRecovery(disk2, writers); err != nil {
+		if errors.Is(err, testrec.ErrFault) {
+			return nil // legal crash point; this iteration ends here
 		}
-		v, idx, ok := readStamp(buf)
-		if gid, seq := cwDecode(v); !ok || gid != w.gid || idx != w.base || seq != uint64(len(w.ops))+1 {
-			t.Fatalf("post-recovery read-back (writer %d): got stamp ok=%v v=%d idx=%d", w.gid, ok, v, idx)
-		}
+		return err
 	}
-
 	disarm() // let Close drain without injected failures
 	if err := disk2.Close(); err != nil {
-		t.Logf("close after torture: %v", err)
+		w.t.Logf("close after torture: %v", err)
 	}
+	return nil
+}
+
+// postRecovery checks that a recovered disk keeps working: one fresh
+// stamped write per range, a barrier, and a read-back. An injected
+// fault on the write ends the check: it is a legal crash point.
+func postRecovery(disk vdisk.Disk, writers []*cwWriter) error {
+	for _, cw := range writers {
+		seq := uint64(len(cw.ops)) + 1
+		buf := make([]byte, block.BlockSize)
+		stampBlock(buf, cwStamp(cw.gid, seq), cw.base)
+		if err := disk.WriteAt(buf, cw.base*block.BlockSize); err != nil {
+			return fmt.Errorf("post-recovery write (writer %d): %w", cw.gid, err)
+		}
+	}
+	if err := disk.Flush(); err != nil && !errors.Is(err, testrec.ErrFault) {
+		return fmt.Errorf("post-recovery barrier: %w", err)
+	}
+	for _, cw := range writers {
+		buf := make([]byte, block.BlockSize)
+		if err := disk.ReadAt(buf, cw.base*block.BlockSize); err != nil {
+			return fmt.Errorf("post-recovery read (writer %d): %v", cw.gid, err)
+		}
+		v, idx, ok := readStamp(buf)
+		if gid, seq := cwDecode(v); !ok || gid != cw.gid || idx != cw.base || seq != uint64(len(cw.ops))+1 {
+			return fmt.Errorf("post-recovery read-back (writer %d): got stamp ok=%v v=%d idx=%d", cw.gid, ok, v, idx)
+		}
+	}
+	return nil
 }

@@ -20,6 +20,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"slices"
 
 	"lsvd/internal/block"
 	"lsvd/internal/vdisk"
@@ -161,7 +162,14 @@ func (w *Writer) Check(d vdisk.Disk) (Report, error) {
 	stamps := make(map[int64]uint64, len(w.history))
 	buf := make([]byte, block.BlockSize)
 	var tPrime uint64
+	// In block order, so one history reads the disk in one order: a
+	// seeded walk (DESIGN.md §5) replays its reads too.
+	order := make([]int64, 0, len(w.history))
 	for b := range w.history {
+		order = append(order, b)
+	}
+	slices.Sort(order)
+	for _, b := range order {
 		if err := d.ReadAt(buf, b*block.BlockSize); err != nil {
 			return r, err
 		}

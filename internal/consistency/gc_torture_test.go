@@ -4,15 +4,12 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"runtime"
-	"sync"
 	"testing"
 	"time"
 
 	"lsvd/internal/block"
 	"lsvd/internal/core"
 	"lsvd/internal/objstore"
-	"lsvd/internal/simdev"
 	"lsvd/internal/testrec"
 )
 
@@ -24,31 +21,20 @@ import (
 // the utilization accounting stays exact across aborted passes,
 // crash-orphaned GC objects, and the open-time deferred-delete resweep.
 func TestGCTorture(t *testing.T) {
-	seed := envInt("LSVD_FAULT_SEED", 1)
 	iters := envInt("LSVD_FAULT_ITERS", 12)
 	if testing.Short() && iters > 4 {
 		iters = 4
 	}
-	baseGoroutines := runtime.NumGoroutine()
-	for it := int64(0); it < iters; it++ {
-		it := it
-		t.Run(fmt.Sprintf("seed=%d", seed+it), func(t *testing.T) {
-			gcTortureIteration(t, seed+it)
-		})
-		if t.Failed() {
-			break
-		}
-	}
-	waitGoroutines(t, baseGoroutines)
+	torture(t, iters, gcTortureIteration)
 }
 
-func gcTortureIteration(t *testing.T, seed int64) {
+func gcTortureIteration(w *walk) error {
+	seed := w.seed
 	rng := rand.New(rand.NewSource(seed ^ 0x67635f74))
-	store := faultStore(t, "backend", objstore.NewMem())
-	cache := simdev.NewMem(32 * block.MiB)
+	store := w.store("backend", objstore.NewMem())
 	opts := core.Options{
 		HostOptions: core.HostOptions{
-			Store: store, Cache: cache, UploadDepth: 2,
+			Store: store, Cache: w.device(), UploadDepth: 2,
 			Retry: objstore.RetryPolicy{
 				MaxAttempts: 16,
 				BaseDelay:   50 * time.Microsecond,
@@ -67,91 +53,65 @@ func gcTortureIteration(t *testing.T, seed int64) {
 	}
 	disk, err := core.Create(ctx, opts)
 	if err != nil {
-		t.Fatal(err)
+		return err
 	}
+	defer disk.Kill()
 	disarm := store.Tear(testrec.Any.Chance(seed, cwFaultRate), seed)
 	defer disarm()
 
-	writers := make([]*cwWriter, cwWriters)
-	var wg sync.WaitGroup
-	for g := 0; g < cwWriters; g++ {
-		w := &cwWriter{gid: g, base: int64(g) * cwSpan}
-		writers[g] = w
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			w.run(disk, seed*int64(cwWriters)+int64(w.gid))
-		}()
-	}
-	time.Sleep(time.Duration(2+rng.Intn(7)) * time.Millisecond)
-	disk.Kill()
-	wg.Wait()
-	for _, w := range writers {
-		if w.err != nil {
-			t.Fatalf("writer %d failed outside the fault model: %v", w.gid, w.err)
+	writers := startWriters(w, disk, rng)
+	for _, cw := range writers {
+		if cw.err != nil {
+			return fmt.Errorf("writer %d failed outside the fault model: %w", cw.gid, cw.err)
 		}
 	}
 
 	cacheSurvives := rng.Intn(2) == 0
 	if !cacheSurvives {
-		opts.Cache = simdev.NewMem(32 * block.MiB)
+		opts.Cache = w.device()
 	}
-	disk2, err := openWithRetry(t, opts)
+	disk2, err := openWithRetry(opts)
 	if err != nil {
-		t.Fatalf("recovery failed (cacheSurvives=%v): %v", cacheSurvives, err)
+		return fmt.Errorf("recovery failed (cacheSurvives=%v): %w", cacheSurvives, err)
 	}
-	for _, w := range writers {
-		if err := w.check(disk2, cacheSurvives); err != nil {
-			t.Error(err)
+	defer disk2.Kill()
+	var errs []error
+	for _, cw := range writers {
+		if err := cw.check(w.checked(disk2), cacheSurvives); err != nil {
+			errs = append(errs, err)
 			disarm()
-			dumpObjects(t, store, w.base, w.base+cwSpan)
+			dumpObjects(w.t, store, cw.base, cw.base+cwSpan)
 		}
 	}
 	// The counters the GC steers by must match a from-scratch recompute
 	// right after recovery — a drift here is exactly the class of bug an
 	// aborted pass or a half-done deferred delete used to leave behind.
 	if err := disk2.Backend().AuditUtilization(); err != nil {
-		t.Errorf("utilization drift after recovery: %v", err)
+		errs = append(errs, fmt.Errorf("utilization drift after recovery: %w", err))
+	}
+	if err := errors.Join(errs...); err != nil {
+		return err
 	}
 
 	// The recovered disk must keep working with the service running:
 	// stamped overwrites per range (fresh garbage for the GC), a
 	// barrier, a read-back, and a second accounting audit.
-	for _, w := range writers {
-		seq := uint64(len(w.ops)) + 1
-		buf := make([]byte, block.BlockSize)
-		stampBlock(buf, cwStamp(w.gid, seq), w.base)
-		if err := disk2.WriteAt(buf, w.base*block.BlockSize); err != nil {
-			if errors.Is(err, testrec.ErrFault) {
-				disarm()
-				_ = disk2.Close()
-				return // legal crash point; this iteration ends here
-			}
-			t.Fatalf("post-recovery write (writer %d): %v", w.gid, err)
+	if err := postRecovery(disk2, writers); err != nil {
+		if errors.Is(err, testrec.ErrFault) {
+			return nil // legal crash point; this iteration ends here
 		}
-	}
-	if err := disk2.Flush(); err != nil && !errors.Is(err, testrec.ErrFault) {
-		t.Fatalf("post-recovery barrier: %v", err)
-	}
-	for _, w := range writers {
-		buf := make([]byte, block.BlockSize)
-		if err := disk2.ReadAt(buf, w.base*block.BlockSize); err != nil {
-			t.Fatalf("post-recovery read (writer %d): %v", w.gid, err)
-		}
-		v, idx, ok := readStamp(buf)
-		if gid, seq := cwDecode(v); !ok || gid != w.gid || idx != w.base || seq != uint64(len(w.ops))+1 {
-			t.Fatalf("post-recovery read-back (writer %d): got stamp ok=%v v=%d idx=%d", w.gid, ok, v, idx)
-		}
+		return err
 	}
 	if err := disk2.Backend().AuditUtilization(); err != nil {
-		t.Errorf("utilization drift under post-recovery GC: %v", err)
+		return fmt.Errorf("utilization drift under post-recovery GC: %w", err)
 	}
 	st := disk2.Backend().Stats()
-	t.Logf("post-recovery gc: runs=%d victims=%d copied=%d yields=%d util=%.3f",
+	w.t.Logf("post-recovery gc: runs=%d victims=%d copied=%d yields=%d util=%.3f",
 		st.GCRuns, st.GCVictims, st.GCBytesCopied, st.GCYields, disk2.Backend().Utilization())
 
 	disarm() // let Close drain without injected failures
 	if err := disk2.Close(); err != nil {
-		t.Logf("close after GC torture: %v", err)
+		w.t.Logf("close after GC torture: %v", err)
 	}
+	return nil
 }

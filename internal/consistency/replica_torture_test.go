@@ -4,15 +4,12 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"runtime"
-	"sync"
 	"testing"
 	"time"
 
 	"lsvd/internal/block"
 	"lsvd/internal/core"
 	"lsvd/internal/objstore"
-	"lsvd/internal/simdev"
 	"lsvd/internal/testrec"
 )
 
@@ -49,31 +46,20 @@ const replicaLagBound = 4
 const replicaRPOSlack = 20
 
 func TestReplicaTorture(t *testing.T) {
-	seed := envInt("LSVD_FAULT_SEED", 1)
 	iters := envInt("LSVD_FAULT_ITERS", 12)
 	if testing.Short() && iters > 4 {
 		iters = 4
 	}
-	baseGoroutines := runtime.NumGoroutine()
-	for it := int64(0); it < iters; it++ {
-		it := it
-		t.Run(fmt.Sprintf("seed=%d", seed+it), func(t *testing.T) {
-			replicaIteration(t, seed+it)
-		})
-		if t.Failed() {
-			break
-		}
-	}
-	waitGoroutines(t, baseGoroutines)
+	torture(t, iters, replicaIteration)
 }
 
-func replicaIteration(t *testing.T, seed int64) {
+func replicaIteration(w *walk) error {
+	seed := w.seed
 	rng := rand.New(rand.NewSource(seed ^ 0x7265706c))
-	primary, replica := faultStore(t, "primary", objstore.NewMem()), faultStore(t, "replica", objstore.NewMem())
-	cache := simdev.NewMem(32 * block.MiB)
+	primary, replica := w.store("primary", objstore.NewMem()), w.store("replica", objstore.NewMem())
 	opts := core.Options{
 		HostOptions: core.HostOptions{
-			Store: primary, Cache: cache, UploadDepth: 2,
+			Store: primary, Cache: w.device(), UploadDepth: 2,
 			Retry: objstore.RetryPolicy{
 				MaxAttempts: 16,
 				BaseDelay:   50 * time.Microsecond,
@@ -90,8 +76,9 @@ func replicaIteration(t *testing.T, seed int64) {
 	}
 	disk, err := core.Create(ctx, opts)
 	if err != nil {
-		t.Fatal(err)
+		return err
 	}
+	defer disk.Kill()
 	disarmPrimary := primary.Tear(testrec.Any.Chance(seed, cwFaultRate), seed)
 	// The replica backend faults harder than the primary: the shipper
 	// must absorb the asymmetry via retries and, past the lag bound,
@@ -100,25 +87,12 @@ func replicaIteration(t *testing.T, seed int64) {
 	defer disarmPrimary()
 	defer disarmReplica()
 
-	writers := make([]*cwWriter, cwWriters)
-	var wg sync.WaitGroup
-	for g := 0; g < cwWriters; g++ {
-		w := &cwWriter{gid: g, base: int64(g) * cwSpan}
-		writers[g] = w
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			w.run(disk, seed*int64(cwWriters)+int64(w.gid))
-		}()
-	}
-	time.Sleep(time.Duration(2+rng.Intn(7)) * time.Millisecond)
-	disk.Kill()
-	wg.Wait()
+	writers := startWriters(w, disk, rng)
 	disarmPrimary()
 	disarmReplica()
-	for _, w := range writers {
-		if w.err != nil {
-			t.Fatalf("writer %d failed outside the fault model: %v", w.gid, w.err)
+	for _, cw := range writers {
+		if cw.err != nil {
+			return fmt.Errorf("writer %d failed outside the fault model: %w", cw.gid, cw.err)
 		}
 	}
 
@@ -128,7 +102,7 @@ func replicaIteration(t *testing.T, seed int64) {
 	ropts := opts
 	ropts.Store = replica
 	ropts.ReplicaStore = nil
-	ropts.Cache = simdev.NewMem(32 * block.MiB)
+	ropts.Cache = w.device()
 	rdisk, rerr := core.Open(ctx, ropts)
 	if rerr != nil {
 		// The only legal failure is a replica that was never
@@ -137,47 +111,34 @@ func replicaIteration(t *testing.T, seed int64) {
 		// requires the super to actually be absent — anything else is a
 		// real bug.
 		if _, serr := replica.Size(ctx, "vol.super"); !errors.Is(serr, objstore.ErrNotFound) {
-			t.Fatalf("replica restore failed with super present: %v", rerr)
+			return fmt.Errorf("replica restore failed with super present: %w", rerr)
 		}
-		t.Logf("replica never bootstrapped (killed before first super shipped): %v", rerr)
+		w.t.Logf("replica never bootstrapped (killed before first super shipped): %v", rerr)
 	}
 
 	var replicaNext uint32
 	if rdisk != nil {
+		defer rdisk.Kill()
 		replicaNext = rdisk.Backend().Stats().NextSeq
 		// (1) Committed-prefix restore: the promoted replica must pass
 		// the crashed-primary audit (fresh cache ⇒ cacheSurvives=false).
-		for _, w := range writers {
-			if err := w.check(rdisk, false); err != nil {
-				t.Errorf("replica restore: %v", err)
-				dumpObjects(t, replica, w.base, w.base+cwSpan)
+		var errs []error
+		for _, cw := range writers {
+			if err := cw.check(w.checked(rdisk), false); err != nil {
+				errs = append(errs, fmt.Errorf("replica restore: %w", err))
+				dumpObjects(w.t, replica, cw.base, cw.base+cwSpan)
 			}
+		}
+		if err := errors.Join(errs...); err != nil {
+			return err
 		}
 		// (3) Liveness after failover: the promoted replica is a
-		// writable volume.
-		for _, w := range writers {
-			seq := uint64(len(w.ops)) + 1
-			buf := make([]byte, block.BlockSize)
-			stampBlock(buf, cwStamp(w.gid, seq), w.base)
-			if err := rdisk.WriteAt(buf, w.base*block.BlockSize); err != nil {
-				t.Fatalf("post-promote write (writer %d): %v", w.gid, err)
-			}
-		}
-		if err := rdisk.Flush(); err != nil {
-			t.Fatalf("post-promote barrier: %v", err)
-		}
-		for _, w := range writers {
-			buf := make([]byte, block.BlockSize)
-			if err := rdisk.ReadAt(buf, w.base*block.BlockSize); err != nil {
-				t.Fatalf("post-promote read (writer %d): %v", w.gid, err)
-			}
-			v, idx, ok := readStamp(buf)
-			if gid, seq := cwDecode(v); !ok || gid != w.gid || idx != w.base || seq != uint64(len(w.ops))+1 {
-				t.Fatalf("post-promote read-back (writer %d): ok=%v v=%d idx=%d", w.gid, ok, v, idx)
-			}
+		// writable volume (its store no longer faults).
+		if err := postRecovery(rdisk, writers); err != nil {
+			return fmt.Errorf("post-promote: %w", err)
 		}
 		if err := rdisk.Close(); err != nil {
-			t.Logf("close promoted replica: %v", err)
+			w.t.Logf("close promoted replica: %v", err)
 		}
 	}
 
@@ -186,27 +147,33 @@ func replicaIteration(t *testing.T, seed int64) {
 	// appending new objects), then check the RPO.
 	popts := opts
 	popts.ReplicaStore = nil // audit mount: no shipper
-	popts.Cache = simdev.NewMem(32 * block.MiB)
-	pdisk, err := openWithRetry(t, popts)
+	popts.Cache = w.device()
+	pdisk, err := openWithRetry(popts)
 	if err != nil {
-		t.Fatalf("primary recovery failed: %v", err)
+		return fmt.Errorf("primary recovery failed: %w", err)
 	}
+	defer pdisk.Kill()
 	primaryNext := pdisk.Backend().Stats().NextSeq
-	for _, w := range writers {
-		if err := w.check(pdisk, false); err != nil {
-			t.Error(err)
+	var errs []error
+	for _, cw := range writers {
+		if err := cw.check(w.checked(pdisk), false); err != nil {
+			errs = append(errs, err)
 		}
 	}
+	if err := errors.Join(errs...); err != nil {
+		return err
+	}
 	if err := pdisk.Close(); err != nil {
-		t.Logf("close primary: %v", err)
+		w.t.Logf("close primary: %v", err)
 	}
 
 	// (2) Bounded RPO: the primary's committed stream may run ahead of
 	// the replica's by at most the lag bound plus pipeline slack.
 	if rdisk != nil {
 		if lag := int64(primaryNext) - int64(replicaNext); lag > replicaLagBound+replicaRPOSlack {
-			t.Fatalf("RPO violated: primary at seq %d, replica at %d — lag %d > bound %d + slack %d",
+			return fmt.Errorf("RPO violated: primary at seq %d, replica at %d — lag %d > bound %d + slack %d",
 				primaryNext, replicaNext, lag, replicaLagBound, replicaRPOSlack)
 		}
 	}
+	return nil
 }

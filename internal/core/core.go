@@ -281,7 +281,21 @@ func (o *Options) setDefaults() error {
 	if o.DestageQueueDepth <= 0 {
 		o.DestageQueueDepth = 256
 	}
+	o.Store = o.retrier(o.Store)
+	if o.ReplicaStore != nil {
+		o.ReplicaStore = o.retrier(o.ReplicaStore)
+	}
 	return nil
+}
+
+// retrier wraps s in the one Retrier of Options.Retry that every door
+// hands the block store and the shipper, unless s already is one or
+// retries are off.
+func (o *Options) retrier(s objstore.Store) objstore.Store {
+	if _, ok := s.(*objstore.Retrier); ok || o.Retry.MaxAttempts < 0 {
+		return s
+	}
+	return objstore.NewRetrier(s, o.Retry)
 }
 
 // Stats aggregates counters from all three layers.
@@ -716,7 +730,6 @@ func (d *Disk) storeConfig() blockstore.Config {
 			d.stage.destaged(ws)
 			d.notifyDestage()
 		},
-		Retry:      d.opts.Retry,
 		UploadGate: d.res.UploadGate,
 		UploadID:   d.res.UploadID,
 		FetchSem:   d.res.FetchSem,
@@ -743,9 +756,6 @@ func (d *Disk) startPipeline(ctx context.Context) {
 	d.adm.start(d)
 	if !d.readOnly && d.opts.ReplicaStore != nil {
 		rs := d.opts.ReplicaStore
-		if _, ok := rs.(*objstore.Retrier); !ok && d.opts.Retry.MaxAttempts >= 0 {
-			rs = objstore.NewRetrier(rs, d.opts.Retry)
-		}
 		d.replicaWake = make(chan struct{})
 		d.shipper = replica.Start(ctx, replica.Config{
 			Backend:       d.bs,
@@ -1095,12 +1105,12 @@ func (d *Disk) enter(req destageReq) (*writecache.Reservation, error) {
 // period expires; true means progress, or that the disk is closing and
 // the retry will say so.
 func (d *Disk) awaitDestage() bool {
-	t := time.NewTimer(destageGrace)
-	defer t.Stop()
+	expired, stop := objstore.After(objstore.ClockOf(d.opts.Store), "destage-grace", destageGrace)
+	defer stop()
 	select {
 	case <-d.destageTick:
 		return true
-	case <-t.C:
+	case <-expired:
 		return false
 	case <-d.closed:
 		return true

@@ -100,7 +100,7 @@ func Simulate(ctx context.Context, spec workload.TraceSpec, mode Mode, cfg Confi
 
 	bs, err := blockstore.Create(ctx, blockstore.Config{
 		Volume:          "sim-" + spec.ID,
-		Store:           objstore.NewMemSlim(),
+		Store:           objstore.NewRetrier(objstore.NewMemSlim(), objstore.RetryPolicy{}),
 		VolSectors:      block.LBAFromBytes(volBytes),
 		BatchBytes:      cfg.BatchBytes,
 		GCHighWater:     cfg.GCHighWater, // RunGC's stop mark; the trigger is below

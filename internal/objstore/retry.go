@@ -77,6 +77,7 @@ type Retrier struct {
 	Inner Store
 
 	policy RetryPolicy
+	clock  Clock // the backoff's: the inner store's (ClockOf)
 
 	mu  sync.Mutex
 	rng *rand.Rand
@@ -89,8 +90,15 @@ func NewRetrier(inner Store, policy RetryPolicy) *Retrier {
 	return &Retrier{
 		Inner:  inner,
 		policy: policy,
+		clock:  ClockOf(inner),
 		rng:    rand.New(rand.NewSource(policy.Seed)),
 	}
+}
+
+// AfterFunc implements Clock: the wrapped store's, so the stores built
+// on a Retrier find the clock it backs off on.
+func (s *Retrier) AfterFunc(what string, d time.Duration, f func()) func() bool {
+	return s.clock.AfterFunc(what, d, f)
 }
 
 // Retries returns the number of retried attempts (attempts beyond each
@@ -110,11 +118,13 @@ func (s *Retrier) jitter(d time.Duration) time.Duration {
 	return d/2 + time.Duration(s.rng.Int63n(int64(d)/2+1))
 }
 
-// do runs op up to Attempts() times with exponential backoff between
-// tries. It returns the LAST error unchanged so callers can classify
-// it with errors.Is — including when the backoff sleep is cut short by
-// context cancellation.
-func (s *Retrier) do(ctx context.Context, op func() error) error {
+// do runs op, a kind of operation on the object name, up to Attempts()
+// times with exponential backoff between tries; the backoff's timer is
+// named after the operation, so a clock that holds timers tells the
+// retries apart. It returns the LAST error unchanged so callers can
+// classify it with errors.Is — including when the backoff sleep is cut
+// short by context cancellation.
+func (s *Retrier) do(ctx context.Context, kind, name string, op func() error) error {
 	attempts := s.policy.Attempts()
 	delay := s.policy.baseDelay()
 	maxDelay := s.policy.maxDelay()
@@ -131,9 +141,11 @@ func (s *Retrier) do(ctx context.Context, op func() error) error {
 			return err
 		}
 		s.retries.Add(1)
+		wake, stop := After(s.clock, "retry "+kind+" "+name, s.jitter(delay))
 		select {
-		case <-time.After(s.jitter(delay)):
+		case <-wake:
 		case <-ctx.Done():
+			stop()
 			return err
 		}
 		if delay < maxDelay {
@@ -147,18 +159,18 @@ func (s *Retrier) do(ctx context.Context, op func() error) error {
 
 // PutV implements VectorPutter.
 func (s *Retrier) PutV(ctx context.Context, name string, bufs [][]byte) error {
-	return s.do(ctx, func() error { return PutVec(ctx, s.Inner, name, bufs) })
+	return s.do(ctx, "put", name, func() error { return PutVec(ctx, s.Inner, name, bufs) })
 }
 
 // Put implements Store.
 func (s *Retrier) Put(ctx context.Context, name string, data []byte) error {
-	return s.do(ctx, func() error { return s.Inner.Put(ctx, name, data) })
+	return s.do(ctx, "put", name, func() error { return s.Inner.Put(ctx, name, data) })
 }
 
 // Get implements Store.
 func (s *Retrier) Get(ctx context.Context, name string) ([]byte, error) {
 	var out []byte
-	err := s.do(ctx, func() error {
+	err := s.do(ctx, "get", name, func() error {
 		var e error
 		out, e = s.Inner.Get(ctx, name)
 		return e
@@ -169,7 +181,7 @@ func (s *Retrier) Get(ctx context.Context, name string) ([]byte, error) {
 // GetRange implements Store.
 func (s *Retrier) GetRange(ctx context.Context, name string, off, length int64) ([]byte, error) {
 	var out []byte
-	err := s.do(ctx, func() error {
+	err := s.do(ctx, "get-range", name, func() error {
 		var e error
 		out, e = s.Inner.GetRange(ctx, name, off, length)
 		return e
@@ -179,13 +191,13 @@ func (s *Retrier) GetRange(ctx context.Context, name string, off, length int64) 
 
 // Delete implements Store.
 func (s *Retrier) Delete(ctx context.Context, name string) error {
-	return s.do(ctx, func() error { return s.Inner.Delete(ctx, name) })
+	return s.do(ctx, "delete", name, func() error { return s.Inner.Delete(ctx, name) })
 }
 
 // List implements Store.
 func (s *Retrier) List(ctx context.Context, prefix string) ([]string, error) {
 	var out []string
-	err := s.do(ctx, func() error {
+	err := s.do(ctx, "list", prefix, func() error {
 		var e error
 		out, e = s.Inner.List(ctx, prefix)
 		return e
@@ -196,7 +208,7 @@ func (s *Retrier) List(ctx context.Context, prefix string) ([]string, error) {
 // Size implements Store.
 func (s *Retrier) Size(ctx context.Context, name string) (int64, error) {
 	var out int64
-	err := s.do(ctx, func() error {
+	err := s.do(ctx, "size", name, func() error {
 		var e error
 		out, e = s.Inner.Size(ctx, name)
 		return e

@@ -329,14 +329,15 @@ func (s *Shipper) drainRequested() bool {
 	}
 }
 
-// sleep waits d or until Abort; returns false when aborted.
+// sleep waits d on the replica store's clock, or until Abort; returns
+// false when aborted.
 func (s *Shipper) sleep(d time.Duration) bool {
-	t := time.NewTimer(d)
-	defer t.Stop()
+	wake, stop := objstore.After(objstore.ClockOf(s.cfg.Replica), "ship-backoff", d)
+	defer stop()
 	select {
 	case <-s.quit:
 		return false
-	case <-t.C:
+	case <-wake:
 		return true
 	}
 }

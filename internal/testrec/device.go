@@ -42,6 +42,22 @@ func (d *Device) WriteAt(p []byte, off int64) error {
 	return d.do(Op{Kind: Write, Off: off, Len: int64(len(p))}, [][]byte{p}, func() error { return d.inner.WriteAt(p, off) })
 }
 
+// Vectored returns d with a vectored write (simdev.VectorWriter): each
+// vector is one write of d's log, so a gate holds a cache record's header
+// and payload as one operation. A crash enumeration that cuts records
+// apart uses d itself.
+func (d *Device) Vectored() simdev.Device { return vectored{d} }
+
+type vectored struct{ *Device }
+
+func (v vectored) WriteAtv(bufs [][]byte, off int64) error {
+	var n int64
+	for _, b := range bufs {
+		n += int64(len(b))
+	}
+	return v.do(Op{Kind: Write, Off: off, Len: n}, bufs, func() error { return simdev.WriteVec(v.inner, off, bufs...) })
+}
+
 // Flush implements simdev.Device.
 func (d *Device) Flush() error { return d.do(Op{Kind: Flush}, nil, d.inner.Flush) }
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"runtime"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -17,51 +18,117 @@ import (
 // repeats, so the order it picks is the order the operations complete
 // in, and one run is one schedule.
 type Gate struct {
-	c    *Clock
-	stop func()
+	c     *Clock
+	stops []func()
 
 	mu   sync.Mutex
 	held []*Held // in arrival order
 	open bool
 }
 
-// Held is an operation a Gate holds, as logged on arrival.
+// Held is an operation a Gate holds, as logged once the test has seen
+// it (Gate.Held).
 type Held struct {
 	Op
-	out chan error
+	Label string // Label(Op)
+	out   chan error
 }
 
 // Gate holds every operation m matches from now on; the hooks added
 // after it run once the gate has released the operation.
 func (r *recorder) Gate(m Match) *Gate {
-	g := &Gate{c: r.Clock}
-	g.stop = r.Do(m, g.wait)
+	g := NewGate(r.Clock)
+	r.Join(g, m)
 	return g
 }
 
-func (g *Gate) wait(op Op) error {
-	h := &Held{Op: op, out: make(chan error, 1)}
-	g.mu.Lock()
-	if g.open {
-		g.mu.Unlock()
-		return nil
+// NewGate returns a gate on c that holds nothing until a recorder joins
+// it (Join), a timer is held (Timers) or the test holds itself (Hold).
+func NewGate(c *Clock) *Gate { return &Gate{c: c} }
+
+// Join holds at g, too, every operation of r's that m matches from now
+// on: one gate schedules a store and a device, or two stores, that share
+// its clock.
+func (r *recorder) Join(g *Gate, m Match) {
+	if r.Clock != g.c {
+		panic("testrec: a gate schedules the recorders of one clock")
 	}
-	g.held = append(g.held, h)
-	g.mu.Unlock()
-	return <-h.out
+	g.stops = append(g.stops, r.hook(&hook{match: m, gate: g}))
+}
+
+// Timers holds every timer of the gate's clock from now on (Clock.AfterFunc).
+func (g *Gate) Timers() {
+	g.c.mu.Lock()
+	g.c.timers = g
+	g.c.mu.Unlock()
+}
+
+// wait holds op until the gate releases it, and returns it as logged.
+func (g *Gate) wait(op Op) (Op, error) {
+	h := g.hold(op)
+	err := <-h.out
+	return h.Op, err
+}
+
+// hold adds op to the held set, or, once the gate is open, logs it if it
+// is not and lets it go on.
+func (g *Gate) hold(op Op) *Held {
+	h := &Held{Op: op, Label: Label(op), out: make(chan error, 1)}
+	recorded.Add(1) // an arrival, for Settle, even before it is logged
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if g.open {
+		g.stamp([]*Held{h})
+		h.out <- nil
+	} else {
+		g.held = append(g.held, h)
+	}
+	return h
+}
+
+// stamp logs the held operations not yet logged, in label order.
+// Called with g.mu held.
+func (g *Gate) stamp(held []*Held) {
+	var fresh []*Held
+	for _, h := range held {
+		if h.Stamp == 0 {
+			fresh = append(fresh, h)
+		}
+	}
+	slices.SortStableFunc(fresh, func(a, b *Held) int { return strings.Compare(a.Label, b.Label) })
+	for _, h := range fresh {
+		h.Op = g.c.add(h.Op)
+	}
+}
+
+// drop removes h, a timer, from the held set unreleased, and reports
+// whether it was held.
+func (g *Gate) drop(h *Held) bool {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	i := slices.Index(g.held, h)
+	if i < 0 {
+		return false
+	}
+	g.held = slices.Delete(g.held, i, i+1)
+	h.out <- errStopped
+	return true
 }
 
 // Hold logs a note, label v, and holds the calling goroutine as an
 // operation of the note's until it is released, with the error it is
 // released with.
 func (g *Gate) Hold(label string, v int64) error {
-	return g.wait(g.c.add(Op{Kind: Note, Name: label, Off: v}))
+	_, err := g.wait(Op{Kind: Note, Name: label, Off: v})
+	return err
 }
 
-// Held returns the operations the gate holds, in arrival order.
+// Held returns the operations the gate holds, in arrival order, having
+// logged those that arrived since it was last called, in label order.
 func (g *Gate) Held() []*Held {
 	g.mu.Lock()
 	defer g.mu.Unlock()
+	g.stamp(g.held)
 	return slices.Clone(g.held)
 }
 
@@ -81,10 +148,18 @@ func (g *Gate) Release(h *Held, err error) {
 // Open removes the gate: every held operation, and every later one,
 // goes on.
 func (g *Gate) Open() {
-	g.stop()
+	for _, stop := range g.stops {
+		stop()
+	}
+	g.c.mu.Lock()
+	if g.c.timers == g {
+		g.c.timers = nil
+	}
+	g.c.mu.Unlock()
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	g.open = true
+	g.stamp(g.held)
 	for _, h := range g.held {
 		h.out <- nil
 	}
@@ -134,6 +209,37 @@ func Settle(d time.Duration) error {
 		}
 	}
 }
+
+// quiet is Settle's fast path for a program on one P (GOMAXPROCS 1). It
+// yields until the goroutine count and the recorders' operation count
+// have held still over quietYields yields in a row, and reports whether
+// they did within a bound. On one P a yield puts the caller behind
+// every goroutine that is runnable, so it runs again only once they
+// have run until they blocked: only the scheduler's fairness check,
+// which once every 61 scheduling rounds takes the caller first, returns
+// it early, and never twice in a row. It is a quiet period, not the
+// goroutines' states: a caller that must know takes Settle's dump.
+func quiet() bool {
+	if runtime.GOMAXPROCS(0) != 1 {
+		return false
+	}
+	last := activity()
+	for same, n := 0, 0; same < quietYields; n++ {
+		if n == 1<<14 {
+			return false
+		}
+		runtime.Gosched()
+		if now := activity(); now == last {
+			same++
+		} else {
+			same, last = 0, now
+		}
+	}
+	return true
+}
+
+// quietYields is how many still yields in a row make quiet.
+const quietYields = 3
 
 // dumpBufs keeps Settle's dump buffers: a schedule explorer settles tens
 // of thousands of times, and a fresh 64 KiB buffer each time was most of

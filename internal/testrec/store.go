@@ -21,7 +21,9 @@ type Store struct {
 // NewStore records inner's operations on a clock of its own; set Clock
 // before the first operation to share another's.
 func NewStore(inner objstore.Store) *Store {
-	return &Store{recorder: recorder{Clock: NewClock()}, inner: inner}
+	s := &Store{recorder: recorder{Clock: NewClock()}, inner: inner}
+	s.store = s
+	return s
 }
 
 // objectType reads the journal header type at the front of an image.
@@ -90,7 +92,7 @@ func (s *Store) ReleaseLate(g *Gate, h *Held) {
 	data := objstore.VecJoin(h.bufs) // a copy: the caller may reuse its buffers
 	g.Release(h, ErrFault)
 	invariant.Go("testrec-late-put", func() {
-		err := g.wait(op)
+		op, err := g.wait(op)
 		if err == nil {
 			err = s.inner.Put(context.Background(), op.Name, data)
 		}

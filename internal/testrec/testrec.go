@@ -3,27 +3,30 @@
 // objstore.Store in a Store and a simdev.Device in a Device: each store
 // operation and device write or flush is logged on arrival and on
 // completion, stamped from the Clock they share, beside the events the
-// test notes itself. By a Match, the test can park, fail or delay any of
-// them, or hold them all at a Gate and release them in an order of its
-// choosing once the program has settled (Settle), a PUT perhaps failed
-// to its caller and applied later (ReleaseLate); it can rebuild the
-// store (At) or the device (Image) as of any stamp; and it states
-// orderings over the log instead of wall-clock bounds. The backend failure model of DESIGN.md §13 is a set of its
-// rules: Fail, or Tear, with ErrFault on the operations a Match picks by
-// name, count or seeded chance. Only _test.go files import it.
+// test notes itself. The Clock is also the product's objstore.Clock, so
+// its timers can be held as operations too. By a Match, the test can
+// park, fail or delay any of them, or hold them all at a Gate and
+// release them in an order of its choosing once the program has settled
+// (Settle), a PUT perhaps failed to its caller and applied later
+// (ReleaseLate); Run is that scheduler, which a schedule explorer and a
+// seeded walk share. It can rebuild the store (At) or the device (Image)
+// as of any stamp, and it states orderings over the log instead of
+// wall-clock bounds. The backend failure model of DESIGN.md §13 is a set
+// of its rules: Fail, or Tear, with ErrFault on the operations a Match
+// picks by name, count or seeded chance. Only _test.go files import it.
 package testrec
 
 import (
 	"bytes"
 	"errors"
 	"fmt"
-	"math/rand"
+	"hash/fnv"
 	"slices"
 	"strings"
 	"sync"
-	"testing"
 	"time"
 
+	"lsvd/internal/invariant"
 	"lsvd/internal/journal"
 )
 
@@ -41,6 +44,9 @@ const (
 	Size     Kind = "size"
 	Write    Kind = "write"
 	Flush    Kind = "flush"
+	// Timer is a timer of the product's (Clock.AfterFunc) that a Gate
+	// holds: Name is its name, Off its duration in nanoseconds.
+	Timer Kind = "timer"
 )
 
 // ErrFault is the error the fault rules fail operations with; Faults
@@ -91,6 +97,34 @@ type Clock struct {
 	mu      sync.Mutex
 	log     []Op
 	changed chan struct{} // closed, and replaced, at every entry
+	timers  *Gate         // the gate that holds the timers, or nil
+}
+
+// errStopped releases the goroutine of a held timer that was stopped.
+var errStopped = errors.New("testrec: timer stopped")
+
+// AfterFunc implements objstore.Clock, so the product finds it in a
+// Store it is given (objstore.ClockOf). A timer runs in real time unless
+// a Gate holds the clock's timers (Gate.Timers): then it is logged as an
+// operation of Kind Timer, "timer NAME", held, and f runs once the gate
+// releases it, logged "timer-done NAME"; stop drops it from the held set.
+func (c *Clock) AfterFunc(what string, d time.Duration, f func()) (stop func() bool) {
+	c.mu.Lock()
+	g := c.timers
+	c.mu.Unlock()
+	if g == nil {
+		return time.AfterFunc(d, f).Stop
+	}
+	h := g.hold(Op{Kind: Timer, Name: what, Off: int64(d)})
+	invariant.Go("testrec-timer", func() {
+		if <-h.out == nil {
+			op := h.Op
+			op.Done = true
+			c.add(op)
+			f()
+		}
+	})
+	return func() bool { return g.drop(h) }
 }
 
 // NewClock returns an empty log.
@@ -121,17 +155,6 @@ func (c *Clock) Now() uint64 {
 
 // Log returns a copy of the log.
 func (c *Clock) Log() []Op { return slices.Clone(c.upTo(^uint64(0))) }
-
-// Reproduce logs the newest n entries if t has failed when it ends: the
-// reproducer of a torture failure.
-func (c *Clock) Reproduce(t testing.TB, n int) {
-	t.Cleanup(func() {
-		if t.Failed() {
-			lines := c.Lines()
-			t.Logf("the newest %d log entries:\n\t%s", n, strings.Join(lines[max(0, len(lines)-n):], "\n\t"))
-		}
-	})
-}
 
 // Lines returns the log, one Op.String per entry.
 func (c *Clock) Lines() []string {
@@ -233,12 +256,35 @@ func (m Match) count(keep func(i int) bool) Match {
 	}
 }
 
-// Chance narrows m to each operation it matches with probability p,
-// drawn from a stream seeded with seed: the same arrivals, in the same
-// order, draw the same operations.
+// Chance narrows m to each operation it matches with probability p. The
+// draw is a function of seed and of the operation: its kind, name,
+// offset and length, and how many such operations arrived before it. So
+// the same operations draw the same in any order of arrival, as when two
+// goroutines race to issue theirs.
 func (m Match) Chance(seed int64, p float64) Match {
-	rng := rand.New(rand.NewSource(seed))
-	return func(op Op) bool { return m(op) && rng.Float64() < p }
+	var mu sync.Mutex
+	seen := map[string]uint64{}
+	return func(op Op) bool {
+		if !m(op) {
+			return false
+		}
+		key := fmt.Sprintf("%s %s %d %d", op.Kind, op.Name, op.Off, op.Len)
+		mu.Lock()
+		n := seen[key]
+		seen[key]++
+		mu.Unlock()
+		h := fnv.New64a()
+		fmt.Fprintf(h, "%d %s %d", seed, key, n)
+		return float64(mix64(h.Sum64())>>11)/(1<<53) < p
+	}
+}
+
+// mix64 is SplitMix64's finalizer: it spreads an FNV hash's few changed
+// bits over the whole word.
+func mix64(x uint64) uint64 {
+	x = (x ^ x>>30) * 0xbf58476d1ce4e5b9
+	x = (x ^ x>>27) * 0x94d049bb133111eb
+	return x ^ x>>31
 }
 
 // recorder is what a Store and a Device share: the clock and the hooks.
@@ -252,18 +298,24 @@ type recorder struct {
 
 	mu    sync.Mutex
 	hooks []*hook
+
+	store *Store // the Store this is the recorder of, nil for a Device's
 }
 
 type hook struct {
 	match Match
 	fn    func(Op) error
+	gate  *Gate // instead of fn: the gate that holds what match picks
 }
 
 // Do runs fn before every operation m matches, once its arrival is
 // logged. An error from fn fails the operation, which then never reaches
 // the wrapped store or device. stop removes the hook.
 func (r *recorder) Do(m Match, fn func(Op) error) (stop func()) {
-	h := &hook{m, fn}
+	return r.hook(&hook{match: m, fn: fn})
+}
+
+func (r *recorder) hook(h *hook) (stop func()) {
 	r.mu.Lock()
 	r.hooks = append(r.hooks, h)
 	r.mu.Unlock()
@@ -303,22 +355,35 @@ func (r *recorder) Park(m Match) *Parked {
 // do logs op's arrival; runs the hooks it matches, in the order they
 // were added, and then call, unless a hook failed it; and logs its
 // completion with the outcome and the bytes it wrote: all of them when
-// kept, a torn PUT's prefix always.
+// kept, a torn PUT's prefix always. An operation a Gate holds is logged,
+// and stamped, only when the test first sees it held (Gate.Held), so
+// operations that arrive together from several goroutines are logged in
+// one order; the hooks added before the gate see it unstamped.
 func (r *recorder) do(op Op, data [][]byte, call func() error) error {
 	op.src = r
-	op = r.add(op)
-	var fns []func(Op) error
+	var hs []*hook
+	gated := false
 	r.mu.Lock()
 	for _, h := range r.hooks {
 		if h.match(op) {
-			fns = append(fns, h.fn)
+			hs = append(hs, h)
+			gated = gated || h.gate != nil
 		}
 	}
 	r.mu.Unlock()
+	if !gated {
+		op = r.add(op)
+	}
 	var err error
 	op.bufs = data
-	for _, fn := range fns {
-		if err = fn(op); err != nil {
+	for _, h := range hs {
+		if h.gate != nil {
+			op, err = h.gate.wait(op)
+			op.bufs = data
+		} else {
+			err = h.fn(op)
+		}
+		if err != nil {
 			break
 		}
 	}

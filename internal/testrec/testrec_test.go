@@ -358,6 +358,64 @@ func TestGateReplaysAChoiceSequence(t *testing.T) {
 	}
 }
 
+// TestGateHoldsTimers: with a gate holding its clock's timers, a timer
+// is a held operation that fires only once released, and one stopped
+// first leaves the held set unfired; without, it runs in real time.
+func TestGateHoldsTimers(t *testing.T) {
+	s := NewStore(objstore.NewMem())
+	fired := make(chan string, 2)
+	stop := objstore.ClockOf(s).AfterFunc("real", time.Microsecond, func() { fired <- "real" })
+	if got := <-fired; got != "real" || stop() {
+		t.Fatalf("a real-time timer fired %q and stopped after", got)
+	}
+	g := NewGate(s.Clock)
+	g.Timers()
+	defer g.Open()
+	objstore.ClockOf(s).AfterFunc("kept", time.Hour, func() { fired <- "kept" })
+	stop = objstore.ClockOf(s).AfterFunc("dropped", time.Hour, func() { fired <- "dropped" })
+	held := g.Held()
+	if len(held) != 2 || held[0].Label != "timer kept" || held[1].Label != "timer dropped" {
+		t.Fatalf("held %v", held)
+	}
+	if !stop() || stop() || len(g.Held()) != 1 {
+		t.Fatal("a stopped timer stays held")
+	}
+	g.Release(held[0], nil)
+	if got := <-fired; got != "kept" {
+		t.Fatalf("fired %q", got)
+	}
+	if err := Settle(10 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	// Arrivals seen together are logged in label order.
+	if lines := s.Lines(); !slices.Equal(lines, []string{"timer dropped", "timer kept", "timer-done kept"}) {
+		t.Fatalf("the log reads %q", lines)
+	}
+}
+
+// TestChanceIgnoresArrivalOrder: Chance draws the same operations
+// whichever order they arrive in.
+func TestChanceIgnoresArrivalOrder(t *testing.T) {
+	run := func(names []string) []string {
+		s := NewStore(objstore.NewMem())
+		s.Fail(Puts.Chance(7, 0.5), ErrFault)
+		var failed []string
+		for _, name := range names {
+			if s.Put(ctx, name, nil) != nil {
+				failed = append(failed, name)
+			}
+		}
+		slices.Sort(failed)
+		return failed
+	}
+	names := []string{"a", "b", "c", "d", "e", "f", "g", "h", "a", "b"}
+	want := run(names)
+	slices.Reverse(names)
+	if got := run(names); !slices.Equal(got, want) || len(want) == 0 || len(want) == len(names) {
+		t.Fatalf("failed %q in one order, %q in the other", want, got)
+	}
+}
+
 // TestGateReleaseAsFailed: a held operation released with an error is
 // logged failed and never reaches the wrapped store; one released with
 // nil does.

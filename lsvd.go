@@ -157,7 +157,7 @@ func Open(ctx context.Context, o VolumeOptions) (*Disk, error) {
 // Clone creates a new volume sharing the base volume's objects up to
 // the named snapshot as an immutable prefix (copy-on-write clone).
 func Clone(ctx context.Context, store ObjectStore, baseVolume, snapshot, newVolume string) error {
-	return blockstore.Clone(ctx, blockstore.Config{Volume: baseVolume, Store: store}, snapshot, newVolume)
+	return blockstore.Clone(ctx, blockstore.Config{Volume: baseVolume, Store: objstore.NewRetrier(store, RetryPolicy{})}, snapshot, newVolume)
 }
 
 // OpenSnapshot mounts a named snapshot read-only; writes and trims
