@@ -69,31 +69,32 @@ test:
 race:
 	LSVD_FAULT_SEED=1 $(GO) test -race $(RACE_PKGS) ./internal/invariant
 
-# Recovery torture harness (§3.4 under injected backend faults): each
-# iteration is a seeded walk on one gate (DESIGN.md §5), so a seed is one
-# run; the second run sweeps a hostile 35% per-op failure rate. Override
-# LSVD_FAULT_{SEED,RATE,ITERS} to explore. A failing iteration prints one
-# line, LSVD_TORTURE_REPLAY='{"TestX", seed, []string{choices}}' go test
-# -run '^TestX$$' ./internal/consistency, that replays exactly its walk.
-# The cache crash enumeration opens every prefix of a scripted
-# workload's device trace with each way its unflushed pages can be lost
-# (tier-1 runs it once); here it runs twenty times under the race
-# detector, each run a different interleaving of the same script; at up
-# to 30 s a cache run on a 2-CPU VM, twenty can pass go test's default
-# 10-minute timeout. The backend schedule explorer holds every backend
-# PUT, DELETE and range GET and releases them one at a time: its
-# regression rows (a death while a snapshot's drop is owed its super, an
-# owed super failing at open, a GC read across a reap, objects landing
-# behind one in flight) run twenty times under the race detector beside
-# the other block-store races, and the exploration itself runs once at
-# preemption bound 3 (LSVD_FAULT_PREEMPT; tier-1 runs bound 2). The
-# fences and shutdown race each other's writers: a snapshot and a
-# checkpoint under a continuous writer, Close and Kill
-# against parked writers, a commit or a wrapping reserve that arrives
-# after the cache is quiesced must be refused, and a GC object parked in
-# its PUT must hold back every commit behind it while appends go on. The
-# last line is the flake gate: twenty shuffled runs of the whole
-# consistency package in one process, zero failures.
+# Crash searches (DESIGN.md §5): every script runs on one gate under one
+# of testrec's two drivers. A torture iteration is a seeded walk
+# (Sample), so a seed is one run; the second run sweeps a hostile 35%
+# per-op failure rate. Override LSVD_FAULT_{SEED,RATE,ITERS} to explore.
+# The cache crash enumeration is the DFS driver (Explore) at bound 0: one
+# schedule of a scripted workload, every prefix of its device trace
+# opened with each way its unflushed pages can be lost; here it runs
+# twenty times under the race detector, its crash points checked in
+# parallel. The backend schedule explorer is the same driver over every
+# backend PUT, DELETE and range GET: its regression rows (a death while
+# a snapshot's drop is owed its super, an owed super failing at open, a
+# GC read across a reap, objects landing behind one in flight) run
+# twenty times under the race detector beside the other block-store
+# races, and the exploration itself runs once at preemption bound 3
+# (LSVD_FAULT_PREEMPT; tier-1 runs it too, without the race detector).
+# A failing run of either driver prints its row and one line,
+# LSVD_REPLAY='{"TestX", seed, []string{choices}}' go test -run
+# '^TestX$$' ./internal/pkg, that replays exactly that run; a row of the
+# explorer is named TestBackendCrashEnumeration/explore. The fences and
+# shutdown race each other's writers: a snapshot and a checkpoint under a
+# continuous writer, Close and Kill against parked writers, a commit or a
+# wrapping reserve that arrives after the cache is quiesced must be
+# refused, and a GC object parked in its PUT must hold back every commit
+# behind it while appends go on. The last line is the flake gate: twenty
+# shuffled runs of the whole consistency package in one process, zero
+# failures.
 fault:
 	$(GO) test -count=20 -race -run 'TestSecondCrashAfterSuffixCheckpointKeepsPrefix|TestGCObjectRidesThePipeline|TestCleanReopenDeletesNothing|TestDeleteSnapshotFailureKeepsName|TestAbortWaits' ./internal/blockstore
 	$(GO) test -count=20 -race -run 'TestBackendCrashEnumeration/regression' ./internal/blockstore

@@ -1,7 +1,6 @@
 package blockstore
 
 import (
-	"bytes"
 	"cmp"
 	"crypto/sha256"
 	"encoding/binary"
@@ -13,10 +12,11 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
-	"time"
 
 	"lsvd/internal/block"
+	"lsvd/internal/consistency"
 	"lsvd/internal/iosched"
 	"lsvd/internal/journal"
 	"lsvd/internal/objstore"
@@ -25,45 +25,24 @@ import (
 
 // Backend schedule explorer (DESIGN.md §11.3, Enumeration). A scripted
 // workload keeps several block-store operations in flight at once over
-// a recording store whose gate holds every PUT, DELETE and range GET.
-// runSchedule releases one held operation at a time, once every goroutine
-// has settled, so a run is one order of backend completions: a
-// schedule. The default schedule releases the oldest held operation
-// first, those that arrived together in label order. A schedule deviates
-// from it at most enumBound times, each time releasing a younger
-// operation (a preemption, as in CHESS), or failing before it applies
-// the super PUT it would release next (once per schedule). Two deletes
-// are never swapped: each is legal or not when it is sent
-// (deleteOrderViolation), and the reaper takes their results together.
-//
-// Every distinct backend state of every schedule, cut before each
-// completed PUT or DELETE and after the last, is opened and checked
-// (enumOpen), and so is every state that open's own PUTs and DELETEs
-// leave, released in one order (inOrder). A state whose open loads a
-// checkpoint the super does not name is opened again with that open's
-// super PUT failing, and written on until an object between the two
-// checkpoints dies (owedSuper).
+// a recording store whose gate holds every PUT, DELETE and range GET,
+// and testrec.Explore runs it under every schedule within enumBound
+// deviations (enumBranch); at every settled step the live store passes
+// its audit (enumRun.audit). Every distinct backend state of every
+// schedule, at each crash point, is opened and checked (enumOpen), and
+// so is every state that open's own PUTs and DELETEs leave (inOrder),
+// and, for one whose open loads a checkpoint the super does not name,
+// every state of a continuation with that open's super failing
+// (owedSuper). The workload writes a consistency.Writer's stamped
+// blocks, each write's version its sequence number.
 
-// enumSettle bounds each wait for the goroutines to settle: a schedule
-// that takes longer fails.
-const enumSettle = 10 * time.Second
-
-// enumBound is the preemption bound: LSVD_FAULT_PREEMPT, else 2.
+// enumBound is the preemption bound: LSVD_FAULT_PREEMPT, else 3.
 func enumBound(t *testing.T) int {
-	v := os.Getenv("LSVD_FAULT_PREEMPT")
-	if v == "" {
-		return 2
-	}
-	n, err := strconv.Atoi(v)
+	n, err := strconv.Atoi(cmp.Or(os.Getenv("LSVD_FAULT_PREEMPT"), "3"))
 	if err != nil || n < 0 {
-		t.Fatalf("LSVD_FAULT_PREEMPT=%q", v)
+		t.Fatalf("LSVD_FAULT_PREEMPT: %v", err)
 	}
 	return n
-}
-
-type enumWrite struct {
-	ext  block.Extent
-	data []byte
 }
 
 // enumSlot is one slot's extent: a whole batch, so a write to it seals
@@ -74,85 +53,107 @@ func enumSlot(slot int) block.Extent {
 
 const enumSlots = 6
 
-// enumRow prints a schedule as a row of enumRegressions.
-func enumRow(sched []testrec.Choice) string {
-	return fmt.Sprintf(`{"name", %s, nil, false, nil},`, testrec.Quote(sched))
-}
-
 // enumRun is one run of the script under one schedule.
 type enumRun struct {
+	*testrec.Script
 	rs      *testrec.Store
-	g       *testrec.Gate
+	mem     *objstore.Mem // rs's backend, which the audit reads unlogged
+	names   []string      // objName("vol", seq) by seq, for the audit
 	s       *Store
-	writes  []enumWrite // write w is writes[w-1]
-	snap    int         // writes the snapshot holds
-	pending []chan error
+	live    atomic.Pointer[Store] // s while it runs, for the audit
+	w       *consistency.Writer
+	vol     *volume // w's disk
+	snap    uint64  // the write the snapshot holds
 	shipMu  sync.Mutex
 	unacked []ShipEvent // drained by the shipper, not acked
 	shipped chan struct{}
-	steps   [][]string // the labels held at each step, in release order by default
-	failed  string     // the script's error: a violation
 }
 
-// runSchedule runs the script with workload play under sched
-// (testrec.Run). Its error is the run's own: a settle that did not come,
-// a script stuck with nothing held, or a schedule the run diverged from.
-func runSchedule(play func(*enumRun) error, sched []testrec.Choice) (*enumRun, error) {
-	r := &enumRun{rs: testrec.NewStore(objstore.NewMem())}
+// runSchedule runs the script with workload play under sched.
+func runSchedule(play func(*enumRun) error, sched []testrec.Choice) (*enumRun, *testrec.Schedule, error) {
+	r := &enumRun{mem: objstore.NewMem(), vol: &volume{}}
+	r.rs = testrec.NewStore(r.mem)
 	r.rs.Keep = true
-	r.g = r.rs.Gate(testrec.Kinds(testrec.Put, testrec.Delete, testrec.GetRange))
-	run, err := testrec.Run(r.g, enumSettle, func() error { return r.script(play) }, sched, nil)
-	r.steps = run.Steps
-	if run.Failed != nil {
-		r.failed = run.Failed.Error()
+	r.Script = testrec.NewScript(r.rs.Clock)
+	r.rs.Join(r.Gate, testrec.Kinds(testrec.Put, testrec.Delete, testrec.GetRange))
+	r.Audit = r.audit
+	r.w, _ = consistency.NewWriter(r.vol)
+	r.vol.w = r.w
+	s, err := r.Run(func() error { return r.script(play) }, sched, nil)
+	return r, s, err
+}
+
+// open makes s the store the script writes and the audit reads.
+func (r *enumRun) open(s *Store) {
+	r.s, r.vol.s = s, s
+	r.live.Store(s)
+}
+
+// crash kills the store, if there is one.
+func (r *enumRun) crash() {
+	if r.s != nil {
+		r.live.Store(nil)
+		r.s.Abort()
+		r.open(nil)
 	}
-	return r, err
 }
 
-// sync holds the script until every goroutine has settled.
-func (r *enumRun) sync() { _ = r.g.Hold(testrec.ScriptNote, 0) }
-
-// spawn runs op on an actor goroutine of its own, lets it run until it
-// blocks, and returns where its error arrives (wait).
-func (r *enumRun) spawn(op func() error) chan error {
-	ch := make(chan error, 1)
-	go func() { ch <- op() }()
-	r.pending = append(r.pending, ch)
-	r.sync()
-	return ch
-}
-
-func (r *enumRun) wait(what string, ch chan error) error {
-	r.pending = slices.DeleteFunc(r.pending, func(c chan error) bool { return c == ch })
-	if err := <-ch; err != nil {
-		return fmt.Errorf("%s: %w", what, err)
+// audit checks the live store at a settled step: its utilization audit,
+// and that each row of its table but one being deleted names an object
+// the backend holds.
+func (r *enumRun) audit() error {
+	s := r.live.Load()
+	if s == nil {
+		return nil
+	}
+	if err := s.AuditUtilization(); err != nil {
+		return err
+	}
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	for seq, o := range s.objects {
+		for int(seq) >= len(r.names) { // formatting a name at every step was most of the audit's cost
+			r.names = append(r.names, objName("vol", uint32(len(r.names))))
+		}
+		if _, err := r.mem.Size(ctx, r.names[seq]); err != nil && o.state != stateReaping {
+			return fmt.Errorf("the table's %v row %d names no object: %w", o.state, seq, err)
+		}
 	}
 	return nil
 }
 
-// enumPayloads holds the payloads the schedules write: every schedule
-// writes the same ones, and making them afresh for each cost about a
-// fifth of the explorer's CPU. The store never writes into an appended
-// buffer.
-var enumPayloads sync.Map // [2]int64{seed, n} → []byte
-
-func enumPayload(seed int64, n int) []byte {
-	key := [2]int64{seed, int64(n)}
-	if b, ok := enumPayloads.Load(key); ok {
-		return b.([]byte)
-	}
-	b := payload(seed, n)
-	enumPayloads.Store(key, b)
-	return b
+// volume is a Store as a consistency.Writer's disk: a write appends
+// with the Writer's version as its sequence number.
+type volume struct {
+	s *Store
+	w *consistency.Writer
 }
 
-// write appends write w, the next, to ext.
+func (v *volume) Size() int64           { return volSectors.Bytes() }
+func (v *volume) Flush() error          { return nil }
+func (v *volume) Trim(_, _ int64) error { return nil }
+
+func (v *volume) WriteAt(p []byte, off int64) error {
+	return v.s.Append(v.w.Version(), block.Extent{LBA: block.LBA(off >> block.SectorShift), Sectors: uint32(len(p) >> block.SectorShift)}, p)
+}
+
+func (v *volume) ReadAt(p []byte, off int64) error {
+	ext := block.Extent{LBA: block.LBA(off >> block.SectorShift), Sectors: uint32(len(p) >> block.SectorShift)}
+	clear(p)
+	for _, run := range v.s.Lookup(ext) {
+		if run.Present {
+			if err := readRun(v.s, run, p[(run.LBA-ext.LBA).Bytes():]); err != nil {
+				return fmt.Errorf("read %v: %w", run.Extent, err)
+			}
+		}
+	}
+	return nil
+}
+
+// write appends the next write to ext.
 func (r *enumRun) write(ext block.Extent) error {
-	w := uint64(len(r.writes) + 1)
-	data := enumPayload(int64(1000+w), int(ext.Bytes()))
-	r.writes = append(r.writes, enumWrite{ext, data})
-	if err := r.s.Append(w, ext, data); err != nil {
-		return fmt.Errorf("write %d: %w", w, err)
+	if err := r.w.Write(int64(ext.LBA/8), int(ext.Sectors/8)); err != nil {
+		return fmt.Errorf("write %d: %w", r.w.Version(), err)
 	}
 	return nil
 }
@@ -207,11 +208,10 @@ func (r *enumRun) script(play func(*enumRun) error) error {
 	}
 	if err != nil {
 		r.s.ShipClose(false)
+		r.live.Store(nil)
 		r.s.Abort()
 	}
-	for _, ch := range r.pending {
-		<-ch
-	}
+	r.Drain()
 	r.s.ShipClose(true)
 	<-r.shipped
 	if err != nil {
@@ -244,13 +244,14 @@ func (r *enumRun) script(play func(*enumRun) error) error {
 // explorer could not land it before the first; depth 16 with 16 slots
 // would put 32 objects in flight and multiply the schedules.
 func (r *enumRun) play() error {
-	if err := retry("create", func() (err error) {
-		r.s, err = Create(ctx, Config{
+	if err := retry("create", func() error {
+		s, err := Create(ctx, Config{
 			Volume: "vol", Store: r.rs, VolSectors: volSectors,
 			BatchBytes: enumSlot(0).Bytes(), UploadDepth: 1, UploadGate: iosched.NewGate(16),
 			CheckpointEvery: 4, GCHighWater: 0.99,
 			Replicated: true, OnDestage: func(w uint64) { r.rs.Note("destage", int64(w)) },
 		})
+		r.open(s)
 		return err
 	}); err != nil {
 		return err
@@ -284,7 +285,7 @@ func (r *enumRun) play() error {
 	if err := writes(block.Extent{LBA: enumSlot(2).LBA, Sectors: 32}, enumSlot(0), enumSlot(4), enumSlot(5)); err != nil {
 		return err
 	}
-	if err := r.wait("gc", r.spawn(s.RunGC)); err != nil {
+	if err := r.Wait("gc", r.Spawn(s.RunGC)); err != nil {
 		return err
 	}
 	if err := retry("seal", s.Seal); err != nil {
@@ -296,25 +297,25 @@ func (r *enumRun) play() error {
 	// object, below the named checkpoint, is killed, and the shipper's
 	// ack of it is in flight.
 	r.rs.Fail(testrec.Super.Once(), testrec.ErrFault)
-	ckpt := r.spawn(func() error { return retry("checkpoint", s.Checkpoint) })
+	ckpt := r.Spawn(func() error { return retry("checkpoint", s.Checkpoint) })
 	if err := writes(enumSlot(1)); err != nil {
 		return err
 	}
-	ship := r.spawn(func() error {
-		_ = r.g.Hold("ship-ack", 0) // only super PUTs are released failed
+	ship := r.Spawn(func() error {
+		_ = r.Hold("ship-ack", 0) // only super PUTs are released failed
 		r.ack()
 		return nil
 	})
-	if err := r.wait("checkpoint", ckpt); err != nil {
+	if err := r.Wait("checkpoint", ckpt); err != nil {
 		return err
 	}
-	if err := r.wait("ship", ship); err != nil {
+	if err := r.Wait("ship", ship); err != nil {
 		return err
 	}
 	r.ack()
 
 	// A snapshot of every slot.
-	r.snap = len(r.writes)
+	r.snap = r.w.Version()
 	if err := retry("snapshot", func() error { _, err := s.CreateSnapshot("snap"); return err }); err != nil {
 		return err
 	}
@@ -323,11 +324,11 @@ func (r *enumRun) play() error {
 	// The snapshot is deleted while slot 5 is rewritten. The object that
 	// write kills lies below the named checkpoint, and the snapshot the
 	// durable super lists reads it until the super that drops it lands.
-	drop := r.spawn(func() error { return retry("delete snapshot", func() error { return s.DeleteSnapshot("snap") }) })
+	drop := r.Spawn(func() error { return retry("delete snapshot", func() error { return s.DeleteSnapshot("snap") }) })
 	if err := writes(enumSlot(5)); err != nil {
 		return err
 	}
-	if err := r.wait("delete snapshot", drop); err != nil {
+	if err := r.Wait("delete snapshot", drop); err != nil {
 		return err
 	}
 	r.ack()
@@ -346,14 +347,14 @@ func (r *enumRun) play() error {
 	s.mu.Lock()
 	clear(s.hdrCache)
 	s.mu.Unlock()
-	gc := r.spawn(s.RunGC)
+	gc := r.Spawn(s.RunGC)
 	if err := writes(block.Extent{LBA: enumSlot(3).LBA + 32, Sectors: 32}); err != nil {
 		return err
 	}
 	if err := s.SealAsync(); err != nil {
 		return err
 	}
-	if err := r.wait("gc", gc); err != nil {
+	if err := r.Wait("gc", gc); err != nil {
 		return err
 	}
 	if err := retry("checkpoint", s.Checkpoint); err != nil {
@@ -370,20 +371,15 @@ func (r *enumRun) play() error {
 // first PUT and releases the second late. The workload ends in a crash,
 // so it leaves no store for the script to audit.
 func stalePutAfterList(r *enumRun) error {
-	defer func() {
-		if r.s != nil {
-			r.s.Abort()
-			r.s = nil
-		}
-	}()
+	defer r.crash()
 	cfg := Config{ // play's pipeline pairing
 		Volume: "vol", Store: r.rs, VolSectors: volSectors,
 		BatchBytes: enumSlot(0).Bytes(), UploadDepth: 1, UploadGate: iosched.NewGate(16),
 		CheckpointEvery: 1 << 30,
 		OnDestage:       func(w uint64) { r.rs.Note("destage", int64(w)) },
 	}
-	var err error
-	if r.s, err = Create(ctx, cfg); err != nil {
+	s, err := Create(ctx, cfg)
+	if r.open(s); err != nil {
 		return err
 	}
 	if err := r.write(enumSlot(0)); err != nil {
@@ -397,21 +393,16 @@ func stalePutAfterList(r *enumRun) error {
 			return err
 		}
 	}
-	r.s.Abort()
-	if r.s, err = Open(ctx, cfg); err != nil {
+	r.crash()
+	s, err = Open(ctx, cfg)
+	if r.open(s); err != nil {
 		return err
 	}
-	r.writes = r.writes[:r.s.DurableWriteSeq()]
+	r.w.Prune(s.DurableWriteSeq())
 	if err := r.write(enumSlot(1)); err != nil {
 		return err
 	}
 	return r.s.Seal()
-}
-
-// landed reports whether op is a PUT or DELETE that completed: a crash
-// point precedes it. A failed operation changes nothing.
-func landed(op testrec.Op) bool {
-	return op.Done && op.Err == nil && (op.Kind == testrec.Put || op.Kind == testrec.Delete)
 }
 
 // enumCheck checks crash states, each distinct one once.
@@ -493,39 +484,40 @@ func (c *enumCheck) content(data []byte) uint64 {
 	return sum64(fmt.Append(nil, p.prevCkpt, p.durableWriteSeq, p.nextSeq, p.objects, p.deferred, p.mapBytes))
 }
 
-// run checks one run: the script's own audit, the order of its
-// deletes, and every distinct crash state. It returns the violations.
+// cuts calls fn at each crash point of rec's log with the destage
+// watermark noted up to its end, from acked on, and the objects its log
+// left (name → content).
+func (c *enumCheck) cuts(rec *testrec.Store, acked uint64, fn func(cut testrec.Cut, acked uint64, objects map[string]uint64)) {
+	log := rec.Log()
+	objects := map[string]uint64{}
+	i := 0
+	for _, cut := range rec.Cuts(nil) {
+		for ; i < int(cut.To); i++ {
+			switch op := log[i]; {
+			case op.Kind == testrec.Note && op.Name == "destage":
+				acked = max(acked, uint64(op.Off))
+			case testrec.Lands(op) && op.Kind == testrec.Put:
+				objects[op.Name] = c.content(op.Data)
+			case testrec.Lands(op):
+				delete(objects, op.Name)
+			}
+		}
+		fn(cut, acked, objects)
+	}
+}
+
+// run checks one run: the order of its deletes, and every distinct crash
+// state once a super has landed. It returns the violations.
 func (c *enumCheck) run(r *enumRun) []string {
 	var vs []string
-	if r.failed != "" {
-		vs = append(vs, "script: "+r.failed)
-	}
 	if v := deleteOrderViolation(r.rs.Log()); v != "" {
 		vs = append(vs, v)
 	}
-	objects := map[string]uint64{}
-	var acked uint64 // the destage watermark noted so far
-	published := false
-	cut := func(stamp uint64) {
-		if published && c.fresh(objects, acked) {
-			vs = append(vs, c.crash(r, stamp, acked)...)
+	c.cuts(r.rs, 0, func(cut testrec.Cut, acked uint64, objects map[string]uint64) {
+		if _, published := objects[superName("vol")]; published && c.fresh(objects, acked) {
+			vs = append(vs, c.crash(r, cut.To, acked)...)
 		}
-	}
-	for _, op := range r.rs.Log() {
-		switch {
-		case op.Kind == testrec.Note && op.Name == "destage":
-			acked = max(acked, uint64(op.Off))
-		case landed(op):
-			cut(op.Stamp - 1)
-			if op.Kind == testrec.Put {
-				objects[op.Name] = c.content(op.Data)
-			} else {
-				delete(objects, op.Name)
-			}
-			published = published || op.Name == superName("vol")
-		}
-	}
-	cut(r.rs.Now())
+	})
 	return vs
 }
 
@@ -544,7 +536,7 @@ func (c *enumCheck) crash(r *enumRun, stamp, acked uint64) []string {
 	rec.Keep = true
 	var s *Store
 	var v string
-	if err := inOrder(rec, func() { s, v = enumOpen(rec, r.writes, r.snap, acked) }); err != nil {
+	if err := inOrder(rec, func() { s, v = enumOpen(rec, r.w, r.snap, acked) }); err != nil {
 		report("", err.Error())
 		return vs
 	}
@@ -552,16 +544,13 @@ func (c *enumCheck) crash(r *enumRun, stamp, acked uint64) []string {
 	if s == nil {
 		return vs
 	}
-	for _, op := range rec.Log() {
-		if !landed(op) {
-			continue
-		}
-		state := rec.Apply(r.rs.At(stamp), op.Stamp)
+	for _, cut := range rec.Cuts(nil)[1:] {
+		state := rec.Apply(r.rs.At(stamp), cut.From)
 		if c.fresh(c.memState(state), acked) {
 			c.points++
 			c.inOpen++
-			_, v := enumOpen(state, r.writes, r.snap, acked)
-			report(fmt.Sprintf(", then inside the open at its stamp %d", op.Stamp), v)
+			_, v := enumOpen(state, r.w, r.snap, acked)
+			report(fmt.Sprintf(", then inside the open at its stamp %d", cut.From), v)
 		}
 	}
 	raw, err := r.rs.At(stamp).Get(ctx, superName("vol"))
@@ -622,15 +611,14 @@ func (c *enumCheck) owedSuper(r *enumRun, stamp, acked uint64) string {
 		return "" // nothing between the two checkpoints is mapped
 	}
 	c.owed++
-	writes := slices.Clone(r.writes[:s.DurableWriteSeq()])
+	vol := &volume{s: s, w: r.w.Clone()}
+	vol.w.Prune(s.DurableWriteSeq())
+	_ = vol.w.Rebind(vol) // the same size
 	var v string
 	if err := inOrder(rec, func() {
 		for _, ext := range exts {
-			w := uint64(len(writes) + 1)
-			data := enumPayload(int64(5000+w), int(ext.Bytes()))
-			writes = append(writes, enumWrite{ext, data})
-			if err := s.Append(w, ext, data); err != nil {
-				v = fmt.Sprintf("continuation write %d: %v", w, err)
+			if err := vol.w.Write(int64(ext.LBA/8), int(ext.Sectors/8)); err != nil {
+				v = fmt.Sprintf("continuation write %d: %v", vol.w.Version(), err)
 				return
 			}
 		}
@@ -649,30 +637,17 @@ func (c *enumCheck) owedSuper(r *enumRun, stamp, acked uint64) string {
 	if !dead {
 		return fmt.Sprintf("the continuation did not kill object %d", victim)
 	}
-	cont := acked
-	check := func(at uint64) string {
-		state := rec.Apply(r.rs.At(stamp), at)
-		if !c.fresh(c.memState(state), cont^1<<63) {
-			return ""
+	c.cuts(rec, acked, func(cut testrec.Cut, cont uint64, _ map[string]uint64) {
+		state := rec.Apply(r.rs.At(stamp), cut.To)
+		if v != "" || !c.fresh(c.memState(state), cont^1<<63) {
+			return
 		}
 		c.points++
-		_, v := enumOpen(state, writes, r.snap, cont)
-		if v != "" {
-			return fmt.Sprintf("continuation killing object %d (checkpoints %d, %d), crash at its stamp %d: %s", victim, named, loaded, at, v)
+		if _, v = enumOpen(state, vol.w, r.snap, cont); v != "" {
+			v = fmt.Sprintf("continuation killing object %d (checkpoints %d, %d), crash at its stamp %d: %s", victim, named, loaded, cut.To, v)
 		}
-		return ""
-	}
-	for _, op := range rec.Log() {
-		switch {
-		case op.Kind == testrec.Note && op.Name == "destage":
-			cont = max(cont, uint64(op.Off))
-		case landed(op):
-			if v := check(op.Stamp - 1); v != "" {
-				return v
-			}
-		}
-	}
-	return check(rec.Now())
+	})
+	return v
 }
 
 // inOrder runs fn, a check's own open or continuation, with every PUT
@@ -682,36 +657,21 @@ func (c *enumCheck) owedSuper(r *enumRun, stamp, acked uint64) string {
 // states they leave, which the checks go on to open, would differ from
 // run to run.
 func inOrder(rec *testrec.Store, fn func()) error {
-	g := rec.Gate(testrec.Kinds(testrec.Put, testrec.Delete))
-	defer g.Open()
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		fn()
-	}()
-	for {
-		if err := testrec.Settle(enumSettle); err != nil {
-			return err
-		}
-		held := g.Held()
-		if len(held) == 0 {
-			select {
-			case <-done:
-				return nil
-			default:
-				return errors.New("a check's open waits and nothing is held")
-			}
-		}
-		g.Release(slices.MinFunc(held, func(a, b *testrec.Held) int { return strings.Compare(testrec.Label(a.Op), testrec.Label(b.Op)) }), nil)
-	}
+	sc := testrec.NewScript(rec.Clock)
+	rec.Join(sc.Gate, testrec.Kinds(testrec.Put, testrec.Delete))
+	defer sc.Open()
+	_, err := sc.Run(func() error { fn(); return nil }, nil, func(step int, labels []string) *testrec.Choice {
+		return &testrec.Choice{Step: step, Op: slices.Min(labels)}
+	})
+	return err
 }
 
 // enumOpen opens a crashed backend at which writes up to durable had
 // been acknowledged, and returns the store and the first violation, or
 // "". The volume must read as of the writes it recovered, every snapshot
-// the super lists as of the first snap, the backend must hold exactly
-// the object table and the utilization audit must pass.
-func enumOpen(store objstore.Store, writes []enumWrite, snap int, durable uint64) (*Store, string) {
+// the super lists as of write snap, the backend must hold exactly the
+// object table and the utilization audit must pass.
+func enumOpen(store objstore.Store, w *consistency.Writer, snap, durable uint64) (*Store, string) {
 	s, err := Open(ctx, Config{Volume: "vol", Store: store})
 	if err != nil {
 		return nil, fmt.Sprintf("open: %v", err)
@@ -720,7 +680,7 @@ func enumOpen(store objstore.Store, writes []enumWrite, snap int, durable uint64
 	if r < durable {
 		return s, fmt.Sprintf("recovered through write %d, but %d was acknowledged durable", r, durable)
 	}
-	if v := readsAsOf(s, writes, int(r)); v != "" {
+	if v := readsAsOf(s, w, r); v != "" {
 		return s, v
 	}
 	for _, sn := range s.Snapshots() {
@@ -728,7 +688,7 @@ func enumOpen(store objstore.Store, writes []enumWrite, snap int, durable uint64
 		if err != nil {
 			return s, fmt.Sprintf("snapshot %q: %v", sn.Name, err)
 		}
-		if v := readsAsOf(m, writes, snap); v != "" {
+		if v := readsAsOf(m, w, snap); v != "" {
 			return s, fmt.Sprintf("snapshot %q: %s", sn.Name, v)
 		}
 	}
@@ -741,30 +701,28 @@ func enumOpen(store objstore.Store, writes []enumWrite, snap int, durable uint64
 	return s, ""
 }
 
-// readsAsOf returns "" if s reads as of the first n writes, else what
-// differs.
-func readsAsOf(s *Store, writes []enumWrite, n int) string {
-	vol := block.Extent{LBA: 0, Sectors: enumSlots * enumSlot(0).Sectors}
-	if n > len(writes) {
-		return fmt.Sprintf("recovered through write %d of %d", n, len(writes))
-	}
-	want := make([]byte, vol.Bytes())
-	for _, w := range writes[:n] {
-		copy(want[w.ext.LBA.Bytes():], w.data)
-	}
-	got := make([]byte, vol.Bytes())
-	for _, run := range s.Lookup(vol) {
-		if !run.Present {
-			continue
-		}
-		if err := readRun(s, run, got[run.LBA.Bytes():]); err != nil {
-			return fmt.Sprintf("read %v: %v", run.Extent, err)
-		}
-	}
-	if !bytes.Equal(got, want) {
-		return fmt.Sprintf("the volume does not read as of write %d", n)
+// readsAsOf returns "" if s reads as the prefix of w's writes through
+// write n (consistency.Writer.Check), else what differs.
+func readsAsOf(s *Store, w *consistency.Writer, n uint64) string {
+	rep, err := w.Check(&volume{s: s})
+	switch {
+	case err != nil:
+		return err.Error()
+	case !rep.Mountable:
+		return "not a prefix of the writes: " + strings.Join(rep.Violations, "; ")
+	case rep.RecoveredVersion != n:
+		return fmt.Sprintf("the volume reads as of write %d, not %d", rep.RecoveredVersion, n)
 	}
 	return ""
+}
+
+// mustRow reads a row as a failing schedule prints it.
+func mustRow(s string) testrec.Row {
+	r, err := testrec.ParseRow(s)
+	if err != nil {
+		panic(err)
+	}
+	return r
 }
 
 // enumRegressions are schedules that always run: the interleavings
@@ -774,11 +732,10 @@ func readsAsOf(s *Store, writes []enumWrite, n int) string {
 // continuation. Rows named group/case run as subtests of one group. The
 // explorer prints a failing schedule as a row.
 type enumRegression struct {
-	name  string
-	sched []string
-	saw   []string
-	owed  bool
-	play  func(*enumRun) error // nil: the explorer's (*enumRun).play
+	testrec.Row
+	saw  []string
+	owed bool
+	play func(*enumRun) error // nil: the explorer's (*enumRun).play
 }
 
 var enumRegressions = []enumRegression{
@@ -788,33 +745,33 @@ var enumRegressions = []enumRegression{
 	// a super that drops the snapshot lands, and every crash before it
 	// mounts the snapshot. In crash-first that super fails first, as if
 	// the process died before it landed.
-	{"snapshot-drop-owed-super/crash-first", []string{"30 fail put vol.super"}, []string{
+	{mustRow(`{"snapshot-drop-owed-super/crash-first", 0, []string{"30 fail put vol.super"}}`), []string{
 		"put-done vol.00000015", "put vol.super", "put-done vol.00000016", "put-failed vol.super", "put-done vol.super", "delete vol.00000009"}, false, nil},
-	{"snapshot-drop-owed-super/super-lands", nil, []string{
+	{mustRow(`{"snapshot-drop-owed-super/super-lands", 0, []string{}}`), []string{
 		"put-done vol.00000015", "put vol.super", "put-done vol.00000016", "put-done vol.super", "delete vol.00000009"}, false, nil},
 	// Every crash state whose open loads a checkpoint the super does not
 	// name reopens with that open's super failing and kills an object
 	// between the two checkpoints.
-	{"open-owed-super-fails", nil, nil, true, nil},
+	{mustRow(`{"open-owed-super-fails", 0, []string{}}`), nil, true, nil},
 	// The GC pass's read of its victim's header, then of its live data,
 	// is held while the write of the victim's other half commits and the
 	// reaper deletes it: the read finds it gone and the pass goes on.
-	{"gc-reads-across-reap/header", []string{"35 put vol.00000018", "36 delete vol.00000005"}, []string{
+	{mustRow(`{"gc-reads-across-reap/header", 0, []string{"35 put vol.00000018", "36 delete vol.00000005"}}`), []string{
 		"get-range vol.00000005", "put-done vol.00000018", "delete-done vol.00000005", "get-range-failed vol.00000005"}, false, nil},
-	{"gc-reads-across-reap/source", []string{"37 delete vol.00000005"}, []string{
+	{mustRow(`{"gc-reads-across-reap/source", 0, []string{"37 delete vol.00000005"}}`), []string{
 		"get-range-done vol.00000005", "get-range vol.00000005", "delete-done vol.00000005", "get-range-failed vol.00000005"}, false, nil},
 	// The GC object lands while the data object ahead of it is held: it
 	// commits, and its victim dies, only once that upload has.
-	{"gc-object-behind-held-upload", []string{"36 get-range vol.00000005@16896", "37 put vol.00000019"}, []string{
+	{mustRow(`{"gc-object-behind-held-upload", 0, []string{"36 get-range vol.00000005@16896", "37 put vol.00000019"}}`), []string{
 		"put vol.00000019", "put-done vol.00000019", "put-done vol.00000018", "delete vol.00000005"}, false, nil},
 	// A data object lands while the checkpoint object ahead of it is
 	// held: the cut the commit walk's ordering exists for.
-	{"data-behind-checkpoint-in-flight", []string{"28 put vol.00000016"}, []string{
+	{mustRow(`{"data-behind-checkpoint-in-flight", 0, []string{"28 put vol.00000016"}}`), []string{
 		"put vol.00000015", "put-done vol.00000016", "put-done vol.00000015"}, false, nil},
 	// A dead session's object past a gap lands after the next open's
 	// LIST, behind the object that session then writes over the same
 	// block before it crashes: recovery stops at the older epoch.
-	{"stale-put-after-list", []string{"3 fail put vol.00000003", "4 late put vol.00000004"}, []string{
+	{mustRow(`{"stale-put-after-list", 0, []string{"3 fail put vol.00000003", "4 late put vol.00000004"}}`), []string{
 		"put-failed vol.00000003", "put-failed vol.00000004", "list vol.", "put-done vol.00000004", "put-done vol.00000003"}, false, stalePutAfterList},
 }
 
@@ -824,21 +781,21 @@ var enumRegressions = []enumRegression{
 // writes, a consistent prefix, every listed snapshot mountable as of its
 // writes and a backend that matches its object table.
 func TestBackendCrashEnumeration(t *testing.T) {
-	// On one P, testrec.Run settles most steps without a stack dump.
+	// The checks' own opens settle faster on one P too.
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	t.Run("regression", func(t *testing.T) {
 		var groups []string
 		for _, row := range enumRegressions {
-			if g, _, _ := strings.Cut(row.name, "/"); !slices.Contains(groups, g) {
+			if g, _, _ := strings.Cut(row.Name, "/"); !slices.Contains(groups, g) {
 				groups = append(groups, g)
 			}
 		}
 		for _, g := range groups {
 			t.Run(g, func(t *testing.T) {
 				for _, row := range enumRegressions {
-					if row.name == g {
+					if row.Name == g {
 						regress(t, row)
-					} else if c, ok := strings.CutPrefix(row.name, g+"/"); ok {
+					} else if c, ok := strings.CutPrefix(row.Name, g+"/"); ok {
 						t.Run(c, func(t *testing.T) { regress(t, row) })
 					}
 				}
@@ -846,71 +803,66 @@ func TestBackendCrashEnumeration(t *testing.T) {
 		}
 	})
 	t.Run("explore", func(t *testing.T) {
+		row, replay := testrec.Replay(t)
 		bound := enumBound(t)
+		if replay {
+			bound = len(row.Choices)
+		}
+		row.Name = t.Name()
 		c := newEnumCheck()
-		type job struct {
-			sched []testrec.Choice
-			fail  bool // a super PUT is released failed
-		}
-		stack := []job{{}}
-		schedules, violations := 0, 0
-		for len(stack) > 0 {
-			j := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			r, err := runSchedule((*enumRun).play, j.sched)
-			if err != nil {
-				t.Fatalf("%s: %v", enumRow(j.sched), err)
+		schedules, violating := testrec.Explore(t, row, bound, enumBranch, func(sched []testrec.Choice) (*testrec.Schedule, error) {
+			r, s, err := runSchedule((*enumRun).play, sched)
+			if err == nil {
+				s.Violations = c.run(r)
 			}
-			schedules++
-			if vs := c.run(r); len(vs) > 0 {
-				if violations++; violations <= 3 {
-					t.Errorf("%s\n\t%s\nthe newest log entries:\n\t%s", enumRow(j.sched), strings.Join(vs[:min(5, len(vs))], "\n\t"), tail(r.rs.Lines(), 64))
-				}
-			}
-			if len(j.sched) == bound {
-				continue
-			}
-			from := 0
-			if n := len(j.sched); n > 0 {
-				from = j.sched[n-1].Step + 1
-			}
-			for k := from; k < len(r.steps); k++ {
-				for i, op := range r.steps[k] {
-					if i > 0 && !(isDelete(op) && isDelete(r.steps[k][0])) {
-						stack = append(stack, job{append(slices.Clip(j.sched), testrec.Choice{Step: k, Op: op}), j.fail})
-					}
-					if i == 0 && !j.fail && op == "put "+superName("vol") {
-						stack = append(stack, job{append(slices.Clip(j.sched), testrec.Choice{Step: k, Op: op, Fail: true}), true})
-					}
-				}
-			}
-		}
-		if c.owed == 0 {
+			return s, err
+		})
+		if c.owed == 0 && !replay {
 			t.Error("no crash state left a checkpoint the super does not name with an object between the two")
 		}
 		t.Logf("preemption bound %d: %d schedules, %d distinct crash states (%d inside an open, %d owed-super continuations; digest %s), %d violating schedules",
-			bound, schedules, c.points, c.inOpen, c.owed, c.digest(), violations)
+			bound, schedules, c.points, c.inOpen, c.owed, c.digest(), violating)
 	})
+}
+
+// enumBranch is the explorer's branch: a preemption, as in CHESS
+// (Musuvathi et al., OSDI 2008), releasing any younger operation, and,
+// once a schedule, the super PUT the default releases, failed. Two
+// deletes are never swapped: each is legal or not when it is sent
+// (deleteOrderViolation), and the reaper takes their results together.
+func enumBranch(sched []testrec.Choice, step int, labels []string) []testrec.Choice {
+	var cs []testrec.Choice
+	if labels[0] == "put "+superName("vol") && !slices.ContainsFunc(sched, func(c testrec.Choice) bool { return c.Fail }) {
+		cs = append(cs, testrec.Choice{Step: step, Op: labels[0], Fail: true})
+	}
+	for _, op := range labels[1:] {
+		if !isDelete(op) || !isDelete(labels[0]) {
+			cs = append(cs, testrec.Choice{Step: step, Op: op})
+		}
+	}
+	return cs
 }
 
 // regress runs one regression row: its schedule must pass every check,
 // and its log must show the race the row exists for.
 func regress(t *testing.T, row enumRegression) {
-	sched, err := testrec.ParseChoices(row.sched)
-	if err != nil {
-		t.Fatal(err)
-	}
 	play := row.play
 	if play == nil {
 		play = (*enumRun).play
 	}
-	r, err := runSchedule(play, sched)
-	if err != nil {
-		t.Fatalf("%s: %v", enumRow(sched), err)
-	}
+	var r *enumRun
 	c := newEnumCheck()
-	if vs := c.run(r); len(vs) > 0 {
-		t.Fatalf("%s:\n\t%s\nthe newest log entries:\n\t%s", enumRow(sched), strings.Join(vs[:min(5, len(vs))], "\n\t"), tail(r.rs.Lines(), 64))
+	named := row.Row
+	named.Name = t.Name()
+	if _, failed := testrec.Explore(t, named, len(row.Choices), nil, func(sched []testrec.Choice) (*testrec.Schedule, error) {
+		var s *testrec.Schedule
+		var err error
+		if r, s, err = runSchedule(play, sched); err == nil {
+			s.Violations = c.run(r)
+		}
+		return s, err
+	}); failed > 0 {
+		t.FailNow()
 	}
 	if row.owed && c.owed == 0 {
 		t.Fatal("no crash state ran the owed-super continuation")
@@ -929,8 +881,3 @@ func regress(t *testing.T, row enumRegression) {
 
 // isDelete reports whether a label is a DELETE's.
 func isDelete(op string) bool { return strings.HasPrefix(op, "delete ") }
-
-// tail returns the newest n lines, one per line.
-func tail(lines []string, n int) string {
-	return strings.Join(lines[max(0, len(lines)-n):], "\n\t")
-}

@@ -4,10 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"slices"
 	"strings"
 	"testing"
-	"time"
 
 	"lsvd/internal/block"
 	"lsvd/internal/blockstore"
@@ -32,59 +30,45 @@ import (
 // checkpoint object is durable but the pointer update is lost, which
 // recovery must absorb by replaying the newer checkpoint wholesale.
 func TestCheckpointCrashTorture(t *testing.T) {
-	iters := envInt("LSVD_FAULT_ITERS", 16)
-	if testing.Short() && iters > 8 {
-		iters = 8
-	}
-	torture(t, iters, ckptCrashIteration)
+	torture(t, 16, 8, ckptCrashIteration)
 }
+
+// An odd seed cuts the backend at an op stamp of ckptCutMin +
+// [0, ckptCutSpan): the workload's PUTs start near stamp 50 and run past
+// 450.
+const (
+	ckptCutMin  = 60
+	ckptCutSpan = 360
+)
 
 func ckptCrashIteration(w *walk) error {
 	seed := w.seed
 	rng := rand.New(rand.NewSource(seed))
 	mem := objstore.NewMem()
 	store := w.store("backend", mem)
-	opts := core.Options{
-		HostOptions: core.HostOptions{
-			Store: store, Cache: w.device(), UploadDepth: 2,
-			Retry: objstore.RetryPolicy{
-				MaxAttempts: 3,
-				BaseDelay:   50 * time.Microsecond,
-				MaxDelay:    time.Millisecond,
-				Seed:        seed,
-			},
-		},
-		VolumeOptions: core.VolumeOptions{
-			Volume: "vol", VolBytes: 16 * block.MiB, BatchBytes: 128 << 10,
-			CheckpointEvery: 2, DestageQueueDepth: 32,
-		},
-	}
-	disk, err := core.Create(ctx, opts)
+	opts := w.options(store, 3)
+	opts.CheckpointEvery = 2
+	disk, err := w.opened(core.Create(ctx, opts))
 	if err != nil {
 		return err
 	}
-	defer disk.Kill()
+	defer w.kill(disk)
 	// Cut the backend session: from the cut on every mutation fails (the
 	// host died with the PUTs on the wire); what completed earlier stays
 	// as written. Half the seeds cut at the next super PUT, between a
 	// checkpoint object and its super — the audit below proves the super
-	// never names a checkpoint the crash swallowed; the rest once 3 to 42
-	// PUTs, Create's included, have gone through. The cut is decided as
-	// each operation is released, in the walk's order.
-	puts := len(slices.DeleteFunc(store.Log(), func(op testrec.Op) bool { return op.Kind != testrec.Put || op.Done }))
-	cutAt, cut := -1, false
+	// never names a checkpoint the crash swallowed; the rest at the first
+	// PUT the walk releases at or after an op stamp drawn from the seed,
+	// as the concurrent tortures draw their kill step, inside the span
+	// the workload's PUTs take.
+	cutAt, cut := uint64(0), false
 	if seed%2 != 0 {
-		cutAt = 3 + rng.Intn(40)
+		cutAt = uint64(ckptCutMin + rng.Intn(ckptCutSpan))
 	}
 	mutation := testrec.Kinds(testrec.Put, testrec.Delete)
 	heal := store.Do(testrec.Any, func(op testrec.Op) error {
 		if !cut && op.Kind == testrec.Put {
-			if cutAt < 0 {
-				cut = testrec.Super(op)
-			} else {
-				cut = puts >= cutAt
-				puts++
-			}
+			cut = cutAt == 0 && testrec.Super(op) || cutAt > 0 && store.Now() >= cutAt
 		}
 		if cut && mutation(op) {
 			return fmt.Errorf("%w: backend cut", testrec.ErrFault)
@@ -110,7 +94,7 @@ func ckptCrashIteration(w *walk) error {
 			break
 		}
 	}
-	disk.Kill()
+	w.kill(disk)
 
 	// Audit the raw backend as the crash left it: the superblock must
 	// point at a checkpoint object that is present and whole.
@@ -135,11 +119,11 @@ func ckptCrashIteration(w *walk) error {
 	// Heal the backend and recover: consistent prefix, committed writes
 	// intact (the cache survived).
 	heal()
-	disk2, err := core.Open(ctx, opts)
+	disk2, err := w.opened(core.Open(ctx, opts))
 	if err != nil {
 		return fmt.Errorf("recovery failed: %w", err)
 	}
-	defer disk2.Kill()
+	defer w.kill(disk2)
 	r, err := wr.Check(w.checked(disk2))
 	if err != nil {
 		return err
@@ -151,7 +135,7 @@ func ckptCrashIteration(w *walk) error {
 		return fmt.Errorf("committed writes lost despite surviving cache: recovered v%d < committed v%d",
 			r.RecoveredVersion, wr.Committed())
 	}
-	if err := disk2.Close(); err != nil {
+	if err := w.closed(disk2).Close(); err != nil {
 		w.t.Logf("close after checkpoint crash: %v", err)
 	}
 	return nil

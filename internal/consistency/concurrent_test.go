@@ -4,14 +4,13 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"lsvd/internal/block"
 	"lsvd/internal/core"
-	"lsvd/internal/journal"
 	"lsvd/internal/objstore"
 	"lsvd/internal/testrec"
 	"lsvd/internal/vdisk"
@@ -144,120 +143,31 @@ func (w *cwWriter) check(disk vdisk.Disk, cacheSurvives bool) error {
 		}
 	}
 	low := maxSeen
-	if cacheSurvives && w.committed > low {
-		low = w.committed
+	if cacheSurvives {
+		low = max(low, w.committed)
 	}
-	want := make([]uint64, cwSpan)
+	want := make([]uint64, cwSpan) // the range after ops[0:c]
 	for c := 0; c <= len(w.ops); c++ {
-		op := cwOp{}
 		if c > 0 {
-			op = w.ops[c-1]
-			for i := 0; i < op.n; i++ {
-				j := op.blk + int64(i) - w.base
-				if op.trim {
+			op := w.ops[c-1]
+			for j := op.blk - w.base; j < op.blk-w.base+int64(op.n); j++ {
+				if want[j] = op.seq; op.trim {
 					want[j] = 0
-				} else {
-					want[j] = op.seq
 				}
 			}
 		}
-		if uint64(c) < low {
-			continue
-		}
-		match := true
-		for i := range want {
-			if want[i] != rec[i] {
-				match = false
-				break
-			}
-		}
-		if match {
+		if uint64(c) >= low && slices.Equal(want, rec) {
 			return nil
 		}
 	}
-	// No cut matched: report the mismatches at the tightest candidate
-	// (cut = low) so the failure is actionable.
-	for i := range want {
-		want[i] = 0
-	}
-	for c := 0; c < int(low); c++ {
-		op := w.ops[c]
-		for i := 0; i < op.n; i++ {
-			j := op.blk + int64(i) - w.base
-			if op.trim {
-				want[j] = 0
-			} else {
-				want[j] = op.seq
-			}
+	var stamps []string
+	for i, seq := range rec {
+		if seq != 0 {
+			stamps = append(stamps, fmt.Sprintf("%d:%d", w.base+int64(i), seq))
 		}
 	}
-	var detail []string
-	for i := range want {
-		if want[i] != rec[i] && len(detail) < 8 {
-			detail = append(detail, fmt.Sprintf("block %d: holds seq %d, cut %d requires %d",
-				w.base+int64(i), rec[i], low, want[i]))
-		}
-	}
-	var all []string
-	for i := range rec {
-		if rec[i] != 0 {
-			all = append(all, fmt.Sprintf("%d:%d", w.base+int64(i), rec[i]))
-		}
-	}
-	detail = append(detail, "recovered nonzero stamps: "+strings.Join(all, " "))
-	return fmt.Errorf("writer %d: no consistent cut in [%d,%d] (committed %d, acked %d, cacheSurvives=%v)\n  %s",
-		w.gid, low, len(w.ops), w.committed, w.acked, cacheSurvives, strings.Join(detail, "\n  "))
-}
-
-// dumpObjects prints every backend object's header (debug aid for
-// torture failures): type, write watermark, trim markers and data
-// extents intersecting [lo,hi) blocks, with the op stamp each data
-// extent carries.
-func dumpObjects(t *testing.T, store objstore.Store, lo, hi int64) {
-	t.Helper()
-	loS, hiS := block.LBA(lo*8), block.LBA(hi*8)
-	for seq := uint32(1); ; seq++ {
-		raw, err := store.Get(ctx, fmt.Sprintf("vol.%08d", seq))
-		if err != nil {
-			t.Logf("obj %d: %v (end)", seq, err)
-			return
-		}
-		h, _, err := journal.DecodeHeader(raw)
-		if err != nil {
-			t.Logf("obj %d: header: %v", seq, err)
-			continue
-		}
-		var parts []string
-		cursor := int64(journal.HeaderSize(len(h.Extents)))
-		for _, e := range h.Extents {
-			isTrim := e.SrcSeq == ^uint64(0)
-			end := e.LBA + block.LBA(e.Sectors)
-			if end > loS && e.LBA < hiS {
-				if isTrim {
-					parts = append(parts, fmt.Sprintf("trim[%d+%d)", e.LBA/8, e.Sectors/8))
-				} else {
-					var seqs []string
-					for b := int64(0); b < int64(e.Sectors)/8; b++ {
-						off := cursor + b*block.BlockSize
-						if off+stampLen <= int64(len(raw)) {
-							v, _, ok := readStamp(raw[off:])
-							if ok {
-								_, s := cwDecode(v)
-								seqs = append(seqs, fmt.Sprintf("%d", s))
-							} else {
-								seqs = append(seqs, "-")
-							}
-						}
-					}
-					parts = append(parts, fmt.Sprintf("data[%d+%d)=op{%s}", e.LBA/8, e.Sectors/8, strings.Join(seqs, ",")))
-				}
-			}
-			if !isTrim {
-				cursor += int64(e.Sectors) * 512
-			}
-		}
-		t.Logf("obj %d: type=%v ws=%d exts=%d: %s", seq, h.Type, h.WriteSeq, len(h.Extents), strings.Join(parts, " "))
-	}
+	return fmt.Errorf("writer %d: no consistent cut in [%d,%d] (committed %d, acked %d, cacheSurvives=%v); recovered block:seq %s",
+		w.gid, low, len(w.ops), w.committed, w.acked, cacheSurvives, strings.Join(stamps, " "))
 }
 
 // TestConcurrentTorture runs the concurrent crash/recover loop. Under
@@ -266,17 +176,14 @@ func dumpObjects(t *testing.T, store objstore.Store, lo, hi int64) {
 // every internal invariant armed as in any build (`make race` runs it:
 // the consistency package is in RACE_PKGS).
 func TestConcurrentTorture(t *testing.T) {
-	iters := envInt("LSVD_FAULT_ITERS", 12)
-	if testing.Short() && iters > 4 {
-		iters = 4
-	}
-	torture(t, iters, concurrentIteration)
+	torture(t, 12, 4, concurrentIteration)
 }
 
 // startWriters runs the torture's writers on disk, each on its own
 // range, until the walk kills the disk at a step drawn from rng, and
-// returns them once every one has stopped.
-func startWriters(w *walk, disk *core.Disk, rng *rand.Rand) []*cwWriter {
+// returns them once every one has stopped, with an error if one failed
+// outside the fault model.
+func startWriters(w *walk, disk *core.Disk, rng *rand.Rand) ([]*cwWriter, error) {
 	writers := make([]*cwWriter, cwWriters)
 	var wg sync.WaitGroup
 	for g := 0; g < cwWriters; g++ {
@@ -288,64 +195,80 @@ func startWriters(w *walk, disk *core.Disk, rng *rand.Rand) []*cwWriter {
 			cw.run(disk, w.seed*int64(cwWriters)+int64(cw.gid), w.hold)
 		}()
 	}
-	w.awaitKill(cwKillMin + rng.Intn(cwKillSpan))
-	disk.Kill()
+	w.Kill(cwKillMin + rng.Intn(cwKillSpan))
+	w.kill(disk)
 	wg.Wait()
-	return writers
+	for _, cw := range writers {
+		if cw.err != nil {
+			return nil, fmt.Errorf("writer %d failed outside the fault model: %w", cw.gid, cw.err)
+		}
+	}
+	return writers, nil
 }
 
-func concurrentIteration(w *walk) error {
-	seed := w.seed
-	rng := rand.New(rand.NewSource(seed ^ 0x636f6e63))
-	store := w.store("backend", objstore.NewMem())
-	opts := core.Options{
-		HostOptions: core.HostOptions{
-			Store: store, Cache: w.device(), UploadDepth: 2,
-			Retry: objstore.RetryPolicy{
-				MaxAttempts: 16,
-				BaseDelay:   50 * time.Microsecond,
-				MaxDelay:    time.Millisecond,
-				Seed:        seed,
-			},
-		},
-		VolumeOptions: core.VolumeOptions{
-			Volume: "vol", VolBytes: 16 * block.MiB, BatchBytes: 128 << 10,
-			CheckpointEvery: 4, DestageQueueDepth: 32,
-		},
+// checkWriters runs each writer's check on d.
+func checkWriters(d vdisk.Disk, writers []*cwWriter, cacheSurvives bool) error {
+	var errs []error
+	for _, cw := range writers {
+		errs = append(errs, cw.check(d, cacheSurvives))
 	}
-	disk, err := core.Create(ctx, opts)
+	return errors.Join(errs...)
+}
+
+func concurrentIteration(w *walk) error { return cwIteration(w, 0x636f6e63, core.VolumeOptions{}) }
+
+// TestGCTorture is the concurrent torture with the paced background GC
+// service deliberately kept busy (low-water raised to 0.95, so any
+// overwrite garbage wakes it) while the backend injects faults and the
+// walk kills the disk mid-pass. The utilization audit, at every settled
+// step and after recovery, asserts what the GC must never break: the
+// accounting stays exact across aborted passes, crash-orphaned GC
+// objects and the open-time deferred-delete resweep.
+func TestGCTorture(t *testing.T) {
+	torture(t, 12, 4, gcTortureIteration)
+}
+
+func gcTortureIteration(w *walk) error {
+	return cwIteration(w, 0x67635f74, core.VolumeOptions{GCLowWater: 0.95, GCHighWater: 0.98})
+}
+
+// cwIteration is one iteration of the concurrent tortures: the writers
+// until the kill, recovery with or without the cache, each writer's
+// prefix audit, the utilization audit, and writes on the recovered disk.
+// salt draws the torture's own stream; gc sets the GC service's marks.
+func cwIteration(w *walk, salt int64, gc core.VolumeOptions) error {
+	seed := w.seed
+	rng := rand.New(rand.NewSource(seed ^ salt))
+	store := w.store("backend", objstore.NewMem())
+	opts := w.options(store, 16)
+	opts.GCLowWater, opts.GCHighWater = gc.GCLowWater, gc.GCHighWater
+	disk, err := w.opened(core.Create(ctx, opts))
 	if err != nil {
 		return err
 	}
-	defer disk.Kill()
+	defer w.kill(disk)
 	disarm := store.Tear(testrec.Any.Chance(seed, cwFaultRate), seed)
 	defer disarm()
 
-	writers := startWriters(w, disk, rng)
-	for _, cw := range writers {
-		if cw.err != nil {
-			return fmt.Errorf("writer %d failed outside the fault model: %w", cw.gid, cw.err)
-		}
+	writers, err := startWriters(w, disk, rng)
+	if err != nil {
+		return err
 	}
 
 	cacheSurvives := rng.Intn(2) == 0
 	if !cacheSurvives {
 		opts.Cache = w.device()
 	}
-	disk2, err := openWithRetry(opts)
+	disk2, err := w.opened(openWithRetry(opts))
 	if err != nil {
 		return fmt.Errorf("recovery failed (cacheSurvives=%v): %w", cacheSurvives, err)
 	}
-	defer disk2.Kill()
-	var errs []error
-	for _, cw := range writers {
-		if err := cw.check(w.checked(disk2), cacheSurvives); err != nil {
-			errs = append(errs, err)
-			dumpObjects(w.t, store, cw.base, cw.base+cwSpan)
-		}
-	}
-	if err := errors.Join(errs...); err != nil {
+	defer w.kill(disk2)
+	if err := checkWriters(w.checked(disk2), writers, cacheSurvives); err != nil {
 		return err
+	}
+	if err := disk2.Backend().AuditUtilization(); err != nil {
+		return fmt.Errorf("utilization drift after recovery: %w", err)
 	}
 	if err := postRecovery(disk2, writers); err != nil {
 		if errors.Is(err, testrec.ErrFault) {
@@ -353,8 +276,11 @@ func concurrentIteration(w *walk) error {
 		}
 		return err
 	}
+	if err := disk2.Backend().AuditUtilization(); err != nil {
+		return fmt.Errorf("utilization drift after post-recovery writes: %w", err)
+	}
 	disarm() // let Close drain without injected failures
-	if err := disk2.Close(); err != nil {
+	if err := w.closed(disk2).Close(); err != nil {
 		w.t.Logf("close after torture: %v", err)
 	}
 	return nil

@@ -110,6 +110,17 @@ func (w *Writer) Rebind(d vdisk.Disk) error {
 	return nil
 }
 
+// Clone returns a writer with w's history, to go on from where w is
+// without changing it: Rebind it to the disk it writes next.
+func (w *Writer) Clone() *Writer {
+	c := *w
+	c.history = make(map[int64][]uint64, len(w.history))
+	for b, versions := range w.history {
+		c.history[b] = slices.Clone(versions)
+	}
+	return &c
+}
+
 // Prune discards the history of writes newer than v. After a crash
 // recovered to prefix v, those writes are gone for good — auditing
 // future states against them would demand data the disk never promised

@@ -5,9 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
-	"time"
 
-	"lsvd/internal/block"
 	"lsvd/internal/core"
 	"lsvd/internal/objstore"
 	"lsvd/internal/testrec"
@@ -46,39 +44,20 @@ const replicaLagBound = 4
 const replicaRPOSlack = 20
 
 func TestReplicaTorture(t *testing.T) {
-	iters := envInt("LSVD_FAULT_ITERS", 12)
-	if testing.Short() && iters > 4 {
-		iters = 4
-	}
-	torture(t, iters, replicaIteration)
+	torture(t, 12, 4, replicaIteration)
 }
 
 func replicaIteration(w *walk) error {
 	seed := w.seed
 	rng := rand.New(rand.NewSource(seed ^ 0x7265706c))
 	primary, replica := w.store("primary", objstore.NewMem()), w.store("replica", objstore.NewMem())
-	opts := core.Options{
-		HostOptions: core.HostOptions{
-			Store: primary, Cache: w.device(), UploadDepth: 2,
-			Retry: objstore.RetryPolicy{
-				MaxAttempts: 16,
-				BaseDelay:   50 * time.Microsecond,
-				MaxDelay:    time.Millisecond,
-				Seed:        seed,
-			},
-		},
-		VolumeOptions: core.VolumeOptions{
-			Volume: "vol", VolBytes: 16 * block.MiB, BatchBytes: 128 << 10,
-			CheckpointEvery: 4, DestageQueueDepth: 32,
-			ReplicaStore:         replica,
-			ReplicaMaxLagObjects: replicaLagBound,
-		},
-	}
-	disk, err := core.Create(ctx, opts)
+	opts := w.options(primary, 16)
+	opts.ReplicaStore, opts.ReplicaMaxLagObjects = replica, replicaLagBound
+	disk, err := w.opened(core.Create(ctx, opts))
 	if err != nil {
 		return err
 	}
-	defer disk.Kill()
+	defer w.kill(disk)
 	disarmPrimary := primary.Tear(testrec.Any.Chance(seed, cwFaultRate), seed)
 	// The replica backend faults harder than the primary: the shipper
 	// must absorb the asymmetry via retries and, past the lag bound,
@@ -87,13 +66,11 @@ func replicaIteration(w *walk) error {
 	defer disarmPrimary()
 	defer disarmReplica()
 
-	writers := startWriters(w, disk, rng)
+	writers, err := startWriters(w, disk, rng)
 	disarmPrimary()
 	disarmReplica()
-	for _, cw := range writers {
-		if cw.err != nil {
-			return fmt.Errorf("writer %d failed outside the fault model: %w", cw.gid, cw.err)
-		}
+	if err != nil {
+		return err
 	}
 
 	// --- Restore from the replica (promote): same options, the replica
@@ -103,7 +80,7 @@ func replicaIteration(w *walk) error {
 	ropts.Store = replica
 	ropts.ReplicaStore = nil
 	ropts.Cache = w.device()
-	rdisk, rerr := core.Open(ctx, ropts)
+	rdisk, rerr := w.opened(core.Open(ctx, ropts))
 	if rerr != nil {
 		// The only legal failure is a replica that was never
 		// bootstrapped: the kill landed before the first superblock
@@ -118,26 +95,19 @@ func replicaIteration(w *walk) error {
 
 	var replicaNext uint32
 	if rdisk != nil {
-		defer rdisk.Kill()
+		defer w.kill(rdisk)
 		replicaNext = rdisk.Backend().Stats().NextSeq
 		// (1) Committed-prefix restore: the promoted replica must pass
 		// the crashed-primary audit (fresh cache ⇒ cacheSurvives=false).
-		var errs []error
-		for _, cw := range writers {
-			if err := cw.check(w.checked(rdisk), false); err != nil {
-				errs = append(errs, fmt.Errorf("replica restore: %w", err))
-				dumpObjects(w.t, replica, cw.base, cw.base+cwSpan)
-			}
-		}
-		if err := errors.Join(errs...); err != nil {
-			return err
+		if err := checkWriters(w.checked(rdisk), writers, false); err != nil {
+			return fmt.Errorf("replica restore: %w", err)
 		}
 		// (3) Liveness after failover: the promoted replica is a
 		// writable volume (its store no longer faults).
 		if err := postRecovery(rdisk, writers); err != nil {
 			return fmt.Errorf("post-promote: %w", err)
 		}
-		if err := rdisk.Close(); err != nil {
+		if err := w.closed(rdisk).Close(); err != nil {
 			w.t.Logf("close promoted replica: %v", err)
 		}
 	}
@@ -148,22 +118,16 @@ func replicaIteration(w *walk) error {
 	popts := opts
 	popts.ReplicaStore = nil // audit mount: no shipper
 	popts.Cache = w.device()
-	pdisk, err := openWithRetry(popts)
+	pdisk, err := w.opened(openWithRetry(popts))
 	if err != nil {
 		return fmt.Errorf("primary recovery failed: %w", err)
 	}
-	defer pdisk.Kill()
+	defer w.kill(pdisk)
 	primaryNext := pdisk.Backend().Stats().NextSeq
-	var errs []error
-	for _, cw := range writers {
-		if err := cw.check(w.checked(pdisk), false); err != nil {
-			errs = append(errs, err)
-		}
-	}
-	if err := errors.Join(errs...); err != nil {
+	if err := checkWriters(w.checked(pdisk), writers, false); err != nil {
 		return err
 	}
-	if err := pdisk.Close(); err != nil {
+	if err := w.closed(pdisk).Close(); err != nil {
 		w.t.Logf("close primary: %v", err)
 	}
 

@@ -8,7 +8,6 @@ import (
 	"strconv"
 	"strings"
 	"testing"
-	"time"
 
 	"lsvd/internal/block"
 	"lsvd/internal/core"
@@ -22,7 +21,7 @@ import (
 //	LSVD_FAULT_SEED      base seed, iteration i uses seed+i (default 1)
 //	LSVD_FAULT_RATE      per-op injected failure probability (default 0.10)
 //	LSVD_FAULT_ITERS     crash/recover iterations (default 50, 10 in -short)
-//	LSVD_TORTURE_REPLAY  a failing iteration's row: run that walk alone
+//	LSVD_REPLAY          a failing iteration's row: run that walk alone
 func envInt(name string, def int64) int64 {
 	if v := os.Getenv(name); v != "" {
 		if n, err := strconv.ParseInt(v, 10, 64); err == nil {
@@ -65,41 +64,23 @@ func openWithRetry(opts core.Options) (*core.Disk, error) {
 // point, recovers — sometimes with the cache wiped — and must present
 // a consistent durable prefix every single time (§3.4 under fire).
 func TestFaultTorture(t *testing.T) {
-	iters := envInt("LSVD_FAULT_ITERS", 50)
-	if testing.Short() && iters > 10 {
-		iters = 10
-	}
-	torture(t, iters, tortureIteration)
+	torture(t, 50, 10, tortureIteration)
 }
 
 func tortureIteration(w *walk) error {
 	seed, rate := w.seed, envFloat("LSVD_FAULT_RATE", 0.10)
 	rng := rand.New(rand.NewSource(seed))
 	store := w.store("backend", objstore.NewMem())
-	opts := core.Options{
-		HostOptions: core.HostOptions{
-			Store: store, Cache: w.device(), UploadDepth: 2,
-			Retry: objstore.RetryPolicy{
-				// 16 attempts: even a 0.35-rate sweep has a negligible
-				// chance of exhausting the budget on any single op.
-				MaxAttempts: 16,
-				BaseDelay:   50 * time.Microsecond,
-				MaxDelay:    time.Millisecond,
-				Seed:        seed,
-			},
-		},
-		VolumeOptions: core.VolumeOptions{
-			Volume: "vol", VolBytes: 16 * block.MiB, BatchBytes: 128 << 10,
-			CheckpointEvery: 4, DestageQueueDepth: 32,
-		},
-	}
+	// 16 attempts: even a 0.35-rate sweep has a negligible chance of
+	// exhausting the budget on any single op.
+	opts := w.options(store, 16)
 	// Create with a healthy store (a failed mkfs is not a crash test),
 	// then arm the injector for the workload.
-	disk, err := core.Create(ctx, opts)
+	disk, err := w.opened(core.Create(ctx, opts))
 	if err != nil {
 		return err
 	}
-	defer disk.Kill()
+	defer w.kill(disk)
 	disarm := store.Tear(testrec.Any.Chance(seed, rate), seed) // the failure model of DESIGN.md §13
 	defer disarm()
 
@@ -129,7 +110,7 @@ func tortureIteration(w *walk) error {
 			break
 		}
 	}
-	disk.Kill()
+	w.kill(disk)
 
 	// Coin flip: recover with the surviving cache (all committed writes
 	// must be back) or with the cache lost entirely (any consistent
@@ -138,11 +119,11 @@ func tortureIteration(w *walk) error {
 	if !cacheSurvives {
 		opts.Cache = w.device()
 	}
-	disk2, err := openWithRetry(opts)
+	disk2, err := w.opened(openWithRetry(opts))
 	if err != nil {
 		return fmt.Errorf("recovery failed (cacheSurvives=%v): %w", cacheSurvives, err)
 	}
-	defer disk2.Kill()
+	defer w.kill(disk2)
 	r, err := wr.Check(w.checked(disk2))
 	if err != nil {
 		return err
@@ -182,7 +163,7 @@ func tortureIteration(w *walk) error {
 	}
 
 	disarm() // let Close drain without injected failures
-	if err := disk2.Close(); err != nil {
+	if err := w.closed(disk2).Close(); err != nil {
 		w.t.Logf("close after torture: %v", err)
 	}
 	return nil

@@ -3,15 +3,14 @@ package consistency
 import (
 	"crypto/sha256"
 	"fmt"
-	"math/rand"
-	"os"
-	"regexp"
+	"reflect"
 	"runtime"
 	"slices"
-	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"lsvd/internal/block"
 	"lsvd/internal/core"
@@ -21,50 +20,84 @@ import (
 	"lsvd/internal/vdisk"
 )
 
-// Every torture iteration is a seeded walk (testrec.Run, DESIGN.md §5):
-// each backend operation, each write and flush of the cache device, each
-// timer of the product's and each operation of a torture's writers is
-// held at one gate, which releases one of them whenever the program has
-// settled. The seed draws everything a run depends on:
-//
-//   - the workload, from the torture's own stream;
-//   - the faults, by the recorders' rules, whose draw is a function of the
-//     seed and the operation (testrec.Match.Chance), so a torn PUT keeps
-//     the prefix it leaves;
-//   - the order: one operation in five is slow, held back for up to 64
-//     steps while others can go; of the rest the oldest goes first, or,
-//     with chance 1/4, a younger one;
-//   - the kill: a torture that kills its disk holds on a kill note, which
-//     the walk releases at a step drawn from the seed, an op stamp.
-//
-// So one seed is one run. A failing iteration prints its row, the
-// torture, the seed and the choices the walk took; LSVD_TORTURE_REPLAY
-// set to that row runs exactly that walk again.
+// Every torture iteration is a seeded walk (testrec.Script.Sample,
+// DESIGN.md §5) on one gate that holds each backend operation, each
+// write and flush of the cache device, each product timer and each
+// writer operation. The seed draws the workload (the torture's own
+// stream), the faults (testrec.Match.Chance, a function of the seed and
+// the operation), the order, and the crash: the step a kill note goes
+// (testrec.Script.Kill) or the op stamp a backend cut starts at. So one
+// seed is one run. At every settled step each open volume's block store
+// passes its audit. A failing iteration prints its row; LSVD_REPLAY set
+// to that row runs exactly that walk again.
 
 // cacheBytes is the size of a torture's cache device.
 const cacheBytes = 32 * block.MiB
 
-// walkSettle bounds each wait for the program to settle.
-const walkSettle = 10 * time.Second
-
 // backendOps are the store operations a walk holds: all of them.
 var backendOps = testrec.Kinds(testrec.Put, testrec.Get, testrec.GetRange, testrec.Delete, testrec.List, testrec.Size)
 
-// walk is one iteration's: its gate and the recorders it schedules.
+// walk is one iteration's: its script, the recorders it schedules and
+// the volumes it audits.
 type walk struct {
+	*testrec.Script
 	t      *testing.T
 	seed   int64
 	clock  *testrec.Clock
-	g      *testrec.Gate
 	stores map[string]*testrec.Store
-	killAt int // the step the walk kills at, once the kill note is held
+
+	mu sync.Mutex
+	// open are the volumes audited at every settled step, each with its
+	// block store's lock, an unexported field read by reflection.
+	open map[*core.Disk]*sync.RWMutex
 }
 
 func newWalk(t *testing.T, seed int64) *walk {
-	w := &walk{t: t, seed: seed, clock: testrec.NewClock(), stores: map[string]*testrec.Store{}}
-	w.g = testrec.NewGate(w.clock)
-	w.g.Timers()
+	w := &walk{t: t, seed: seed, clock: testrec.NewClock(), stores: map[string]*testrec.Store{}, open: map[*core.Disk]*sync.RWMutex{}}
+	w.Script = testrec.NewScript(w.clock)
+	w.Timers()
+	w.Audit = w.audit
 	return w
+}
+
+// opened adds d, if an open returned it, to the volumes the walk audits.
+func (w *walk) opened(d *core.Disk, err error) (*core.Disk, error) {
+	if err == nil {
+		w.mu.Lock()
+		w.open[d] = (*sync.RWMutex)(unsafe.Pointer(reflect.ValueOf(d.Backend()).Elem().FieldByName("mu").UnsafeAddr()))
+		w.mu.Unlock()
+	}
+	return d, err
+}
+
+// closed takes d out of the audit; it goes on to be killed or closed.
+func (w *walk) closed(d *core.Disk) *core.Disk {
+	w.mu.Lock()
+	delete(w.open, d)
+	w.mu.Unlock()
+	return d
+}
+
+// kill takes d out of the audit and kills it.
+func (w *walk) kill(d *core.Disk) { w.closed(d).Kill() }
+
+// audit runs the block store's utilization audit on each open volume
+// whose store lock is free. A pass of the GC service holds that lock
+// while it waits for the cache's (the GCBackoff of gcAwaitBudgetLocked),
+// so at a settled step the audit's read lock could wait forever.
+func (w *walk) audit() error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	for d, mu := range w.open {
+		if !mu.TryLock() {
+			continue
+		}
+		mu.Unlock()
+		if err := d.Backend().AuditUtilization(); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // store returns a backend over inner on the walk's gate, logged under
@@ -72,7 +105,7 @@ func newWalk(t *testing.T, seed int64) *walk {
 func (w *walk) store(name string, inner objstore.Store) *testrec.Store {
 	s := testrec.NewStore(inner)
 	s.Clock = w.clock
-	s.Join(w.g, backendOps)
+	s.Join(w.Gate, backendOps)
 	w.stores[name] = s
 	return s
 }
@@ -92,23 +125,32 @@ func (w *walk) device() simdev.Device {
 		panic(err)
 	}
 	logEnd := slots[0].Size()
-	d.Join(w.g, func(op testrec.Op) bool {
+	d.Join(w.Gate, func(op testrec.Op) bool {
 		return op.Kind == testrec.Flush || op.Kind == testrec.Write && op.Off < logEnd
 	})
 	return d.Vectored()
 }
 
+// options are a torture's volume on store, over a fresh cache device:
+// 16 MiB of 128 KiB objects, a checkpoint every four, and a backend that
+// retries each operation up to attempts times.
+func (w *walk) options(store objstore.Store, attempts int) core.Options {
+	return core.Options{
+		HostOptions: core.HostOptions{
+			Store: store, Cache: w.device(), UploadDepth: 2,
+			Retry: objstore.RetryPolicy{MaxAttempts: attempts, BaseDelay: 50 * time.Microsecond, MaxDelay: time.Millisecond, Seed: w.seed},
+		},
+		VolumeOptions: core.VolumeOptions{
+			Volume: "vol", VolBytes: 16 * block.MiB, BatchBytes: 128 << 10,
+			CheckpointEvery: 4, DestageQueueDepth: 32,
+		},
+	}
+}
+
 // hold holds the calling goroutine, a writer about to issue operation
 // seq, until the walk releases it.
 func (w *walk) hold(writer int, seq uint64) {
-	_ = w.g.Hold(fmt.Sprintf("w%d", writer), int64(seq))
-}
-
-// awaitKill holds the calling goroutine until the walk kills: at step
-// killAt or later, or once nothing else is held.
-func (w *walk) awaitKill(killAt int) {
-	w.killAt = killAt
-	_ = w.g.Hold(testrec.KillNote, 0)
+	_ = w.Hold(fmt.Sprintf("w%d", writer), int64(seq))
 }
 
 // checked returns d for a torture's audit to read through: after a read
@@ -131,123 +173,28 @@ func (d idleReads) ReadAt(p []byte, off int64) error {
 	before := d.w.clock.Now()
 	err := d.Disk.ReadAt(p, off)
 	if d.w.clock.Now() != before {
-		_ = d.w.g.Hold(testrec.IdleNote, 0)
+		_ = d.w.Hold(testrec.IdleNote, 0)
 	}
 	return err
 }
 
-// choose is the walk's draw of a choice at each step. An operation it
-// sees for the first time is slow with chance 1/walkSlow: it is not
-// released for up to walkDelay steps while anything else can go, as a
-// PUT stays in flight while later ones land. Of the rest, the oldest
-// goes, or with chance 1/4 another. The kill goes at step killAt.
-func (w *walk) choose() func(int, []string) *testrec.Choice {
-	rng := rand.New(rand.NewSource(w.seed ^ 0x77616c6b))
-	kill := testrec.KillNote + " 0"
-	until := map[string]int{} // a held operation's label → the step its delay ends
-	return func(step int, labels []string) *testrec.Choice {
-		n := len(labels)
-		if labels[n-1] == kill {
-			if step >= w.killAt {
-				return &testrec.Choice{Step: step, Op: kill}
-			}
-			n--
-		}
-		var ready []string
-		for _, l := range labels[:n] {
-			end, seen := until[l]
-			if !seen {
-				end = step
-				if rng.Intn(walkSlow) == 0 {
-					end += 1 + rng.Intn(walkDelay)
-				}
-				until[l] = end
-			}
-			if end <= step {
-				ready = append(ready, l)
-			}
-		}
-		pick := labels[0]
-		if len(ready) > 0 {
-			pick = ready[0]
-			if len(ready) > 1 && rng.Intn(4) == 0 {
-				pick = ready[1+rng.Intn(len(ready)-1)]
-			}
-		}
-		delete(until, pick)
-		if pick == labels[0] {
-			return nil
-		}
-		return &testrec.Choice{Step: step, Op: pick}
-	}
-}
-
-// A walk delays one operation in walkSlow by up to walkDelay steps.
-const (
-	walkSlow  = 5
-	walkDelay = 64
-)
-
-// replayRow is one torture walk, as a failing iteration prints it.
-type replayRow struct {
-	torture string
-	seed    int64
-	sched   []testrec.Choice
-}
-
-func (r replayRow) String() string {
-	return fmt.Sprintf("{%q, %d, %s},", r.torture, r.seed, testrec.Quote(r.sched))
-}
-
-var replayRe = regexp.MustCompile(`^\{\s*("(?:[^"\\]|\\.)*")\s*,\s*(-?\d+)\s*,\s*(\[\]string\{.*\})\s*\},?$`)
-
-// parseReplay reads a row that replayRow.String printed.
-func parseReplay(s string) (replayRow, error) {
-	m := replayRe.FindStringSubmatch(strings.TrimSpace(s))
-	if m == nil {
-		return replayRow{}, fmt.Errorf("LSVD_TORTURE_REPLAY=%q is not a {torture, seed, choices} row", s)
-	}
-	var r replayRow
-	var err error
-	if r.torture, err = strconv.Unquote(m[1]); err != nil {
-		return r, err
-	}
-	if r.seed, err = strconv.ParseInt(m[2], 10, 64); err != nil {
-		return r, err
-	}
-	row, err := testrec.Unquote(m[3])
-	if err != nil {
-		return r, err
-	}
-	if r.sched, err = testrec.ParseChoices(row); err != nil {
-		return r, err
-	}
-	if r.sched == nil {
-		r.sched = []testrec.Choice{}
-	}
-	return r, nil
-}
-
-// torture runs iters iterations of the calling torture, from
-// LSVD_FAULT_SEED on, each a walk, and stops at the first that fails.
-// With LSVD_TORTURE_REPLAY set it runs only the walk that row names.
-func torture(t *testing.T, iters int64, iteration func(*walk) error) {
-	if env := os.Getenv("LSVD_TORTURE_REPLAY"); env != "" {
-		r, err := parseReplay(env)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if r.torture != t.Name() {
-			t.Skipf("LSVD_TORTURE_REPLAY replays %s", r.torture)
-		}
-		t.Run(fmt.Sprintf("seed=%d", r.seed), func(t *testing.T) { runWalk(t, r, iteration) })
+// torture runs LSVD_FAULT_ITERS iterations of the calling torture
+// (iters, or short in -short), from LSVD_FAULT_SEED on, each a walk, and
+// stops at the first that fails. With LSVD_REPLAY set it runs only the
+// walk that row names.
+func torture(t *testing.T, iters, short int64, iteration func(*walk) error) {
+	if row, ok := testrec.Replay(t); ok {
+		t.Run(fmt.Sprintf("seed=%d", row.Seed), func(t *testing.T) { runWalk(t, row, true, iteration) })
 		return
+	}
+	if iters = envInt("LSVD_FAULT_ITERS", iters); testing.Short() {
+		iters = min(iters, short)
 	}
 	name, seed := t.Name(), envInt("LSVD_FAULT_SEED", 1)
 	base := runtime.NumGoroutine()
 	for it := range iters {
 		t.Run(fmt.Sprintf("seed=%d", seed+it), func(t *testing.T) {
-			runWalk(t, replayRow{torture: name, seed: seed + it}, iteration)
+			runWalk(t, testrec.Row{Name: name, Seed: seed + it}, false, iteration)
 		})
 		if t.Failed() {
 			break // one minimal repro beats fifty identical ones
@@ -256,21 +203,20 @@ func torture(t *testing.T, iters int64, iteration func(*walk) error) {
 	waitGoroutines(t, base)
 }
 
-// runWalk runs one iteration as a walk: r's choices when it has them
-// (a replay), else the seed's draw. It returns the choices the walk took
-// and its log, one label per entry (testrec.Label). A failure prints the
-// line that replays it; -v prints each iteration's injected faults and
-// torn PUTs, and a digest of its log.
-func runWalk(t *testing.T, r replayRow, iteration func(*walk) error) ([]testrec.Choice, []string) {
-	w := newWalk(t, r.seed)
-	var choose func(int, []string) *testrec.Choice
-	if r.sched == nil {
-		choose = w.choose()
-	}
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // quiet's fast path
-	s, err := testrec.Run(w.g, walkSettle, func() error { return iteration(w) }, r.sched, choose)
-	if err == nil {
-		err = s.Failed
+// runWalk runs one iteration as a walk: row's choices if replay, else
+// the seed's draw. It returns the choices the walk took and its log, one
+// label per entry (testrec.Label). A failure prints the row that
+// replays it; -v prints each iteration's injected faults and torn PUTs,
+// and a digest of its log.
+func runWalk(t *testing.T, row testrec.Row, replay bool, iteration func(*walk) error) ([]testrec.Choice, []string) {
+	w := newWalk(t, row.Seed)
+	play := func() error { return iteration(w) }
+	var s *testrec.Schedule
+	var err error
+	if replay {
+		s, err = w.Run(play, row.Choices, nil)
+	} else {
+		s, err = w.Sample(row.Seed, play)
 	}
 	names := make([]string, 0, len(w.stores))
 	for name := range w.stores {
@@ -281,20 +227,9 @@ func runWalk(t *testing.T, r replayRow, iteration func(*walk) error) ([]testrec.
 		failed, torn := w.stores[name].Faults()
 		t.Logf("%s store: %d faults injected, %d PUTs torn", name, failed, torn)
 	}
-	var lines []string
-	for _, op := range w.clock.Log() {
-		lines = append(lines, testrec.Label(op))
-	}
+	lines := s.Lines()
 	t.Logf("%d steps, %d choices, %d log entries, digest %s", len(s.Steps), len(s.Choices), len(lines), digest(lines))
-	if err != nil {
-		t.Errorf("%v\nthe newest log entries:\n\t%s", err, strings.Join(lines[max(0, len(lines)-64):], "\n\t"))
-		r.sched = s.Choices
-		env := ""
-		if rate := os.Getenv("LSVD_FAULT_RATE"); rate != "" {
-			env = "LSVD_FAULT_RATE=" + rate + " "
-		}
-		t.Logf("replay: %sLSVD_TORTURE_REPLAY='%s' go test -run '^%s$' ./internal/consistency", env, r, r.torture)
-	}
+	s.Report(t, testrec.Row{Name: row.Name, Seed: row.Seed, Choices: s.Choices}, err)
 	return s.Choices, lines
 }
 
@@ -342,15 +277,15 @@ func TestTortureReplay(t *testing.T) {
 			if why, ok := raceWakeTogether[name]; ok && raceDetector {
 				t.Skip(why)
 			}
-			sched, first := runWalk(t, replayRow{torture: name, seed: seed}, tortures[name])
+			sched, first := runWalk(t, testrec.Row{Name: name, Seed: seed}, false, tortures[name])
 			if t.Failed() {
 				return
 			}
-			r, err := parseReplay(replayRow{name, seed, sched}.String())
+			r, err := testrec.ParseRow(testrec.Row{Name: name, Seed: seed, Choices: sched}.String())
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, again := runWalk(t, r, tortures[name]); !slices.Equal(first, again) {
+			if _, again := runWalk(t, r, true, tortures[name]); !slices.Equal(first, again) {
 				i := 0
 				for i < min(len(first), len(again)) && first[i] == again[i] {
 					i++

@@ -3,6 +3,7 @@ package objstore_test
 import (
 	"context"
 	"errors"
+	"slices"
 	"testing"
 	"time"
 
@@ -96,27 +97,44 @@ func TestRetrierPreservesTerminalErrors(t *testing.T) {
 	}
 }
 
+// TestRetrierContextCancellation: a cancel cuts the backoff short. On a
+// testrec clock whose timers a gate holds, the context is cancelled once
+// the retrier has armed its first backoff timer; Put must then return
+// the injected fault, and the timer must be stopped unfired.
 func TestRetrierContextCancellation(t *testing.T) {
 	rec := testrec.NewStore(objstore.NewMem())
-	r := objstore.NewRetrier(rec, objstore.RetryPolicy{MaxAttempts: 50, BaseDelay: 50 * time.Millisecond})
+	g := testrec.NewGate(rec.Clock)
+	g.Timers()
+	defer g.Open()
+	r := objstore.NewRetrier(rec, objstore.RetryPolicy{MaxAttempts: 50, BaseDelay: time.Hour})
 	rec.Fail(testrec.Puts, testrec.ErrFault)
 	cctx, cancel := context.WithCancel(context.Background())
-	go func() {
-		time.Sleep(5 * time.Millisecond)
-		cancel()
-	}()
-	start := time.Now()
-	err := r.Put(cctx, "x", []byte("data"))
-	if err == nil {
-		t.Fatal("cancelled retry loop succeeded")
+	done := make(chan error, 1)
+	go func() { done <- r.Put(cctx, "x", []byte("data")) }()
+	settle := func() {
+		t.Helper()
+		if err := testrec.Settle(10 * time.Second); err != nil {
+			t.Fatal(err)
+		}
 	}
-	// The last real failure is returned, not the cancellation, so the
-	// caller can still classify what actually went wrong.
-	if !errors.Is(err, testrec.ErrFault) {
-		t.Fatalf("cancelled retry returned %v, want the last injected error", err)
+	settle()
+	if held := g.Held(); len(held) != 1 || held[0].Label != "timer retry put x" {
+		t.Fatalf("held %v, want the first backoff timer", held)
 	}
-	if time.Since(start) > 2*time.Second {
-		t.Fatal("cancellation did not cut the backoff short")
+	cancel()
+	settle()
+	select {
+	case err := <-done:
+		// The last real failure is returned, not the cancellation, so the
+		// caller can still classify what actually went wrong.
+		if !errors.Is(err, testrec.ErrFault) {
+			t.Fatalf("cancelled retry returned %v, want the last injected error", err)
+		}
+	default:
+		t.Fatal("Put still waits on its backoff timer after the cancel")
+	}
+	if len(g.Held()) != 0 || slices.Contains(rec.Lines(), "timer-done retry put x") {
+		t.Fatalf("the backoff timer was not stopped unfired: held %v, log %q", g.Held(), rec.Lines())
 	}
 }
 

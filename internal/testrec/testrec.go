@@ -1,19 +1,14 @@
 // Package testrec records what the code under test does to its backend
 // store and its cache device, on one logical clock. A test wraps an
-// objstore.Store in a Store and a simdev.Device in a Device: each store
-// operation and device write or flush is logged on arrival and on
-// completion, stamped from the Clock they share, beside the events the
-// test notes itself. The Clock is also the product's objstore.Clock, so
-// its timers can be held as operations too. By a Match, the test can
-// park, fail or delay any of them, or hold them all at a Gate and
-// release them in an order of its choosing once the program has settled
-// (Settle), a PUT perhaps failed to its caller and applied later
-// (ReleaseLate); Run is that scheduler, which a schedule explorer and a
-// seeded walk share. It can rebuild the store (At) or the device (Image)
-// as of any stamp, and it states orderings over the log instead of
-// wall-clock bounds. The backend failure model of DESIGN.md §13 is a set
-// of its rules: Fail, or Tear, with ErrFault on the operations a Match
-// picks by name, count or seeded chance. Only _test.go files import it.
+// objstore.Store in a Store and a simdev.Device in a Device: each
+// operation is logged on arrival and on completion, beside the events
+// the test notes itself; the Clock is also the product's objstore.Clock,
+// so its timers can be held too. By a Match, a test can park, fail or
+// tear any operation (the backend failure model of DESIGN.md §13), or
+// hold them all at a Gate. On a Gate a Script plays as one schedule,
+// which one search explores or samples (search.go). The log rebuilds the
+// store (At) or the device (Image) as of any stamp. Only _test.go files
+// import it.
 package testrec
 
 import (

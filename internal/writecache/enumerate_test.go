@@ -2,29 +2,32 @@ package writecache
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"runtime"
+	"sync"
 	"testing"
 
 	"lsvd/internal/block"
+	"lsvd/internal/consistency"
 	"lsvd/internal/journal"
 	"lsvd/internal/simdev"
 	"lsvd/internal/testrec"
 )
 
-// Crash enumeration (DESIGN.md §5): a scripted workload
-// runs once over a recording device, and then every prefix of the
-// recorded write/flush trace is crashed in every way the device model
-// allows at one-page depth — all unflushed 64 KiB pages kept, all lost,
-// each single one lost — and opened. A record's header and payload are
-// separate writes in the trace, so a prefix can hold one without the
-// other.
+// Crash enumeration (DESIGN.md §5): a scripted workload runs as
+// testrec.Explore's one schedule at bound 0, over a device whose gate
+// holds every write and flush, and each crash point of the device's log
+// (testrec.Clock.Cuts) is opened. A record's header and payload are
+// separate writes, so a crash can keep one without the other.
 
 // logged is one append of the script.
 type logged struct {
-	ws   uint64
-	typ  journal.Type
-	ext  block.Extent
-	data []byte
+	ws      uint64
+	typ     journal.Type
+	ext     block.Extent
+	data    []byte
+	version uint64 // the Writer's version of a data append, 0 for a trim
 	// dead is the stamp from which the record must never be recovered
 	// again: it was unflushed when a lost page cut it off and the next
 	// Open discarded it. Zero: never.
@@ -34,11 +37,11 @@ type logged struct {
 // crashScript is the workload: two ring laps of mixed records with a
 // flush every few, the backend trailing a few records behind, one
 // explicit checkpoint, trims, and in the middle a lost page followed by
-// a reopen that appends into the hole. Its notes in the device's log:
-// "acked i" once append i returned, "destaged ws" once the cache was
-// told the backend holds every write up to ws.
+// a reopen that appends into the hole. Append i writes the stamped
+// blocks of a consistency.Writer at LBA 256·i. Its notes in the device's
+// log: "acked i" once append i returned, "destaged ws" once the cache
+// was told the backend holds every write up to ws.
 type crashScript struct {
-	t   *testing.T
 	dev *testrec.Device
 	cfg Config
 	c   *Cache
@@ -46,10 +49,27 @@ type crashScript struct {
 	log      []logged
 	ws       uint64
 	destaged uint64 // the newest watermark told to the cache
+	w        *consistency.Writer
+	sectors  uint32 // the size of the data append w is writing
+	data     []byte // the bytes it appended
+	mu       sync.Mutex
+	checked  map[string]consistency.Report // by the appends a volume holds
 }
 
-func (s *crashScript) append(typ journal.Type, sectors uint32) {
-	s.t.Helper()
+// WriteAt appends the Writer's write as one record of s.sectors, which
+// keeps the stamp at the front of each of its blocks.
+func (s *crashScript) WriteAt(p []byte, off int64) error {
+	ext := block.Extent{LBA: block.LBA(off >> block.SectorShift), Sectors: s.sectors}
+	s.data = p[:ext.Bytes()]
+	return s.c.Append(s.ws, ext, s.data)
+}
+
+func (s *crashScript) ReadAt([]byte, int64) error { return errors.New("write-only") }
+func (s *crashScript) Flush() error               { return nil }
+func (s *crashScript) Trim(_, _ int64) error      { return nil }
+func (s *crashScript) Size() int64                { return 1 << 40 }
+
+func (s *crashScript) append(typ journal.Type, sectors uint32) error {
 	s.ws++
 	id := len(s.log)
 	rec := logged{ws: s.ws, typ: typ, ext: block.Extent{LBA: block.LBA(id) * 256, Sectors: sectors}}
@@ -57,14 +77,16 @@ func (s *crashScript) append(typ journal.Type, sectors uint32) {
 	if typ == journal.TypeTrim {
 		err = appendTrim(s.c, rec.ws, rec.ext)
 	} else {
-		rec.data = payload(int64(id), int(rec.ext.Bytes()))
-		err = s.c.Append(rec.ws, rec.ext, rec.data)
+		s.sectors = sectors
+		err = s.w.Write(int64(rec.ext.LBA/8), int(sectors+7)/8)
+		rec.version, rec.data = s.w.Version(), s.data
 	}
 	if err != nil {
-		s.t.Fatalf("append %d: %v", id, err)
+		return fmt.Errorf("append %d: %w", id, err)
 	}
 	s.log = append(s.log, rec)
 	s.dev.Note("acked", int64(id))
+	return nil
 }
 
 func (s *crashScript) destage(idx int) {
@@ -78,87 +100,100 @@ func (s *crashScript) destage(idx int) {
 
 // lap appends a ring and a half of records, so the head chases the
 // start for the last third of it.
-func (s *crashScript) lap() {
-	s.t.Helper()
+func (s *crashScript) lap() error {
 	for written := int64(0); written < s.c.Stats().LogBytes*3/2; {
 		i := len(s.log)
 		sectors := uint32(127) // with its header sector, one crash page
 		switch {
 		case i%11 == 3:
-			s.append(journal.TypeTrim, 64)
+			if err := s.append(journal.TypeTrim, 64); err != nil {
+				return err
+			}
 			continue
 		case i%7 == 5:
 			sectors = 8
 		case i%5 == 1:
 			sectors = 96 // records stop lining up with crash pages
 		}
-		s.append(journal.TypeData, sectors)
+		if err := s.append(journal.TypeData, sectors); err != nil {
+			return err
+		}
 		written += s.log[i].ext.Bytes() + hdrBytes
 		if i%4 == 3 {
 			if err := s.c.Flush(); err != nil {
-				s.t.Fatal(err)
+				return err
 			}
 			s.destage(i - 6)
 		}
 		if i == 30 {
 			if err := s.c.Checkpoint(); err != nil {
-				s.t.Fatal(err)
+				return err
 			}
 		}
 	}
+	return nil
 }
 
-func (s *crashScript) run() {
-	s.t.Helper()
+func (s *crashScript) run() error {
 	var err error
 	if s.c, err = Format(s.dev, s.cfg); err != nil {
-		s.t.Fatal(err)
+		return err
 	}
-	s.lap()
+	if err := s.lap(); err != nil {
+		return err
+	}
 	evicted := s.c.Stats().Evictions
 
 	// A flushed, B and C unflushed, one page of B lost; the Open that
 	// follows discards B and C for good, and the next lap starts in the
 	// hole B left.
 	if err := s.c.Flush(); err != nil {
-		s.t.Fatal(err)
+		return err
 	}
 	a := len(s.log) - 1
-	s.append(journal.TypeData, 127)
+	if err := s.append(journal.TypeData, 127); err != nil {
+		return err
+	}
 	bOff := s.c.ring[len(s.c.ring)-1].off
-	s.append(journal.TypeData, 127)
+	if err := s.append(journal.TypeData, 127); err != nil {
+		return err
+	}
 	dead := s.dev.Note("acked", int64(a))
 	s.log[a+1].dead, s.log[a+2].dead = dead, dead
 	if err := s.dev.WriteAt(make([]byte, block.BlockSize), bOff+2*block.BlockSize); err != nil {
-		s.t.Fatal(err)
+		return err
 	}
 	if s.c, err = Open(s.dev); err != nil {
-		s.t.Fatal(err)
+		return err
 	}
 	d := s.destaged
 	if err := s.c.Reconcile(d); err != nil {
-		s.t.Fatal(err)
+		return err
 	}
 	s.ws = max(d, s.c.MaxWriteSeq())
 	if s.ws != s.log[a].ws {
-		s.t.Fatalf("reopen recovered up to write %d, want %d", s.ws, s.log[a].ws)
+		return fmt.Errorf("reopen recovered up to write %d, want %d", s.ws, s.log[a].ws)
 	}
-	s.lap()
+	s.w.Prune(s.log[a].version) // the two appends are gone for good
+	if err := s.lap(); err != nil {
+		return err
+	}
 	if evicted == 0 || s.c.Stats().Evictions == 0 {
-		s.t.Fatal("the ring did not lap on both sides of the reopen")
+		return errors.New("the ring did not lap on both sides of the reopen")
 	}
+	return nil
 }
 
-// check opens one crashed image of the trace as of the end of prefix,
-// a prefix of the device's log, and returns a description of the first
-// violation, or "".
-func (s *crashScript) check(img simdev.Device, prefix []testrec.Op) string {
-	stamp := uint64(len(prefix))
-	live := func(i int) bool { return s.log[i].dead == 0 || stamp < s.log[i].dead }
-	// owed: the appends this crash must give back — flushed, not
-	// discarded since, and newer than what the backend holds.
+// check opens the device as a crash at cut left it, log being the
+// device's, and returns the first violation, or "". Each record it
+// recovers must be an append as logged, in order, and not one an
+// earlier recovery discarded. The volume the backend's writes and the
+// recovered records make must read as a prefix of the Writer's writes
+// that gives back every append flushed and not destaged.
+func (s *crashScript) check(log []testrec.Op, cut testrec.Cut, img simdev.Device) string {
+	live := func(i int) bool { return s.log[i].dead == 0 || cut.From < s.log[i].dead }
 	acked, durable, destaged := int64(-1), int64(-1), uint64(0)
-	for _, op := range prefix {
+	for _, op := range log[:cut.From] {
 		switch {
 		case op.Kind == testrec.Note && op.Name == "acked":
 			acked = op.Off
@@ -168,97 +203,139 @@ func (s *crashScript) check(img simdev.Device, prefix []testrec.Op) string {
 			durable = acked
 		}
 	}
-	var owed []int
-	for i := 0; int64(i) <= durable; i++ {
-		if live(i) && s.log[i].ws > destaged {
-			owed = append(owed, i)
+	// The data appends the volume holds, those the backend holds first,
+	// and the newest write this crash must give back: flushed, not
+	// discarded since, and newer than those.
+	holds := make([]byte, len(s.log))
+	var owed uint64
+	for i, a := range s.log {
+		switch {
+		case !live(i) || a.version == 0:
+		case a.ws <= destaged:
+			holds[i] = 1
+		case int64(i) <= durable:
+			owed = a.version
 		}
 	}
-
-	c, err := Open(img)
-	if err != nil {
-		if len(owed) > 0 {
-			return fmt.Sprintf("Open: %v, with appends %v flushed and not destaged", err, owed)
+	last := -1
+	if c, err := Open(img); err == nil {
+		err = c.Records(func(ws uint64, typ journal.Type, ext block.Extent, data []byte) error {
+			i := int(ext.LBA / 256)
+			switch {
+			case i >= len(s.log) || !live(i):
+				return fmt.Errorf("recovered append %d, which was never logged or was discarded by an earlier recovery", i)
+			case ws != s.log[i].ws || typ != s.log[i].typ || ext != s.log[i].ext || !bytes.Equal(data, s.log[i].data):
+				return fmt.Errorf("append %d recovered as write %d %v %v with other bytes", i, ws, typ, ext)
+			case i <= last:
+				return fmt.Errorf("recovered append %d after %d: out of order", i, last)
+			}
+			if last = i; typ != journal.TypeTrim {
+				holds[i] = 1
+			}
+			return nil
+		})
+		if err != nil {
+			return err.Error()
 		}
-		return ""
 	}
-	first, last := -1, -1
-	err = c.Records(func(ws uint64, typ journal.Type, ext block.Extent, data []byte) error {
-		i := int(ext.LBA / 256)
-		if i >= len(s.log) || !live(i) {
-			return fmt.Errorf("recovered append %d, which was never logged or was discarded by an earlier recovery", i)
-		}
-		if want := s.log[i]; ws != want.ws || typ != want.typ || ext != want.ext || !bytes.Equal(data, want.data) {
-			return fmt.Errorf("append %d recovered as write %d %v %v with other bytes", i, ws, typ, ext)
-		}
-		// Contiguous in what was appended, skipping the discarded.
-		for j := last + 1; last >= 0 && j < i; j++ {
-			if live(j) {
-				return fmt.Errorf("recovered append %d after %d: not one contiguous run", i, last)
+	// Many crash points leave one volume: its audit is looked up.
+	s.mu.Lock()
+	rep, ok := s.checked[string(holds)]
+	s.mu.Unlock()
+	if !ok {
+		vol := volume{}
+		for i, a := range s.log {
+			if holds[i] == 1 {
+				vol.write(a.ext, a.data)
 			}
 		}
-		if last >= i {
-			return fmt.Errorf("recovered append %d after %d: out of order", i, last)
+		var err error
+		if rep, err = s.w.Check(vol); err != nil {
+			return err.Error()
 		}
-		if first < 0 {
-			first = i
-		}
-		last = i
-		return nil
-	})
-	if err != nil {
-		return err.Error()
+		s.mu.Lock()
+		s.checked[string(holds)] = rep
+		s.mu.Unlock()
 	}
-	if len(owed) > 0 && (first < 0 || first > owed[0] || last < owed[len(owed)-1]) {
-		return fmt.Sprintf("recovered appends %d..%d; %v are flushed and the backend lacks them", first, last, owed)
+	switch {
+	case !rep.Mountable:
+		return fmt.Sprintf("recovered appends to %d: not a prefix: %v", last, rep.Violations)
+	case rep.RecoveredVersion < owed:
+		return fmt.Sprintf("recovered appends to %d, through write %d; write %d is flushed and the backend lacks it", last, rep.RecoveredVersion, owed)
 	}
 	return ""
 }
 
-func TestCrashEnumeration(t *testing.T) {
-	cfg := Config{CheckpointBytes: testrec.Page - superBytes} // the log starts on a page boundary
-	size := int64(testrec.Page + 4*block.MiB)
-	s := &crashScript{t: t, cfg: cfg, dev: testrec.NewDevice(simdev.NewMem(size))}
-	s.run()
+// volume is a sparse volume of the records' data, by 4 KiB block, which
+// the Writer reads back.
+type volume map[int64][]byte
 
-	// A crash point follows every completed device write and flush.
-	log := s.dev.Log()
-	ops := []uint64{0}
-	pads, supers := 0, 0
-	for _, op := range log {
-		if !op.Done || (op.Kind != testrec.Write && op.Kind != testrec.Flush) {
-			continue
-		}
-		ops = append(ops, op.Stamp)
-		if h, _, err := journal.DecodeHeader(op.Data); err == nil && h.Type == journal.TypePad {
-			pads++
-		} else if err == nil && h.Type == journal.TypeSuper {
-			supers++
-		}
+func (v volume) write(ext block.Extent, data []byte) {
+	for off := int64(0); off < int64(len(data)); off += block.BlockSize {
+		v[(ext.LBA.Bytes()+off)/block.BlockSize] = data[off:min(off+block.BlockSize, int64(len(data)))]
 	}
-	points, violations := 0, 0
-	try := func(n int, lost []int64, what string) {
-		points++
-		if v := s.check(s.dev.Image(ops[n], lost), log[:ops[n]]); v != "" {
-			if violations++; violations <= 5 {
-				t.Errorf("crash after %d of %d device ops, %s: %s", n, len(ops)-1, what, v)
+}
+
+func (v volume) ReadAt(p []byte, off int64) error {
+	clear(p)
+	copy(p, v[off/block.BlockSize])
+	return nil
+}
+
+func (v volume) WriteAt([]byte, int64) error { return errors.New("read-only") }
+func (v volume) Flush() error                { return nil }
+func (v volume) Trim(_, _ int64) error       { return nil }
+func (v volume) Size() int64                 { return 1 << 40 }
+
+func TestCrashEnumeration(t *testing.T) {
+	row, _ := testrec.Replay(t)
+	row.Name = t.Name()
+	var points, pads int
+	testrec.Explore(t, row, 0, nil, func(sched []testrec.Choice) (*testrec.Schedule, error) {
+		cfg := Config{CheckpointBytes: testrec.Page - superBytes} // the log starts on a page boundary
+		s := &crashScript{cfg: cfg, checked: map[string]consistency.Report{}, dev: testrec.NewDevice(simdev.NewMem(testrec.Page + 4*block.MiB))}
+		s.w, _ = consistency.NewWriter(s)
+		sc := testrec.NewScript(s.dev.Clock)
+		s.dev.Join(sc.Gate, testrec.Kinds(testrec.Write, testrec.Flush))
+		run, err := sc.Run(s.run, sched, nil)
+		if err != nil || run.Failed != nil {
+			return run, err
+		}
+		log := s.dev.Log()
+		for _, op := range log {
+			if h, _, err := journal.DecodeHeader(op.Data); op.Kind == testrec.Write && err == nil && h.Type == journal.TypePad {
+				pads++
 			}
 		}
-	}
-	for n := range ops {
-		try(n, nil, "every unflushed page kept")
-		dirty := s.dev.Unflushed(ops[n])
-		if len(dirty) == 0 {
-			continue
+		// The crash points are checked in parallel, each on an image made
+		// in log order, which the device's replay needs.
+		cuts := s.dev.Cuts(s.dev)
+		imgs := make([]simdev.Device, len(cuts))
+		for i, cut := range cuts {
+			imgs[i] = s.dev.Image(cut.From, cut.Lost)
 		}
-		try(n, dirty, "every unflushed page lost")
-		for _, pg := range dirty {
-			try(n, []int64{pg}, fmt.Sprintf("page %d lost", pg))
+		vs := make([]string, len(cuts))
+		var wg sync.WaitGroup
+		for w, n := 0, runtime.NumCPU(); w < n; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := w; i < len(cuts); i += n {
+					vs[i] = s.check(log, cuts[i], imgs[i])
+					imgs[i] = nil // Open writes to it: let it go
+				}
+			}()
 		}
-	}
+		wg.Wait()
+		for i, v := range vs {
+			if points++; v != "" {
+				run.Violations = append(run.Violations, fmt.Sprintf("crash at stamp %d, pages %v lost: %s", cuts[i].From, cuts[i].Lost, v))
+			}
+		}
+		t.Logf("%d appends, %d pads: %d crash points, %d volumes, %d violations", len(s.log), pads, points, len(s.checked), len(run.Violations))
+		return run, nil
+	})
 	if pads == 0 {
 		t.Error("the script never wrapped the ring with a pad")
 	}
-	t.Logf("%d appends, %d pads, %d superblocks, %d device ops: %d crash points, %d violations",
-		len(s.log), pads, supers, len(ops)-1, points, violations)
 }
