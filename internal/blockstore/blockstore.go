@@ -64,16 +64,14 @@ type Config struct {
 	// GCBackoff, when set, is polled by the paced service between copy
 	// batches; while it returns true (foreground destage under
 	// pressure) the service defers copying even with budget available.
-	// It is invoked with the store lock held and must not call back
-	// into the Store.
+	// It is invoked without the store lock.
 	GCBackoff func() bool
 	// NoCoalesce disables intra-batch write coalescing (Table 5's
 	// "no merge" mode).
 	NoCoalesce bool
 	// FetchFromCache, when set, lets the GC read live data from the
 	// local cache instead of the backend (§3.5). It returns true if it
-	// filled buf for ext. It is invoked with the store lock held and
-	// must not call back into the Store.
+	// filled buf for ext. It is invoked without the store lock.
 	FetchFromCache func(ext block.Extent, buf []byte) bool
 	// OnDestage is called when client writes up to writeSeq become
 	// durable in the backend. It runs WITHOUT the store lock, possibly

@@ -34,7 +34,7 @@ import (
 // and, for one whose open loads a checkpoint the super does not name,
 // every state of a continuation with that open's super failing
 // (owedSuper). The workload writes a consistency.Writer's stamped
-// blocks, each write's version its sequence number.
+// blocks (volume).
 
 // enumBound is the preemption bound: LSVD_FAULT_PREEMPT, else 3.
 func enumBound(t *testing.T) int {
@@ -63,7 +63,7 @@ type enumRun struct {
 	live    atomic.Pointer[Store] // s while it runs, for the audit
 	w       *consistency.Writer
 	vol     *volume // w's disk
-	snap    uint64  // the write the snapshot holds
+	snap    uint64  // the Writer's version the snapshot holds
 	shipMu  sync.Mutex
 	unacked []ShipEvent // drained by the shipper, not acked
 	shipped chan struct{}
@@ -71,7 +71,7 @@ type enumRun struct {
 
 // runSchedule runs the script with workload play under sched.
 func runSchedule(play func(*enumRun) error, sched []testrec.Choice) (*enumRun, *testrec.Schedule, error) {
-	r := &enumRun{mem: objstore.NewMem(), vol: &volume{}}
+	r := &enumRun{mem: objstore.NewMem(), vol: &volume{versions: []uint64{0}}}
 	r.rs = testrec.NewStore(r.mem)
 	r.rs.Keep = true
 	r.Script = testrec.NewScript(r.rs.Clock)
@@ -122,11 +122,22 @@ func (r *enumRun) audit() error {
 	return nil
 }
 
-// volume is a Store as a consistency.Writer's disk: a write appends
-// with the Writer's version as its sequence number.
+// volume is a Store as a consistency.Writer's disk. Its writes take the
+// store's write sequence numbers in order: after a crash they go on
+// from the last one recovered, as the core's do, while the Writer's
+// versions never repeat. versions[n] is the version of write n, and
+// versions[0] is 0.
 type volume struct {
-	s *Store
-	w *consistency.Writer
+	s        *Store
+	w        *consistency.Writer
+	versions []uint64
+}
+
+// resume goes on after an open that recovered through write n: the
+// next write is n+1, and the Writer forgets the writes lost.
+func (v *volume) resume(n uint64) {
+	v.w.Prune(v.versions[n])
+	v.versions = v.versions[:n+1]
 }
 
 func (v *volume) Size() int64           { return volSectors.Bytes() }
@@ -134,7 +145,8 @@ func (v *volume) Flush() error          { return nil }
 func (v *volume) Trim(_, _ int64) error { return nil }
 
 func (v *volume) WriteAt(p []byte, off int64) error {
-	return v.s.Append(v.w.Version(), block.Extent{LBA: block.LBA(off >> block.SectorShift), Sectors: uint32(len(p) >> block.SectorShift)}, p)
+	v.versions = append(v.versions, v.w.Version())
+	return v.s.Append(uint64(len(v.versions)-1), block.Extent{LBA: block.LBA(off >> block.SectorShift), Sectors: uint32(len(p) >> block.SectorShift)}, p)
 }
 
 func (v *volume) ReadAt(p []byte, off int64) error {
@@ -153,7 +165,7 @@ func (v *volume) ReadAt(p []byte, off int64) error {
 // write appends the next write to ext.
 func (r *enumRun) write(ext block.Extent) error {
 	if err := r.w.Write(int64(ext.LBA/8), int(ext.Sectors/8)); err != nil {
-		return fmt.Errorf("write %d: %w", r.w.Version(), err)
+		return fmt.Errorf("write %d: %w", len(r.vol.versions)-1, err)
 	}
 	return nil
 }
@@ -398,7 +410,7 @@ func stalePutAfterList(r *enumRun) error {
 	if r.open(s); err != nil {
 		return err
 	}
-	r.w.Prune(s.DurableWriteSeq())
+	r.vol.resume(s.DurableWriteSeq())
 	if err := r.write(enumSlot(1)); err != nil {
 		return err
 	}
@@ -536,7 +548,7 @@ func (c *enumCheck) crash(r *enumRun, stamp, acked uint64) []string {
 	rec.Keep = true
 	var s *Store
 	var v string
-	if err := inOrder(rec, func() { s, v = enumOpen(rec, r.w, r.snap, acked) }); err != nil {
+	if err := inOrder(rec, func() { s, v = enumOpen(rec, r.vol, r.snap, acked) }); err != nil {
 		report("", err.Error())
 		return vs
 	}
@@ -549,7 +561,7 @@ func (c *enumCheck) crash(r *enumRun, stamp, acked uint64) []string {
 		if c.fresh(c.memState(state), acked) {
 			c.points++
 			c.inOpen++
-			_, v := enumOpen(state, r.w, r.snap, acked)
+			_, v := enumOpen(state, r.vol, r.snap, acked)
 			report(fmt.Sprintf(", then inside the open at its stamp %d", cut.From), v)
 		}
 	}
@@ -611,14 +623,14 @@ func (c *enumCheck) owedSuper(r *enumRun, stamp, acked uint64) string {
 		return "" // nothing between the two checkpoints is mapped
 	}
 	c.owed++
-	vol := &volume{s: s, w: r.w.Clone()}
-	vol.w.Prune(s.DurableWriteSeq())
+	vol := &volume{s: s, w: r.w.Clone(), versions: slices.Clone(r.vol.versions)}
+	vol.resume(s.DurableWriteSeq())
 	_ = vol.w.Rebind(vol) // the same size
 	var v string
 	if err := inOrder(rec, func() {
 		for _, ext := range exts {
 			if err := vol.w.Write(int64(ext.LBA/8), int(ext.Sectors/8)); err != nil {
-				v = fmt.Sprintf("continuation write %d: %v", vol.w.Version(), err)
+				v = fmt.Sprintf("continuation write %d: %v", len(vol.versions)-1, err)
 				return
 			}
 		}
@@ -643,7 +655,7 @@ func (c *enumCheck) owedSuper(r *enumRun, stamp, acked uint64) string {
 			return
 		}
 		c.points++
-		if _, v = enumOpen(state, vol.w, r.snap, cont); v != "" {
+		if _, v = enumOpen(state, vol, r.snap, cont); v != "" {
 			v = fmt.Sprintf("continuation killing object %d (checkpoints %d, %d), crash at its stamp %d: %s", victim, named, loaded, cut.To, v)
 		}
 	})
@@ -666,12 +678,12 @@ func inOrder(rec *testrec.Store, fn func()) error {
 	return err
 }
 
-// enumOpen opens a crashed backend at which writes up to durable had
-// been acknowledged, and returns the store and the first violation, or
-// "". The volume must read as of the writes it recovered, every snapshot
-// the super lists as of write snap, the backend must hold exactly the
-// object table and the utilization audit must pass.
-func enumOpen(store objstore.Store, w *consistency.Writer, snap, durable uint64) (*Store, string) {
+// enumOpen opens a crashed backend of vol at which writes up to durable
+// had been acknowledged, and returns the store and the first violation,
+// or "". The volume must read as of the writes it recovered, every
+// snapshot the super lists as of version snap, the backend must hold
+// exactly the object table and the utilization audit must pass.
+func enumOpen(store objstore.Store, vol *volume, snap, durable uint64) (*Store, string) {
 	s, err := Open(ctx, Config{Volume: "vol", Store: store})
 	if err != nil {
 		return nil, fmt.Sprintf("open: %v", err)
@@ -680,7 +692,10 @@ func enumOpen(store objstore.Store, w *consistency.Writer, snap, durable uint64)
 	if r < durable {
 		return s, fmt.Sprintf("recovered through write %d, but %d was acknowledged durable", r, durable)
 	}
-	if v := readsAsOf(s, w, r); v != "" {
+	if r >= uint64(len(vol.versions)) {
+		return s, fmt.Sprintf("recovered through write %d of %d", r, len(vol.versions)-1)
+	}
+	if v := readsAsOf(s, vol.w, vol.versions[r]); v != "" {
 		return s, v
 	}
 	for _, sn := range s.Snapshots() {
@@ -688,7 +703,7 @@ func enumOpen(store objstore.Store, w *consistency.Writer, snap, durable uint64)
 		if err != nil {
 			return s, fmt.Sprintf("snapshot %q: %v", sn.Name, err)
 		}
-		if v := readsAsOf(m, w, snap); v != "" {
+		if v := readsAsOf(m, vol.w, snap); v != "" {
 			return s, fmt.Sprintf("snapshot %q: %s", sn.Name, v)
 		}
 	}
@@ -702,7 +717,8 @@ func enumOpen(store objstore.Store, w *consistency.Writer, snap, durable uint64)
 }
 
 // readsAsOf returns "" if s reads as the prefix of w's writes through
-// write n (consistency.Writer.Check), else what differs.
+// version n (consistency.Writer.Check, which reads every byte), else
+// what differs.
 func readsAsOf(s *Store, w *consistency.Writer, n uint64) string {
 	rep, err := w.Check(&volume{s: s})
 	switch {
@@ -711,7 +727,7 @@ func readsAsOf(s *Store, w *consistency.Writer, n uint64) string {
 	case !rep.Mountable:
 		return "not a prefix of the writes: " + strings.Join(rep.Violations, "; ")
 	case rep.RecoveredVersion != n:
-		return fmt.Sprintf("the volume reads as of write %d, not %d", rep.RecoveredVersion, n)
+		return fmt.Sprintf("the volume reads as of version %d, not %d", rep.RecoveredVersion, n)
 	}
 	return ""
 }

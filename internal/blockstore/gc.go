@@ -170,10 +170,8 @@ func (s *Store) gcWantedLocked() bool {
 func (s *Store) gcService() {
 	// The claim spans the whole loop: gcCond/commitCond waits and the
 	// lock drops inside writeGCObjectLocked touch no other named lock,
-	// while the paths that DO cross layers under mu — GCBackoff →
-	// wcache.DestagePressure and FetchFromCache → wcache — take
-	// wcache.mu, so bs.mu → wcache.mu is the order lsvd-vet's lockorder
-	// holds every other path to.
+	// and the calls into the cache (GCBackoff, FetchFromCache) drop mu:
+	// the cache's lock may wait for a device write.
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	defer close(s.gcDone)
@@ -246,7 +244,10 @@ func (s *Store) gcRefillLocked(fg int64) {
 }
 
 // gcAwaitBudgetLocked blocks a paced pass until the token bucket holds
-// need bytes and the destage path is not under pressure. It returns
+// need bytes and the destage path is not under pressure, which it polls
+// with s.mu dropped: GCBackoff takes the cache's lock, which a writer
+// may hold across a device write, and every s.mu user would wait
+// behind that write with the pass. It returns
 // errGCYield when a fence is waiting (or the service is stopping) and
 // errGCAborted on Abort. When no foreground refill lands for a full
 // gcIdleWait, the wait grants itself one batch of budget — the idle
@@ -256,6 +257,12 @@ func (s *Store) gcRefillLocked(fg int64) {
 //lsvd:requires bs.mu
 func (s *Store) gcAwaitBudgetLocked(need int64) error {
 	for {
+		backoff := false
+		if s.cfg.GCBackoff != nil {
+			s.mu.Unlock()
+			backoff = s.cfg.GCBackoff()
+			s.mu.Lock()
+		}
 		if s.aborting {
 			return errGCAborted
 		}
@@ -263,7 +270,6 @@ func (s *Store) gcAwaitBudgetLocked(need int64) error {
 			s.stats.gcYields++
 			return errGCYield
 		}
-		backoff := s.cfg.GCBackoff != nil && s.cfg.GCBackoff()
 		if !backoff && s.gcBudget >= need {
 			return nil
 		}
@@ -577,9 +583,11 @@ func (s *Store) gcGateRelease() { s.gate.ReleaseBackground(s.gcGateID) }
 // drop s.mu — the sources are immutable objects, and installation is
 // conditional on the map still pointing at the copied data, so seals,
 // commits and trims meanwhile at worst make parts of the GC object dead
-// at birth. Its backend I/O is background: the PUT's gate slot is taken
-// before the sequence number and handed to the upload, so the entry
-// never waits for one behind the uploads queued after it.
+// at birth. A read from the cache drops s.mu too: the cache's lock may
+// wait for a device write. Its backend I/O is background: the PUT's
+// gate slot is taken before the sequence number and handed to the
+// upload, so the entry never waits for one behind the uploads queued
+// after it.
 //
 //lsvd:requires bs.mu
 func (s *Store) writeGCObjectLocked(pieces []gcPiece) error {
@@ -587,12 +595,17 @@ func (s *Store) writeGCObjectLocked(pieces []gcPiece) error {
 	kept := pieces[:0]
 	for _, p := range pieces {
 		data := make([]byte, p.ext.Bytes())
-		if p.srcObj != 0 && (s.cfg.FetchFromCache == nil || !s.cfg.FetchFromCache(p.ext, data)) {
+		if p.srcObj != 0 {
 			name := s.name(p.srcObj)
 			s.mu.Unlock()
-			s.gcGateAcquire()
-			got, err := s.cfg.Store.GetRange(s.ctx, name, p.srcOff.Bytes(), p.ext.Bytes())
-			s.gcGateRelease()
+			var err error
+			if s.cfg.FetchFromCache == nil || !s.cfg.FetchFromCache(p.ext, data) {
+				s.gcGateAcquire()
+				var got []byte
+				got, err = s.cfg.Store.GetRange(s.ctx, name, p.srcOff.Bytes(), p.ext.Bytes())
+				s.gcGateRelease()
+				copy(data, got)
+			}
 			s.mu.Lock()
 			if err != nil {
 				if s.reapedLocked(p.srcObj, err) {
@@ -603,7 +616,6 @@ func (s *Store) writeGCObjectLocked(pieces []gcPiece) error {
 			if s.aborting {
 				return errGCAborted
 			}
-			copy(data, got)
 		}
 		src.push(data, journal.Sum(data))
 		kept = append(kept, p)

@@ -713,3 +713,56 @@ func TestGCIdleTrickle(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestGCCacheCallsOffStoreLock: the paced pass polls GCBackoff and
+// fetches from the cache with the store lock free. In the core both
+// take the cache's lock, which a writer may hold across a device write;
+// under the store lock, every reader and commit would wait for that
+// write too.
+func TestGCCacheCallsOffStoreLock(t *testing.T) {
+	rs := testrec.NewStore(objstore.NewMem())
+	g := idleTimers(t, rs)
+	var s *Store
+	calls := map[string]*[2]atomic.Int64{"GCBackoff": {}, "FetchFromCache": {}} // calls, under the lock
+	// call takes the store lock on another goroutine: it comes at once
+	// unless the caller holds it. After one call under it, the rest are
+	// only counted.
+	call := func(name string) {
+		if calls[name][0].Add(1); calls[name][1].Load() > 0 {
+			return
+		}
+		got := make(chan struct{})
+		go func() {
+			s.mu.Lock()
+			close(got)
+			s.mu.Unlock()
+		}()
+		select {
+		case <-got:
+		case <-time.After(10 * time.Second):
+			calls[name][1].Add(1)
+		}
+	}
+	s = newVolume(t, rs, Config{
+		BatchBytes: 64 * block.SectorSize, GCLowWater: 0.90, GCHighWater: 0.95,
+		CheckpointEvery: 1 << 30,
+		GCBackoff:       func() bool { call("GCBackoff"); return false },
+		FetchFromCache:  func(block.Extent, []byte) bool { call("FetchFromCache"); return false },
+	})
+	for w := uint64(1); w <= 16; w++ {
+		for _, ext := range []block.Extent{{LBA: 0, Sectors: 32}, {LBA: block.LBA(w) * 32, Sectors: 32}} {
+			if err := s.Append(w, ext, payload(int64(w)<<8|int64(ext.LBA), int(ext.Bytes()))); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := s.Seal(); err != nil {
+		t.Fatal(err)
+	}
+	trickle(t, g, "collection", 100, func() bool { return s.Utilization() >= 0.90 })
+	for name, n := range calls {
+		if n[0].Load() == 0 || n[1].Load() != 0 {
+			t.Errorf("%s called %d times, under the store lock", name, n[0].Load())
+		}
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"lsvd/internal/block"
@@ -33,14 +34,6 @@ func TestCheckpointCrashTorture(t *testing.T) {
 	torture(t, 16, 8, ckptCrashIteration)
 }
 
-// An odd seed cuts the backend at an op stamp of ckptCutMin +
-// [0, ckptCutSpan): the workload's PUTs start near stamp 50 and run past
-// 450.
-const (
-	ckptCutMin  = 60
-	ckptCutSpan = 360
-)
-
 func ckptCrashIteration(w *walk) error {
 	seed := w.seed
 	rng := rand.New(rand.NewSource(seed))
@@ -54,23 +47,22 @@ func ckptCrashIteration(w *walk) error {
 	}
 	defer w.kill(disk)
 	// Cut the backend session: from the cut on every mutation fails (the
-	// host died with the PUTs on the wire); what completed earlier stays
-	// as written. Half the seeds cut at the next super PUT, between a
-	// checkpoint object and its super — the audit below proves the super
-	// never names a checkpoint the crash swallowed; the rest at the first
-	// PUT the walk releases at or after an op stamp drawn from the seed,
-	// as the concurrent tortures draw their kill step, inside the span
-	// the workload's PUTs take.
-	cutAt, cut := uint64(0), false
+	// host died with the PUTs on the wire). An even seed cuts at the next
+	// super PUT; an odd one at PUT 3 + [0, 22) (the create's come first),
+	// counted as the walk releases them. The workload runs 200
+	// operations, and on until the cut.
+	cutAt, puts := 0, 0
+	var cut atomic.Bool
 	if seed%2 != 0 {
-		cutAt = uint64(ckptCutMin + rng.Intn(ckptCutSpan))
+		cutAt = 3 + rng.Intn(22)
 	}
 	mutation := testrec.Kinds(testrec.Put, testrec.Delete)
 	heal := store.Do(testrec.Any, func(op testrec.Op) error {
-		if !cut && op.Kind == testrec.Put {
-			cut = cutAt == 0 && testrec.Super(op) || cutAt > 0 && store.Now() >= cutAt
+		if !cut.Load() && op.Kind == testrec.Put {
+			puts++
+			cut.Store(cutAt == 0 && testrec.Super(op) || cutAt > 0 && puts >= cutAt)
 		}
-		if cut && mutation(op) {
+		if cut.Load() && mutation(op) {
 			return fmt.Errorf("%w: backend cut", testrec.ErrFault)
 		}
 		return nil
@@ -81,7 +73,10 @@ func ckptCrashIteration(w *walk) error {
 		return err
 	}
 	blocks := disk.Size() / block.BlockSize
-	for i := 0; i < 200; i++ {
+	for i := 0; i < 200 || !cut.Load(); i++ {
+		if i == 4000 {
+			return fmt.Errorf("the backend cut at PUT %d (0: a super's) never came in %d operations", cutAt, i)
+		}
 		if rng.Intn(8) == 0 {
 			err = wr.Barrier()
 		} else {

@@ -1,7 +1,8 @@
 // Package consistency provides the machinery behind the paper's crash
 // tests (§4.4, Table 4). Instead of an ext4 file system and fsck, it
 // writes self-describing stamped blocks — each 4 KiB block records
-// which write produced it — and after a crash checks the recovered
+// which write produced it, and the rest of its bytes are a function of
+// that write and the block — and after a crash checks the recovered
 // image against the recorded history:
 //
 //   - "Mounted without errors" ⇔ the image is a consistent prefix of
@@ -17,6 +18,7 @@
 package consistency
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -62,6 +64,33 @@ func stampBlock(p []byte, version uint64, blockIdx int64) {
 	binary.LittleEndian.PutUint32(p[20:], crc)
 }
 
+// fillBlock writes version's block blockIdx into p, one 4 KiB block:
+// each sector holds a 32-byte unit over and over (the version, the
+// block, the sector's offset and a mix of the three), and the stamp
+// covers the front of the first. A block holding another write's
+// sectors, another block's or another sector's, or none, differs from
+// every block a write made.
+func fillBlock(p []byte, version uint64, blockIdx int64) {
+	for off := 0; off < block.BlockSize; off += block.SectorSize {
+		u := p[off : off+block.SectorSize]
+		binary.LittleEndian.PutUint64(u, version)
+		binary.LittleEndian.PutUint64(u[8:], uint64(blockIdx))
+		binary.LittleEndian.PutUint64(u[16:], uint64(off))
+		binary.LittleEndian.PutUint64(u[24:], mix(version^uint64(blockIdx)<<20^uint64(off)))
+		for n := 32; n < len(u); n *= 2 {
+			copy(u[n:], u[:n])
+		}
+	}
+	stampBlock(p, version, blockIdx)
+}
+
+// mix is splitmix64's finalizer.
+func mix(x uint64) uint64 {
+	x = (x ^ x>>30) * 0xBF58476D1CE4E5B9
+	x = (x ^ x>>27) * 0x94D049BB133111EB
+	return x ^ x>>31
+}
+
 func readStamp(p []byte) (version uint64, blockIdx int64, ok bool) {
 	if len(p) < stampLen || binary.LittleEndian.Uint32(p) != stampMagic {
 		return 0, 0, false
@@ -82,7 +111,7 @@ func (w *Writer) Write(blockIdx int64, n int) error {
 	buf := make([]byte, int64(n)*block.BlockSize)
 	for i := 0; i < n; i++ {
 		b := blockIdx + int64(i)
-		stampBlock(buf[int64(i)*block.BlockSize:], v, b)
+		fillBlock(buf[int64(i)*block.BlockSize:], v, b)
 		w.history[b] = append(w.history[b], v)
 	}
 	return w.disk.WriteAt(buf, blockIdx*block.BlockSize)
@@ -171,7 +200,7 @@ func (w *Writer) Check(d vdisk.Disk) (Report, error) {
 	// that could make the image a prefix (any smaller t' would leave
 	// evidence of a later write; any larger needs no block changed).
 	stamps := make(map[int64]uint64, len(w.history))
-	buf := make([]byte, block.BlockSize)
+	buf, want, zero := make([]byte, block.BlockSize), make([]byte, block.BlockSize), make([]byte, block.BlockSize)
 	var tPrime uint64
 	// In block order, so one history reads the disk in one order: a
 	// seeded walk (DESIGN.md §5) replays its reads too.
@@ -186,6 +215,9 @@ func (w *Writer) Check(d vdisk.Disk) (Report, error) {
 		}
 		v, idx, ok := readStamp(buf)
 		if !ok {
+			if !bytes.Equal(buf, zero) {
+				r.Violations = append(r.Violations, fmt.Sprintf("block %d holds bytes but no stamp", b))
+			}
 			stamps[b] = 0 // never-written or zeroed
 			continue
 		}
@@ -195,6 +227,10 @@ func (w *Writer) Check(d vdisk.Disk) (Report, error) {
 		}
 		if v > w.version {
 			r.Violations = append(r.Violations, fmt.Sprintf("block %d holds version %d beyond history %d", b, v, w.version))
+			continue
+		}
+		if fillBlock(want, v, b); !bytes.Equal(buf, want) {
+			r.Violations = append(r.Violations, fmt.Sprintf("block %d holds version %d's stamp but other bytes", b, v))
 			continue
 		}
 		stamps[b] = v

@@ -74,6 +74,34 @@ func TestDetectsNonPrefixState(t *testing.T) {
 	}
 }
 
+// TestDetectsTornBlock: a block whose stamp sector is one write's and
+// whose other sectors are another's, or are zero, is no write's block.
+func TestDetectsTornBlock(t *testing.T) {
+	for _, tear := range []string{"other write", "zero", "no stamp"} {
+		d := simdev.NewMem(16 * block.MiB)
+		w, _ := NewWriter(devDisk{d})
+		_ = w.Write(0, 1) // v1
+		old := make([]byte, block.BlockSize)
+		_ = d.ReadAt(old, 0)
+		_ = w.Write(0, 1) // v2
+		switch tear {
+		case "other write": // sectors 1–7 are still v1's
+			_ = d.WriteAt(old[block.SectorSize:], block.SectorSize)
+		case "zero":
+			_ = d.WriteAt(make([]byte, block.BlockSize-block.SectorSize), block.SectorSize)
+		case "no stamp":
+			_ = d.WriteAt(make([]byte, block.SectorSize), 0)
+		}
+		r, err := w.Check(devDisk{d})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Mountable {
+			t.Errorf("%s: torn block accepted: %+v", tear, r)
+		}
+	}
+}
+
 func TestAcceptsAnyTruePrefix(t *testing.T) {
 	// Build states corresponding to every prefix and check each.
 	for cut := 0; cut <= 6; cut++ {

@@ -22,20 +22,9 @@ import (
 //	LSVD_FAULT_RATE      per-op injected failure probability (default 0.10)
 //	LSVD_FAULT_ITERS     crash/recover iterations (default 50, 10 in -short)
 //	LSVD_REPLAY          a failing iteration's row: run that walk alone
-func envInt(name string, def int64) int64 {
-	if v := os.Getenv(name); v != "" {
-		if n, err := strconv.ParseInt(v, 10, 64); err == nil {
-			return n
-		}
-	}
-	return def
-}
-
-func envFloat(name string, def float64) float64 {
-	if v := os.Getenv(name); v != "" {
-		if f, err := strconv.ParseFloat(v, 64); err == nil {
-			return f
-		}
+func env[T int64 | float64](name string, def T) T {
+	if v, err := strconv.ParseFloat(os.Getenv(name), 64); err == nil {
+		return T(v)
 	}
 	return def
 }
@@ -68,7 +57,7 @@ func TestFaultTorture(t *testing.T) {
 }
 
 func tortureIteration(w *walk) error {
-	seed, rate := w.seed, envFloat("LSVD_FAULT_RATE", 0.10)
+	seed, rate := w.seed, env("LSVD_FAULT_RATE", 0.10)
 	rng := rand.New(rand.NewSource(seed))
 	store := w.store("backend", objstore.NewMem())
 	// 16 attempts: even a 0.35-rate sweep has a negligible chance of

@@ -3,14 +3,12 @@ package consistency
 import (
 	"crypto/sha256"
 	"fmt"
-	"reflect"
 	"runtime"
 	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"time"
-	"unsafe"
 
 	"lsvd/internal/block"
 	"lsvd/internal/core"
@@ -26,7 +24,7 @@ import (
 // writer operation. The seed draws the workload (the torture's own
 // stream), the faults (testrec.Match.Chance, a function of the seed and
 // the operation), the order, and the crash: the step a kill note goes
-// (testrec.Script.Kill) or the op stamp a backend cut starts at. So one
+// (testrec.Script.Kill) or the PUT a backend cut starts at. So one
 // seed is one run. At every settled step each open volume's block store
 // passes its audit. A failing iteration prints its row; LSVD_REPLAY set
 // to that row runs exactly that walk again.
@@ -46,14 +44,12 @@ type walk struct {
 	clock  *testrec.Clock
 	stores map[string]*testrec.Store
 
-	mu sync.Mutex
-	// open are the volumes audited at every settled step, each with its
-	// block store's lock, an unexported field read by reflection.
-	open map[*core.Disk]*sync.RWMutex
+	mu   sync.Mutex
+	open map[*core.Disk]bool // the volumes audited at every settled step
 }
 
 func newWalk(t *testing.T, seed int64) *walk {
-	w := &walk{t: t, seed: seed, clock: testrec.NewClock(), stores: map[string]*testrec.Store{}, open: map[*core.Disk]*sync.RWMutex{}}
+	w := &walk{t: t, seed: seed, clock: testrec.NewClock(), stores: map[string]*testrec.Store{}, open: map[*core.Disk]bool{}}
 	w.Script = testrec.NewScript(w.clock)
 	w.Timers()
 	w.Audit = w.audit
@@ -64,7 +60,7 @@ func newWalk(t *testing.T, seed int64) *walk {
 func (w *walk) opened(d *core.Disk, err error) (*core.Disk, error) {
 	if err == nil {
 		w.mu.Lock()
-		w.open[d] = (*sync.RWMutex)(unsafe.Pointer(reflect.ValueOf(d.Backend()).Elem().FieldByName("mu").UnsafeAddr()))
+		w.open[d] = true
 		w.mu.Unlock()
 	}
 	return d, err
@@ -81,18 +77,11 @@ func (w *walk) closed(d *core.Disk) *core.Disk {
 // kill takes d out of the audit and kills it.
 func (w *walk) kill(d *core.Disk) { w.closed(d).Kill() }
 
-// audit runs the block store's utilization audit on each open volume
-// whose store lock is free. A pass of the GC service holds that lock
-// while it waits for the cache's (the GCBackoff of gcAwaitBudgetLocked),
-// so at a settled step the audit's read lock could wait forever.
+// audit runs the block store's utilization audit on each open volume.
 func (w *walk) audit() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	for d, mu := range w.open {
-		if !mu.TryLock() {
-			continue
-		}
-		mu.Unlock()
+	for d := range w.open {
 		if err := d.Backend().AuditUtilization(); err != nil {
 			return err
 		}
@@ -187,10 +176,10 @@ func torture(t *testing.T, iters, short int64, iteration func(*walk) error) {
 		t.Run(fmt.Sprintf("seed=%d", row.Seed), func(t *testing.T) { runWalk(t, row, true, iteration) })
 		return
 	}
-	if iters = envInt("LSVD_FAULT_ITERS", iters); testing.Short() {
+	if iters = env("LSVD_FAULT_ITERS", iters); testing.Short() {
 		iters = min(iters, short)
 	}
-	name, seed := t.Name(), envInt("LSVD_FAULT_SEED", 1)
+	name, seed := t.Name(), env[int64]("LSVD_FAULT_SEED", 1)
 	base := runtime.NumGoroutine()
 	for it := range iters {
 		t.Run(fmt.Sprintf("seed=%d", seed+it), func(t *testing.T) {
@@ -263,7 +252,7 @@ var (
 // run logged: a walk is a function of its seed and its choices, except
 // where goroutines woken together race (wakeTogether).
 func TestTortureReplay(t *testing.T) {
-	seed := envInt("LSVD_FAULT_SEED", 1)
+	seed := env[int64]("LSVD_FAULT_SEED", 1)
 	names := make([]string, 0, len(tortures))
 	for name := range tortures {
 		names = append(names, name)

@@ -734,8 +734,8 @@ func (d *Disk) storeConfig() blockstore.Config {
 		UploadID:   d.res.UploadID,
 		FetchSem:   d.res.FetchSem,
 		// Polled by the paced GC service, which every writable store
-		// runs. DestagePressure takes only the cache's own lock; the
-		// bs.mu → wc.mu order matches FetchFromCache below.
+		// runs, without the store lock. DestagePressure takes only the
+		// cache's own lock.
 		GCBackoff: func() bool { return d.wc.DestagePressure() },
 		// Replicated arms the shipped-watermark pin even before (and
 		// between) shipper attaches, so a crash-restart cycle cannot
@@ -942,8 +942,8 @@ func (d *Disk) isClosed() bool {
 // newest bytes for an LBA may belong to a younger acknowledged write
 // that has not committed to an object yet — publishing those in a GC
 // object would let recovery see data from beyond the durable prefix
-// (§3.4). It is called with the block store lock held; it only
-// touches the write cache, which has its own lock.
+// (§3.4). It is called without the block store lock; it only touches
+// the write cache, which has its own lock.
 func (d *Disk) fetchFromWriteCache(ext block.Extent, buf []byte) bool {
 	return d.wc.ReadFullDestaged(ext, buf)
 }

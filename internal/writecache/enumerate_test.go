@@ -26,8 +26,10 @@ type logged struct {
 	ws      uint64
 	typ     journal.Type
 	ext     block.Extent
-	data    []byte
 	version uint64 // the Writer's version of a data append, 0 for a trim
+	// blocks are the Writer's whole blocks of a data append: the record
+	// holds their first ext.Bytes(), and no device the rest.
+	blocks []byte
 	// dead is the stamp from which the record must never be recovered
 	// again: it was unflushed when a lost page cut it off and the next
 	// Open discarded it. Zero: never.
@@ -51,7 +53,7 @@ type crashScript struct {
 	destaged uint64 // the newest watermark told to the cache
 	w        *consistency.Writer
 	sectors  uint32 // the size of the data append w is writing
-	data     []byte // the bytes it appended
+	blocks   []byte // the blocks w wrote
 	mu       sync.Mutex
 	checked  map[string]consistency.Report // by the appends a volume holds
 }
@@ -60,8 +62,8 @@ type crashScript struct {
 // keeps the stamp at the front of each of its blocks.
 func (s *crashScript) WriteAt(p []byte, off int64) error {
 	ext := block.Extent{LBA: block.LBA(off >> block.SectorShift), Sectors: s.sectors}
-	s.data = p[:ext.Bytes()]
-	return s.c.Append(s.ws, ext, s.data)
+	s.blocks = p
+	return s.c.Append(s.ws, ext, p[:ext.Bytes()])
 }
 
 func (s *crashScript) ReadAt([]byte, int64) error { return errors.New("write-only") }
@@ -79,7 +81,7 @@ func (s *crashScript) append(typ journal.Type, sectors uint32) error {
 	} else {
 		s.sectors = sectors
 		err = s.w.Write(int64(rec.ext.LBA/8), int(sectors+7)/8)
-		rec.version, rec.data = s.w.Version(), s.data
+		rec.version, rec.blocks = s.w.Version(), s.blocks
 	}
 	if err != nil {
 		return fmt.Errorf("append %d: %w", id, err)
@@ -185,11 +187,12 @@ func (s *crashScript) run() error {
 }
 
 // check opens the device as a crash at cut left it, log being the
-// device's, and returns the first violation, or "". Each record it
-// recovers must be an append as logged, in order, and not one an
-// earlier recovery discarded. The volume the backend's writes and the
-// recovered records make must read as a prefix of the Writer's writes
-// that gives back every append flushed and not destaged.
+// device's, and returns the first violation, or "". The records it
+// recovers must be appends as logged, in order, one contiguous run of
+// them but for those an earlier recovery discarded, and reach every
+// append flushed and not destaged. The volume the backend's writes and
+// the recovered records make must read as a prefix of the Writer's
+// writes.
 func (s *crashScript) check(log []testrec.Op, cut testrec.Cut, img simdev.Device) string {
 	live := func(i int) bool { return s.log[i].dead == 0 || cut.From < s.log[i].dead }
 	acked, durable, destaged := int64(-1), int64(-1), uint64(0)
@@ -203,31 +206,43 @@ func (s *crashScript) check(log []testrec.Op, cut testrec.Cut, img simdev.Device
 			durable = acked
 		}
 	}
-	// The data appends the volume holds, those the backend holds first,
-	// and the newest write this crash must give back: flushed, not
-	// discarded since, and newer than those.
+	// owed: the appends this crash must give back — flushed, not
+	// discarded since, and newer than what the backend holds. holds: the
+	// data appends the volume holds, those the backend holds first.
+	var owed []int
 	holds := make([]byte, len(s.log))
-	var owed uint64
 	for i, a := range s.log {
 		switch {
-		case !live(i) || a.version == 0:
-		case a.ws <= destaged:
+		case !live(i):
+		case a.ws > destaged && int64(i) <= durable:
+			owed = append(owed, i)
+		case a.ws <= destaged && a.version != 0:
 			holds[i] = 1
-		case int64(i) <= durable:
-			owed = a.version
 		}
 	}
-	last := -1
-	if c, err := Open(img); err == nil {
+	first, last := -1, -1
+	c, err := Open(img)
+	if err != nil && len(owed) > 0 {
+		return fmt.Sprintf("Open: %v, with appends %v flushed and not destaged", err, owed)
+	}
+	if err == nil {
 		err = c.Records(func(ws uint64, typ journal.Type, ext block.Extent, data []byte) error {
 			i := int(ext.LBA / 256)
 			switch {
 			case i >= len(s.log) || !live(i):
 				return fmt.Errorf("recovered append %d, which was never logged or was discarded by an earlier recovery", i)
-			case ws != s.log[i].ws || typ != s.log[i].typ || ext != s.log[i].ext || !bytes.Equal(data, s.log[i].data):
+			case ws != s.log[i].ws || typ != s.log[i].typ || ext != s.log[i].ext || !bytes.HasPrefix(s.log[i].blocks, data):
 				return fmt.Errorf("append %d recovered as write %d %v %v with other bytes", i, ws, typ, ext)
 			case i <= last:
 				return fmt.Errorf("recovered append %d after %d: out of order", i, last)
+			}
+			for j := last + 1; last >= 0 && j < i; j++ {
+				if live(j) {
+					return fmt.Errorf("recovered append %d after %d: not one contiguous run", i, last)
+				}
+			}
+			if first < 0 {
+				first = i
 			}
 			if last = i; typ != journal.TypeTrim {
 				holds[i] = 1
@@ -238,6 +253,9 @@ func (s *crashScript) check(log []testrec.Op, cut testrec.Cut, img simdev.Device
 			return err.Error()
 		}
 	}
+	if len(owed) > 0 && (first < 0 || first > owed[0] || last < owed[len(owed)-1]) {
+		return fmt.Sprintf("recovered appends %d..%d; %v are flushed and the backend lacks them", first, last, owed)
+	}
 	// Many crash points leave one volume: its audit is looked up.
 	s.mu.Lock()
 	rep, ok := s.checked[string(holds)]
@@ -246,7 +264,7 @@ func (s *crashScript) check(log []testrec.Op, cut testrec.Cut, img simdev.Device
 		vol := volume{}
 		for i, a := range s.log {
 			if holds[i] == 1 {
-				vol.write(a.ext, a.data)
+				vol.write(a.ext, a.blocks)
 			}
 		}
 		var err error
@@ -257,11 +275,8 @@ func (s *crashScript) check(log []testrec.Op, cut testrec.Cut, img simdev.Device
 		s.checked[string(holds)] = rep
 		s.mu.Unlock()
 	}
-	switch {
-	case !rep.Mountable:
-		return fmt.Sprintf("recovered appends to %d: not a prefix: %v", last, rep.Violations)
-	case rep.RecoveredVersion < owed:
-		return fmt.Sprintf("recovered appends to %d, through write %d; write %d is flushed and the backend lacks it", last, rep.RecoveredVersion, owed)
+	if !rep.Mountable {
+		return fmt.Sprintf("recovered appends %d..%d: not a prefix: %v", first, last, rep.Violations)
 	}
 	return ""
 }

@@ -702,8 +702,8 @@ func (c *Cache) ReadExtent(ext block.Extent, buf []byte) ([]extmap.Run, error) {
 // from the future: after a crash, recovery installs the GC object and
 // the image is no longer a prefix of the acknowledged writes (§3.4).
 func (c *Cache) ReadFullDestaged(ext block.Extent, buf []byte) bool {
-	// GC's FetchFromCache path: called while blockstore holds bs.mu, so
-	// this takes the same bs.mu → wcache.mu order as DestagePressure.
+	// GC's FetchFromCache path, called with bs.mu dropped: the lock may
+	// wait for a device write.
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	// The ring is writeSeq-ordered (records are reserved under the
@@ -773,9 +773,8 @@ func (c *Cache) Stats() Stats {
 // as a backpressure signal — relocation I/O competes with destage for
 // the same backend budget, so GC defers while the log is drowning.
 func (c *Cache) DestagePressure() bool {
-	// The GC service polls this while holding bs.mu: the bs.mu →
-	// wcache.mu edge must stay consistent with every other cross-layer
-	// path (FetchFromCache takes the same order).
+	// The GC service polls this with bs.mu dropped: the lock may wait
+	// for a device write.
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	logBytes := c.logEnd - c.logStart
