@@ -276,7 +276,8 @@ type Store struct {
 
 	// Background GC service state (gc.go): the service goroutine
 	// sleeps on gcCond (same mutex as commitCond) and is woken by
-	// foreground commits (budget refills / utilization drops),
+	// foreground commits (budget refills / utilization drops, through
+	// a "gc-wake" timer, which gcWake stops while one is pending),
 	// idle-trickle timers, StopGC and Abort. fenceWaiters counts
 	// waiters in waitInflightLocked/RunGC/Abort so a paced pass
 	// yields the gcBusy slot promptly instead of stalling a fence on a
@@ -286,6 +287,7 @@ type Store struct {
 	gcDone       chan struct{} // non-nil while the service goroutine runs
 	gcBudget     int64         // WAF token bucket, payload bytes the GC may copy
 	gcRefills    uint64        // refill epoch, for idle-grant detection
+	gcWake       func() bool
 	fenceWaiters int
 	gcGateID     string // borrower-only gate identity for GC backend I/O
 

@@ -672,8 +672,8 @@ func inOrder(rec *testrec.Store, fn func()) error {
 	sc := testrec.NewScript(rec.Clock)
 	rec.Join(sc.Gate, testrec.Kinds(testrec.Put, testrec.Delete))
 	defer sc.Open()
-	_, err := sc.Run(func() error { fn(); return nil }, nil, func(step int, labels []string) *testrec.Choice {
-		return &testrec.Choice{Step: step, Op: slices.Min(labels)}
+	_, err := sc.Run(func() error { fn(); return nil }, nil, func(step int, held []*testrec.Held) *testrec.Choice {
+		return &testrec.Choice{Step: step, Op: slices.MinFunc(held, func(a, b *testrec.Held) int { return strings.Compare(a.Label, b.Label) }).Label}
 	})
 	return err
 }

@@ -123,6 +123,7 @@ func (s *Store) StopGC() {
 		return
 	}
 	s.gcStop = true
+	s.gcUnwakeLocked()
 	s.gcCond.Broadcast()
 	s.mu.Unlock()
 	<-done
@@ -240,7 +241,40 @@ func (s *Store) gcRefillLocked(fg int64) {
 	}
 	s.gcBudget = min(s.gcBudget+int64(float64(fg)*(GCWAFTarget-1)), 4*s.cfg.BatchBytes)
 	s.gcRefills++
-	s.gcCond.Broadcast()
+	s.gcWakeLocked()
+}
+
+// gcWakeLocked wakes the service on a timer of the backend's clock
+// (objstore.Clock), due at once, rather than in the commit that refilled
+// it: that commit also wakes a stalled seal and the writers waiting on
+// destage, and the service would race them for the upload gate, the
+// cache's lock and the sequence numbers, so the runtime's pick would
+// order the pass among them. On the clock a schedule can order it
+// (testrec.Gate.Timers). One wake is pending at a time; StopGC and Abort
+// stop it (gcUnwakeLocked).
+//
+//lsvd:requires bs.mu
+func (s *Store) gcWakeLocked() {
+	if s.gcWake != nil || s.gcStop || s.aborting {
+		return
+	}
+	s.gcWake = objstore.ClockOf(s.cfg.Store).AfterFunc("gc-wake", 0, func() {
+		s.mu.Lock()
+		s.gcWake = nil
+		s.gcCond.Broadcast()
+		s.mu.Unlock()
+	})
+}
+
+// gcUnwakeLocked stops a pending wake; the caller wakes the service
+// itself.
+//
+//lsvd:requires bs.mu
+func (s *Store) gcUnwakeLocked() {
+	if s.gcWake != nil {
+		s.gcWake()
+		s.gcWake = nil
+	}
 }
 
 // gcAwaitBudgetLocked blocks a paced pass until the token bucket holds
@@ -450,7 +484,7 @@ func (s *Store) collectLocked(seq uint32, paced bool) error {
 			}
 			s.gcBudget -= bytes
 		}
-		if err := s.writeGCObjectLocked(take); err != nil {
+		if err := s.writeGCObjectLocked(take, paced); err != nil {
 			return err
 		}
 	}
@@ -568,7 +602,7 @@ func (s *Store) plugHolesLocked(pieces []gcPiece, paced bool) []gcPiece {
 	return out
 }
 
-// gcGateAcquire takes an upload-gate slot for GC backend I/O as a
+// gcGateAcquire takes an upload-gate slot for a GC source read as a
 // background participant: no guaranteed share, always yielding to
 // foreground acquirers. Must be called WITHOUT s.mu held (the gate can
 // block while foreground uploads drain).
@@ -584,13 +618,13 @@ func (s *Store) gcGateRelease() { s.gate.ReleaseBackground(s.gcGateID) }
 // conditional on the map still pointing at the copied data, so seals,
 // commits and trims meanwhile at worst make parts of the GC object dead
 // at birth. A read from the cache drops s.mu too: the cache's lock may
-// wait for a device write. Its backend I/O is background: the PUT's
-// gate slot is taken before the sequence number and handed to the
-// upload, so the entry never waits for one behind the uploads queued
-// after it.
+// wait for a device write. The source reads are background I/O; the
+// object's PUT queues for its gate slot in sequence order like every
+// upload, so it waits for none queued after it. The service goes on
+// from its own wake (gcWakeLocked), not from the commit's.
 //
 //lsvd:requires bs.mu
-func (s *Store) writeGCObjectLocked(pieces []gcPiece) error {
+func (s *Store) writeGCObjectLocked(pieces []gcPiece, paced bool) error {
 	var src segments // the pieces end to end, each summed as fetched
 	kept := pieces[:0]
 	for _, p := range pieces {
@@ -623,13 +657,6 @@ func (s *Store) writeGCObjectLocked(pieces []gcPiece) error {
 	if pieces = kept; len(pieces) == 0 {
 		return nil
 	}
-	s.mu.Unlock()
-	s.gcGateAcquire()
-	s.mu.Lock()
-	if s.aborting {
-		s.gcGateRelease()
-		return errGCAborted
-	}
 
 	exts := make([]journal.ExtentEntry, 0, len(pieces))
 	for _, p := range pieces {
@@ -646,7 +673,7 @@ func (s *Store) writeGCObjectLocked(pieces []gcPiece) error {
 	}
 	s.nextSeq++
 	s.inflight = append(s.inflight, inf)
-	s.startUploadLocked(inf, true)
+	s.startUploadLocked(inf)
 	for len(s.inflight) > 0 && s.inflight[0].seq <= inf.seq {
 		if s.aborting {
 			return errGCAborted
@@ -655,6 +682,10 @@ func (s *Store) writeGCObjectLocked(pieces []gcPiece) error {
 			return err
 		}
 		s.commitCond.Wait()
+	}
+	if paced && !s.gcStop && !s.aborting {
+		s.gcWakeLocked()
+		s.gcCond.Wait()
 	}
 	return nil
 }

@@ -190,12 +190,14 @@ func (s *Store) reapLocked() error {
 }
 
 // takeReapLocked hands the caller the rows claimed under this hold of
-// s.mu, to reap once it has dropped the lock.
+// s.mu, to reap once it has dropped the lock, in sequence order: a scan
+// of the table (redriveLocked) claims them in map order.
 //
 //lsvd:requires bs.mu
 func (s *Store) takeReapLocked() []uint32 {
 	claimed := s.toReap
 	s.toReap = nil
+	slices.Sort(claimed)
 	return claimed
 }
 

@@ -105,7 +105,7 @@ func (s *Store) sealAsyncLocked() error {
 	s.inflightBytes += b.fill
 	s.batch = newBatch(s.cfg.NoCoalesce)
 	s.nextSeq++
-	s.startUploadLocked(inf, false)
+	s.startUploadLocked(inf)
 	return nil
 }
 
@@ -214,16 +214,15 @@ func (s *Store) reserveUploadSlotLocked() error {
 }
 
 // startUploadLocked issues (or reissues) the build+PUT for inf on a
-// fresh goroutine, bounded by the upload gate. The gate is acquired
-// inside the goroutine so the caller never blocks holding s.mu, and
-// the object marshal happens under the gate slot too — it is part of
-// the upload's cost, and keeping it off s.mu is the point. bg: the
-// caller hands over the background slot it holds, for a GC entry's
-// first attempt. A resubmission takes a foreground slot: it is at or
-// near the front of the commit walk.
+// fresh goroutine, bounded by the upload gate. The slot is queued for
+// here, under s.mu, so uploads reach the gate in sequence order, a GC
+// entry's like any other, and waited for inside the goroutine, so the
+// caller never blocks holding s.mu; the object marshal happens under
+// the gate slot too — it is part of the upload's cost, and keeping it
+// off s.mu is the point.
 //
 //lsvd:requires bs.mu
-func (s *Store) startUploadLocked(inf *inflightObj, bg bool) {
+func (s *Store) startUploadLocked(inf *inflightObj) {
 	if inf.ckpt != nil {
 		s.startCheckpointLocked(inf)
 		return
@@ -235,10 +234,9 @@ func (s *Store) startUploadLocked(inf *inflightObj, bg bool) {
 	}
 	name := objName(s.cfg.Volume, inf.seq)
 	obj := inf.obj // non-nil on resubmission: the image is built once
+	slot := s.gate.Queue(s.gateID)
 	invariant.Go("blockstore-upload", func() {
-		if !bg {
-			s.gate.Acquire(s.gateID)
-		}
+		slot.Wait()
 		if obj == nil {
 			var info *objInfo
 			var mapped []mappedExtent
@@ -250,11 +248,7 @@ func (s *Store) startUploadLocked(inf *inflightObj, bg bool) {
 			s.mu.Unlock()
 		}
 		err := objstore.PutVec(s.ctx, s.cfg.Store, name, obj)
-		if bg {
-			s.gcGateRelease()
-		} else {
-			s.gate.Release(s.gateID)
-		}
+		s.gate.Release(s.gateID)
 		s.mu.Lock()
 		inf.done, inf.err = true, err
 		var post func()
@@ -372,7 +366,7 @@ func (s *Store) resubmitFailedLocked(fresh bool) {
 			if fresh {
 				inf.attempts = 0
 			}
-			s.startUploadLocked(inf, false)
+			s.startUploadLocked(inf)
 		}
 	}
 }
@@ -455,6 +449,7 @@ func (s *Store) Abort() {
 	// paced pass) so it observes aborting and exits; the gcBusy check
 	// below then covers its in-progress pass like any other. Fence
 	// waiters wake too, and give up.
+	s.gcUnwakeLocked()
 	s.gcCond.Broadcast()
 	s.commitCond.Broadcast()
 	for {

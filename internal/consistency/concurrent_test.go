@@ -247,7 +247,7 @@ func cwIteration(w *walk, salt int64, gc core.VolumeOptions) error {
 		return err
 	}
 	defer w.kill(disk)
-	disarm := store.Tear(testrec.Any.Chance(seed, cwFaultRate), seed)
+	disarm := faults(store, seed, cwFaultRate)
 	defer disarm()
 
 	writers, err := startWriters(w, disk, rng)

@@ -8,7 +8,6 @@ import (
 
 	"lsvd/internal/core"
 	"lsvd/internal/objstore"
-	"lsvd/internal/testrec"
 )
 
 // Replica torture: concurrent writers hammer a replicated volume while
@@ -58,11 +57,11 @@ func replicaIteration(w *walk) error {
 		return err
 	}
 	defer w.kill(disk)
-	disarmPrimary := primary.Tear(testrec.Any.Chance(seed, cwFaultRate), seed)
+	disarmPrimary := faults(primary, seed, cwFaultRate)
 	// The replica backend faults harder than the primary: the shipper
 	// must absorb the asymmetry via retries and, past the lag bound,
 	// write backpressure — never by skipping an object.
-	disarmReplica := replica.Tear(testrec.Any.Chance(seed+1, 2*cwFaultRate), seed+1)
+	disarmReplica := faults(replica, seed+1, 2*cwFaultRate)
 	defer disarmPrimary()
 	defer disarmReplica()
 

@@ -70,7 +70,7 @@ func tortureIteration(w *walk) error {
 		return err
 	}
 	defer w.kill(disk)
-	disarm := store.Tear(testrec.Any.Chance(seed, rate), seed) // the failure model of DESIGN.md §13
+	disarm := faults(store, seed, rate)
 	defer disarm()
 
 	wr, err := NewWriter(disk)

@@ -3,10 +3,12 @@ package consistency
 import (
 	"crypto/sha256"
 	"fmt"
+	"math/rand"
 	"runtime"
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -142,6 +144,23 @@ func (w *walk) hold(writer int, seq uint64) {
 	_ = w.Hold(fmt.Sprintf("w%d", writer), int64(seq))
 }
 
+// faults arms a chance-faulted torture's failure model on s (DESIGN.md
+// §13): each operation fails with chance rate, drawn from seed, a PUT of
+// a new object torn (testrec.Store.Tear); and, so that every seed injects
+// at least one fault, the k-th operation the walk releases after it is
+// armed fails too, k in [1, 4] drawn from seed. stop heals.
+func faults(s *testrec.Store, seed int64, rate float64) (stop func()) {
+	heal := s.Tear(testrec.Any.Chance(seed, rate), seed)
+	k, n := int64(1+rand.New(rand.NewSource(seed)).Intn(4)), atomic.Int64{}
+	healSure := s.Do(testrec.Any, func(testrec.Op) error {
+		if n.Add(1) == k {
+			return fmt.Errorf("%w: the seed's sure fault", testrec.ErrFault)
+		}
+		return nil
+	})
+	return func() { heal(); healSure() }
+}
+
 // checked returns d for a torture's audit to read through: after a read
 // that went to the backend, the reader holds until the program has
 // nothing left to do (testrec.IdleNote). A miss hands its window's
@@ -231,26 +250,9 @@ var tortures = map[string]func(*walk) error{
 	"TestReplicaTorture":         replicaIteration,
 }
 
-// wakeTogether names, for a torture one seed of which can run two ways,
-// the race between goroutines woken together that decides which way:
-// the program's, not the walk's, since nothing is held between their
-// wake and their race. raceWakeTogether names those that only the race
-// detector's shuffling of woken goroutines brings out.
-var (
-	wakeTogether = map[string]string{
-		"TestCheckpointCrashTorture": "a fence resubmits the uploads that failed, each on a goroutine of its own, and they race for the upload gate's two slots",
-	}
-	raceWakeTogether = map[string]string{
-		"TestConcurrentTorture": "the writers one group commit wakes race to lead the next group, which orders their records in the ring",
-		"TestGCTorture":         "the writers one group commit wakes race to lead the next group, which orders their records in the ring",
-		"TestReplicaTorture":    "the writers one group commit wakes race to lead the next group, which orders their records in the ring",
-	}
-)
-
 // TestTortureReplay replays one walk of each torture from the row its
 // first run would print, and checks that the replay logs what the first
-// run logged: a walk is a function of its seed and its choices, except
-// where goroutines woken together race (wakeTogether).
+// run logged: a walk is a function of its seed and its choices.
 func TestTortureReplay(t *testing.T) {
 	seed := env[int64]("LSVD_FAULT_SEED", 1)
 	names := make([]string, 0, len(tortures))
@@ -260,12 +262,6 @@ func TestTortureReplay(t *testing.T) {
 	slices.Sort(names)
 	for _, name := range names {
 		t.Run(name, func(t *testing.T) {
-			if why, ok := wakeTogether[name]; ok {
-				t.Skip(why)
-			}
-			if why, ok := raceWakeTogether[name]; ok && raceDetector {
-				t.Skip(why)
-			}
 			sched, first := runWalk(t, testrec.Row{Name: name, Seed: seed}, false, tortures[name])
 			if t.Failed() {
 				return

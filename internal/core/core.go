@@ -873,13 +873,16 @@ func (d *Disk) pipelineErr() error {
 }
 
 // awaitReplicaLag is the RPO bound's escalation: while the replication
-// lag exceeds ReplicaMaxLagObjects, foreground
-// mutations stall here — OUTSIDE wmu, so the destage pipeline keeps
-// committing and the shipper keeps acking — until the replica catches
-// up. "Bounded or blocked": the volume never silently accumulates more
-// unreplicated data than the configured exposure. Stalled writers
-// sleep on the wake channel rather than polling; every shipper ack and
-// pipeline failure broadcasts it, and Close and Kill close closed.
+// lag exceeds ReplicaMaxLagObjects, foreground mutations stall here —
+// holding the admission ticket (enter) but OUTSIDE wmu, so the destage
+// pipeline keeps committing and the shipper keeps acking — until the
+// replica catches up. "Bounded or blocked": the volume never silently
+// accumulates more unreplicated data than the configured exposure. The
+// one stalled writer sleeps on the wake channel rather than polling;
+// every shipper ack and pipeline failure broadcasts it, and Close and
+// Kill close closed. The writers behind it wait for the ticket in
+// arrival order: were they all stalled here, one ack would wake them
+// together to race for it, and the runtime would pick the ring order.
 func (d *Disk) awaitReplicaLag() error {
 	if d.shipper == nil || !d.shipper.OverBound() {
 		return nil
@@ -992,9 +995,6 @@ func (d *Disk) mutate(ext block.Extent, p []byte) error {
 	if err := d.pipelineErr(); err != nil {
 		return err
 	}
-	if err := d.awaitReplicaLag(); err != nil {
-		return err
-	}
 	req := destageReq{ext: ext}
 	if p != nil {
 		// Stage first: the destage pipeline (and the block-store batch,
@@ -1069,6 +1069,11 @@ func (d *Disk) enter(req destageReq) (*writecache.Reservation, error) {
 		return nil, ErrClosed
 	}
 	defer func() { <-d.turn }()
+	if req.fence == nil {
+		if err := d.awaitReplicaLag(); err != nil {
+			return nil, err
+		}
+	}
 	fences := 0
 	for {
 		res, err := d.handoff(req)

@@ -11,9 +11,14 @@
 // free. A user at or above its share may still borrow idle capacity —
 // work conservation — but only while no under-share user is waiting,
 // so a starved volume reclaims its guaranteed slots within one release.
+//
+// The gate, not the runtime, decides who runs: an acquisition that finds
+// no slot free waits in one line, and each released slot is handed to
+// exactly one waiter, so a release wakes one goroutine, never a crowd.
 package iosched
 
 import (
+	"slices"
 	"sync"
 
 	"lsvd/internal/invariant"
@@ -22,29 +27,25 @@ import (
 // Gate is a capacity-bounded semaphore with per-user minimum shares.
 type Gate struct {
 	mu    sync.Mutex //lsvd:lock iosched.gate
-	cond  *sync.Cond
 	cap   int
 	held  int
 	users map[string]*gateUser
 
-	// bg tracks background-class users (AcquireBackground): no
-	// guaranteed share, and they yield not just to starved registered
-	// users but to ANY blocked foreground acquirer.
+	// bg tracks background-class users (AcquireBackground): no share,
+	// and they yield to ANY waiting foreground acquirer.
 	bg map[string]*gateUser
-	// fgWaiting counts foreground Acquire calls currently blocked; any
-	// nonzero value suspends background grants entirely.
-	fgWaiting int
+	// line holds the acquisitions waiting for a slot, in arrival order;
+	// it is empty whenever a slot is free.
+	line []*Ticket
 
-	// retired keeps unregistered users' counters so Stats stays
-	// meaningful after a volume closes (a re-registered id resumes
-	// accumulating on top of them).
+	// retired keeps unregistered users' counters for Stats (a
+	// re-registered id resumes accumulating on top of them).
 	retired map[string]UserStats
 }
 
 type gateUser struct {
 	held    int
 	waiting int
-
 	grants  uint64 // slots granted within the minimum share
 	borrows uint64 // slots granted beyond it, from idle capacity
 	waits   uint64 // acquisitions that blocked at least once
@@ -58,14 +59,27 @@ type UserStats struct {
 	Waits   uint64 // acquisitions that blocked at least once
 }
 
+// Ticket is an acquisition's place in the gate's line (Queue). A nil
+// Ticket was granted its slot at once.
+type Ticket struct {
+	u       *gateUser // nil: an anonymous borrower
+	bg      bool
+	granted chan struct{}
+}
+
+// Wait blocks until the ticket's slot is granted.
+func (t *Ticket) Wait() {
+	if t != nil {
+		<-t.granted
+	}
+}
+
 // NewGate builds a gate with the given slot capacity (minimum 1).
 func NewGate(capacity int) *Gate {
 	if capacity < 1 {
 		capacity = 1
 	}
-	g := &Gate{cap: capacity, users: make(map[string]*gateUser), bg: make(map[string]*gateUser), retired: make(map[string]UserStats)}
-	g.cond = sync.NewCond(&g.mu)
-	return g
+	return &Gate{cap: capacity, users: make(map[string]*gateUser), bg: make(map[string]*gateUser), retired: make(map[string]UserStats)}
 }
 
 // Capacity returns the gate's total slot count.
@@ -80,19 +94,16 @@ func (g *Gate) Register(id string) {
 	if g.users[id] == nil {
 		u := &gateUser{}
 		if r, ok := g.retired[id]; ok {
-			// Resume the retired counters so an id's totals stay
-			// monotonic across close/reopen cycles.
 			u.grants, u.borrows, u.waits = r.Grants, r.Borrows, r.Waits
 			delete(g.retired, id)
 		}
 		g.users[id] = u
-		// Shares shrank; nobody new can run, no wakeup needed.
 	}
 }
 
 // Unregister removes a user. Its held slots drain naturally through
-// Release; pending Acquires on the id still complete (treated as an
-// anonymous borrower). Shares grow, so waiters are re-examined.
+// Release. Shares grow, but no waiter gains a slot by it: the line is
+// empty whenever one is free.
 func (g *Gate) Unregister(id string) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -105,7 +116,6 @@ func (g *Gate) Unregister(id string) {
 	}
 	g.retired[id] = UserStats{Grants: u.grants, Borrows: u.borrows, Waits: u.waits}
 	delete(g.users, id)
-	g.cond.Broadcast()
 }
 
 // minShareLocked is each registered user's guaranteed slot count.
@@ -120,127 +130,117 @@ func (g *Gate) minShareLocked() int {
 	return 1
 }
 
-// starvedWaiterLocked reports whether some registered user is blocked
-// below its minimum share — the condition that suspends borrowing.
-func (g *Gate) starvedWaiterLocked(minShare int) bool {
-	for _, u := range g.users {
-		if u.waiting > 0 && u.held < minShare {
-			return true
-		}
-	}
-	return false
-}
+// Acquire blocks until a slot is granted to id under the share policy.
+// Unknown ids acquire as pure borrowers: they have no guaranteed share
+// and always yield to starved registered users.
+func (g *Gate) Acquire(id string) { g.Queue(id).Wait() }
 
-// Acquire blocks until a slot is available to id under the share
-// policy, then takes it. Unknown ids acquire as pure borrowers: they
-// have no guaranteed share and always yield to starved registered
-// users.
-func (g *Gate) Acquire(id string) {
+// Queue takes a free slot for id, or else a place in the line, without
+// blocking; the ticket's Wait returns once the slot is id's. What one
+// caller queues in order (a block store's uploads) is granted in order.
+func (g *Gate) Queue(id string) *Ticket {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	u := g.users[id]
-	if u != nil {
-		u.waiting++
-	}
-	blocked := false
-	granted := func() {
-		if blocked {
-			g.fgWaiting--
-			if u != nil {
-				u.waits++
-			}
-		}
-	}
-	for {
-		minShare := g.minShareLocked()
-		if g.held < g.cap {
-			if u != nil && u.held < minShare {
-				// Within the guaranteed share: always runnable.
-				g.held++
-				u.held++
-				u.waiting--
-				u.grants++
-				granted()
-				return
-			}
-			if !g.starvedWaiterLocked(minShare) {
-				// Idle capacity and nobody starved: borrow it.
-				g.held++
-				if u != nil {
-					u.held++
-					u.waiting--
-					u.borrows++
-				}
-				granted()
-				return
-			}
-		}
-		if !blocked {
-			blocked = true
-			g.fgWaiting++
-		}
-		g.cond.Wait()
-	}
+	return g.queueLocked(g.users[id], false)
 }
 
-// AcquireBackground blocks until a slot can be granted to the
-// background class: only while capacity is idle, no foreground
-// acquirer is blocked, and no registered user is starved below its
-// share. Background users have no minimum share of their own — they
-// are pure scavengers of idle capacity (the GC service uses this so
-// its copy I/O never displaces a foreground upload).
+// AcquireBackground blocks until a slot is granted to the background
+// class: only once no foreground acquirer waits. Background users are
+// pure scavengers of idle capacity (the GC service and the shipper use
+// this so their I/O never displaces a foreground upload).
 func (g *Gate) AcquireBackground(id string) {
 	g.mu.Lock()
-	defer g.mu.Unlock()
 	u := g.bg[id]
 	if u == nil {
 		u = &gateUser{}
 		g.bg[id] = u
 	}
-	u.waiting++
-	blocked := false
-	for {
-		if g.held < g.cap && g.fgWaiting == 0 && !g.starvedWaiterLocked(g.minShareLocked()) {
-			g.held++
-			u.held++
-			u.waiting--
-			u.borrows++
-			if blocked {
-				u.waits++
-			}
-			return
-		}
-		blocked = true
-		g.cond.Wait()
-	}
+	t := g.queueLocked(u, true)
+	g.mu.Unlock()
+	t.Wait()
 }
 
-// ReleaseBackground returns a slot taken by AcquireBackground(id).
-func (g *Gate) ReleaseBackground(id string) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	u := g.bg[id]
-	if g.held <= 0 || u == nil || u.held <= 0 {
-		invariant.Failf("iosched: background user %q releasing unheld slot", id)
+// queueLocked takes a free slot for u, or puts a ticket for it at the end
+// of the line.
+func (g *Gate) queueLocked(u *gateUser, bg bool) *Ticket {
+	if g.held < g.cap {
+		invariant.Assert(len(g.line) == 0, "iosched: a slot is free while acquisitions wait")
+		g.takeLocked(u, bg)
+		return nil
 	}
-	g.held--
-	u.held--
-	g.cond.Broadcast()
+	t := &Ticket{u: u, bg: bg, granted: make(chan struct{})}
+	g.line = append(g.line, t)
+	if u != nil {
+		u.waiting++
+		u.waits++
+	}
+	return t
+}
+
+// takeLocked gives u one slot, counted as a grant within its share or a
+// borrow beyond it.
+func (g *Gate) takeLocked(u *gateUser, bg bool) {
+	g.held++
+	if u == nil {
+		return
+	}
+	if !bg && u.held < g.minShareLocked() {
+		u.grants++
+	} else {
+		u.borrows++
+	}
+	u.held++
 }
 
 // Release returns a slot taken by Acquire(id).
-func (g *Gate) Release(id string) {
+func (g *Gate) Release(id string) { g.release(id, false) }
+
+// ReleaseBackground returns a slot taken by AcquireBackground(id).
+func (g *Gate) ReleaseBackground(id string) { g.release(id, true) }
+
+// release returns one of id's slots and hands it to one waiter: the
+// first in line of the best class, a registered user below its minimum
+// share, then any other foreground waiter, then the background class. A
+// block store queues its uploads in object order, so within a store the
+// grant follows object sequence, and across stores arrival.
+func (g *Gate) release(id string, bg bool) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	u := g.users[id]
-	if g.held <= 0 || u != nil && u.held <= 0 {
-		invariant.Failf("iosched: user %q releasing unheld slot", id)
+	if bg {
+		u = g.bg[id]
+	}
+	if g.held <= 0 || u != nil && u.held <= 0 || bg && u == nil {
+		invariant.Failf("iosched: %q releasing unheld slot", id)
 	}
 	g.held--
 	if u != nil {
 		u.held--
 	}
-	g.cond.Broadcast()
+	if len(g.line) == 0 {
+		return
+	}
+	minShare, best := g.minShareLocked(), 0
+	class := func(t *Ticket) int {
+		if t.bg {
+			return 2
+		} else if t.u != nil && t.u.held < minShare {
+			return 0
+		}
+		return 1
+	}
+	for i, t := range g.line {
+		if class(t) < class(g.line[best]) {
+			best = i
+		}
+	}
+	t := g.line[best]
+	g.line = slices.Delete(g.line, best, best+1)
+	if t.u != nil {
+		t.u.waiting--
+	}
+	g.takeLocked(t.u, t.bg)
+	close(t.granted)
 }
 
 // Stats returns the per-user snapshot for id (zero if unregistered).

@@ -2,6 +2,7 @@ package iosched
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -276,5 +277,41 @@ func TestGateAcquireReleaseAllocatesNothing(t *testing.T) {
 		if n := testing.AllocsPerRun(1000, c.fn); n != 0 {
 			t.Errorf("%s acquire/release: %.1f allocs, want 0", c.name, n)
 		}
+	}
+}
+
+// TestGateReleaseWakesOneWaiter: with eight acquirers blocked on a full
+// gate, one Release makes exactly one of them runnable: the gate hands
+// the slot to one waiter instead of waking them all to race for it.
+// Counted from a stack dump taken on one P right after the Release,
+// before any woken goroutine has run.
+func TestGateReleaseWakesOneWaiter(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	g := NewGate(1)
+	g.Register("a")
+	g.Acquire("a")
+	const waiters = 8
+	var wg sync.WaitGroup
+	for range waiters {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			g.Acquire("a")
+			g.Release("a")
+		}()
+	}
+	settle(t)
+	g.Release("a")
+	buf := make([]byte, 1<<20)
+	buf = buf[:runtime.Stack(buf, true)]
+	woken := 0
+	for _, stanza := range strings.Split(string(buf), "\n\n") {
+		if strings.Contains(stanza, "iosched.TestGateReleaseWakesOneWaiter.func") && strings.Contains(stanza, "[runnable") {
+			woken++
+		}
+	}
+	wg.Wait()
+	if woken != 1 {
+		t.Fatalf("one Release made %d of %d blocked acquirers runnable, want 1", woken, waiters)
 	}
 }

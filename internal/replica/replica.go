@@ -120,6 +120,13 @@ func (s *Shipper) run() {
 	}
 	for {
 		evs, more := s.cfg.Backend.ShipNext()
+		// Go on from a wake of the clock's, not from the commit that
+		// published the events: that commit also wakes a stalled seal and
+		// the writers waiting on destage, and the shipper would race them
+		// for the upload gate. On the clock a schedule can order it.
+		if len(evs) > 0 && !s.sleep("ship-wake", 0) {
+			return
+		}
 		if !s.processBatch(evs, false) {
 			return
 		}
@@ -193,7 +200,7 @@ func (s *Shipper) shipObject(ev blockstore.ShipEvent) bool {
 		if s.drainRequested() && attempt >= drainAttempts {
 			return false
 		}
-		if !s.sleep(backoff(attempt)) {
+		if !s.sleep("ship-backoff", backoff(attempt)) {
 			return false
 		}
 	}
@@ -331,8 +338,8 @@ func (s *Shipper) drainRequested() bool {
 
 // sleep waits d on the replica store's clock, or until Abort; returns
 // false when aborted.
-func (s *Shipper) sleep(d time.Duration) bool {
-	wake, stop := objstore.After(objstore.ClockOf(s.cfg.Replica), "ship-backoff", d)
+func (s *Shipper) sleep(what string, d time.Duration) bool {
+	wake, stop := objstore.After(objstore.ClockOf(s.cfg.Replica), what, d)
 	defer stop()
 	select {
 	case <-s.quit:

@@ -2,7 +2,8 @@
 // volumes: it fails the package when a test leaves a volume's
 // goroutines running, because a leaked disk keeps its caches and
 // staging buffers alive for the rest of the test binary. It also
-// prints the peak HeapInuse it sampled (visible with -v).
+// prints the peak HeapInuse it sampled (visible with -v), on a
+// wall-clock tick that a stepped run pauses (Pause).
 package testleak
 
 import (
@@ -10,6 +11,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -20,26 +22,30 @@ import (
 // when goroutines outlive them. Call it from TestMain.
 func Main(m *testing.M) {
 	base := runtime.NumGoroutine()
-	stop, peak := make(chan struct{}), make(chan uint64, 1)
+	sampler.mu.Lock()
+	sampler.tick = time.NewTicker(sampleEvery)
+	sampler.mu.Unlock()
+	stop, done := make(chan struct{}), make(chan struct{})
 	invariant.Go("testleak-heap", func() {
-		var ms runtime.MemStats
-		var top uint64
-		tick := time.NewTicker(100 * time.Millisecond)
-		defer tick.Stop()
+		defer close(done)
 		for {
-			runtime.ReadMemStats(&ms)
-			top = max(top, ms.HeapInuse)
+			sampler.mu.Lock()
+			if sampler.paused == 0 {
+				sample()
+			}
+			sampler.mu.Unlock()
 			select {
 			case <-stop:
-				peak <- top
 				return
-			case <-tick.C:
+			case <-sampler.tick.C:
 			}
 		}
 	})
 	code := m.Run()
 	close(stop)
-	fmt.Printf("peak HeapInuse %d MiB\n", <-peak>>20)
+	<-done
+	sampler.tick.Stop()
+	fmt.Printf("peak HeapInuse %d MiB\n", sampler.top>>20)
 	// A -fuzz run leaves the fuzzing engine's signal handler running.
 	if n := settled(base); n > base && flag.Lookup("test.fuzz").Value.String() == "" {
 		buf := make([]byte, 1<<20)
@@ -48,6 +54,54 @@ func Main(m *testing.M) {
 		code = 1
 	}
 	os.Exit(code)
+}
+
+// sampleEvery is the wall-clock period of the heap sampler.
+const sampleEvery = 100 * time.Millisecond
+
+// sampler is Main's heap sampler: the peak HeapInuse it read, every
+// sampleEvery but while a run that steps the program is paused (Pause).
+var sampler struct {
+	mu     sync.Mutex
+	top    uint64
+	paused int
+	tick   *time.Ticker // nil outside Main
+}
+
+// sample reads HeapInuse into the peak. Called with sampler.mu held.
+func sample() {
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	sampler.top = max(sampler.top, ms.HeapInuse)
+}
+
+// Pause stops the heap sampler's wall-clock samples until resume is
+// called, and samples on each side instead: a run that settles the
+// program step by step (testrec.Script.Run) must not have the sampler's
+// goroutine, or its stop-the-world, land between the goroutines one step
+// wakes, for that can reorder them.
+func Pause() (resume func()) {
+	sampler.mu.Lock()
+	defer sampler.mu.Unlock()
+	if sampler.tick == nil {
+		return func() {}
+	}
+	if sampler.paused++; sampler.paused == 1 {
+		sampler.tick.Stop()
+		select {
+		case <-sampler.tick.C: // a tick sent before the stop
+		default:
+		}
+	}
+	sample()
+	return func() {
+		sampler.mu.Lock()
+		defer sampler.mu.Unlock()
+		sample()
+		if sampler.paused--; sampler.paused == 0 {
+			sampler.tick.Reset(sampleEvery)
+		}
+	}
 }
 
 // settled gives goroutines that were told to stop, but have not been

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"lsvd/internal/invariant"
+	"lsvd/internal/testleak"
 )
 
 // One search, two drivers (DESIGN.md §5). A Script is a workload on a
@@ -156,12 +157,14 @@ type Schedule struct {
 // fired last, so time moves only while the program waits on it. A kill
 // note is the default only once nothing else is held. sched's choices
 // take the default's place at their steps; at any other step choose,
-// when not nil, may return a choice (nil keeps the default). Run's error
+// when not nil, is given the held operations in default order and may
+// return a choice (nil keeps the default). Run's error
 // is its own: a settle that did not come, a script stuck with nothing
 // held, a choice whose operation is not held, or a failed audit; it
 // opens the gate and leaves the script to end as it may.
-func (sc *Script) Run(play func() error, sched []Choice, choose func(step int, labels []string) *Choice) (*Schedule, error) {
+func (sc *Script) Run(play func() error, sched []Choice, choose func(step int, held []*Held) *Choice) (*Schedule, error) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // quiet's fast path
+	defer testleak.Pause()()                        // no wall-clock sample between steps
 	g := sc.Gate
 	s := &Schedule{clock: g.c}
 	done := make(chan error, 1)
@@ -259,7 +262,7 @@ func (sc *Script) Run(play func() error, sched []Choice, choose func(step int, l
 			c = &sched[0]
 			sched = sched[1:]
 		} else if choose != nil {
-			c = choose(step, labels)
+			c = choose(step, order)
 		}
 		pick, err := order[0], error(nil)
 		if c != nil {
@@ -443,56 +446,77 @@ func Explore(t testing.TB, row Row, bound int, branch Branch, run func(sched []C
 }
 
 // Sample plays the walk seed draws; Run with the choices it took
-// replays it. An operation it sees for the first time is slow with chance
-// 1/walkSlow: it is not released for up to walkDelay steps while
-// anything else can go, as a PUT stays in flight while later ones land.
-// Of the rest, the oldest goes, or with chance 1/4 another. The kill
-// (Kill) goes at its step.
+// replays it. The walk is PCT's (Burckhardt, Kothari, Musuvathi and
+// Nagarakatte, ASPLOS 2010). Each thread (thread) draws a random priority
+// the first time one of its operations is held, and each step releases
+// the oldest held operation of the thread with the highest. At
+// walkDepth−1 change points, steps drawn from the first walkHorizon, the
+// thread about to go drops below every other, each to its own priority.
+// So a bug that needs d−1 ordering constraints, d ≤ walkDepth, among n
+// threads and shows within k ≤ walkHorizon steps, one walk finds with
+// probability at least 1/(n·walkHorizon^(d−1)). A timer due at once is
+// a thread like any; one due later goes as Run's default has it, once
+// the program waits on time. The kill (Kill) goes at its step.
 func (s *Script) Sample(seed int64, play func() error) (*Schedule, error) {
 	rng := rand.New(rand.NewSource(seed ^ 0x77616c6b))
-	kill := KillNote + " 0"
-	until := map[string]int{} // a held operation's label → the step its delay ends
-	return s.Run(play, nil, func(step int, labels []string) *Choice {
-		n := len(labels)
-		if labels[n-1] == kill {
-			if step >= s.killAt {
-				return &Choice{Step: step, Op: kill}
-			}
-			n--
+	drop := map[int]float64{} // a change point's step → the priority it gives
+	for d := 1; d < walkDepth; d++ {
+		drop[rng.Intn(walkHorizon)] = float64(d)
+	}
+	prio := map[string]float64{}
+	return s.Run(play, nil, func(step int, held []*Held) *Choice {
+		if h := held[len(held)-1]; h.Kind == Note && h.Name == KillNote && step >= s.killAt {
+			return &Choice{Step: step, Op: h.Label}
 		}
-		var ready []string
-		for _, l := range labels[:n] {
-			end, seen := until[l]
-			if !seen {
-				end = step
-				if rng.Intn(walkSlow) == 0 {
-					end += 1 + rng.Intn(walkDelay)
+		pick := func() *Held {
+			var best *Held
+			for _, h := range held {
+				if h.Kind == Note && h.Name == KillNote || h.Kind == Timer && h.Off > 0 {
+					continue
 				}
-				until[l] = end
+				th := thread(h.Label)
+				if _, ok := prio[th]; !ok {
+					prio[th] = walkDepth + rng.Float64()
+				}
+				if best == nil || prio[th] > prio[thread(best.Label)] {
+					best = h
+				}
 			}
-			if end <= step {
-				ready = append(ready, l)
-			}
+			return best
 		}
-		pick := labels[0]
-		if len(ready) > 0 {
-			pick = ready[0]
-			if len(ready) > 1 && rng.Intn(4) == 0 {
-				pick = ready[1+rng.Intn(len(ready)-1)]
-			}
+		h := pick()
+		if p, ok := drop[step]; ok && h != nil {
+			prio[thread(h.Label)] = p
+			h = pick()
 		}
-		delete(until, pick)
-		if pick == labels[0] {
+		if h == nil || h == held[0] {
 			return nil
 		}
-		return &Choice{Step: step, Op: pick}
+		return &Choice{Step: step, Op: h.Label}
 	})
 }
 
-// A walk delays one operation in walkSlow by up to walkDelay steps.
+// thread names the thread of a held operation's label for a walk: the
+// label without a note's value or an operation's offset, so a writer's
+// holds are one thread, as are the PUTs of one object and the writes of
+// the cache log.
+func thread(label string) string {
+	if name, _, ok := strings.Cut(label, "@"); ok {
+		return name
+	}
+	if name, v, ok := strings.Cut(label, " "); ok {
+		if _, err := strconv.ParseInt(v, 10, 64); err == nil {
+			return name
+		}
+	}
+	return label
+}
+
+// A walk changes priorities at walkDepth−1 steps among its first
+// walkHorizon.
 const (
-	walkSlow  = 5
-	walkDelay = 64
+	walkDepth   = 3
+	walkHorizon = 512
 )
 
 // Cut is a crash point: the state the log's operations left from stamp

@@ -625,15 +625,13 @@ func (c *Cache) SetDestaged(writeSeq uint64) {
 }
 
 // Flush is the commit barrier: one device flush makes every prior log
-// record durable (§3.2). No metadata writes are needed. The read lock
-// suffices: an append is only acknowledged (Commit returns) after its
-// group device write completed, so the flush covers every
-// acknowledged append.
-func (c *Cache) Flush() error {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.dev.Flush()
-}
+// record durable (§3.2). No metadata writes are needed, and no lock: an
+// append is only acknowledged (Commit returns) after its group device
+// write completed, so the flush covers every acknowledged append, and
+// the device is the cache's for its life. The read lock it once held
+// guarded no field, and a Reserve waiting behind it made every reader
+// wait out the device flush too.
+func (c *Cache) Flush() error { return c.dev.Flush() }
 
 // Trims are held in the map as tombstone runs — Present, but with this
 // sentinel target — so a read of a discarded range is answered (with
@@ -702,9 +700,13 @@ func (c *Cache) ReadExtent(ext block.Extent, buf []byte) ([]extmap.Run, error) {
 // from the future: after a crash, recovery installs the GC object and
 // the image is no longer a prefix of the acknowledged writes (§3.4).
 func (c *Cache) ReadFullDestaged(ext block.Extent, buf []byte) bool {
-	// GC's FetchFromCache path, called with bs.mu dropped: the lock may
-	// wait for a device write.
-	c.mu.RLock()
+	// GC's FetchFromCache path, called with bs.mu dropped. It does not
+	// wait for the lock, which a writer may hold across a device write
+	// (a pad, a superblock): a busy cache is a miss, and the GC reads the
+	// backend instead of waking beside that writer when it lets go.
+	if !c.mu.TryRLock() {
+		return false
+	}
 	defer c.mu.RUnlock()
 	// The ring is writeSeq-ordered (records are reserved under the
 	// caller's write mutex), so the un-destaged records form a suffix.
@@ -773,9 +775,11 @@ func (c *Cache) Stats() Stats {
 // as a backpressure signal — relocation I/O competes with destage for
 // the same backend budget, so GC defers while the log is drowning.
 func (c *Cache) DestagePressure() bool {
-	// The GC service polls this with bs.mu dropped: the lock may wait
-	// for a device write.
-	c.mu.RLock()
+	// The GC service polls this with bs.mu dropped, and does not wait
+	// for the lock (ReadFullDestaged): a busy cache is pressure.
+	if !c.mu.TryRLock() {
+		return true
+	}
 	defer c.mu.RUnlock()
 	logBytes := c.logEnd - c.logStart
 	if logBytes <= 0 {

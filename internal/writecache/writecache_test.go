@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+	"time"
 
 	"lsvd/internal/block"
 	"lsvd/internal/journal"
@@ -750,5 +751,58 @@ func TestCommitAfterQuiesceIsRefused(t *testing.T) {
 	}
 	if runs := c.Lookup(ext); len(runs) != 1 || runs[0].Present {
 		t.Fatalf("a refused commit is readable: %v", runs)
+	}
+}
+
+// TestFlushHoldsNoLock: while a device flush is in progress, a writer's
+// Reserve and Commit and a reader's ReadExtent complete; the flush
+// holds no lock of the cache's that they wait for.
+func TestFlushHoldsNoLock(t *testing.T) {
+	dev := testrec.NewDevice(simdev.NewMem(8 * block.MiB))
+	c, err := Format(dev, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ext := block.Extent{LBA: 0, Sectors: block.SectorsPerBlock}
+	data := payload(1, int(ext.Bytes()))
+	if err := c.Append(1, ext, data); err != nil {
+		t.Fatal(err)
+	}
+	g := dev.Gate(testrec.Kinds(testrec.Flush))
+	flushed := make(chan error, 1)
+	go func() { flushed <- c.Flush() }()
+	settle := func() {
+		if err := testrec.Settle(10 * time.Second); err != nil {
+			t.Fatal(err)
+		}
+	}
+	settle()
+	if held := g.Held(); len(held) != 1 {
+		t.Fatalf("%d operations held, want the flush", len(held))
+	}
+	written, read := make(chan error, 1), make(chan error, 1)
+	go func() { written <- c.Append(2, block.Extent{LBA: ext.End(), Sectors: ext.Sectors}, data) }()
+	go func() {
+		buf := make([]byte, ext.Bytes())
+		runs, err := c.ReadExtent(ext, buf)
+		if err == nil && (len(runs) != 1 || !runs[0].Present || !bytes.Equal(buf, data)) {
+			err = fmt.Errorf("read %v", runs)
+		}
+		read <- err
+	}()
+	settle()
+	for what, ch := range map[string]chan error{"Reserve and Commit": written, "ReadExtent": read} {
+		select {
+		case err := <-ch:
+			if err != nil {
+				t.Errorf("%s during a flush: %v", what, err)
+			}
+		default:
+			t.Errorf("%s waits for the device flush", what)
+		}
+	}
+	g.Open()
+	if err := <-flushed; err != nil {
+		t.Fatal(err)
 	}
 }
