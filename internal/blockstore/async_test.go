@@ -22,15 +22,14 @@ func settle(t *testing.T) {
 	}
 }
 
-// waitDurable polls until DurableWriteSeq reaches want.
+// waitDurable fails unless DurableWriteSeq has reached want once every
+// goroutine has settled: a watermark behind then has nothing left to
+// move it.
 func waitDurable(t *testing.T, s *Store, want uint64) {
 	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for s.DurableWriteSeq() < want {
-		if time.Now().After(deadline) {
-			t.Fatalf("durable watermark stuck at %d, want %d", s.DurableWriteSeq(), want)
-		}
-		time.Sleep(time.Millisecond)
+	settle(t)
+	if got := s.DurableWriteSeq(); got < want {
+		t.Fatalf("durable watermark stuck at %d, want %d", got, want)
 	}
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"slices"
 	"sync"
@@ -9,51 +10,85 @@ import (
 	"time"
 
 	"lsvd/internal/block"
+	"lsvd/internal/objstore"
 	"lsvd/internal/simdev"
 	"lsvd/internal/testrec"
 )
 
 // delay makes every operation m matches wait d on its way to the
-// backend.
+// backend, on a timer of the store's clock (objstore.Clock): real time,
+// unless a gate holds the clock's timers.
 func delay(rs *testrec.Store, m testrec.Match, d time.Duration) *testrec.Store {
-	rs.Do(m, func(testrec.Op) error {
-		time.Sleep(d)
+	rs.Do(m, func(op testrec.Op) error {
+		wake, stop := objstore.After(rs.Clock, "delay "+op.Name, d)
+		defer stop()
+		<-wake
 		return nil
 	})
 	return rs
 }
 
-// TestCrashMidDestageRecoversFromCache: a crash with writes still
-// queued for destage must lose nothing when the cache survives — the
-// write log holds every acknowledged write and recovery replays the
-// tail the backend is missing (§3.3).
-func TestCrashMidDestageRecoversFromCache(t *testing.T) {
+// midDestage writes n 64 KiB writes, each an object of its own, with
+// the ninth object's PUT parked: the objects behind it land and wait to
+// commit, and the writes behind those queue for destage. Once the
+// program has settled it crashes the volume, the parked PUT failing as
+// its connection dies, and returns how many writes the backend had
+// committed.
+func midDestage(t *testing.T, n int, flush bool, tune func(*Options)) (*harness, uint64) {
+	var rs *testrec.Store
 	h := newHarness(t, func(o *Options) {
-		// Slow PUTs keep the destage queue populated, so the crash
-		// catches the pipeline mid-drain.
-		o.Store = delay(testrec.NewStore(o.Store), testrec.Puts, 2*time.Millisecond)
-		o.BatchBytes = 64 * 1024 // seal often so the pipeline is busy
+		rs = testrec.NewStore(o.Store)
+		o.Store = rs
+		o.BatchBytes = 64 * 1024 // one write, one object
+		if tune != nil {
+			tune(o)
+		}
 	})
-	const n = 32
+	p := rs.Park(testrec.DataObject.After(8).Once())
+	die := sync.OnceFunc(func() { p.Release(fmt.Errorf("%w: the host died", testrec.ErrFault)) })
+	t.Cleanup(die) // before the harness's Kill, which waits for the PUT
 	for i := 0; i < n; i++ {
 		if err := h.disk.WriteAt(payload(int64(i), 64*1024), int64(i)*(1<<20)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := h.disk.Flush(); err != nil {
-		t.Fatal(err)
+	if flush {
+		if err := h.disk.Flush(); err != nil {
+			t.Fatal(err)
+		}
 	}
-	// Crash now: the queue/uploads are (very likely) still draining.
-	if q := h.disk.Stats().DestageQueued; q == 0 {
-		t.Log("destage queue already empty at crash (still a valid recovery test)")
+	var parked testrec.Op
+	select {
+	case parked = <-p.Arrived():
+	case <-time.After(10 * time.Second):
+		t.Fatal("the ninth object's PUT never came")
 	}
-	h.disk.Kill()
-	durable := h.disk.Backend().Stats().DurableWriteSeq
+	settle(t)
+	landed := rs.Await(parked.Stamp, testrec.DataObject, 0)
+	st := h.disk.Stats()
+	if !landed || st.DestageQueued == 0 {
+		t.Fatalf("bad setup: no object landed behind the parked one (%v) or nothing queued (%d)", landed, st.DestageQueued)
+	}
+	killed := make(chan struct{})
+	go func() { h.disk.Kill(); close(killed) }()
+	die()
+	<-killed
+	return h, h.disk.Backend().Stats().DurableWriteSeq
+}
+
+// TestCrashMidDestageRecoversFromCache: a crash with writes still
+// queued for destage, and objects landed behind one that never does,
+// must lose nothing when the cache survives — the write log holds every
+// acknowledged write and recovery replays the tail the backend is
+// missing (§3.3).
+func TestCrashMidDestageRecoversFromCache(t *testing.T) {
+	const n = 32
+	h, durable := midDestage(t, n, true, nil)
 	if durable >= n {
-		t.Log("pipeline drained before the crash; replay path not exercised")
+		t.Fatalf("bad setup: the backend committed all %d writes before the crash", durable)
 	}
 	h.reopen(t)
-	if durable < n && h.disk.Stats().RecoveredReplayed == 0 {
+	if h.disk.Stats().RecoveredReplayed == 0 {
 		t.Fatal("backend incomplete but no cache records replayed")
 	}
 	for i := 0; i < n; i++ {
@@ -70,20 +105,12 @@ func TestCrashMidDestageRecoversFromCache(t *testing.T) {
 // TestCrashMidDestageBlankCacheKeepsPrefix: same crash, but the cache
 // is lost too. Writes beyond the destaged point may vanish, but the
 // survivors must form a prefix of the acknowledged order (§3.4) —
-// in-order commit of concurrent uploads is exactly what guarantees it.
+// in-order commit of concurrent uploads is exactly what guarantees it:
+// the objects that landed behind the parked one hold writes that must
+// not come back.
 func TestCrashMidDestageBlankCacheKeepsPrefix(t *testing.T) {
-	h := newHarness(t, func(o *Options) {
-		o.Store = delay(testrec.NewStore(o.Store), testrec.Puts, 2*time.Millisecond)
-		o.BatchBytes = 64 * 1024
-		o.UploadDepth = 8
-	})
 	const n = 32
-	for i := 0; i < n; i++ {
-		if err := h.disk.WriteAt(payload(int64(i), 64*1024), int64(i)*(1<<20)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	h.disk.Kill()
+	h, durable := midDestage(t, n, false, func(o *Options) { o.UploadDepth = 8 })
 	h.opts.Cache = simdev.NewMem(256 * block.MiB)
 	h.reopen(t)
 	present := make([]bool, n)
@@ -93,6 +120,9 @@ func TestCrashMidDestageBlankCacheKeepsPrefix(t *testing.T) {
 			t.Fatal(err)
 		}
 		present[i] = bytes.Equal(got, payload(int64(i), 64*1024))
+	}
+	if present[durable] {
+		t.Fatalf("write %d, past the committed prefix of %d, survived a blank-cache crash", durable, durable)
 	}
 	seenGap := false
 	for i, p := range present {
@@ -118,6 +148,8 @@ func TestDestageStress(t *testing.T) {
 	const iters = 80
 	var wg sync.WaitGroup
 	errs := make(chan error, workers+1)
+	// Each flush asks the control goroutine for a GC pass.
+	kick := make(chan struct{}, 1)
 
 	for g := 0; g < workers; g++ {
 		wg.Add(1)
@@ -141,6 +173,10 @@ func TestDestageStress(t *testing.T) {
 						errs <- err
 						return
 					}
+					select {
+					case kick <- struct{}{}:
+					default:
+					}
 				default:
 					if err := h.disk.WriteAt(buf, off); err != nil {
 						errs <- err
@@ -161,7 +197,7 @@ func TestDestageStress(t *testing.T) {
 	}
 
 	// Control-plane goroutine: stats polls and explicit GC passes
-	// racing the data path.
+	// racing the data path, one at each worker flush.
 	ctl := make(chan struct{})
 	wg.Add(1)
 	go func() {
@@ -171,14 +207,13 @@ func TestDestageStress(t *testing.T) {
 			case <-ctl:
 				errs <- nil
 				return
-			default:
+			case <-kick:
 			}
 			_ = h.disk.Stats()
 			if err := h.disk.RunGC(); err != nil {
 				errs <- err
 				return
 			}
-			time.Sleep(time.Millisecond)
 		}
 	}()
 

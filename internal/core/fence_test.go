@@ -49,6 +49,17 @@ func startStampWriter(d *Disk, c *testrec.Store) *stampWriter {
 	return w
 }
 
+// awaitAck waits for the log to note a stampWriter's acknowledgment of
+// write v, or fails the test after ten seconds: the writer never stops,
+// so the program does not settle.
+func awaitAck(t *testing.T, rs *testrec.Store, v int64) {
+	t.Helper()
+	acked := testrec.Match(func(op testrec.Op) bool { return op.Kind == testrec.Note && op.Name == "ack" && op.Off >= v })
+	if !rs.Await(0, acked, 10*time.Second) {
+		t.Fatalf("write %d not acknowledged within ten seconds", v)
+	}
+}
+
 // prefixOf reads every block a stampWriter writes and returns k, the
 // number of its writes the image holds, failing unless the image is
 // exactly the state after writes 1..k.
@@ -102,7 +113,7 @@ func markUnderWriter(t *testing.T, mark func(*Disk) error, mount func(o Options,
 		o.DestageQueueDepth = 4
 	})
 	w := startStampWriter(h.disk, rs)
-	waitFor(t, "the writer to get going", func() bool { return w.acked.Load() >= 100 })
+	awaitAck(t, rs, 100)
 
 	t.Cleanup(func() { w.stop.Store(true) })
 	p, release := park(t, rs, testrec.CheckpointObject.Once())
@@ -116,7 +127,7 @@ func markUnderWriter(t *testing.T, mark func(*Disk) error, mount func(o Options,
 		t.Fatalf("mark returned %v without a checkpoint PUT", err)
 	}
 	from := w.acked.Load()
-	waitFor(t, "writes acknowledged while the checkpoint PUT is parked", func() bool { return w.acked.Load() >= from+20 })
+	awaitAck(t, rs, from+20) // while the checkpoint PUT is parked
 	released := rs.Note("release", 0)
 	release()
 	if err := <-marked; err != nil {
@@ -124,7 +135,7 @@ func markUnderWriter(t *testing.T, mark func(*Disk) error, mount func(o Options,
 	}
 	returned := rs.Note("returned", 0)
 	from = w.acked.Load()
-	waitFor(t, "writes after the mark returned", func() bool { return w.acked.Load() >= from+20 })
+	awaitAck(t, rs, from+20)
 	w.stop.Store(true)
 	if err := <-w.done; err != nil {
 		t.Fatal(err)

@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"math/rand"
 	"testing"
-	"time"
 
 	"lsvd/internal/block"
 	"lsvd/internal/journal"
@@ -106,11 +105,9 @@ func TestBackendAheadOfCrashedCacheIsNotShadowed(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for deadline := time.Now().Add(10 * time.Second); h.disk.Backend().Stats().DurableWriteSeq < v2; {
-		if time.Now().After(deadline) {
-			t.Fatal("the backend never committed version 2")
-		}
-		time.Sleep(time.Millisecond)
+	settle(t)
+	if got := h.disk.Backend().Stats().DurableWriteSeq; got < v2 {
+		t.Fatalf("the backend committed through write %d, not version 2 (%d)", got, v2)
 	}
 	h.disk.Kill()
 	h.cache.Crash(1.0, rand.New(rand.NewSource(1)))

@@ -20,14 +20,22 @@ func noteFences(rs *testrec.Store, d *Disk, m testrec.Match, label string) {
 	})
 }
 
+// settle waits until every goroutine of the test is parked, so that
+// what has not happened by then cannot happen before the test moves.
+func settle(t *testing.T) {
+	t.Helper()
+	if err := testrec.Settle(10 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// waitFor settles, then fails the test unless cond holds: what has not
+// happened once every goroutine is parked has nothing left to make it.
 func waitFor(t *testing.T, what string, cond func() bool) {
 	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for !cond() {
-		if time.Now().After(deadline) {
-			t.Fatalf("timed out waiting for %s", what)
-		}
-		time.Sleep(time.Millisecond)
+	settle(t)
+	if !cond() {
+		t.Fatalf("settled without %s", what)
 	}
 }
 
@@ -63,7 +71,7 @@ func TestRingFullWaitsForTheObjectInFlight(t *testing.T) {
 	rs := testrec.NewStore(objstore.NewMem())
 	h := smallRing(t, rs, batch, nil)
 	noteFences(rs, h.disk, testrec.DataObject, "put")
-	p := rs.Park(testrec.DataObject.Once())
+	p, release := park(t, rs, testrec.DataObject.Once())
 	done := make(chan error, 1)
 	data := payload(1, 128*1024)
 	go func() {
@@ -82,7 +90,7 @@ func TestRingFullWaitsForTheObjectInFlight(t *testing.T) {
 		st := h.disk.Stats()
 		return st.RingKicks > 0 && st.DestageQueued == 0
 	})
-	p.Release(nil)
+	release()
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}

@@ -58,21 +58,19 @@ func ship(bs *blockstore.Store, replica objstore.Store) *Shipper {
 	return Start(ctx, Config{Backend: bs, Replica: replica, Gate: gate, GateID: "vol#ship"})
 }
 
-// waitCaughtUp blocks until the shipper's lag is zero and the replica
-// holds a superblock.
+// waitCaughtUp fails unless, once every goroutine has settled, the
+// shipper's lag is zero and the replica holds a superblock.
 func waitCaughtUp(t *testing.T, sh *Shipper, replica objstore.Store) {
 	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for time.Now().Before(deadline) {
-		st := sh.Stats()
-		if st.LagObjects == 0 {
-			if _, err := replica.Size(ctx, "vol.super"); err == nil {
-				return
-			}
-		}
-		time.Sleep(time.Millisecond)
+	if err := testrec.Settle(10 * time.Second); err != nil {
+		t.Fatal(err)
 	}
-	t.Fatal("shipper never caught up")
+	if st := sh.Stats(); st.LagObjects != 0 {
+		t.Fatalf("the shipper settled %d objects behind", st.LagObjects)
+	}
+	if _, err := replica.Size(ctx, "vol.super"); err != nil {
+		t.Fatalf("the shipper settled without a replica superblock: %v", err)
+	}
 }
 
 func TestShipperMirrorsVolume(t *testing.T) {

@@ -6,6 +6,7 @@ import (
 	"os"
 	"regexp"
 	"runtime"
+	"runtime/debug"
 	"slices"
 	"strconv"
 	"strings"
@@ -168,7 +169,14 @@ func (sc *Script) Run(play func() error, sched []Choice, choose func(step int, h
 	g := sc.Gate
 	s := &Schedule{clock: g.c}
 	done := make(chan error, 1)
-	invariant.Go("testrec-script", func() { done <- play() })
+	invariant.Go("testrec-script", func() {
+		defer func() { // a panic of the script's fails the run, which prints its row
+			if r := recover(); r != nil {
+				done <- fmt.Errorf("panic: %v\n%s", r, debug.Stack())
+			}
+		}()
+		done <- play()
+	})
 	arrived := map[*Held]int{}
 	deadline := map[*Held]int64{}
 	var now int64 // the virtual time of the timer fired last

@@ -170,15 +170,16 @@ func (c *Clock) upTo(stamp uint64) []Op {
 }
 
 // Await reports whether an operation m matches completed, without
-// error, after stamp from, waiting for one up to d. m must not count
-// (Once, First, After, Every) or draw (Chance): it may see an entry twice.
+// error, after stamp from, or a note m matches was logged there, waiting
+// for one up to d. m must not count (Once, First, After, Every) or draw
+// (Chance): it may see an entry twice.
 func (c *Clock) Await(from uint64, m Match, d time.Duration) bool {
 	timer := time.NewTimer(d)
 	defer timer.Stop()
 	for {
 		c.mu.Lock()
 		for ; from < uint64(len(c.log)); from++ {
-			if op := c.log[from]; op.Done && op.Err == nil && m(op) {
+			if op := c.log[from]; (op.Done || op.Kind == Note) && op.Err == nil && m(op) {
 				c.mu.Unlock()
 				return true
 			}
