@@ -87,7 +87,10 @@ race:
 # A failing run of either driver prints its row and one line,
 # LSVD_REPLAY='{"TestX", seed, []string{choices}}' go test -run
 # '^TestX$$' ./internal/pkg, that replays exactly that run; a row of the
-# explorer is named TestBackendCrashEnumeration/explore. The fences and
+# explorer is named TestBackendCrashEnumeration/explore. A walk is a
+# function of its seed: TestTortureReplay replays seed 1 of each torture
+# from its row and compares the logs, twenty times under the race
+# detector, which shuffles every set of goroutines woken together. The fences and
 # shutdown race each other's writers: a snapshot and a checkpoint under a
 # continuous writer, Close and Kill against parked writers, a commit or a
 # wrapping reserve that arrives after the cache is quiesced must be
@@ -101,6 +104,7 @@ fault:
 	LSVD_FAULT_PREEMPT=3 $(GO) test -count=1 -race -timeout 60m -run 'TestBackendCrashEnumeration/explore' ./internal/blockstore
 	$(GO) test -count=20 -race -timeout 30m -run 'TestCrashEnumeration|TestCommitAfterQuiesceIsRefused' ./internal/writecache
 	$(GO) test -count=20 -race -run 'UnderWriter|TestShutdownReleasesParkedWriters|TestDeleteSnapshotWhileSnapshotQueued' ./internal/core
+	LSVD_FAULT_SEED=1 $(GO) test -count=20 -race -run TestTortureReplay ./internal/consistency
 	LSVD_FAULT_SEED=1 $(GO) test -count=1 -run TestFaultTorture ./internal/consistency
 	LSVD_FAULT_SEED=100 LSVD_FAULT_RATE=0.35 LSVD_FAULT_ITERS=8 \
 		$(GO) test -count=1 -run TestFaultTorture ./internal/consistency

@@ -236,7 +236,7 @@ func runWalk(t *testing.T, row testrec.Row, replay bool, iteration func(*walk) e
 		t.Logf("%s store: %d faults injected, %d PUTs torn", name, failed, torn)
 	}
 	lines := s.Lines()
-	t.Logf("%d steps, %d choices, %d log entries, digest %s", len(s.Steps), len(s.Choices), len(lines), digest(lines))
+	t.Logf("%d steps, %d threads, %d choices, %d log entries, digest %s", len(s.Steps), s.Threads(), len(s.Choices), len(lines), digest(lines))
 	s.Report(t, testrec.Row{Name: row.Name, Seed: row.Seed, Choices: s.Choices}, err)
 	return s.Choices, lines
 }

@@ -504,6 +504,18 @@ func (s *Script) Sample(seed int64, play func() error) (*Schedule, error) {
 	})
 }
 
+// Threads counts the threads (thread) whose operations the run held: a
+// walk's n.
+func (s *Schedule) Threads() int {
+	seen := map[string]bool{}
+	for _, step := range s.Steps {
+		for _, l := range step {
+			seen[thread(l)] = true
+		}
+	}
+	return len(seen)
+}
+
 // thread names the thread of a held operation's label for a walk: the
 // label without a note's value or an operation's offset, so a writer's
 // holds are one thread, as are the PUTs of one object and the writes of
