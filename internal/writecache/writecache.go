@@ -628,9 +628,8 @@ func (c *Cache) SetDestaged(writeSeq uint64) {
 // record durable (§3.2). No metadata writes are needed, and no lock: an
 // append is only acknowledged (Commit returns) after its group device
 // write completed, so the flush covers every acknowledged append, and
-// the device is the cache's for its life. The read lock it once held
-// guarded no field, and a Reserve waiting behind it made every reader
-// wait out the device flush too.
+// the device is the cache's for its life. Holding the lock would make
+// a Reserve, and every reader behind it, wait out the device flush.
 func (c *Cache) Flush() error { return c.dev.Flush() }
 
 // Trims are held in the map as tombstone runs — Present, but with this
