@@ -3,11 +3,11 @@ package objstore
 import "time"
 
 // Clock schedules the product's timers: the paced GC service's idle
-// trickle, the Retrier's backoff, the replica shipper's wait and the
-// destager's grace (DESIGN.md §11.4). Each timer is found through the
-// backend it serves (ClockOf), so a test that hands the product a store
-// that is also a Clock fires them as it chooses, and nothing else in the
-// product names time.
+// trickle and its wake, the Retrier's backoff, the replica shipper's
+// wake and wait and the destager's grace (DESIGN.md §11.4). Each timer
+// is found through the backend it serves (ClockOf), so a test that hands
+// the product a store that is also a Clock fires them as it chooses, and
+// nothing else in the product names time.
 type Clock interface {
 	// AfterFunc calls f on a goroutine of its own once d has passed,
 	// unless stop runs first; stop reports whether it stopped the call.

@@ -460,16 +460,18 @@ func Explore(t testing.TB, row Row, bound int, branch Branch, run func(sched []C
 // the oldest held operation of the thread with the highest. At
 // walkDepth−1 change points, steps drawn from the first walkHorizon, the
 // thread about to go drops below every other, each to its own priority.
-// So a bug that needs d−1 ordering constraints, d ≤ walkDepth, among n
-// threads and shows within k ≤ walkHorizon steps, one walk finds with
-// probability at least 1/(n·walkHorizon^(d−1)). A timer due at once is
+// So a bug of depth d ≤ walkDepth (one that needs d ordering constraints)
+// among n threads that shows within walkHorizon steps, one walk finds
+// with probability at least 1/(n·walkHorizon^(d−1)). A timer due at once is
 // a thread like any; one due later goes as Run's default has it, once
 // the program waits on time. The kill (Kill) goes at its step.
 func (s *Script) Sample(seed int64, play func() error) (*Schedule, error) {
 	rng := rand.New(rand.NewSource(seed ^ 0x77616c6b))
 	drop := map[int]float64{} // a change point's step → the priority it gives
-	for d := 1; d < walkDepth; d++ {
-		drop[rng.Intn(walkHorizon)] = float64(d)
+	for len(drop) < walkDepth-1 {
+		if k := rng.Intn(walkHorizon); drop[k] == 0 {
+			drop[k] = float64(len(drop) + 1)
+		}
 	}
 	prio := map[string]float64{}
 	return s.Run(play, nil, func(step int, held []*Held) *Choice {
