@@ -166,7 +166,7 @@ func FuzzOpenSuffix(f *testing.F) {
 		}
 		s.Abort()
 		le := binary.LittleEndian
-		var hdrs []*journal.Header // each object's header as recovery decodes it, nil if it cannot
+		var hdrs []*journal.Header // each object's header as open reads it, nil if it cannot
 		for i := 0; i < min(3, len(spec)/suffixObjBytes); i++ {
 			o := spec[i*suffixObjBytes:]
 			exts := make([]journal.ExtentEntry, le.Uint16(o[13:])%1024)
@@ -183,7 +183,7 @@ func FuzzOpenSuffix(f *testing.F) {
 				t.Fatal(err)
 			}
 			dh, _, _ := journal.DecodeHeader(obj)
-			hdrs = append(hdrs, dh)
+			hdrs = append(hdrs, retiredStamp(dh))
 		}
 
 		s, err = Open(ctx, cfg)

@@ -99,15 +99,15 @@ func (s *Store) headerGCLocked(seq uint32) (*hdrEntry, error) {
 }
 
 // fetchHeader reads and decodes object name's header: a probe of one
-// block, and a second ranged GET only when the extent list overflows
-// it. It returns the sectors the header occupies and the GETs issued.
+// block, and a second ranged GET only when the header overflows it.
+// It returns the sectors the header occupies and the GETs issued.
 func (s *Store) fetchHeader(name string) (h *journal.Header, hdrSectors uint32, gets uint64, err error) {
 	gets++
 	buf, err := s.cfg.Store.GetRange(s.ctx, name, 0, block.BlockSize)
 	if err != nil {
 		return nil, 0, gets, err
 	}
-	if need := journal.HeaderSize(int(headerExtentCount(buf))); need > len(buf) {
+	if need := journal.FramedLen(buf); need > len(buf) {
 		gets++
 		if buf, err = s.cfg.Store.GetRange(s.ctx, name, 0, int64(need)); err != nil {
 			return nil, 0, gets, err
@@ -117,12 +117,4 @@ func (s *Store) fetchHeader(name string) (h *journal.Header, hdrSectors uint32, 
 		return nil, 0, gets, fmt.Errorf("blockstore: header of %s unreadable: %w", name, err)
 	}
 	return h, uint32(journal.HeaderSize(len(h.Extents)) / block.SectorSize), gets, nil
-}
-
-// headerExtentCount peeks the extent count field of an encoded header.
-func headerExtentCount(buf []byte) uint32 {
-	if len(buf) < 44 {
-		return 0
-	}
-	return uint32(buf[40]) | uint32(buf[41])<<8 | uint32(buf[42])<<16 | uint32(buf[43])<<24
 }

@@ -106,7 +106,7 @@ func open(ctx context.Context, cfg Config, limit uint32, readOnly bool) (*Store,
 			if err != nil {
 				return nil, err
 			}
-			prev = h
+			prev = retiredStamp(h)
 			break
 		}
 		if payload.prevCkpt == 0 || payload.prevCkpt >= ckptSeq {
@@ -149,6 +149,7 @@ func open(ctx context.Context, cfg Config, limit uint32, readOnly bool) (*Store,
 	metas := make([]*objMeta, len(fetch))
 	runBounded(openFanout, len(fetch), func(i int) {
 		metas[i] = s.fetchObjectMeta(fetch[i], &gets)
+		retiredStamp(metas[i].h)
 	})
 
 	// Apply strictly in sequence order, so a torn object (the crash
@@ -258,6 +259,19 @@ func open(ctx context.Context, cfg Config, limit uint32, readOnly bool) (*Store,
 	s.stats.openNanos = time.Since(start).Nanoseconds()
 	s.startGCService()
 	return s, nil
+}
+
+// retiredStamp reads h's retired stamp, if it has one: before the epoch
+// had a word of its own, a header carried epoch·2³² + position in Seq
+// over a zero epoch word. Only open chains headers an older version may
+// have written, so only its two header sources, the loaded checkpoint
+// and the prefetched suffix, call it; every other reader takes Seq and
+// Epoch as written.
+func retiredStamp(h *journal.Header) *journal.Header {
+	if h != nil && h.Epoch == 0 && h.Seq>>32 != 0 {
+		h.Epoch, h.Seq = uint32(h.Seq>>32), h.Seq&(1<<32-1)
+	}
+	return h
 }
 
 // runBounded runs fn(0) … fn(n-1) on up to fanout goroutines, in

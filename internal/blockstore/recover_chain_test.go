@@ -305,3 +305,28 @@ func TestPackedStampBucketOpens(t *testing.T) {
 	b.write(t, s)
 	b.reopen(t).Abort()
 }
+
+// TestRetiredStamp: open reads a header of the retired stamp,
+// epoch·2³² + position in Seq over a zero epoch word, as the two
+// fields; a Seq that fits 32 bits is epoch 0, and an epoch word that is
+// not zero leaves the header as written.
+func TestRetiredStamp(t *testing.T) {
+	for _, c := range []struct {
+		seq       uint64
+		epoch     uint32
+		wantSeq   uint64
+		wantEpoch uint32
+	}{
+		{5<<32 | 10, 0, 10, 5},
+		{10, 0, 10, 0},
+		{5<<32 | 10, 2, 5<<32 | 10, 2},
+	} {
+		h := retiredStamp(&journal.Header{Seq: c.seq, Epoch: c.epoch})
+		if h.Seq != c.wantSeq || h.Epoch != c.wantEpoch {
+			t.Errorf("Seq %#x over epoch %d read as Seq %#x, epoch %d", c.seq, c.epoch, h.Seq, h.Epoch)
+		}
+	}
+	if retiredStamp(nil) != nil {
+		t.Error("a missing header read as one")
+	}
+}

@@ -308,6 +308,66 @@ func TestShutdownReleasesParkedWriters(t *testing.T) {
 	}
 }
 
+// graceCounter is a store that is its own objstore.Clock: it counts the
+// destage-grace timers the product arms, and runs every timer on the
+// clock of the store it wraps.
+type graceCounter struct {
+	*testrec.Store
+	armed atomic.Int64
+}
+
+func (g *graceCounter) AfterFunc(what string, d time.Duration, f func()) func() bool {
+	if what == "destage-grace" {
+		g.armed.Add(1)
+	}
+	return g.Store.AfterFunc(what, d, f)
+}
+
+// TestFullQueueWaitArmsNoTimer: a writer waiting on a full destage queue
+// behind a wedged destager arms no timer. It wakes on the destager's
+// tick as a request leaves the full queue, once the parked PUTs go on.
+func TestFullQueueWaitArmsNoTimer(t *testing.T) {
+	const queueDepth, writes = 4, 30 // the destager wedges after 24
+	gc := &graceCounter{Store: testrec.NewStore(objstore.NewMem())}
+	h := smallRing(t, gc, block.MiB, func(o *Options) {
+		o.UploadDepth = 1
+		o.DestageQueueDepth = queueDepth
+	})
+	_, release := park(t, gc.Store, testrec.DataObject)
+	data := payload(1, 128*1024)
+	var acked atomic.Int64
+	done := make(chan error, 1)
+	go func() {
+		for i := int64(0); i < writes; i++ {
+			if err := h.disk.WriteAt(data, i*int64(len(data))); err != nil {
+				done <- err
+				return
+			}
+			acked.Store(i + 1)
+		}
+		done <- nil
+	}()
+	waitFor(t, "the writer to wait on the full queue", func() bool {
+		st := h.disk.Stats()
+		return acked.Load() == 24+queueDepth && st.DestageQueued == queueDepth && st.RingKicks == 0
+	})
+	if n := gc.armed.Load(); n != 0 {
+		t.Fatalf("the writer armed %d destage-grace timers waiting on the full queue", n)
+	}
+	release()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("the writer did not resume once the destager moved")
+	}
+	if n := gc.armed.Load(); n != 0 {
+		t.Fatalf("%d destage-grace timers armed by %d writes that never met a full ring", n, writes)
+	}
+}
+
 // TestDeleteSnapshotWhileSnapshotQueued: a DeleteSnapshot issued while
 // a Snapshot's marker still waits in the destage queue deletes only
 // what the block store has — the new name is not there yet, an older

@@ -43,6 +43,9 @@ func FuzzDecode(f *testing.F) {
 			}
 			return
 		}
+		if _, hdrLen, _ := DecodeHeader(buf); FramedLen(buf) != hdrLen {
+			t.Fatalf("FramedLen %d, DecodeHeader's length %d", FramedLen(buf), hdrLen)
+		}
 		if total > len(buf) {
 			t.Fatalf("decoded total %d exceeds buffer %d", total, len(buf))
 		}

@@ -96,15 +96,6 @@ func Follows(prev, next *Header) bool {
 	return next.Seq == prev.Seq+1 && next.Epoch >= prev.Epoch
 }
 
-// DataSectors returns the total sectors described by the extent list.
-func (h *Header) DataSectors() uint64 {
-	var n uint64
-	for _, e := range h.Extents {
-		n += uint64(e.Sectors)
-	}
-	return n
-}
-
 const (
 	headerFixed = 4 + 4 + 4 + 4 + 8 + 8 + 8 + 4 + 4 // magic,type,hdrLen,crc,seq,writeSeq,dataLen,nExtents,epoch
 	entrySize   = 8 + 4 + 8                         // lba, sectors, srcSeq
@@ -192,13 +183,21 @@ func EncodeHeaderSum(h *Header, sum uint32) []byte {
 	return buf
 }
 
-// DecodeHeader parses a header from the front of buf without verifying
-// the data CRC (the data may not have been read yet). It returns the
-// header and the header's encoded length (including its padding). A
-// header shorter than HeaderSize is accepted: the block store's
-// superblock was once written unpadded. A zero epoch word under a Seq
-// of 2³² or more is the retired stamp of epoch·2³² + position in Seq,
-// which it splits.
+// FramedLen returns the length, padding included, that the header at
+// the front of buf claims, and never less than the fixed fields: what a
+// reader holding a prefix of a record fetches for DecodeHeader.
+func FramedLen(buf []byte) int {
+	if len(buf) < headerFixed {
+		return headerFixed
+	}
+	return max(headerFixed, int(binary.LittleEndian.Uint32(buf[12:])))
+}
+
+// DecodeHeader parses a header, every field as written, from the front
+// of buf without verifying the data CRC (the data may not have been
+// read yet), and returns its framed length. That length need only hold
+// the fields: older buckets' superblock is unpadded, and the benchmark
+// ladder's records pad to 4 KiB.
 func DecodeHeader(buf []byte) (*Header, int, error) {
 	if len(buf) < headerFixed {
 		return nil, 0, fmt.Errorf("%w: short header: %d bytes", ErrCorrupt, len(buf))
@@ -213,9 +212,6 @@ func DecodeHeader(buf []byte) (*Header, int, error) {
 		Epoch:    le.Uint32(buf[44:]),
 		WriteSeq: le.Uint64(buf[24:]),
 		DataLen:  le.Uint64(buf[32:]),
-	}
-	if h.Epoch == 0 && h.Seq>>32 != 0 {
-		h.Epoch, h.Seq = uint32(h.Seq>>32), h.Seq&(1<<32-1)
 	}
 	hdrLen := int(le.Uint32(buf[12:]))
 	n := int(le.Uint32(buf[40:]))

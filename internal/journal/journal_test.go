@@ -113,13 +113,6 @@ func TestPadRecord(t *testing.T) {
 	}
 }
 
-func TestDataSectors(t *testing.T) {
-	h := sampleHeader(16 * block.SectorSize)
-	if h.DataSectors() != 16 {
-		t.Fatalf("DataSectors=%d", h.DataSectors())
-	}
-}
-
 func TestTypeString(t *testing.T) {
 	for ty, want := range map[Type]string{
 		TypeData: "data", TypeCheckpoint: "checkpoint", TypeSuper: "super",
@@ -132,11 +125,9 @@ func TestTypeString(t *testing.T) {
 }
 
 // Property: any header with random extents and random data round-trips
-// exactly in both aligned and unaligned modes. Its epoch is not zero: a
-// zero epoch under a Seq of 2³² or more is the retired packed stamp.
+// exactly in both aligned and unaligned modes.
 func TestQuickRoundTrip(t *testing.T) {
 	f := func(seq, writeSeq uint64, epoch uint32, nExt uint8, dataBlocks uint8, align bool, seed int64) bool {
-		epoch |= 1
 		rng := rand.New(rand.NewSource(seed))
 		n := int(nExt%32) + 1
 		exts := make([]ExtentEntry, n)
@@ -206,10 +197,9 @@ func BenchmarkEncode32MB(b *testing.B) {
 	}
 }
 
-// Follows is the next position, by the same session or a later one; a
-// header of the retired stamp, epoch·2³² + position in Seq over a zero
-// epoch word, decodes to the two fields, and one whose Seq fits 32 bits
-// decodes as epoch 0.
+// Follows is the next position, by the same session or a later one;
+// and every header decodes with Seq and Epoch as written, a zero epoch
+// under a Seq of 2³² or more included.
 func TestFollowsAndThePackedStamp(t *testing.T) {
 	prev := &Header{Seq: 9, Epoch: 4}
 	for _, c := range []struct {
@@ -227,22 +217,41 @@ func TestFollowsAndThePackedStamp(t *testing.T) {
 		}
 	}
 	for _, c := range []struct {
-		seq       uint64
-		epoch     uint32
-		wantSeq   uint64
-		wantEpoch uint32
-	}{
-		{5<<32 | 10, 0, 10, 5},
-		{10, 0, 10, 0},
-		{5<<32 | 10, 2, 5<<32 | 10, 2},
-	} {
+		seq   uint64
+		epoch uint32
+	}{{5<<32 | 10, 0}, {10, 0}, {5<<32 | 10, 2}} {
 		rec, err := Encode(&Header{Type: TypeData, Seq: c.seq, Epoch: c.epoch}, nil, false)
 		if err != nil {
 			t.Fatal(err)
 		}
 		h, _, err := DecodeHeader(rec)
-		if err != nil || h.Seq != c.wantSeq || h.Epoch != c.wantEpoch {
-			t.Errorf("Seq %#x over epoch %d decoded to Seq %#x, epoch %d (%v)", c.seq, c.epoch, h.Seq, h.Epoch, err)
+		if err != nil || h.Seq != c.seq || h.Epoch != c.epoch {
+			t.Errorf("Seq %#x over epoch %d decoded to %+v (%v)", c.seq, c.epoch, h, err)
+		}
+	}
+}
+
+// FramedLen reports the length a header claims before all of it is in
+// the buffer, and at least the fixed fields of a buffer too short to
+// say.
+func TestFramedLen(t *testing.T) {
+	exts := make([]ExtentEntry, 600)
+	rec, err := Encode(&Header{Type: TypeData, Seq: 1, Extents: exts}, nil, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		buf  []byte
+		want int
+	}{
+		{rec, HeaderSize(600)},
+		{rec[:block.BlockSize], HeaderSize(600)},
+		{rec[:headerFixed], HeaderSize(600)},
+		{rec[:15], headerFixed},
+		{nil, headerFixed},
+	} {
+		if got := FramedLen(c.buf); got != c.want {
+			t.Errorf("FramedLen of %d bytes = %d, want %d", len(c.buf), got, c.want)
 		}
 	}
 }

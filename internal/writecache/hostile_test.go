@@ -22,7 +22,9 @@ import (
 // must refuse or recover without panicking or sizing a buffer from a
 // field it has not bounded, and whatever it recovers must be a cache
 // that works: it keeps a flushed write across the next Open, unless it
-// took the last epoch there is, when that Open refuses it.
+// took the last epoch there is, when that Open refuses it. A device
+// whose superblock holds the last epoch is formatted, as the core
+// formats it, and the cache formatted must work too.
 func FuzzOpen(f *testing.F) {
 	const logStart = superBytes + 2*block.BlockSize
 	f.Add(uint64(logStart), uint64(1), uint32(1), uint32(1), uint32(1), uint8(journal.TypeData), uint64(4096), uint32(8), uint8(0), uint64(logStart), []byte{})
@@ -41,6 +43,13 @@ func FuzzOpen(f *testing.F) {
 	f.Add(uint64(logStart), uint64(1), uint32(1), uint32(1), uint32(1), uint8(journal.TypeTrim), uint64(0), uint32(8), uint8(0), uint64(logStart), []byte{})
 	f.Add(uint64(logStart), uint64(1), uint32(1), uint32(1), uint32(1), uint8(journal.TypeData), uint64(512), uint32(1), uint8(0), uint64(logStart), make([]byte, 512))
 	f.Add(uint64(logStart), uint64(7), uint32(5), uint32(2), uint32(9), uint8(journal.TypeTrim), uint64(0), uint32(8), uint8(0), uint64(logStart), []byte{})
+	// The last epoch, which Open refuses; where the second record of the
+	// cache formatted over it will start lies a trim of epoch 0, the
+	// epoch a Format that wrapped took.
+	stale := journal.EncodeHeaderSum(&journal.Header{Type: journal.TypeTrim, Seq: 2,
+		Extents: []journal.ExtentEntry{{LBA: 1 << 20, Sectors: 16}}}, journal.Sum(nil))
+	f.Add(uint64(logStart), uint64(1), ^uint32(0), ^uint32(0), ^uint32(0), uint8(journal.TypeData), uint64(4096), uint32(8), uint8(0), uint64(logStart),
+		append(make([]byte, 16*block.SectorSize), stale...))
 	f.Fuzz(func(t *testing.T, startOff, startSeq uint64, epoch, startEpoch, recEpoch uint32, typ uint8, dataLen uint64, sectors uint32, layout uint8, superLogStart uint64, ring []byte) {
 		cfg := Config{CheckpointBytes: 2 * block.BlockSize}
 		dev := simdev.NewMem(logStart + 4*block.MiB)
@@ -80,6 +89,11 @@ func FuzzOpen(f *testing.F) {
 		}
 
 		c, err = Open(dev)
+		if err != nil && epoch == math.MaxUint32 && layout == 0 {
+			// No epoch is left to open in: the core formats the device
+			// as cache loss, and the cache formatted must work.
+			c, err = Format(dev, cfg)
+		}
 		if err != nil {
 			return
 		}

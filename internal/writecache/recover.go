@@ -19,10 +19,10 @@ import (
 //     a newer superblock has been written and flushed (evictOne).
 //  2. Open follows the chain from that record by magic, CRC, offset
 //     adjacency and journal.Follows (replay).
-//  3. Every Format and every Open takes a new epoch above every one it
-//     saw and persists it before its first append, so nothing an
-//     earlier incarnation left beyond its recovered chain can ever be a
-//     link of a later one.
+//  3. Every Format and every Open takes a new epoch, ≥ 1 and above every
+//     one left on the device, and persists it before its first append,
+//     so nothing an earlier incarnation left beyond its recovered chain
+//     can ever be a link of a later one.
 //  4. The caller, once it knows what the backend holds, drops
 //     everything the backend owns (Reconcile); what is left is exactly
 //     what Records hands back for re-destage.
@@ -64,49 +64,31 @@ func encodeSuper(sb superblock) ([]byte, error) {
 	return journal.Encode(&journal.Header{Type: journal.TypeSuper, Seq: sb.gen, DataLen: superPayload}, c.Buf, false)
 }
 
-// decodeSuper reads a superblock of a ring framed otherwise, and the
-// payloads of the four layouts before this one — 48 bytes (a start
-// whose sequence packed its epoch above a counter), 40 (a ring of
-// records with 4 KiB headers), 32 (no log start: the log began where
-// Config said) and 28 (gen, slot, length, epoch: a map checkpoint
-// beside the log) — only for their generation and epoch, which Format
-// continues; a log start of zero lies inside the superblocks, so Open
-// refuses them.
-func decodeSuper(data []byte) (superblock, bool) {
-	le := binary.LittleEndian
-	switch len(data) {
-	case superPayload:
-		sb := superblock{gen: le.Uint64(data), epoch: uint32(le.Uint64(data[8:]))}
-		if int64(le.Uint64(data[48:])) == hdrBytes {
-			sb.startOff, sb.startSeq = int64(le.Uint64(data[16:])), le.Uint64(data[24:])
-			sb.startEpoch, sb.logStart = uint32(le.Uint64(data[32:])), int64(le.Uint64(data[40:]))
-		}
-		return sb, true
-	case 48:
-		// Its records packed their epoch over a 48-bit counter, which
-		// DecodeHeader splits at bit 32 into an epoch below
-		// (epoch+1)·2¹⁶; Format must take one above them all.
-		return superblock{gen: le.Uint64(data), epoch: uint32(min(le.Uint64(data[8:])+1, 1<<16-1)<<16 - 1)}, true
-	case 40, 32:
-		return superblock{gen: le.Uint64(data), epoch: uint32(le.Uint64(data[8:]))}, true
-	case 28:
-		return superblock{gen: le.Uint64(data), epoch: uint32(le.Uint64(data[20:]))}, true
+// decodeSuper reads a superblock slot. One of a ring framed with other
+// headers keeps only its generation and epoch, for Format to continue:
+// its log start of zero lies inside the superblocks, so Open refuses it.
+func decodeSuper(slot []byte) (superblock, bool) {
+	h, data, _, err := journal.Decode(slot, false)
+	if err != nil || h.Type != journal.TypeSuper || len(data) != superPayload {
+		return superblock{}, false
 	}
-	return superblock{}, false
+	le := binary.LittleEndian
+	sb := superblock{gen: le.Uint64(data), epoch: uint32(le.Uint64(data[8:]))}
+	if int64(le.Uint64(data[48:])) == hdrBytes {
+		sb.startOff, sb.startSeq = int64(le.Uint64(data[16:])), le.Uint64(data[24:])
+		sb.startEpoch, sb.logStart = uint32(le.Uint64(data[32:])), int64(le.Uint64(data[40:]))
+	}
+	return sb, true
 }
 
 func readSuper(dev simdev.Device) (best superblock, err error) {
 	found := false
 	buf := make([]byte, block.BlockSize)
 	for _, off := range []int64{superSlot0, superSlot1} {
-		if rerr := dev.ReadAt(buf, off); rerr != nil {
+		if dev.ReadAt(buf, off) != nil {
 			continue
 		}
-		h, data, _, derr := journal.Decode(buf, false)
-		if derr != nil || h.Type != journal.TypeSuper {
-			continue
-		}
-		if sb, ok := decodeSuper(data); ok && (!found || sb.gen > best.gen) {
+		if sb, ok := decodeSuper(buf); ok && (!found || sb.gen > best.gen) {
 			best, found = sb, true
 		}
 	}
@@ -203,13 +185,28 @@ func attach(dev simdev.Device, logStart int64) (*Cache, error) {
 // Whatever cache the device held before is invalidated: the superblock
 // generation continues from the one on the device and both slots are
 // written, so no superblock of the previous cache is left to find; and
-// the epoch moves on, so nothing left in the ring is replayable.
+// the epoch moves on, so nothing left in the ring is replayable: from 1
+// on a device with no superblock, and from 1 over a zeroed log after
+// the last epoch there is.
 func Format(dev simdev.Device, cfg Config) (*Cache, error) {
 	c, err := attach(dev, superBytes+cfg.CheckpointBytes)
 	if err != nil {
 		return nil, err
 	}
 	prev, _ := readSuper(dev) // zero on a device never formatted
+	if prev.epoch == ^uint32(0) {
+		zeros := make([]byte, block.MiB)
+		for off := c.logStart; off < c.logEnd && err == nil; off += block.MiB {
+			err = dev.WriteAt(zeros[:min(block.MiB, c.logEnd-off)], off)
+		}
+		if err == nil {
+			err = dev.Flush()
+		}
+		if err != nil {
+			return nil, err
+		}
+		prev.epoch = 0
+	}
 	c.superGen, c.epoch = prev.gen, prev.epoch+1
 	c.nextSeq, c.mapSeq = 1, 1
 	c.head, c.tail = c.logStart, c.logStart

@@ -2,6 +2,7 @@ package writecache
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 
@@ -154,11 +155,11 @@ func TestStaleRecordBeyondHoleDoesNotChain(t *testing.T) {
 // A device in a retired layout — the one that kept a map checkpoint
 // beside the log, the one whose superblock does not say where the log
 // starts, the one of 4 KiB record headers and the one whose sequences
-// packed their epoch — is refused with the layout error, which the core
-// treats as cache loss; Format over it still continues its generation,
-// and takes an epoch above every one its records carry.
+// packed their epoch — holds no superblock Open reads, which the core
+// treats as cache loss; Format over it starts afresh at epoch 1, above
+// the zero epoch word of the packed records.
 func TestOpenRefusesCheckpointLayout(t *testing.T) {
-	for layout, epoch := range map[uint8]uint32{2: 4, 1: 4, 3: 4, 4: 4 << 16} {
+	for _, layout := range []uint8{2, 1, 3, 4} {
 		dev := simdev.NewMem(64 * block.MiB)
 		rec, err := retiredSuper(layout, 7, 3, uint64(superBytes+16*block.MiB), 3<<48|1)
 		if err != nil {
@@ -167,16 +168,69 @@ func TestOpenRefusesCheckpointLayout(t *testing.T) {
 		if err := dev.WriteAt(rec, superSlot1); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := Open(dev); err == nil || !strings.Contains(err.Error(), "another layout") {
-			t.Fatalf("layout %d: Open = %v, want the layout error", layout, err)
+		if _, err := Open(dev); err == nil || !strings.Contains(err.Error(), "no valid superblock") {
+			t.Fatalf("layout %d: Open = %v, want no valid superblock", layout, err)
 		}
 		c, err := Format(dev, Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if c.superGen != 9 || c.epoch != epoch {
-			t.Fatalf("layout %d: formatted at generation %d, epoch %d; want 9 and %d", layout, c.superGen, c.epoch, epoch)
+		if c.superGen != 2 || c.epoch != 1 {
+			t.Fatalf("layout %d: formatted at generation %d, epoch %d; want 2 and 1", layout, c.superGen, c.epoch)
 		}
+	}
+}
+
+// A device whose superblock holds the last epoch there is, which Open
+// refuses, formats into a cache that keeps its flushed writes: Format
+// clears the log and starts again at epoch 1, where wrapping to epoch 0
+// left the old session's records to follow the new ones, so the next
+// Open refused the device again and the next cache-loss format lost the
+// new session's flushed write.
+func TestFormatAtTheLastEpoch(t *testing.T) {
+	dev := simdev.NewMem(64 * block.MiB)
+	c, err := Format(dev, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.epoch, c.startEpoch = math.MaxUint32, math.MaxUint32
+	if err := c.writeSuper(); err != nil {
+		t.Fatal(err)
+	}
+	for i := uint64(1); i <= 5; i++ {
+		ext := block.Extent{LBA: block.LBA(i) * 8, Sectors: 8}
+		if err := c.Append(i, ext, payload(int64(i), int(ext.Bytes()))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(dev); err == nil || !strings.Contains(err.Error(), "no epoch is left") {
+		t.Fatalf("Open at the last epoch = %v, want no epoch left", err)
+	}
+	if c, err = Format(dev, Config{}); err != nil {
+		t.Fatal(err)
+	}
+	formatted := c.epoch
+	ext := block.Extent{LBA: 1 << 10, Sectors: 8} // the size of the old records, so it ends where the second began
+	if err := c.Append(1, ext, payload(9, int(ext.Bytes()))); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if c, err = Open(dev); err != nil {
+		t.Fatalf("reopen after formatting at the last epoch: %v", err)
+	}
+	if got, full := readBack(t, c, ext); !full || !bytes.Equal(got, payload(9, int(ext.Bytes()))) {
+		t.Fatal("the write flushed after the format did not survive the reopen")
+	}
+	if st := c.Stats(); st.RecoveredRecs != 1 {
+		t.Fatalf("reopen recovered %d records, want the one written after the format", st.RecoveredRecs)
+	}
+	if formatted != 1 {
+		t.Fatalf("formatted at epoch %d, want 1", formatted)
 	}
 }
 
