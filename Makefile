@@ -103,7 +103,7 @@ fault:
 	$(GO) test -count=20 -race -run 'TestBackendCrashEnumeration/regression' ./internal/blockstore
 	LSVD_FAULT_PREEMPT=3 $(GO) test -count=1 -race -timeout 60m -run 'TestBackendCrashEnumeration/explore' ./internal/blockstore
 	$(GO) test -count=20 -race -timeout 30m -run 'TestCrashEnumeration|TestCommitAfterQuiesceIsRefused' ./internal/writecache
-	$(GO) test -count=20 -race -run 'UnderWriter|TestShutdownReleasesParkedWriters|TestDeleteSnapshotWhileSnapshotQueued|TestFullQueueWaitArmsNoTimer' ./internal/core
+	$(GO) test -count=20 -race -run 'UnderWriter|TestShutdownReleasesParkedWriters|TestDeleteSnapshotWhileSnapshotQueued|TestFullQueueWaitArmsNoTimer|TestRingFullOfUndestageableData|TestReplicaThatFailsEveryPut|TestQueueWaiterGetsPipelineError' ./internal/core
 	LSVD_FAULT_SEED=1 $(GO) test -count=20 -race -run TestTortureReplay ./internal/consistency
 	LSVD_FAULT_SEED=1 $(GO) test -count=1 -run TestFaultTorture ./internal/consistency
 	LSVD_FAULT_SEED=100 LSVD_FAULT_RATE=0.35 LSVD_FAULT_ITERS=8 \

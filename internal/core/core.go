@@ -497,14 +497,8 @@ type Disk struct {
 	// shipper is the volume's replication goroutine (nil unless
 	// Options.ReplicaStore is set on a writable disk). replicaStalls
 	// counts foreground mutations that blocked on the RPO lag bound.
-	// replicaWake is the broadcast channel those stalled writers sleep
-	// on (awaitReplicaLag): notifyReplicaWake closes and replaces it
-	// whenever the shipper acks an object, the pipeline fails, or the
-	// disk closes. Nil unless the disk has a shipper.
 	shipper       *replica.Shipper
 	replicaStalls atomic.Uint64
-	replicaMu     sync.Mutex //lsvd:lock core.replicaWake
-	replicaWake   chan struct{}
 
 	volSectors block.LBA
 	readOnly   bool
@@ -525,9 +519,9 @@ type Disk struct {
 	perr atomic.Pointer[error]
 
 	// destageTick is pulsed (non-blocking, capacity 1) whenever the
-	// destage watermark advances, the pipeline fails or the destager
-	// takes a request off a full queue; an admission waiting for room
-	// sleeps on it.
+	// destage watermark advances, the pipeline fails, the destager takes
+	// a request off a full queue or the shipper acks an object; the
+	// admission waiting in enter sleeps on it.
 	destageTick chan struct{}
 	ringKicks   atomic.Uint64 // non-fencing seals issued by ring-full backpressure
 	ringFences  atomic.Uint64 // full fences after the watermark stalled
@@ -761,14 +755,13 @@ func (d *Disk) startPipeline(ctx context.Context) {
 	d.adm.start(d)
 	if !d.readOnly && d.opts.ReplicaStore != nil {
 		rs := d.opts.ReplicaStore
-		d.replicaWake = make(chan struct{})
 		d.shipper = replica.Start(ctx, replica.Config{
 			Backend:       d.bs,
 			Replica:       rs,
 			Gate:          d.res.UploadGate,
 			GateID:        d.res.UploadID + "#ship",
 			MaxLagObjects: d.opts.ReplicaMaxLagObjects,
-			OnAck:         d.notifyReplicaWake,
+			OnAck:         d.notifyDestage,
 		})
 	}
 	if d.readOnly {
@@ -853,12 +846,11 @@ func (d *Disk) destage() {
 }
 
 // failPipeline records the first destage failure; it is surfaced to
-// the client on the next mutation or fence. The tick wakes any writer
-// sleeping on destage progress so it sees the error promptly.
+// the client on the next mutation or fence. The tick wakes the writer
+// waiting in enter so it sees the error promptly.
 func (d *Disk) failPipeline(err error) {
 	d.perr.CompareAndSwap(nil, &err)
 	d.notifyDestage()
-	d.notifyReplicaWake()
 }
 
 // notifyDestage pulses the destage-progress channel. Non-blocking: a
@@ -875,62 +867,6 @@ func (d *Disk) pipelineErr() error {
 		return *p
 	}
 	return nil
-}
-
-// awaitReplicaLag is the RPO bound's escalation: while the replication
-// lag exceeds ReplicaMaxLagObjects, foreground mutations stall here —
-// holding the admission ticket (enter) but OUTSIDE wmu, so the destage
-// pipeline keeps committing and the shipper keeps acking — until the
-// replica catches up. "Bounded or blocked": the volume never silently
-// accumulates more unreplicated data than the configured exposure. The
-// one stalled writer sleeps on the wake channel rather than polling;
-// every shipper ack and pipeline failure broadcasts it, and Close and
-// Kill close closed. The writers behind it wait for the ticket in
-// arrival order: were they all stalled here, one ack would wake them
-// together to race for it, and the runtime would pick the ring order.
-func (d *Disk) awaitReplicaLag() error {
-	if d.shipper == nil || !d.shipper.OverBound() {
-		return nil
-	}
-	d.replicaStalls.Add(1)
-	for {
-		// Capture the wake channel before checking the exit conditions:
-		// an ack (or failure/close) landing between a check and the wait
-		// has already closed this channel, so the wait cannot miss it.
-		wake := d.replicaWakeCh()
-		if err := d.pipelineErr(); err != nil {
-			return err
-		}
-		if d.isClosed() {
-			return ErrClosed
-		}
-		if !d.shipper.OverBound() {
-			return nil
-		}
-		select {
-		case <-wake:
-		case <-d.closed:
-		}
-	}
-}
-
-// notifyReplicaWake broadcasts to every writer stalled in
-// awaitReplicaLag by closing the current wake channel and installing a
-// fresh one. No-op on disks without a shipper.
-func (d *Disk) notifyReplicaWake() {
-	d.replicaMu.Lock()
-	if d.replicaWake != nil {
-		close(d.replicaWake)
-		d.replicaWake = make(chan struct{})
-	}
-	d.replicaMu.Unlock()
-}
-
-func (d *Disk) replicaWakeCh() <-chan struct{} {
-	d.replicaMu.Lock()
-	ch := d.replicaWake
-	d.replicaMu.Unlock()
-	return ch
 }
 
 // isClosed reports whether Close or Kill has begun.
@@ -1049,24 +985,33 @@ var errQueueFull = errors.New("core: destage queue full")
 // its cache-log record reserved (the reservation is returned, and the
 // caller must Commit it), or a marker. It holds the admission ticket
 // throughout, a one-slot channel: Go queues blocked senders in arrival
-// order, so the ticket is a FIFO, and an admission that has to wait for
-// room — a full destage queue or a full ring — keeps every later one
-// behind it, which keeps writeSeq order into both the ring and the
-// queue, while it waits holding no lock. Close and Kill release the
-// whole line.
+// order, so the ticket is a FIFO, and an admission that has to wait
+// keeps every later one behind it, which keeps writeSeq order into both
+// the ring and the queue, while it waits holding no lock. Close and Kill
+// release the whole line.
 //
-// A full destage queue is waited out in handoff. A full ring means the
-// records pinning its head have not destaged yet, so the writer kicks a
-// non-fencing seal and dozes until the destage watermark advances,
-// retrying as commits land and the head evicts. The block store decides
-// what a kick seals (blockstore.SealAsync): a partial batch goes out only
-// when it is worth a PUT or nothing else is in flight, so the kick is
-// re-sent after every tick that did not free enough room — the in-flight
-// object it deferred to may have been the last one. This is §3.2's "no
-// writes accepted until cache space is freed" as flow control rather
-// than stop-and-go: the volume's upload pipeline keeps running (and
-// other volumes keep the shared backend busy) while this writer waits.
-// Only a stalled watermark escalates to the full destage fence.
+// The ticket holder is the only writer that waits, and it waits in one
+// loop: each round returns the pipeline's error or ErrClosed if either
+// is set, tries the handoff, and sleeps on destageTick until something
+// may have made room. Three edges make it wait:
+//   - The replication lag is over the RPO bound (a write or trim only):
+//     the volume never silently holds more unreplicated data than the
+//     configured exposure. Each shipper ack ticks.
+//   - The destage queue is full: the destager ticks as it takes a
+//     request off it. No timer is armed.
+//   - The ring is full: the records pinning its head have not destaged
+//     yet, so the writer kicks a non-fencing seal and dozes until the
+//     destage watermark advances, retrying as commits land and the head
+//     evicts. The block store decides what a kick seals
+//     (blockstore.SealAsync): a partial batch goes out only when it is
+//     worth a PUT or nothing else is in flight, so the kick is re-sent
+//     after every tick that did not free enough room — the in-flight
+//     object it deferred to may have been the last one. This is §3.2's
+//     "no writes accepted until cache space is freed" as flow control
+//     rather than stop-and-go: the upload pipeline keeps running while
+//     this writer waits. Only a watermark that stalls for destageGrace
+//     escalates, to the full destage fence, at most twice before the
+//     ring's ErrFull is returned.
 func (d *Disk) enter(req destageReq) (*writecache.Reservation, error) {
 	select {
 	case d.turn <- struct{}{}:
@@ -1074,76 +1019,72 @@ func (d *Disk) enter(req destageReq) (*writecache.Reservation, error) {
 		return nil, ErrClosed
 	}
 	defer func() { <-d.turn }()
-	if req.fence == nil {
-		if err := d.awaitReplicaLag(); err != nil {
+	stalled, fences := false, 0
+	var ring chan fenceReply // a ring fence to queue, then wait out
+	for {
+		if err := d.pipelineErr(); err != nil {
 			return nil, err
 		}
-	}
-	fences := 0
-	for {
-		res, err := d.handoff(req)
-		if !errors.Is(err, writecache.ErrFull) {
-			return res, err
+		if d.isClosed() {
+			return nil, ErrClosed
 		}
-		if perr := d.pipelineErr(); perr != nil {
-			return nil, perr
+		var err error
+		switch {
+		case ring != nil:
+			if _, err = d.tryHandoff(destageReq{fence: ring}); err == nil {
+				if _, err := d.awaitFence(ring); err != nil {
+					return nil, err
+				}
+				ring = nil
+				continue
+			}
+		case req.fence == nil && d.shipper != nil && d.shipper.OverBound():
+			if !stalled {
+				stalled = true
+				d.replicaStalls.Add(1)
+			}
+		default:
+			var res *writecache.Reservation
+			if res, err = d.tryHandoff(req); err == nil {
+				return res, nil
+			}
 		}
-		d.ringKicks.Add(1)
-		if _, qerr := d.handoff(destageReq{kick: true}); qerr != nil {
-			return nil, qerr
-		}
-		if d.awaitDestage() {
-			continue
-		}
-		// Watermark stalled: escalate to the fence, then retry.
-		if fences >= 2 {
+		full := errors.Is(err, writecache.ErrFull)
+		if err != nil && err != errQueueFull && !full {
 			return nil, err
 		}
-		fences++
-		d.ringFences.Add(1)
-		reply := make(chan fenceReply, 1)
-		if _, qerr := d.handoff(destageReq{fence: reply}); qerr != nil {
-			return nil, qerr
-		}
-		if _, ferr := d.awaitFence(reply); ferr != nil {
-			return nil, ferr
-		}
-	}
-}
-
-// awaitDestage sleeps until destage progress is signalled or the grace
-// period expires; true means progress, or that the disk is closing and
-// the retry will say so.
-func (d *Disk) awaitDestage() bool {
-	expired, stop := objstore.After(objstore.ClockOf(d.opts.Store), "destage-grace", destageGrace)
-	defer stop()
-	select {
-	case <-d.destageTick:
-		return true
-	case <-expired:
-		return false
-	case <-d.closed:
-		return true
-	}
-}
-
-// handoff puts req in the destage queue, waiting off wmu while the queue
-// is full; a full ring is the caller's to wait out (writecache.ErrFull).
-// The wait needs no timer: the destager ticks as it takes a request off
-// a full queue, and Close and Kill close d.closed.
-func (d *Disk) handoff(req destageReq) (*writecache.Reservation, error) {
-	for {
-		d.wmu.Lock()
-		res, err := d.handoffLocked(req)
-		d.wmu.Unlock()
-		if err != errQueueFull {
-			return res, err
+		var expired <-chan struct{}
+		stop := func() bool { return false }
+		if full {
+			// The queue had room at the reservation and only the ticket
+			// holder sends, so only Close can refuse the kick.
+			d.ringKicks.Add(1)
+			if _, kerr := d.tryHandoff(destageReq{kick: true}); kerr != nil {
+				return nil, kerr
+			}
+			expired, stop = objstore.After(objstore.ClockOf(d.opts.Store), "destage-grace", destageGrace)
 		}
 		select {
 		case <-d.destageTick:
 		case <-d.closed:
+		case <-expired:
+			// The watermark stalled: escalate to the fence, then retry.
+			if fences >= 2 {
+				return nil, err
+			}
+			fences++
+			d.ringFences.Add(1)
+			ring = make(chan fenceReply, 1)
 		}
+		stop()
 	}
+}
+
+// tryHandoff runs one handoffLocked under wmu.
+func (d *Disk) tryHandoff(req destageReq) (*writecache.Reservation, error) {
+	d.wmu.Lock()
+	defer d.wmu.Unlock()
+	return d.handoffLocked(req)
 }
 
 // handoffLocked is the metadata step of an admission, which never

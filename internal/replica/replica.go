@@ -50,8 +50,8 @@ type Config struct {
 	MaxLagObjects int
 	// OnAck, when set, is called after every ack (object copied,
 	// verified present, or deliberately skipped) — i.e. whenever the
-	// lag shrinks. Core uses it to wake writers stalled on the RPO
-	// bound instead of having them poll.
+	// lag shrinks. Core uses it to wake the writer stalled on the RPO
+	// bound instead of having it poll.
 	OnAck func()
 }
 
@@ -264,8 +264,8 @@ func (s *Shipper) shipSuper() {
 }
 
 // OverBound reports whether the replication lag currently exceeds the
-// configured RPO bound. The destage loop polls this to decide whether
-// to admit more foreground work.
+// configured RPO bound. Core's admission checks it before each write
+// and again at each ack (OnAck) while a write waits on it.
 func (s *Shipper) OverBound() bool {
 	if s.cfg.MaxLagObjects <= 0 {
 		return false

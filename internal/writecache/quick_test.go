@@ -53,12 +53,9 @@ func TestQuickCommittedWritesSurviveCrash(t *testing.T) {
 		// Every mirrored sector reads back with the right fill.
 		for lba, fill := range mirror {
 			e := block.Extent{LBA: lba, Sectors: 1}
-			runs := c2.Lookup(e)
-			if len(runs) != 1 || !runs[0].Present {
-				return false
-			}
 			buf := make([]byte, block.SectorSize)
-			if err := c2.ReadAt(runs[0].Target, buf); err != nil {
+			runs, err := c2.ReadExtent(e, buf)
+			if err != nil || len(runs) != 1 || !runs[0].Present {
 				return false
 			}
 			if buf[0] != fill {

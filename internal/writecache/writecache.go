@@ -654,14 +654,6 @@ func (c *Cache) Lookup(ext block.Extent) []extmap.Run {
 	return c.m.Lookup(ext)
 }
 
-// ReadAt reads cached data previously located via Lookup. Under
-// concurrency a Lookup target can be evicted before the read; callers
-// on the data path should use ReadExtent, which holds the lock across
-// lookup and read.
-func (c *Cache) ReadAt(t extmap.Target, buf []byte) error {
-	return c.dev.ReadAt(buf, t.Off.Bytes())
-}
-
 // ReadExtent looks up ext and reads every present run into the
 // matching positions of buf (len(buf) == ext.Bytes()), all under one
 // lock acquisition so a concurrent eviction cannot reuse the log space

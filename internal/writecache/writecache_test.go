@@ -45,17 +45,13 @@ func appendTrim(c *Cache, writeSeq uint64, ext block.Extent) error {
 func readBack(t *testing.T, c *Cache, ext block.Extent) ([]byte, bool) {
 	t.Helper()
 	buf := make([]byte, ext.Bytes())
+	runs, err := c.ReadExtent(ext, buf)
+	if err != nil {
+		t.Fatal(err)
+	}
 	full := true
-	for _, run := range c.Lookup(ext) {
-		if !run.Present {
-			full = false
-			continue
-		}
-		off := (run.LBA - ext.LBA).Bytes()
-		sub := buf[off : off+run.Bytes()]
-		if err := c.ReadAt(run.Target, sub); err != nil {
-			t.Fatal(err)
-		}
+	for _, run := range runs {
+		full = full && run.Present
 	}
 	return buf, full
 }
